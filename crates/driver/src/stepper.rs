@@ -483,8 +483,13 @@ impl Stepper {
             .with_viscosity(scenario.viscosity)
             .with_density(scenario.density)
             .with_dt(construction_dt);
+        // One node graph, slot map and coloring for both operator sets.
         let assembly = NastinAssembly::new(mesh.clone(), kernel_config);
-        let operators = PressureOperators::new(&mesh, config.vector_size);
+        let operators = PressureOperators::with_topology(
+            &mesh,
+            config.vector_size,
+            assembly.topology().clone(),
+        );
         let pins = scenario.pressure_pins(&mesh);
         let mut laplacian = operators.assemble_laplacian();
         laplacian.pin_rows_symmetric(&pins);

@@ -15,9 +15,10 @@ use crate::NDIME;
 use lv_mesh::chunks::ElementChunks;
 use lv_mesh::coloring::{ColoredChunks, ElementColoring};
 use lv_mesh::quadrature::GaussRule;
-use lv_mesh::{ElementKind, Field, Mesh, ShapeTable, VectorField};
+use lv_mesh::{ElementKind, Field, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_solver::CsrMatrix;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which numeric sweep implementation an assembly call runs.
 ///
@@ -90,10 +91,8 @@ pub struct NastinAssembly {
     config: KernelConfig,
     shape: ShapeTable,
     chunks: ElementChunks,
-    coloring: ElementColoring,
     colored: ColoredChunks,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    topology: Arc<MeshTopology>,
 }
 
 impl NastinAssembly {
@@ -102,6 +101,18 @@ impl NastinAssembly {
     /// # Panics
     /// Panics if the configuration is invalid or the mesh is not hexahedral.
     pub fn new(mesh: Mesh, config: KernelConfig) -> Self {
+        let topology = Arc::new(MeshTopology::new(&mesh));
+        Self::with_topology(mesh, config, topology)
+    }
+
+    /// [`new`](Self::new) on an already-built topology of `mesh`, so several
+    /// operators on one mesh share a single node graph, slot map and
+    /// coloring.
+    ///
+    /// # Panics
+    /// Panics like [`new`](Self::new), or if `topology` was built for a mesh
+    /// of another size.
+    pub fn with_topology(mesh: Mesh, config: KernelConfig, topology: Arc<MeshTopology>) -> Self {
         let problems = config.validate();
         assert!(problems.is_empty(), "invalid kernel configuration: {problems:?}");
         assert_eq!(
@@ -110,14 +121,13 @@ impl NastinAssembly {
             "the Nastin mini-app reproduction operates on hexahedral meshes"
         );
         let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
+        assert!(topology.fits(&mesh), "the topology was built for another mesh");
         let chunks = ElementChunks::new(&mesh, config.vector_size);
         // Balanced coloring keeps the per-color chunk counts even, so the
         // parallel sweep's trailing chunks do not idle workers (greedy
         // first-fit stays around as the validity oracle in lv-mesh).
-        let coloring = ElementColoring::balanced(&mesh);
-        let colored = ColoredChunks::new(&coloring, config.vector_size);
-        let (row_ptr, col_idx) = mesh.node_graph_csr();
-        NastinAssembly { mesh, config, shape, chunks, coloring, colored, row_ptr, col_idx }
+        let colored = ColoredChunks::new(topology.coloring(), config.vector_size);
+        NastinAssembly { mesh, config, shape, chunks, colored, topology }
     }
 
     /// The mesh the kernel operates on.
@@ -150,7 +160,20 @@ impl NastinAssembly {
     /// Creates a zero matrix with the mesh sparsity pattern (reusable across
     /// time steps).
     pub fn new_matrix(&self) -> CsrMatrix {
-        CsrMatrix::from_pattern(self.row_ptr.clone(), self.col_idx.clone())
+        CsrMatrix::from_pattern(self.topology.row_ptr().to_vec(), self.topology.col_idx().to_vec())
+    }
+
+    /// Zeroes the system before a slot-map sweep, after checking that
+    /// `matrix` has the pattern the slots index into (row pointers always,
+    /// column indices in debug builds).
+    fn clear_system(&self, matrix: &mut CsrMatrix, rhs: &mut [f64]) {
+        assert!(
+            matrix.row_ptr() == self.topology.row_ptr(),
+            "the matrix does not have this mesh's sparsity pattern (use `new_matrix`)"
+        );
+        debug_assert!(self.topology.has_pattern(matrix.row_ptr(), matrix.col_idx()));
+        matrix.zero_values();
+        rhs.fill(0.0);
     }
 
     /// Runs the full assembly for the given velocity/pressure state,
@@ -217,8 +240,7 @@ impl NastinAssembly {
     ) -> AssemblyStats {
         assert_eq!(rhs.len(), NDIME * self.mesh.num_nodes());
         assert_eq!(workspace.vector_size(), self.config.vector_size);
-        matrix.zero_values();
-        rhs.fill(0.0);
+        self.clear_system(matrix, rhs);
 
         let h_char = self.mesh.characteristic_length();
         let mut stats = AssemblyStats::default();
@@ -232,7 +254,14 @@ impl NastinAssembly {
             phases::phase5_stabilization_slices(&self.config, h_char, &mut v);
             phases::phase6_convective_slices(&self.shape, &self.config, &mut v);
             phases::phase7_viscous_slices(&self.shape, &self.config, &mut v);
-            phases::phase8_scatter_slices(&self.mesh, &self.config, &v, matrix, rhs);
+            phases::phase8_scatter_slices(
+                &self.mesh,
+                &self.topology,
+                &self.config,
+                &v,
+                matrix,
+                rhs,
+            );
             stats.chunks += 1;
             stats.elements += chunk.len;
         }
@@ -280,11 +309,12 @@ impl NastinAssembly {
         rhs: &mut [f64],
         workspaces: &mut [ElementWorkspace],
     ) -> AssemblyStats {
-        matrix.zero_values();
-        rhs.fill(0.0);
+        assert_eq!(rhs.len(), NDIME * self.mesh.num_nodes());
+        self.clear_system(matrix, rhs);
         let partial = parallel::colored_sweep(
             team,
             &self.mesh,
+            &self.topology,
             &self.shape,
             &self.config,
             velocity,
@@ -356,7 +386,15 @@ impl NastinAssembly {
 
     /// The element coloring of the mesh (computed at construction).
     pub fn element_coloring(&self) -> &ElementColoring {
-        &self.coloring
+        self.topology.coloring()
+    }
+
+    /// The node graph, slot map and coloring the sweeps run on — pass it to
+    /// [`PressureOperators::with_topology`](crate::PressureOperators::with_topology)
+    /// to build the projection operators of the same mesh without a second
+    /// graph.
+    pub fn topology(&self) -> &Arc<MeshTopology> {
+        &self.topology
     }
 
     /// The colored chunk schedule of the parallel path.

@@ -14,8 +14,9 @@
 //! must land before any chunk of color `c+1` starts).  A time-step loop
 //! spawns its workers once and reuses them for every assembly *and* every
 //! solve; the per-sweep `std::thread::scope` spawn of PR 2 is gone.  The
-//! unsafe disjoint-row scatter is isolated in [`SharedSystem`] with the
-//! coloring invariant spelled out.
+//! unsafe disjoint-row scatter is isolated in `MatrixSink` (shared with
+//! the pressure Laplacian of [`crate::projection`]) with the coloring
+//! invariant spelled out.
 //!
 //! ## Determinism
 //!
@@ -34,7 +35,7 @@ use crate::phases;
 use crate::workspace::ElementWorkspace;
 use crate::NDIME;
 use lv_mesh::coloring::ColoredChunks;
-use lv_mesh::{Field, Mesh, ShapeTable, VectorField};
+use lv_mesh::{Field, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_runtime::{partition, SharedSliceMut, Team};
 use lv_solver::CsrMatrix;
 
@@ -55,56 +56,80 @@ pub(crate) struct WorkerStats {
     pub singular_jacobians: usize,
 }
 
-/// A `Sync` view of the global system (CSR values + RHS) that workers
-/// scatter into concurrently.
+/// A `Sync` raw-pointer view of a CSR value array that colored-sweep workers
+/// scatter elemental rows into concurrently, through the element→CSR slot
+/// map.
 ///
 /// # Safety invariant
 ///
-/// All concurrent users must write disjoint entries.  The colored schedule
+/// Concurrent users must write disjoint rows.  The colored schedule
 /// guarantees this: within one color no two chunks share a mesh node, hence
-/// no two workers touch the same matrix row or RHS entry.  Cross-color
-/// writes are ordered by the per-color `Barrier` in the sweep.
-struct SharedSystem<'a> {
+/// no two workers touch the same matrix row.  Cross-color writes are
+/// ordered by the per-color barrier in the sweep.
+pub(crate) struct MatrixSink<'a> {
     row_ptr: &'a [usize],
-    col_idx: &'a [usize],
     values: *mut f64,
+}
+
+// SAFETY: the raw pointer is only dereferenced under the disjoint-row
+// invariant documented on the type; `row_ptr` is a plain `&[usize]`.
+unsafe impl Sync for MatrixSink<'_> {}
+
+impl<'a> MatrixSink<'a> {
+    /// The sink of `matrix`: its own row pointers bound every write to its
+    /// own value array.
+    pub(crate) fn new(matrix: &'a mut CsrMatrix) -> Self {
+        let (row_ptr, _, values) = matrix.pattern_and_values_mut();
+        MatrixSink { row_ptr, values: values.as_mut_ptr() }
+    }
+
+    /// Adds one elemental row: `values[j]` goes to position `slots[j]` of
+    /// the value array, which must lie in row `row`.
+    ///
+    /// # Panics
+    /// Panics if a slot lies outside `row` — a slot map that does not belong
+    /// to this matrix's pattern.
+    ///
+    /// # Safety
+    /// The caller must own `row` under the coloring invariant (no concurrent
+    /// writer touches the same row).
+    #[inline]
+    pub(crate) unsafe fn scatter_row(
+        &self,
+        row: usize,
+        slots: &[u32],
+        values: impl IntoIterator<Item = f64>,
+    ) {
+        let owned = self.row_ptr[row]..self.row_ptr[row + 1];
+        for (&slot, value) in slots.iter().zip(values) {
+            let slot = slot as usize;
+            assert!(owned.contains(&slot), "slot {slot} lies outside matrix row {row}");
+            // SAFETY: `slot` is inside row `row`, hence inside the value
+            // allocation (`row_ptr` is the matrix's own), and the row is not
+            // concurrently written (caller contract).
+            unsafe { *self.values.add(slot) += value };
+        }
+    }
+}
+
+/// The global system (CSR values + RHS) the assembly workers scatter into,
+/// under the ownership contract of [`MatrixSink`]: a worker owns the RHS
+/// entries of the nodes whose rows it owns.
+struct SharedSystem<'a> {
+    matrix: MatrixSink<'a>,
     rhs: *mut f64,
 }
 
-// SAFETY: the raw pointers are only dereferenced under the disjoint-row
-// invariant documented on the type; the shared pattern slices are plain
-// `&[usize]`.
+// SAFETY: `rhs` is only dereferenced under the disjoint-node invariant of
+// [`MatrixSink`]; the sink itself is `Sync`.
 unsafe impl Sync for SharedSystem<'_> {}
 
 impl SharedSystem<'_> {
-    /// Adds a batch of entries of one row (`values[i]` to `(row, cols[i])`),
-    /// amortizing the row-pointer lookup across the batch — the shared-view
-    /// mirror of [`CsrMatrix::add_row`].
+    /// Adds `value` to RHS entry `i`.
     ///
     /// # Safety
-    /// The caller must hold "ownership" of `row` under the coloring
-    /// invariant (no concurrent writer touches the same row), and every
-    /// `(row, cols[i])` must be part of the sparsity pattern.
-    #[inline]
-    unsafe fn add_row(&self, row: usize, cols: &[usize], values: &[f64]) {
-        debug_assert_eq!(cols.len(), values.len());
-        let start = self.row_ptr[row];
-        let end = self.row_ptr[row + 1];
-        let row_cols = &self.col_idx[start..end];
-        for (&col, &value) in cols.iter().zip(values) {
-            match row_cols.binary_search(&col) {
-                // SAFETY: `start + k` indexes inside the values allocation
-                // (pattern and values have equal length by construction),
-                // and the row is not concurrently written (caller
-                // contract).
-                Ok(k) => unsafe { *self.values.add(start + k) += value },
-                Err(_) => panic!("entry ({row}, {col}) not present in the sparsity pattern"),
-            }
-        }
-    }
-
-    /// Adds `value` to RHS entry `i` under the same ownership contract as
-    /// [`add_row`](Self::add_row).
+    /// The caller must own the node of entry `i` under the coloring
+    /// invariant.
     #[inline]
     unsafe fn add_rhs(&self, i: usize, value: f64) {
         // SAFETY: `i < NDIME * num_nodes` (checked by the driver) and the
@@ -117,6 +142,7 @@ impl SharedSystem<'_> {
 /// [`phases::phase8_scatter_slices`], writing through the disjoint-row view.
 fn scatter_shared(
     mesh: &Mesh,
+    topology: &MeshTopology,
     config: &KernelConfig,
     v: &crate::workspace::WorkspaceViewsMut,
     system: &SharedSystem<'_>,
@@ -126,6 +152,7 @@ fn scatter_shared(
     for iv in 0..vs {
         let Some(elem) = v.element_ids[iv] else { continue };
         let nodes = mesh.element_nodes(elem);
+        let slots = topology.csr_slots(elem);
         for (inode, &node_a) in nodes.iter().enumerate() {
             let node_a = node_a as usize;
             for idime in 0..NDIME {
@@ -137,14 +164,15 @@ fn scatter_shared(
                 };
             }
             if config.semi_implicit {
-                let mut cols = [0usize; PNODE];
-                let mut vals = [0.0f64; PNODE];
-                for (jnode, &node_b) in nodes.iter().enumerate() {
-                    cols[jnode] = node_b as usize;
-                    vals[jnode] = v.elauu[(inode * PNODE + jnode) * vs + iv];
-                }
+                let row = (0..PNODE).map(|jnode| v.elauu[(inode * PNODE + jnode) * vs + iv]);
                 // SAFETY: as above — row `node_a` belongs to this worker.
-                unsafe { system.add_row(node_a, &cols, &vals) };
+                unsafe {
+                    system.matrix.scatter_row(
+                        node_a,
+                        &slots[inode * PNODE..(inode + 1) * PNODE],
+                        row,
+                    )
+                };
             }
         }
     }
@@ -161,6 +189,7 @@ fn assemble_chunk_shared(
     velocity: &VectorField,
     pressure: &Field,
     slots: lv_mesh::ChunkSlots<'_>,
+    topology: &MeshTopology,
     ws: &mut ElementWorkspace,
     system: &SharedSystem<'_>,
 ) -> usize {
@@ -173,7 +202,7 @@ fn assemble_chunk_shared(
     phases::phase5_stabilization_slices(config, h_char, &mut v);
     phases::phase6_convective_slices(shape, config, &mut v);
     phases::phase7_viscous_slices(shape, config, &mut v);
-    scatter_shared(mesh, config, &v, system);
+    scatter_shared(mesh, topology, config, &v, system);
     singular
 }
 
@@ -190,6 +219,7 @@ fn assemble_chunk_shared(
 pub(crate) fn colored_sweep(
     team: &Team,
     mesh: &Mesh,
+    topology: &MeshTopology,
     shape: &ShapeTable,
     config: &KernelConfig,
     velocity: &VectorField,
@@ -205,9 +235,7 @@ pub(crate) fn colored_sweep(
         assert_eq!(ws.vector_size(), schedule.vector_size());
     }
     let h_char = mesh.characteristic_length();
-    let (row_ptr, col_idx, values) = matrix.pattern_and_values_mut();
-    let system =
-        SharedSystem { row_ptr, col_idx, values: values.as_mut_ptr(), rhs: rhs.as_mut_ptr() };
+    let system = SharedSystem { matrix: MatrixSink::new(matrix), rhs: rhs.as_mut_ptr() };
 
     let mut stats = WorkerStats::default();
     let num_workers = team.num_threads().min(workspaces.len());
@@ -225,7 +253,7 @@ pub(crate) fn colored_sweep(
             for chunk_id in schedule.color_chunks(color) {
                 let slots = schedule.slots(chunk_id);
                 stats.singular_jacobians += assemble_chunk_shared(
-                    mesh, shape, config, h_char, velocity, pressure, slots, ws, &system,
+                    mesh, shape, config, h_char, velocity, pressure, slots, topology, ws, &system,
                 );
                 stats.chunks += 1;
                 stats.elements += slots.len();
@@ -267,7 +295,8 @@ pub(crate) fn colored_sweep(
                 for chunk_id in chunk_ids.start + share.start..chunk_ids.start + share.end {
                     let slots = schedule.slots(chunk_id);
                     partial.singular_jacobians += assemble_chunk_shared(
-                        mesh, shape, config, h_char, velocity, pressure, slots, ws, &system,
+                        mesh, shape, config, h_char, velocity, pressure, slots, topology, ws,
+                        &system,
                     );
                     partial.chunks += 1;
                     partial.elements += slots.len();

@@ -49,7 +49,7 @@ use crate::workspace::{ElementWorkspace, WorkspaceViewsMut};
 use crate::{NDIME, NDOFN, PGAUS, PNODE};
 use lv_mesh::chunks::{ChunkSlots, ElementChunk};
 use lv_mesh::geometry::Mat3;
-use lv_mesh::{Field, Mesh, ShapeTable, VectorField};
+use lv_mesh::{Field, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_solver::CsrMatrix;
 
 /// Slot→element map of one kernel call.
@@ -648,13 +648,34 @@ pub fn phase5_stabilization_slices(config: &KernelConfig, h_char: f64, v: &mut W
     }
 }
 
+/// `out = (u·∇)f` of one integration point: the advection velocity rows
+/// dotted with the three rows of `grad` from `base` on, in the accessor
+/// path's accumulation order (0.0, then the `j` terms in order).
+#[inline(always)]
+fn advect(out: &mut [f64], adv: [&[f64]; NDIME], grad: &[f64], base: usize, vs: usize) {
+    let [adv0, adv1, adv2] = adv.map(|a| &a[..vs]);
+    let g0 = &row(grad, base, vs)[..vs];
+    let g1 = &row(grad, base + 1, vs)[..vs];
+    let g2 = &row(grad, base + 2, vs)[..vs];
+    let out = &mut out[..vs];
+    for k in 0..vs {
+        let mut dot = 0.0;
+        dot += adv0[k] * g0[k];
+        dot += adv1[k] * g1[k];
+        dot += adv2[k] * g2[k];
+        out[k] = dot;
+    }
+}
+
 /// Phase 6, slice path: convective term (Galerkin + SUPG) — the
-/// FLOP-dominant phase, now with every inner loop a unit-stride slice sweep.
+/// FLOP-dominant phase, every inner loop a unit-stride slice sweep.
 ///
-/// The SUPG test-function convection `conv_a = (u·∇)N_a` is hoisted into the
-/// workspace scratch row once per `(igaus, inode)` and reused by both the
-/// RHS and the elemental-matrix accumulation, exactly like the accessor
-/// path's per-slot scalar.
+/// What the accessor path recomputes per `(inode, jnode)` slot is computed
+/// once into the workspace scratch rows: per integration point the
+/// convections `(u·∇)N_b` of all nodes, `(u·∇)u_i` of all components, `ρ·τ`
+/// and `vol·ρ`; per test function `τ·(u·∇)N_a` and `ρτ·(u·∇)N_a`.  Each is
+/// the left-most factor pair of the accessor path's left-associated
+/// products, so the results stay bitwise identical.
 pub fn phase6_convective_slices(
     shape: &ShapeTable,
     config: &KernelConfig,
@@ -662,73 +683,53 @@ pub fn phase6_convective_slices(
 ) {
     let vs = v.vs;
     let rho = config.density;
+    let (conv, rest) = v.scratch.split_at_mut(PNODE * vs);
+    let (ugradu, rest) = rest.split_at_mut(NDIME * vs);
+    let (rho_tau, rest) = rest.split_at_mut(vs);
+    let (vol_rho, rest) = rest.split_at_mut(vs);
+    let (tau_conv_a, rest) = rest.split_at_mut(vs);
+    let rho_tau_conv_a = &mut rest[..vs];
     for igaus in 0..PGAUS {
         let funcs = shape.functions(igaus);
+        let vol = &row(v.gpvol, igaus, vs)[..vs];
+        let tau = &row(v.tau, igaus, vs)[..vs];
+        let adv = [0, 1, 2].map(|j| row(v.gpadv, igaus * NDIME + j, vs));
+        for node in 0..PNODE {
+            advect(row_mut(conv, node, vs), adv, v.gpcar, (igaus * PNODE + node) * NDIME, vs);
+        }
+        for i in 0..NDIME {
+            advect(row_mut(ugradu, i, vs), adv, v.gpgve, (igaus * NDIME + i) * NDIME, vs);
+        }
+        for k in 0..vs {
+            rho_tau[k] = rho * tau[k];
+            vol_rho[k] = vol[k] * rho;
+        }
         for inode in 0..PNODE {
             let n_a = funcs.n[inode];
-            let base_a = (igaus * PNODE + inode) * NDIME;
-            {
-                // conv_a = (u·∇)N_a into the scratch row (accessor
-                // accumulation order: 0.0, then the j terms in order).
-                let adv0 = row(v.gpadv, igaus * NDIME, vs);
-                let adv1 = row(v.gpadv, igaus * NDIME + 1, vs);
-                let adv2 = row(v.gpadv, igaus * NDIME + 2, vs);
-                let car0 = row(v.gpcar, base_a, vs);
-                let car1 = row(v.gpcar, base_a + 1, vs);
-                let car2 = row(v.gpcar, base_a + 2, vs);
-                for (k, s) in v.scratch.iter_mut().enumerate() {
-                    let mut conv_a = 0.0;
-                    conv_a += adv0[k] * car0[k];
-                    conv_a += adv1[k] * car1[k];
-                    conv_a += adv2[k] * car2[k];
-                    *s = conv_a;
-                }
+            let rho_n_a = rho * n_a;
+            let conv_a = &row(conv, inode, vs)[..vs];
+            for k in 0..vs {
+                tau_conv_a[k] = tau[k] * conv_a[k];
+                rho_tau_conv_a[k] = rho_tau[k] * conv_a[k];
             }
             for i in 0..NDIME {
-                let vol = &row(v.gpvol, igaus, vs)[..vs];
-                let tau = &row(v.tau, igaus, vs)[..vs];
-                let adv0 = &row(v.gpadv, igaus * NDIME, vs)[..vs];
-                let adv1 = &row(v.gpadv, igaus * NDIME + 1, vs)[..vs];
-                let adv2 = &row(v.gpadv, igaus * NDIME + 2, vs)[..vs];
-                let gve0 = &row(v.gpgve, (igaus * NDIME + i) * NDIME, vs)[..vs];
-                let gve1 = &row(v.gpgve, (igaus * NDIME + i) * NDIME + 1, vs)[..vs];
-                let gve2 = &row(v.gpgve, (igaus * NDIME + i) * NDIME + 2, vs)[..vs];
-                let conv_a = &v.scratch[..vs];
+                let ugradu_i = &row(ugradu, i, vs)[..vs];
                 let rbu = &mut row_mut(v.elrbu, inode * NDIME + i, vs)[..vs];
                 for k in 0..vs {
-                    let r = &mut rbu[k];
-                    // (u·∇)u_i at the integration point.
-                    let mut ugradu_i = 0.0;
-                    ugradu_i += adv0[k] * gve0[k];
-                    ugradu_i += adv1[k] * gve1[k];
-                    ugradu_i += adv2[k] * gve2[k];
                     // Galerkin convective residual + SUPG perturbation.
-                    let galerkin = rho * n_a * ugradu_i;
-                    let supg = rho * tau[k] * conv_a[k] * ugradu_i;
-                    *r += -vol[k] * (galerkin + supg);
+                    let galerkin = rho_n_a * ugradu_i[k];
+                    let supg = rho_tau_conv_a[k] * ugradu_i[k];
+                    rbu[k] += -vol[k] * (galerkin + supg);
                 }
             }
             if config.semi_implicit {
                 for jnode in 0..PNODE {
-                    let base_b = (igaus * PNODE + jnode) * NDIME;
-                    let vol = &row(v.gpvol, igaus, vs)[..vs];
-                    let tau = &row(v.tau, igaus, vs)[..vs];
-                    let adv0 = &row(v.gpadv, igaus * NDIME, vs)[..vs];
-                    let adv1 = &row(v.gpadv, igaus * NDIME + 1, vs)[..vs];
-                    let adv2 = &row(v.gpadv, igaus * NDIME + 2, vs)[..vs];
-                    let carb0 = &row(v.gpcar, base_b, vs)[..vs];
-                    let carb1 = &row(v.gpcar, base_b + 1, vs)[..vs];
-                    let carb2 = &row(v.gpcar, base_b + 2, vs)[..vs];
-                    let conv_a = &v.scratch[..vs];
+                    let conv_b = &row(conv, jnode, vs)[..vs];
                     let ela = &mut row_mut(v.elauu, inode * PNODE + jnode, vs)[..vs];
                     for k in 0..vs {
-                        let mut conv_b = 0.0;
-                        conv_b += adv0[k] * carb0[k];
-                        conv_b += adv1[k] * carb1[k];
-                        conv_b += adv2[k] * carb2[k];
-                        let galerkin = n_a * conv_b;
-                        let supg = tau[k] * conv_a[k] * conv_b;
-                        ela[k] += vol[k] * rho * (galerkin + supg);
+                        let galerkin = n_a * conv_b[k];
+                        let supg = tau_conv_a[k] * conv_b[k];
+                        ela[k] += vol_rho[k] * (galerkin + supg);
                     }
                 }
             }
@@ -794,11 +795,14 @@ pub fn phase7_viscous_slices(shape: &ShapeTable, config: &KernelConfig, v: &mut 
 }
 
 /// Phase 8, slice path: validity check and scatter into the global CSR
-/// matrix and RHS.  The elemental matrix rows go through
-/// [`CsrMatrix::add_row`], which amortizes the row-pointer lookup across the
-/// `jnode` batch.
+/// matrix and RHS.  The elemental matrix entries go straight to their
+/// positions in the value array through the element→CSR slot map of
+/// `topology` (whose pattern `matrix` must have — the sweep drivers check it
+/// once per sweep); the sparsity pattern never changes, so nothing is
+/// searched here.
 pub fn phase8_scatter_slices(
     mesh: &Mesh,
+    topology: &MeshTopology,
     config: &KernelConfig,
     v: &WorkspaceViewsMut,
     matrix: &mut CsrMatrix,
@@ -806,23 +810,22 @@ pub fn phase8_scatter_slices(
 ) {
     assert_eq!(rhs.len(), NDIME * mesh.num_nodes());
     let vs = v.vs;
+    let (_, _, values) = matrix.pattern_and_values_mut();
     for iv in 0..vs {
         // The validity check of the paper: padding slots are skipped.
         let Some(elem) = v.element_ids[iv] else { continue };
         let nodes = mesh.element_nodes(elem);
+        let slots = topology.csr_slots(elem);
         for (inode, &node_a) in nodes.iter().enumerate() {
             let node_a = node_a as usize;
             for idime in 0..NDIME {
                 rhs[NDIME * node_a + idime] += v.elrbu[(inode * NDIME + idime) * vs + iv];
             }
             if config.semi_implicit {
-                let mut cols = [0usize; PNODE];
-                let mut vals = [0.0f64; PNODE];
-                for (jnode, &node_b) in nodes.iter().enumerate() {
-                    cols[jnode] = node_b as usize;
-                    vals[jnode] = v.elauu[(inode * PNODE + jnode) * vs + iv];
+                for jnode in 0..PNODE {
+                    values[slots[inode * PNODE + jnode] as usize] +=
+                        v.elauu[(inode * PNODE + jnode) * vs + iv];
                 }
-                matrix.add_row(node_a, &cols, &vals);
             }
         }
     }
@@ -1096,7 +1099,8 @@ mod tests {
         let mut ws_s = ElementWorkspace::new(vs);
         ws_s.poison(-7.25); // prove no stale-data dependence on the way
         ws_s.reset();
-        let (row_ptr, col_idx) = mesh.node_graph_csr();
+        let topology = MeshTopology::new(&mesh);
+        let (row_ptr, col_idx) = (topology.row_ptr().to_vec(), topology.col_idx().to_vec());
         let mut mat_s = CsrMatrix::from_pattern(row_ptr.clone(), col_idx.clone());
         let mut rhs_s = vec![0.0; NDIME * mesh.num_nodes()];
         {
@@ -1109,7 +1113,7 @@ mod tests {
             phase6_convective_slices(&shape, &config, &mut v);
             phase7_viscous_slices(&shape, &config, &mut v);
             assert_eq!(singular_a, singular_s);
-            phase8_scatter_slices(&mesh, &config, &v, &mut mat_s, &mut rhs_s);
+            phase8_scatter_slices(&mesh, &topology, &config, &v, &mut mat_s, &mut rhs_s);
         }
 
         let va = ws_a.views();

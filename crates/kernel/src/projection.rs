@@ -23,51 +23,15 @@
 //! every thread count** — the same contract as the colored assembly sweep
 //! and the pooled Krylov solvers.
 
+use crate::parallel::MatrixSink;
 use crate::{NDIME, PGAUS, PNODE};
-use lv_mesh::coloring::{ColoredChunks, ElementColoring};
+use lv_mesh::coloring::ColoredChunks;
 use lv_mesh::geometry::Point3;
 use lv_mesh::quadrature::GaussRule;
-use lv_mesh::{ChunkSlots, ElementKind, Mesh, ShapeTable, VectorField};
+use lv_mesh::{ChunkSlots, ElementKind, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_runtime::{partition, SharedSliceMut, Team};
 use lv_solver::CsrMatrix;
-
-/// A `Sync` raw-pointer view of a CSR value array that colored-sweep workers
-/// scatter rows into concurrently.
-///
-/// # Safety invariant
-/// Concurrent users must write disjoint rows; the coloring guarantees it
-/// (no two chunks of a color share a node), and cross-color writes are
-/// ordered by the per-color barrier.
-struct MatrixSink<'a> {
-    row_ptr: &'a [usize],
-    col_idx: &'a [usize],
-    values: *mut f64,
-}
-
-// SAFETY: dereferences only happen under the disjoint-row invariant above.
-unsafe impl Sync for MatrixSink<'_> {}
-
-impl MatrixSink<'_> {
-    /// Adds one elemental row (`values[i]` to `(row, cols[i])`).
-    ///
-    /// # Safety
-    /// The caller must own `row` under the coloring invariant, and every
-    /// `(row, cols[i])` must exist in the sparsity pattern.
-    #[inline]
-    unsafe fn add_row(&self, row: usize, cols: &[usize], values: &[f64]) {
-        let start = self.row_ptr[row];
-        let end = self.row_ptr[row + 1];
-        let row_cols = &self.col_idx[start..end];
-        for (&col, &value) in cols.iter().zip(values) {
-            match row_cols.binary_search(&col) {
-                // SAFETY: `start + k` is inside the values allocation and the
-                // row is not concurrently written (caller contract).
-                Ok(k) => unsafe { *self.values.add(start + k) += value },
-                Err(_) => panic!("entry ({row}, {col}) missing from the sparsity pattern"),
-            }
-        }
-    }
-}
+use std::sync::Arc;
 
 /// The pressure-projection operators of one mesh: precomputed element
 /// geometry plus the colored schedule their sweeps run on.
@@ -83,8 +47,7 @@ pub struct PressureOperators {
     gpcar: Vec<f64>,
     /// Lumped (row-sum) mass per node: `M_a = ∫ N_a dΩ`.
     lumped_mass: Vec<f64>,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    topology: Arc<MeshTopology>,
 }
 
 impl PressureOperators {
@@ -94,15 +57,26 @@ impl PressureOperators {
     /// Panics if the mesh is not hexahedral or contains a non-positive
     /// Jacobian (an inverted element).
     pub fn new(mesh: &Mesh, vector_size: usize) -> Self {
+        Self::with_topology(mesh, vector_size, Arc::new(MeshTopology::new(mesh)))
+    }
+
+    /// [`new`](Self::new) on an already-built topology of `mesh` (e.g.
+    /// [`NastinAssembly::topology`](crate::NastinAssembly::topology)), so the
+    /// node graph and coloring are not built a second time.
+    ///
+    /// # Panics
+    /// Panics like [`new`](Self::new), or if `topology` was built for a mesh
+    /// of another size.
+    pub fn with_topology(mesh: &Mesh, vector_size: usize, topology: Arc<MeshTopology>) -> Self {
         assert_eq!(
             mesh.kind(),
             ElementKind::Hex8,
             "the projection operators operate on hexahedral meshes"
         );
         assert!(vector_size > 0, "vector_size must be positive");
+        assert!(topology.fits(mesh), "the topology was built for another mesh");
         let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
-        let coloring = ElementColoring::balanced(mesh);
-        let colored = ColoredChunks::new(&coloring, vector_size);
+        let colored = ColoredChunks::new(topology.coloring(), vector_size);
         let nelem = mesh.num_elements();
         let nnode = mesh.num_nodes();
         let mut gpvol = vec![0.0; nelem * PGAUS];
@@ -163,7 +137,6 @@ impl PressureOperators {
                 }
             }
         }
-        let (row_ptr, col_idx) = mesh.node_graph_csr();
         PressureOperators {
             mesh: mesh.clone(),
             shape,
@@ -171,8 +144,7 @@ impl PressureOperators {
             gpvol,
             gpcar,
             lumped_mass,
-            row_ptr,
-            col_idx,
+            topology,
         }
     }
 
@@ -224,12 +196,15 @@ impl PressureOperators {
     /// least one node per connected component with
     /// [`CsrMatrix::pin_rows_symmetric`] to make it definite.
     pub fn assemble_laplacian_on(&self, team: &Team) -> CsrMatrix {
-        let mut matrix = CsrMatrix::from_pattern(self.row_ptr.clone(), self.col_idx.clone());
-        {
-            let (row_ptr, col_idx, values) = matrix.pattern_and_values_mut();
-            let sink = MatrixSink { row_ptr, col_idx, values: values.as_mut_ptr() };
-            self.run_colored(Some(team), |slots| self.laplacian_chunk(&slots, &sink));
-        }
+        self.laplacian(Some(team))
+    }
+
+    fn laplacian(&self, team: Option<&Team>) -> CsrMatrix {
+        let topology = &self.topology;
+        let mut matrix =
+            CsrMatrix::from_pattern(topology.row_ptr().to_vec(), topology.col_idx().to_vec());
+        let sink = MatrixSink::new(&mut matrix);
+        self.run_colored(team, |slots| self.laplacian_chunk(&slots, &sink));
         matrix
     }
 
@@ -237,13 +212,7 @@ impl PressureOperators {
     /// team: the identical colored chunk order, run serially (bitwise the
     /// same result).
     pub fn assemble_laplacian(&self) -> CsrMatrix {
-        let mut matrix = CsrMatrix::from_pattern(self.row_ptr.clone(), self.col_idx.clone());
-        {
-            let (row_ptr, col_idx, values) = matrix.pattern_and_values_mut();
-            let sink = MatrixSink { row_ptr, col_idx, values: values.as_mut_ptr() };
-            self.run_colored(None, |slots| self.laplacian_chunk(&slots, &sink));
-        }
-        matrix
+        self.laplacian(None)
     }
 
     /// The matrix-free counterpart of
@@ -272,14 +241,11 @@ impl PressureOperators {
                     }
                 }
             }
-            let mut cols = [0usize; PNODE];
-            for (b, &node) in nodes.iter().enumerate() {
-                cols[b] = node as usize;
-            }
+            let csr = self.topology.csr_slots(elem);
             for (a, &node) in nodes.iter().enumerate() {
                 // SAFETY: this worker owns every node of `elem` within the
                 // current color (coloring invariant).
-                unsafe { sink.add_row(node as usize, &cols, &el[a]) };
+                unsafe { sink.scatter_row(node as usize, &csr[a * PNODE..(a + 1) * PNODE], el[a]) };
             }
         }
     }

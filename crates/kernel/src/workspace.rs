@@ -103,6 +103,13 @@ impl WorkspaceLayout {
     }
 }
 
+/// `VECTOR_SIZE` rows of scratch space the slice-view phases keep beside the
+/// workspace arrays — the per-slot products phase 6 hoists out of its inner
+/// loops: `(u·∇)N_b` for the `PNODE` nodes and `(u·∇)u_i` for the `NDIME`
+/// components of the current integration point, `ρ·τ`, `vol·ρ`, and
+/// `τ·(u·∇)N_a`, `ρτ·(u·∇)N_a` for the current test function.
+pub const SCRATCH_ROWS: usize = PNODE + NDIME + 4;
+
 /// The element-local workspace of one `VECTOR_SIZE` block.
 ///
 /// A single allocation is reused for every chunk of the mesh ("workhorse
@@ -117,11 +124,11 @@ pub struct ElementWorkspace {
     /// Global element id of each slot, `None` for padding slots of the last
     /// chunk (phase 8 checks this before scattering).
     element_ids: Vec<Option<usize>>,
-    /// One extra `VECTOR_SIZE` row of scratch space for the slice-view
-    /// phases (per-slot temporaries hoisted out of inner loops, e.g. the
-    /// SUPG test-function convection of phase 6).  Deliberately *outside*
-    /// [`WorkspaceLayout`]: the layout doubles as the simulated address map
-    /// and must keep describing exactly the arrays Alya's kernel touches.
+    /// [`SCRATCH_ROWS`] extra `VECTOR_SIZE` rows for the slice-view phases
+    /// (per-slot temporaries hoisted out of inner loops).  Deliberately
+    /// *outside* [`WorkspaceLayout`]: the layout doubles as the simulated
+    /// address map and must keep describing exactly the arrays Alya's
+    /// kernel touches.
     scratch: Vec<f64>,
 }
 
@@ -190,8 +197,8 @@ pub struct WorkspaceViewsMut<'a> {
     pub elauu: &'a mut [f64],
     /// Global element id per slot (`None` for padding).
     pub element_ids: &'a mut [Option<usize>],
-    /// One `VECTOR_SIZE` row of scratch space for hoisted per-slot
-    /// temporaries.
+    /// [`SCRATCH_ROWS`] rows of `VECTOR_SIZE` values for hoisted per-slot
+    /// temporaries; every phase that reads a row writes it first.
     pub scratch: &'a mut [f64],
     /// The `VECTOR_SIZE` of the block.
     pub vs: usize,
@@ -235,7 +242,7 @@ impl ElementWorkspace {
             layout,
             data: vec![0.0; layout.total],
             element_ids: vec![None; vector_size],
-            scratch: vec![0.0; vector_size],
+            scratch: vec![0.0; SCRATCH_ROWS * vector_size],
         }
     }
 
@@ -566,8 +573,11 @@ mod tests {
             }
         }
         assert_eq!(w.element_id(3), None);
-        // Non-accumulator arrays still hold the poison.
+        // Non-accumulator arrays and every scratch row still hold the poison.
         assert!(w.gpvol(0, 0).is_nan());
+        let scratch = w.views_mut().scratch;
+        assert_eq!(scratch.len(), SCRATCH_ROWS * 8);
+        assert!(scratch.iter().all(|x| x.is_nan()));
     }
 
     #[test]
@@ -596,7 +606,7 @@ mod tests {
             v.elauu[(2 * PNODE + 3) * 4 + 1] = 4.0;
             v.element_ids[2] = Some(42);
             v.scratch[3] = 7.0;
-            assert_eq!(v.scratch.len(), 4);
+            assert_eq!(v.scratch.len(), SCRATCH_ROWS * 4);
         }
         assert_eq!(w.elvel(7, 3, 0), -1.0);
         assert_eq!(w.gpvol(2, 3), 9.0);

@@ -28,6 +28,9 @@
 //!   substrate of the multi-threaded assembly sweep.
 //! * [`renumber`] — reverse Cuthill–McKee node renumbering and the
 //!   gather-locality / bandwidth metrics it improves.
+//! * [`topology`] — the node-graph CSR pattern, the element→CSR slot map and
+//!   the balanced coloring of a mesh, built once and shared by every
+//!   operator assembled on it.
 //!
 //! The crate is intentionally free of any simulator or compiler-model
 //! concerns: it only describes the discrete problem.
@@ -44,6 +47,7 @@ pub mod quadrature;
 pub mod renumber;
 pub mod shape;
 pub mod structured;
+pub mod topology;
 
 pub use chunks::{ChunkSlots, ElementChunk, ElementChunks};
 pub use coloring::{ColoredChunks, ElementColoring};
@@ -55,6 +59,7 @@ pub use quadrature::{GaussRule, QuadraturePoint};
 pub use renumber::{node_bandwidth, reverse_cuthill_mckee, LocalityReport, NodePermutation};
 pub use shape::{ShapeDerivatives, ShapeFunctions, ShapeTable};
 pub use structured::{BoxMeshBuilder, ChannelMeshBuilder};
+pub use topology::MeshTopology;
 
 /// Number of spatial dimensions used throughout the reproduction.
 ///

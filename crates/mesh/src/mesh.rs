@@ -255,31 +255,6 @@ impl Mesh {
         h
     }
 
-    /// Builds the sparsity pattern of the node-to-node graph in CSR form
-    /// (`row_ptr`, `col_idx`), including the diagonal.  This is the pattern of
-    /// the global matrix assembled in phase 8, and is consumed by
-    /// `lv-solver`'s CSR constructor.
-    pub fn node_graph_csr(&self) -> (Vec<usize>, Vec<usize>) {
-        let nnode = self.num_nodes();
-        let mut neighbours: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nnode];
-        for e in 0..self.num_elements() {
-            let nodes = self.element_nodes(e);
-            for &a in nodes {
-                for &b in nodes {
-                    neighbours[a as usize].insert(b as usize);
-                }
-            }
-        }
-        let mut row_ptr = Vec::with_capacity(nnode + 1);
-        let mut col_idx = Vec::new();
-        row_ptr.push(0usize);
-        for set in &neighbours {
-            col_idx.extend(set.iter().copied());
-            row_ptr.push(col_idx.len());
-        }
-        (row_ptr, col_idx)
-    }
-
     /// Checks basic structural invariants of the mesh, returning a list of
     /// human-readable problems (empty when the mesh is valid).  Used by the
     /// integration tests and the quickstart example.

@@ -1,0 +1,319 @@
+//! Everything the assembly sweeps derive from the connectivity alone, built
+//! once per mesh: the node-to-node graph in CSR form (the sparsity pattern
+//! of every assembled matrix), the element→CSR **slot map** (where each of
+//! an element's `pnode²` matrix entries lands in the CSR value array) and
+//! the balanced element coloring.
+//!
+//! The sparsity pattern never changes between sweeps, so neither do the
+//! destinations of the scatter: phase 8 of the assembly and the pressure
+//! Laplacian look their positions up here instead of searching the CSR rows
+//! once per entry per sweep — the OP2 discipline of building indirection
+//! maps once and only executing them in the loop.
+//!
+//! A [`MeshTopology`] is immutable and meant to be shared (`Arc`) by every
+//! operator built on the same mesh.
+
+use crate::coloring::ElementColoring;
+use crate::mesh::Mesh;
+
+/// Node→element incidence by counting sort: the entries
+/// `at[ptr[n]..ptr[n + 1]]` are the positions of node `n` in
+/// [`Mesh::connectivity`] (`pnode * elem + local_node`), ascending.
+fn node_incidence(mesh: &Mesh) -> (Vec<usize>, Vec<usize>) {
+    let lnods = mesh.connectivity();
+    let mut ptr = vec![0usize; mesh.num_nodes() + 1];
+    for &node in lnods {
+        ptr[node as usize + 1] += 1;
+    }
+    for n in 0..mesh.num_nodes() {
+        ptr[n + 1] += ptr[n];
+    }
+    let mut next = ptr.clone();
+    let mut at = vec![0usize; lnods.len()];
+    for (position, &node) in lnods.iter().enumerate() {
+        at[next[node as usize]] = position;
+        next[node as usize] += 1;
+    }
+    (ptr, at)
+}
+
+/// The node-to-node graph of `mesh` in CSR form from its incidence: row `n`
+/// is the sorted, deduplicated union of the nodes of the elements touching
+/// `n` (at most `8 × 8` candidates on a conforming hexahedral mesh).  A
+/// node no element touches gets an empty row.
+fn node_graph(mesh: &Mesh, ptr: &[usize], at: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let pnode = mesh.nodes_per_element();
+    let mut row_ptr = Vec::with_capacity(mesh.num_nodes() + 1);
+    let mut col_idx = Vec::with_capacity(4 * at.len());
+    let mut candidates: Vec<u32> = Vec::with_capacity(8 * pnode);
+    row_ptr.push(0usize);
+    for node in 0..mesh.num_nodes() {
+        candidates.clear();
+        for &position in &at[ptr[node]..ptr[node + 1]] {
+            candidates.extend_from_slice(mesh.element_nodes(position / pnode));
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        col_idx.extend(candidates.iter().map(|&c| c as usize));
+        row_ptr.push(col_idx.len());
+    }
+    (row_ptr, col_idx)
+}
+
+impl Mesh {
+    /// Builds the sparsity pattern of the node-to-node graph in CSR form
+    /// (`row_ptr`, `col_idx`), including the diagonal.  This is the pattern of
+    /// the global matrix assembled in phase 8, and is consumed by
+    /// `lv-solver`'s CSR constructor.  Callers that also scatter into the
+    /// pattern should build a [`MeshTopology`] instead.
+    pub fn node_graph_csr(&self) -> (Vec<usize>, Vec<usize>) {
+        let (ptr, at) = node_incidence(self);
+        node_graph(self, &ptr, &at)
+    }
+}
+
+/// The connectivity-derived structures of one mesh (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MeshTopology {
+    nodes_per_element: usize,
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    /// `slots[(pnode * elem + a) * pnode + b]` is the position of entry
+    /// `(node_a, node_b)` of element `elem` in the CSR value array.
+    slots: Vec<u32>,
+    coloring: ElementColoring,
+}
+
+impl MeshTopology {
+    /// Builds the node graph, the slot map and the balanced coloring of
+    /// `mesh`.
+    ///
+    /// # Panics
+    /// Panics if the graph has more than `u32::MAX` non-zeros (the slot map
+    /// stores 32-bit positions) or the coloring needs more than 128 colors.
+    pub fn new(mesh: &Mesh) -> Self {
+        let pnode = mesh.nodes_per_element();
+        let (ptr, at) = node_incidence(mesh);
+        let (row_ptr, col_idx) = node_graph(mesh, &ptr, &at);
+        assert!(
+            u32::try_from(col_idx.len()).is_ok(),
+            "the node graph has {} non-zeros, more than the u32::MAX the element→CSR slot map \
+             can address",
+            col_idx.len()
+        );
+        // Row by row: note where each column of the row sits in the value
+        // array, then hand those positions to every (element, local row)
+        // the row's node appears as.  `position_of` needs no clearing — an
+        // element's nodes are all columns of the current row.
+        let mut slots = vec![0u32; mesh.connectivity().len() * pnode];
+        let mut position_of = vec![0u32; mesh.num_nodes()];
+        for node in 0..mesh.num_nodes() {
+            for k in row_ptr[node]..row_ptr[node + 1] {
+                position_of[col_idx[k]] = k as u32;
+            }
+            for &position in &at[ptr[node]..ptr[node + 1]] {
+                let nodes = mesh.element_nodes(position / pnode);
+                let row = &mut slots[position * pnode..(position + 1) * pnode];
+                for (slot, &b) in row.iter_mut().zip(nodes) {
+                    *slot = position_of[b as usize];
+                }
+            }
+        }
+        let coloring = ElementColoring::balanced(mesh);
+        MeshTopology { nodes_per_element: pnode, row_ptr, col_idx, slots, coloring }
+    }
+
+    /// Row pointers of the node graph (`num_nodes + 1` entries).
+    #[inline]
+    pub fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// Column indices of the node graph, strictly increasing within a row.
+    #[inline]
+    pub fn col_idx(&self) -> &[usize] {
+        &self.col_idx
+    }
+
+    /// Number of elements the slot map covers.
+    #[inline]
+    pub fn num_elements(&self) -> usize {
+        self.coloring.num_elements()
+    }
+
+    /// Whether the topology has the element and node counts of `mesh` — the
+    /// cheap check operators make on a topology handed to them (a topology
+    /// of another mesh of the same size still cannot make the colored
+    /// scatter write outside the rows a worker owns; it panics instead).
+    pub fn fits(&self, mesh: &Mesh) -> bool {
+        self.nodes_per_element == mesh.nodes_per_element()
+            && self.num_elements() == mesh.num_elements()
+            && self.row_ptr.len() == mesh.num_nodes() + 1
+    }
+
+    /// The CSR value positions of the `pnode × pnode` entries of element
+    /// `elem`, row-major: entry `pnode * a + b` is where `(node_a, node_b)`
+    /// lands.
+    #[inline]
+    pub fn csr_slots(&self, elem: usize) -> &[u32] {
+        let per_element = self.nodes_per_element * self.nodes_per_element;
+        &self.slots[per_element * elem..per_element * (elem + 1)]
+    }
+
+    /// The balanced element coloring (see [`ElementColoring::balanced`]).
+    #[inline]
+    pub fn coloring(&self) -> &ElementColoring {
+        &self.coloring
+    }
+
+    /// Whether `row_ptr`/`col_idx` is this topology's sparsity pattern —
+    /// the precondition for scattering into a matrix through
+    /// [`csr_slots`](Self::csr_slots).
+    pub fn has_pattern(&self, row_ptr: &[usize], col_idx: &[usize]) -> bool {
+        self.row_ptr == row_ptr && self.col_idx == col_idx
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mesh::{BoundaryTag, ElementKind};
+    use crate::renumber::{reverse_cuthill_mckee, NodePermutation};
+    use crate::structured::{BoxMeshBuilder, ChannelMeshBuilder};
+    use std::collections::{BTreeSet, HashSet};
+
+    /// The original `BTreeSet`-per-node construction of the node graph, kept
+    /// as the oracle of the sort-based pass.
+    fn node_graph_btreeset(mesh: &Mesh) -> (Vec<usize>, Vec<usize>) {
+        let nnode = mesh.num_nodes();
+        let mut neighbours: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nnode];
+        for e in 0..mesh.num_elements() {
+            let nodes = mesh.element_nodes(e);
+            for &a in nodes {
+                for &b in nodes {
+                    neighbours[a as usize].insert(b as usize);
+                }
+            }
+        }
+        let mut row_ptr = Vec::with_capacity(nnode + 1);
+        let mut col_idx = Vec::new();
+        row_ptr.push(0usize);
+        for set in &neighbours {
+            col_idx.extend(set.iter().copied());
+            row_ptr.push(col_idx.len());
+        }
+        (row_ptr, col_idx)
+    }
+
+    fn jittered_cavity() -> Mesh {
+        BoxMeshBuilder::new(6, 5, 4).lid_driven_cavity().with_jitter(0.12, 9).build()
+    }
+
+    /// Two tetrahedra sharing a face: the slot map follows `pnode`, not 8.
+    fn two_tets() -> Mesh {
+        let coords =
+            vec![0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0];
+        Mesh::from_raw(
+            ElementKind::Tet4,
+            coords,
+            vec![0, 1, 2, 3, 1, 2, 3, 4],
+            vec![BoundaryTag::Interior; 5],
+            1.0,
+        )
+    }
+
+    /// The jittered cavity with one extra node no element references.
+    fn with_isolated_node(mesh: &Mesh) -> Mesh {
+        let mut coords = mesh.coords().to_vec();
+        coords.extend_from_slice(&[2.0, 2.0, 2.0]);
+        let mut boundary = mesh.boundary_tags().to_vec();
+        boundary.push(BoundaryTag::Interior);
+        Mesh::from_raw(
+            mesh.kind(),
+            coords,
+            mesh.connectivity().to_vec(),
+            boundary,
+            mesh.characteristic_length(),
+        )
+    }
+
+    #[test]
+    fn sort_based_graph_equals_the_btreeset_oracle() {
+        let jittered = jittered_cavity();
+        let scrambled =
+            jittered.renumber_nodes(&NodePermutation::scrambled(jittered.num_nodes(), 0xC0FFEE));
+        let isolated = with_isolated_node(&jittered);
+        let meshes = [
+            ("box", BoxMeshBuilder::new(3, 4, 5).build()),
+            ("channel", ChannelMeshBuilder::new(3, 2).with_jitter(0.1, 4).build()),
+            ("two tets", two_tets()),
+            ("jittered", jittered),
+            ("scrambled", scrambled),
+            ("isolated node", isolated),
+        ];
+        for (name, mesh) in &meshes {
+            let oracle = node_graph_btreeset(mesh);
+            assert_eq!(mesh.node_graph_csr(), oracle, "{name}: node_graph_csr");
+            let topology = MeshTopology::new(mesh);
+            assert_eq!(topology.row_ptr(), oracle.0, "{name}: row_ptr");
+            assert_eq!(topology.col_idx(), oracle.1, "{name}: col_idx");
+            assert!(topology.has_pattern(&oracle.0, &oracle.1));
+        }
+        // The unreferenced node has an empty row (no diagonal either).
+        let (name, isolated) = &meshes[5];
+        assert_eq!(*name, "isolated node");
+        let (row_ptr, _) = isolated.node_graph_csr();
+        let last = isolated.num_nodes() - 1;
+        assert_eq!(row_ptr[last], row_ptr[last + 1]);
+    }
+
+    /// Every slot is where a binary search of the row finds the column,
+    /// inside the row of its node, and no two elements of a color share one.
+    fn assert_slot_map_is_sound(name: &str, mesh: &Mesh) {
+        let topology = MeshTopology::new(mesh);
+        let (row_ptr, col_idx) = (topology.row_ptr(), topology.col_idx());
+        let pnode = mesh.nodes_per_element();
+        assert_eq!(topology.num_elements(), mesh.num_elements());
+        for elem in 0..mesh.num_elements() {
+            let nodes = mesh.element_nodes(elem);
+            let slots = topology.csr_slots(elem);
+            assert_eq!(slots.len(), pnode * pnode);
+            for (a, &node_a) in nodes.iter().enumerate() {
+                let row = row_ptr[node_a as usize]..row_ptr[node_a as usize + 1];
+                for (b, &node_b) in nodes.iter().enumerate() {
+                    let slot = slots[pnode * a + b] as usize;
+                    let k = col_idx[row.clone()].binary_search(&(node_b as usize)).unwrap_or_else(
+                        |_| panic!("{name}: ({node_a}, {node_b}) not in the graph"),
+                    );
+                    assert_eq!(slot, row.start + k, "{name}: element {elem} entry ({a}, {b})");
+                    assert!(row.contains(&slot), "{name}: slot {slot} outside row {node_a}");
+                }
+            }
+        }
+        assert!(topology.coloring().validate(mesh).is_empty());
+        for (color, class) in topology.coloring().classes().iter().enumerate() {
+            let mut taken = HashSet::new();
+            for &elem in class {
+                for &slot in topology.csr_slots(elem) {
+                    assert!(
+                        taken.insert(slot),
+                        "{name}: two entries of color {color} share slot {slot}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_map_is_sound_under_adversarial_numberings() {
+        let jittered = jittered_cavity();
+        let scrambled =
+            jittered.renumber_nodes(&NodePermutation::scrambled(jittered.num_nodes(), 42));
+        let rcm = jittered.renumber_nodes(&reverse_cuthill_mckee(&jittered));
+        assert_slot_map_is_sound("jittered", &jittered);
+        assert_slot_map_is_sound("scrambled", &scrambled);
+        assert_slot_map_is_sound("rcm", &rcm);
+        assert_slot_map_is_sound("isolated node", &with_isolated_node(&jittered));
+        assert_slot_map_is_sound("two tets", &two_tets());
+    }
+}

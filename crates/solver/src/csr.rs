@@ -33,8 +33,8 @@ impl CsrMatrix {
     /// Creates a zero matrix with the given sparsity pattern.
     ///
     /// The column indices of every row must be strictly increasing: sorted
-    /// rows are a structural invariant of the type (the scatter-add entry
-    /// points locate columns by binary search).
+    /// rows are a structural invariant of the type ([`entry_index`](Self::entry_index)
+    /// locates columns by binary search).
     ///
     /// # Panics
     /// Panics if the pattern is malformed (row pointers not monotonically
@@ -134,29 +134,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Adds a batch of entries of one row: `values[i]` is added to
-    /// `(row, cols[i])`.  The row-pointer lookup is amortized across the
-    /// batch — this is the entry point phase 8 of the assembly kernel uses
-    /// for the `jnode` loop of each elemental matrix row.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length or any `(row, cols[i])` is not
-    /// part of the sparsity pattern.
-    #[inline]
-    pub fn add_row(&mut self, row: usize, cols: &[usize], values: &[f64]) {
-        assert_eq!(cols.len(), values.len(), "cols/values length mismatch");
-        let start = self.row_ptr[row];
-        let end = self.row_ptr[row + 1];
-        let row_cols = &self.col_idx[start..end];
-        let row_vals = &mut self.values[start..end];
-        for (&col, &value) in cols.iter().zip(values) {
-            match row_cols.binary_search(&col) {
-                Ok(k) => row_vals[k] += value,
-                Err(_) => panic!("entry ({row}, {col}) not present in the sparsity pattern"),
-            }
-        }
-    }
-
     /// Returns entry `(row, col)` (0 if not stored).
     pub fn get(&self, row: usize, col: usize) -> f64 {
         self.entry_index(row, col).map_or(0.0, |k| self.values[k])
@@ -165,9 +142,10 @@ impl CsrMatrix {
     /// Splits the matrix into its (shared) sparsity pattern and (mutable)
     /// values: `(row_ptr, col_idx, values)`.
     ///
-    /// This is the entry point of the colored parallel assembly sweep: the
-    /// caller hands the pattern and the value storage to a scatter view that
-    /// writes disjoint rows from different threads.
+    /// This is the entry point of the assembly sweeps: the caller scatters
+    /// into the value storage at positions it precomputed from the pattern
+    /// (the element→CSR slot map of `lv_mesh::MeshTopology`), from different
+    /// threads for disjoint rows.
     pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
         (&self.row_ptr, &self.col_idx, &mut self.values)
     }
@@ -532,37 +510,6 @@ mod tests {
         // Columns outside the tridiagonal band are not stored.
         assert_eq!(m.entry_index(0, 5), None);
         assert_eq!(m.entry_index(6, 0), None);
-    }
-
-    #[test]
-    fn add_row_matches_individual_adds() {
-        let mut a = laplacian_1d(6);
-        let mut b = laplacian_1d(6);
-        // Unsorted batch, as phase 8 produces (element node order, not
-        // column order).
-        let cols = [3, 1, 2];
-        let vals = [0.5, -2.0, 1.25];
-        a.add_row(2, &cols, &vals);
-        for (&c, &v) in cols.iter().zip(&vals) {
-            b.add(2, c, v);
-        }
-        for c in 0..6 {
-            assert_eq!(a.get(2, c), b.get(2, c));
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn add_row_outside_pattern_panics() {
-        let mut m = laplacian_1d(5);
-        m.add_row(0, &[0, 4], &[1.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn add_row_length_mismatch_panics() {
-        let mut m = laplacian_1d(5);
-        m.add_row(0, &[0, 1], &[1.0]);
     }
 
     #[test]
