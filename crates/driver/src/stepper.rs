@@ -411,6 +411,8 @@ pub struct Stepper {
     config: StepperConfig,
     assembly: NastinAssembly,
     operators: PressureOperators,
+    // The pinned CSR Laplacian: the plain-CG path (configured or fallback).
+    // MG-CG iterates on the multigrid's own copy of it.
     laplacian: CsrMatrix,
     multigrid: Option<GeometricMultigrid>,
     pins: Vec<usize>,
@@ -783,9 +785,11 @@ impl Stepper {
                     iteration: 0,
                     residual: f64::INFINITY,
                 })),
+                // The outer product runs through the V-cycle's own level-0
+                // operator (same bits as `laplacian`, half the traffic).
                 Some(mg) => Some(mg_preconditioned_cg_on(
                     team,
-                    &self.laplacian,
+                    &*mg.level_operator(0),
                     mg,
                     &self.poisson_rhs,
                     &self.config.poisson_options,

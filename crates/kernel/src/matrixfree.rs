@@ -382,24 +382,19 @@ impl LinearOperator for MatrixFreeLaplacian {
     }
 }
 
-/// Builds the geometric-multigrid V-cycle preconditioner for the pressure
-/// Laplacian of `mesh`, or `None` when the mesh is not a recognisable
-/// structured box lattice or no coarser level exists.
+/// The chain of trilinear interpolations of the pressure multigrid on
+/// `mesh` (`[l]` maps level `l+1` → level `l`), or `None` when the mesh is
+/// not a recognisable structured box lattice or no coarser level exists.
 ///
 /// The finest transfer interpolates from the first coarse lattice onto the
 /// **actual mesh node coordinates** (so mildly perturbed boxes still get an
 /// exact-on-linears transfer); coarser transfers connect the ideal nested
-/// lattices.  Coarse operators are Galerkin products of `laplacian`, which
-/// must be the assembled, pinned matrix the outer CG iterates with.
-pub fn build_pressure_multigrid(
+/// lattices.
+pub fn pressure_interpolations(
     mesh: &Mesh,
-    laplacian: &CsrMatrix,
     options: &MultigridOptions,
-) -> Option<GeometricMultigrid> {
+) -> Option<Vec<Interpolation>> {
     let lattice = BoxLattice::infer(mesh)?;
-    if lattice.num_nodes() != laplacian.dim() {
-        return None;
-    }
     let chain = lattice.coarsening_chain(options.max_coarse_nodes);
     if chain.len() < 2 {
         return None;
@@ -415,7 +410,23 @@ pub fn build_pressure_multigrid(
     for level in 1..chain.len() - 1 {
         interps.push(interpolation_onto(&chain[level + 1], &chain[level].node_positions()));
     }
-    GeometricMultigrid::new(laplacian, interps, options)
+    Some(interps)
+}
+
+/// Builds the geometric-multigrid V-cycle preconditioner for the pressure
+/// Laplacian of `mesh` over [`pressure_interpolations`], or `None` when
+/// there is no such chain or a level does not fit the V-cycle's diagonal
+/// storage.  Coarse operators are Galerkin products of `laplacian`, which
+/// must be the assembled, pinned matrix the outer CG iterates with.
+pub fn build_pressure_multigrid(
+    mesh: &Mesh,
+    laplacian: &CsrMatrix,
+    options: &MultigridOptions,
+) -> Option<GeometricMultigrid> {
+    if mesh.num_nodes() != laplacian.dim() {
+        return None;
+    }
+    GeometricMultigrid::new(laplacian, pressure_interpolations(mesh, options)?, options)
 }
 
 /// Trilinear interpolation from `coarse` onto `points`, as a solver-side

@@ -1,0 +1,424 @@
+//! Block-major diagonal storage for the multigrid level operators.
+//!
+//! Every matrix the V-cycle touches lives on a generator-ordered box
+//! lattice, so its pattern is at most 27 distinct `col − row` offsets.
+//! [`DiaMatrix`] stores exactly that: per block of [`BLOCK_ROWS`] rows, one
+//! run of values per offset (ascending), zero where the CSR row has no
+//! entry, and no column indices at all.  The kernel is the paper's loop
+//! shape — for a block,
+//! `for offset { for row in block { acc[row] += val[row]·x[row+offset] } }` —
+//! unit stride in every stream, no gathers, and the vector lanes are
+//! **rows**: nothing is reassociated, each row still adds its entries in
+//! ascending column order.
+//!
+//! **Same bits as CSR.**  A row's sum starts at `+0.0` and can therefore
+//! never be `-0.0`; a padded entry contributes `0.0·x = ±0.0`, and adding
+//! `±0.0` to such a sum leaves it unchanged.  So for **finite** `x` a
+//! [`DiaMatrix`] product is bitwise equal to [`CsrMatrix::spmv_range`] of
+//! the matrix it was built from.  (A NaN/Inf in `x` would leak through a
+//! padded zero into rows CSR keeps clean; the Krylov drivers reject
+//! non-finite right-hand sides before the first product.)
+//!
+//! Besides the plain product there are two fused row-range kernels for the
+//! smoother — [`jacobi_range`](DiaMatrix::jacobi_range) and
+//! [`residual_range`](DiaMatrix::residual_range) — that finish the row
+//! while its sum is still in L1, so one smoothing sweep is one pass.
+
+use crate::csr::CsrMatrix;
+use crate::operator::LinearOperator;
+use std::ops::Range;
+
+/// Rows per storage block: every per-offset run of a block is this long
+/// (shorter in the last block), so a block's working set — runs, the `x`
+/// window and the output rows — stays L1/L2-resident while the offsets
+/// stream over it.
+pub const BLOCK_ROWS: usize = 256;
+
+/// Most distinct offsets a [`DiaMatrix`] stores; a pattern with more is not
+/// a lattice stencil and padding it would cost more than CSR's indices.
+pub const MAX_DIAGONALS: usize = 32;
+
+/// A square sparse matrix in block-major diagonal layout.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DiaMatrix {
+    n: usize,
+    // Distinct `col − row` offsets, strictly ascending, each `|d| < n`.
+    offsets: Vec<isize>,
+    // Block `b` starts at `b·BLOCK_ROWS·offsets.len()` (every earlier block
+    // is full); inside it, offset `k`'s run starts at `k·block_len`.
+    values: Vec<f64>,
+}
+
+impl DiaMatrix {
+    /// Converts `matrix`, or returns `None` when its pattern has more than
+    /// [`MAX_DIAGONALS`] distinct offsets.  Explicitly stored zeros stay
+    /// stored zeros; absent entries become padding zeros.
+    pub fn from_csr(matrix: &CsrMatrix) -> Option<DiaMatrix> {
+        let n = matrix.dim();
+        let (row_ptr, col_idx, csr_values) = (matrix.row_ptr(), matrix.col_idx(), matrix.values());
+
+        // Offset discovery: a row's offsets ascend with its columns, so
+        // each row is one merge against the sorted list found so far.
+        let mut offsets: Vec<isize> = Vec::with_capacity(MAX_DIAGONALS);
+        for row in 0..n {
+            let mut k = 0;
+            for &col in &col_idx[row_ptr[row]..row_ptr[row + 1]] {
+                let d = col as isize - row as isize;
+                while k < offsets.len() && offsets[k] < d {
+                    k += 1;
+                }
+                if k == offsets.len() || offsets[k] != d {
+                    if offsets.len() == MAX_DIAGONALS {
+                        return None;
+                    }
+                    offsets.insert(k, d);
+                }
+            }
+        }
+        assert!(offsets.windows(2).all(|w| w[0] < w[1]), "offsets must be strictly ascending");
+        assert!(offsets.iter().all(|d| d.unsigned_abs() < n), "offset outside the matrix");
+
+        let nd = offsets.len();
+        let mut values = vec![0.0; n * nd];
+        for block_start in (0..n).step_by(BLOCK_ROWS) {
+            let block_len = BLOCK_ROWS.min(n - block_start);
+            let block = &mut values[block_start * nd..(block_start + block_len) * nd];
+            for i in 0..block_len {
+                let row = block_start + i;
+                let mut k = 0;
+                for idx in row_ptr[row]..row_ptr[row + 1] {
+                    let d = col_idx[idx] as isize - row as isize;
+                    while offsets[k] != d {
+                        k += 1;
+                    }
+                    block[k * block_len + i] = csr_values[idx];
+                }
+            }
+        }
+        Some(DiaMatrix { n, offsets, values })
+    }
+
+    /// Matrix dimension.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// The stored `col − row` offsets, strictly ascending.
+    #[inline]
+    pub fn offsets(&self) -> &[isize] {
+        &self.offsets
+    }
+
+    /// `acc[i] = (A·x)[rows.start + i]` — the shared core of the three
+    /// kernels.  `rows` may start and end anywhere inside a block.
+    #[inline]
+    fn product_into(&self, x: &[f64], rows: Range<usize>, acc: &mut [f64]) {
+        assert_eq!(x.len(), self.n);
+        assert!(rows.end <= self.n, "row range {rows:?} out of bounds for dim {}", self.n);
+        assert_eq!(acc.len(), rows.len(), "output length must match the row range");
+        debug_assert!(disjoint(x, acc), "the product cannot run in place");
+        let nd = self.offsets.len();
+        let mut lo = rows.start;
+        while lo < rows.end {
+            let block_start = lo - lo % BLOCK_ROWS;
+            let block_len = BLOCK_ROWS.min(self.n - block_start);
+            let hi = rows.end.min(block_start + block_len);
+            let block = &self.values[block_start * nd..(block_start + block_len) * nd];
+            let out = &mut acc[lo - rows.start..hi - rows.start];
+            out.fill(0.0);
+            for (k, &d) in self.offsets.iter().enumerate() {
+                // Rows whose column `row + d` falls outside the matrix hold
+                // padding only: skip them instead of reading past `x`.
+                let (below, above) = if d < 0 { (d.unsigned_abs(), 0) } else { (0, d as usize) };
+                let first = lo.max(below);
+                let last = hi.min(self.n - above);
+                if first >= last {
+                    continue;
+                }
+                let run = &block[k * block_len..(k + 1) * block_len];
+                let vals = &run[first - block_start..last - block_start];
+                let xs = &x[first - below + above..last - below + above];
+                for ((s, v), xv) in out[first - lo..last - lo].iter_mut().zip(vals).zip(xs) {
+                    *s += v * xv;
+                }
+            }
+            lo = hi;
+        }
+    }
+
+    /// One damped-Jacobi sweep over `rows`:
+    /// `xn[i] = x[r] + ω·((b[r] − (A·x)[r])·inv_diag[r])` with
+    /// `r = rows.start + i` — the exact expression tree of the
+    /// product / difference / scale / update kernel sequence it replaces,
+    /// so the iterate keeps its bits.  `xn` is the other half of a
+    /// ping-pong pair: every row reads the *old* `x` of its neighbours.
+    ///
+    /// # Panics
+    /// Panics if a vector does not match the dimension, `rows` is out of
+    /// bounds, or `xn` does not match `rows`.
+    pub fn jacobi_range(
+        &self,
+        x: &[f64],
+        b: &[f64],
+        inv_diag: &[f64],
+        omega: f64,
+        rows: Range<usize>,
+        xn: &mut [f64],
+    ) {
+        assert_eq!(b.len(), self.n);
+        assert_eq!(inv_diag.len(), self.n);
+        self.product_into(x, rows.clone(), xn);
+        let (xs, bs, ds) = (&x[rows.clone()], &b[rows.clone()], &inv_diag[rows]);
+        for (((out, xi), bi), di) in xn.iter_mut().zip(xs).zip(bs).zip(ds) {
+            *out = xi + omega * ((bi - *out) * di);
+        }
+    }
+
+    /// The residual over `rows`: `r[i] = b[rows.start + i] − (A·x)[rows.start + i]`.
+    ///
+    /// # Panics
+    /// Panics if a vector does not match the dimension, `rows` is out of
+    /// bounds, or `r` does not match `rows`.
+    pub fn residual_range(&self, x: &[f64], b: &[f64], rows: Range<usize>, r: &mut [f64]) {
+        assert_eq!(b.len(), self.n);
+        self.product_into(x, rows.clone(), r);
+        for (out, bi) in r.iter_mut().zip(&b[rows]) {
+            *out = bi - *out;
+        }
+    }
+}
+
+/// Whether two slices share no byte — the no-alias precondition of the
+/// kernels, which safe callers get from the borrow checker and the pooled
+/// callers (raw disjoint row ranges) must uphold themselves.
+fn disjoint(a: &[f64], b: &[f64]) -> bool {
+    let (a, b) = (a.as_ptr_range(), b.as_ptr_range());
+    a.end <= b.start || b.end <= a.start
+}
+
+impl LinearOperator for DiaMatrix {
+    fn dim(&self) -> usize {
+        self.n
+    }
+
+    fn apply_range(&self, x: &[f64], rows: Range<usize>, y: &mut [f64]) {
+        self.product_into(x, rows, y);
+    }
+
+    fn diagonal(&self) -> Vec<f64> {
+        let nd = self.offsets.len();
+        let Ok(k) = self.offsets.binary_search(&0) else {
+            return vec![0.0; self.n];
+        };
+        let mut diag = Vec::with_capacity(self.n);
+        for block_start in (0..self.n).step_by(BLOCK_ROWS) {
+            let block_len = BLOCK_ROWS.min(self.n - block_start);
+            let run = block_start * nd + k * block_len;
+            diag.extend_from_slice(&self.values[run..run + block_len]);
+        }
+        diag
+    }
+
+    fn streamed_bytes(&self) -> usize {
+        // The padded value stream; there is no index stream.
+        self.values.len() * std::mem::size_of::<f64>()
+    }
+
+    fn apply_flops(&self) -> u64 {
+        // One multiply-add per stored value, padding included.
+        2 * self.values.len() as u64
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::parallel::VectorOps;
+    use lv_runtime::Team;
+
+    /// Tridiagonal with row-dependent values (so a shifted run would show).
+    fn tridiag(n: usize) -> CsrMatrix {
+        let mut dense = vec![vec![0.0; n]; n];
+        for (i, row) in dense.iter_mut().enumerate() {
+            row[i] = 3.0 + (i % 7) as f64 * 0.37;
+            if i > 0 {
+                row[i - 1] = -1.0 - (i % 3) as f64 * 0.11;
+            }
+            if i + 1 < n {
+                row[i + 1] = -0.5 - (i % 5) as f64 * 0.07;
+            }
+        }
+        CsrMatrix::from_dense(&dense)
+    }
+
+    /// A probe vector with the awkward finite values mixed in: `-0.0`,
+    /// denormals of both signs, and ordinary noise.
+    pub(crate) fn awkward_vector(n: usize, seed: u64) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let t = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(seed);
+                match t >> 61 {
+                    0 => -0.0,
+                    1 => f64::MIN_POSITIVE / 8.0,
+                    2 => -f64::MIN_POSITIVE / 1024.0,
+                    _ => ((t >> 11) as f64 / (1u64 << 53) as f64) - 0.5,
+                }
+            })
+            .collect()
+    }
+
+    /// `DiaMatrix` product vs `CsrMatrix::spmv_range`, bit for bit, over
+    /// the full range, unaligned sub-ranges, and pooled partitions.
+    pub(crate) fn assert_products_bitwise_equal(csr: &CsrMatrix, label: &str) {
+        let dia = DiaMatrix::from_csr(csr).unwrap_or_else(|| panic!("{label}: fits in DIA"));
+        let n = csr.dim();
+        let x = awkward_vector(n, 17);
+        let expect = csr.mul_vec(&x);
+        let ranges = [0..n, 0..n.min(1), n / 3..n - n / 5, n.saturating_sub(1)..n, 255..n.min(258)];
+        for rows in ranges {
+            if rows.start > rows.end {
+                continue;
+            }
+            let mut y = vec![f64::NAN; rows.len()];
+            dia.apply_range(&x, rows.clone(), &mut y);
+            for (i, (got, want)) in y.iter().zip(&expect[rows.clone()]).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "{label}: row {} of {rows:?}", i);
+            }
+        }
+        for threads in [1usize, 2, 4] {
+            let team = Team::new(threads);
+            let mut y = vec![f64::NAN; n];
+            VectorOps::on_team(&team).apply(&dia, &x, &mut y);
+            for (row, (got, want)) in y.iter().zip(&expect).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "{label}: row {row}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn tridiagonal_product_is_bitwise_equal_to_csr() {
+        // Sizes around the block edge, none a multiple of it but one.
+        for n in [1usize, 2, 5, 255, 256, 257, 700, 2 * 1024 + 333] {
+            assert_products_bitwise_equal(&tridiag(n), &format!("tridiag({n})"));
+        }
+    }
+
+    #[test]
+    fn layout_offsets_diagonal_and_traffic_model() {
+        let csr = tridiag(600);
+        let dia = DiaMatrix::from_csr(&csr).expect("three diagonals");
+        assert_eq!(dia.offsets(), &[-1, 0, 1]);
+        assert_eq!(LinearOperator::diagonal(&dia), csr.diagonal());
+        assert_eq!(dia.streamed_bytes(), 3 * 600 * 8);
+        assert_eq!(dia.apply_flops(), 2 * 3 * 600);
+        // No index stream: fewer bytes than CSR despite the padding.
+        assert!(dia.streamed_bytes() < LinearOperator::streamed_bytes(&csr));
+    }
+
+    #[test]
+    fn explicit_zeros_and_missing_diagonal_are_handled() {
+        // A pinned row keeps its explicit zeros; an empty main diagonal
+        // reads back as zeros.
+        let mut pinned = tridiag(300);
+        pinned.pin_rows_symmetric(&[0, 128, 299]);
+        assert_products_bitwise_equal(&pinned, "pinned tridiag");
+        let shift =
+            CsrMatrix::from_dense(&[vec![0.0, 2.0, 0.0], vec![0.0, 0.0, 3.0], vec![4.0, 0.0, 0.0]]);
+        let dia = DiaMatrix::from_csr(&shift).expect("two diagonals");
+        assert_eq!(dia.offsets(), &[-2, 1]);
+        assert_eq!(LinearOperator::diagonal(&dia), vec![0.0; 3]);
+        assert_products_bitwise_equal(&shift, "shift");
+    }
+
+    #[test]
+    fn too_many_offsets_is_not_a_lattice() {
+        let n = 40;
+        let mut dense = vec![vec![0.0; n]; n];
+        for (j, v) in dense[0].iter_mut().enumerate() {
+            *v = 1.0 + j as f64;
+        }
+        assert!(DiaMatrix::from_csr(&CsrMatrix::from_dense(&dense)).is_none());
+        // Exactly MAX_DIAGONALS still fits.
+        for v in dense[0].iter_mut().skip(MAX_DIAGONALS) {
+            *v = 0.0;
+        }
+        let dia = DiaMatrix::from_csr(&CsrMatrix::from_dense(&dense)).expect("32 offsets fit");
+        assert_eq!(dia.offsets().len(), MAX_DIAGONALS);
+    }
+
+    /// The four-kernel sequence the fused sweep replaces, on the CSR matrix.
+    pub(crate) fn jacobi_oracle(
+        ops: &mut VectorOps<'_>,
+        csr: &CsrMatrix,
+        x: &mut [f64],
+        b: &[f64],
+        inv_diag: &[f64],
+        omega: f64,
+    ) {
+        let n = x.len();
+        let (mut t, mut r) = (vec![0.0; n], vec![0.0; n]);
+        ops.spmv(csr, x, &mut t);
+        ops.scaled_diff(b, 1.0, &t, &mut r);
+        ops.hadamard(&r, inv_diag, &mut t);
+        ops.axpy(omega, &t, x);
+    }
+
+    #[test]
+    fn fused_kernels_match_the_four_kernel_sequence_bitwise() {
+        let n = 5 * 1024 + 77;
+        let mut csr = tridiag(n);
+        csr.pin_rows_symmetric(&[0, n / 2]);
+        let dia = DiaMatrix::from_csr(&csr).expect("tridiagonal");
+        let inv_diag = crate::krylov::inverse_diagonal(&csr, true);
+        let b = awkward_vector(n, 3);
+        let x0 = awkward_vector(n, 5);
+        let omega = 0.8;
+
+        let mut serial = VectorOps::serial();
+        let mut expect_x = x0.clone();
+        jacobi_oracle(&mut serial, &csr, &mut expect_x, &b, &inv_diag, omega);
+        let mut expect_r = vec![0.0; n];
+        let mut t = vec![0.0; n];
+        serial.spmv(&csr, &x0, &mut t);
+        serial.scaled_diff(&b, 1.0, &t, &mut expect_r);
+
+        // Every static partition the pooled dispatch can hand out (the
+        // pooled path itself is pinned by the multigrid tests).
+        for threads in [1usize, 2, 4] {
+            let mut xn = vec![f64::NAN; n];
+            let mut r = vec![f64::NAN; n];
+            for rank in 0..threads {
+                let rows = lv_runtime::partition(n, threads, rank);
+                dia.jacobi_range(&x0, &b, &inv_diag, omega, rows.clone(), &mut xn[rows.clone()]);
+                dia.residual_range(&x0, &b, rows.clone(), &mut r[rows]);
+            }
+            for i in 0..n {
+                assert_eq!(xn[i].to_bits(), expect_x[i].to_bits(), "sweep row {i}, {threads} thr");
+                assert_eq!(
+                    r[i].to_bits(),
+                    expect_r[i].to_bits(),
+                    "residual row {i}, {threads} thr"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "output length must match the row range")]
+    fn mismatched_output_is_rejected() {
+        let dia = DiaMatrix::from_csr(&tridiag(10)).expect("tridiagonal");
+        let x = vec![1.0; 10];
+        let mut y = vec![0.0; 4];
+        dia.apply_range(&x, 2..7, &mut y);
+    }
+
+    #[test]
+    fn the_alias_check_sees_overlap() {
+        let v = vec![0.0; 8];
+        assert!(disjoint(&v[..4], &v[4..]));
+        assert!(disjoint(&v[4..], &v[..4]));
+        assert!(!disjoint(&v[..5], &v[3..]));
+        assert!(!disjoint(&v, &v[2..3]));
+    }
+}

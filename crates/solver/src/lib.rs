@@ -21,10 +21,14 @@
 //! * [`operator`] — the [`LinearOperator`] abstraction the Krylov loops
 //!   consume: anything that can apply `y = A·x` over a row range and expose
 //!   its diagonal (assembled CSR and matrix-free operators alike);
+//! * [`dia`] — [`DiaMatrix`], the block-major diagonal storage of a lattice
+//!   stencil (no column indices, unit-stride row-vectorised kernels, products
+//!   bitwise equal to CSR) with the fused Jacobi-sweep and residual kernels;
 //! * [`multigrid`] — geometric-multigrid V-cycle (trilinear interpolation,
-//!   Galerkin coarse operators, damped-Jacobi smoothing, dense-LU coarsest
-//!   solve) and the [`mg_preconditioned_cg`] solver it preconditions,
-//!   bitwise reproducible at every thread count;
+//!   Galerkin coarse operators kept as [`DiaMatrix`] levels, one fused pass
+//!   per damped-Jacobi sweep, dense-LU coarsest solve) and the
+//!   [`mg_preconditioned_cg`] solver it preconditions, bitwise reproducible
+//!   at every thread count;
 //! * [`parallel`] — the deterministic parallel kernels behind them:
 //!   row-partitioned SpMV and fixed-block BLAS-1 on an [`lv_runtime::Team`];
 //! * [`dense`] — a tiny dense solver used for cross-checking the sparse path
@@ -35,6 +39,7 @@
 pub mod batched;
 pub mod csr;
 pub mod dense;
+pub mod dia;
 pub mod krylov;
 pub mod multigrid;
 pub mod multivector;
@@ -46,13 +51,14 @@ pub use batched::{
 };
 pub use csr::{CsrMatrix, ProfileStats};
 pub use dense::DenseMatrix;
+pub use dia::DiaMatrix;
 pub use krylov::{
     bicgstab, bicgstab_on, conjugate_gradient, conjugate_gradient_on, conjugate_gradient_operator,
     conjugate_gradient_operator_on, BreakdownKind, SolveOptions, SolveOutcome, SolverError,
 };
 pub use multigrid::{
-    mg_preconditioned_cg, mg_preconditioned_cg_on, GeometricMultigrid, Interpolation,
-    MultigridOptions,
+    galerkin_coarse, mg_preconditioned_cg, mg_preconditioned_cg_on, GeometricMultigrid,
+    Interpolation, MultigridOptions,
 };
 pub use multivector::{MultiVector, NRHS};
 pub use operator::{JacobiPreconditioner, LinearOperator, Preconditioner};

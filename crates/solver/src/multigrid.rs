@@ -13,10 +13,15 @@
 //!   thread count, the same contract as the square kernels;
 //! * Galerkin coarse operators `A_c = Pᵀ·A·P`, assembled serially at setup
 //!   (deterministic, and SPD whenever `A` is SPD because `P` has full
-//!   column rank);
-//! * damped-Jacobi smoothing (equal pre/post sweep counts) running on the
-//!   caller's [`VectorOps`] — pooled across the shared [`Team`] with the
-//!   fixed-block reductions, so every cycle is reproducible;
+//!   column rank).  CSR is only the set-up intermediate: every level is
+//!   kept as a [`DiaMatrix`] (block-major diagonals, no column indices —
+//!   see [`crate::dia`]), whose products carry the same bits as the CSR
+//!   ones at half the bytes per row;
+//! * damped-Jacobi smoothing (equal pre/post sweep counts), one fused
+//!   [`DiaMatrix::jacobi_range`] pass per sweep into a ping-pong buffer,
+//!   partitioned over the caller's [`VectorOps`] team — rows are disjoint
+//!   and each row's arithmetic is partition-independent, so every cycle is
+//!   reproducible;
 //! * a pivoted dense LU direct solve on the coarsest level, factored once.
 //!   A *fixed* coarse solve keeps the V-cycle a fixed linear operator — a
 //!   tolerance-based inner CG would make the preconditioner nonlinear and
@@ -29,11 +34,13 @@
 //! product.
 
 use crate::csr::CsrMatrix;
+use crate::dia::DiaMatrix;
 use crate::krylov::{conjugate_gradient_with, SolveOptions, SolveOutcome, SolverError};
 use crate::operator::{LinearOperator, Preconditioner};
 use crate::parallel::VectorOps;
 use lv_runtime::{SharedSliceMut, Team};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Tuning knobs of the V-cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,14 +192,30 @@ impl Interpolation {
 /// once; a fixed traversal order keeps the coarse operators identical for
 /// every thread count).  Exact zeros of `A` — the entries Dirichlet pinning
 /// cleared — are skipped, so pinned rows stay decoupled on every level.
-fn galerkin_coarse(a: &CsrMatrix, p: &Interpolation) -> CsrMatrix {
+///
+/// One coarse row at a time into a dense accumulator (Gustavson): row `ci`
+/// walks the fine nodes `k` of `Pᵀ`'s row in ascending order, then `A`'s row
+/// `k`, then `P`'s row `j` — so every coarse entry receives its
+/// contributions in ascending `(k, jj, ll)` order, each starting from `0.0`.
+///
+/// # Panics
+/// Panics when `a` and `p` disagree on the fine dimension.
+pub fn galerkin_coarse(a: &CsrMatrix, p: &Interpolation) -> CsrMatrix {
     assert_eq!(a.dim(), p.fine_nodes);
     let (arp, aci, av) = (a.row_ptr(), a.col_idx(), a.values());
-    let mut rows: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); p.coarse_nodes];
-    for k in 0..p.fine_nodes {
-        for ii in p.row_ptr[k]..p.row_ptr[k + 1] {
-            let ci = p.col_idx[ii];
-            let wi = p.weights[ii];
+    let mut row_ptr = Vec::with_capacity(p.coarse_nodes + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::new();
+    let mut vals = Vec::new();
+    // `owner[cj] == ci` marks `acc[cj]` as live for the current row.
+    let mut owner = vec![usize::MAX; p.coarse_nodes];
+    let mut acc = vec![0.0f64; p.coarse_nodes];
+    let mut touched: Vec<usize> = Vec::new();
+    for ci in 0..p.coarse_nodes {
+        touched.clear();
+        for ii in p.t_row_ptr[ci]..p.t_row_ptr[ci + 1] {
+            let k = p.t_col_idx[ii];
+            let wi = p.t_weights[ii];
             for jj in arp[k]..arp[k + 1] {
                 let akj = av[jj];
                 if akj == 0.0 {
@@ -201,20 +224,19 @@ fn galerkin_coarse(a: &CsrMatrix, p: &Interpolation) -> CsrMatrix {
                 let j = aci[jj];
                 let wa = wi * akj;
                 for ll in p.row_ptr[j]..p.row_ptr[j + 1] {
-                    *rows[ci].entry(p.col_idx[ll]).or_insert(0.0) += wa * p.weights[ll];
+                    let cj = p.col_idx[ll];
+                    if owner[cj] != ci {
+                        owner[cj] = ci;
+                        acc[cj] = 0.0;
+                        touched.push(cj);
+                    }
+                    acc[cj] += wa * p.weights[ll];
                 }
             }
         }
-    }
-    let mut row_ptr = Vec::with_capacity(p.coarse_nodes + 1);
-    row_ptr.push(0);
-    let mut col_idx = Vec::new();
-    let mut vals = Vec::new();
-    for row in &rows {
-        for (&c, &v) in row {
-            col_idx.push(c);
-            vals.push(v);
-        }
+        touched.sort_unstable();
+        col_idx.extend_from_slice(&touched);
+        vals.extend(touched.iter().map(|&cj| acc[cj]));
         row_ptr.push(col_idx.len());
     }
     let mut matrix = CsrMatrix::from_pattern(row_ptr, col_idx);
@@ -302,44 +324,69 @@ impl DenseLu {
 /// smoother, and the cycle's scratch vectors.
 #[derive(Debug, Clone)]
 struct Level {
-    matrix: CsrMatrix,
+    // Shared so the outer CG can run its fine-grid product through the
+    // level-0 operator while the preconditioner is borrowed mutably.
+    matrix: Arc<DiaMatrix>,
     inv_diag: Vec<f64>,
     x: Vec<f64>,
     b: Vec<f64>,
+    // The down-leg residual — and, while smoothing, the write half of the
+    // Jacobi ping-pong pair (`x` and `r` swap after every sweep).
     r: Vec<f64>,
-    t: Vec<f64>,
 }
 
 impl Level {
-    fn new(matrix: CsrMatrix) -> Level {
+    /// `None` when the operator is not a lattice stencil (see
+    /// [`DiaMatrix::from_csr`]).
+    fn new(matrix: &CsrMatrix) -> Option<Level> {
         let n = matrix.dim();
-        let inv_diag = crate::krylov::inverse_diagonal(&matrix, true);
-        Level {
-            matrix,
-            inv_diag,
-            x: vec![0.0; n],
-            b: vec![0.0; n],
-            r: vec![0.0; n],
-            t: vec![0.0; n],
+        let matrix = Arc::new(DiaMatrix::from_csr(matrix)?);
+        let inv_diag = crate::krylov::inverse_diagonal(&*matrix, true);
+        Some(Level { matrix, inv_diag, x: vec![0.0; n], b: vec![0.0; n], r: vec![0.0; n] })
+    }
+
+    /// `sweeps` damped-Jacobi iterations on `A·x = b`, one dispatch and one
+    /// pass over the operator each.  With `from_zero` the first sweep is the
+    /// closed form `x = ω·D⁻¹·b` (A·0 vanishes) and touches no matrix.
+    fn smooth(&mut self, ops: &VectorOps<'_>, sweeps: usize, damping: f64, from_zero: bool) {
+        let Level { matrix, inv_diag, x, b, r } = self;
+        let n = x.len();
+        let mut remaining = sweeps;
+        if from_zero {
+            let out = SharedSliceMut::new(x);
+            ops.partitioned_rows(n, &|rows| {
+                // SAFETY: partition ranges are disjoint rows.
+                let xs = unsafe { out.range_mut(rows.clone()) };
+                for ((xi, bi), di) in xs.iter_mut().zip(&b[rows.clone()]).zip(&inv_diag[rows]) {
+                    // The sweep this is the closed form of adds its
+                    // correction to a zero iterate; keeping the `0.0 +`
+                    // keeps a `-0.0` correction the `+0.0` it becomes there.
+                    *xi = 0.0 + damping * (bi * di);
+                }
+            });
+            remaining -= 1;
+        }
+        for _ in 0..remaining {
+            let out = SharedSliceMut::new(r);
+            ops.partitioned_rows(n, &|rows| {
+                // SAFETY: partition ranges are disjoint rows of `r`, which
+                // is a different vector from the `x` every rank reads.
+                let xn = unsafe { out.range_mut(rows.clone()) };
+                matrix.jacobi_range(x, b, inv_diag, damping, rows, xn);
+            });
+            std::mem::swap(x, r);
         }
     }
 
-    /// `sweeps` damped-Jacobi iterations on `A·x = b`.  With `from_zero` the
-    /// first sweep uses the closed form `x = ω·D⁻¹·b` (A·0 vanishes).
-    fn smooth(&mut self, ops: &mut VectorOps<'_>, sweeps: usize, damping: f64, from_zero: bool) {
-        let mut remaining = sweeps;
-        if from_zero {
-            self.x.fill(0.0);
-            ops.hadamard(&self.b, &self.inv_diag, &mut self.t);
-            ops.axpy(damping, &self.t, &mut self.x);
-            remaining = remaining.saturating_sub(1);
-        }
-        for _ in 0..remaining {
-            ops.spmv(&self.matrix, &self.x, &mut self.t);
-            ops.scaled_diff(&self.b, 1.0, &self.t, &mut self.r);
-            ops.hadamard(&self.r, &self.inv_diag, &mut self.t);
-            ops.axpy(damping, &self.t, &mut self.x);
-        }
+    /// `r = b − A·x`, one dispatch and one pass over the operator.
+    fn residual(&mut self, ops: &VectorOps<'_>) {
+        let Level { matrix, x, b, r, .. } = self;
+        let out = SharedSliceMut::new(r);
+        ops.partitioned_rows(x.len(), &|rows| {
+            // SAFETY: partition ranges are disjoint rows of `r`.
+            let rs = unsafe { out.range_mut(rows.clone()) };
+            matrix.residual_range(x, b, rows, rs);
+        });
     }
 }
 
@@ -361,8 +408,10 @@ pub struct GeometricMultigrid {
 impl GeometricMultigrid {
     /// Builds the hierarchy from the finest (pinned) operator and the chain
     /// of interpolations (`interps[l]` maps level `l+1` → level `l`;
-    /// coarse operators are Galerkin products).  Returns `None` when the
-    /// coarsest operator is numerically singular.
+    /// coarse operators are Galerkin products).  Returns `None` when a
+    /// level's pattern is not a lattice stencil (more than
+    /// [`crate::dia::MAX_DIAGONALS`] distinct offsets — e.g. a renumbered
+    /// mesh) or when the coarsest operator is numerically singular.
     ///
     /// # Panics
     /// Panics when the interpolation chain dimensions do not match, when
@@ -381,12 +430,15 @@ impl GeometricMultigrid {
             assert_eq!(pair[0].coarse_nodes, pair[1].fine_nodes, "interpolation chain mismatch");
         }
 
-        let mut levels = vec![Level::new(fine.clone())];
+        // CSR is the set-up intermediate only (Galerkin input, LU input):
+        // each level keeps its DIA form and the CSR one is dropped.
+        let mut csr = Cow::Borrowed(fine);
+        let mut levels = vec![Level::new(&csr)?];
         for p in &interps {
-            let coarse = galerkin_coarse(&levels.last().unwrap().matrix, p);
-            levels.push(Level::new(coarse));
+            csr = Cow::Owned(galerkin_coarse(&csr, p));
+            levels.push(Level::new(&csr)?);
         }
-        let coarse_lu = DenseLu::from_csr(&levels.last().unwrap().matrix)?;
+        let coarse_lu = DenseLu::from_csr(&csr)?;
         Some(GeometricMultigrid {
             levels,
             interps,
@@ -406,6 +458,17 @@ impl GeometricMultigrid {
         self.levels.iter().map(|l| l.matrix.dim()).collect()
     }
 
+    /// The operator of level `level` (finest = 0) as the cycle stores it.
+    /// Level 0 carries the same bits as the CSR matrix the hierarchy was
+    /// built from at half the traffic, and is shared: hand it to
+    /// [`mg_preconditioned_cg_on`] as the outer operator.
+    ///
+    /// # Panics
+    /// Panics when `level >= num_levels()`.
+    pub fn level_operator(&self, level: usize) -> Arc<DiaMatrix> {
+        Arc::clone(&self.levels[level].matrix)
+    }
+
     /// One V-cycle: `z ≈ A⁻¹·rhs` starting from zero.  A fixed symmetric
     /// positive-definite linear map of `rhs`, bitwise identical for every
     /// thread count of `ops`.
@@ -416,32 +479,44 @@ impl GeometricMultigrid {
         let trace = ops.trace();
         let cycle = trace.map(|t| t.span(lv_trace::spans::MG_VCYCLE, 0).iters(1));
         // Per-level event: `aux` carries the level index, `iters` the smooth
-        // sweeps, and the traffic model counts one matrix traversal per
-        // sweep plus the residual/transfer traversal.
-        let level_span = |l: usize, sweeps: usize, matrix: &CsrMatrix| {
+        // sweeps, and the traffic model counts the operator traversals.
+        let level_span = |l: usize, sweeps: u64, flops: u64, bytes: u64| {
             trace.map(|t| {
                 t.span(lv_trace::spans::MG_LEVEL, 0)
-                    .iters(sweeps as u64)
-                    .flops((sweeps as u64 + 1) * LinearOperator::apply_flops(matrix))
-                    .bytes((sweeps as u64 + 1) * LinearOperator::streamed_bytes(matrix) as u64)
+                    .iters(sweeps)
+                    .flops(flops)
+                    .bytes(bytes)
                     .aux(l as u64)
             })
+        };
+        // A leg traverses the matrix `sweeps` times either way: down, the
+        // first sweep from zero touches no matrix and the residual takes
+        // its place; up, every sweep is one traversal.
+        let sweeps = self.sweeps as u64;
+        let leg_span = |l: usize, matrix: &DiaMatrix| {
+            level_span(
+                l,
+                sweeps,
+                sweeps * matrix.apply_flops(),
+                sweeps * matrix.streamed_bytes() as u64,
+            )
         };
         self.levels[0].b.copy_from_slice(rhs);
         for l in 0..nl - 1 {
             let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
             let level = &mut fine_half[l];
             let next = &mut coarse_half[0];
-            let span = level_span(l, self.sweeps, &level.matrix);
+            let span = leg_span(l, &level.matrix);
             level.smooth(ops, self.sweeps, self.damping, true);
-            ops.spmv(&level.matrix, &level.x, &mut level.t);
-            ops.scaled_diff(&level.b, 1.0, &level.t, &mut level.r);
+            level.residual(ops);
             self.interps[l].restrict(ops, &level.r, &mut next.b);
             drop(span);
         }
         {
             let last = self.levels.last_mut().unwrap();
-            let span = level_span(nl - 1, 0, &last.matrix);
+            // The two dense triangular solves: one multiply-add per LU entry.
+            let dense = (self.coarse_lu.n * self.coarse_lu.n) as u64;
+            let span = level_span(nl - 1, 0, 2 * dense, 8 * dense);
             self.coarse_lu.solve_into(&last.b, &mut last.x);
             drop(span);
         }
@@ -449,7 +524,7 @@ impl GeometricMultigrid {
             let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
             let level = &mut fine_half[l];
             let next = &coarse_half[0];
-            let span = level_span(l, self.sweeps, &level.matrix);
+            let span = leg_span(l, &level.matrix);
             self.interps[l].prolong_add(ops, &next.x, &mut level.x);
             level.smooth(ops, self.sweeps, self.damping, false);
             drop(span);
@@ -493,6 +568,141 @@ pub fn mg_preconditioned_cg_on(
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
     conjugate_gradient_with(operator, b, options, &mut VectorOps::on_team(team), multigrid)
+}
+
+/// The V-cycle as it ran before the levels moved to diagonal storage —
+/// CSR levels, a `BTreeMap` per coarse row in the Galerkin product, four
+/// vector kernels per smoothing sweep.  The reference the tests hold the
+/// production cycle to, bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    pub(super) fn galerkin_coarse_btree(a: &CsrMatrix, p: &Interpolation) -> CsrMatrix {
+        assert_eq!(a.dim(), p.fine_nodes);
+        let (arp, aci, av) = (a.row_ptr(), a.col_idx(), a.values());
+        let mut rows: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); p.coarse_nodes];
+        for k in 0..p.fine_nodes {
+            for ii in p.row_ptr[k]..p.row_ptr[k + 1] {
+                let ci = p.col_idx[ii];
+                let wi = p.weights[ii];
+                for jj in arp[k]..arp[k + 1] {
+                    let akj = av[jj];
+                    if akj == 0.0 {
+                        continue;
+                    }
+                    let j = aci[jj];
+                    let wa = wi * akj;
+                    for ll in p.row_ptr[j]..p.row_ptr[j + 1] {
+                        *rows[ci].entry(p.col_idx[ll]).or_insert(0.0) += wa * p.weights[ll];
+                    }
+                }
+            }
+        }
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        let mut vals = Vec::new();
+        for row in &rows {
+            for (&c, &v) in row {
+                col_idx.push(c);
+                vals.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let mut matrix = CsrMatrix::from_pattern(row_ptr, col_idx);
+        let (_, _, values) = matrix.pattern_and_values_mut();
+        values.copy_from_slice(&vals);
+        matrix
+    }
+
+    struct CsrLevel {
+        matrix: CsrMatrix,
+        inv_diag: Vec<f64>,
+        x: Vec<f64>,
+        b: Vec<f64>,
+        r: Vec<f64>,
+        t: Vec<f64>,
+    }
+
+    impl CsrLevel {
+        fn new(matrix: CsrMatrix) -> CsrLevel {
+            let n = matrix.dim();
+            let inv_diag = crate::krylov::inverse_diagonal(&matrix, true);
+            let zeros = || vec![0.0; n];
+            CsrLevel { matrix, inv_diag, x: zeros(), b: zeros(), r: zeros(), t: zeros() }
+        }
+
+        fn smooth(&mut self, ops: &mut VectorOps<'_>, sweeps: usize, damping: f64, zero: bool) {
+            let mut remaining = sweeps;
+            if zero {
+                self.x.fill(0.0);
+                ops.hadamard(&self.b, &self.inv_diag, &mut self.t);
+                ops.axpy(damping, &self.t, &mut self.x);
+                remaining -= 1;
+            }
+            for _ in 0..remaining {
+                ops.spmv(&self.matrix, &self.x, &mut self.t);
+                ops.scaled_diff(&self.b, 1.0, &self.t, &mut self.r);
+                ops.hadamard(&self.r, &self.inv_diag, &mut self.t);
+                ops.axpy(damping, &self.t, &mut self.x);
+            }
+        }
+    }
+
+    pub(super) struct CsrMultigrid {
+        levels: Vec<CsrLevel>,
+        interps: Vec<Interpolation>,
+        coarse_lu: DenseLu,
+        sweeps: usize,
+        damping: f64,
+    }
+
+    impl CsrMultigrid {
+        pub(super) fn new(
+            fine: &CsrMatrix,
+            interps: Vec<Interpolation>,
+            options: &MultigridOptions,
+        ) -> CsrMultigrid {
+            let mut levels = vec![CsrLevel::new(fine.clone())];
+            for p in &interps {
+                let coarse = galerkin_coarse_btree(&levels.last().unwrap().matrix, p);
+                levels.push(CsrLevel::new(coarse));
+            }
+            let coarse_lu = DenseLu::from_csr(&levels.last().unwrap().matrix).expect("SPD");
+            let (sweeps, damping) = (options.smoothing_sweeps, options.damping);
+            CsrMultigrid { levels, interps, coarse_lu, sweeps, damping }
+        }
+
+        /// The CSR operator of every level, finest first.
+        pub(super) fn matrices(&self) -> Vec<&CsrMatrix> {
+            self.levels.iter().map(|l| &l.matrix).collect()
+        }
+    }
+
+    impl Preconditioner for CsrMultigrid {
+        fn apply(&mut self, ops: &mut VectorOps<'_>, rhs: &[f64], z: &mut [f64]) {
+            let nl = self.levels.len();
+            self.levels[0].b.copy_from_slice(rhs);
+            for l in 0..nl - 1 {
+                let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
+                let level = &mut fine_half[l];
+                level.smooth(ops, self.sweeps, self.damping, true);
+                ops.spmv(&level.matrix, &level.x, &mut level.t);
+                ops.scaled_diff(&level.b, 1.0, &level.t, &mut level.r);
+                self.interps[l].restrict(ops, &level.r, &mut coarse_half[0].b);
+            }
+            let last = self.levels.last_mut().unwrap();
+            self.coarse_lu.solve_into(&last.b, &mut last.x);
+            for l in (0..nl - 1).rev() {
+                let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
+                let level = &mut fine_half[l];
+                self.interps[l].prolong_add(ops, &coarse_half[0].x, &mut level.x);
+                level.smooth(ops, self.sweeps, self.damping, false);
+            }
+            z.copy_from_slice(&self.levels[0].x);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -701,5 +911,285 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "solution threads={threads}");
             }
         }
+    }
+
+    /// Node positions of a 1-D grid of `2^k + 1` points, nudged off uniform
+    /// (ends fixed) so no two rows of the operators below repeat.
+    fn jittered_grid(points: usize, seed: u64) -> Vec<f64> {
+        let h = 1.0 / (points - 1) as f64;
+        (0..points)
+            .map(|i| {
+                let t = (i as u64 + 1).wrapping_mul(6364136223846793005).wrapping_add(seed);
+                let nudge = ((t >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
+                let inner = i > 0 && i + 1 < points;
+                h * (i as f64 + if inner { 0.3 * nudge } else { 0.0 })
+            })
+            .collect()
+    }
+
+    /// Dense linear-FE stiffness and mass matrices of a 1-D grid.
+    fn fe_1d(grid: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let n = grid.len();
+        let (mut k, mut m) = (vec![vec![0.0; n]; n], vec![vec![0.0; n]; n]);
+        for e in 0..n - 1 {
+            let h = grid[e + 1] - grid[e];
+            for (a, b, sign, mass) in [
+                (e, e, 1.0, 3.0),
+                (e, e + 1, -1.0, 6.0),
+                (e + 1, e, -1.0, 6.0),
+                (e + 1, e + 1, 1.0, 3.0),
+            ] {
+                k[a][b] += sign / h;
+                m[a][b] += h / mass;
+            }
+        }
+        (k, m)
+    }
+
+    /// The trilinear-FE Laplacian `K⊗M⊗M + M⊗K⊗M + M⊗M⊗K` on the tensor
+    /// grid, nodes in generator order (x fastest): the 27-point lattice
+    /// stencil of the pressure operator, with row-dependent values.
+    fn lattice_laplacian(grids: [&[f64]; 3]) -> CsrMatrix {
+        let [(kx, mx), (ky, my), (kz, mz)] = grids.map(fe_1d);
+        let [nx, ny, nz] = grids.map(<[f64]>::len);
+        let near = |i: usize, n: usize| i.saturating_sub(1)..(i + 2).min(n);
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut vals) = (Vec::new(), Vec::new());
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    for k2 in near(k, nz) {
+                        for j2 in near(j, ny) {
+                            for i2 in near(i, nx) {
+                                col_idx.push(i2 + nx * (j2 + ny * k2));
+                                vals.push(
+                                    kx[i][i2] * my[j][j2] * mz[k][k2]
+                                        + mx[i][i2] * ky[j][j2] * mz[k][k2]
+                                        + mx[i][i2] * my[j][j2] * kz[k][k2],
+                                );
+                            }
+                        }
+                    }
+                    row_ptr.push(col_idx.len());
+                }
+            }
+        }
+        let mut matrix = CsrMatrix::from_pattern(row_ptr, col_idx);
+        matrix.pattern_and_values_mut().2.copy_from_slice(&vals);
+        matrix
+    }
+
+    /// 1-D linear interpolation weights from every other point of `grid`:
+    /// per fine point, `(coarse index, weight)` pairs in ascending order.
+    fn interpolation_weights_1d(grid: &[f64]) -> Vec<Vec<(usize, f64)>> {
+        (0..grid.len())
+            .map(|f| {
+                if f % 2 == 0 {
+                    vec![(f / 2, 1.0)]
+                } else {
+                    let w = (grid[f] - grid[f - 1]) / (grid[f + 1] - grid[f - 1]);
+                    vec![(f / 2, 1.0 - w), (f / 2 + 1, w)]
+                }
+            })
+            .collect()
+    }
+
+    /// Trilinear interpolation onto the tensor grid from its every-other-
+    /// point coarsening.
+    fn lattice_interpolation(grids: [&[f64]; 3]) -> Interpolation {
+        let [wx, wy, wz] = grids.map(interpolation_weights_1d);
+        let [cx, cy, cz] = grids.map(|g| g.len() / 2 + 1);
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut weights) = (Vec::new(), Vec::new());
+        for wk in &wz {
+            for wj in &wy {
+                for wi in &wx {
+                    for &(k, a) in wk {
+                        for &(j, b) in wj {
+                            for &(i, c) in wi {
+                                col_idx.push(i + cx * (j + cy * k));
+                                weights.push(a * b * c);
+                            }
+                        }
+                    }
+                    row_ptr.push(col_idx.len());
+                }
+            }
+        }
+        Interpolation::from_csr(cx * cy * cz, row_ptr, col_idx, weights)
+    }
+
+    fn every_other(grid: &[f64]) -> Vec<f64> {
+        grid.iter().copied().step_by(2).collect()
+    }
+
+    /// A three-level 17³ → 9³ → 5³ lattice problem, pinned at `pins(nx, ny, nz)`.
+    fn lattice_problem(
+        seed: u64,
+        pins: impl Fn([usize; 3]) -> Vec<usize>,
+    ) -> (CsrMatrix, Vec<Interpolation>) {
+        let fine =
+            [jittered_grid(17, seed), jittered_grid(17, seed + 1), jittered_grid(17, seed + 2)];
+        let mid = fine.each_ref().map(|g| every_other(g));
+        let mut a = lattice_laplacian(fine.each_ref().map(Vec::as_slice));
+        a.pin_rows_symmetric(&pins([17, 17, 17]));
+        let interps = vec![
+            lattice_interpolation(fine.each_ref().map(Vec::as_slice)),
+            lattice_interpolation(mid.each_ref().map(Vec::as_slice)),
+        ];
+        (a, interps)
+    }
+
+    /// The cavity's shape (one pinned node) and the channel's (a whole
+    /// outflow plane pinned: rows of explicit zeros on every level).
+    fn lattice_problems() -> Vec<(&'static str, CsrMatrix, Vec<Interpolation>)> {
+        let (cavity, cavity_interps) = lattice_problem(11, |_| vec![0]);
+        let (channel, channel_interps) =
+            lattice_problem(23, |[nx, ny, nz]| (0..ny * nz).map(|row| nx - 1 + nx * row).collect());
+        vec![("cavity", cavity, cavity_interps), ("channel", channel, channel_interps)]
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: entry {i} ({g} vs {w})");
+        }
+    }
+
+    #[test]
+    fn galerkin_product_is_bitwise_equal_to_the_btree_reference() {
+        for (name, a, interps) in lattice_problems() {
+            let (mut new, mut old) = (a.clone(), a);
+            for (level, p) in interps.iter().enumerate() {
+                new = galerkin_coarse(&new, p);
+                old = oracle::galerkin_coarse_btree(&old, p);
+                assert_eq!(new.row_ptr(), old.row_ptr(), "{name} level {}", level + 1);
+                assert_eq!(new.col_idx(), old.col_idx(), "{name} level {}", level + 1);
+                assert_same_bits(
+                    new.values(),
+                    old.values(),
+                    &format!("{name} level {}", level + 1),
+                );
+                assert!(new.nnz() <= 27 * new.dim());
+            }
+        }
+    }
+
+    #[test]
+    fn every_level_product_is_bitwise_equal_to_csr() {
+        for (name, a, interps) in lattice_problems() {
+            let reference = oracle::CsrMultigrid::new(&a, interps, &MultigridOptions::default());
+            for (level, csr) in reference.matrices().into_iter().enumerate() {
+                crate::dia::tests::assert_products_bitwise_equal(
+                    csr,
+                    &format!("{name} level {level}"),
+                );
+            }
+        }
+    }
+
+    /// The pin: V-cycle output and the full MG-CG solve — solution,
+    /// iteration count, residual history — carry the bits of the CSR /
+    /// four-kernel algorithm they replaced, at every thread count.
+    #[test]
+    fn v_cycle_and_mgcg_are_bitwise_equal_to_the_csr_four_kernel_reference() {
+        let mut problems = lattice_problems();
+        let nc = 1023;
+        problems.push(("1-D", laplacian_1d(2 * nc + 1), vec![linear_interpolation_1d(nc)]));
+        let options = MultigridOptions::default();
+        let solve = SolveOptions { tolerance: 1e-10, ..Default::default() };
+        for (name, a, interps) in problems {
+            let n = a.dim();
+            let mut reference = oracle::CsrMultigrid::new(&a, interps.clone(), &options);
+            let mut mg = GeometricMultigrid::new(&a, interps, &options).expect("lattice hierarchy");
+            let fine = mg.level_operator(0);
+            let mut rhs = crate::dia::tests::awkward_vector(n, 41);
+            for (row, value) in rhs.iter_mut().enumerate() {
+                if a.get(row, row) == 1.0 {
+                    *value = 0.0; // pinned rows carry a zero right-hand side
+                }
+            }
+            for threads in [1usize, 2, 4] {
+                let team = Team::new(threads);
+                let what = format!("{name}, {threads} threads");
+
+                let (mut z_ref, mut z) = (vec![0.0; n], vec![0.0; n]);
+                reference.apply(&mut VectorOps::on_team(&team), &rhs, &mut z_ref);
+                mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
+                assert_same_bits(&z, &z_ref, &format!("V-cycle, {what}"));
+
+                let want = conjugate_gradient_with(
+                    &a,
+                    &rhs,
+                    &solve,
+                    &mut VectorOps::on_team(&team),
+                    &mut reference,
+                )
+                .expect("reference MG-CG converges");
+                let got = mg_preconditioned_cg_on(&team, &*fine, &mut mg, &rhs, &solve)
+                    .expect("MG-CG converges");
+                assert_eq!(got.iterations, want.iterations, "iterations, {what}");
+                assert_same_bits(&got.residual_history, &want.residual_history, &what);
+                assert_same_bits(&got.solution, &want.solution, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn a_level_that_is_not_a_lattice_stencil_yields_no_hierarchy() {
+        // Same two-level problem, fine rows in a scrambled order: the
+        // operator is as SPD as before but has no diagonal structure.
+        let nc = 63;
+        let n = 2 * nc + 1;
+        let mut forward: Vec<usize> = (0..n).collect();
+        let mut state = 99u64;
+        for i in (1..n).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            forward.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let a = laplacian_1d(n).permuted(&forward);
+        let p = linear_interpolation_1d(nc);
+        let mut rows = vec![(vec![], vec![]); n];
+        for f in 0..n {
+            let range = p.row_ptr[f]..p.row_ptr[f + 1];
+            rows[forward[f]] = (p.col_idx[range.clone()].to_vec(), p.weights[range].to_vec());
+        }
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut weights) = (Vec::new(), Vec::new());
+        for (cols, ws) in rows {
+            col_idx.extend(cols);
+            weights.extend(ws);
+            row_ptr.push(col_idx.len());
+        }
+        let scrambled = Interpolation::from_csr(nc, row_ptr, col_idx, weights);
+        assert!(
+            GeometricMultigrid::new(&a, vec![scrambled], &MultigridOptions::default()).is_none()
+        );
+    }
+
+    #[test]
+    fn level_spans_record_the_true_traversal_counts() {
+        use lv_runtime::TraceConfig;
+        let (a, mut mg) = two_level_1d(15, &MultigridOptions::default());
+        let mut team = Team::with_trace(1, TraceConfig::default());
+        let rhs = vec![1.0; a.dim()];
+        let mut z = vec![0.0; a.dim()];
+        mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
+        let fine = mg.level_operator(0);
+        let trace = team.trace_mut().expect("traced team");
+        let levels: Vec<_> =
+            trace.events().into_iter().filter(|e| e.span == lv_trace::spans::MG_LEVEL).collect();
+        // Down leg of level 0, the dense coarsest solve, up leg of level 0.
+        assert_eq!(levels.len(), 3);
+        let sweeps = MultigridOptions::default().smoothing_sweeps as u64;
+        for leg in [&levels[0], &levels[2]] {
+            assert_eq!(leg.iters, sweeps);
+            assert_eq!(leg.flops, sweeps * fine.apply_flops());
+            assert_eq!(leg.bytes, sweeps * fine.streamed_bytes() as u64);
+        }
+        assert_eq!(
+            (levels[1].iters, levels[1].flops, levels[1].bytes),
+            (0, 2 * 15 * 15, 8 * 15 * 15)
+        );
     }
 }

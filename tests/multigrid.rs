@@ -12,12 +12,22 @@
 //!   while plain Jacobi-CG iterations grow with resolution;
 //! * **Physics neutrality** — a cavity trajectory stepped with the MG-CG
 //!   pressure path matches the plain-CG trajectory to solver tolerance
-//!   (both solve the same system to 1e-10), with fewer Poisson iterations.
+//!   (both solve the same system to 1e-10), with fewer Poisson iterations;
+//! * **Level storage** — on every level of the jittered-cavity and channel
+//!   hierarchies the diagonal-stored operator the V-cycle runs on produces
+//!   the bits of the CSR operator it was converted from; a mesh whose node
+//!   order hides the lattice does not fit and steps with plain CG.
 
 use alya_longvec::prelude::*;
 use lv_driver::{measure_pressure_solvers, PressureSolver};
-use lv_kernel::{build_pressure_multigrid, pressure_laplacian, MatrixFreeLaplacian};
-use lv_solver::{mg_preconditioned_cg_on, LinearOperator, MultigridOptions};
+use lv_kernel::{
+    build_pressure_multigrid, pressure_interpolations, pressure_laplacian, MatrixFreeLaplacian,
+};
+use lv_mesh::renumber::NodePermutation;
+use lv_solver::{
+    galerkin_coarse, mg_preconditioned_cg_on, CsrMatrix, DiaMatrix, LinearOperator,
+    MultigridOptions, VectorOps,
+};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -178,4 +188,112 @@ fn registry_box_scenarios_get_the_multigrid_path_by_default() {
             ),
         }
     }
+}
+
+/// Like [`probe`], with the awkward finite values mixed in: `-0.0` and
+/// denormals of both signs.
+fn awkward_probe(n: usize, seed: u64) -> Vec<f64> {
+    let mut x = probe(n, seed);
+    for (i, v) in x.iter_mut().enumerate() {
+        match i % 7 {
+            1 => *v = -0.0,
+            3 => *v = f64::MIN_POSITIVE / 8.0,
+            5 => *v = -f64::MIN_POSITIVE / 1024.0,
+            _ => {}
+        }
+    }
+    x
+}
+
+/// `DiaMatrix` product vs `CsrMatrix::spmv_range`, bit for bit: ranges that
+/// start and end inside a 256-row block, and the pooled partitions.
+fn assert_diagonal_product_matches_csr(csr: &CsrMatrix, what: &str, seed: u64) {
+    let dia = DiaMatrix::from_csr(csr).unwrap_or_else(|| panic!("{what} must fit"));
+    assert!(dia.offsets().len() <= 27, "{what}: {:?}", dia.offsets());
+    let n = csr.dim();
+    let x = awkward_probe(n, seed);
+    let expect = csr.mul_vec(&x);
+    for rows in [0..n, 1..n - 1, n / 3..n - n / 5, 255..n.min(258)] {
+        if rows.is_empty() {
+            continue;
+        }
+        let mut y = vec![f64::NAN; rows.len()];
+        dia.apply_range(&x, rows.clone(), &mut y);
+        for (got, (row, want)) in y.iter().zip(rows.clone().zip(&expect[rows.clone()])) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what} row {row}");
+        }
+    }
+    for threads in THREAD_COUNTS {
+        let team = Team::new(threads);
+        let mut y = vec![f64::NAN; n];
+        VectorOps::on_team(&team).apply(&dia, &x, &mut y);
+        for (row, (got, want)) in y.iter().zip(&expect).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what} row {row} at {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn diagonal_levels_match_csr_bitwise_on_the_cavity_and_channel_chains() {
+    let options = MultigridOptions::default();
+    for kind in [ScenarioKind::LidDrivenCavity, ScenarioKind::Channel] {
+        let scenario = Scenario::new(kind, 12);
+        let mesh = scenario.build_mesh();
+        let pins = scenario.pressure_pins(&mesh);
+        if kind == ScenarioKind::Channel {
+            assert!(pins.len() > 1, "the channel pins a whole outflow plane");
+        }
+        let interps = pressure_interpolations(&mesh, &options).expect("a box lattice");
+        let mut csr = pressure_laplacian(&mesh, 128, &pins);
+        for level in 0..=interps.len() {
+            let what = format!("{} level {level}", kind.name());
+            assert_diagonal_product_matches_csr(&csr, &what, 31 + level as u64);
+            if level < interps.len() {
+                csr = galerkin_coarse(&csr, &interps[level]);
+            }
+        }
+    }
+}
+
+/// A jittered box keeps the 27 diagonals on the fine level (the pattern is
+/// topological) with every row's values different.  Its first *coarse*
+/// level does not fit: the finest transfer interpolates onto the actual
+/// node positions, a nudged coincident node picks up a full cell of
+/// weights, and the Galerkin stencil widens to 5³ — such meshes step with
+/// plain CG.
+#[test]
+fn a_jittered_box_fits_on_the_fine_level_only() {
+    let mesh = BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.15, 5).build();
+    let laplacian = pressure_laplacian(&mesh, 128, &[0]);
+    assert_diagonal_product_matches_csr(&laplacian, "jittered cavity", 77);
+
+    let options = MultigridOptions::default();
+    let interps = pressure_interpolations(&mesh, &options).expect("mild jitter keeps the lattice");
+    let coarse = galerkin_coarse(&laplacian, &interps[0]);
+    assert!(DiaMatrix::from_csr(&coarse).is_none());
+    assert!(build_pressure_multigrid(&mesh, &laplacian, &options).is_none());
+}
+
+#[test]
+fn a_scrambled_node_order_does_not_fit_and_steps_with_plain_cg() {
+    let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 8);
+    let mesh = scenario.build_mesh();
+    let scrambled = mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 99));
+    let pins = scenario.pressure_pins(&scrambled);
+    let laplacian = pressure_laplacian(&scrambled, 64, &pins);
+    assert!(DiaMatrix::from_csr(&laplacian).is_none(), "a scrambled Laplacian has no diagonals");
+    assert!(
+        build_pressure_multigrid(&scrambled, &laplacian, &MultigridOptions::default()).is_none()
+    );
+
+    // The stepper takes the documented fallback and still steps.
+    let mut stepper =
+        Stepper::with_mesh(scenario, StepperConfig::default().with_vector_size(64), scrambled);
+    assert_eq!(stepper.pressure_solver(), PressureSolver::Cg);
+    assert_eq!(stepper.multigrid_levels(), None);
+    let reports = stepper.run_on(&Team::new(2), 1).expect("the CG path steps");
+    assert_eq!(
+        reports[0].poisson_fallbacks, 0,
+        "CG is the configured-and-built path, not a fallback"
+    );
 }
