@@ -14,8 +14,16 @@
 //!   per operation — plus the re-load of the loop bound on every iteration
 //!   when the trip count is a run-time value (the behaviour the paper
 //!   observed for the `VECTOR_DIM` dummy argument).
+//!
+//! The walk executes every iteration of every loop, so addresses are lowered
+//! rather than interpreted: on entry, a loop turns the references of the
+//! statements directly in its body into `LoweredIndex` forms in its own
+//! iteration number (outer loop variables folded in), kept on one stack that
+//! nested loops push onto and pop from.  The lowered form of a reference
+//! yields the same element index as [`IndexExpr::eval`] at every iteration,
+//! so the emitted stream does not depend on it.
 
-use crate::ir::{Loop, LoopItem, LoopNest, MemRef, Statement};
+use crate::ir::{IndexExpr, Loop, LoopItem, LoopNest, MemRef, Statement};
 use crate::vectorizer::{LoopDecision, VectorizationPlan};
 use lv_sim::engine::Machine;
 use lv_sim::isa::{Instruction, MemAccess};
@@ -55,196 +63,252 @@ pub fn emit_loop_nest(
     nest: &LoopNest,
     plan: &VectorizationPlan,
 ) -> CodegenStats {
-    let mut indices = vec![0usize; nest.num_levels];
-    let mut stats = CodegenStats::default();
-    emit_items(machine, &nest.items, plan, &mut indices, &mut stats);
-    stats
-}
-
-fn emit_items(
-    machine: &mut Machine,
-    items: &[LoopItem],
-    plan: &VectorizationPlan,
-    indices: &mut Vec<usize>,
-    stats: &mut CodegenStats,
-) {
-    for item in items {
-        match item {
-            LoopItem::Stmt(s) => emit_scalar_statement(machine, s, indices, stats),
-            LoopItem::Loop(l) => emit_loop(machine, l, plan, indices, stats),
-        }
-    }
-}
-
-fn emit_loop(
-    machine: &mut Machine,
-    l: &Loop,
-    plan: &VectorizationPlan,
-    indices: &mut Vec<usize>,
-    stats: &mut CodegenStats,
-) {
-    let vectorized =
-        l.is_innermost().then(|| plan.decision(l.level)).flatten().and_then(|d| match d {
-            LoopDecision::Vectorized { chunks } => Some(chunks.clone()),
-            LoopDecision::Scalar { .. } => None,
-        });
-
-    match vectorized {
-        Some(chunks) => emit_vectorized_loop(machine, l, &chunks, indices, stats),
-        None => emit_scalar_loop(machine, l, plan, indices, stats),
-    }
-}
-
-/// Emits a loop executed with vector instructions, chunk by chunk.
-fn emit_vectorized_loop(
-    machine: &mut Machine,
-    l: &Loop,
-    chunks: &[usize],
-    indices: &mut [usize],
-    stats: &mut CodegenStats,
-) {
-    // Loop setup (induction variable initialization).
-    machine.issue(&Instruction::scalar_op());
-    stats.scalar_instructions += 1;
-
-    let mut start = 0usize;
-    for &vl in chunks {
-        machine.issue(&Instruction::vector_config(vl));
-        stats.scalar_instructions += 1;
-        stats.vector_chunks += 1;
-
-        for stmt in l.statements() {
-            // Per-chunk loop control / address bookkeeping.
-            machine.issue(&Instruction::scalar_op());
-            stats.scalar_instructions += 1;
-
-            for mem in &stmt.mem {
-                emit_vector_mem(machine, mem, l.level, start, vl, indices, stats);
-            }
-            for &(op, count) in &stmt.flops {
-                machine.issue_repeated(&Instruction::vector_arith(op, vl), count as u64);
-                stats.vector_instructions += count as u64;
-            }
-        }
-        start += vl;
-    }
-
-    // Loop exit branch.
-    machine.issue(&Instruction::scalar_op());
-    stats.scalar_instructions += 1;
-}
-
-/// Emits the vector memory instruction(s) of one reference for one chunk.
-fn emit_vector_mem(
-    machine: &mut Machine,
-    mem: &MemRef,
-    level: usize,
-    start: usize,
-    vl: usize,
-    indices: &mut [usize],
-    stats: &mut CodegenStats,
-) {
-    if mem.index.is_indexed_in(level) {
-        // Gather / scatter: evaluate the element index of every lane.
-        let mut lane_indices = Vec::with_capacity(vl);
-        for lane in 0..vl {
-            indices[level] = start + lane;
-            let elem = mem.index.eval(indices);
-            debug_assert!(elem >= 0);
-            lane_indices.push(elem as u32);
-        }
-        indices[level] = start;
-        let access = MemAccess::indexed(mem.base, lane_indices, mem.elem_bytes, mem.is_store);
-        machine.issue(&Instruction::vector_mem(vl, access));
-        stats.vector_instructions += 1;
-        return;
-    }
-
-    // Affine (or indirection-invariant) reference: derive the stride from two
-    // consecutive lanes.
-    indices[level] = start;
-    let first = mem.address(indices);
-    let stride = if vl > 1 {
-        indices[level] = start + 1;
-        let second = mem.address(indices);
-        indices[level] = start;
-        second as i64 - first as i64
-    } else {
-        mem.elem_bytes as i64
+    let mut emitter = Emitter {
+        machine,
+        plan,
+        indices: vec![0; nest.num_levels],
+        lowered: Vec::new(),
+        lanes: Vec::new(),
+        stats: CodegenStats::default(),
     };
-
-    if stride == 0 {
-        // Invariant along the vectorized dimension: one scalar load plus a
-        // broadcast into a vector register.
-        let access = MemAccess::unit_stride(first, 1, mem.elem_bytes, mem.is_store);
-        machine.issue(&Instruction::scalar_mem(access));
-        machine.issue(&Instruction::vector_control(vl));
-        stats.scalar_instructions += 1;
-        stats.vector_instructions += 1;
-    } else if stride == mem.elem_bytes as i64 {
-        let access = MemAccess::unit_stride(first, vl, mem.elem_bytes, mem.is_store);
-        machine.issue(&Instruction::vector_mem(vl, access));
-        stats.vector_instructions += 1;
-    } else {
-        let access = MemAccess::strided(first, stride, vl, mem.elem_bytes, mem.is_store);
-        machine.issue(&Instruction::vector_mem(vl, access));
-        stats.vector_instructions += 1;
-    }
+    let first = emitter.lower(&nest.items, None);
+    emitter.emit_body(&nest.items, first, 0);
+    emitter.stats
 }
 
-/// Emits a loop executed scalar, iteration by iteration.
-fn emit_scalar_loop(
-    machine: &mut Machine,
-    l: &Loop,
-    plan: &VectorizationPlan,
-    indices: &mut Vec<usize>,
-    stats: &mut CodegenStats,
-) {
-    // Loop setup.
-    machine.issue(&Instruction::scalar_op());
-    stats.scalar_instructions += 1;
+/// The element index of one memory reference as a function of the iteration
+/// number of the loop directly around its statement, with every outer loop
+/// variable already folded in.  A loop lowers the references of its own
+/// statements once per entry; each iteration (or vector chunk) then costs a
+/// multiply-add, plus one table read for a gather, instead of re-evaluating
+/// the affine forms term by term.
+#[derive(Debug, Clone, Copy)]
+enum LoweredIndex<'n> {
+    /// `element(iter) = elem0 + iter * coef`.
+    Linear { elem0: i64, coef: i64 },
+    /// `element(iter) = table[t0 + iter * tstride] * scale + off0 + iter * ocoef`
+    /// with `tstride != 0`: vectorizing the loop makes it a gather/scatter.
+    Gather { table: &'n [u32], t0: i64, tstride: i64, scale: i64, off0: i64, ocoef: i64 },
+}
 
-    let trip = l.trip.value();
-    let reload_bound = !l.trip.is_compile_time();
-    let bound_addr = BOUND_BASE_ADDR + l.level as u64 * 64;
-
-    for iter in 0..trip {
-        indices[l.level] = iter;
-        // Induction variable increment + compare + branch.
-        machine.issue(&Instruction::scalar_op());
-        stats.scalar_instructions += 1;
-        stats.scalar_iterations += 1;
-        if reload_bound {
-            // The compiler re-loads the run-time bound from the stack on every
-            // iteration (the paper's phase-2 observation).
-            let access = MemAccess::unit_stride(bound_addr, 1, 8, false);
-            machine.issue(&Instruction::scalar_mem(access));
-            stats.scalar_instructions += 1;
+impl<'n> LoweredIndex<'n> {
+    /// Lowers `index` for the loop at `level` (`None`: a statement outside
+    /// every loop), with the outer iteration numbers in `indices`.
+    fn new(index: &'n IndexExpr, level: Option<usize>, indices: &[usize]) -> Self {
+        match index {
+            IndexExpr::Affine(a) => {
+                let (elem0, coef) = a.split_at(level, indices);
+                LoweredIndex::Linear { elem0, coef }
+            }
+            IndexExpr::Indirect { table, table_index, scale, offset } => {
+                let (t0, tstride) = table_index.split_at(level, indices);
+                let (off0, ocoef) = offset.split_at(level, indices);
+                debug_assert!(t0 >= 0, "negative table index");
+                if tstride == 0 {
+                    // The same table entry on every iteration.
+                    let elem0 = table[t0 as usize] as i64 * scale + off0;
+                    LoweredIndex::Linear { elem0, coef: ocoef }
+                } else {
+                    LoweredIndex::Gather { table, t0, tstride, scale: *scale, off0, ocoef }
+                }
+            }
         }
-        emit_items(machine, &l.body, plan, indices, stats);
     }
-    indices[l.level] = 0;
+
+    /// Element index touched by iteration `iter`.
+    #[inline]
+    fn element(&self, iter: usize) -> i64 {
+        let iter = iter as i64;
+        match *self {
+            LoweredIndex::Linear { elem0, coef } => elem0 + iter * coef,
+            LoweredIndex::Gather { table, t0, tstride, scale, off0, ocoef } => {
+                table[(t0 + iter * tstride) as usize] as i64 * scale + off0 + iter * ocoef
+            }
+        }
+    }
 }
 
-/// Emits the scalar form of one statement at the current loop indices.
-fn emit_scalar_statement(
-    machine: &mut Machine,
-    stmt: &Statement,
-    indices: &[usize],
-    stats: &mut CodegenStats,
-) {
-    if stmt.int_ops > 0 {
-        machine.issue_repeated(&Instruction::scalar_op(), stmt.int_ops as u64);
-        stats.scalar_instructions += stmt.int_ops as u64;
+/// The state of one walk over a loop nest.
+struct Emitter<'m, 'n> {
+    machine: &'m mut Machine,
+    plan: &'n VectorizationPlan,
+    /// Current iteration number per loop level (0 outside the loop).
+    indices: Vec<usize>,
+    /// Stack of lowered references: each loop being executed owns the tail
+    /// it pushed on entry, one entry per reference of its own statements in
+    /// body order.
+    lowered: Vec<LoweredIndex<'n>>,
+    /// Lane-index buffer shared by every gather/scatter of the walk.
+    lanes: Vec<u32>,
+    stats: CodegenStats,
+}
+
+impl<'n> Emitter<'_, 'n> {
+    /// Pushes the lowered references of the statements directly in `items`
+    /// for the loop at `level` about to be entered, and returns the position
+    /// of the first; the loop truncates `lowered` back to it on exit.
+    fn lower(&mut self, items: &'n [LoopItem], level: Option<usize>) -> usize {
+        let first = self.lowered.len();
+        for item in items {
+            if let LoopItem::Stmt(s) = item {
+                for mem in &s.mem {
+                    self.lowered.push(LoweredIndex::new(&mem.index, level, &self.indices));
+                }
+            }
+        }
+        first
     }
-    for mem in &stmt.mem {
-        let access = MemAccess::unit_stride(mem.address(indices), 1, mem.elem_bytes, mem.is_store);
-        machine.issue(&Instruction::scalar_mem(access));
-        stats.scalar_instructions += 1;
+
+    /// Emits iteration `iter` of a scalar loop body (or the top-level items
+    /// with `iter == 0`) whose references were lowered from `first` on.
+    fn emit_body(&mut self, items: &'n [LoopItem], first: usize, iter: usize) {
+        let mut next = first;
+        for item in items {
+            match item {
+                LoopItem::Stmt(s) => {
+                    self.emit_scalar_statement(s, next, iter);
+                    next += s.mem.len();
+                }
+                LoopItem::Loop(l) => self.emit_loop(l),
+            }
+        }
     }
-    for &(op, count) in &stmt.flops {
-        machine.issue_repeated(&Instruction::scalar_fp(op), count as u64);
-        stats.scalar_instructions += count as u64;
+
+    fn scalar_op(&mut self) {
+        self.machine.issue(&Instruction::scalar_op());
+        self.stats.scalar_instructions += 1;
+    }
+
+    fn emit_loop(&mut self, l: &'n Loop) {
+        let plan = self.plan;
+        let decision = l.is_innermost().then(|| plan.decision(l.level)).flatten();
+        match decision {
+            Some(LoopDecision::Vectorized { chunks }) => self.emit_vectorized_loop(l, chunks),
+            _ => self.emit_scalar_loop(l),
+        }
+    }
+
+    /// Emits a loop executed with vector instructions, chunk by chunk.
+    fn emit_vectorized_loop(&mut self, l: &'n Loop, chunks: &[usize]) {
+        // Loop setup (induction variable initialization).
+        self.scalar_op();
+
+        let first = self.lower(&l.body, Some(l.level));
+        let mut start = 0usize;
+        for &vl in chunks {
+            self.machine.issue(&Instruction::vector_config(vl));
+            self.stats.scalar_instructions += 1;
+            self.stats.vector_chunks += 1;
+
+            let mut slot = first;
+            for stmt in l.statements() {
+                // Per-chunk loop control / address bookkeeping.
+                self.scalar_op();
+                for mem in &stmt.mem {
+                    self.emit_vector_mem(mem, slot, start, vl);
+                    slot += 1;
+                }
+                for &(op, count) in &stmt.flops {
+                    self.machine.issue_repeated(&Instruction::vector_arith(op, vl), count as u64);
+                    self.stats.vector_instructions += count as u64;
+                }
+            }
+            start += vl;
+        }
+        self.lowered.truncate(first);
+
+        // Loop exit branch.
+        self.scalar_op();
+    }
+
+    /// Emits the vector memory instruction(s) of the reference lowered at
+    /// `slot` for the chunk of `vl` iterations from `start`.
+    fn emit_vector_mem(&mut self, mem: &MemRef, slot: usize, start: usize, vl: usize) {
+        let lowered = self.lowered[slot];
+        let access = match lowered {
+            LoweredIndex::Gather { .. } => {
+                // Gather / scatter: the element index of every lane.
+                self.lanes.clear();
+                self.lanes.extend((start..start + vl).map(|iter| {
+                    let elem = lowered.element(iter);
+                    debug_assert!(elem >= 0, "negative element index for array {}", mem.array);
+                    elem as u32
+                }));
+                MemAccess::indexed(mem.base, &self.lanes, mem.elem_bytes, mem.is_store)
+            }
+            LoweredIndex::Linear { elem0, coef } => {
+                // Affine (or indirection-invariant) reference: the stride
+                // between two consecutive lanes; a single lane counts as
+                // unit-stride.
+                let first = mem.element_address(elem0 + start as i64 * coef);
+                let elem_bytes = mem.elem_bytes as i64;
+                let stride = if vl > 1 { coef * elem_bytes } else { elem_bytes };
+                if stride == 0 {
+                    // Invariant along the vectorized dimension: one scalar
+                    // load plus a broadcast into a vector register.
+                    let access = MemAccess::unit_stride(first, 1, mem.elem_bytes, mem.is_store);
+                    self.machine.issue(&Instruction::scalar_mem(access));
+                    self.machine.issue(&Instruction::vector_control(vl));
+                    self.stats.scalar_instructions += 1;
+                    self.stats.vector_instructions += 1;
+                    return;
+                }
+                if stride == elem_bytes {
+                    MemAccess::unit_stride(first, vl, mem.elem_bytes, mem.is_store)
+                } else {
+                    MemAccess::strided(first, stride, vl, mem.elem_bytes, mem.is_store)
+                }
+            }
+        };
+        self.machine.issue(&Instruction::vector_mem(vl, access));
+        self.stats.vector_instructions += 1;
+    }
+
+    /// Emits a loop executed scalar, iteration by iteration.
+    fn emit_scalar_loop(&mut self, l: &'n Loop) {
+        // Loop setup.
+        self.scalar_op();
+
+        let trip = l.trip.value();
+        let reload_bound = !l.trip.is_compile_time();
+        let bound_addr = BOUND_BASE_ADDR + l.level as u64 * 64;
+
+        let first = self.lower(&l.body, Some(l.level));
+        for iter in 0..trip {
+            self.indices[l.level] = iter;
+            // Induction variable increment + compare + branch.
+            self.scalar_op();
+            self.stats.scalar_iterations += 1;
+            if reload_bound {
+                // The compiler re-loads the run-time bound from the stack on every
+                // iteration (the paper's phase-2 observation).
+                let access = MemAccess::unit_stride(bound_addr, 1, 8, false);
+                self.machine.issue(&Instruction::scalar_mem(access));
+                self.stats.scalar_instructions += 1;
+            }
+            self.emit_body(&l.body, first, iter);
+        }
+        self.indices[l.level] = 0;
+        self.lowered.truncate(first);
+    }
+
+    /// Emits the scalar form of one statement for iteration `iter` of its
+    /// loop; its references were lowered from `first` on.
+    fn emit_scalar_statement(&mut self, stmt: &Statement, first: usize, iter: usize) {
+        if stmt.int_ops > 0 {
+            self.machine.issue_repeated(&Instruction::scalar_op(), stmt.int_ops as u64);
+            self.stats.scalar_instructions += stmt.int_ops as u64;
+        }
+        for (mem, lowered) in stmt.mem.iter().zip(&self.lowered[first..]) {
+            let addr = mem.element_address(lowered.element(iter));
+            let access = MemAccess::unit_stride(addr, 1, mem.elem_bytes, mem.is_store);
+            self.machine.issue(&Instruction::scalar_mem(access));
+            self.stats.scalar_instructions += 1;
+        }
+        for &(op, count) in &stmt.flops {
+            self.machine.issue_repeated(&Instruction::scalar_fp(op), count as u64);
+            self.stats.scalar_instructions += count as u64;
+        }
     }
 }
 
@@ -426,5 +490,73 @@ mod tests {
         let stats = emit_loop_nest(&mut m, &nest, &plan);
         assert_eq!(stats.scalar_iterations, 7 + 7 * 5);
         assert_eq!(m.counters().total().flops, 35.0);
+    }
+
+    #[test]
+    fn single_lane_tail_chunk_is_emitted_as_unit_stride() {
+        // 257 iterations on a 256-element machine: the one-lane tail has no
+        // second lane to take a stride from, so even the invariant operand
+        // `b` is a unit-stride vector access there instead of a broadcast.
+        let nest = axpy_nest(TripCount::Const(257));
+        let plan = Vectorizer::new(256).plan(&nest);
+        let mut m = Machine::with_config(
+            Platform::riscv_vec(),
+            lv_sim::engine::MachineConfig {
+                memory_model: lv_sim::memory::MemoryModel::Caches,
+                trace: Some(0),
+            },
+        );
+        let stats = emit_loop_nest(&mut m, &nest, &plan);
+        assert_eq!(stats.vector_chunks, 2);
+        let tail: Vec<_> = m.tracer().events().iter().filter(|e| e.vl == 1).collect();
+        let unit = tail.iter().filter(|e| e.pattern == Some(MemPattern::UnitStride)).count();
+        assert_eq!(unit, 3, "a, b and c are all unit-stride in the tail: {tail:?}");
+        let classes = m.tracer().class_histogram();
+        assert_eq!(classes[&lv_sim::isa::InstructionClass::VectorControl], 1);
+    }
+
+    #[test]
+    fn lowered_index_matches_direct_evaluation() {
+        // Every shape a reference takes — a level repeated or absent, a
+        // negative coefficient, an indirection whose table index, offset or
+        // both follow the lowered loop — evaluated at every iteration of each
+        // of three levels under several outer iteration states.
+        let table = Arc::new((0..64u32).map(|i| (i * 37 + 5) % 101).collect::<Vec<_>>());
+        let indirect = |table_index: AffineExpr, offset: AffineExpr| IndexExpr::Indirect {
+            table: Arc::clone(&table),
+            table_index,
+            scale: 3,
+            offset,
+        };
+        let exprs = [
+            IndexExpr::Affine(AffineExpr::constant(7)),
+            IndexExpr::Affine(
+                AffineExpr::term(0, 1).plus_term(1, 12).plus_term(2, 4).plus_const(9),
+            ),
+            IndexExpr::Affine(AffineExpr::term(1, 5).plus_term(1, -2).plus_const(40)),
+            IndexExpr::Affine(AffineExpr::term(2, -3).plus_const(100)),
+            indirect(AffineExpr::term(0, 8).plus_term(1, 1).plus_const(2), AffineExpr::term(2, 1)),
+            indirect(AffineExpr::term(1, 2), AffineExpr::term(1, 1).plus_term(0, 7)),
+            indirect(
+                AffineExpr::term(0, 3).plus_term(0, -3).plus_const(11),
+                AffineExpr::constant(1),
+            ),
+        ];
+        for expr in &exprs {
+            for level in 0..3 {
+                for outer in [[0usize, 0, 0], [3, 1, 2], [1, 3, 0]] {
+                    let mut indices = outer;
+                    let lowered = LoweredIndex::new(expr, Some(level), &indices);
+                    let gathers = matches!(lowered, LoweredIndex::Gather { .. });
+                    assert_eq!(gathers, expr.is_indexed_in(level), "{expr:?} at level {level}");
+                    for iter in 0..4 {
+                        indices[level] = iter;
+                        assert_eq!(lowered.element(iter), expr.eval(&indices), "{expr:?}");
+                    }
+                }
+            }
+            let outside = LoweredIndex::new(expr, None, &[2, 1, 3]);
+            assert_eq!(outside.element(0), expr.eval(&[2, 1, 3]));
+        }
     }
 }

@@ -82,6 +82,24 @@ impl AffineExpr {
         v
     }
 
+    /// Splits the expression at the loop `level` in one pass: its value with
+    /// that loop variable at 0 (the other variables taken from `indices`)
+    /// and the variable's coefficient, so that
+    /// `eval == at_zero + coefficient * indices[level]`.  With `level ==
+    /// None` this is `(eval(indices), 0)`.
+    #[inline]
+    pub fn split_at(&self, level: Option<usize>, indices: &[usize]) -> (i64, i64) {
+        let (mut at_zero, mut coef) = (self.constant, 0);
+        for &(l, c) in &self.terms {
+            if Some(l) == level {
+                coef += c;
+            } else {
+                at_zero += c * indices[l] as i64;
+            }
+        }
+        (at_zero, coef)
+    }
+
     /// Coefficient of the loop variable at `level` (0 if absent).
     pub fn coefficient(&self, level: usize) -> i64 {
         self.terms.iter().filter(|(l, _)| *l == level).map(|(_, c)| *c).sum()
@@ -191,7 +209,12 @@ impl MemRef {
     /// Byte address for concrete loop indices.
     #[inline]
     pub fn address(&self, indices: &[usize]) -> u64 {
-        let elem = self.index.eval(indices);
+        self.element_address(self.index.eval(indices))
+    }
+
+    /// Byte address of element `elem` of the array.
+    #[inline]
+    pub fn element_address(&self, elem: i64) -> u64 {
         debug_assert!(elem >= 0, "negative element index for array {}", self.array);
         self.base + elem as u64 * self.elem_bytes as u64
     }
@@ -465,6 +488,9 @@ mod tests {
         assert!(e.depends_on(0));
         assert!(!e.depends_on(1));
         assert_eq!(AffineExpr::constant(7).eval(&[1, 2, 3]), 7);
+        assert_eq!(e.split_at(Some(2), &[2, 99, 4]), (3 * 2 + 10, -1));
+        assert_eq!(e.split_at(Some(1), &[2, 99, 4]), (e.eval(&[2, 99, 4]), 0));
+        assert_eq!(e.split_at(None, &[2, 99, 4]), (e.eval(&[2, 99, 4]), 0));
     }
 
     #[test]

@@ -31,6 +31,11 @@
 //!   transformations;
 //! * [`codegen`] — walks a planned loop nest and emits the scalar/vector
 //!   instruction stream into an [`lv_sim::Machine`](lv_sim::engine::Machine).
+//!   Each loop lowers the memory references of its statements once per
+//!   entry to `element₀ + iteration · stride` (through one table read for a
+//!   gather), so an iteration computes an address with a multiply-add
+//!   rather than by re-evaluating affine forms, and the walk allocates
+//!   nothing per instruction.
 
 #![warn(missing_docs)]
 

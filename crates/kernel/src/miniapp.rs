@@ -12,7 +12,7 @@
 use crate::config::KernelConfig;
 use crate::workload::WorkloadBuilder;
 use lv_compiler::codegen::{emit_loop_nest, CodegenStats};
-use lv_compiler::vectorizer::{Remark, Vectorizer};
+use lv_compiler::vectorizer::{Remark, VectorizationPlan, Vectorizer};
 use lv_mesh::chunks::ElementChunks;
 use lv_mesh::Mesh;
 use lv_sim::counters::{HwCounters, PhaseId};
@@ -108,15 +108,24 @@ impl SimulatedMiniApp {
         let mut remarks: Vec<Remark> = Vec::new();
         let mut codegen = CodegenStats::default();
 
-        for (chunk_idx, chunk) in self.chunks.iter().enumerate() {
-            for (phase, nest) in self.builder.phase_nests(chunk) {
-                let plan = vectorizer.plan(&nest);
-                if chunk_idx == 0 {
-                    remarks.extend(plan.remarks.iter().cloned());
+        // A plan depends on the shape of a nest — code variant, scheme and
+        // the trip counts, i.e. the chunk length — and not on where the
+        // chunk starts: every full chunk shares the plans of the first one
+        // and only a shorter last chunk is planned again.
+        let mut plans: Vec<VectorizationPlan> = Vec::new();
+        let mut planned_len = None;
+        for chunk in self.chunks.iter() {
+            let nests = self.builder.phase_nests(chunk);
+            if planned_len != Some(chunk.len) {
+                plans = nests.iter().map(|(_, nest)| vectorizer.plan(nest)).collect();
+                if planned_len.is_none() {
+                    remarks = plans.iter().flat_map(|p| p.remarks.iter().cloned()).collect();
                 }
-                machine.begin_phase(phase);
-                let stats = emit_loop_nest(&mut machine, &nest, &plan);
-                codegen.merge(stats);
+                planned_len = Some(chunk.len);
+            }
+            for ((phase, nest), plan) in nests.iter().zip(&plans) {
+                machine.begin_phase(*phase);
+                codegen.merge(emit_loop_nest(&mut machine, nest, plan));
                 machine.end_phase();
             }
         }

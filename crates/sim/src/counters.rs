@@ -9,7 +9,6 @@
 
 use crate::isa::{Instruction, InstructionClass};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Identifier of an instrumented region of the mini-app.
 ///
@@ -51,6 +50,36 @@ impl PhaseId {
         match self {
             PhaseId::Phase(n) => Some(n),
             PhaseId::Other => None,
+        }
+    }
+
+    /// Number of distinct phase ids: the eight phases plus
+    /// [`PhaseId::Other`].
+    const COUNT: usize = 9;
+
+    /// Position of this id in `Phase(1), …, Phase(8), Other` — the `Ord`
+    /// order, and the slot of its counters in [`HwCounters`].
+    ///
+    /// # Panics
+    /// Panics on a `Phase(n)` built around [`PhaseId::new`] with `n` outside
+    /// `1..=8`.
+    #[inline]
+    fn slot(self) -> usize {
+        match self {
+            PhaseId::Phase(n) => {
+                assert!((1..=8).contains(&n), "phase number must be 1..=8, got {n}");
+                n as usize - 1
+            }
+            PhaseId::Other => 8,
+        }
+    }
+
+    /// The id whose counters live in `slot` (inverse of [`PhaseId::slot`]).
+    fn from_slot(slot: usize) -> Self {
+        if slot < 8 {
+            PhaseId::Phase(slot as u8 + 1)
+        } else {
+            PhaseId::Other
         }
     }
 
@@ -103,45 +132,65 @@ pub struct PhaseCounters {
 impl PhaseCounters {
     /// Records one issued instruction costing `cycles` and causing the given
     /// cache misses.
+    #[inline]
     pub fn record(&mut self, instr: &Instruction, cycles: f64, l1_misses: u64, l2_misses: u64) {
-        self.cycles += cycles;
-        self.instructions += 1;
-        self.flops += instr.flops();
         self.l1_misses += l1_misses;
         self.l2_misses += l2_misses;
         if let Some(mem) = &instr.mem {
             self.bytes += mem.bytes();
         }
+        self.record_repeated(instr, cycles, 1);
+    }
+
+    /// Records `n` issues of an instruction costing `cycles` each (the part
+    /// of [`PhaseCounters::record`] that does not depend on the memory
+    /// access).  The integer counters move by `n`; the floating-point ones
+    /// receive `n` separate addends, because `n` additions of `cycles` and
+    /// one addition of `cycles * n` round differently and every counter must
+    /// read what `n` single issues would have left.
+    #[inline]
+    pub(crate) fn record_repeated(&mut self, instr: &Instruction, cycles: f64, n: u64) {
+        let flops = instr.flops();
+        let is_vector = instr.class.is_vector();
+        // Independent dependency chains in one loop: the adds of the three
+        // accumulators overlap.
+        let (mut ct, mut cv, mut fl) = (self.cycles, self.vector_cycles, self.flops);
+        for _ in 0..n {
+            ct += cycles;
+            fl += flops;
+            if is_vector {
+                cv += cycles;
+            }
+        }
+        (self.cycles, self.vector_cycles, self.flops) = (ct, cv, fl);
+        self.instructions += n;
         match instr.class {
             InstructionClass::VectorArith => {
-                self.vector_instructions += 1;
-                self.vector_arith += 1;
-                self.vector_cycles += cycles;
-                self.vl_sum += instr.vl as u64;
+                self.vector_instructions += n;
+                self.vector_arith += n;
+                self.vl_sum += n * instr.vl as u64;
             }
             InstructionClass::VectorMem => {
-                self.vector_instructions += 1;
-                self.vector_mem += 1;
-                self.memory_instructions += 1;
-                self.vector_cycles += cycles;
-                self.vl_sum += instr.vl as u64;
+                self.vector_instructions += n;
+                self.vector_mem += n;
+                self.memory_instructions += n;
+                self.vl_sum += n * instr.vl as u64;
             }
             InstructionClass::VectorControl => {
-                self.vector_instructions += 1;
-                self.vector_control += 1;
-                self.vector_cycles += cycles;
-                self.vl_sum += instr.vl as u64;
+                self.vector_instructions += n;
+                self.vector_control += n;
+                self.vl_sum += n * instr.vl as u64;
             }
             InstructionClass::VectorConfig => {
-                self.vector_config += 1;
-                self.scalar_instructions += 1;
+                self.vector_config += n;
+                self.scalar_instructions += n;
             }
             InstructionClass::ScalarMem => {
-                self.scalar_instructions += 1;
-                self.memory_instructions += 1;
+                self.scalar_instructions += n;
+                self.memory_instructions += n;
             }
             InstructionClass::ScalarOp | InstructionClass::ScalarFp => {
-                self.scalar_instructions += 1;
+                self.scalar_instructions += n;
             }
         }
     }
@@ -224,9 +273,18 @@ impl PhaseCounters {
 
 /// The full counter state of a simulated run: one [`PhaseCounters`] per phase
 /// plus helpers for totals.
+///
+/// The nine counter sets live in a fixed array (phase 1 … phase 8, other);
+/// a mask remembers which of them were ever handed out by
+/// [`HwCounters::phase_mut`].  Only those *touched* phases are listed,
+/// summed, merged and compared: a phase that never executed is absent, not
+/// present with zeros, and `==` tells the two apart.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HwCounters {
-    phases: BTreeMap<PhaseId, PhaseCounters>,
+    /// Counters by `PhaseId::slot`; an untouched slot is all zeros.
+    phases: [PhaseCounters; PhaseId::COUNT],
+    /// Bit `slot` is set once `phase_mut` returned that slot.
+    touched: u16,
 }
 
 impl HwCounters {
@@ -236,24 +294,32 @@ impl HwCounters {
     }
 
     /// Mutable access to the counters of `phase`, creating them if needed.
+    #[inline]
     pub fn phase_mut(&mut self, phase: PhaseId) -> &mut PhaseCounters {
-        self.phases.entry(phase).or_default()
+        let slot = phase.slot();
+        self.touched |= 1 << slot;
+        &mut self.phases[slot]
     }
 
     /// Counters of `phase` (zeros if the phase never executed).
     pub fn phase(&self, phase: PhaseId) -> PhaseCounters {
-        self.phases.get(&phase).copied().unwrap_or_default()
+        self.phases[phase.slot()]
     }
 
-    /// Iterator over the recorded phases in order.
+    /// Iterator over the recorded phases in order (phase 1 … phase 8, then
+    /// [`PhaseId::Other`]); phases that never executed are skipped.
     pub fn phases(&self) -> impl Iterator<Item = (PhaseId, &PhaseCounters)> {
-        self.phases.iter().map(|(k, v)| (*k, v))
+        self.phases
+            .iter()
+            .enumerate()
+            .filter(|(slot, _)| self.touched & (1 << slot) != 0)
+            .map(|(slot, counters)| (PhaseId::from_slot(slot), counters))
     }
 
     /// Aggregate counters over every phase.
     pub fn total(&self) -> PhaseCounters {
         let mut total = PhaseCounters::default();
-        for c in self.phases.values() {
+        for (_, c) in self.phases() {
             total.merge(c);
         }
         total
@@ -261,7 +327,7 @@ impl HwCounters {
 
     /// Total cycles across all phases.
     pub fn total_cycles(&self) -> f64 {
-        self.phases.values().map(|c| c.cycles).sum()
+        self.phases().map(|(_, c)| c.cycles).sum()
     }
 
     /// Fraction of the total cycles spent in `phase`.
@@ -276,8 +342,8 @@ impl HwCounters {
 
     /// Merges another counter set (e.g. from a second chunk of elements).
     pub fn merge(&mut self, other: &HwCounters) {
-        for (phase, counters) in &other.phases {
-            self.phases.entry(*phase).or_default().merge(counters);
+        for (phase, counters) in other.phases() {
+            self.phase_mut(phase).merge(counters);
         }
     }
 }
@@ -399,5 +465,90 @@ mod tests {
         assert_eq!(hw.phase(PhaseId::new(4)).cycles, 0.0);
         assert_eq!(hw.total_cycles(), 0.0);
         assert_eq!(hw.phase_cycle_share(PhaseId::new(4)), 0.0);
+    }
+
+    #[test]
+    fn phases_lists_exactly_the_touched_phases_in_order() {
+        let mut hw = HwCounters::new();
+        assert_eq!(hw.phases().count(), 0);
+        // Touched out of order, one of them without recording anything.
+        for phase in [PhaseId::Other, PhaseId::new(8), PhaseId::new(2), PhaseId::new(5)] {
+            hw.phase_mut(phase).record(&Instruction::scalar_op(), 1.5, 0, 0);
+        }
+        hw.phase_mut(PhaseId::new(1));
+        let listed: Vec<PhaseId> = hw.phases().map(|(p, _)| p).collect();
+        assert_eq!(
+            listed,
+            [PhaseId::new(1), PhaseId::new(2), PhaseId::new(5), PhaseId::new(8), PhaseId::Other]
+        );
+        let mut sorted = listed.clone();
+        sorted.sort();
+        assert_eq!(sorted, listed, "the listing follows the `Ord` of `PhaseId`");
+        assert_eq!(hw.phases().next().unwrap().1, &PhaseCounters::default());
+        assert_eq!(hw.total().instructions, 4);
+        assert_eq!(hw.total_cycles(), 6.0);
+
+        // All nine, in the order phase 1 … phase 8, other.
+        for phase in PhaseId::ALL {
+            hw.phase_mut(phase);
+        }
+        let all: Vec<PhaseId> = hw.phases().map(|(p, _)| p).collect();
+        assert_eq!(all[..8], PhaseId::ALL);
+        assert_eq!(all[8], PhaseId::Other);
+    }
+
+    #[test]
+    fn an_untouched_phase_is_absent_not_zero() {
+        // A phase that was handed out but recorded nothing is an entry (as
+        // in a map keyed by phase): it makes a difference to `==` and
+        // survives `merge`.
+        let empty = HwCounters::new();
+        let mut touched = HwCounters::new();
+        touched.phase_mut(PhaseId::new(3));
+        assert_ne!(empty, touched);
+        assert_eq!(touched.phase(PhaseId::new(3)), empty.phase(PhaseId::new(3)));
+
+        let mut merged = HwCounters::new();
+        merged.merge(&empty);
+        assert_eq!(merged, empty);
+        merged.merge(&touched);
+        assert_eq!(merged, touched);
+        assert_eq!(merged.phases().map(|(p, _)| p).collect::<Vec<_>>(), [PhaseId::new(3)]);
+
+        // Merging never lists a phase only the target knows as untouched.
+        let mut a = HwCounters::new();
+        a.phase_mut(PhaseId::new(7)).record(&Instruction::scalar_op(), 2.0, 0, 0);
+        let mut b = touched.clone();
+        b.merge(&a);
+        assert_eq!(
+            b.phases().map(|(p, c)| (p, c.instructions)).collect::<Vec<_>>(),
+            [(PhaseId::new(3), 0), (PhaseId::new(7), 1)]
+        );
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "phase number must be 1..=8")]
+    fn a_phase_number_built_around_new_is_rejected() {
+        HwCounters::new().phase_mut(PhaseId::Phase(9));
+    }
+
+    #[test]
+    fn record_repeated_is_n_records() {
+        for instr in [
+            Instruction::scalar_op(),
+            Instruction::scalar_fp(VectorOp::Fma),
+            Instruction::vector_config(64),
+            Instruction::vector_arith(VectorOp::Fma, 240),
+            Instruction::vector_control(17),
+        ] {
+            let (mut a, mut b) = (PhaseCounters::default(), PhaseCounters::default());
+            a.record_repeated(&instr, 1.4, 23);
+            for _ in 0..23 {
+                b.record(&instr, 1.4, 0, 0);
+            }
+            assert_eq!(crate::oracle::counter_bits(&a), crate::oracle::counter_bits(&b));
+            assert_ne!(b.cycles, 1.4 * 23.0, "23 additions of 1.4 are not 1.4 * 23");
+        }
     }
 }

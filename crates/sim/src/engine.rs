@@ -37,6 +37,8 @@ pub struct Machine {
     counters: HwCounters,
     tracer: Tracer,
     current_phase: PhaseId,
+    /// Issue cycle of the next traced instruction.  Only trace events carry
+    /// it, so it stands still while the tracer is disabled.
     clock: f64,
 }
 
@@ -98,7 +100,39 @@ impl Machine {
     pub fn issue(&mut self, instr: &Instruction) -> f64 {
         let (cost, l1_misses, l2_misses) = self.cost_of(instr);
         self.counters.phase_mut(self.current_phase).record(instr, cost, l1_misses, l2_misses);
-        if self.tracer.is_enabled() {
+        self.trace(instr, cost, 1);
+        cost
+    }
+
+    /// Issues `n` identical copies of a *non-memory* instruction, leaving
+    /// every counter and the trace exactly as `n` calls of
+    /// [`Machine::issue`] would — the floating-point ones are therefore
+    /// accumulated addend by addend, never as `cost * n` — and returns the
+    /// total cost.  Memory instructions must be issued one by one because
+    /// each one carries its own address stream.
+    ///
+    /// # Panics
+    /// Panics if `instr` carries a memory access.
+    pub fn issue_repeated(&mut self, instr: &Instruction, n: u64) -> f64 {
+        assert!(instr.mem.is_none(), "issue_repeated cannot be used for memory instructions");
+        if n == 0 {
+            // Nothing issued: the current phase must not even be listed.
+            return 0.0;
+        }
+        let (cost, _, _) = self.cost_of(instr);
+        self.counters.phase_mut(self.current_phase).record_repeated(instr, cost, n);
+        self.trace(instr, cost, n);
+        cost * n as f64
+    }
+
+    /// Stamps `n` back-to-back issues of `instr` into the trace, advancing
+    /// the clock by `cost` after each (no-op while the tracer is disabled).
+    #[inline]
+    fn trace(&mut self, instr: &Instruction, cost: f64, n: u64) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        for _ in 0..n {
             self.tracer.record(TraceEvent {
                 cycle: self.clock,
                 phase: self.current_phase,
@@ -108,76 +142,43 @@ impl Machine {
                 vl: instr.vl,
                 cost,
             });
+            self.clock += cost;
         }
-        self.clock += cost;
-        cost
-    }
-
-    /// Issues `n` identical copies of a *non-memory* instruction.  Memory
-    /// instructions must be issued one by one because each one carries its
-    /// own address stream.
-    ///
-    /// # Panics
-    /// Panics if `instr` carries a memory access.
-    pub fn issue_repeated(&mut self, instr: &Instruction, n: u64) -> f64 {
-        assert!(instr.mem.is_none(), "issue_repeated cannot be used for memory instructions");
-        if n == 0 {
-            return 0.0;
-        }
-        let (cost, _, _) = self.cost_of(instr);
-        let counters = self.counters.phase_mut(self.current_phase);
-        for _ in 0..n {
-            counters.record(instr, cost, 0, 0);
-        }
-        if self.tracer.is_enabled() {
-            for i in 0..n {
-                self.tracer.record(TraceEvent {
-                    cycle: self.clock + cost * i as f64,
-                    phase: self.current_phase,
-                    class: instr.class,
-                    op: instr.op,
-                    pattern: None,
-                    vl: instr.vl,
-                    cost,
-                });
-            }
-        }
-        let total = cost * n as f64;
-        self.clock += total;
-        total
     }
 
     /// Cycle cost (plus cache misses) of an instruction under the platform
     /// timing model, without recording it.
+    #[inline(always)]
     fn cost_of(&mut self, instr: &Instruction) -> (f64, u64, u64) {
-        let p = self.platform;
-        match instr.class {
-            InstructionClass::ScalarOp => (p.scalar_cpi, 0, 0),
+        let p = &self.platform;
+        // Only memory instructions drive the cache hierarchy.
+        let (l1, l2) = match &instr.mem {
+            Some(mem) if instr.class.is_memory() => {
+                let res = self.cache.access(mem);
+                (res.l1_misses, res.l2_misses)
+            }
+            _ => (0, 0),
+        };
+        // Miss latency is partially hidden by the (modest) memory-level
+        // parallelism of the scalar pipeline, with the same overlap factor as
+        // the vector memory unit.  (The miss counts are far below 2^63, so
+        // the conversion through `i64` is exact and a single instruction.)
+        let miss_cycles = (l1 as i64 as f64 * p.l1_miss_penalty
+            + l2 as i64 as f64 * p.l2_miss_penalty)
+            * (1.0 - p.mem_overlap);
+        let cost = match instr.class {
+            InstructionClass::ScalarOp => p.scalar_cpi,
             InstructionClass::ScalarFp => {
-                let factor = instr.op.map_or(1.0, VectorOp::throughput_factor);
-                (p.scalar_cpi * factor, 0, 0)
+                p.scalar_cpi * instr.op.map_or(1.0, VectorOp::throughput_factor)
             }
-            InstructionClass::ScalarMem => {
-                let (l1, l2) = self.simulate_memory(instr);
-                // Miss latency is partially hidden by the (modest) memory-level
-                // parallelism of the scalar pipeline, with the same overlap
-                // factor as the vector memory unit.
-                let cost = p.scalar_cpi
-                    + p.scalar_mem_extra
-                    + (l1 as f64 * p.l1_miss_penalty + l2 as f64 * p.l2_miss_penalty)
-                        * (1.0 - p.mem_overlap);
-                (cost, l1, l2)
-            }
-            InstructionClass::VectorConfig => (1.0, 0, 0),
+            InstructionClass::ScalarMem => p.scalar_cpi + p.scalar_mem_extra + miss_cycles,
+            InstructionClass::VectorConfig => 1.0,
             InstructionClass::VectorArith => {
                 let factor = instr.op.map_or(1.0, VectorOp::throughput_factor);
-                let cost = p.vector_issue_overhead + p.vector_arith_cycles(instr.vl) * factor;
-                (cost, 0, 0)
+                p.vector_issue_overhead + p.vector_arith_cycles(instr.vl) * factor
             }
             InstructionClass::VectorControl => {
-                let cost = p.vector_issue_overhead
-                    + 0.5 * (instr.vl as f64 / p.lanes as f64).ceil().max(1.0);
-                (cost, 0, 0)
+                p.vector_issue_overhead + 0.5 * (instr.vl as f64 / p.lanes as f64).ceil().max(1.0)
             }
             InstructionClass::VectorMem => {
                 let pattern =
@@ -187,22 +188,10 @@ impl Machine {
                     MemPattern::Strided => p.vector_strided_cycles(instr.vl),
                     MemPattern::Indexed => p.vector_indexed_cycles(instr.vl),
                 };
-                let (l1, l2) = self.simulate_memory(instr);
-                let miss_cycles = (l1 as f64 * p.l1_miss_penalty + l2 as f64 * p.l2_miss_penalty)
-                    * (1.0 - p.mem_overlap);
-                (p.vector_mem_issue_overhead + stream + miss_cycles, l1, l2)
+                p.vector_mem_issue_overhead + stream + miss_cycles
             }
-        }
-    }
-
-    fn simulate_memory(&mut self, instr: &Instruction) -> (u64, u64) {
-        match &instr.mem {
-            Some(mem) => {
-                let res = self.cache.access(mem);
-                (res.l1_misses, res.l2_misses)
-            }
-            None => (0, 0),
-        }
+        };
+        (cost, l1, l2)
     }
 
     /// Accumulated counters.
@@ -313,7 +302,7 @@ mod tests {
         let mut m = machine();
         // Cold access: misses both levels.
         let acc = MemAccess::unit_stride(0x10_0000, 8, 8, false);
-        let cold = m.issue(&Instruction::vector_mem(8, acc.clone()));
+        let cold = m.issue(&Instruction::vector_mem(8, acc));
         // Warm access: same line, hits.
         let warm = m.issue(&Instruction::vector_mem(8, acc));
         assert!(cold > warm, "cold {cold} should exceed warm {warm}");
@@ -324,7 +313,8 @@ mod tests {
     fn indexed_access_costs_more_than_unit_stride() {
         let mut m = machine();
         let unit = MemAccess::unit_stride(0, 256, 8, false);
-        let idx = MemAccess::indexed(0, (0..256u32).collect(), 8, false);
+        let lanes: Vec<u32> = (0..256).collect();
+        let idx = MemAccess::indexed(0, &lanes, 8, false);
         let cost_unit = m.issue(&Instruction::vector_mem(256, unit));
         m.reset();
         let cost_idx = m.issue(&Instruction::vector_mem(256, idx));
@@ -333,18 +323,51 @@ mod tests {
 
     #[test]
     fn issue_repeated_matches_individual_issues() {
-        let mut a = machine();
-        let mut b = machine();
-        let instr = Instruction::vector_arith(VectorOp::Mul, 240);
-        a.issue_repeated(&instr, 10);
-        for _ in 0..10 {
-            b.issue(&instr);
+        use crate::oracle::{counter_bits, event_bits};
+        use crate::platform::PlatformKind;
+        // `issue_repeated(i, n)` is `n` × `issue(i)` to the last bit — every
+        // counter, the clock and every trace event — for a scalar, an
+        // arithmetic and a control instruction on all three platforms.  The
+        // costs involved (1.4, 1.1, 0.45, 38.88, …) are not exact in binary,
+        // so a clock advanced by `cost * n` would differ.
+        let traced = MachineConfig { memory_model: MemoryModel::Caches, trace: Some(0) };
+        for kind in PlatformKind::ALL {
+            for instr in [
+                Instruction::scalar_fp(VectorOp::Div),
+                Instruction::vector_arith(VectorOp::Mul, 240),
+                Instruction::vector_control(100),
+            ] {
+                let mut a = Machine::with_config(Platform::from_kind(kind), traced);
+                let mut b = Machine::with_config(Platform::from_kind(kind), traced);
+                for m in [&mut a, &mut b] {
+                    m.begin_phase(PhaseId::new(6));
+                    m.issue(&Instruction::scalar_op());
+                }
+                let total = a.issue_repeated(&instr, 37);
+                let mut cost = 0.0;
+                for _ in 0..37 {
+                    cost = b.issue(&instr);
+                }
+                assert_eq!(total.to_bits(), (cost * 37.0).to_bits());
+                let (ca, cb) =
+                    (a.phase_counters(PhaseId::new(6)), b.phase_counters(PhaseId::new(6)));
+                assert_eq!(counter_bits(&ca), counter_bits(&cb), "{kind:?} {instr:?}");
+                assert_eq!(a.counters(), b.counters());
+                assert_eq!(a.clock.to_bits(), b.clock.to_bits(), "{kind:?} {instr:?}: clock");
+                assert_eq!(a.tracer().events().len(), 38);
+                for (ea, eb) in a.tracer().events().iter().zip(b.tracer().events()) {
+                    assert_eq!(event_bits(ea), event_bits(eb), "{kind:?} {instr:?}");
+                }
+            }
         }
-        assert!((a.total_cycles() - b.total_cycles()).abs() < 1e-9);
-        assert_eq!(
-            a.counters().total().vector_instructions,
-            b.counters().total().vector_instructions
-        );
+    }
+
+    #[test]
+    fn issuing_nothing_leaves_the_phase_unlisted() {
+        let mut m = machine();
+        m.begin_phase(PhaseId::new(4));
+        assert_eq!(m.issue_repeated(&Instruction::scalar_op(), 0), 0.0);
+        assert_eq!(m.counters().phases().count(), 0);
     }
 
     #[test]
@@ -377,7 +400,7 @@ mod tests {
             Platform::riscv_vec(),
             MachineConfig { memory_model: MemoryModel::Flat, trace: None },
         );
-        let c = cached.issue(&Instruction::vector_mem(256, acc.clone()));
+        let c = cached.issue(&Instruction::vector_mem(256, acc));
         let f = flat.issue(&Instruction::vector_mem(256, acc));
         assert!(c > f, "cached cold access {c} must cost more than flat {f}");
     }

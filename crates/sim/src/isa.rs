@@ -60,8 +60,13 @@ pub enum MemPattern {
 /// Description of the memory touched by a memory instruction, used by the
 /// cache model.  Addresses are byte addresses in a flat simulated address
 /// space; the kernel crate assigns each global array a distinct base address.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemAccess {
+///
+/// The descriptor is `Copy` and owns nothing: an indexed access borrows its
+/// lane indices from the caller (the code generator keeps one buffer for
+/// every gather it emits), so building and issuing a memory instruction never
+/// allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct MemAccess<'a> {
     /// Access pattern.
     pub pattern: MemPattern,
     /// Whether the access is a store (`true`) or a load (`false`).
@@ -77,11 +82,12 @@ pub struct MemAccess {
     pub elem_bytes: u32,
     /// Explicit element offsets (in elements, relative to `base`) for indexed
     /// accesses.  Empty for unit-stride/strided accesses.
-    pub indices: Vec<u32>,
+    pub indices: &'a [u32],
 }
 
-impl MemAccess {
+impl<'a> MemAccess<'a> {
     /// A unit-stride access of `count` elements of `elem_bytes` bytes.
+    #[inline]
     pub fn unit_stride(base: u64, count: usize, elem_bytes: u32, is_store: bool) -> Self {
         MemAccess {
             pattern: MemPattern::UnitStride,
@@ -90,11 +96,12 @@ impl MemAccess {
             stride: elem_bytes as i64,
             count,
             elem_bytes,
-            indices: Vec::new(),
+            indices: &[],
         }
     }
 
     /// A strided access (`stride` in bytes between consecutive elements).
+    #[inline]
     pub fn strided(base: u64, stride: i64, count: usize, elem_bytes: u32, is_store: bool) -> Self {
         MemAccess {
             pattern: MemPattern::Strided,
@@ -103,13 +110,14 @@ impl MemAccess {
             stride,
             count,
             elem_bytes,
-            indices: Vec::new(),
+            indices: &[],
         }
     }
 
     /// An indexed (gather/scatter) access: element `i` touches
     /// `base + indices[i] * elem_bytes`.
-    pub fn indexed(base: u64, indices: Vec<u32>, elem_bytes: u32, is_store: bool) -> Self {
+    #[inline]
+    pub fn indexed(base: u64, indices: &'a [u32], elem_bytes: u32, is_store: bool) -> Self {
         MemAccess {
             pattern: MemPattern::Indexed,
             is_store,
@@ -121,18 +129,22 @@ impl MemAccess {
         }
     }
 
+    /// Byte address of element `i` (`i < count`).
+    #[inline]
+    pub fn element_address(&self, i: usize) -> u64 {
+        match self.pattern {
+            MemPattern::Indexed => self.base + self.indices[i] as u64 * self.elem_bytes as u64,
+            _ => (self.base as i64 + i as i64 * self.stride) as u64,
+        }
+    }
+
     /// Iterates over the byte address of each accessed element.
     pub fn element_addresses(&self) -> impl Iterator<Item = u64> + '_ {
-        let base = self.base;
-        let stride = self.stride;
-        let elem_bytes = self.elem_bytes as u64;
-        (0..self.count).map(move |i| match self.pattern {
-            MemPattern::Indexed => base + self.indices[i] as u64 * elem_bytes,
-            _ => (base as i64 + i as i64 * stride) as u64,
-        })
+        (0..self.count).map(move |i| self.element_address(i))
     }
 
     /// Total bytes moved by the access.
+    #[inline]
     pub fn bytes(&self) -> u64 {
         self.count as u64 * self.elem_bytes as u64
     }
@@ -192,11 +204,11 @@ impl InstructionClass {
 
 /// One simulated instruction.
 ///
-/// Construction helpers cover every case the kernel and compiler crates emit;
-/// the struct is deliberately cheap to build (the only allocation is the
-/// index vector of indexed memory accesses).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Instruction {
+/// Construction helpers cover every case the kernel and compiler crates emit.
+/// An instruction is a small `Copy` value that owns nothing (see
+/// [`MemAccess`]), so the emitters build one per issue.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct Instruction<'a> {
     /// Coarse class.
     pub class: InstructionClass,
     /// Arithmetic operation (for `ScalarFp` and `VectorArith`).
@@ -205,47 +217,55 @@ pub struct Instruction {
     /// vector instructions).
     pub vl: usize,
     /// Memory access descriptor (for `ScalarMem` and `VectorMem`).
-    pub mem: Option<MemAccess>,
+    pub mem: Option<MemAccess<'a>>,
 }
 
-impl Instruction {
+impl<'a> Instruction<'a> {
     /// A scalar integer/branch instruction.
+    #[inline]
     pub fn scalar_op() -> Self {
         Instruction { class: InstructionClass::ScalarOp, op: None, vl: 0, mem: None }
     }
 
     /// A scalar floating-point instruction.
+    #[inline]
     pub fn scalar_fp(op: VectorOp) -> Self {
         Instruction { class: InstructionClass::ScalarFp, op: Some(op), vl: 0, mem: None }
     }
 
     /// A scalar memory instruction touching `mem`.
-    pub fn scalar_mem(mem: MemAccess) -> Self {
+    #[inline]
+    pub fn scalar_mem(mem: MemAccess<'a>) -> Self {
         Instruction { class: InstructionClass::ScalarMem, op: None, vl: 0, mem: Some(mem) }
     }
 
     /// A vector-configuration (`vsetvl`) instruction establishing `vl`.
+    #[inline]
     pub fn vector_config(vl: usize) -> Self {
         Instruction { class: InstructionClass::VectorConfig, op: None, vl, mem: None }
     }
 
     /// A vector arithmetic instruction of length `vl`.
+    #[inline]
     pub fn vector_arith(op: VectorOp, vl: usize) -> Self {
         Instruction { class: InstructionClass::VectorArith, op: Some(op), vl, mem: None }
     }
 
     /// A vector memory instruction of length `vl` touching `mem`.
-    pub fn vector_mem(vl: usize, mem: MemAccess) -> Self {
+    #[inline]
+    pub fn vector_mem(vl: usize, mem: MemAccess<'a>) -> Self {
         Instruction { class: InstructionClass::VectorMem, op: None, vl, mem: Some(mem) }
     }
 
     /// A vector control-lane instruction (register move / shuffle) of length
     /// `vl`.
+    #[inline]
     pub fn vector_control(vl: usize) -> Self {
         Instruction { class: InstructionClass::VectorControl, op: None, vl, mem: None }
     }
 
     /// Floating-point operations performed by this instruction.
+    #[inline]
     pub fn flops(&self) -> f64 {
         match (self.class, self.op) {
             (InstructionClass::VectorArith, Some(op)) => op.flops_per_element() * self.vl as f64,
@@ -298,7 +318,7 @@ mod tests {
 
     #[test]
     fn indexed_addresses() {
-        let m = MemAccess::indexed(100, vec![0, 10, 3], 8, false);
+        let m = MemAccess::indexed(100, &[0, 10, 3], 8, false);
         let addrs: Vec<u64> = m.element_addresses().collect();
         assert_eq!(addrs, vec![100, 180, 124]);
         assert_eq!(m.count, 3);

@@ -27,6 +27,20 @@
 //!   and optionally traces every vector instruction;
 //! * [`trace`] — the Vehave-style tracer and its Paraver-like CSV export.
 //!
+//! ## The hot path
+//!
+//! A sweep issues hundreds of millions of instructions, so one simulated
+//! instruction costs what it must and nothing else: an [`Instruction`] is a
+//! `Copy` value that owns nothing (an indexed access borrows its lane
+//! indices), the per-phase counters are a fixed array behind
+//! [`HwCounters::phase_mut`], the cache walk looks up one line per line
+//! touched, and nothing on the path allocates.  One rule keeps every counter
+//! bit-for-bit reproducible while the host code changes: **a floating-point
+//! counter receives the same addends in the same order** — which is why
+//! [`Machine::issue_repeated`] adds a cost `n` times instead of adding
+//! `cost * n` once.  The `oracle` test module keeps the previous
+//! implementation and checks the two against each other on seeded streams.
+//!
 //! The model is *not* a micro-architectural RTL simulator: it is the smallest
 //! timing model that reproduces the behaviours the paper's evaluation relies
 //! on (vector CPI growth with VL, startup overhead that punishes short
@@ -40,6 +54,8 @@ pub mod counters;
 pub mod engine;
 pub mod isa;
 pub mod memory;
+#[cfg(test)]
+mod oracle;
 pub mod platform;
 pub mod trace;
 

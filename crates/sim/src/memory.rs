@@ -6,7 +6,7 @@
 //! replacement.  It only tracks *which lines are resident*, not their
 //! contents — that is all the paper's counters (`mL1`, `mL2`) need.
 
-use crate::isa::MemAccess;
+use crate::isa::{MemAccess, MemPattern};
 use serde::{Deserialize, Serialize};
 
 /// Identifies a cache level.
@@ -91,16 +91,19 @@ pub struct AccessResult {
 }
 
 /// A single set-associative cache level with LRU replacement.
+///
+/// Each set keeps its resident lines in recency order, most recently used
+/// first and empty ways (`u64::MAX`) last, so the order itself is the LRU
+/// state: a lookup is one pass that moves the line to the front, and a miss
+/// drops whatever falls off the end — an empty way while there is one, the
+/// least recently used line otherwise.
 #[derive(Debug, Clone)]
 struct CacheArray {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]`; `u64::MAX` marks an empty way.
+    /// `tags[set * ways + rank]`, rank 0 = most recently used.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    clock: u64,
 }
 
 impl CacheArray {
@@ -112,49 +115,32 @@ impl CacheArray {
             ways,
             line_shift: line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
-            clock: 0,
         }
     }
 
-    /// Accesses the line containing `addr`; returns `true` on hit.
+    /// Accesses the line `line_addr`; returns `true` on hit.
+    #[inline]
     fn access_line(&mut self, line_addr: u64) -> bool {
-        self.clock += 1;
         let set = (line_addr as usize) & (self.sets - 1);
-        let base = set * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
-        // Hit?
-        if let Some(way) = slots.iter().position(|&t| t == line_addr) {
-            self.stamps[base + way] = self.clock;
-            return true;
-        }
-        // Miss: fill the LRU way.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for way in 0..self.ways {
-            let idx = base + way;
-            if self.tags[idx] == u64::MAX {
-                victim = way;
-                break;
-            }
-            if self.stamps[idx] < oldest {
-                oldest = self.stamps[idx];
-                victim = way;
+        // Shift the lines ahead of `line_addr` one rank down while looking
+        // for it, so it ends up in front whether it was resident or not.
+        let mut moved = line_addr;
+        for slot in &mut self.tags[set * self.ways..][..self.ways] {
+            moved = std::mem::replace(slot, moved);
+            if moved == line_addr {
+                return true;
             }
         }
-        self.tags[base + victim] = line_addr;
-        self.stamps[base + victim] = self.clock;
         false
     }
 
+    #[inline]
     fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }
 
     fn flush(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.clock = 0;
     }
 }
 
@@ -205,42 +191,57 @@ impl CacheSim {
 
     /// Simulates one (scalar or vector) memory access and returns the line /
     /// miss breakdown.
+    ///
+    /// Consecutive elements on the same line count as a single line access
+    /// (what a real vector memory unit coalesces).  An access whose elements
+    /// advance by at most one line — a scalar access, or any stride in
+    /// `1..=line_bytes` — touches every line from its first element's to its
+    /// last element's exactly once and in order, so those lines are visited
+    /// directly; indexed accesses and zero, negative or wider strides are
+    /// walked element by element.
+    #[inline]
     pub fn access(&mut self, mem: &MemAccess) -> AccessResult {
         let mut result = AccessResult::default();
-        if self.model == MemoryModel::Flat {
-            // Count the touched lines for bandwidth purposes but never miss.
+        if mem.count == 0 {
+            return result;
+        }
+        let line_bytes = 1i64 << self.l1.line_shift;
+        let contiguous = mem.pattern != MemPattern::Indexed
+            && (mem.count == 1 || (0 < mem.stride && mem.stride <= line_bytes));
+        if contiguous {
+            let first = self.l1.line_of(mem.base);
+            let last = self.l1.line_of(mem.element_address(mem.count - 1));
+            for line in first..=last {
+                self.touch_line(line, &mut result);
+            }
+        } else {
             let mut last_line = u64::MAX;
             for addr in mem.element_addresses() {
                 let line = self.l1.line_of(addr);
                 if line != last_line {
-                    result.lines += 1;
                     last_line = line;
-                }
-            }
-            self.l1_accesses += result.lines;
-            return result;
-        }
-        let mut last_line = u64::MAX;
-        for addr in mem.element_addresses() {
-            let line = self.l1.line_of(addr);
-            // Consecutive elements on the same line count as a single line
-            // access (what a real vector memory unit coalesces).
-            if line == last_line {
-                continue;
-            }
-            last_line = line;
-            result.lines += 1;
-            self.l1_accesses += 1;
-            if !self.l1.access_line(line) {
-                result.l1_misses += 1;
-                self.l1_misses += 1;
-                if !self.l2.access_line(line) {
-                    result.l2_misses += 1;
-                    self.l2_misses += 1;
+                    self.touch_line(line, &mut result);
                 }
             }
         }
+        self.l1_accesses += result.lines;
+        self.l1_misses += result.l1_misses;
+        self.l2_misses += result.l2_misses;
         result
+    }
+
+    /// One line access: counted for bandwidth purposes under either model,
+    /// looked up in the hierarchy only under [`MemoryModel::Caches`] (flat
+    /// memory never misses).
+    #[inline(always)]
+    fn touch_line(&mut self, line: u64, result: &mut AccessResult) {
+        result.lines += 1;
+        if self.model == MemoryModel::Caches && !self.l1.access_line(line) {
+            result.l1_misses += 1;
+            if !self.l2.access_line(line) {
+                result.l2_misses += 1;
+            }
+        }
     }
 
     /// Total line accesses observed at L1.
@@ -310,7 +311,7 @@ mod tests {
         let mut sim = CacheSim::new(CacheConfig::riscv_vec());
         // Indices far apart: each element is its own line.
         let indices: Vec<u32> = (0..16).map(|i| i * 1024).collect();
-        let acc = MemAccess::indexed(0, indices, 8, false);
+        let acc = MemAccess::indexed(0, &indices, 8, false);
         let res = sim.access(&acc);
         assert_eq!(res.lines, 16);
         assert_eq!(res.l1_misses, 16);
@@ -376,5 +377,73 @@ mod tests {
         let res = sim.access(&MemAccess::unit_stride(0, 1, 8, false));
         assert_eq!(res.l1_misses, 1);
         assert_eq!(res.l2_misses, 0, "L2 is big enough to keep it");
+    }
+
+    #[test]
+    fn both_models_count_the_lines_of_the_element_walk() {
+        use crate::oracle::{RefCacheSim, RefMemAccess};
+        // Every branch of the walk — contiguous (unit stride, strides below
+        // and at the line size, single elements), element by element (zero,
+        // negative and wider strides, indexed) — with aligned and unaligned
+        // bases and 4- and 8-byte elements: the flat and the cached model
+        // report the lines the reference element walk counts, and so does
+        // `l1_accesses`.
+        let lanes: Vec<u32> = (0..97u32).map(|i| (i * 29) % 61 + (i % 3) * 500).collect();
+        for cfg in [CacheConfig::riscv_vec(), CacheConfig::sx_aurora()] {
+            let line = cfg.line_bytes as i64;
+            let mut flat = CacheSim::with_model(cfg, MemoryModel::Flat);
+            let mut cached = CacheSim::with_model(cfg, MemoryModel::Caches);
+            let mut reference = RefCacheSim::new(cfg, MemoryModel::Caches);
+            for elem_bytes in [4u32, 8] {
+                for base in [0x4000u64, 0x4003, 0x403c, 0x7fff] {
+                    let eb = elem_bytes as i64;
+                    let strides = [eb, eb + 4, line - 4, line, line + 8, 3 * line, 0, -eb, -line];
+                    for count in [1usize, 2, 97] {
+                        let mut accesses = vec![
+                            MemAccess::unit_stride(base, count, elem_bytes, false),
+                            MemAccess::indexed(base, &lanes[..count], elem_bytes, true),
+                        ];
+                        for stride in strides {
+                            // Far enough up that a descending access stays positive.
+                            let base = base + 97 * 3 * line as u64;
+                            accesses
+                                .push(MemAccess::strided(base, stride, count, elem_bytes, false));
+                        }
+                        for acc in &accesses {
+                            let want = reference.access(&RefMemAccess::of(acc));
+                            let got = cached.access(acc);
+                            assert_eq!(got, want, "{acc:?}");
+                            assert_eq!(flat.access(acc).lines, want.lines, "{acc:?}");
+                            assert_eq!(flat.l1_accesses(), cached.l1_accesses());
+                        }
+                    }
+                }
+            }
+            assert_eq!(flat.l1_misses() + flat.l2_misses(), 0);
+            assert_eq!(cached.l1_accesses(), reference.l1_accesses);
+            assert_eq!(cached.l1_misses(), reference.l1_misses);
+            assert_eq!(cached.l2_misses(), reference.l2_misses);
+        }
+    }
+
+    #[test]
+    fn line_counts_of_hand_checked_accesses() {
+        let mut sim = CacheSim::with_model(CacheConfig::riscv_vec(), MemoryModel::Flat);
+        let mut lines = |acc: MemAccess| sim.access(&acc).lines;
+        // 30 doubles from 4 bytes before a line boundary: bytes 60..300.
+        assert_eq!(lines(MemAccess::unit_stride(60, 30, 8, false)), 5);
+        // 240 doubles = 1920 bytes = 30 lines when aligned, 31 when not.
+        assert_eq!(lines(MemAccess::unit_stride(0x1000, 240, 8, false)), 30);
+        assert_eq!(lines(MemAccess::unit_stride(0x1008, 240, 8, false)), 31);
+        // A straddling element counts for the line of its first byte only.
+        assert_eq!(lines(MemAccess::unit_stride(60, 1, 8, false)), 1);
+        // Stride = line: one line per element; stride 0: one line in all.
+        assert_eq!(lines(MemAccess::strided(0, 64, 10, 8, false)), 10);
+        assert_eq!(lines(MemAccess::strided(0, 0, 10, 8, false)), 1);
+        // Descending by 16 bytes from 1024: 10 elements reach down to 880.
+        assert_eq!(lines(MemAccess::strided(1024, -16, 10, 8, false)), 4);
+        // Indexed: consecutive lanes on one line coalesce, a return does not.
+        assert_eq!(lines(MemAccess::indexed(0, &[0, 1, 8, 9, 0], 8, false)), 3);
+        assert_eq!(lines(MemAccess::unit_stride(0, 0, 8, false)), 0);
     }
 }

@@ -195,3 +195,142 @@ fn table6_regression_explains_phase1_and_phase8_cycles() {
         );
     }
 }
+
+// ------------------------------------------------------------------ goldens
+//
+// The claims above are bands; the two tests below pin the simulated path bit
+// for bit.  The constants were recorded at the commit before the simulator's
+// hot path was rewritten (PR 14) and must only ever change together with a
+// deliberate change of the timing model, the workload descriptors or the
+// code generator — never with a host-speed optimisation.
+
+/// Byte-wise FNV-1a over a stream of `u64` words (little-endian).
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, word: u64) {
+        self.bytes(&word.to_le_bytes());
+    }
+
+    fn counters(&mut self, counters: &lv_sim::counters::HwCounters) {
+        for (phase, c) in counters.phases() {
+            self.word(phase.number().unwrap_or(0) as u64);
+            for word in [
+                c.cycles.to_bits(),
+                c.vector_cycles.to_bits(),
+                c.instructions,
+                c.vector_instructions,
+                c.vector_arith,
+                c.vector_mem,
+                c.vector_control,
+                c.vector_config,
+                c.scalar_instructions,
+                c.memory_instructions,
+                c.vl_sum,
+                c.flops.to_bits(),
+                c.l1_misses,
+                c.l2_misses,
+                c.bytes,
+            ] {
+                self.word(word);
+            }
+        }
+    }
+
+    fn codegen(&mut self, stats: &lv_compiler::codegen::CodegenStats) {
+        for word in [
+            stats.vector_chunks,
+            stats.scalar_iterations,
+            stats.vector_instructions,
+            stats.scalar_instructions,
+        ] {
+            self.word(word);
+        }
+    }
+}
+
+#[test]
+fn simulated_sweep_counters_match_the_pinned_golden() {
+    // 10³ jittered mesh; 3 platforms × {scalar baseline, VECTOR_SIZE 16 and
+    // 240 × {vanilla, VEC2, IVEC2, VEC1}} = 27 runs.
+    const COUNTERS: u64 = 0xdb31_e624_aa91_3279;
+    const CODEGEN: u64 = 0x15d2_78ed_1a3b_b8af;
+    let mut r = runner();
+    let (mut counters, mut codegen) = (Fnv1a::new(), Fnv1a::new());
+    for platform in PlatformKind::ALL {
+        let mut keys = vec![RunKey::scalar_baseline(platform)];
+        for vs in [16usize, 240] {
+            keys.push(RunKey::vanilla(platform, vs));
+            for opt in [OptLevel::Vec2, OptLevel::IVec2, OptLevel::Vec1] {
+                keys.push(RunKey::optimized(platform, vs, opt));
+            }
+        }
+        for key in keys {
+            let run = r.run(key);
+            counters.counters(&run.counters);
+            codegen.codegen(&run.codegen);
+        }
+    }
+    assert_eq!(
+        (counters.0, codegen.0),
+        (COUNTERS, CODEGEN),
+        "simulated counters / CodegenStats drifted: got ({:#018x}, {:#018x})",
+        counters.0,
+        codegen.0
+    );
+}
+
+#[test]
+fn traced_chunk_matches_the_pinned_golden() {
+    // One traced VECTOR_SIZE-64 chunk of the 4³ mesh, final code (VEC1), on
+    // the RISC-V VEC machine: the tracer's CSV, the counters and the
+    // CodegenStats — the only tier-1 consumer of the enabled tracer.
+    const CSV: u64 = 0xebb7_212c_97d5_47be;
+    const CSV_ROWS: usize = 61_956;
+    const COUNTERS: u64 = 0x66fe_e197_a93e_d252;
+    const CODEGEN: u64 = 0x5536_8e25_f561_8c36;
+    let mesh = BoxMeshBuilder::new(4, 4, 4).build();
+    let config = KernelConfig::new(64, OptLevel::Vec1);
+    let builder = lv_kernel::workload::WorkloadBuilder::new(&mesh, config);
+    let chunks = lv_mesh::chunks::ElementChunks::new(&mesh, 64);
+    let vectorizer = lv_compiler::vectorizer::Vectorizer::new(256);
+    let mut machine = Machine::with_config(
+        Platform::riscv_vec(),
+        MachineConfig { memory_model: lv_sim::memory::MemoryModel::Caches, trace: Some(0) },
+    );
+    let mut stats = lv_compiler::codegen::CodegenStats::default();
+    for (phase, nest) in builder.phase_nests(&chunks.chunks()[0]) {
+        machine.begin_phase(phase);
+        stats.merge(lv_compiler::codegen::emit_loop_nest(
+            &mut machine,
+            &nest,
+            &vectorizer.plan(&nest),
+        ));
+        machine.end_phase();
+    }
+    let csv = machine.tracer().to_csv();
+    let (mut csv_hash, mut counters, mut codegen) = (Fnv1a::new(), Fnv1a::new(), Fnv1a::new());
+    csv_hash.bytes(csv.as_bytes());
+    counters.counters(machine.counters());
+    codegen.codegen(&stats);
+    assert_eq!(machine.tracer().dropped(), 0);
+    assert_eq!(
+        (csv_hash.0, csv.lines().count() - 1, counters.0, codegen.0),
+        (CSV, CSV_ROWS, COUNTERS, CODEGEN),
+        "traced chunk drifted: got ({:#018x}, {}, {:#018x}, {:#018x})",
+        csv_hash.0,
+        csv.lines().count() - 1,
+        counters.0,
+        codegen.0
+    );
+}
