@@ -19,9 +19,10 @@
 //!    nodal gradient, re-imposition of the scenario's velocity BCs, and the
 //!    incremental pressure update `p ← p + φ`.
 //!
-//! Every kernel in the chain (colored sweeps, pooled Krylov, fixed-order
-//! diagnostics) is bitwise reproducible across thread counts, so a whole
-//! trajectory is **bitwise identical for threads ∈ {1, 2, 4, …}** — which is
+//! Every kernel in the chain (the colored assembly sweep, the row-partitioned
+//! projection operators, pooled Krylov, fixed-order diagnostics) is bitwise
+//! reproducible across thread counts, so a whole trajectory is **bitwise
+//! identical for threads ∈ {1, 2, 4, …}** — which is
 //! also what makes checkpoint/restart exactly resumable: the state is
 //! `(step, time, velocity, pressure)` and the step map is a pure function
 //! of it.
@@ -433,7 +434,6 @@ pub struct Stepper {
     slow_convergence: u64,
     matrix: CsrMatrix,
     rhs: Vec<f64>,
-    grad: Vec<f64>,
     div: Vec<f64>,
     poisson_rhs: Vec<f64>,
     workspaces: Vec<ElementWorkspace>,
@@ -525,7 +525,6 @@ impl Stepper {
             slow_convergence: 0,
             matrix,
             rhs: vec![0.0; NDIME * n],
-            grad: vec![0.0; NDIME * n],
             div: vec![0.0; n],
             poisson_rhs: vec![0.0; n],
             workspaces: Vec::new(),
@@ -694,10 +693,11 @@ impl Stepper {
         // Momentum RHS gets the −∇p force of the current pressure: the
         // mini-app assembles only convection/viscous/mass terms, the weak
         // pressure gradient closes the equation.
-        self.operators.weak_gradient_on(team, self.state.pressure.as_slice(), &mut self.grad);
-        for (r, g) in self.rhs.iter_mut().zip(&self.grad) {
-            *r -= g;
-        }
+        self.operators.subtract_weak_gradient_on(
+            team,
+            self.state.pressure.as_slice(),
+            &mut self.rhs,
+        );
         self.assembly.apply_dirichlet(&mut self.matrix, &mut self.rhs);
         if let Some(s) = phase {
             s.iters(1).finish();
@@ -750,14 +750,17 @@ impl Stepper {
         for sweep in 0..self.config.projection_sweeps.max(1) {
             let t0 = Instant::now();
             let phase = trace.map(|t| t.span(spans::POISSON, 0));
-            self.operators.weak_divergence_on(team, &self.state.velocity, &mut self.div);
+            self.operators.poisson_rhs_on(
+                team,
+                &self.state.velocity,
+                scale,
+                &mut self.div,
+                &mut self.poisson_rhs,
+            );
             if sweep == 0 {
                 // ‖d(u*)‖₂ of the raw predictor field, read off the first
                 // sweep's divergence vector — no extra sweep over the mesh.
                 divergence_pre = weak_divergence_vector_norm(&self.div);
-            }
-            for (b, d) in self.poisson_rhs.iter_mut().zip(&self.div) {
-                *b = scale * d;
             }
             for &pin in &self.pins {
                 self.poisson_rhs[pin] = 0.0;
@@ -832,20 +835,22 @@ impl Stepper {
 
             let t0 = Instant::now();
             let phase = trace.map(|t| t.span(spans::CORRECTION, 0));
-            self.operators.weak_gradient_on(team, &phi.solution, &mut self.grad);
-            let vel = self.state.velocity.as_mut_slice();
-            for (node, &mass) in self.operators.lumped_mass().iter().enumerate() {
-                let f = correction / mass;
-                for i in 0..NDIME {
-                    vel[NDIME * node + i] -= f * self.grad[NDIME * node + i];
-                }
-            }
+            self.operators.correct_velocity_on(
+                team,
+                &phi.solution,
+                correction,
+                &mut self.state.velocity,
+            );
             self.scenario.apply_velocity_bcs(self.assembly.mesh(), &mut self.state.velocity, t_new);
             for (p, f) in self.state.pressure.as_mut_slice().iter_mut().zip(&phi.solution) {
                 *p += f;
             }
             if let Some(s) = phase {
-                s.iters(1).aux(sweep as u64).finish();
+                s.iters(1)
+                    .aux(sweep as u64)
+                    .flops(self.operators.gradient_flops())
+                    .bytes(self.operators.streamed_bytes() as u64)
+                    .finish();
             }
             timings.correction += t0.elapsed().as_secs_f64();
         }
@@ -1233,6 +1238,12 @@ mod tests {
             Some(report.poisson_iterations as u64)
         );
         assert_eq!(summary.span("driver/correction").map(|s| s.events), Some(sweeps));
+        // Each correction carries the model of its gradient row pass.
+        let operators = stepper.operators();
+        assert_eq!(
+            summary.span("driver/correction").map(|s| (s.flops, s.bytes)),
+            Some((sweeps * operators.gradient_flops(), sweeps * operators.streamed_bytes() as u64))
+        );
         // The instrumented kernels underneath reported their models.
         assert!(summary.span("assembly/color_sweep").is_some());
         assert!(summary.span("solver/cg/iteration").is_some());

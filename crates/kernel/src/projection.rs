@@ -10,18 +10,39 @@
 //! into a nodal gradient by the driver), the projection step solves
 //! `L φ = −(ρ/Δt) d(u*)` and corrects `u = u* − (Δt/ρ) M⁻¹ g(φ)`.
 //!
-//! All element geometry (`w|J|` and the Cartesian shape derivatives at every
-//! integration point) is precomputed once at construction — the mesh does
-//! not move — so each operator application is a pure gather/compute/scatter
-//! sweep.  The sweeps reuse the mesh-colored chunk schedule of the assembly
+//! ## Gradient and divergence: one coefficient array
+//!
+//! Both first-order operators are contractions of the same tensor
+//! `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ`, which is non-zero only where nodes
+//! `a` and `b` share an element — the node graph [`MeshTopology`] already
+//! owns:
+//!
+//! ```text
+//! g_{a,i} = Σ_b C[a][b][i] · p_b          d_a = Σ_b Σ_i C[a][b][i] · u_{b,i}
+//! ```
+//!
+//! The mesh does not move, so `C` is built once at construction (`NDIME`
+//! values per stored entry of the graph, filled through the element→CSR slot
+//! map) and every application is a sparse row product: one indexed load
+//! stream, no element gather, no scatter.  Rows are split across the team by
+//! the static partition of [`VectorOps::partitioned_rows`], a row is written
+//! by exactly one rank, and each row adds its entries in ascending column
+//! order from `+0.0` — so the operators are **bitwise identical for every
+//! thread count** by construction, the contract of the row-partitioned SpMV.
+//! The driver's per-node glue (`rhs −= g`, `b = scale·d`, `u −= f/M·g`)
+//! rides in the same row pass.
+//!
+//! ## Laplacian
+//!
+//! The Laplacian is assembled once per stepper, element by element on the
+//! mesh-colored chunk schedule of the assembly
 //! ([`lv_mesh::coloring::ColoredChunks`]): colors run sequentially
-//! (separated by [`Team::barrier`]), the chunks of a color concurrently, and
-//! no two chunks of a color share a mesh node, so workers scatter into
-//! disjoint rows/entries without atomics.  The chunk order within each color
-//! is fixed and the chunk→worker split is the static
-//! [`lv_runtime::partition`], so every operator is **bitwise identical for
-//! every thread count** — the same contract as the colored assembly sweep
-//! and the pooled Krylov solvers.
+//! (separated by [`Team::barrier`]), the chunks of a color concurrently, no
+//! two chunks of a color share a mesh node, and the chunk order within a
+//! color is fixed — bitwise identical for every thread count as well.  The
+//! element geometry (`w|J|` and the Cartesian shape derivatives at every
+//! integration point) is recomputed where it is needed rather than kept:
+//! only `w|J|` stays resident, for the per-step quadrature diagnostics.
 
 use crate::parallel::MatrixSink;
 use crate::{NDIME, PGAUS, PNODE};
@@ -29,29 +50,75 @@ use lv_mesh::coloring::ColoredChunks;
 use lv_mesh::geometry::Point3;
 use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{ChunkSlots, ElementKind, Mesh, MeshTopology, ShapeTable, VectorField};
-use lv_runtime::{partition, SharedSliceMut, Team};
-use lv_solver::CsrMatrix;
-use std::sync::Arc;
+use lv_runtime::{partition, Team};
+use lv_solver::{CsrMatrix, VectorOps};
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
-/// The pressure-projection operators of one mesh: precomputed element
-/// geometry plus the colored schedule their sweeps run on.
+/// The pressure-projection operators of one mesh: the gradient/divergence
+/// coefficients on the node graph plus the colored schedule the Laplacian
+/// assembly runs on.
 #[derive(Debug, Clone)]
 pub struct PressureOperators {
     mesh: Mesh,
     shape: ShapeTable,
     colored: ColoredChunks,
+    /// Weights of the 2×2×2 Gauss rule.
+    weights: [f64; PGAUS],
+    /// `∂N_a/∂ξ_j` per `(gauss, node, dim)`: the derivatives of `shape`,
+    /// copied out so the geometry loop runs on fixed-size arrays.
+    derivs: [[[f64; NDIME]; PNODE]; PGAUS],
     /// `w_g · |J|` per `(element, gauss)`: `gpvol[PGAUS*elem + g]`.
     gpvol: Vec<f64>,
-    /// Cartesian shape derivatives per `(element, gauss, node, dim)`:
-    /// `gpcar[((PGAUS*elem + g)*PNODE + a)*NDIME + j]`.
-    gpcar: Vec<f64>,
+    /// `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ` per stored entry `k = (a, b)` of
+    /// the topology's node graph: `coef[NDIME*k + i]`.
+    coef: Vec<f64>,
     /// Lumped (row-sum) mass per node: `M_a = ∫ N_a dΩ`.
     lumped_mass: Vec<f64>,
     topology: Arc<MeshTopology>,
 }
 
+/// Geometry of one element at its integration points.
+struct ElementGeometry {
+    /// `w_g · |J|` per Gauss point.
+    vol: [f64; PGAUS],
+    /// Cartesian shape derivatives `∂N_a/∂x_i` per `(gauss, dim, node)` —
+    /// node innermost, so loops over an element's nodes are unit-stride.
+    car: [[[f64; PNODE]; NDIME]; PGAUS],
+}
+
+/// Rows per rank of the static split of `n` rows on `team` — the share
+/// width of [`lv_runtime::partition`].
+fn rows_per_share(team: &Team, n: usize) -> usize {
+    n.div_ceil(team.num_threads()).max(1)
+}
+
+/// Runs `pass(rows, share)` once per share of `per` rows of `0..n`, split
+/// across the team by [`VectorOps::partitioned_rows`].  `shares[k]` is the
+/// output of rows `k·per..(k+1)·per`; each rank takes its own through an
+/// uncontended lock, which keeps the disjoint writes in safe code.
+fn row_pass<S: Send>(
+    team: &Team,
+    n: usize,
+    per: usize,
+    shares: Vec<S>,
+    pass: impl Fn(Range<usize>, &mut S) + Sync,
+) {
+    let shares: Vec<Mutex<S>> = shares.into_iter().map(Mutex::new).collect();
+    VectorOps::on_team(team).partitioned_rows(n, &|rows| {
+        // One share per rank on the team; below the serial cutoff the
+        // caller gets `0..n` and walks them all.
+        let touched = rows.start / per..rows.end.div_ceil(per);
+        for (k, share) in shares.iter().enumerate().take(touched.end).skip(touched.start) {
+            let mut share = share.lock().expect("a rank panicked inside a row pass");
+            pass(k * per..((k + 1) * per).min(n), &mut share);
+        }
+    });
+}
+
 impl PressureOperators {
-    /// Precomputes the element geometry and the colored schedule for `mesh`.
+    /// Builds the gradient/divergence coefficients, the lumped mass and the
+    /// colored schedule for `mesh`.
     ///
     /// # Panics
     /// Panics if the mesh is not hexahedral or contains a non-positive
@@ -75,77 +142,120 @@ impl PressureOperators {
         );
         assert!(vector_size > 0, "vector_size must be positive");
         assert!(topology.fits(mesh), "the topology was built for another mesh");
-        let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
-        let colored = ColoredChunks::new(topology.coloring(), vector_size);
-        let nelem = mesh.num_elements();
-        let nnode = mesh.num_nodes();
-        let mut gpvol = vec![0.0; nelem * PGAUS];
-        let mut gpcar = vec![0.0; nelem * PGAUS * PNODE * NDIME];
-        let mut lumped_mass = vec![0.0; nnode];
         let rule = GaussRule::hex_2x2x2();
+        let shape = ShapeTable::new(ElementKind::Hex8, &rule);
+        let mut weights = [0.0; PGAUS];
+        let mut derivs = [[[0.0; NDIME]; PNODE]; PGAUS];
+        for (g, qp) in rule.points().iter().enumerate() {
+            weights[g] = qp.weight;
+            derivs[g].copy_from_slice(&shape.derivatives(g).d);
+        }
+        let mut ops = PressureOperators {
+            mesh: mesh.clone(),
+            shape,
+            colored: ColoredChunks::new(topology.coloring(), vector_size),
+            weights,
+            derivs,
+            gpvol: Vec::new(),
+            coef: Vec::new(),
+            lumped_mass: Vec::new(),
+            topology,
+        };
+        let nelem = mesh.num_elements();
+        let mut gpvol = vec![0.0; nelem * PGAUS];
+        let mut coef = vec![0.0; NDIME * ops.topology.col_idx().len()];
+        let mut lumped_mass = vec![0.0; mesh.num_nodes()];
         for elem in 0..nelem {
+            let geometry = ops.element_geometry(elem);
             let nodes = mesh.element_nodes(elem);
-            for (g, qp) in rule.points().iter().enumerate() {
-                let derivs = shape.derivatives(g);
-                // Jacobian J[i][j] = Σ_a ∂N_a/∂ξ_j · x_a[i].
-                let mut jac = [[0.0f64; 3]; 3];
-                for (a, &node) in nodes.iter().enumerate() {
-                    let x = mesh.node_coords(node as usize);
-                    for (i, row) in jac.iter_mut().enumerate() {
-                        for (j, entry) in row.iter_mut().enumerate() {
-                            *entry += derivs.d[a][j] * x[i];
+            gpvol[PGAUS * elem..PGAUS * (elem + 1)].copy_from_slice(&geometry.vol);
+            let slots = ops.topology.csr_slots(elem);
+            for (a, &node) in nodes.iter().enumerate() {
+                // Row `a` of the elemental C[a][b][i] = Σ_g w|J| · N_a · ∂N_b/∂x_i,
+                // as `el_a[i][b]`.
+                let mut el_a = [[0.0f64; PNODE]; NDIME];
+                for (g, car) in geometry.car.iter().enumerate() {
+                    let w = geometry.vol[g] * ops.shape.functions(g).n[a];
+                    lumped_mass[node as usize] += w;
+                    for (el_ai, car_i) in el_a.iter_mut().zip(car) {
+                        for (entry, c) in el_ai.iter_mut().zip(car_i) {
+                            *entry += w * c;
                         }
                     }
                 }
-                let det = jac[0][0] * (jac[1][1] * jac[2][2] - jac[1][2] * jac[2][1])
-                    - jac[0][1] * (jac[1][0] * jac[2][2] - jac[1][2] * jac[2][0])
-                    + jac[0][2] * (jac[1][0] * jac[2][1] - jac[1][1] * jac[2][0]);
-                assert!(det > 0.0, "element {elem} has a non-positive Jacobian ({det})");
-                let inv_det = 1.0 / det;
-                // Inverse Jacobian (adjugate / det), invJ[j][i].
-                let inv = [
-                    [
-                        (jac[1][1] * jac[2][2] - jac[1][2] * jac[2][1]) * inv_det,
-                        (jac[0][2] * jac[2][1] - jac[0][1] * jac[2][2]) * inv_det,
-                        (jac[0][1] * jac[1][2] - jac[0][2] * jac[1][1]) * inv_det,
-                    ],
-                    [
-                        (jac[1][2] * jac[2][0] - jac[1][0] * jac[2][2]) * inv_det,
-                        (jac[0][0] * jac[2][2] - jac[0][2] * jac[2][0]) * inv_det,
-                        (jac[0][2] * jac[1][0] - jac[0][0] * jac[1][2]) * inv_det,
-                    ],
-                    [
-                        (jac[1][0] * jac[2][1] - jac[1][1] * jac[2][0]) * inv_det,
-                        (jac[0][1] * jac[2][0] - jac[0][0] * jac[2][1]) * inv_det,
-                        (jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]) * inv_det,
-                    ],
-                ];
-                let vol = det * qp.weight;
-                gpvol[PGAUS * elem + g] = vol;
-                let funcs = shape.functions(g);
-                for a in 0..PNODE {
-                    // ∂N_a/∂x_i = Σ_j ∂N_a/∂ξ_j · invJ[j][i].
-                    let base = ((PGAUS * elem + g) * PNODE + a) * NDIME;
-                    for i in 0..NDIME {
-                        let mut c = 0.0;
-                        for (j, inv_row) in inv.iter().enumerate() {
-                            c += derivs.d[a][j] * inv_row[i];
-                        }
-                        gpcar[base + i] = c;
+                // Mesh order, serially: every coefficient is the same bits
+                // for every thread count and vector size.
+                for (b, &slot) in slots[PNODE * a..PNODE * (a + 1)].iter().enumerate() {
+                    let k = NDIME * slot as usize;
+                    for (c, el_ai) in coef[k..k + NDIME].iter_mut().zip(&el_a) {
+                        *c += el_ai[b];
                     }
-                    lumped_mass[nodes[a] as usize] += vol * funcs.n[a];
                 }
             }
         }
-        PressureOperators {
-            mesh: mesh.clone(),
-            shape,
-            colored,
-            gpvol,
-            gpcar,
-            lumped_mass,
-            topology,
+        ops.gpvol = gpvol;
+        ops.coef = coef;
+        ops.lumped_mass = lumped_mass;
+        ops
+    }
+
+    /// `w|J|` and the Cartesian shape derivatives of element `elem` at its
+    /// integration points.
+    ///
+    /// # Panics
+    /// Panics on a non-positive Jacobian (an inverted element).
+    fn element_geometry(&self, elem: usize) -> ElementGeometry {
+        let mut x = [[0.0f64; NDIME]; PNODE];
+        for (x_a, &node) in x.iter_mut().zip(self.mesh.element_nodes(elem)) {
+            let p = self.mesh.node_coords(node as usize);
+            *x_a = [p.x, p.y, p.z];
         }
+        let mut geometry =
+            ElementGeometry { vol: [0.0; PGAUS], car: [[[0.0; PNODE]; NDIME]; PGAUS] };
+        for (g, derivs) in self.derivs.iter().enumerate() {
+            // Jacobian J[i][j] = Σ_a ∂N_a/∂ξ_j · x_a[i].
+            let mut jac = [[0.0f64; 3]; 3];
+            for (d_a, x_a) in derivs.iter().zip(&x) {
+                for (row, x_ai) in jac.iter_mut().zip(x_a) {
+                    for (entry, d_aj) in row.iter_mut().zip(d_a) {
+                        *entry += d_aj * x_ai;
+                    }
+                }
+            }
+            let det = jac[0][0] * (jac[1][1] * jac[2][2] - jac[1][2] * jac[2][1])
+                - jac[0][1] * (jac[1][0] * jac[2][2] - jac[1][2] * jac[2][0])
+                + jac[0][2] * (jac[1][0] * jac[2][1] - jac[1][1] * jac[2][0]);
+            assert!(det > 0.0, "element {elem} has a non-positive Jacobian ({det})");
+            let inv_det = 1.0 / det;
+            // Inverse Jacobian (adjugate / det), invJ[j][i].
+            let inv = [
+                [
+                    (jac[1][1] * jac[2][2] - jac[1][2] * jac[2][1]) * inv_det,
+                    (jac[0][2] * jac[2][1] - jac[0][1] * jac[2][2]) * inv_det,
+                    (jac[0][1] * jac[1][2] - jac[0][2] * jac[1][1]) * inv_det,
+                ],
+                [
+                    (jac[1][2] * jac[2][0] - jac[1][0] * jac[2][2]) * inv_det,
+                    (jac[0][0] * jac[2][2] - jac[0][2] * jac[2][0]) * inv_det,
+                    (jac[0][2] * jac[1][0] - jac[0][0] * jac[1][2]) * inv_det,
+                ],
+                [
+                    (jac[1][0] * jac[2][1] - jac[1][1] * jac[2][0]) * inv_det,
+                    (jac[0][1] * jac[2][0] - jac[0][0] * jac[2][1]) * inv_det,
+                    (jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]) * inv_det,
+                ],
+            ];
+            geometry.vol[g] = det * self.weights[g];
+            for (i, car_i) in geometry.car[g].iter_mut().enumerate() {
+                // ∂N_a/∂x_i = Σ_j ∂N_a/∂ξ_j · invJ[j][i].
+                for (c, d_a) in car_i.iter_mut().zip(derivs) {
+                    for (d_aj, inv_row) in d_a.iter().zip(&inv) {
+                        *c += d_aj * inv_row[i];
+                    }
+                }
+            }
+        }
+        geometry
     }
 
     /// The mesh the operators were built for.
@@ -157,6 +267,25 @@ impl PressureOperators {
     /// a valid mesh).
     pub fn lumped_mass(&self) -> &[f64] {
         &self.lumped_mass
+    }
+
+    /// Bytes of operator data one gradient or divergence sweep streams: the
+    /// coefficients plus the column indices as stored.  Vector traffic is
+    /// excluded, as in [`lv_solver::LinearOperator::streamed_bytes`].
+    pub fn streamed_bytes(&self) -> usize {
+        std::mem::size_of_val(self.coef.as_slice()) + std::mem::size_of_val(self.topology.col_idx())
+    }
+
+    /// Modeled floating-point operations of one weak-gradient sweep: a
+    /// multiply and an add per coefficient.
+    pub fn gradient_flops(&self) -> u64 {
+        2 * self.coef.len() as u64
+    }
+
+    /// Modeled floating-point operations of one weak-divergence sweep: a
+    /// multiply and an add per coefficient.
+    pub fn divergence_flops(&self) -> u64 {
+        2 * self.coef.len() as u64
     }
 
     /// Runs `per_chunk` over every chunk of the colored schedule: colors
@@ -229,16 +358,21 @@ impl PressureOperators {
         for slot in 0..slots.len() {
             let Some(elem) = slots.element(slot) else { continue };
             let nodes = self.mesh.element_nodes(elem);
+            let geometry = self.element_geometry(elem);
             let mut el = [[0.0f64; PNODE]; PNODE];
-            for g in 0..PGAUS {
-                let vol = self.gpvol[PGAUS * elem + g];
-                let base = (PGAUS * elem + g) * PNODE * NDIME;
+            // The upper triangle; `el[b][a]` is the same products in the
+            // same order, so mirroring it is exact.
+            for (vol, [cx, cy, cz]) in geometry.vol.iter().zip(&geometry.car) {
                 for (a, row) in el.iter_mut().enumerate() {
-                    let ca = &self.gpcar[base + a * NDIME..base + a * NDIME + NDIME];
-                    for (b, entry) in row.iter_mut().enumerate() {
-                        let cb = &self.gpcar[base + b * NDIME..base + b * NDIME + NDIME];
-                        *entry += vol * (ca[0] * cb[0] + ca[1] * cb[1] + ca[2] * cb[2]);
+                    for (b, entry) in row.iter_mut().enumerate().skip(a) {
+                        *entry += vol * (cx[a] * cx[b] + cy[a] * cy[b] + cz[a] * cz[b]);
                     }
+                }
+            }
+            for a in 1..PNODE {
+                let (above, row_a) = el.split_at_mut(a);
+                for (entry, row_b) in row_a[0].iter_mut().zip(above.iter()) {
+                    *entry = row_b[a];
                 }
             }
             let csr = self.topology.csr_slots(elem);
@@ -250,91 +384,135 @@ impl PressureOperators {
         }
     }
 
-    /// One chunk of the weak-divergence sweep: elemental `∫ N_a ∇·u_h`
-    /// scattered into the disjoint-write nodal view.
-    fn divergence_chunk(
-        &self,
-        slots: &ChunkSlots<'_>,
-        vel: &[f64],
-        sink: &SharedSliceMut<'_, f64>,
-    ) {
-        for slot in 0..slots.len() {
-            let Some(elem) = slots.element(slot) else { continue };
-            let nodes = self.mesh.element_nodes(elem);
-            let mut el = [0.0f64; PNODE];
-            for g in 0..PGAUS {
-                let vol = self.gpvol[PGAUS * elem + g];
-                let base = (PGAUS * elem + g) * PNODE * NDIME;
-                // ∇·u at the integration point.
-                let mut div = 0.0;
-                for (b, &node) in nodes.iter().enumerate() {
-                    let cb = &self.gpcar[base + b * NDIME..base + b * NDIME + NDIME];
-                    let v = &vel[NDIME * node as usize..NDIME * node as usize + NDIME];
-                    div += cb[0] * v[0] + cb[1] * v[1] + cb[2] * v[2];
-                }
-                let funcs = self.shape.functions(g);
-                for (a, e) in el.iter_mut().enumerate() {
-                    *e += vol * funcs.n[a] * div;
-                }
-            }
-            for (a, &node) in nodes.iter().enumerate() {
-                // SAFETY: coloring invariant (disjoint nodes per color).
-                unsafe { *sink.index_mut(node as usize) += el[a] };
-            }
+    /// Row `a` of the weak gradient: `Σ_b C[a][b][·] · p_b`, entries added
+    /// in ascending column order from `+0.0`.
+    #[inline]
+    fn gradient_row(&self, scalar: &[f64], a: usize) -> [f64; NDIME] {
+        let row_ptr = self.topology.row_ptr();
+        let entries = row_ptr[a]..row_ptr[a + 1];
+        let cols = &self.topology.col_idx()[entries.clone()];
+        let coef = &self.coef[NDIME * entries.start..NDIME * entries.end];
+        let mut g = [0.0f64; NDIME];
+        for (&b, c) in cols.iter().zip(coef.chunks_exact(NDIME)) {
+            let p = scalar[b];
+            g[0] += c[0] * p;
+            g[1] += c[1] * p;
+            g[2] += c[2] * p;
         }
+        g
+    }
+
+    /// Row `a` of the weak divergence: `Σ_b C[a][b][·] · u_b`, entries added
+    /// in ascending column order from `+0.0`.
+    #[inline]
+    fn divergence_row(&self, vel: &[f64], a: usize) -> f64 {
+        let row_ptr = self.topology.row_ptr();
+        let entries = row_ptr[a]..row_ptr[a + 1];
+        let cols = &self.topology.col_idx()[entries.clone()];
+        let coef = &self.coef[NDIME * entries.start..NDIME * entries.end];
+        let mut d = 0.0f64;
+        for (&b, c) in cols.iter().zip(coef.chunks_exact(NDIME)) {
+            let v = &vel[NDIME * b..NDIME * b + NDIME];
+            d += c[0] * v[0] + c[1] * v[1] + c[2] * v[2];
+        }
+        d
+    }
+
+    /// One row pass of the weak gradient of `scalar` on `team`:
+    /// `apply(a, g_a, out_a)` per node `a`, with `out_a` the node's `NDIME`
+    /// entries of `out`.
+    fn gradient_pass(
+        &self,
+        team: &Team,
+        scalar: &[f64],
+        out: &mut [f64],
+        apply: impl Fn(usize, [f64; NDIME], &mut [f64]) + Sync,
+    ) {
+        let n = self.mesh.num_nodes();
+        assert_eq!(scalar.len(), n);
+        assert_eq!(out.len(), NDIME * n);
+        let per = rows_per_share(team, n);
+        row_pass(team, n, per, out.chunks_mut(NDIME * per).collect(), |rows, out| {
+            for (a, out_a) in rows.zip(out.chunks_exact_mut(NDIME)) {
+                apply(a, self.gradient_row(scalar, a), out_a);
+            }
+        });
     }
 
     /// Weak divergence `d_a = ∫ N_a ∇·u_h dΩ` into `out` (one entry per
-    /// node, zeroed first), through the colored sweep on `team`.
+    /// node), as a row pass on `team`.
     pub fn weak_divergence_on(&self, team: &Team, velocity: &VectorField, out: &mut [f64]) {
-        assert_eq!(out.len(), self.mesh.num_nodes());
-        assert_eq!(velocity.num_nodes(), self.mesh.num_nodes());
-        out.fill(0.0);
-        let sink = SharedSliceMut::new(out);
+        let n = self.mesh.num_nodes();
+        assert_eq!(out.len(), n);
+        assert_eq!(velocity.num_nodes(), n);
         let vel = velocity.as_slice();
-        self.run_colored(Some(team), |slots| self.divergence_chunk(&slots, vel, &sink));
+        let per = rows_per_share(team, n);
+        row_pass(team, n, per, out.chunks_mut(per).collect(), |rows, out| {
+            for (a, d) in rows.zip(out.iter_mut()) {
+                *d = self.divergence_row(vel, a);
+            }
+        });
+    }
+
+    /// [`weak_divergence_on`](Self::weak_divergence_on) into `div` and, in
+    /// the same row pass, the pressure-Poisson right-hand side
+    /// `rhs_a = scale · d_a` (the driver passes `scale = −ρ/Δt`).
+    pub fn poisson_rhs_on(
+        &self,
+        team: &Team,
+        velocity: &VectorField,
+        scale: f64,
+        div: &mut [f64],
+        rhs: &mut [f64],
+    ) {
+        let n = self.mesh.num_nodes();
+        assert_eq!(div.len(), n);
+        assert_eq!(rhs.len(), n);
+        assert_eq!(velocity.num_nodes(), n);
+        let vel = velocity.as_slice();
+        let per = rows_per_share(team, n);
+        let shares = div.chunks_mut(per).zip(rhs.chunks_mut(per)).collect();
+        row_pass(team, n, per, shares, |rows, (div, rhs)| {
+            for ((a, d), b) in rows.zip(div.iter_mut()).zip(rhs.iter_mut()) {
+                *d = self.divergence_row(vel, a);
+                *b = scale * *d;
+            }
+        });
     }
 
     /// Weak gradient `g_{a,i} = ∫ N_a ∂p_h/∂x_i dΩ` of the nodal scalar
-    /// `scalar` into `out` (`out[NDIME*node + i]`, zeroed first), through
-    /// the colored sweep on `team`.  Divide by [`Self::lumped_mass`] to
-    /// recover a nodal gradient.
+    /// `scalar` into `out` (`out[NDIME*node + i]`), as a row pass on `team`.
+    /// Divide by [`Self::lumped_mass`] to recover a nodal gradient.
     pub fn weak_gradient_on(&self, team: &Team, scalar: &[f64], out: &mut [f64]) {
-        assert_eq!(scalar.len(), self.mesh.num_nodes());
-        assert_eq!(out.len(), NDIME * self.mesh.num_nodes());
-        out.fill(0.0);
-        let sink = SharedSliceMut::new(out);
-        self.run_colored(Some(team), |slots| {
-            for slot in 0..slots.len() {
-                let Some(elem) = slots.element(slot) else { continue };
-                let nodes = self.mesh.element_nodes(elem);
-                let mut el = [0.0f64; PNODE * NDIME];
-                for g in 0..PGAUS {
-                    let vol = self.gpvol[PGAUS * elem + g];
-                    let base = (PGAUS * elem + g) * PNODE * NDIME;
-                    // ∇p at the integration point.
-                    let mut grad = [0.0f64; NDIME];
-                    for (b, &node) in nodes.iter().enumerate() {
-                        let cb = &self.gpcar[base + b * NDIME..base + b * NDIME + NDIME];
-                        let p = scalar[node as usize];
-                        grad[0] += cb[0] * p;
-                        grad[1] += cb[1] * p;
-                        grad[2] += cb[2] * p;
-                    }
-                    let funcs = self.shape.functions(g);
-                    for a in 0..PNODE {
-                        let w = vol * funcs.n[a];
-                        el[NDIME * a] += w * grad[0];
-                        el[NDIME * a + 1] += w * grad[1];
-                        el[NDIME * a + 2] += w * grad[2];
-                    }
-                }
-                for (a, &node) in nodes.iter().enumerate() {
-                    for i in 0..NDIME {
-                        // SAFETY: coloring invariant (disjoint nodes).
-                        unsafe { *sink.index_mut(NDIME * node as usize + i) += el[NDIME * a + i] };
-                    }
-                }
+        self.gradient_pass(team, scalar, out, |_, g, out_a| out_a.copy_from_slice(&g));
+    }
+
+    /// `rhs −= g(scalar)` in one row pass: the weak pressure force that
+    /// closes the momentum right-hand side, entry by entry what
+    /// [`weak_gradient_on`](Self::weak_gradient_on) and a subtraction give.
+    pub fn subtract_weak_gradient_on(&self, team: &Team, scalar: &[f64], rhs: &mut [f64]) {
+        self.gradient_pass(team, scalar, rhs, |_, g, rhs_a| {
+            for (r, g) in rhs_a.iter_mut().zip(g) {
+                *r -= g;
+            }
+        });
+    }
+
+    /// The projection correction `u_a −= (factor / M_a) · g_a(phi)` in one
+    /// row pass (the driver passes `factor = Δt/ρ`), entry by entry what
+    /// [`weak_gradient_on`](Self::weak_gradient_on) and the lumped-mass
+    /// update give.
+    pub fn correct_velocity_on(
+        &self,
+        team: &Team,
+        phi: &[f64],
+        factor: f64,
+        velocity: &mut VectorField,
+    ) {
+        self.gradient_pass(team, phi, velocity.as_mut_slice(), |a, g, u_a| {
+            let f = factor / self.lumped_mass[a];
+            for (u, g) in u_a.iter_mut().zip(g) {
+                *u -= f * g;
             }
         });
     }
@@ -344,16 +522,12 @@ impl PressureOperators {
     /// divergence functional the projection step actually drives to zero
     /// (unlike the pointwise divergence of the Q1 interpolant, which keeps
     /// an irreducible `O(h)` component even for an exactly solenoidal
-    /// field).  Runs the same colored chunk order as
-    /// [`weak_divergence_on`](Self::weak_divergence_on), serially, so the
-    /// two agree bit for bit; the norm accumulates in node order.
+    /// field).  The rows of [`weak_divergence_on`](Self::weak_divergence_on),
+    /// serially, so the two agree bit for bit; the norm accumulates in node
+    /// order.
     pub fn weak_divergence_norm(&self, velocity: &VectorField) -> f64 {
-        let mut d = vec![0.0; self.mesh.num_nodes()];
         let vel = velocity.as_slice();
-        {
-            let sink = SharedSliceMut::new(&mut d);
-            self.run_colored(None, |slots| self.divergence_chunk(&slots, vel, &sink));
-        }
+        let d: Vec<f64> = (0..self.mesh.num_nodes()).map(|a| self.divergence_row(vel, a)).collect();
         weak_divergence_vector_norm(&d)
     }
 
@@ -365,15 +539,14 @@ impl PressureOperators {
         let mut total = 0.0;
         for elem in 0..self.mesh.num_elements() {
             let nodes = self.mesh.element_nodes(elem);
-            for g in 0..PGAUS {
-                let base = (PGAUS * elem + g) * PNODE * NDIME;
+            let geometry = self.element_geometry(elem);
+            for (vol, [cx, cy, cz]) in geometry.vol.iter().zip(&geometry.car) {
                 let mut div = 0.0;
                 for (b, &node) in nodes.iter().enumerate() {
-                    let cb = &self.gpcar[base + b * NDIME..base + b * NDIME + NDIME];
                     let v = &vel[NDIME * node as usize..NDIME * node as usize + NDIME];
-                    div += cb[0] * v[0] + cb[1] * v[1] + cb[2] * v[2];
+                    div += cx[b] * v[0] + cy[b] * v[1] + cz[b] * v[2];
                 }
-                total += self.gpvol[PGAUS * elem + g] * div * div;
+                total += vol * div * div;
             }
         }
         total.sqrt()
@@ -458,11 +631,215 @@ pub fn pressure_laplacian(mesh: &Mesh, vector_size: usize, pins: &[usize]) -> Cs
     matrix
 }
 
+/// The element sweeps the row products replaced — the per-Gauss-point
+/// geometry table and the colored gather → compute → scatter loops over it,
+/// as they were — kept as the oracle the tests measure the row products, the
+/// Laplacian and the lumped mass against.  Serial, in the colored chunk
+/// order.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// The parent's precomputed element geometry.
+    pub(super) struct GeometryTable<'a> {
+        ops: &'a PressureOperators,
+        /// `w_g · |J|` per `(element, gauss)`: `gpvol[PGAUS*elem + g]`.
+        gpvol: Vec<f64>,
+        /// Cartesian shape derivatives per `(element, gauss, node, dim)`:
+        /// `gpcar[((PGAUS*elem + g)*PNODE + a)*NDIME + j]`.
+        gpcar: Vec<f64>,
+        /// Lumped (row-sum) mass per node.
+        pub(super) lumped_mass: Vec<f64>,
+    }
+
+    impl<'a> GeometryTable<'a> {
+        pub(super) fn new(ops: &'a PressureOperators) -> Self {
+            let (mesh, shape) = (&ops.mesh, &ops.shape);
+            let nelem = mesh.num_elements();
+            let nnode = mesh.num_nodes();
+            let mut gpvol = vec![0.0; nelem * PGAUS];
+            let mut gpcar = vec![0.0; nelem * PGAUS * PNODE * NDIME];
+            let mut lumped_mass = vec![0.0; nnode];
+            let rule = GaussRule::hex_2x2x2();
+            for elem in 0..nelem {
+                let nodes = mesh.element_nodes(elem);
+                for (g, qp) in rule.points().iter().enumerate() {
+                    let derivs = shape.derivatives(g);
+                    // Jacobian J[i][j] = Σ_a ∂N_a/∂ξ_j · x_a[i].
+                    let mut jac = [[0.0f64; 3]; 3];
+                    for (a, &node) in nodes.iter().enumerate() {
+                        let x = mesh.node_coords(node as usize);
+                        for (i, row) in jac.iter_mut().enumerate() {
+                            for (j, entry) in row.iter_mut().enumerate() {
+                                *entry += derivs.d[a][j] * x[i];
+                            }
+                        }
+                    }
+                    let det = jac[0][0] * (jac[1][1] * jac[2][2] - jac[1][2] * jac[2][1])
+                        - jac[0][1] * (jac[1][0] * jac[2][2] - jac[1][2] * jac[2][0])
+                        + jac[0][2] * (jac[1][0] * jac[2][1] - jac[1][1] * jac[2][0]);
+                    assert!(det > 0.0, "element {elem} has a non-positive Jacobian ({det})");
+                    let inv_det = 1.0 / det;
+                    // Inverse Jacobian (adjugate / det), invJ[j][i].
+                    let inv = [
+                        [
+                            (jac[1][1] * jac[2][2] - jac[1][2] * jac[2][1]) * inv_det,
+                            (jac[0][2] * jac[2][1] - jac[0][1] * jac[2][2]) * inv_det,
+                            (jac[0][1] * jac[1][2] - jac[0][2] * jac[1][1]) * inv_det,
+                        ],
+                        [
+                            (jac[1][2] * jac[2][0] - jac[1][0] * jac[2][2]) * inv_det,
+                            (jac[0][0] * jac[2][2] - jac[0][2] * jac[2][0]) * inv_det,
+                            (jac[0][2] * jac[1][0] - jac[0][0] * jac[1][2]) * inv_det,
+                        ],
+                        [
+                            (jac[1][0] * jac[2][1] - jac[1][1] * jac[2][0]) * inv_det,
+                            (jac[0][1] * jac[2][0] - jac[0][0] * jac[2][1]) * inv_det,
+                            (jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]) * inv_det,
+                        ],
+                    ];
+                    let vol = det * qp.weight;
+                    gpvol[PGAUS * elem + g] = vol;
+                    let funcs = shape.functions(g);
+                    for a in 0..PNODE {
+                        // ∂N_a/∂x_i = Σ_j ∂N_a/∂ξ_j · invJ[j][i].
+                        let base = ((PGAUS * elem + g) * PNODE + a) * NDIME;
+                        for i in 0..NDIME {
+                            let mut c = 0.0;
+                            for (j, inv_row) in inv.iter().enumerate() {
+                                c += derivs.d[a][j] * inv_row[i];
+                            }
+                            gpcar[base + i] = c;
+                        }
+                        lumped_mass[nodes[a] as usize] += vol * funcs.n[a];
+                    }
+                }
+            }
+            GeometryTable { ops, gpvol, gpcar, lumped_mass }
+        }
+
+        /// Every chunk of the colored schedule, colors in order, the chunks
+        /// of a color in order — what one thread of `run_colored` visits.
+        fn for_each_chunk(&self, mut per_chunk: impl FnMut(ChunkSlots<'_>)) {
+            let colored = &self.ops.colored;
+            for color in 0..colored.num_colors() {
+                for chunk_id in colored.color_chunks(color) {
+                    per_chunk(colored.slots(chunk_id));
+                }
+            }
+        }
+
+        /// The Laplacian from the table: the parent's `laplacian_chunk`.
+        pub(super) fn laplacian(&self) -> CsrMatrix {
+            let topology = &self.ops.topology;
+            let mut matrix =
+                CsrMatrix::from_pattern(topology.row_ptr().to_vec(), topology.col_idx().to_vec());
+            let (_, _, values) = matrix.pattern_and_values_mut();
+            self.for_each_chunk(|slots| {
+                for slot in 0..slots.len() {
+                    let Some(elem) = slots.element(slot) else { continue };
+                    let mut el = [[0.0f64; PNODE]; PNODE];
+                    for g in 0..PGAUS {
+                        let vol = self.gpvol[PGAUS * elem + g];
+                        let base = (PGAUS * elem + g) * PNODE * NDIME;
+                        for (a, row) in el.iter_mut().enumerate() {
+                            let ca = &self.gpcar[base + a * NDIME..base + a * NDIME + NDIME];
+                            for (b, entry) in row.iter_mut().enumerate() {
+                                let cb = &self.gpcar[base + b * NDIME..base + b * NDIME + NDIME];
+                                *entry += vol * (ca[0] * cb[0] + ca[1] * cb[1] + ca[2] * cb[2]);
+                            }
+                        }
+                    }
+                    for (&slot, entry) in topology.csr_slots(elem).iter().zip(el.iter().flatten()) {
+                        values[slot as usize] += entry;
+                    }
+                }
+            });
+            matrix
+        }
+
+        /// One chunk of the weak-divergence sweep: elemental `∫ N_a ∇·u_h`
+        /// scattered into the nodal vector.
+        fn divergence_chunk(&self, slots: &ChunkSlots<'_>, vel: &[f64], out: &mut [f64]) {
+            for slot in 0..slots.len() {
+                let Some(elem) = slots.element(slot) else { continue };
+                let nodes = self.ops.mesh.element_nodes(elem);
+                let mut el = [0.0f64; PNODE];
+                for g in 0..PGAUS {
+                    let vol = self.gpvol[PGAUS * elem + g];
+                    let base = (PGAUS * elem + g) * PNODE * NDIME;
+                    // ∇·u at the integration point.
+                    let mut div = 0.0;
+                    for (b, &node) in nodes.iter().enumerate() {
+                        let cb = &self.gpcar[base + b * NDIME..base + b * NDIME + NDIME];
+                        let v = &vel[NDIME * node as usize..NDIME * node as usize + NDIME];
+                        div += cb[0] * v[0] + cb[1] * v[1] + cb[2] * v[2];
+                    }
+                    let funcs = self.ops.shape.functions(g);
+                    for (a, e) in el.iter_mut().enumerate() {
+                        *e += vol * funcs.n[a] * div;
+                    }
+                }
+                for (a, &node) in nodes.iter().enumerate() {
+                    out[node as usize] += el[a];
+                }
+            }
+        }
+
+        /// Weak divergence `d_a = ∫ N_a ∇·u_h dΩ` into `out`, zeroed first.
+        pub(super) fn weak_divergence(&self, velocity: &VectorField, out: &mut [f64]) {
+            out.fill(0.0);
+            let vel = velocity.as_slice();
+            self.for_each_chunk(|slots| self.divergence_chunk(&slots, vel, out));
+        }
+
+        /// Weak gradient `g_{a,i} = ∫ N_a ∂p_h/∂x_i dΩ` into `out`, zeroed
+        /// first.
+        pub(super) fn weak_gradient(&self, scalar: &[f64], out: &mut [f64]) {
+            out.fill(0.0);
+            self.for_each_chunk(|slots| {
+                for slot in 0..slots.len() {
+                    let Some(elem) = slots.element(slot) else { continue };
+                    let nodes = self.ops.mesh.element_nodes(elem);
+                    let mut el = [0.0f64; PNODE * NDIME];
+                    for g in 0..PGAUS {
+                        let vol = self.gpvol[PGAUS * elem + g];
+                        let base = (PGAUS * elem + g) * PNODE * NDIME;
+                        // ∇p at the integration point.
+                        let mut grad = [0.0f64; NDIME];
+                        for (b, &node) in nodes.iter().enumerate() {
+                            let cb = &self.gpcar[base + b * NDIME..base + b * NDIME + NDIME];
+                            let p = scalar[node as usize];
+                            grad[0] += cb[0] * p;
+                            grad[1] += cb[1] * p;
+                            grad[2] += cb[2] * p;
+                        }
+                        let funcs = self.ops.shape.functions(g);
+                        for a in 0..PNODE {
+                            let w = vol * funcs.n[a];
+                            el[NDIME * a] += w * grad[0];
+                            el[NDIME * a + 1] += w * grad[1];
+                            el[NDIME * a + 2] += w * grad[2];
+                        }
+                    }
+                    for (a, &node) in nodes.iter().enumerate() {
+                        for i in 0..NDIME {
+                            out[NDIME * node as usize + i] += el[NDIME * a + i];
+                        }
+                    }
+                }
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::GeometryTable;
     use super::*;
-    use lv_mesh::structured::BoxMeshBuilder;
-    use lv_mesh::{Field, Vec3};
+    use lv_mesh::renumber::{reverse_cuthill_mckee, NodePermutation};
+    use lv_mesh::structured::{BoxMeshBuilder, ChannelMeshBuilder};
+    use lv_mesh::{BoundaryTag, Field, Vec3};
     use std::f64::consts::PI;
 
     fn mesh() -> Mesh {
@@ -610,5 +987,203 @@ mod tests {
         .expect("CG must converge on the pinned pressure Laplacian");
         assert!(out.final_residual() < 1e-9);
         assert_eq!(out.solution[0], 0.0);
+    }
+
+    /// `mesh` with one extra node no element references (an empty row).
+    fn with_isolated_node(mesh: &Mesh) -> Mesh {
+        let mut coords = mesh.coords().to_vec();
+        coords.extend_from_slice(&[2.0, 2.0, 2.0]);
+        let mut boundary = mesh.boundary_tags().to_vec();
+        boundary.push(BoundaryTag::Interior);
+        Mesh::from_raw(
+            mesh.kind(),
+            coords,
+            mesh.connectivity().to_vec(),
+            boundary,
+            mesh.characteristic_length(),
+        )
+    }
+
+    fn test_velocity(m: &Mesh) -> VectorField {
+        VectorField::from_fn(m, |p| Vec3::new(p.x * p.y, (PI * p.y).sin(), p.z * p.z - p.x))
+    }
+
+    fn test_pressure(m: &Mesh) -> Field {
+        Field::from_fn(m, |p| p.x * p.x - 0.5 * p.y * p.z + (2.0 * p.z).cos())
+    }
+
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: entry {i} ({x} vs {y})");
+        }
+    }
+
+    #[test]
+    fn row_products_match_the_element_sweeps_to_rounding() {
+        let jittered = mesh();
+        let scrambled =
+            jittered.renumber_nodes(&NodePermutation::scrambled(jittered.num_nodes(), 0xC0FFEE));
+        let rcm = jittered.renumber_nodes(&reverse_cuthill_mckee(&jittered));
+        let isolated = with_isolated_node(&jittered);
+        let meshes = [
+            ("channel", ChannelMeshBuilder::new(3, 2).with_jitter(0.1, 4).build()),
+            ("scrambled", scrambled),
+            ("rcm", rcm),
+            ("isolated node", isolated),
+            ("jittered", jittered),
+        ];
+        let team = Team::new(1);
+        for (name, m) in &meshes {
+            let ops = PressureOperators::new(m, 16);
+            let table = GeometryTable::new(&ops);
+            let n = m.num_nodes();
+            let (velocity, pressure) = (test_velocity(m), test_pressure(m));
+            let (vel, p) = (velocity.as_slice(), pressure.as_slice());
+            let (mut div, mut div_oracle) = (vec![f64::NAN; n], vec![0.0; n]);
+            let (mut grad, mut grad_oracle) = (vec![f64::NAN; NDIME * n], vec![0.0; NDIME * n]);
+            ops.weak_divergence_on(&team, &velocity, &mut div);
+            ops.weak_gradient_on(&team, p, &mut grad);
+            table.weak_divergence(&velocity, &mut div_oracle);
+            table.weak_gradient(p, &mut grad_oracle);
+            let (row_ptr, col_idx) = (ops.topology.row_ptr(), ops.topology.col_idx());
+            for a in 0..n {
+                // Σ_b |C[a][b]|·|x_b|: the magnitude the row's rounding
+                // errors scale with.
+                let (mut div_scale, mut grad_scale) = (0.0f64, [0.0f64; NDIME]);
+                let entries = row_ptr[a]..row_ptr[a + 1];
+                let coef = &ops.coef[NDIME * entries.start..NDIME * entries.end];
+                for (&b, c) in col_idx[entries].iter().zip(coef.chunks_exact(NDIME)) {
+                    for i in 0..NDIME {
+                        div_scale += c[i].abs() * vel[NDIME * b + i].abs();
+                        grad_scale[i] += c[i].abs() * p[b].abs();
+                    }
+                }
+                let d = (div[a] - div_oracle[a]).abs();
+                assert!(
+                    d <= 8.0 * f64::EPSILON * div_scale,
+                    "{name}: divergence row {a} off by {d:e} (scale {div_scale:e})"
+                );
+                for i in 0..NDIME {
+                    let d = (grad[NDIME * a + i] - grad_oracle[NDIME * a + i]).abs();
+                    assert!(
+                        d <= 8.0 * f64::EPSILON * grad_scale[i],
+                        "{name}: gradient row {a}[{i}] off by {d:e} (scale {:e})",
+                        grad_scale[i]
+                    );
+                }
+            }
+            if *name == "isolated node" {
+                // The empty row is `+0.0`, not a leftover of `out`.
+                assert_eq!(row_ptr[n - 1], row_ptr[n]);
+                assert_eq!(div[n - 1].to_bits(), 0);
+                assert!(grad[NDIME * (n - 1)..].iter().all(|g| g.to_bits() == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn row_passes_are_bitwise_equal_across_threads_and_fused_equals_unfused() {
+        // 11³ = 1331 rows: above the 1024-row serial cutoff of `VectorOps`,
+        // so the teams really split the pass.
+        let m = BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().with_jitter(0.15, 5).build();
+        let n = m.num_nodes();
+        assert_eq!(n, 1331);
+        let ops = PressureOperators::new(&m, 32);
+        let (velocity, pressure) = (test_velocity(&m), test_pressure(&m));
+        let rhs0: Vec<f64> = (0..NDIME * n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (scale, factor) = (-1.0 / 0.013, 0.013);
+
+        // Unfused, one thread: each operator, then the driver's glue.
+        let team1 = Team::new(1);
+        let (mut div_ref, mut grad_ref) = (vec![0.0; n], vec![0.0; NDIME * n]);
+        ops.weak_divergence_on(&team1, &velocity, &mut div_ref);
+        ops.weak_gradient_on(&team1, pressure.as_slice(), &mut grad_ref);
+        let rhs_ref: Vec<f64> = rhs0.iter().zip(&grad_ref).map(|(r, g)| r - g).collect();
+        let poisson_ref: Vec<f64> = div_ref.iter().map(|d| scale * d).collect();
+        let mut corrected_ref = velocity.clone();
+        for (node, &mass) in ops.lumped_mass().iter().enumerate() {
+            let f = factor / mass;
+            for i in 0..NDIME {
+                corrected_ref.as_mut_slice()[NDIME * node + i] -= f * grad_ref[NDIME * node + i];
+            }
+        }
+        assert_eq!(ops.weak_divergence_norm(&velocity), weak_divergence_vector_norm(&div_ref));
+
+        for threads in [1usize, 2, 4] {
+            let team = Team::new(threads);
+            let (mut div, mut grad) = (vec![f64::NAN; n], vec![f64::NAN; NDIME * n]);
+            ops.weak_divergence_on(&team, &velocity, &mut div);
+            ops.weak_gradient_on(&team, pressure.as_slice(), &mut grad);
+            assert_same_bits(&div, &div_ref, &format!("divergence, {threads} threads"));
+            assert_same_bits(&grad, &grad_ref, &format!("gradient, {threads} threads"));
+
+            let mut rhs = rhs0.clone();
+            ops.subtract_weak_gradient_on(&team, pressure.as_slice(), &mut rhs);
+            assert_same_bits(&rhs, &rhs_ref, &format!("rhs −= g, {threads} threads"));
+
+            let (mut div, mut poisson) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            ops.poisson_rhs_on(&team, &velocity, scale, &mut div, &mut poisson);
+            assert_same_bits(&div, &div_ref, &format!("fused divergence, {threads} threads"));
+            assert_same_bits(&poisson, &poisson_ref, &format!("Poisson rhs, {threads} threads"));
+
+            let mut corrected = velocity.clone();
+            ops.correct_velocity_on(&team, pressure.as_slice(), factor, &mut corrected);
+            assert_same_bits(
+                corrected.as_slice(),
+                corrected_ref.as_slice(),
+                &format!("correction, {threads} threads"),
+            );
+        }
+    }
+
+    #[test]
+    fn gradient_and_divergence_are_adjoint_on_the_box() {
+        // On the un-jittered box the 2×2×2 rule integrates N_a ∂N_b/∂x_i
+        // exactly, so for u = 0 on the boundary the discrete operators
+        // inherit ∫ p ∇·u = −∫ u·∇p: one coefficient array is both.
+        let m = BoxMeshBuilder::new(6, 6, 6).lid_driven_cavity().build();
+        let ops = PressureOperators::new(&m, 16);
+        let n = m.num_nodes();
+        let bubble = |p: Point3| (PI * p.x).sin() * (PI * p.y).sin() * (PI * p.z).sin();
+        let velocity = VectorField::from_fn(&m, |p| {
+            if [p.x, p.y, p.z].iter().any(|&c| c.min(1.0 - c) < 1e-12) {
+                return Vec3::ZERO;
+            }
+            Vec3::new(bubble(p) + p.y, 2.0 * bubble(p) - p.x * p.z, p.z * p.z + 0.3)
+        });
+        let pressure = test_pressure(&m);
+        let team = Team::new(1);
+        let (mut div, mut grad) = (vec![0.0; n], vec![0.0; NDIME * n]);
+        ops.weak_divergence_on(&team, &velocity, &mut div);
+        ops.weak_gradient_on(&team, pressure.as_slice(), &mut grad);
+        let p_div: Vec<f64> = pressure.as_slice().iter().zip(&div).map(|(p, d)| p * d).collect();
+        let u_grad: Vec<f64> = velocity.as_slice().iter().zip(&grad).map(|(u, g)| u * g).collect();
+        let magnitude: f64 = p_div.iter().chain(&u_grad).map(|t| t.abs()).sum();
+        let defect = p_div.iter().sum::<f64>() + u_grad.iter().sum::<f64>();
+        assert!(magnitude > 1e-2, "the fields must exercise the operators ({magnitude:e})");
+        assert!(defect.abs() <= 1e-12 * magnitude, "defect {defect:e} of {magnitude:e}");
+    }
+
+    #[test]
+    fn laplacian_and_lumped_mass_keep_the_bits_of_the_geometry_table() {
+        let m = mesh();
+        let ops = PressureOperators::new(&m, 8);
+        let table = GeometryTable::new(&ops);
+        assert_same_bits(ops.lumped_mass(), &table.lumped_mass, "lumped mass");
+        let (lap, lap_table) = (ops.assemble_laplacian(), table.laplacian());
+        assert!(lap.values().iter().any(|&v| v != 0.0));
+        assert_same_bits(lap.values(), lap_table.values(), "laplacian");
+    }
+
+    #[test]
+    fn traffic_model_of_the_4_cubed_box() {
+        // 5³ nodes; a node with k neighbours per direction (itself
+        // included) stores k³ entries: Σ = (3·5 − 2)³.
+        let ops = PressureOperators::new(&BoxMeshBuilder::new(4, 4, 4).build(), 16);
+        let nnz = 13 * 13 * 13;
+        assert_eq!(ops.streamed_bytes(), 8 * NDIME * nnz + std::mem::size_of::<usize>() * nnz);
+        assert_eq!(ops.gradient_flops(), (2 * NDIME * nnz) as u64);
+        assert_eq!(ops.divergence_flops(), (2 * NDIME * nnz) as u64);
     }
 }

@@ -21,7 +21,8 @@
 //!   ranks finished; [`Team::barrier`] synchronizes the ranks *inside* a
 //!   running job (the colored sweep separates its colors with it).  Dispatch
 //!   is epoch-based with a bounded spin before parking on a condvar, so
-//!   back-to-back BLAS-1 sized jobs do not pay a futex round-trip each.
+//!   back-to-back BLAS-1 sized jobs do not pay a futex round-trip each; the
+//!   barrier waits the same way.
 //! * [`partition`] — the static contiguous `div_ceil` split every consumer
 //!   uses.  The split depends only on `(len, parts)`, never on timing, which
 //!   is one half of the determinism story.

@@ -1,15 +1,16 @@
 //! The persistent worker team: fork/join dispatch onto long-lived threads.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use lv_trace::{Trace, TraceConfig};
 
 /// How many `spin_loop` iterations a thread burns waiting for the next job
-/// (workers) or for job completion (the leader) before parking on a condvar.
-/// Back-to-back solver ops arrive microseconds apart, so a short spin avoids
-/// a futex round-trip per op; the budget is zeroed when the team is
+/// (workers), for job completion (the leader) or for the other ranks at a
+/// [`Team::barrier`] before parking on a condvar.  Back-to-back solver ops
+/// and the colors of a sweep arrive microseconds apart, so a short spin
+/// avoids a futex round-trip per op; the budget is zeroed when the team is
 /// oversubscribed (more threads than cores), where spinning only steals
 /// cycles from the thread doing the work.
 const SPIN_LIMIT: u32 = 1 << 14;
@@ -49,8 +50,13 @@ struct Control {
     epoch: AtomicU64,
     /// Workers still running the current job.
     remaining: AtomicUsize,
-    /// In-job rank synchronization (all `threads` ranks participate).
-    barrier: Barrier,
+    /// In-job rank synchronization: ranks that reached the barrier of the
+    /// current round, reset by the last one to arrive ...
+    barrier_arrived: AtomicUsize,
+    /// ... which then opens the next round; waiting ranks spin on it, then
+    /// park on `barrier_cv` (under the `state` mutex).
+    barrier_round: AtomicU64,
+    barrier_cv: Condvar,
     /// Guards against overlapping `run` calls.
     dispatching: AtomicBool,
     /// Payloads of worker panics, re-thrown by the leader after the join.
@@ -102,13 +108,19 @@ impl Team {
             Ok(cores) if threads <= cores => SPIN_LIMIT,
             _ => 0,
         };
+        Team::with_spin_limit(threads, spin_limit)
+    }
+
+    fn with_spin_limit(threads: usize, spin_limit: u32) -> Self {
         let control = Arc::new(Control {
             state: Mutex::new(DispatchState { epoch: 0, job: None, shutdown: false }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             epoch: AtomicU64::new(0),
             remaining: AtomicUsize::new(0),
-            barrier: Barrier::new(threads),
+            barrier_arrived: AtomicUsize::new(0),
+            barrier_round: AtomicU64::new(0),
+            barrier_cv: Condvar::new(),
             dispatching: AtomicBool::new(false),
             panics: Mutex::new(Vec::new()),
             spin_limit,
@@ -221,12 +233,45 @@ impl Team {
         }
     }
 
-    /// Synchronizes all ranks of the team.  Every rank of the currently
-    /// running job must call it the same number of times (the colored sweep
-    /// calls it once per color).
-    #[inline]
+    /// Synchronizes all ranks of the team: everything a rank wrote before
+    /// the barrier is visible to every rank after it.  Every rank of the
+    /// currently running job must call it the same number of times (the
+    /// colored sweep calls it once per color).  Like the dispatch, a waiting
+    /// rank spins briefly (not at all on an oversubscribed team) before it
+    /// parks.
     pub fn barrier(&self) {
-        self.control.barrier.wait();
+        let control = &*self.control;
+        // Current for every rank: nobody leaves round `r` before it opened,
+        // and it cannot open again before this rank has arrived.
+        let round = control.barrier_round.load(Ordering::Acquire);
+        // AcqRel on the arrival count chains the ranks' writes to the last
+        // arrival; its Release store of the round hands them to the waiters'
+        // Acquire loads.
+        if control.barrier_arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.threads {
+            // Reset before the round opens: ranks enter the next barrier
+            // only after they saw the new round.
+            control.barrier_arrived.store(0, Ordering::Relaxed);
+            // Under the lock, so the store cannot fall between a parking
+            // rank's check of the round and its wait.
+            let state = control.state.lock().expect("team mutex poisoned");
+            control.barrier_round.store(round + 1, Ordering::Release);
+            drop(state);
+            control.barrier_cv.notify_all();
+            return;
+        }
+        let mut spins = 0u32;
+        while control.barrier_round.load(Ordering::Acquire) == round {
+            if spins < control.spin_limit {
+                std::hint::spin_loop();
+                spins += 1;
+            } else {
+                let mut state = control.state.lock().expect("team mutex poisoned");
+                while control.barrier_round.load(Ordering::Acquire) == round {
+                    state = control.barrier_cv.wait(state).expect("team mutex poisoned");
+                }
+                break;
+            }
+        }
     }
 }
 
@@ -362,6 +407,37 @@ mod tests {
             unsafe { *b.index_mut(rank) = left };
         });
         assert_eq!(stage_b, vec![2, 3, 4, 1]);
+    }
+
+    /// `rounds` barriers on `team`: before round `r` every rank writes `r`
+    /// to its own cell (relaxed — only the barrier orders it), after it
+    /// every rank must read `r` from every other rank's cell.  Two cell sets
+    /// alternate, so the writes of round `r + 1` never touch what a slow
+    /// reader of round `r` still looks at.
+    fn assert_barrier_publishes_every_round(team: &Team, rounds: u64) {
+        let threads = team.num_threads();
+        let cells: Vec<AtomicU64> = (0..2 * threads).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let stale = AtomicUsize::new(0);
+        team.run(&|rank| {
+            for round in 0..rounds {
+                let set = &cells[threads * (round % 2) as usize..][..threads];
+                set[rank].store(round, Ordering::Relaxed);
+                team.barrier();
+                let missed = set.iter().filter(|c| c.load(Ordering::Relaxed) != round).count();
+                stale.fetch_add(missed, Ordering::Relaxed);
+            }
+        });
+        assert_eq!(stale.load(Ordering::Relaxed), 0, "a rank read a write of another round");
+    }
+
+    #[test]
+    fn barrier_publishes_every_round_spinning_and_parking() {
+        // Forced budgets, so both waits run whatever the host: the full
+        // spin (which only ever parks when a rank is late) and the
+        // oversubscribed team's immediate park.
+        assert_barrier_publishes_every_round(&Team::with_spin_limit(4, SPIN_LIMIT), 10_000);
+        assert_barrier_publishes_every_round(&Team::with_spin_limit(4, 0), 10_000);
+        assert_barrier_publishes_every_round(&Team::new(1), 10);
     }
 
     #[test]
