@@ -4,7 +4,7 @@
 //! compiler-model and simulator crates together and regenerates every table
 //! and figure of the paper's evaluation.
 //!
-//! * [`experiment`] — the memoizing [`Runner`](experiment::Runner) that
+//! * [`experiment`] — the memoizing [`Runner`] that
 //!   executes (and caches) simulated mini-app runs over the
 //!   (platform × `VECTOR_SIZE` × optimization level × vectorization on/off)
 //!   space, plus the sweep configuration;

@@ -290,8 +290,10 @@ impl SolverComparison {
             outcomes
         };
         let mut bi3: Option<[Result<SolveOutcome, lv_solver::SolverError>; 3]> = None;
+        // Serial means a team of one: no worker is spawned, nothing dispatched.
+        let serial_team = Team::new(1);
         let bi3_serial = time_min(repetitions, || {
-            bi3 = Some(lv_solver::bicgstab3(&matrix, &b3, &options));
+            bi3 = Some(bicgstab3_on(&serial_team, &matrix, &b3, &options));
         });
         let bi3_outcomes = validate_batched(bi3.unwrap(), "serial batched BiCGSTAB");
         measurements.push(SolverMeasurement {

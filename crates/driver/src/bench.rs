@@ -350,13 +350,11 @@ pub fn driver_bench_to_json(
 mod tests {
     use super::*;
     use crate::scenario::ScenarioKind;
-    use lv_kernel::MomentumPath;
 
     #[test]
     fn driver_bench_measures_validates_and_renders() {
         let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 4);
-        let config =
-            StepperConfig::default().with_vector_size(32).with_momentum_path(MomentumPath::Batched);
+        let config = StepperConfig::default().with_vector_size(32);
         let report = DriverBenchReport::measure(&scenario, config, 1, &[2], 1);
         assert_eq!(report.cases.len(), 2);
         assert_eq!(report.cases[0].threads, 1);

@@ -21,7 +21,7 @@
 //! * [`fault`] — the deterministic [`FaultPlan`] injection harness that
 //!   exercises every recovery path (solver breakdowns, NaN-poisoned RHS,
 //!   corrupted checkpoints) reproducibly in tests;
-//! * [`bench`] — the wall-clock engine behind `BENCH_driver.json`.
+//! * [`mod@bench`] — the wall-clock engine behind `BENCH_driver.json`.
 
 #![warn(missing_docs)]
 

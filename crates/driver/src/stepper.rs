@@ -7,7 +7,7 @@
 //! 1. **Predictor** — the existing mini-app machinery: colored parallel
 //!    assembly of the semi-implicit momentum system, the weak pressure
 //!    gradient `−∫ N_a ∂p/∂x_i` of the current pressure added to the RHS,
-//!    Dirichlet rows applied, and the (batched or sequential) pooled
+//!    Dirichlet rows applied, and the batched (three-column) pooled
 //!    BiCGSTAB momentum solve for the velocity increment → `u*`.
 //! 2. **Pressure Poisson** — `L φ = −(ρ/Δt) d(u*)` with the mesh-true
 //!    Laplacian assembled by [`lv_kernel::PressureOperators`] (symmetrically
@@ -35,7 +35,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::scenario::Scenario;
 use lv_kernel::{
     build_pressure_multigrid, solve_momentum_on, weak_divergence_vector_norm, ElementWorkspace,
-    KernelConfig, MomentumPath, NastinAssembly, OptLevel, PressureOperators,
+    KernelConfig, NastinAssembly, OptLevel, PressureOperators,
 };
 use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
@@ -55,8 +55,8 @@ pub enum PressureSolver {
     /// Jacobi-preconditioned Conjugate Gradient (the pre-multigrid default).
     Cg,
     /// Conjugate Gradient preconditioned by the geometric-multigrid V-cycle
-    /// ([`lv_kernel::build_pressure_multigrid`]).  Falls back to [`Cg`]
-    /// (`PressureSolver::Cg`) when the mesh is not a recognisable structured
+    /// ([`lv_kernel::build_pressure_multigrid`]).  Falls back to
+    /// [`PressureSolver::Cg`] when the mesh is not a recognisable structured
     /// box lattice; [`Stepper::pressure_solver`] reports the path actually
     /// taken.
     MgCg,
@@ -86,8 +86,6 @@ impl PressureSolver {
 pub struct StepperConfig {
     /// `VECTOR_SIZE` of the assembly and projection sweeps.
     pub vector_size: usize,
-    /// Scheduling of the three momentum-component solves.
-    pub momentum_path: MomentumPath,
     /// Options of the momentum BiCGSTAB solve.
     pub momentum_options: SolveOptions,
     /// Options of the pressure-Poisson CG solve.
@@ -135,7 +133,6 @@ impl Default for StepperConfig {
     fn default() -> Self {
         StepperConfig {
             vector_size: 128,
-            momentum_path: MomentumPath::Batched,
             momentum_options: SolveOptions {
                 max_iterations: 2000,
                 tolerance: 1e-10,
@@ -173,12 +170,6 @@ impl StepperConfig {
     pub fn with_cfl(mut self, cfl: f64) -> Self {
         assert!(cfl > 0.0, "CFL number must be positive");
         self.cfl = Some(cfl);
-        self
-    }
-
-    /// Builder: momentum scheduling path.
-    pub fn with_momentum_path(mut self, path: MomentumPath) -> Self {
-        self.momentum_path = path;
         self
     }
 
@@ -723,14 +714,8 @@ impl Stepper {
         }
         let t0 = Instant::now();
         let phase = trace.map(|t| t.span(spans::MOMENTUM, 0));
-        let solve = solve_momentum_on(
-            team,
-            &self.matrix,
-            &self.rhs,
-            &self.config.momentum_options,
-            self.config.momentum_path,
-        )
-        .map_err(StepError::Momentum)?;
+        let solve = solve_momentum_on(team, &self.matrix, &self.rhs, &self.config.momentum_options)
+            .map_err(StepError::Momentum)?;
         for (v, d) in self.state.velocity.as_mut_slice().iter_mut().zip(&solve.increment) {
             *v += d;
         }
@@ -1507,22 +1492,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn momentum_paths_produce_the_same_trajectory() {
-        let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 4);
-        let team = Team::new(2);
-        let mut batched = Stepper::new(scenario.clone(), quick_config());
-        batched.run_on(&team, 2).expect("batched run");
-        let mut sequential =
-            Stepper::new(scenario, quick_config().with_momentum_path(MomentumPath::Sequential));
-        sequential.run_on(&team, 2).expect("sequential run");
-        for (a, b) in
-            batched.state().velocity.as_slice().iter().zip(sequential.state().velocity.as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -51,7 +51,7 @@ pub use assembly::{AssemblyOutput, AssemblyStats, NastinAssembly, NumericPath};
 pub use config::{KernelConfig, OptLevel, PAPER_VECTOR_SIZES};
 pub use matrixfree::{build_pressure_multigrid, pressure_interpolations, MatrixFreeLaplacian};
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};
-pub use momentum::{solve_momentum_on, MomentumPath, MomentumSolve};
+pub use momentum::{solve_momentum_on, MomentumSolve};
 pub use projection::{pressure_laplacian, weak_divergence_vector_norm, PressureOperators};
 pub use workspace::{ElementWorkspace, WorkspaceViews, WorkspaceViewsMut};
 

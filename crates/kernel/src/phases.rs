@@ -490,7 +490,7 @@ pub fn phase2_gather_unknowns_slices(
 /// derivatives, strip-mined over the slots.
 ///
 /// The `inode` reduction accumulates the nine Jacobian entries of a strip of
-/// [`STRIP`] slots in unit-stride vector loops; the determinant/inverse is
+/// `STRIP` (16) slots in unit-stride vector loops; the determinant/inverse is
 /// inherently per-slot scalar work (exactly as the paper observes for its
 /// phase 3); the `gpcar` back-substitution vectorizes again.
 ///

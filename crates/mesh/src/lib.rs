@@ -11,7 +11,7 @@
 //!
 //! * [`geometry`] — small fixed-size vector/matrix math (3D points, 3×3
 //!   Jacobians) used throughout the element routines.
-//! * [`mesh`] — the [`Mesh`](mesh::Mesh) container: node coordinates, element
+//! * [`mesh`] — the [`Mesh`] container: node coordinates, element
 //!   connectivity, element types and boundary tags.
 //! * [`structured`] — generators for structured hexahedral and tetrahedral
 //!   meshes of boxes and channels (the workloads used by the examples and

@@ -38,7 +38,7 @@ mod reduce;
 mod shared;
 mod team;
 
-pub use reduce::{block_range, blocked_reduce, blocked_reduce3, num_blocks, REDUCTION_BLOCK};
+pub use reduce::{block_range, blocked_reduce, num_blocks, REDUCTION_BLOCK};
 pub use shared::SharedSliceMut;
 pub use team::Team;
 

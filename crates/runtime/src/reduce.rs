@@ -36,71 +36,33 @@ pub fn block_range(n: usize, b: usize) -> Range<usize> {
     lo..hi
 }
 
-/// Reduces `0..n` with the fixed-block scheme: `block_sum` is called once
-/// per [`block_range`] (in parallel across the team when one is given) and
-/// the partials are summed in block order.
+/// Reduces `0..n` with the fixed-block scheme, `W` sums in one pass:
+/// `block_sum` is called once per [`block_range`] (in parallel across the
+/// team when one is given) and returns the `W` partials of that block; each
+/// component's partials are then summed in block order.
 ///
-/// `scratch` holds the per-block partials between calls so a solver
-/// iteration does not allocate; it is resized as needed.
+/// `scratch` holds the `W * num_blocks(n)` partials between calls so a
+/// solver iteration does not allocate; it is resized as needed.
 ///
-/// The returned sum is bitwise identical for every `team` argument — `None`,
-/// or teams of any size — as long as `block_sum` itself is a pure function
-/// of its range.
-pub fn blocked_reduce<F>(team: Option<&Team>, n: usize, scratch: &mut Vec<f64>, block_sum: F) -> f64
-where
-    F: Fn(Range<usize>) -> f64 + Sync,
-{
-    let blocks = num_blocks(n);
-    scratch.clear();
-    scratch.resize(blocks, 0.0);
-    match team {
-        // Parallel only when every rank gets at least one whole block.
-        Some(team) if team.num_threads() > 1 && blocks >= team.num_threads() => {
-            let threads = team.num_threads();
-            let partials = SharedSliceMut::new(scratch);
-            team.run(&|rank| {
-                for b in partition(blocks, threads, rank) {
-                    // SAFETY: the static partition hands each rank a
-                    // disjoint set of block indices.
-                    unsafe { *partials.index_mut(b) = block_sum(block_range(n, b)) };
-                }
-            });
-        }
-        _ => {
-            for (b, slot) in scratch.iter_mut().enumerate() {
-                *slot = block_sum(block_range(n, b));
-            }
-        }
-    }
-    // Combine in fixed block order, independent of who computed what.
-    scratch.iter().sum()
-}
-
-/// Three reductions over the same index space in one pass: `block_sum`
-/// returns the three per-block partials of block `b`, and each component's
-/// partials are combined independently in block order.
-///
-/// Each component of the result is **bitwise identical** to a
-/// [`blocked_reduce`] whose `block_sum` computes that component alone — the
-/// block boundaries and the combination order are the same — which is the
-/// contract the multi-RHS solver kernels rest on: a fused three-vector dot
-/// product reproduces the three single-vector dot products bit for bit while
-/// paying one fork/join instead of three.
-///
-/// `scratch` holds `3 * num_blocks(n)` partials between calls.
-pub fn blocked_reduce3<F>(
+/// Every component of the result is bitwise identical for every `team`
+/// argument — `None`, or teams of any size — and for every `W`: a fused
+/// three-vector dot product reproduces the three single-vector dot products
+/// bit for bit while paying one fork/join instead of three.  `block_sum`
+/// must be a pure function of its range, and `W` at least 1.
+pub fn blocked_reduce<const W: usize, F>(
     team: Option<&Team>,
     n: usize,
     scratch: &mut Vec<f64>,
     block_sum: F,
-) -> [f64; 3]
+) -> [f64; W]
 where
-    F: Fn(Range<usize>) -> [f64; 3] + Sync,
+    F: Fn(Range<usize>) -> [f64; W] + Sync,
 {
     let blocks = num_blocks(n);
     scratch.clear();
-    scratch.resize(3 * blocks, 0.0);
+    scratch.resize(W * blocks, 0.0);
     match team {
+        // Parallel only when every rank gets at least one whole block.
         Some(team) if team.num_threads() > 1 && blocks >= team.num_threads() => {
             let threads = team.num_threads();
             let partials = SharedSliceMut::new(scratch);
@@ -109,38 +71,29 @@ where
                     let sums = block_sum(block_range(n, b));
                     // SAFETY: the static partition hands each rank a
                     // disjoint set of block indices, hence disjoint
-                    // 3-element scratch slots.
-                    unsafe {
-                        let slot = partials.range_mut(3 * b..3 * b + 3);
-                        slot.copy_from_slice(&sums);
-                    }
+                    // `W`-element scratch slots.
+                    unsafe { partials.range_mut(W * b..W * b + W) }.copy_from_slice(&sums);
                 }
             });
         }
         _ => {
-            for b in 0..blocks {
-                let sums = block_sum(block_range(n, b));
-                scratch[3 * b..3 * b + 3].copy_from_slice(&sums);
+            for (b, slot) in scratch.chunks_exact_mut(W).enumerate() {
+                slot.copy_from_slice(&block_sum(block_range(n, b)));
             }
         }
     }
     // Combine each component in fixed block order, independent of who
-    // computed what.
-    let mut out = [0.0f64; 3];
-    for b in 0..blocks {
-        for (k, acc) in out.iter_mut().enumerate() {
-            *acc += scratch[3 * b + k];
-        }
-    }
-    out
+    // computed what.  `Iterator::sum` is the one fold for every width (its
+    // identity decides the sign of an empty or all-`-0.0` sum).
+    std::array::from_fn(|k| scratch.iter().skip(k).step_by(W).sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn seq_block_sum(data: &[f64]) -> impl Fn(Range<usize>) -> f64 + Sync + '_ {
-        move |r| data[r].iter().sum()
+    fn seq_block_sum(data: &[f64]) -> impl Fn(Range<usize>) -> [f64; 1] + Sync + '_ {
+        move |r| [data[r].iter().sum()]
     }
 
     #[test]
@@ -162,7 +115,7 @@ mod tests {
         let n = 3 * REDUCTION_BLOCK + 41;
         let data: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 97) as f64 / 9.7 - 5.0).collect();
         let mut scratch = Vec::new();
-        let got = blocked_reduce(None, n, &mut scratch, seq_block_sum(&data));
+        let [got] = blocked_reduce(None, n, &mut scratch, seq_block_sum(&data));
         let expect: f64 =
             (0..num_blocks(n)).map(|b| data[block_range(n, b)].iter().sum::<f64>()).sum();
         assert_eq!(got.to_bits(), expect.to_bits());
@@ -173,10 +126,10 @@ mod tests {
         let n = 17 * REDUCTION_BLOCK + 3;
         let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7310081).sin() * 1e3).collect();
         let mut scratch = Vec::new();
-        let serial = blocked_reduce(None, n, &mut scratch, seq_block_sum(&data));
+        let [serial] = blocked_reduce(None, n, &mut scratch, seq_block_sum(&data));
         for threads in [1usize, 2, 3, 4, 8] {
             let team = Team::new(threads);
-            let got = blocked_reduce(Some(&team), n, &mut scratch, seq_block_sum(&data));
+            let [got] = blocked_reduce(Some(&team), n, &mut scratch, seq_block_sum(&data));
             assert_eq!(got.to_bits(), serial.to_bits(), "threads={threads}");
         }
     }
@@ -187,51 +140,69 @@ mod tests {
         let data = [1.5f64, -2.25, 4.0];
         let mut scratch = Vec::new();
         let got = blocked_reduce(Some(&team), 3, &mut scratch, seq_block_sum(&data));
-        assert_eq!(got, 3.25);
+        assert_eq!(got, [3.25]);
     }
 
     #[test]
     fn empty_reduce_is_zero() {
         let mut scratch = vec![9.0; 4];
-        assert_eq!(blocked_reduce(None, 0, &mut scratch, |_| unreachable!()), 0.0);
+        assert_eq!(
+            blocked_reduce(None, 0, &mut scratch, |_| -> [f64; 1] { unreachable!() }),
+            [0.0]
+        );
     }
 
-    /// The fused three-way reduction contract: each component is bitwise
-    /// identical to its own single `blocked_reduce`, for every thread count.
+    /// One fold for every width: each component of a three-wide reduction is
+    /// bitwise identical to its own one-wide reduction, serially and on every
+    /// team — including the inputs where a fold's identity shows (no block
+    /// at all, and one block whose products are all `-0.0`).
     #[test]
-    fn reduce3_components_match_single_reductions_bitwise() {
-        let n = 9 * REDUCTION_BLOCK + 77;
-        let data: [Vec<f64>; 3] = [
-            (0..n).map(|i| (i as f64 * 0.31).sin() * 1e2).collect(),
-            (0..n).map(|i| (i as f64 * 0.77).cos() - 0.5).collect(),
-            (0..n).map(|i| ((i * 13 + 7) % 101) as f64 / 10.1).collect(),
+    fn every_width_folds_each_component_to_the_same_bits() {
+        let nine_blocks = 9 * REDUCTION_BLOCK + 77;
+        let inputs: [(&str, [Vec<f64>; 3]); 3] = [
+            ("empty", [vec![], vec![], vec![]]),
+            ("one block of -0.0", [vec![-0.0; 100], vec![-0.0; 100], vec![-0.0; 100]]),
+            (
+                "nine blocks",
+                [
+                    (0..nine_blocks).map(|i| (i as f64 * 0.31).sin() * 1e2).collect(),
+                    (0..nine_blocks).map(|i| (i as f64 * 0.77).cos() - 0.5).collect(),
+                    (0..nine_blocks).map(|i| ((i * 13 + 7) % 101) as f64 / 10.1).collect(),
+                ],
+            ),
         ];
-        let mut scratch = Vec::new();
-        let singles: Vec<f64> =
-            data.iter().map(|d| blocked_reduce(None, n, &mut scratch, seq_block_sum(d))).collect();
-        let fused_sum = |r: Range<usize>| -> [f64; 3] {
-            [
-                data[0][r.clone()].iter().sum(),
-                data[1][r.clone()].iter().sum(),
-                data[2][r].iter().sum(),
-            ]
-        };
-        let serial3 = blocked_reduce3(None, n, &mut scratch, fused_sum);
-        for k in 0..3 {
-            assert_eq!(serial3[k].to_bits(), singles[k].to_bits(), "serial component {k}");
-        }
-        for threads in [1usize, 2, 3, 4] {
-            let team = Team::new(threads);
-            let got = blocked_reduce3(Some(&team), n, &mut scratch, fused_sum);
-            for k in 0..3 {
-                assert_eq!(got[k].to_bits(), singles[k].to_bits(), "threads={threads} k={k}");
+        for (name, data) in &inputs {
+            let n = data[0].len();
+            // Poisoned scratch: stale partials must never reach a sum.
+            let mut scratch = vec![9.0; 6];
+            let singles: Vec<f64> = data
+                .iter()
+                .map(|d| blocked_reduce(None, n, &mut scratch, seq_block_sum(d))[0])
+                .collect();
+            let fused_sum = |r: Range<usize>| -> [f64; 3] {
+                [
+                    data[0][r.clone()].iter().sum(),
+                    data[1][r.clone()].iter().sum(),
+                    data[2][r].iter().sum(),
+                ]
+            };
+            let teams: Vec<Team> = [1usize, 2, 3, 4].into_iter().map(Team::new).collect();
+            for team in std::iter::once(None).chain(teams.iter().map(Some)) {
+                let threads = team.map_or(0, Team::num_threads);
+                let fused = blocked_reduce(team, n, &mut scratch, fused_sum);
+                for k in 0..3 {
+                    let [single] = blocked_reduce(team, n, &mut scratch, seq_block_sum(&data[k]));
+                    assert_eq!(single.to_bits(), singles[k].to_bits(), "{name} t={threads} k={k}");
+                    assert_eq!(
+                        fused[k].to_bits(),
+                        singles[k].to_bits(),
+                        "{name} t={threads} k={k}"
+                    );
+                }
+            }
+            if n == 0 {
+                assert_eq!(singles, [0.0; 3], "{name}: an empty reduction is zero");
             }
         }
-    }
-
-    #[test]
-    fn reduce3_of_empty_input_is_zero() {
-        let mut scratch = vec![1.0; 6];
-        assert_eq!(blocked_reduce3(None, 0, &mut scratch, |_| unreachable!()), [0.0; 3]);
     }
 }

@@ -22,7 +22,7 @@
 //!   `mL1`/`mL2` counters used in Section 5;
 //! * [`counters`] — per-phase hardware counters (`ct`, `cv`, `it`, `iv`,
 //!   per-type instruction counts, VL accumulation, cache misses);
-//! * [`engine`] — the [`Machine`](engine::Machine): issues instructions,
+//! * [`engine`] — the [`Machine`]: issues instructions,
 //!   charges cycles according to the platform model, maintains the counters
 //!   and optionally traces every vector instruction;
 //! * [`trace`] — the Vehave-style tracer and its Paraver-like CSV export.

@@ -1,28 +1,37 @@
-//! Jacobi-preconditioned Krylov solvers: Conjugate Gradient (for the
-//! symmetric pressure-like systems) and BiCGSTAB (for the non-symmetric
-//! convection-dominated momentum systems the Nastin assembly produces).
+//! The Krylov solvers: preconditioned Conjugate Gradient (for the symmetric
+//! pressure-like systems) and Jacobi-preconditioned BiCGSTAB (for the
+//! non-symmetric convection-dominated momentum systems the Nastin assembly
+//! produces).
 //!
-//! Both solvers are written once, against the [`crate::parallel::VectorOps`]
-//! kernels, and therefore run serially or on a shared worker pool
-//! ([`lv_runtime::Team`]) with **bitwise identical** solutions, iteration
-//! counts and residual histories for every thread count: SpMV partitions
-//! disjoint output rows, the element-wise updates evaluate the same
-//! expressions under a static partition, and every reduction uses the
-//! fixed-block deterministic order (the serial path runs the same blocked
-//! order).  Three entry styles:
+//! Each recurrence exists once.  CG is `conjugate_gradient_with`: any
+//! [`LinearOperator`] under any [`Preconditioner`] (Jacobi here, the V-cycle
+//! in [`crate::multigrid`]).  BiCGSTAB is `bicgstab_cols`, generic over a
+//! const column width `W`: it runs `W` right-hand sides that share the
+//! matrix through one iteration loop with per-column scalars, so an
+//! iteration pays one fork/join per fused BLAS-1 operation for all columns
+//! and — at the three columns of a momentum solve — **one** traversal of the
+//! matrix ([`crate::csr::CsrMatrix::spmm3_range`]) instead of three.  A
+//! column that converges or breaks down early is **masked, not dropped**:
+//! its vectors stay frozen while the others keep iterating, and every
+//! kernel evaluates, per column, one expression per entry whatever the
+//! width.  So column `c` of a wide solve and a one-column solve of `b_c`
+//! return the same bits — solution, iteration count, residual history and
+//! error alike — which the tests pin against a plain-loop oracle.
 //!
-//! * [`conjugate_gradient`] / [`bicgstab`] — serial when
-//!   [`SolveOptions::threads`] is 1, otherwise a transient [`Team`] is
-//!   spawned for the solve;
-//! * [`conjugate_gradient_on`] / [`bicgstab_on`] — run on a caller-provided
-//!   team, the pooled path a time-step loop uses so assembly and solve share
-//!   one set of workers.
+//! Both run on the [`crate::parallel::VectorOps`] kernels and therefore
+//! give **bitwise identical** results for every thread count: SpMV
+//! partitions disjoint output rows, the element-wise updates evaluate the
+//! same expressions under a static partition, and every reduction uses the
+//! fixed-block deterministic order.  The `_on` entry points run on the
+//! caller's [`Team`] (a time-step loop shares one set of workers between
+//! assembly and solves); the un-suffixed ones are their serial conveniences.
 
 use crate::csr::CsrMatrix;
+use crate::multivector::{MultiVector, NRHS};
 use crate::operator::{JacobiPreconditioner, LinearOperator, Preconditioner};
 use crate::parallel::VectorOps;
 use lv_runtime::Team;
-use lv_trace::spans;
+use lv_trace::{spans, SpanId};
 use serde::{Deserialize, Serialize};
 
 /// Modeled per-iteration cost of one CG iteration beyond the operator
@@ -47,29 +56,11 @@ pub struct SolveOptions {
     pub tolerance: f64,
     /// Whether to apply the Jacobi (diagonal) preconditioner.
     pub jacobi_preconditioner: bool,
-    /// Worker threads for the solve (1 = serial).  Used by the transparent
-    /// entry points, which spawn a transient [`Team`] when it is above 1;
-    /// the `_on` entry points use their caller's team instead and ignore
-    /// this field.
-    pub threads: usize,
 }
 
 impl Default for SolveOptions {
     fn default() -> Self {
-        SolveOptions {
-            max_iterations: 1000,
-            tolerance: 1e-10,
-            jacobi_preconditioner: true,
-            threads: 1,
-        }
-    }
-}
-
-impl SolveOptions {
-    /// Returns the options with `threads` worker threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        SolveOptions { max_iterations: 1000, tolerance: 1e-10, jacobi_preconditioner: true }
     }
 }
 
@@ -241,10 +232,6 @@ pub(crate) fn inverse_diagonal(operator: &dyn LinearOperator, enabled: bool) -> 
     }
 }
 
-pub(crate) fn jacobi_inverse_diagonal(matrix: &CsrMatrix, enabled: bool) -> Vec<f64> {
-    inverse_diagonal(matrix, enabled)
-}
-
 /// The immediately-converged outcome of a zero right-hand side.  The history
 /// is seeded with the (zero) initial residual unconditionally: a
 /// zero-iteration solve must still report `final_residual() == 0.0`, not
@@ -253,47 +240,22 @@ pub(crate) fn zero_rhs_outcome(n: usize) -> SolveOutcome {
     SolveOutcome { solution: vec![0.0; n], iterations: 0, residual_history: vec![0.0] }
 }
 
-/// Solves `A·x = b` with the (preconditioned) Conjugate Gradient method.
-/// `A` must be symmetric positive definite for guaranteed convergence.
-/// Spawns a transient worker team when `options.threads > 1`.
+/// Solves `A·x = b` with the Jacobi-preconditioned Conjugate Gradient method
+/// on the calling thread, for any [`LinearOperator`] backend (assembled CSR
+/// or matrix-free).  `A` must be symmetric positive definite for guaranteed
+/// convergence.
 pub fn conjugate_gradient(
-    matrix: &CsrMatrix,
-    b: &[f64],
-    options: &SolveOptions,
-) -> Result<SolveOutcome, SolverError> {
-    conjugate_gradient_operator(matrix, b, options)
-}
-
-/// [`conjugate_gradient`] on a caller-provided worker team (the pooled path:
-/// assembly and solves of one time step share the same workers).
-pub fn conjugate_gradient_on(
-    team: &Team,
-    matrix: &CsrMatrix,
-    b: &[f64],
-    options: &SolveOptions,
-) -> Result<SolveOutcome, SolverError> {
-    conjugate_gradient_operator_on(team, matrix, b, options)
-}
-
-/// [`conjugate_gradient`] against any [`LinearOperator`] backend (assembled
-/// CSR or matrix-free).  Spawns a transient worker team when
-/// `options.threads > 1`.
-pub fn conjugate_gradient_operator(
     operator: &dyn LinearOperator,
     b: &[f64],
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
     let mut precond = JacobiPreconditioner::new(operator, options.jacobi_preconditioner);
-    if options.threads > 1 {
-        let team = Team::new(options.threads);
-        conjugate_gradient_with(operator, b, options, &mut VectorOps::on_team(&team), &mut precond)
-    } else {
-        conjugate_gradient_with(operator, b, options, &mut VectorOps::serial(), &mut precond)
-    }
+    conjugate_gradient_with(operator, b, options, &mut VectorOps::serial(), &mut precond)
 }
 
-/// [`conjugate_gradient_operator`] on a caller-provided worker team.
-pub fn conjugate_gradient_operator_on(
+/// [`conjugate_gradient`] on a caller-provided worker team (the pooled path:
+/// assembly and solves of one time step share the same workers).
+pub fn conjugate_gradient_on(
     team: &Team,
     operator: &dyn LinearOperator,
     b: &[f64],
@@ -381,20 +343,17 @@ pub(crate) fn conjugate_gradient_with(
     Err(SolverError::NotConverged { final_residual: *history.last().unwrap() })
 }
 
-/// Solves `A·x = b` with the (preconditioned) BiCGSTAB method; works for
-/// non-symmetric systems such as the convection-dominated momentum equations.
-/// Spawns a transient worker team when `options.threads > 1`.
+/// Solves `A·x = b` with the Jacobi-preconditioned BiCGSTAB method on the
+/// calling thread; works for non-symmetric systems such as the
+/// convection-dominated momentum equations.
 pub fn bicgstab(
     matrix: &CsrMatrix,
     b: &[f64],
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
-    if options.threads > 1 {
-        let team = Team::new(options.threads);
-        bicgstab_with(matrix, b, options, &mut VectorOps::on_team(&team))
-    } else {
-        bicgstab_with(matrix, b, options, &mut VectorOps::serial())
-    }
+    let [outcome] =
+        bicgstab_cols(matrix, [b], options, &mut VectorOps::serial(), spans::BICGSTAB_ITERATION);
+    outcome
 }
 
 /// [`bicgstab`] on a caller-provided worker team (the pooled path).
@@ -404,119 +363,423 @@ pub fn bicgstab_on(
     b: &[f64],
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
-    bicgstab_with(matrix, b, options, &mut VectorOps::on_team(team))
+    let [outcome] = bicgstab_cols(
+        matrix,
+        [b],
+        options,
+        &mut VectorOps::on_team(team),
+        spans::BICGSTAB_ITERATION,
+    );
+    outcome
 }
 
-fn bicgstab_with(
+/// Solves the three systems `A·x_c = b_c` in one BiCGSTAB loop on a
+/// caller-provided worker team — the momentum solve of a time step.  Entry
+/// `c` of the result is exactly what [`bicgstab_on`] returns for
+/// `b.component(c)`.
+pub fn bicgstab3_on(
+    team: &Team,
     matrix: &CsrMatrix,
-    b: &[f64],
+    b: &MultiVector,
+    options: &SolveOptions,
+) -> [Result<SolveOutcome, SolverError>; NRHS] {
+    let ops = &mut VectorOps::on_team(team);
+    bicgstab_cols(matrix, b.components(), options, ops, spans::BICGSTAB3_ITERATION)
+}
+
+/// `W` equally long zero vectors.
+fn zeros<const W: usize>(n: usize) -> [Vec<f64>; W] {
+    std::array::from_fn(|_| vec![0.0; n])
+}
+
+fn cols<const W: usize>(vectors: &[Vec<f64>; W]) -> [&[f64]; W] {
+    std::array::from_fn(|c| vectors[c].as_slice())
+}
+
+fn cols_mut<const W: usize>(vectors: &mut [Vec<f64>; W]) -> [&mut [f64]; W] {
+    let mut rest = vectors.iter_mut();
+    std::array::from_fn(|_| rest.next().expect("W vectors").as_mut_slice())
+}
+
+/// Book-keeping of a `W`-column solve: which columns still iterate, their
+/// finished results and their residual histories.
+struct ColumnTracker<const W: usize> {
+    active: [bool; W],
+    results: [Option<Result<SolveOutcome, SolverError>>; W],
+    histories: [Vec<f64>; W],
+}
+
+impl<const W: usize> ColumnTracker<W> {
+    fn new() -> Self {
+        ColumnTracker {
+            active: [true; W],
+            results: std::array::from_fn(|_| None),
+            histories: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+
+    fn any_active(&self) -> bool {
+        self.active.iter().any(|&a| a)
+    }
+
+    /// Bitmask of the active columns (bit `c` set when column `c` still
+    /// iterates) — the `aux` payload of the iteration events.
+    fn active_mask(&self) -> u64 {
+        self.active.iter().enumerate().filter(|(_, &a)| a).map(|(c, _)| 1u64 << c).sum()
+    }
+
+    fn fail(&mut self, c: usize, error: SolverError) {
+        self.results[c] = Some(Err(error));
+        self.active[c] = false;
+    }
+
+    /// Fails column `c` with a [`SolverError::Breakdown`] whose residual
+    /// snapshot is the column's last recorded relative residual.
+    fn fail_breakdown(&mut self, c: usize, kind: BreakdownKind, iteration: usize) {
+        let error = SolverError::breakdown(kind, iteration, &self.histories[c]);
+        self.fail(c, error);
+    }
+
+    /// Per-column entry guard: a zero RHS converges immediately, a
+    /// non-finite RHS is rejected with a structured error before any
+    /// iteration can smear the NaN across the iterate.
+    fn screen_rhs(&mut self, n: usize, b_norm: &[f64; W]) {
+        for (c, &bn) in b_norm.iter().enumerate() {
+            if bn == 0.0 {
+                self.results[c] = Some(Ok(zero_rhs_outcome(n)));
+                self.active[c] = false;
+            } else if !bn.is_finite() {
+                self.fail(c, SolverError::NonFinite { iteration: 0, residual: bn });
+            }
+        }
+    }
+
+    fn converge(&mut self, c: usize, x: &[Vec<f64>; W], iterations: usize) {
+        self.results[c] = Some(Ok(SolveOutcome {
+            solution: x[c].clone(),
+            iterations,
+            residual_history: std::mem::take(&mut self.histories[c]),
+        }));
+        self.active[c] = false;
+    }
+
+    /// Columns still active after the iteration limit: `NotConverged` with
+    /// the last recorded relative residual.
+    fn finish(mut self) -> [Result<SolveOutcome, SolverError>; W] {
+        for c in 0..W {
+            if self.active[c] {
+                let final_residual =
+                    *self.histories[c].last().expect("an active column has a seeded history");
+                self.results[c] = Some(Err(SolverError::NotConverged { final_residual }));
+            }
+        }
+        self.results.map(|r| r.expect("every column must be resolved"))
+    }
+}
+
+/// The BiCGSTAB recurrence over `W` columns sharing `matrix`, with
+/// per-column scalars and a per-column mask.  A failed or converged column
+/// turns every later kernel into a no-op for it, so with one column the
+/// control flow is the textbook loop: the first failure or convergence is
+/// followed by the `any_active` break.  One `iteration_span` event is
+/// recorded per iteration (`iters` = active columns, `aux` = their mask).
+fn bicgstab_cols<const W: usize>(
+    matrix: &CsrMatrix,
+    b: [&[f64]; W],
     options: &SolveOptions,
     ops: &mut VectorOps<'_>,
-) -> Result<SolveOutcome, SolverError> {
+    iteration_span: SpanId,
+) -> [Result<SolveOutcome, SolverError>; W] {
     let n = matrix.dim();
-    if b.len() != n {
-        return Err(SolverError::DimensionMismatch);
+    if b.iter().any(|column| column.len() != n) {
+        return std::array::from_fn(|_| Err(SolverError::DimensionMismatch));
     }
-    let b_norm = ops.norm(b);
-    if b_norm == 0.0 {
-        return Ok(zero_rhs_outcome(n));
-    }
-    if !b_norm.is_finite() {
-        return Err(SolverError::NonFinite { iteration: 0, residual: b_norm });
-    }
-    let inv_diag = jacobi_inverse_diagonal(matrix, options.jacobi_preconditioner);
+    let mut tracker = ColumnTracker::<W>::new();
+    let b_norm = ops.norm_cols(b, [true; W]);
+    tracker.screen_rhs(n, &b_norm);
+    let inv_diag = inverse_diagonal(matrix, options.jacobi_preconditioner);
 
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
+    let mut x = zeros::<W>(n);
+    let mut r = b.map(<[f64]>::to_vec);
     let r0 = r.clone();
-    let mut rho = 1.0;
-    let mut alpha = 1.0;
-    let mut omega = 1.0;
-    let mut v = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut history = vec![ops.norm(&r) / b_norm];
-    let mut phat = vec![0.0; n];
-    let mut s = vec![0.0; n];
-    let mut shat = vec![0.0; n];
-    let mut t = vec![0.0; n];
+    let mut rho = [1.0f64; W];
+    let mut alpha = [1.0f64; W];
+    let mut omega = [1.0f64; W];
+    let mut v = zeros::<W>(n);
+    let mut p = zeros::<W>(n);
+    let r_norm = ops.norm_cols(cols(&r), tracker.active);
+    for c in 0..W {
+        if tracker.active[c] {
+            tracker.histories[c].push(r_norm[c] / b_norm[c]);
+        }
+    }
+    let mut phat = zeros::<W>(n);
+    let mut s = zeros::<W>(n);
+    let mut shat = zeros::<W>(n);
+    let mut t = zeros::<W>(n);
 
     let trace = ops.trace();
-    let iter_flops = 2 * matrix.apply_flops() + BICGSTAB_BLAS1_FLOPS_PER_ENTRY * n as u64;
-    let iter_bytes =
+    // Per active column: two matrix traversals (shared by the columns on
+    // the fused path, modeled per column) plus the BiCGSTAB BLAS-1 work.
+    let column_flops = 2 * matrix.apply_flops() + BICGSTAB_BLAS1_FLOPS_PER_ENTRY * n as u64;
+    let column_bytes =
         2 * matrix.streamed_bytes() as u64 + BICGSTAB_BLAS1_STREAMS_PER_ENTRY * 8 * n as u64;
 
     for iter in 0..options.max_iterations {
-        let mut span = trace.map(|t| t.span(spans::BICGSTAB_ITERATION, 0));
-        let finish = |span: Option<lv_trace::SpanScope<'_>>, rel: f64| {
-            if let Some(s) = span {
-                s.iters(1).flops(iter_flops).bytes(iter_bytes).aux(rel.to_bits()).finish();
+        if !tracker.any_active() {
+            break;
+        }
+        let active_count = tracker.active.iter().filter(|&&a| a).count() as u64;
+        let _span = trace.map(|t| {
+            t.span(iteration_span, 0)
+                .iters(active_count)
+                .flops(active_count * column_flops)
+                .bytes(active_count * column_bytes)
+                .aux(tracker.active_mask())
+        });
+        let rho_new = ops.dot_cols(cols(&r0), cols(&r), tracker.active);
+        let mut beta = [0.0f64; W];
+        for c in 0..W {
+            if !tracker.active[c] {
+                continue;
             }
-        };
-        let rho_new = ops.dot(&r0, &r);
-        if !rho_new.is_finite() {
-            return Err(SolverError::non_finite_scalar(iter));
+            if !rho_new[c].is_finite() {
+                tracker.fail(c, SolverError::non_finite_scalar(iter));
+            } else if rho_new[c].abs() < 1e-300 {
+                tracker.fail_breakdown(c, BreakdownKind::RhoVanished, iter);
+            } else {
+                beta[c] = (rho_new[c] / rho[c]) * (alpha[c] / omega[c]);
+                rho[c] = rho_new[c];
+            }
         }
-        if rho_new.abs() < 1e-300 {
-            return Err(SolverError::breakdown(BreakdownKind::RhoVanished, iter, &history));
+        ops.direction_update_cols(
+            cols(&r),
+            beta,
+            omega,
+            cols(&v),
+            cols_mut(&mut p),
+            tracker.active,
+        );
+        ops.hadamard_cols(cols(&p), &inv_diag, cols_mut(&mut phat), tracker.active);
+        ops.spmm_cols(matrix, cols(&phat), cols_mut(&mut v), tracker.active);
+        let r0v = ops.dot_cols(cols(&r0), cols(&v), tracker.active);
+        for c in 0..W {
+            if !tracker.active[c] {
+                continue;
+            }
+            if !r0v[c].is_finite() {
+                tracker.fail(c, SolverError::non_finite_scalar(iter));
+            } else if r0v[c].abs() < 1e-300 {
+                tracker.fail_breakdown(c, BreakdownKind::ShadowDegenerate, iter);
+            } else {
+                alpha[c] = rho[c] / r0v[c];
+            }
         }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        ops.direction_update(&r, beta, omega, &v, &mut p);
-        ops.hadamard(&p, &inv_diag, &mut phat);
-        ops.spmv(matrix, &phat, &mut v);
-        let r0v = ops.dot(&r0, &v);
-        if !r0v.is_finite() {
-            return Err(SolverError::non_finite_scalar(iter));
+        ops.scaled_diff_cols(cols(&r), alpha, cols(&v), cols_mut(&mut s), tracker.active);
+        let s_norm = ops.norm_cols(cols(&s), tracker.active);
+        for c in 0..W {
+            if !tracker.active[c] {
+                continue;
+            }
+            let s_rel = s_norm[c] / b_norm[c];
+            if !s_rel.is_finite() {
+                tracker.fail(c, SolverError::NonFinite { iteration: iter, residual: s_rel });
+                continue;
+            }
+            if s_rel < options.tolerance {
+                // Early half-step convergence: apply the half update
+                // `x += alpha * phat` to this column only.
+                let mut only = [false; W];
+                only[c] = true;
+                ops.axpy_cols(alpha, cols(&phat), cols_mut(&mut x), only);
+                tracker.histories[c].push(s_rel);
+                tracker.converge(c, &x, iter + 1);
+            }
         }
-        if r0v.abs() < 1e-300 {
-            return Err(SolverError::breakdown(BreakdownKind::ShadowDegenerate, iter, &history));
+        if !tracker.any_active() {
+            break;
         }
-        alpha = rho / r0v;
-        ops.scaled_diff(&r, alpha, &v, &mut s);
-        let s_rel = ops.norm(&s) / b_norm;
-        if !s_rel.is_finite() {
-            return Err(SolverError::NonFinite { iteration: iter, residual: s_rel });
+        ops.hadamard_cols(cols(&s), &inv_diag, cols_mut(&mut shat), tracker.active);
+        ops.spmm_cols(matrix, cols(&shat), cols_mut(&mut t), tracker.active);
+        let tt = ops.dot_cols(cols(&t), cols(&t), tracker.active);
+        for (c, ttc) in tt.iter().enumerate() {
+            if !tracker.active[c] {
+                continue;
+            }
+            if !ttc.is_finite() {
+                tracker.fail(c, SolverError::non_finite_scalar(iter));
+            } else if ttc.abs() < 1e-300 {
+                tracker.fail_breakdown(c, BreakdownKind::StagnantStabilizer, iter);
+            }
         }
-        if s_rel < options.tolerance {
-            ops.axpy(alpha, &phat, &mut x);
-            history.push(s_rel);
-            finish(span.take(), s_rel);
-            return Ok(SolveOutcome {
-                solution: x,
-                iterations: iter + 1,
-                residual_history: history,
-            });
+        let ts = ops.dot_cols(cols(&t), cols(&s), tracker.active);
+        for c in 0..W {
+            if tracker.active[c] {
+                omega[c] = ts[c] / tt[c];
+            }
         }
-        ops.hadamard(&s, &inv_diag, &mut shat);
-        ops.spmv(matrix, &shat, &mut t);
-        let tt = ops.dot(&t, &t);
-        if !tt.is_finite() {
-            return Err(SolverError::non_finite_scalar(iter));
-        }
-        if tt.abs() < 1e-300 {
-            return Err(SolverError::breakdown(BreakdownKind::StagnantStabilizer, iter, &history));
-        }
-        omega = ops.dot(&t, &s) / tt;
-        ops.axpy2(alpha, &phat, omega, &shat, &mut x);
-        ops.scaled_diff(&s, omega, &t, &mut r);
-        let rel = ops.norm(&r) / b_norm;
-        if !rel.is_finite() {
-            return Err(SolverError::NonFinite { iteration: iter, residual: rel });
-        }
-        history.push(rel);
-        finish(span.take(), rel);
-        if rel < options.tolerance {
-            return Ok(SolveOutcome {
-                solution: x,
-                iterations: iter + 1,
-                residual_history: history,
-            });
-        }
-        if omega.abs() < 1e-300 {
-            return Err(SolverError::breakdown(BreakdownKind::OmegaVanished, iter, &history));
+        ops.axpy2_cols(alpha, cols(&phat), omega, cols(&shat), cols_mut(&mut x), tracker.active);
+        ops.scaled_diff_cols(cols(&s), omega, cols(&t), cols_mut(&mut r), tracker.active);
+        let rel = ops.norm_cols(cols(&r), tracker.active);
+        for c in 0..W {
+            if !tracker.active[c] {
+                continue;
+            }
+            let rel_c = rel[c] / b_norm[c];
+            if !rel_c.is_finite() {
+                tracker.fail(c, SolverError::NonFinite { iteration: iter, residual: rel_c });
+                continue;
+            }
+            tracker.histories[c].push(rel_c);
+            if rel_c < options.tolerance {
+                tracker.converge(c, &x, iter + 1);
+            } else if omega[c].abs() < 1e-300 {
+                tracker.fail_breakdown(c, BreakdownKind::OmegaVanished, iter);
+            }
         }
     }
-    Err(SolverError::NotConverged { final_residual: *history.last().unwrap() })
+    tracker.finish()
+}
+
+/// The single-RHS BiCGSTAB loop as it stood before the recurrence became
+/// column-generic, kept verbatim on plain serial loops (no [`VectorOps`]):
+/// the reference every width of [`bicgstab_cols`] is held to, bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use lv_runtime::REDUCTION_BLOCK;
+
+    /// The fixed-block dot product, written out.
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        a.chunks(REDUCTION_BLOCK)
+            .zip(b.chunks(REDUCTION_BLOCK))
+            .map(|(a, b)| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>())
+            .sum()
+    }
+
+    fn norm(a: &[f64]) -> f64 {
+        dot(a, a).sqrt()
+    }
+
+    pub fn bicgstab(
+        matrix: &CsrMatrix,
+        b: &[f64],
+        options: &SolveOptions,
+    ) -> Result<SolveOutcome, SolverError> {
+        let n = matrix.dim();
+        if b.len() != n {
+            return Err(SolverError::DimensionMismatch);
+        }
+        let b_norm = norm(b);
+        if b_norm == 0.0 {
+            return Ok(zero_rhs_outcome(n));
+        }
+        if !b_norm.is_finite() {
+            return Err(SolverError::NonFinite { iteration: 0, residual: b_norm });
+        }
+        let inv_diag = inverse_diagonal(matrix, options.jacobi_preconditioner);
+
+        let mut x = vec![0.0; n];
+        let mut r = b.to_vec();
+        let r0 = r.clone();
+        let mut rho = 1.0;
+        let mut alpha = 1.0;
+        let mut omega = 1.0;
+        let mut v = vec![0.0; n];
+        let mut p = vec![0.0; n];
+        let mut history = vec![norm(&r) / b_norm];
+        let mut phat = vec![0.0; n];
+        let mut s = vec![0.0; n];
+        let mut shat = vec![0.0; n];
+        let mut t = vec![0.0; n];
+
+        for iter in 0..options.max_iterations {
+            let rho_new = dot(&r0, &r);
+            if !rho_new.is_finite() {
+                return Err(SolverError::non_finite_scalar(iter));
+            }
+            if rho_new.abs() < 1e-300 {
+                return Err(SolverError::breakdown(BreakdownKind::RhoVanished, iter, &history));
+            }
+            let beta = (rho_new / rho) * (alpha / omega);
+            rho = rho_new;
+            for i in 0..n {
+                p[i] = r[i] + beta * (p[i] - omega * v[i]);
+            }
+            for i in 0..n {
+                phat[i] = p[i] * inv_diag[i];
+            }
+            matrix.spmv(&phat, &mut v);
+            let r0v = dot(&r0, &v);
+            if !r0v.is_finite() {
+                return Err(SolverError::non_finite_scalar(iter));
+            }
+            if r0v.abs() < 1e-300 {
+                return Err(SolverError::breakdown(
+                    BreakdownKind::ShadowDegenerate,
+                    iter,
+                    &history,
+                ));
+            }
+            alpha = rho / r0v;
+            for i in 0..n {
+                s[i] = r[i] - alpha * v[i];
+            }
+            let s_rel = norm(&s) / b_norm;
+            if !s_rel.is_finite() {
+                return Err(SolverError::NonFinite { iteration: iter, residual: s_rel });
+            }
+            if s_rel < options.tolerance {
+                for i in 0..n {
+                    x[i] += alpha * phat[i];
+                }
+                history.push(s_rel);
+                return Ok(SolveOutcome {
+                    solution: x,
+                    iterations: iter + 1,
+                    residual_history: history,
+                });
+            }
+            for i in 0..n {
+                shat[i] = s[i] * inv_diag[i];
+            }
+            matrix.spmv(&shat, &mut t);
+            let tt = dot(&t, &t);
+            if !tt.is_finite() {
+                return Err(SolverError::non_finite_scalar(iter));
+            }
+            if tt.abs() < 1e-300 {
+                return Err(SolverError::breakdown(
+                    BreakdownKind::StagnantStabilizer,
+                    iter,
+                    &history,
+                ));
+            }
+            omega = dot(&t, &s) / tt;
+            for i in 0..n {
+                x[i] += alpha * phat[i] + omega * shat[i];
+            }
+            for i in 0..n {
+                r[i] = s[i] - omega * t[i];
+            }
+            let rel = norm(&r) / b_norm;
+            if !rel.is_finite() {
+                return Err(SolverError::NonFinite { iteration: iter, residual: rel });
+            }
+            history.push(rel);
+            if rel < options.tolerance {
+                return Ok(SolveOutcome {
+                    solution: x,
+                    iterations: iter + 1,
+                    residual_history: history,
+                });
+            }
+            if omega.abs() < 1e-300 {
+                return Err(SolverError::breakdown(BreakdownKind::OmegaVanished, iter, &history));
+            }
+        }
+        Err(SolverError::NotConverged { final_residual: *history.last().unwrap() })
+    }
 }
 
 #[cfg(test)]
@@ -641,12 +904,13 @@ mod tests {
     #[test]
     fn zero_iteration_solve_has_seeded_residual_history() {
         let a = laplacian(10);
+        let opts = SolveOptions::default();
         for threads in [1usize, 2] {
-            let opts = SolveOptions::default().with_threads(threads);
-            let cg = conjugate_gradient(&a, &[0.0; 10], &opts).unwrap();
+            let team = Team::new(threads);
+            let cg = conjugate_gradient_on(&team, &a, &[0.0; 10], &opts).unwrap();
             assert!(!cg.residual_history.is_empty(), "threads={threads}");
             assert_eq!(cg.final_residual(), 0.0, "threads={threads}");
-            let bi = bicgstab(&a, &[0.0; 10], &opts).unwrap();
+            let bi = bicgstab_on(&team, &a, &[0.0; 10], &opts).unwrap();
             assert!(!bi.residual_history.is_empty(), "threads={threads}");
             assert_eq!(bi.final_residual(), 0.0, "threads={threads}");
         }
@@ -692,15 +956,16 @@ mod tests {
         let a = laplacian(20);
         let mut b = rhs(20);
         b[7] = f64::NAN;
+        let opts = SolveOptions::default();
         for threads in [1usize, 2] {
-            let opts = SolveOptions::default().with_threads(threads);
-            match conjugate_gradient(&a, &b, &opts) {
+            let team = Team::new(threads);
+            match conjugate_gradient_on(&team, &a, &b, &opts) {
                 Err(SolverError::NonFinite { iteration: 0, residual }) => {
                     assert!(residual.is_nan(), "threads={threads}");
                 }
                 other => panic!("expected NonFinite at iteration 0, got {other:?}"),
             }
-            match bicgstab(&a, &b, &opts) {
+            match bicgstab_on(&team, &a, &b, &opts) {
                 Err(SolverError::NonFinite { iteration: 0, .. }) => {}
                 other => panic!("expected NonFinite at iteration 0, got {other:?}"),
             }
@@ -738,8 +1003,8 @@ mod tests {
     }
 
     /// The headline guarantee: solutions, iteration counts and residual
-    /// histories are bitwise identical for threads ∈ {1, 2, 4}, both through
-    /// the transparent entry points and on a shared team.
+    /// histories on a shared team of 1, 2 or 4 threads are bitwise identical
+    /// to the serial conveniences'.
     #[test]
     fn solves_are_bitwise_reproducible_across_thread_counts() {
         let n = 5000; // above SERIAL_CUTOFF so the team paths really fork
@@ -774,12 +1039,224 @@ mod tests {
             for (x, y) in bi_ref.solution.iter().zip(&bi.solution) {
                 assert_eq!(x.to_bits(), y.to_bits(), "bicgstab solution threads={threads}");
             }
+        }
+    }
 
-            // The transparent entry points route through the same kernels.
-            let via_options = bicgstab(&a, &b, &opts.with_threads(threads)).unwrap();
-            assert_eq!(via_options.iterations, bi_ref.iterations);
-            for (x, y) in bi_ref.solution.iter().zip(&via_options.solution) {
-                assert_eq!(x.to_bits(), y.to_bits(), "options.threads={threads}");
+    /// A solve result flattened to exactly comparable parts (floats as bits,
+    /// so NaN residuals compare too): `Ok` → solution, history, iterations;
+    /// `Err` → the error's fields.
+    fn result_bits(result: &Result<SolveOutcome, SolverError>) -> (String, Vec<u64>, usize) {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        match result {
+            Ok(out) => {
+                let mut all = bits(&out.solution);
+                all.extend(bits(&out.residual_history));
+                (format!("ok, history of {}", out.residual_history.len()), all, out.iterations)
+            }
+            Err(SolverError::NotConverged { final_residual }) => {
+                ("not converged".into(), bits(&[*final_residual]), 0)
+            }
+            Err(SolverError::Breakdown { kind, iteration, residual }) => {
+                (format!("{kind:?}"), bits(&[*residual]), *iteration)
+            }
+            Err(SolverError::NonFinite { iteration, residual }) => {
+                ("non-finite".into(), bits(&[*residual]), *iteration)
+            }
+            Err(SolverError::DimensionMismatch) => ("dimension mismatch".into(), vec![], 0),
+        }
+    }
+
+    fn breakdown_kind(
+        result: &Result<SolveOutcome, SolverError>,
+    ) -> Option<(BreakdownKind, usize)> {
+        match result {
+            Err(SolverError::Breakdown { kind, iteration, .. }) => Some((*kind, *iteration)),
+            _ => None,
+        }
+    }
+
+    type Outcomes = [Result<SolveOutcome, SolverError>; 3];
+
+    /// One row of the BiCGSTAB contract table: a system, three right-hand
+    /// sides, and a check that the row really exercises what its name says.
+    struct Case {
+        name: &'static str,
+        matrix: CsrMatrix,
+        b: [Vec<f64>; 3],
+        options: SolveOptions,
+        exercises: fn(&Outcomes) -> bool,
+    }
+
+    /// The BiCGSTAB contract, one table: for every way a column can end —
+    /// and threads ∈ {1, 2, 3} — column `c` of the three-wide solve, the
+    /// one-wide solve of column `c` and the plain-loop oracle agree on
+    /// solution, iteration count, full residual history and error, to the bit.
+    #[test]
+    fn bicgstab_columns_match_single_solves_and_the_oracle_bitwise() {
+        let rough = |n: usize| -> [Vec<f64>; 3] {
+            [
+                rhs(n),
+                (0..n).map(|i| (i as f64 * 0.37).sin() * 2.0).collect(),
+                (0..n).map(|i| ((i * 13 + 1) % 17) as f64 / 1.7 - 4.0).collect(),
+            ]
+        };
+        let unit = |n: usize, i: usize| -> Vec<f64> {
+            let mut e = vec![0.0; n];
+            e[i] = 1.0;
+            e
+        };
+        let dense = |rows: &[&[f64]]| {
+            CsrMatrix::from_dense(&rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>())
+        };
+        let all_ok = |o: &Outcomes| o.iter().all(Result::is_ok);
+        let defaults = SolveOptions::default();
+        // `convection(n)` with node 0 cut off from the rest: e₀ is then an
+        // eigenvector of A·D⁻¹, so its solve ends in the first half step.
+        let decoupled = {
+            let conv = convection(40);
+            let mut rows: Vec<Vec<f64>> =
+                (0..40).map(|i| (0..40).map(|j| conv.get(i, j)).collect()).collect();
+            rows[0][1] = 0.0;
+            rows[1][0] = 0.0;
+            CsrMatrix::from_dense(&rows)
+        };
+        let with_column = |mut b: [Vec<f64>; 3], c: usize, column: Vec<f64>| {
+            b[c] = column;
+            b
+        };
+        let mut poisoned = rhs(300);
+        poisoned[17] = f64::NAN;
+
+        let cases = [
+            Case {
+                name: "converges (rows above SERIAL_CUTOFF, teams really fork)",
+                matrix: convection(3000),
+                b: rough(3000),
+                options: SolveOptions { tolerance: 1e-9, ..defaults },
+                exercises: all_ok,
+            },
+            Case {
+                name: "staggered convergence",
+                matrix: convection(400),
+                b: with_column(rough(400), 1, unit(400, 200)),
+                options: defaults,
+                exercises: |o| {
+                    let iters: Vec<usize> =
+                        o.iter().map(|r| r.as_ref().unwrap().iterations).collect();
+                    iters.iter().any(|&i| i != iters[0])
+                },
+            },
+            Case {
+                name: "half-step convergence of one column",
+                matrix: decoupled,
+                b: with_column(rough(40), 1, unit(40, 0)),
+                options: defaults,
+                exercises: |o| {
+                    let early = o[1].as_ref().unwrap();
+                    // One iteration, closed by the half step: `s` vanished
+                    // exactly, which the full step's `r` cannot.
+                    early.iterations == 1
+                        && early.residual_history == [1.0, 0.0]
+                        && o[0].as_ref().unwrap().iterations > 1
+                        && o[2].as_ref().unwrap().iterations > 1
+                },
+            },
+            Case {
+                name: "zero RHS column",
+                matrix: convection(50),
+                b: [vec![1.0; 50], vec![0.0; 50], vec![1.0; 50]],
+                options: defaults,
+                exercises: |o| {
+                    let zero = o[1].as_ref().unwrap();
+                    zero.iterations == 0
+                        && zero.final_residual() == 0.0
+                        && zero.solution == vec![0.0; 50]
+                        && o[0].as_ref().unwrap().final_residual() < 1e-9
+                },
+            },
+            Case {
+                name: "NaN RHS column",
+                matrix: convection(300),
+                b: with_column(rough(300), 0, poisoned),
+                options: defaults,
+                exercises: |o| {
+                    matches!(o[0], Err(SolverError::NonFinite { iteration: 0, .. }))
+                        && o[1].is_ok()
+                        && o[2].is_ok()
+                },
+            },
+            Case {
+                // Row 0 has no off-diagonal entry, so with b = e₀ the first
+                // iteration leaves r[0] = 0 exactly and ρ = (r₀, r) vanishes.
+                name: "RhoVanished",
+                matrix: dense(&[&[2.0, 0.0, 0.0], &[1.0, 3.0, 1.0], &[1.0, -1.0, 2.0]]),
+                b: [unit(3, 0), vec![1.0, 2.0, 3.0], vec![-1.0, 0.5, 2.0]],
+                options: defaults,
+                exercises: |o| breakdown_kind(&o[0]) == Some((BreakdownKind::RhoVanished, 1)),
+            },
+            Case {
+                // A rotation: (r₀, A·r₀) = 0 for every r₀.
+                name: "ShadowDegenerate",
+                matrix: dense(&[&[0.0, 1.0], &[-1.0, 0.0]]),
+                b: [unit(2, 0), vec![1.0, 1.0], vec![0.0, -2.0]],
+                options: defaults,
+                exercises: |o| {
+                    o.iter()
+                        .all(|r| breakdown_kind(r) == Some((BreakdownKind::ShadowDegenerate, 0)))
+                },
+            },
+            Case {
+                // Singular: s = (0, -1) is in the null space, so t = A·ŝ = 0.
+                name: "StagnantStabilizer",
+                matrix: dense(&[&[1.0, 0.0], &[1.0, 0.0]]),
+                b: [unit(2, 0), vec![2.0, 0.0], vec![1.0, 1.0]],
+                options: defaults,
+                exercises: |o| {
+                    breakdown_kind(&o[0]) == Some((BreakdownKind::StagnantStabilizer, 0))
+                },
+            },
+            Case {
+                // t ⟂ s at the first iteration, so ω = 0 with r = s ≠ 0.
+                name: "OmegaVanished",
+                matrix: dense(&[&[1.0, 1.0], &[1.0, 0.0]]),
+                b: [unit(2, 0), vec![1.0, 2.0], vec![3.0, -1.0]],
+                options: defaults,
+                exercises: |o| breakdown_kind(&o[0]) == Some((BreakdownKind::OmegaVanished, 0)),
+            },
+            Case {
+                name: "iteration limit",
+                matrix: convection(200),
+                b: rough(200),
+                options: SolveOptions { max_iterations: 2, tolerance: 1e-14, ..defaults },
+                exercises: |o| o.iter().all(|r| matches!(r, Err(SolverError::NotConverged { .. }))),
+            },
+            Case {
+                name: "dimension mismatch",
+                matrix: convection(5),
+                b: rough(4),
+                options: defaults,
+                exercises: |o| o.iter().all(|r| r == &Err(SolverError::DimensionMismatch)),
+            },
+        ];
+
+        for case in &cases {
+            let Case { name, matrix, b, options, exercises } = case;
+            let expect: Outcomes =
+                std::array::from_fn(|c| oracle::bicgstab(matrix, &b[c], options));
+            assert!(
+                exercises(&expect),
+                "{name}: the row does not exercise its subject: {expect:?}"
+            );
+            let b3 = MultiVector::from_columns([&b[0], &b[1], &b[2]]);
+            for threads in [1usize, 2, 3] {
+                let team = Team::new(threads);
+                let wide = bicgstab3_on(&team, matrix, &b3, options);
+                for c in 0..3 {
+                    let what = format!("{name}, threads={threads}, column {c}");
+                    let single = bicgstab_on(&team, matrix, &b[c], options);
+                    assert_eq!(result_bits(&single), result_bits(&expect[c]), "{what}: W = 1");
+                    assert_eq!(result_bits(&wide[c]), result_bits(&expect[c]), "{what}: W = 3");
+                }
             }
         }
     }

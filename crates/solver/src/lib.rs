@@ -12,12 +12,13 @@
 //! * [`csr`] — a compressed-sparse-row matrix built from the mesh node graph,
 //!   with scatter-add assembly (the destination of phase 8), SpMV, and
 //!   Dirichlet row/column elimination;
-//! * [`krylov`] — Jacobi-preconditioned Conjugate Gradient and BiCGSTAB with
-//!   convergence tracking, serial or on a shared worker pool with bitwise
+//! * [`krylov`] — the two Krylov recurrences, each written once: CG over
+//!   any operator and preconditioner, BiCGSTAB over a const column width
+//!   (one column, or the three momentum components in one loop with one
+//!   matrix traversal per product, each column bitwise identical to its
+//!   single-RHS solve); serial or on a shared worker pool with bitwise
 //!   identical results for every thread count;
-//! * [`multivector`] / [`batched`] — the three-RHS SoA vector and the fused
-//!   momentum solvers: one matrix traversal per Krylov iteration serves all
-//!   three components, each bitwise identical to its single-RHS solve;
+//! * [`multivector`] — the three-RHS SoA vector of the momentum solve;
 //! * [`operator`] — the [`LinearOperator`] abstraction the Krylov loops
 //!   consume: anything that can apply `y = A·x` over a row range and expose
 //!   its diagonal (assembled CSR and matrix-free operators alike);
@@ -30,13 +31,13 @@
 //!   [`mg_preconditioned_cg`] solver it preconditions, bitwise reproducible
 //!   at every thread count;
 //! * [`parallel`] — the deterministic parallel kernels behind them:
-//!   row-partitioned SpMV and fixed-block BLAS-1 on an [`lv_runtime::Team`];
+//!   row-partitioned SpMV and fixed-block BLAS-1 on an [`lv_runtime::Team`],
+//!   one column-generic body per kernel;
 //! * [`dense`] — a tiny dense solver used for cross-checking the sparse path
 //!   in tests.
 
 #![warn(missing_docs)]
 
-pub mod batched;
 pub mod csr;
 pub mod dense;
 pub mod dia;
@@ -46,15 +47,12 @@ pub mod multivector;
 pub mod operator;
 pub mod parallel;
 
-pub use batched::{
-    bicgstab3, bicgstab3_on, conjugate_gradient3, conjugate_gradient3_on, BatchedOutcome,
-};
 pub use csr::{CsrMatrix, ProfileStats};
 pub use dense::DenseMatrix;
 pub use dia::DiaMatrix;
 pub use krylov::{
-    bicgstab, bicgstab_on, conjugate_gradient, conjugate_gradient_on, conjugate_gradient_operator,
-    conjugate_gradient_operator_on, BreakdownKind, SolveOptions, SolveOutcome, SolverError,
+    bicgstab, bicgstab3_on, bicgstab_on, conjugate_gradient, conjugate_gradient_on, BreakdownKind,
+    SolveOptions, SolveOutcome, SolverError,
 };
 pub use multigrid::{
     galerkin_coarse, mg_preconditioned_cg, mg_preconditioned_cg_on, GeometricMultigrid,

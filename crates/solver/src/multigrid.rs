@@ -541,21 +541,15 @@ impl Preconditioner for GeometricMultigrid {
 }
 
 /// Multigrid-preconditioned Conjugate Gradient against any fine-grid
-/// operator backend.  Spawns a transient worker team when
-/// `options.threads > 1`; the `jacobi_preconditioner` flag is ignored (the
-/// V-cycle *is* the preconditioner).
+/// operator backend, on the calling thread; the `jacobi_preconditioner` flag
+/// is ignored (the V-cycle *is* the preconditioner).
 pub fn mg_preconditioned_cg(
     operator: &dyn LinearOperator,
     multigrid: &mut GeometricMultigrid,
     b: &[f64],
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
-    if options.threads > 1 {
-        let team = Team::new(options.threads);
-        conjugate_gradient_with(operator, b, options, &mut VectorOps::on_team(&team), multigrid)
-    } else {
-        conjugate_gradient_with(operator, b, options, &mut VectorOps::serial(), multigrid)
-    }
+    conjugate_gradient_with(operator, b, options, &mut VectorOps::serial(), multigrid)
 }
 
 /// [`mg_preconditioned_cg`] on a caller-provided worker team (the pooled

@@ -5,14 +5,14 @@
 //! by one streams the CSR values and column indices three times; a
 //! multi-vector solve streams the matrix **once** per Krylov iteration
 //! ([`crate::csr::CsrMatrix::spmm3`]) and pays one fork/join per fused
-//! BLAS-1 operation instead of three ([`crate::parallel::VectorOps`]'s
-//! 3-wide kernels).
+//! BLAS-1 operation instead of three (the column-generic kernels of
+//! [`crate::parallel::VectorOps`] at width 3).
 //!
 //! The layout is structure-of-arrays — component `c` is the contiguous slice
 //! `data[c*n .. (c+1)*n]` — so every per-component kernel sees exactly the
-//! same unit-stride stream it would see in a single-RHS solve.  That is what
-//! makes the batched solvers ([`crate::batched`]) *bitwise identical* per
-//! component to the sequential solves.
+//! same unit-stride stream it would see in a single-RHS solve.  It is the
+//! right-hand-side type of [`crate::krylov::bicgstab3_on`], whose columns are
+//! *bitwise identical* to the single-RHS solves.
 
 use serde::{Deserialize, Serialize};
 

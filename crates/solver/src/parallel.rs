@@ -26,7 +26,8 @@
 use crate::csr::CsrMatrix;
 use crate::multivector::MultiVector;
 use crate::operator::LinearOperator;
-use lv_runtime::{blocked_reduce, blocked_reduce3, partition, SharedSliceMut, Team, Trace};
+use lv_runtime::{blocked_reduce, partition, SharedSliceMut, Team, Trace};
+use std::ops::Range;
 
 /// Element-wise operations on vectors shorter than this stay on the calling
 /// thread even when a team is available: below it, the fork/join hand-shake
@@ -51,6 +52,14 @@ pub fn first_non_finite(values: &[f64]) -> Option<usize> {
 /// Holds the reduction scratch so per-iteration dot products do not
 /// allocate.  Construct one per solve ([`VectorOps::serial`] or
 /// [`VectorOps::on_team`]) and pass it to the Krylov drivers.
+///
+/// The `*_cols` kernels are the one body of each operation, generic over
+/// the column width `W`: per active column they evaluate one expression per
+/// entry, `active` masks columns that have converged (skipped, not dropped,
+/// so a frozen column stays bit for bit at its converged value), and one
+/// call pays one fork/join for all `W` columns.  The scalar names are their
+/// one-column forwards, so a column of a wide call and a scalar call on that
+/// column are the same instructions on the same data.
 #[derive(Debug)]
 pub struct VectorOps<'t> {
     team: Option<&'t Team>,
@@ -91,10 +100,16 @@ impl<'t> VectorOps<'t> {
         self.trace
     }
 
-    /// Runs `f` once per non-empty partition range of `0..n` — across the
-    /// team when it pays, on the caller otherwise.
+    /// Runs `f` once per non-empty static-partition range of `0..n` — across
+    /// the team when `n` clears [`SERIAL_CUTOFF`], on the caller otherwise.
+    ///
+    /// This is the scheduling primitive behind every kernel in this type,
+    /// exposed so rectangular operators (the multigrid grid transfers) can
+    /// inherit the same partitioning — and therefore the same determinism
+    /// contract — as the square kernels.  `f` must write only state it owns
+    /// for its range; ranges are disjoint.
     #[inline]
-    fn for_ranges(&self, n: usize, f: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
+    pub fn partitioned_rows(&self, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
         match self.team {
             Some(team) if n >= SERIAL_CUTOFF => {
                 let threads = team.num_threads();
@@ -109,17 +124,71 @@ impl<'t> VectorOps<'t> {
         }
     }
 
-    /// Runs `f` once per non-empty static-partition range of `0..n` — across
-    /// the team when `n` clears [`SERIAL_CUTOFF`], on the caller otherwise.
+    /// The one place this file hands out mutable output: runs `f` once per
+    /// partition range of `0..n` with that range of each of the `W` output
+    /// columns.
     ///
-    /// This is the scheduling primitive behind every kernel in this type,
-    /// exposed so rectangular operators (the multigrid grid transfers) can
-    /// inherit the same partitioning — and therefore the same determinism
-    /// contract — as the square kernels.  `f` must write only state it owns
-    /// for its range; ranges are disjoint.
-    #[inline]
-    pub fn partitioned_rows(&self, n: usize, f: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
-        self.for_ranges(n, f);
+    /// # Panics
+    /// Panics if an output column is not `n` long.
+    fn for_column_ranges<const W: usize>(
+        &self,
+        n: usize,
+        out: [&mut [f64]; W],
+        f: impl Fn(Range<usize>, [&mut [f64]; W]) + Sync,
+    ) {
+        for column in &out {
+            assert_eq!(column.len(), n, "output column length");
+        }
+        let shared = out.map(SharedSliceMut::new);
+        #[cfg(debug_assertions)]
+        let handed_out = std::sync::Mutex::new(Vec::new());
+        self.partitioned_rows(n, &|range| {
+            #[cfg(debug_assertions)]
+            handed_out.lock().expect("a rank panicked").push(range.clone());
+            // SAFETY: every column is `n` long (asserted above) and the
+            // ranges of one dispatch are disjoint sub-ranges of `0..n` (the
+            // static partition; checked below in debug builds), so each rank
+            // holds the only reference to its rows of every column while the
+            // caller's exclusive borrow of the columns is parked in `shared`.
+            let columns = std::array::from_fn(|c| unsafe { shared[c].range_mut(range.clone()) });
+            f(range, columns);
+        });
+        #[cfg(debug_assertions)]
+        {
+            let mut ranges = handed_out.into_inner().expect("a rank panicked");
+            ranges.sort_by_key(|r| r.start);
+            let end = ranges.iter().fold(0, |end, r| {
+                assert_eq!(r.start, end, "partition ranges must abut: {ranges:?}");
+                r.end
+            });
+            assert_eq!(end, n, "partition ranges must tile 0..{n}: {ranges:?}");
+        }
+    }
+
+    /// The element-wise kernel driver: `update(c, range, out)` rewrites
+    /// `out` — rows `range` of output column `c` — for every active column
+    /// and every partition range.
+    ///
+    /// # Panics
+    /// Panics if the `inputs` and `out` columns are not all equally long.
+    fn for_active_columns<const W: usize>(
+        &self,
+        inputs: &[[&[f64]; W]],
+        out: [&mut [f64]; W],
+        active: [bool; W],
+        update: impl Fn(usize, Range<usize>, &mut [f64]) + Sync,
+    ) {
+        let n = out.first().map_or(0, |column| column.len());
+        for column in inputs.iter().flatten() {
+            assert_eq!(column.len(), n, "input column length");
+        }
+        self.for_column_ranges(n, out, |range, columns| {
+            for (c, column) in columns.into_iter().enumerate() {
+                if active[c] {
+                    update(c, range.clone(), column);
+                }
+            }
+        });
     }
 
     /// `y = A·x` for any [`LinearOperator`] backend, row-partitioned across
@@ -128,14 +197,8 @@ impl<'t> VectorOps<'t> {
     /// # Panics
     /// Panics if the vector lengths do not match the operator dimension.
     pub fn apply(&mut self, operator: &dyn LinearOperator, x: &[f64], y: &mut [f64]) {
-        let n = operator.dim();
-        assert_eq!(x.len(), n);
-        assert_eq!(y.len(), n);
-        let out = SharedSliceMut::new(y);
-        self.for_ranges(n, &|rows| {
-            // SAFETY: partition ranges are disjoint, so each rank owns its
-            // output rows exclusively.
-            let slice = unsafe { out.range_mut(rows.clone()) };
+        assert_eq!(x.len(), operator.dim());
+        self.for_column_ranges(operator.dim(), [y], |rows, [slice]| {
             operator.apply_range(x, rows, slice);
         });
     }
@@ -148,125 +211,41 @@ impl<'t> VectorOps<'t> {
         self.apply(matrix, x, y);
     }
 
-    /// Blocked dot product `aᵀb` (deterministic for every thread count).
-    pub fn dot(&mut self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len());
-        // Same cutoff as the element-wise ops: below it the fork/join costs
-        // more than the reduction.  The serial path runs the identical
-        // blocked order, so the value does not depend on the choice.
-        let team = if a.len() >= SERIAL_CUTOFF { self.team } else { None };
-        blocked_reduce(team, a.len(), &mut self.scratch, |r| {
-            a[r.clone()].iter().zip(&b[r]).map(|(x, y)| x * y).sum()
-        })
-    }
-
-    /// Blocked Euclidean norm ‖a‖.
-    pub fn norm(&mut self, a: &[f64]) -> f64 {
-        self.dot(a, a).sqrt()
-    }
-
-    /// `y[i] += alpha * x[i]`.
-    pub fn axpy(&mut self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), y.len());
-        let out = SharedSliceMut::new(y);
-        self.for_ranges(x.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let ys = unsafe { out.range_mut(range.clone()) };
-            for (yi, xi) in ys.iter_mut().zip(&x[range]) {
-                *yi += alpha * xi;
+    /// `y_c = A·x_c` for the active columns.  Three columns take the fused
+    /// traversal ([`CsrMatrix::spmm3_range`]: values and column indices are
+    /// streamed once for all three, also under a partial mask); any other
+    /// width is one [`CsrMatrix::spmv_range`] per active column.  Either way
+    /// each row of each column accumulates in column order, so a column's
+    /// product does not depend on the width it was computed at.
+    ///
+    /// # Panics
+    /// Panics if a column length does not match the matrix dimension.
+    pub(crate) fn spmm_cols<const W: usize>(
+        &mut self,
+        matrix: &CsrMatrix,
+        x: [&[f64]; W],
+        y: [&mut [f64]; W],
+        active: [bool; W],
+    ) {
+        self.for_column_ranges(matrix.dim(), y, |rows, mut ys| {
+            match (&x[..], &mut ys[..], &active[..]) {
+                (&[x0, x1, x2], [y0, y1, y2], &[a0, a1, a2]) => {
+                    matrix.spmm3_range([x0, x1, x2], rows, [y0, y1, y2], [a0, a1, a2]);
+                }
+                _ => {
+                    for c in (0..W).filter(|&c| active[c]) {
+                        matrix.spmv_range(x[c], rows.clone(), ys[c]);
+                    }
+                }
             }
         });
     }
 
-    /// `x[i] += alpha * p[i] + omega * s[i]` — the fused BiCGSTAB solution
-    /// update, kept as one expression so the parallel path reproduces the
-    /// serial rounding exactly.
-    pub fn axpy2(&mut self, alpha: f64, p: &[f64], omega: f64, s: &[f64], x: &mut [f64]) {
-        assert_eq!(p.len(), x.len());
-        assert_eq!(s.len(), x.len());
-        let out = SharedSliceMut::new(x);
-        self.for_ranges(p.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let xs = unsafe { out.range_mut(range.clone()) };
-            for ((xi, pi), si) in xs.iter_mut().zip(&p[range.clone()]).zip(&s[range]) {
-                *xi += alpha * pi + omega * si;
-            }
-        });
-    }
-
-    /// `out[i] = a[i] * b[i]` — the Jacobi preconditioner application.
-    pub fn hadamard(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), out.len());
-        let shared = SharedSliceMut::new(out);
-        self.for_ranges(a.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let os = unsafe { shared.range_mut(range.clone()) };
-            for ((oi, ai), bi) in os.iter_mut().zip(&a[range.clone()]).zip(&b[range]) {
-                *oi = ai * bi;
-            }
-        });
-    }
-
-    /// `p[i] = z[i] + beta * p[i]` — the CG direction update.
-    pub fn xpby(&mut self, z: &[f64], beta: f64, p: &mut [f64]) {
-        assert_eq!(z.len(), p.len());
-        let out = SharedSliceMut::new(p);
-        self.for_ranges(z.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let ps = unsafe { out.range_mut(range.clone()) };
-            for (pi, zi) in ps.iter_mut().zip(&z[range]) {
-                *pi = zi + beta * *pi;
-            }
-        });
-    }
-
-    /// `out[i] = a[i] - c * b[i]` — residual-style updates
-    /// (`s = r - alpha*v`, `r = s - omega*t`).
-    pub fn scaled_diff(&mut self, a: &[f64], c: f64, b: &[f64], out: &mut [f64]) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), out.len());
-        let shared = SharedSliceMut::new(out);
-        self.for_ranges(a.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let os = unsafe { shared.range_mut(range.clone()) };
-            for ((oi, ai), bi) in os.iter_mut().zip(&a[range.clone()]).zip(&b[range]) {
-                *oi = ai - c * bi;
-            }
-        });
-    }
-
-    /// `p[i] = r[i] + beta * (p[i] - omega * v[i])` — the BiCGSTAB direction
-    /// update, fused to match the serial expression bit for bit.
-    pub fn direction_update(&mut self, r: &[f64], beta: f64, omega: f64, v: &[f64], p: &mut [f64]) {
-        assert_eq!(r.len(), p.len());
-        assert_eq!(v.len(), p.len());
-        let out = SharedSliceMut::new(p);
-        self.for_ranges(r.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let ps = unsafe { out.range_mut(range.clone()) };
-            for ((pi, ri), vi) in ps.iter_mut().zip(&r[range.clone()]).zip(&v[range]) {
-                *pi = ri + beta * (*pi - omega * vi);
-            }
-        });
-    }
-
-    // --------------------------------------------------------------------
-    // The 3-wide (multi-RHS) kernels.  Every one of them performs, per
-    // active component, the exact floating-point operation sequence of its
-    // single-vector sibling above — the fusion only amortizes the matrix
-    // traversal (spmm3) and the fork/join dispatch (one per operation
-    // instead of one per component), never the arithmetic.  `active` masks
-    // converged components: they are skipped, not dropped, so a frozen
-    // component's iterate stays bit-for-bit at its converged value.
-    // --------------------------------------------------------------------
-
-    /// `Y = A·X` for the three components, one matrix traversal — also with
-    /// a partial mask: [`CsrMatrix::spmm3_range`] skips the stores (and `x`
-    /// gathers) of inactive components but still streams values/col_idx
-    /// exactly once, so freezing an early-converged component never costs
-    /// the fused-traversal win.  Per active component the accumulation is
-    /// bitwise identical to [`spmv`](Self::spmv).
+    /// `Y = A·X` for the three components of a [`MultiVector`] in one matrix
+    /// traversal, also with a partial mask: [`CsrMatrix::spmm3_range`] skips
+    /// the stores (and `x` gathers) of inactive components but still streams
+    /// values/col_idx exactly once.  Per active component the accumulation
+    /// is bitwise identical to [`spmv`](Self::spmv).
     pub fn spmm3(
         &mut self,
         matrix: &CsrMatrix,
@@ -274,227 +253,165 @@ impl<'t> VectorOps<'t> {
         y: &mut MultiVector,
         active: [bool; 3],
     ) {
-        let n = matrix.dim();
-        assert_eq!(x.len(), n);
-        assert_eq!(y.len(), n);
-        let xs = x.components();
-        let ys = y.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|rows| {
-            // SAFETY: partition ranges are disjoint, so each rank owns its
-            // output rows of all three components exclusively.
-            let [y0, y1, y2] = [
-                unsafe { ys[0].range_mut(rows.clone()) },
-                unsafe { ys[1].range_mut(rows.clone()) },
-                unsafe { ys[2].range_mut(rows.clone()) },
-            ];
-            matrix.spmm3_range(xs, rows.clone(), [y0, y1, y2], active);
-        });
+        self.spmm_cols(matrix, x.components(), y.components_mut(), active);
     }
 
-    /// Component-wise dot products `aᵀ_c b_c` in one fused blocked
-    /// reduction: each active component's value is bitwise identical to
-    /// [`dot`](Self::dot) of that component (inactive slots return 0).
-    pub fn dot3(&mut self, a: &MultiVector, b: &MultiVector, active: [bool; 3]) -> [f64; 3] {
-        let n = a.len();
-        assert_eq!(b.len(), n);
-        let xs = a.components();
-        let ys = b.components();
+    /// Blocked dot products `a_cᵀ b_c` of the active columns in one fused
+    /// reduction (deterministic for every thread count and every width;
+    /// inactive slots return 0).
+    pub(crate) fn dot_cols<const W: usize>(
+        &mut self,
+        a: [&[f64]; W],
+        b: [&[f64]; W],
+        active: [bool; W],
+    ) -> [f64; W] {
+        let n = a.first().map_or(0, |column| column.len());
+        for c in 0..W {
+            assert_eq!(a[c].len(), n);
+            assert_eq!(b[c].len(), n);
+        }
+        // Same cutoff as the element-wise ops: below it the fork/join costs
+        // more than the reduction.  The serial path runs the identical
+        // blocked order, so the value does not depend on the choice.
         let team = if n >= SERIAL_CUTOFF { self.team } else { None };
-        blocked_reduce3(team, n, &mut self.scratch, |r| {
-            let mut out = [0.0f64; 3];
-            for c in 0..3 {
-                if active[c] {
-                    out[c] =
-                        xs[c][r.clone()].iter().zip(&ys[c][r.clone()]).map(|(x, y)| x * y).sum();
-                }
+        blocked_reduce(team, n, &mut self.scratch, |r| {
+            let mut sums = [0.0f64; W];
+            for c in (0..W).filter(|&c| active[c]) {
+                sums[c] = a[c][r.clone()].iter().zip(&b[c][r.clone()]).map(|(x, y)| x * y).sum();
             }
-            out
+            sums
         })
     }
 
-    /// Component-wise Euclidean norms ‖a_c‖ (0 for inactive components).
-    pub fn norm3(&mut self, a: &MultiVector, active: [bool; 3]) -> [f64; 3] {
-        let d = self.dot3(a, a, active);
-        [d[0].sqrt(), d[1].sqrt(), d[2].sqrt()]
+    /// Blocked Euclidean norms ‖a_c‖ of the active columns (0 for inactive
+    /// ones).
+    pub(crate) fn norm_cols<const W: usize>(
+        &mut self,
+        a: [&[f64]; W],
+        active: [bool; W],
+    ) -> [f64; W] {
+        self.dot_cols(a, a, active).map(f64::sqrt)
     }
 
-    /// `y_c[i] += alpha_c * x_c[i]` for the active components.
-    pub fn axpy3(
+    /// Blocked dot product `aᵀb`.
+    pub fn dot(&mut self, a: &[f64], b: &[f64]) -> f64 {
+        self.dot_cols([a], [b], [true])[0]
+    }
+
+    /// Blocked Euclidean norm ‖a‖.
+    pub fn norm(&mut self, a: &[f64]) -> f64 {
+        self.norm_cols([a], [true])[0]
+    }
+
+    /// `y_c[i] += alpha_c * x_c[i]`.
+    pub(crate) fn axpy_cols<const W: usize>(
         &mut self,
-        alpha: [f64; 3],
-        x: &MultiVector,
-        y: &mut MultiVector,
-        active: [bool; 3],
+        alpha: [f64; W],
+        x: [&[f64]; W],
+        y: [&mut [f64]; W],
+        active: [bool; W],
     ) {
-        let n = x.len();
-        assert_eq!(y.len(), n);
-        let xs = x.components();
-        let ys = y.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let out = unsafe { ys[c].range_mut(range.clone()) };
-                for (yi, xi) in out.iter_mut().zip(&xs[c][range.clone()]) {
-                    *yi += alpha[c] * xi;
-                }
+        self.for_active_columns(&[x], y, active, |c, range, ys| {
+            for (yi, xi) in ys.iter_mut().zip(&x[c][range]) {
+                *yi += alpha[c] * xi;
             }
         });
+    }
+
+    /// `y[i] += alpha * x[i]`.
+    pub fn axpy(&mut self, alpha: f64, x: &[f64], y: &mut [f64]) {
+        self.axpy_cols([alpha], [x], [y], [true]);
     }
 
     /// `x_c[i] += alpha_c * p_c[i] + omega_c * s_c[i]` — the fused BiCGSTAB
-    /// solution update, three components wide.
-    pub fn axpy2_3(
+    /// solution update, kept as one expression so every schedule reproduces
+    /// the same rounding.
+    pub(crate) fn axpy2_cols<const W: usize>(
         &mut self,
-        alpha: [f64; 3],
-        p: &MultiVector,
-        omega: [f64; 3],
-        s: &MultiVector,
-        x: &mut MultiVector,
-        active: [bool; 3],
+        alpha: [f64; W],
+        p: [&[f64]; W],
+        omega: [f64; W],
+        s: [&[f64]; W],
+        x: [&mut [f64]; W],
+        active: [bool; W],
     ) {
-        let n = p.len();
-        assert_eq!(s.len(), n);
-        assert_eq!(x.len(), n);
-        let ps = p.components();
-        let ss = s.components();
-        let xs = x.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let out = unsafe { xs[c].range_mut(range.clone()) };
-                for ((xi, pi), si) in
-                    out.iter_mut().zip(&ps[c][range.clone()]).zip(&ss[c][range.clone()])
-                {
-                    *xi += alpha[c] * pi + omega[c] * si;
-                }
+        self.for_active_columns(&[p, s], x, active, |c, range, xs| {
+            for ((xi, pi), si) in xs.iter_mut().zip(&p[c][range.clone()]).zip(&s[c][range]) {
+                *xi += alpha[c] * pi + omega[c] * si;
             }
         });
     }
 
-    /// `out_c[i] = a_c[i] * d[i]` — the Jacobi preconditioner applied to the
-    /// three components (`d` is shared: it depends only on the matrix).
-    pub fn hadamard3(
+    /// `out_c[i] = a_c[i] * d[i]` — the Jacobi preconditioner application
+    /// (`d` is shared by the columns: it depends only on the matrix).
+    pub(crate) fn hadamard_cols<const W: usize>(
         &mut self,
-        a: &MultiVector,
+        a: [&[f64]; W],
         d: &[f64],
-        out: &mut MultiVector,
-        active: [bool; 3],
+        out: [&mut [f64]; W],
+        active: [bool; W],
     ) {
-        let n = a.len();
-        assert_eq!(d.len(), n);
-        assert_eq!(out.len(), n);
-        let xs = a.components();
-        let os = out.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let slot = unsafe { os[c].range_mut(range.clone()) };
-                for ((oi, ai), di) in
-                    slot.iter_mut().zip(&xs[c][range.clone()]).zip(&d[range.clone()])
-                {
-                    *oi = ai * di;
-                }
+        for column in &out {
+            assert_eq!(column.len(), d.len(), "diagonal length");
+        }
+        self.for_active_columns(&[a], out, active, |c, range, os| {
+            for ((oi, ai), di) in os.iter_mut().zip(&a[c][range.clone()]).zip(&d[range]) {
+                *oi = ai * di;
             }
         });
     }
 
-    /// `p_c[i] = z_c[i] + beta_c * p_c[i]` — the CG direction update, three
-    /// components wide.
-    pub fn xpby3(
-        &mut self,
-        z: &MultiVector,
-        beta: [f64; 3],
-        p: &mut MultiVector,
-        active: [bool; 3],
-    ) {
-        let n = z.len();
-        assert_eq!(p.len(), n);
-        let zs = z.components();
-        let ps = p.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let out = unsafe { ps[c].range_mut(range.clone()) };
-                for (pi, zi) in out.iter_mut().zip(&zs[c][range.clone()]) {
-                    *pi = zi + beta[c] * *pi;
-                }
+    /// `out[i] = a[i] * b[i]`.
+    pub fn hadamard(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
+        self.hadamard_cols([a], b, [out], [true]);
+    }
+
+    /// `p[i] = z[i] + beta * p[i]` — the CG direction update.
+    pub fn xpby(&mut self, z: &[f64], beta: f64, p: &mut [f64]) {
+        self.for_active_columns(&[[z]], [p], [true], |_, range, ps| {
+            for (pi, zi) in ps.iter_mut().zip(&z[range]) {
+                *pi = zi + beta * *pi;
             }
         });
     }
 
-    /// `out_c[i] = a_c[i] - k_c * b_c[i]` — the residual-style updates, three
-    /// components wide.
-    pub fn scaled_diff3(
+    /// `out_c[i] = a_c[i] - k_c * b_c[i]` — residual-style updates
+    /// (`s = r - alpha*v`, `r = s - omega*t`).
+    pub(crate) fn scaled_diff_cols<const W: usize>(
         &mut self,
-        a: &MultiVector,
-        k: [f64; 3],
-        b: &MultiVector,
-        out: &mut MultiVector,
-        active: [bool; 3],
+        a: [&[f64]; W],
+        k: [f64; W],
+        b: [&[f64]; W],
+        out: [&mut [f64]; W],
+        active: [bool; W],
     ) {
-        let n = a.len();
-        assert_eq!(b.len(), n);
-        assert_eq!(out.len(), n);
-        let xs = a.components();
-        let ys = b.components();
-        let os = out.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let slot = unsafe { os[c].range_mut(range.clone()) };
-                for ((oi, ai), bi) in
-                    slot.iter_mut().zip(&xs[c][range.clone()]).zip(&ys[c][range.clone()])
-                {
-                    *oi = ai - k[c] * bi;
-                }
+        self.for_active_columns(&[a, b], out, active, |c, range, os| {
+            for ((oi, ai), bi) in os.iter_mut().zip(&a[c][range.clone()]).zip(&b[c][range]) {
+                *oi = ai - k[c] * bi;
             }
         });
+    }
+
+    /// `out[i] = a[i] - c * b[i]`.
+    pub fn scaled_diff(&mut self, a: &[f64], c: f64, b: &[f64], out: &mut [f64]) {
+        self.scaled_diff_cols([a], [c], [b], [out], [true]);
     }
 
     /// `p_c[i] = r_c[i] + beta_c * (p_c[i] - omega_c * v_c[i])` — the
-    /// BiCGSTAB direction update, three components wide.
-    pub fn direction_update3(
+    /// BiCGSTAB direction update, fused so every schedule reproduces the
+    /// same rounding.
+    pub(crate) fn direction_update_cols<const W: usize>(
         &mut self,
-        r: &MultiVector,
-        beta: [f64; 3],
-        omega: [f64; 3],
-        v: &MultiVector,
-        p: &mut MultiVector,
-        active: [bool; 3],
+        r: [&[f64]; W],
+        beta: [f64; W],
+        omega: [f64; W],
+        v: [&[f64]; W],
+        p: [&mut [f64]; W],
+        active: [bool; W],
     ) {
-        let n = r.len();
-        assert_eq!(v.len(), n);
-        assert_eq!(p.len(), n);
-        let rs = r.components();
-        let vs = v.components();
-        let ps = p.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let out = unsafe { ps[c].range_mut(range.clone()) };
-                for ((pi, ri), vi) in
-                    out.iter_mut().zip(&rs[c][range.clone()]).zip(&vs[c][range.clone()])
-                {
-                    *pi = ri + beta[c] * (*pi - omega[c] * vi);
-                }
+        self.for_active_columns(&[r, v], p, active, |c, range, ps| {
+            for ((pi, ri), vi) in ps.iter_mut().zip(&r[c][range.clone()]).zip(&v[c][range]) {
+                *pi = ri + beta[c] * (*pi - omega[c] * vi);
             }
         });
     }
@@ -574,13 +491,13 @@ mod tests {
         let mut p = vec_b(n);
         let expect: Vec<f64> =
             r.iter().zip(&p).zip(&v).map(|((ri, pi), vi)| ri + beta * (pi - omega * vi)).collect();
-        ops.direction_update(&r, beta, omega, &v, &mut p);
+        ops.direction_update_cols([&r], [beta], [omega], [&v], [&mut p], [true]);
         assert_eq!(p, expect);
 
         let mut x = vec_a(n);
         let expect: Vec<f64> =
             x.iter().zip(&r).zip(&v).map(|((xi, pi), si)| xi + (alpha * pi + omega * si)).collect();
-        ops.axpy2(alpha, &r, omega, &v, &mut x);
+        ops.axpy2_cols([alpha], [&r], [omega], [&v], [&mut x], [true]);
         assert_eq!(x, expect);
 
         let mut out = vec![0.0; n];
@@ -648,8 +565,8 @@ mod tests {
         ])
     }
 
-    /// Each 3-wide kernel reproduces its single-vector sibling bit for bit,
-    /// per component, serially and across teams.
+    /// Each kernel at three columns reproduces, per column, its one-column
+    /// call bit for bit, serially and across teams.
     #[test]
     fn three_wide_kernels_match_single_kernels_bitwise() {
         let n = 3 * SERIAL_CUTOFF + 111;
@@ -667,20 +584,19 @@ mod tests {
 
             let mut y3 = MultiVector::zeros(n);
             ops.spmm3(&m, &a, &mut y3, all);
-            let dots = ops.dot3(&a, &b, all);
-            let norms = ops.norm3(&a, all);
+            let (a3, b3) = (a.components(), b.components());
+            let dots = ops.dot_cols(a3, b3, all);
+            let norms = ops.norm_cols(a3, all);
             let mut axpy_m = b.clone();
-            ops.axpy3(alpha, &a, &mut axpy_m, all);
+            ops.axpy_cols(alpha, a3, axpy_m.components_mut(), all);
             let mut had_m = MultiVector::zeros(n);
-            ops.hadamard3(&a, &d, &mut had_m, all);
-            let mut xpby_m = b.clone();
-            ops.xpby3(&a, beta, &mut xpby_m, all);
+            ops.hadamard_cols(a3, &d, had_m.components_mut(), all);
             let mut diff_m = MultiVector::zeros(n);
-            ops.scaled_diff3(&a, omega, &b, &mut diff_m, all);
+            ops.scaled_diff_cols(a3, omega, b3, diff_m.components_mut(), all);
             let mut dir_m = b.clone();
-            ops.direction_update3(&a, beta, omega, &b, &mut dir_m, all);
+            ops.direction_update_cols(a3, beta, omega, b3, dir_m.components_mut(), all);
             let mut axpy2_m = a.clone();
-            ops.axpy2_3(alpha, &a, omega, &b, &mut axpy2_m, all);
+            ops.axpy2_cols(alpha, a3, omega, b3, axpy2_m.components_mut(), all);
 
             for c in 0..3 {
                 let (ac, bc) = (a.component(c), b.component(c));
@@ -690,31 +606,24 @@ mod tests {
                 assert_eq!(
                     single.dot(ac, bc).to_bits(),
                     dots[c].to_bits(),
-                    "dot3 t={threads} c={c}"
+                    "dot t={threads} c={c}"
                 );
-                assert_eq!(
-                    single.norm(ac).to_bits(),
-                    norms[c].to_bits(),
-                    "norm3 t={threads} c={c}"
-                );
+                assert_eq!(single.norm(ac).to_bits(), norms[c].to_bits(), "norm t={threads} c={c}");
                 let mut y = bc.to_vec();
                 single.axpy(alpha[c], ac, &mut y);
-                assert_eq!(y, axpy_m.component(c), "axpy3 t={threads} c={c}");
+                assert_eq!(y, axpy_m.component(c), "axpy t={threads} c={c}");
                 let mut y = vec![0.0; n];
                 single.hadamard(ac, &d, &mut y);
-                assert_eq!(y, had_m.component(c), "hadamard3 t={threads} c={c}");
-                let mut y = bc.to_vec();
-                single.xpby(ac, beta[c], &mut y);
-                assert_eq!(y, xpby_m.component(c), "xpby3 t={threads} c={c}");
+                assert_eq!(y, had_m.component(c), "hadamard t={threads} c={c}");
                 let mut y = vec![0.0; n];
                 single.scaled_diff(ac, omega[c], bc, &mut y);
-                assert_eq!(y, diff_m.component(c), "scaled_diff3 t={threads} c={c}");
+                assert_eq!(y, diff_m.component(c), "scaled_diff t={threads} c={c}");
                 let mut y = bc.to_vec();
-                single.direction_update(ac, beta[c], omega[c], bc, &mut y);
-                assert_eq!(y, dir_m.component(c), "direction_update3 t={threads} c={c}");
+                single.direction_update_cols([ac], [beta[c]], [omega[c]], [bc], [&mut y], [true]);
+                assert_eq!(y, dir_m.component(c), "direction_update t={threads} c={c}");
                 let mut y = ac.to_vec();
-                single.axpy2(alpha[c], ac, omega[c], bc, &mut y);
-                assert_eq!(y, axpy2_m.component(c), "axpy2_3 t={threads} c={c}");
+                single.axpy2_cols([alpha[c]], [ac], [omega[c]], [bc], [&mut y], [true]);
+                assert_eq!(y, axpy2_m.component(c), "axpy2 t={threads} c={c}");
             }
         }
     }
@@ -741,10 +650,10 @@ mod tests {
 
         let mut y = multi(n);
         let frozen = y.component(1).to_vec();
-        ops.axpy3([2.0, 3.0, 4.0], &a, &mut y, mask);
-        assert_eq!(y.component(1), frozen.as_slice(), "axpy3 touched a masked component");
+        ops.axpy_cols([2.0, 3.0, 4.0], a.components(), y.components_mut(), mask);
+        assert_eq!(y.component(1), frozen.as_slice(), "axpy touched a masked component");
 
-        let dots = ops.dot3(&a, &a, mask);
+        let dots = ops.dot_cols(a.components(), a.components(), mask);
         assert_eq!(dots[1], 0.0, "masked dot slot must be zero");
         assert_eq!(dots[0].to_bits(), single.dot(a.component(0), a.component(0)).to_bits());
     }

@@ -82,13 +82,15 @@ pub mod spans {
     /// One (MG-preconditioned or plain) CG iteration: `aux` carries the
     /// relative residual as `f64::to_bits`.
     pub const CG_ITERATION: SpanId = SpanId(7);
-    /// One single-RHS BiCGSTAB iteration (`aux` = relative residual bits).
+    /// One single-RHS BiCGSTAB iteration; `iters` = active columns (1),
+    /// `aux` = their bitmask, like its 3-RHS sibling.
     pub const BICGSTAB_ITERATION: SpanId = SpanId(8);
-    /// One batched (3-RHS) CG iteration; `iters` = active components,
-    /// `aux` = worst active relative residual bits.
+    /// Unused: the batched CG it belonged to is gone.  The slot stays so
+    /// the ids of the spans after it — and every recorded trace — keep
+    /// their meaning.
     pub const CG3_ITERATION: SpanId = SpanId(9);
     /// One batched (3-RHS) BiCGSTAB iteration; `iters` = active components,
-    /// `aux` = worst active relative residual bits.
+    /// `aux` = bitmask of the active components.
     pub const BICGSTAB3_ITERATION: SpanId = SpanId(10);
     /// One multigrid V-cycle application (leader).
     pub const MG_VCYCLE: SpanId = SpanId(11);
@@ -176,7 +178,7 @@ pub mod counters {
     pub const CHECKPOINT_LOADS: usize = 6;
     /// Modeled floating-point operations (per-phase tallies).
     pub const FLOPS: usize = 7;
-    /// Modeled streamed bytes ([`LinearOperator::streamed_bytes`]-based
+    /// Modeled streamed bytes (`LinearOperator::streamed_bytes`-based
     /// traffic models; `LinearOperator` lives in `lv-solver`).
     pub const MODELED_BYTES: usize = 8;
     /// Events dropped because a rank buffer was full (or, on API misuse,

@@ -12,25 +12,17 @@
 //! runs on the renumbered mesh unchanged ([`Stepper::with_mesh`]).
 //!
 //! ```text
-//! cargo run --release --example cavity_flow -- [steps] [threads] [seq|batched] [orig|scrambled|rcm]
+//! cargo run --release --example cavity_flow -- [steps] [threads] [orig|scrambled|rcm]
 //! ```
 
 use alya_longvec::prelude::*;
 use lv_driver::{Scenario, ScenarioKind, Stepper, StepperConfig};
-use lv_kernel::MomentumPath;
 use lv_mesh::renumber::{reverse_cuthill_mckee, LocalityReport, NodePermutation};
 
 fn main() {
     let steps: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(5);
     let threads: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(1).max(1);
-    let path = match std::env::args().nth(3) {
-        None => MomentumPath::Batched,
-        Some(arg) => MomentumPath::from_arg(&arg).unwrap_or_else(|| {
-            eprintln!("unknown momentum path '{arg}' (expected seq|batched), using 'batched'");
-            MomentumPath::Batched
-        }),
-    };
-    let order = match std::env::args().nth(4) {
+    let order = match std::env::args().nth(3) {
         None => "orig".to_string(),
         Some(arg) => match arg.as_str() {
             "orig" | "scrambled" | "rcm" => arg,
@@ -44,7 +36,7 @@ fn main() {
     };
 
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 8);
-    let config = StepperConfig::default().with_momentum_path(path);
+    let config = StepperConfig::default();
     let mut mesh = scenario.build_mesh();
     match order.as_str() {
         "scrambled" | "rcm" => {
@@ -76,13 +68,11 @@ fn main() {
     }
 
     println!(
-        "lid-driven cavity: {} elements, nu = {}, {} steps, {} worker thread(s), \
-         {} momentum solve, {} node order",
+        "lid-driven cavity: {} elements, nu = {}, {} steps, {} worker thread(s), {} node order",
         mesh.num_elements(),
         scenario.viscosity,
         steps,
         threads,
-        path.name(),
         order
     );
     println!(

@@ -5,38 +5,28 @@
 //! followed by the simulated cross-platform view of the mini-app.
 //!
 //! ```text
-//! cargo run --release --example channel_flow -- [n] [steps] [threads] [seq|batched]
+//! cargo run --release --example channel_flow -- [n] [steps] [threads]
 //! ```
 
 use alya_longvec::prelude::*;
 use lv_driver::{Scenario, ScenarioKind, Stepper, StepperConfig};
-use lv_kernel::MomentumPath;
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(6);
     let steps: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(3);
     let threads: usize = std::env::args().nth(3).and_then(|s| s.parse().ok()).unwrap_or(1).max(1);
-    let path = match std::env::args().nth(4) {
-        None => MomentumPath::Batched,
-        Some(arg) => MomentumPath::from_arg(&arg).unwrap_or_else(|| {
-            eprintln!("unknown momentum path '{arg}' (expected seq|batched), using 'batched'");
-            MomentumPath::Batched
-        }),
-    };
 
     let scenario = Scenario::new(ScenarioKind::Channel, n);
-    let config = StepperConfig::default().with_momentum_path(path);
-    let mut stepper = Stepper::new(scenario.clone(), config);
+    let mut stepper = Stepper::new(scenario.clone(), StepperConfig::default());
     println!(
         "channel mesh: {} elements ({}x{}x{} cross-section blocks), {} steps, \
-         {} worker thread(s), {} momentum solve",
+         {} worker thread(s)",
         stepper.mesh().num_elements(),
         4 * n,
         n,
         n,
         steps,
-        threads,
-        path.name()
+        threads
     );
 
     // ------------------------------------------------ fractional-step run

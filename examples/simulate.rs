@@ -27,7 +27,6 @@
 //!   slows the step and a `panic` aborts);
 //! * `--max-retries <r>` — Δt-backoff retry budget per step (default 3);
 //! * `--fixed-dt <dt>` — fixed time step instead of the CFL controller;
-//! * `--seq` — sequential momentum solves instead of the batched SpMM path;
 //! * `--pressure-solver <cg|mgcg>` — pressure-Poisson setup: plain
 //!   Jacobi-CG or the geometric-multigrid-preconditioned CG (the default;
 //!   falls back to `cg` when the mesh is not a structured box lattice);
@@ -61,7 +60,6 @@ use lv_driver::{
     load_checkpoint_traced, save_checkpoint_traced, Checkpoint, CheckpointRing, FaultKind,
     FaultPlan, PressureSolver, Scenario, SimState, Stepper, StepperConfig,
 };
-use lv_kernel::MomentumPath;
 
 struct Cli {
     scenario: String,
@@ -73,7 +71,6 @@ struct Cli {
     ring: usize,
     restart: Option<String>,
     fixed_dt: Option<f64>,
-    path: MomentumPath,
     pressure_solver: PressureSolver,
     inject: Option<FaultPlan>,
     max_retries: usize,
@@ -99,7 +96,6 @@ fn parse_cli() -> Cli {
         ring: 3,
         restart: None,
         fixed_dt: None,
-        path: MomentumPath::Batched,
         pressure_solver: PressureSolver::MgCg,
         inject: None,
         max_retries: 3,
@@ -158,10 +154,6 @@ fn parse_cli() -> Cli {
                 };
                 i += 2;
             }
-            "--seq" => {
-                cli.path = MomentumPath::Sequential;
-                i += 1;
-            }
             "--pressure-solver" => {
                 let name = args.get(i + 1).cloned().unwrap_or_default();
                 cli.pressure_solver = PressureSolver::from_name(&name).unwrap_or_else(|| {
@@ -195,7 +187,7 @@ fn print_registry() {
         println!("  {:<14} {}", scenario.kind.name(), scenario.kind.describe());
     }
     println!("\nusage: simulate <scenario> [n] [steps] [threads] [--checkpoint p] [--every k]");
-    println!("       [--ring K] [--restart p] [--fixed-dt dt] [--seq]");
+    println!("       [--ring K] [--restart p] [--fixed-dt dt]");
     println!("       [--pressure-solver cg|mgcg] [--inject spec] [--max-retries r]");
     println!("       [--trace p] [--trace-format jsonl|chrome]");
 }
@@ -230,7 +222,6 @@ fn finish_trace(team: &mut Team, cli: &Cli) -> Result<(), String> {
 
 fn stepper_config(cli: &Cli) -> StepperConfig {
     let mut config = StepperConfig::default()
-        .with_momentum_path(cli.path)
         .with_pressure_solver(cli.pressure_solver)
         .with_max_dt_retries(cli.max_retries);
     if let Some(dt) = cli.fixed_dt {
@@ -324,10 +315,8 @@ fn load_restart(
 fn taylor_green_sweep(cli: &Cli) -> Result<(), Failure> {
     let mut team = make_team(cli);
     println!(
-        "Taylor–Green resolution sweep ({} steps, {} worker thread(s), {} momentum solve):\n",
-        cli.steps,
-        cli.threads,
-        cli.path.name()
+        "Taylor–Green resolution sweep ({} steps, {} worker thread(s)):\n",
+        cli.steps, cli.threads
     );
     println!(
         "{:>6} {:>10} {:>12} {:>15} {:>15} {:>8}",
@@ -469,14 +458,12 @@ fn run() -> Result<(), Failure> {
 
     let mesh_elements = stepper.mesh().num_elements();
     println!(
-        "scenario '{}': {} elements, nu = {}, {} steps, {} worker thread(s), {} momentum solve, \
-         {} pressure solve",
+        "scenario '{}': {} elements, nu = {}, {} steps, {} worker thread(s), {} pressure solve",
         scenario.kind.name(),
         mesh_elements,
         scenario.viscosity,
         cli.steps,
         cli.threads,
-        cli.path.name(),
         stepper.pressure_solver().name()
     );
     println!(

@@ -11,9 +11,7 @@
 //!    bitwise identical to the three sequential single-RHS solves, per
 //!    component, across thread counts ∈ {1, 2, 4}.
 
-use lv_kernel::{
-    solve_momentum_on, ElementWorkspace, KernelConfig, MomentumPath, NastinAssembly, OptLevel,
-};
+use lv_kernel::{solve_momentum_on, ElementWorkspace, KernelConfig, NastinAssembly, OptLevel};
 use lv_mesh::renumber::{reverse_cuthill_mckee, NodePermutation};
 use lv_mesh::{BoxMeshBuilder, Field, Mesh, Vec3, VectorField};
 use lv_runtime::Team;
@@ -153,6 +151,10 @@ fn batched_momentum_solve_is_bitwise_identical_across_thread_counts() {
     for threads in [1usize, 2, 4] {
         let team = Team::new(threads);
         let batched = bicgstab3_on(&team, &out.matrix, &b3, &options);
+        // The stepper-facing helper runs the same three-column solve.
+        let helper =
+            solve_momentum_on(&team, &out.matrix, &out.rhs, &options).expect("momentum helper");
+        assert_eq!(helper.increment.len(), NDIME * n);
         for (c, outcome) in batched.iter().enumerate() {
             let single = bicgstab_on(&team, &out.matrix, b3.component(c), &options)
                 .expect("sequential momentum solve");
@@ -169,20 +171,12 @@ fn batched_momentum_solve_is_bitwise_identical_across_thread_counts() {
             for (a, b) in single.solution.iter().zip(&got.solution) {
                 assert_eq!(a.to_bits(), b.to_bits(), "solution threads={threads} c={c}");
             }
+            assert_eq!(helper.iterations[c], single.iterations, "threads={threads} c={c}");
+            for (node, a) in single.solution.iter().enumerate() {
+                let b = helper.increment[NDIME * node + c];
+                assert_eq!(a.to_bits(), b.to_bits(), "increment threads={threads} c={c}");
+            }
         }
-
-        // And through the example-facing helper: sequential and batched
-        // paths agree bit for bit at every thread count.
-        let seq =
-            solve_momentum_on(&team, &out.matrix, &out.rhs, &options, MomentumPath::Sequential)
-                .expect("sequential path");
-        let bat = solve_momentum_on(&team, &out.matrix, &out.rhs, &options, MomentumPath::Batched)
-            .expect("batched path");
-        assert_eq!(seq.iterations, bat.iterations, "threads={threads}");
-        for (a, b) in seq.increment.iter().zip(&bat.increment) {
-            assert_eq!(a.to_bits(), b.to_bits(), "increment threads={threads}");
-        }
-        assert_eq!(seq.increment.len(), NDIME * n);
     }
 }
 
@@ -197,7 +191,7 @@ fn batched_solve_is_reproducible_across_thread_counts() {
     assembly.apply_dirichlet(&mut out.matrix, &mut out.rhs);
     let b3 = MultiVector::from_interleaved(&out.rhs);
     let options = SolveOptions::default();
-    let reference = lv_solver::bicgstab3(&out.matrix, &b3, &options);
+    let reference = bicgstab3_on(&Team::new(1), &out.matrix, &b3, &options);
     for threads in [2usize, 4] {
         let team = Team::new(threads);
         let got = bicgstab3_on(&team, &out.matrix, &b3, &options);
