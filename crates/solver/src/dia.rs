@@ -23,10 +23,19 @@
 //! smoother — [`jacobi_range`](DiaMatrix::jacobi_range) and
 //! [`residual_range`](DiaMatrix::residual_range) — that finish the row
 //! while its sum is still in L1, so one smoothing sweep is one pass.
+//!
+//! **One source, two precisions.**  The storage and every kernel are generic
+//! over a sealed [`Scalar`] (`f64`, the default, or `f32`).  The `f64`
+//! instantiation is the one described above and the only one that is a
+//! [`LinearOperator`] — the outer Krylov product.  The `f32` instantiation
+//! rounds each CSR value once in [`from_csr`](DiaMatrix::from_csr) and runs
+//! the same loops on `f32` vectors: half the bytes per row and twice the
+//! lanes per instruction, for the multigrid V-cycle that only has to be a
+//! good preconditioner, not an exact one.
 
 use crate::csr::CsrMatrix;
 use crate::operator::LinearOperator;
-use std::ops::Range;
+use std::ops::{Add, AddAssign, Mul, Range, Sub};
 
 /// Rows per storage block: every per-offset run of a block is this long
 /// (shorter in the last block), so a block's working set — runs, the `x`
@@ -38,22 +47,74 @@ pub const BLOCK_ROWS: usize = 256;
 /// a lattice stencil and padding it would cost more than CSR's indices.
 pub const MAX_DIAGONALS: usize = 32;
 
-/// A square sparse matrix in block-major diagonal layout.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
+}
+
+/// The scalar a [`DiaMatrix`] stores and computes in: `f64` or `f32`, and
+/// nothing else (the trait is sealed).
+pub trait Scalar:
+    sealed::Sealed
+    + Copy
+    + Send
+    + Sync
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + AddAssign
+{
+    /// `+0.0`.
+    const ZERO: Self;
+    /// `value` rounded to nearest in this precision (the identity for `f64`).
+    fn from_f64(value: f64) -> Self;
+    /// `self` widened to `f64` (exact).
+    fn to_f64(self) -> f64;
+}
+
+impl Scalar for f64 {
+    const ZERO: f64 = 0.0;
+    #[inline]
+    fn from_f64(value: f64) -> f64 {
+        value
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+impl Scalar for f32 {
+    const ZERO: f32 = 0.0;
+    #[inline]
+    fn from_f64(value: f64) -> f32 {
+        value as f32
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        f64::from(self)
+    }
+}
+
+/// A square sparse matrix in block-major diagonal layout, stored and applied
+/// in the scalar `T`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DiaMatrix {
+pub struct DiaMatrix<T: Scalar = f64> {
     n: usize,
     // Distinct `col − row` offsets, strictly ascending, each `|d| < n`.
     offsets: Vec<isize>,
     // Block `b` starts at `b·BLOCK_ROWS·offsets.len()` (every earlier block
     // is full); inside it, offset `k`'s run starts at `k·block_len`.
-    values: Vec<f64>,
+    values: Vec<T>,
 }
 
-impl DiaMatrix {
+impl<T: Scalar> DiaMatrix<T> {
     /// Converts `matrix`, or returns `None` when its pattern has more than
     /// [`MAX_DIAGONALS`] distinct offsets.  Explicitly stored zeros stay
-    /// stored zeros; absent entries become padding zeros.
-    pub fn from_csr(matrix: &CsrMatrix) -> Option<DiaMatrix> {
+    /// stored zeros; absent entries become padding zeros; every value is
+    /// rounded to `T` once, as it is stored.
+    pub fn from_csr(matrix: &CsrMatrix) -> Option<DiaMatrix<T>> {
         let n = matrix.dim();
         let (row_ptr, col_idx, csr_values) = (matrix.row_ptr(), matrix.col_idx(), matrix.values());
 
@@ -79,7 +140,7 @@ impl DiaMatrix {
         assert!(offsets.iter().all(|d| d.unsigned_abs() < n), "offset outside the matrix");
 
         let nd = offsets.len();
-        let mut values = vec![0.0; n * nd];
+        let mut values = vec![T::ZERO; n * nd];
         for block_start in (0..n).step_by(BLOCK_ROWS) {
             let block_len = BLOCK_ROWS.min(n - block_start);
             let block = &mut values[block_start * nd..(block_start + block_len) * nd];
@@ -91,11 +152,22 @@ impl DiaMatrix {
                     while offsets[k] != d {
                         k += 1;
                     }
-                    block[k * block_len + i] = csr_values[idx];
+                    block[k * block_len + i] = T::from_f64(csr_values[idx]);
                 }
             }
         }
         Some(DiaMatrix { n, offsets, values })
+    }
+
+    /// The same layout with every value rounded to `U` — what
+    /// [`from_csr`](Self::from_csr) at `U` stores, without the second pass
+    /// over the CSR matrix.
+    pub(crate) fn cast<U: Scalar>(&self) -> DiaMatrix<U> {
+        DiaMatrix {
+            n: self.n,
+            offsets: self.offsets.clone(),
+            values: self.values.iter().map(|v| U::from_f64(v.to_f64())).collect(),
+        }
     }
 
     /// Matrix dimension.
@@ -110,10 +182,22 @@ impl DiaMatrix {
         &self.offsets
     }
 
+    /// Bytes one product streams: the padded value run at `size_of::<T>()`
+    /// each; there is no index stream.
+    pub fn streamed_bytes(&self) -> usize {
+        self.values.len() * std::mem::size_of::<T>()
+    }
+
+    /// Modeled flops of one product: one multiply-add per stored value,
+    /// padding included.
+    pub fn apply_flops(&self) -> u64 {
+        2 * self.values.len() as u64
+    }
+
     /// `acc[i] = (A·x)[rows.start + i]` — the shared core of the three
     /// kernels.  `rows` may start and end anywhere inside a block.
     #[inline]
-    fn product_into(&self, x: &[f64], rows: Range<usize>, acc: &mut [f64]) {
+    fn product_into(&self, x: &[T], rows: Range<usize>, acc: &mut [T]) {
         assert_eq!(x.len(), self.n);
         assert!(rows.end <= self.n, "row range {rows:?} out of bounds for dim {}", self.n);
         assert_eq!(acc.len(), rows.len(), "output length must match the row range");
@@ -126,7 +210,7 @@ impl DiaMatrix {
             let hi = rows.end.min(block_start + block_len);
             let block = &self.values[block_start * nd..(block_start + block_len) * nd];
             let out = &mut acc[lo - rows.start..hi - rows.start];
-            out.fill(0.0);
+            out.fill(T::ZERO);
             for (k, &d) in self.offsets.iter().enumerate() {
                 // Rows whose column `row + d` falls outside the matrix hold
                 // padding only: skip them instead of reading past `x`.
@@ -140,7 +224,7 @@ impl DiaMatrix {
                 let vals = &run[first - block_start..last - block_start];
                 let xs = &x[first - below + above..last - below + above];
                 for ((s, v), xv) in out[first - lo..last - lo].iter_mut().zip(vals).zip(xs) {
-                    *s += v * xv;
+                    *s += *v * *xv;
                 }
             }
             lo = hi;
@@ -159,19 +243,19 @@ impl DiaMatrix {
     /// bounds, or `xn` does not match `rows`.
     pub fn jacobi_range(
         &self,
-        x: &[f64],
-        b: &[f64],
-        inv_diag: &[f64],
-        omega: f64,
+        x: &[T],
+        b: &[T],
+        inv_diag: &[T],
+        omega: T,
         rows: Range<usize>,
-        xn: &mut [f64],
+        xn: &mut [T],
     ) {
         assert_eq!(b.len(), self.n);
         assert_eq!(inv_diag.len(), self.n);
         self.product_into(x, rows.clone(), xn);
         let (xs, bs, ds) = (&x[rows.clone()], &b[rows.clone()], &inv_diag[rows]);
         for (((out, xi), bi), di) in xn.iter_mut().zip(xs).zip(bs).zip(ds) {
-            *out = xi + omega * ((bi - *out) * di);
+            *out = *xi + omega * ((*bi - *out) * *di);
         }
     }
 
@@ -180,11 +264,11 @@ impl DiaMatrix {
     /// # Panics
     /// Panics if a vector does not match the dimension, `rows` is out of
     /// bounds, or `r` does not match `rows`.
-    pub fn residual_range(&self, x: &[f64], b: &[f64], rows: Range<usize>, r: &mut [f64]) {
+    pub fn residual_range(&self, x: &[T], b: &[T], rows: Range<usize>, r: &mut [T]) {
         assert_eq!(b.len(), self.n);
         self.product_into(x, rows.clone(), r);
         for (out, bi) in r.iter_mut().zip(&b[rows]) {
-            *out = bi - *out;
+            *out = *bi - *out;
         }
     }
 }
@@ -192,12 +276,12 @@ impl DiaMatrix {
 /// Whether two slices share no byte — the no-alias precondition of the
 /// kernels, which safe callers get from the borrow checker and the pooled
 /// callers (raw disjoint row ranges) must uphold themselves.
-fn disjoint(a: &[f64], b: &[f64]) -> bool {
+fn disjoint<T>(a: &[T], b: &[T]) -> bool {
     let (a, b) = (a.as_ptr_range(), b.as_ptr_range());
     a.end <= b.start || b.end <= a.start
 }
 
-impl LinearOperator for DiaMatrix {
+impl LinearOperator for DiaMatrix<f64> {
     fn dim(&self) -> usize {
         self.n
     }
@@ -221,13 +305,11 @@ impl LinearOperator for DiaMatrix {
     }
 
     fn streamed_bytes(&self) -> usize {
-        // The padded value stream; there is no index stream.
-        self.values.len() * std::mem::size_of::<f64>()
+        DiaMatrix::streamed_bytes(self)
     }
 
     fn apply_flops(&self) -> u64 {
-        // One multiply-add per stored value, padding included.
-        2 * self.values.len() as u64
+        DiaMatrix::apply_flops(self)
     }
 }
 
@@ -316,6 +398,46 @@ pub(crate) mod tests {
         assert!(dia.streamed_bytes() < LinearOperator::streamed_bytes(&csr));
     }
 
+    /// The `f32` instantiation: each value rounded once (the same storage
+    /// whether filled from CSR or cast from the `f64` form), 4 bytes per
+    /// stored value, and a product within the textbook rounding bound
+    /// `(nd + 2)·ε_f32·(|A|·|x|)` of the `f64` one, row by row.
+    #[test]
+    fn f32_storage_rounds_once_and_its_product_stays_within_rounding() {
+        let n = 3 * BLOCK_ROWS + 41;
+        let mut csr = tridiag(n);
+        csr.pin_rows_symmetric(&[0, n / 2]);
+        let wide: DiaMatrix = DiaMatrix::from_csr(&csr).expect("three diagonals");
+        let narrow = DiaMatrix::<f32>::from_csr(&csr).expect("three diagonals");
+        assert_eq!(narrow, wide.cast::<f32>());
+        assert_eq!(wide, wide.cast::<f64>());
+        for (v32, v64) in narrow.values.iter().zip(&wide.values) {
+            assert_eq!(v32.to_bits(), (*v64 as f32).to_bits());
+        }
+        assert_eq!(narrow.offsets(), wide.offsets());
+        assert_eq!(narrow.streamed_bytes(), 3 * n * 4);
+        assert_eq!(narrow.apply_flops(), wide.apply_flops());
+
+        let x: Vec<f64> = awkward_vector(n, 29);
+        let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+        let abs = |v: &[f64]| v.iter().map(|e| e.abs()).collect::<Vec<f64>>();
+        let magnitude = {
+            let mut m = csr.clone();
+            let values = abs(m.values());
+            m.pattern_and_values_mut().2.copy_from_slice(&values);
+            m.mul_vec(&abs(&x))
+        };
+        let y64 = csr.mul_vec(&x);
+        let mut y32 = vec![f32::NAN; n];
+        narrow.product_into(&x32, 0..n, &mut y32);
+        let bound = (narrow.offsets().len() + 2) as f64 * f64::from(f32::EPSILON);
+        for row in 0..n {
+            let error = (f64::from(y32[row]) - y64[row]).abs();
+            assert!(error <= bound * magnitude[row], "row {row}: {error:e}");
+        }
+        assert!((0..n).any(|row| f64::from(y32[row]) != y64[row]), "f32 must actually round");
+    }
+
     #[test]
     fn explicit_zeros_and_missing_diagonal_are_handled() {
         // A pinned row keeps its explicit zeros; an empty main diagonal
@@ -338,12 +460,13 @@ pub(crate) mod tests {
         for (j, v) in dense[0].iter_mut().enumerate() {
             *v = 1.0 + j as f64;
         }
-        assert!(DiaMatrix::from_csr(&CsrMatrix::from_dense(&dense)).is_none());
+        assert!(DiaMatrix::<f64>::from_csr(&CsrMatrix::from_dense(&dense)).is_none());
         // Exactly MAX_DIAGONALS still fits.
         for v in dense[0].iter_mut().skip(MAX_DIAGONALS) {
             *v = 0.0;
         }
-        let dia = DiaMatrix::from_csr(&CsrMatrix::from_dense(&dense)).expect("32 offsets fit");
+        let dia: DiaMatrix =
+            DiaMatrix::from_csr(&CsrMatrix::from_dense(&dense)).expect("32 offsets fit");
         assert_eq!(dia.offsets().len(), MAX_DIAGONALS);
     }
 

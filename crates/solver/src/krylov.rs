@@ -4,8 +4,9 @@
 //! produces).
 //!
 //! Each recurrence exists once.  CG is `conjugate_gradient_with`: any
-//! [`LinearOperator`] under any [`Preconditioner`] (Jacobi here, the V-cycle
-//! in [`crate::multigrid`]).  BiCGSTAB is `bicgstab_cols`, generic over a
+//! [`LinearOperator`] under any [`Preconditioner`] (Jacobi here; the `f32`
+//! V-cycle in [`crate::multigrid`], which reports itself inexact and gets
+//! the flexible `β`).  BiCGSTAB is `bicgstab_cols`, generic over a
 //! const column width `W`: it runs `W` right-hand sides that share the
 //! matrix through one iteration loop with per-column scalars, so an
 //! iteration pays one fork/join per fused BLAS-1 operation for all columns
@@ -42,6 +43,9 @@ use serde::{Deserialize, Serialize};
 /// cross-backend consistency, not measured traffic.
 pub(crate) const CG_BLAS1_FLOPS_PER_ENTRY: u64 = 13;
 pub(crate) const CG_BLAS1_STREAMS_PER_ENTRY: u64 = 14;
+/// What the flexible `β` adds to each of the two: one more dot product, a
+/// multiply-add over two vector streams per entry.
+pub(crate) const CG_FLEXIBLE_DOT_PER_ENTRY: u64 = 2;
 /// Same model for one BiCGSTAB iteration (two operator applications, four
 /// dots, two norms and six fused element-wise updates).
 pub(crate) const BICGSTAB_BLAS1_FLOPS_PER_ENTRY: u64 = 26;
@@ -265,10 +269,17 @@ pub fn conjugate_gradient_on(
     conjugate_gradient_with(operator, b, options, &mut VectorOps::on_team(team), &mut precond)
 }
 
-/// The shared preconditioned-CG driver.  `precond` must apply a fixed SPD
-/// operator (Jacobi, or the multigrid V-cycle); the `jacobi_preconditioner`
-/// flag of `options` is the *caller's* business — it is already baked into
-/// `precond` by the public entry points.
+/// The shared preconditioned-CG driver.  `precond` applies a fixed SPD
+/// operator (Jacobi) or says it is inexact (the `f32` multigrid V-cycle);
+/// the `jacobi_preconditioner` flag of `options` is the *caller's* business
+/// — it is already baked into `precond` by the public entry points.
+///
+/// Under an inexact preconditioner the direction update takes the flexible
+/// (Polak–Ribière) `β = z_new·(r_new − r_old) / (r_old·z_old)
+/// = −α·(Ap·z_new) / (r·z)_old` instead of Fletcher–Reeves'
+/// `(r·z)_new / (r·z)_old`: equal in exact arithmetic under a fixed `M`,
+/// but it keeps the new direction `A`-conjugate to the last one when `z`
+/// is only approximately `M⁻¹·r`.  It costs one more dot and no vector.
 pub(crate) fn conjugate_gradient_with(
     operator: &dyn LinearOperator,
     b: &[f64],
@@ -299,9 +310,12 @@ pub(crate) fn conjugate_gradient_with(
     let mut history = vec![ops.norm(&r) / b_norm];
     let mut ap = vec![0.0; n];
 
+    let flexible = precond.is_inexact();
+    let extra_dot = if flexible { CG_FLEXIBLE_DOT_PER_ENTRY } else { 0 };
     let trace = ops.trace();
-    let iter_flops = operator.apply_flops() + CG_BLAS1_FLOPS_PER_ENTRY * n as u64;
-    let iter_bytes = operator.streamed_bytes() as u64 + CG_BLAS1_STREAMS_PER_ENTRY * 8 * n as u64;
+    let iter_flops = operator.apply_flops() + (CG_BLAS1_FLOPS_PER_ENTRY + extra_dot) * n as u64;
+    let iter_bytes =
+        operator.streamed_bytes() as u64 + (CG_BLAS1_STREAMS_PER_ENTRY + extra_dot) * 8 * n as u64;
 
     for iter in 0..options.max_iterations {
         // One timed event per iteration; early error returns drop (and
@@ -336,7 +350,7 @@ pub(crate) fn conjugate_gradient_with(
         }
         precond.apply(ops, &r, &mut z);
         let rz_new = ops.dot(&r, &z);
-        let beta = rz_new / rz;
+        let beta = if flexible { -alpha * ops.dot(&ap, &z) / rz } else { rz_new / rz };
         rz = rz_new;
         ops.xpby(&z, beta, &mut p);
     }
@@ -860,6 +874,51 @@ mod tests {
         let opts = SolveOptions { jacobi_preconditioner: false, ..Default::default() };
         let out = conjugate_gradient(&a, &b, &opts).unwrap();
         assert!(out.final_residual() < 1e-9);
+    }
+
+    /// A fixed SPD preconditioner that claims to be inexact: under it the
+    /// flexible `β` is Fletcher–Reeves' in exact arithmetic, so the solve
+    /// must agree with plain PCG to rounding — and the traffic model must
+    /// charge exactly one more dot per iteration.
+    #[test]
+    fn flexible_beta_is_plain_cg_under_an_exact_preconditioner_plus_one_dot() {
+        struct ClaimsInexact(JacobiPreconditioner);
+        impl Preconditioner for ClaimsInexact {
+            fn apply(&mut self, ops: &mut VectorOps<'_>, r: &[f64], z: &mut [f64]) {
+                self.0.apply(ops, r, z);
+            }
+            fn is_inexact(&self) -> bool {
+                true
+            }
+        }
+        let n = 200;
+        let a = spd_dominant(n);
+        let b = rhs(n);
+        let options = SolveOptions::default();
+        let mut iteration_spans = Vec::new();
+        let mut outcomes = Vec::new();
+        for flexible in [false, true] {
+            let mut team = Team::with_trace(1, lv_runtime::TraceConfig::default());
+            let mut exact = JacobiPreconditioner::new(&a, true);
+            let mut claiming = ClaimsInexact(exact.clone());
+            let precond: &mut dyn Preconditioner =
+                if flexible { &mut claiming } else { &mut exact };
+            let outcome =
+                conjugate_gradient_with(&a, &b, &options, &mut VectorOps::on_team(&team), precond)
+                    .expect("converges");
+            let events = team.trace_mut().expect("traced").events();
+            let span = events.into_iter().find(|e| e.span == spans::CG_ITERATION).expect("a span");
+            iteration_spans.push((span.flops, span.bytes));
+            outcomes.push(outcome);
+        }
+        assert_eq!(outcomes[0].iterations, outcomes[1].iterations);
+        for (x, y) in outcomes[0].solution.iter().zip(&outcomes[1].solution) {
+            assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()));
+        }
+        let ((plain_flops, plain_bytes), (flex_flops, flex_bytes)) =
+            (iteration_spans[0], iteration_spans[1]);
+        assert_eq!(flex_flops - plain_flops, 2 * n as u64);
+        assert_eq!(flex_bytes - plain_bytes, 2 * 8 * n as u64);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   with scatter-add assembly (the destination of phase 8), SpMV, and
 //!   Dirichlet row/column elimination;
 //! * [`krylov`] — the two Krylov recurrences, each written once: CG over
-//!   any operator and preconditioner, BiCGSTAB over a const column width
+//!   any operator and preconditioner (with the flexible `β` when the
+//!   preconditioner says it is inexact), BiCGSTAB over a const column width
 //!   (one column, or the three momentum components in one loop with one
 //!   matrix traversal per product, each column bitwise identical to its
 //!   single-RHS solve); serial or on a shared worker pool with bitwise
@@ -23,13 +24,15 @@
 //!   consume: anything that can apply `y = A·x` over a row range and expose
 //!   its diagonal (assembled CSR and matrix-free operators alike);
 //! * [`dia`] — [`DiaMatrix`], the block-major diagonal storage of a lattice
-//!   stencil (no column indices, unit-stride row-vectorised kernels, products
-//!   bitwise equal to CSR) with the fused Jacobi-sweep and residual kernels;
+//!   stencil (no column indices, unit-stride row-vectorised kernels) with
+//!   the fused Jacobi-sweep and residual kernels, generic over a sealed
+//!   scalar: in `f64` its products are bitwise equal to CSR, in `f32` it is
+//!   the half-size, twice-as-wide form the V-cycle runs on;
 //! * [`multigrid`] — geometric-multigrid V-cycle (trilinear interpolation,
 //!   Galerkin coarse operators kept as [`DiaMatrix`] levels, one fused pass
-//!   per damped-Jacobi sweep, dense-LU coarsest solve) and the
-//!   [`mg_preconditioned_cg`] solver it preconditions, bitwise reproducible
-//!   at every thread count;
+//!   per damped-Jacobi sweep, dense-LU coarsest solve) run in `f32`, and the
+//!   `f64` flexible-CG solver [`mg_preconditioned_cg`] it preconditions,
+//!   bitwise reproducible at every thread count;
 //! * [`parallel`] — the deterministic parallel kernels behind them:
 //!   row-partitioned SpMV and fixed-block BLAS-1 on an [`lv_runtime::Team`],
 //!   one column-generic body per kernel;

@@ -15,26 +15,42 @@
 //!   (deterministic, and SPD whenever `A` is SPD because `P` has full
 //!   column rank).  CSR is only the set-up intermediate: every level is
 //!   kept as a [`DiaMatrix`] (block-major diagonals, no column indices —
-//!   see [`crate::dia`]), whose products carry the same bits as the CSR
-//!   ones at half the bytes per row;
+//!   see [`crate::dia`]);
 //! * damped-Jacobi smoothing (equal pre/post sweep counts), one fused
 //!   [`DiaMatrix::jacobi_range`] pass per sweep into a ping-pong buffer,
 //!   partitioned over the caller's [`VectorOps`] team — rows are disjoint
 //!   and each row's arithmetic is partition-independent, so every cycle is
 //!   reproducible;
 //! * a pivoted dense LU direct solve on the coarsest level, factored once.
-//!   A *fixed* coarse solve keeps the V-cycle a fixed linear operator — a
-//!   tolerance-based inner CG would make the preconditioner nonlinear and
-//!   void the outer CG convergence theory.
+//!   A *fixed* coarse solve keeps the V-cycle linear — a tolerance-based
+//!   inner CG would make the preconditioner nonlinear and void the outer CG
+//!   convergence theory.
 //!
-//! Because damped Jacobi is self-adjoint in the `A` inner product and the
-//! pre/post sweep counts match, the V-cycle is a symmetric positive-definite
-//! preconditioner: [`mg_preconditioned_cg`] runs the standard PCG iteration
-//! with it, against any [`LinearOperator`] backend for the fine-grid
-//! product.
+//! **Mixed precision.**  The cycle is written once, generic over the scalar
+//! its levels, vectors and arithmetic use, and [`GeometricMultigrid`] runs it
+//! in **`f32`** under an outer CG that stays `f64` (vectors, fine-grid
+//! product, the ≤ 80-row LU): a level then streams 108 instead of 216 bytes
+//! per row through four SSE2 lanes instead of two, and the sweep is close to
+//! both limits at once.  The caller's residual enters through one pass that
+//! scales it by an exact power of two, rounds it and takes the first sweep;
+//! the correction leaves through the pass that widens and unscales it — the
+//! cycle is linear, so the scale changes nothing but keeps `f32` away from
+//! under- and overflow however small the CG residual gets.  The `f64`
+//! instantiation of the same source exists under `#[cfg(test)]` only, where
+//! it is held bit for bit to the CSR four-kernel cycle it descends from; the
+//! `f32` one is held to *that* within a pinned multiple of `ε_f32`.
+//!
+//! Damped Jacobi is self-adjoint in the `A` inner product and the pre/post
+//! sweep counts match, so the exact V-cycle is a symmetric positive-definite
+//! preconditioner.  The rounded one is that only up to `f32` rounding, says
+//! so ([`Preconditioner::is_inexact`]), and [`mg_preconditioned_cg`] — the
+//! one CG driver, against any [`LinearOperator`] backend for the fine-grid
+//! product — then runs the flexible `β`, which keeps the iteration counts of
+//! the all-`f64` cycle.  Results are bitwise identical across thread counts;
+//! they are no longer the bits of the CSR cycle.
 
 use crate::csr::CsrMatrix;
-use crate::dia::DiaMatrix;
+use crate::dia::{DiaMatrix, Scalar};
 use crate::krylov::{conjugate_gradient_with, SolveOptions, SolveOutcome, SolverError};
 use crate::operator::{LinearOperator, Preconditioner};
 use crate::parallel::VectorOps;
@@ -151,8 +167,9 @@ impl Interpolation {
         self.coarse_nodes
     }
 
-    /// `fine += P·coarse`, partitioned over disjoint fine rows.
-    fn prolong_add(&self, ops: &VectorOps<'_>, coarse: &[f64], fine: &mut [f64]) {
+    /// `fine += P·coarse`, partitioned over disjoint fine rows, in the
+    /// scalar of the vectors (each weight is cast to it as it is used).
+    fn prolong_add<T: Scalar>(&self, ops: &VectorOps<'_>, coarse: &[T], fine: &mut [T]) {
         assert_eq!(coarse.len(), self.coarse_nodes);
         assert_eq!(fine.len(), self.fine_nodes);
         let out = SharedSliceMut::new(fine);
@@ -160,17 +177,18 @@ impl Interpolation {
             // SAFETY: partition ranges are disjoint fine rows.
             let slice = unsafe { out.range_mut(rows.clone()) };
             for (offset, f) in rows.enumerate() {
-                let mut sum = 0.0;
+                let mut sum = T::ZERO;
                 for idx in self.row_ptr[f]..self.row_ptr[f + 1] {
-                    sum += self.weights[idx] * coarse[self.col_idx[idx]];
+                    sum += T::from_f64(self.weights[idx]) * coarse[self.col_idx[idx]];
                 }
                 slice[offset] += sum;
             }
         });
     }
 
-    /// `coarse = Pᵀ·fine`, partitioned over disjoint coarse rows.
-    fn restrict(&self, ops: &VectorOps<'_>, fine: &[f64], coarse: &mut [f64]) {
+    /// `coarse = Pᵀ·fine`, partitioned over disjoint coarse rows, in the
+    /// scalar of the vectors.
+    fn restrict<T: Scalar>(&self, ops: &VectorOps<'_>, fine: &[T], coarse: &mut [T]) {
         assert_eq!(fine.len(), self.fine_nodes);
         assert_eq!(coarse.len(), self.coarse_nodes);
         let out = SharedSliceMut::new(coarse);
@@ -178,9 +196,9 @@ impl Interpolation {
             // SAFETY: partition ranges are disjoint coarse rows.
             let slice = unsafe { out.range_mut(rows.clone()) };
             for (offset, c) in rows.enumerate() {
-                let mut sum = 0.0;
+                let mut sum = T::ZERO;
                 for idx in self.t_row_ptr[c]..self.t_row_ptr[c + 1] {
-                    sum += self.t_weights[idx] * fine[self.t_col_idx[idx]];
+                    sum += T::from_f64(self.t_weights[idx]) * fine[self.t_col_idx[idx]];
                 }
                 slice[offset] = sum;
             }
@@ -320,53 +338,67 @@ impl DenseLu {
     }
 }
 
-/// Per-level state: the (Galerkin) operator, its inverse diagonal for the
-/// smoother, and the cycle's scratch vectors.
+/// Per-level state of a cycle running in the scalar `T`: the (Galerkin)
+/// operator, its inverse diagonal for the smoother, and the scratch vectors.
 #[derive(Debug, Clone)]
-struct Level {
-    // Shared so the outer CG can run its fine-grid product through the
-    // level-0 operator while the preconditioner is borrowed mutably.
-    matrix: Arc<DiaMatrix>,
-    inv_diag: Vec<f64>,
-    x: Vec<f64>,
-    b: Vec<f64>,
+struct Level<T: Scalar> {
+    matrix: DiaMatrix<T>,
+    inv_diag: Vec<T>,
+    x: Vec<T>,
+    b: Vec<T>,
     // The down-leg residual — and, while smoothing, the write half of the
     // Jacobi ping-pong pair (`x` and `r` swap after every sweep).
-    r: Vec<f64>,
+    r: Vec<T>,
 }
 
-impl Level {
-    /// `None` when the operator is not a lattice stencil (see
-    /// [`DiaMatrix::from_csr`]).
-    fn new(matrix: &CsrMatrix) -> Option<Level> {
-        let n = matrix.dim();
-        let matrix = Arc::new(DiaMatrix::from_csr(matrix)?);
-        let inv_diag = crate::krylov::inverse_diagonal(&*matrix, true);
-        Some(Level { matrix, inv_diag, x: vec![0.0; n], b: vec![0.0; n], r: vec![0.0; n] })
+impl<T: Scalar> Level<T> {
+    /// The level whose operator is `exact` in `f64` and `matrix` in `T`.
+    /// The inverse diagonal is taken in `f64` and rounded once.
+    fn new(exact: &dyn LinearOperator, matrix: DiaMatrix<T>) -> Level<T> {
+        let inv_diag =
+            crate::krylov::inverse_diagonal(exact, true).into_iter().map(T::from_f64).collect();
+        let zeros = || vec![T::ZERO; exact.dim()];
+        Level { matrix, inv_diag, x: zeros(), b: zeros(), r: zeros() }
+    }
+
+    /// The first sweep of a leg that starts from a zero iterate: the closed
+    /// form `x = ω·D⁻¹·b` (A·0 vanishes), which touches no matrix.  With
+    /// `entry = (rhs, scale)` the same pass first loads `b = rhs·scale`
+    /// rounded to `T` — the cycle's way in from the caller's `f64` residual.
+    fn sweep_from_zero(&mut self, ops: &VectorOps<'_>, damping: T, entry: Option<(&[f64], f64)>) {
+        let Level { inv_diag, x, b, .. } = self;
+        let n = x.len();
+        // The sweep this is the closed form of adds its correction to a
+        // zero iterate; keeping the `0.0 +` keeps a `-0.0` correction the
+        // `+0.0` it becomes there.
+        let sweep = |bi: T, di: T| T::ZERO + damping * (bi * di);
+        let (xs, bs) = (SharedSliceMut::new(x), SharedSliceMut::new(b));
+        ops.partitioned_rows(n, &|rows| {
+            // SAFETY: partition ranges are disjoint rows of `x` and of `b`.
+            let (xs, bs) = unsafe { (xs.range_mut(rows.clone()), bs.range_mut(rows.clone())) };
+            let ds = &inv_diag[rows.clone()];
+            match entry {
+                Some((rhs, scale)) => {
+                    for (((xi, bi), di), ri) in xs.iter_mut().zip(bs).zip(ds).zip(&rhs[rows]) {
+                        *bi = T::from_f64(ri * scale);
+                        *xi = sweep(*bi, *di);
+                    }
+                }
+                None => {
+                    for ((xi, bi), di) in xs.iter_mut().zip(bs).zip(ds) {
+                        *xi = sweep(*bi, *di);
+                    }
+                }
+            }
+        });
     }
 
     /// `sweeps` damped-Jacobi iterations on `A·x = b`, one dispatch and one
-    /// pass over the operator each.  With `from_zero` the first sweep is the
-    /// closed form `x = ω·D⁻¹·b` (A·0 vanishes) and touches no matrix.
-    fn smooth(&mut self, ops: &VectorOps<'_>, sweeps: usize, damping: f64, from_zero: bool) {
+    /// pass over the operator each.
+    fn smooth(&mut self, ops: &VectorOps<'_>, sweeps: usize, damping: T) {
         let Level { matrix, inv_diag, x, b, r } = self;
         let n = x.len();
-        let mut remaining = sweeps;
-        if from_zero {
-            let out = SharedSliceMut::new(x);
-            ops.partitioned_rows(n, &|rows| {
-                // SAFETY: partition ranges are disjoint rows.
-                let xs = unsafe { out.range_mut(rows.clone()) };
-                for ((xi, bi), di) in xs.iter_mut().zip(&b[rows.clone()]).zip(&inv_diag[rows]) {
-                    // The sweep this is the closed form of adds its
-                    // correction to a zero iterate; keeping the `0.0 +`
-                    // keeps a `-0.0` correction the `+0.0` it becomes there.
-                    *xi = 0.0 + damping * (bi * di);
-                }
-            });
-            remaining -= 1;
-        }
-        for _ in 0..remaining {
+        for _ in 0..sweeps {
             let out = SharedSliceMut::new(r);
             ops.partitioned_rows(n, &|rows| {
                 // SAFETY: partition ranges are disjoint rows of `r`, which
@@ -390,19 +422,179 @@ impl Level {
     }
 }
 
-/// The geometric multigrid V-cycle preconditioner.
-///
-/// Owns the full level hierarchy (finest operator included, so the
-/// preconditioner is self-contained) and its scratch vectors; apply it
-/// through [`Preconditioner::apply`] or drive a full solve with
-/// [`mg_preconditioned_cg`] / [`mg_preconditioned_cg_on`].
+/// `max |v|` over the entries that are not NaN — order-independent, so the
+/// value (and the entry scale taken from it) owes nothing to a partition.
+/// Eight running maxima keep the scan off one dependency chain.
+fn max_abs(values: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    let chunks = values.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, v) in lanes.iter_mut().zip(chunk) {
+            let a = v.abs();
+            *m = if a > *m { a } else { *m };
+        }
+    }
+    tail.iter().chain(&lanes).fold(0.0, |m, v| if v.abs() > m { v.abs() } else { m })
+}
+
+/// The powers of two `(2^-e, 2^e)` with `e = ⌊log2 max⌋` read off the
+/// exponent field, clamped so both stay normal `f64`s (a zero or subnormal
+/// `max` scales by `2^1022`, an infinite one by `2^-1022`).  Multiplying by
+/// either is exact short of under- and overflow.
+fn entry_scale(max: f64) -> (f64, f64) {
+    let e = (((max.to_bits() >> 52) & 0x7ff) as i64 - 1023).clamp(-1022, 1022);
+    let pow2 = |e: i64| f64::from_bits(((1023 + e) as u64) << 52);
+    (pow2(-e), pow2(e))
+}
+
+/// The V-cycle proper, generic over the scalar its levels are stored and
+/// smoothed in.  Production runs it at `f32` inside [`GeometricMultigrid`];
+/// the `f64` instantiation exists for the tests, which hold it bit for bit
+/// to the CSR reference cycle.
 #[derive(Debug, Clone)]
-pub struct GeometricMultigrid {
-    levels: Vec<Level>,
+struct Cycle<T: Scalar> {
+    levels: Vec<Level<T>>,
     interps: Vec<Interpolation>,
     coarse_lu: DenseLu,
+    // `f64` staging of the coarsest level's `b` and `x` around the LU solve.
+    coarse_b: Vec<f64>,
+    coarse_x: Vec<f64>,
     sweeps: usize,
-    damping: f64,
+    damping: T,
+}
+
+impl<T: Scalar> Cycle<T> {
+    /// See [`GeometricMultigrid::new`], which also checks the arguments;
+    /// `fine_dia` is `fine` in diagonal storage.
+    fn new(
+        fine: &CsrMatrix,
+        fine_dia: &DiaMatrix,
+        interps: Vec<Interpolation>,
+        options: &MultigridOptions,
+    ) -> Option<Cycle<T>> {
+        // CSR is the set-up intermediate only (Galerkin input, LU input):
+        // each coarse level is filled in `T` straight from it, in
+        // `from_csr`'s one pass, and the CSR form is dropped.
+        let mut csr = Cow::Borrowed(fine);
+        let mut levels = vec![Level::new(fine_dia, fine_dia.cast())];
+        for p in &interps {
+            csr = Cow::Owned(galerkin_coarse(&csr, p));
+            levels.push(Level::new(&*csr, DiaMatrix::from_csr(&csr)?));
+        }
+        let coarse_lu = DenseLu::from_csr(&csr)?;
+        let coarse = csr.dim();
+        Some(Cycle {
+            levels,
+            interps,
+            coarse_lu,
+            coarse_b: vec![0.0; coarse],
+            coarse_x: vec![0.0; coarse],
+            sweeps: options.smoothing_sweeps,
+            damping: T::from_f64(options.damping),
+        })
+    }
+
+    /// One V-cycle: `z ≈ A⁻¹·rhs` starting from zero, bitwise identical for
+    /// every thread count of `ops`.
+    ///
+    /// The cycle is linear, so it runs on `rhs·2^-e` with
+    /// `e = ⌊log2 max|rhs|⌋` and hands back `z·2^e`: whatever the magnitude
+    /// of the caller's residual, the levels see entries of at most 2 and
+    /// `T` neither under- nor overflows (a zero `rhs` gives a zero `z`).
+    /// Both factors are exact, so in `f64` they change no bit.
+    fn v_cycle(&mut self, ops: &VectorOps<'_>, rhs: &[f64], z: &mut [f64]) {
+        let nl = self.levels.len();
+        assert_eq!(rhs.len(), self.levels[0].matrix.dim());
+        assert_eq!(z.len(), rhs.len());
+        let trace = ops.trace();
+        let cycle = trace.map(|t| t.span(lv_trace::spans::MG_VCYCLE, 0).iters(1));
+        // Per-level event: `aux` carries the level index, `iters` the smooth
+        // sweeps, and the traffic model counts the operator traversals.
+        let level_span = |l: usize, sweeps: u64, flops: u64, bytes: u64| {
+            trace.map(|t| {
+                t.span(lv_trace::spans::MG_LEVEL, 0)
+                    .iters(sweeps)
+                    .flops(flops)
+                    .bytes(bytes)
+                    .aux(l as u64)
+            })
+        };
+        // A leg traverses the matrix `sweeps` times either way: down, the
+        // first sweep from zero touches no matrix and the residual takes
+        // its place; up, every sweep is one traversal.
+        let sweeps = self.sweeps as u64;
+        let leg_span = |l: usize, matrix: &DiaMatrix<T>| {
+            level_span(
+                l,
+                sweeps,
+                sweeps * matrix.apply_flops(),
+                sweeps * matrix.streamed_bytes() as u64,
+            )
+        };
+        let (scale, unscale) = entry_scale(max_abs(rhs));
+        for l in 0..nl - 1 {
+            let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
+            let level = &mut fine_half[l];
+            let next = &mut coarse_half[0];
+            let span = leg_span(l, &level.matrix);
+            level.sweep_from_zero(ops, self.damping, (l == 0).then_some((rhs, scale)));
+            level.smooth(ops, self.sweeps - 1, self.damping);
+            level.residual(ops);
+            self.interps[l].restrict(ops, &level.r, &mut next.b);
+            drop(span);
+        }
+        {
+            let last = self.levels.last_mut().unwrap();
+            // The two dense triangular solves: one multiply-add per LU entry.
+            let dense = (self.coarse_lu.n * self.coarse_lu.n) as u64;
+            let span = level_span(nl - 1, 0, 2 * dense, 8 * dense);
+            for (wide, narrow) in self.coarse_b.iter_mut().zip(&last.b) {
+                *wide = narrow.to_f64();
+            }
+            self.coarse_lu.solve_into(&self.coarse_b, &mut self.coarse_x);
+            for (narrow, wide) in last.x.iter_mut().zip(&self.coarse_x) {
+                *narrow = T::from_f64(*wide);
+            }
+            drop(span);
+        }
+        for l in (0..nl - 1).rev() {
+            let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
+            let level = &mut fine_half[l];
+            let next = &coarse_half[0];
+            let span = leg_span(l, &level.matrix);
+            self.interps[l].prolong_add(ops, &next.x, &mut level.x);
+            level.smooth(ops, self.sweeps, self.damping);
+            drop(span);
+        }
+        for (zi, xi) in z.iter_mut().zip(&self.levels[0].x) {
+            *zi = xi.to_f64() * unscale;
+        }
+        drop(cycle);
+    }
+}
+
+/// The geometric multigrid V-cycle preconditioner.
+///
+/// Owns the full level hierarchy and its scratch vectors; apply it through
+/// [`Preconditioner::apply`] or drive a full solve with
+/// [`mg_preconditioned_cg`] / [`mg_preconditioned_cg_on`].
+///
+/// **Mixed precision.**  The cycle's levels, vectors and arithmetic are
+/// `f32` — a preconditioner only has to be close to `A⁻¹`, and in `f32` a
+/// level streams half the bytes through twice the vector lanes — under an
+/// outer CG that keeps `f64` vectors and an `f64` fine-grid product
+/// ([`level_operator`](Self::level_operator)); only the ≤ 80-row coarsest
+/// LU solve stays `f64`.  A rounded cycle is no longer exactly one fixed
+/// symmetric operator, which it says through
+/// [`Preconditioner::is_inexact`]; CG answers with its flexible `β`.
+#[derive(Debug, Clone)]
+pub struct GeometricMultigrid {
+    // Shared so the outer CG can run its fine-grid product through it while
+    // the preconditioner is borrowed mutably.  The finest operator is the
+    // only one kept in both precisions.
+    fine: Arc<DiaMatrix>,
+    cycle: Cycle<f32>,
 }
 
 impl GeometricMultigrid {
@@ -429,114 +621,49 @@ impl GeometricMultigrid {
         for pair in interps.windows(2) {
             assert_eq!(pair[0].coarse_nodes, pair[1].fine_nodes, "interpolation chain mismatch");
         }
-
-        // CSR is the set-up intermediate only (Galerkin input, LU input):
-        // each level keeps its DIA form and the CSR one is dropped.
-        let mut csr = Cow::Borrowed(fine);
-        let mut levels = vec![Level::new(&csr)?];
-        for p in &interps {
-            csr = Cow::Owned(galerkin_coarse(&csr, p));
-            levels.push(Level::new(&csr)?);
-        }
-        let coarse_lu = DenseLu::from_csr(&csr)?;
-        Some(GeometricMultigrid {
-            levels,
-            interps,
-            coarse_lu,
-            sweeps: options.smoothing_sweeps,
-            damping: options.damping,
-        })
+        let fine_dia = DiaMatrix::from_csr(fine)?;
+        let cycle = Cycle::new(fine, &fine_dia, interps, options)?;
+        Some(GeometricMultigrid { fine: Arc::new(fine_dia), cycle })
     }
 
     /// Number of levels, finest included.
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.cycle.levels.len()
     }
 
     /// Rows per level, finest first.
     pub fn level_rows(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.matrix.dim()).collect()
+        self.cycle.levels.iter().map(|l| l.matrix.dim()).collect()
     }
 
-    /// The operator of level `level` (finest = 0) as the cycle stores it.
-    /// Level 0 carries the same bits as the CSR matrix the hierarchy was
-    /// built from at half the traffic, and is shared: hand it to
-    /// [`mg_preconditioned_cg_on`] as the outer operator.
+    /// The `f64` operator of the finest level: the bits of the CSR matrix
+    /// the hierarchy was built from at half the traffic, shared — hand it
+    /// to [`mg_preconditioned_cg_on`] as the outer operator.  The coarse
+    /// levels exist in the cycle's `f32` only.
     ///
     /// # Panics
-    /// Panics when `level >= num_levels()`.
+    /// Panics unless `level == 0`.
     pub fn level_operator(&self, level: usize) -> Arc<DiaMatrix> {
-        Arc::clone(&self.levels[level].matrix)
+        assert_eq!(level, 0, "only the finest level keeps an f64 operator");
+        Arc::clone(&self.fine)
     }
 
-    /// One V-cycle: `z ≈ A⁻¹·rhs` starting from zero.  A fixed symmetric
-    /// positive-definite linear map of `rhs`, bitwise identical for every
-    /// thread count of `ops`.
+    /// One V-cycle: `z ≈ A⁻¹·rhs` starting from zero, a symmetric
+    /// positive-definite linear map of `rhs` up to `f32` rounding, bitwise
+    /// identical for every thread count of `ops` and exactly homogeneous
+    /// under powers of two (`v_cycle(2^k·rhs) = 2^k·v_cycle(rhs)`).
     pub fn v_cycle(&mut self, ops: &mut VectorOps<'_>, rhs: &[f64], z: &mut [f64]) {
-        let nl = self.levels.len();
-        assert_eq!(rhs.len(), self.levels[0].matrix.dim());
-        assert_eq!(z.len(), rhs.len());
-        let trace = ops.trace();
-        let cycle = trace.map(|t| t.span(lv_trace::spans::MG_VCYCLE, 0).iters(1));
-        // Per-level event: `aux` carries the level index, `iters` the smooth
-        // sweeps, and the traffic model counts the operator traversals.
-        let level_span = |l: usize, sweeps: u64, flops: u64, bytes: u64| {
-            trace.map(|t| {
-                t.span(lv_trace::spans::MG_LEVEL, 0)
-                    .iters(sweeps)
-                    .flops(flops)
-                    .bytes(bytes)
-                    .aux(l as u64)
-            })
-        };
-        // A leg traverses the matrix `sweeps` times either way: down, the
-        // first sweep from zero touches no matrix and the residual takes
-        // its place; up, every sweep is one traversal.
-        let sweeps = self.sweeps as u64;
-        let leg_span = |l: usize, matrix: &DiaMatrix| {
-            level_span(
-                l,
-                sweeps,
-                sweeps * matrix.apply_flops(),
-                sweeps * matrix.streamed_bytes() as u64,
-            )
-        };
-        self.levels[0].b.copy_from_slice(rhs);
-        for l in 0..nl - 1 {
-            let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
-            let level = &mut fine_half[l];
-            let next = &mut coarse_half[0];
-            let span = leg_span(l, &level.matrix);
-            level.smooth(ops, self.sweeps, self.damping, true);
-            level.residual(ops);
-            self.interps[l].restrict(ops, &level.r, &mut next.b);
-            drop(span);
-        }
-        {
-            let last = self.levels.last_mut().unwrap();
-            // The two dense triangular solves: one multiply-add per LU entry.
-            let dense = (self.coarse_lu.n * self.coarse_lu.n) as u64;
-            let span = level_span(nl - 1, 0, 2 * dense, 8 * dense);
-            self.coarse_lu.solve_into(&last.b, &mut last.x);
-            drop(span);
-        }
-        for l in (0..nl - 1).rev() {
-            let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
-            let level = &mut fine_half[l];
-            let next = &coarse_half[0];
-            let span = leg_span(l, &level.matrix);
-            self.interps[l].prolong_add(ops, &next.x, &mut level.x);
-            level.smooth(ops, self.sweeps, self.damping, false);
-            drop(span);
-        }
-        z.copy_from_slice(&self.levels[0].x);
-        drop(cycle);
+        self.cycle.v_cycle(ops, rhs, z);
     }
 }
 
 impl Preconditioner for GeometricMultigrid {
     fn apply(&mut self, ops: &mut VectorOps<'_>, r: &[f64], z: &mut [f64]) {
         self.v_cycle(ops, r, z);
+    }
+
+    fn is_inexact(&self) -> bool {
+        true
     }
 }
 
@@ -567,7 +694,7 @@ pub fn mg_preconditioned_cg_on(
 /// The V-cycle as it ran before the levels moved to diagonal storage —
 /// CSR levels, a `BTreeMap` per coarse row in the Galerkin product, four
 /// vector kernels per smoothing sweep.  The reference the tests hold the
-/// production cycle to, bit for bit.
+/// `f64` instantiation of the production cycle to, bit for bit.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -835,12 +962,28 @@ mod tests {
         (a, mg)
     }
 
+    /// The `f64` instantiation of the production cycle: the same source run
+    /// at the precision of the CSR reference, so the two can be compared
+    /// bit for bit.  An exact cycle, hence plain-`β` CG.
+    fn cycle_f64(a: &CsrMatrix, interps: Vec<Interpolation>) -> Cycle<f64> {
+        let dia = DiaMatrix::from_csr(a).expect("a lattice stencil");
+        Cycle::new(a, &dia, interps, &MultigridOptions::default()).expect("SPD hierarchy")
+    }
+
+    impl Preconditioner for Cycle<f64> {
+        fn apply(&mut self, ops: &mut VectorOps<'_>, r: &[f64], z: &mut [f64]) {
+            self.v_cycle(ops, r, z);
+        }
+    }
+
     /// The V-cycle must be a symmetric operator: `e_iᵀ·M⁻¹·e_j` computed
-    /// both ways agrees to rounding.  (Equal pre/post damped-Jacobi sweeps
-    /// + Galerkin coarse operators + exact coarse solve ⇒ symmetric.)
+    /// both ways agrees to rounding — `f64` rounding for the exact cycle,
+    /// `f32` rounding for the production one.  (Equal pre/post damped-Jacobi
+    /// sweeps + Galerkin coarse operators + exact coarse solve ⇒ symmetric.)
     #[test]
     fn v_cycle_is_a_symmetric_preconditioner() {
-        let (_, mut mg) = two_level_1d(15, &MultigridOptions::default());
+        let (a, mut mg) = two_level_1d(15, &MultigridOptions::default());
+        let mut exact = cycle_f64(&a, vec![linear_interpolation_1d(15)]);
         let n = 31;
         let mut ops = VectorOps::serial();
         for (i, j) in [(0usize, 7usize), (3, 19), (11, 30)] {
@@ -848,13 +991,20 @@ mod tests {
             ei[i] = 1.0;
             let mut ej = vec![0.0; n];
             ej[j] = 1.0;
-            let mut mi = vec![0.0; n];
-            mg.v_cycle(&mut ops, &ei, &mut mi);
-            let mut mj = vec![0.0; n];
-            mg.v_cycle(&mut ops, &ej, &mut mj);
+            let (mut mi, mut mj) = (vec![0.0; n], vec![0.0; n]);
+            exact.v_cycle(&ops, &ei, &mut mi);
+            exact.v_cycle(&ops, &ej, &mut mj);
             assert!(
                 (mi[j] - mj[i]).abs() < 1e-13 * (1.0 + mi[j].abs()),
-                "asymmetry at ({i},{j}): {} vs {}",
+                "f64 asymmetry at ({i},{j}): {} vs {}",
+                mi[j],
+                mj[i]
+            );
+            mg.v_cycle(&mut ops, &ei, &mut mi);
+            mg.v_cycle(&mut ops, &ej, &mut mj);
+            assert!(
+                (mi[j] - mj[i]).abs() < 16.0 * f64::from(f32::EPSILON) * (1.0 + mi[j].abs()),
+                "f32 asymmetry at ({i},{j}): {} vs {}",
                 mi[j],
                 mj[i]
             );
@@ -1082,34 +1232,47 @@ mod tests {
         }
     }
 
-    /// The pin: V-cycle output and the full MG-CG solve — solution,
-    /// iteration count, residual history — carry the bits of the CSR /
-    /// four-kernel algorithm they replaced, at every thread count.
-    #[test]
-    fn v_cycle_and_mgcg_are_bitwise_equal_to_the_csr_four_kernel_reference() {
+    /// The lattice problems plus the 2047-row 1-D pair, each with a noisy
+    /// right-hand side (`-0.0` and subnormals mixed in) that is zero on the
+    /// pinned rows.
+    fn cycle_problems() -> Vec<(&'static str, CsrMatrix, Vec<Interpolation>, Vec<f64>)> {
         let mut problems = lattice_problems();
         let nc = 1023;
         problems.push(("1-D", laplacian_1d(2 * nc + 1), vec![linear_interpolation_1d(nc)]));
+        problems
+            .into_iter()
+            .map(|(name, a, interps)| {
+                let mut rhs = crate::dia::tests::awkward_vector(a.dim(), 41);
+                for (row, value) in rhs.iter_mut().enumerate() {
+                    if a.get(row, row) == 1.0 {
+                        *value = 0.0; // pinned rows carry a zero right-hand side
+                    }
+                }
+                (name, a, interps, rhs)
+            })
+            .collect()
+    }
+
+    /// The pin: V-cycle output and the full MG-CG solve — solution,
+    /// iteration count, residual history — carry the bits of the CSR /
+    /// four-kernel algorithm they replaced, at every thread count, when the
+    /// one cycle source runs in `f64`.
+    #[test]
+    fn v_cycle_and_mgcg_are_bitwise_equal_to_the_csr_four_kernel_reference() {
         let options = MultigridOptions::default();
         let solve = SolveOptions { tolerance: 1e-10, ..Default::default() };
-        for (name, a, interps) in problems {
+        for (name, a, interps, rhs) in cycle_problems() {
             let n = a.dim();
             let mut reference = oracle::CsrMultigrid::new(&a, interps.clone(), &options);
-            let mut mg = GeometricMultigrid::new(&a, interps, &options).expect("lattice hierarchy");
-            let fine = mg.level_operator(0);
-            let mut rhs = crate::dia::tests::awkward_vector(n, 41);
-            for (row, value) in rhs.iter_mut().enumerate() {
-                if a.get(row, row) == 1.0 {
-                    *value = 0.0; // pinned rows carry a zero right-hand side
-                }
-            }
+            let mut mg = cycle_f64(&a, interps);
+            let fine = DiaMatrix::from_csr(&a).expect("a lattice stencil");
             for threads in [1usize, 2, 4] {
                 let team = Team::new(threads);
                 let what = format!("{name}, {threads} threads");
 
                 let (mut z_ref, mut z) = (vec![0.0; n], vec![0.0; n]);
                 reference.apply(&mut VectorOps::on_team(&team), &rhs, &mut z_ref);
-                mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
+                mg.v_cycle(&VectorOps::on_team(&team), &rhs, &mut z);
                 assert_same_bits(&z, &z_ref, &format!("V-cycle, {what}"));
 
                 let want = conjugate_gradient_with(
@@ -1120,13 +1283,159 @@ mod tests {
                     &mut reference,
                 )
                 .expect("reference MG-CG converges");
-                let got = mg_preconditioned_cg_on(&team, &*fine, &mut mg, &rhs, &solve)
-                    .expect("MG-CG converges");
+                let got = conjugate_gradient_with(
+                    &fine,
+                    &rhs,
+                    &solve,
+                    &mut VectorOps::on_team(&team),
+                    &mut mg,
+                )
+                .expect("MG-CG converges");
                 assert_eq!(got.iterations, want.iterations, "iterations, {what}");
                 assert_same_bits(&got.residual_history, &want.residual_history, &what);
                 assert_same_bits(&got.solution, &want.solution, &what);
             }
         }
+    }
+
+    /// `‖z32 − z64‖∞ / (ε_f32·‖z64‖∞)` of one V-cycle on `rhs`, over the
+    /// rows not in `skip`: the production `f32` cycle against the `f64`
+    /// instantiation of the same source.
+    fn f32_error_in_epsilons(
+        mg: &mut GeometricMultigrid,
+        exact: &mut Cycle<f64>,
+        rhs: &[f64],
+        skip: Option<usize>,
+    ) -> f64 {
+        let n = rhs.len();
+        let (mut z64, mut z32) = (vec![0.0; n], vec![0.0; n]);
+        exact.v_cycle(&VectorOps::serial(), rhs, &mut z64);
+        mg.v_cycle(&mut VectorOps::serial(), rhs, &mut z32);
+        assert!(z32.iter().all(|v| v.is_finite()));
+        if let Some(row) = skip {
+            (z64[row], z32[row]) = (0.0, 0.0);
+        }
+        let diff: Vec<f64> = z32.iter().zip(&z64).map(|(a, b)| a - b).collect();
+        max_abs(&diff) / (f64::from(f32::EPSILON) * max_abs(&z64))
+    }
+
+    /// The rounded cycle differs from the exact one by rounding only.
+    /// Measured: 2.10 ε_f32 (cavity lattice), 1.98 (channel), 0.71 (1-D),
+    /// and 2.12 / 0.58 over the coupled rows when a pinned row carries the
+    /// maximum; pinned with a factor of ~4 to spare.
+    const F32_CYCLE_BOUND: f64 = 8.0;
+
+    #[test]
+    fn f32_cycle_stays_within_rounding_of_the_f64_cycle() {
+        let options = MultigridOptions::default();
+        for (name, a, interps, rhs) in cycle_problems() {
+            let mut exact = cycle_f64(&a, interps.clone());
+            let mut mg = GeometricMultigrid::new(&a, interps, &options).expect("lattice hierarchy");
+            let ratio = f32_error_in_epsilons(&mut mg, &mut exact, &rhs, None);
+            assert!(ratio > 0.0, "{name}: the f32 cycle cannot carry the f64 cycle's bits");
+            assert!(ratio <= F32_CYCLE_BOUND, "{name}: ‖z32 − z64‖∞ = {ratio}·ε_f32·‖z64‖∞");
+
+            // A decoupled (pinned) row that carries the maximum sets the
+            // entry scale for everyone: the coupled rows, now a thousand
+            // times smaller than the scale was chosen for, keep their
+            // accuracy relative to themselves.
+            if let Some(pin) = (0..a.dim()).find(|&row| a.get(row, row) == 1.0) {
+                let mut on_a_pin = rhs.clone();
+                on_a_pin[pin] = 1000.0;
+                let ratio = f32_error_in_epsilons(&mut mg, &mut exact, &on_a_pin, Some(pin));
+                assert!(ratio <= F32_CYCLE_BOUND, "{name}, maximum on a pinned row: {ratio}");
+            }
+        }
+    }
+
+    /// The production contract: the `f32` V-cycle and the flexible MG-CG
+    /// solve it preconditions — solution, iteration count, residual history
+    /// — are bitwise identical at every thread count (every fine level here
+    /// clears `SERIAL_CUTOFF`, so the pooled paths really fork).
+    #[test]
+    fn f32_v_cycle_and_mgcg_are_bitwise_equal_across_thread_counts() {
+        let options = MultigridOptions::default();
+        let solve = SolveOptions { tolerance: 1e-10, ..Default::default() };
+        for (name, a, interps, rhs) in cycle_problems() {
+            let n = a.dim();
+            let mut mg = GeometricMultigrid::new(&a, interps, &options).expect("lattice hierarchy");
+            let fine = mg.level_operator(0);
+            let mut z_serial = vec![0.0; n];
+            mg.v_cycle(&mut VectorOps::serial(), &rhs, &mut z_serial);
+            let serial = mg_preconditioned_cg(&*fine, &mut mg, &rhs, &solve).expect("converges");
+            for threads in [1usize, 2, 4] {
+                let team = Team::new(threads);
+                let what = format!("{name}, {threads} threads");
+                let mut z = vec![0.0; n];
+                mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
+                assert_same_bits(&z, &z_serial, &format!("V-cycle, {what}"));
+                let got = mg_preconditioned_cg_on(&team, &*fine, &mut mg, &rhs, &solve)
+                    .expect("MG-CG converges");
+                assert_eq!(got.iterations, serial.iterations, "iterations, {what}");
+                assert_same_bits(&got.residual_history, &serial.residual_history, &what);
+                assert_same_bits(&got.solution, &serial.solution, &what);
+            }
+        }
+    }
+
+    /// The cycle is exactly homogeneous under powers of two: the entry
+    /// scale maps `2^k·rhs` onto the very `f32` input `rhs` maps onto, and
+    /// the exit scale is exact.  Without it `2^-300·rhs` would flush to
+    /// zero in `f32` and `2^300·rhs` overflow.
+    #[test]
+    fn v_cycle_is_exactly_homogeneous_under_powers_of_two() {
+        let options = MultigridOptions::default();
+        for (name, a, interps, rhs) in cycle_problems() {
+            let n = a.dim();
+            // Ordinary magnitudes only, so `2^k·rhs` itself is exact.
+            let rhs: Vec<f64> =
+                rhs.iter().map(|&v| if v.abs() < 1e-300 { 0.0 } else { v }).collect();
+            let mut on_a_pin = rhs.clone();
+            if let Some(pin) = (0..n).find(|&row| a.get(row, row) == 1.0) {
+                on_a_pin[pin] = 1000.0;
+            }
+            let mut mg = GeometricMultigrid::new(&a, interps, &options).expect("lattice hierarchy");
+            let mut ops = VectorOps::serial();
+            for (case, rhs) in [("noise", &rhs), ("maximum on a pinned row", &on_a_pin)] {
+                let mut z = vec![0.0; n];
+                mg.v_cycle(&mut ops, rhs, &mut z);
+                for k in [-300, -40, 0, 40, 300] {
+                    let factor = 2f64.powi(k);
+                    let scaled: Vec<f64> = rhs.iter().map(|v| v * factor).collect();
+                    let want: Vec<f64> = z.iter().map(|v| v * factor).collect();
+                    let mut got = vec![f64::NAN; n];
+                    mg.v_cycle(&mut ops, &scaled, &mut got);
+                    assert_same_bits(&got, &want, &format!("{name}, {case}, k = {k}"));
+                }
+            }
+            let mut z = vec![f64::NAN; n];
+            mg.v_cycle(&mut ops, &vec![0.0; n], &mut z);
+            assert_same_bits(&z, &vec![0.0; n], &format!("{name}, zero right-hand side"));
+        }
+    }
+
+    #[test]
+    fn entry_scale_is_an_exact_power_of_two_for_every_magnitude() {
+        for (max, scale) in [
+            (1.0, 1.0),
+            (1.999, 1.0),
+            (2.0, 0.5),
+            (0.75, 2.0),
+            (3e-200, 2f64.powi(663)),
+            (0.0, 2f64.powi(1022)),
+            (f64::MIN_POSITIVE / 4.0, 2f64.powi(1022)),
+            (f64::MAX, 2f64.powi(-1022)),
+            (f64::INFINITY, 2f64.powi(-1022)),
+        ] {
+            let (down, up) = entry_scale(max);
+            assert_eq!(down, scale, "scale of {max:e}");
+            assert_eq!(down * up, 1.0, "the pair of {max:e} must cancel");
+        }
+        assert_eq!(max_abs(&[]), 0.0);
+        let noisy: Vec<f64> = (0..37).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
+        assert_eq!(max_abs(&noisy), 5.0);
+        // A NaN is not a magnitude; it poisons the cycle's output, not the scale.
+        assert_eq!(max_abs(&[1.0, f64::NAN, -3.0]), 3.0);
     }
 
     #[test]
@@ -1169,17 +1478,18 @@ mod tests {
         let rhs = vec![1.0; a.dim()];
         let mut z = vec![0.0; a.dim()];
         mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
-        let fine = mg.level_operator(0);
         let trace = team.trace_mut().expect("traced team");
         let levels: Vec<_> =
             trace.events().into_iter().filter(|e| e.span == lv_trace::spans::MG_LEVEL).collect();
         // Down leg of level 0, the dense coarsest solve, up leg of level 0.
         assert_eq!(levels.len(), 3);
         let sweeps = MultigridOptions::default().smoothing_sweeps as u64;
+        // The cycle's level 0: three diagonals of 31 rows, stored as `f32`.
+        let stored = 3 * 31;
         for leg in [&levels[0], &levels[2]] {
             assert_eq!(leg.iters, sweeps);
-            assert_eq!(leg.flops, sweeps * fine.apply_flops());
-            assert_eq!(leg.bytes, sweeps * fine.streamed_bytes() as u64);
+            assert_eq!(leg.flops, sweeps * 2 * stored);
+            assert_eq!(leg.bytes, sweeps * 4 * stored);
         }
         assert_eq!(
             (levels[1].iters, levels[1].flops, levels[1].bytes),

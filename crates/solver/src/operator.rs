@@ -7,7 +7,10 @@
 //! while streaming a fraction of the memory — the long-vector co-design
 //! trade of the source paper applied to the solver half.  [`LinearOperator`]
 //! is the seam: CG and the multigrid preconditioner are written against it,
-//! so CSR and matrix-free backends are interchangeable.
+//! so CSR and matrix-free backends are interchangeable.  [`Preconditioner`]
+//! is the other seam: what CG applies between products, and whether it is
+//! exactly one fixed operator (Jacobi) or only close to one (the `f32`
+//! multigrid V-cycle) — which decides the `β` CG uses.
 //!
 //! The determinism contract carries over unchanged: an implementation's
 //! [`apply_range`](LinearOperator::apply_range) writes **only** the rows it
@@ -91,13 +94,26 @@ impl LinearOperator for CsrMatrix {
 /// A preconditioner application `z = M⁻¹·r` inside a Krylov iteration.
 ///
 /// Takes `&mut self` because stateful preconditioners (the multigrid
-/// V-cycle) smooth into owned scratch vectors.  For CG the application must
-/// be a fixed symmetric positive-definite linear operator — the same `M` on
-/// every call — or the outer iteration loses its convergence guarantee.
+/// V-cycle) smooth into owned scratch vectors.  For plain CG the application
+/// must be a fixed symmetric positive-definite linear operator — the same
+/// `M` on every call — or the outer iteration loses its convergence
+/// guarantee.  A preconditioner that is only *close* to such an operator (a
+/// V-cycle that rounds to `f32` on the way) says so through
+/// [`is_inexact`](Self::is_inexact), and CG then takes the flexible
+/// (Polak–Ribière) `β`, which re-orthogonalises against what the application
+/// actually returned.
 pub trait Preconditioner {
     /// Computes `z = M⁻¹·r` using the caller's kernels (and therefore the
     /// caller's worker team and determinism contract).
     fn apply(&mut self, ops: &mut VectorOps<'_>, r: &[f64], z: &mut [f64]);
+
+    /// Whether [`apply`](Self::apply) deviates from one fixed SPD linear
+    /// map, e.g. by rounding to a lower precision.  A property of the
+    /// preconditioner, not a setting: `false` unless an implementation
+    /// knows better.
+    fn is_inexact(&self) -> bool {
+        false
+    }
 }
 
 /// The Jacobi (inverse-diagonal) preconditioner, or the identity when

@@ -1,11 +1,16 @@
 //! Level by level through the pressure multigrid of an `N³` lid-driven
 //! cavity: what each level stores and how fast it streams — CSR against the
-//! diagonal storage the V-cycle runs on (README "Level storage").
+//! diagonal storage in `f64` (the outer CG's product) and in `f32` (what the
+//! V-cycle runs on; README "Level storage").
 //!
-//! Per level: rows, diagonals, operator bytes in both formats, and the
-//! median wall-clock and GB/s of `CsrMatrix::spmv`, the `DiaMatrix`
-//! product and one fused damped-Jacobi sweep, one thread; then one whole
-//! V-cycle.  The two products are asserted bitwise equal on every level.
+//! Per level, first what is stored: rows, diagonals, the number of bitwise
+//! distinct rows (why a row-class dictionary cannot replace the storage),
+//! and the operator bytes as CSR, `f64` diagonals and `f32` diagonals.  Then
+//! how it streams, one thread, median wall-clock and GB/s: `CsrMatrix::spmv`,
+//! the `DiaMatrix` product and one fused damped-Jacobi sweep in both
+//! precisions; then one whole V-cycle.  On every level the `f64` product is
+//! asserted bitwise equal to CSR and the `f32` one within the rounding bound
+//! `(diagonals + 2)·ε_f32·(|A|·|x|)` of it, row by row.
 //!
 //! ```text
 //! cargo run --release --example vcycle_layers [-- <elements per side, default 32>]
@@ -14,8 +19,10 @@
 use alya_longvec::prelude::*;
 use lv_kernel::{pressure_interpolations, pressure_laplacian};
 use lv_solver::{
-    galerkin_coarse, DiaMatrix, GeometricMultigrid, LinearOperator, MultigridOptions, VectorOps,
+    galerkin_coarse, CsrMatrix, DiaMatrix, GeometricMultigrid, LinearOperator, MultigridOptions,
+    VectorOps,
 };
+use std::collections::HashSet;
 use std::time::Instant;
 
 const REPEATS: usize = 15;
@@ -35,6 +42,19 @@ fn median_ms(mut f: impl FnMut()) -> f64 {
 
 fn gbs(bytes: usize, ms: f64) -> f64 {
     bytes as f64 / (1e6 * ms)
+}
+
+/// Rows of `csr` that differ in some bit of some `(col − row, value)` pair.
+fn distinct_rows(csr: &CsrMatrix) -> usize {
+    let (row_ptr, col_idx, values) = (csr.row_ptr(), csr.col_idx(), csr.values());
+    let rows: HashSet<Vec<(isize, u64)>> = (0..csr.dim())
+        .map(|row| {
+            (row_ptr[row]..row_ptr[row + 1])
+                .map(|idx| (col_idx[idx] as isize - row as isize, values[idx].to_bits()))
+                .collect()
+        })
+        .collect();
+    rows.len()
 }
 
 fn main() {
@@ -58,44 +78,85 @@ fn main() {
 
     println!("pressure multigrid of the {n}³ cavity, 1 thread, median of {REPEATS}");
     println!(
-        "{:>5} {:>7} {:>5} {:>10} {:>10} | {:>9} {:>6} | {:>9} {:>6} | {:>9} {:>6}",
-        "level",
-        "rows",
-        "diags",
-        "CSR B",
-        "DIA B",
-        "spmv ms",
-        "GB/s",
-        "DIA ms",
-        "GB/s",
-        "sweep ms",
-        "GB/s"
+        "{:>5} {:>7} {:>5} {:>8} {:>10} {:>10} {:>10}",
+        "level", "rows", "diags", "distinct", "CSR B", "DIA f64 B", "DIA f32 B"
     );
+    let mut timings = Vec::new();
     for (level, csr) in csr_levels.iter().enumerate() {
-        let dia = DiaMatrix::from_csr(csr).expect("a lattice level fits the diagonal storage");
+        let dia: DiaMatrix = DiaMatrix::from_csr(csr).expect("a lattice level fits the storage");
+        let dia32 = DiaMatrix::<f32>::from_csr(csr).expect("the same pattern fits in f32");
         let rows = csr.dim();
         let x: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.37).sin()).collect();
         let b: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.11).cos()).collect();
         let inv_diag: Vec<f64> = csr.diagonal().iter().map(|d| 1.0 / d).collect();
+        let narrow = |v: &[f64]| v.iter().map(|&e| e as f32).collect::<Vec<f32>>();
+        let (x32, b32, inv_diag32) = (narrow(&x), narrow(&b), narrow(&inv_diag));
         let (mut y_csr, mut y_dia, mut xn) = (vec![0.0; rows], vec![0.0; rows], vec![0.0; rows]);
+        let (mut r32, mut xn32) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+        let zero32 = vec![0.0f32; rows];
 
         let csr_ms = median_ms(|| csr.spmv(&x, &mut y_csr));
         let dia_ms = median_ms(|| LinearOperator::apply(&dia, &x, &mut y_dia));
+        // The f32 product through its public fused form: `0 − A·x`.
+        let dia32_ms = median_ms(|| dia32.residual_range(&x32, &zero32, 0..rows, &mut r32));
         let sweep_ms = median_ms(|| dia.jacobi_range(&x, &b, &inv_diag, 0.8, 0..rows, &mut xn));
+        let sweep32_ms =
+            median_ms(|| dia32.jacobi_range(&x32, &b32, &inv_diag32, 0.8, 0..rows, &mut xn32));
+        std::hint::black_box((&xn, &xn32));
+
         assert!(
             y_csr.iter().zip(&y_dia).all(|(a, b)| a.to_bits() == b.to_bits()),
             "level {level}: DIA product differs from CSR"
         );
-        std::hint::black_box(&xn);
+        let abs = |v: &[f64]| v.iter().map(|e| e.abs()).collect::<Vec<f64>>();
+        let mut magnitude = csr.clone();
+        let abs_values = abs(csr.values());
+        magnitude.pattern_and_values_mut().2.copy_from_slice(&abs_values);
+        let magnitude = magnitude.mul_vec(&abs(&x));
+        let bound = (dia32.offsets().len() + 2) as f64 * f64::from(f32::EPSILON);
+        for row in 0..rows {
+            let error = (-f64::from(r32[row]) - y_csr[row]).abs();
+            assert!(
+                error <= bound * magnitude[row],
+                "level {level} row {row}: f32 product off by {error:e}"
+            );
+        }
 
-        let (csr_bytes, dia_bytes) = (LinearOperator::streamed_bytes(csr), dia.streamed_bytes());
+        let csr_bytes = LinearOperator::streamed_bytes(csr);
+        let (dia_bytes, dia32_bytes) = (dia.streamed_bytes(), dia32.streamed_bytes());
         println!(
-            "{level:>5} {rows:>7} {:>5} {csr_bytes:>10} {dia_bytes:>10} | {csr_ms:>9.4} {:>6.1} | {dia_ms:>9.4} {:>6.1} | {sweep_ms:>9.4} {:>6.1}",
+            "{level:>5} {rows:>7} {:>5} {:>8} {csr_bytes:>10} {dia_bytes:>10} {dia32_bytes:>10}",
             dia.offsets().len(),
-            gbs(csr_bytes, csr_ms),
-            gbs(dia_bytes, dia_ms),
-            gbs(dia_bytes, sweep_ms),
+            distinct_rows(csr),
         );
+        timings.push([
+            (csr_bytes, csr_ms),
+            (dia_bytes, dia_ms),
+            (dia32_bytes, dia32_ms),
+            (dia_bytes, sweep_ms),
+            (dia32_bytes, sweep32_ms),
+        ]);
+    }
+    println!(
+        "{:>5} | {:>9} {:>6} | {:>9} {:>6} | {:>9} {:>6} | {:>9} {:>6} | {:>9} {:>6}",
+        "level",
+        "spmv ms",
+        "GB/s",
+        "f64 ms",
+        "GB/s",
+        "f32 ms",
+        "GB/s",
+        "sweep64",
+        "GB/s",
+        "sweep32",
+        "GB/s"
+    );
+    for (level, kernels) in timings.iter().enumerate() {
+        print!("{level:>5}");
+        for &(bytes, ms) in kernels {
+            print!(" | {ms:>9.4} {:>6.1}", gbs(bytes, ms));
+        }
+        println!();
     }
 
     let rows = csr_levels[0].dim();
@@ -106,7 +167,7 @@ fn main() {
     let mut ops = VectorOps::serial();
     let cycle_ms = median_ms(|| multigrid.v_cycle(&mut ops, &rhs, &mut z));
     println!(
-        "one V-cycle ({} levels, {} sweeps per leg): {cycle_ms:.4} ms",
+        "one f32 V-cycle ({} levels, {} sweeps per leg): {cycle_ms:.4} ms",
         multigrid.num_levels(),
         options.smoothing_sweeps
     );

@@ -10,6 +10,10 @@
 //! * **Mesh independence** — MG-CG iterations do not grow over
 //!   8³ → 12³ → 16³ and stay at or below the ISSUE ceiling of 15 at 16³,
 //!   while plain Jacobi-CG iterations grow with resolution;
+//! * **Precision neutrality** — the V-cycle runs in `f32` under the `f64`
+//!   CG; every Poisson solve of cavity / Taylor–Green / channel steps at 8³
+//!   and 12³ takes the iterations the all-`f64` cycle took, and that is the
+//!   flexible `β`'s doing (plain `β` pays on the gate's 16³ system);
 //! * **Physics neutrality** — a cavity trajectory stepped with the MG-CG
 //!   pressure path matches the plain-CG trajectory to solver tolerance
 //!   (both solve the same system to 1e-10), with fewer Poisson iterations;
@@ -134,6 +138,83 @@ fn mgcg_iterations_are_mesh_independent_and_under_the_ceiling() {
         largest.mgcg_iterations
     );
     assert!(largest.mgcg_iterations < largest.cg_iterations / 3);
+}
+
+/// The V-cycle runs in `f32` under the `f64` CG.  That it costs no
+/// iteration is pinned here, step by step, against the counts the all-`f64`
+/// cycle of the parent commit took on the same scenarios (recorded there
+/// before the cycle changed precision).
+#[test]
+fn poisson_iterations_per_step_are_those_of_the_all_f64_cycle() {
+    use ScenarioKind::{Channel, LidDrivenCavity, TaylorGreenVortex};
+    let table: [(ScenarioKind, usize, [usize; 6]); 6] = [
+        (LidDrivenCavity, 8, [22, 21, 21, 21, 21, 21]),
+        (LidDrivenCavity, 12, [21, 21, 21, 21, 21, 21]),
+        (TaylorGreenVortex, 8, [21, 21, 21, 21, 21, 21]),
+        (TaylorGreenVortex, 12, [21, 21, 21, 21, 21, 21]),
+        (Channel, 8, [18, 18, 18, 18, 18, 18]),
+        (Channel, 12, [18, 18, 17, 16, 18, 18]),
+    ];
+    let team = Team::new(2);
+    for (kind, resolution, expect) in table {
+        let mut stepper = Stepper::new(Scenario::new(kind, resolution), StepperConfig::default());
+        assert_eq!(stepper.pressure_solver(), PressureSolver::MgCg);
+        let reports = stepper.run_on(&team, expect.len()).expect("the scenario steps");
+        let got: Vec<usize> = reports.iter().map(|r| r.poisson_iterations).collect();
+        assert_eq!(got, expect, "{} {resolution}³", kind.name());
+        assert!(reports.iter().all(|r| r.retries == 0 && r.poisson_fallbacks == 0));
+    }
+}
+
+/// Why CG asks the preconditioner whether it is inexact: on the 16³ system
+/// of the mesh-independence gate, plain (Fletcher–Reeves) PCG around the
+/// very same `f32` V-cycle needs more iterations than the flexible `β` the
+/// library takes.  Dropping `GeometricMultigrid`'s `is_inexact` would turn
+/// the library's count into the plain one.
+#[test]
+fn plain_beta_pays_for_the_rounded_cycle_and_flexible_beta_does_not() {
+    let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 16);
+    let mesh = scenario.build_mesh();
+    let pins = scenario.pressure_pins(&mesh);
+    let laplacian = pressure_laplacian(&mesh, 128, &pins);
+    // The right-hand side `measure_pressure_solvers` solves for.
+    let mut rhs = probe(laplacian.dim(), 1442695040888963407);
+    for &pin in &pins {
+        rhs[pin] = 0.0;
+    }
+    let mut multigrid = build_pressure_multigrid(&mesh, &laplacian, &MultigridOptions::default())
+        .expect("16³ cavity is a structured lattice");
+    let options = SolveOptions { max_iterations: 4000, tolerance: 1e-10, ..Default::default() };
+    let team = Team::new(1);
+    let flexible = mg_preconditioned_cg_on(&team, &laplacian, &mut multigrid, &rhs, &options)
+        .expect("MG-CG converges")
+        .iterations;
+
+    // Textbook PCG, `β = (r·z)_new / (r·z)_old`, on the public kernels.
+    let n = rhs.len();
+    let mut ops = VectorOps::serial();
+    let b_norm = ops.norm(&rhs);
+    let (mut r, mut z, mut ap) = (rhs.clone(), vec![0.0; n], vec![0.0; n]);
+    multigrid.v_cycle(&mut ops, &r, &mut z);
+    let mut p = z.clone();
+    let mut rz = ops.dot(&r, &z);
+    let mut plain = 0;
+    loop {
+        plain += 1;
+        assert!(plain < 100, "plain PCG must still converge");
+        ops.apply(&laplacian, &p, &mut ap);
+        let alpha = rz / ops.dot(&p, &ap);
+        ops.axpy(-alpha, &ap, &mut r);
+        if ops.norm(&r) / b_norm < options.tolerance {
+            break;
+        }
+        multigrid.v_cycle(&mut ops, &r, &mut z);
+        let rz_new = ops.dot(&r, &z);
+        ops.xpby(&z, rz_new / rz, &mut p);
+        rz = rz_new;
+    }
+    assert_eq!(flexible, 7, "the gate's 16³ count");
+    assert!(plain > flexible, "plain β took {plain} iterations, flexible β {flexible}");
 }
 
 #[test]
@@ -270,7 +351,7 @@ fn a_jittered_box_fits_on_the_fine_level_only() {
     let options = MultigridOptions::default();
     let interps = pressure_interpolations(&mesh, &options).expect("mild jitter keeps the lattice");
     let coarse = galerkin_coarse(&laplacian, &interps[0]);
-    assert!(DiaMatrix::from_csr(&coarse).is_none());
+    assert!(DiaMatrix::<f64>::from_csr(&coarse).is_none());
     assert!(build_pressure_multigrid(&mesh, &laplacian, &options).is_none());
 }
 
@@ -281,7 +362,10 @@ fn a_scrambled_node_order_does_not_fit_and_steps_with_plain_cg() {
     let scrambled = mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 99));
     let pins = scenario.pressure_pins(&scrambled);
     let laplacian = pressure_laplacian(&scrambled, 64, &pins);
-    assert!(DiaMatrix::from_csr(&laplacian).is_none(), "a scrambled Laplacian has no diagonals");
+    assert!(
+        DiaMatrix::<f64>::from_csr(&laplacian).is_none(),
+        "a scrambled Laplacian has no diagonals"
+    );
     assert!(
         build_pressure_multigrid(&scrambled, &laplacian, &MultigridOptions::default()).is_none()
     );
