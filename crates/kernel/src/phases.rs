@@ -43,6 +43,24 @@
 //! [`ElementChunk`] or a colored [`lv_mesh::ChunkSlots`]), which is how the
 //! same kernel serves both the serial sweep and the mesh-colored parallel
 //! sweep.
+//!
+//! # The host's lanes
+//!
+//! Phases 3–7 of the slice path — every loop of them unit-stride over
+//! `ivect` — are multiversioned with [`lv_runtime::multiversion!`]: each
+//! body is compiled once at the build's baseline target features and once
+//! as an `avx2` clone, and `phaseN_*_slices` enters the copy
+//! [`lv_runtime::Lanes::selected`] picked for this host (four `f64` per
+//! instruction instead of SSE2's two).  `phaseN_*_slices_at` takes the
+//! [`Lanes`](lv_runtime::Lanes) explicitly — what `examples/assembly_phases`
+//! times side by side and the tests below compare `to_bits`.  A clone runs
+//! the baseline's IEEE operations in the baseline's order for every slot
+//! (Rust neither reassociates nor contracts to FMA), so both copies are
+//! bitwise identical to each other and to the accessor oracle, which is
+//! never cloned.  The clones are **per phase**: one clone around phases 3–7
+//! inlined together compiles to slower code than the baseline.  Phases 1, 2
+//! and 8 gather and scatter; wider lanes do nothing for them and they have
+//! one copy.
 
 use crate::config::KernelConfig;
 use crate::workspace::{ElementWorkspace, WorkspaceViewsMut};
@@ -486,16 +504,25 @@ pub fn phase2_gather_unknowns_slices(
     }
 }
 
-/// Phase 3, slice path: Jacobian, determinant, inverse and Cartesian
-/// derivatives, strip-mined over the slots.
-///
-/// The `inode` reduction accumulates the nine Jacobian entries of a strip of
-/// `STRIP` (16) slots in unit-stride vector loops; the determinant/inverse is
-/// inherently per-slot scalar work (exactly as the paper observes for its
-/// phase 3); the `gpcar` back-substitution vectorizes again.
-///
-/// Returns the number of slots whose Jacobian was singular.
-pub fn phase3_jacobian_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize {
+lv_runtime::multiversion! {
+    /// Phase 3, slice path: Jacobian, determinant, inverse and Cartesian
+    /// derivatives, strip-mined over the slots.
+    ///
+    /// Every loop runs unit-stride over a strip of `STRIP` (16) slots: the
+    /// `inode` reduction into the nine Jacobian entries, the determinant and
+    /// inverse — the expression trees of [`Mat3::det`] / [`Mat3::inverse`]
+    /// written lane-wise and branch-free, singular lanes (`|det| < 1e-300`)
+    /// counted and masked afterwards — and the `gpcar` back-substitution.
+    /// (The paper found this step scalar in its phase 3; here it was the last
+    /// loop of phases 3–7 the vectorizer skipped.)
+    ///
+    /// Returns the number of slots whose Jacobian was singular.
+    pub fn phase3_jacobian_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize
+        = phase3_jacobian_body, at phase3_jacobian_slices_at;
+}
+
+#[inline(always)]
+fn phase3_jacobian_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize {
     debug_assert_eq!(shape.num_gauss(), PGAUS);
     let vs = v.vs;
     let mut singular = 0usize;
@@ -518,35 +545,43 @@ pub fn phase3_jacobian_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> 
                     }
                 }
             }
-            // Determinant and inverse: per-lane scalar work.
+            // Determinant and inverse of every lane of the strip, singular
+            // or not (a lane past `sl` holds a zero Jacobian; its infinities
+            // are never read).  `Mat3::inverse` evaluates exactly these
+            // products and differences, so the accessor oracle keeps its
+            // bits.
+            let mut det = [0.0f64; STRIP];
             let mut inv = [[0.0f64; STRIP]; NDIME * NDIME];
+            for k in 0..STRIP {
+                let (m00, m01, m02) = (jac[0][k], jac[1][k], jac[2][k]);
+                let (m10, m11, m12) = (jac[3][k], jac[4][k], jac[5][k]);
+                let (m20, m21, m22) = (jac[6][k], jac[7][k], jac[8][k]);
+                let d = m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+                    + m02 * (m10 * m21 - m11 * m20);
+                let inv_d = 1.0 / d;
+                det[k] = d;
+                inv[0][k] = (m11 * m22 - m12 * m21) * inv_d;
+                inv[1][k] = (m02 * m21 - m01 * m22) * inv_d;
+                inv[2][k] = (m01 * m12 - m02 * m11) * inv_d;
+                inv[3][k] = (m12 * m20 - m10 * m22) * inv_d;
+                inv[4][k] = (m00 * m22 - m02 * m20) * inv_d;
+                inv[5][k] = (m02 * m10 - m00 * m12) * inv_d;
+                inv[6][k] = (m10 * m21 - m11 * m20) * inv_d;
+                inv[7][k] = (m01 * m20 - m00 * m21) * inv_d;
+                inv[8][k] = (m00 * m11 - m01 * m10) * inv_d;
+            }
             let mut ok = [true; STRIP];
             let mut all_ok = true;
             {
                 let gpvol = &mut row_mut(v.gpvol, igaus, vs)[s0..s0 + sl];
                 for (k, out) in gpvol.iter_mut().enumerate() {
-                    let mut m = Mat3::ZERO;
-                    for i in 0..NDIME {
-                        for j in 0..NDIME {
-                            m.m[i][j] = jac[i * NDIME + j][k];
-                        }
-                    }
-                    let det = m.det();
                     let weight = 1.0; // 2×2×2 Gauss weights are all 1
-                    *out = det.abs() * weight;
-                    match m.inverse() {
-                        Some(minv) => {
-                            for i in 0..NDIME {
-                                for j in 0..NDIME {
-                                    inv[i * NDIME + j][k] = minv.m[i][j];
-                                }
-                            }
-                        }
-                        None => {
-                            singular += 1;
-                            ok[k] = false;
-                            all_ok = false;
-                        }
+                    *out = det[k].abs() * weight;
+                    // `Mat3::inverse`'s own test for "no inverse".
+                    if det[k].abs() < 1e-300 {
+                        singular += 1;
+                        ok[k] = false;
+                        all_ok = false;
                     }
                 }
             }
@@ -588,9 +623,15 @@ pub fn phase3_jacobian_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> 
     singular
 }
 
-/// Phase 4, slice path: velocity and velocity gradient at the integration
-/// points — pure unit-stride multiply-accumulate rows.
-pub fn phase4_gauss_values_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut) {
+lv_runtime::multiversion! {
+    /// Phase 4, slice path: velocity and velocity gradient at the integration
+    /// points — pure unit-stride multiply-accumulate rows.
+    pub fn phase4_gauss_values_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut)
+        = phase4_gauss_values_body, at phase4_gauss_values_slices_at;
+}
+
+#[inline(always)]
+fn phase4_gauss_values_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) {
     let vs = v.vs;
     for igaus in 0..PGAUS {
         let funcs = shape.functions(igaus);
@@ -620,8 +661,17 @@ pub fn phase4_gauss_values_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut)
     }
 }
 
-/// Phase 5, slice path: stabilization parameter τ and advection velocity.
-pub fn phase5_stabilization_slices(config: &KernelConfig, h_char: f64, v: &mut WorkspaceViewsMut) {
+lv_runtime::multiversion! {
+    /// Phase 5, slice path: stabilization parameter τ and advection velocity.
+    pub fn phase5_stabilization_slices(
+        config: &KernelConfig,
+        h_char: f64,
+        v: &mut WorkspaceViewsMut,
+    ) = phase5_stabilization_body, at phase5_stabilization_slices_at;
+}
+
+#[inline(always)]
+fn phase5_stabilization_body(config: &KernelConfig, h_char: f64, v: &mut WorkspaceViewsMut) {
     let vs = v.vs;
     let nu = config.viscosity;
     let rho = config.density;
@@ -632,8 +682,8 @@ pub fn phase5_stabilization_slices(config: &KernelConfig, h_char: f64, v: &mut W
             let u1 = row(v.gpvel, igaus * NDIME + 1, vs);
             let u2 = row(v.gpvel, igaus * NDIME + 2, vs);
             let tau = row_mut(v.tau, igaus, vs);
-            for (k, t) in tau.iter_mut().enumerate() {
-                let unorm = (u0[k] * u0[k] + u1[k] * u1[k] + u2[k] * u2[k]).sqrt();
+            for (((t, &a), &b), &c) in tau.iter_mut().zip(u0).zip(u1).zip(u2) {
+                let unorm = (a * a + b * b + c * c).sqrt();
                 // Classic SUPG design: τ = (c1 ν/h² + c2 |u|/h + ρ/Δt)⁻¹.
                 *t = 1.0 / (4.0 * nu / (h_char * h_char) + 2.0 * unorm / h_char + rho * inv_dt);
             }
@@ -667,20 +717,25 @@ fn advect(out: &mut [f64], adv: [&[f64]; NDIME], grad: &[f64], base: usize, vs: 
     }
 }
 
-/// Phase 6, slice path: convective term (Galerkin + SUPG) — the
-/// FLOP-dominant phase, every inner loop a unit-stride slice sweep.
-///
-/// What the accessor path recomputes per `(inode, jnode)` slot is computed
-/// once into the workspace scratch rows: per integration point the
-/// convections `(u·∇)N_b` of all nodes, `(u·∇)u_i` of all components, `ρ·τ`
-/// and `vol·ρ`; per test function `τ·(u·∇)N_a` and `ρτ·(u·∇)N_a`.  Each is
-/// the left-most factor pair of the accessor path's left-associated
-/// products, so the results stay bitwise identical.
-pub fn phase6_convective_slices(
-    shape: &ShapeTable,
-    config: &KernelConfig,
-    v: &mut WorkspaceViewsMut,
-) {
+lv_runtime::multiversion! {
+    /// Phase 6, slice path: convective term (Galerkin + SUPG) — the
+    /// FLOP-dominant phase, every inner loop a unit-stride slice sweep.
+    ///
+    /// What the accessor path recomputes per `(inode, jnode)` slot is computed
+    /// once into the workspace scratch rows: per integration point the
+    /// convections `(u·∇)N_b` of all nodes, `(u·∇)u_i` of all components, `ρ·τ`
+    /// and `vol·ρ`; per test function `τ·(u·∇)N_a` and `ρτ·(u·∇)N_a`.  Each is
+    /// the left-most factor pair of the accessor path's left-associated
+    /// products, so the results stay bitwise identical.
+    pub fn phase6_convective_slices(
+        shape: &ShapeTable,
+        config: &KernelConfig,
+        v: &mut WorkspaceViewsMut,
+    ) = phase6_convective_body, at phase6_convective_slices_at;
+}
+
+#[inline(always)]
+fn phase6_convective_body(shape: &ShapeTable, config: &KernelConfig, v: &mut WorkspaceViewsMut) {
     let vs = v.vs;
     let rho = config.density;
     let (conv, rest) = v.scratch.split_at_mut(PNODE * vs);
@@ -737,9 +792,18 @@ pub fn phase6_convective_slices(
     }
 }
 
-/// Phase 7, slice path: viscous term and (semi-implicit) elemental matrix
-/// with the lumped mass/Δt diagonal.
-pub fn phase7_viscous_slices(shape: &ShapeTable, config: &KernelConfig, v: &mut WorkspaceViewsMut) {
+lv_runtime::multiversion! {
+    /// Phase 7, slice path: viscous term and (semi-implicit) elemental matrix
+    /// with the lumped mass/Δt diagonal.
+    pub fn phase7_viscous_slices(
+        shape: &ShapeTable,
+        config: &KernelConfig,
+        v: &mut WorkspaceViewsMut,
+    ) = phase7_viscous_body, at phase7_viscous_slices_at;
+}
+
+#[inline(always)]
+fn phase7_viscous_body(shape: &ShapeTable, config: &KernelConfig, v: &mut WorkspaceViewsMut) {
     let vs = v.vs;
     let nu = config.viscosity;
     let rho = config.density;
@@ -866,6 +930,7 @@ mod tests {
     use lv_mesh::quadrature::GaussRule;
     use lv_mesh::structured::BoxMeshBuilder;
     use lv_mesh::ElementKind;
+    use lv_runtime::Lanes;
 
     fn setup(
         nelem_per_side: usize,
@@ -1171,6 +1236,102 @@ mod tests {
     fn slice_path_is_bitwise_identical_odd_strip_tail() {
         // vs = 21 exercises a partial strip (21 = 16 + 5) in phase 3.
         assert_paths_bitwise_identical(3, 21, true);
+    }
+
+    /// The widths a clone-against-baseline test compares: the baseline
+    /// bodies and, where the host has them, the wide clones.
+    fn widths_under_test() -> Vec<Lanes> {
+        match Lanes::selected() {
+            Lanes::Baseline => {
+                println!("note: this host selects no wide lanes; only the baseline bodies run");
+                vec![Lanes::Baseline]
+            }
+            wide => vec![Lanes::Baseline, wide],
+        }
+    }
+
+    /// Phases 3–7 of every chunk of a jittered 27-element mesh — one slot
+    /// of each chunk collapsed to a point, so phase 3 meets a singular
+    /// Jacobian — through the accessor oracle, the baseline bodies and the
+    /// wide clones: every workspace array and the singular count must agree
+    /// bit for bit.
+    fn assert_clones_match_their_baseline_and_the_oracle(vs: usize) {
+        let mesh = BoxMeshBuilder::new(3, 3, 3).lid_driven_cavity().with_jitter(0.13, 5).build();
+        let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
+        let config = KernelConfig::default();
+        let vel = VectorField::taylor_green(&mesh);
+        let pre = Field::from_fn(&mesh, |p| p.x * p.y - 0.5 * p.z);
+        let h = mesh.characteristic_length();
+        for chunk in &lv_mesh::ElementChunks::new(&mesh, vs) {
+            let collapsed = chunk.len / 2;
+
+            let mut ws_a = ElementWorkspace::new(vs);
+            ws_a.reset();
+            phase1_gather_coords(&mesh, chunk, &mut ws_a);
+            phase2_gather_unknowns(&mesh, &vel, &pre, chunk, &mut ws_a);
+            for inode in 0..PNODE {
+                for idime in 0..NDIME {
+                    ws_a.set_elcod(inode, idime, collapsed, 0.25);
+                }
+            }
+            let singular_a = phase3_jacobian(&shape, chunk, &mut ws_a);
+            assert_eq!(singular_a, PGAUS, "one collapsed slot, singular at every Gauss point");
+            phase4_gauss_values(&shape, chunk, &mut ws_a);
+            phase5_stabilization(&config, h, chunk, &mut ws_a);
+            phase6_convective(&shape, &config, chunk, &mut ws_a);
+            phase7_viscous(&shape, &config, chunk, &mut ws_a);
+
+            for lanes in widths_under_test() {
+                let mut ws_s = ElementWorkspace::new(vs);
+                ws_s.poison(-7.25);
+                ws_s.reset();
+                {
+                    let mut v = ws_s.views_mut();
+                    phase1_gather_coords_slices(&mesh, chunk, &mut v);
+                    phase2_gather_unknowns_slices(&mesh, &vel, &pre, chunk, &mut v);
+                    for idx in 0..PNODE * NDIME {
+                        v.elcod[idx * vs + collapsed] = 0.25;
+                    }
+                    let singular_s = phase3_jacobian_slices_at(lanes, &shape, &mut v);
+                    assert_eq!(singular_s, singular_a, "singular count at {lanes}, vs={vs}");
+                    phase4_gauss_values_slices_at(lanes, &shape, &mut v);
+                    phase5_stabilization_slices_at(lanes, &config, h, &mut v);
+                    phase6_convective_slices_at(lanes, &shape, &config, &mut v);
+                    phase7_viscous_slices_at(lanes, &shape, &config, &mut v);
+                }
+                let (va, vb) = (ws_a.views(), ws_s.views());
+                for (name, a, b) in [
+                    ("gpvol", va.gpvol, vb.gpvol),
+                    ("gpcar", va.gpcar, vb.gpcar),
+                    ("gpvel", va.gpvel, vb.gpvel),
+                    ("gpgve", va.gpgve, vb.gpgve),
+                    ("gpadv", va.gpadv, vb.gpadv),
+                    ("tau", va.tau, vb.tau),
+                    ("elrbu", va.elrbu, vb.elrbu),
+                    ("elauu", va.elauu, vb.elauu),
+                ] {
+                    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{name}[{k}] at {lanes} differs from the oracle (vs={vs}, chunk at \
+                             element {}): {x} vs {y}",
+                            chunk.first_element
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_clones_match_baseline_and_oracle_on_awkward_vector_sizes() {
+        // One lane, fewer lanes than a register, exactly a strip, a strip
+        // and one, and the paper's 240 (27 elements in 240 slots: a padded
+        // chunk); 7, 16 and 17 also end on a padded chunk.
+        for vs in [1, 7, 16, 17, 240] {
+            assert_clones_match_their_baseline_and_the_oracle(vs);
+        }
     }
 
     #[test]

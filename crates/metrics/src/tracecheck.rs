@@ -40,10 +40,11 @@ pub fn validate_trace_jsonl(text: &str) -> GateReport {
         "trace parses",
         true,
         format!(
-            "{} span def(s), {} counter(s), {} event(s)",
+            "{} span def(s), {} counter(s), {} event(s), recorded at {} lanes",
             log.defs.len(),
             log.counters.len(),
-            log.events.len()
+            log.events.len(),
+            log.lanes
         ),
     );
 
@@ -177,7 +178,7 @@ mod tests {
             Event { end_ns: 100, iters: 1, ..Event::instant(spans::STEP, 0, 0) },
             Event { end_ns: 150, iters: 1, ..Event::instant(spans::ASSEMBLY, 0, 50) },
         ];
-        let text = lv_trace::sink::write_jsonl(&events, &[]);
+        let text = lv_trace::sink::write_jsonl("baseline", &events, &[]);
         let report = validate_trace_jsonl(&text);
         assert!(!report.passed(), "{}", report.to_text());
         assert!(report.to_text().contains("straddles"));
@@ -187,7 +188,7 @@ mod tests {
             Event { end_ns: 100, iters: 1, ..Event::instant(spans::STEP, 0, 0) },
             Event { end_ns: 150, iters: 1, ..Event::instant(spans::ASSEMBLY, 1, 50) },
         ];
-        let text = lv_trace::sink::write_jsonl(&events, &[]);
+        let text = lv_trace::sink::write_jsonl("baseline", &events, &[]);
         assert!(validate_trace_jsonl(&text).passed());
     }
 
@@ -201,7 +202,7 @@ mod tests {
             Event { end_ns: 100, iters: 1, ..Event::instant(spans::POISSON, 0, 40) },
             Event::instant(spans::RETRY, 0, 100),
         ];
-        let text = lv_trace::sink::write_jsonl(&events, &[]);
+        let text = lv_trace::sink::write_jsonl("baseline", &events, &[]);
         let report = validate_trace_jsonl(&text);
         assert!(report.passed(), "{}", report.to_text());
     }
@@ -209,7 +210,7 @@ mod tests {
     #[test]
     fn reversed_timestamps_fail_the_order_check() {
         let events = [Event { end_ns: 5, ..Event::instant(spans::STEP, 0, 10) }];
-        let text = lv_trace::sink::write_jsonl(&events, &[]);
+        let text = lv_trace::sink::write_jsonl("baseline", &events, &[]);
         let report = validate_trace_jsonl(&text);
         assert!(!report.passed());
         assert!(report.to_text().contains("end_ns < start_ns"));

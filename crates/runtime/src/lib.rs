@@ -14,7 +14,7 @@
 //! instead of once per sweep (the OP2 "reusable parallel-execution layer"
 //! idea applied to the mini-app).
 //!
-//! Three building blocks:
+//! Four building blocks:
 //!
 //! * [`Team`] — `threads - 1` persistent OS workers plus the calling thread.
 //!   [`Team::run`] executes one closure on every rank and returns when all
@@ -31,13 +31,25 @@
 //!   thread count) and the block partials are combined in block order on the
 //!   caller, so a dot product is **bitwise identical for every thread
 //!   count**, including the serial one.
+//! * [`lanes`] — how wide one instruction is, decided per host instead of
+//!   per build: [`Lanes::selected`] detects AVX2 once per process and
+//!   [`multiversion!`] compiles a unit-stride kernel twice from one source
+//!   (the build's baseline target features, and an `avx2` clone) with a
+//!   dispatcher between them.  A clone performs the baseline's IEEE
+//!   operations in the baseline's order on more independent elements per
+//!   instruction, so lane count is the fourth mechanism — beside the static
+//!   partition, the fixed-block reduction and, in `lv-kernel`, the mesh
+//!   coloring — under which a result cannot depend on where it was
+//!   computed: not on the thread count, and not on the host's vector width.
 
 #![warn(missing_docs)]
 
+pub mod lanes;
 mod reduce;
 mod shared;
 mod team;
 
+pub use lanes::Lanes;
 pub use reduce::{block_range, blocked_reduce, num_blocks, REDUCTION_BLOCK};
 pub use shared::SharedSliceMut;
 pub use team::Team;

@@ -140,10 +140,13 @@ impl Team {
     /// Spawns a team like [`Team::new`] and attaches a [`Trace`] with one
     /// pre-allocated event buffer per rank.  Instrumented code reaches the
     /// trace through [`Team::trace`]; recording is lock-free and
-    /// allocation-free on the hot path.
+    /// allocation-free on the hot path.  The trace is stamped with the
+    /// [`Lanes`](crate::Lanes) this process selected, so every log and run
+    /// summary says which copy of the multiversioned kernels it timed.
     pub fn with_trace(threads: usize, config: TraceConfig) -> Self {
         let mut team = Team::new(threads);
-        team.trace = Some(Trace::new(team.threads, config));
+        let lanes = crate::Lanes::selected().name();
+        team.trace = Some(Trace::new(team.threads, config).with_lanes(lanes));
         team
     }
 

@@ -19,11 +19,18 @@
 //! `failed` record discards the open pair, so steps burnt by a failed
 //! attempt are never counted as progress.
 //!
+//! The document's `host` block says which vector lanes the supervising
+//! process selected (`lv_runtime::lanes`) — host-dependent like the
+//! histograms, so it is in no fingerprint, and a fold of somebody else's
+//! journal ([`FleetMetrics::new`]) reports `"unknown"` rather than the
+//! reader's own.
+//!
 //! [`JobProgress`] rows ride alongside: workers publish one after every
 //! slice (steps done, sim time, last residuals, an EWMA step rate and the
 //! ETA it implies).  They are wall-clock-based and advisory.
 
 use crate::journal::{EventKind, Record};
+use lv_runtime::Lanes;
 use lv_trace::json::{JsonArray, JsonObject};
 use lv_trace::metrics::{MetricKind, MetricSpec, MetricsSnapshot, Registry};
 use std::collections::{BTreeMap, HashMap};
@@ -204,6 +211,9 @@ pub struct FleetMetrics {
     open_slices: Mutex<HashMap<String, u64>>,
     /// Progress rows, keyed by job id (sorted for stable rendering).
     progress: Mutex<BTreeMap<String, JobProgress>>,
+    /// The lanes of the process whose workers step the fleet; `None` for a
+    /// fold that runs nothing.
+    host_lanes: Option<Lanes>,
 }
 
 impl Default for FleetMetrics {
@@ -213,13 +223,21 @@ impl Default for FleetMetrics {
 }
 
 impl FleetMetrics {
-    /// A fresh, all-zero fleet registry.
+    /// A fresh, all-zero fleet registry that describes no host — what a
+    /// read-only fold of a journal uses.
     pub fn new() -> FleetMetrics {
         FleetMetrics {
             registry: Registry::new(FLEET_METRICS),
             open_slices: Mutex::new(HashMap::new()),
             progress: Mutex::new(BTreeMap::new()),
+            host_lanes: None,
         }
+    }
+
+    /// [`new`](Self::new) for the process that runs the fleet's workers: the
+    /// document's `host` block names the lanes this process selected.
+    pub fn on_this_host() -> FleetMetrics {
+        FleetMetrics { host_lanes: Some(Lanes::selected()), ..FleetMetrics::new() }
     }
 
     /// The underlying registry, for the host-dependent cells (gauges and
@@ -314,7 +332,8 @@ impl FleetMetrics {
 
     /// Renders the full observability document written to
     /// `<journal>.metrics.json` at every checkpoint and served by the
-    /// `metrics json` endpoint verb: the snapshot plus the progress board.
+    /// `metrics json` endpoint verb: the snapshot, the progress board and
+    /// the host block.
     pub fn document(&self) -> String {
         let snapshot = self.snapshot();
         let mut jobs = JsonArray::new();
@@ -325,6 +344,11 @@ impl FleetMetrics {
             .u64("format", 1)
             .raw("metrics", &snapshot.to_json())
             .array("jobs", jobs)
+            .object(
+                "host",
+                JsonObject::new()
+                    .str("lanes", self.host_lanes.map_or(lv_trace::UNKNOWN_LANES, Lanes::name)),
+            )
             .finish()
     }
 }
@@ -444,5 +468,9 @@ mod tests {
         assert!(doc.starts_with("{\"format\": 1, \"metrics\": {"), "{doc}");
         assert!(doc.contains("\"name\": \"fleet_jobs_submitted_total\""), "{doc}");
         assert!(doc.contains("\"jobs\": [{\"id\": \"j1\""), "{doc}");
+        // A fold describes no host; the supervisor's registry names its own.
+        assert!(doc.ends_with("\"host\": {\"lanes\": \"unknown\"}}"), "{doc}");
+        let host = format!("\"host\": {{\"lanes\": \"{}\"}}}}", Lanes::selected());
+        assert!(FleetMetrics::on_this_host().document().ends_with(&host));
     }
 }

@@ -284,7 +284,7 @@ impl Server {
         // The deterministic counters are a pure fold of the journal, so a
         // reopened supervisor starts exactly where the dead one's metrics
         // ended — same code path as the live fold in `journal_append`.
-        let fleet = FleetMetrics::new();
+        let fleet = FleetMetrics::on_this_host();
         if config.metrics {
             fleet.replay(&replay.records);
         }
@@ -550,11 +550,14 @@ fn worker_loop(worker: usize, shared: &Shared<'_>) -> Option<RunSummary> {
         let events = trace.events();
         let counters = trace.counter_rows();
         if let Some(dir) = &shared.config.trace_dir {
-            let log = sink::write_jsonl(&events, &counters);
+            let log = sink::write_jsonl(trace.lanes(), &events, &counters);
             let _ = std::fs::create_dir_all(dir);
             let _ = std::fs::write(dir.join(format!("worker-{worker}.trace.jsonl")), log);
         }
-        RunSummary::from_events(&events, counters)
+        RunSummary {
+            lanes: trace.lanes().to_string(),
+            ..RunSummary::from_events(&events, counters)
+        }
     })
 }
 

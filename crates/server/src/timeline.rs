@@ -238,6 +238,7 @@ mod tests {
     #[test]
     fn the_chrome_document_merges_journal_slices_and_worker_logs() {
         let log = TraceLog {
+            lanes: "baseline".to_string(),
             defs: Vec::new(),
             counters: Vec::new(),
             events: vec![Event::instant(spans::STEP, 0, 5_000)],

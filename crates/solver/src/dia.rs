@@ -24,6 +24,19 @@
 //! [`residual_range`](DiaMatrix::residual_range) — that finish the row
 //! while its sum is still in L1, so one smoothing sweep is one pass.
 //!
+//! **One source, two widths.**  The three kernels — the product
+//! ([`product_into`](DiaMatrix::product_into), which is
+//! [`LinearOperator::apply_range`] for `f64`), `jacobi_range` and
+//! `residual_range` — are multiversioned with [`lv_runtime::multiversion!`]:
+//! besides the copy at the build's baseline target features there is an
+//! `avx2` clone (four `f64` or eight `f32` rows per instruction instead of
+//! SSE2's two or four), and each entry point runs the one
+//! [`lv_runtime::Lanes::selected`] picked for this host; the `*_at`
+//! variants take the [`Lanes`](lv_runtime::Lanes) explicitly, for
+//! `examples/vcycle_layers` and the clone-against-baseline tests.  Lanes are
+//! rows and no row's arithmetic changes with the register width, so the two
+//! copies — and the CSR product — agree bit for bit.
+//!
 //! **One source, two precisions.**  The storage and every kernel are generic
 //! over a sealed [`Scalar`] (`f64`, the default, or `f32`).  The `f64`
 //! instantiation is the one described above and the only one that is a
@@ -196,8 +209,8 @@ impl<T: Scalar> DiaMatrix<T> {
 
     /// `acc[i] = (A·x)[rows.start + i]` — the shared core of the three
     /// kernels.  `rows` may start and end anywhere inside a block.
-    #[inline]
-    fn product_into(&self, x: &[T], rows: Range<usize>, acc: &mut [T]) {
+    #[inline(always)]
+    fn product_body(&self, x: &[T], rows: Range<usize>, acc: &mut [T]) {
         assert_eq!(x.len(), self.n);
         assert!(rows.end <= self.n, "row range {rows:?} out of bounds for dim {}", self.n);
         assert_eq!(acc.len(), rows.len(), "output length must match the row range");
@@ -231,17 +244,8 @@ impl<T: Scalar> DiaMatrix<T> {
         }
     }
 
-    /// One damped-Jacobi sweep over `rows`:
-    /// `xn[i] = x[r] + ω·((b[r] − (A·x)[r])·inv_diag[r])` with
-    /// `r = rows.start + i` — the exact expression tree of the
-    /// product / difference / scale / update kernel sequence it replaces,
-    /// so the iterate keeps its bits.  `xn` is the other half of a
-    /// ping-pong pair: every row reads the *old* `x` of its neighbours.
-    ///
-    /// # Panics
-    /// Panics if a vector does not match the dimension, `rows` is out of
-    /// bounds, or `xn` does not match `rows`.
-    pub fn jacobi_range(
+    #[inline(always)]
+    fn jacobi_body(
         &self,
         x: &[T],
         b: &[T],
@@ -252,24 +256,63 @@ impl<T: Scalar> DiaMatrix<T> {
     ) {
         assert_eq!(b.len(), self.n);
         assert_eq!(inv_diag.len(), self.n);
-        self.product_into(x, rows.clone(), xn);
+        self.product_body(x, rows.clone(), xn);
         let (xs, bs, ds) = (&x[rows.clone()], &b[rows.clone()], &inv_diag[rows]);
         for (((out, xi), bi), di) in xn.iter_mut().zip(xs).zip(bs).zip(ds) {
             *out = *xi + omega * ((*bi - *out) * *di);
         }
     }
 
-    /// The residual over `rows`: `r[i] = b[rows.start + i] − (A·x)[rows.start + i]`.
-    ///
-    /// # Panics
-    /// Panics if a vector does not match the dimension, `rows` is out of
-    /// bounds, or `r` does not match `rows`.
-    pub fn residual_range(&self, x: &[T], b: &[T], rows: Range<usize>, r: &mut [T]) {
+    #[inline(always)]
+    fn residual_body(&self, x: &[T], b: &[T], rows: Range<usize>, r: &mut [T]) {
         assert_eq!(b.len(), self.n);
-        self.product_into(x, rows.clone(), r);
+        self.product_body(x, rows.clone(), r);
         for (out, bi) in r.iter_mut().zip(&b[rows]) {
             *out = *bi - *out;
         }
+    }
+
+    lv_runtime::multiversion! {
+        /// The product over `rows`: `y[i] = (A·x)[rows.start + i]`, in `T` —
+        /// what [`LinearOperator::apply_range`] runs for `f64`.
+        ///
+        /// # Panics
+        /// Panics if `x` does not match the dimension, `rows` is out of
+        /// bounds, or `y` does not match `rows`.
+        pub fn product_into(&self, x: &[T], rows: Range<usize>, y: &mut [T])
+            = Self::product_body, at product_into_at, clone product_avx2;
+    }
+
+    lv_runtime::multiversion! {
+        /// One damped-Jacobi sweep over `rows`:
+        /// `xn[i] = x[r] + ω·((b[r] − (A·x)[r])·inv_diag[r])` with
+        /// `r = rows.start + i` — the exact expression tree of the
+        /// product / difference / scale / update kernel sequence it replaces,
+        /// so the iterate keeps its bits.  `xn` is the other half of a
+        /// ping-pong pair: every row reads the *old* `x` of its neighbours.
+        ///
+        /// # Panics
+        /// Panics if a vector does not match the dimension, `rows` is out of
+        /// bounds, or `xn` does not match `rows`.
+        pub fn jacobi_range(
+            &self,
+            x: &[T],
+            b: &[T],
+            inv_diag: &[T],
+            omega: T,
+            rows: Range<usize>,
+            xn: &mut [T],
+        ) = Self::jacobi_body, at jacobi_range_at, clone jacobi_avx2;
+    }
+
+    lv_runtime::multiversion! {
+        /// The residual over `rows`: `r[i] = b[rows.start + i] − (A·x)[rows.start + i]`.
+        ///
+        /// # Panics
+        /// Panics if a vector does not match the dimension, `rows` is out of
+        /// bounds, or `r` does not match `rows`.
+        pub fn residual_range(&self, x: &[T], b: &[T], rows: Range<usize>, r: &mut [T])
+            = Self::residual_body, at residual_range_at, clone residual_avx2;
     }
 }
 
@@ -317,7 +360,7 @@ impl LinearOperator for DiaMatrix<f64> {
 pub(crate) mod tests {
     use super::*;
     use crate::parallel::VectorOps;
-    use lv_runtime::Team;
+    use lv_runtime::{Lanes, Team};
 
     /// Tridiagonal with row-dependent values (so a shifted run would show).
     fn tridiag(n: usize) -> CsrMatrix {
@@ -525,6 +568,52 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// The three kernels at `T`, baseline body against wide clone, on row
+    /// ranges that start and end mid-block, cover a single row, nothing at
+    /// all, and a matrix with fewer rows than one register has lanes.
+    fn assert_clones_match_their_baseline<T: Scalar>() {
+        let lanes = Lanes::selected();
+        if lanes == Lanes::Baseline {
+            println!("note: this host selects no wide lanes; nothing to compare");
+            return;
+        }
+        let narrow = |v: Vec<f64>| v.into_iter().map(T::from_f64).collect::<Vec<T>>();
+        let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<u64>>();
+        for n in [3usize, 700, 2 * BLOCK_ROWS + 77] {
+            let mut csr = tridiag(n);
+            csr.pin_rows_symmetric(&[n / 2]);
+            let dia = DiaMatrix::<T>::from_csr(&csr).expect("three diagonals");
+            let (x, b) = (narrow(awkward_vector(n, 41)), narrow(awkward_vector(n, 43)));
+            let inv_diag = narrow(crate::krylov::inverse_diagonal(&csr, true));
+            let omega = T::from_f64(0.8);
+            let ranges = [
+                0..n,
+                n.min(5)..n - n.min(3),
+                n.min(250)..n.min(260),
+                n.min(255)..n.min(513),
+                n - 1..n,
+                0..1,
+                n / 2..n / 2,
+            ];
+            for rows in ranges.into_iter().filter(|rows| rows.start <= rows.end) {
+                let run = |lanes| {
+                    let mut out = [(); 3].map(|()| vec![T::from_f64(f64::NAN); rows.len()]);
+                    dia.product_into_at(lanes, &x, rows.clone(), &mut out[0]);
+                    dia.jacobi_range_at(lanes, &x, &b, &inv_diag, omega, rows.clone(), &mut out[1]);
+                    dia.residual_range_at(lanes, &x, &b, rows.clone(), &mut out[2]);
+                    out.map(|v| bits(&v))
+                };
+                assert_eq!(run(Lanes::Baseline), run(lanes), "n={n}, rows {rows:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_clones_match_their_baseline_bodies_bitwise_in_both_precisions() {
+        assert_clones_match_their_baseline::<f64>();
+        assert_clones_match_their_baseline::<f32>();
     }
 
     #[test]

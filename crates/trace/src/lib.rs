@@ -277,7 +277,12 @@ pub struct Trace {
     epoch: Instant,
     ranks: Box<[RankBuffer]>,
     counters: Box<[AtomicU64]>,
+    lanes: &'static str,
 }
+
+/// The [`Trace::lanes`] of a trace nobody stamped (and of logs written
+/// before the field existed).
+pub const UNKNOWN_LANES: &str = "unknown";
 
 impl std::fmt::Debug for Trace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -295,7 +300,24 @@ impl Trace {
             })
             .collect();
         let counters = (0..counters::ALL.len()).map(|_| AtomicU64::new(0)).collect();
-        Trace { epoch: Instant::now(), ranks, counters }
+        Trace { epoch: Instant::now(), ranks, counters, lanes: UNKNOWN_LANES }
+    }
+
+    /// Stamps the trace with the vector lanes the recording process selected
+    /// (`lv_runtime::lanes::Lanes::name`; `lv-runtime` does this for every
+    /// traced team).  **Host-dependent** metadata: it is written to the log
+    /// header and shown by the run summary, and it is in no deterministic
+    /// fingerprint — the same run on a host without the wide lanes must
+    /// fingerprint equal.
+    pub fn with_lanes(mut self, lanes: &'static str) -> Trace {
+        self.lanes = lanes;
+        self
+    }
+
+    /// The lanes stamped by [`with_lanes`](Self::with_lanes), or
+    /// [`UNKNOWN_LANES`].
+    pub fn lanes(&self) -> &'static str {
+        self.lanes
     }
 
     /// Rank buffers owned by this trace.

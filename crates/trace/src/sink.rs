@@ -1,9 +1,10 @@
 //! Trace sinks and the replay parser.
 //!
 //! * [`write_jsonl`] — the line-JSON event log behind `simulate --trace`:
-//!   one self-describing JSON object per line (`meta`, the span taxonomy,
-//!   the counters, then every event).  Every payload field is an integer,
-//!   so a log replays to a bit-identical [`RunSummary`].
+//!   one self-describing JSON object per line (`meta` — format, sizes and
+//!   the vector lanes the recording host selected — then the span taxonomy,
+//!   the counters and every event).  Every payload field is an integer, so
+//!   a log replays to a bit-identical [`RunSummary`].
 //! * [`parse_jsonl`] — the replay parser (hand-rolled: the log lines are
 //!   flat, and keeping `lv-trace` dependency-free keeps `lv-runtime`
 //!   dependency-light).
@@ -15,13 +16,15 @@ use crate::json::{JsonArray, JsonObject};
 use crate::summary::RunSummary;
 use crate::{spans, Event, SpanId, Trace};
 
-/// Renders `events` + `counters` as the line-JSON log.
-pub fn write_jsonl(events: &[Event], counters: &[(String, u64, bool)]) -> String {
+/// Renders `events` + `counters` as the line-JSON log of a run whose host
+/// selected `lanes` ([`Trace::lanes`]).
+pub fn write_jsonl(lanes: &str, events: &[Event], counters: &[(String, u64, bool)]) -> String {
     let mut out = String::new();
     out.push_str(
         &JsonObject::new()
             .str("type", "meta")
             .u64("format", 1)
+            .str("lanes", lanes)
             .usize("spans", spans::ALL.len())
             .usize("counters", counters.len())
             .usize("events", events.len())
@@ -112,10 +115,13 @@ pub fn chrome_rows(rows: &mut JsonArray, events: &[Event], pid: u64) {
     }
 }
 
-/// A parsed line-JSON log: the span definitions it carries, the counters
-/// and the events.
+/// A parsed line-JSON log: the host's lanes and the span definitions it
+/// carries, the counters and the events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceLog {
+    /// The vector lanes the recording host selected
+    /// ([`UNKNOWN_LANES`](crate::UNKNOWN_LANES) for a log without the field).
+    pub lanes: String,
     /// `(path, deterministic)` indexed by span id, as written in the log.
     pub defs: Vec<(String, bool)>,
     /// Counter rows `(name, value, deterministic)`.
@@ -128,7 +134,10 @@ impl TraceLog {
     /// Replays the log into its [`RunSummary`] — bit-identical to the
     /// summary of the live trace the log was written from.
     pub fn summary(&self) -> RunSummary {
-        RunSummary::aggregate(&self.events, &self.defs, self.counters.clone())
+        RunSummary {
+            lanes: self.lanes.clone(),
+            ..RunSummary::aggregate(&self.events, &self.defs, self.counters.clone())
+        }
     }
 }
 
@@ -183,7 +192,12 @@ fn parse_str(line: &str, key: &str) -> Option<String> {
 /// # Errors
 /// Returns a line-numbered message on the first malformed line.
 pub fn parse_jsonl(text: &str) -> Result<TraceLog, String> {
-    let mut log = TraceLog { defs: Vec::new(), counters: Vec::new(), events: Vec::new() };
+    let mut log = TraceLog {
+        lanes: crate::UNKNOWN_LANES.to_string(),
+        defs: Vec::new(),
+        counters: Vec::new(),
+        events: Vec::new(),
+    };
     let mut saw_meta = false;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -195,7 +209,12 @@ pub fn parse_jsonl(text: &str) -> Result<TraceLog, String> {
             return Err(err("not a JSON object"));
         }
         match parse_str(line, "type").ok_or_else(|| err("missing \"type\""))?.as_str() {
-            "meta" => saw_meta = true,
+            "meta" => {
+                saw_meta = true;
+                if let Some(lanes) = parse_str(line, "lanes") {
+                    log.lanes = lanes;
+                }
+            }
             "span" => {
                 let id = parse_u64(line, "id").ok_or_else(|| err("span without id"))? as usize;
                 let path = parse_str(line, "path").ok_or_else(|| err("span without path"))?;
@@ -243,7 +262,7 @@ impl Trace {
     /// Drains the trace into its line-JSON log.
     pub fn write_jsonl(&mut self) -> String {
         let events = self.events();
-        write_jsonl(&events, &self.counter_rows())
+        write_jsonl(self.lanes(), &events, &self.counter_rows())
     }
 
     /// Drains the trace into a Chrome-tracing document.
@@ -266,7 +285,7 @@ mod tests {
     use crate::{counters, TraceConfig};
 
     fn sample_trace() -> Trace {
-        let trace = Trace::new(2, TraceConfig::default());
+        let trace = Trace::new(2, TraceConfig::default()).with_lanes("avx2");
         {
             let step = trace.span(spans::STEP, 0);
             trace.span(spans::POISSON, 0).iters(7).flops(123).bytes(4567).aux(99).finish();
@@ -282,11 +301,16 @@ mod tests {
     fn jsonl_replays_to_the_identical_summary() {
         let mut trace = sample_trace();
         let text = trace.write_jsonl();
-        let live = RunSummary::from_events(&trace.events(), trace.counter_rows());
+        let live = RunSummary::from_trace(&mut trace);
         let log = parse_jsonl(&text).expect("log must parse");
         assert_eq!(log.defs.len(), spans::ALL.len());
         assert_eq!(log.events.len(), 3);
+        assert_eq!(log.lanes, "avx2");
         assert_eq!(log.summary(), live);
+        // A log from before the header carried the lanes still replays.
+        let old = text.replacen("\"lanes\": \"avx2\", ", "", 1);
+        assert_ne!(old, text);
+        assert_eq!(parse_jsonl(&old).expect("old log parses").lanes, crate::UNKNOWN_LANES);
     }
 
     #[test]
@@ -301,7 +325,7 @@ mod tests {
             bytes: 7,
             aux: f64::to_bits(-1.5e-11),
         };
-        let text = write_jsonl(&[event], &[("steps".to_string(), 0, true)]);
+        let text = write_jsonl("baseline", &[event], &[("steps".to_string(), 0, true)]);
         let log = parse_jsonl(&text).unwrap();
         assert_eq!(log.events, vec![event]);
         assert_eq!(f64::from_bits(log.events[0].aux), -1.5e-11);

@@ -45,9 +45,14 @@ impl SpanSummary {
     }
 }
 
-/// The end-of-run report: per-span aggregates plus the global counters.
+/// The end-of-run report: per-span aggregates plus the global counters, and
+/// which vector lanes the host ran them at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSummary {
+    /// The vector lanes the recording host selected ([`Trace::lanes`]) —
+    /// host-dependent, shown by [`to_text`](Self::to_text), never part of
+    /// [`deterministic_fingerprint`](Self::deterministic_fingerprint).
+    pub lanes: String,
     /// Per-span aggregates in taxonomy order; spans with zero events are
     /// omitted.
     pub spans: Vec<SpanSummary>,
@@ -86,7 +91,7 @@ impl RunSummary {
             span.bytes += event.bytes;
         }
         spans.retain(|s| s.events > 0);
-        RunSummary { spans, counters }
+        RunSummary { lanes: crate::UNKNOWN_LANES.to_string(), spans, counters }
     }
 
     /// Aggregates `events` against the built-in taxonomy ([`spans::ALL`]).
@@ -100,7 +105,10 @@ impl RunSummary {
     /// `&mut` only guarantees no recorder is active).
     pub fn from_trace(trace: &mut Trace) -> RunSummary {
         let events = trace.events();
-        RunSummary::from_events(&events, trace.counter_rows())
+        RunSummary {
+            lanes: trace.lanes().to_string(),
+            ..RunSummary::from_events(&events, trace.counter_rows())
+        }
     }
 
     /// The aggregate of span `path`, when any event was recorded under it.
@@ -177,6 +185,7 @@ impl RunSummary {
                 if span.deterministic { "yes" } else { "no" },
             ));
         }
+        out.push_str(&format!("host:\n  {:<24} {:>14}  host-dependent\n", "lanes", self.lanes));
         out.push_str("counters:\n");
         for (name, value, det) in &self.counters {
             out.push_str(&format!(
@@ -254,6 +263,21 @@ mod tests {
         assert_ne!(a, b); // wall clock differs...
         assert_eq!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
         // ...the contract holds
+    }
+
+    #[test]
+    fn the_lanes_are_shown_and_never_fingerprinted() {
+        let run = |lanes| {
+            let mut trace = Trace::new(1, TraceConfig::default()).with_lanes(lanes);
+            trace.span(spans::POISSON, 0).iters(7).flops(100).bytes(800).finish();
+            trace.add(crate::counters::STEPS, 1);
+            RunSummary::from_trace(&mut trace)
+        };
+        let (wide, narrow) = (run("avx2"), run("baseline"));
+        assert_eq!((wide.lanes.as_str(), narrow.lanes.as_str()), ("avx2", "baseline"));
+        assert_ne!(wide, narrow);
+        assert_eq!(wide.deterministic_fingerprint(), narrow.deterministic_fingerprint());
+        assert!(wide.to_text().contains("avx2  host-dependent"), "{}", wide.to_text());
     }
 
     #[test]

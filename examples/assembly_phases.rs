@@ -5,7 +5,11 @@
 //! Runs the mesh-order sweep of `NastinAssembly::assemble_into_slices` with
 //! a timer around each phase call, on the jittered cavity of the
 //! `assembly_vs` benchmark workload, one thread, at semi-implicit
-//! `VECTOR_SIZE` 16 / 128 / 240 and explicit 240.
+//! `VECTOR_SIZE` 16 / 128 / 240 and explicit 240 — each at both widths of
+//! the multiversioned phases 3–7 (`lv_runtime::lanes`): the baseline body,
+//! then the clone this host selects.  Phases 1, 2 and 8 gather and scatter;
+//! they have no clone and show the run-to-run noise of the pair.  The two
+//! widths must assemble the same bits (asserted).
 //!
 //! ```text
 //! cargo run --release --example assembly_phases [-- <elements per side, default 32>]
@@ -18,13 +22,16 @@ use lv_mesh::{
     BoxMeshBuilder, ElementChunks, ElementKind, Field, Mesh, MeshTopology, ShapeTable, Vec3,
     VectorField,
 };
+use lv_runtime::Lanes;
 use lv_solver::CsrMatrix;
 use std::time::Instant;
 
 const SWEEPS: usize = 7;
 
-/// Seconds per phase of one sweep (phases 1–8 in slots 0–7).
+/// Seconds per phase of one sweep (phases 1–8 in slots 0–7), phases 3–7 at
+/// `lanes`.
 fn timed_sweep(
+    lanes: Lanes,
     mesh: &Mesh,
     topology: &MeshTopology,
     config: &KernelConfig,
@@ -52,15 +59,15 @@ fn timed_sweep(
         lap(1);
         phases::phase2_gather_unknowns_slices(mesh, velocity, pressure, chunk, &mut v);
         lap(2);
-        phases::phase3_jacobian_slices(&shape, &mut v);
+        phases::phase3_jacobian_slices_at(lanes, &shape, &mut v);
         lap(3);
-        phases::phase4_gauss_values_slices(&shape, &mut v);
+        phases::phase4_gauss_values_slices_at(lanes, &shape, &mut v);
         lap(4);
-        phases::phase5_stabilization_slices(config, h_char, &mut v);
+        phases::phase5_stabilization_slices_at(lanes, config, h_char, &mut v);
         lap(5);
-        phases::phase6_convective_slices(&shape, config, &mut v);
+        phases::phase6_convective_slices_at(lanes, &shape, config, &mut v);
         lap(6);
-        phases::phase7_viscous_slices(&shape, config, &mut v);
+        phases::phase7_viscous_slices_at(lanes, &shape, config, &mut v);
         lap(7);
         phases::phase8_scatter_slices(mesh, topology, config, &v, matrix, rhs);
         lap(8);
@@ -96,22 +103,49 @@ fn main() {
         }
     });
     // The legs take their sweeps in turn, so all see the same stretch of
-    // host noise.
-    let mut sweeps = vec![Vec::new(); configs.len()];
-    for _ in 0..SWEEPS {
-        for (config, sweeps) in configs.iter().zip(&mut sweeps) {
-            sweeps.push(timed_sweep(&mesh, &topology, config, &state, &mut matrix, &mut rhs));
+    // host noise; a leg is a configuration at one of the two widths.  Which
+    // width of a configuration goes first alternates from sweep to sweep:
+    // the second finds the mesh and the matrix in cache, which is most of
+    // phases 1, 2 and 8 at `VECTOR_SIZE` 16.
+    let widths = [Lanes::Baseline, Lanes::selected()];
+    let legs: Vec<(&KernelConfig, Lanes)> =
+        configs.iter().flat_map(|config| widths.map(|lanes| (config, lanes))).collect();
+    let mut sweeps = vec![Vec::new(); legs.len()];
+    let mut assembled = vec![Vec::new(); legs.len()];
+    for sweep in 0..SWEEPS {
+        for slot in 0..legs.len() {
+            let leg = slot ^ (sweep & 1);
+            let (config, lanes) = legs[leg];
+            sweeps[leg].push(timed_sweep(
+                lanes,
+                &mesh,
+                &topology,
+                config,
+                &state,
+                &mut matrix,
+                &mut rhs,
+            ));
+            if sweep + 1 == SWEEPS {
+                assembled[leg] =
+                    matrix.values().iter().chain(&rhs).map(|v| v.to_bits()).collect::<Vec<u64>>();
+            }
         }
     }
+    for pair in assembled.chunks(2) {
+        assert!(pair[0] == pair[1], "the wide clones must assemble the baseline's bits");
+    }
+    // Rows 0–7: phases 1–8; row 8: their sum.
     let table: Vec<Vec<f64>> = sweeps
         .iter()
         .map(|sweeps| {
-            (0..8)
+            let mut leg: Vec<f64> = (0..8)
                 .map(|p| {
                     let seconds = median(sweeps.iter().map(|s| s[p]).collect());
                     1e9 * seconds / mesh.num_elements() as f64
                 })
-                .collect()
+                .collect();
+            leg.push(leg.iter().sum());
+            leg
         })
         .collect();
 
@@ -120,19 +154,19 @@ fn main() {
         mesh.num_elements()
     );
     println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>12}",
+        "host lanes: {}; each cell is baseline body | selected clone (phases 3-7 are cloned)",
+        Lanes::selected().describe()
+    );
+    println!(
+        "{:>6} {:>13} {:>13} {:>13} {:>13}",
         "phase", "VS 16", "VS 128", "VS 240", "VS 240 expl."
     );
-    for phase in 0..8 {
-        print!("{:>6}", phase + 1);
-        for leg in &table {
-            print!(" {:>12.0}", leg[phase]);
+    for row in 0..9 {
+        let label = if row < 8 { (row + 1).to_string() } else { "sum".to_string() };
+        print!("{label:>6}");
+        for pair in table.chunks(2) {
+            print!(" {:>6.0}|{:<6.0}", pair[0][row], pair[1][row]);
         }
         println!();
     }
-    print!("{:>6}", "sum");
-    for leg in &table {
-        print!(" {:>12.0}", leg.iter().sum::<f64>());
-    }
-    println!();
 }

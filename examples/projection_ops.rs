@@ -13,6 +13,7 @@
 
 use alya_longvec::prelude::*;
 use lv_kernel::PressureOperators;
+use lv_runtime::Lanes;
 use std::time::Instant;
 
 const REPEATS: usize = 15;
@@ -59,6 +60,10 @@ fn main() {
     let pressure = Field::from_fn(&mesh, |p| (2.0 * p.x).sin() * p.y - 0.5 * p.z * p.z);
 
     println!("projection operators of the {n}³ cavity, {cores} cores, median of {REPEATS}");
+    // The row products gather through the node graph and add each row in
+    // order: no lane-parallel loop, hence no wide clone — the host's lanes
+    // are printed so the numbers can be set beside the cloned kernels'.
+    println!("host lanes: {} (the row products are not cloned)", Lanes::selected().describe());
     println!(
         "set-up: PressureOperators::new {new_ms:.2} ms, assemble_laplacian {laplacian_ms:.2} ms"
     );

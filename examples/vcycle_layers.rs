@@ -8,9 +8,12 @@
 //! and the operator bytes as CSR, `f64` diagonals and `f32` diagonals.  Then
 //! how it streams, one thread, median wall-clock and GB/s: `CsrMatrix::spmv`,
 //! the `DiaMatrix` product and one fused damped-Jacobi sweep in both
-//! precisions; then one whole V-cycle.  On every level the `f64` product is
-//! asserted bitwise equal to CSR and the `f32` one within the rounding bound
-//! `(diagonals + 2)·ε_f32·(|A|·|x|)` of it, row by row.
+//! precisions — each diagonal-storage kernel at both widths
+//! (`lv_runtime::lanes`): the baseline body, then the clone this host
+//! selects; then one whole V-cycle.  On every level the `f64` product is
+//! asserted bitwise equal to CSR, the `f32` one within the rounding bound
+//! `(diagonals + 2)·ε_f32·(|A|·|x|)` of it, row by row, and every kernel's
+//! two widths bitwise equal to each other.
 //!
 //! ```text
 //! cargo run --release --example vcycle_layers [-- <elements per side, default 32>]
@@ -18,6 +21,8 @@
 
 use alya_longvec::prelude::*;
 use lv_kernel::{pressure_interpolations, pressure_laplacian};
+use lv_runtime::Lanes;
+use lv_solver::dia::Scalar;
 use lv_solver::{
     galerkin_coarse, CsrMatrix, DiaMatrix, GeometricMultigrid, LinearOperator, MultigridOptions,
     VectorOps,
@@ -42,6 +47,20 @@ fn median_ms(mut f: impl FnMut()) -> f64 {
 
 fn gbs(bytes: usize, ms: f64) -> f64 {
     bytes as f64 / (1e6 * ms)
+}
+
+/// Median milliseconds of `kernel` at the baseline lanes and at the selected
+/// ones, in that order.  `kernel` writes `out`, and the two widths must
+/// leave the same bits there.
+fn both_widths<T: Scalar>(out: &mut [T], mut kernel: impl FnMut(Lanes, &mut [T])) -> [f64; 2] {
+    let mut bits = Vec::new();
+    let ms = [Lanes::Baseline, Lanes::selected()].map(|lanes| {
+        let ms = median_ms(|| kernel(lanes, out));
+        bits.push(out.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<u64>>());
+        ms
+    });
+    assert!(bits[0] == bits[1], "a wide clone moved a bit");
+    ms
 }
 
 /// Rows of `csr` that differ in some bit of some `(col − row, value)` pair.
@@ -92,17 +111,18 @@ fn main() {
         let narrow = |v: &[f64]| v.iter().map(|&e| e as f32).collect::<Vec<f32>>();
         let (x32, b32, inv_diag32) = (narrow(&x), narrow(&b), narrow(&inv_diag));
         let (mut y_csr, mut y_dia, mut xn) = (vec![0.0; rows], vec![0.0; rows], vec![0.0; rows]);
-        let (mut r32, mut xn32) = (vec![0.0f32; rows], vec![0.0f32; rows]);
-        let zero32 = vec![0.0f32; rows];
+        let (mut y32, mut xn32) = (vec![0.0f32; rows], vec![0.0f32; rows]);
 
         let csr_ms = median_ms(|| csr.spmv(&x, &mut y_csr));
-        let dia_ms = median_ms(|| LinearOperator::apply(&dia, &x, &mut y_dia));
-        // The f32 product through its public fused form: `0 − A·x`.
-        let dia32_ms = median_ms(|| dia32.residual_range(&x32, &zero32, 0..rows, &mut r32));
-        let sweep_ms = median_ms(|| dia.jacobi_range(&x, &b, &inv_diag, 0.8, 0..rows, &mut xn));
-        let sweep32_ms =
-            median_ms(|| dia32.jacobi_range(&x32, &b32, &inv_diag32, 0.8, 0..rows, &mut xn32));
-        std::hint::black_box((&xn, &xn32));
+        let dia_ms = both_widths(&mut y_dia, |lanes, y| dia.product_into_at(lanes, &x, 0..rows, y));
+        let dia32_ms =
+            both_widths(&mut y32, |lanes, y| dia32.product_into_at(lanes, &x32, 0..rows, y));
+        let sweep_ms = both_widths(&mut xn, |lanes, xn| {
+            dia.jacobi_range_at(lanes, &x, &b, &inv_diag, 0.8, 0..rows, xn)
+        });
+        let sweep32_ms = both_widths(&mut xn32, |lanes, xn| {
+            dia32.jacobi_range_at(lanes, &x32, &b32, &inv_diag32, 0.8, 0..rows, xn)
+        });
 
         assert!(
             y_csr.iter().zip(&y_dia).all(|(a, b)| a.to_bits() == b.to_bits()),
@@ -115,7 +135,7 @@ fn main() {
         let magnitude = magnitude.mul_vec(&abs(&x));
         let bound = (dia32.offsets().len() + 2) as f64 * f64::from(f32::EPSILON);
         for row in 0..rows {
-            let error = (-f64::from(r32[row]) - y_csr[row]).abs();
+            let error = (f64::from(y32[row]) - y_csr[row]).abs();
             assert!(
                 error <= bound * magnitude[row],
                 "level {level} row {row}: f32 product off by {error:e}"
@@ -129,32 +149,33 @@ fn main() {
             dia.offsets().len(),
             distinct_rows(csr),
         );
-        timings.push([
+        timings.push((
             (csr_bytes, csr_ms),
-            (dia_bytes, dia_ms),
-            (dia32_bytes, dia32_ms),
-            (dia_bytes, sweep_ms),
-            (dia32_bytes, sweep32_ms),
-        ]);
+            [
+                (dia_bytes, dia_ms),
+                (dia32_bytes, dia32_ms),
+                (dia_bytes, sweep_ms),
+                (dia32_bytes, sweep32_ms),
+            ],
+        ));
     }
     println!(
-        "{:>5} | {:>9} {:>6} | {:>9} {:>6} | {:>9} {:>6} | {:>9} {:>6} | {:>9} {:>6}",
-        "level",
-        "spmv ms",
-        "GB/s",
-        "f64 ms",
-        "GB/s",
-        "f32 ms",
-        "GB/s",
-        "sweep64",
-        "GB/s",
-        "sweep32",
-        "GB/s"
+        "host lanes: {}; diagonal-storage cells are baseline body | selected clone",
+        Lanes::selected().describe()
     );
-    for (level, kernels) in timings.iter().enumerate() {
-        print!("{level:>5}");
-        for &(bytes, ms) in kernels {
-            print!(" | {ms:>9.4} {:>6.1}", gbs(bytes, ms));
+    print!("{:>5} | {:>7} {:>5}", "level", "spmv ms", "GB/s");
+    for kernel in ["f64 ms", "f32 ms", "sweep64", "sweep32"] {
+        print!(" | {kernel:>13} {:>11}", "GB/s");
+    }
+    println!();
+    for (level, ((csr_bytes, csr_ms), kernels)) in timings.iter().enumerate() {
+        print!("{level:>5} | {csr_ms:>7.4} {:>5.1}", gbs(*csr_bytes, *csr_ms));
+        for &(bytes, [narrow, wide]) in kernels {
+            print!(
+                " | {narrow:>6.4}|{wide:<6.4} {:>5.1}|{:<5.1}",
+                gbs(bytes, narrow),
+                gbs(bytes, wide)
+            );
         }
         println!();
     }
