@@ -8,7 +8,11 @@
 //!    assembly of the semi-implicit momentum system, the weak pressure
 //!    gradient `−∫ N_a ∂p/∂x_i` of the current pressure added to the RHS,
 //!    Dirichlet rows applied, and the batched (three-column) pooled
-//!    BiCGSTAB momentum solve for the velocity increment → `u*`.
+//!    BiCGSTAB momentum solve for the velocity increment → `u*` — on the
+//!    assembled values refilled into diagonal storage when the node order
+//!    gives the pattern at most 32 diagonals ([`MomentumStorage::Dia`],
+//!    every generator-ordered box), on the CSR matrix itself otherwise;
+//!    the storage moves no bit of the solve.
 //! 2. **Pressure Poisson** — `L φ = −(ρ/Δt) d(u*)` with the mesh-true
 //!    Laplacian assembled by [`lv_kernel::PressureOperators`] (symmetrically
 //!    pinned per scenario), solved with pooled CG — by default
@@ -41,7 +45,7 @@ use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
 use lv_solver::{
     conjugate_gradient_on, first_non_finite, mg_preconditioned_cg_on, BreakdownKind, CsrMatrix,
-    GeometricMultigrid, MultigridOptions, SolveOptions, SolverError,
+    DiaMatrix, GeometricMultigrid, LinearOperator, MultigridOptions, SolveOptions, SolverError,
 };
 use lv_trace::{counters, spans, Event};
 use std::time::Instant;
@@ -77,6 +81,34 @@ impl PressureSolver {
             "cg" => Some(PressureSolver::Cg),
             "mgcg" => Some(PressureSolver::MgCg),
             _ => None,
+        }
+    }
+}
+
+/// How a step's momentum operator is stored for the BiCGSTAB solve — chosen
+/// by the assembly pattern alone, see [`Stepper::momentum_storage`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MomentumStorage {
+    /// Block-major diagonals ([`DiaMatrix`]), refilled from the assembled
+    /// CSR matrix every step: the node graph of a generator-ordered box has
+    /// at most 27 distinct `col − row` offsets, jittered or not.
+    Dia {
+        /// Distinct offsets of the pattern.
+        diagonals: usize,
+    },
+    /// The assembled CSR matrix itself: the pattern has more than
+    /// [`lv_solver::dia::MAX_DIAGONALS`] offsets (a scrambled or
+    /// bandwidth-reduced node order, any imported mesh).
+    Csr,
+}
+
+impl std::fmt::Display for MomentumStorage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MomentumStorage::Dia { diagonals } => write!(f, "dia ({diagonals} diagonals)"),
+            MomentumStorage::Csr => {
+                write!(f, "csr (pattern has more than {} diagonals)", lv_solver::dia::MAX_DIAGONALS)
+            }
         }
     }
 }
@@ -424,6 +456,9 @@ pub struct Stepper {
     stall_residuals: std::collections::VecDeque<f64>,
     slow_convergence: u64,
     matrix: CsrMatrix,
+    // `matrix` in diagonal storage for the momentum solve, refilled every
+    // step; `None` when the assembly pattern does not fit it.
+    momentum_dia: Option<DiaMatrix>,
     rhs: Vec<f64>,
     div: Vec<f64>,
     poisson_rhs: Vec<f64>,
@@ -498,6 +533,7 @@ impl Stepper {
         };
         let n = mesh.num_nodes();
         let matrix = assembly.new_matrix();
+        let momentum_dia = DiaMatrix::from_csr(&matrix);
         let h_char = mesh.characteristic_length();
         let fault_plan = config.fault_plan.clone();
         Stepper {
@@ -515,6 +551,7 @@ impl Stepper {
             stall_residuals: std::collections::VecDeque::new(),
             slow_convergence: 0,
             matrix,
+            momentum_dia,
             rhs: vec![0.0; NDIME * n],
             div: vec![0.0; n],
             poisson_rhs: vec![0.0; n],
@@ -556,6 +593,31 @@ impl Stepper {
         } else {
             PressureSolver::Cg
         }
+    }
+
+    /// The storage the momentum solve runs on.  A property of the mesh's
+    /// node order, not a setting: diagonals whenever the assembly pattern
+    /// fits them, the assembled CSR matrix otherwise.
+    pub fn momentum_storage(&self) -> MomentumStorage {
+        match &self.momentum_dia {
+            Some(dia) => MomentumStorage::Dia { diagonals: dia.offsets().len() },
+            None => MomentumStorage::Csr,
+        }
+    }
+
+    /// One line naming the operators this stepper runs and why — what the
+    /// examples print before the first step, so neither fallback is silent.
+    pub fn describe_operators(&self) -> String {
+        let pressure = match (&self.multigrid, self.config.pressure_solver) {
+            (Some(mg), _) => format!("mgcg ({} levels)", mg.num_levels()),
+            (None, PressureSolver::Cg) => "cg (configured)".to_string(),
+            (None, PressureSolver::MgCg) => format!(
+                "cg (no multigrid hierarchy: no box lattice, or a level has more than {} \
+                 diagonals)",
+                lv_solver::dia::MAX_DIAGONALS
+            ),
+        };
+        format!("operators: momentum {} | pressure {pressure}", self.momentum_storage())
     }
 
     /// Rows per multigrid level (finest first), when the V-cycle is active.
@@ -714,7 +776,14 @@ impl Stepper {
         }
         let t0 = Instant::now();
         let phase = trace.map(|t| t.span(spans::MOMENTUM, 0));
-        let solve = solve_momentum_on(team, &self.matrix, &self.rhs, &self.config.momentum_options)
+        let operator: &dyn LinearOperator = match &mut self.momentum_dia {
+            Some(dia) => {
+                dia.refill_from_csr(team, &self.matrix);
+                dia
+            }
+            None => &self.matrix,
+        };
+        let solve = solve_momentum_on(team, operator, &self.rhs, &self.config.momentum_options)
             .map_err(StepError::Momentum)?;
         for (v, d) in self.state.velocity.as_mut_slice().iter_mut().zip(&solve.increment) {
             *v += d;
@@ -777,7 +846,7 @@ impl Stepper {
                 // operator (same bits as `laplacian`, half the traffic).
                 Some(mg) => Some(mg_preconditioned_cg_on(
                     team,
-                    &*mg.level_operator(0),
+                    &*mg.fine_operator(),
                     mg,
                     &self.poisson_rhs,
                     &self.config.poisson_options,

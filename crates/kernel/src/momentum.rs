@@ -10,9 +10,18 @@
 //! component the result is bit for bit what [`lv_solver::bicgstab_on`]
 //! returns for that component alone (the solver's contract, which the test
 //! below re-checks on an assembled system).
+//!
+//! The system comes in as a [`LinearOperator`], so the caller picks its
+//! storage: the assembled [`lv_solver::CsrMatrix`] as it is, or — what
+//! `lv_driver::Stepper` hands over whenever the node order allows it — the
+//! same values in an [`lv_solver::DiaMatrix`], whose fused three-column
+//! product has no index stream and rows for vector lanes.  Both storages
+//! add every row's entries in ascending column order, so the increments,
+//! iteration counts and residuals are the same to the bit (second test
+//! below).
 
 use lv_runtime::Team;
-use lv_solver::{bicgstab3_on, CsrMatrix, MultiVector, SolveOptions, SolverError, NRHS};
+use lv_solver::{bicgstab3_on, LinearOperator, MultiVector, SolveOptions, SolverError, NRHS};
 
 /// Result of one momentum solve (all three components).
 #[derive(Debug, Clone)]
@@ -36,7 +45,8 @@ impl MomentumSolve {
 /// Solves the three momentum-increment systems on the caller's worker team
 /// in one three-column BiCGSTAB loop.
 ///
-/// `rhs` is the assembled node-interleaved right-hand side
+/// `operator` is the assembled momentum matrix (Dirichlet rows applied) in
+/// either storage; `rhs` is the assembled node-interleaved right-hand side
 /// (`rhs[NRHS*node + c]`, Dirichlet rows already applied); the returned
 /// increment uses the same layout.
 ///
@@ -45,17 +55,17 @@ impl MomentumSolve {
 /// converge or breaks down.
 pub fn solve_momentum_on(
     team: &Team,
-    matrix: &CsrMatrix,
+    operator: &dyn LinearOperator,
     rhs: &[f64],
     options: &SolveOptions,
 ) -> Result<MomentumSolve, SolverError> {
-    let n = matrix.dim();
+    let n = operator.dim();
     assert_eq!(rhs.len(), NRHS * n, "rhs must be the node-interleaved 3-component layout");
     let mut increment = vec![0.0; NRHS * n];
     let mut iterations = [0usize; NRHS];
     let mut worst_residual = 0.0f64;
     let b = MultiVector::from_interleaved(rhs);
-    for (c, outcome) in bicgstab3_on(team, matrix, &b, options).into_iter().enumerate() {
+    for (c, outcome) in bicgstab3_on(team, operator, &b, options).into_iter().enumerate() {
         let solve = outcome?;
         iterations[c] = solve.iterations;
         worst_residual = worst_residual.max(solve.final_residual());
@@ -73,10 +83,11 @@ mod tests {
     use crate::config::{KernelConfig, OptLevel};
     use lv_mesh::structured::BoxMeshBuilder;
     use lv_mesh::{Field, Vec3, VectorField};
-    use lv_solver::bicgstab_on;
+    use lv_solver::{bicgstab_on, CsrMatrix, DiaMatrix};
 
-    fn assembled_system() -> (CsrMatrix, Vec<f64>) {
-        let mesh = BoxMeshBuilder::new(4, 4, 4).lid_driven_cavity().with_jitter(0.1, 9).build();
+    /// The Dirichlet-applied momentum system of a jittered `n³` cavity.
+    fn assembled_system(n: usize) -> (CsrMatrix, Vec<f64>) {
+        let mesh = BoxMeshBuilder::new(n, n, n).lid_driven_cavity().with_jitter(0.1, 9).build();
         let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(32, OptLevel::Vec1));
         let mut velocity = VectorField::taylor_green(&mesh);
         velocity.apply_boundary_conditions(&mesh, Vec3::new(1.0, 0.0, 0.0), Vec3::ZERO);
@@ -90,7 +101,7 @@ mod tests {
     /// assembled system: same increments, iteration counts and residuals.
     #[test]
     fn batched_and_sequential_paths_are_bitwise_identical() {
-        let (matrix, rhs) = assembled_system();
+        let (matrix, rhs) = assembled_system(4);
         let n = matrix.dim();
         let options = SolveOptions::default();
         for threads in [1usize, 2] {
@@ -110,6 +121,35 @@ mod tests {
             assert_eq!(worst.to_bits(), bat.worst_residual.to_bits(), "threads={threads}");
             assert!(bat.total_iterations() > 0);
             assert!(bat.worst_residual < 1e-8);
+        }
+    }
+
+    /// The same solve on the assembled CSR matrix and on its diagonal
+    /// storage, below and above the row count where the teams fork:
+    /// increments, iteration counts and residuals agree to the bit.
+    #[test]
+    fn csr_and_diagonal_storage_give_the_same_solve_bitwise() {
+        for n in [4usize, 11] {
+            let (matrix, rhs) = assembled_system(n);
+            let dia: DiaMatrix = DiaMatrix::from_csr(&matrix).expect("a generator-ordered box");
+            assert_eq!(dia.offsets().len(), 27);
+            let options = SolveOptions::default();
+            for threads in [1usize, 2] {
+                let team = Team::new(threads);
+                let on_csr = solve_momentum_on(&team, &matrix, &rhs, &options).expect("CSR");
+                let on_dia = solve_momentum_on(&team, &dia, &rhs, &options).expect("diagonals");
+                let what = format!("{n}³ on {threads} thread(s)");
+                assert_eq!(on_dia.iterations, on_csr.iterations, "{what}");
+                assert!(on_csr.total_iterations() > 0, "{what}");
+                assert_eq!(
+                    on_dia.worst_residual.to_bits(),
+                    on_csr.worst_residual.to_bits(),
+                    "{what}"
+                );
+                for (i, (a, b)) in on_dia.increment.iter().zip(&on_csr.increment).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: increment entry {i}");
+                }
+            }
         }
     }
 }

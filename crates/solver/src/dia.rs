@@ -1,11 +1,15 @@
-//! Block-major diagonal storage for the multigrid level operators.
+//! Block-major diagonal storage for lattice operators: the multigrid levels
+//! and, since the momentum solve moved onto it, the assembled momentum
+//! matrix of a time step.
 //!
 //! Every matrix the V-cycle touches lives on a generator-ordered box
-//! lattice, so its pattern is at most 27 distinct `col − row` offsets.
-//! [`DiaMatrix`] stores exactly that: per block of [`BLOCK_ROWS`] rows, one
-//! run of values per offset (ascending), zero where the CSR row has no
-//! entry, and no column indices at all.  The kernel is the paper's loop
-//! shape — for a block,
+//! lattice, and so does the node graph the momentum matrix is assembled
+//! on: the pattern is at most 27 distinct `col − row` offsets (the pattern
+//! is topological — jittered coordinates do not change it, a renumbered
+//! node order does).  [`DiaMatrix`] stores exactly that: per block of
+//! [`BLOCK_ROWS`] rows, one run of values per offset (ascending), zero
+//! where the CSR row has no entry, and no column indices at all.  The
+//! kernel is the paper's loop shape — for a block,
 //! `for offset { for row in block { acc[row] += val[row]·x[row+offset] } }` —
 //! unit stride in every stream, no gathers, and the vector lanes are
 //! **rows**: nothing is reassociated, each row still adds its entries in
@@ -19,15 +23,36 @@
 //! padded zero into rows CSR keeps clean; the Krylov drivers reject
 //! non-finite right-hand sides before the first product.)
 //!
-//! Besides the plain product there are two fused row-range kernels for the
-//! smoother — [`jacobi_range`](DiaMatrix::jacobi_range) and
-//! [`residual_range`](DiaMatrix::residual_range) — that finish the row
-//! while its sum is still in L1, so one smoothing sweep is one pass.
+//! Besides the plain product there are three fused row-range kernels.  Two
+//! are the smoother's — [`jacobi_range`](DiaMatrix::jacobi_range) and
+//! [`residual_range`](DiaMatrix::residual_range) finish the row while its
+//! sum is still in L1, so one smoothing sweep is one pass.  The third is
+//! the momentum solve's: [`product3_into`](DiaMatrix::product3_into)
+//! multiplies every run of values into **three** columns (the velocity
+//! components share the matrix), so one traversal of the operator serves
+//! all of them, as [`CsrMatrix::spmm3_range`] does with an index stream
+//! and one add-chain per row; per column it is the one-column product,
+//! bit for bit.
 //!
-//! **One source, two widths.**  The three kernels — the product
+//! **Refilled, not rebuilt.**  The momentum matrix is assembled into CSR
+//! anew every step (the assembly scatters ~27 lines per element there; into
+//! block-major runs it would touch 64).
+//! [`refill_from_csr`](DiaMatrix::refill_from_csr) copies the new values
+//! into the layout [`from_csr`](DiaMatrix::from_csr) discovered once —
+//! offsets and padding stay, every entry's offset is checked — split by
+//! whole blocks across the team.  The runs of a block sit `BLOCK_ROWS`
+//! values = exactly 2 KiB apart, so the 27 lines one row's entries land in
+//! all compete for two sets of a 64-set L1 and a store-per-entry refill
+//! evicts each line before its next row arrives (3.4–5.8 ms at 32³); the
+//! fill stages 16 rows and stores whole lines, a row that has an entry on
+//! every diagonal as one comparison and one copy (1.2–1.5 ms, 0.65–0.95 on
+//! two threads; README "Level storage").
+//!
+//! **One source, two widths.**  The four kernels — the product
 //! ([`product_into`](DiaMatrix::product_into), which is
-//! [`LinearOperator::apply_range`] for `f64`), `jacobi_range` and
-//! `residual_range` — are multiversioned with [`lv_runtime::multiversion!`]:
+//! [`LinearOperator::apply_range`] for `f64`), `product3_into`
+//! ([`LinearOperator::apply3_range`]), `jacobi_range` and `residual_range` —
+//! are multiversioned with [`lv_runtime::multiversion!`]:
 //! besides the copy at the build's baseline target features there is an
 //! `avx2` clone (four `f64` or eight `f32` rows per instruction instead of
 //! SSE2's two or four), and each entry point runs the one
@@ -48,12 +73,16 @@
 
 use crate::csr::CsrMatrix;
 use crate::operator::LinearOperator;
+use crate::parallel::SERIAL_CUTOFF;
+use lv_runtime::Team;
 use std::ops::{Add, AddAssign, Mul, Range, Sub};
+use std::sync::Mutex;
 
 /// Rows per storage block: every per-offset run of a block is this long
 /// (shorter in the last block), so a block's working set — runs, the `x`
 /// window and the output rows — stays L1/L2-resident while the offsets
-/// stream over it.
+/// stream over it.  256 is the paper's maximum vector length; the fused
+/// three-column product measured flat from 64 to 512.
 pub const BLOCK_ROWS: usize = 256;
 
 /// Most distinct offsets a [`DiaMatrix`] stores; a pattern with more is not
@@ -129,7 +158,7 @@ impl<T: Scalar> DiaMatrix<T> {
     /// rounded to `T` once, as it is stored.
     pub fn from_csr(matrix: &CsrMatrix) -> Option<DiaMatrix<T>> {
         let n = matrix.dim();
-        let (row_ptr, col_idx, csr_values) = (matrix.row_ptr(), matrix.col_idx(), matrix.values());
+        let (row_ptr, col_idx) = (matrix.row_ptr(), matrix.col_idx());
 
         // Offset discovery: a row's offsets ascend with its columns, so
         // each row is one merge against the sorted list found so far.
@@ -152,24 +181,38 @@ impl<T: Scalar> DiaMatrix<T> {
         assert!(offsets.windows(2).all(|w| w[0] < w[1]), "offsets must be strictly ascending");
         assert!(offsets.iter().all(|d| d.unsigned_abs() < n), "offset outside the matrix");
 
-        let nd = offsets.len();
-        let mut values = vec![T::ZERO; n * nd];
-        for block_start in (0..n).step_by(BLOCK_ROWS) {
-            let block_len = BLOCK_ROWS.min(n - block_start);
-            let block = &mut values[block_start * nd..(block_start + block_len) * nd];
-            for i in 0..block_len {
-                let row = block_start + i;
-                let mut k = 0;
-                for idx in row_ptr[row]..row_ptr[row + 1] {
-                    let d = col_idx[idx] as isize - row as isize;
-                    while offsets[k] != d {
-                        k += 1;
-                    }
-                    block[k * block_len + i] = T::from_f64(csr_values[idx]);
-                }
-            }
-        }
+        let mut values = vec![T::ZERO; n * offsets.len()];
+        fill_rows(&offsets, 0..n, &mut values, matrix);
         Some(DiaMatrix { n, offsets, values })
+    }
+
+    /// Overwrites the stored values with those of `matrix` — a CSR matrix
+    /// of the pattern this one was built from, assembled anew — and leaves
+    /// the layout alone: the result equals [`from_csr`](Self::from_csr) of
+    /// `matrix`, without the offset discovery and the allocation.  Whole
+    /// blocks are split across `team` (disjoint chunks of the value array,
+    /// each behind a lock only its rank takes).
+    ///
+    /// # Panics
+    /// Panics if the dimensions differ or an entry of `matrix` lies on no
+    /// stored diagonal (checked for every entry, in release builds too).
+    pub fn refill_from_csr(&mut self, team: &Team, matrix: &CsrMatrix) {
+        assert_eq!(matrix.dim(), self.n, "the refill matrix has another dimension");
+        let (n, nd) = (self.n, self.offsets.len());
+        let threads = if n >= SERIAL_CUTOFF { team.num_threads() } else { 1 };
+        if threads == 1 || nd == 0 {
+            return fill_rows(&self.offsets, 0..n, &mut self.values, matrix);
+        }
+        let per = n.div_ceil(BLOCK_ROWS).div_ceil(threads) * BLOCK_ROWS;
+        let offsets = &self.offsets;
+        let shares: Vec<Mutex<&mut [T]>> =
+            self.values.chunks_mut(per * nd).map(Mutex::new).collect();
+        team.run(&|rank| {
+            if let Some(share) = shares.get(rank) {
+                let mut share = share.lock().expect("a rank panicked inside a refill");
+                fill_rows(offsets, rank * per..n.min((rank + 1) * per), &mut share, matrix);
+            }
+        });
     }
 
     /// The same layout with every value rounded to `U` — what
@@ -244,6 +287,58 @@ impl<T: Scalar> DiaMatrix<T> {
         }
     }
 
+    /// [`product_body`](Self::product_body) for three columns in one
+    /// traversal: every run of values is read once and multiplied into all
+    /// three sums, each of which still adds its entries in ascending offset
+    /// order from `+0.0` — column `c` carries the bits of the one-column
+    /// product of `x[c]`.
+    #[inline(always)]
+    fn product3_body(&self, x: [&[T]; 3], rows: Range<usize>, acc: [&mut [T]; 3]) {
+        let [x0, x1, x2] = x;
+        let [acc0, acc1, acc2] = acc;
+        for (xc, column) in [(x0, &*acc0), (x1, &*acc1), (x2, &*acc2)] {
+            assert_eq!(xc.len(), self.n);
+            assert_eq!(column.len(), rows.len(), "output length must match the row range");
+            debug_assert!(disjoint(xc, column), "the product cannot run in place");
+        }
+        assert!(rows.end <= self.n, "row range {rows:?} out of bounds for dim {}", self.n);
+        let nd = self.offsets.len();
+        let mut lo = rows.start;
+        while lo < rows.end {
+            let block_start = lo - lo % BLOCK_ROWS;
+            let block_len = BLOCK_ROWS.min(self.n - block_start);
+            let hi = rows.end.min(block_start + block_len);
+            let block = &self.values[block_start * nd..(block_start + block_len) * nd];
+            let out = lo - rows.start..hi - rows.start;
+            let (out0, out1, out2) =
+                (&mut acc0[out.clone()], &mut acc1[out.clone()], &mut acc2[out]);
+            out0.fill(T::ZERO);
+            out1.fill(T::ZERO);
+            out2.fill(T::ZERO);
+            for (k, &d) in self.offsets.iter().enumerate() {
+                let (below, above) = if d < 0 { (d.unsigned_abs(), 0) } else { (0, d as usize) };
+                let first = lo.max(below);
+                let last = hi.min(self.n - above);
+                if first >= last {
+                    continue;
+                }
+                let vals = &block[k * block_len..][first - block_start..last - block_start];
+                let (window, sums) =
+                    (first - below + above..last - below + above, first - lo..last - lo);
+                accumulate3(
+                    vals,
+                    &x0[window.clone()],
+                    &x1[window.clone()],
+                    &x2[window],
+                    &mut out0[sums.clone()],
+                    &mut out1[sums.clone()],
+                    &mut out2[sums],
+                );
+            }
+            lo = hi;
+        }
+    }
+
     #[inline(always)]
     fn jacobi_body(
         &self,
@@ -281,6 +376,20 @@ impl<T: Scalar> DiaMatrix<T> {
         /// bounds, or `y` does not match `rows`.
         pub fn product_into(&self, x: &[T], rows: Range<usize>, y: &mut [T])
             = Self::product_body, at product_into_at, clone product_avx2;
+    }
+
+    lv_runtime::multiversion! {
+        /// Three products over `rows` in one traversal of the matrix:
+        /// `y[c][i] = (A·x[c])[rows.start + i]`, each column bit for bit
+        /// what [`product_into`](Self::product_into) computes for it — the
+        /// momentum solve's product (three velocity components, one
+        /// matrix), [`LinearOperator::apply3_range`] for `f64`.
+        ///
+        /// # Panics
+        /// Panics if a column of `x` does not match the dimension, `rows`
+        /// is out of bounds, or a column of `y` does not match `rows`.
+        pub fn product3_into(&self, x: [&[T]; 3], rows: Range<usize>, y: [&mut [T]; 3])
+            = Self::product3_body, at product3_into_at, clone product3_avx2;
     }
 
     lv_runtime::multiversion! {
@@ -324,6 +433,102 @@ fn disjoint<T>(a: &[T], b: &[T]) -> bool {
     a.end <= b.start || b.end <= a.start
 }
 
+/// `s_c[i] += vals[i]·x_c[i]` for the three columns — one run of one
+/// diagonal.  Seven separate slice parameters rather than arrays of them:
+/// inlined, that is how the compiler learns the three outputs alias
+/// nothing, and it vectorizes the rows without run-time overlap checks.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn accumulate3<T: Scalar>(
+    vals: &[T],
+    x0: &[T],
+    x1: &[T],
+    x2: &[T],
+    s0: &mut [T],
+    s1: &mut [T],
+    s2: &mut [T],
+) {
+    let len = vals.len();
+    let (x0, x1, x2) = (&x0[..len], &x1[..len], &x2[..len]);
+    let (s0, s1, s2) = (&mut s0[..len], &mut s1[..len], &mut s2[..len]);
+    for i in 0..len {
+        let v = vals[i];
+        s0[i] += v * x0[i];
+        s1[i] += v * x1[i];
+        s2[i] += v * x2[i];
+    }
+}
+
+/// Rows the fill stages before it stores them: two 64-byte lines of `f64`
+/// per diagonal.  A block's runs sit `BLOCK_ROWS` values — exactly 2 KiB —
+/// apart, so the entries of one row land in lines that all compete for the
+/// same two L1 sets, and storing them entry by entry evicts each line
+/// before its next row arrives.
+const STAGE_ROWS: usize = 16;
+
+/// Fills the runs of `rows` — whole blocks, `values` being exactly their
+/// part of the value array — from `matrix`: stored entries rounded to `T`,
+/// `+0.0` where a row has no entry on a diagonal.
+///
+/// # Panics
+/// Panics if an entry of `matrix` lies on none of `offsets`.
+fn fill_rows<T: Scalar>(
+    offsets: &[isize],
+    rows: Range<usize>,
+    values: &mut [T],
+    matrix: &CsrMatrix,
+) {
+    let nd = offsets.len();
+    assert!(nd <= MAX_DIAGONALS);
+    assert_eq!(rows.start % BLOCK_ROWS, 0, "a fill starts on a block boundary");
+    assert_eq!(values.len(), rows.len() * nd, "the value chunk must match the rows");
+    let (row_ptr, col_idx, csr_values) = (matrix.row_ptr(), matrix.col_idx(), matrix.values());
+    // `stage[j][k]`: the value of staged row `j` on diagonal `k`.
+    let mut stage = [[T::ZERO; MAX_DIAGONALS]; STAGE_ROWS];
+    for block_start in rows.clone().step_by(BLOCK_ROWS) {
+        let block_len = BLOCK_ROWS.min(rows.end - block_start);
+        let block = &mut values[(block_start - rows.start) * nd..][..block_len * nd];
+        for i in (0..block_len).step_by(STAGE_ROWS) {
+            let width = STAGE_ROWS.min(block_len - i);
+            for (j, staged) in stage.iter_mut().enumerate().take(width) {
+                let row = block_start + i + j;
+                let entries = row_ptr[row]..row_ptr[row + 1];
+                let (cols, vals) = (&col_idx[entries.clone()], &csr_values[entries]);
+                // A row with an entry on every diagonal — every interior
+                // node of a lattice — is one comparison of the two index
+                // lists and one copy.
+                let full = cols.len() == nd
+                    && cols.iter().zip(offsets).all(|(&col, &d)| col as isize - row as isize == d);
+                if full {
+                    for (slot, &value) in staged.iter_mut().zip(vals) {
+                        *slot = T::from_f64(value);
+                    }
+                    continue;
+                }
+                // Otherwise a merge: columns ascend within a row, and so do
+                // the offsets.
+                staged[..nd].fill(T::ZERO);
+                let mut k = 0;
+                for (&col, &value) in cols.iter().zip(vals) {
+                    let d = col as isize - row as isize;
+                    while k < nd && offsets[k] != d {
+                        k += 1;
+                    }
+                    assert!(k < nd, "entry ({row}, {col}) lies on no stored diagonal");
+                    staged[k] = T::from_f64(value);
+                    k += 1;
+                }
+            }
+            for k in 0..nd {
+                let lines = &mut block[k * block_len + i..][..width];
+                for (slot, staged) in lines.iter_mut().zip(&stage) {
+                    *slot = staged[k];
+                }
+            }
+        }
+    }
+}
+
 impl LinearOperator for DiaMatrix<f64> {
     fn dim(&self) -> usize {
         self.n
@@ -331,6 +536,21 @@ impl LinearOperator for DiaMatrix<f64> {
 
     fn apply_range(&self, x: &[f64], rows: Range<usize>, y: &mut [f64]) {
         self.product_into(x, rows, y);
+    }
+
+    fn apply3_range(
+        &self,
+        x: [&[f64]; 3],
+        rows: Range<usize>,
+        y: [&mut [f64]; 3],
+        active: [bool; 3],
+    ) {
+        if active == [true; 3] {
+            return self.product3_into(x, rows, y);
+        }
+        for (c, yc) in y.into_iter().enumerate().filter(|(c, _)| active[*c]) {
+            self.product_into(x[c], rows.clone(), yc);
+        }
     }
 
     fn diagonal(&self) -> Vec<f64> {
@@ -359,6 +579,7 @@ impl LinearOperator for DiaMatrix<f64> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::multivector::MultiVector;
     use crate::parallel::VectorOps;
     use lv_runtime::{Lanes, Team};
 
@@ -393,14 +614,47 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// `DiaMatrix` product vs `CsrMatrix::spmv_range`, bit for bit, over
-    /// the full range, unaligned sub-ranges, and pooled partitions.
+    const MASKS: [[bool; 3]; 8] = [
+        [true, true, true],
+        [true, true, false],
+        [true, false, true],
+        [false, true, true],
+        [true, false, false],
+        [false, true, false],
+        [false, false, true],
+        [false, false, false],
+    ];
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|e| e.to_bits()).collect()
+    }
+
+    fn columns_mut(y: &mut [Vec<f64>; 3]) -> [&mut [f64]; 3] {
+        let [y0, y1, y2] = y;
+        [y0, y1, y2]
+    }
+
+    /// `DiaMatrix` products vs the CSR ones, bit for bit, over the full
+    /// range, unaligned / one-row / empty sub-ranges, and pooled partitions:
+    /// the one-column product against `CsrMatrix::spmv_range`, and the
+    /// three-column one — under all eight column masks — against
+    /// `CsrMatrix::spmm3_range` (masked columns untouched) and against three
+    /// one-column products.
     pub(crate) fn assert_products_bitwise_equal(csr: &CsrMatrix, label: &str) {
         let dia = DiaMatrix::from_csr(csr).unwrap_or_else(|| panic!("{label}: fits in DIA"));
         let n = csr.dim();
         let x = awkward_vector(n, 17);
         let expect = csr.mul_vec(&x);
-        let ranges = [0..n, 0..n.min(1), n / 3..n - n / 5, n.saturating_sub(1)..n, 255..n.min(258)];
+        let x3 = [x.clone(), awkward_vector(n, 18), awkward_vector(n, 19)];
+        let x3 = [&x3[0][..], &x3[1][..], &x3[2][..]];
+        let ranges = [
+            0..n,
+            0..n.min(1),
+            n / 3..n - n / 5,
+            n.saturating_sub(1)..n,
+            255..n.min(258),
+            n / 2..n / 2,
+        ];
         for rows in ranges {
             if rows.start > rows.end {
                 continue;
@@ -410,13 +664,43 @@ pub(crate) mod tests {
             for (i, (got, want)) in y.iter().zip(&expect[rows.clone()]).enumerate() {
                 assert_eq!(got.to_bits(), want.to_bits(), "{label}: row {} of {rows:?}", i);
             }
+            for mask in MASKS {
+                // 7.5 marks what a masked column must leave alone.
+                let untouched =
+                    || -> [Vec<f64>; 3] { std::array::from_fn(|_| vec![7.5; rows.len()]) };
+                let (mut want, mut got, mut single) = (untouched(), untouched(), untouched());
+                csr.spmm3_range(x3, rows.clone(), columns_mut(&mut want), mask);
+                dia.apply3_range(x3, rows.clone(), columns_mut(&mut got), mask);
+                for c in (0..3).filter(|&c| mask[c]) {
+                    dia.product_into(x3[c], rows.clone(), &mut single[c]);
+                }
+                for c in 0..3 {
+                    let what = format!("{label}: column {c} of {rows:?} under {mask:?}");
+                    assert_eq!(bits(&got[c]), bits(&want[c]), "{what} vs spmm3_range");
+                    assert_eq!(bits(&got[c]), bits(&single[c]), "{what} vs product_into");
+                }
+            }
         }
+        let x_mv = MultiVector::from_columns(x3);
         for threads in [1usize, 2, 4] {
             let team = Team::new(threads);
+            let mut ops = VectorOps::on_team(&team);
             let mut y = vec![f64::NAN; n];
-            VectorOps::on_team(&team).apply(&dia, &x, &mut y);
+            ops.apply(&dia, &x, &mut y);
             for (row, (got, want)) in y.iter().zip(&expect).enumerate() {
                 assert_eq!(got.to_bits(), want.to_bits(), "{label}: row {row}, {threads} threads");
+            }
+            for mask in [[true; 3], [true, false, true]] {
+                let (mut want, mut got) = (x_mv.clone(), x_mv.clone());
+                ops.spmm3(csr, &x_mv, &mut want, mask);
+                ops.spmm3(&dia, &x_mv, &mut got, mask);
+                for c in 0..3 {
+                    assert_eq!(
+                        bits(got.component(c)),
+                        bits(want.component(c)),
+                        "{label}: column {c} under {mask:?}, {threads} threads"
+                    );
+                }
             }
         }
     }
@@ -513,6 +797,105 @@ pub(crate) mod tests {
         assert_eq!(dia.offsets().len(), MAX_DIAGONALS);
     }
 
+    /// A 9-point stencil on an `nx × ny` lattice with entry values drawn
+    /// from `seed`: nine diagonals, interior rows with an entry on each of
+    /// them, edge and corner rows without — both branches of the fill.
+    fn stencil9(nx: usize, ny: usize, seed: u64) -> CsrMatrix {
+        let (mut row_ptr, mut col_idx) = (vec![0], Vec::new());
+        for j in 0..ny as isize {
+            for i in 0..nx as isize {
+                for (dj, di) in (-1..=1).flat_map(|dj| (-1..=1).map(move |di| (dj, di))) {
+                    let (jj, ii) = (j + dj, i + di);
+                    if (0..ny as isize).contains(&jj) && (0..nx as isize).contains(&ii) {
+                        col_idx.push(jj as usize * nx + ii as usize);
+                    }
+                }
+                row_ptr.push(col_idx.len());
+            }
+        }
+        let mut csr = CsrMatrix::from_pattern(row_ptr, col_idx);
+        let values = awkward_vector(csr.nnz(), seed);
+        csr.pattern_and_values_mut().2.copy_from_slice(&values);
+        csr
+    }
+
+    /// The refill is `from_csr` without the set-up: from the zeroed pattern,
+    /// after Dirichlet rows, and over the leftovers of another assembly —
+    /// bit for bit (`-0.0` entries included), serially and split by whole
+    /// blocks across teams, on sizes that end mid-block and mid-stage.
+    #[test]
+    fn refill_reproduces_from_csr_bitwise_on_every_team() {
+        for (nx, ny) in [(40usize, 37usize), (7, 5), (16, 16), (3, 1)] {
+            let first = stencil9(nx, ny, 3);
+            let mut second = stencil9(nx, ny, 4);
+            for row in [0, nx * ny / 2, nx * ny - 1] {
+                second.dirichlet_row(row);
+            }
+            let mut pattern = first.clone();
+            pattern.zero_values();
+            for threads in [1usize, 2, 4] {
+                let team = Team::new(threads);
+                let mut dia: DiaMatrix = DiaMatrix::from_csr(&pattern).expect("nine diagonals");
+                assert!(dia.values.iter().all(|v| v.to_bits() == 0), "a zeroed pattern");
+                for csr in [&first, &second, &first] {
+                    dia.refill_from_csr(&team, csr);
+                    let want: DiaMatrix = DiaMatrix::from_csr(csr).expect("the same pattern");
+                    assert_eq!(dia.offsets, want.offsets);
+                    assert_eq!(bits(&dia.values), bits(&want.values), "{nx}x{ny}, {threads} thr");
+                }
+            }
+            assert_products_bitwise_equal(&second, &format!("stencil9({nx}, {ny})"));
+        }
+    }
+
+    /// A stored zero is an entry like any other — the refill writes whatever
+    /// the CSR slot holds, `-0.0` included, and the next refill overwrites
+    /// it — while a slot no CSR entry maps to stays the `+0.0` it was built
+    /// as, whatever the neighbouring values do.
+    #[test]
+    fn stored_zeros_are_refilled_and_padding_stays_positive_zero() {
+        let (nx, ny) = (9, 6);
+        let mut csr = stencil9(nx, ny, 11);
+        let mut dia: DiaMatrix = DiaMatrix::from_csr(&csr).expect("nine diagonals");
+        let padding: Vec<usize> = {
+            let mut ones = csr.clone();
+            ones.pattern_and_values_mut().2.fill(1.0);
+            let marked: DiaMatrix = DiaMatrix::from_csr(&ones).expect("nine diagonals");
+            (0..marked.values.len()).filter(|&slot| marked.values[slot] == 0.0).collect()
+        };
+        assert!(!padding.is_empty(), "edge rows leave padding");
+        let team = Team::new(1);
+        for fill in [-0.0, 0.0, 2.5, f64::MIN_POSITIVE] {
+            csr.pattern_and_values_mut().2.fill(fill);
+            dia.refill_from_csr(&team, &csr);
+            for (slot, value) in dia.values.iter().enumerate() {
+                let want = if padding.contains(&slot) { 0.0f64 } else { fill };
+                assert_eq!(value.to_bits(), want.to_bits(), "slot {slot} refilled with {fill:e}");
+            }
+        }
+    }
+
+    /// Row 0 keeps as many entries as there are diagonals, so it is the
+    /// whole-row comparison that has to notice the foreign one first.
+    #[test]
+    #[should_panic(expected = "entry (0, 5) lies on no stored diagonal")]
+    fn refilling_from_a_foreign_pattern_panics() {
+        let n = 12;
+        let csr = tridiag(n);
+        let mut dia: DiaMatrix = DiaMatrix::from_csr(&csr).expect("three diagonals");
+        let mut dense: Vec<Vec<f64>> =
+            (0..n).map(|i| (0..n).map(|j| csr.get(i, j)).collect()).collect();
+        dense[0][5] = 1.0;
+        dia.refill_from_csr(&Team::new(1), &CsrMatrix::from_dense(&dense));
+    }
+
+    #[test]
+    #[should_panic(expected = "the refill matrix has another dimension")]
+    fn refilling_from_another_dimension_panics() {
+        let mut dia: DiaMatrix = DiaMatrix::from_csr(&tridiag(12)).expect("three diagonals");
+        dia.refill_from_csr(&Team::new(1), &tridiag(13));
+    }
+
     /// The four-kernel sequence the fused sweep replaces, on the CSR matrix.
     pub(crate) fn jacobi_oracle(
         ops: &mut VectorOps<'_>,
@@ -570,7 +953,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The three kernels at `T`, baseline body against wide clone, on row
+    /// The four kernels at `T`, baseline body against wide clone, on row
     /// ranges that start and end mid-block, cover a single row, nothing at
     /// all, and a matrix with fewer rows than one register has lanes.
     fn assert_clones_match_their_baseline<T: Scalar>() {
@@ -599,10 +982,12 @@ pub(crate) mod tests {
             ];
             for rows in ranges.into_iter().filter(|rows| rows.start <= rows.end) {
                 let run = |lanes| {
-                    let mut out = [(); 3].map(|()| vec![T::from_f64(f64::NAN); rows.len()]);
-                    dia.product_into_at(lanes, &x, rows.clone(), &mut out[0]);
-                    dia.jacobi_range_at(lanes, &x, &b, &inv_diag, omega, rows.clone(), &mut out[1]);
-                    dia.residual_range_at(lanes, &x, &b, rows.clone(), &mut out[2]);
+                    let mut out = [(); 6].map(|()| vec![T::from_f64(f64::NAN); rows.len()]);
+                    let [product, sweep, residual, y0, y1, y2] = &mut out;
+                    dia.product_into_at(lanes, &x, rows.clone(), product);
+                    dia.jacobi_range_at(lanes, &x, &b, &inv_diag, omega, rows.clone(), sweep);
+                    dia.residual_range_at(lanes, &x, &b, rows.clone(), residual);
+                    dia.product3_into_at(lanes, [&x, &b, &inv_diag], rows.clone(), [y0, y1, y2]);
                     out.map(|v| bits(&v))
                 };
                 assert_eq!(run(Lanes::Baseline), run(lanes), "n={n}, rows {rows:?}");

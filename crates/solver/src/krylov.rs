@@ -6,12 +6,16 @@
 //! Each recurrence exists once.  CG is `conjugate_gradient_with`: any
 //! [`LinearOperator`] under any [`Preconditioner`] (Jacobi here; the `f32`
 //! V-cycle in [`crate::multigrid`], which reports itself inexact and gets
-//! the flexible `β`).  BiCGSTAB is `bicgstab_cols`, generic over a
-//! const column width `W`: it runs `W` right-hand sides that share the
-//! matrix through one iteration loop with per-column scalars, so an
-//! iteration pays one fork/join per fused BLAS-1 operation for all columns
-//! and — at the three columns of a momentum solve — **one** traversal of the
-//! matrix ([`crate::csr::CsrMatrix::spmm3_range`]) instead of three.  A
+//! the flexible `β`).  BiCGSTAB is `bicgstab_cols`, over any
+//! [`LinearOperator`] as well and generic over a const column width `W`: it
+//! runs `W` right-hand sides that share the operator through one iteration
+//! loop with per-column scalars, so an iteration pays one fork/join per
+//! fused BLAS-1 operation for all columns and — at the three columns of a
+//! momentum solve — **one** traversal of the operator
+//! ([`LinearOperator::apply3_range`]: [`crate::csr::CsrMatrix::spmm3_range`],
+//! or the index-free [`crate::DiaMatrix::product3_into`] with rows for
+//! vector lanes) instead of three.  Every backend adds a row's entries in
+//! one fixed order, so the storage an operator comes in moves no bit.  A
 //! column that converges or breaks down early is **masked, not dropped**:
 //! its vectors stay frozen while the others keep iterating, and every
 //! kernel evaluates, per column, one expression per entry whatever the
@@ -27,7 +31,6 @@
 //! caller's [`Team`] (a time-step loop shares one set of workers between
 //! assembly and solves); the un-suffixed ones are their serial conveniences.
 
-use crate::csr::CsrMatrix;
 use crate::multivector::{MultiVector, NRHS};
 use crate::operator::{JacobiPreconditioner, LinearOperator, Preconditioner};
 use crate::parallel::VectorOps;
@@ -361,24 +364,24 @@ pub(crate) fn conjugate_gradient_with(
 /// calling thread; works for non-symmetric systems such as the
 /// convection-dominated momentum equations.
 pub fn bicgstab(
-    matrix: &CsrMatrix,
+    operator: &dyn LinearOperator,
     b: &[f64],
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
     let [outcome] =
-        bicgstab_cols(matrix, [b], options, &mut VectorOps::serial(), spans::BICGSTAB_ITERATION);
+        bicgstab_cols(operator, [b], options, &mut VectorOps::serial(), spans::BICGSTAB_ITERATION);
     outcome
 }
 
 /// [`bicgstab`] on a caller-provided worker team (the pooled path).
 pub fn bicgstab_on(
     team: &Team,
-    matrix: &CsrMatrix,
+    operator: &dyn LinearOperator,
     b: &[f64],
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
     let [outcome] = bicgstab_cols(
-        matrix,
+        operator,
         [b],
         options,
         &mut VectorOps::on_team(team),
@@ -393,12 +396,12 @@ pub fn bicgstab_on(
 /// `b.component(c)`.
 pub fn bicgstab3_on(
     team: &Team,
-    matrix: &CsrMatrix,
+    operator: &dyn LinearOperator,
     b: &MultiVector,
     options: &SolveOptions,
 ) -> [Result<SolveOutcome, SolverError>; NRHS] {
     let ops = &mut VectorOps::on_team(team);
-    bicgstab_cols(matrix, b.components(), options, ops, spans::BICGSTAB3_ITERATION)
+    bicgstab_cols(operator, b.components(), options, ops, spans::BICGSTAB3_ITERATION)
 }
 
 /// `W` equally long zero vectors.
@@ -491,27 +494,27 @@ impl<const W: usize> ColumnTracker<W> {
     }
 }
 
-/// The BiCGSTAB recurrence over `W` columns sharing `matrix`, with
+/// The BiCGSTAB recurrence over `W` columns sharing `operator`, with
 /// per-column scalars and a per-column mask.  A failed or converged column
 /// turns every later kernel into a no-op for it, so with one column the
 /// control flow is the textbook loop: the first failure or convergence is
 /// followed by the `any_active` break.  One `iteration_span` event is
 /// recorded per iteration (`iters` = active columns, `aux` = their mask).
 fn bicgstab_cols<const W: usize>(
-    matrix: &CsrMatrix,
+    operator: &dyn LinearOperator,
     b: [&[f64]; W],
     options: &SolveOptions,
     ops: &mut VectorOps<'_>,
     iteration_span: SpanId,
 ) -> [Result<SolveOutcome, SolverError>; W] {
-    let n = matrix.dim();
+    let n = operator.dim();
     if b.iter().any(|column| column.len() != n) {
         return std::array::from_fn(|_| Err(SolverError::DimensionMismatch));
     }
     let mut tracker = ColumnTracker::<W>::new();
     let b_norm = ops.norm_cols(b, [true; W]);
     tracker.screen_rhs(n, &b_norm);
-    let inv_diag = inverse_diagonal(matrix, options.jacobi_preconditioner);
+    let inv_diag = inverse_diagonal(operator, options.jacobi_preconditioner);
 
     let mut x = zeros::<W>(n);
     let mut r = b.map(<[f64]>::to_vec);
@@ -533,11 +536,12 @@ fn bicgstab_cols<const W: usize>(
     let mut t = zeros::<W>(n);
 
     let trace = ops.trace();
-    // Per active column: two matrix traversals (shared by the columns on
-    // the fused path, modeled per column) plus the BiCGSTAB BLAS-1 work.
-    let column_flops = 2 * matrix.apply_flops() + BICGSTAB_BLAS1_FLOPS_PER_ENTRY * n as u64;
-    let column_bytes =
-        2 * matrix.streamed_bytes() as u64 + BICGSTAB_BLAS1_STREAMS_PER_ENTRY * 8 * n as u64;
+    // Two traversals of the operator per iteration, streamed once for all
+    // the columns (the fused product) — as whatever backend runs stores
+    // it; the multiply-adds and the BLAS-1 work are per active column.
+    let traversal_bytes = 2 * operator.streamed_bytes() as u64;
+    let column_flops = 2 * operator.apply_flops() + BICGSTAB_BLAS1_FLOPS_PER_ENTRY * n as u64;
+    let column_bytes = BICGSTAB_BLAS1_STREAMS_PER_ENTRY * 8 * n as u64;
 
     for iter in 0..options.max_iterations {
         if !tracker.any_active() {
@@ -548,7 +552,7 @@ fn bicgstab_cols<const W: usize>(
             t.span(iteration_span, 0)
                 .iters(active_count)
                 .flops(active_count * column_flops)
-                .bytes(active_count * column_bytes)
+                .bytes(traversal_bytes + active_count * column_bytes)
                 .aux(tracker.active_mask())
         });
         let rho_new = ops.dot_cols(cols(&r0), cols(&r), tracker.active);
@@ -575,7 +579,7 @@ fn bicgstab_cols<const W: usize>(
             tracker.active,
         );
         ops.hadamard_cols(cols(&p), &inv_diag, cols_mut(&mut phat), tracker.active);
-        ops.spmm_cols(matrix, cols(&phat), cols_mut(&mut v), tracker.active);
+        ops.spmm_cols(operator, cols(&phat), cols_mut(&mut v), tracker.active);
         let r0v = ops.dot_cols(cols(&r0), cols(&v), tracker.active);
         for c in 0..W {
             if !tracker.active[c] {
@@ -614,7 +618,7 @@ fn bicgstab_cols<const W: usize>(
             break;
         }
         ops.hadamard_cols(cols(&s), &inv_diag, cols_mut(&mut shat), tracker.active);
-        ops.spmm_cols(matrix, cols(&shat), cols_mut(&mut t), tracker.active);
+        ops.spmm_cols(operator, cols(&shat), cols_mut(&mut t), tracker.active);
         let tt = ops.dot_cols(cols(&t), cols(&t), tracker.active);
         for (c, ttc) in tt.iter().enumerate() {
             if !tracker.active[c] {
@@ -661,6 +665,7 @@ fn bicgstab_cols<const W: usize>(
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use crate::csr::CsrMatrix;
     use lv_runtime::REDUCTION_BLOCK;
 
     /// The fixed-block dot product, written out.
@@ -799,6 +804,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrMatrix;
     use crate::dense::DenseMatrix;
 
     fn norm(a: &[f64]) -> f64 {
@@ -930,6 +936,48 @@ mod tests {
         let residual: Vec<f64> =
             a.mul_vec(&out.solution).iter().zip(&b).map(|(ax, bi)| ax - bi).collect();
         assert!(norm(&residual) / norm(&b) < 1e-8);
+    }
+
+    /// The traffic model of a BiCGSTAB iteration, pinned: the two operator
+    /// traversals are streamed once per iteration whatever the width (the
+    /// three-column product is one pass), multiply-adds and BLAS-1 streams
+    /// are per active column, and both operator figures are the running
+    /// backend's — so one column models exactly what it always did, and the
+    /// diagonal storage reports its index-free, padding-included bytes.
+    #[test]
+    fn bicgstab_iteration_spans_charge_the_traversals_once_and_the_rest_per_column() {
+        let n = 400;
+        let csr = convection(n);
+        let dia = crate::dia::DiaMatrix::<f64>::from_csr(&csr).expect("three diagonals");
+        assert!(dia.streamed_bytes() < LinearOperator::streamed_bytes(&csr));
+        // The columns converge at different iterations: events at partial widths.
+        let mut unit = vec![0.0; n];
+        unit[n / 2] = 1.0;
+        let b = MultiVector::from_columns([&rhs(n), &unit, &rhs(n)]);
+        let options = SolveOptions::default();
+        let operators: [&dyn LinearOperator; 2] = [&csr, &dia];
+        for operator in operators {
+            let (flops, bytes) = (operator.apply_flops(), operator.streamed_bytes() as u64);
+            let column_flops = 2 * flops + BICGSTAB_BLAS1_FLOPS_PER_ENTRY * n as u64;
+            let column_bytes = BICGSTAB_BLAS1_STREAMS_PER_ENTRY * 8 * n as u64;
+            let mut team = Team::with_trace(1, lv_runtime::TraceConfig::default());
+            bicgstab_on(&team, operator, b.component(0), &options).expect("converges");
+            for outcome in bicgstab3_on(&team, operator, &b, &options) {
+                outcome.expect("converges");
+            }
+            let events = team.trace_mut().expect("traced").events();
+            let mut widths = std::collections::BTreeSet::new();
+            for event in events {
+                let wide = event.span == spans::BICGSTAB3_ITERATION;
+                if wide || event.span == spans::BICGSTAB_ITERATION {
+                    widths.insert((wide, event.iters));
+                    assert_eq!(event.flops, event.iters * column_flops);
+                    assert_eq!(event.bytes, 2 * bytes + event.iters * column_bytes);
+                }
+            }
+            let seen: Vec<_> = widths.into_iter().collect();
+            assert_eq!(seen, [(false, 1), (true, 1), (true, 3)], "widths the model was pinned at");
+        }
     }
 
     #[test]

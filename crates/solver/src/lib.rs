@@ -14,20 +14,23 @@
 //!   Dirichlet row/column elimination;
 //! * [`krylov`] — the two Krylov recurrences, each written once: CG over
 //!   any operator and preconditioner (with the flexible `β` when the
-//!   preconditioner says it is inexact), BiCGSTAB over a const column width
-//!   (one column, or the three momentum components in one loop with one
-//!   matrix traversal per product, each column bitwise identical to its
-//!   single-RHS solve); serial or on a shared worker pool with bitwise
-//!   identical results for every thread count;
+//!   preconditioner says it is inexact), BiCGSTAB over any operator and a
+//!   const column width (one column, or the three momentum components in
+//!   one loop with one operator traversal per product, each column bitwise
+//!   identical to its single-RHS solve); serial or on a shared worker pool
+//!   with bitwise identical results for every thread count;
 //! * [`multivector`] — the three-RHS SoA vector of the momentum solve;
 //! * [`operator`] — the [`LinearOperator`] abstraction the Krylov loops
-//!   consume: anything that can apply `y = A·x` over a row range and expose
-//!   its diagonal (assembled CSR and matrix-free operators alike);
+//!   consume: anything that can apply `y = A·x` over a row range — one
+//!   column or three at once — and expose its diagonal (assembled CSR,
+//!   diagonal-storage and matrix-free operators alike);
 //! * [`dia`] — [`DiaMatrix`], the block-major diagonal storage of a lattice
 //!   stencil (no column indices, unit-stride row-vectorised kernels) with
-//!   the fused Jacobi-sweep and residual kernels, generic over a sealed
-//!   scalar: in `f64` its products are bitwise equal to CSR, in `f32` it is
-//!   the half-size, twice-as-wide form the V-cycle runs on;
+//!   the fused Jacobi-sweep and residual kernels, the fused three-column
+//!   product of the momentum solve and the per-step refill from CSR
+//!   values, generic over a sealed scalar: in `f64` its products are
+//!   bitwise equal to CSR, in `f32` it is the half-size, twice-as-wide form
+//!   the V-cycle runs on;
 //! * [`multigrid`] — geometric-multigrid V-cycle (trilinear interpolation,
 //!   Galerkin coarse operators kept as [`DiaMatrix`] levels, one fused pass
 //!   per damped-Jacobi sweep, dense-LU coarsest solve) run in `f32`, and the

@@ -584,7 +584,7 @@ impl<T: Scalar> Cycle<T> {
 /// `f32` — a preconditioner only has to be close to `A⁻¹`, and in `f32` a
 /// level streams half the bytes through twice the vector lanes — under an
 /// outer CG that keeps `f64` vectors and an `f64` fine-grid product
-/// ([`level_operator`](Self::level_operator)); only the ≤ 80-row coarsest
+/// ([`fine_operator`](Self::fine_operator)); only the ≤ 80-row coarsest
 /// LU solve stays `f64`.  A rounded cycle is no longer exactly one fixed
 /// symmetric operator, which it says through
 /// [`Preconditioner::is_inexact`]; CG answers with its flexible `β`.
@@ -640,11 +640,7 @@ impl GeometricMultigrid {
     /// the hierarchy was built from at half the traffic, shared — hand it
     /// to [`mg_preconditioned_cg_on`] as the outer operator.  The coarse
     /// levels exist in the cycle's `f32` only.
-    ///
-    /// # Panics
-    /// Panics unless `level == 0`.
-    pub fn level_operator(&self, level: usize) -> Arc<DiaMatrix> {
-        assert_eq!(level, 0, "only the finest level keeps an f64 operator");
+    pub fn fine_operator(&self) -> Arc<DiaMatrix> {
         Arc::clone(&self.fine)
     }
 
@@ -1361,7 +1357,7 @@ mod tests {
         for (name, a, interps, rhs) in cycle_problems() {
             let n = a.dim();
             let mut mg = GeometricMultigrid::new(&a, interps, &options).expect("lattice hierarchy");
-            let fine = mg.level_operator(0);
+            let fine = mg.fine_operator();
             let mut z_serial = vec![0.0; n];
             mg.v_cycle(&mut VectorOps::serial(), &rhs, &mut z_serial);
             let serial = mg_preconditioned_cg(&*fine, &mut mg, &rhs, &solve).expect("converges");

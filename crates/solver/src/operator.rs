@@ -6,8 +6,13 @@
 //! a per-element geometric factor, see `lv-kernel`) produces the same `A·x`
 //! while streaming a fraction of the memory — the long-vector co-design
 //! trade of the source paper applied to the solver half.  [`LinearOperator`]
-//! is the seam: CG and the multigrid preconditioner are written against it,
-//! so CSR and matrix-free backends are interchangeable.  [`Preconditioner`]
+//! is the seam: CG, BiCGSTAB and the multigrid preconditioner are written
+//! against it, so the CSR, diagonal-storage ([`crate::DiaMatrix`]) and
+//! matrix-free backends are interchangeable — the momentum solve of a time
+//! step runs on whichever of the first two the mesh's node order allows,
+//! through [`apply3_range`](LinearOperator::apply3_range), the
+//! three-column product a backend can serve from one traversal of its
+//! data.  [`Preconditioner`]
 //! is the other seam: what CG applies between products, and whether it is
 //! exactly one fixed operator (Jacobi) or only close to one (the `f32`
 //! multigrid V-cycle) — which decides the `β` CG uses.
@@ -36,6 +41,25 @@ pub trait LinearOperator: Sync {
     ///
     /// `y` has exactly `rows.len()` entries; `x` is the full input vector.
     fn apply_range(&self, x: &[f64], rows: Range<usize>, y: &mut [f64]);
+
+    /// The three products `y[c] = A·x[c]` over `rows` for the columns
+    /// `active` marks — the product of a three-column Krylov solve (the
+    /// momentum systems share one matrix).  An inactive column's output is
+    /// left untouched.  Each active column must carry the bits of
+    /// [`apply_range`](Self::apply_range) on it, which is what the default
+    /// runs; a backend overrides this to serve all three columns from one
+    /// traversal of its data.
+    fn apply3_range(
+        &self,
+        x: [&[f64]; 3],
+        rows: Range<usize>,
+        y: [&mut [f64]; 3],
+        active: [bool; 3],
+    ) {
+        for (c, yc) in y.into_iter().enumerate().filter(|(c, _)| active[*c]) {
+            self.apply_range(x[c], rows.clone(), yc);
+        }
+    }
 
     /// The operator diagonal (for Jacobi-type preconditioning and smoothing).
     fn diagonal(&self) -> Vec<f64>;
@@ -73,6 +97,16 @@ impl LinearOperator for CsrMatrix {
 
     fn apply_range(&self, x: &[f64], rows: Range<usize>, y: &mut [f64]) {
         self.spmv_range(x, rows, y);
+    }
+
+    fn apply3_range(
+        &self,
+        x: [&[f64]; 3],
+        rows: Range<usize>,
+        y: [&mut [f64]; 3],
+        active: [bool; 3],
+    ) {
+        self.spmm3_range(x, rows, y, active);
     }
 
     fn diagonal(&self) -> Vec<f64> {

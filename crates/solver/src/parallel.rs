@@ -211,49 +211,49 @@ impl<'t> VectorOps<'t> {
         self.apply(matrix, x, y);
     }
 
-    /// `y_c = A·x_c` for the active columns.  Three columns take the fused
-    /// traversal ([`CsrMatrix::spmm3_range`]: values and column indices are
-    /// streamed once for all three, also under a partial mask); any other
-    /// width is one [`CsrMatrix::spmv_range`] per active column.  Either way
-    /// each row of each column accumulates in column order, so a column's
-    /// product does not depend on the width it was computed at.
+    /// `y_c = A·x_c` for the active columns.  Three columns go through
+    /// [`LinearOperator::apply3_range`] — one traversal of the operator for
+    /// all of them on the backends that fuse it ([`CsrMatrix::spmm3_range`],
+    /// [`crate::DiaMatrix::product3_into`]); any other width is one
+    /// [`LinearOperator::apply_range`] per active column.  Either way each
+    /// row of each column accumulates in the backend's fixed order, so a
+    /// column's product does not depend on the width it was computed at.
     ///
     /// # Panics
-    /// Panics if a column length does not match the matrix dimension.
+    /// Panics if a column length does not match the operator dimension.
     pub(crate) fn spmm_cols<const W: usize>(
         &mut self,
-        matrix: &CsrMatrix,
+        operator: &dyn LinearOperator,
         x: [&[f64]; W],
         y: [&mut [f64]; W],
         active: [bool; W],
     ) {
-        self.for_column_ranges(matrix.dim(), y, |rows, mut ys| {
+        self.for_column_ranges(operator.dim(), y, |rows, mut ys| {
             match (&x[..], &mut ys[..], &active[..]) {
                 (&[x0, x1, x2], [y0, y1, y2], &[a0, a1, a2]) => {
-                    matrix.spmm3_range([x0, x1, x2], rows, [y0, y1, y2], [a0, a1, a2]);
+                    operator.apply3_range([x0, x1, x2], rows, [y0, y1, y2], [a0, a1, a2]);
                 }
                 _ => {
                     for c in (0..W).filter(|&c| active[c]) {
-                        matrix.spmv_range(x[c], rows.clone(), ys[c]);
+                        operator.apply_range(x[c], rows.clone(), ys[c]);
                     }
                 }
             }
         });
     }
 
-    /// `Y = A·X` for the three components of a [`MultiVector`] in one matrix
-    /// traversal, also with a partial mask: [`CsrMatrix::spmm3_range`] skips
-    /// the stores (and `x` gathers) of inactive components but still streams
-    /// values/col_idx exactly once.  Per active component the accumulation
-    /// is bitwise identical to [`spmv`](Self::spmv).
+    /// `Y = A·X` for the three components of a [`MultiVector`] in one
+    /// traversal of the operator, also with a partial mask: an inactive
+    /// component is neither read nor written.  Per active component the
+    /// accumulation is bitwise identical to [`apply`](Self::apply).
     pub fn spmm3(
         &mut self,
-        matrix: &CsrMatrix,
+        operator: &dyn LinearOperator,
         x: &MultiVector,
         y: &mut MultiVector,
         active: [bool; 3],
     ) {
-        self.spmm_cols(matrix, x.components(), y.components_mut(), active);
+        self.spmm_cols(operator, x.components(), y.components_mut(), active);
     }
 
     /// Blocked dot products `a_cᵀ b_c` of the active columns in one fused

@@ -75,16 +75,18 @@ fn main() {
         threads,
         order
     );
-    println!(
-        "{:>5} {:>9} {:>8} {:>8} {:>12} {:>12} {:>16} {:>12}",
-        "step", "dt", "mom-it", "poi-it", "div(pre)", "div(post)", "kinetic energy", "max |p|"
-    );
-
     // One pool for the whole run: assembly, momentum solve, Poisson solve
     // and correction of every step share these workers, and the trajectory
     // is bitwise identical for every thread count.
     let team = Team::new(threads);
     let mut stepper = Stepper::with_mesh(scenario, config, mesh);
+    // The node order decides both operators: a scrambled or RCM order keeps
+    // the CSR momentum matrix and loses the multigrid hierarchy.
+    println!("{}", stepper.describe_operators());
+    println!(
+        "{:>5} {:>9} {:>8} {:>8} {:>12} {:>12} {:>16} {:>12}",
+        "step", "dt", "mom-it", "poi-it", "div(pre)", "div(post)", "kinetic energy", "max |p|"
+    );
     for _ in 0..steps {
         // Recovering steps: a transient solver failure rolls back and
         // retries with Δt halved; only an exhausted budget ends the run,

@@ -28,6 +28,7 @@ fn main() {
         steps,
         threads
     );
+    println!("{}", stepper.describe_operators());
 
     // ------------------------------------------------ fractional-step run
     // One shared pool drives assembly, momentum solve, Poisson projection

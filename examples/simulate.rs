@@ -466,6 +466,7 @@ fn run() -> Result<(), Failure> {
         cli.threads,
         stepper.pressure_solver().name()
     );
+    println!("{}", stepper.describe_operators());
     println!(
         "{:>5} {:>9} {:>9} {:>7} {:>7} {:>12} {:>12} {:>14}",
         "step", "time", "dt", "mom-it", "poi-it", "div(pre)", "div(post)", "kinetic energy"
