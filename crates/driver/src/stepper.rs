@@ -4,24 +4,40 @@
 //! sub-steps of a pressure-projection scheme, all on **one** shared
 //! [`Team`]:
 //!
-//! 1. **Predictor** — the existing mini-app machinery: colored parallel
-//!    assembly of the semi-implicit momentum system, the weak pressure
-//!    gradient `−∫ N_a ∂p/∂x_i` of the current pressure added to the RHS,
-//!    Dirichlet rows applied, and the batched (three-column) pooled
-//!    BiCGSTAB momentum solve for the velocity increment → `u*` — on the
-//!    assembled values refilled into diagonal storage when the node order
-//!    gives the pattern at most 32 diagonals ([`MomentumStorage::Dia`],
-//!    every generator-ordered box), on the CSR matrix itself otherwise;
-//!    the storage moves no bit of the solve.
+//! 1. **Predictor** — the semi-implicit momentum system
+//!    `(ν·K + C(u) + (ρ/Δt)·M)·Δu = −(ν·K + C(u))·u − g(p)`, assembled by
+//!    [`lv_kernel::assemble_momentum_on`] from only what the velocity
+//!    changes, in this order: the matrix is seeded with `ν·K` (the
+//!    stiffness [`lv_kernel::PressureOperators`] holds from set-up — the
+//!    un-pinned pressure Laplacian); the colored parallel sweep adds the
+//!    convection matrices `C(u)` and nothing else (the mini-app's phases 1,
+//!    2, 3, 5, a velocity-only phase 4, a matrix-only phase 6 and scatter;
+//!    no phase 7); one row pass takes the right-hand side off the finished
+//!    matrix, the weak pressure gradient `−∫ N_a ∂p/∂x_i` of the current
+//!    pressure included; then `(ρ/Δt)·M` (the consistent mass, also held
+//!    from set-up) is added — after the right-hand side, so `M·u` is never
+//!    formed.  Nothing is cached across steps or keyed on Δt.  Then
+//!    Dirichlet rows, and the batched (three-column) pooled BiCGSTAB
+//!    momentum solve for the velocity increment → `u*` — on the assembled
+//!    values refilled into diagonal storage when the node order gives the
+//!    pattern at most 32 diagonals ([`MomentumStorage::Dia`], every
+//!    generator-ordered box), on the CSR matrix itself otherwise; the
+//!    storage moves no bit of the solve.
 //! 2. **Pressure Poisson** — `L φ = −(ρ/Δt) d(u*)` with the mesh-true
 //!    Laplacian assembled by [`lv_kernel::PressureOperators`] (symmetrically
 //!    pinned per scenario), solved with pooled CG — by default
 //!    preconditioned by the geometric-multigrid V-cycle when the mesh is a
 //!    structured box lattice ([`PressureSolver::MgCg`]), plain
-//!    Jacobi-preconditioned CG otherwise.
+//!    Jacobi-preconditioned CG otherwise.  With a hierarchy both MG-CG and
+//!    its in-step plain-CG fallback iterate on the V-cycle's level-0 copy
+//!    of the Laplacian; the CSR copy is kept only without one.
 //! 3. **Correction** — `u ← u* − (Δt/ρ) M⁻¹ g(φ)` with the lumped-mass
 //!    nodal gradient, re-imposition of the scenario's velocity BCs, and the
 //!    incremental pressure update `p ← p + φ`.
+//!
+//! The step ends with the kinetic energy `½ρ·uᵀ·M·u` through the resident
+//! mass (one team row pass; [`Stepper::kinetic_energy`] stays the element
+//! quadrature, equal to rounding).
 //!
 //! Every kernel in the chain (the colored assembly sweep, the row-partitioned
 //! projection operators, pooled Krylov, fixed-order diagnostics) is bitwise
@@ -38,8 +54,8 @@
 use crate::fault::{FaultKind, FaultPlan};
 use crate::scenario::Scenario;
 use lv_kernel::{
-    build_pressure_multigrid, solve_momentum_on, weak_divergence_vector_norm, ElementWorkspace,
-    KernelConfig, NastinAssembly, OptLevel, PressureOperators,
+    assemble_momentum_on, build_pressure_multigrid, solve_momentum_on, weak_divergence_vector_norm,
+    ElementWorkspace, KernelConfig, NastinAssembly, OptLevel, PressureOperators,
 };
 use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
@@ -261,7 +277,8 @@ pub struct SimState {
 /// wall-clock, so per-phase shares always add up.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepTimings {
-    /// Momentum assembly + pressure force + Dirichlet rows.
+    /// Momentum assembly (`ν·K` fill, convective sweep, right-hand-side row
+    /// pass with the pressure force, mass update) + Dirichlet rows.
     pub assembly: f64,
     /// Momentum (predictor) solve.
     pub momentum: f64,
@@ -315,7 +332,10 @@ pub struct StepReport {
     pub divergence_pre: f64,
     /// Discrete divergence `‖d(u)‖₂` after the projection correction.
     pub divergence_post: f64,
-    /// Kinetic energy `½ρ∫|u|²` after the step.
+    /// Kinetic energy `½ρ∫|u|²` after the step, as `½ρ·uᵀ·M·u` with the
+    /// consistent mass ([`PressureOperators::kinetic_energy_on`]: bitwise
+    /// equal across thread counts, equal to the quadrature of
+    /// [`Stepper::kinetic_energy`] to rounding).
     pub kinetic_energy: f64,
     /// How many failed attempts preceded this step (Δt-backoff rollbacks of
     /// [`Stepper::step_recovering_on`]; always 0 on the plain
@@ -427,6 +447,19 @@ impl std::error::Error for RunError {
     }
 }
 
+/// What the pressure-Poisson solves of a stepper iterate on.
+#[derive(Debug)]
+enum PoissonSystem {
+    /// MG-CG: the V-cycle hierarchy, whose level-0 operator (the pinned
+    /// Laplacian in diagonal storage, same bits as the CSR matrix, half the
+    /// traffic) serves the outer CG *and* the in-step plain-CG fallback —
+    /// no CSR copy is kept.
+    Multigrid(GeometricMultigrid),
+    /// Plain Jacobi-CG on the pinned CSR Laplacian: configured, or no
+    /// hierarchy could be built for the mesh.
+    Csr(CsrMatrix),
+}
+
 /// The fractional-step simulation driver: owns the assembled operators, the
 /// reusable work buffers and the evolving [`SimState`].
 #[derive(Debug)]
@@ -435,10 +468,7 @@ pub struct Stepper {
     config: StepperConfig,
     assembly: NastinAssembly,
     operators: PressureOperators,
-    // The pinned CSR Laplacian: the plain-CG path (configured or fallback).
-    // MG-CG iterates on the multigrid's own copy of it.
-    laplacian: CsrMatrix,
-    multigrid: Option<GeometricMultigrid>,
+    poisson: PoissonSystem,
     pins: Vec<usize>,
     h_char: f64,
     // Transient Δt multiplier of the retry loop (0.5^attempt); 1.0 outside
@@ -531,6 +561,16 @@ impl Stepper {
             }
             PressureSolver::Cg => None,
         };
+        // With a hierarchy every Poisson solve runs on its level-0 copy: the
+        // CSR Laplacian is freed here, before the momentum system is
+        // allocated, so the operators' resident `K` and `M` cost no memory.
+        let poisson = match multigrid {
+            Some(multigrid) => {
+                drop(laplacian);
+                PoissonSystem::Multigrid(multigrid)
+            }
+            None => PoissonSystem::Csr(laplacian),
+        };
         let n = mesh.num_nodes();
         let matrix = assembly.new_matrix();
         let momentum_dia = DiaMatrix::from_csr(&matrix);
@@ -541,8 +581,7 @@ impl Stepper {
             config,
             assembly,
             operators,
-            laplacian,
-            multigrid,
+            poisson,
             pins,
             h_char,
             dt_backoff: 1.0,
@@ -588,10 +627,9 @@ impl Stepper {
     /// only when the configured multigrid hierarchy could be built for this
     /// mesh, [`PressureSolver::Cg`] otherwise.
     pub fn pressure_solver(&self) -> PressureSolver {
-        if self.multigrid.is_some() {
-            PressureSolver::MgCg
-        } else {
-            PressureSolver::Cg
+        match self.poisson {
+            PoissonSystem::Multigrid(_) => PressureSolver::MgCg,
+            PoissonSystem::Csr(_) => PressureSolver::Cg,
         }
     }
 
@@ -608,10 +646,10 @@ impl Stepper {
     /// One line naming the operators this stepper runs and why — what the
     /// examples print before the first step, so neither fallback is silent.
     pub fn describe_operators(&self) -> String {
-        let pressure = match (&self.multigrid, self.config.pressure_solver) {
-            (Some(mg), _) => format!("mgcg ({} levels)", mg.num_levels()),
-            (None, PressureSolver::Cg) => "cg (configured)".to_string(),
-            (None, PressureSolver::MgCg) => format!(
+        let pressure = match (&self.poisson, self.config.pressure_solver) {
+            (PoissonSystem::Multigrid(mg), _) => format!("mgcg ({} levels)", mg.num_levels()),
+            (PoissonSystem::Csr(_), PressureSolver::Cg) => "cg (configured)".to_string(),
+            (PoissonSystem::Csr(_), PressureSolver::MgCg) => format!(
                 "cg (no multigrid hierarchy: no box lattice, or a level has more than {} \
                  diagonals)",
                 lv_solver::dia::MAX_DIAGONALS
@@ -622,7 +660,10 @@ impl Stepper {
 
     /// Rows per multigrid level (finest first), when the V-cycle is active.
     pub fn multigrid_levels(&self) -> Option<Vec<usize>> {
-        self.multigrid.as_ref().map(GeometricMultigrid::level_rows)
+        match &self.poisson {
+            PoissonSystem::Multigrid(mg) => Some(mg.level_rows()),
+            PoissonSystem::Csr(_) => None,
+        }
     }
 
     /// The Δt the next step will use, given the current state — the
@@ -665,7 +706,9 @@ impl Stepper {
         Ok(dt)
     }
 
-    /// Kinetic energy of the current state.
+    /// Kinetic energy of the current state by element quadrature (serial) —
+    /// the diagnostic and the oracle of [`StepReport::kinetic_energy`],
+    /// which a step computes through the consistent mass instead.
     pub fn kinetic_energy(&self) -> f64 {
         self.operators.kinetic_energy(&self.state.velocity, self.scenario.density)
     }
@@ -735,25 +778,26 @@ impl Stepper {
         // --- 1. predictor: assemble + pressure force + Dirichlet ---------
         let t0 = Instant::now();
         let phase = trace.map(|t| t.span(spans::ASSEMBLY, 0));
-        self.assembly.assemble_parallel_into_on(
+        // ν·K, the convective-only sweep, the right-hand side as a row
+        // product of the finished matrix (−∇p force included), (ρ/Δt)·M.
+        assemble_momentum_on(
             team,
+            &self.assembly,
+            &self.operators,
             &self.state.velocity,
             &self.state.pressure,
             &mut self.matrix,
             &mut self.rhs,
             &mut self.workspaces,
         );
-        // Momentum RHS gets the −∇p force of the current pressure: the
-        // mini-app assembles only convection/viscous/mass terms, the weak
-        // pressure gradient closes the equation.
-        self.operators.subtract_weak_gradient_on(
-            team,
-            self.state.pressure.as_slice(),
-            &mut self.rhs,
-        );
         self.assembly.apply_dirichlet(&mut self.matrix, &mut self.rhs);
         if let Some(s) = phase {
-            s.iters(1).finish();
+            // The sweep reports its own model on `assembly/color_sweep`;
+            // this span carries the three global passes around it.
+            s.iters(1)
+                .flops(self.operators.momentum_pass_flops())
+                .bytes(self.operators.momentum_pass_bytes())
+                .finish();
         }
         timings.assembly = t0.elapsed().as_secs_f64();
 
@@ -836,22 +880,39 @@ impl Stepper {
             // deficient coarse correction, an injected fault, ...) demotes
             // this sweep to plain Jacobi-CG on the identical system instead
             // of failing the step.  Only a plain-CG failure is terminal.
-            let mg_attempt = match &mut self.multigrid {
+            // Both solvers iterate on one operator: the hierarchy's level-0
+            // matrix when there is one, the CSR Laplacian otherwise.
+            let fine;
+            let (operator, multigrid): (&dyn LinearOperator, _) = match &mut self.poisson {
+                PoissonSystem::Multigrid(mg) => {
+                    fine = mg.fine_operator();
+                    (&*fine, Some(mg))
+                }
+                PoissonSystem::Csr(laplacian) => (&*laplacian, None),
+            };
+            let mg_attempt = match multigrid {
                 Some(_) if inject_mg => Some(Err(SolverError::Breakdown {
                     kind: BreakdownKind::Injected,
                     iteration: 0,
                     residual: f64::INFINITY,
                 })),
-                // The outer product runs through the V-cycle's own level-0
-                // operator (same bits as `laplacian`, half the traffic).
                 Some(mg) => Some(mg_preconditioned_cg_on(
                     team,
-                    &*mg.fine_operator(),
+                    operator,
                     mg,
                     &self.poisson_rhs,
                     &self.config.poisson_options,
                 )),
                 None => None,
+            };
+            let plain_cg = || {
+                conjugate_gradient_on(
+                    team,
+                    operator,
+                    &self.poisson_rhs,
+                    &self.config.poisson_options,
+                )
+                .map_err(StepError::Poisson)
             };
             let phi = match mg_attempt {
                 Some(Ok(phi)) => phi,
@@ -864,21 +925,9 @@ impl Stepper {
                         });
                         t.add(counters::POISSON_FALLBACKS, 1);
                     }
-                    conjugate_gradient_on(
-                        team,
-                        &self.laplacian,
-                        &self.poisson_rhs,
-                        &self.config.poisson_options,
-                    )
-                    .map_err(StepError::Poisson)?
+                    plain_cg()?
                 }
-                None => conjugate_gradient_on(
-                    team,
-                    &self.laplacian,
-                    &self.poisson_rhs,
-                    &self.config.poisson_options,
-                )
-                .map_err(StepError::Poisson)?,
+                None => plain_cg()?,
             };
             poisson_iterations += phi.iterations;
             poisson_residual = poisson_residual.max(phi.final_residual());
@@ -919,7 +968,7 @@ impl Stepper {
 
         self.state.step += 1;
         self.state.time = t_new;
-        let kinetic_energy = self.kinetic_energy();
+        let kinetic_energy = self.operators.kinetic_energy_on(team, &self.state.velocity, rho);
         // Convergence-stall detection: a pure function of the (bitwise
         // reproducible) residual history, so it fires at the same steps on
         // every thread count and never changes behaviour.
@@ -1307,6 +1356,57 @@ mod tests {
         assert_eq!(summary.counter("momentum_iterations"), Some(report.momentum_iterations as u64));
         assert_eq!(summary.counter("poisson_iterations"), Some(report.poisson_iterations as u64));
         assert_eq!(summary.counter("dropped_events"), Some(0));
+    }
+
+    #[test]
+    fn assembly_spans_charge_the_reduced_sweep_and_the_global_passes() {
+        use lv_runtime::TraceConfig;
+        use lv_trace::summary::RunSummary;
+        let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 4);
+        let mut stepper = Stepper::new(scenario, quick_config());
+        let mut team = Team::with_trace(2, TraceConfig::default());
+        stepper.step_on(&team).expect("step");
+        let summary = RunSummary::from_trace(team.trace_mut().expect("traced team"));
+        // The sweep of a step runs phases 3, 4 (velocity only), 5, 6 (matrix
+        // only) and a matrix-only scatter: its span carries that count, not
+        // the full mini-app's 9 600 flops and 1 472 bytes per element.
+        let elements = stepper.mesh().num_elements() as u64;
+        assert_eq!(
+            summary.span("assembly/color_sweep").map(|s| (s.events, s.iters, s.flops, s.bytes)),
+            Some((
+                1,
+                elements,
+                elements * lv_kernel::phases::convective_flops_per_element(),
+                elements * lv_kernel::phases::convective_bytes_per_element(),
+            ))
+        );
+        assert_eq!(lv_kernel::phases::convective_flops_per_element(), 6264);
+        assert_eq!(lv_kernel::phases::convective_bytes_per_element(), 1824);
+        // The phase span carries the three global passes around the sweep
+        // (ν·K fill, residual row pass, mass update) and only them.
+        let operators = stepper.operators();
+        assert_eq!(
+            summary.span("driver/assembly").map(|s| (s.events, s.flops, s.bytes)),
+            Some((1, operators.momentum_pass_flops(), operators.momentum_pass_bytes()))
+        );
+    }
+
+    #[test]
+    fn step_energy_through_the_mass_matches_the_quadrature_on_every_scenario() {
+        for scenario in Scenario::registry() {
+            let name = scenario.kind.name();
+            let mut stepper = Stepper::new(scenario, quick_config());
+            let team = Team::new(2);
+            for _ in 0..2 {
+                let report = stepper.step_on(&team).expect("step");
+                let quadrature = stepper.kinetic_energy();
+                assert!(
+                    (report.kinetic_energy - quadrature).abs() <= 1e-13 * quadrature,
+                    "{name}: the step reports {:e}, the quadrature {quadrature:e}",
+                    report.kinetic_energy
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,30 @@
 //! and the wall-clock Criterion benches use, and its results are invariant
 //! under the code-variant / `VECTOR_SIZE` choices (a property the integration
 //! tests check — the paper's refactors must not change the physics).
+//!
+//! # The mini-app and the time step
+//!
+//! [`NastinAssembly::assemble_into`], [`assemble_into_slices`] and
+//! [`assemble_parallel_into_on`] are the paper's kernel: all eight phases,
+//! the full system re-integrated on every call.  A time step does not need
+//! that: of `ν·K + C(u) + (ρ/Δt)·M` only the convection `C(u)` depends on
+//! the velocity, and the elemental right-hand side is `−(ν·K + C(u))·u` of
+//! the matrix the sweep has just built.  [`assemble_convective_into_on`] is
+//! the sweep `lv_driver::Stepper` runs instead — the same colored schedule,
+//! the same phases 1, 2, 3 and 5, phases 4 and 6 instantiated without the
+//! right-hand side's share (one body each, a `const` switch in
+//! [`crate::phases`]), no phase 7, a matrix-only scatter — inside
+//! [`crate::assemble_momentum_on`], which takes `K` and `M` from
+//! [`crate::PressureOperators`].  The eight-phase sweep stays public and
+//! untouched — it is what the paper measures, what `kernel/workload.rs`
+//! mirrors and what the `assembly_vs` benchmark times — and is the oracle
+//! of the step's path: same system up to the summation order (tests below:
+//! ≤ 4 ε of a row's largest entry in the matrix, ≤ 16 ε of
+//! `Σ|A||u| + Σ|c||p|` in the right-hand side).
+//!
+//! [`assemble_into_slices`]: NastinAssembly::assemble_into_slices
+//! [`assemble_parallel_into_on`]: NastinAssembly::assemble_parallel_into_on
+//! [`assemble_convective_into_on`]: NastinAssembly::assemble_convective_into_on
 
 use crate::config::KernelConfig;
 use crate::parallel;
@@ -82,6 +106,18 @@ pub struct AssemblyStats {
     pub singular_jacobians: usize,
     /// Analytic floating-point operations performed.
     pub flops: f64,
+}
+
+/// Checks that `matrix` sits on `topology`'s node graph — the precondition
+/// of scattering through the slot map and of walking the matrix beside a
+/// per-entry array of the graph: row pointers always, column indices in
+/// debug builds.
+pub(crate) fn check_pattern(topology: &MeshTopology, matrix: &CsrMatrix) {
+    assert!(
+        matrix.row_ptr() == topology.row_ptr(),
+        "the matrix does not have this mesh's sparsity pattern (use `new_matrix`)"
+    );
+    debug_assert!(topology.has_pattern(matrix.row_ptr(), matrix.col_idx()));
 }
 
 /// The Nastin assembly kernel bound to a mesh and a configuration.
@@ -163,15 +199,9 @@ impl NastinAssembly {
         CsrMatrix::from_pattern(self.topology.row_ptr().to_vec(), self.topology.col_idx().to_vec())
     }
 
-    /// Zeroes the system before a slot-map sweep, after checking that
-    /// `matrix` has the pattern the slots index into (row pointers always,
-    /// column indices in debug builds).
+    /// Zeroes the system before a slot-map sweep, after [`check_pattern`].
     fn clear_system(&self, matrix: &mut CsrMatrix, rhs: &mut [f64]) {
-        assert!(
-            matrix.row_ptr() == self.topology.row_ptr(),
-            "the matrix does not have this mesh's sparsity pattern (use `new_matrix`)"
-        );
-        debug_assert!(self.topology.has_pattern(matrix.row_ptr(), matrix.col_idx()));
+        check_pattern(&self.topology, matrix);
         matrix.zero_values();
         rhs.fill(0.0);
     }
@@ -311,7 +341,7 @@ impl NastinAssembly {
     ) -> AssemblyStats {
         assert_eq!(rhs.len(), NDIME * self.mesh.num_nodes());
         self.clear_system(matrix, rhs);
-        let partial = parallel::colored_sweep(
+        let partial = parallel::colored_sweep::<true>(
             team,
             &self.mesh,
             &self.topology,
@@ -329,6 +359,59 @@ impl NastinAssembly {
             elements: partial.elements,
             singular_jacobians: partial.singular_jacobians,
             flops: partial.elements as f64 * phases::flops_per_element(self.config.semi_implicit),
+        }
+    }
+
+    /// The sweep of a time step: **adds** the convective element matrices
+    /// `C(u)_ab = ∫ ρ (N_a + τ (u·∇)N_a) (u·∇)N_b` to `matrix` on the
+    /// colored schedule — phases 1, 2, 3, a phase 4 that interpolates only
+    /// the velocity, 5, a phase 6 that accumulates only the element matrix
+    /// and a matrix-only scatter.  No phase 7, no elemental right-hand side:
+    /// the viscous and mass blocks do not depend on the velocity
+    /// ([`PressureOperators`](crate::PressureOperators) holds them) and the
+    /// right-hand side is a row product of the finished matrix
+    /// ([`assemble_momentum_on`](crate::assemble_momentum_on) is the whole
+    /// sequence).  `matrix` is not zeroed — the caller seeds it with `ν·K`.
+    ///
+    /// What it adds is, entry by entry, what phase 6 contributes inside
+    /// [`assemble_parallel_into_on`](Self::assemble_parallel_into_on) — the
+    /// paper's sweep, which stays the oracle of this one — and bitwise
+    /// identical for every worker count.
+    ///
+    /// # Panics
+    /// Panics on an explicit-scheme configuration (there is no element
+    /// matrix to assemble) or if `matrix` does not have this mesh's pattern.
+    pub fn assemble_convective_into_on(
+        &self,
+        team: &lv_runtime::Team,
+        velocity: &VectorField,
+        pressure: &Field,
+        matrix: &mut CsrMatrix,
+        workspaces: &mut [ElementWorkspace],
+    ) -> AssemblyStats {
+        assert!(
+            self.config.semi_implicit,
+            "the convective-only sweep assembles the semi-implicit element matrix"
+        );
+        check_pattern(&self.topology, matrix);
+        let partial = parallel::colored_sweep::<false>(
+            team,
+            &self.mesh,
+            &self.topology,
+            &self.shape,
+            &self.config,
+            velocity,
+            pressure,
+            &self.colored,
+            workspaces,
+            matrix,
+            &mut [],
+        );
+        AssemblyStats {
+            chunks: partial.chunks,
+            elements: partial.elements,
+            singular_jacobians: partial.singular_jacobians,
+            flops: (partial.elements as u64 * phases::convective_flops_per_element()) as f64,
         }
     }
 
@@ -664,6 +747,204 @@ mod tests {
         for (a, b) in reference.rhs.iter().zip(&rhs) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// A matrix, right-hand side and one workspace per rank of `team`, all
+    /// full of garbage: a sweep that reads anything it did not write shows.
+    fn poisoned_storage(
+        asm: &NastinAssembly,
+        team: &lv_runtime::Team,
+    ) -> (CsrMatrix, Vec<f64>, Vec<ElementWorkspace>) {
+        let mut matrix = asm.new_matrix();
+        matrix.pattern_and_values_mut().2.fill(f64::NAN);
+        let mut workspaces: Vec<ElementWorkspace> = (0..team.num_threads())
+            .map(|_| ElementWorkspace::new(asm.config().vector_size))
+            .collect();
+        workspaces.iter_mut().for_each(|ws| ws.poison(-7.25));
+        (matrix, vec![f64::NAN; NDIME * asm.mesh().num_nodes()], workspaces)
+    }
+
+    /// The system of a time step through [`crate::assemble_momentum_on`],
+    /// from poisoned storage.
+    fn step_system(
+        team: &lv_runtime::Team,
+        asm: &NastinAssembly,
+        ops: &crate::PressureOperators,
+        (v, p): &(VectorField, Field),
+    ) -> (CsrMatrix, Vec<f64>) {
+        let (mut matrix, mut rhs, mut workspaces) = poisoned_storage(asm, team);
+        crate::assemble_momentum_on(team, asm, ops, v, p, &mut matrix, &mut rhs, &mut workspaces);
+        (matrix, rhs)
+    }
+
+    /// The oracle of [`step_system`]: the paper's eight phases, then the
+    /// weak pressure gradient.
+    fn oracle_system(
+        team: &lv_runtime::Team,
+        asm: &NastinAssembly,
+        ops: &crate::PressureOperators,
+        (v, p): &(VectorField, Field),
+    ) -> (CsrMatrix, Vec<f64>) {
+        let (mut matrix, mut rhs, mut workspaces) = poisoned_storage(asm, team);
+        asm.assemble_parallel_into_on(team, v, p, &mut matrix, &mut rhs, &mut workspaces);
+        ops.subtract_weak_gradient_on(team, p.as_slice(), &mut rhs);
+        (matrix, rhs)
+    }
+
+    /// Worst deviation of the step's system from the oracle's, in units of
+    /// `ε·max_b|A_ab|` over the matrix rows and of
+    /// `ε·(Σ_b|A_ab||u_b| + Σ_b|c_ab||p_b|)` over the right-hand side.
+    fn deviation_in_row_epsilons(
+        ops: &crate::PressureOperators,
+        (v, p): &(VectorField, Field),
+        (matrix, rhs): &(CsrMatrix, Vec<f64>),
+        (oracle, oracle_rhs): &(CsrMatrix, Vec<f64>),
+    ) -> (f64, f64) {
+        let (vel, p) = (v.as_slice(), p.as_slice());
+        let (mut worst_matrix, mut worst_rhs) = (0.0f64, 0.0f64);
+        for a in 0..oracle.dim() {
+            let entries = oracle.row_ptr()[a]..oracle.row_ptr()[a + 1];
+            let cols = &oracle.col_idx()[entries.clone()];
+            let coef = &ops.coef[NDIME * entries.start..NDIME * entries.end];
+            let (row, oracle_row) = (&matrix.values()[entries.clone()], &oracle.values()[entries]);
+            let largest = oracle_row.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            for (x, y) in row.iter().zip(oracle_row) {
+                assert!(x.is_finite(), "row {a} of the step's matrix holds {x}");
+                worst_matrix = worst_matrix.max((x - y).abs() / (f64::EPSILON * largest));
+            }
+            for i in 0..NDIME {
+                let scale: f64 = cols
+                    .iter()
+                    .zip(oracle_row)
+                    .zip(coef.chunks_exact(NDIME))
+                    .map(|((&b, a_ab), c)| {
+                        a_ab.abs() * vel[NDIME * b + i].abs() + c[i].abs() * p[b].abs()
+                    })
+                    .sum();
+                let d = (rhs[NDIME * a + i] - oracle_rhs[NDIME * a + i]).abs();
+                assert!(d.is_finite(), "entry {i} of row {a} of the step's right-hand side");
+                if d > 0.0 {
+                    worst_rhs = worst_rhs.max(d / (f64::EPSILON * scale));
+                }
+            }
+        }
+        (worst_matrix, worst_rhs)
+    }
+
+    fn assert_same_system(a: &(CsrMatrix, Vec<f64>), b: &(CsrMatrix, Vec<f64>), what: &str) {
+        for (x, y) in a.0.values().iter().zip(b.0.values()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: matrix");
+        }
+        for (x, y) in a.1.iter().zip(&b.1) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: rhs");
+        }
+    }
+
+    /// The meshes the step's system is compared on: 4³ elements (125 rows,
+    /// every row pass serial) and 10³ (1331 rows: above `SERIAL_CUTOFF`,
+    /// the passes fork).
+    fn step_meshes() -> Vec<(&'static str, Mesh)> {
+        use lv_mesh::renumber::NodePermutation;
+        let jittered = |n| BoxMeshBuilder::new(n, n, n).lid_driven_cavity().with_jitter(0.1, 11);
+        let scrambled = {
+            let mesh = jittered(4).build();
+            mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 0xC0FFEE))
+        };
+        vec![
+            ("4^3 jittered", jittered(4).build()),
+            ("4^3 box", BoxMeshBuilder::new(4, 4, 4).lid_driven_cavity().build()),
+            ("4^3 scrambled", scrambled),
+            ("10^3 jittered", jittered(10).build()),
+            ("10^3 box", BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().build()),
+        ]
+    }
+
+    #[test]
+    fn step_system_matches_the_eight_phase_oracle_to_a_row_wise_epsilon_bound() {
+        // Another summation order of the same integrals (the viscous and
+        // mass entries summed at set-up, the right-hand side a row product
+        // of rounded matrix entries).  Measured worst cases over the meshes,
+        // vector sizes and both time steps below: 2.8 ε of the row's largest
+        // entry in the matrix; 8.4 ε of Σ|A||u| + Σ|c||p| in the right-hand
+        // side (at Δt = 0.1; 0.7 ε at Δt = 0.013, where the mass block
+        // dominates the scale).
+        const MATRIX_EPSILONS: f64 = 4.0;
+        const RHS_EPSILONS: f64 = 16.0;
+        let team = lv_runtime::Team::new(2);
+        for (name, mesh) in &step_meshes() {
+            let fields = state(mesh);
+            for vs in [1usize, 16, 17, 128] {
+                let mut asm = NastinAssembly::new(
+                    mesh.clone(),
+                    KernelConfig::new(vs, OptLevel::Vec1).with_dt(0.013),
+                );
+                let ops = crate::PressureOperators::with_topology(mesh, vs, asm.topology().clone());
+                // Two consecutive assemblies into the same storage at
+                // different time steps: nothing of the first may survive.
+                let (mut matrix, mut rhs, mut workspaces) = poisoned_storage(&asm, &team);
+                for dt in [0.013, 0.1] {
+                    asm.set_dt(dt);
+                    let (v, p) = &fields;
+                    crate::assemble_momentum_on(
+                        &team,
+                        &asm,
+                        &ops,
+                        v,
+                        p,
+                        &mut matrix,
+                        &mut rhs,
+                        &mut workspaces,
+                    );
+                    let reused = (matrix.clone(), rhs.clone());
+                    let what = format!("{name}, VS {vs}, dt {dt}");
+                    assert_same_system(&reused, &step_system(&team, &asm, &ops, &fields), &what);
+                    let oracle = oracle_system(&team, &asm, &ops, &fields);
+                    let (in_matrix, in_rhs) =
+                        deviation_in_row_epsilons(&ops, &fields, &reused, &oracle);
+                    assert!(in_matrix <= MATRIX_EPSILONS, "{what}: matrix off by {in_matrix} eps");
+                    assert!(in_rhs <= RHS_EPSILONS, "{what}: rhs off by {in_rhs} eps");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_system_is_bitwise_identical_across_thread_counts() {
+        for (name, mesh) in &step_meshes() {
+            let fields = state(mesh);
+            let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(16, OptLevel::Vec1));
+            let ops = crate::PressureOperators::with_topology(mesh, 16, asm.topology().clone());
+            let reference = step_system(&lv_runtime::Team::new(1), &asm, &ops, &fields);
+            assert!(reference.1.iter().any(|&r| r != 0.0));
+            for threads in [2usize, 4] {
+                let system = step_system(&lv_runtime::Team::new(threads), &asm, &ops, &fields);
+                assert_same_system(&system, &reference, &format!("{name}, {threads} threads"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "semi-implicit")]
+    fn convective_sweep_rejects_the_explicit_scheme() {
+        let mesh = cavity(3);
+        let (v, p) = state(&mesh);
+        let config = KernelConfig::new(16, OptLevel::Vec1).explicit_scheme();
+        let asm = NastinAssembly::new(mesh, config);
+        let team = lv_runtime::Team::new(1);
+        let mut workspaces = vec![ElementWorkspace::new(16)];
+        asm.assemble_convective_into_on(&team, &v, &p, &mut asm.new_matrix(), &mut workspaces);
+    }
+
+    #[test]
+    #[should_panic(expected = "sparsity pattern")]
+    fn convective_sweep_rejects_a_foreign_pattern() {
+        let mesh = cavity(3);
+        let (v, p) = state(&mesh);
+        let asm = NastinAssembly::new(mesh, KernelConfig::new(16, OptLevel::Vec1));
+        let other = NastinAssembly::new(cavity(2), KernelConfig::new(16, OptLevel::Vec1));
+        let team = lv_runtime::Team::new(1);
+        let mut workspaces = vec![ElementWorkspace::new(16)];
+        asm.assemble_convective_into_on(&team, &v, &p, &mut other.new_matrix(), &mut workspaces);
     }
 
     #[test]

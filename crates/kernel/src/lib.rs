@@ -24,7 +24,12 @@
 //!   Criterion wall-clock benches measure on the host CPU.  It runs through
 //!   one of three sweep implementations ([`NumericPath`]): the per-scalar
 //!   accessor oracle, the unit-stride slice-view kernels (bitwise identical,
-//!   ≥2× faster) or the mesh-colored multi-threaded sweep ([`parallel`]);
+//!   ≥2× faster) or the mesh-colored multi-threaded sweep ([`parallel`]).
+//!   A time step (`lv_driver::Stepper`) assembles through
+//!   [`assemble_momentum_on`] instead: the viscous and mass blocks held from
+//!   set-up ([`PressureOperators`]), a convective-only colored sweep and the
+//!   right-hand side as one row product — the eight-phase sweep is its
+//!   oracle;
 //! * the **simulated path** ([`workload`] + [`miniapp`]) describes the same
 //!   eight phases as `lv-compiler` loop nests — per code variant — and feeds
 //!   the generated instruction streams to the `lv-sim` machine, producing the
@@ -51,7 +56,7 @@ pub use assembly::{AssemblyOutput, AssemblyStats, NastinAssembly, NumericPath};
 pub use config::{KernelConfig, OptLevel, PAPER_VECTOR_SIZES};
 pub use matrixfree::{build_pressure_multigrid, pressure_interpolations, MatrixFreeLaplacian};
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};
-pub use momentum::{solve_momentum_on, MomentumSolve};
+pub use momentum::{assemble_momentum_on, solve_momentum_on, MomentumSolve};
 pub use projection::{pressure_laplacian, weak_divergence_vector_norm, PressureOperators};
 pub use workspace::{ElementWorkspace, WorkspaceViews, WorkspaceViewsMut};
 

@@ -20,8 +20,58 @@
 //! iteration counts and residuals are the same to the bit (second test
 //! below).
 
+use crate::{AssemblyStats, ElementWorkspace, NastinAssembly, PressureOperators};
+use lv_mesh::{Field, VectorField};
 use lv_runtime::Team;
-use lv_solver::{bicgstab3_on, LinearOperator, MultiVector, SolveOptions, SolverError, NRHS};
+use lv_solver::{
+    bicgstab3_on, CsrMatrix, LinearOperator, MultiVector, SolveOptions, SolverError, NRHS,
+};
+
+/// Assembles the momentum-increment system of one semi-implicit time step,
+/// `(ν·K + C(u) + (ρ/Δt)·M)·Δu = −(ν·K + C(u))·u − g(p)`, building only
+/// what the velocity changes: the stiffness `K` and the consistent mass `M`
+/// are resident in `operators`, so the element sweep integrates the
+/// convection operator `C(u)` alone.  In this order, all on `team`:
+///
+/// 1. `matrix ← ν·K` ([`PressureOperators::fill_viscous_on`]) — instead of
+///    a zero fill;
+/// 2. `matrix += C(u)` ([`NastinAssembly::assemble_convective_into_on`]),
+///    the colored sweep;
+/// 3. `rhs ← −matrix·u − g(p)` ([`PressureOperators::momentum_residual_on`])
+///    — before the mass block exists, so `(ρ/Δt)·M·u` is never formed;
+/// 4. `matrix += (ρ/Δt)·M` ([`PressureOperators::add_mass_on`]).
+///
+/// `ν`, `ρ` and `Δt` are `assembly`'s configuration; nothing is kept from
+/// one call to the next.  The result is the system
+/// [`NastinAssembly::assemble_parallel_into_on`] followed by
+/// [`PressureOperators::subtract_weak_gradient_on`] assembles — the paper's
+/// eight phases, this function's oracle — in another summation order
+/// (equal to a few ε of each row's largest entry, see the tests of
+/// [`crate::assembly`]), and bitwise identical for every thread count.
+/// Dirichlet rows are the caller's.
+///
+/// # Panics
+/// Panics if `assembly` and `operators` were built on different node graphs
+/// or for different meshes, on an explicit-scheme configuration, or on
+/// mismatched array lengths.
+#[allow(clippy::too_many_arguments)]
+pub fn assemble_momentum_on(
+    team: &Team,
+    assembly: &NastinAssembly,
+    operators: &PressureOperators,
+    velocity: &VectorField,
+    pressure: &Field,
+    matrix: &mut CsrMatrix,
+    rhs: &mut [f64],
+    workspaces: &mut [ElementWorkspace],
+) -> AssemblyStats {
+    let config = assembly.config();
+    operators.fill_viscous_on(team, config.viscosity, matrix);
+    let stats = assembly.assemble_convective_into_on(team, velocity, pressure, matrix, workspaces);
+    operators.momentum_residual_on(team, matrix, velocity, pressure.as_slice(), rhs);
+    operators.add_mass_on(team, config.density / config.dt, matrix);
+    stats
+}
 
 /// Result of one momentum solve (all three components).
 #[derive(Debug, Clone)]

@@ -18,6 +18,24 @@
 //! the pressure Laplacian of [`crate::projection`]) with the coloring
 //! invariant spelled out.
 //!
+//! ## Two sweeps, one schedule
+//!
+//! `colored_sweep` is written once over a `const FULL: bool`: the paper's
+//! eight phases with the elemental right-hand side and matrix scattered
+//! (`FULL`, [`NastinAssembly::assemble_parallel_into_on`]), or the time
+//! step's convective-only selection — velocity-only phase 4, matrix-only
+//! phase 6, no phase 7, matrix-only scatter, no right-hand side at all
+//! ([`NastinAssembly::assemble_convective_into_on`]).  Schedule, worker
+//! split, barriers and the `MatrixSink` scatter with its release-build slot
+//! check are shared; the `assembly/color_sweep` span charges each sweep the
+//! flops and bytes of the phases it ran (the structural 9 600 / 1 472 per
+//! element for the full one,
+//! [`phases::convective_flops_per_element`] /
+//! [`phases::convective_bytes_per_element`] for the step's).
+//!
+//! [`NastinAssembly::assemble_parallel_into_on`]: crate::NastinAssembly::assemble_parallel_into_on
+//! [`NastinAssembly::assemble_convective_into_on`]: crate::NastinAssembly::assemble_convective_into_on
+//!
 //! ## Determinism
 //!
 //! The schedule (color order, chunk order within a color, slot order within
@@ -80,6 +98,19 @@ impl<'a> MatrixSink<'a> {
     /// own value array.
     pub(crate) fn new(matrix: &'a mut CsrMatrix) -> Self {
         let (row_ptr, _, values) = matrix.pattern_and_values_mut();
+        Self::over(row_ptr, values)
+    }
+
+    /// The sink of a bare value array laid out by `row_ptr`.
+    ///
+    /// # Panics
+    /// Panics if a row of `row_ptr` ends past `values` — the bound every
+    /// write relies on.
+    pub(crate) fn over(row_ptr: &'a [usize], values: &'a mut [f64]) -> Self {
+        assert!(
+            row_ptr.iter().all(|&end| end <= values.len()),
+            "row pointers reach past the value array"
+        );
         MatrixSink { row_ptr, values: values.as_mut_ptr() }
     }
 
@@ -140,7 +171,9 @@ impl SharedSystem<'_> {
 
 /// Phase 8 against the shared system: identical traversal to
 /// [`phases::phase8_scatter_slices`], writing through the disjoint-row view.
-fn scatter_shared(
+/// `FULL` is the paper's scatter (elemental right-hand side and matrix);
+/// without it only the matrix rows go out.
+fn scatter_shared<const FULL: bool>(
     mesh: &Mesh,
     topology: &MeshTopology,
     config: &KernelConfig,
@@ -155,13 +188,17 @@ fn scatter_shared(
         let slots = topology.csr_slots(elem);
         for (inode, &node_a) in nodes.iter().enumerate() {
             let node_a = node_a as usize;
-            for idime in 0..NDIME {
-                // SAFETY: this worker owns every node of `elem` within the
-                // current color (coloring invariant).
-                unsafe {
-                    system
-                        .add_rhs(NDIME * node_a + idime, v.elrbu[(inode * NDIME + idime) * vs + iv])
-                };
+            if FULL {
+                for idime in 0..NDIME {
+                    // SAFETY: this worker owns every node of `elem` within
+                    // the current color (coloring invariant).
+                    unsafe {
+                        system.add_rhs(
+                            NDIME * node_a + idime,
+                            v.elrbu[(inode * NDIME + idime) * vs + iv],
+                        )
+                    };
+                }
             }
             if config.semi_implicit {
                 let row = (0..PNODE).map(|jnode| v.elauu[(inode * PNODE + jnode) * vs + iv]);
@@ -178,10 +215,12 @@ fn scatter_shared(
     }
 }
 
-/// Runs the slice-view phases 1–7 plus the shared scatter for one colored
-/// chunk.
+/// Runs the slice-view phases plus the shared scatter for one colored
+/// chunk: all eight when `FULL`, the convective-only selection of the time
+/// step otherwise (velocity-only phase 4, matrix-only phases 6 and 8, no
+/// phase 7).
 #[allow(clippy::too_many_arguments)]
-fn assemble_chunk_shared(
+fn assemble_chunk_shared<const FULL: bool>(
     mesh: &Mesh,
     shape: &ShapeTable,
     config: &KernelConfig,
@@ -198,11 +237,19 @@ fn assemble_chunk_shared(
     phases::phase1_gather_coords_slices(mesh, &slots, &mut v);
     phases::phase2_gather_unknowns_slices(mesh, velocity, pressure, &slots, &mut v);
     let singular = phases::phase3_jacobian_slices(shape, &mut v);
-    phases::phase4_gauss_values_slices(shape, &mut v);
+    if FULL {
+        phases::phase4_gauss_values_slices(shape, &mut v);
+    } else {
+        phases::phase4_gauss_velocity_slices(shape, &mut v);
+    }
     phases::phase5_stabilization_slices(config, h_char, &mut v);
-    phases::phase6_convective_slices(shape, config, &mut v);
-    phases::phase7_viscous_slices(shape, config, &mut v);
-    scatter_shared(mesh, topology, config, &v, system);
+    if FULL {
+        phases::phase6_convective_slices(shape, config, &mut v);
+        phases::phase7_viscous_slices(shape, config, &mut v);
+    } else {
+        phases::phase6_convective_matrix_slices(shape, config, &mut v);
+    }
+    scatter_shared::<FULL>(mesh, topology, config, &v, system);
     singular
 }
 
@@ -215,8 +262,14 @@ fn assemble_chunk_shared(
 /// balanced.  `matrix` and `rhs` are scattered into without zeroing — the
 /// caller owns the lifecycle, exactly like the serial `assemble_into`
 /// internals.
+///
+/// `FULL` runs the paper's eight phases; without it the sweep is the time
+/// step's convective-only one, which adds the elemental convection matrices
+/// to `matrix` and has no right-hand side (`rhs` must be empty).  Either
+/// way the `assembly/color_sweep` span carries the model of the phases that
+/// ran.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn colored_sweep(
+pub(crate) fn colored_sweep<const FULL: bool>(
     team: &Team,
     mesh: &Mesh,
     topology: &MeshTopology,
@@ -230,7 +283,7 @@ pub(crate) fn colored_sweep(
     rhs: &mut [f64],
 ) -> WorkerStats {
     assert!(!workspaces.is_empty(), "the parallel sweep needs at least one workspace");
-    assert_eq!(rhs.len(), NDIME * mesh.num_nodes());
+    assert_eq!(rhs.len(), if FULL { NDIME * mesh.num_nodes() } else { 0 });
     for ws in workspaces.iter() {
         assert_eq!(ws.vector_size(), schedule.vector_size());
     }
@@ -252,7 +305,7 @@ pub(crate) fn colored_sweep(
             let before = stats.elements;
             for chunk_id in schedule.color_chunks(color) {
                 let slots = schedule.slots(chunk_id);
-                stats.singular_jacobians += assemble_chunk_shared(
+                stats.singular_jacobians += assemble_chunk_shared::<FULL>(
                     mesh, shape, config, h_char, velocity, pressure, slots, topology, ws, &system,
                 );
                 stats.chunks += 1;
@@ -294,7 +347,7 @@ pub(crate) fn colored_sweep(
                 let share = partition(chunk_ids.len(), num_workers, rank);
                 for chunk_id in chunk_ids.start + share.start..chunk_ids.start + share.end {
                     let slots = schedule.slots(chunk_id);
-                    partial.singular_jacobians += assemble_chunk_shared(
+                    partial.singular_jacobians += assemble_chunk_shared::<FULL>(
                         mesh, shape, config, h_char, velocity, pressure, slots, topology, ws,
                         &system,
                     );
@@ -314,9 +367,14 @@ pub(crate) fn colored_sweep(
         }
     }
     if let Some(s) = sweep_span {
+        let (flops, bytes) = if FULL {
+            (ASSEMBLY_FLOPS_PER_ELEMENT, ASSEMBLY_BYTES_PER_ELEMENT)
+        } else {
+            (phases::convective_flops_per_element(), phases::convective_bytes_per_element())
+        };
         s.iters(stats.elements as u64)
-            .flops(stats.elements as u64 * ASSEMBLY_FLOPS_PER_ELEMENT)
-            .bytes(stats.elements as u64 * ASSEMBLY_BYTES_PER_ELEMENT)
+            .flops(stats.elements as u64 * flops)
+            .bytes(stats.elements as u64 * bytes)
             .aux(num_colors as u64)
             .finish();
     }

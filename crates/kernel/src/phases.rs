@@ -44,11 +44,25 @@
 //! same kernel serves both the serial sweep and the mesh-colored parallel
 //! sweep.
 //!
+//! # The time step's reduced phases
+//!
+//! `lv_driver::Stepper` assembles only the convection matrix per step (see
+//! [`crate::assembly`]); its sweep runs phases 1, 2, 3 and 5 as they are and
+//! two reduced instantiations: [`phase4_gauss_velocity_slices`] (`gpvel`
+//! only — `gpgve` feeds nothing but the elemental right-hand side) and
+//! [`phase6_convective_matrix_slices`] (`elauu` only).  They are not second
+//! copies: phases 4 and 6 have one `#[inline(always)]` body each with a
+//! `const` switch, instantiated twice — the full instantiation compiles to
+//! the loops it had before the switch existed, the reduced one writes, bit
+//! for bit, the full one's values to the arrays it still writes (tests
+//! below).  The accessor oracle has no reduced form: the full slice phases
+//! are checked against it, the reduced ones against the full.
+//!
 //! # The host's lanes
 //!
-//! Phases 3–7 of the slice path — every loop of them unit-stride over
-//! `ivect` — are multiversioned with [`lv_runtime::multiversion!`]: each
-//! body is compiled once at the build's baseline target features and once
+//! Phases 3–7 of the slice path (both instantiations of 4 and 6) — every
+//! loop of them unit-stride over `ivect` — are multiversioned with
+//! [`lv_runtime::multiversion!`]: each body is compiled once at the build's baseline target features and once
 //! as an `avx2` clone, and `phaseN_*_slices` enters the copy
 //! [`lv_runtime::Lanes::selected`] picked for this host (four `f64` per
 //! instruction instead of SSE2's two).  `phaseN_*_slices_at` takes the
@@ -627,18 +641,32 @@ lv_runtime::multiversion! {
     /// Phase 4, slice path: velocity and velocity gradient at the integration
     /// points — pure unit-stride multiply-accumulate rows.
     pub fn phase4_gauss_values_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut)
-        = phase4_gauss_values_body, at phase4_gauss_values_slices_at;
+        = phase4_gauss_values_body::<true>, at phase4_gauss_values_slices_at;
 }
 
+lv_runtime::multiversion! {
+    /// Phase 4 of the step's convective-only sweep: the velocity at the
+    /// integration points and nothing else — `gpvel` bit for bit as
+    /// [`phase4_gauss_values_slices`] writes it, `gpgve` (which only the
+    /// elemental right-hand side reads) left untouched.
+    pub fn phase4_gauss_velocity_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut)
+        = phase4_gauss_values_body::<false>, at phase4_gauss_velocity_slices_at;
+}
+
+/// The one phase-4 body: `GRADIENT` selects the paper's phase (`gpvel` and
+/// `gpgve`) or its velocity-only reduction; the switch is a constant, so
+/// each instantiation compiles to its own straight loops.
 #[inline(always)]
-fn phase4_gauss_values_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) {
+fn phase4_gauss_values_body<const GRADIENT: bool>(shape: &ShapeTable, v: &mut WorkspaceViewsMut) {
     let vs = v.vs;
     for igaus in 0..PGAUS {
         let funcs = shape.functions(igaus);
         for i in 0..NDIME {
             row_mut(v.gpvel, igaus * NDIME + i, vs).fill(0.0);
-            for j in 0..NDIME {
-                row_mut(v.gpgve, (igaus * NDIME + i) * NDIME + j, vs).fill(0.0);
+            if GRADIENT {
+                for j in 0..NDIME {
+                    row_mut(v.gpgve, (igaus * NDIME + i) * NDIME + j, vs).fill(0.0);
+                }
             }
         }
         for inode in 0..PNODE {
@@ -649,11 +677,13 @@ fn phase4_gauss_values_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) {
                 for (g, &ua) in gv.iter_mut().zip(u) {
                     *g += n_a * ua;
                 }
-                for j in 0..NDIME {
-                    let car = row(v.gpcar, (igaus * PNODE + inode) * NDIME + j, vs);
-                    let gg = row_mut(v.gpgve, (igaus * NDIME + i) * NDIME + j, vs);
-                    for ((g, &ca), &ua) in gg.iter_mut().zip(car).zip(u) {
-                        *g += ca * ua;
+                if GRADIENT {
+                    for j in 0..NDIME {
+                        let car = row(v.gpcar, (igaus * PNODE + inode) * NDIME + j, vs);
+                        let gg = row_mut(v.gpgve, (igaus * NDIME + i) * NDIME + j, vs);
+                        for ((g, &ca), &ua) in gg.iter_mut().zip(car).zip(u) {
+                            *g += ca * ua;
+                        }
                     }
                 }
             }
@@ -731,11 +761,32 @@ lv_runtime::multiversion! {
         shape: &ShapeTable,
         config: &KernelConfig,
         v: &mut WorkspaceViewsMut,
-    ) = phase6_convective_body, at phase6_convective_slices_at;
+    ) = phase6_convective_body::<true>, at phase6_convective_slices_at;
 }
 
+lv_runtime::multiversion! {
+    /// Phase 6 of the step's convective-only sweep: the elemental matrix
+    /// `vol·ρ·(N_a + τ·(u·∇)N_a)·(u·∇)N_b` and nothing else — into a zeroed
+    /// `elauu` bit for bit what [`phase6_convective_slices`] adds to it,
+    /// `elrbu` untouched and `gpgve` never read (the step takes its
+    /// right-hand side from the assembled matrix instead).
+    pub fn phase6_convective_matrix_slices(
+        shape: &ShapeTable,
+        config: &KernelConfig,
+        v: &mut WorkspaceViewsMut,
+    ) = phase6_convective_body::<false>, at phase6_convective_matrix_slices_at;
+}
+
+/// The one phase-6 body: `RESIDUAL` selects the paper's phase (elemental
+/// right-hand side and matrix) or its matrix-only reduction, which drops
+/// `(u·∇)u`, `ρ·τ`, `ρτ·(u·∇)N_a` and the `elrbu` rows with it; a constant
+/// switch, like phase 4's.
 #[inline(always)]
-fn phase6_convective_body(shape: &ShapeTable, config: &KernelConfig, v: &mut WorkspaceViewsMut) {
+fn phase6_convective_body<const RESIDUAL: bool>(
+    shape: &ShapeTable,
+    config: &KernelConfig,
+    v: &mut WorkspaceViewsMut,
+) {
     let vs = v.vs;
     let rho = config.density;
     let (conv, rest) = v.scratch.split_at_mut(PNODE * vs);
@@ -752,11 +803,15 @@ fn phase6_convective_body(shape: &ShapeTable, config: &KernelConfig, v: &mut Wor
         for node in 0..PNODE {
             advect(row_mut(conv, node, vs), adv, v.gpcar, (igaus * PNODE + node) * NDIME, vs);
         }
-        for i in 0..NDIME {
-            advect(row_mut(ugradu, i, vs), adv, v.gpgve, (igaus * NDIME + i) * NDIME, vs);
+        if RESIDUAL {
+            for i in 0..NDIME {
+                advect(row_mut(ugradu, i, vs), adv, v.gpgve, (igaus * NDIME + i) * NDIME, vs);
+            }
         }
         for k in 0..vs {
-            rho_tau[k] = rho * tau[k];
+            if RESIDUAL {
+                rho_tau[k] = rho * tau[k];
+            }
             vol_rho[k] = vol[k] * rho;
         }
         for inode in 0..PNODE {
@@ -765,16 +820,20 @@ fn phase6_convective_body(shape: &ShapeTable, config: &KernelConfig, v: &mut Wor
             let conv_a = &row(conv, inode, vs)[..vs];
             for k in 0..vs {
                 tau_conv_a[k] = tau[k] * conv_a[k];
-                rho_tau_conv_a[k] = rho_tau[k] * conv_a[k];
+                if RESIDUAL {
+                    rho_tau_conv_a[k] = rho_tau[k] * conv_a[k];
+                }
             }
-            for i in 0..NDIME {
-                let ugradu_i = &row(ugradu, i, vs)[..vs];
-                let rbu = &mut row_mut(v.elrbu, inode * NDIME + i, vs)[..vs];
-                for k in 0..vs {
-                    // Galerkin convective residual + SUPG perturbation.
-                    let galerkin = rho_n_a * ugradu_i[k];
-                    let supg = rho_tau_conv_a[k] * ugradu_i[k];
-                    rbu[k] += -vol[k] * (galerkin + supg);
+            if RESIDUAL {
+                for i in 0..NDIME {
+                    let ugradu_i = &row(ugradu, i, vs)[..vs];
+                    let rbu = &mut row_mut(v.elrbu, inode * NDIME + i, vs)[..vs];
+                    for k in 0..vs {
+                        // Galerkin convective residual + SUPG perturbation.
+                        let galerkin = rho_n_a * ugradu_i[k];
+                        let supg = rho_tau_conv_a[k] * ugradu_i[k];
+                        rbu[k] += -vol[k] * (galerkin + supg);
+                    }
                 }
             }
             if config.semi_implicit {
@@ -922,6 +981,39 @@ pub fn flops_per_element(semi_implicit: bool) -> f64 {
     };
     let p8 = PNODE as f64 * NDIME as f64 + if semi_implicit { (PNODE * PNODE) as f64 } else { 0.0 };
     p3 + p4 + p5 + p6 + p7_rhs + p7_mat + p8
+}
+
+/// Analytic FLOP count of one element of the step's convective-only sweep
+/// (phases 3, 4 velocity-only, 5, 6 matrix-only and the matrix scatter),
+/// counted as the slice kernels execute them — phase 6 with its hoists, not
+/// the accessor path's recomputation [`flops_per_element`] models.
+pub fn convective_flops_per_element() -> u64 {
+    let (pgaus, pnode, ndime) = (PGAUS as u64, PNODE as u64, NDIME as u64);
+    // Jacobian accumulation, determinant + inverse, `gpcar`, `gpvol`.
+    let p3 = pgaus * (pnode * ndime * ndime * 2 + 45 + pnode * ndime * ndime * 2 + 1);
+    // `gpvel += N_a·u_a`.
+    let p4 = pgaus * pnode * ndime * 2;
+    let p5 = pgaus * 16;
+    // Per integration point: `(u·∇)N_b` of every node, `vol·ρ`; per test
+    // function `τ·(u·∇)N_a`; per entry two products, a sum, the `vol·ρ`
+    // scaling and the accumulation.
+    let p6 = pgaus * (pnode * ndime * 2 + 1 + pnode + pnode * pnode * 5);
+    let p8 = pnode * pnode;
+    p3 + p4 + p5 + p6 + p8
+}
+
+/// Bytes one element of the convective-only sweep moves between the
+/// workspace and the global arrays: the gathered coordinates and unknowns
+/// (phase 2 gathers the pressure too, as in the paper's phase), the
+/// connectivity those two gathers and the scatter each read, the element's
+/// CSR slot map, and the 8×8 block read and written in place.
+pub fn convective_bytes_per_element() -> u64 {
+    let (pnode, ndime, ndofn) = (PNODE as u64, NDIME as u64, NDOFN as u64);
+    let gathers = 8 * pnode * (ndime + ndofn);
+    let connectivity = 3 * 4 * pnode;
+    let slots = 4 * pnode * pnode;
+    let block = 2 * 8 * pnode * pnode;
+    gathers + connectivity + slots + block
 }
 
 #[cfg(test)]
@@ -1332,6 +1424,78 @@ mod tests {
         for vs in [1, 7, 16, 17, 240] {
             assert_clones_match_their_baseline_and_the_oracle(vs);
         }
+    }
+
+    #[test]
+    fn reduced_phases_equal_the_full_ones_on_the_arrays_both_write() {
+        // The step's phases 4 and 6 are the paper's with the right-hand
+        // side's share switched off at compile time: `gpvel` and — phase 7
+        // skipped on the full side, `elauu` zeroed on both — `elauu` must
+        // come out bit for bit, at both widths, and the arrays only the
+        // full phases write (`gpgve`, `elrbu`) must not be touched.
+        let mesh = BoxMeshBuilder::new(3, 3, 3).lid_driven_cavity().with_jitter(0.13, 5).build();
+        let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
+        let config = KernelConfig::default();
+        let vel = VectorField::taylor_green(&mesh);
+        let pre = Field::from_fn(&mesh, |p| p.x * p.y - 0.5 * p.z);
+        let h = mesh.characteristic_length();
+        for vs in [1, 7, 16, 17, 240] {
+            for chunk in &lv_mesh::ElementChunks::new(&mesh, vs) {
+                let mut ws_full = ElementWorkspace::new(vs);
+                ws_full.reset();
+                {
+                    let mut v = ws_full.views_mut();
+                    phase1_gather_coords_slices(&mesh, chunk, &mut v);
+                    phase2_gather_unknowns_slices(&mesh, &vel, &pre, chunk, &mut v);
+                    phase3_jacobian_slices_at(Lanes::Baseline, &shape, &mut v);
+                    phase4_gauss_values_slices_at(Lanes::Baseline, &shape, &mut v);
+                    phase5_stabilization_slices_at(Lanes::Baseline, &config, h, &mut v);
+                    phase6_convective_slices_at(Lanes::Baseline, &shape, &config, &mut v);
+                }
+                for lanes in widths_under_test() {
+                    let mut ws = ElementWorkspace::new(vs);
+                    ws.poison(-7.25);
+                    ws.reset();
+                    {
+                        let mut v = ws.views_mut();
+                        phase1_gather_coords_slices(&mesh, chunk, &mut v);
+                        phase2_gather_unknowns_slices(&mesh, &vel, &pre, chunk, &mut v);
+                        phase3_jacobian_slices_at(lanes, &shape, &mut v);
+                        phase4_gauss_velocity_slices_at(lanes, &shape, &mut v);
+                        phase5_stabilization_slices_at(lanes, &config, h, &mut v);
+                        phase6_convective_matrix_slices_at(lanes, &shape, &config, &mut v);
+                    }
+                    let (full, reduced) = (ws_full.views(), ws.views());
+                    for (name, a, b) in [
+                        ("gpvel", full.gpvel, reduced.gpvel),
+                        ("gpadv", full.gpadv, reduced.gpadv),
+                        ("tau", full.tau, reduced.tau),
+                        ("elauu", full.elauu, reduced.elauu),
+                    ] {
+                        for (k, (x, y)) in a.iter().zip(b).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "{name}[{k}] of the reduced phases at {lanes} (vs={vs}): {y} vs {x}"
+                            );
+                        }
+                    }
+                    assert!(full.elauu.iter().any(|&x| x != 0.0));
+                    assert!(reduced.gpgve.iter().all(|&x| x == -7.25), "gpgve written");
+                    assert!(reduced.elrbu.iter().all(|&x| x == 0.0), "elrbu written");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn convective_sweep_model_counts_fewer_flops_than_the_full_sweep() {
+        // 8 × (144 + 45 + 144 + 1) + 8·8·6 + 8·16 + 8 × (48 + 1 + 8 + 320) + 64.
+        assert_eq!(convective_flops_per_element(), 2672 + 384 + 128 + 3016 + 64);
+        assert!((convective_flops_per_element() as f64) < flops_per_element(true));
+        // Coordinates and unknowns, three reads of the connectivity, the
+        // slot map, the block in and out.
+        assert_eq!(convective_bytes_per_element(), 448 + 96 + 256 + 1024);
     }
 
     #[test]

@@ -34,23 +34,49 @@
 //!
 //! ## Laplacian
 //!
-//! The Laplacian is assembled once per stepper, element by element on the
-//! mesh-colored chunk schedule of the assembly
-//! ([`lv_mesh::coloring::ColoredChunks`]): colors run sequentially
-//! (separated by [`Team::barrier`]), the chunks of a color concurrently, no
-//! two chunks of a color share a mesh node, and the chunk order within a
-//! color is fixed — bitwise identical for every thread count as well.  The
-//! element geometry (`w|J|` and the Cartesian shape derivatives at every
-//! integration point) is recomputed where it is needed rather than kept:
-//! only `w|J|` stays resident, for the per-step quadrature diagnostics.
+//! The Laplacian is assembled element by element on the mesh-colored chunk
+//! schedule of the assembly ([`lv_mesh::coloring::ColoredChunks`]): colors
+//! run sequentially (separated by [`Team::barrier`]), the chunks of a color
+//! concurrently, no two chunks of a color share a mesh node, and the chunk
+//! order within a color is fixed — bitwise identical for every thread count
+//! as well.  The constructor runs that sweep once (serially) and keeps the
+//! values, [`PressureOperators::stiffness`];
+//! [`assemble_laplacian`](PressureOperators::assemble_laplacian) hands out
+//! copies.  The element geometry (`w|J|` and the Cartesian shape
+//! derivatives at every integration point) is recomputed where it is needed
+//! rather than kept: only `w|J|` stays resident, for the quadrature
+//! diagnostics.
+//!
+//! ## What a time step does not re-integrate
+//!
+//! Of the momentum matrix `ν·K + C(u) + (ρ/Δt)·M` only the convection
+//! `C(u)` changes with the velocity.  The stiffness `K_ab = ∫ ∇N_a·∇N_b`
+//! *is* the un-pinned Laplacian above, and the consistent mass
+//! `M_ab = ∫ N_a N_b` is accumulated in the constructor's geometry pass
+//! beside `C[a][b][i]` and the lumped mass: one value each per stored entry
+//! of the node graph, pure functions of the mesh (a restarted run rebuilds
+//! the same bits).  Three global passes use them, all through the
+//! row-partitioned idiom of the gradient and divergence — a share of the
+//! output per rank behind an uncontended `Mutex`, no `unsafe`, bitwise
+//! identical for every thread count:
+//! [`fill_viscous_on`](PressureOperators::fill_viscous_on) (`values ← ν·K`),
+//! [`momentum_residual_on`](PressureOperators::momentum_residual_on)
+//! (`rhs_a = −Σ_b S_ab·u_b − g_a(p)`, the weak pressure gradient fused in)
+//! and [`add_mass_on`](PressureOperators::add_mass_on)
+//! (`values += (ρ/Δt)·M`); [`crate::assemble_momentum_on`] runs them around
+//! the convective-only sweep.  The same `M` gives the per-step kinetic
+//! energy as `½ρ·uᵀ·M·u`
+//! ([`kinetic_energy_on`](PressureOperators::kinetic_energy_on)) instead of
+//! a serial element quadrature.
 
+use crate::assembly::check_pattern;
 use crate::parallel::MatrixSink;
 use crate::{NDIME, PGAUS, PNODE};
 use lv_mesh::coloring::ColoredChunks;
 use lv_mesh::geometry::Point3;
 use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{ChunkSlots, ElementKind, Mesh, MeshTopology, ShapeTable, VectorField};
-use lv_runtime::{partition, Team};
+use lv_runtime::{blocked_reduce, partition, Team};
 use lv_solver::{CsrMatrix, VectorOps};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -72,9 +98,15 @@ pub struct PressureOperators {
     gpvol: Vec<f64>,
     /// `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ` per stored entry `k = (a, b)` of
     /// the topology's node graph: `coef[NDIME*k + i]`.
-    coef: Vec<f64>,
+    pub(crate) coef: Vec<f64>,
     /// Lumped (row-sum) mass per node: `M_a = ∫ N_a dΩ`.
     lumped_mass: Vec<f64>,
+    /// Consistent mass `M_ab = ∫ N_a N_b dΩ` per stored entry of the node
+    /// graph.
+    mass: Vec<f64>,
+    /// Stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` per stored entry of the node graph:
+    /// the values of the un-pinned Laplacian.
+    stiffness: Vec<f64>,
     topology: Arc<MeshTopology>,
 }
 
@@ -159,17 +191,41 @@ impl PressureOperators {
             gpvol: Vec::new(),
             coef: Vec::new(),
             lumped_mass: Vec::new(),
+            mass: Vec::new(),
+            stiffness: Vec::new(),
             topology,
         };
         let nelem = mesh.num_elements();
+        let nnz = ops.topology.col_idx().len();
         let mut gpvol = vec![0.0; nelem * PGAUS];
-        let mut coef = vec![0.0; NDIME * ops.topology.col_idx().len()];
+        let mut coef = vec![0.0; NDIME * nnz];
         let mut lumped_mass = vec![0.0; mesh.num_nodes()];
+        let mut mass = vec![0.0; nnz];
+        // `N_a·N_b` per `(gauss, PNODE·a + b)`: one product for `(a, b)` and
+        // `(b, a)`, so the consistent mass comes out symmetric to the bit.
+        let mut shape_products = [[0.0f64; PNODE * PNODE]; PGAUS];
+        for (g, products) in shape_products.iter_mut().enumerate() {
+            let n = &ops.shape.functions(g).n;
+            for (ab, entry) in products.iter_mut().enumerate() {
+                *entry = n[ab / PNODE] * n[ab % PNODE];
+            }
+        }
         for elem in 0..nelem {
             let geometry = ops.element_geometry(elem);
             let nodes = mesh.element_nodes(elem);
             gpvol[PGAUS * elem..PGAUS * (elem + 1)].copy_from_slice(&geometry.vol);
             let slots = ops.topology.csr_slots(elem);
+            // The elemental mass Σ_g w|J| · N_a·N_b, all 64 entries in one
+            // unit-stride accumulation per integration point.
+            let mut el_mass = [0.0f64; PNODE * PNODE];
+            for (vol, products) in geometry.vol.iter().zip(&shape_products) {
+                for (entry, product) in el_mass.iter_mut().zip(products) {
+                    *entry += vol * product;
+                }
+            }
+            for (&slot, entry) in slots.iter().zip(el_mass) {
+                mass[slot as usize] += entry;
+            }
             for (a, &node) in nodes.iter().enumerate() {
                 // Row `a` of the elemental C[a][b][i] = Σ_g w|J| · N_a · ∂N_b/∂x_i,
                 // as `el_a[i][b]`.
@@ -196,6 +252,10 @@ impl PressureOperators {
         ops.gpvol = gpvol;
         ops.coef = coef;
         ops.lumped_mass = lumped_mass;
+        ops.mass = mass;
+        // The colored chunk order of `assemble_laplacian_on`, serially: the
+        // same bits, held once for every later caller.
+        ops.stiffness = ops.laplacian_values(None);
         ops
     }
 
@@ -325,23 +385,48 @@ impl PressureOperators {
     /// least one node per connected component with
     /// [`CsrMatrix::pin_rows_symmetric`] to make it definite.
     pub fn assemble_laplacian_on(&self, team: &Team) -> CsrMatrix {
-        self.laplacian(Some(team))
+        self.on_pattern(&self.laplacian_values(Some(team)))
     }
 
-    fn laplacian(&self, team: Option<&Team>) -> CsrMatrix {
+    /// The colored Laplacian sweep into a fresh value array of the node
+    /// graph.
+    fn laplacian_values(&self, team: Option<&Team>) -> Vec<f64> {
+        let mut values = vec![0.0; self.topology.col_idx().len()];
+        let sink = MatrixSink::over(self.topology.row_ptr(), &mut values);
+        self.run_colored(team, |slots| self.laplacian_chunk(&slots, &sink));
+        values
+    }
+
+    /// A matrix on the node graph holding `values`.
+    fn on_pattern(&self, values: &[f64]) -> CsrMatrix {
         let topology = &self.topology;
         let mut matrix =
             CsrMatrix::from_pattern(topology.row_ptr().to_vec(), topology.col_idx().to_vec());
-        let sink = MatrixSink::new(&mut matrix);
-        self.run_colored(team, |slots| self.laplacian_chunk(&slots, &sink));
+        matrix.pattern_and_values_mut().2.copy_from_slice(values);
         matrix
     }
 
-    /// [`assemble_laplacian_on`](Self::assemble_laplacian_on) without a
-    /// team: the identical colored chunk order, run serially (bitwise the
-    /// same result).
+    /// The pressure Laplacian of
+    /// [`assemble_laplacian_on`](Self::assemble_laplacian_on), bit for bit,
+    /// without assembling anything: a copy of [`stiffness`](Self::stiffness)
+    /// on the node graph.
     pub fn assemble_laplacian(&self) -> CsrMatrix {
-        self.laplacian(None)
+        self.on_pattern(&self.stiffness)
+    }
+
+    /// The stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` per stored entry of the
+    /// topology's node graph — the values of the un-pinned pressure
+    /// Laplacian, assembled once at construction (colored chunk order).  The
+    /// viscous block of the momentum matrix is `ν·K`.
+    pub fn stiffness(&self) -> &[f64] {
+        &self.stiffness
+    }
+
+    /// The consistent mass `M_ab = ∫ N_a N_b dΩ` per stored entry of the
+    /// topology's node graph (mesh-order accumulation; symmetric to the bit;
+    /// its row sums are [`lumped_mass`](Self::lumped_mass) to rounding).
+    pub fn consistent_mass(&self) -> &[f64] {
+        &self.mass
     }
 
     /// The matrix-free counterpart of
@@ -517,6 +602,127 @@ impl PressureOperators {
         });
     }
 
+    /// `update(value, source_k)` for every stored entry `k` of `matrix`,
+    /// the entries split across the team like the rows of a row pass.
+    fn entry_pass(
+        &self,
+        team: &Team,
+        matrix: &mut CsrMatrix,
+        source: &[f64],
+        update: impl Fn(&mut f64, f64) + Sync,
+    ) {
+        check_pattern(&self.topology, matrix);
+        let (_, _, values) = matrix.pattern_and_values_mut();
+        let nnz = values.len();
+        let per = rows_per_share(team, nnz);
+        row_pass(team, nnz, per, values.chunks_mut(per).collect(), |entries, values| {
+            for (value, &source) in values.iter_mut().zip(&source[entries]) {
+                update(value, source);
+            }
+        });
+    }
+
+    /// Seeds the momentum matrix with its viscous block: `values ← ν·K`,
+    /// overwriting whatever `matrix` held.  The first of the three global
+    /// passes of [`assemble_momentum_on`](crate::assemble_momentum_on).
+    ///
+    /// # Panics
+    /// Panics if `matrix` does not have this mesh's sparsity pattern.
+    pub fn fill_viscous_on(&self, team: &Team, viscosity: f64, matrix: &mut CsrMatrix) {
+        self.entry_pass(team, matrix, &self.stiffness, |value, k| *value = viscosity * k);
+    }
+
+    /// Adds the time-derivative block to the momentum matrix:
+    /// `values += scale·M` with the consistent mass (the step passes
+    /// `scale = ρ/Δt`).  The last of the three global passes.
+    ///
+    /// # Panics
+    /// Panics if `matrix` does not have this mesh's sparsity pattern.
+    pub fn add_mass_on(&self, team: &Team, scale: f64, matrix: &mut CsrMatrix) {
+        self.entry_pass(team, matrix, &self.mass, |value, m| *value += scale * m);
+    }
+
+    /// The momentum right-hand side of the increment form as one row
+    /// product: `rhs_a = −Σ_b S_ab·u_b − g_a(p)` with `S = ν·K + C(u)` the
+    /// matrix **before** the mass block is added (so `(ρ/Δt)·M·u` is never
+    /// formed and never cancelled) and `g` the weak pressure gradient, both
+    /// sums in ascending column order from `+0.0` — `g_a` is bit for bit
+    /// the row of [`weak_gradient_on`](Self::weak_gradient_on).  Overwrites
+    /// `rhs`; bitwise identical for every thread count.
+    ///
+    /// # Panics
+    /// Panics if `matrix` does not have this mesh's sparsity pattern or a
+    /// vector does not have this mesh's node count.
+    pub fn momentum_residual_on(
+        &self,
+        team: &Team,
+        matrix: &CsrMatrix,
+        velocity: &VectorField,
+        pressure: &[f64],
+        rhs: &mut [f64],
+    ) {
+        let n = self.mesh.num_nodes();
+        check_pattern(&self.topology, matrix);
+        assert_eq!(NDIME * matrix.values().len(), self.coef.len());
+        assert_eq!(velocity.num_nodes(), n);
+        assert_eq!(pressure.len(), n);
+        assert_eq!(rhs.len(), NDIME * n);
+        let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
+        let (values, vel) = (matrix.values(), velocity.as_slice());
+        let per = rows_per_share(team, n);
+        row_pass(team, n, per, rhs.chunks_mut(NDIME * per).collect(), |rows, out| {
+            for (a, out_a) in rows.zip(out.chunks_exact_mut(NDIME)) {
+                let entries = row_ptr[a]..row_ptr[a + 1];
+                let coef = &self.coef[NDIME * entries.start..NDIME * entries.end];
+                // One walk of the row for both sums; `g` accumulates exactly
+                // as `gradient_row` does.
+                let (mut su, mut g) = ([0.0f64; NDIME], [0.0f64; NDIME]);
+                for ((&b, &s_ab), c) in col_idx[entries.clone()]
+                    .iter()
+                    .zip(&values[entries])
+                    .zip(coef.chunks_exact(NDIME))
+                {
+                    let u = &vel[NDIME * b..NDIME * b + NDIME];
+                    let p = pressure[b];
+                    for i in 0..NDIME {
+                        su[i] += s_ab * u[i];
+                        g[i] += c[i] * p;
+                    }
+                }
+                for i in 0..NDIME {
+                    out_a[i] = -su[i] - g[i];
+                }
+            }
+        });
+    }
+
+    /// Modeled floating-point operations of the three global passes of one
+    /// momentum assembly together: a multiply per entry of the viscous
+    /// fill; six multiply-adds per entry plus a negation and a subtraction
+    /// per row component of the residual; a multiply and an add per entry
+    /// of the mass update.
+    pub fn momentum_pass_flops(&self) -> u64 {
+        let (nnz, n) = (self.mass.len() as u64, self.mesh.num_nodes() as u64);
+        nnz + (4 * NDIME as u64 * nnz + 2 * NDIME as u64 * n) + 2 * nnz
+    }
+
+    /// Bytes the three global passes of one momentum assembly stream
+    /// together, from array sizes: `K` in and the values out; the values,
+    /// the column indices and the gradient coefficients in, velocity and
+    /// pressure in once, the right-hand side out; `M` in and the values in
+    /// and out.
+    pub fn momentum_pass_bytes(&self) -> u64 {
+        let (nnz, n) = (self.mass.len(), self.mesh.num_nodes());
+        let fill = 2 * 8 * nnz;
+        let residual = 8 * nnz
+            + std::mem::size_of_val(self.topology.col_idx())
+            + std::mem::size_of_val(self.coef.as_slice())
+            + 8 * (NDIME + 1) * n
+            + 8 * NDIME * n;
+        let mass = 3 * 8 * nnz;
+        (fill + residual + mass) as u64
+    }
+
     /// Euclidean norm of the **weak** divergence vector,
     /// `‖d‖₂ = √(Σ_a d_a²)` with `d_a = ∫ N_a ∇·u_h dΩ` — the discrete
     /// divergence functional the projection step actually drives to zero
@@ -571,6 +777,36 @@ impl PressureOperators {
                 total += self.gpvol[PGAUS * elem + g] * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
             }
         }
+        0.5 * density * total
+    }
+
+    /// Kinetic energy through the resident consistent mass,
+    /// `½ρ Σ_a u_a·(M·u)_a`: one row pass on `team`, reduced in fixed blocks
+    /// — bitwise identical for every thread count.  The same integral as the
+    /// quadrature of [`kinetic_energy`](Self::kinetic_energy) (the products
+    /// `N_a·N_b` summed before instead of after the contraction with `u`),
+    /// equal to it to rounding; the step reports this one.
+    pub fn kinetic_energy_on(&self, team: &Team, velocity: &VectorField, density: f64) -> f64 {
+        let n = self.mesh.num_nodes();
+        assert_eq!(velocity.num_nodes(), n);
+        let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
+        let vel = velocity.as_slice();
+        let [total] = blocked_reduce(Some(team), n, &mut Vec::new(), |rows| {
+            let mut sum = 0.0f64;
+            for a in rows {
+                let entries = row_ptr[a]..row_ptr[a + 1];
+                let mut mu = [0.0f64; NDIME];
+                for (&b, &m_ab) in col_idx[entries.clone()].iter().zip(&self.mass[entries]) {
+                    let u = &vel[NDIME * b..NDIME * b + NDIME];
+                    for i in 0..NDIME {
+                        mu[i] += m_ab * u[i];
+                    }
+                }
+                let u = &vel[NDIME * a..NDIME * a + NDIME];
+                sum += u[0] * mu[0] + u[1] * mu[1] + u[2] * mu[2];
+            }
+            [sum]
+        });
         0.5 * density * total
     }
 
@@ -1177,6 +1413,117 @@ mod tests {
     }
 
     #[test]
+    fn consistent_mass_is_symmetric_and_sums_to_the_lumped_mass_and_the_volume() {
+        for m in [mesh(), BoxMeshBuilder::new(5, 4, 3).build()] {
+            let ops = PressureOperators::new(&m, 16);
+            let mut mass = ops.assemble_laplacian();
+            mass.pattern_and_values_mut().2.copy_from_slice(ops.consistent_mass());
+            // One product `N_a·N_b` serves both triangles, elements arrive
+            // in one order: symmetric to the bit.
+            assert!(mass.is_symmetric(0.0));
+            assert!(ops.consistent_mass().iter().all(|&v| v > 0.0));
+            let row_sums = mass.mul_vec(&vec![1.0; m.num_nodes()]);
+            for (a, (sum, lumped)) in row_sums.iter().zip(ops.lumped_mass()).enumerate() {
+                assert!(
+                    (sum - lumped).abs() <= 4.0 * f64::EPSILON * lumped,
+                    "row {a} sums to {sum:e}, the lumped mass is {lumped:e}"
+                );
+            }
+            let total: f64 = ops.consistent_mass().iter().sum();
+            assert!((total - m.total_volume()).abs() < 1e-12 * m.total_volume());
+        }
+    }
+
+    #[test]
+    fn stiffness_is_the_laplacian_assembled_on_any_team() {
+        let m = mesh();
+        let ops = PressureOperators::new(&m, 8);
+        assert_same_bits(ops.stiffness(), ops.assemble_laplacian().values(), "held copy");
+        for threads in [1usize, 3] {
+            let lap = ops.assemble_laplacian_on(&Team::new(threads));
+            assert_same_bits(ops.stiffness(), lap.values(), &format!("{threads} threads"));
+        }
+    }
+
+    #[test]
+    fn momentum_passes_match_plain_loops_and_are_bitwise_equal_across_threads() {
+        // 11³ = 1331 rows and 29 791 entries: every pass forks on a team.
+        let m = BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().with_jitter(0.15, 5).build();
+        let n = m.num_nodes();
+        let ops = PressureOperators::new(&m, 32);
+        let (velocity, pressure) = (test_velocity(&m), test_pressure(&m));
+        let (nu, scale) = (0.01, 1.0 / 0.013);
+        let convection: Vec<f64> =
+            (0..ops.stiffness().len()).map(|k| (k as f64 * 0.37).sin()).collect();
+
+        // The oracle: S = ν·K + C entry by entry, −S·u − g through the CSR
+        // product and the gradient operator, S + scale·M entry by entry.
+        let mut s_matrix = ops.assemble_laplacian();
+        for ((s, k), c) in
+            s_matrix.pattern_and_values_mut().2.iter_mut().zip(ops.stiffness()).zip(&convection)
+        {
+            *s = nu * k + c;
+        }
+        let mut grad = vec![0.0; NDIME * n];
+        ops.weak_gradient_on(&Team::new(1), pressure.as_slice(), &mut grad);
+        let mut rhs_oracle = vec![0.0; NDIME * n];
+        for i in 0..NDIME {
+            let u_i: Vec<f64> = (0..n).map(|a| velocity.as_slice()[NDIME * a + i]).collect();
+            for (a, su) in s_matrix.mul_vec(&u_i).iter().enumerate() {
+                rhs_oracle[NDIME * a + i] = -su - grad[NDIME * a + i];
+            }
+        }
+        let full_oracle: Vec<f64> = s_matrix
+            .values()
+            .iter()
+            .zip(ops.consistent_mass())
+            .map(|(s, m)| s + scale * m)
+            .collect();
+
+        for threads in [1usize, 2, 4] {
+            let team = Team::new(threads);
+            let mut matrix = ops.assemble_laplacian();
+            matrix.pattern_and_values_mut().2.fill(f64::NAN);
+            ops.fill_viscous_on(&team, nu, &mut matrix);
+            for (v, c) in matrix.pattern_and_values_mut().2.iter_mut().zip(&convection) {
+                *v += c;
+            }
+            assert_same_bits(matrix.values(), s_matrix.values(), "ν·K + C");
+            let mut rhs = vec![f64::NAN; NDIME * n];
+            ops.momentum_residual_on(&team, &matrix, &velocity, pressure.as_slice(), &mut rhs);
+            assert_same_bits(&rhs, &rhs_oracle, &format!("residual, {threads} threads"));
+            ops.add_mass_on(&team, scale, &mut matrix);
+            assert_same_bits(matrix.values(), &full_oracle, &format!("mass, {threads} threads"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sparsity pattern")]
+    fn momentum_passes_reject_a_foreign_pattern() {
+        let ops = PressureOperators::new(&mesh(), 16);
+        let other = PressureOperators::new(&BoxMeshBuilder::new(3, 3, 3).build(), 16);
+        ops.fill_viscous_on(&Team::new(1), 1.0, &mut other.assemble_laplacian());
+    }
+
+    #[test]
+    fn kinetic_energy_through_the_mass_matches_the_quadrature() {
+        // 11³ rows: six reduction blocks, so teams of 2 and 4 really split.
+        let m = BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().with_jitter(0.15, 5).build();
+        let ops = PressureOperators::new(&m, 32);
+        let velocity = test_velocity(&m);
+        let quadrature = ops.kinetic_energy(&velocity, 1.3);
+        let reference = ops.kinetic_energy_on(&Team::new(1), &velocity, 1.3);
+        assert!(
+            (reference - quadrature).abs() <= 1e-13 * quadrature,
+            "{reference:e} vs the quadrature's {quadrature:e}"
+        );
+        for threads in [2usize, 4] {
+            let energy = ops.kinetic_energy_on(&Team::new(threads), &velocity, 1.3);
+            assert_eq!(energy.to_bits(), reference.to_bits(), "{threads} threads");
+        }
+    }
+
+    #[test]
     fn traffic_model_of_the_4_cubed_box() {
         // 5³ nodes; a node with k neighbours per direction (itself
         // included) stores k³ entries: Σ = (3·5 − 2)³.
@@ -1185,5 +1532,14 @@ mod tests {
         assert_eq!(ops.streamed_bytes(), 8 * NDIME * nnz + std::mem::size_of::<usize>() * nnz);
         assert_eq!(ops.gradient_flops(), (2 * NDIME * nnz) as u64);
         assert_eq!(ops.divergence_flops(), (2 * NDIME * nnz) as u64);
+        // The three global passes of a momentum assembly: ν·K (K in, values
+        // out), the residual (values, columns, coefficients, u, p in; rhs
+        // out), the mass update (M in, values in and out).
+        let (n, index) = (125, std::mem::size_of::<usize>());
+        assert_eq!(ops.momentum_pass_flops(), (nnz + (12 * nnz + 6 * n) + 2 * nnz) as u64);
+        assert_eq!(
+            ops.momentum_pass_bytes(),
+            (16 * nnz + (8 + index + 24) * nnz + 8 * 7 * n + 24 * nnz) as u64
+        );
     }
 }

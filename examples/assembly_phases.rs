@@ -11,27 +11,51 @@
 //! they have no clone and show the run-to-run noise of the pair.  The two
 //! widths must assemble the same bits (asserted).
 //!
+//! The fifth column, "VS 128 step", is the sweep a time step runs
+//! (`NastinAssembly::assemble_convective_into_on`, in mesh order here like
+//! the other columns): phases 1, 2, 3, the velocity-only phase 4, 5, the
+//! matrix-only phase 6, no phase 7 and a matrix-only scatter.  Its row
+//! "K,r,M" is what replaces the rest — the three global passes of
+//! `lv_kernel::assemble_momentum_on` (`ν·K` fill, residual row pass, mass
+//! update) on one thread, in ns per element so the column adds up.  The
+//! reduced sweep must assemble, bit for bit, what the full phases assemble
+//! with phase 7 skipped (asserted).
+//!
 //! ```text
 //! cargo run --release --example assembly_phases [-- <elements per side, default 32>]
 //! ```
 
 use lv_kernel::phases;
-use lv_kernel::{ElementWorkspace, KernelConfig, OptLevel};
+use lv_kernel::{ElementWorkspace, KernelConfig, OptLevel, PressureOperators};
 use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{
     BoxMeshBuilder, ElementChunks, ElementKind, Field, Mesh, MeshTopology, ShapeTable, Vec3,
     VectorField,
 };
-use lv_runtime::Lanes;
+use lv_runtime::{Lanes, Team};
 use lv_solver::CsrMatrix;
 use std::time::Instant;
 
 const SWEEPS: usize = 7;
 
+/// Which phases a timed sweep runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Sweep {
+    /// The paper's eight phases.
+    Full,
+    /// The full phases with phase 7 skipped: what the step's sweep must
+    /// reproduce bit for bit.
+    FullWithoutViscous,
+    /// The step's convective-only selection.
+    Step,
+}
+
 /// Seconds per phase of one sweep (phases 1–8 in slots 0–7), phases 3–7 at
 /// `lanes`.
+#[allow(clippy::too_many_arguments)]
 fn timed_sweep(
     lanes: Lanes,
+    sweep: Sweep,
     mesh: &Mesh,
     topology: &MeshTopology,
     config: &KernelConfig,
@@ -61,18 +85,57 @@ fn timed_sweep(
         lap(2);
         phases::phase3_jacobian_slices_at(lanes, &shape, &mut v);
         lap(3);
-        phases::phase4_gauss_values_slices_at(lanes, &shape, &mut v);
+        if sweep == Sweep::Step {
+            phases::phase4_gauss_velocity_slices_at(lanes, &shape, &mut v);
+        } else {
+            phases::phase4_gauss_values_slices_at(lanes, &shape, &mut v);
+        }
         lap(4);
         phases::phase5_stabilization_slices_at(lanes, config, h_char, &mut v);
         lap(5);
-        phases::phase6_convective_slices_at(lanes, &shape, config, &mut v);
+        if sweep == Sweep::Step {
+            phases::phase6_convective_matrix_slices_at(lanes, &shape, config, &mut v);
+        } else {
+            phases::phase6_convective_slices_at(lanes, &shape, config, &mut v);
+        }
         lap(6);
-        phases::phase7_viscous_slices_at(lanes, &shape, config, &mut v);
+        if sweep == Sweep::Full {
+            phases::phase7_viscous_slices_at(lanes, &shape, config, &mut v);
+        }
         lap(7);
-        phases::phase8_scatter_slices(mesh, topology, config, &v, matrix, rhs);
+        if sweep == Sweep::Step {
+            // The matrix half of phase 8: element matrices through the slot
+            // map, no right-hand side.
+            let (_, _, values) = matrix.pattern_and_values_mut();
+            for iv in 0..v.vs {
+                let Some(elem) = v.element_ids[iv] else { continue };
+                for (k, &slot) in topology.csr_slots(elem).iter().enumerate() {
+                    values[slot as usize] += v.elauu[k * v.vs + iv];
+                }
+            }
+        } else {
+            phases::phase8_scatter_slices(mesh, topology, config, &v, matrix, rhs);
+        }
         lap(8);
     }
     seconds
+}
+
+/// Seconds of the three global passes of `assemble_momentum_on` on one
+/// thread: `ν·K` fill, residual row pass, mass update.
+fn timed_passes(
+    operators: &PressureOperators,
+    config: &KernelConfig,
+    (velocity, pressure): &(VectorField, Field),
+    matrix: &mut CsrMatrix,
+    rhs: &mut [f64],
+) -> f64 {
+    let team = Team::new(1);
+    let start = Instant::now();
+    operators.fill_viscous_on(&team, config.viscosity, matrix);
+    operators.momentum_residual_on(&team, matrix, velocity, pressure.as_slice(), rhs);
+    operators.add_mass_on(&team, config.density / config.dt, matrix);
+    start.elapsed().as_secs_f64()
 }
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -102,22 +165,28 @@ fn main() {
             config
         }
     });
+    let step_config = KernelConfig::new(128, OptLevel::Vec1);
     // The legs take their sweeps in turn, so all see the same stretch of
     // host noise; a leg is a configuration at one of the two widths.  Which
     // width of a configuration goes first alternates from sweep to sweep:
     // the second finds the mesh and the matrix in cache, which is most of
     // phases 1, 2 and 8 at `VECTOR_SIZE` 16.
     let widths = [Lanes::Baseline, Lanes::selected()];
-    let legs: Vec<(&KernelConfig, Lanes)> =
-        configs.iter().flat_map(|config| widths.map(|lanes| (config, lanes))).collect();
+    let legs: Vec<(&KernelConfig, Sweep, Lanes)> = configs
+        .iter()
+        .map(|config| (config, Sweep::Full))
+        .chain([(&step_config, Sweep::Step)])
+        .flat_map(|(config, sweep)| widths.map(|lanes| (config, sweep, lanes)))
+        .collect();
     let mut sweeps = vec![Vec::new(); legs.len()];
     let mut assembled = vec![Vec::new(); legs.len()];
     for sweep in 0..SWEEPS {
         for slot in 0..legs.len() {
             let leg = slot ^ (sweep & 1);
-            let (config, lanes) = legs[leg];
+            let (config, phases, lanes) = legs[leg];
             sweeps[leg].push(timed_sweep(
                 lanes,
+                phases,
                 &mesh,
                 &topology,
                 config,
@@ -134,16 +203,46 @@ fn main() {
     for pair in assembled.chunks(2) {
         assert!(pair[0] == pair[1], "the wide clones must assemble the baseline's bits");
     }
-    // Rows 0–7: phases 1–8; row 8: their sum.
+    // The reduced phases against the full ones on what both write: the full
+    // sweep with phase 7 skipped scatters the same element matrices (its
+    // right-hand side, which the step's sweep does not have, is left out).
+    timed_sweep(
+        Lanes::Baseline,
+        Sweep::FullWithoutViscous,
+        &mesh,
+        &topology,
+        &step_config,
+        &state,
+        &mut matrix,
+        &mut rhs,
+    );
+    let step_leg = assembled.last().expect("the step legs ran");
+    assert!(
+        matrix.values().iter().map(|v| v.to_bits()).eq(step_leg[..matrix.nnz()].iter().copied()),
+        "the step's reduced phases must assemble the full phases' convection matrix"
+    );
+
+    let operators = PressureOperators::new(&mesh, step_config.vector_size);
+    let passes_ns =
+        1e9 * median(
+            (0..SWEEPS)
+                .map(|_| timed_passes(&operators, &step_config, &state, &mut matrix, &mut rhs))
+                .collect(),
+        ) / mesh.num_elements() as f64;
+
+    // Rows 0–7: phases 1–8; row 8: the global passes (step column only);
+    // row 9: the column's sum.
     let table: Vec<Vec<f64>> = sweeps
         .iter()
-        .map(|sweeps| {
+        .zip(&legs)
+        .map(|(sweeps, (_, phases, _))| {
             let mut leg: Vec<f64> = (0..8)
                 .map(|p| {
                     let seconds = median(sweeps.iter().map(|s| s[p]).collect());
                     1e9 * seconds / mesh.num_elements() as f64
                 })
                 .collect();
+            leg.push(if *phases == Sweep::Step { passes_ns } else { 0.0 });
             leg.push(leg.iter().sum());
             leg
         })
@@ -158,11 +257,15 @@ fn main() {
         Lanes::selected().describe()
     );
     println!(
-        "{:>6} {:>13} {:>13} {:>13} {:>13}",
-        "phase", "VS 16", "VS 128", "VS 240", "VS 240 expl."
+        "{:>6} {:>13} {:>13} {:>13} {:>13} {:>13}",
+        "phase", "VS 16", "VS 128", "VS 240", "VS 240 expl.", "VS 128 step"
     );
-    for row in 0..9 {
-        let label = if row < 8 { (row + 1).to_string() } else { "sum".to_string() };
+    for row in 0..10 {
+        let label = match row {
+            0..=7 => (row + 1).to_string(),
+            8 => "K,r,M".to_string(),
+            _ => "sum".to_string(),
+        };
         print!("{label:>6}");
         for pair in table.chunks(2) {
             print!(" {:>6.0}|{:<6.0}", pair[0][row], pair[1][row]);
