@@ -647,7 +647,11 @@ impl Stepper {
     /// examples print before the first step, so neither fallback is silent.
     pub fn describe_operators(&self) -> String {
         let pressure = match (&self.poisson, self.config.pressure_solver) {
-            (PoissonSystem::Multigrid(mg), _) => format!("mgcg ({} levels)", mg.num_levels()),
+            (PoissonSystem::Multigrid(mg), _) => {
+                let storage: Vec<String> =
+                    mg.level_storage().iter().map(ToString::to_string).collect();
+                format!("mgcg ({} levels: {})", mg.num_levels(), storage.join(" | "))
+            }
             (PoissonSystem::Csr(_), PressureSolver::Cg) => "cg (configured)".to_string(),
             (PoissonSystem::Csr(_), PressureSolver::MgCg) => format!(
                 "cg (no multigrid hierarchy: no box lattice, or a level has more than {} \

@@ -70,6 +70,12 @@
 //! the same loops on `f32` vectors: half the bytes per row and twice the
 //! lanes per instruction, for the multigrid V-cycle that only has to be a
 //! good preconditioner, not an exact one.
+//!
+//! **Not the only storage of a level.**  Where long runs of rows repeat — a
+//! uniform box from 17 elements a side — the V-cycle keeps a level as
+//! [`RowClasses`](crate::classes::RowClasses) instead, built from these
+//! diagonals block by block and held to the bits of the two fused kernels
+//! here.
 
 use crate::csr::CsrMatrix;
 use crate::operator::LinearOperator;
@@ -100,6 +106,7 @@ mod sealed {
 pub trait Scalar:
     sealed::Sealed
     + Copy
+    + PartialEq
     + Send
     + Sync
     + Add<Output = Self>
@@ -109,6 +116,8 @@ pub trait Scalar:
 {
     /// `+0.0`.
     const ZERO: Self;
+    /// The machine epsilon of this precision, as an `f64`.
+    const EPSILON: f64;
     /// `value` rounded to nearest in this precision (the identity for `f64`).
     fn from_f64(value: f64) -> Self;
     /// `self` widened to `f64` (exact).
@@ -117,6 +126,7 @@ pub trait Scalar:
 
 impl Scalar for f64 {
     const ZERO: f64 = 0.0;
+    const EPSILON: f64 = f64::EPSILON;
     #[inline]
     fn from_f64(value: f64) -> f64 {
         value
@@ -129,6 +139,7 @@ impl Scalar for f64 {
 
 impl Scalar for f32 {
     const ZERO: f32 = 0.0;
+    const EPSILON: f64 = f32::EPSILON as f64;
     #[inline]
     fn from_f64(value: f64) -> f32 {
         value as f32
@@ -236,6 +247,21 @@ impl<T: Scalar> DiaMatrix<T> {
     #[inline]
     pub fn offsets(&self) -> &[isize] {
         &self.offsets
+    }
+
+    /// The block that starts at row `block_start` (a multiple of
+    /// [`BLOCK_ROWS`]): its length in rows, and its values — one run of that
+    /// length per offset, back to back.
+    pub(crate) fn block(&self, block_start: usize) -> (&[T], usize) {
+        debug_assert_eq!(block_start % BLOCK_ROWS, 0);
+        let (nd, len) = (self.offsets.len(), BLOCK_ROWS.min(self.n - block_start));
+        (&self.values[block_start * nd..(block_start + len) * nd], len)
+    }
+
+    /// The stored value of `row` on the `k`-th offset (padding reads `+0.0`).
+    pub(crate) fn entry(&self, k: usize, row: usize) -> T {
+        let (block, len) = self.block(row - row % BLOCK_ROWS);
+        block[k * len + row % BLOCK_ROWS]
     }
 
     /// Bytes one product streams: the padded value run at `size_of::<T>()`
@@ -428,7 +454,7 @@ impl<T: Scalar> DiaMatrix<T> {
 /// Whether two slices share no byte — the no-alias precondition of the
 /// kernels, which safe callers get from the borrow checker and the pooled
 /// callers (raw disjoint row ranges) must uphold themselves.
-fn disjoint<T>(a: &[T], b: &[T]) -> bool {
+pub(crate) fn disjoint<T>(a: &[T], b: &[T]) -> bool {
     let (a, b) = (a.as_ptr_range(), b.as_ptr_range());
     a.end <= b.start || b.end <= a.start
 }
@@ -579,6 +605,7 @@ impl LinearOperator for DiaMatrix<f64> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::classes::RowClasses;
     use crate::multivector::MultiVector;
     use crate::parallel::VectorOps;
     use lv_runtime::{Lanes, Team};
@@ -953,9 +980,12 @@ pub(crate) mod tests {
         }
     }
 
-    /// The four kernels at `T`, baseline body against wide clone, on row
-    /// ranges that start and end mid-block, cover a single row, nothing at
-    /// all, and a matrix with fewer rows than one register has lanes.
+    /// The four kernels at `T` — and the two of the [`RowClasses`] of the
+    /// same matrix — baseline body against wide clone, on row ranges that
+    /// start and end mid-block (and mid-run), cover a single row, nothing at
+    /// all, and a matrix with fewer rows than one register has lanes.  The
+    /// tridiagonal matrices give the class kernels runs of one row, the
+    /// lattice runs of 35: wide, narrow and overlapped windows.
     fn assert_clones_match_their_baseline<T: Scalar>() {
         let lanes = Lanes::selected();
         if lanes == Lanes::Baseline {
@@ -964,10 +994,21 @@ pub(crate) mod tests {
         }
         let narrow = |v: Vec<f64>| v.into_iter().map(T::from_f64).collect::<Vec<T>>();
         let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<u64>>();
-        for n in [3usize, 700, 2 * BLOCK_ROWS + 77] {
+        let pinned_tridiag = |n: usize| {
             let mut csr = tridiag(n);
             csr.pin_rows_symmetric(&[n / 2]);
-            let dia = DiaMatrix::<T>::from_csr(&csr).expect("three diagonals");
+            csr
+        };
+        let matrices = [
+            pinned_tridiag(3),
+            pinned_tridiag(700),
+            pinned_tridiag(2 * BLOCK_ROWS + 77),
+            crate::classes::tests::noisy_lattice(37, 19, &[40]),
+        ];
+        for csr in matrices {
+            let n = csr.dim();
+            let dia = DiaMatrix::<T>::from_csr(&csr).expect("a lattice stencil");
+            let classes = RowClasses::<T>::from_dia(&dia).expect("at most 255 distinct rows");
             let (x, b) = (narrow(awkward_vector(n, 41)), narrow(awkward_vector(n, 43)));
             let inv_diag = narrow(crate::krylov::inverse_diagonal(&csr, true));
             let omega = T::from_f64(0.8);
@@ -982,12 +1023,22 @@ pub(crate) mod tests {
             ];
             for rows in ranges.into_iter().filter(|rows| rows.start <= rows.end) {
                 let run = |lanes| {
-                    let mut out = [(); 6].map(|()| vec![T::from_f64(f64::NAN); rows.len()]);
-                    let [product, sweep, residual, y0, y1, y2] = &mut out;
+                    let mut out = [(); 8].map(|()| vec![T::from_f64(f64::NAN); rows.len()]);
+                    let [product, sweep, residual, y0, y1, y2, by_class, r_by_class] = &mut out;
                     dia.product_into_at(lanes, &x, rows.clone(), product);
                     dia.jacobi_range_at(lanes, &x, &b, &inv_diag, omega, rows.clone(), sweep);
                     dia.residual_range_at(lanes, &x, &b, rows.clone(), residual);
                     dia.product3_into_at(lanes, [&x, &b, &inv_diag], rows.clone(), [y0, y1, y2]);
+                    classes.jacobi_range_at(
+                        lanes,
+                        &x,
+                        &b,
+                        &inv_diag,
+                        omega,
+                        rows.clone(),
+                        by_class,
+                    );
+                    classes.residual_range_at(lanes, &x, &b, rows.clone(), r_by_class);
                     out.map(|v| bits(&v))
                 };
                 assert_eq!(run(Lanes::Baseline), run(lanes), "n={n}, rows {rows:?}");

@@ -31,9 +31,15 @@
 //!   values, generic over a sealed scalar: in `f64` its products are
 //!   bitwise equal to CSR, in `f32` it is the half-size, twice-as-wide form
 //!   the V-cycle runs on;
+//! * [`classes`] — [`RowClasses`], the storage of a lattice operator whose
+//!   rows repeat: a table of the distinct rows (31 on a uniform cavity level
+//!   once rounded to `f32`) and the runs of rows that carry them, with the
+//!   same fused sweep and residual kernels, bitwise equal to the diagonal
+//!   ones — ~40 KB where the diagonals are 3.9 MB;
 //! * [`multigrid`] — geometric-multigrid V-cycle (trilinear interpolation,
-//!   Galerkin coarse operators kept as [`DiaMatrix`] levels, one fused pass
-//!   per damped-Jacobi sweep, dense-LU coarsest solve) run in `f32`, and the
+//!   Galerkin coarse operators kept per level as row classes where long
+//!   runs of rows repeat and as [`DiaMatrix`] diagonals elsewhere, one fused
+//!   pass per damped-Jacobi sweep, dense-LU coarsest solve) run in `f32`, and the
 //!   `f64` flexible-CG solver [`mg_preconditioned_cg`] it preconditions,
 //!   bitwise reproducible at every thread count;
 //! * [`parallel`] — the deterministic parallel kernels behind them:
@@ -44,6 +50,7 @@
 
 #![warn(missing_docs)]
 
+pub mod classes;
 pub mod csr;
 pub mod dense;
 pub mod dia;
@@ -53,6 +60,7 @@ pub mod multivector;
 pub mod operator;
 pub mod parallel;
 
+pub use classes::RowClasses;
 pub use csr::{CsrMatrix, ProfileStats};
 pub use dense::DenseMatrix;
 pub use dia::DiaMatrix;
@@ -62,7 +70,7 @@ pub use krylov::{
 };
 pub use multigrid::{
     galerkin_coarse, mg_preconditioned_cg, mg_preconditioned_cg_on, GeometricMultigrid,
-    Interpolation, MultigridOptions,
+    Interpolation, LevelStorage, MultigridOptions,
 };
 pub use multivector::{MultiVector, NRHS};
 pub use operator::{JacobiPreconditioner, LinearOperator, Preconditioner};

@@ -14,13 +14,22 @@
 //! * Galerkin coarse operators `A_c = Pᵀ·A·P`, assembled serially at setup
 //!   (deterministic, and SPD whenever `A` is SPD because `P` has full
 //!   column rank).  CSR is only the set-up intermediate: every level is
-//!   kept as a [`DiaMatrix`] (block-major diagonals, no column indices —
-//!   see [`crate::dia`]);
+//!   kept in one of two storages, chosen by its matrix and by nothing else
+//!   ([`LevelStorage`]) — as [`RowClasses`] (a table of the distinct rows
+//!   and the runs of rows that carry them, see [`crate::classes`]) when at
+//!   least half its rows lie in runs of 16 or more that share a row, as a
+//!   [`DiaMatrix`] (block-major diagonals, no column indices — see
+//!   [`crate::dia`]) otherwise.  The fine level of a uniform 32³ box takes
+//!   classes (runs of 31; 3.9 MB of `f32` diagonals become ~40 KB and are
+//!   never built); its 17³ / 9³ / 5³ levels, every level of a 16³ or
+//!   smaller box and every graded or jittered lattice keep diagonals, where
+//!   they are cache-resident or no two rows agree;
 //! * damped-Jacobi smoothing (equal pre/post sweep counts), one fused
-//!   [`DiaMatrix::jacobi_range`] pass per sweep into a ping-pong buffer,
-//!   partitioned over the caller's [`VectorOps`] team — rows are disjoint
-//!   and each row's arithmetic is partition-independent, so every cycle is
-//!   reproducible;
+//!   `jacobi_range` pass per sweep ([`RowClasses::jacobi_range`] or
+//!   [`DiaMatrix::jacobi_range`], the same expression tree) into a
+//!   ping-pong buffer, partitioned over the caller's [`VectorOps`] team —
+//!   rows are disjoint and each row's arithmetic is partition-independent,
+//!   so every cycle is reproducible;
 //! * a pivoted dense LU direct solve on the coarsest level, factored once.
 //!   A *fixed* coarse solve keeps the V-cycle linear — a tolerance-based
 //!   inner CG would make the preconditioner nonlinear and void the outer CG
@@ -38,7 +47,10 @@
 //! under- and overflow however small the CG residual gets.  The `f64`
 //! instantiation of the same source exists under `#[cfg(test)]` only, where
 //! it is held bit for bit to the CSR four-kernel cycle it descends from; the
-//! `f32` one is held to *that* within a pinned multiple of `ε_f32`.
+//! `f32` one is held to *that* within a pinned multiple of `ε_f32`.  (The
+//! storage choice is generic too: the `f64` cycle of a 1-D Laplacian runs on
+//! classes and still carries the CSR bits — nothing there is below `f64`'s
+//! epsilon, so nothing is dropped.)
 //!
 //! Damped Jacobi is self-adjoint in the `A` inner product and the pre/post
 //! sweep counts match, so the exact V-cycle is a symmetric positive-definite
@@ -49,6 +61,7 @@
 //! the all-`f64` cycle.  Results are bitwise identical across thread counts;
 //! they are no longer the bits of the CSR cycle.
 
+use crate::classes::RowClasses;
 use crate::csr::CsrMatrix;
 use crate::dia::{DiaMatrix, Scalar};
 use crate::krylov::{conjugate_gradient_with, SolveOptions, SolveOutcome, SolverError};
@@ -56,6 +69,7 @@ use crate::operator::{LinearOperator, Preconditioner};
 use crate::parallel::VectorOps;
 use lv_runtime::{SharedSliceMut, Team};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Tuning knobs of the V-cycle.
@@ -338,11 +352,102 @@ impl DenseLu {
     }
 }
 
+/// How a level of the hierarchy stores its operator — what
+/// [`GeometricMultigrid::level_storage`] reports and the examples print.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LevelStorage {
+    /// A table of the distinct rows and the runs that carry them
+    /// ([`RowClasses`]): a level whose rows repeat in long runs.
+    RowClasses {
+        /// Distinct rows in the table.
+        classes: usize,
+    },
+    /// Block-major diagonals ([`DiaMatrix`]): every other smoothed level.
+    Diagonals {
+        /// Distinct `col − row` offsets of the pattern.
+        diagonals: usize,
+    },
+    /// The coarsest level: a dense LU factorization, no smoothing.
+    DenseLu,
+}
+
+impl std::fmt::Display for LevelStorage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LevelStorage::RowClasses { classes } => write!(f, "{classes} row classes"),
+            LevelStorage::Diagonals { diagonals } => write!(f, "{diagonals} diagonals"),
+            LevelStorage::DenseLu => f.write_str("lu"),
+        }
+    }
+}
+
+/// The operator of one level, in the one storage the level's matrix chose:
+/// row classes where at least half the rows lie in long runs of one class
+/// (the fine level of a uniform 32³ box — 3.9 MB of diagonals as ~40 KB),
+/// diagonals everywhere else (graded or jittered lattices, where no two
+/// rows agree, and small levels, where the diagonals are cache-resident and
+/// the runs too short to fill a window).  Same kernels, same bits up to the
+/// sub-epsilon entries the classes drop.
+#[derive(Debug, Clone)]
+enum LevelOperator<T: Scalar> {
+    Classes(RowClasses<T>),
+    Diagonals(DiaMatrix<T>),
+}
+
+impl<T: Scalar> LevelOperator<T> {
+    /// The storage of a level: its `classes` when
+    /// [`RowClasses::from_dia_with_long_runs`] found that they pay, else
+    /// `diagonals()` — which a level that takes classes never asks for.
+    fn new(
+        classes: Option<RowClasses<T>>,
+        diagonals: impl FnOnce() -> DiaMatrix<T>,
+    ) -> LevelOperator<T> {
+        classes.map_or_else(|| LevelOperator::Diagonals(diagonals()), LevelOperator::Classes)
+    }
+
+    fn storage(&self) -> LevelStorage {
+        match self {
+            LevelOperator::Classes(c) => LevelStorage::RowClasses { classes: c.num_classes() },
+            LevelOperator::Diagonals(d) => LevelStorage::Diagonals { diagonals: d.offsets().len() },
+        }
+    }
+
+    /// Modeled flops and bytes of one traversal (a sweep or a residual).
+    fn traffic(&self) -> (u64, u64) {
+        match self {
+            LevelOperator::Classes(c) => (c.apply_flops(), c.streamed_bytes() as u64),
+            LevelOperator::Diagonals(d) => (d.apply_flops(), d.streamed_bytes() as u64),
+        }
+    }
+
+    fn jacobi_range(
+        &self,
+        x: &[T],
+        b: &[T],
+        inv_diag: &[T],
+        omega: T,
+        rows: Range<usize>,
+        xn: &mut [T],
+    ) {
+        match self {
+            LevelOperator::Classes(c) => c.jacobi_range(x, b, inv_diag, omega, rows, xn),
+            LevelOperator::Diagonals(d) => d.jacobi_range(x, b, inv_diag, omega, rows, xn),
+        }
+    }
+
+    fn residual_range(&self, x: &[T], b: &[T], rows: Range<usize>, r: &mut [T]) {
+        match self {
+            LevelOperator::Classes(c) => c.residual_range(x, b, rows, r),
+            LevelOperator::Diagonals(d) => d.residual_range(x, b, rows, r),
+        }
+    }
+}
+
 /// Per-level state of a cycle running in the scalar `T`: the (Galerkin)
 /// operator, its inverse diagonal for the smoother, and the scratch vectors.
 #[derive(Debug, Clone)]
 struct Level<T: Scalar> {
-    matrix: DiaMatrix<T>,
+    matrix: LevelOperator<T>,
     inv_diag: Vec<T>,
     x: Vec<T>,
     b: Vec<T>,
@@ -354,7 +459,7 @@ struct Level<T: Scalar> {
 impl<T: Scalar> Level<T> {
     /// The level whose operator is `exact` in `f64` and `matrix` in `T`.
     /// The inverse diagonal is taken in `f64` and rounded once.
-    fn new(exact: &dyn LinearOperator, matrix: DiaMatrix<T>) -> Level<T> {
+    fn new(exact: &dyn LinearOperator, matrix: LevelOperator<T>) -> Level<T> {
         let inv_diag =
             crate::krylov::inverse_diagonal(exact, true).into_iter().map(T::from_f64).collect();
         let zeros = || vec![T::ZERO; exact.dim()];
@@ -477,10 +582,14 @@ impl<T: Scalar> Cycle<T> {
         // each coarse level is filled in `T` straight from it, in
         // `from_csr`'s one pass, and the CSR form is dropped.
         let mut csr = Cow::Borrowed(fine);
-        let mut levels = vec![Level::new(fine_dia, fine_dia.cast())];
+        let fine_operator =
+            LevelOperator::new(RowClasses::from_dia_with_long_runs(fine_dia), || fine_dia.cast());
+        let mut levels = vec![Level::new(fine_dia, fine_operator)];
         for p in &interps {
             csr = Cow::Owned(galerkin_coarse(&csr, p));
-            levels.push(Level::new(&*csr, DiaMatrix::from_csr(&csr)?));
+            let dia = DiaMatrix::<T>::from_csr(&csr)?;
+            let operator = LevelOperator::new(RowClasses::from_dia_with_long_runs(&dia), || dia);
+            levels.push(Level::new(&*csr, operator));
         }
         let coarse_lu = DenseLu::from_csr(&csr)?;
         let coarse = csr.dim();
@@ -505,7 +614,7 @@ impl<T: Scalar> Cycle<T> {
     /// Both factors are exact, so in `f64` they change no bit.
     fn v_cycle(&mut self, ops: &VectorOps<'_>, rhs: &[f64], z: &mut [f64]) {
         let nl = self.levels.len();
-        assert_eq!(rhs.len(), self.levels[0].matrix.dim());
+        assert_eq!(rhs.len(), self.levels[0].x.len());
         assert_eq!(z.len(), rhs.len());
         let trace = ops.trace();
         let cycle = trace.map(|t| t.span(lv_trace::spans::MG_VCYCLE, 0).iters(1));
@@ -524,13 +633,9 @@ impl<T: Scalar> Cycle<T> {
         // first sweep from zero touches no matrix and the residual takes
         // its place; up, every sweep is one traversal.
         let sweeps = self.sweeps as u64;
-        let leg_span = |l: usize, matrix: &DiaMatrix<T>| {
-            level_span(
-                l,
-                sweeps,
-                sweeps * matrix.apply_flops(),
-                sweeps * matrix.streamed_bytes() as u64,
-            )
+        let leg_span = |l: usize, matrix: &LevelOperator<T>| {
+            let (flops, bytes) = matrix.traffic();
+            level_span(l, sweeps, sweeps * flops, sweeps * bytes)
         };
         let (scale, unscale) = entry_scale(max_abs(rhs));
         for l in 0..nl - 1 {
@@ -633,7 +738,20 @@ impl GeometricMultigrid {
 
     /// Rows per level, finest first.
     pub fn level_rows(&self) -> Vec<usize> {
-        self.cycle.levels.iter().map(|l| l.matrix.dim()).collect()
+        self.cycle.levels.iter().map(|l| l.x.len()).collect()
+    }
+
+    /// How each level stores its operator, finest first: the storage its
+    /// matrix chose for every smoothed level, [`LevelStorage::DenseLu`] for
+    /// the coarsest.  Reporting only — nothing selects a storage but the
+    /// level's own rows.
+    pub fn level_storage(&self) -> Vec<LevelStorage> {
+        let smoothed = &self.cycle.levels[..self.cycle.levels.len() - 1];
+        smoothed
+            .iter()
+            .map(|l| l.matrix.storage())
+            .chain(std::iter::once(LevelStorage::DenseLu))
+            .collect()
     }
 
     /// The `f64` operator of the finest level: the bits of the CSR matrix
@@ -1436,6 +1554,101 @@ mod tests {
         assert_eq!(max_abs(&[1.0, f64::NAN, -3.0]), 3.0);
     }
 
+    /// A tensor grid of `points` nodes per direction (x first), node `i` at
+    /// `(i / (points − 1))^power`: uniform at 1, smoothly graded otherwise.
+    fn tensor_grids(points: [usize; 3], power: f64) -> [Vec<f64>; 3] {
+        points.map(|n| (0..n).map(|i| (i as f64 / (n - 1) as f64).powf(power)).collect())
+    }
+
+    /// The pinned lattice Laplacian of `grids` and the interpolations down
+    /// two coarsenings.
+    fn tensor_problem(grids: &[Vec<f64>; 3]) -> (CsrMatrix, Vec<Interpolation>) {
+        fn slices(grids: &[Vec<f64>; 3]) -> [&[f64]; 3] {
+            [0, 1, 2].map(|d| grids[d].as_slice())
+        }
+        let mid = [0, 1, 2].map(|d| every_other(&grids[d]));
+        let mut a = lattice_laplacian(slices(grids));
+        a.pin_rows_symmetric(&[0]);
+        (a, vec![lattice_interpolation(slices(grids)), lattice_interpolation(slices(&mid))])
+    }
+
+    /// The storage is the matrix's choice: x-lines of 33 uniform nodes are
+    /// runs of 31 and the level takes classes; the 17-node lines below it
+    /// (runs of 15), a graded box, a jittered one and 300 blocks of
+    /// repeating rows (long runs, but too many classes for the table) keep
+    /// their diagonals — and with them, in `f64`, the bits of the CSR cycle.
+    #[test]
+    fn only_levels_whose_rows_repeat_in_long_runs_take_classes() {
+        let options = MultigridOptions::default();
+        let storage = |a: &CsrMatrix, interps: Vec<Interpolation>| {
+            GeometricMultigrid::new(a, interps, &options).expect("SPD hierarchy").level_storage()
+        };
+        let diagonals = LevelStorage::Diagonals { diagonals: 27 };
+
+        let (uniform, interps) = tensor_problem(&tensor_grids([33, 9, 9], 1.0));
+        // 27 positions in the box, and the 7 neighbours of the pinned
+        // corner (the cells are not cubes, so no coupling vanishes).
+        let classes = LevelStorage::RowClasses { classes: 34 };
+        assert_eq!(storage(&uniform, interps), [classes, diagonals, LevelStorage::DenseLu]);
+
+        let (graded, interps) = tensor_problem(&tensor_grids([33, 9, 9], 1.3));
+        assert_eq!(storage(&graded, interps), [diagonals, diagonals, LevelStorage::DenseLu]);
+        for (_, jittered, interps) in lattice_problems() {
+            assert_eq!(storage(&jittered, interps), [diagonals, diagonals, LevelStorage::DenseLu]);
+        }
+
+        // 4799 rows in blocks of 16 that share a diagonal entry: 300 classes.
+        let mut blocks = laplacian_1d(4799);
+        for row in 0..blocks.dim() {
+            let slot = blocks.entry_index(row, row).expect("a diagonal entry");
+            blocks.pattern_and_values_mut().2[slot] += 0.01 * (row / 16) as f64;
+        }
+        let interps: Vec<Interpolation> =
+            [2399, 1199, 599, 299, 149, 74].map(linear_interpolation_1d).into();
+        let mut exact = cycle_f64(&blocks, interps.clone());
+        assert_eq!(
+            exact.levels[0].matrix.storage(),
+            LevelStorage::Diagonals { diagonals: 3 },
+            "300 classes do not fit the table"
+        );
+        let mut reference = oracle::CsrMultigrid::new(&blocks, interps, &options);
+        let rhs = crate::dia::tests::awkward_vector(blocks.dim(), 43);
+        let (mut z, mut z_ref) = (vec![0.0; rhs.len()], vec![0.0; rhs.len()]);
+        exact.v_cycle(&VectorOps::serial(), &rhs, &mut z);
+        reference.apply(&mut VectorOps::serial(), &rhs, &mut z_ref);
+        assert_same_bits(&z, &z_ref, "the diagonal path of the 300-class level");
+    }
+
+    /// A level on classes and the same level on the diagonals of the flushed
+    /// matrix smooth and take residuals to the same bits, on teams that
+    /// split the rows mid-run (2 673 rows: the pooled paths fork).
+    #[test]
+    fn a_class_level_carries_the_bits_of_its_flushed_diagonals_on_every_team() {
+        let (a, _) = tensor_problem(&tensor_grids([33, 9, 9], 1.0));
+        let exact: DiaMatrix = DiaMatrix::from_csr(&a).expect("a lattice stencil");
+        let classes = RowClasses::<f32>::from_dia_with_long_runs(&exact).expect("runs of 31");
+        let diagonals = DiaMatrix::<f32>::from_csr(&crate::classes::flushed::<f32>(&a))
+            .expect("the same pattern");
+        let mut on_classes = Level::new(&exact, LevelOperator::Classes(classes));
+        let mut on_diagonals = Level::new(&exact, LevelOperator::Diagonals(diagonals));
+        let n = a.dim();
+        let noise = |seed| -> Vec<f32> {
+            crate::dia::tests::awkward_vector(n, seed).into_iter().map(|v| v as f32).collect()
+        };
+        let bits = |v: &[f32]| v.iter().map(|e| e.to_bits()).collect::<Vec<u32>>();
+        for threads in [1usize, 2, 4] {
+            let team = Team::new(threads);
+            let ops = VectorOps::on_team(&team);
+            for level in [&mut on_classes, &mut on_diagonals] {
+                (level.x, level.b) = (noise(61), noise(67));
+                level.smooth(&ops, 3, 0.8);
+                level.residual(&ops);
+            }
+            assert_eq!(bits(&on_classes.x), bits(&on_diagonals.x), "sweeps, {threads} threads");
+            assert_eq!(bits(&on_classes.r), bits(&on_diagonals.r), "residual, {threads} threads");
+        }
+    }
+
     #[test]
     fn a_level_that_is_not_a_lattice_stencil_yields_no_hierarchy() {
         // Same two-level problem, fine rows in a scrambled order: the
@@ -1471,27 +1684,53 @@ mod tests {
     #[test]
     fn level_spans_record_the_true_traversal_counts() {
         use lv_runtime::TraceConfig;
-        let (a, mut mg) = two_level_1d(15, &MultigridOptions::default());
-        let mut team = Team::with_trace(1, TraceConfig::default());
-        let rhs = vec![1.0; a.dim()];
-        let mut z = vec![0.0; a.dim()];
-        mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
-        let trace = team.trace_mut().expect("traced team");
-        let levels: Vec<_> =
-            trace.events().into_iter().filter(|e| e.span == lv_trace::spans::MG_LEVEL).collect();
-        // Down leg of level 0, the dense coarsest solve, up leg of level 0.
-        assert_eq!(levels.len(), 3);
-        let sweeps = MultigridOptions::default().smoothing_sweeps as u64;
-        // The cycle's level 0: three diagonals of 31 rows, stored as `f32`.
-        let stored = 3 * 31;
-        for leg in [&levels[0], &levels[2]] {
-            assert_eq!(leg.iters, sweeps);
-            assert_eq!(leg.flops, sweeps * 2 * stored);
-            assert_eq!(leg.bytes, sweeps * 4 * stored);
+        let options = MultigridOptions::default();
+        let sweeps = options.smoothing_sweeps as u64;
+        // The uniform 31-row level classifies — first row, 29 interior rows,
+        // last row — and is charged the class form: the taps it keeps
+        // (2 + 29·3 + 2) and its own bytes, three 12-byte runs, seven
+        // 16-byte taps, four table pointers and the sweep's four `f32`
+        // vectors.  The same level with a diagonal that grows along the rows
+        // repeats nothing, keeps its three `f32` diagonals and is charged
+        // every stored value, padding included.
+        let uniform = laplacian_1d(31);
+        let mut graded = uniform.clone();
+        let diagonal: Vec<usize> = (0..31).map(|i| graded.entry_index(i, i).unwrap()).collect();
+        for (i, slot) in diagonal.into_iter().enumerate() {
+            graded.pattern_and_values_mut().2[slot] += 0.01 * i as f64;
         }
-        assert_eq!(
-            (levels[1].iters, levels[1].flops, levels[1].bytes),
-            (0, 2 * 15 * 15, 8 * 15 * 15)
-        );
+        let class_form = (2 * (2 + 29 * 3 + 2), 3 * 12 + 7 * 16 + 4 * 8 + 4 * 31 * 4);
+        let diagonal_form = (2 * 3 * 31, 4 * 3 * 31);
+        for (a, storage, (flops, bytes)) in [
+            (uniform, LevelStorage::RowClasses { classes: 3 }, class_form),
+            (graded, LevelStorage::Diagonals { diagonals: 3 }, diagonal_form),
+        ] {
+            let mut mg = GeometricMultigrid::new(&a, vec![linear_interpolation_1d(15)], &options)
+                .expect("SPD hierarchy");
+            assert_eq!(mg.level_storage(), [storage, LevelStorage::DenseLu]);
+            let mut team = Team::with_trace(1, TraceConfig::default());
+            let rhs = vec![1.0; a.dim()];
+            let mut z = vec![0.0; a.dim()];
+            mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
+            let trace = team.trace_mut().expect("traced team");
+            let levels: Vec<_> = trace
+                .events()
+                .into_iter()
+                .filter(|e| e.span == lv_trace::spans::MG_LEVEL)
+                .collect();
+            // Down leg of level 0, the dense coarsest solve, up leg of level 0.
+            assert_eq!(levels.len(), 3);
+            for leg in [&levels[0], &levels[2]] {
+                assert_eq!(
+                    (leg.iters, leg.flops, leg.bytes),
+                    (sweeps, sweeps * flops, sweeps * bytes),
+                    "{storage}"
+                );
+            }
+            assert_eq!(
+                (levels[1].iters, levels[1].flops, levels[1].bytes),
+                (0, 2 * 15 * 15, 8 * 15 * 15)
+            );
+        }
     }
 }

@@ -4,16 +4,21 @@
 //! V-cycle runs on; README "Level storage").
 //!
 //! Per level, first what is stored: rows, diagonals, the number of bitwise
-//! distinct rows (why a row-class dictionary cannot replace the storage),
-//! and the operator bytes as CSR, `f64` diagonals and `f32` diagonals.  Then
-//! how it streams, one thread, median wall-clock and GB/s: `CsrMatrix::spmv`,
-//! the `DiaMatrix` product and one fused damped-Jacobi sweep in both
-//! precisions — each diagonal-storage kernel at both widths
-//! (`lv_runtime::lanes`): the baseline body, then the clone this host
-//! selects; then one whole V-cycle.  On every level the `f64` product is
-//! asserted bitwise equal to CSR, the `f32` one within the rounding bound
-//! `(diagonals + 2)·ε_f32·(|A|·|x|)` of it, row by row, and every kernel's
-//! two widths bitwise equal to each other.
+//! distinct rows in `f64` (every one of them on a Galerkin level) and of row
+//! classes in `f32` with the sub-epsilon entries dropped (`RowClasses`: a
+//! few dozen), the longest run of rows sharing a class, the share of rows
+//! in runs of at least `LONG_RUN` — the rule by which a level takes classes
+//! — how many rows of a sweep the dropped entries move, and the operator
+//! bytes as CSR, `f64` diagonals, `f32` diagonals and classes.  Then how it streams, one thread, median wall-clock and GB/s:
+//! `CsrMatrix::spmv`, the `DiaMatrix` product and one fused damped-Jacobi
+//! sweep in both precisions, and the same sweep over the row classes — each
+//! kernel at both widths (`lv_runtime::lanes`): the baseline body, then the
+//! clone this host selects; then one whole V-cycle on the storages the
+//! hierarchy chose.  On every level the `f64` product is asserted bitwise
+//! equal to CSR, the `f32` one within the rounding bound
+//! `(diagonals + 2)·ε_f32·(|A|·|x|)` of it, row by row, every kernel's two
+//! widths bitwise equal to each other, and the class sweep bitwise equal to
+//! the diagonal sweep of the flushed matrix (`lv_solver::classes::flushed`).
 //!
 //! Last, the **momentum operator** of the same cavity (README "Mesh
 //! renumbering and the multi-RHS momentum solve"): an assembled,
@@ -31,10 +36,11 @@
 use alya_longvec::prelude::*;
 use lv_kernel::{pressure_interpolations, pressure_laplacian, KernelConfig, NastinAssembly};
 use lv_runtime::Lanes;
+use lv_solver::classes::{flushed, LONG_RUN};
 use lv_solver::dia::Scalar;
 use lv_solver::{
     galerkin_coarse, CsrMatrix, DiaMatrix, GeometricMultigrid, LinearOperator, MultigridOptions,
-    VectorOps,
+    RowClasses, VectorOps,
 };
 use std::collections::HashSet;
 use std::time::Instant;
@@ -106,8 +112,19 @@ fn main() {
 
     println!("pressure multigrid of the {n}³ cavity, 1 thread, median of {REPEATS}");
     println!(
-        "{:>5} {:>7} {:>5} {:>8} {:>10} {:>10} {:>10}",
-        "level", "rows", "diags", "distinct", "CSR B", "DIA f64 B", "DIA f32 B"
+        "{:>5} {:>7} {:>5} {:>8} {:>7} {:>7} {:>9} {:>5} {:>10} {:>10} {:>10} {:>9}",
+        "level",
+        "rows",
+        "diags",
+        "distinct",
+        "classes",
+        "longest",
+        "in long %",
+        "moved",
+        "CSR B",
+        "DIA f64 B",
+        "DIA f32 B",
+        "classes B"
     );
     let mut timings = Vec::new();
     for (level, csr) in csr_levels.iter().enumerate() {
@@ -132,6 +149,27 @@ fn main() {
         let sweep32_ms = both_widths(&mut xn32, |lanes, xn| {
             dia32.jacobi_range_at(lanes, &x32, &b32, &inv_diag32, 0.8, 0..rows, xn)
         });
+        // The same sweep over the row classes (`f32`, sub-epsilon entries
+        // dropped), whether or not the hierarchy would choose them here:
+        // the bits of the diagonal sweep of the flushed matrix — and how
+        // many rows that moves against the unflushed diagonals above.
+        let classes = RowClasses::<f32>::from_dia(&dia32);
+        let class_sweep = classes.as_ref().map(|classes| {
+            let mut xn_classes = vec![0.0f32; rows];
+            let ms = both_widths(&mut xn_classes, |lanes, xn| {
+                classes.jacobi_range_at(lanes, &x32, &b32, &inv_diag32, 0.8, 0..rows, xn)
+            });
+            let same = |a: &[f32], b: &[f32]| a.iter().zip(b).filter(|(a, b)| a == b).count();
+            let moved = rows - same(&xn_classes, &xn32);
+            DiaMatrix::<f32>::from_csr(&flushed::<f32>(csr))
+                .expect("the same pattern")
+                .jacobi_range(&x32, &b32, &inv_diag32, 0.8, 0..rows, &mut xn32);
+            assert!(
+                same(&xn_classes, &xn32) == rows,
+                "level {level}: the class sweep differs from the flushed diagonal sweep"
+            );
+            (classes.streamed_bytes(), ms, moved)
+        });
 
         assert!(
             y_csr.iter().zip(&y_dia).all(|(a, b)| a.to_bits() == b.to_bits()),
@@ -153,38 +191,67 @@ fn main() {
 
         let csr_bytes = LinearOperator::streamed_bytes(csr);
         let (dia_bytes, dia32_bytes) = (dia.streamed_bytes(), dia32.streamed_bytes());
+        // Classes, longest run, share of rows in long runs, rows of the
+        // sweep the dropped entries moved, bytes.
+        let census = match (&classes, class_sweep) {
+            (Some(c), Some((bytes, _, moved))) => [
+                c.num_classes().to_string(),
+                c.longest_run().to_string(),
+                format!("{:.1}", 100.0 * c.rows_in_long_runs() as f64 / rows as f64),
+                moved.to_string(),
+                bytes.to_string(),
+            ],
+            _ => ["> 255", "-", "-", "-", "-"].map(String::from),
+        };
         println!(
-            "{level:>5} {rows:>7} {:>5} {:>8} {csr_bytes:>10} {dia_bytes:>10} {dia32_bytes:>10}",
+            "{level:>5} {rows:>7} {:>5} {:>8} {:>7} {:>7} {:>9} {:>5} {csr_bytes:>10} \
+             {dia_bytes:>10} {dia32_bytes:>10} {:>9}",
             dia.offsets().len(),
             distinct_rows(csr),
+            census[0],
+            census[1],
+            census[2],
+            census[3],
+            census[4],
         );
         timings.push((
             (csr_bytes, csr_ms),
-            [
-                (dia_bytes, dia_ms),
-                (dia32_bytes, dia32_ms),
-                (dia_bytes, sweep_ms),
-                (dia32_bytes, sweep32_ms),
+            vec![
+                Some((dia_bytes, dia_ms)),
+                Some((dia32_bytes, dia32_ms)),
+                Some((dia_bytes, sweep_ms)),
+                Some((dia32_bytes, sweep32_ms)),
+                class_sweep.map(|(bytes, ms, _)| (bytes, ms)),
             ],
         ));
     }
     println!(
-        "host lanes: {}; diagonal-storage cells are baseline body | selected clone",
+        "classes: f32 rows with the entries below ε·|a_ii| dropped; a level takes them when \
+         `in long %` — the rows in runs of {LONG_RUN} or more — reaches 50; `moved`: rows of \
+         one sweep that differ from the unflushed f32 diagonals"
+    );
+    println!(
+        "host lanes: {}; diagonal- and class-storage cells are baseline body | selected clone \
+         (`classes`: the f32 sweep, GB/s against the runs, the table and the sweep's four \
+         vectors)",
         Lanes::selected().describe()
     );
     print!("{:>5} | {:>7} {:>5}", "level", "spmv ms", "GB/s");
-    for kernel in ["f64 ms", "f32 ms", "sweep64", "sweep32"] {
+    for kernel in ["f64 ms", "f32 ms", "sweep64", "sweep32", "classes"] {
         print!(" | {kernel:>13} {:>11}", "GB/s");
     }
     println!();
     for (level, ((csr_bytes, csr_ms), kernels)) in timings.iter().enumerate() {
         print!("{level:>5} | {csr_ms:>7.4} {:>5.1}", gbs(*csr_bytes, *csr_ms));
-        for &(bytes, [narrow, wide]) in kernels {
-            print!(
-                " | {narrow:>6.4}|{wide:<6.4} {:>5.1}|{:<5.1}",
-                gbs(bytes, narrow),
-                gbs(bytes, wide)
-            );
+        for kernel in kernels {
+            match *kernel {
+                Some((bytes, [narrow, wide])) => print!(
+                    " | {narrow:>6.4}|{wide:<6.4} {:>5.1}|{:<5.1}",
+                    gbs(bytes, narrow),
+                    gbs(bytes, wide)
+                ),
+                None => print!(" | {:>13} {:>11}", "-", "-"),
+            }
         }
         println!();
     }
@@ -196,9 +263,11 @@ fn main() {
     let mut z = vec![0.0; rows];
     let mut ops = VectorOps::serial();
     let cycle_ms = median_ms(|| multigrid.v_cycle(&mut ops, &rhs, &mut z));
+    let storage: Vec<String> = multigrid.level_storage().iter().map(ToString::to_string).collect();
     println!(
-        "one f32 V-cycle ({} levels, {} sweeps per leg): {cycle_ms:.4} ms",
+        "one f32 V-cycle ({} levels: {}; {} sweeps per leg): {cycle_ms:.4} ms",
         multigrid.num_levels(),
+        storage.join(" | "),
         options.smoothing_sweeps
     );
 
