@@ -9,10 +9,13 @@
 //!    [`lv_kernel::assemble_momentum_on`] from only what the velocity
 //!    changes, in this order: the matrix is seeded with `ν·K` (the
 //!    stiffness [`lv_kernel::PressureOperators`] holds from set-up — the
-//!    un-pinned pressure Laplacian); the colored parallel sweep adds the
-//!    convection matrices `C(u)` and nothing else (the mini-app's phases 1,
-//!    2, 3, 5, a velocity-only phase 4, a matrix-only phase 6 and scatter;
-//!    no phase 7); one row pass takes the right-hand side off the finished
+//!    un-pinned pressure Laplacian); the colored parallel sweep — chunks of
+//!    consecutive elements, colored against each other — adds the
+//!    convection matrices `C(u)` and nothing else (the mini-app's phases 2
+//!    and 5, a velocity-only phase 4, a phase 6 that integrates the matrix
+//!    in reference space from the inverse Jacobians held since set-up in a
+//!    [`lv_kernel::ConvectiveGeometry`], a matrix-only scatter; no phase 1,
+//!    3 or 7); one row pass takes the right-hand side off the finished
 //!    matrix, the weak pressure gradient `−∫ N_a ∂p/∂x_i` of the current
 //!    pressure included; then `(ρ/Δt)·M` (the consistent mass, also held
 //!    from set-up) is added — after the right-hand side, so `M·u` is never
@@ -55,7 +58,8 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::scenario::Scenario;
 use lv_kernel::{
     assemble_momentum_on, build_pressure_multigrid, solve_momentum_on, weak_divergence_vector_norm,
-    ElementWorkspace, KernelConfig, NastinAssembly, OptLevel, PressureOperators,
+    ConvectiveGeometry, ElementWorkspace, KernelConfig, NastinAssembly, OptLevel,
+    PressureOperators,
 };
 use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
@@ -467,6 +471,10 @@ pub struct Stepper {
     scenario: Scenario,
     config: StepperConfig,
     assembly: NastinAssembly,
+    // What the convective sweep needs of the mesh — inverse Jacobians and
+    // `gpvol` per chunk and integration point — integrated once: the mesh
+    // does not move.
+    geometry: ConvectiveGeometry,
     operators: PressureOperators,
     poisson: PoissonSystem,
     pins: Vec<usize>,
@@ -543,6 +551,7 @@ impl Stepper {
             .with_dt(construction_dt);
         // One node graph, slot map and coloring for both operator sets.
         let assembly = NastinAssembly::new(mesh.clone(), kernel_config);
+        let geometry = assembly.convective_geometry();
         let operators = PressureOperators::with_topology(
             &mesh,
             config.vector_size,
@@ -580,6 +589,7 @@ impl Stepper {
             scenario,
             config,
             assembly,
+            geometry,
             operators,
             poisson,
             pins,
@@ -643,8 +653,9 @@ impl Stepper {
         }
     }
 
-    /// One line naming the operators this stepper runs and why — what the
-    /// examples print before the first step, so neither fallback is silent.
+    /// One line naming the assembly schedule and the operators this stepper
+    /// runs and why — what the examples print before the first step, so
+    /// neither fallback is silent.
     pub fn describe_operators(&self) -> String {
         let pressure = match (&self.poisson, self.config.pressure_solver) {
             (PoissonSystem::Multigrid(mg), _) => {
@@ -659,7 +670,20 @@ impl Stepper {
                 lv_solver::dia::MAX_DIAGONALS
             ),
         };
-        format!("operators: momentum {} | pressure {pressure}", self.momentum_storage())
+        // `4 colours × 64 chunks` when every colour holds as many, the total
+        // otherwise.
+        let schedule = self.assembly.colored_chunks();
+        let (colours, chunks) = (schedule.num_colors(), schedule.num_chunks());
+        let even = (0..colours).all(|c| schedule.color_chunks(c).len() * colours == chunks);
+        let chunks = if even {
+            format!("{colours} colours × {} chunks", chunks / colours.max(1))
+        } else {
+            format!("{colours} colours, {chunks} chunks")
+        };
+        format!(
+            "operators: assembly {chunks} | momentum {} | pressure {pressure}",
+            self.momentum_storage()
+        )
     }
 
     /// Rows per multigrid level (finest first), when the V-cycle is active.
@@ -787,6 +811,7 @@ impl Stepper {
         assemble_momentum_on(
             team,
             &self.assembly,
+            &self.geometry,
             &self.operators,
             &self.state.velocity,
             &self.state.pressure,
@@ -1371,9 +1396,10 @@ mod tests {
         let mut team = Team::with_trace(2, TraceConfig::default());
         stepper.step_on(&team).expect("step");
         let summary = RunSummary::from_trace(team.trace_mut().expect("traced team"));
-        // The sweep of a step runs phases 3, 4 (velocity only), 5, 6 (matrix
-        // only) and a matrix-only scatter: its span carries that count, not
-        // the full mini-app's 9 600 flops and 1 472 bytes per element.
+        // The sweep of a step runs phases 4 (velocity only), 5, the
+        // reference-space phase 6 over the resident geometry rows and a
+        // matrix-only scatter: its span carries that count, not the full
+        // mini-app's 9 600 flops and 1 472 bytes per element.
         let elements = stepper.mesh().num_elements() as u64;
         assert_eq!(
             summary.span("assembly/color_sweep").map(|s| (s.events, s.iters, s.flops, s.bytes)),
@@ -1384,8 +1410,8 @@ mod tests {
                 elements * lv_kernel::phases::convective_bytes_per_element(),
             ))
         );
-        assert_eq!(lv_kernel::phases::convective_flops_per_element(), 6264);
-        assert_eq!(lv_kernel::phases::convective_bytes_per_element(), 1824);
+        assert_eq!(lv_kernel::phases::convective_flops_per_element(), 2264);
+        assert_eq!(lv_kernel::phases::convective_bytes_per_element(), 2240);
         // The phase span carries the three global passes around the sweep
         // (ν·K fill, residual row pass, mass update) and only them.
         let operators = stepper.operators();

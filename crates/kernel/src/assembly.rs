@@ -13,29 +13,42 @@
 //! [`assemble_parallel_into_on`] are the paper's kernel: all eight phases,
 //! the full system re-integrated on every call.  A time step does not need
 //! that: of `ν·K + C(u) + (ρ/Δt)·M` only the convection `C(u)` depends on
-//! the velocity, and the elemental right-hand side is `−(ν·K + C(u))·u` of
-//! the matrix the sweep has just built.  [`assemble_convective_into_on`] is
-//! the sweep `lv_driver::Stepper` runs instead — the same colored schedule,
-//! the same phases 1, 2, 3 and 5, phases 4 and 6 instantiated without the
-//! right-hand side's share (one body each, a `const` switch in
-//! [`crate::phases`]), no phase 7, a matrix-only scatter — inside
-//! [`crate::assemble_momentum_on`], which takes `K` and `M` from
-//! [`crate::PressureOperators`].  The eight-phase sweep stays public and
-//! untouched — it is what the paper measures, what `kernel/workload.rs`
-//! mirrors and what the `assembly_vs` benchmark times — and is the oracle
-//! of the step's path: same system up to the summation order (tests below:
-//! ≤ 4 ε of a row's largest entry in the matrix, ≤ 16 ε of
-//! `Σ|A||u| + Σ|c||p|` in the right-hand side).
+//! the velocity, the elemental right-hand side is `−(ν·K + C(u))·u` of the
+//! matrix the sweep has just built, and the mesh does not move — its
+//! Jacobians are the same in every step.  [`assemble_convective_into_on`] is
+//! the sweep `lv_driver::Stepper` runs instead, on the same colored
+//! schedule: no coordinate gather and no phase 3 (the inverse Jacobians and
+//! `gpvol` of every chunk are integrated once into a [`ConvectiveGeometry`],
+//! [`convective_geometry`], and streamed from there), phase 2, a phase 4
+//! that interpolates only the velocity, phase 5, the convection matrix in
+//! reference space ([`phases::phase6_reference_convective_slices`]), no
+//! phase 7, a matrix-only scatter — inside [`crate::assemble_momentum_on`],
+//! which takes `K` and `M` from [`crate::PressureOperators`].  The
+//! eight-phase sweep stays public and untouched — it is what the paper
+//! measures, what `kernel/workload.rs` mirrors and what the `assembly_vs`
+//! benchmark times — and is the oracle of the step's path: same system up
+//! to the operation order (tests below: ≤ 4 ε of a row's largest entry in
+//! the matrix, ≤ 16 ε of `Σ|A||u| + Σ|c||p|` in the right-hand side).
+//!
+//! # The schedule
+//!
+//! Both colored sweeps run on [`ColoredChunks::mesh_order`]: the
+//! `VECTOR_SIZE` blocks of *consecutive* elements of the serial path,
+//! colored against each other.  The elements of a chunk are neighbours, so
+//! what one gathers and scatters the next finds in cache; the chunks of a
+//! color share no node, which `with_topology` asserts in debug builds
+//! because the lock-free scatter is sound only then.
 //!
 //! [`assemble_into_slices`]: NastinAssembly::assemble_into_slices
 //! [`assemble_parallel_into_on`]: NastinAssembly::assemble_parallel_into_on
 //! [`assemble_convective_into_on`]: NastinAssembly::assemble_convective_into_on
+//! [`convective_geometry`]: NastinAssembly::convective_geometry
 
 use crate::config::KernelConfig;
 use crate::parallel;
 use crate::phases;
 use crate::workspace::ElementWorkspace;
-use crate::NDIME;
+use crate::{NDIME, PGAUS};
 use lv_mesh::chunks::ElementChunks;
 use lv_mesh::coloring::{ColoredChunks, ElementColoring};
 use lv_mesh::quadrature::GaussRule;
@@ -120,6 +133,50 @@ pub(crate) fn check_pattern(topology: &MeshTopology, matrix: &CsrMatrix) {
     debug_assert!(topology.has_pattern(matrix.row_ptr(), matrix.col_idx()));
 }
 
+/// The mesh's share of the step's convective sweep, integrated once: per
+/// chunk of the assembly's colored schedule and per integration point, the
+/// nine entries of `J⁻¹` and `gpvol` of every slot
+/// ([`phases::GEOMETRY_ROWS`] rows of `VECTOR_SIZE` values, slot-fastest —
+/// 640 bytes per element, read unit-stride by
+/// [`phases::phase6_reference_convective_slices`] in the order the sweep
+/// visits the chunks).  Per element rather than per element *class*, so a
+/// jittered mesh has one as well as a uniform box.
+///
+/// Built by [`NastinAssembly::convective_geometry`] and valid for that
+/// assembly (its mesh, its `VECTOR_SIZE`) only; a time step hands it back
+/// through [`NastinAssembly::assemble_convective_into_on`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConvectiveGeometry {
+    vector_size: usize,
+    /// Per chunk of the schedule, by id: `[PGAUS][GEOMETRY_ROWS][vector_size]`.
+    /// One allocation per chunk, not one for the mesh: steppers are dropped
+    /// and rebuilt (every slice of a served job), and a 21 MB block goes
+    /// back to the OS and is faulted in again each time — measured at 32³:
+    /// +40 ms per set-up, three times what filling the table costs — while
+    /// chunk-sized blocks are recycled by the allocator.
+    chunks: Vec<Vec<f64>>,
+    singular_jacobians: usize,
+}
+
+impl ConvectiveGeometry {
+    /// The rows of chunk `chunk_id` of the schedule the table was built on.
+    pub(crate) fn chunk(&self, chunk_id: usize) -> &[f64] {
+        &self.chunks[chunk_id]
+    }
+
+    /// Slots (padding included) whose Jacobian is singular at some
+    /// integration point, counted per point — what every sweep over this
+    /// mesh used to find again; their inverse is stored as zero.
+    pub fn singular_jacobians(&self) -> usize {
+        self.singular_jacobians
+    }
+
+    /// Resident size of the table in bytes.
+    pub fn bytes(&self) -> usize {
+        self.chunks.iter().map(|rows| std::mem::size_of_val(rows.as_slice())).sum()
+    }
+}
+
 /// The Nastin assembly kernel bound to a mesh and a configuration.
 #[derive(Debug, Clone)]
 pub struct NastinAssembly {
@@ -159,10 +216,14 @@ impl NastinAssembly {
         let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
         assert!(topology.fits(&mesh), "the topology was built for another mesh");
         let chunks = ElementChunks::new(&mesh, config.vector_size);
-        // Balanced coloring keeps the per-color chunk counts even, so the
-        // parallel sweep's trailing chunks do not idle workers (greedy
-        // first-fit stays around as the validity oracle in lv-mesh).
-        let colored = ColoredChunks::new(topology.coloring(), config.vector_size);
+        // The same blocks, colored against each other (least-populated
+        // allowed color, so the per-color chunk counts stay even and the
+        // parallel sweep's trailing chunks do not idle workers).
+        let colored = ColoredChunks::mesh_order(&mesh, config.vector_size);
+        // The `unsafe` scatter of the colored sweeps is sound only if the
+        // chunks of a color share no node — now that the slots *of* a chunk
+        // do, nothing weaker than the schedule's own validation says so.
+        debug_assert!(colored.validate(&mesh).is_empty(), "{:?}", colored.validate(&mesh));
         NastinAssembly { mesh, config, shape, chunks, colored, topology }
     }
 
@@ -341,7 +402,8 @@ impl NastinAssembly {
     ) -> AssemblyStats {
         assert_eq!(rhs.len(), NDIME * self.mesh.num_nodes());
         self.clear_system(matrix, rhs);
-        let partial = parallel::colored_sweep::<true>(
+        let partial = parallel::colored_sweep(
+            parallel::Sweep::Full,
             team,
             &self.mesh,
             &self.topology,
@@ -362,28 +424,61 @@ impl NastinAssembly {
         }
     }
 
+    /// Integrates the geometry of the convective sweep once: phase 1 and
+    /// the Jacobian kernel of phase 3 over every chunk of the colored
+    /// schedule, one serial vectorised pass.  Explicit, not part of
+    /// [`new`](Self::new): only a caller that steps
+    /// ([`assemble_convective_into_on`](Self::assemble_convective_into_on))
+    /// needs the table, and it is 640 bytes per element to keep resident.
+    pub fn convective_geometry(&self) -> ConvectiveGeometry {
+        let vector_size = self.config.vector_size;
+        let mut workspace = ElementWorkspace::new(vector_size);
+        let mut singular_jacobians = 0;
+        let chunks = (0..self.colored.num_chunks())
+            .map(|chunk_id| {
+                let mut rows = vec![0.0; PGAUS * phases::GEOMETRY_ROWS * vector_size];
+                let mut v = workspace.views_mut();
+                phases::phase1_gather_coords_slices(
+                    &self.mesh,
+                    &self.colored.slots(chunk_id),
+                    &mut v,
+                );
+                singular_jacobians += phases::phase3_geometry_slices(&self.shape, &v, &mut rows);
+                rows
+            })
+            .collect();
+        ConvectiveGeometry { vector_size, chunks, singular_jacobians }
+    }
+
     /// The sweep of a time step: **adds** the convective element matrices
     /// `C(u)_ab = ∫ ρ (N_a + τ (u·∇)N_a) (u·∇)N_b` to `matrix` on the
-    /// colored schedule — phases 1, 2, 3, a phase 4 that interpolates only
-    /// the velocity, 5, a phase 6 that accumulates only the element matrix
-    /// and a matrix-only scatter.  No phase 7, no elemental right-hand side:
-    /// the viscous and mass blocks do not depend on the velocity
-    /// ([`PressureOperators`](crate::PressureOperators) holds them) and the
-    /// right-hand side is a row product of the finished matrix
-    /// ([`assemble_momentum_on`](crate::assemble_momentum_on) is the whole
-    /// sequence).  `matrix` is not zeroed — the caller seeds it with `ν·K`.
+    /// colored schedule — phase 2, a phase 4 that interpolates only the
+    /// velocity, 5, the reference-space phase 6 over the chunk's rows of
+    /// `geometry` and a matrix-only scatter.  No coordinate gather and no
+    /// phase 3 (`geometry` holds what they would recompute), no phase 7, no
+    /// elemental right-hand side: the viscous and mass blocks do not depend
+    /// on the velocity ([`PressureOperators`](crate::PressureOperators)
+    /// holds them) and the right-hand side is a row product of the finished
+    /// matrix ([`assemble_momentum_on`](crate::assemble_momentum_on) is the
+    /// whole sequence).  `matrix` is not zeroed — the caller seeds it with
+    /// `ν·K`.
     ///
-    /// What it adds is, entry by entry, what phase 6 contributes inside
+    /// What it adds is, to a few ε of a row's largest entry, what phase 6
+    /// contributes inside
     /// [`assemble_parallel_into_on`](Self::assemble_parallel_into_on) — the
     /// paper's sweep, which stays the oracle of this one — and bitwise
     /// identical for every worker count.
     ///
     /// # Panics
     /// Panics on an explicit-scheme configuration (there is no element
-    /// matrix to assemble) or if `matrix` does not have this mesh's pattern.
+    /// matrix to assemble), if `matrix` does not have this mesh's pattern or
+    /// if `geometry` was not built by
+    /// [`convective_geometry`](Self::convective_geometry) of an assembly
+    /// with this schedule.
     pub fn assemble_convective_into_on(
         &self,
         team: &lv_runtime::Team,
+        geometry: &ConvectiveGeometry,
         velocity: &VectorField,
         pressure: &Field,
         matrix: &mut CsrMatrix,
@@ -393,8 +488,14 @@ impl NastinAssembly {
             self.config.semi_implicit,
             "the convective-only sweep assembles the semi-implicit element matrix"
         );
+        assert!(
+            geometry.vector_size == self.config.vector_size
+                && geometry.chunks.len() == self.colored.num_chunks(),
+            "the geometry table was built for another chunk schedule"
+        );
         check_pattern(&self.topology, matrix);
-        let partial = parallel::colored_sweep::<false>(
+        let partial = parallel::colored_sweep(
+            parallel::Sweep::Convective(geometry),
             team,
             &self.mesh,
             &self.topology,
@@ -410,7 +511,7 @@ impl NastinAssembly {
         AssemblyStats {
             chunks: partial.chunks,
             elements: partial.elements,
-            singular_jacobians: partial.singular_jacobians,
+            singular_jacobians: geometry.singular_jacobians,
             flops: (partial.elements as u64 * phases::convective_flops_per_element()) as f64,
         }
     }
@@ -467,7 +568,9 @@ impl NastinAssembly {
         }
     }
 
-    /// The element coloring of the mesh (computed at construction).
+    /// The element coloring of the mesh's topology (what the projection
+    /// operators' set-up sweep is scheduled by; the assembly sweeps color
+    /// chunks instead, see [`colored_chunks`](Self::colored_chunks)).
     pub fn element_coloring(&self) -> &ElementColoring {
         self.topology.coloring()
     }
@@ -480,7 +583,8 @@ impl NastinAssembly {
         &self.topology
     }
 
-    /// The colored chunk schedule of the parallel path.
+    /// The colored chunk schedule of the parallel paths: the blocks of
+    /// [`chunks`](Self::chunks), colored against each other.
     pub fn colored_chunks(&self) -> &ColoredChunks {
         &self.colored
     }
@@ -657,21 +761,31 @@ mod tests {
 
     #[test]
     fn parallel_driver_matches_serial_to_rounding_accuracy() {
-        let mesh = cavity(4);
+        // 216 elements in 7 chunks of 32, 3 colors: (color, chunk) order
+        // visits the chunks as 0 3 6 | 1 4 | 2 5, so the rows two chunks
+        // share are summed in another order than the serial sweep sums them
+        // — equal to rounding accuracy, not bitwise.  Measured: 2.8e-17
+        // absolute at worst (`tests/fast_path.rs` pins the same comparison
+        // row-wise on 12³: within 4 ε of a row's scale, the bound the
+        // element-colored schedule had).
+        let mesh = cavity(6);
         let (v, p) = state(&mesh);
         let asm = NastinAssembly::new(mesh, KernelConfig::new(32, OptLevel::Vec1));
+        assert_eq!(asm.colored_chunks().num_colors(), 3);
         let serial = asm.assemble(&v, &p);
         let parallel = asm.assemble_parallel(&v, &p, 3);
         assert_eq!(parallel.stats.elements, serial.stats.elements);
         assert_eq!(parallel.stats.singular_jacobians, 0);
-        // The colored schedule permutes the summation order: equal to
-        // rounding accuracy, not bitwise.
+        let mut differing = 0usize;
         for (a, b) in serial.rhs.iter().zip(&parallel.rhs) {
-            assert!((a - b).abs() < 1e-11, "rhs {a} vs {b}");
+            differing += usize::from(a != b);
+            assert!((a - b).abs() < 1e-15, "rhs {a} vs {b}");
         }
         for (a, b) in serial.matrix.values().iter().zip(parallel.matrix.values()) {
-            assert!((a - b).abs() < 1e-11, "matrix {a} vs {b}");
+            differing += usize::from(a != b);
+            assert!((a - b).abs() < 1e-15, "matrix {a} vs {b}");
         }
+        assert!(differing > 0);
     }
 
     #[test]
@@ -773,7 +887,18 @@ mod tests {
         (v, p): &(VectorField, Field),
     ) -> (CsrMatrix, Vec<f64>) {
         let (mut matrix, mut rhs, mut workspaces) = poisoned_storage(asm, team);
-        crate::assemble_momentum_on(team, asm, ops, v, p, &mut matrix, &mut rhs, &mut workspaces);
+        let geometry = asm.convective_geometry();
+        crate::assemble_momentum_on(
+            team,
+            asm,
+            &geometry,
+            ops,
+            v,
+            p,
+            &mut matrix,
+            &mut rhs,
+            &mut workspaces,
+        );
         (matrix, rhs)
     }
 
@@ -861,13 +986,14 @@ mod tests {
 
     #[test]
     fn step_system_matches_the_eight_phase_oracle_to_a_row_wise_epsilon_bound() {
-        // Another summation order of the same integrals (the viscous and
-        // mass entries summed at set-up, the right-hand side a row product
-        // of rounded matrix entries).  Measured worst cases over the meshes,
-        // vector sizes and both time steps below: 2.8 ε of the row's largest
-        // entry in the matrix; 8.4 ε of Σ|A||u| + Σ|c||p| in the right-hand
-        // side (at Δt = 0.1; 0.7 ε at Δt = 0.013, where the mass block
-        // dominates the scale).
+        // Another operation order of the same integrals (the viscous and
+        // mass entries summed at set-up, the convection integrated in
+        // reference space from the resident inverse Jacobians, the
+        // right-hand side a row product of rounded matrix entries).
+        // Measured worst cases over the meshes, vector sizes and both time
+        // steps below: 2.8 ε of the row's largest entry in the matrix;
+        // 6.7 ε of Σ|A||u| + Σ|c||p| in the right-hand side (at Δt = 0.1;
+        // 0.7 ε at Δt = 0.013, where the mass block dominates the scale).
         const MATRIX_EPSILONS: f64 = 4.0;
         const RHS_EPSILONS: f64 = 16.0;
         let team = lv_runtime::Team::new(2);
@@ -882,12 +1008,15 @@ mod tests {
                 // Two consecutive assemblies into the same storage at
                 // different time steps: nothing of the first may survive.
                 let (mut matrix, mut rhs, mut workspaces) = poisoned_storage(&asm, &team);
+                // One table for both time steps: the geometry knows no Δt.
+                let geometry = asm.convective_geometry();
                 for dt in [0.013, 0.1] {
                     asm.set_dt(dt);
                     let (v, p) = &fields;
                     crate::assemble_momentum_on(
                         &team,
                         &asm,
+                        &geometry,
                         &ops,
                         v,
                         p,
@@ -932,7 +1061,15 @@ mod tests {
         let asm = NastinAssembly::new(mesh, config);
         let team = lv_runtime::Team::new(1);
         let mut workspaces = vec![ElementWorkspace::new(16)];
-        asm.assemble_convective_into_on(&team, &v, &p, &mut asm.new_matrix(), &mut workspaces);
+        let geometry = asm.convective_geometry();
+        asm.assemble_convective_into_on(
+            &team,
+            &geometry,
+            &v,
+            &p,
+            &mut asm.new_matrix(),
+            &mut workspaces,
+        );
     }
 
     #[test]
@@ -944,7 +1081,73 @@ mod tests {
         let other = NastinAssembly::new(cavity(2), KernelConfig::new(16, OptLevel::Vec1));
         let team = lv_runtime::Team::new(1);
         let mut workspaces = vec![ElementWorkspace::new(16)];
-        asm.assemble_convective_into_on(&team, &v, &p, &mut other.new_matrix(), &mut workspaces);
+        let geometry = asm.convective_geometry();
+        asm.assemble_convective_into_on(
+            &team,
+            &geometry,
+            &v,
+            &p,
+            &mut other.new_matrix(),
+            &mut workspaces,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "another chunk schedule")]
+    fn convective_sweep_rejects_the_geometry_of_another_schedule() {
+        let mesh = cavity(3);
+        let (v, p) = state(&mesh);
+        let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(16, OptLevel::Vec1));
+        let other = NastinAssembly::new(mesh, KernelConfig::new(8, OptLevel::Vec1));
+        let team = lv_runtime::Team::new(1);
+        let mut workspaces = vec![ElementWorkspace::new(16)];
+        let geometry = other.convective_geometry();
+        asm.assemble_convective_into_on(
+            &team,
+            &geometry,
+            &v,
+            &p,
+            &mut asm.new_matrix(),
+            &mut workspaces,
+        );
+    }
+
+    #[test]
+    fn geometry_table_holds_640_bytes_per_slot_and_counts_collapsed_elements() {
+        // 27 elements in two chunks of 16: five padding slots replicate the
+        // last element.
+        let mesh = cavity(3);
+        let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(16, OptLevel::Vec1));
+        let geometry = asm.convective_geometry();
+        assert_eq!(geometry.bytes(), 2 * 16 * 640);
+        assert_eq!(geometry.singular_jacobians(), 0);
+        assert!(geometry.chunks.iter().flatten().all(|x| x.is_finite()));
+        // `gpvol` of an element's eight points sums to its volume.
+        let chunk = geometry.chunk(0);
+        for (slot, &elem) in asm.colored_chunks().slots(0).elements.iter().enumerate() {
+            let volume: f64 = (0..PGAUS)
+                .map(|g| chunk[(g * phases::GEOMETRY_ROWS + NDIME * NDIME) * 16 + slot])
+                .sum();
+            assert!((volume - mesh.element_volume(elem)).abs() < 1e-12);
+        }
+        // An element collapsed to a point is singular at every integration
+        // point; its inverse is stored as zero, not as infinities.
+        let mut coords = mesh.coords().to_vec();
+        for &node in mesh.element_nodes(13) {
+            coords[3 * node as usize..3 * node as usize + 3].fill(0.5);
+        }
+        let tags = (0..mesh.num_nodes()).map(|n| mesh.boundary_tag(n)).collect();
+        let collapsed = Mesh::from_raw(
+            ElementKind::Hex8,
+            coords,
+            mesh.connectivity().to_vec(),
+            tags,
+            mesh.characteristic_length(),
+        );
+        let asm = NastinAssembly::new(collapsed, KernelConfig::new(16, OptLevel::Vec1));
+        let geometry = asm.convective_geometry();
+        assert!(geometry.singular_jacobians() >= PGAUS);
+        assert!(geometry.chunks.iter().flatten().all(|x| x.is_finite()));
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!   ≥2× faster) or the mesh-colored multi-threaded sweep ([`parallel`]).
 //!   A time step (`lv_driver::Stepper`) assembles through
 //!   [`assemble_momentum_on`] instead: the viscous and mass blocks held from
-//!   set-up ([`PressureOperators`]), a convective-only colored sweep and the
+//!   set-up ([`PressureOperators`]), a convective-only colored sweep over
+//!   the mesh's resident inverse Jacobians ([`ConvectiveGeometry`]) and the
 //!   right-hand side as one row product — the eight-phase sweep is its
 //!   oracle;
 //! * the **simulated path** ([`workload`] + [`miniapp`]) describes the same
@@ -52,7 +53,9 @@ pub mod projection;
 pub mod workload;
 pub mod workspace;
 
-pub use assembly::{AssemblyOutput, AssemblyStats, NastinAssembly, NumericPath};
+pub use assembly::{
+    AssemblyOutput, AssemblyStats, ConvectiveGeometry, NastinAssembly, NumericPath,
+};
 pub use config::{KernelConfig, OptLevel, PAPER_VECTOR_SIZES};
 pub use matrixfree::{build_pressure_multigrid, pressure_interpolations, MatrixFreeLaplacian};
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};

@@ -20,7 +20,9 @@
 //! iteration counts and residuals are the same to the bit (second test
 //! below).
 
-use crate::{AssemblyStats, ElementWorkspace, NastinAssembly, PressureOperators};
+use crate::{
+    AssemblyStats, ConvectiveGeometry, ElementWorkspace, NastinAssembly, PressureOperators,
+};
 use lv_mesh::{Field, VectorField};
 use lv_runtime::Team;
 use lv_solver::{
@@ -30,8 +32,10 @@ use lv_solver::{
 /// Assembles the momentum-increment system of one semi-implicit time step,
 /// `(ν·K + C(u) + (ρ/Δt)·M)·Δu = −(ν·K + C(u))·u − g(p)`, building only
 /// what the velocity changes: the stiffness `K` and the consistent mass `M`
-/// are resident in `operators`, so the element sweep integrates the
-/// convection operator `C(u)` alone.  In this order, all on `team`:
+/// are resident in `operators` and the mesh's inverse Jacobians in
+/// `geometry` ([`NastinAssembly::convective_geometry`] of `assembly`), so
+/// the element sweep integrates the convection operator `C(u)` alone and
+/// derives nothing from the coordinates.  In this order, all on `team`:
 ///
 /// 1. `matrix ← ν·K` ([`PressureOperators::fill_viscous_on`]) — instead of
 ///    a zero fill;
@@ -52,12 +56,13 @@ use lv_solver::{
 ///
 /// # Panics
 /// Panics if `assembly` and `operators` were built on different node graphs
-/// or for different meshes, on an explicit-scheme configuration, or on
-/// mismatched array lengths.
+/// or for different meshes, if `geometry` is another schedule's, on an
+/// explicit-scheme configuration, or on mismatched array lengths.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_momentum_on(
     team: &Team,
     assembly: &NastinAssembly,
+    geometry: &ConvectiveGeometry,
     operators: &PressureOperators,
     velocity: &VectorField,
     pressure: &Field,
@@ -67,7 +72,8 @@ pub fn assemble_momentum_on(
 ) -> AssemblyStats {
     let config = assembly.config();
     operators.fill_viscous_on(team, config.viscosity, matrix);
-    let stats = assembly.assemble_convective_into_on(team, velocity, pressure, matrix, workspaces);
+    let stats = assembly
+        .assemble_convective_into_on(team, geometry, velocity, pressure, matrix, workspaces);
     operators.momentum_residual_on(team, matrix, velocity, pressure.as_slice(), rhs);
     operators.add_mass_on(team, config.density / config.dt, matrix);
     stats

@@ -20,18 +20,27 @@
 //!
 //! ## Two sweeps, one schedule
 //!
-//! `colored_sweep` is written once over a `const FULL: bool`: the paper's
-//! eight phases with the elemental right-hand side and matrix scattered
-//! (`FULL`, [`NastinAssembly::assemble_parallel_into_on`]), or the time
-//! step's convective-only selection — velocity-only phase 4, matrix-only
-//! phase 6, no phase 7, matrix-only scatter, no right-hand side at all
-//! ([`NastinAssembly::assemble_convective_into_on`]).  Schedule, worker
+//! `colored_sweep` is written once over a `Sweep`: the paper's eight
+//! phases with the elemental right-hand side and matrix scattered
+//! (`Sweep::Full`, [`NastinAssembly::assemble_parallel_into_on`]), or the
+//! time step's convective-only selection — no coordinate gather and no
+//! phase 3 (the chunk's rows of a resident [`ConvectiveGeometry`] instead),
+//! velocity-only phase 4, the reference-space phase 6, no phase 7,
+//! matrix-only scatter, no right-hand side at all (`Sweep::Convective`,
+//! [`NastinAssembly::assemble_convective_into_on`]).  Schedule, worker
 //! split, barriers and the `MatrixSink` scatter with its release-build slot
 //! check are shared; the `assembly/color_sweep` span charges each sweep the
 //! flops and bytes of the phases it ran (the structural 9 600 / 1 472 per
 //! element for the full one,
 //! [`phases::convective_flops_per_element`] /
 //! [`phases::convective_bytes_per_element`] for the step's).
+//!
+//! The schedule is [`ColoredChunks::mesh_order`]: chunks of consecutive
+//! elements colored against each other.  The slots of a chunk share nodes
+//! with each other — a chunk is one worker's sequential loop, so that is
+//! safe, and it is what keeps the gathers and the 64-entry scatter of every
+//! element in cache — while the chunks of one color share none, which is
+//! all the disjoint-row invariant below needs.
 //!
 //! [`NastinAssembly::assemble_parallel_into_on`]: crate::NastinAssembly::assemble_parallel_into_on
 //! [`NastinAssembly::assemble_convective_into_on`]: crate::NastinAssembly::assemble_convective_into_on
@@ -41,13 +50,15 @@
 //! The schedule (color order, chunk order within a color, slot order within
 //! a chunk) is fixed, the chunk→worker split is the static
 //! [`lv_runtime::partition`], and concurrent chunks touch disjoint
-//! accumulators, so the result is **bitwise identical for every thread
-//! count**.  With respect to the *mesh-order serial* sweep the colored
-//! schedule permutes the element order, which changes the floating-point
-//! summation order: results agree to rounding accuracy (~1e-12 relative),
-//! not bit for bit — the same trade every colored/atomic-free assembly
-//! makes (OP2, Alya's own OpenMP path).
+//! accumulators, so every row is summed in (color, chunk, slot) order and
+//! the result is **bitwise identical for every thread count**.  With
+//! respect to the *mesh-order serial* sweep the colors permute the chunk
+//! order, which changes the floating-point summation order of the rows two
+//! chunks share: results agree to rounding accuracy (a few ε of a row's
+//! largest entry), not bit for bit — the same trade every
+//! colored/atomic-free assembly makes (OP2, Alya's own OpenMP path).
 
+use crate::assembly::ConvectiveGeometry;
 use crate::config::KernelConfig;
 use crate::phases;
 use crate::workspace::ElementWorkspace;
@@ -66,6 +77,18 @@ pub(crate) const ASSEMBLY_FLOPS_PER_ELEMENT: u64 = 9_600;
 /// unknowns, the 8×8 block and the RHS), same modeling caveat as above.
 pub(crate) const ASSEMBLY_BYTES_PER_ELEMENT: u64 = 1_472;
 
+/// Which phases a colored sweep runs on each chunk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Sweep<'a> {
+    /// The paper's eight phases, elemental right-hand side and matrix
+    /// scattered.
+    Full,
+    /// The time step's convective-only selection over the resident geometry
+    /// of the schedule's chunks: the element matrices of `C(u)` and nothing
+    /// else.
+    Convective(&'a ConvectiveGeometry),
+}
+
 /// Per-worker partial assembly statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WorkerStats {
@@ -81,9 +104,11 @@ pub(crate) struct WorkerStats {
 /// # Safety invariant
 ///
 /// Concurrent users must write disjoint rows.  The colored schedule
-/// guarantees this: within one color no two chunks share a mesh node, hence
-/// no two workers touch the same matrix row.  Cross-color writes are
-/// ordered by the per-color barrier in the sweep.
+/// guarantees this: within one color no two chunks share a mesh node
+/// ([`ColoredChunks::validate`], asserted in debug builds where the
+/// schedule is built), and a chunk is scattered by one worker, hence no two
+/// workers touch the same matrix row.  Cross-color writes are ordered by
+/// the per-color barrier in the sweep.
 pub(crate) struct MatrixSink<'a> {
     row_ptr: &'a [usize],
     values: *mut f64,
@@ -172,7 +197,8 @@ impl SharedSystem<'_> {
 /// Phase 8 against the shared system: identical traversal to
 /// [`phases::phase8_scatter_slices`], writing through the disjoint-row view.
 /// `FULL` is the paper's scatter (elemental right-hand side and matrix);
-/// without it only the matrix rows go out.
+/// without it only the matrix rows go out.  Slots are scattered in order,
+/// so the elements of a chunk may share rows with each other.
 fn scatter_shared<const FULL: bool>(
     mesh: &Mesh,
     topology: &MeshTopology,
@@ -190,8 +216,8 @@ fn scatter_shared<const FULL: bool>(
             let node_a = node_a as usize;
             if FULL {
                 for idime in 0..NDIME {
-                    // SAFETY: this worker owns every node of `elem` within
-                    // the current color (coloring invariant).
+                    // SAFETY: this worker owns every node of its chunk
+                    // within the current color (coloring invariant).
                     unsafe {
                         system.add_rhs(
                             NDIME * node_a + idime,
@@ -215,42 +241,52 @@ fn scatter_shared<const FULL: bool>(
     }
 }
 
-/// Runs the slice-view phases plus the shared scatter for one colored
-/// chunk: all eight when `FULL`, the convective-only selection of the time
-/// step otherwise (velocity-only phase 4, matrix-only phases 6 and 8, no
-/// phase 7).
+/// Runs the slice-view phases of `sweep` plus the shared scatter for chunk
+/// `chunk_id` of `schedule`; returns the singular Jacobians phase 3 met (the
+/// convective selection runs no phase 3: its geometry carries the count).
 #[allow(clippy::too_many_arguments)]
-fn assemble_chunk_shared<const FULL: bool>(
+fn assemble_chunk_shared(
+    sweep: Sweep<'_>,
     mesh: &Mesh,
     shape: &ShapeTable,
     config: &KernelConfig,
     h_char: f64,
     velocity: &VectorField,
     pressure: &Field,
-    slots: lv_mesh::ChunkSlots<'_>,
+    schedule: &ColoredChunks,
+    chunk_id: usize,
     topology: &MeshTopology,
     ws: &mut ElementWorkspace,
     system: &SharedSystem<'_>,
 ) -> usize {
+    let slots = schedule.slots(chunk_id);
     ws.reset();
     let mut v = ws.views_mut();
-    phases::phase1_gather_coords_slices(mesh, &slots, &mut v);
-    phases::phase2_gather_unknowns_slices(mesh, velocity, pressure, &slots, &mut v);
-    let singular = phases::phase3_jacobian_slices(shape, &mut v);
-    if FULL {
-        phases::phase4_gauss_values_slices(shape, &mut v);
-    } else {
-        phases::phase4_gauss_velocity_slices(shape, &mut v);
+    match sweep {
+        Sweep::Full => {
+            phases::phase1_gather_coords_slices(mesh, &slots, &mut v);
+            phases::phase2_gather_unknowns_slices(mesh, velocity, pressure, &slots, &mut v);
+            let singular = phases::phase3_jacobian_slices(shape, &mut v);
+            phases::phase4_gauss_values_slices(shape, &mut v);
+            phases::phase5_stabilization_slices(config, h_char, &mut v);
+            phases::phase6_convective_slices(shape, config, &mut v);
+            phases::phase7_viscous_slices(shape, config, &mut v);
+            scatter_shared::<true>(mesh, topology, config, &v, system);
+            singular
+        }
+        Sweep::Convective(geometry) => {
+            // No coordinate gather, hence no phase 1 to note which slots
+            // hold an element: without the ids the scatter skips them all.
+            phases::phase1_element_ids_slices(&slots, &mut v);
+            phases::phase2_gather_unknowns_slices(mesh, velocity, pressure, &slots, &mut v);
+            phases::phase4_gauss_velocity_slices(shape, &mut v);
+            phases::phase5_stabilization_slices(config, h_char, &mut v);
+            let rows = geometry.chunk(chunk_id);
+            phases::phase6_reference_convective_slices(shape, config, rows, &mut v);
+            scatter_shared::<false>(mesh, topology, config, &v, system);
+            0
+        }
     }
-    phases::phase5_stabilization_slices(config, h_char, &mut v);
-    if FULL {
-        phases::phase6_convective_slices(shape, config, &mut v);
-        phases::phase7_viscous_slices(shape, config, &mut v);
-    } else {
-        phases::phase6_convective_matrix_slices(shape, config, &mut v);
-    }
-    scatter_shared::<FULL>(mesh, topology, config, &v, system);
-    singular
 }
 
 /// The colored parallel sweep on a worker team: processes every color of
@@ -263,13 +299,14 @@ fn assemble_chunk_shared<const FULL: bool>(
 /// caller owns the lifecycle, exactly like the serial `assemble_into`
 /// internals.
 ///
-/// `FULL` runs the paper's eight phases; without it the sweep is the time
-/// step's convective-only one, which adds the elemental convection matrices
-/// to `matrix` and has no right-hand side (`rhs` must be empty).  Either
-/// way the `assembly/color_sweep` span carries the model of the phases that
+/// [`Sweep::Full`] runs the paper's eight phases; [`Sweep::Convective`] is
+/// the time step's sweep, which adds the elemental convection matrices to
+/// `matrix` and has no right-hand side (`rhs` must be empty).  Either way
+/// the `assembly/color_sweep` span carries the model of the phases that
 /// ran.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn colored_sweep<const FULL: bool>(
+pub(crate) fn colored_sweep(
+    sweep: Sweep<'_>,
     team: &Team,
     mesh: &Mesh,
     topology: &MeshTopology,
@@ -283,7 +320,8 @@ pub(crate) fn colored_sweep<const FULL: bool>(
     rhs: &mut [f64],
 ) -> WorkerStats {
     assert!(!workspaces.is_empty(), "the parallel sweep needs at least one workspace");
-    assert_eq!(rhs.len(), if FULL { NDIME * mesh.num_nodes() } else { 0 });
+    let full = matches!(sweep, Sweep::Full);
+    assert_eq!(rhs.len(), if full { NDIME * mesh.num_nodes() } else { 0 });
     for ws in workspaces.iter() {
         assert_eq!(ws.vector_size(), schedule.vector_size());
     }
@@ -304,12 +342,12 @@ pub(crate) fn colored_sweep<const FULL: bool>(
             let chunk_span = trace.map(|t| t.span(lv_trace::spans::ASSEMBLY_CHUNK, 0));
             let before = stats.elements;
             for chunk_id in schedule.color_chunks(color) {
-                let slots = schedule.slots(chunk_id);
-                stats.singular_jacobians += assemble_chunk_shared::<FULL>(
-                    mesh, shape, config, h_char, velocity, pressure, slots, topology, ws, &system,
+                stats.singular_jacobians += assemble_chunk_shared(
+                    sweep, mesh, shape, config, h_char, velocity, pressure, schedule, chunk_id,
+                    topology, ws, &system,
                 );
                 stats.chunks += 1;
-                stats.elements += slots.len();
+                stats.elements += schedule.slots(chunk_id).len();
             }
             if let Some(s) = chunk_span {
                 s.iters((stats.elements - before) as u64).aux(color as u64).finish();
@@ -346,13 +384,12 @@ pub(crate) fn colored_sweep<const FULL: bool>(
                 // workers (same split for every run => deterministic).
                 let share = partition(chunk_ids.len(), num_workers, rank);
                 for chunk_id in chunk_ids.start + share.start..chunk_ids.start + share.end {
-                    let slots = schedule.slots(chunk_id);
-                    partial.singular_jacobians += assemble_chunk_shared::<FULL>(
-                        mesh, shape, config, h_char, velocity, pressure, slots, topology, ws,
-                        &system,
+                    partial.singular_jacobians += assemble_chunk_shared(
+                        sweep, mesh, shape, config, h_char, velocity, pressure, schedule, chunk_id,
+                        topology, ws, &system,
                     );
                     partial.chunks += 1;
-                    partial.elements += slots.len();
+                    partial.elements += schedule.slots(chunk_id).len();
                 }
                 if let Some(s) = chunk_span {
                     s.iters((partial.elements - before) as u64).aux(color as u64).finish();
@@ -367,7 +404,7 @@ pub(crate) fn colored_sweep<const FULL: bool>(
         }
     }
     if let Some(s) = sweep_span {
-        let (flops, bytes) = if FULL {
+        let (flops, bytes) = if full {
             (ASSEMBLY_FLOPS_PER_ELEMENT, ASSEMBLY_BYTES_PER_ELEMENT)
         } else {
             (phases::convective_flops_per_element(), phases::convective_bytes_per_element())

@@ -44,24 +44,38 @@
 //! same kernel serves both the serial sweep and the mesh-colored parallel
 //! sweep.
 //!
-//! # The time step's reduced phases
+//! # The time step's phases
 //!
 //! `lv_driver::Stepper` assembles only the convection matrix per step (see
-//! [`crate::assembly`]); its sweep runs phases 1, 2, 3 and 5 as they are and
-//! two reduced instantiations: [`phase4_gauss_velocity_slices`] (`gpvel`
-//! only — `gpgve` feeds nothing but the elemental right-hand side) and
-//! [`phase6_convective_matrix_slices`] (`elauu` only).  They are not second
-//! copies: phases 4 and 6 have one `#[inline(always)]` body each with a
-//! `const` switch, instantiated twice — the full instantiation compiles to
-//! the loops it had before the switch existed, the reduced one writes, bit
-//! for bit, the full one's values to the arrays it still writes (tests
-//! below).  The accessor oracle has no reduced form: the full slice phases
-//! are checked against it, the reduced ones against the full.
+//! [`crate::assembly`]), on a mesh that does not move.  Its sweep runs
+//! phases 2 and 5 as they are, notes the element ids without gathering a
+//! coordinate ([`phase1_element_ids_slices`]) and has three kernels of its
+//! own:
+//!
+//! * [`phase3_geometry_slices`], once at set-up: the inverse Jacobians and
+//!   `gpvol` of a chunk into a [`crate::ConvectiveGeometry`] table, from
+//!   the strip kernel phase 3 itself is written over (`jacobian_strip` —
+//!   one expression tree, two consumers);
+//! * [`phase4_gauss_velocity_slices`]: `gpvel` only — `gpgve` feeds nothing
+//!   but the elemental right-hand side.  Not a second copy: phase 4 has one
+//!   `#[inline(always)]` body with a `const` switch, instantiated twice —
+//!   the full instantiation compiles to the loops it had before the switch
+//!   existed, the reduced one writes, bit for bit, the full one's `gpvel`;
+//! * [`phase6_reference_convective_slices`]: the element matrix integrated
+//!   in reference space from the table's rows — the velocity pulled back
+//!   through `J⁻¹` instead of every shape derivative pushed forward into
+//!   `gpcar`, two operations per entry instead of five.  Another operation
+//!   order, so not the bits of phase 6: the matrix-only instantiation of the
+//!   phase-6 body (same `const`-switch pattern, `#[cfg(test)]` now) is the
+//!   oracle it is held to, entry by entry, to a stated ε-bound.
+//!
+//! The accessor oracle has no reduced form: the full slice phases are
+//! checked against it, the step's against the full.
 //!
 //! # The host's lanes
 //!
-//! Phases 3–7 of the slice path (both instantiations of 4 and 6) — every
-//! loop of them unit-stride over `ivect` — are multiversioned with
+//! Phases 3–7 of the slice path and the step's three kernels — every loop
+//! of them unit-stride over `ivect` — are multiversioned with
 //! [`lv_runtime::multiversion!`]: each body is compiled once at the build's baseline target features and once
 //! as an `avx2` clone, and `phaseN_*_slices` enters the copy
 //! [`lv_runtime::Lanes::selected`] picked for this host (four `f64` per
@@ -81,7 +95,7 @@ use crate::workspace::{ElementWorkspace, WorkspaceViewsMut};
 use crate::{NDIME, NDOFN, PGAUS, PNODE};
 use lv_mesh::chunks::{ChunkSlots, ElementChunk};
 use lv_mesh::geometry::Mat3;
-use lv_mesh::{Field, Mesh, MeshTopology, ShapeTable, VectorField};
+use lv_mesh::{Field, Mesh, MeshTopology, ShapeDerivatives, ShapeTable, VectorField};
 use lv_solver::CsrMatrix;
 
 /// Slot→element map of one kernel call.
@@ -457,16 +471,28 @@ pub fn phase8_scatter(
 /// reduction runs over them with unit stride.
 const STRIP: usize = 16;
 
-/// Phase 1, slice path: gather element connectivity and nodal coordinates.
-/// Work A (slot bookkeeping) and work B (the coordinate gather) stay split,
-/// as in the paper's VEC1 loop distribution.
-pub fn phase1_gather_coords_slices(mesh: &Mesh, slots: &impl SlotMap, v: &mut WorkspaceViewsMut) {
-    let vs = v.vs;
-    debug_assert_eq!(vs, slots.vector_size());
-    // Work A: element ids and connectivity bookkeeping.
+/// `Mat3::inverse`'s own test for "no inverse": a Jacobian whose determinant
+/// is smaller in magnitude is singular.
+const SINGULAR_DETERMINANT: f64 = 1e-300;
+
+/// Work A of phase 1 on its own: the element id of every slot, `None` for
+/// padding — what phase 8's validity check reads.  A sweep that takes its
+/// geometry from a [`crate::ConvectiveGeometry`] gathers no coordinates and
+/// calls this instead of phase 1: without it every slot is padding and the
+/// scatter adds nothing.
+pub fn phase1_element_ids_slices(slots: &impl SlotMap, v: &mut WorkspaceViewsMut) {
+    debug_assert_eq!(v.vs, slots.vector_size());
     for (iv, id) in v.element_ids.iter_mut().enumerate() {
         *id = slots.element(iv);
     }
+}
+
+/// Phase 1, slice path: gather element connectivity and nodal coordinates.
+/// Work A (slot bookkeeping, [`phase1_element_ids_slices`]) and work B (the
+/// coordinate gather) stay split, as in the paper's VEC1 loop distribution.
+pub fn phase1_gather_coords_slices(mesh: &Mesh, slots: &impl SlotMap, v: &mut WorkspaceViewsMut) {
+    let vs = v.vs;
+    phase1_element_ids_slices(slots, v);
     // Work B: coordinate gather (indexed reads from the global mesh arrays,
     // strided writes into the slot-fastest elcod rows).
     let coords = mesh.coords();
@@ -535,6 +561,62 @@ lv_runtime::multiversion! {
         = phase3_jacobian_body, at phase3_jacobian_slices_at;
 }
 
+/// Determinant and inverse of the Jacobians of one strip of slots at one
+/// integration point — the one expression tree both phase 3 and the
+/// geometry table are built from.  `det[k]` and `inv[j * NDIME + i][k]`
+/// belong to slot `s0 + k`; lanes past `sl` hold a zero Jacobian (their
+/// infinities are never read) and a singular lane (`|det| < 1e-300`,
+/// [`Mat3::inverse`]'s own test for "no inverse") is the caller's to mask.
+///
+/// Every loop is unit-stride over the strip: the `inode` reduction into the
+/// nine Jacobian entries, then the products and differences of
+/// [`Mat3::det`] / [`Mat3::inverse`] written lane-wise and branch-free, so
+/// the accessor oracle keeps its bits.
+#[inline(always)]
+fn jacobian_strip(
+    derivs: &ShapeDerivatives,
+    elcod: &[f64],
+    vs: usize,
+    s0: usize,
+    sl: usize,
+) -> ([f64; STRIP], [[f64; STRIP]; NDIME * NDIME]) {
+    // J[i][j] = Σ_a ∂N_a/∂ξ_j · x_a[i]
+    let mut jac = [[0.0f64; STRIP]; NDIME * NDIME];
+    for inode in 0..PNODE {
+        let d = derivs.d[inode];
+        for i in 0..NDIME {
+            let x = &row(elcod, inode * NDIME + i, vs)[s0..s0 + sl];
+            for (j, &dj) in d.iter().enumerate() {
+                let acc = &mut jac[i * NDIME + j][..sl];
+                for (a, &xv) in acc.iter_mut().zip(x) {
+                    *a += dj * xv;
+                }
+            }
+        }
+    }
+    let mut det = [0.0f64; STRIP];
+    let mut inv = [[0.0f64; STRIP]; NDIME * NDIME];
+    for k in 0..STRIP {
+        let (m00, m01, m02) = (jac[0][k], jac[1][k], jac[2][k]);
+        let (m10, m11, m12) = (jac[3][k], jac[4][k], jac[5][k]);
+        let (m20, m21, m22) = (jac[6][k], jac[7][k], jac[8][k]);
+        let d = m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+            + m02 * (m10 * m21 - m11 * m20);
+        let inv_d = 1.0 / d;
+        det[k] = d;
+        inv[0][k] = (m11 * m22 - m12 * m21) * inv_d;
+        inv[1][k] = (m02 * m21 - m01 * m22) * inv_d;
+        inv[2][k] = (m01 * m12 - m02 * m11) * inv_d;
+        inv[3][k] = (m12 * m20 - m10 * m22) * inv_d;
+        inv[4][k] = (m00 * m22 - m02 * m20) * inv_d;
+        inv[5][k] = (m02 * m10 - m00 * m12) * inv_d;
+        inv[6][k] = (m10 * m21 - m11 * m20) * inv_d;
+        inv[7][k] = (m01 * m20 - m00 * m21) * inv_d;
+        inv[8][k] = (m00 * m11 - m01 * m10) * inv_d;
+    }
+    (det, inv)
+}
+
 #[inline(always)]
 fn phase3_jacobian_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize {
     debug_assert_eq!(shape.num_gauss(), PGAUS);
@@ -545,45 +627,7 @@ fn phase3_jacobian_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize 
         let mut s0 = 0usize;
         while s0 < vs {
             let sl = STRIP.min(vs - s0);
-            // J[i][j] accumulation: unit stride over the strip lanes.
-            let mut jac = [[0.0f64; STRIP]; NDIME * NDIME];
-            for inode in 0..PNODE {
-                let d = derivs.d[inode];
-                for i in 0..NDIME {
-                    let x = &row(v.elcod, inode * NDIME + i, vs)[s0..s0 + sl];
-                    for (j, &dj) in d.iter().enumerate() {
-                        let acc = &mut jac[i * NDIME + j][..sl];
-                        for (a, &xv) in acc.iter_mut().zip(x) {
-                            *a += dj * xv;
-                        }
-                    }
-                }
-            }
-            // Determinant and inverse of every lane of the strip, singular
-            // or not (a lane past `sl` holds a zero Jacobian; its infinities
-            // are never read).  `Mat3::inverse` evaluates exactly these
-            // products and differences, so the accessor oracle keeps its
-            // bits.
-            let mut det = [0.0f64; STRIP];
-            let mut inv = [[0.0f64; STRIP]; NDIME * NDIME];
-            for k in 0..STRIP {
-                let (m00, m01, m02) = (jac[0][k], jac[1][k], jac[2][k]);
-                let (m10, m11, m12) = (jac[3][k], jac[4][k], jac[5][k]);
-                let (m20, m21, m22) = (jac[6][k], jac[7][k], jac[8][k]);
-                let d = m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
-                    + m02 * (m10 * m21 - m11 * m20);
-                let inv_d = 1.0 / d;
-                det[k] = d;
-                inv[0][k] = (m11 * m22 - m12 * m21) * inv_d;
-                inv[1][k] = (m02 * m21 - m01 * m22) * inv_d;
-                inv[2][k] = (m01 * m12 - m02 * m11) * inv_d;
-                inv[3][k] = (m12 * m20 - m10 * m22) * inv_d;
-                inv[4][k] = (m00 * m22 - m02 * m20) * inv_d;
-                inv[5][k] = (m02 * m10 - m00 * m12) * inv_d;
-                inv[6][k] = (m10 * m21 - m11 * m20) * inv_d;
-                inv[7][k] = (m01 * m20 - m00 * m21) * inv_d;
-                inv[8][k] = (m00 * m11 - m01 * m10) * inv_d;
-            }
+            let (det, inv) = jacobian_strip(derivs, v.elcod, vs, s0, sl);
             let mut ok = [true; STRIP];
             let mut all_ok = true;
             {
@@ -591,8 +635,7 @@ fn phase3_jacobian_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize 
                 for (k, out) in gpvol.iter_mut().enumerate() {
                     let weight = 1.0; // 2×2×2 Gauss weights are all 1
                     *out = det[k].abs() * weight;
-                    // `Mat3::inverse`'s own test for "no inverse".
-                    if det[k].abs() < 1e-300 {
+                    if det[k].abs() < SINGULAR_DETERMINANT {
                         singular += 1;
                         ok[k] = false;
                         all_ok = false;
@@ -630,6 +673,59 @@ fn phase3_jacobian_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize 
                         }
                     }
                 }
+            }
+            s0 += sl;
+        }
+    }
+    singular
+}
+
+/// Rows of `VECTOR_SIZE` values a chunk of a [`crate::ConvectiveGeometry`]
+/// holds per integration point: the nine entries of `J⁻¹` (row
+/// `j * NDIME + i` is `∂ξ_j/∂x_i`), then `gpvol`.
+pub const GEOMETRY_ROWS: usize = NDIME * NDIME + 1;
+
+lv_runtime::multiversion! {
+    /// Phase 3 for a mesh that does not move: the inverse Jacobians and
+    /// `gpvol` of the chunk whose coordinates phase 1 gathered, written to
+    /// `table` (`[PGAUS][GEOMETRY_ROWS][VECTOR_SIZE]`, slot-fastest) instead
+    /// of being folded into `gpcar` and recomputed every sweep.  The values
+    /// come from phase 3's own strip kernel, so `gpvol` is bit for bit
+    /// [`phase3_jacobian_slices`]'s and `J⁻¹` the one its `gpcar` is the
+    /// back-substitution of; a singular slot stores a zero inverse (its
+    /// derivatives vanish, as phase 3 zeroes them) and is counted.
+    ///
+    /// Returns the number of slots whose Jacobian was singular.
+    pub fn phase3_geometry_slices(
+        shape: &ShapeTable,
+        v: &WorkspaceViewsMut,
+        table: &mut [f64],
+    ) -> usize = phase3_geometry_body, at phase3_geometry_slices_at;
+}
+
+#[inline(always)]
+fn phase3_geometry_body(shape: &ShapeTable, v: &WorkspaceViewsMut, table: &mut [f64]) -> usize {
+    debug_assert_eq!(shape.num_gauss(), PGAUS);
+    let vs = v.vs;
+    assert_eq!(table.len(), PGAUS * GEOMETRY_ROWS * vs);
+    let mut singular = 0usize;
+    for igaus in 0..PGAUS {
+        let derivs = shape.derivatives(igaus);
+        let geometry = &mut table[igaus * GEOMETRY_ROWS * vs..(igaus + 1) * GEOMETRY_ROWS * vs];
+        let mut s0 = 0usize;
+        while s0 < vs {
+            let sl = STRIP.min(vs - s0);
+            let (det, inv) = jacobian_strip(derivs, v.elcod, vs, s0, sl);
+            for (entry, inv) in inv.iter().enumerate() {
+                let out = &mut row_mut(geometry, entry, vs)[s0..s0 + sl];
+                for (k, o) in out.iter_mut().enumerate() {
+                    *o = if det[k].abs() < SINGULAR_DETERMINANT { 0.0 } else { inv[k] };
+                }
+            }
+            let gpvol = &mut row_mut(geometry, NDIME * NDIME, vs)[s0..s0 + sl];
+            for (k, out) in gpvol.iter_mut().enumerate() {
+                *out = det[k].abs(); // 2×2×2 Gauss weights are all 1
+                singular += usize::from(det[k].abs() < SINGULAR_DETERMINANT);
             }
             s0 += sl;
         }
@@ -764,23 +860,108 @@ lv_runtime::multiversion! {
     ) = phase6_convective_body::<true>, at phase6_convective_slices_at;
 }
 
+/// The matrix-only instantiation of phase 6 — the elemental matrix
+/// `vol·ρ·(N_a + τ·(u·∇)N_a)·(u·∇)N_b` from `gpcar`, into a zeroed `elauu`
+/// bit for bit what [`phase6_convective_slices`] adds to it.  It was the
+/// step's phase 6 until [`phase6_reference_convective_slices`] took the
+/// same integrals in reference space; it stays as the oracle that kernel is
+/// held to entry by entry.
+#[cfg(test)]
+fn phase6_convective_matrix_oracle(
+    shape: &ShapeTable,
+    config: &KernelConfig,
+    v: &mut WorkspaceViewsMut,
+) {
+    phase6_convective_body::<false>(shape, config, v)
+}
+
 lv_runtime::multiversion! {
-    /// Phase 6 of the step's convective-only sweep: the elemental matrix
-    /// `vol·ρ·(N_a + τ·(u·∇)N_a)·(u·∇)N_b` and nothing else — into a zeroed
-    /// `elauu` bit for bit what [`phase6_convective_slices`] adds to it,
-    /// `elrbu` untouched and `gpgve` never read (the step takes its
-    /// right-hand side from the assembled matrix instead).
-    pub fn phase6_convective_matrix_slices(
+    /// Phase 6 of the step's convective-only sweep, in reference space: adds
+    /// the elemental convection matrix
+    /// `∫ ρ·(N_a + τ·(u·∇)N_a)·(u·∇)N_b` to `elauu` from the chunk's rows of
+    /// a [`crate::ConvectiveGeometry`] (`geometry`:
+    /// `[PGAUS][GEOMETRY_ROWS][VECTOR_SIZE]`, read front to back) — no
+    /// `gpcar`, no `elrbu`.
+    ///
+    /// `(u·∇)N_b = Σ_i u_i Σ_j ∂N_b/∂ξ_j·J⁻¹_ji = Σ_j ∂N_b/∂ξ_j·â_j` with
+    /// `â = J⁻¹·u`: the velocity is pulled back once per integration point
+    /// (three rows) and every node's convection is three constants of the
+    /// shape table times those rows.  The test-function weight
+    /// `w_a = vol·ρ·(N_a + τ·(u·∇)N_a)` is formed once per node, so an entry
+    /// of the matrix costs one product and one sum.  The same integrals as
+    /// the `gpcar` formulation in another operation order: equal to it to a
+    /// few ε of an element matrix's largest entry (tests below), not bit for
+    /// bit, and like every multiversioned kernel the same bits at both widths.
+    pub fn phase6_reference_convective_slices(
         shape: &ShapeTable,
         config: &KernelConfig,
+        geometry: &[f64],
         v: &mut WorkspaceViewsMut,
-    ) = phase6_convective_body::<false>, at phase6_convective_matrix_slices_at;
+    ) = phase6_reference_convective_body, at phase6_reference_convective_slices_at;
+}
+
+#[inline(always)]
+fn phase6_reference_convective_body(
+    shape: &ShapeTable,
+    config: &KernelConfig,
+    geometry: &[f64],
+    v: &mut WorkspaceViewsMut,
+) {
+    let vs = v.vs;
+    assert_eq!(geometry.len(), PGAUS * GEOMETRY_ROWS * vs);
+    let rho = config.density;
+    let (conv, rest) = v.scratch.split_at_mut(PNODE * vs);
+    let (pulled_back, rest) = rest.split_at_mut(NDIME * vs);
+    let (vol_rho, rest) = rest.split_at_mut(vs);
+    let weight_a = &mut rest[..vs];
+    for igaus in 0..PGAUS {
+        let funcs = shape.functions(igaus);
+        let derivs = shape.derivatives(igaus);
+        let geometry = &geometry[igaus * GEOMETRY_ROWS * vs..(igaus + 1) * GEOMETRY_ROWS * vs];
+        let vol = &row(geometry, NDIME * NDIME, vs)[..vs];
+        let tau = &row(v.tau, igaus, vs)[..vs];
+        let adv = [0, 1, 2].map(|i| row(v.gpadv, igaus * NDIME + i, vs));
+        // â_j = Σ_i u_i·J⁻¹_ji: row j of the inverse dotted with the velocity.
+        for j in 0..NDIME {
+            advect(row_mut(pulled_back, j, vs), adv, geometry, j * NDIME, vs);
+        }
+        {
+            let a0 = &row(pulled_back, 0, vs)[..vs];
+            let a1 = &row(pulled_back, 1, vs)[..vs];
+            let a2 = &row(pulled_back, 2, vs)[..vs];
+            for node in 0..PNODE {
+                let [d0, d1, d2] = derivs.d[node];
+                let conv_b = &mut row_mut(conv, node, vs)[..vs];
+                for k in 0..vs {
+                    conv_b[k] = d0 * a0[k] + d1 * a1[k] + d2 * a2[k];
+                }
+            }
+        }
+        for k in 0..vs {
+            vol_rho[k] = vol[k] * rho;
+        }
+        for inode in 0..PNODE {
+            let n_a = funcs.n[inode];
+            let conv_a = &row(conv, inode, vs)[..vs];
+            for k in 0..vs {
+                weight_a[k] = vol_rho[k] * (n_a + tau[k] * conv_a[k]);
+            }
+            for jnode in 0..PNODE {
+                let conv_b = &row(conv, jnode, vs)[..vs];
+                let ela = &mut row_mut(v.elauu, inode * PNODE + jnode, vs)[..vs];
+                for k in 0..vs {
+                    ela[k] += weight_a[k] * conv_b[k];
+                }
+            }
+        }
+    }
 }
 
 /// The one phase-6 body: `RESIDUAL` selects the paper's phase (elemental
-/// right-hand side and matrix) or its matrix-only reduction, which drops
-/// `(u·∇)u`, `ρ·τ`, `ρτ·(u·∇)N_a` and the `elrbu` rows with it; a constant
-/// switch, like phase 4's.
+/// right-hand side and matrix) or its matrix-only reduction (the tests'
+/// oracle of the reference-space kernel), which drops `(u·∇)u`, `ρ·τ`,
+/// `ρτ·(u·∇)N_a` and the `elrbu` rows with it; a constant switch, like
+/// phase 4's.
 #[inline(always)]
 fn phase6_convective_body<const RESIDUAL: bool>(
     shape: &ShapeTable,
@@ -984,36 +1165,39 @@ pub fn flops_per_element(semi_implicit: bool) -> f64 {
 }
 
 /// Analytic FLOP count of one element of the step's convective-only sweep
-/// (phases 3, 4 velocity-only, 5, 6 matrix-only and the matrix scatter),
-/// counted as the slice kernels execute them — phase 6 with its hoists, not
-/// the accessor path's recomputation [`flops_per_element`] models.
+/// (velocity-only phase 4, phase 5, the reference-space phase 6 and the
+/// matrix scatter), counted as the slice kernels execute them.  No phase 3:
+/// the geometry is read from the [`crate::ConvectiveGeometry`] table, whose
+/// one-off construction is set-up, not sweep.
 pub fn convective_flops_per_element() -> u64 {
     let (pgaus, pnode, ndime) = (PGAUS as u64, PNODE as u64, NDIME as u64);
-    // Jacobian accumulation, determinant + inverse, `gpcar`, `gpvol`.
-    let p3 = pgaus * (pnode * ndime * ndime * 2 + 45 + pnode * ndime * ndime * 2 + 1);
     // `gpvel += N_a·u_a`.
     let p4 = pgaus * pnode * ndime * 2;
     let p5 = pgaus * 16;
-    // Per integration point: `(u·∇)N_b` of every node, `vol·ρ`; per test
-    // function `τ·(u·∇)N_a`; per entry two products, a sum, the `vol·ρ`
-    // scaling and the accumulation.
-    let p6 = pgaus * (pnode * ndime * 2 + 1 + pnode + pnode * pnode * 5);
+    // Per integration point: the pulled-back velocity `J⁻¹·u` (three
+    // accumulated dot products), `(u·∇)N_b` of every node (three products,
+    // two sums), `vol·ρ`; per test function the weight `vol·ρ·(N_a + τ·conv_a)`;
+    // per entry one product and the accumulation.
+    let p6 =
+        pgaus * (ndime * ndime * 2 + pnode * (2 * ndime - 1) + 1 + pnode * 3 + pnode * pnode * 2);
     let p8 = pnode * pnode;
-    p3 + p4 + p5 + p6 + p8
+    p4 + p5 + p6 + p8
 }
 
 /// Bytes one element of the convective-only sweep moves between the
-/// workspace and the global arrays: the gathered coordinates and unknowns
-/// (phase 2 gathers the pressure too, as in the paper's phase), the
-/// connectivity those two gathers and the scatter each read, the element's
-/// CSR slot map, and the 8×8 block read and written in place.
+/// workspace and the global arrays: the gathered unknowns (phase 2 gathers
+/// the pressure too, as in the paper's phase), the connectivity that gather
+/// and the scatter each read, the element's rows of the geometry table
+/// ([`GEOMETRY_ROWS`] values per integration point, streamed unit-stride),
+/// its CSR slot map, and the 8×8 block read and written in place.
 pub fn convective_bytes_per_element() -> u64 {
-    let (pnode, ndime, ndofn) = (PNODE as u64, NDIME as u64, NDOFN as u64);
-    let gathers = 8 * pnode * (ndime + ndofn);
-    let connectivity = 3 * 4 * pnode;
+    let (pgaus, pnode, ndofn) = (PGAUS as u64, PNODE as u64, NDOFN as u64);
+    let gather = 8 * pnode * ndofn;
+    let connectivity = 2 * 4 * pnode;
+    let geometry = 8 * pgaus * GEOMETRY_ROWS as u64;
     let slots = 4 * pnode * pnode;
     let block = 2 * 8 * pnode * pnode;
-    gathers + connectivity + slots + block
+    gather + connectivity + geometry + slots + block
 }
 
 #[cfg(test)]
@@ -1428,11 +1612,13 @@ mod tests {
 
     #[test]
     fn reduced_phases_equal_the_full_ones_on_the_arrays_both_write() {
-        // The step's phases 4 and 6 are the paper's with the right-hand
-        // side's share switched off at compile time: `gpvel` and — phase 7
-        // skipped on the full side, `elauu` zeroed on both — `elauu` must
-        // come out bit for bit, at both widths, and the arrays only the
-        // full phases write (`gpgve`, `elrbu`) must not be touched.
+        // The step's phase 4 and the matrix-only phase 6 its reference-space
+        // kernel is held to are the paper's with the right-hand side's share
+        // switched off at compile time: `gpvel` and — phase 7 skipped on the
+        // full side, `elauu` zeroed on both — `elauu` must come out bit for
+        // bit (phase 4 at both widths; the oracle has no clone), and the
+        // arrays only the full phases write (`gpgve`, `elrbu`) must not be
+        // touched.
         let mesh = BoxMeshBuilder::new(3, 3, 3).lid_driven_cavity().with_jitter(0.13, 5).build();
         let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
         let config = KernelConfig::default();
@@ -1463,7 +1649,7 @@ mod tests {
                         phase3_jacobian_slices_at(lanes, &shape, &mut v);
                         phase4_gauss_velocity_slices_at(lanes, &shape, &mut v);
                         phase5_stabilization_slices_at(lanes, &config, h, &mut v);
-                        phase6_convective_matrix_slices_at(lanes, &shape, &config, &mut v);
+                        phase6_convective_matrix_oracle(&shape, &config, &mut v);
                     }
                     let (full, reduced) = (ws_full.views(), ws.views());
                     for (name, a, b) in [
@@ -1488,14 +1674,168 @@ mod tests {
         }
     }
 
+    /// The meshes the reference-space kernels are compared on: 64 elements,
+    /// jittered, uniform and with a scrambled node order.
+    fn reference_meshes() -> Vec<(&'static str, Mesh)> {
+        use lv_mesh::renumber::NodePermutation;
+        let jittered =
+            BoxMeshBuilder::new(4, 4, 4).lid_driven_cavity().with_jitter(0.13, 5).build();
+        let scrambled =
+            jittered.renumber_nodes(&NodePermutation::scrambled(jittered.num_nodes(), 0xC0FFEE));
+        vec![
+            ("jittered", jittered),
+            ("box", BoxMeshBuilder::new(4, 4, 4).lid_driven_cavity().build()),
+            ("scrambled", scrambled),
+        ]
+    }
+
+    #[test]
+    fn geometry_rows_are_the_inverse_phase_3_folds_into_gpcar() {
+        // `gpvol` bit for bit phase 3's, and `J⁻¹` the very values its
+        // back-substitution reads: redoing that sum from the table gives
+        // `gpcar` to the bit.  One slot of every chunk is collapsed to a
+        // point: counted like phase 3 counts it, stored as zeros.  Both
+        // widths, a poisoned table.
+        let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
+        for (name, mesh) in &reference_meshes() {
+            for vs in [1usize, 16, 17, 128] {
+                for chunk in &lv_mesh::ElementChunks::new(mesh, vs) {
+                    let collapsed = chunk.len / 2;
+                    let mut ws = ElementWorkspace::new(vs);
+                    let mut v = ws.views_mut();
+                    phase1_gather_coords_slices(mesh, chunk, &mut v);
+                    for idx in 0..PNODE * NDIME {
+                        v.elcod[idx * vs + collapsed] = 0.25;
+                    }
+                    let singular = phase3_jacobian_slices_at(Lanes::Baseline, &shape, &mut v);
+                    assert!(singular >= PGAUS);
+                    for lanes in widths_under_test() {
+                        let what = format!("{name}, VS {vs}, {lanes}");
+                        let mut table = vec![f64::NAN; PGAUS * GEOMETRY_ROWS * vs];
+                        let counted = phase3_geometry_slices_at(lanes, &shape, &v, &mut table);
+                        assert_eq!(counted, singular, "{what}");
+                        for igaus in 0..PGAUS {
+                            let rows = &table[igaus * GEOMETRY_ROWS * vs..][..GEOMETRY_ROWS * vs];
+                            for k in 0..vs {
+                                let vol = rows[NDIME * NDIME * vs + k];
+                                assert_eq!(vol.to_bits(), v.gpvol[igaus * vs + k].to_bits());
+                                if k == collapsed {
+                                    assert!((0..NDIME * NDIME).all(|e| rows[e * vs + k] == 0.0));
+                                    continue;
+                                }
+                                for inode in 0..PNODE {
+                                    for i in 0..NDIME {
+                                        let mut car = 0.0;
+                                        for (j, dj) in
+                                            shape.derivatives(igaus).d[inode].iter().enumerate()
+                                        {
+                                            car += dj * rows[(j * NDIME + i) * vs + k];
+                                        }
+                                        let at = ((igaus * PNODE + inode) * NDIME + i) * vs + k;
+                                        assert_eq!(car.to_bits(), v.gpcar[at].to_bits(), "{what}");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reference_space_phase6_matches_the_gpcar_oracle_entry_by_entry() {
+        // The same integrals in another operation order (the velocity pulled
+        // back through `J⁻¹` instead of the shape derivatives pushed forward,
+        // the test-function weight formed once): every entry of every element
+        // matrix within a few ε of the element's largest.  Measured worst
+        // case over the meshes and vector sizes below: 2.4 ε.  The new
+        // kernel runs from a poisoned workspace without phases 1 and 3, at
+        // both widths (bitwise alike), padded last chunks included (VS 17:
+        // 13 of 17 slots; VS 128: 64 of 128).
+        const EPSILONS: f64 = 4.0;
+        let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
+        let config = KernelConfig::default();
+        let mut worst = 0.0f64;
+        for (name, mesh) in &reference_meshes() {
+            let mut vel = VectorField::taylor_green(mesh);
+            vel.apply_boundary_conditions(
+                mesh,
+                lv_mesh::Vec3::new(1.0, 0.0, 0.0),
+                lv_mesh::Vec3::ZERO,
+            );
+            let pre = Field::from_fn(mesh, |p| p.x * p.y - 0.5 * p.z);
+            let h = mesh.characteristic_length();
+            for vs in [1usize, 16, 17, 128] {
+                for chunk in &lv_mesh::ElementChunks::new(mesh, vs) {
+                    let mut ws_o = ElementWorkspace::new(vs);
+                    ws_o.reset();
+                    let mut table = vec![f64::NAN; PGAUS * GEOMETRY_ROWS * vs];
+                    {
+                        let mut v = ws_o.views_mut();
+                        phase1_gather_coords_slices(mesh, chunk, &mut v);
+                        phase2_gather_unknowns_slices(mesh, &vel, &pre, chunk, &mut v);
+                        phase3_geometry_slices_at(Lanes::Baseline, &shape, &v, &mut table);
+                        phase3_jacobian_slices_at(Lanes::Baseline, &shape, &mut v);
+                        phase4_gauss_velocity_slices_at(Lanes::Baseline, &shape, &mut v);
+                        phase5_stabilization_slices_at(Lanes::Baseline, &config, h, &mut v);
+                        phase6_convective_matrix_oracle(&shape, &config, &mut v);
+                    }
+                    let oracle = ws_o.views().elauu;
+                    assert!(oracle.iter().any(|&x| x != 0.0));
+                    let mut at_baseline: Vec<u64> = Vec::new();
+                    for lanes in widths_under_test() {
+                        let what = format!("{name}, VS {vs}, {lanes}");
+                        let mut ws = ElementWorkspace::new(vs);
+                        ws.poison(-7.25);
+                        ws.reset();
+                        {
+                            let mut v = ws.views_mut();
+                            phase1_element_ids_slices(chunk, &mut v);
+                            phase2_gather_unknowns_slices(mesh, &vel, &pre, chunk, &mut v);
+                            phase4_gauss_velocity_slices_at(lanes, &shape, &mut v);
+                            phase5_stabilization_slices_at(lanes, &config, h, &mut v);
+                            phase6_reference_convective_slices_at(
+                                lanes, &shape, &config, &table, &mut v,
+                            );
+                        }
+                        let views = ws.views();
+                        assert_eq!(views.element_ids, ws_o.views().element_ids, "{what}");
+                        assert!(views.gpcar.iter().all(|&x| x == -7.25), "{what}: gpcar read");
+                        assert!(views.elrbu.iter().all(|&x| x == 0.0), "{what}: elrbu written");
+                        let elauu = views.elauu;
+                        for k in 0..vs {
+                            let entries = (0..PNODE * PNODE).map(|e| e * vs + k);
+                            let largest =
+                                entries.clone().fold(0.0f64, |m, at| m.max(oracle[at].abs()));
+                            for at in entries {
+                                let off = (elauu[at] - oracle[at]).abs() / (f64::EPSILON * largest);
+                                assert!(off <= EPSILONS, "{what}: entry {at} off by {off} eps");
+                                worst = worst.max(off);
+                            }
+                        }
+                        let bits: Vec<u64> = elauu.iter().map(|x| x.to_bits()).collect();
+                        if at_baseline.is_empty() {
+                            at_baseline = bits;
+                        } else {
+                            assert!(bits == at_baseline, "{what}: the clone moved a bit");
+                        }
+                    }
+                }
+            }
+        }
+        println!("reference-space phase 6: worst entry {worst:.2} eps of its element's largest");
+        assert!(worst > 0.0, "another operation order, not the same bits");
+    }
+
     #[test]
     fn convective_sweep_model_counts_fewer_flops_than_the_full_sweep() {
-        // 8 × (144 + 45 + 144 + 1) + 8·8·6 + 8·16 + 8 × (48 + 1 + 8 + 320) + 64.
-        assert_eq!(convective_flops_per_element(), 2672 + 384 + 128 + 3016 + 64);
+        // 8·8·6 + 8·16 + 8 × (18 + 40 + 1 + 24 + 128) + 64.
+        assert_eq!(convective_flops_per_element(), 384 + 128 + 1688 + 64);
         assert!((convective_flops_per_element() as f64) < flops_per_element(true));
-        // Coordinates and unknowns, three reads of the connectivity, the
-        // slot map, the block in and out.
-        assert_eq!(convective_bytes_per_element(), 448 + 96 + 256 + 1024);
+        // The unknowns, two reads of the connectivity, the geometry rows,
+        // the slot map, the block in and out.
+        assert_eq!(convective_bytes_per_element(), 256 + 64 + 640 + 256 + 1024);
     }
 
     #[test]

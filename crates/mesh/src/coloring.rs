@@ -5,7 +5,7 @@
 //! arrays (phase 8).  Two elements can be scattered concurrently without
 //! atomics if and only if they share no mesh node: all their global matrix
 //! rows and RHS entries are then disjoint.  This module provides the
-//! two-stage scheduling substrate the multi-threaded sweep uses:
+//! scheduling substrate the multi-threaded sweeps use:
 //!
 //! 1. [`ElementColoring::greedy`] — a first-fit greedy coloring of the
 //!    *elements* (two elements conflict when they share a node).  On a
@@ -20,11 +20,19 @@
 //!    chunks of a color are pairwise node-disjoint**, so a parallel sweep can
 //!    process every chunk of a color concurrently and only the (few) colors
 //!    sequentially.
+//! 3. [`ColoredChunks::mesh_order`] — the other way round: the mesh's own
+//!    blocks of `VECTOR_SIZE` *consecutive* elements, colored against each
+//!    other.  The same invariant between the chunks of a color, but the
+//!    elements of a chunk are neighbours that share nodes — the gathers and
+//!    the scatter of a chunk stay in cache, every chunk but the mesh's last
+//!    is full, and there are far fewer colors (a 32³ box at `VECTOR_SIZE`
+//!    128: 4 colors × 64 full chunks instead of 8 × 32).  This is the
+//!    schedule of the assembly sweeps; the element-colored packing remains
+//!    the one of the projection operators' set-up sweep.
 //!
-//! Chunking by color necessarily reorders the elements, which changes the
-//! floating-point summation order of the scatter with respect to the serial
-//! mesh-order sweep (addition is commutative but not associative).  The
-//! colored schedule itself is fully deterministic, however: the result of the
+//! Either schedule sums a row's contributions in another order than the
+//! serial mesh-order sweep (addition is commutative but not associative).
+//! The schedule itself is fully deterministic, however: the result of a
 //! colored sweep is bitwise identical for every thread count, and agrees with
 //! the mesh-order serial sweep to rounding accuracy.
 
@@ -38,6 +46,21 @@ use std::ops::Range;
 /// and an element conflicts with at most 26 neighbours, so first-fit needs at
 /// most 27 colors there — 128 leaves ample headroom for degenerate meshes.
 const MAX_COLORS: usize = 128;
+
+/// The balanced choice among the colors of `classes` whose bit is clear in
+/// `mask`: the least-populated one (smallest index on ties); a new color is
+/// opened when every existing one conflicts.
+///
+/// # Panics
+/// Panics if that would be the 129th color.
+fn least_populated_free_color(mask: u128, classes: &mut Vec<Vec<usize>>) -> usize {
+    let free = (0..classes.len()).filter(|&color| mask & (1u128 << color) == 0);
+    free.min_by_key(|&color| classes[color].len()).unwrap_or_else(|| {
+        assert!(classes.len() < MAX_COLORS, "coloring exceeded {MAX_COLORS} colors");
+        classes.push(Vec::new());
+        classes.len() - 1
+    })
+}
 
 /// A partition of the mesh elements into node-disjoint colors.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,23 +133,7 @@ impl ElementColoring {
             for &node in nodes {
                 mask |= used[node as usize];
             }
-            let mut best: Option<usize> = None;
-            for color in 0..classes.len() {
-                // `map_or`, not `is_none_or`: the workspace MSRV is 1.75.
-                if mask & (1u128 << color) == 0
-                    && best.map_or(true, |b| classes[color].len() < classes[b].len())
-                {
-                    best = Some(color);
-                }
-            }
-            let color = best.unwrap_or_else(|| {
-                assert!(
-                    classes.len() < MAX_COLORS,
-                    "element coloring exceeded {MAX_COLORS} colors"
-                );
-                classes.push(Vec::new());
-                classes.len() - 1
-            });
+            let color = least_populated_free_color(mask, &mut classes);
             for &node in nodes {
                 used[node as usize] |= 1u128 << color;
             }
@@ -209,10 +216,12 @@ impl ElementColoring {
     }
 }
 
-/// The elements of a colored mesh packed into `VECTOR_SIZE` blocks, color by
-/// color.  All chunks of one color are pairwise node-disjoint (see the
-/// module docs), which is the invariant the lock-free parallel scatter
-/// relies on.
+/// The elements of a mesh packed into colored `VECTOR_SIZE` blocks: the
+/// classes of an element coloring cut into blocks ([`new`](Self::new)) or
+/// the mesh's consecutive blocks colored against each other
+/// ([`mesh_order`](Self::mesh_order)).  Either way all chunks of one color
+/// are pairwise node-disjoint (see the module docs), which is the invariant
+/// the lock-free parallel scatter relies on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ColoredChunks {
     vector_size: usize,
@@ -241,6 +250,57 @@ impl ColoredChunks {
             for block in class.chunks(vector_size) {
                 chunk_bounds.push((elements.len(), block.len()));
                 elements.extend_from_slice(block);
+            }
+            color_ranges.push(first_chunk..chunk_bounds.len());
+        }
+        ColoredChunks { vector_size, elements, chunk_bounds, color_ranges }
+    }
+
+    /// Colors the mesh's own chunks instead of its elements: every run of
+    /// `vector_size` **consecutive** elements is one chunk (the blocks of
+    /// [`ElementChunks`](crate::chunks::ElementChunks) — one partially
+    /// filled block at most, the mesh's last), and the chunks are colored
+    /// against each other with the rule of [`ElementColoring::balanced`]:
+    /// in mesh order, each chunk takes the least-populated color none of the
+    /// chunks sharing a node with it holds (smallest index on ties) and
+    /// opens a new one only when every color conflicts.
+    ///
+    /// The invariant [`validate`](Self::validate) checks is the same — no two
+    /// chunks of one color share a node — but the slots *inside* a chunk now
+    /// may: a chunk is one worker's sequential loop, so its elements gather
+    /// and scatter the nodes their neighbours in the chunk have just touched
+    /// (OP2's block coloring).  Chunk ids are color-major with the chunks of
+    /// a color in mesh order, so a sweep sums every row in (color, chunk,
+    /// slot) order whatever the team size.
+    ///
+    /// # Panics
+    /// Panics if `vector_size == 0` or more than 128 colors would be needed.
+    pub fn mesh_order(mesh: &Mesh, vector_size: usize) -> Self {
+        assert!(vector_size > 0, "VECTOR_SIZE must be positive");
+        let num_elements = mesh.num_elements();
+        // used[n] = bit mask of the colors of the chunks touching node n.
+        let mut used = vec![0u128; mesh.num_nodes()];
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        let pnode = mesh.nodes_per_element();
+        for first in (0..num_elements).step_by(vector_size) {
+            let end = num_elements.min(first + vector_size);
+            let nodes = &mesh.connectivity()[pnode * first..pnode * end];
+            let mask = nodes.iter().fold(0u128, |mask, &node| mask | used[node as usize]);
+            let color = least_populated_free_color(mask, &mut classes);
+            for &node in nodes {
+                used[node as usize] |= 1u128 << color;
+            }
+            classes[color].push(first);
+        }
+        let mut elements = Vec::with_capacity(num_elements);
+        let mut chunk_bounds = Vec::with_capacity(num_elements.div_ceil(vector_size));
+        let mut color_ranges = Vec::with_capacity(classes.len());
+        for class in &classes {
+            let first_chunk = chunk_bounds.len();
+            for &first in class {
+                let len = vector_size.min(num_elements - first);
+                chunk_bounds.push((elements.len(), len));
+                elements.extend(first..first + len);
             }
             color_ranges.push(first_chunk..chunk_bounds.len());
         }
@@ -433,6 +493,71 @@ mod tests {
             assert_eq!(chunks.num_colors(), coloring.num_colors());
             let problems = chunks.validate(&mesh);
             assert!(problems.is_empty(), "vs={vs}: {problems:?}");
+        }
+    }
+
+    #[test]
+    fn mesh_order_chunks_are_the_meshes_own_blocks_and_stay_disjoint_by_color() {
+        use crate::renumber::NodePermutation;
+        use crate::structured::ChannelMeshBuilder;
+        let cavity = BoxMeshBuilder::new(8, 8, 8).lid_driven_cavity().build();
+        let jittered = BoxMeshBuilder::new(7, 5, 3).lid_driven_cavity().with_jitter(0.1, 3).build();
+        let scrambled =
+            jittered.renumber_nodes(&NodePermutation::scrambled(jittered.num_nodes(), 0xC0FFEE));
+        let meshes = [
+            ("cavity", cavity),
+            ("channel", ChannelMeshBuilder::new(6, 4).build()),
+            ("jittered", jittered),
+            ("scrambled", scrambled),
+        ];
+        for (name, mesh) in &meshes {
+            for vs in [1usize, 16, 128, 240] {
+                let what = format!("{name}, VS {vs}");
+                let chunks = ColoredChunks::mesh_order(mesh, vs);
+                let problems = chunks.validate(mesh);
+                assert!(problems.is_empty(), "{what}: {problems:?}");
+                assert_eq!(chunks.num_elements(), mesh.num_elements(), "{what}");
+                assert_eq!(chunks.num_chunks(), mesh.num_elements().div_ceil(vs), "{what}");
+                // Consecutive elements, and every chunk full but the one
+                // that ends the mesh.
+                for chunk_id in 0..chunks.num_chunks() {
+                    let elements = chunks.slots(chunk_id).elements;
+                    assert!(elements.windows(2).all(|pair| pair[1] == pair[0] + 1), "{what}");
+                    assert_eq!(elements[0] % vs, 0, "{what}");
+                    let ends_the_mesh = elements[elements.len() - 1] + 1 == mesh.num_elements();
+                    assert!(elements.len() == vs || ends_the_mesh, "{what}: chunk {chunk_id}");
+                }
+                // Color-major ids, mesh order within a color.
+                for color in 0..chunks.num_colors() {
+                    let firsts: Vec<usize> =
+                        chunks.color_chunks(color).map(|c| chunks.slots(c).elements[0]).collect();
+                    assert!(firsts.windows(2).all(|pair| pair[0] < pair[1]), "{what}");
+                }
+            }
+        }
+        // A node renumbering changes no connectivity, hence no schedule.
+        assert_eq!(
+            ColoredChunks::mesh_order(&meshes[2].1, 16),
+            ColoredChunks::mesh_order(&meshes[3].1, 16)
+        );
+    }
+
+    #[test]
+    fn mesh_order_color_counts_of_the_uniform_boxes() {
+        // Chunks of 128 consecutive elements: two z-planes of the 8³ box (a
+        // path of 4 chunks), most of a z-plane of the 12³ one, a 32 × 4 slab
+        // of a z-plane of the 32³ one (an 8 × 32 grid of chunks).
+        for (n, per_color) in [(8usize, vec![2, 2]), (12, vec![5, 5, 4]), (32, vec![64; 4])] {
+            let mesh = BoxMeshBuilder::new(n, n, n).lid_driven_cavity().build();
+            let chunks = ColoredChunks::mesh_order(&mesh, 128);
+            let sizes: Vec<usize> =
+                (0..chunks.num_colors()).map(|c| chunks.color_chunks(c).len()).collect();
+            assert_eq!(sizes, per_color, "{n}³");
+            // The element-colored packing of the same mesh: 8 colors, and a
+            // partially filled chunk in each of them below 32³.
+            let by_element = ColoredChunks::new(&ElementColoring::balanced(&mesh), 128);
+            assert_eq!(by_element.num_colors(), 8);
+            assert!(by_element.num_chunks() >= chunks.num_chunks());
         }
     }
 

@@ -2,18 +2,26 @@
 //! run-time-selected wide kernel clones (`lv_runtime::lanes`).
 //!
 //! The constants below are FNV-1a hashes of the velocity and pressure bits
-//! after four `Stepper` steps.  They were **re-recorded once, by PR 21**, a
-//! deliberate change of a step's operation order: the momentum system is
-//! no longer integrated element by element in full (the viscous and mass
-//! blocks are held from set-up, the sweep adds the convection alone and the
-//! right-hand side is a row product of the finished matrix) — the same
-//! integrals in another summation order, so the last bits of a trajectory
-//! moved, as they did with PR 17's `f32` V-cycle.  The recording was taken
-//! twice, with every multiversioned kernel forced to its baseline body and
-//! at the lanes this suite's hosts select (AVX2), each on 1 and 2 threads
-//! in the debug and in the release profile: all eight runs of a scenario
-//! hashed alike.  (The values before this PR, recorded at PR 17 before the
-//! first clone existed, were `0xebfd_6957_c7cf_2244` and
+//! after four `Stepper` steps.  They were **re-recorded once, by PR 23**, a
+//! deliberate change of the assembly sweep's operation order: the
+//! convection matrix is integrated in reference space from inverse
+//! Jacobians held since set-up (the velocity pulled back through `J⁻¹`, the
+//! test-function weight formed once per node) and the sweep visits chunks
+//! of consecutive elements colored against each other, so a row's
+//! contributions meet in (color, chunk, slot) order — the same integrals in
+//! another operation and summation order, so the last bits of a trajectory
+//! moved, as they did with PR 17's `f32` V-cycle and PR 21's resident
+//! viscous and mass blocks.  Measured against the old trajectory after the
+//! four steps (12³ cavity / 48 × 12 × 12 channel): velocity within 1.1e-15
+//! / 1.0e-15 of `‖u‖∞`, pressure within 1.3e-13 / 1.4e-15 of `‖p‖∞`,
+//! kinetic energy bit-identical / 1.9e-16 relative, every step's momentum
+//! and Poisson iteration count unchanged.  The recording was taken twice,
+//! with every multiversioned kernel forced to its baseline body and at the
+//! lanes this suite's hosts select (AVX2), each on 1 and 2 threads in the
+//! debug and in the release profile: all eight runs of a scenario hashed
+//! alike.  (The values before this PR, recorded by PR 21, were
+//! `0xb98d_ca94_130d_4f42` and `0x14c8_df07_ac40_e329`; before that, at
+//! PR 17 before the first clone existed, `0xebfd_6957_c7cf_2244` and
 //! `0x835d_802a_a3f8_e189`.)
 //!
 //! A clone differs from its baseline body only in how many independent
@@ -43,8 +51,8 @@ fn four_steps_hash_to_the_goldens_recorded_before_the_clones() {
     // The 12³ cavity and the 48 × 12 × 12 channel: 14 and 54 chunks of 128,
     // the last one padded in both.
     let goldens = [
-        (ScenarioKind::LidDrivenCavity, 0xb98d_ca94_130d_4f42u64),
-        (ScenarioKind::Channel, 0x14c8_df07_ac40_e329u64),
+        (ScenarioKind::LidDrivenCavity, 0x5e66_bdc0_deba_af27u64),
+        (ScenarioKind::Channel, 0x726c_09e8_d593_f060u64),
     ];
     let lanes = Lanes::selected();
     println!("lanes selected by this test run: {}", lanes.describe());
