@@ -1,7 +1,7 @@
-//! Shared plumbing for the benchmark harnesses.
+//! Shared plumbing for the paper bench target.
 //!
-//! Every table/figure of the paper has its own bench target under
-//! `benches/`; they all build the same memoized [`Runner`] workload and print
+//! Every table/figure of the paper is a row of the one `paper` target under
+//! `benches/`; the rows build the same memoized [`Runner`] workload and print
 //! an [`lv_metrics::Table`] with the rows/series the paper reports.  The
 //! workload size can be overridden with the `LV_BENCH_ELEMENTS` environment
 //! variable (default: 1000 elements), and the sweep always uses the paper's
@@ -15,16 +15,33 @@ use lv_metrics::Table;
 /// Default number of mesh elements for the simulation benches.
 pub const DEFAULT_ELEMENTS: usize = 1000;
 
-/// Number of mesh elements requested via `LV_BENCH_ELEMENTS` (or the
-/// default).
-pub fn bench_elements() -> usize {
-    std::env::var("LV_BENCH_ELEMENTS").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_ELEMENTS)
+/// The element count a value of `LV_BENCH_ELEMENTS` asks for: the default
+/// when the variable is unset, an error naming the value when it is not a
+/// positive integer.
+pub fn parse_elements(value: Option<&str>) -> Result<usize, String> {
+    let Some(value) = value else {
+        return Ok(DEFAULT_ELEMENTS);
+    };
+    match value.parse::<usize>() {
+        Ok(elements) if elements > 0 => Ok(elements),
+        _ => Err(format!("LV_BENCH_ELEMENTS={value:?} is not a positive element count")),
+    }
 }
 
-/// Builds the standard bench runner: a lid-driven-cavity mesh of
-/// [`bench_elements`] elements and the paper's `VECTOR_SIZE` sweep.
-pub fn bench_runner() -> Runner {
-    Runner::new(SweepConfig { min_elements: bench_elements(), ..SweepConfig::default() })
+/// Number of mesh elements requested via `LV_BENCH_ELEMENTS` (or the
+/// default).
+///
+/// # Errors
+/// See [`parse_elements`].
+pub fn bench_elements() -> Result<usize, String> {
+    let value = std::env::var_os("LV_BENCH_ELEMENTS");
+    parse_elements(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+}
+
+/// Builds the standard bench runner: a lid-driven-cavity mesh of at least
+/// `elements` elements and the paper's `VECTOR_SIZE` sweep.
+pub fn bench_runner(elements: usize) -> Runner {
+    Runner::new(SweepConfig { min_elements: elements, ..SweepConfig::default() })
 }
 
 /// Prints a reproduced table in the uniform bench output format (aligned
@@ -50,9 +67,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_elements_is_used_without_env() {
-        std::env::remove_var("LV_BENCH_ELEMENTS");
-        assert_eq!(bench_elements(), DEFAULT_ELEMENTS);
+    fn elements_default_when_unset_and_fail_loudly_when_unparsable() {
+        assert_eq!(parse_elements(None), Ok(DEFAULT_ELEMENTS));
+        assert_eq!(parse_elements(Some("125")), Ok(125));
+        for bad in ["abc", "0", "", "-3", "1e3"] {
+            let error = parse_elements(Some(bad)).expect_err(bad);
+            assert!(error.contains(&format!("{bad:?}")), "{error}");
+        }
     }
 
     #[test]

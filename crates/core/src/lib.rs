@@ -13,11 +13,7 @@
 //!   same rows/series the paper reports;
 //! * [`codesign`] — the iterative co-design methodology of Section 3
 //!   expressed as an executable loop: measure, find the limiting phase,
-//!   apply the next refactor, repeat;
-//! * [`numeric`] — the wall-clock comparison driver of the *real* numeric
-//!   fast path (accessor oracle vs unit-stride slice kernels vs the
-//!   mesh-colored multi-threaded sweep), with built-in correctness
-//!   validation.
+//!   apply the next refactor, repeat.
 //!
 //! The prelude re-exports the types an application needs to drive a full
 //! study end to end.
@@ -26,31 +22,17 @@
 
 pub mod codesign;
 pub mod experiment;
-pub mod numeric;
 pub mod reproduce;
-pub mod solverbench;
-
-/// The one shared hand-rolled JSON emitter every `BENCH_*.json` writer
-/// builds on.  It lives in `lv-trace` (the dependency-free leaf, where the
-/// trace sinks need it too) and is re-exported here for artifact writers.
-pub use lv_trace::json;
 
 pub use codesign::{run_codesign_loop, CodesignReport, CodesignStep};
 pub use experiment::{RunKey, Runner, SweepConfig};
-pub use numeric::{comparisons_to_json, PathComparison, PathMeasurement};
-pub use solverbench::{
-    solver_bench_to_json, solver_comparisons_to_json, RenumberingReport, SolverComparison,
-    SolverMeasurement,
-};
 
 /// Convenience re-exports for examples and downstream users.
 pub mod prelude {
     pub use crate::codesign::run_codesign_loop;
     pub use crate::experiment::{RunKey, Runner, SweepConfig};
-    pub use crate::numeric::PathComparison;
     pub use crate::reproduce;
-    pub use crate::solverbench::SolverComparison;
-    pub use lv_kernel::{KernelConfig, NastinAssembly, NumericPath, OptLevel, SimulatedMiniApp};
+    pub use lv_kernel::{KernelConfig, NastinAssembly, OptLevel, SimulatedMiniApp};
     pub use lv_mesh::{BoxMeshBuilder, ChannelMeshBuilder, Field, Mesh, VectorField};
     pub use lv_metrics::{RunMetrics, Table};
     pub use lv_sim::{Platform, PlatformKind};

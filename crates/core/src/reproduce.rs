@@ -1,8 +1,8 @@
 //! One function per table and figure of the paper's evaluation.
 //!
 //! Every function returns an [`lv_metrics::Table`] whose rows/series match
-//! what the paper reports; the bench targets in `crates/bench` print them,
-//! and EXPERIMENTS.md records the measured values next to the paper's.
+//! what the paper reports; the `paper` bench target in `crates/bench` prints
+//! them, and EXPERIMENTS.md records the measured values next to the paper's.
 //!
 //! The platform for the single-machine experiments (Tables 3–6, Figures 2–11)
 //! is the RISC-V VEC prototype; Figures 12–13 sweep the other platforms.

@@ -20,21 +20,15 @@
 //!   generations and falls back past corrupt ones on load;
 //! * [`fault`] — the deterministic [`FaultPlan`] injection harness that
 //!   exercises every recovery path (solver breakdowns, NaN-poisoned RHS,
-//!   corrupted checkpoints) reproducibly in tests;
-//! * [`mod@bench`] — the wall-clock engine behind `BENCH_driver.json`.
+//!   corrupted checkpoints) reproducibly in tests.
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod checkpoint;
 pub mod fault;
 pub mod scenario;
 pub mod stepper;
 
-pub use bench::{
-    driver_bench_to_json, measure_pressure_solvers, pressure_solver_cases_to_json,
-    DriverBenchReport, DriverMeasurement, PressureSolverCase,
-};
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_traced, save_checkpoint, save_checkpoint_traced, Checkpoint,
     CheckpointRing, RingRecovery,

@@ -303,15 +303,6 @@ impl StepTimings {
     pub fn total(&self) -> f64 {
         self.assembly + self.momentum + self.poisson + self.correction + self.other
     }
-
-    /// Accumulates another step's timings (used by the bench).
-    pub fn accumulate(&mut self, other: &StepTimings) {
-        self.assembly += other.assembly;
-        self.momentum += other.momentum;
-        self.poisson += other.poisson;
-        self.correction += other.correction;
-        self.other += other.other;
-    }
 }
 
 /// Diagnostics and timings of one completed step.

@@ -3,7 +3,7 @@
 //! matrix and RHS.
 //!
 //! This is the "real" half of the mini-app: it produces numbers the examples
-//! and the wall-clock Criterion benches use, and its results are invariant
+//! and the benchmark's `assembly_vs` workload use, and its results are invariant
 //! under the code-variant / `VECTOR_SIZE` choices (a property the integration
 //! tests check — the paper's refactors must not change the physics).
 //!
@@ -56,46 +56,6 @@ use lv_mesh::{ElementKind, Field, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_solver::CsrMatrix;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Which numeric sweep implementation an assembly call runs.
-///
-/// All three produce the same physics; they differ in how the inner loops
-/// are expressed and scheduled:
-///
-/// * [`Accessor`](NumericPath::Accessor) — the original per-scalar accessor
-///   kernels over mesh-order chunks.  Kept as the readable oracle; the slice
-///   path is bitwise identical to it.
-/// * [`Slices`](NumericPath::Slices) — the unit-stride slice-view kernels
-///   over the same mesh-order chunks.  Bitwise identical to `Accessor`,
-///   just faster.
-/// * [`Parallel`](NumericPath::Parallel) — the slice-view kernels over the
-///   mesh-colored schedule, `threads` workers scattering lock-free.
-///   Bitwise reproducible for any thread count; agrees with the serial
-///   paths to rounding accuracy (the colored schedule permutes the
-///   floating-point summation order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NumericPath {
-    /// Per-scalar accessor kernels, serial mesh-order sweep (the oracle).
-    Accessor,
-    /// Unit-stride slice-view kernels, serial mesh-order sweep.
-    Slices,
-    /// Slice-view kernels over the colored schedule with this many workers.
-    Parallel {
-        /// Number of worker threads (each with its own workspace).
-        threads: usize,
-    },
-}
-
-impl NumericPath {
-    /// Short name used in benches and reports.
-    pub fn name(&self) -> String {
-        match self {
-            NumericPath::Accessor => "accessor".to_string(),
-            NumericPath::Slices => "slices".to_string(),
-            NumericPath::Parallel { threads } => format!("parallel-{threads}t"),
-        }
-    }
-}
 
 /// Result of one assembly sweep over the mesh.
 #[derive(Debug, Clone)]
@@ -277,9 +237,9 @@ impl NastinAssembly {
         AssemblyOutput { matrix, rhs, stats }
     }
 
-    /// Runs the full assembly into preallocated storage (zeroing it first).
-    /// This is the entry point the wall-clock benches call so repeated
-    /// iterations do not measure allocation.
+    /// Runs the full assembly into preallocated storage (zeroing it first),
+    /// through the per-scalar accessor kernels: the readable oracle the
+    /// slice path is bitwise identical to.
     pub fn assemble_into(
         &self,
         velocity: &VectorField,
@@ -535,39 +495,6 @@ impl NastinAssembly {
         AssemblyOutput { matrix, rhs, stats }
     }
 
-    /// Runs the assembly through the given [`NumericPath`] into
-    /// preallocated storage (allocating only the parallel path's worker
-    /// workspaces when `path` is [`NumericPath::Parallel`] and `workspace`
-    /// alone is not enough).
-    pub fn assemble_into_with(
-        &self,
-        path: NumericPath,
-        velocity: &VectorField,
-        pressure: &Field,
-        matrix: &mut CsrMatrix,
-        rhs: &mut [f64],
-        workspaces: &mut [ElementWorkspace],
-    ) -> AssemblyStats {
-        match path {
-            NumericPath::Accessor => {
-                self.assemble_into(velocity, pressure, matrix, rhs, &mut workspaces[0])
-            }
-            NumericPath::Slices => {
-                self.assemble_into_slices(velocity, pressure, matrix, rhs, &mut workspaces[0])
-            }
-            NumericPath::Parallel { threads } => {
-                let threads = threads.max(1).min(workspaces.len());
-                self.assemble_parallel_into(
-                    velocity,
-                    pressure,
-                    matrix,
-                    rhs,
-                    &mut workspaces[..threads],
-                )
-            }
-        }
-    }
-
     /// The element coloring of the mesh's topology (what the projection
     /// operators' set-up sweep is scheduled by; the assembly sweeps color
     /// chunks instead, see [`colored_chunks`](Self::colored_chunks)).
@@ -786,29 +713,6 @@ mod tests {
             assert!((a - b).abs() < 1e-15, "matrix {a} vs {b}");
         }
         assert!(differing > 0);
-    }
-
-    #[test]
-    fn assemble_into_with_dispatches_every_path() {
-        let mesh = cavity(3);
-        let (v, p) = state(&mesh);
-        let asm = NastinAssembly::new(mesh, KernelConfig::new(16, OptLevel::Vec1));
-        let mut matrix = asm.new_matrix();
-        let mut rhs = vec![0.0; NDIME * asm.mesh().num_nodes()];
-        let mut workspaces: Vec<ElementWorkspace> =
-            (0..2).map(|_| ElementWorkspace::new(16)).collect();
-        let oracle = asm.assemble(&v, &p);
-        for path in
-            [NumericPath::Accessor, NumericPath::Slices, NumericPath::Parallel { threads: 2 }]
-        {
-            let stats =
-                asm.assemble_into_with(path, &v, &p, &mut matrix, &mut rhs, &mut workspaces);
-            assert_eq!(stats.elements, 27, "{}", path.name());
-            for (a, b) in oracle.rhs.iter().zip(&rhs) {
-                assert!((a - b).abs() < 1e-11, "{} rhs mismatch", path.name());
-            }
-        }
-        assert_eq!(NumericPath::Parallel { threads: 4 }.name(), "parallel-4t");
     }
 
     #[test]

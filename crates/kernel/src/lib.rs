@@ -21,10 +21,13 @@
 //! * the **numeric path** ([`assembly`]) actually computes the Navier–Stokes
 //!   element integrals over a [`lv_mesh::Mesh`] and produces a global CSR
 //!   matrix and RHS (consumed by `lv-solver` in the examples); it is what the
-//!   Criterion wall-clock benches measure on the host CPU.  It runs through
-//!   one of three sweep implementations ([`NumericPath`]): the per-scalar
-//!   accessor oracle, the unit-stride slice-view kernels (bitwise identical,
-//!   ≥2× faster) or the mesh-colored multi-threaded sweep ([`parallel`]).
+//!   benchmark's `assembly_vs` workload measures on the host CPU.  It has
+//!   three sweep implementations, each with its own entry point: the
+//!   per-scalar accessor oracle ([`NastinAssembly::assemble_into`]), the
+//!   unit-stride slice-view kernels (bitwise identical,
+//!   [`NastinAssembly::assemble_into_slices`]) and the chunk-colored
+//!   multi-threaded sweep ([`parallel`],
+//!   [`NastinAssembly::assemble_parallel_into_on`]).
 //!   A time step (`lv_driver::Stepper`) assembles through
 //!   [`assemble_momentum_on`] instead: the viscous and mass blocks held from
 //!   set-up ([`PressureOperators`]), a convective-only colored sweep over
@@ -53,9 +56,7 @@ pub mod projection;
 pub mod workload;
 pub mod workspace;
 
-pub use assembly::{
-    AssemblyOutput, AssemblyStats, ConvectiveGeometry, NastinAssembly, NumericPath,
-};
+pub use assembly::{AssemblyOutput, AssemblyStats, ConvectiveGeometry, NastinAssembly};
 pub use config::{KernelConfig, OptLevel, PAPER_VECTOR_SIZES};
 pub use matrixfree::{build_pressure_multigrid, pressure_interpolations, MatrixFreeLaplacian};
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};

@@ -858,8 +858,7 @@ pub fn weak_divergence_vector_norm(d: &[f64]) -> f64 {
 /// Convenience: the assembled pressure Laplacian of `mesh`, symmetrically
 /// pinned at `pins` (see [`CsrMatrix::pin_rows_symmetric`]) so it is
 /// symmetric positive definite — the true operator the pressure-Poisson CG
-/// solves, replacing the synthetic shifted graph Laplacian the solver bench
-/// used before.
+/// solves.
 pub fn pressure_laplacian(mesh: &Mesh, vector_size: usize, pins: &[usize]) -> CsrMatrix {
     let ops = PressureOperators::new(mesh, vector_size);
     let mut matrix = ops.assemble_laplacian();

@@ -119,7 +119,7 @@ impl NodePermutation {
     /// luxury real unstructured meshes (the paper's Alya production cases)
     /// do not have.  Scrambling the node order emulates the arbitrary
     /// numbering of an imported mesh; it is the "before" state the
-    /// renumbering benches measure [`reverse_cuthill_mckee`] against.
+    /// renumbering tests measure [`reverse_cuthill_mckee`] against.
     pub fn scrambled(n: usize, seed: u64) -> Self {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};

@@ -12,9 +12,10 @@
 //! cache misses and memory-instruction ratios.  [`report`] renders the
 //! tables/series of every experiment as aligned text, Markdown or CSV.
 //! [`tracecheck`] validates `lv-trace` span logs for CI (structure,
-//! timestamp order, per-rank nesting) and gates the tracing overhead;
-//! [`metricscheck`] does the same for the fleet-metrics exposition
-//! (Prometheus text format structure) and gates the metrics overhead.
+//! timestamp order, per-rank nesting); [`metricscheck`] does the same for
+//! the fleet-metrics exposition (Prometheus text format structure).  Both
+//! report through [`GateReport`].  Nothing here measures time: the
+//! repository's one benchmark is the `benchmark/` package.
 
 #![warn(missing_docs)]
 
@@ -24,13 +25,8 @@ pub mod report;
 pub mod summary;
 pub mod tracecheck;
 
-pub use metricscheck::{gate_metrics_overhead, validate_prometheus};
-pub use regression::{
-    best_parallel_solver_speedup, driver_phase_seconds, gate_assembly_bench, gate_multigrid_bench,
-    gate_renumbering_bench, gate_rolling_window, gate_rolling_window_low, gate_server_bench,
-    gate_solver_bench, gate_spmm_bench, linear_regression, parse_host_threads,
-    server_peak_throughput, worst_slice_speedup, GateCheck, GateReport, RegressionResult,
-};
+pub use metricscheck::validate_prometheus;
+pub use regression::{linear_regression, GateCheck, GateReport, RegressionResult};
 pub use report::Table;
 pub use summary::{PhaseMetrics, RunMetrics};
-pub use tracecheck::{gate_trace_overhead, validate_trace_jsonl};
+pub use tracecheck::validate_trace_jsonl;

@@ -1,12 +1,8 @@
-//! CI checks over `lv-server` fleet metrics: structural validation of the
-//! Prometheus text exposition and the metrics-overhead gate.
+//! CI check over `lv-server` fleet metrics: structural validation of the
+//! Prometheus text exposition.
 //!
 //! The server smoke step in CI scrapes `serve metrics --format prom` from
-//! a live fleet and feeds the text through [`validate_prometheus`]; the
-//! bench gate runs the saturation fleet with the registry off and on and
-//! feeds both wall-clocks to [`gate_metrics_overhead`] — the registry's
-//! headline promise is that observing the fleet costs a few relaxed
-//! atomics, not a few percent of throughput.
+//! a live fleet and feeds the text through [`validate_prometheus`].
 
 use crate::regression::GateReport;
 use std::collections::BTreeMap;
@@ -189,37 +185,6 @@ pub fn validate_prometheus(text: &str) -> GateReport {
     report
 }
 
-/// Gates the wall-clock cost of the fleet registry: the saturation fleet
-/// with metrics on must not exceed the metrics-off run by more than
-/// `max_overhead` (the ISSUE ceiling is 0.05).  A non-positive or
-/// non-finite baseline skips the check (passing) — a sub-resolution run
-/// cannot resolve a 5% delta.
-pub fn gate_metrics_overhead(off_seconds: f64, on_seconds: f64, max_overhead: f64) -> GateReport {
-    let mut report = GateReport::default();
-    if !(off_seconds > 0.0 && off_seconds.is_finite() && on_seconds.is_finite()) {
-        report.push(
-            "metrics overhead",
-            true,
-            format!(
-                "skipped: baseline {off_seconds:.6}s cannot resolve a {:.1}% overhead ceiling",
-                max_overhead * 100.0
-            ),
-        );
-        return report;
-    }
-    let overhead = on_seconds / off_seconds - 1.0;
-    report.push(
-        "metrics overhead",
-        overhead <= max_overhead,
-        format!(
-            "metrics-off {off_seconds:.6}s, metrics-on {on_seconds:.6}s: {:+.2}% (ceiling {:.1}%)",
-            overhead * 100.0,
-            max_overhead * 100.0
-        ),
-    );
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,17 +279,5 @@ mod tests {
         registry.observe(1, 9000);
         let report = validate_prometheus(&registry.snapshot().to_prometheus());
         assert!(report.passed(), "{}", report.to_text());
-    }
-
-    #[test]
-    fn overhead_gate_enforces_the_ceiling() {
-        assert!(gate_metrics_overhead(1.0, 1.04, 0.05).passed());
-        let over = gate_metrics_overhead(1.0, 1.08, 0.05);
-        assert!(!over.passed());
-        assert!(over.to_text().contains("ceiling 5.0%"));
-        assert!(gate_metrics_overhead(1.0, 0.97, 0.05).passed());
-        let skip = gate_metrics_overhead(0.0, 1.0, 0.05);
-        assert!(skip.passed());
-        assert!(skip.to_text().contains("skipped"));
     }
 }

@@ -7,15 +7,10 @@
 //! the coefficient of determination R² (0.903 and 0.966).
 //! [`linear_regression`] provides exactly that fit.
 //!
-//! **Performance regression**: the wall-clock benches commit their results
-//! as `BENCH_assembly.json` / `BENCH_solver.json` so the perf trajectory of
-//! the fast paths accumulates with the repo.  [`gate_assembly_bench`] and
-//! [`gate_solver_bench`] turn those artifacts into a CI gate: the build
-//! fails when the slice-path speedup falls below its floor or the pooled
-//! solvers stop beating the serial path on a multi-core host.  The parsers
-//! ([`parse_named_numbers`]) are deliberately tiny, scanning the specific
-//! documents the `lv-core` drivers hand-roll — the offline `serde_json`
-//! shim cannot deserialize.
+//! **Check reports**: [`GateReport`] is the list of named pass/fail checks
+//! that the structural validators of this crate ([`crate::tracecheck`],
+//! [`crate::metricscheck`]) report through.  Performance regressions are not
+//! judged here: `benchmark/` is the repository's one yardstick.
 
 use serde::{Deserialize, Serialize};
 
@@ -129,7 +124,7 @@ fn solve_small(a: &mut [Vec<f64>], b: &mut [f64]) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Performance-regression gate over the committed bench artifacts.
+// Named pass/fail checks.
 // ---------------------------------------------------------------------------
 
 /// Outcome of one gate check.
@@ -143,7 +138,7 @@ pub struct GateCheck {
     pub detail: String,
 }
 
-/// The result of gating one bench artifact.
+/// The outcome of validating one artifact.
 #[derive(Debug, Clone, Default)]
 pub struct GateReport {
     /// Individual checks, in evaluation order.
@@ -170,474 +165,10 @@ impl GateReport {
         out
     }
 
-    /// Appends one check outcome.  Public so sibling modules (and downstream
-    /// gate drivers) can compose reports from their own measurements.
+    /// Appends one check outcome.
     pub fn push(&mut self, label: impl Into<String>, passed: bool, detail: impl Into<String>) {
         self.checks.push(GateCheck { label: label.into(), passed, detail: detail.into() });
     }
-}
-
-/// Parses the number following the first occurrence of `"key":` at or after
-/// byte `from` in `json`.  Returns the value and the byte offset just past
-/// it.  Tailored to the flat documents the `lv-core` drivers emit (no
-/// escaping or nesting games).
-fn number_after(json: &str, from: usize, key: &str) -> Option<(f64, usize)> {
-    let needle = format!("\"{key}\":");
-    let at = json[from..].find(&needle)? + from + needle.len();
-    let rest = json[at..].trim_start();
-    let skipped = json.len() - at - rest.len();
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c))).unwrap_or(rest.len());
-    let value: f64 = rest[..end].parse().ok()?;
-    Some((value, at + skipped + end))
-}
-
-/// Scans `json` for every occurrence of `anchor` (e.g. `"path": "slices"`)
-/// and extracts the numeric `field` that follows each within the same
-/// object.  The drivers emit fields in a fixed order with the anchor first,
-/// so "follows" is sufficient.
-pub fn parse_named_numbers(json: &str, anchor: &str, field: &str) -> Vec<f64> {
-    let mut values = Vec::new();
-    let mut from = 0;
-    while let Some(hit) = json[from..].find(anchor) {
-        let at = from + hit + anchor.len();
-        match number_after(json, at, field) {
-            Some((value, next)) => {
-                values.push(value);
-                from = next;
-            }
-            None => break,
-        }
-    }
-    values
-}
-
-/// Extracts `(threads, speedup)` for every case of `method` in a
-/// `BENCH_solver.json` document.
-fn solver_cases(json: &str, method: &str) -> Vec<(usize, f64)> {
-    let anchor = format!("\"method\": \"{method}\"");
-    let mut cases = Vec::new();
-    let mut from = 0;
-    while let Some(hit) = json[from..].find(&anchor) {
-        let at = from + hit + anchor.len();
-        let Some((threads, next)) = number_after(json, at, "threads") else { break };
-        let Some((speedup, next)) = number_after(json, next, "speedup") else { break };
-        cases.push((threads as usize, speedup));
-        from = next;
-    }
-    cases
-}
-
-/// Gates a `BENCH_assembly.json` document: every `VECTOR_SIZE` comparison
-/// must show the slice path at least `min_slice_speedup` times faster than
-/// the accessor oracle (the ROADMAP floor is 1.8× on the CI host).
-pub fn gate_assembly_bench(json: &str, min_slice_speedup: f64) -> GateReport {
-    let mut report = GateReport::default();
-    let speedups = parse_named_numbers(json, "\"path\": \"slices\"", "speedup");
-    if speedups.is_empty() {
-        report.push("assembly slice speedup", false, "no slice-path measurements found");
-        return report;
-    }
-    let worst = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    report.push(
-        "assembly slice speedup",
-        worst >= min_slice_speedup,
-        format!(
-            "worst {worst:.2}x across {} comparison(s), floor {min_slice_speedup:.2}x",
-            speedups.len()
-        ),
-    );
-    report
-}
-
-/// Gates a `BENCH_solver.json` document: on a multi-core host, the pooled
-/// CG and BiCGSTAB must beat the serial path at some measured thread count
-/// ≥ 2 (`min_parallel_speedup` of 1.0 = "must not lose"); on a single-core
-/// host the parallel-vs-serial comparison is meaningless and is recorded as
-/// a skipped (passing) check.
-pub fn gate_solver_bench(json: &str, min_parallel_speedup: f64) -> GateReport {
-    let mut report = GateReport::default();
-    let Some((host_threads, _)) = number_after(json, 0, "host_threads") else {
-        report.push("solver artifact", false, "no host_threads field found");
-        return report;
-    };
-    for method in ["cg", "bicgstab"] {
-        let parallel: Vec<(usize, f64)> =
-            solver_cases(json, method).into_iter().filter(|&(t, _)| t > 1).collect();
-        let label = format!("solver {method} parallel speedup");
-        if parallel.is_empty() {
-            report.push(label, false, "no parallel measurements found");
-            continue;
-        }
-        if host_threads < 2.0 {
-            report.push(
-                label,
-                true,
-                format!("skipped: single-core host (host_threads = {host_threads})"),
-            );
-            continue;
-        }
-        let best = parallel.iter().map(|&(_, s)| s).fold(f64::NEG_INFINITY, f64::max);
-        let at = parallel.iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|&(t, _)| t).unwrap_or(0);
-        report.push(
-            label,
-            best >= min_parallel_speedup,
-            format!(
-                "best {best:.2}x at {at} threads, floor {min_parallel_speedup:.2}x \
-                 (host_threads = {host_threads})"
-            ),
-        );
-    }
-    report
-}
-
-/// Gates the multi-RHS (SpMM) rows of a `BENCH_solver.json` document: the
-/// fused `spmm3` must beat three sequential SpMV streams by at least
-/// `min_ratio` at some measured thread count (the ISSUE floor is 1.2×; this
-/// is a single-address-space memory-traffic win, so it holds on single-core
-/// hosts too and is never skipped).
-pub fn gate_spmm_bench(json: &str, min_ratio: f64) -> GateReport {
-    let mut report = GateReport::default();
-    let ratios = parse_named_numbers(json, "\"method\": \"spmm3\"", "speedup");
-    if ratios.is_empty() {
-        report.push("spmm3 fused-stream speedup", false, "no spmm3 measurements found");
-        return report;
-    }
-    let best = ratios.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    report.push(
-        "spmm3 fused-stream speedup",
-        best >= min_ratio,
-        format!("best {best:.2}x over 3 sequential SpMVs, floor {min_ratio:.2}x"),
-    );
-    report
-}
-
-/// Gates the renumbering section of a `BENCH_solver.json` document: the
-/// reverse Cuthill–McKee pass must reduce the measured CSR bandwidth of the
-/// scrambled ("imported-order") mesh by at least `min_ratio` (ISSUE floor:
-/// 2×).
-pub fn gate_renumbering_bench(json: &str, min_ratio: f64) -> GateReport {
-    let mut report = GateReport::default();
-    let ratios = parse_named_numbers(json, "\"renumbering\":", "bandwidth_ratio");
-    match ratios.first() {
-        None => report.push("rcm bandwidth reduction", false, "no renumbering section found"),
-        Some(&ratio) => report.push(
-            "rcm bandwidth reduction",
-            ratio >= min_ratio,
-            format!("measured {ratio:.2}x, floor {min_ratio:.2}x"),
-        ),
-    }
-    report
-}
-
-/// One parsed row of the `pressure_solver` block of `BENCH_driver.json`.
-#[derive(Debug, Clone, PartialEq)]
-struct PressureSolverRow {
-    resolution: usize,
-    cg_iterations: usize,
-    cg_seconds: f64,
-    mgcg_iterations: usize,
-    mgcg_seconds: f64,
-}
-
-/// Parses every row of the `pressure_solver` comparison block.
-fn pressure_solver_rows(json: &str) -> Vec<PressureSolverRow> {
-    let Some(block) = json.find("\"pressure_solver\":") else { return Vec::new() };
-    let mut rows = Vec::new();
-    let mut from = block;
-    while let Some(hit) = json[from..].find("\"resolution\":") {
-        let at = from + hit;
-        let Some((resolution, next)) = number_after(json, at, "resolution") else { break };
-        let Some((cg_it, next)) = number_after(json, next, "cg_iterations") else { break };
-        let Some((cg_s, next)) = number_after(json, next, "cg_seconds") else { break };
-        let Some((mg_it, next)) = number_after(json, next, "mgcg_iterations") else { break };
-        let Some((mg_s, next)) = number_after(json, next, "mgcg_seconds") else { break };
-        rows.push(PressureSolverRow {
-            resolution: resolution as usize,
-            cg_iterations: cg_it as usize,
-            cg_seconds: cg_s,
-            mgcg_iterations: mg_it as usize,
-            mgcg_seconds: mg_s,
-        });
-        from = next;
-    }
-    rows
-}
-
-/// Gates the `pressure_solver` block of a `BENCH_driver.json` document — the
-/// mesh-independence contract of the geometric multigrid preconditioner:
-///
-/// * MG-CG takes at most `max_iterations` iterations at the **largest**
-///   measured resolution (the ISSUE ceiling is 15 at 16³);
-/// * the iteration count is non-increasing as the resolution grows
-///   (8³ → 12³ → 16³) — the signature of an effective V-cycle;
-/// * on a multi-core host, MG-CG beats plain Jacobi-CG in wall-clock by at
-///   least `min_speedup` at the largest resolution (skipped and recorded on
-///   single-core hosts, where the wall-clock comparison is noise-dominated).
-pub fn gate_multigrid_bench(json: &str, max_iterations: usize, min_speedup: f64) -> GateReport {
-    let mut report = GateReport::default();
-    let rows = pressure_solver_rows(json);
-    if rows.is_empty() {
-        report.push("multigrid pressure solve", false, "no pressure_solver block found");
-        return report;
-    }
-    let largest = rows.iter().max_by_key(|r| r.resolution).expect("non-empty");
-    report.push(
-        "mgcg iteration ceiling",
-        largest.mgcg_iterations <= max_iterations,
-        format!(
-            "{} iterations at {}³ (cg: {}), ceiling {max_iterations}",
-            largest.mgcg_iterations, largest.resolution, largest.cg_iterations
-        ),
-    );
-
-    let mut sorted = rows.clone();
-    sorted.sort_by_key(|r| r.resolution);
-    let non_increasing = sorted.windows(2).all(|w| w[1].mgcg_iterations <= w[0].mgcg_iterations);
-    report.push(
-        "mgcg iterations non-increasing with resolution",
-        non_increasing,
-        format!(
-            "[{}]",
-            sorted
-                .iter()
-                .map(|r| format!("{}³: {}", r.resolution, r.mgcg_iterations))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    );
-
-    let label = "mgcg wall-clock vs cg";
-    match number_after(json, 0, "host_threads") {
-        Some((host_threads, _)) if host_threads >= 2.0 => {
-            let speedup = largest.cg_seconds / largest.mgcg_seconds;
-            report.push(
-                label,
-                speedup >= min_speedup,
-                format!(
-                    "{speedup:.2}x at {}³ (cg {:.3} ms, mgcg {:.3} ms), floor {min_speedup:.2}x",
-                    largest.resolution,
-                    largest.cg_seconds * 1e3,
-                    largest.mgcg_seconds * 1e3
-                ),
-            );
-        }
-        Some((host_threads, _)) => {
-            report.push(
-                label,
-                true,
-                format!("skipped: single-core host (host_threads = {host_threads})"),
-            );
-        }
-        None => report.push(label, false, "no host_threads field found"),
-    }
-    report
-}
-
-/// The worst (minimum) slice-path speedup of a `BENCH_assembly.json`
-/// document — the per-artifact scalar the assembly trend gate tracks.
-pub fn worst_slice_speedup(json: &str) -> Option<f64> {
-    let speedups = parse_named_numbers(json, "\"path\": \"slices\"", "speedup");
-    speedups.into_iter().min_by(f64::total_cmp)
-}
-
-/// The best parallel (threads ≥ 2) CG/BiCGSTAB speedup of a
-/// `BENCH_solver.json` document — the per-artifact scalar the pooled-solver
-/// trend gate tracks.  `None` when the artifact has no parallel rows.
-pub fn best_parallel_solver_speedup(json: &str) -> Option<f64> {
-    let mut best: Option<f64> = None;
-    for method in ["cg", "bicgstab"] {
-        for (threads, speedup) in solver_cases(json, method) {
-            if threads > 1 && best.map_or(true, |b| speedup > b) {
-                best = Some(speedup);
-            }
-        }
-    }
-    best
-}
-
-/// The 1-thread per-phase seconds of the first run in a `BENCH_driver.json`
-/// document (`phase` ∈ assembly/momentum/poisson/correction, or `total` for
-/// the whole step) — the per-artifact scalar the driver trend gate tracks.
-pub fn driver_phase_seconds(json: &str, phase: &str) -> Option<f64> {
-    let at = json.find("\"threads\": 1")?;
-    if phase == "total" {
-        return number_after(json, at, "seconds").map(|(v, _)| v);
-    }
-    number_after(json, at, &format!("{phase}_seconds")).map(|(v, _)| v)
-}
-
-/// The `host_threads` field of any bench artifact.
-pub fn parse_host_threads(json: &str) -> Option<usize> {
-    number_after(json, 0, "host_threads").map(|(v, _)| v as usize)
-}
-
-/// Extracts `(workers, jobs_per_sec)` for every case of a
-/// `BENCH_server.json` document.
-fn server_cases(json: &str) -> Vec<(usize, f64)> {
-    let mut cases = Vec::new();
-    let mut from = 0;
-    while let Some((workers, next)) = number_after(json, from, "workers") {
-        let Some((rate, next)) = number_after(json, next, "jobs_per_sec") else { break };
-        cases.push((workers as usize, rate));
-        from = next;
-    }
-    cases
-}
-
-/// Gates a `BENCH_server.json` document: every measured fleet throughput
-/// must be finite and positive, and on a multi-core host jobs/sec must be
-/// non-decreasing as workers grow, within a `min_scaling` slack (0.9 =
-/// "adding workers may cost at most 10%").  On a single-core host the
-/// worker sweep measures nothing but oversubscription, so the scaling check
-/// is recorded as a skipped (passing) check — the validity check still
-/// runs.
-pub fn gate_server_bench(json: &str, min_scaling: f64) -> GateReport {
-    let mut report = GateReport::default();
-    let cases = server_cases(json);
-    if cases.is_empty() {
-        report.push("server throughput", false, "no worker cases found");
-        return report;
-    }
-    let all_valid = cases.iter().all(|&(_, rate)| rate.is_finite() && rate > 0.0);
-    report.push(
-        "server throughput",
-        all_valid,
-        format!(
-            "{} worker case(s), {}",
-            cases.len(),
-            cases
-                .iter()
-                .map(|(w, r)| format!("{w}w: {r:.2} jobs/s"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    );
-
-    let label = "server worker scaling";
-    match parse_host_threads(json) {
-        Some(host_threads) if host_threads >= 2 => {
-            let mut worst: Option<(usize, usize, f64)> = None;
-            for pair in cases.windows(2) {
-                let ratio = pair[1].1 / pair[0].1;
-                if worst.map_or(true, |(_, _, w)| ratio < w) {
-                    worst = Some((pair[0].0, pair[1].0, ratio));
-                }
-            }
-            match worst {
-                Some((from_w, to_w, ratio)) => report.push(
-                    label,
-                    ratio >= min_scaling,
-                    format!(
-                        "worst step {from_w}w -> {to_w}w at {ratio:.2}x, floor {min_scaling:.2}x"
-                    ),
-                ),
-                None => report.push(label, true, "single worker case, nothing to scale"),
-            }
-        }
-        Some(host_threads) => report.push(
-            label,
-            true,
-            format!("skipped: single-core host (host_threads = {host_threads})"),
-        ),
-        None => report.push(label, false, "no host_threads field found"),
-    }
-    report
-}
-
-/// The peak (maximum) jobs/sec of a `BENCH_server.json` document — the
-/// per-artifact scalar the server trend gate tracks.
-pub fn server_peak_throughput(json: &str) -> Option<f64> {
-    server_cases(json).into_iter().map(|(_, rate)| rate).max_by(f64::total_cmp)
-}
-
-/// Gates a perf metric's trajectory across the last `window` bench
-/// artifacts: fails only on a **sustained** downward trend — every step of
-/// the window non-increasing (plateaus count: min-of-N metrics quantize)
-/// *and* the total decline exceeding `tolerance` (a fraction of the
-/// window's first value).  A single noisy run breaks the non-increasing
-/// requirement, so one-off dips pass; fewer than `window` artifacts is
-/// recorded as a skipped (passing) check, so the gate arms itself only
-/// once CI history has accumulated.  A one-step regression that then
-/// plateaus is out of scope here by design — the absolute floors
-/// ([`gate_spmm_bench`] and friends) catch those.
-pub fn gate_rolling_window(
-    label: &str,
-    series: &[f64],
-    window: usize,
-    tolerance: f64,
-) -> GateReport {
-    let mut report = GateReport::default();
-    assert!(window >= 2, "a trend needs a window of at least 2");
-    if series.len() < window {
-        report.push(
-            label,
-            true,
-            format!("skipped {label}: {} artifact(s) of {window} needed for a trend", series.len()),
-        );
-        return report;
-    }
-    let recent = &series[series.len() - window..];
-    let monotone_down = recent.windows(2).all(|w| w[1] <= w[0]);
-    let first = recent[0];
-    let last = recent[recent.len() - 1];
-    let decline = if first > 0.0 { (first - last) / first } else { 0.0 };
-    let sustained = monotone_down && decline > tolerance;
-    report.push(
-        label,
-        !sustained,
-        format!(
-            "{label}, last {window} of {}: [{}], decline {:.1}% (tolerance {:.1}%, monotone: {})",
-            series.len(),
-            recent.iter().map(|v| format!("{v:.2}")).collect::<Vec<_>>().join(", "),
-            decline * 100.0,
-            tolerance * 100.0,
-            monotone_down
-        ),
-    );
-    report
-}
-
-/// [`gate_rolling_window`] for **lower-is-better** metrics (wall-clock
-/// seconds): fails only on a sustained upward trend — every step of the
-/// window non-decreasing *and* the total growth exceeding `tolerance` (a
-/// fraction of the window's first value).  Skips (passing) below `window`
-/// artifacts, exactly like the higher-is-better gate.
-pub fn gate_rolling_window_low(
-    label: &str,
-    series: &[f64],
-    window: usize,
-    tolerance: f64,
-) -> GateReport {
-    let mut report = GateReport::default();
-    assert!(window >= 2, "a trend needs a window of at least 2");
-    if series.len() < window {
-        report.push(
-            label,
-            true,
-            format!("skipped {label}: {} artifact(s) of {window} needed for a trend", series.len()),
-        );
-        return report;
-    }
-    let recent = &series[series.len() - window..];
-    let monotone_up = recent.windows(2).all(|w| w[1] >= w[0]);
-    let first = recent[0];
-    let last = recent[recent.len() - 1];
-    let growth = if first > 0.0 { (last - first) / first } else { 0.0 };
-    let sustained = monotone_up && growth > tolerance;
-    report.push(
-        label,
-        !sustained,
-        format!(
-            "{label}, last {window} of {}: [{}], growth {:.1}% (tolerance {:.1}%, monotone: {})",
-            series.len(),
-            recent.iter().map(|v| format!("{v:.4}")).collect::<Vec<_>>().join(", "),
-            growth * 100.0,
-            tolerance * 100.0,
-            monotone_up
-        ),
-    );
-    report
 }
 
 #[cfg(test)]
@@ -700,338 +231,5 @@ mod tests {
         let x2: Vec<f64> = x1.iter().map(|v| 2.0 * v).collect();
         let y: Vec<f64> = x1.iter().map(|v| v + 1.0).collect();
         let _ = linear_regression(&y, &[x1, x2]);
-    }
-
-    // -------------------------------------------------- perf-gate tests
-
-    /// A miniature BENCH_assembly.json in the exact shape
-    /// `lv_core::numeric::comparisons_to_json` emits.
-    fn assembly_doc(slice_speedups: &[f64]) -> String {
-        let comparisons: Vec<String> = slice_speedups
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"vector_size\": 64, \"elements\": 512, \"colors\": 8, \
-                     \"repetitions\": 3, \"paths\": [\
-                     {{\"path\": \"accessor\", \"seconds\": 0.01, \"speedup\": 1.0000, \
-                     \"bitwise_equal\": true, \"max_abs_delta\": 0e0}}, \
-                     {{\"path\": \"slices\", \"seconds\": 0.005, \"speedup\": {s:.4}, \
-                     \"bitwise_equal\": true, \"max_abs_delta\": 0e0}}]}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"bench\": \"wallclock_assembly\",\n  \"host_threads\": 4,\n  \
-             \"comparisons\": [\n    {}\n  ]\n}}\n",
-            comparisons.join(",\n    ")
-        )
-    }
-
-    /// A miniature BENCH_solver.json in the exact shape
-    /// `lv_core::solverbench::solver_comparisons_to_json` emits.
-    fn solver_doc(host_threads: usize, cg2: f64, bi2: f64) -> String {
-        format!(
-            "{{\n  \"bench\": \"wallclock_solver\",\n  \"host_threads\": {host_threads},\n  \
-             \"comparisons\": [\n    {{\"rows\": 4913, \"nnz\": 117649, \"elements\": 4096, \
-             \"repetitions\": 3, \"cases\": [\
-             {{\"method\": \"cg\", \"threads\": 1, \"seconds\": 0.005, \"speedup\": 1.0000, \
-             \"iterations\": 43, \"final_residual\": 7e-9, \"bitwise_equal\": true}}, \
-             {{\"method\": \"bicgstab\", \"threads\": 1, \"seconds\": 0.003, \"speedup\": 1.0000, \
-             \"iterations\": 14, \"final_residual\": 6e-9, \"bitwise_equal\": true}}, \
-             {{\"method\": \"cg\", \"threads\": 2, \"seconds\": 0.004, \"speedup\": {cg2:.4}, \
-             \"iterations\": 43, \"final_residual\": 7e-9, \"bitwise_equal\": true}}, \
-             {{\"method\": \"bicgstab\", \"threads\": 2, \"seconds\": 0.002, \"speedup\": {bi2:.4}, \
-             \"iterations\": 14, \"final_residual\": 6e-9, \"bitwise_equal\": true}}]}}\n  ]\n}}\n"
-        )
-    }
-
-    #[test]
-    fn assembly_gate_passes_above_the_floor_and_fails_below() {
-        let good = gate_assembly_bench(&assembly_doc(&[2.18, 2.27]), 1.8);
-        assert!(good.passed(), "{}", good.to_text());
-        assert_eq!(good.checks.len(), 1);
-        assert!(good.checks[0].detail.contains("2.18"));
-
-        let bad = gate_assembly_bench(&assembly_doc(&[2.2, 1.5]), 1.8);
-        assert!(!bad.passed());
-        assert!(bad.to_text().contains("FAIL"));
-        assert!(bad.checks[0].detail.contains("1.50"));
-    }
-
-    #[test]
-    fn assembly_gate_fails_on_an_empty_or_foreign_document() {
-        assert!(!gate_assembly_bench("{}", 1.8).passed());
-        assert!(!gate_assembly_bench("not json at all", 1.8).passed());
-    }
-
-    #[test]
-    fn solver_gate_enforces_parallel_wins_on_multicore_hosts() {
-        let good = gate_solver_bench(&solver_doc(4, 1.62, 1.41), 1.0);
-        assert!(good.passed(), "{}", good.to_text());
-        assert_eq!(good.checks.len(), 2);
-        assert!(good.checks[0].detail.contains("1.62"));
-
-        let bad = gate_solver_bench(&solver_doc(4, 0.63, 1.41), 1.0);
-        assert!(!bad.passed());
-        assert!(bad.checks[0].label.contains("cg"));
-        assert!(!bad.checks[0].passed);
-        assert!(bad.checks[1].passed);
-    }
-
-    #[test]
-    fn solver_gate_skips_on_single_core_hosts() {
-        // Parallel lost (0.6x) but the host has one core: the comparison is
-        // meaningless, the gate records a skip and passes.
-        let report = gate_solver_bench(&solver_doc(1, 0.63, 0.67), 1.0);
-        assert!(report.passed(), "{}", report.to_text());
-        assert!(report.to_text().contains("skipped: single-core host"));
-    }
-
-    #[test]
-    fn solver_gate_fails_without_measurements() {
-        let report = gate_solver_bench("{\"host_threads\": 4}", 1.0);
-        assert!(!report.passed());
-    }
-
-    #[test]
-    fn parser_reads_scientific_notation_and_stops_at_delimiters() {
-        let json = "{\"a\": 1.5e-3, \"b\": 2}";
-        let (a, past_a) = number_after(json, 0, "a").unwrap();
-        assert_eq!(a, 1.5e-3);
-        assert_eq!(&json[past_a..past_a + 1], ",");
-        let (b, _) = number_after(json, 0, "b").unwrap();
-        assert_eq!(b, 2.0);
-        assert_eq!(number_after(json, 0, "missing"), None);
-        assert_eq!(parse_named_numbers(json, "\"a\":", "b"), vec![2.0]);
-    }
-
-    /// A miniature artifact with the PR-4 additions: a renumbering section
-    /// and the spmm3 / bicgstab3 rows.
-    fn solver_doc_with_spmm(bandwidth_ratio: f64, spmm: f64) -> String {
-        format!(
-            "{{\n  \"bench\": \"wallclock_solver\",\n  \"host_threads\": 1,\n  \
-             \"renumbering\": {{\"rows\": 2197, \"nnz\": 50653, \"vector_size\": 240, \
-             \"bandwidth_before\": 2190, \"bandwidth_after\": 700, \
-             \"bandwidth_generator\": 183, \"bandwidth_ratio\": {bandwidth_ratio:.2}, \
-             \"max_row_span_before\": 4000, \"max_row_span_after\": 1400, \
-             \"mean_chunk_span_before\": 2100.0, \"mean_chunk_span_after\": 800.0}},\n  \
-             \"comparisons\": [\n    {{\"rows\": 4913, \"nnz\": 117649, \"elements\": 4096, \
-             \"repetitions\": 5, \"momentum_symmetric\": false, \"bandwidth\": 324, \
-             \"max_row_span\": 649, \"mean_row_span\": 600.00, \"nnz_per_row\": 23.95, \
-             \"cases\": [\
-             {{\"method\": \"spmv3\", \"threads\": 1, \"seconds\": 0.0003, \"speedup\": 1.0000, \
-             \"iterations\": 0, \"final_residual\": 0e0, \"bitwise_equal\": true}}, \
-             {{\"method\": \"spmm3\", \"threads\": 1, \"seconds\": 0.0002, \"speedup\": {spmm:.4}, \
-             \"iterations\": 0, \"final_residual\": 0e0, \"bitwise_equal\": true}}, \
-             {{\"method\": \"bicgstab3\", \"threads\": 1, \"seconds\": 0.002, \"speedup\": 1.3000, \
-             \"iterations\": 42, \"final_residual\": 6e-9, \"bitwise_equal\": true}}]}}\n  ]\n}}\n"
-        )
-    }
-
-    #[test]
-    fn spmm_gate_enforces_the_fused_stream_floor() {
-        let good = gate_spmm_bench(&solver_doc_with_spmm(3.1, 1.55), 1.2);
-        assert!(good.passed(), "{}", good.to_text());
-        assert!(good.checks[0].detail.contains("1.55"));
-        let bad = gate_spmm_bench(&solver_doc_with_spmm(3.1, 1.05), 1.2);
-        assert!(!bad.passed());
-        // Old artifacts without spmm3 rows fail loudly, not silently.
-        assert!(!gate_spmm_bench(&solver_doc(1, 1.0, 1.0), 1.2).passed());
-    }
-
-    #[test]
-    fn renumbering_gate_enforces_the_bandwidth_floor() {
-        let good = gate_renumbering_bench(&solver_doc_with_spmm(3.1, 1.5), 2.0);
-        assert!(good.passed(), "{}", good.to_text());
-        assert!(good.checks[0].detail.contains("3.10"));
-        let bad = gate_renumbering_bench(&solver_doc_with_spmm(1.4, 1.5), 2.0);
-        assert!(!bad.passed());
-        assert!(!gate_renumbering_bench(&solver_doc(1, 1.0, 1.0), 2.0).passed());
-    }
-
-    #[test]
-    fn rolling_window_gate_fails_only_on_sustained_decline() {
-        // Too little history: skipped, passing — and the skip message names
-        // the metric it evaluated.
-        let report = gate_rolling_window("spmm3 trend", &[1.5, 1.4], 3, 0.05);
-        assert!(report.passed());
-        assert!(report.checks[0].detail.contains("skipped spmm3 trend"));
-        // Monotone decline past tolerance across the window: fail, with the
-        // metric named in the evidence line.
-        let report = gate_rolling_window("spmm3 trend", &[1.6, 1.5, 1.4, 1.2], 3, 0.05);
-        assert!(!report.passed(), "{}", report.to_text());
-        assert!(report.checks[0].detail.contains("spmm3 trend, last 3"));
-        // Single-run noise (a dip that recovers) is tolerated.
-        let report = gate_rolling_window("spmm3 trend", &[1.6, 1.2, 1.5, 1.45], 3, 0.05);
-        assert!(report.passed(), "{}", report.to_text());
-        // A plateau inside a declining window still counts as sustained
-        // (min-of-N metrics quantize; equal neighbours are not recovery).
-        let report = gate_rolling_window("spmm3 trend", &[1.6, 1.5, 1.5, 1.3], 3, 0.05);
-        assert!(!report.passed(), "{}", report.to_text());
-        // A slow monotone drift inside the tolerance is tolerated too.
-        let report = gate_rolling_window("spmm3 trend", &[1.50, 1.49, 1.48], 3, 0.05);
-        assert!(report.passed(), "{}", report.to_text());
-        // Longer history: only the last `window` artifacts decide.
-        let report = gate_rolling_window("spmm3 trend", &[0.5, 1.6, 1.5, 1.3, 1.1], 3, 0.05);
-        assert!(!report.passed());
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn rolling_window_rejects_degenerate_windows() {
-        let _ = gate_rolling_window("x", &[1.0], 1, 0.05);
-    }
-
-    #[test]
-    fn lower_is_better_window_fails_only_on_sustained_growth() {
-        // Too little history: skipped, passing, naming the metric.
-        let report = gate_rolling_window_low("poisson s", &[0.01, 0.02], 3, 0.10);
-        assert!(report.passed());
-        assert!(report.checks[0].detail.contains("skipped poisson s"));
-        // Monotone growth past tolerance: fail.
-        let report = gate_rolling_window_low("poisson s", &[0.010, 0.012, 0.015], 3, 0.10);
-        assert!(!report.passed(), "{}", report.to_text());
-        // A spike that recovers is tolerated.
-        let report = gate_rolling_window_low("poisson s", &[0.010, 0.018, 0.011], 3, 0.10);
-        assert!(report.passed(), "{}", report.to_text());
-        // Slow drift inside the tolerance is tolerated.
-        let report = gate_rolling_window_low("poisson s", &[0.0100, 0.0101, 0.0105], 3, 0.10);
-        assert!(report.passed(), "{}", report.to_text());
-    }
-
-    /// A miniature BENCH_driver.json in the exact shape
-    /// `lv_driver::bench::driver_bench_to_json` emits, with a
-    /// `pressure_solver` block.
-    fn driver_doc(host_threads: usize, mgcg_iters: &[(usize, usize)], mgcg_ms: f64) -> String {
-        let cases: Vec<String> = mgcg_iters
-            .iter()
-            .map(|&(n, it)| {
-                format!(
-                    "{{\"resolution\": {n}, \"rows\": {}, \"cg_iterations\": 61, \
-                     \"cg_seconds\": 0.004000000, \"mgcg_iterations\": {it}, \
-                     \"mgcg_seconds\": {:.9}, \"mgcg_levels\": 3, \
-                     \"csr_streamed_bytes\": 1881984, \"matrix_free_streamed_bytes\": 364544}}",
-                    (n + 1).pow(3),
-                    mgcg_ms * 1e-3
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"bench\": \"wallclock_driver\",\n  \"host_threads\": {host_threads},\n  \
-             \"runs\": [\n    {{\"scenario\": \"cavity\", \"elements\": 512, \"rows\": 729, \
-             \"steps\": 2, \"repetitions\": 3, \"cases\": [{{\"threads\": 1, \
-             \"seconds\": 0.080000000, \"assembly_seconds\": 0.020000000, \
-             \"momentum_seconds\": 0.030000000, \"poisson_seconds\": 0.025000000, \
-             \"correction_seconds\": 0.005000000, \"speedup\": 1.0000, \
-             \"bitwise_equal\": true}}]}}\n  ],\n  \"pressure_solver\": [\n    {}\n  ]\n}}\n",
-            cases.join(",\n    ")
-        )
-    }
-
-    #[test]
-    fn multigrid_gate_enforces_ceiling_trend_and_speedup() {
-        let good =
-            gate_multigrid_bench(&driver_doc(4, &[(8, 12), (12, 11), (16, 11)], 2.0), 15, 1.0);
-        assert!(good.passed(), "{}", good.to_text());
-        assert_eq!(good.checks.len(), 3);
-        assert!(good.checks[0].detail.contains("11 iterations at 16³"));
-        assert!(good.checks[2].detail.contains("2.00x"));
-
-        // Iteration ceiling breached at the largest resolution.
-        let bad =
-            gate_multigrid_bench(&driver_doc(4, &[(8, 12), (12, 14), (16, 30)], 2.0), 15, 1.0);
-        assert!(!bad.checks[0].passed, "{}", bad.to_text());
-
-        // Iterations growing with resolution: the V-cycle lost its mesh
-        // independence.
-        let bad =
-            gate_multigrid_bench(&driver_doc(4, &[(8, 10), (12, 12), (16, 14)], 2.0), 15, 1.0);
-        assert!(bad.checks[0].passed);
-        assert!(!bad.checks[1].passed, "{}", bad.to_text());
-
-        // MG-CG slower than CG on a multi-core host: fail; on a single-core
-        // host the wall-clock comparison is skipped and recorded.
-        let slow = driver_doc(4, &[(8, 12), (12, 11), (16, 11)], 9.0);
-        assert!(!gate_multigrid_bench(&slow, 15, 1.0).passed());
-        let single = driver_doc(1, &[(8, 12), (12, 11), (16, 11)], 9.0);
-        let report = gate_multigrid_bench(&single, 15, 1.0);
-        assert!(report.passed(), "{}", report.to_text());
-        assert!(report.to_text().contains("skipped: single-core host"));
-
-        // Artifacts without the block fail loudly.
-        assert!(!gate_multigrid_bench("{\"host_threads\": 4}", 15, 1.0).passed());
-    }
-
-    #[test]
-    fn trend_scalars_read_the_artifact_shapes() {
-        let doc = driver_doc(4, &[(8, 12), (16, 11)], 2.0);
-        assert_eq!(driver_phase_seconds(&doc, "poisson"), Some(0.025));
-        assert_eq!(driver_phase_seconds(&doc, "assembly"), Some(0.02));
-        assert_eq!(driver_phase_seconds(&doc, "total"), Some(0.08));
-        assert_eq!(driver_phase_seconds("{}", "poisson"), None);
-        assert_eq!(parse_host_threads(&doc), Some(4));
-
-        assert_eq!(worst_slice_speedup(&assembly_doc(&[2.2, 1.9, 2.4])), Some(1.9));
-        assert_eq!(worst_slice_speedup("{}"), None);
-        assert_eq!(best_parallel_solver_speedup(&solver_doc(4, 1.62, 1.41)), Some(1.62));
-        assert_eq!(best_parallel_solver_speedup("{}"), None);
-    }
-
-    fn server_doc(host_threads: usize, rates: &[(usize, f64)]) -> String {
-        let cases = rates
-            .iter()
-            .map(|(w, r)| format!("{{\"workers\": {w}, \"seconds\": 1.0, \"jobs_per_sec\": {r}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"bench\": \"wallclock_server\", \"host_threads\": {host_threads}, \
-             \"quick\": true, \"jobs\": 4, \"cases\": [{cases}]}}"
-        )
-    }
-
-    #[test]
-    fn server_gate_checks_validity_and_multicore_scaling() {
-        // Multi-core: non-decreasing within the slack passes.
-        let report = gate_server_bench(&server_doc(4, &[(1, 2.0), (2, 3.5), (4, 3.4)]), 0.9);
-        assert!(report.passed(), "{}", report.to_text());
-        // A real throughput collapse fails.
-        let report = gate_server_bench(&server_doc(4, &[(1, 2.0), (2, 1.0)]), 0.9);
-        assert!(!report.passed(), "{}", report.to_text());
-        // Single-core: the scaling check is skipped, validity still gates.
-        let report = gate_server_bench(&server_doc(1, &[(1, 2.0), (2, 1.0)]), 0.9);
-        assert!(report.passed(), "{}", report.to_text());
-        assert!(report.to_text().contains("skipped"), "{}", report.to_text());
-        let report = gate_server_bench(&server_doc(1, &[(1, 0.0)]), 0.9);
-        assert!(!report.passed(), "zero throughput is invalid on any host");
-        // Empty or missing documents fail loudly.
-        assert!(!gate_server_bench("{\"host_threads\": 4}", 0.9).passed());
-
-        assert_eq!(server_peak_throughput(&server_doc(4, &[(1, 2.0), (2, 3.5)])), Some(3.5));
-        assert_eq!(server_peak_throughput("{}"), None);
-    }
-
-    #[test]
-    fn gates_accept_the_real_driver_output_shape() {
-        // Smoke-check against the committed artifact if present (keeps the
-        // parser honest about the exact writer format).
-        if let Ok(json) = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_assembly.json"
-        )) {
-            let report = gate_assembly_bench(&json, 0.0);
-            assert!(report.passed(), "{}", report.to_text());
-        }
-        if let Ok(json) =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json"))
-        {
-            // Floor 0.0: structure check only — the committed artifact may
-            // come from a single-core container.
-            let report = gate_solver_bench(&json, 0.0);
-            assert!(report.passed(), "{}", report.to_text());
-            let report = gate_spmm_bench(&json, 0.0);
-            assert!(report.passed(), "{}", report.to_text());
-            let report = gate_renumbering_bench(&json, 0.0);
-            assert!(report.passed(), "{}", report.to_text());
-        }
     }
 }

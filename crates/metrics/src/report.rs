@@ -1,9 +1,8 @@
 //! Table rendering for the experiment harnesses.
 //!
-//! Every bench target regenerating a paper table/figure prints its rows
-//! through this type, so the output format (aligned text for the terminal,
-//! Markdown for EXPERIMENTS.md, CSV for post-processing) is uniform across
-//! experiments.
+//! Every row of the `paper` bench target prints its table through this
+//! type, so the output format (aligned text for the terminal, Markdown for
+//! EXPERIMENTS.md, CSV for post-processing) is uniform across experiments.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;

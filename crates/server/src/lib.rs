@@ -24,7 +24,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod endpoint;
 pub mod job;
 pub mod journal;
@@ -32,7 +31,6 @@ pub mod metrics;
 pub mod supervisor;
 pub mod timeline;
 
-pub use bench::{server_bench_to_json, ServerBenchCase, ServerBenchMetrics};
 pub use endpoint::{metrics_json_path, query, socket_path, Request};
 pub use job::{valid_job_id, JobError, JobSpec, JobStatus};
 pub use journal::{ledger, replay_readonly, EventKind, Journal, Record, Replay};

@@ -79,13 +79,8 @@ pub struct ServerConfig {
     /// Arm per-worker `lv-trace` buffers (`server/*` spans).
     pub traced: bool,
     /// Print scheduling transitions to stdout (the CLI wants them; tests
-    /// and benches keep quiet).
+    /// and the benchmark keep quiet).
     pub verbose: bool,
-    /// Keep the [`FleetMetrics`] registry (journal fold, gauges, latency
-    /// histograms, the `<journal>.metrics.json` flush).  On by default —
-    /// the overhead gate (`gate_metrics_overhead`) bounds its cost; off is
-    /// the gate's baseline.
-    pub metrics: bool,
     /// Serve the read-only introspection socket at `<journal>.sock` while
     /// [`Server::run`] is live (see [`crate::endpoint`]).
     pub endpoint: bool,
@@ -116,7 +111,6 @@ impl Default for ServerConfig {
             max_slices: None,
             traced: false,
             verbose: false,
-            metrics: true,
             endpoint: false,
             trace_dir: None,
             stall_window: StepperConfig::default().stall_window,
@@ -242,20 +236,19 @@ struct Shared<'a> {
     slots: &'a [Mutex<JobSlot>],
     sched: Mutex<Sched>,
     cv: Condvar,
-    /// The fleet registry (None when [`ServerConfig::metrics`] is off).
-    metrics: Option<&'a FleetMetrics>,
+    /// The fleet registry (journal fold, gauges, latency histograms).
+    metrics: &'a FleetMetrics,
     /// Where the metrics document is flushed at journal checkpoints.
-    metrics_path: Option<PathBuf>,
+    metrics_path: PathBuf,
 }
 
 impl Shared<'_> {
     /// Refreshes the queue gauges from scheduler state (call under the
     /// sched lock, after any mutation).
     fn set_queue_gauges(&self, sched: &Sched) {
-        if let Some(fleet) = self.metrics {
-            fleet.registry().set(metrics::QUEUE_DEPTH, sched.queue.len() as u64);
-            fleet.registry().set(metrics::JOBS_IN_FLIGHT, sched.active as u64);
-        }
+        let registry = self.metrics.registry();
+        registry.set(metrics::QUEUE_DEPTH, sched.queue.len() as u64);
+        registry.set(metrics::JOBS_IN_FLIGHT, sched.active as u64);
     }
 }
 
@@ -285,9 +278,7 @@ impl Server {
         // reopened supervisor starts exactly where the dead one's metrics
         // ended — same code path as the live fold in `journal_append`.
         let fleet = FleetMetrics::on_this_host();
-        if config.metrics {
-            fleet.replay(&replay.records);
-        }
+        fleet.replay(&replay.records);
         let replay = summarize(&entries, &replay);
         let slots = entries
             .into_iter()
@@ -313,7 +304,7 @@ impl Server {
         &self.replay
     }
 
-    /// The fleet metrics (all zero when [`ServerConfig::metrics`] is off).
+    /// The fleet metrics.
     pub fn metrics(&self) -> &FleetMetrics {
         &self.metrics
     }
@@ -344,11 +335,9 @@ impl Server {
         }
         let record = Record::submitted(&spec);
         self.journal.lock().unwrap().append(record.clone())?;
-        if self.config.metrics {
-            self.metrics.apply_record(&record);
-            let path = endpoint::metrics_json_path(self.journal.lock().unwrap().path());
-            flush_metrics_json(&self.metrics, &path);
-        }
+        self.metrics.apply_record(&record);
+        let path = endpoint::metrics_json_path(self.journal.lock().unwrap().path());
+        flush_metrics_json(&self.metrics, &path);
         self.slots.push(Mutex::new(JobSlot::new(spec, JobStatus::Queued, 0)));
         Ok(())
     }
@@ -402,8 +391,8 @@ impl Server {
             slots: &self.slots,
             sched: Mutex::new(Sched { queue, active: 0, slices: 0, halted: false }),
             cv: Condvar::new(),
-            metrics: self.config.metrics.then_some(&self.metrics),
-            metrics_path: self.config.metrics.then(|| endpoint::metrics_json_path(&journal_path)),
+            metrics: &self.metrics,
+            metrics_path: endpoint::metrics_json_path(&journal_path),
         };
         shared.set_queue_gauges(&shared.sched.lock().unwrap());
         let workers = self.config.workers.max(1);
@@ -446,9 +435,7 @@ impl Server {
             let _ = std::fs::remove_file(path);
         }
         // Leave the final document behind for post-mortem clients.
-        if let (Some(fleet), Some(path)) = (shared.metrics, &shared.metrics_path) {
-            flush_metrics_json(fleet, path);
-        }
+        flush_metrics_json(shared.metrics, &shared.metrics_path);
         self.summaries = summaries;
         let slices = shared.sched.lock().unwrap().slices;
         let mut report = RunReport { done: 0, failed: 0, pending: 0, slices };
@@ -512,11 +499,10 @@ fn worker_loop(worker: usize, shared: &Shared<'_>) -> Option<RunSummary> {
                 if let Some((index, enqueued)) = sched.queue.pop_front() {
                     sched.active += 1;
                     shared.set_queue_gauges(&sched);
-                    if let Some(fleet) = shared.metrics {
-                        fleet
-                            .registry()
-                            .observe(metrics::QUEUE_WAIT_US, enqueued.elapsed().as_micros() as u64);
-                    }
+                    shared
+                        .metrics
+                        .registry()
+                        .observe(metrics::QUEUE_WAIT_US, enqueued.elapsed().as_micros() as u64);
                     break Some(index);
                 }
                 if sched.active == 0 {
@@ -709,15 +695,14 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
     if let Some(span) = slice_span {
         span.iters(steps_done).finish();
     }
-    if let Some(fleet) = shared.metrics {
-        fleet.registry().observe(metrics::SLICE_US, slice_elapsed.as_micros() as u64);
-        if steps_done > 0 {
-            // Margin left under the per-step watchdog, using the slice's
-            // mean step time: a shrinking margin predicts stall verdicts.
-            let mean_step = slice_elapsed / steps_done as u32;
-            let margin = config.step_deadline.saturating_sub(mean_step);
-            fleet.registry().observe(metrics::WATCHDOG_MARGIN_US, margin.as_micros() as u64);
-        }
+    let registry = shared.metrics.registry();
+    registry.observe(metrics::SLICE_US, slice_elapsed.as_micros() as u64);
+    if steps_done > 0 {
+        // Margin left under the per-step watchdog, using the slice's
+        // mean step time: a shrinking margin predicts stall verdicts.
+        let mean_step = slice_elapsed / steps_done as u32;
+        let margin = config.step_deadline.saturating_sub(mean_step);
+        registry.observe(metrics::WATCHDOG_MARGIN_US, margin.as_micros() as u64);
     }
     // Journal the slice's convergence-stall detections (the stepper is
     // slice-local, so this count is exactly this slice's).  A retried
@@ -879,9 +864,6 @@ fn publish_progress(
     steps_done: u64,
     elapsed: Duration,
 ) {
-    let Some(fleet) = shared.metrics else {
-        return;
-    };
     let (momentum_residual, poisson_residual) = slice
         .reports
         .last()
@@ -889,7 +871,7 @@ fn publish_progress(
         .unwrap_or((0.0, 0.0));
     let secs = elapsed.as_secs_f64();
     let step_rate = if secs > 0.0 && steps_done > 0 { steps_done as f64 / secs } else { 0.0 };
-    fleet.publish_progress(JobProgress {
+    shared.metrics.publish_progress(JobProgress {
         id: spec.id.clone(),
         steps_done: stepper.state().step,
         target_steps: spec.steps,
@@ -931,14 +913,11 @@ fn journal_append(shared: &Shared<'_>, team: &Team, record: Record) -> io::Resul
         span.iters(1).finish();
     }
     if result.is_ok() {
-        if let Some(fleet) = shared.metrics {
-            fleet.registry().observe(metrics::JOURNAL_FSYNC_US, elapsed.as_micros() as u64);
-            fleet.apply_record(&record);
-            if record.event != EventKind::Running {
-                if let Some(path) = &shared.metrics_path {
-                    flush_metrics_json(fleet, path);
-                }
-            }
+        let fleet = shared.metrics;
+        fleet.registry().observe(metrics::JOURNAL_FSYNC_US, elapsed.as_micros() as u64);
+        fleet.apply_record(&record);
+        if record.event != EventKind::Running {
+            flush_metrics_json(fleet, &shared.metrics_path);
         }
     }
     result
@@ -966,7 +945,7 @@ fn respond(request: Request, shared: &Shared<'_>) -> String {
                     }
                 });
             let sched = shared.sched.lock().unwrap();
-            let mut obj = JsonObject::new()
+            let obj = JsonObject::new()
                 .u64("format", 1)
                 .bool("live", true)
                 .usize("jobs", shared.slots.len())
@@ -977,36 +956,25 @@ fn respond(request: Request, shared: &Shared<'_>) -> String {
                 .usize("in_flight", sched.active)
                 .u64("slices", sched.slices);
             drop(sched);
-            if let Some(fleet) = shared.metrics {
-                obj = obj.u64("steps_committed", fleet.registry().value(metrics::STEPS_COMMITTED));
-            }
-            let mut out = obj.finish();
+            let steps = shared.metrics.registry().value(metrics::STEPS_COMMITTED);
+            let mut out = obj.u64("steps_committed", steps).finish();
             out.push('\n');
             out
         }
         Request::Jobs => {
-            let rows = shared.metrics.map(FleetMetrics::progress).unwrap_or_default();
             let mut out = String::new();
-            for row in rows {
+            for row in shared.metrics.progress() {
                 out.push_str(&row.to_json());
                 out.push('\n');
             }
             out
         }
         Request::MetricsJson => {
-            let Some(fleet) = shared.metrics else {
-                return "{\"error\": \"metrics are disabled\"}\n".to_string();
-            };
-            let mut out = fleet.document();
+            let mut out = shared.metrics.document();
             out.push('\n');
             out
         }
-        Request::MetricsProm => {
-            let Some(fleet) = shared.metrics else {
-                return "# metrics are disabled\n".to_string();
-            };
-            fleet.snapshot().to_prometheus()
-        }
+        Request::MetricsProm => shared.metrics.snapshot().to_prometheus(),
     }
 }
 

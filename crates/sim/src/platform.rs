@@ -230,7 +230,7 @@ impl Platform {
     }
 
     /// The Table 2 row for this platform, as (label, value) pairs; used by
-    /// the `table2_platforms` bench target.
+    /// the `table2_platforms` row of the `paper` bench target.
     pub fn table2_row(&self) -> Vec<(&'static str, String)> {
         vec![
             ("Architecture", self.kind.name().to_string()),

@@ -65,9 +65,9 @@ pub trait LinearOperator: Sync {
     fn diagonal(&self) -> Vec<f64>;
 
     /// Bytes of operator data streamed by one full `A·x` — the bandwidth
-    /// proxy the benches report when comparing CSR against matrix-free
-    /// backends.  Vector traffic (`x`, `y`) is excluded: it is identical for
-    /// every backend.
+    /// proxy reported when comparing CSR against matrix-free backends.
+    /// Vector traffic (`x`, `y`) is excluded: it is identical for every
+    /// backend.
     fn streamed_bytes(&self) -> usize;
 
     /// Modeled floating-point operations of one full `A·x` — the compute

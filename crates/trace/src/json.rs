@@ -1,21 +1,18 @@
 //! The one hand-rolled JSON emitter of the workspace.
 //!
 //! The offline `serde_json` shim cannot serialize, so every artifact the
-//! repo writes (`BENCH_assembly.json`, `BENCH_solver.json`,
-//! `BENCH_driver.json`, the trace sinks) is emitted by hand.  Before this
-//! module each writer carried its own escaping and float formatting; now
-//! they all build on [`JsonObject`] / [`JsonArray`], and the formatting
-//! rules live in exactly one place:
+//! repo writes (the trace sinks, the run summary, the metrics documents,
+//! the benchmark's result lines) is emitted by hand.  The writers all build
+//! on [`JsonObject`] / [`JsonArray`], and the formatting rules live in
+//! exactly one place:
 //!
 //! * keys and string values are escaped per RFC 8259 (quotes, backslashes,
 //!   control characters);
 //! * `f64` defaults to Rust's shortest round-trip formatting ([`fmt_f64`]),
 //!   with non-finite values emitted as `null` (JSON has no NaN/Inf);
-//! * fixed-precision and scientific renderings remain available for the
-//!   artifact fields whose committed format predates this module;
-//! * separators are `": "` and `", "` — the format the tiny scanners in
-//!   `lv-metrics` ([`number_after`](../lv_metrics/regression/fn.number_after.html))
-//!   key on.
+//! * fixed-precision and scientific renderings are there for the fields
+//!   that want a set width (Chrome-trace microseconds, residuals);
+//! * separators are `": "` and `", "`.
 
 /// Escapes `s` for inclusion inside a JSON string literal (quotes not
 /// included).
@@ -192,14 +189,14 @@ mod tests {
         cases.push_object(JsonObject::new().str("method", "cg").usize("threads", 2));
         cases.push_object(JsonObject::new().str("method", "spmv").usize("threads", 1));
         let doc = JsonObject::new()
-            .str("bench", "wallclock_solver")
+            .str("bench", "solver")
             .usize("host_threads", 4)
             .object("profile", JsonObject::new().u64("nnz", 100).f64_fixed("mean", 3.25, 2))
             .array("cases", cases)
             .finish();
         assert_eq!(
             doc,
-            "{\"bench\": \"wallclock_solver\", \"host_threads\": 4, \
+            "{\"bench\": \"solver\", \"host_threads\": 4, \
              \"profile\": {\"nnz\": 100, \"mean\": 3.25}, \
              \"cases\": [{\"method\": \"cg\", \"threads\": 2}, \
              {\"method\": \"spmv\", \"threads\": 1}]}"

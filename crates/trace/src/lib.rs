@@ -19,9 +19,9 @@
 //! * **Counters** ([`counters`]) — global deterministic tallies (solver
 //!   iterations, fallbacks, retries, modeled FLOPs and streamed bytes) that
 //!   must be bitwise equal across thread counts.
-//! * [`json`] — the shared hand-rolled JSON emitter every `BENCH_*.json`
-//!   artifact and trace sink is written with (the offline `serde_json` shim
-//!   cannot serialize).
+//! * [`json`] — the shared hand-rolled JSON emitter the trace sinks, the
+//!   run summary and the metrics documents are written with (the offline
+//!   `serde_json` shim cannot serialize).
 //! * [`metrics`] — the lock-light live-metrics registry (atomic counters,
 //!   gauges, fixed-log2-bucket histograms) the simulation service exposes
 //!   through its introspection endpoint.
@@ -482,22 +482,6 @@ macro_rules! span {
     };
 }
 
-/// Minimum wall-clock seconds of `f` across `repetitions` timed runs, after
-/// one untimed warm-up (minimum, not mean: the measured work is
-/// deterministic, so the minimum is the least-noise estimator).  The single
-/// stopwatch every bench in the workspace times with.
-pub fn time_min(repetitions: usize, mut f: impl FnMut()) -> f64 {
-    assert!(repetitions > 0, "need at least one repetition");
-    f();
-    let mut seconds = f64::INFINITY;
-    for _ in 0..repetitions {
-        let start = Instant::now();
-        f();
-        seconds = seconds.min(start.elapsed().as_secs_f64());
-    }
-    seconds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,13 +594,5 @@ mod tests {
             let auxes: Vec<u64> = events.iter().filter(|e| e.rank == rank).map(|e| e.aux).collect();
             assert_eq!(auxes, (0..1000).collect::<Vec<u64>>());
         }
-    }
-
-    #[test]
-    fn time_min_times_the_closure() {
-        let mut calls = 0;
-        let seconds = time_min(3, || calls += 1);
-        assert_eq!(calls, 4); // warm-up + 3 timed
-        assert!(seconds >= 0.0 && seconds.is_finite());
     }
 }

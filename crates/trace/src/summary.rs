@@ -121,8 +121,7 @@ impl RunSummary {
         self.counters.iter().find(|(n, _, _)| n == name).map(|&(_, v, _)| v)
     }
 
-    /// Summed wall-clock seconds of span `path` (0.0 when absent) — the
-    /// per-phase numbers `BENCH_driver.json` is derived from.
+    /// Summed wall-clock seconds of span `path` (0.0 when absent).
     pub fn phase_seconds(&self, path: &str) -> f64 {
         self.span(path).map_or(0.0, SpanSummary::seconds)
     }

@@ -1,54 +1,23 @@
 //! CI's trace checker: validates a `simulate --trace` line-JSON log
-//! (structure, timestamp order, per-rank span nesting) and optionally
-//! gates the wall-clock overhead of tracing itself.
+//! (structure, timestamp order, per-rank span nesting).
 //!
 //! ```text
-//! cargo run --release --example trace_check -- <trace.jsonl> [--overhead]
+//! cargo run --release --example trace_check -- <trace.jsonl>
 //! ```
 //!
-//! `--overhead` times a lid-driven-cavity run twice — plain team vs traced
-//! team, minimum over repetitions — and fails when tracing costs more than
-//! `LV_TRACE_MAX_OVERHEAD` (default 0.05, the subsystem's ceiling).
-//! Knobs: `LV_TRACE_OVERHEAD_N` (mesh edge, default 8),
-//! `LV_TRACE_OVERHEAD_STEPS` (default 5), `LV_TRACE_OVERHEAD_REPS`
-//! (default 3).  Exits non-zero when any check fails.
+//! Exits non-zero when any check fails.  What tracing costs is a number of
+//! the benchmark (`trace.overhead_ratio` of a traced `cavity32` pass).
 
-use alya_longvec::prelude::*;
-use lv_metrics::{gate_trace_overhead, validate_trace_jsonl};
-use lv_trace::time_min;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Minimum wall-clock of a full cavity run (fresh stepper per repetition,
-/// so assembly and solves are all inside the timed region) on `team`.
-fn cavity_seconds(team: &Team, n: usize, steps: usize, repetitions: usize) -> f64 {
-    let scenario = Scenario::by_name("cavity", n).expect("cavity is registered");
-    let mesh = scenario.build_mesh();
-    time_min(repetitions, || {
-        let mut stepper =
-            Stepper::with_mesh(scenario.clone(), StepperConfig::default(), mesh.clone());
-        stepper.run_on(team, steps).expect("the cavity run must converge");
-    })
-}
+use lv_metrics::validate_trace_jsonl;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let path = match args.first() {
-        Some(p) if p != "--overhead" => p.clone(),
-        _ => {
-            eprintln!("usage: trace_check <trace.jsonl> [--overhead]");
-            std::process::exit(2);
-        }
+    let [path] = args.as_slice() else {
+        eprintln!("usage: trace_check <trace.jsonl>");
+        std::process::exit(2);
     };
-    let mut ok = true;
 
-    let text = match std::fs::read_to_string(&path) {
+    let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(err) => {
             eprintln!("cannot read {path}: {err}");
@@ -58,22 +27,8 @@ fn main() {
     let report = validate_trace_jsonl(&text);
     println!("trace log ({path}):");
     print!("{}", report.to_text());
-    ok &= report.passed();
 
-    if args.iter().any(|a| a == "--overhead") {
-        let n = env_usize("LV_TRACE_OVERHEAD_N", 8);
-        let steps = env_usize("LV_TRACE_OVERHEAD_STEPS", 5);
-        let reps = env_usize("LV_TRACE_OVERHEAD_REPS", 3).max(1);
-        let ceiling = env_f64("LV_TRACE_MAX_OVERHEAD", 0.05);
-        let plain = cavity_seconds(&Team::new(1), n, steps, reps);
-        let traced = cavity_seconds(&Team::with_trace(1, TraceConfig::default()), n, steps, reps);
-        let report = gate_trace_overhead(plain, traced, ceiling);
-        println!("tracing overhead (cavity {n}^3, {steps} steps, min of {reps}):");
-        print!("{}", report.to_text());
-        ok &= report.passed();
-    }
-
-    if ok {
+    if report.passed() {
         println!("trace check passed");
     } else {
         println!("trace check FAILED");

@@ -23,14 +23,14 @@
 //!   order hides the lattice does not fit and steps with plain CG.
 
 use alya_longvec::prelude::*;
-use lv_driver::{measure_pressure_solvers, PressureSolver};
+use lv_driver::PressureSolver;
 use lv_kernel::{
     build_pressure_multigrid, pressure_interpolations, pressure_laplacian, MatrixFreeLaplacian,
 };
 use lv_mesh::renumber::NodePermutation;
 use lv_solver::{
-    galerkin_coarse, mg_preconditioned_cg_on, CsrMatrix, DiaMatrix, LinearOperator,
-    MultigridOptions, VectorOps,
+    conjugate_gradient, galerkin_coarse, mg_preconditioned_cg, mg_preconditioned_cg_on, CsrMatrix,
+    DiaMatrix, LinearOperator, MultigridOptions, VectorOps,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -113,10 +113,47 @@ fn matrix_free_matches_assembled_csr_on_every_registry_mesh() {
     }
 }
 
+/// The pinned pressure system of the `n³` lid-driven cavity with a
+/// deterministic noise right-hand side, pinned rows zeroed — representative
+/// of a projection right-hand side without depending on a trajectory.
+fn pinned_cavity_system(n: usize) -> (Mesh, CsrMatrix, Vec<f64>) {
+    let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, n);
+    let mesh = scenario.build_mesh();
+    let pins = scenario.pressure_pins(&mesh);
+    let laplacian = pressure_laplacian(&mesh, 128, &pins);
+    let mut rhs = probe(laplacian.dim(), 1442695040888963407);
+    for &pin in &pins {
+        rhs[pin] = 0.0;
+    }
+    (mesh, laplacian, rhs)
+}
+
+/// The driver's Poisson tolerance, with room for plain CG at 16³.
+fn poisson_options() -> SolveOptions {
+    SolveOptions { max_iterations: 4000, tolerance: 1e-10, ..Default::default() }
+}
+
 #[test]
 fn mgcg_iterations_are_mesh_independent_and_under_the_ceiling() {
-    let cases = measure_pressure_solvers(&[8, 12, 16], 1);
-    assert_eq!(cases.len(), 3);
+    struct Case {
+        resolution: usize,
+        cg_iterations: usize,
+        mgcg_iterations: usize,
+    }
+    let options = poisson_options();
+    let cases: Vec<Case> = [8, 12, 16]
+        .into_iter()
+        .map(|resolution| {
+            let (mesh, laplacian, rhs) = pinned_cavity_system(resolution);
+            let mut multigrid =
+                build_pressure_multigrid(&mesh, &laplacian, &MultigridOptions::default())
+                    .expect("cavity boxes are structured lattices");
+            let cg = conjugate_gradient(&laplacian, &rhs, &options).expect("CG converges");
+            let mg = mg_preconditioned_cg(&laplacian, &mut multigrid, &rhs, &options)
+                .expect("MG-CG converges");
+            Case { resolution, cg_iterations: cg.iterations, mgcg_iterations: mg.iterations }
+        })
+        .collect();
     for pair in cases.windows(2) {
         assert!(
             pair[1].mgcg_iterations <= pair[0].mgcg_iterations,
@@ -173,18 +210,10 @@ fn poisson_iterations_per_step_are_those_of_the_all_f64_cycle() {
 /// the library's count into the plain one.
 #[test]
 fn plain_beta_pays_for_the_rounded_cycle_and_flexible_beta_does_not() {
-    let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 16);
-    let mesh = scenario.build_mesh();
-    let pins = scenario.pressure_pins(&mesh);
-    let laplacian = pressure_laplacian(&mesh, 128, &pins);
-    // The right-hand side `measure_pressure_solvers` solves for.
-    let mut rhs = probe(laplacian.dim(), 1442695040888963407);
-    for &pin in &pins {
-        rhs[pin] = 0.0;
-    }
+    let (mesh, laplacian, rhs) = pinned_cavity_system(16);
     let mut multigrid = build_pressure_multigrid(&mesh, &laplacian, &MultigridOptions::default())
         .expect("16³ cavity is a structured lattice");
-    let options = SolveOptions { max_iterations: 4000, tolerance: 1e-10, ..Default::default() };
+    let options = poisson_options();
     let team = Team::new(1);
     let flexible = mg_preconditioned_cg_on(&team, &laplacian, &mut multigrid, &rhs, &options)
         .expect("MG-CG converges")

@@ -79,6 +79,11 @@ fn pooled_kernels_match_serial_bitwise() {
 #[test]
 fn full_solves_are_reproducible_across_thread_counts() {
     let (matrix, b) = assembled_system();
+    assert!(
+        !matrix.is_symmetric(1e-12),
+        "the assembled momentum matrix must be non-symmetric — BiCGSTAB has to be exercised on \
+         the operator a time step actually solves"
+    );
     let options = SolveOptions { max_iterations: 2000, tolerance: 1e-9, ..Default::default() };
 
     let oracle = bicgstab(&matrix, &b, &options).expect("serial BiCGSTAB must converge");
@@ -102,7 +107,11 @@ fn full_solves_are_reproducible_across_thread_counts() {
     // CG on the real assembled pressure Laplacian (gauge-pinned SPD), the
     // operator the fractional-step driver's Poisson solve runs on.
     let mesh = BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().with_jitter(0.1, 13).build();
-    let poisson = alya_longvec::core::solverbench::pressure_poisson(&mesh, 64);
+    let poisson = lv_kernel::pressure_laplacian(&mesh, 64, &[0]);
+    assert!(
+        poisson.is_symmetric(1e-12),
+        "the pinned pressure Laplacian must be symmetric — CG requires an SPD operator"
+    );
     let b = {
         let mut b = b;
         b[0] = 0.0; // the pinned gauge unknown
