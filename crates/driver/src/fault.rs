@@ -28,6 +28,9 @@
 //! `catch_unwind`; aborts a bare `simulate` run, by design).  Neither
 //! mutates the state, so trajectories are invariant to their firing.
 
+use std::io;
+use std::path::Path;
+
 /// What a planned fault does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -44,7 +47,7 @@ pub enum FaultKind {
     /// entry guards.
     PoisonRhs,
     /// One byte of the checkpoint written at this step is bit-flipped
-    /// (applied by the CLI layer after the ring save).
+    /// (applied by [`FaultPlan::corrupt_checkpoint`] after the save).
     CheckpointFlip,
     /// The checkpoint written at this step is truncated to half its length.
     CheckpointTruncate,
@@ -185,6 +188,30 @@ impl FaultPlan {
             }
         }
         None
+    }
+
+    /// Applies the pending checkpoint fault of `step`, if any, to the
+    /// checkpoint just written at `path`: [`FaultKind::CheckpointFlip`]
+    /// flips bit 0 of the byte at [`index(step, 1, len)`](Self::index),
+    /// [`FaultKind::CheckpointTruncate`] cuts the file to half its length.
+    /// Returns what it did, for the caller to report with its own prefix
+    /// (`None`: no checkpoint fault was due).
+    ///
+    /// # Errors
+    /// Reading or rewriting the file failed (the fault is spent anyway).
+    pub fn corrupt_checkpoint(&mut self, step: u64, path: &Path) -> io::Result<Option<String>> {
+        let Some(kind) = self.fire_checkpoint(step) else { return Ok(None) };
+        let mut bytes = std::fs::read(path)?;
+        let done = if kind == FaultKind::CheckpointFlip {
+            let at = self.index(step, 1, bytes.len());
+            bytes[at] ^= 0x01;
+            format!("flipped bit 0 of byte {at} in {}", path.display())
+        } else {
+            bytes.truncate(bytes.len() / 2);
+            format!("truncated {} to {} bytes", path.display(), bytes.len())
+        };
+        std::fs::write(path, bytes)?;
+        Ok(Some(done))
     }
 
     /// A deterministic index in `[0, len)` derived from `(seed, step, salt)`
@@ -333,6 +360,41 @@ mod tests {
         assert_eq!(step.fire_checkpoint(3), None);
         assert_eq!(ckpt.fire_checkpoint(3), Some(FaultKind::CheckpointFlip));
         assert_eq!(ckpt.fire_checkpoint(5), Some(FaultKind::CheckpointTruncate));
+    }
+
+    #[test]
+    fn checkpoint_corruption_flips_the_indexed_bit_or_halves_the_file_once() {
+        let path = std::env::temp_dir().join(format!("lv_fault_ckpt_{}.bin", std::process::id()));
+        let original: Vec<u8> = (0..=255u8).cycle().take(1001).collect();
+        std::fs::write(&path, &original).unwrap();
+        let mut plan = FaultPlan::new(5)
+            .with_fault(FaultKind::CheckpointFlip, 2)
+            .with_fault(FaultKind::CheckpointTruncate, 3)
+            .with_fault(FaultKind::PoisonRhs, 4);
+
+        // Nothing scheduled: the file is untouched.
+        for step in [1, 4] {
+            assert_eq!(plan.corrupt_checkpoint(step, &path).unwrap(), None);
+            assert_eq!(std::fs::read(&path).unwrap(), original);
+        }
+
+        let done = plan.corrupt_checkpoint(2, &path).unwrap().expect("the flip is due");
+        let at = plan.index(2, 1, original.len());
+        assert!(done.starts_with(&format!("flipped bit 0 of byte {at} in")), "{done}");
+        let mut flipped = original.clone();
+        flipped[at] ^= 0x01;
+        assert_eq!(std::fs::read(&path).unwrap(), flipped);
+        assert_eq!(plan.corrupt_checkpoint(2, &path).unwrap(), None, "the flip fires once");
+        assert_eq!(std::fs::read(&path).unwrap(), flipped);
+
+        let done = plan.corrupt_checkpoint(3, &path).unwrap().expect("the truncation is due");
+        assert!(done.ends_with("to 500 bytes"), "{done}");
+        assert_eq!(std::fs::read(&path).unwrap(), flipped[..500]);
+        assert_eq!(plan.corrupt_checkpoint(3, &path).unwrap(), None, "the cut fires once");
+        assert_eq!(std::fs::read(&path).unwrap().len(), 500);
+
+        assert!(plan.fire(FaultKind::PoisonRhs, 4), "a solver fault is left alone");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

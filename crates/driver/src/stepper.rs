@@ -540,14 +540,10 @@ impl Stepper {
             .with_viscosity(scenario.viscosity)
             .with_density(scenario.density)
             .with_dt(construction_dt);
-        // One node graph, slot map and coloring for both operator sets.
+        // One node graph and slot map for both operator sets.
         let assembly = NastinAssembly::new(mesh.clone(), kernel_config);
         let geometry = assembly.convective_geometry();
-        let operators = PressureOperators::with_topology(
-            &mesh,
-            config.vector_size,
-            assembly.topology().clone(),
-        );
+        let operators = PressureOperators::with_topology(&mesh, assembly.topology().clone());
         let pins = scenario.pressure_pins(&mesh);
         let mut laplacian = operators.assemble_laplacian();
         laplacian.pin_rows_symmetric(&pins);

@@ -50,7 +50,7 @@ use crate::phases;
 use crate::workspace::ElementWorkspace;
 use crate::{NDIME, PGAUS};
 use lv_mesh::chunks::ElementChunks;
-use lv_mesh::coloring::{ColoredChunks, ElementColoring};
+use lv_mesh::coloring::ColoredChunks;
 use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{ElementKind, Field, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_solver::CsrMatrix;
@@ -159,8 +159,7 @@ impl NastinAssembly {
     }
 
     /// [`new`](Self::new) on an already-built topology of `mesh`, so several
-    /// operators on one mesh share a single node graph, slot map and
-    /// coloring.
+    /// operators on one mesh share a single node graph and slot map.
     ///
     /// # Panics
     /// Panics like [`new`](Self::new), or if `topology` was built for a mesh
@@ -495,17 +494,11 @@ impl NastinAssembly {
         AssemblyOutput { matrix, rhs, stats }
     }
 
-    /// The element coloring of the mesh's topology (what the projection
-    /// operators' set-up sweep is scheduled by; the assembly sweeps color
-    /// chunks instead, see [`colored_chunks`](Self::colored_chunks)).
-    pub fn element_coloring(&self) -> &ElementColoring {
-        self.topology.coloring()
-    }
-
-    /// The node graph, slot map and coloring the sweeps run on — pass it to
+    /// The node graph and slot map the sweeps scatter through — pass it to
     /// [`PressureOperators::with_topology`](crate::PressureOperators::with_topology)
     /// to build the projection operators of the same mesh without a second
-    /// graph.
+    /// graph.  The sweeps' schedule is
+    /// [`colored_chunks`](Self::colored_chunks).
     pub fn topology(&self) -> &Arc<MeshTopology> {
         &self.topology
     }
@@ -908,7 +901,7 @@ mod tests {
                     mesh.clone(),
                     KernelConfig::new(vs, OptLevel::Vec1).with_dt(0.013),
                 );
-                let ops = crate::PressureOperators::with_topology(mesh, vs, asm.topology().clone());
+                let ops = crate::PressureOperators::with_topology(mesh, asm.topology().clone());
                 // Two consecutive assemblies into the same storage at
                 // different time steps: nothing of the first may survive.
                 let (mut matrix, mut rhs, mut workspaces) = poisoned_storage(&asm, &team);
@@ -946,7 +939,7 @@ mod tests {
         for (name, mesh) in &step_meshes() {
             let fields = state(mesh);
             let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(16, OptLevel::Vec1));
-            let ops = crate::PressureOperators::with_topology(mesh, 16, asm.topology().clone());
+            let ops = crate::PressureOperators::with_topology(mesh, asm.topology().clone());
             let reference = step_system(&lv_runtime::Team::new(1), &asm, &ops, &fields);
             assert!(reference.1.iter().any(|&r| r != 0.0));
             for threads in [2usize, 4] {
@@ -1058,7 +1051,6 @@ mod tests {
     fn coloring_accessors_expose_a_valid_schedule() {
         let mesh = cavity(4);
         let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(16, OptLevel::Vec1));
-        assert!(asm.element_coloring().validate(&mesh).is_empty());
         assert!(asm.colored_chunks().validate(&mesh).is_empty());
         assert_eq!(asm.colored_chunks().num_elements(), 64);
     }

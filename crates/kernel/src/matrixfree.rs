@@ -519,7 +519,7 @@ mod tests {
     #[test]
     fn pressure_multigrid_builds_the_expected_hierarchy() {
         let mesh = BoxMeshBuilder::new(8, 8, 8).build();
-        let csr = crate::projection::pressure_laplacian(&mesh, 32, &[0]);
+        let csr = crate::projection::pressure_laplacian(&mesh, &[0]);
         let options = MultigridOptions::default();
         let mg = build_pressure_multigrid(&mesh, &csr, &options).expect("8³ box is a lattice");
         assert_eq!(mg.level_rows(), vec![729, 125, 27]);
@@ -536,7 +536,7 @@ mod tests {
     #[test]
     fn multigrid_glue_rejects_unstructured_meshes() {
         let mesh = BoxMeshBuilder::new(4, 4, 4).build();
-        let csr = crate::projection::pressure_laplacian(&mesh, 32, &[0]);
+        let csr = crate::projection::pressure_laplacian(&mesh, &[0]);
         // A lattice too small to coarsen yields no hierarchy.
         let options = MultigridOptions { max_coarse_nodes: 1000, ..Default::default() };
         assert!(build_pressure_multigrid(&mesh, &csr, &options).is_none());

@@ -14,9 +14,10 @@
 //! must land before any chunk of color `c+1` starts).  A time-step loop
 //! spawns its workers once and reuses them for every assembly *and* every
 //! solve; the per-sweep `std::thread::scope` spawn of PR 2 is gone.  The
-//! unsafe disjoint-row scatter is isolated in `MatrixSink` (shared with
-//! the pressure Laplacian of [`crate::projection`]) with the coloring
-//! invariant spelled out.
+//! unsafe disjoint-row scatter is isolated in `MatrixSink`, which only
+//! these sweeps use, with the coloring invariant spelled out (the
+//! projection operators accumulate their set-up integrals serially, in mesh
+//! order, in safe code).
 //!
 //! ## Two sweeps, one schedule
 //!
@@ -121,17 +122,12 @@ unsafe impl Sync for MatrixSink<'_> {}
 impl<'a> MatrixSink<'a> {
     /// The sink of `matrix`: its own row pointers bound every write to its
     /// own value array.
-    pub(crate) fn new(matrix: &'a mut CsrMatrix) -> Self {
-        let (row_ptr, _, values) = matrix.pattern_and_values_mut();
-        Self::over(row_ptr, values)
-    }
-
-    /// The sink of a bare value array laid out by `row_ptr`.
     ///
     /// # Panics
-    /// Panics if a row of `row_ptr` ends past `values` — the bound every
-    /// write relies on.
-    pub(crate) fn over(row_ptr: &'a [usize], values: &'a mut [f64]) -> Self {
+    /// Panics if a row ends past the value array — the bound every write
+    /// relies on.
+    pub(crate) fn new(matrix: &'a mut CsrMatrix) -> Self {
+        let (row_ptr, _, values) = matrix.pattern_and_values_mut();
         assert!(
             row_ptr.iter().all(|&end| end <= values.len()),
             "row pointers reach past the value array"

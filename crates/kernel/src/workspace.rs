@@ -472,11 +472,6 @@ impl ElementWorkspace {
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
-
-    /// Whether any entry is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
-    }
 }
 
 #[cfg(test)]

@@ -26,9 +26,11 @@
 //!    elements of a chunk are neighbours that share nodes — the gathers and
 //!    the scatter of a chunk stay in cache, every chunk but the mesh's last
 //!    is full, and there are far fewer colors (a 32³ box at `VECTOR_SIZE`
-//!    128: 4 colors × 64 full chunks instead of 8 × 32).  This is the
-//!    schedule of the assembly sweeps; the element-colored packing remains
-//!    the one of the projection operators' set-up sweep.
+//!    128: 4 colors × 64 full chunks instead of 8 × 32).  This is the only
+//!    schedule the solver runs: both assembly sweeps use it, and the
+//!    projection operators' set-up is one serial mesh-order loop.  The
+//!    element-colored packing of item 2 is no production path's schedule; it
+//!    stays for the tests and the benchmark's schedule probe.
 //!
 //! Either schedule sums a row's contributions in another order than the
 //! serial mesh-order sweep (addition is commutative but not associative).

@@ -28,9 +28,8 @@
 //!   substrate of the multi-threaded assembly sweep.
 //! * [`renumber`] — reverse Cuthill–McKee node renumbering and the
 //!   gather-locality / bandwidth metrics it improves.
-//! * [`topology`] — the node-graph CSR pattern, the element→CSR slot map and
-//!   the balanced coloring of a mesh, built once and shared by every
-//!   operator assembled on it.
+//! * [`topology`] — the node-graph CSR pattern and the element→CSR slot map
+//!   of a mesh, built once and shared by every operator assembled on it.
 //!
 //! The crate is intentionally free of any simulator or compiler-model
 //! concerns: it only describes the discrete problem.

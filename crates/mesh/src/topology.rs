@@ -1,19 +1,19 @@
 //! Everything the assembly sweeps derive from the connectivity alone, built
 //! once per mesh: the node-to-node graph in CSR form (the sparsity pattern
-//! of every assembled matrix), the element→CSR **slot map** (where each of
-//! an element's `pnode²` matrix entries lands in the CSR value array) and
-//! the balanced element coloring.
+//! of every assembled matrix) and the element→CSR **slot map** (where each
+//! of an element's `pnode²` matrix entries lands in the CSR value array).
 //!
 //! The sparsity pattern never changes between sweeps, so neither do the
-//! destinations of the scatter: phase 8 of the assembly and the pressure
-//! Laplacian look their positions up here instead of searching the CSR rows
-//! once per entry per sweep — the OP2 discipline of building indirection
-//! maps once and only executing them in the loop.
+//! destinations of the scatter: phase 8 of the assembly and the projection
+//! operators' set-up look their positions up here instead of searching the
+//! CSR rows once per entry per sweep — the OP2 discipline of building
+//! indirection maps once and only executing them in the loop.  The chunk
+//! schedules that decide which elements may scatter concurrently are the
+//! sweeps' own ([`crate::coloring`]).
 //!
 //! A [`MeshTopology`] is immutable and meant to be shared (`Arc`) by every
 //! operator built on the same mesh.
 
-use crate::coloring::ElementColoring;
 use crate::mesh::Mesh;
 
 /// Node→element incidence by counting sort: the entries
@@ -81,16 +81,14 @@ pub struct MeshTopology {
     /// `slots[(pnode * elem + a) * pnode + b]` is the position of entry
     /// `(node_a, node_b)` of element `elem` in the CSR value array.
     slots: Vec<u32>,
-    coloring: ElementColoring,
 }
 
 impl MeshTopology {
-    /// Builds the node graph, the slot map and the balanced coloring of
-    /// `mesh`.
+    /// Builds the node graph and the slot map of `mesh`.
     ///
     /// # Panics
     /// Panics if the graph has more than `u32::MAX` non-zeros (the slot map
-    /// stores 32-bit positions) or the coloring needs more than 128 colors.
+    /// stores 32-bit positions).
     pub fn new(mesh: &Mesh) -> Self {
         let pnode = mesh.nodes_per_element();
         let (ptr, at) = node_incidence(mesh);
@@ -119,8 +117,7 @@ impl MeshTopology {
                 }
             }
         }
-        let coloring = ElementColoring::balanced(mesh);
-        MeshTopology { nodes_per_element: pnode, row_ptr, col_idx, slots, coloring }
+        MeshTopology { nodes_per_element: pnode, row_ptr, col_idx, slots }
     }
 
     /// Row pointers of the node graph (`num_nodes + 1` entries).
@@ -138,7 +135,7 @@ impl MeshTopology {
     /// Number of elements the slot map covers.
     #[inline]
     pub fn num_elements(&self) -> usize {
-        self.coloring.num_elements()
+        self.slots.len() / (self.nodes_per_element * self.nodes_per_element)
     }
 
     /// Whether the topology has the element and node counts of `mesh` — the
@@ -160,12 +157,6 @@ impl MeshTopology {
         &self.slots[per_element * elem..per_element * (elem + 1)]
     }
 
-    /// The balanced element coloring (see [`ElementColoring::balanced`]).
-    #[inline]
-    pub fn coloring(&self) -> &ElementColoring {
-        &self.coloring
-    }
-
     /// Whether `row_ptr`/`col_idx` is this topology's sparsity pattern —
     /// the precondition for scattering into a matrix through
     /// [`csr_slots`](Self::csr_slots).
@@ -180,7 +171,7 @@ mod tests {
     use crate::mesh::{BoundaryTag, ElementKind};
     use crate::renumber::{reverse_cuthill_mckee, NodePermutation};
     use crate::structured::{BoxMeshBuilder, ChannelMeshBuilder};
-    use std::collections::{BTreeSet, HashSet};
+    use std::collections::BTreeSet;
 
     /// The original `BTreeSet`-per-node construction of the node graph, kept
     /// as the oracle of the sort-based pass.
@@ -268,7 +259,7 @@ mod tests {
     }
 
     /// Every slot is where a binary search of the row finds the column,
-    /// inside the row of its node, and no two elements of a color share one.
+    /// inside the row of its node.
     fn assert_slot_map_is_sound(name: &str, mesh: &Mesh) {
         let topology = MeshTopology::new(mesh);
         let (row_ptr, col_idx) = (topology.row_ptr(), topology.col_idx());
@@ -287,18 +278,6 @@ mod tests {
                     );
                     assert_eq!(slot, row.start + k, "{name}: element {elem} entry ({a}, {b})");
                     assert!(row.contains(&slot), "{name}: slot {slot} outside row {node_a}");
-                }
-            }
-        }
-        assert!(topology.coloring().validate(mesh).is_empty());
-        for (color, class) in topology.coloring().classes().iter().enumerate() {
-            let mut taken = HashSet::new();
-            for &elem in class {
-                for &slot in topology.csr_slots(elem) {
-                    assert!(
-                        taken.insert(slot),
-                        "{name}: two entries of color {color} share slot {slot}"
-                    );
                 }
             }
         }

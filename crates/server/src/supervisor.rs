@@ -29,7 +29,7 @@ use crate::endpoint::{self, Request};
 use crate::job::{valid_job_id, JobError, JobSpec, JobStatus};
 use crate::journal::{ledger, EventKind, Journal, Record, Replay};
 use crate::metrics::{self, FleetMetrics, JobProgress};
-use lv_driver::{CheckpointRing, FaultKind, FaultPlan, SliceEnd, Stepper, StepperConfig};
+use lv_driver::{CheckpointRing, FaultPlan, SliceEnd, Stepper, StepperConfig};
 use lv_runtime::{Team, TraceConfig};
 use lv_trace::json::JsonObject;
 use lv_trace::summary::RunSummary;
@@ -56,8 +56,8 @@ pub struct ServerConfig {
     pub slice_steps: u64,
     /// Watchdog: a single step exceeding this wall-clock deadline marks the
     /// job stalled (detected cooperatively at the step boundary — the
-    /// injected [`FaultKind::Stall`] busy-wait is bounded, so detection is
-    /// prompt).
+    /// injected [`FaultKind::Stall`](lv_driver::FaultKind::Stall) busy-wait
+    /// is bounded, so detection is prompt).
     pub step_deadline: Duration,
     /// Slice-failure retry budget per job (panics, stalls, exhausted
     /// Δt-retries, checkpoint I/O).
@@ -978,9 +978,9 @@ fn respond(request: Request, shared: &Shared<'_>) -> String {
     }
 }
 
-/// Ring save plus any scheduled checkpoint-corruption fault (mirrors the
-/// `simulate` CLI's injection so the service's recovery paths are testable
-/// with the same specs).
+/// Ring save plus any scheduled checkpoint-corruption fault
+/// ([`FaultPlan::corrupt_checkpoint`], the injector the `simulate` CLI uses,
+/// so the service's recovery paths are testable with the same specs).
 fn save_ring(
     config: &ServerConfig,
     ring: &CheckpointRing,
@@ -992,36 +992,10 @@ fn save_ring(
     let state = stepper.state();
     let newest = ring.save_traced(&spec.scenario, state, trace)?;
     if let Some(plan) = ckpt_plan {
-        if let Some(kind) = plan.fire_checkpoint(state.step) {
-            let bytes = std::fs::read(&newest)?;
-            let corrupted = match kind {
-                FaultKind::CheckpointFlip => {
-                    let mut bytes = bytes;
-                    let at = plan.index(state.step, 1, bytes.len());
-                    bytes[at] ^= 0x01;
-                    if config.verbose {
-                        say!(
-                            "job {}: [inject] flipped bit 0 of byte {at} in {}",
-                            spec.id,
-                            newest.display()
-                        );
-                    }
-                    bytes
-                }
-                FaultKind::CheckpointTruncate => {
-                    if config.verbose {
-                        say!(
-                            "job {}: [inject] truncated {} to {} bytes",
-                            spec.id,
-                            newest.display(),
-                            bytes.len() / 2
-                        );
-                    }
-                    bytes[..bytes.len() / 2].to_vec()
-                }
-                _ => unreachable!("fire_checkpoint only yields checkpoint faults"),
-            };
-            std::fs::write(&newest, corrupted)?;
+        if let Some(done) = plan.corrupt_checkpoint(state.step, &newest)? {
+            if config.verbose {
+                say!("job {}: [inject] {done}", spec.id);
+            }
         }
     }
     Ok(())

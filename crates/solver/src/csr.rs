@@ -8,18 +8,6 @@
 use crate::multivector::MultiVector;
 use serde::{Deserialize, Serialize};
 
-/// Structural profile of a CSR matrix: the row-span and fill statistics the
-/// bandwidth-minimizing renumbering pass is measured by.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ProfileStats {
-    /// Maximum row span (`max_col - min_col + 1` over non-empty rows).
-    pub max_row_span: usize,
-    /// Mean row span over non-empty rows.
-    pub mean_row_span: f64,
-    /// Mean stored non-zeros per row.
-    pub mean_nnz_per_row: f64,
-}
-
 /// A square sparse matrix in CSR format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CsrMatrix {
@@ -278,42 +266,6 @@ impl CsrMatrix {
             if active[2] {
                 y2[i] = s2;
             }
-        }
-    }
-
-    /// Bandwidth of the sparsity pattern: the maximum `|row - col|` over the
-    /// stored entries (0 for a diagonal or empty matrix).  This is the
-    /// quantity the reverse Cuthill–McKee renumbering minimizes — it bounds
-    /// how far apart in memory an SpMV's `x` gathers can land.
-    pub fn bandwidth(&self) -> usize {
-        let mut bandwidth = 0usize;
-        for row in 0..self.n {
-            for &col in &self.col_idx[self.row_ptr[row]..self.row_ptr[row + 1]] {
-                bandwidth = bandwidth.max(row.abs_diff(col));
-            }
-        }
-        bandwidth
-    }
-
-    /// Row-span and fill statistics of the sparsity pattern (rows are
-    /// sorted, so the span of a row is `last - first + 1`).
-    pub fn profile_stats(&self) -> ProfileStats {
-        let mut max_span = 0usize;
-        let mut span_sum = 0.0f64;
-        let mut occupied = 0usize;
-        for row in 0..self.n {
-            let cols = &self.col_idx[self.row_ptr[row]..self.row_ptr[row + 1]];
-            if let (Some(&first), Some(&last)) = (cols.first(), cols.last()) {
-                let span = last - first + 1;
-                max_span = max_span.max(span);
-                span_sum += span as f64;
-                occupied += 1;
-            }
-        }
-        ProfileStats {
-            max_row_span: max_span,
-            mean_row_span: if occupied > 0 { span_sum / occupied as f64 } else { 0.0 },
-            mean_nnz_per_row: if self.n > 0 { self.nnz() as f64 / self.n as f64 } else { 0.0 },
         }
     }
 
@@ -662,24 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_and_profile_of_tridiagonal() {
-        let m = laplacian_1d(8);
-        assert_eq!(m.bandwidth(), 1);
-        let p = m.profile_stats();
-        assert_eq!(p.max_row_span, 3);
-        // 6 interior rows span 3, the 2 end rows span 2.
-        assert!((p.mean_row_span - (6.0 * 3.0 + 2.0 * 2.0) / 8.0).abs() < 1e-12);
-        assert!((p.mean_nnz_per_row - 22.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bandwidth_of_diagonal_matrix_is_zero() {
-        let m = CsrMatrix::from_dense(&[vec![1.0, 0.0], vec![0.0, 2.0]]);
-        assert_eq!(m.bandwidth(), 0);
-        assert_eq!(m.profile_stats().max_row_span, 1);
-    }
-
-    #[test]
     fn permuted_matrix_moves_entries_and_roundtrips() {
         let m = laplacian_1d(6);
         // Reversal permutation: forward[i] = 5 - i.
@@ -690,8 +624,6 @@ mod tests {
                 assert_eq!(p.get(forward[r], forward[c]).to_bits(), m.get(r, c).to_bits());
             }
         }
-        // The reversed tridiagonal keeps bandwidth 1.
-        assert_eq!(p.bandwidth(), 1);
         // Applying the inverse permutation restores the original bit for bit.
         let mut inverse = vec![0usize; 6];
         for (old, &new) in forward.iter().enumerate() {

@@ -61,7 +61,7 @@ pub mod operator;
 pub mod parallel;
 
 pub use classes::RowClasses;
-pub use csr::{CsrMatrix, ProfileStats};
+pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use dia::DiaMatrix;
 pub use krylov::{

@@ -51,14 +51,15 @@
 //! |------|----------------------------------------------------------------|
 //! | 0    | run completed (all contracts held)                             |
 //! | 1    | generic I/O or contract failure (trace/checkpoint write, sweep)|
-//! | 2    | invalid CLI (unknown scenario/flag/spec)                       |
+//! | 2    | invalid CLI (unknown scenario/flag/spec, missing or unparsable |
+//! |      | value, extra positional argument)                              |
 //! | 3    | Δt-retry budget exhausted / unrecoverable solver breakdown     |
 //! | 4    | corrupt or mismatched restart checkpoint (`InvalidData`)       |
 
 use alya_longvec::prelude::*;
 use lv_driver::{
-    load_checkpoint_traced, save_checkpoint_traced, Checkpoint, CheckpointRing, FaultKind,
-    FaultPlan, PressureSolver, Scenario, SimState, Stepper, StepperConfig,
+    load_checkpoint_traced, save_checkpoint_traced, Checkpoint, CheckpointRing, FaultPlan,
+    PressureSolver, Scenario, SimState, Stepper, StepperConfig,
 };
 
 struct Cli {
@@ -84,6 +85,25 @@ enum TraceFormat {
     Chrome,
 }
 
+/// A command-line error: exits 2 (see the module docs).
+fn bail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
+/// The value after flag `args[i]`, or exit 2 naming the flag.
+fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
+    match args.get(i + 1) {
+        Some(value) => value,
+        None => bail(&format!("{flag} needs a value")),
+    }
+}
+
+/// `value` parsed for `what`, or exit 2 naming both.
+fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> T {
+    value.parse().unwrap_or_else(|_| bail(&format!("{what}: cannot parse '{value}'")))
+}
+
 fn parse_cli() -> Cli {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cli = Cli {
@@ -105,78 +125,51 @@ fn parse_cli() -> Cli {
     let mut positional = 0;
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
-            "--checkpoint" => {
-                cli.checkpoint = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--every" => {
-                cli.every = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(0);
-                i += 2;
-            }
-            "--ring" => {
-                cli.ring = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(3);
-                i += 2;
-            }
-            "--restart" => {
-                cli.restart = args.get(i + 1).cloned();
-                i += 2;
-            }
+        let flag = args[i].as_str();
+        match flag {
+            "--checkpoint" => cli.checkpoint = Some(flag_value(&args, i, flag).to_string()),
+            "--every" => cli.every = parse_num(flag_value(&args, i, flag), flag),
+            "--ring" => cli.ring = parse_num(flag_value(&args, i, flag), flag),
+            "--restart" => cli.restart = Some(flag_value(&args, i, flag).to_string()),
             "--inject" => {
-                let spec = args.get(i + 1).cloned().unwrap_or_default();
-                cli.inject = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("--inject: {e}");
-                    std::process::exit(2);
-                }));
-                i += 2;
+                let plan = FaultPlan::parse(flag_value(&args, i, flag));
+                cli.inject = Some(plan.unwrap_or_else(|e| bail(&format!("--inject: {e}"))));
             }
-            "--max-retries" => {
-                cli.max_retries = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(3);
-                i += 2;
-            }
-            "--fixed-dt" => {
-                cli.fixed_dt = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--trace" => {
-                cli.trace = args.get(i + 1).cloned();
-                i += 2;
-            }
+            "--max-retries" => cli.max_retries = parse_num(flag_value(&args, i, flag), flag),
+            "--fixed-dt" => cli.fixed_dt = Some(parse_num(flag_value(&args, i, flag), flag)),
+            "--trace" => cli.trace = Some(flag_value(&args, i, flag).to_string()),
             "--trace-format" => {
-                let name = args.get(i + 1).cloned().unwrap_or_default();
-                cli.trace_format = match name.as_str() {
+                cli.trace_format = match flag_value(&args, i, flag) {
                     "jsonl" => TraceFormat::Jsonl,
                     "chrome" => TraceFormat::Chrome,
                     other => {
-                        eprintln!("--trace-format must be 'jsonl' or 'chrome' (got '{other}')");
-                        std::process::exit(2);
+                        bail(&format!("--trace-format must be 'jsonl' or 'chrome' (got '{other}')"))
                     }
                 };
-                i += 2;
             }
             "--pressure-solver" => {
-                let name = args.get(i + 1).cloned().unwrap_or_default();
-                cli.pressure_solver = PressureSolver::from_name(&name).unwrap_or_else(|| {
-                    eprintln!("--pressure-solver must be 'cg' or 'mgcg' (got '{name}')");
-                    std::process::exit(2);
+                let name = flag_value(&args, i, flag);
+                cli.pressure_solver = PressureSolver::from_name(name).unwrap_or_else(|| {
+                    bail(&format!("--pressure-solver must be 'cg' or 'mgcg' (got '{name}')"))
                 });
-                i += 2;
             }
-            arg => {
+            flag if flag.starts_with("--") => bail(&format!("unknown flag {flag}")),
+            value => {
                 match positional {
-                    0 => cli.n = arg.parse().unwrap_or(0),
-                    1 => cli.steps = arg.parse().unwrap_or(10),
-                    2 => cli.threads = arg.parse::<usize>().unwrap_or(1).max(1),
-                    _ => eprintln!("ignoring extra argument '{arg}'"),
+                    0 => cli.n = parse_num(value, "n"),
+                    1 => cli.steps = parse_num(value, "steps"),
+                    2 => cli.threads = parse_num::<usize>(value, "threads").max(1),
+                    _ => bail(&format!("too many positional arguments ('{value}')")),
                 }
                 positional += 1;
                 i += 1;
+                continue;
             }
         }
+        i += 2;
     }
     if cli.every > 0 && cli.checkpoint.is_none() {
-        eprintln!("--every needs --checkpoint <path> to know where to write");
-        std::process::exit(2);
+        bail("--every needs --checkpoint <path> to know where to write");
     }
     cli
 }
@@ -255,29 +248,11 @@ fn write_checkpoint(
             .map_err(|e| format!("checkpoint ring save at {cli_path} failed: {e}"))?
     };
     if let Some(plan) = plan {
-        if let Some(kind) = plan.fire_checkpoint(state.step) {
-            let bytes = std::fs::read(&newest)
-                .map_err(|e| format!("injecting {} fault: {e}", kind.name()))?;
-            let corrupted = match kind {
-                FaultKind::CheckpointFlip => {
-                    let mut bytes = bytes;
-                    let at = plan.index(state.step, 1, bytes.len());
-                    bytes[at] ^= 0x01;
-                    println!("      [inject] flipped bit 0 of byte {at} in {}", newest.display());
-                    bytes
-                }
-                FaultKind::CheckpointTruncate => {
-                    println!(
-                        "      [inject] truncated {} to {} bytes",
-                        newest.display(),
-                        bytes.len() / 2
-                    );
-                    bytes[..bytes.len() / 2].to_vec()
-                }
-                _ => unreachable!("fire_checkpoint only yields checkpoint faults"),
-            };
-            std::fs::write(&newest, corrupted)
-                .map_err(|e| format!("injecting {} fault: {e}", kind.name()))?;
+        let done = plan
+            .corrupt_checkpoint(state.step, &newest)
+            .map_err(|e| format!("injecting a checkpoint fault into {}: {e}", newest.display()))?;
+        if let Some(done) = done {
+            println!("      [inject] {done}");
         }
     }
     Ok(newest)

@@ -100,7 +100,7 @@ fn main() {
     let mesh = scenario.build_mesh();
     let pins = scenario.pressure_pins(&mesh);
     let options = MultigridOptions::default();
-    let laplacian = pressure_laplacian(&mesh, 128, &pins);
+    let laplacian = pressure_laplacian(&mesh, &pins);
     let interps = pressure_interpolations(&mesh, &options).expect("the cavity is a box lattice");
 
     // The CSR chain the hierarchy is built from (and then drops).

@@ -2,27 +2,28 @@
 //! run-time-selected wide kernel clones (`lv_runtime::lanes`).
 //!
 //! The constants below are FNV-1a hashes of the velocity and pressure bits
-//! after four `Stepper` steps.  They were **re-recorded once, by PR 23**, a
-//! deliberate change of the assembly sweep's operation order: the
-//! convection matrix is integrated in reference space from inverse
-//! Jacobians held since set-up (the velocity pulled back through `J⁻¹`, the
-//! test-function weight formed once per node) and the sweep visits chunks
-//! of consecutive elements colored against each other, so a row's
-//! contributions meet in (color, chunk, slot) order — the same integrals in
-//! another operation and summation order, so the last bits of a trajectory
-//! moved, as they did with PR 17's `f32` V-cycle and PR 21's resident
-//! viscous and mass blocks.  Measured against the old trajectory after the
-//! four steps (12³ cavity / 48 × 12 × 12 channel): velocity within 1.1e-15
-//! / 1.0e-15 of `‖u‖∞`, pressure within 1.3e-13 / 1.4e-15 of `‖p‖∞`,
-//! kinetic energy bit-identical / 1.9e-16 relative, every step's momentum
-//! and Poisson iteration count unchanged.  The recording was taken twice,
-//! with every multiversioned kernel forced to its baseline body and at the
-//! lanes this suite's hosts select (AVX2), each on 1 and 2 threads in the
-//! debug and in the release profile: all eight runs of a scenario hashed
-//! alike.  (The values before this PR, recorded by PR 21, were
-//! `0xb98d_ca94_130d_4f42` and `0x14c8_df07_ac40_e329`; before that, at
-//! PR 17 before the first clone existed, `0xebfd_6957_c7cf_2244` and
-//! `0x835d_802a_a3f8_e189`.)
+//! after four `Stepper` steps.  They were **last re-recorded for a
+//! deliberate change of the summation order of the stiffness `K`**: the
+//! projection operators now integrate it in their one mesh-order element
+//! loop beside `M` and `C`, instead of in a second sweep over an
+//! element-colored schedule, so a row's contributions meet in element order
+//! — the same integrals in another summation order (at 32³, 13 060 of
+//! 912 673 entries moved, the worst by 2.25 ε of its row's largest entry;
+//! `M`, `C` and the lumped mass kept their bits).  Measured against the old
+//! trajectory after the four steps (12³ cavity / 48 × 12 × 12 channel):
+//! velocity within 1.3e-15 / 9.6e-16 of `‖u‖∞`, pressure within 1.1e-13 /
+//! 1.2e-15 of `‖p‖∞`, kinetic energy bit-identical at every step of both,
+//! every step's momentum and Poisson iteration count unchanged.  The
+//! recording was taken twice, with every multiversioned kernel forced to its
+//! baseline body and at the lanes this suite's hosts select (AVX2), each on
+//! 1 and 2 threads in the debug and in the release profile: all eight runs
+//! of a scenario hashed alike.  (Earlier values, newest first:
+//! `0x5e66_bdc0_deba_af27` and `0x726c_09e8_d593_f060` after the
+//! reference-space convection on chunks of consecutive elements;
+//! `0xb98d_ca94_130d_4f42` and `0x14c8_df07_ac40_e329` after the resident
+//! viscous and mass blocks; `0xebfd_6957_c7cf_2244` and
+//! `0x835d_802a_a3f8_e189` with the `f32` V-cycle, before the first clone
+//! existed.)
 //!
 //! A clone differs from its baseline body only in how many independent
 //! lanes one instruction carries, so the hashes must hold on every host
@@ -51,8 +52,8 @@ fn four_steps_hash_to_the_goldens_recorded_before_the_clones() {
     // The 12³ cavity and the 48 × 12 × 12 channel: 14 and 54 chunks of 128,
     // the last one padded in both.
     let goldens = [
-        (ScenarioKind::LidDrivenCavity, 0x5e66_bdc0_deba_af27u64),
-        (ScenarioKind::Channel, 0x726c_09e8_d593_f060u64),
+        (ScenarioKind::LidDrivenCavity, 0xc367_9388_c17e_825du64),
+        (ScenarioKind::Channel, 0xafcb_1bd9_0f6b_3da7u64),
     ];
     let lanes = Lanes::selected();
     println!("lanes selected by this test run: {}", lanes.describe());

@@ -24,7 +24,7 @@ fn census(scenario: &Scenario) -> Vec<(usize, usize)> {
     let mesh = scenario.build_mesh();
     let options = MultigridOptions::default();
     let interps = pressure_interpolations(&mesh, &options).expect("a box lattice");
-    let mut csr = pressure_laplacian(&mesh, 128, &scenario.pressure_pins(&mesh));
+    let mut csr = pressure_laplacian(&mesh, &scenario.pressure_pins(&mesh));
     let mut levels = Vec::new();
     for level in 0..=interps.len() {
         let dia = DiaMatrix::<f32>::from_csr(&csr).expect("a lattice stencil");
@@ -39,7 +39,7 @@ fn census(scenario: &Scenario) -> Vec<(usize, usize)> {
 
 fn storage(scenario: &Scenario) -> Vec<LevelStorage> {
     let mesh = scenario.build_mesh();
-    let laplacian = pressure_laplacian(&mesh, 128, &scenario.pressure_pins(&mesh));
+    let laplacian = pressure_laplacian(&mesh, &scenario.pressure_pins(&mesh));
     build_pressure_multigrid(&mesh, &laplacian, &MultigridOptions::default())
         .expect("a box lattice")
         .level_storage()

@@ -50,7 +50,7 @@ fn mgcg_solve_is_bitwise_reproducible_across_thread_counts() {
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 16);
     let mesh = scenario.build_mesh();
     let pins = scenario.pressure_pins(&mesh);
-    let laplacian = pressure_laplacian(&mesh, 128, &pins);
+    let laplacian = pressure_laplacian(&mesh, &pins);
     let mut rhs = probe(laplacian.dim(), 99);
     for &pin in &pins {
         rhs[pin] = 0.0;
@@ -88,7 +88,7 @@ fn matrix_free_matches_assembled_csr_on_every_registry_mesh() {
     for scenario in Scenario::registry() {
         let mesh = scenario.build_mesh();
         let pins = scenario.pressure_pins(&mesh);
-        let csr = pressure_laplacian(&mesh, 128, &pins);
+        let csr = pressure_laplacian(&mesh, &pins);
         let matrix_free = MatrixFreeLaplacian::new(&mesh, &pins);
         assert_eq!(LinearOperator::dim(&matrix_free), csr.dim());
 
@@ -120,7 +120,7 @@ fn pinned_cavity_system(n: usize) -> (Mesh, CsrMatrix, Vec<f64>) {
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, n);
     let mesh = scenario.build_mesh();
     let pins = scenario.pressure_pins(&mesh);
-    let laplacian = pressure_laplacian(&mesh, 128, &pins);
+    let laplacian = pressure_laplacian(&mesh, &pins);
     let mut rhs = probe(laplacian.dim(), 1442695040888963407);
     for &pin in &pins {
         rhs[pin] = 0.0;
@@ -354,7 +354,7 @@ fn diagonal_levels_match_csr_bitwise_on_the_cavity_and_channel_chains() {
             assert!(pins.len() > 1, "the channel pins a whole outflow plane");
         }
         let interps = pressure_interpolations(&mesh, &options).expect("a box lattice");
-        let mut csr = pressure_laplacian(&mesh, 128, &pins);
+        let mut csr = pressure_laplacian(&mesh, &pins);
         for level in 0..=interps.len() {
             let what = format!("{} level {level}", kind.name());
             assert_diagonal_product_matches_csr(&csr, &what, 31 + level as u64);
@@ -374,7 +374,7 @@ fn diagonal_levels_match_csr_bitwise_on_the_cavity_and_channel_chains() {
 #[test]
 fn a_jittered_box_fits_on_the_fine_level_only() {
     let mesh = BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.15, 5).build();
-    let laplacian = pressure_laplacian(&mesh, 128, &[0]);
+    let laplacian = pressure_laplacian(&mesh, &[0]);
     assert_diagonal_product_matches_csr(&laplacian, "jittered cavity", 77);
 
     let options = MultigridOptions::default();
@@ -390,7 +390,7 @@ fn a_scrambled_node_order_does_not_fit_and_steps_with_plain_cg() {
     let mesh = scenario.build_mesh();
     let scrambled = mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 99));
     let pins = scenario.pressure_pins(&scrambled);
-    let laplacian = pressure_laplacian(&scrambled, 64, &pins);
+    let laplacian = pressure_laplacian(&scrambled, &pins);
     assert!(
         DiaMatrix::<f64>::from_csr(&laplacian).is_none(),
         "a scrambled Laplacian has no diagonals"

@@ -107,7 +107,7 @@ fn full_solves_are_reproducible_across_thread_counts() {
     // CG on the real assembled pressure Laplacian (gauge-pinned SPD), the
     // operator the fractional-step driver's Poisson solve runs on.
     let mesh = BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().with_jitter(0.1, 13).build();
-    let poisson = lv_kernel::pressure_laplacian(&mesh, 64, &[0]);
+    let poisson = lv_kernel::pressure_laplacian(&mesh, &[0]);
     assert!(
         poisson.is_symmetric(1e-12),
         "the pinned pressure Laplacian must be symmetric — CG requires an SPD operator"
