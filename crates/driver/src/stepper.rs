@@ -185,16 +185,8 @@ impl Default for StepperConfig {
     fn default() -> Self {
         StepperConfig {
             vector_size: 128,
-            momentum_options: SolveOptions {
-                max_iterations: 2000,
-                tolerance: 1e-10,
-                ..Default::default()
-            },
-            poisson_options: SolveOptions {
-                max_iterations: 4000,
-                tolerance: 1e-10,
-                ..Default::default()
-            },
+            momentum_options: SolveOptions { max_iterations: 2000, tolerance: 1e-10 },
+            poisson_options: SolveOptions { max_iterations: 4000, tolerance: 1e-10 },
             pressure_solver: PressureSolver::MgCg,
             cfl: Some(0.4),
             dt: 0.02,

@@ -9,13 +9,14 @@
 //!
 //! # The mini-app and the time step
 //!
-//! [`NastinAssembly::assemble_into`], [`assemble_into_slices`] and
-//! [`assemble_parallel_into_on`] are the paper's kernel: all eight phases,
-//! the full system re-integrated on every call.  A time step does not need
-//! that: of `ν·K + C(u) + (ρ/Δt)·M` only the convection `C(u)` depends on
-//! the velocity, the elemental right-hand side is `−(ν·K + C(u))·u` of the
-//! matrix the sweep has just built, and the mesh does not move — its
-//! Jacobians are the same in every step.  [`assemble_convective_into_on`] is
+//! [`assemble_into_slices`] (mesh order, one thread) and
+//! [`assemble_parallel_into_on`] (the colored schedule, on a team) are the
+//! paper's kernel: all eight phases, the full system re-integrated on every
+//! call, one slice kernel per phase for both schedules.  A time step does
+//! not need that: of `ν·K + C(u) + (ρ/Δt)·M` only the convection `C(u)`
+//! depends on the velocity, the elemental right-hand side is
+//! `−(ν·K + C(u))·u` of the matrix the sweep has just built, and the mesh
+//! does not move — its Jacobians are the same in every step.  [`assemble_convective_into_on`] is
 //! the sweep `lv_driver::Stepper` runs instead, on the same colored
 //! schedule: no coordinate gather and no phase 3 (the inverse Jacobians and
 //! `gpvol` of every chunk are integrated once into a [`ConvectiveGeometry`],
@@ -227,59 +228,20 @@ impl NastinAssembly {
     }
 
     /// Runs the full assembly for the given velocity/pressure state,
-    /// allocating a fresh matrix and RHS.
+    /// allocating a fresh matrix, RHS and workspace
+    /// ([`assemble_into_slices`](Self::assemble_into_slices)).
     pub fn assemble(&self, velocity: &VectorField, pressure: &Field) -> AssemblyOutput {
         let mut matrix = self.new_matrix();
         let mut rhs = vec![0.0; NDIME * self.mesh.num_nodes()];
         let mut workspace = ElementWorkspace::new(self.config.vector_size);
-        let stats = self.assemble_into(velocity, pressure, &mut matrix, &mut rhs, &mut workspace);
+        let stats =
+            self.assemble_into_slices(velocity, pressure, &mut matrix, &mut rhs, &mut workspace);
         AssemblyOutput { matrix, rhs, stats }
     }
 
-    /// Runs the full assembly into preallocated storage (zeroing it first),
-    /// through the per-scalar accessor kernels: the readable oracle the
-    /// slice path is bitwise identical to.
-    pub fn assemble_into(
-        &self,
-        velocity: &VectorField,
-        pressure: &Field,
-        matrix: &mut CsrMatrix,
-        rhs: &mut [f64],
-        workspace: &mut ElementWorkspace,
-    ) -> AssemblyStats {
-        assert_eq!(rhs.len(), NDIME * self.mesh.num_nodes());
-        assert_eq!(workspace.vector_size(), self.config.vector_size);
-        matrix.zero_values();
-        rhs.fill(0.0);
-
-        let mut stats = AssemblyStats::default();
-        for chunk in &self.chunks {
-            workspace.reset();
-            phases::phase1_gather_coords(&self.mesh, chunk, workspace);
-            phases::phase2_gather_unknowns(&self.mesh, velocity, pressure, chunk, workspace);
-            stats.singular_jacobians += phases::phase3_jacobian(&self.shape, chunk, workspace);
-            phases::phase4_gauss_values(&self.shape, chunk, workspace);
-            phases::phase5_stabilization(
-                &self.config,
-                self.mesh.characteristic_length(),
-                chunk,
-                workspace,
-            );
-            phases::phase6_convective(&self.shape, &self.config, chunk, workspace);
-            phases::phase7_viscous(&self.shape, &self.config, chunk, workspace);
-            phases::phase8_scatter(&self.mesh, &self.config, chunk, workspace, matrix, rhs);
-            stats.chunks += 1;
-            stats.elements += chunk.len;
-        }
-        stats.flops = stats.elements as f64 * phases::flops_per_element(self.config.semi_implicit);
-        stats
-    }
-
-    /// Runs the full assembly through the **slice path**: the unit-stride
-    /// slice-view kernels over the same mesh-order chunks as
-    /// [`assemble_into`](Self::assemble_into).  Bitwise identical output,
-    /// measurably faster (no per-scalar index math or bounds checks in the
-    /// inner loops).
+    /// Runs the full assembly into preallocated storage (zeroing it first):
+    /// the unit-stride slice kernels over the mesh-order chunks, one
+    /// workspace, the calling thread.
     pub fn assemble_into_slices(
         &self,
         velocity: &VectorField,
@@ -320,36 +282,16 @@ impl NastinAssembly {
     }
 
     /// Runs the full assembly through the **mesh-colored parallel path**:
-    /// slice-view kernels over the colored schedule, one worker per
-    /// workspace in `workspaces`, scattering into the shared system without
-    /// atomics (see [`lv_mesh::coloring`]).  Spawns a transient
-    /// [`lv_runtime::Team`] sized to `workspaces`; a time-step loop that
-    /// also solves should use
-    /// [`assemble_parallel_into_on`](Self::assemble_parallel_into_on) with
-    /// its own persistent team instead.
-    ///
-    /// The result is bitwise identical for every worker count and agrees
-    /// with the serial paths to rounding accuracy (the colored schedule
-    /// permutes the summation order).
-    pub fn assemble_parallel_into(
-        &self,
-        velocity: &VectorField,
-        pressure: &Field,
-        matrix: &mut CsrMatrix,
-        rhs: &mut [f64],
-        workspaces: &mut [ElementWorkspace],
-    ) -> AssemblyStats {
-        let team = lv_runtime::Team::new(workspaces.len());
-        self.assemble_parallel_into_on(&team, velocity, pressure, matrix, rhs, workspaces)
-    }
-
-    /// [`assemble_parallel_into`](Self::assemble_parallel_into) on a
-    /// caller-provided worker team — the shared-pool path: the same team
-    /// runs the colored assembly sweep *and* the Krylov solves of a time
-    /// step, so workers are spawned once per run instead of once per sweep.
+    /// the slice kernels over the colored schedule on a caller-provided
+    /// worker team, one workspace per assembling rank, scattering into the
+    /// shared system without atomics (see [`lv_mesh::coloring`]).  The same
+    /// team runs the Krylov solves of a time step, so workers are spawned
+    /// once per run, not once per sweep.
     ///
     /// `min(team.num_threads(), workspaces.len())` ranks assemble; the
-    /// result is bitwise identical for every worker count.
+    /// result is bitwise identical for every worker count and agrees with
+    /// the mesh-order sweep to rounding accuracy (the colored schedule
+    /// permutes the summation order).
     pub fn assemble_parallel_into_on(
         &self,
         team: &lv_runtime::Team,
@@ -475,25 +417,6 @@ impl NastinAssembly {
         }
     }
 
-    /// Convenience wrapper around
-    /// [`assemble_parallel_into`](Self::assemble_parallel_into): allocates
-    /// the matrix, RHS and one workspace per thread.
-    pub fn assemble_parallel(
-        &self,
-        velocity: &VectorField,
-        pressure: &Field,
-        threads: usize,
-    ) -> AssemblyOutput {
-        let threads = threads.max(1);
-        let mut matrix = self.new_matrix();
-        let mut rhs = vec![0.0; NDIME * self.mesh.num_nodes()];
-        let mut workspaces: Vec<ElementWorkspace> =
-            (0..threads).map(|_| ElementWorkspace::new(self.config.vector_size)).collect();
-        let stats =
-            self.assemble_parallel_into(velocity, pressure, &mut matrix, &mut rhs, &mut workspaces);
-        AssemblyOutput { matrix, rhs, stats }
-    }
-
     /// The node graph and slot map the sweeps scatter through — pass it to
     /// [`PressureOperators::with_topology`](crate::PressureOperators::with_topology)
     /// to build the projection operators of the same mesh without a second
@@ -546,6 +469,64 @@ mod tests {
         let mut v = VectorField::taylor_green(mesh);
         v.apply_boundary_conditions(mesh, Vec3::new(1.0, 0.0, 0.0), Vec3::ZERO);
         (v, Field::from_fn(mesh, |p| p.x * p.y))
+    }
+
+    /// The oracle of [`NastinAssembly::assemble_into_slices`]: the same
+    /// mesh-order chunks through the accessor phases of `phases::oracle`,
+    /// into fresh storage, on the caller's (possibly poisoned) workspace.
+    fn assemble_accessor(
+        asm: &NastinAssembly,
+        (v, p): &(VectorField, Field),
+        ws: &mut ElementWorkspace,
+    ) -> AssemblyOutput {
+        use crate::phases::oracle;
+        let mut matrix = asm.new_matrix();
+        let mut rhs = vec![0.0; NDIME * asm.mesh.num_nodes()];
+        let mut stats = AssemblyStats::default();
+        let h_char = asm.mesh.characteristic_length();
+        for chunk in &asm.chunks {
+            ws.reset();
+            oracle::phase1_gather_coords(&asm.mesh, chunk, ws);
+            oracle::phase2_gather_unknowns(&asm.mesh, v, p, chunk, ws);
+            stats.singular_jacobians += oracle::phase3_jacobian(&asm.shape, chunk, ws);
+            oracle::phase4_gauss_values(&asm.shape, chunk, ws);
+            oracle::phase5_stabilization(&asm.config, h_char, chunk, ws);
+            oracle::phase6_convective(&asm.shape, &asm.config, chunk, ws);
+            oracle::phase7_viscous(&asm.shape, &asm.config, chunk, ws);
+            oracle::phase8_scatter(&asm.mesh, &asm.config, chunk, ws, &mut matrix, &mut rhs);
+            stats.chunks += 1;
+            stats.elements += chunk.len;
+        }
+        stats.flops = stats.elements as f64 * phases::flops_per_element(asm.config.semi_implicit);
+        AssemblyOutput { matrix, rhs, stats }
+    }
+
+    /// The colored sweep on `team`, one workspace per rank, into fresh
+    /// storage.
+    fn colored(
+        asm: &NastinAssembly,
+        v: &VectorField,
+        p: &Field,
+        team: &lv_runtime::Team,
+    ) -> AssemblyOutput {
+        let mut matrix = asm.new_matrix();
+        let mut rhs = vec![0.0; NDIME * asm.mesh().num_nodes()];
+        let mut workspaces: Vec<ElementWorkspace> = (0..team.num_threads())
+            .map(|_| ElementWorkspace::new(asm.config().vector_size))
+            .collect();
+        let stats =
+            asm.assemble_parallel_into_on(team, v, p, &mut matrix, &mut rhs, &mut workspaces);
+        AssemblyOutput { matrix, rhs, stats }
+    }
+
+    fn assert_same_output(a: &AssemblyOutput, b: &AssemblyOutput, what: &str) {
+        assert_eq!(a.stats, b.stats, "{what}: stats");
+        for (k, (x, y)) in a.rhs.iter().zip(&b.rhs).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: rhs[{k}] {x} vs {y}");
+        }
+        for (k, (x, y)) in a.matrix.values().iter().zip(b.matrix.values()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: matrix[{k}] {x} vs {y}");
+        }
     }
 
     #[test]
@@ -610,27 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn assemble_into_reuses_storage_and_matches_assemble() {
-        let mesh = cavity(3);
-        let (v, p) = state(&mesh);
-        let asm = NastinAssembly::new(mesh, KernelConfig::new(16, OptLevel::IVec2));
-        let fresh = asm.assemble(&v, &p);
-        let mut matrix = asm.new_matrix();
-        let mut rhs = vec![0.0; NDIME * asm.mesh().num_nodes()];
-        let mut ws = ElementWorkspace::new(16);
-        // Run twice to make sure zeroing works.
-        asm.assemble_into(&v, &p, &mut matrix, &mut rhs, &mut ws);
-        let stats = asm.assemble_into(&v, &p, &mut matrix, &mut rhs, &mut ws);
-        assert_eq!(stats.elements, 27);
-        for (a, b) in fresh.rhs.iter().zip(&rhs) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        for (a, b) in fresh.matrix.values().iter().zip(matrix.values()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn chunk_count_matches_mesh_and_vector_size() {
         let mesh = cavity(4); // 64 elements
         let asm = NastinAssembly::new(mesh, KernelConfig::new(24, OptLevel::Original));
@@ -642,22 +602,57 @@ mod tests {
 
     #[test]
     fn slice_driver_is_bitwise_identical_to_accessor_driver() {
-        let mesh = cavity(4);
-        let (v, p) = state(&mesh);
-        let asm = NastinAssembly::new(mesh, KernelConfig::new(24, OptLevel::Vec1)); // padded last chunk
-        let mut matrix_a = asm.new_matrix();
-        let mut matrix_s = asm.new_matrix();
-        let mut rhs_a = vec![0.0; NDIME * asm.mesh().num_nodes()];
-        let mut rhs_s = vec![0.0; NDIME * asm.mesh().num_nodes()];
-        let mut ws = ElementWorkspace::new(24);
-        let stats_a = asm.assemble_into(&v, &p, &mut matrix_a, &mut rhs_a, &mut ws);
-        let stats_s = asm.assemble_into_slices(&v, &p, &mut matrix_s, &mut rhs_s, &mut ws);
-        assert_eq!(stats_a, stats_s);
-        for (a, b) in rhs_a.iter().zip(&rhs_s) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in matrix_a.values().iter().zip(matrix_s.values()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // Each mesh with the VECTOR_SIZEs and schemes it is assembled at:
+        // full chunks, VS 1, padded last chunks (VS 24 on 64 elements, 8 and
+        // 32 on 45) and a mostly-padding single chunk (VS 64 on 45, 240 on
+        // 64).  Both drivers run from a fresh workspace and from one
+        // poisoned with each of the oracle's values (`reset` only clears the
+        // accumulators): every run must carry the bits of the fresh oracle.
+        let fast_path = |n: [usize; 3]| {
+            let mesh = BoxMeshBuilder::new(n[0], n[1], n[2])
+                .lid_driven_cavity()
+                .with_jitter(0.12, 23)
+                .build();
+            let (v, _) = state(&mesh);
+            let p = Field::from_fn(&mesh, |p| p.x * p.y - 0.5 * p.z);
+            (mesh, (v, p))
+        };
+        let with_state = |mesh: Mesh| {
+            let fields = state(&mesh);
+            (mesh, fields)
+        };
+        let cases = [
+            (with_state(cavity(4)), &[24usize][..], &[true][..]),
+            (fast_path([3, 3, 5]), &[1, 8, 32, 64][..], &[true, false][..]),
+            (fast_path([4, 4, 4]), &[8, 16, 24, 240][..], &[true, false][..]),
+        ];
+        for ((mesh, fields), sizes, schemes) in &cases {
+            let (v, p) = fields;
+            for &vs in *sizes {
+                for &semi_implicit in *schemes {
+                    let config =
+                        KernelConfig { semi_implicit, ..KernelConfig::new(vs, OptLevel::Vec1) };
+                    let asm = NastinAssembly::new(mesh.clone(), config);
+                    let what =
+                        format!("{} elements, vs={vs}, semi={semi_implicit}", mesh.num_elements());
+                    let oracle = assemble_accessor(&asm, fields, &mut ElementWorkspace::new(vs));
+                    assert_same_output(&oracle, &asm.assemble(v, p), &what);
+                    for poison in crate::phases::oracle::POISONS {
+                        let what = format!("{what}, poison={poison}");
+                        let mut ws = ElementWorkspace::new(vs);
+                        ws.poison(poison);
+                        let stale = assemble_accessor(&asm, fields, &mut ws);
+                        assert_same_output(&oracle, &stale, &format!("{what}, oracle"));
+                        // Into the storage of a finished sweep: it must be
+                        // zeroed, not added to.
+                        let mut slices = asm.assemble(v, p);
+                        let (matrix, rhs) = (&mut slices.matrix, &mut slices.rhs);
+                        ws.poison(poison);
+                        slices.stats = asm.assemble_into_slices(v, p, matrix, rhs, &mut ws);
+                        assert_same_output(&oracle, &slices, &format!("{what}, slices"));
+                    }
+                }
+            }
         }
     }
 
@@ -666,16 +661,10 @@ mod tests {
         let mesh = cavity(4);
         let (v, p) = state(&mesh);
         let asm = NastinAssembly::new(mesh, KernelConfig::new(16, OptLevel::Vec1));
-        let reference = asm.assemble_parallel(&v, &p, 1);
+        let reference = colored(&asm, &v, &p, &lv_runtime::Team::new(1));
         for threads in [2usize, 4] {
-            let out = asm.assemble_parallel(&v, &p, threads);
-            assert_eq!(out.stats.elements, reference.stats.elements);
-            for (a, b) in reference.rhs.iter().zip(&out.rhs) {
-                assert_eq!(a.to_bits(), b.to_bits(), "rhs differs at {threads} threads");
-            }
-            for (a, b) in reference.matrix.values().iter().zip(out.matrix.values()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "matrix differs at {threads} threads");
-            }
+            let out = colored(&asm, &v, &p, &lv_runtime::Team::new(threads));
+            assert_same_output(&reference, &out, &format!("{threads} threads"));
         }
     }
 
@@ -693,7 +682,7 @@ mod tests {
         let asm = NastinAssembly::new(mesh, KernelConfig::new(32, OptLevel::Vec1));
         assert_eq!(asm.colored_chunks().num_colors(), 3);
         let serial = asm.assemble(&v, &p);
-        let parallel = asm.assemble_parallel(&v, &p, 3);
+        let parallel = colored(&asm, &v, &p, &lv_runtime::Team::new(3));
         assert_eq!(parallel.stats.elements, serial.stats.elements);
         assert_eq!(parallel.stats.singular_jacobians, 0);
         let mut differing = 0usize;
@@ -709,17 +698,18 @@ mod tests {
     }
 
     #[test]
-    fn shared_team_sweep_matches_transient_team_sweep_bitwise() {
+    fn two_sweeps_on_one_team_are_bitwise_identical() {
+        // The same pool and the same storage twice: reuse must not change
+        // anything.
         let mesh = cavity(4);
         let (v, p) = state(&mesh);
         let asm = NastinAssembly::new(mesh, KernelConfig::new(16, OptLevel::Vec1));
-        let transient = asm.assemble_parallel(&v, &p, 3);
         let team = lv_runtime::Team::new(3);
         let mut matrix = asm.new_matrix();
         let mut rhs = vec![0.0; NDIME * asm.mesh().num_nodes()];
         let mut workspaces: Vec<ElementWorkspace> =
             (0..3).map(|_| ElementWorkspace::new(16)).collect();
-        // Two sweeps on the same pool: reuse must not change anything.
+        let mut sweeps = Vec::new();
         for _ in 0..2 {
             let stats = asm.assemble_parallel_into_on(
                 &team,
@@ -729,14 +719,10 @@ mod tests {
                 &mut rhs,
                 &mut workspaces,
             );
-            assert_eq!(stats.elements, transient.stats.elements);
-            for (a, b) in transient.rhs.iter().zip(&rhs) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for (a, b) in transient.matrix.values().iter().zip(matrix.values()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+            assert_eq!(stats.elements, 64);
+            sweeps.push((matrix.clone(), rhs.clone()));
         }
+        assert_same_system(&sweeps[0], &sweeps[1], "second sweep on the same team");
     }
 
     #[test]
@@ -746,7 +732,7 @@ mod tests {
         let mesh = cavity(3);
         let (v, p) = state(&mesh);
         let asm = NastinAssembly::new(mesh, KernelConfig::new(8, OptLevel::Vec1));
-        let reference = asm.assemble_parallel(&v, &p, 2);
+        let reference = colored(&asm, &v, &p, &lv_runtime::Team::new(2));
         let team = lv_runtime::Team::new(5);
         let mut matrix = asm.new_matrix();
         let mut rhs = vec![0.0; NDIME * asm.mesh().num_nodes()];
@@ -755,9 +741,7 @@ mod tests {
         let stats =
             asm.assemble_parallel_into_on(&team, &v, &p, &mut matrix, &mut rhs, &mut workspaces);
         assert_eq!(stats.elements, 27);
-        for (a, b) in reference.rhs.iter().zip(&rhs) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_same_system(&(reference.matrix, reference.rhs), &(matrix, rhs), "5-rank team");
     }
 
     /// A matrix, right-hand side and one workspace per rank of `team`, all

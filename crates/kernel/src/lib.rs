@@ -21,13 +21,14 @@
 //! * the **numeric path** ([`assembly`]) actually computes the Navier–Stokes
 //!   element integrals over a [`lv_mesh::Mesh`] and produces a global CSR
 //!   matrix and RHS (consumed by `lv-solver` in the examples); it is what the
-//!   benchmark's `assembly_vs` workload measures on the host CPU.  It has
-//!   three sweep implementations, each with its own entry point: the
-//!   per-scalar accessor oracle ([`NastinAssembly::assemble_into`]), the
-//!   unit-stride slice-view kernels (bitwise identical,
-//!   [`NastinAssembly::assemble_into_slices`]) and the chunk-colored
-//!   multi-threaded sweep ([`parallel`],
-//!   [`NastinAssembly::assemble_parallel_into_on`]).
+//!   benchmark's `assembly_vs` workload measures on the host CPU.  Each
+//!   phase is one unit-stride slice kernel ([`phases`]) that two sweeps
+//!   share: the mesh-order sweep on the calling thread
+//!   ([`NastinAssembly::assemble_into_slices`]) and the chunk-colored
+//!   multi-threaded sweep on a worker team ([`parallel`],
+//!   [`NastinAssembly::assemble_parallel_into_on`]).  The original
+//!   per-scalar accessor phases are the unit tests' oracle, compiled only
+//!   under `#[cfg(test)]`.
 //!   A time step (`lv_driver::Stepper`) assembles through
 //!   [`assemble_momentum_on`] instead: the viscous and mass blocks held from
 //!   set-up ([`PressureOperators`]), a convective-only colored sweep over
@@ -62,7 +63,7 @@ pub use matrixfree::{build_pressure_multigrid, pressure_interpolations, MatrixFr
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};
 pub use momentum::{assemble_momentum_on, solve_momentum_on, MomentumSolve};
 pub use projection::{pressure_laplacian, weak_divergence_vector_norm, PressureOperators};
-pub use workspace::{ElementWorkspace, WorkspaceViews, WorkspaceViewsMut};
+pub use workspace::{ElementWorkspace, WorkspaceViewsMut};
 
 /// Spatial dimensions (3-D flow, as in the paper's production case).
 pub const NDIME: usize = lv_mesh::NDIME;

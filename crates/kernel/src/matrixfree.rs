@@ -527,7 +527,7 @@ mod tests {
         // The hierarchy actually preconditions: MG-CG solves the pinned
         // Poisson system to tight tolerance in few iterations.
         let b = probe(csr.dim(), 3);
-        let solve = SolveOptions { max_iterations: 50, tolerance: 1e-10, ..Default::default() };
+        let solve = SolveOptions { max_iterations: 50, tolerance: 1e-10 };
         let mut mg = mg;
         let outcome = mg_preconditioned_cg(&csr, &mut mg, &b, &solve).expect("converges");
         assert!(outcome.iterations < 15, "took {} iterations", outcome.iterations);

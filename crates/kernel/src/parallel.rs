@@ -292,8 +292,7 @@ fn assemble_chunk_shared(
 /// The number of assembling workers is `min(team.num_threads(),
 /// workspaces.len())`; surplus team ranks only keep the color barriers
 /// balanced.  `matrix` and `rhs` are scattered into without zeroing — the
-/// caller owns the lifecycle, exactly like the serial `assemble_into`
-/// internals.
+/// caller owns the lifecycle.
 ///
 /// [`Sweep::Full`] runs the paper's eight phases; [`Sweep::Convective`] is
 /// the time step's sweep, which adds the elemental convection matrices to

@@ -2,7 +2,8 @@
 //! mini-app.
 //!
 //! Each function corresponds to one instrumented phase of the paper and
-//! operates on the [`ElementWorkspace`] of the current `VECTOR_SIZE` block.
+//! operates on the [`ElementWorkspace`](crate::ElementWorkspace) of the
+//! current `VECTOR_SIZE` block.
 //! The physics is a standard SUPG-stabilized incompressible Navier–Stokes
 //! momentum assembly on trilinear hexahedra:
 //!
@@ -21,23 +22,25 @@
 //! * phase 8 checks element validity (padding slots of the last block) and
 //!   scatters the elemental contributions into the global CSR matrix and RHS.
 
-//! # The two numeric paths
+//! # One kernel per phase, and its oracle
 //!
-//! Every phase exists in two forms that must produce **bitwise identical**
-//! results (the integration tests compare `f64::to_bits`):
+//! The library compiles each phase once, as a **slice kernel**
+//! (`phaseN_*_slices`) over the contiguous array views of
+//! [`WorkspaceViewsMut`]: the index arithmetic is hoisted out of the
+//! `ivect` loops into per-row subslices, so the inner loops are pure
+//! unit-stride slice iteration the autovectorizer turns into vector
+//! loads/stores — the Rust analogue of the paper's unit-stride `ivect`
+//! refactors.
 //!
-//! * the original **accessor path** (`phaseN_*`) reads and writes the
-//!   workspace through the [`ElementWorkspace`] accessors — one multi-term
-//!   index computation and one bounds check per scalar.  It is kept as the
-//!   readable oracle;
-//! * the **slice path** (`phaseN_*_slices`) operates on the contiguous
-//!   array views of [`WorkspaceViewsMut`]: the index arithmetic is hoisted
-//!   out of the `ivect` loops into per-row subslices, so the inner loops are
-//!   pure unit-stride slice iteration the autovectorizer turns into vector
-//!   loads/stores — the Rust analogue of the paper's unit-stride `ivect`
-//!   refactors.  Floating-point reductions deliberately mirror the accessor
-//!   path's accumulation order term by term (addition is not associative,
-//!   and even `0.0 + x` is not a bitwise no-op when `x` is `-0.0`).
+//! The original per-scalar **accessor** phases — every scalar read and
+//! written through an `ElementWorkspace` get/set pair, one multi-term index
+//! computation and one bounds check each — are this file's `#[cfg(test)]`
+//! `oracle` module: the readable form the slice kernels are held to
+//! **bitwise** (the unit tests compare `f64::to_bits`, phase by phase and
+//! sweep by sweep).  Floating-point reductions of the slice kernels
+//! deliberately mirror the oracle's accumulation order term by term
+//! (addition is not associative, and even `0.0 + x` is not a bitwise no-op
+//! when `x` is `-0.0`).
 //!
 //! The slice phases take any [`SlotMap`] (a contiguous mesh-order
 //! [`ElementChunk`] or a colored [`lv_mesh::ChunkSlots`]), which is how the
@@ -69,8 +72,8 @@
 //!   phase-6 body (same `const`-switch pattern, `#[cfg(test)]` now) is the
 //!   oracle it is held to, entry by entry, to a stated ε-bound.
 //!
-//! The accessor oracle has no reduced form: the full slice phases are
-//! checked against it, the step's against the full.
+//! The oracle has no reduced form: the full slice phases are checked
+//! against it, the step's against the full.
 //!
 //! # The host's lanes
 //!
@@ -84,17 +87,16 @@
 //! times side by side and the tests below compare `to_bits`.  A clone runs
 //! the baseline's IEEE operations in the baseline's order for every slot
 //! (Rust neither reassociates nor contracts to FMA), so both copies are
-//! bitwise identical to each other and to the accessor oracle, which is
-//! never cloned.  The clones are **per phase**: one clone around phases 3–7
+//! bitwise identical to each other and to the oracle, which is never
+//! cloned.  The clones are **per phase**: one clone around phases 3–7
 //! inlined together compiles to slower code than the baseline.  Phases 1, 2
 //! and 8 gather and scatter; wider lanes do nothing for them and they have
 //! one copy.
 
 use crate::config::KernelConfig;
-use crate::workspace::{ElementWorkspace, WorkspaceViewsMut};
+use crate::workspace::WorkspaceViewsMut;
 use crate::{NDIME, NDOFN, PGAUS, PNODE};
 use lv_mesh::chunks::{ChunkSlots, ElementChunk};
-use lv_mesh::geometry::Mat3;
 use lv_mesh::{Field, Mesh, MeshTopology, ShapeDerivatives, ShapeTable, VectorField};
 use lv_solver::CsrMatrix;
 
@@ -161,310 +163,6 @@ fn row(a: &[f64], idx: usize, vs: usize) -> &[f64] {
 fn row_mut(a: &mut [f64], idx: usize, vs: usize) -> &mut [f64] {
     &mut a[idx * vs..(idx + 1) * vs]
 }
-
-/// Phase 1: gather the element connectivity and nodal coordinates of every
-/// element of the chunk into `elcod`.
-///
-/// Work A (connectivity handling and slot bookkeeping) and work B (the
-/// coordinate gather proper) are the two halves the VEC1 optimization later
-/// splits into separate loops.
-pub fn phase1_gather_coords(mesh: &Mesh, chunk: &ElementChunk, ws: &mut ElementWorkspace) {
-    // Work A: element ids and connectivity bookkeeping.
-    for ivect in 0..chunk.vector_size {
-        ws.set_element_id(ivect, chunk.element(ivect));
-    }
-    // Work B: coordinate gather (indexed reads from the global mesh arrays).
-    let coords = mesh.coords();
-    for ivect in 0..chunk.vector_size {
-        if let Some(elem) = chunk.element(ivect) {
-            let nodes = mesh.element_nodes(elem);
-            for (inode, &node) in nodes.iter().enumerate() {
-                let base = 3 * node as usize;
-                for idime in 0..NDIME {
-                    ws.set_elcod(inode, idime, ivect, coords[base + idime]);
-                }
-            }
-        } else {
-            // Padding slots replicate the last valid element's geometry so
-            // phases 3–7 never divide by a zero Jacobian; phase 8 discards
-            // their contributions.
-            for inode in 0..PNODE {
-                for idime in 0..NDIME {
-                    ws.set_elcod(inode, idime, ivect, ws.elcod(inode, idime, chunk.len - 1));
-                }
-            }
-        }
-    }
-}
-
-/// Phase 2: gather the nodal unknowns (three velocity components and the
-/// pressure) of every element of the chunk into `elvel`.
-pub fn phase2_gather_unknowns(
-    mesh: &Mesh,
-    velocity: &VectorField,
-    pressure: &Field,
-    chunk: &ElementChunk,
-    ws: &mut ElementWorkspace,
-) {
-    let vel = velocity.as_slice();
-    let pre = pressure.as_slice();
-    for ivect in 0..chunk.vector_size {
-        let elem = chunk.element(ivect).unwrap_or(chunk.first_element + chunk.len - 1);
-        let nodes = mesh.element_nodes(elem);
-        for (inode, &node) in nodes.iter().enumerate() {
-            let node = node as usize;
-            for idime in 0..NDIME {
-                ws.set_elvel(inode, idime, ivect, vel[NDIME * node + idime]);
-            }
-            ws.set_elvel(inode, NDIME, ivect, pre[node]);
-        }
-    }
-}
-
-/// Phase 3: Jacobian, determinant, inverse and Cartesian derivatives at every
-/// integration point.
-///
-/// Returns the number of elements whose Jacobian was singular (should be zero
-/// for a valid mesh).
-pub fn phase3_jacobian(
-    shape: &ShapeTable,
-    chunk: &ElementChunk,
-    ws: &mut ElementWorkspace,
-) -> usize {
-    debug_assert_eq!(shape.num_gauss(), PGAUS);
-    let mut singular = 0usize;
-    for igaus in 0..PGAUS {
-        let derivs = shape.derivatives(igaus);
-        for ivect in 0..chunk.vector_size {
-            // J[i][j] = Σ_a ∂N_a/∂ξ_j · x_a[i]
-            let mut jac = Mat3::ZERO;
-            for inode in 0..PNODE {
-                let d = derivs.d[inode];
-                for i in 0..NDIME {
-                    let xi = ws.elcod(inode, i, ivect);
-                    for (j, &dj) in d.iter().enumerate() {
-                        jac.m[i][j] += dj * xi;
-                    }
-                }
-            }
-            let det = jac.det();
-            let weight = 1.0; // 2×2×2 Gauss weights are all 1
-            ws.set_gpvol(igaus, ivect, det.abs() * weight);
-            let Some(inv) = jac.inverse() else {
-                singular += 1;
-                // A singular slot has no Cartesian derivatives: zero them
-                // instead of leaving whatever the previous chunk wrote (the
-                // cheap `reset` no longer clears `gpcar`, and stale values
-                // would make the result depend on the chunk schedule).
-                for inode in 0..PNODE {
-                    for i in 0..NDIME {
-                        ws.set_gpcar(igaus, inode, i, ivect, 0.0);
-                    }
-                }
-                continue;
-            };
-            // ∂N_a/∂x_i = Σ_j ∂N_a/∂ξ_j · (J⁻¹)[j][i]
-            for inode in 0..PNODE {
-                let d = derivs.d[inode];
-                for i in 0..NDIME {
-                    let mut v = 0.0;
-                    for (j, &dj) in d.iter().enumerate() {
-                        v += dj * inv.m[j][i];
-                    }
-                    ws.set_gpcar(igaus, inode, i, ivect, v);
-                }
-            }
-        }
-    }
-    singular
-}
-
-/// Phase 4: velocity and velocity gradient at the integration points.
-pub fn phase4_gauss_values(shape: &ShapeTable, chunk: &ElementChunk, ws: &mut ElementWorkspace) {
-    for igaus in 0..PGAUS {
-        let funcs = shape.functions(igaus);
-        // Zero the accumulators for this integration point.
-        for ivect in 0..chunk.vector_size {
-            for i in 0..NDIME {
-                ws.set_gpvel(igaus, i, ivect, 0.0);
-                for j in 0..NDIME {
-                    ws.set_gpgve(igaus, i, j, ivect, 0.0);
-                }
-            }
-        }
-        for inode in 0..PNODE {
-            let n_a = funcs.n[inode];
-            for ivect in 0..chunk.vector_size {
-                for i in 0..NDIME {
-                    let u_ai = ws.elvel(inode, i, ivect);
-                    ws.add_gpvel(igaus, i, ivect, n_a * u_ai);
-                    for j in 0..NDIME {
-                        let dn_aj = ws.gpcar(igaus, inode, j, ivect);
-                        ws.add_gpgve(igaus, i, j, ivect, dn_aj * u_ai);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Phase 5: stabilization parameter τ and advection velocity at the
-/// integration points.
-pub fn phase5_stabilization(
-    config: &KernelConfig,
-    h_char: f64,
-    chunk: &ElementChunk,
-    ws: &mut ElementWorkspace,
-) {
-    let nu = config.viscosity;
-    let rho = config.density;
-    let inv_dt = 1.0 / config.dt;
-    for igaus in 0..PGAUS {
-        for ivect in 0..chunk.vector_size {
-            let u =
-                [ws.gpvel(igaus, 0, ivect), ws.gpvel(igaus, 1, ivect), ws.gpvel(igaus, 2, ivect)];
-            let unorm = (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]).sqrt();
-            // Classic SUPG design: τ = (c1 ν/h² + c2 |u|/h + ρ/Δt)⁻¹.
-            let tau = 1.0 / (4.0 * nu / (h_char * h_char) + 2.0 * unorm / h_char + rho * inv_dt);
-            ws.set_tau(igaus, ivect, tau);
-            for (i, &ui) in u.iter().enumerate() {
-                ws.set_gpadv(igaus, i, ivect, ui);
-            }
-        }
-    }
-}
-
-/// Phase 6: convective term (Galerkin + SUPG perturbation) contribution to
-/// the elemental RHS — the FLOP-dominant phase of the mini-app.
-pub fn phase6_convective(
-    shape: &ShapeTable,
-    config: &KernelConfig,
-    chunk: &ElementChunk,
-    ws: &mut ElementWorkspace,
-) {
-    let rho = config.density;
-    for igaus in 0..PGAUS {
-        let funcs = shape.functions(igaus);
-        for inode in 0..PNODE {
-            let n_a = funcs.n[inode];
-            for ivect in 0..chunk.vector_size {
-                let vol = ws.gpvol(igaus, ivect);
-                let tau = ws.tau(igaus, ivect);
-                // conv_a = (u·∇)N_a
-                let mut conv_a = 0.0;
-                for j in 0..NDIME {
-                    conv_a += ws.gpadv(igaus, j, ivect) * ws.gpcar(igaus, inode, j, ivect);
-                }
-                // (u·∇)u_i at the integration point, per component.
-                for i in 0..NDIME {
-                    let mut ugradu_i = 0.0;
-                    for j in 0..NDIME {
-                        ugradu_i += ws.gpadv(igaus, j, ivect) * ws.gpgve(igaus, i, j, ivect);
-                    }
-                    // Galerkin convective residual + SUPG perturbation.
-                    let galerkin = rho * n_a * ugradu_i;
-                    let supg = rho * tau * conv_a * ugradu_i;
-                    ws.add_elrbu(inode, i, ivect, -vol * (galerkin + supg));
-                }
-                // Semi-implicit scheme: the (SUPG-stabilized) convection
-                // operator also contributes to the elemental matrix.  This is
-                // the bulk of the arithmetic of the phase, which is why the
-                // paper finds phase 6 to be the most cycle-consuming one.
-                if config.semi_implicit {
-                    for jnode in 0..PNODE {
-                        let mut conv_b = 0.0;
-                        for j in 0..NDIME {
-                            conv_b += ws.gpadv(igaus, j, ivect) * ws.gpcar(igaus, jnode, j, ivect);
-                        }
-                        let galerkin = n_a * conv_b;
-                        let supg = tau * conv_a * conv_b;
-                        ws.add_elauu(inode, jnode, ivect, vol * rho * (galerkin + supg));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Phase 7: viscous term contribution to the elemental RHS and (for the
-/// semi-implicit scheme) the elemental matrix, plus the lumped mass/Δt
-/// diagonal that makes the assembled operator well conditioned.
-pub fn phase7_viscous(
-    shape: &ShapeTable,
-    config: &KernelConfig,
-    chunk: &ElementChunk,
-    ws: &mut ElementWorkspace,
-) {
-    let nu = config.viscosity;
-    let rho = config.density;
-    let inv_dt = 1.0 / config.dt;
-    for igaus in 0..PGAUS {
-        let funcs = shape.functions(igaus);
-        for inode in 0..PNODE {
-            let n_a = funcs.n[inode];
-            for ivect in 0..chunk.vector_size {
-                let vol = ws.gpvol(igaus, ivect);
-                // RHS: -ν ∇N_a : ∇u
-                for i in 0..NDIME {
-                    let mut visc = 0.0;
-                    for j in 0..NDIME {
-                        visc += ws.gpcar(igaus, inode, j, ivect) * ws.gpgve(igaus, i, j, ivect);
-                    }
-                    ws.add_elrbu(inode, i, ivect, -vol * nu * visc);
-                }
-                if config.semi_implicit {
-                    // Matrix: ν ∇N_a·∇N_b  +  (ρ/Δt) N_a N_b (lumped on the row).
-                    for jnode in 0..PNODE {
-                        let mut diff = 0.0;
-                        for j in 0..NDIME {
-                            diff +=
-                                ws.gpcar(igaus, inode, j, ivect) * ws.gpcar(igaus, jnode, j, ivect);
-                        }
-                        let mass = rho * inv_dt * n_a * funcs.n[jnode];
-                        ws.add_elauu(inode, jnode, ivect, vol * (nu * diff + mass));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Phase 8: validity check and scatter of the elemental contributions into
-/// the global CSR matrix and RHS vector.
-///
-/// The RHS has `NDIME` entries per node (`rhs[NDIME*node + idime]`); the
-/// matrix is the scalar (per-component) operator on the node-to-node graph,
-/// applied identically to each velocity component.
-pub fn phase8_scatter(
-    mesh: &Mesh,
-    config: &KernelConfig,
-    chunk: &ElementChunk,
-    ws: &ElementWorkspace,
-    matrix: &mut CsrMatrix,
-    rhs: &mut [f64],
-) {
-    assert_eq!(rhs.len(), NDIME * mesh.num_nodes());
-    for ivect in 0..chunk.vector_size {
-        // The validity check of the paper: padding slots are skipped.
-        let Some(elem) = ws.element_id(ivect) else { continue };
-        let nodes = mesh.element_nodes(elem);
-        for (inode, &node_a) in nodes.iter().enumerate() {
-            let node_a = node_a as usize;
-            for idime in 0..NDIME {
-                rhs[NDIME * node_a + idime] += ws.elrbu(inode, idime, ivect);
-            }
-            if config.semi_implicit {
-                for (jnode, &node_b) in nodes.iter().enumerate() {
-                    matrix.add(node_a, node_b as usize, ws.elauu(inode, jnode, ivect));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Slice path: unit-stride kernels over the contiguous workspace views.
-// ---------------------------------------------------------------------------
 
 /// Lanes per strip of the strip-mined phase 3: the Jacobian accumulators of
 /// a strip (`9 × STRIP` doubles) live in registers/L1 while the `inode`
@@ -557,6 +255,9 @@ lv_runtime::multiversion! {
     /// loop of phases 3–7 the vectorizer skipped.)
     ///
     /// Returns the number of slots whose Jacobian was singular.
+    ///
+    /// [`Mat3::det`]: lv_mesh::geometry::Mat3::det
+    /// [`Mat3::inverse`]: lv_mesh::geometry::Mat3::inverse
     pub fn phase3_jacobian_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize
         = phase3_jacobian_body, at phase3_jacobian_slices_at;
 }
@@ -566,12 +267,12 @@ lv_runtime::multiversion! {
 /// geometry table are built from.  `det[k]` and `inv[j * NDIME + i][k]`
 /// belong to slot `s0 + k`; lanes past `sl` hold a zero Jacobian (their
 /// infinities are never read) and a singular lane (`|det| < 1e-300`,
-/// [`Mat3::inverse`]'s own test for "no inverse") is the caller's to mask.
+/// `Mat3::inverse`'s own test for "no inverse") is the caller's to mask.
 ///
 /// Every loop is unit-stride over the strip: the `inode` reduction into the
 /// nine Jacobian entries, then the products and differences of
-/// [`Mat3::det`] / [`Mat3::inverse`] written lane-wise and branch-free, so
-/// the accessor oracle keeps its bits.
+/// `Mat3::det` / `Mat3::inverse` written lane-wise and branch-free, so the
+/// oracle keeps its bits.
 #[inline(always)]
 fn jacobian_strip(
     derivs: &ShapeDerivatives,
@@ -658,7 +359,7 @@ fn phase3_jacobian_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize 
                         }
                     } else {
                         // Singular slots get zeroed derivatives (matching
-                        // the accessor path): leaving the previous chunk's
+                        // the oracle): leaving the previous chunk's
                         // values would make the result schedule-dependent.
                         for (k, o) in out.iter_mut().enumerate() {
                             if ok[k] {
@@ -825,8 +526,8 @@ fn phase5_stabilization_body(config: &KernelConfig, h_char: f64, v: &mut Workspa
 }
 
 /// `out = (u·∇)f` of one integration point: the advection velocity rows
-/// dotted with the three rows of `grad` from `base` on, in the accessor
-/// path's accumulation order (0.0, then the `j` terms in order).
+/// dotted with the three rows of `grad` from `base` on, in the oracle's
+/// accumulation order (0.0, then the `j` terms in order).
 #[inline(always)]
 fn advect(out: &mut [f64], adv: [&[f64]; NDIME], grad: &[f64], base: usize, vs: usize) {
     let [adv0, adv1, adv2] = adv.map(|a| &a[..vs]);
@@ -847,12 +548,12 @@ lv_runtime::multiversion! {
     /// Phase 6, slice path: convective term (Galerkin + SUPG) — the
     /// FLOP-dominant phase, every inner loop a unit-stride slice sweep.
     ///
-    /// What the accessor path recomputes per `(inode, jnode)` slot is computed
-    /// once into the workspace scratch rows: per integration point the
+    /// What the oracle recomputes per `(inode, jnode)` slot is computed once
+    /// into the workspace scratch rows: per integration point the
     /// convections `(u·∇)N_b` of all nodes, `(u·∇)u_i` of all components, `ρ·τ`
     /// and `vol·ρ`; per test function `τ·(u·∇)N_a` and `ρτ·(u·∇)N_a`.  Each is
-    /// the left-most factor pair of the accessor path's left-associated
-    /// products, so the results stay bitwise identical.
+    /// the left-most factor pair of the oracle's left-associated products, so
+    /// the results stay bitwise identical.
     pub fn phase6_convective_slices(
         shape: &ShapeTable,
         config: &KernelConfig,
@@ -1200,9 +901,338 @@ pub fn convective_bytes_per_element() -> u64 {
     gather + connectivity + geometry + slots + block
 }
 
+/// The original accessor phases: every scalar of the workspace read and
+/// written through an `ElementWorkspace` get/set pair.  Not compiled into
+/// the library — the oracle the slice kernels are held to bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::workspace::ElementWorkspace;
+    use lv_mesh::geometry::Mat3;
+
+    /// Values a workspace is poisoned with before a sweep: a kernel that
+    /// reads anything it did not write shows against a fresh oracle.
+    pub(crate) const POISONS: [f64; 4] = [-7.25, f64::NAN, 1e300, -3.5];
+
+    /// Phase 1: gather the element connectivity and nodal coordinates of every
+    /// element of the chunk into `elcod`.
+    ///
+    /// Work A (connectivity handling and slot bookkeeping) and work B (the
+    /// coordinate gather proper) are the two halves the VEC1 optimization later
+    /// splits into separate loops.
+    pub(crate) fn phase1_gather_coords(
+        mesh: &Mesh,
+        chunk: &ElementChunk,
+        ws: &mut ElementWorkspace,
+    ) {
+        // Work A: element ids and connectivity bookkeeping.
+        for ivect in 0..chunk.vector_size {
+            ws.set_element_id(ivect, chunk.element(ivect));
+        }
+        // Work B: coordinate gather (indexed reads from the global mesh arrays).
+        let coords = mesh.coords();
+        for ivect in 0..chunk.vector_size {
+            if let Some(elem) = chunk.element(ivect) {
+                let nodes = mesh.element_nodes(elem);
+                for (inode, &node) in nodes.iter().enumerate() {
+                    let base = 3 * node as usize;
+                    for idime in 0..NDIME {
+                        ws.set_elcod(inode, idime, ivect, coords[base + idime]);
+                    }
+                }
+            } else {
+                // Padding slots replicate the last valid element's geometry so
+                // phases 3–7 never divide by a zero Jacobian; phase 8 discards
+                // their contributions.
+                for inode in 0..PNODE {
+                    for idime in 0..NDIME {
+                        ws.set_elcod(inode, idime, ivect, ws.elcod(inode, idime, chunk.len - 1));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Phase 2: gather the nodal unknowns (three velocity components and the
+    /// pressure) of every element of the chunk into `elvel`.
+    pub(crate) fn phase2_gather_unknowns(
+        mesh: &Mesh,
+        velocity: &VectorField,
+        pressure: &Field,
+        chunk: &ElementChunk,
+        ws: &mut ElementWorkspace,
+    ) {
+        let vel = velocity.as_slice();
+        let pre = pressure.as_slice();
+        for ivect in 0..chunk.vector_size {
+            let elem = chunk.element(ivect).unwrap_or(chunk.first_element + chunk.len - 1);
+            let nodes = mesh.element_nodes(elem);
+            for (inode, &node) in nodes.iter().enumerate() {
+                let node = node as usize;
+                for idime in 0..NDIME {
+                    ws.set_elvel(inode, idime, ivect, vel[NDIME * node + idime]);
+                }
+                ws.set_elvel(inode, NDIME, ivect, pre[node]);
+            }
+        }
+    }
+
+    /// Phase 3: Jacobian, determinant, inverse and Cartesian derivatives at every
+    /// integration point.
+    ///
+    /// Returns the number of elements whose Jacobian was singular (should be zero
+    /// for a valid mesh).
+    pub(crate) fn phase3_jacobian(
+        shape: &ShapeTable,
+        chunk: &ElementChunk,
+        ws: &mut ElementWorkspace,
+    ) -> usize {
+        debug_assert_eq!(shape.num_gauss(), PGAUS);
+        let mut singular = 0usize;
+        for igaus in 0..PGAUS {
+            let derivs = shape.derivatives(igaus);
+            for ivect in 0..chunk.vector_size {
+                // J[i][j] = Σ_a ∂N_a/∂ξ_j · x_a[i]
+                let mut jac = Mat3::ZERO;
+                for inode in 0..PNODE {
+                    let d = derivs.d[inode];
+                    for i in 0..NDIME {
+                        let xi = ws.elcod(inode, i, ivect);
+                        for (j, &dj) in d.iter().enumerate() {
+                            jac.m[i][j] += dj * xi;
+                        }
+                    }
+                }
+                let det = jac.det();
+                let weight = 1.0; // 2×2×2 Gauss weights are all 1
+                ws.set_gpvol(igaus, ivect, det.abs() * weight);
+                let Some(inv) = jac.inverse() else {
+                    singular += 1;
+                    // A singular slot has no Cartesian derivatives: zero them
+                    // instead of leaving whatever the previous chunk wrote (the
+                    // cheap `reset` no longer clears `gpcar`, and stale values
+                    // would make the result depend on the chunk schedule).
+                    for inode in 0..PNODE {
+                        for i in 0..NDIME {
+                            ws.set_gpcar(igaus, inode, i, ivect, 0.0);
+                        }
+                    }
+                    continue;
+                };
+                // ∂N_a/∂x_i = Σ_j ∂N_a/∂ξ_j · (J⁻¹)[j][i]
+                for inode in 0..PNODE {
+                    let d = derivs.d[inode];
+                    for i in 0..NDIME {
+                        let mut v = 0.0;
+                        for (j, &dj) in d.iter().enumerate() {
+                            v += dj * inv.m[j][i];
+                        }
+                        ws.set_gpcar(igaus, inode, i, ivect, v);
+                    }
+                }
+            }
+        }
+        singular
+    }
+
+    /// Phase 4: velocity and velocity gradient at the integration points.
+    pub(crate) fn phase4_gauss_values(
+        shape: &ShapeTable,
+        chunk: &ElementChunk,
+        ws: &mut ElementWorkspace,
+    ) {
+        for igaus in 0..PGAUS {
+            let funcs = shape.functions(igaus);
+            // Zero the accumulators for this integration point.
+            for ivect in 0..chunk.vector_size {
+                for i in 0..NDIME {
+                    ws.set_gpvel(igaus, i, ivect, 0.0);
+                    for j in 0..NDIME {
+                        ws.set_gpgve(igaus, i, j, ivect, 0.0);
+                    }
+                }
+            }
+            for inode in 0..PNODE {
+                let n_a = funcs.n[inode];
+                for ivect in 0..chunk.vector_size {
+                    for i in 0..NDIME {
+                        let u_ai = ws.elvel(inode, i, ivect);
+                        ws.add_gpvel(igaus, i, ivect, n_a * u_ai);
+                        for j in 0..NDIME {
+                            let dn_aj = ws.gpcar(igaus, inode, j, ivect);
+                            ws.add_gpgve(igaus, i, j, ivect, dn_aj * u_ai);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Phase 5: stabilization parameter τ and advection velocity at the
+    /// integration points.
+    pub(crate) fn phase5_stabilization(
+        config: &KernelConfig,
+        h_char: f64,
+        chunk: &ElementChunk,
+        ws: &mut ElementWorkspace,
+    ) {
+        let nu = config.viscosity;
+        let rho = config.density;
+        let inv_dt = 1.0 / config.dt;
+        for igaus in 0..PGAUS {
+            for ivect in 0..chunk.vector_size {
+                let u = [
+                    ws.gpvel(igaus, 0, ivect),
+                    ws.gpvel(igaus, 1, ivect),
+                    ws.gpvel(igaus, 2, ivect),
+                ];
+                let unorm = (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]).sqrt();
+                // Classic SUPG design: τ = (c1 ν/h² + c2 |u|/h + ρ/Δt)⁻¹.
+                let tau =
+                    1.0 / (4.0 * nu / (h_char * h_char) + 2.0 * unorm / h_char + rho * inv_dt);
+                ws.set_tau(igaus, ivect, tau);
+                for (i, &ui) in u.iter().enumerate() {
+                    ws.set_gpadv(igaus, i, ivect, ui);
+                }
+            }
+        }
+    }
+
+    /// Phase 6: convective term (Galerkin + SUPG perturbation) contribution to
+    /// the elemental RHS — the FLOP-dominant phase of the mini-app.
+    pub(crate) fn phase6_convective(
+        shape: &ShapeTable,
+        config: &KernelConfig,
+        chunk: &ElementChunk,
+        ws: &mut ElementWorkspace,
+    ) {
+        let rho = config.density;
+        for igaus in 0..PGAUS {
+            let funcs = shape.functions(igaus);
+            for inode in 0..PNODE {
+                let n_a = funcs.n[inode];
+                for ivect in 0..chunk.vector_size {
+                    let vol = ws.gpvol(igaus, ivect);
+                    let tau = ws.tau(igaus, ivect);
+                    // conv_a = (u·∇)N_a
+                    let mut conv_a = 0.0;
+                    for j in 0..NDIME {
+                        conv_a += ws.gpadv(igaus, j, ivect) * ws.gpcar(igaus, inode, j, ivect);
+                    }
+                    // (u·∇)u_i at the integration point, per component.
+                    for i in 0..NDIME {
+                        let mut ugradu_i = 0.0;
+                        for j in 0..NDIME {
+                            ugradu_i += ws.gpadv(igaus, j, ivect) * ws.gpgve(igaus, i, j, ivect);
+                        }
+                        // Galerkin convective residual + SUPG perturbation.
+                        let galerkin = rho * n_a * ugradu_i;
+                        let supg = rho * tau * conv_a * ugradu_i;
+                        ws.add_elrbu(inode, i, ivect, -vol * (galerkin + supg));
+                    }
+                    // Semi-implicit scheme: the (SUPG-stabilized) convection
+                    // operator also contributes to the elemental matrix.  This is
+                    // the bulk of the arithmetic of the phase, which is why the
+                    // paper finds phase 6 to be the most cycle-consuming one.
+                    if config.semi_implicit {
+                        for jnode in 0..PNODE {
+                            let mut conv_b = 0.0;
+                            for j in 0..NDIME {
+                                conv_b +=
+                                    ws.gpadv(igaus, j, ivect) * ws.gpcar(igaus, jnode, j, ivect);
+                            }
+                            let galerkin = n_a * conv_b;
+                            let supg = tau * conv_a * conv_b;
+                            ws.add_elauu(inode, jnode, ivect, vol * rho * (galerkin + supg));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Phase 7: viscous term contribution to the elemental RHS and (for the
+    /// semi-implicit scheme) the elemental matrix, plus the lumped mass/Δt
+    /// diagonal that makes the assembled operator well conditioned.
+    pub(crate) fn phase7_viscous(
+        shape: &ShapeTable,
+        config: &KernelConfig,
+        chunk: &ElementChunk,
+        ws: &mut ElementWorkspace,
+    ) {
+        let nu = config.viscosity;
+        let rho = config.density;
+        let inv_dt = 1.0 / config.dt;
+        for igaus in 0..PGAUS {
+            let funcs = shape.functions(igaus);
+            for inode in 0..PNODE {
+                let n_a = funcs.n[inode];
+                for ivect in 0..chunk.vector_size {
+                    let vol = ws.gpvol(igaus, ivect);
+                    // RHS: -ν ∇N_a : ∇u
+                    for i in 0..NDIME {
+                        let mut visc = 0.0;
+                        for j in 0..NDIME {
+                            visc += ws.gpcar(igaus, inode, j, ivect) * ws.gpgve(igaus, i, j, ivect);
+                        }
+                        ws.add_elrbu(inode, i, ivect, -vol * nu * visc);
+                    }
+                    if config.semi_implicit {
+                        // Matrix: ν ∇N_a·∇N_b  +  (ρ/Δt) N_a N_b (lumped on the row).
+                        for jnode in 0..PNODE {
+                            let mut diff = 0.0;
+                            for j in 0..NDIME {
+                                diff += ws.gpcar(igaus, inode, j, ivect)
+                                    * ws.gpcar(igaus, jnode, j, ivect);
+                            }
+                            let mass = rho * inv_dt * n_a * funcs.n[jnode];
+                            ws.add_elauu(inode, jnode, ivect, vol * (nu * diff + mass));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Phase 8: validity check and scatter of the elemental contributions into
+    /// the global CSR matrix and RHS vector.
+    ///
+    /// The RHS has `NDIME` entries per node (`rhs[NDIME*node + idime]`); the
+    /// matrix is the scalar (per-component) operator on the node-to-node graph,
+    /// applied identically to each velocity component.
+    pub(crate) fn phase8_scatter(
+        mesh: &Mesh,
+        config: &KernelConfig,
+        chunk: &ElementChunk,
+        ws: &ElementWorkspace,
+        matrix: &mut CsrMatrix,
+        rhs: &mut [f64],
+    ) {
+        assert_eq!(rhs.len(), NDIME * mesh.num_nodes());
+        for ivect in 0..chunk.vector_size {
+            // The validity check of the paper: padding slots are skipped.
+            let Some(elem) = ws.element_id(ivect) else { continue };
+            let nodes = mesh.element_nodes(elem);
+            for (inode, &node_a) in nodes.iter().enumerate() {
+                let node_a = node_a as usize;
+                for idime in 0..NDIME {
+                    rhs[NDIME * node_a + idime] += ws.elrbu(inode, idime, ivect);
+                }
+                if config.semi_implicit {
+                    for (jnode, &node_b) in nodes.iter().enumerate() {
+                        matrix.add(node_a, node_b as usize, ws.elauu(inode, jnode, ivect));
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
+    use crate::workspace::ElementWorkspace;
     use lv_mesh::quadrature::GaussRule;
     use lv_mesh::structured::BoxMeshBuilder;
     use lv_mesh::ElementKind;
@@ -1411,9 +1441,10 @@ mod tests {
         assert!(matrix.frobenius_norm() > 0.0);
     }
 
-    /// Runs phases 1–7 through both paths on the same chunk and compares
-    /// every workspace array bit for bit, then phase 8 into separate
-    /// systems.
+    /// Runs phases 1–7 through the oracle (fresh workspace) and the slice
+    /// kernels (workspace poisoned with each of [`POISONS`]) on the same
+    /// chunk and compares every workspace array bit for bit, then phase 8
+    /// into separate systems.
     fn assert_paths_bitwise_identical(nelem_per_side: usize, vs: usize, semi_implicit: bool) {
         let mesh = BoxMeshBuilder::new(nelem_per_side, nelem_per_side, nelem_per_side)
             .lid_driven_cavity()
@@ -1437,81 +1468,71 @@ mod tests {
         phase6_convective(&shape, &config, &chunk, &mut ws_a);
         phase7_viscous(&shape, &config, &chunk, &mut ws_a);
 
-        let mut ws_s = ElementWorkspace::new(vs);
-        ws_s.poison(-7.25); // prove no stale-data dependence on the way
-        ws_s.reset();
         let topology = MeshTopology::new(&mesh);
         let (row_ptr, col_idx) = (topology.row_ptr().to_vec(), topology.col_idx().to_vec());
-        let mut mat_s = CsrMatrix::from_pattern(row_ptr.clone(), col_idx.clone());
-        let mut rhs_s = vec![0.0; NDIME * mesh.num_nodes()];
-        {
-            let mut v = ws_s.views_mut();
-            phase1_gather_coords_slices(&mesh, &chunk, &mut v);
-            phase2_gather_unknowns_slices(&mesh, &vel, &pre, &chunk, &mut v);
-            let singular_s = phase3_jacobian_slices(&shape, &mut v);
-            phase4_gauss_values_slices(&shape, &mut v);
-            phase5_stabilization_slices(&config, h, &mut v);
-            phase6_convective_slices(&shape, &config, &mut v);
-            phase7_viscous_slices(&shape, &config, &mut v);
-            assert_eq!(singular_a, singular_s);
-            phase8_scatter_slices(&mesh, &topology, &config, &v, &mut mat_s, &mut rhs_s);
-        }
-
-        let va = ws_a.views();
-        let vb = ws_s.views();
-        for (name, a, b) in [
-            ("elcod", va.elcod, vb.elcod),
-            ("elvel", va.elvel, vb.elvel),
-            ("gpvol", va.gpvol, vb.gpvol),
-            ("gpcar", va.gpcar, vb.gpcar),
-            ("gpvel", va.gpvel, vb.gpvel),
-            ("gpgve", va.gpgve, vb.gpgve),
-            ("gpadv", va.gpadv, vb.gpadv),
-            ("tau", va.tau, vb.tau),
-            ("elrbu", va.elrbu, vb.elrbu),
-            ("elauu", va.elauu, vb.elauu),
-        ] {
-            for (k, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{name}[{k}] differs (vs={vs}, semi={semi_implicit}): {x} vs {y}"
-                );
-            }
-        }
-        assert_eq!(va.element_ids, vb.element_ids);
-
-        let mut mat_a = CsrMatrix::from_pattern(row_ptr, col_idx);
+        let mut mat_a = CsrMatrix::from_pattern(row_ptr.clone(), col_idx.clone());
         let mut rhs_a = vec![0.0; NDIME * mesh.num_nodes()];
         phase8_scatter(&mesh, &config, &chunk, &ws_a, &mut mat_a, &mut rhs_a);
-        for (x, y) in rhs_a.iter().zip(&rhs_s) {
-            assert_eq!(x.to_bits(), y.to_bits(), "phase 8 rhs differs");
+
+        for poison in POISONS {
+            let what = format!("vs={vs}, semi={semi_implicit}, poison={poison}");
+            let mut ws_s = ElementWorkspace::new(vs);
+            ws_s.poison(poison);
+            ws_s.reset();
+            let mut mat_s = CsrMatrix::from_pattern(row_ptr.clone(), col_idx.clone());
+            let mut rhs_s = vec![0.0; NDIME * mesh.num_nodes()];
+            {
+                let mut v = ws_s.views_mut();
+                phase1_gather_coords_slices(&mesh, &chunk, &mut v);
+                phase2_gather_unknowns_slices(&mesh, &vel, &pre, &chunk, &mut v);
+                let singular_s = phase3_jacobian_slices(&shape, &mut v);
+                phase4_gauss_values_slices(&shape, &mut v);
+                phase5_stabilization_slices(&config, h, &mut v);
+                phase6_convective_slices(&shape, &config, &mut v);
+                phase7_viscous_slices(&shape, &config, &mut v);
+                assert_eq!(singular_a, singular_s, "{what}");
+                phase8_scatter_slices(&mesh, &topology, &config, &v, &mut mat_s, &mut rhs_s);
+            }
+
+            let va = ws_a.views();
+            let vb = ws_s.views();
+            for (name, a, b) in [
+                ("elcod", va.elcod, vb.elcod),
+                ("elvel", va.elvel, vb.elvel),
+                ("gpvol", va.gpvol, vb.gpvol),
+                ("gpcar", va.gpcar, vb.gpcar),
+                ("gpvel", va.gpvel, vb.gpvel),
+                ("gpgve", va.gpgve, vb.gpgve),
+                ("gpadv", va.gpadv, vb.gpadv),
+                ("tau", va.tau, vb.tau),
+                ("elrbu", va.elrbu, vb.elrbu),
+                ("elauu", va.elauu, vb.elauu),
+            ] {
+                for (k, (x, y)) in a.iter().zip(b).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{name}[{k}] differs ({what}): {x} vs {y}"
+                    );
+                }
+            }
+            assert_eq!(va.element_ids, vb.element_ids, "{what}");
+            for (x, y) in rhs_a.iter().zip(&rhs_s) {
+                assert_eq!(x.to_bits(), y.to_bits(), "phase 8 rhs differs ({what})");
+            }
+            for (x, y) in mat_a.values().iter().zip(mat_s.values()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "phase 8 matrix differs ({what})");
+            }
         }
-        for (x, y) in mat_a.values().iter().zip(mat_s.values()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "phase 8 matrix differs");
+    }
+
+    #[test]
+    fn slice_path_is_bitwise_identical_to_the_oracle() {
+        // A full chunk, 27 elements in 32 slots (5 padding), the explicit
+        // scheme, and a partial phase-3 strip (21 = 16 + 5).
+        for (vs, semi_implicit) in [(27, true), (32, true), (8, false), (21, true)] {
+            assert_paths_bitwise_identical(3, vs, semi_implicit);
         }
-    }
-
-    #[test]
-    fn slice_path_is_bitwise_identical_full_chunk() {
-        assert_paths_bitwise_identical(3, 27, true);
-    }
-
-    #[test]
-    fn slice_path_is_bitwise_identical_padded_chunk() {
-        // 27 elements in a 32-slot block: 5 padding slots exercised.
-        assert_paths_bitwise_identical(3, 32, true);
-    }
-
-    #[test]
-    fn slice_path_is_bitwise_identical_explicit_scheme() {
-        assert_paths_bitwise_identical(3, 8, false);
-    }
-
-    #[test]
-    fn slice_path_is_bitwise_identical_odd_strip_tail() {
-        // vs = 21 exercises a partial strip (21 = 16 + 5) in phase 3.
-        assert_paths_bitwise_identical(3, 21, true);
     }
 
     /// The widths a clone-against-baseline test compares: the baseline

@@ -132,14 +132,9 @@ pub struct ElementWorkspace {
     scratch: Vec<f64>,
 }
 
-/// Read-only contiguous views of every workspace array of one
-/// `VECTOR_SIZE` block.
-///
-/// Each field is the whole array as a flat slice in the `ivect`-fastest
-/// layout (e.g. `elcod[(inode*3 + idime)*vs + ivect]`), with the inter-array
-/// padding of [`WorkspaceLayout`] stripped.  Indexing a fixed logical row
-/// therefore yields a unit-stride run of `VECTOR_SIZE` values — the form the
-/// autovectorizer turns into vector loads.
+/// Read-only counterpart of [`WorkspaceViewsMut`], for the tests that
+/// compare the oracle's workspace with the slice kernels' array by array.
+#[cfg(test)]
 #[derive(Debug)]
 pub struct WorkspaceViews<'a> {
     /// Element coordinates.
@@ -170,7 +165,13 @@ pub struct WorkspaceViews<'a> {
 
 /// Mutable contiguous views of every workspace array of one `VECTOR_SIZE`
 /// block, split out of the single flat buffer with `split_at_mut` (no
-/// aliasing, no copies).  See [`WorkspaceViews`] for the layout convention.
+/// aliasing, no copies).
+///
+/// Each field is the whole array as a flat slice in the `ivect`-fastest
+/// layout (e.g. `elcod[(inode*3 + idime)*vs + ivect]`), with the inter-array
+/// padding of [`WorkspaceLayout`] stripped.  Indexing a fixed logical row
+/// therefore yields a unit-stride run of `VECTOR_SIZE` values — the form the
+/// autovectorizer turns into vector loads.
 #[derive(Debug)]
 pub struct WorkspaceViewsMut<'a> {
     /// Element coordinates.
@@ -216,6 +217,7 @@ fn carve<'a>(rest: &mut &'a mut [f64], pos: &mut usize, start: usize, len: usize
     out
 }
 
+#[cfg(test)]
 macro_rules! accessors {
     ($get:ident, $set:ident, $field:ident, doc = $doc:literal, ($($arg:ident),+), $index:expr) => {
         #[doc = concat!("Reads ", $doc, ".")]
@@ -286,27 +288,6 @@ impl ElementWorkspace {
         self.element_ids.fill(Some(usize::MAX));
     }
 
-    /// Read-only contiguous views of every array (see [`WorkspaceViews`]).
-    pub fn views(&self) -> WorkspaceViews<'_> {
-        let vs = self.vs;
-        let l = &self.layout;
-        let arr = |start: usize, elems: usize| &self.data[start..start + elems];
-        WorkspaceViews {
-            elcod: arr(l.elcod, PNODE * NDIME * vs),
-            elvel: arr(l.elvel, PNODE * NDOFN * vs),
-            elvel_old: arr(l.elvel_old, PNODE * NDOFN * vs),
-            gpvol: arr(l.gpvol, PGAUS * vs),
-            gpcar: arr(l.gpcar, PGAUS * PNODE * NDIME * vs),
-            gpvel: arr(l.gpvel, PGAUS * NDIME * vs),
-            gpgve: arr(l.gpgve, PGAUS * NDIME * NDIME * vs),
-            gpadv: arr(l.gpadv, PGAUS * NDIME * vs),
-            tau: arr(l.tau, PGAUS * vs),
-            elrbu: arr(l.elrbu, PNODE * NDIME * vs),
-            elauu: arr(l.elauu, PNODE * PNODE * vs),
-            element_ids: &self.element_ids,
-        }
-    }
-
     /// Mutable contiguous views of every array, carved out of the flat
     /// buffer with `split_at_mut` (see [`WorkspaceViewsMut`]).  This is the
     /// entry point of the slice-view kernel phases: all index arithmetic is
@@ -343,6 +324,33 @@ impl ElementWorkspace {
             element_ids: &mut self.element_ids,
             scratch: &mut self.scratch,
             vs,
+        }
+    }
+}
+
+/// The per-scalar get/set pairs the oracle phases read and write the
+/// workspace through (one multi-term index computation and one bounds check
+/// per scalar), and a read-only view of every array.
+#[cfg(test)]
+impl ElementWorkspace {
+    /// Read-only contiguous views of every array (see [`WorkspaceViews`]).
+    pub fn views(&self) -> WorkspaceViews<'_> {
+        let vs = self.vs;
+        let l = &self.layout;
+        let arr = |start: usize, elems: usize| &self.data[start..start + elems];
+        WorkspaceViews {
+            elcod: arr(l.elcod, PNODE * NDIME * vs),
+            elvel: arr(l.elvel, PNODE * NDOFN * vs),
+            elvel_old: arr(l.elvel_old, PNODE * NDOFN * vs),
+            gpvol: arr(l.gpvol, PGAUS * vs),
+            gpcar: arr(l.gpcar, PGAUS * PNODE * NDIME * vs),
+            gpvel: arr(l.gpvel, PGAUS * NDIME * vs),
+            gpgve: arr(l.gpgve, PGAUS * NDIME * NDIME * vs),
+            gpadv: arr(l.gpadv, PGAUS * NDIME * vs),
+            tau: arr(l.tau, PGAUS * vs),
+            elrbu: arr(l.elrbu, PNODE * NDIME * vs),
+            elauu: arr(l.elauu, PNODE * PNODE * vs),
+            element_ids: &self.element_ids,
         }
     }
 
@@ -465,12 +473,6 @@ impl ElementWorkspace {
     pub fn add_gpgve(&mut self, igaus: usize, i: usize, j: usize, ivect: usize, value: f64) {
         let idx = self.layout.gpgve + ((igaus * NDIME + i) * NDIME + j) * self.vs + ivect;
         self.data[idx] += value;
-    }
-
-    /// Maximum absolute value across the whole workspace (used by tests to
-    /// check for NaNs / blow-ups).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 }
 

@@ -13,6 +13,7 @@
 //! document behind at `<journal>.metrics.json` for the same clients to
 //! fall back on.
 
+use lv_trace::json::JsonObject;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -105,38 +106,45 @@ pub fn serve(listener: &UnixListener, stop: &AtomicBool, respond: impl Fn(Reques
 fn answer(stream: UnixStream, respond: &impl Fn(Request) -> String) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let mut line = String::new();
-    read_request_line(&stream, &mut line)?;
+    let line = read_request_line(&stream)?;
     let reply = match Request::parse(&line) {
         Some(request) => respond(request),
-        None => format!(
-            "{{\"error\": \"unknown request '{}'; try status, jobs, metrics [json|prom]\"}}\n",
-            line.trim()
-        ),
+        None => unknown_request_reply(&line),
     };
     let mut stream = stream;
     stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
 
-/// Reads bytes until the first newline or EOF (the request is one line).
-fn read_request_line(mut stream: &UnixStream, line: &mut String) -> io::Result<()> {
+/// The reply to a line that is no request: one JSON line whose `error`
+/// quotes the line back, escaped, so whatever the client sent cannot break
+/// the line or add a field of its own.
+fn unknown_request_reply(line: &str) -> String {
+    let error = format!("unknown request '{}'; try status, jobs, metrics [json|prom]", line.trim());
+    JsonObject::new().str("error", &error).finish() + "\n"
+}
+
+/// Reads bytes until the first newline or EOF (the request is one line)
+/// and decodes them once, so a character split across two reads stays
+/// whole.
+fn read_request_line(mut stream: &UnixStream) -> io::Result<String> {
+    let mut bytes = Vec::new();
     let mut buf = [0u8; 256];
     loop {
         let n = stream.read(&mut buf)?;
         if n == 0 {
-            return Ok(());
+            break;
         }
-        let chunk = String::from_utf8_lossy(&buf[..n]);
-        if let Some(end) = chunk.find('\n') {
-            line.push_str(&chunk[..end]);
-            return Ok(());
+        if let Some(end) = buf[..n].iter().position(|&b| b == b'\n') {
+            bytes.extend_from_slice(&buf[..end]);
+            break;
         }
-        line.push_str(&chunk);
-        if line.len() > 1024 {
-            return Ok(()); // Absurd request; parse will reject it.
+        bytes.extend_from_slice(&buf[..n]);
+        if bytes.len() > 1024 {
+            break; // Absurd request; parse will reject it.
         }
     }
+    Ok(String::from_utf8_lossy(&bytes).into_owned())
 }
 
 /// Client side: sends one request line to the socket at `path` and returns
@@ -208,5 +216,39 @@ mod tests {
         });
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hostile_request_comes_back_quoted_in_one_json_line() {
+        // Quotes that would close the string and forge a field, a
+        // backslash, control characters, and a two-byte character at bytes
+        // 255–256: split across the server's 256-byte reads.
+        let mut request = String::from("x\", \"live\": true, \"y\": \"\\ \t\u{1}");
+        while request.len() < 255 {
+            request.push('a');
+        }
+        request.push_str("é tail");
+        let dir = std::env::temp_dir().join(format!("lv-endpoint-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("journal.jsonl.sock");
+        let listener = bind(&path).expect("bind");
+        let stop = AtomicBool::new(false);
+        let reply = std::thread::scope(|scope| {
+            scope.spawn(|| serve(&listener, &stop, |_| unreachable!("not a request")));
+            let reply = query(&path, &request).expect("reply");
+            stop.store(true, Ordering::Relaxed);
+            reply
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(reply.lines().count(), 1, "{reply:?}");
+        // The journal's decoder of escaped strings reads the value back; it
+        // stops at the first unescaped quote, so a forged field would cut
+        // the request short.
+        let error = crate::journal::str_field(&reply, "error").expect("an error string");
+        assert_eq!(
+            error,
+            format!("unknown request '{request}'; try status, jobs, metrics [json|prom]")
+        );
     }
 }

@@ -221,7 +221,7 @@ fn f64_field(line: &str, key: &str) -> Option<f64> {
 }
 
 /// Decodes the quoted, [`lv_trace::json::escape`]d string after `"<key>": `.
-fn str_field(line: &str, key: &str) -> Option<String> {
+pub(crate) fn str_field(line: &str, key: &str) -> Option<String> {
     let rest = &line[field_start(line, key)?..];
     let rest = rest.strip_prefix('"')?;
     let mut out = String::new();

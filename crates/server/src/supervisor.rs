@@ -88,12 +88,6 @@ pub struct ServerConfig {
     /// when the run ends (implies `traced`).  `serve timeline` merges
     /// these with the journal.
     pub trace_dir: Option<PathBuf>,
-    /// Convergence-stall window handed to every job's stepper (see
-    /// [`StepperConfig::stall_window`]).
-    pub stall_window: usize,
-    /// Convergence-stall residual factor (see
-    /// [`StepperConfig::stall_factor`]).
-    pub stall_factor: f64,
 }
 
 impl Default for ServerConfig {
@@ -113,8 +107,6 @@ impl Default for ServerConfig {
             verbose: false,
             endpoint: false,
             trace_dir: None,
-            stall_window: StepperConfig::default().stall_window,
-            stall_factor: StepperConfig::default().stall_factor,
         }
     }
 }
@@ -123,8 +115,7 @@ impl ServerConfig {
     /// The stepper configuration every job runs with (fault plans are added
     /// per job).  Exposed so oracle runs in tests can match it exactly.
     pub fn stepper_config(&self) -> StepperConfig {
-        let config = StepperConfig::default()
-            .with_stall_detector(self.stall_window.max(1), self.stall_factor);
+        let config = StepperConfig::default();
         if self.vector_size > 0 {
             config.with_vector_size(self.vector_size)
         } else {

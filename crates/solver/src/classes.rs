@@ -559,7 +559,7 @@ pub(crate) mod tests {
         let n = csr.dim();
         let narrow = |v: Vec<f64>| v.into_iter().map(T::from_f64).collect::<Vec<T>>();
         let (x, b) = (narrow(awkward_vector(n, 51)), narrow(awkward_vector(n, 53)));
-        let inv_diag = narrow(crate::krylov::inverse_diagonal(csr, true));
+        let inv_diag = narrow(crate::krylov::inverse_diagonal(csr));
         let omega = T::from_f64(0.8);
         for rows in ranges {
             let nan = || vec![T::from_f64(f64::NAN); rows.len()];

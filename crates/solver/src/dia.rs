@@ -946,7 +946,7 @@ pub(crate) mod tests {
         let mut csr = tridiag(n);
         csr.pin_rows_symmetric(&[0, n / 2]);
         let dia = DiaMatrix::from_csr(&csr).expect("tridiagonal");
-        let inv_diag = crate::krylov::inverse_diagonal(&csr, true);
+        let inv_diag = crate::krylov::inverse_diagonal(&csr);
         let b = awkward_vector(n, 3);
         let x0 = awkward_vector(n, 5);
         let omega = 0.8;
@@ -1010,7 +1010,7 @@ pub(crate) mod tests {
             let dia = DiaMatrix::<T>::from_csr(&csr).expect("a lattice stencil");
             let classes = RowClasses::<T>::from_dia(&dia).expect("at most 255 distinct rows");
             let (x, b) = (narrow(awkward_vector(n, 41)), narrow(awkward_vector(n, 43)));
-            let inv_diag = narrow(crate::krylov::inverse_diagonal(&csr, true));
+            let inv_diag = narrow(crate::krylov::inverse_diagonal(&csr));
             let omega = T::from_f64(0.8);
             let ranges = [
                 0..n,

@@ -61,13 +61,11 @@ pub struct SolveOptions {
     pub max_iterations: usize,
     /// Relative residual tolerance (‖r‖ / ‖b‖).
     pub tolerance: f64,
-    /// Whether to apply the Jacobi (diagonal) preconditioner.
-    pub jacobi_preconditioner: bool,
 }
 
 impl Default for SolveOptions {
     fn default() -> Self {
-        SolveOptions { max_iterations: 1000, tolerance: 1e-10, jacobi_preconditioner: true }
+        SolveOptions { max_iterations: 1000, tolerance: 1e-10 }
     }
 }
 
@@ -229,14 +227,9 @@ impl SolveOutcome {
     }
 }
 
-/// Inverse diagonal of any operator backend (1.0 for near-zero pivots, or
-/// everywhere when disabled — the identity preconditioner).
-pub(crate) fn inverse_diagonal(operator: &dyn LinearOperator, enabled: bool) -> Vec<f64> {
-    if enabled {
-        operator.diagonal().iter().map(|&d| if d.abs() > 1e-300 { 1.0 / d } else { 1.0 }).collect()
-    } else {
-        vec![1.0; operator.dim()]
-    }
+/// Inverse diagonal of any operator backend (1.0 for near-zero pivots).
+pub(crate) fn inverse_diagonal(operator: &dyn LinearOperator) -> Vec<f64> {
+    operator.diagonal().iter().map(|&d| if d.abs() > 1e-300 { 1.0 / d } else { 1.0 }).collect()
 }
 
 /// The immediately-converged outcome of a zero right-hand side.  The history
@@ -256,7 +249,7 @@ pub fn conjugate_gradient(
     b: &[f64],
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
-    let mut precond = JacobiPreconditioner::new(operator, options.jacobi_preconditioner);
+    let mut precond = JacobiPreconditioner::new(operator);
     conjugate_gradient_with(operator, b, options, &mut VectorOps::serial(), &mut precond)
 }
 
@@ -268,14 +261,12 @@ pub fn conjugate_gradient_on(
     b: &[f64],
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
-    let mut precond = JacobiPreconditioner::new(operator, options.jacobi_preconditioner);
+    let mut precond = JacobiPreconditioner::new(operator);
     conjugate_gradient_with(operator, b, options, &mut VectorOps::on_team(team), &mut precond)
 }
 
 /// The shared preconditioned-CG driver.  `precond` applies a fixed SPD
-/// operator (Jacobi) or says it is inexact (the `f32` multigrid V-cycle);
-/// the `jacobi_preconditioner` flag of `options` is the *caller's* business
-/// — it is already baked into `precond` by the public entry points.
+/// operator (Jacobi) or says it is inexact (the `f32` multigrid V-cycle).
 ///
 /// Under an inexact preconditioner the direction update takes the flexible
 /// (Polak–Ribière) `β = z_new·(r_new − r_old) / (r_old·z_old)
@@ -514,7 +505,7 @@ fn bicgstab_cols<const W: usize>(
     let mut tracker = ColumnTracker::<W>::new();
     let b_norm = ops.norm_cols(b, [true; W]);
     tracker.screen_rhs(n, &b_norm);
-    let inv_diag = inverse_diagonal(operator, options.jacobi_preconditioner);
+    let inv_diag = inverse_diagonal(operator);
 
     let mut x = zeros::<W>(n);
     let mut r = b.map(<[f64]>::to_vec);
@@ -696,7 +687,7 @@ mod oracle {
         if !b_norm.is_finite() {
             return Err(SolverError::NonFinite { iteration: 0, residual: b_norm });
         }
-        let inv_diag = inverse_diagonal(matrix, options.jacobi_preconditioner);
+        let inv_diag = inverse_diagonal(matrix);
 
         let mut x = vec![0.0; n];
         let mut r = b.to_vec();
@@ -873,15 +864,6 @@ mod tests {
         assert!(out.final_residual() < 1e-9);
     }
 
-    #[test]
-    fn cg_without_preconditioner_also_converges() {
-        let a = laplacian(30);
-        let b = rhs(30);
-        let opts = SolveOptions { jacobi_preconditioner: false, ..Default::default() };
-        let out = conjugate_gradient(&a, &b, &opts).unwrap();
-        assert!(out.final_residual() < 1e-9);
-    }
-
     /// A fixed SPD preconditioner that claims to be inexact: under it the
     /// flexible `β` is Fletcher–Reeves' in exact arithmetic, so the solve
     /// must agree with plain PCG to rounding — and the traffic model must
@@ -905,7 +887,7 @@ mod tests {
         let mut outcomes = Vec::new();
         for flexible in [false, true] {
             let mut team = Team::with_trace(1, lv_runtime::TraceConfig::default());
-            let mut exact = JacobiPreconditioner::new(&a, true);
+            let mut exact = JacobiPreconditioner::new(&a);
             let mut claiming = ClaimsInexact(exact.clone());
             let precond: &mut dyn Preconditioner =
                 if flexible { &mut claiming } else { &mut exact };
@@ -1036,7 +1018,7 @@ mod tests {
     fn iteration_limit_reports_not_converged() {
         let a = laplacian(200);
         let b = rhs(200);
-        let opts = SolveOptions { max_iterations: 2, tolerance: 1e-14, ..Default::default() };
+        let opts = SolveOptions { max_iterations: 2, tolerance: 1e-14 };
         match conjugate_gradient(&a, &b, &opts) {
             Err(SolverError::NotConverged { final_residual }) => {
                 assert!(final_residual > 0.0);
@@ -1334,7 +1316,7 @@ mod tests {
                 name: "iteration limit",
                 matrix: convection(200),
                 b: rough(200),
-                options: SolveOptions { max_iterations: 2, tolerance: 1e-14, ..defaults },
+                options: SolveOptions { max_iterations: 2, tolerance: 1e-14 },
                 exercises: |o| o.iter().all(|r| matches!(r, Err(SolverError::NotConverged { .. }))),
             },
             Case {

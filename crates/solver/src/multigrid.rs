@@ -461,7 +461,7 @@ impl<T: Scalar> Level<T> {
     /// The inverse diagonal is taken in `f64` and rounded once.
     fn new(exact: &dyn LinearOperator, matrix: LevelOperator<T>) -> Level<T> {
         let inv_diag =
-            crate::krylov::inverse_diagonal(exact, true).into_iter().map(T::from_f64).collect();
+            crate::krylov::inverse_diagonal(exact).into_iter().map(T::from_f64).collect();
         let zeros = || vec![T::ZERO; exact.dim()];
         Level { matrix, inv_diag, x: zeros(), b: zeros(), r: zeros() }
     }
@@ -782,8 +782,8 @@ impl Preconditioner for GeometricMultigrid {
 }
 
 /// Multigrid-preconditioned Conjugate Gradient against any fine-grid
-/// operator backend, on the calling thread; the `jacobi_preconditioner` flag
-/// is ignored (the V-cycle *is* the preconditioner).
+/// operator backend, on the calling thread (the V-cycle *is* the
+/// preconditioner).
 pub fn mg_preconditioned_cg(
     operator: &dyn LinearOperator,
     multigrid: &mut GeometricMultigrid,
@@ -863,7 +863,7 @@ mod oracle {
     impl CsrLevel {
         fn new(matrix: CsrMatrix) -> CsrLevel {
             let n = matrix.dim();
-            let inv_diag = crate::krylov::inverse_diagonal(&matrix, true);
+            let inv_diag = crate::krylov::inverse_diagonal(&matrix);
             let zeros = || vec![0.0; n];
             CsrLevel { matrix, inv_diag, x: zeros(), b: zeros(), r: zeros(), t: zeros() }
         }

@@ -150,19 +150,16 @@ pub trait Preconditioner {
     }
 }
 
-/// The Jacobi (inverse-diagonal) preconditioner, or the identity when
-/// disabled — the default for both Krylov solvers.
+/// The Jacobi (inverse-diagonal) preconditioner of both Krylov solvers.
 #[derive(Debug, Clone)]
 pub struct JacobiPreconditioner {
     inv_diag: Vec<f64>,
 }
 
 impl JacobiPreconditioner {
-    /// Builds the preconditioner from the operator diagonal.  When `enabled`
-    /// is false every entry is 1.0, which reproduces the unpreconditioned
-    /// iteration bit for bit (`z[i] = 1.0 * r[i]`).
-    pub fn new(operator: &dyn LinearOperator, enabled: bool) -> Self {
-        JacobiPreconditioner { inv_diag: crate::krylov::inverse_diagonal(operator, enabled) }
+    /// Builds the preconditioner from the operator diagonal.
+    pub fn new(operator: &dyn LinearOperator) -> Self {
+        JacobiPreconditioner { inv_diag: crate::krylov::inverse_diagonal(operator) }
     }
 }
 
@@ -215,14 +212,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_jacobi_is_the_identity() {
+    fn jacobi_scales_by_the_inverse_diagonal() {
         let a = tridiag(16);
         let r: Vec<f64> = (0..16).map(|i| i as f64 - 7.5).collect();
         let mut z = vec![0.0; 16];
         let mut ops = VectorOps::serial();
-        JacobiPreconditioner::new(&a, false).apply(&mut ops, &r, &mut z);
-        assert_eq!(z, r);
-        JacobiPreconditioner::new(&a, true).apply(&mut ops, &r, &mut z);
+        JacobiPreconditioner::new(&a).apply(&mut ops, &r, &mut z);
         for i in 0..16 {
             assert_eq!(z[i], r[i] * (1.0 / (3.0 + (i % 4) as f64)));
         }

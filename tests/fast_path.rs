@@ -1,14 +1,12 @@
-//! Integration tests of the numeric fast path: the unit-stride slice-view
-//! kernels and the mesh-colored multi-threaded assembly sweep.
+//! Integration tests of the two public assembly sweeps: the mesh-order
+//! sweep of the slice kernels and the mesh-colored multi-threaded sweep.
+//! (The slice kernels against the per-scalar accessor oracle, bit for bit,
+//! is a unit test of `lv-kernel`: the oracle is compiled only there.)
 //!
-//! Contract under test (see `crates/kernel/src/phases.rs` and
-//! `crates/kernel/src/parallel.rs`):
+//! Contract under test (see `crates/kernel/src/parallel.rs`):
 //!
-//! * **slice path == accessor path, bit for bit**, for every `VECTOR_SIZE`
-//!   (including padded last chunks and partial phase-3 strips) and both
-//!   schemes;
-//! * **parallel path is bitwise reproducible for every thread count** and
-//!   agrees with the serial oracle to rounding accuracy (the colored
+//! * **the colored sweep is bitwise reproducible for every thread count**
+//!   and agrees with the mesh-order sweep to rounding accuracy (the colored
 //!   schedule permutes the summation order — that is the documented,
 //!   deliberate trade of atomic-free coloring);
 //! * the element coloring and colored chunking uphold their node-disjoint
@@ -17,12 +15,13 @@
 //!   cheap `reset` only clears the accumulators).
 
 use alya_longvec::prelude::*;
-use lv_kernel::ElementWorkspace;
+use lv_kernel::{AssemblyOutput, ElementWorkspace};
 use lv_mesh::coloring::{ColoredChunks, ElementColoring};
 use lv_mesh::{ElementChunks, Vec3};
+use lv_runtime::Team;
 
 /// VECTOR_SIZE values exercised: 1 (degenerate), 8 (several full chunks),
-/// 32 and 64 (padded last chunk on the 27- and 45-element meshes).
+/// 32 and 64 (one padded chunk on the 30- and 8-element meshes).
 const VECTOR_SIZES: [usize; 4] = [1, 8, 32, 64];
 
 fn cavity(nx: usize, ny: usize, nz: usize) -> Mesh {
@@ -48,42 +47,31 @@ fn assert_close(a: &[f64], b: &[f64], tol: f64, what: &str) {
     }
 }
 
-/// The slice path must reproduce the accessor oracle bit for bit, for every
-/// `VECTOR_SIZE` (padded last chunk included) and both schemes.
-#[test]
-fn slice_path_is_bitwise_identical_to_accessor_oracle() {
-    // 3x3x5 = 45 elements: vs=8 leaves a 5-element padded chunk, vs=32 a
-    // 13-element one, vs=64 pads more than half the single chunk.
-    let mesh = cavity(3, 3, 5);
-    let (velocity, pressure) = flow_state(&mesh);
-    for vs in VECTOR_SIZES {
-        for semi_implicit in [true, false] {
-            let mut config = KernelConfig::new(vs, OptLevel::Vec1);
-            config.semi_implicit = semi_implicit;
-            let asm = NastinAssembly::new(mesh.clone(), config);
-            let mut ws = ElementWorkspace::new(vs);
-            let mut matrix_a = asm.new_matrix();
-            let mut matrix_s = asm.new_matrix();
-            let n = 3 * mesh.num_nodes();
-            let (mut rhs_a, mut rhs_s) = (vec![0.0; n], vec![0.0; n]);
-            let stats_a =
-                asm.assemble_into(&velocity, &pressure, &mut matrix_a, &mut rhs_a, &mut ws);
-            let stats_s =
-                asm.assemble_into_slices(&velocity, &pressure, &mut matrix_s, &mut rhs_s, &mut ws);
-            assert_eq!(stats_a, stats_s, "vs={vs} semi={semi_implicit}");
-            assert_bitwise(&rhs_a, &rhs_s, &format!("rhs vs={vs} semi={semi_implicit}"));
-            assert_bitwise(
-                matrix_a.values(),
-                matrix_s.values(),
-                &format!("matrix vs={vs} semi={semi_implicit}"),
-            );
-        }
-    }
+/// The colored sweep on a team of `threads`, one workspace per rank.
+fn colored(
+    asm: &NastinAssembly,
+    velocity: &VectorField,
+    pressure: &lv_mesh::Field,
+    threads: usize,
+) -> AssemblyOutput {
+    let mut matrix = asm.new_matrix();
+    let mut rhs = vec![0.0; 3 * asm.mesh().num_nodes()];
+    let mut workspaces: Vec<ElementWorkspace> =
+        (0..threads).map(|_| ElementWorkspace::new(asm.config().vector_size)).collect();
+    let stats = asm.assemble_parallel_into_on(
+        &Team::new(threads),
+        velocity,
+        pressure,
+        &mut matrix,
+        &mut rhs,
+        &mut workspaces,
+    );
+    AssemblyOutput { matrix, rhs, stats }
 }
 
 /// The parallel path must be bitwise identical across thread counts
-/// {1, 2, 4} for every `VECTOR_SIZE`, and must match the serial accessor
-/// oracle to rounding accuracy.
+/// {1, 2, 4} for every `VECTOR_SIZE`, and must match the serial mesh-order
+/// sweep to rounding accuracy.
 #[test]
 fn parallel_path_is_reproducible_and_matches_oracle() {
     let mesh = cavity(4, 4, 4);
@@ -91,7 +79,7 @@ fn parallel_path_is_reproducible_and_matches_oracle() {
     for vs in VECTOR_SIZES {
         let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(vs, OptLevel::Vec1));
         let oracle = asm.assemble(&velocity, &pressure);
-        let reference = asm.assemble_parallel(&velocity, &pressure, 1);
+        let reference = colored(&asm, &velocity, &pressure, 1);
         assert_eq!(reference.stats.elements, oracle.stats.elements);
         assert_close(&oracle.rhs, &reference.rhs, 1e-11, &format!("rhs vs={vs}"));
         assert_close(
@@ -101,7 +89,7 @@ fn parallel_path_is_reproducible_and_matches_oracle() {
             &format!("matrix vs={vs}"),
         );
         for threads in [2usize, 4] {
-            let out = asm.assemble_parallel(&velocity, &pressure, threads);
+            let out = colored(&asm, &velocity, &pressure, threads);
             assert_eq!(out.stats.elements, oracle.stats.elements);
             assert_eq!(out.stats.singular_jacobians, 0);
             assert_bitwise(&reference.rhs, &out.rhs, &format!("rhs vs={vs} threads={threads}"));
@@ -121,7 +109,7 @@ fn solver_result_is_path_independent() {
     let (velocity, pressure) = flow_state(&mesh);
     let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(16, OptLevel::Vec1));
     let mut serial = asm.assemble(&velocity, &pressure);
-    let mut parallel = asm.assemble_parallel(&velocity, &pressure, 4);
+    let mut parallel = colored(&asm, &velocity, &pressure, 4);
     asm.apply_dirichlet(&mut serial.matrix, &mut serial.rhs);
     asm.apply_dirichlet(&mut parallel.matrix, &mut parallel.rhs);
     let n = mesh.num_nodes();
@@ -172,11 +160,12 @@ fn colored_schedule_covers_the_mesh_order_schedule() {
 }
 
 /// A workspace full of stale garbage (poisoned, then merely `reset`) must
-/// assemble to bitwise-identical results: phases 1–5 fully overwrite their
-/// arrays, `reset` clears the accumulators, and phase 6 writes every scratch
-/// row it hoists a product into before reading it (`poison` fills them all).
-/// Checked on full chunks (VS 8, 16), a padded last chunk (VS 24 on 64
-/// elements) and a mostly-padding single chunk (VS 240), both schemes.
+/// assemble to bitwise-identical results through the slice kernels: phases
+/// 1–5 fully overwrite their arrays, `reset` clears the accumulators, and
+/// phase 6 writes every scratch row it hoists a product into before reading
+/// it (`poison` fills them all).  Checked on full chunks (VS 8, 16), a
+/// padded last chunk (VS 24 on 64 elements) and a mostly-padding single
+/// chunk (VS 240), both schemes.
 #[test]
 fn stale_workspace_produces_identical_results() {
     let mesh = cavity(4, 4, 4);
@@ -191,7 +180,7 @@ fn stale_workspace_produces_identical_results() {
             let mut fresh_ws = ElementWorkspace::new(vs);
             let mut fresh_matrix = asm.new_matrix();
             let mut fresh_rhs = vec![0.0; n];
-            asm.assemble_into(
+            asm.assemble_into_slices(
                 &velocity,
                 &pressure,
                 &mut fresh_matrix,
@@ -200,31 +189,14 @@ fn stale_workspace_produces_identical_results() {
             );
 
             for poison in [f64::NAN, 1e300, -3.5] {
-                for use_slices in [false, true] {
-                    let mut ws = ElementWorkspace::new(vs);
-                    ws.poison(poison);
-                    let mut matrix = asm.new_matrix();
-                    let mut rhs = vec![0.0; n];
-                    if use_slices {
-                        asm.assemble_into_slices(
-                            &velocity,
-                            &pressure,
-                            &mut matrix,
-                            &mut rhs,
-                            &mut ws,
-                        );
-                    } else {
-                        asm.assemble_into(&velocity, &pressure, &mut matrix, &mut rhs, &mut ws);
-                    }
-                    let what =
-                        format!("vs={vs} semi={semi_implicit} poison={poison} slices={use_slices}");
-                    assert_bitwise(&fresh_rhs, &rhs, &format!("rhs {what}"));
-                    assert_bitwise(
-                        fresh_matrix.values(),
-                        matrix.values(),
-                        &format!("matrix {what}"),
-                    );
-                }
+                let mut ws = ElementWorkspace::new(vs);
+                ws.poison(poison);
+                let mut matrix = asm.new_matrix();
+                let mut rhs = vec![0.0; n];
+                asm.assemble_into_slices(&velocity, &pressure, &mut matrix, &mut rhs, &mut ws);
+                let what = format!("vs={vs} semi={semi_implicit} poison={poison}");
+                assert_bitwise(&fresh_rhs, &rhs, &format!("rhs {what}"));
+                assert_bitwise(fresh_matrix.values(), matrix.values(), &format!("matrix {what}"));
             }
         }
     }
@@ -239,7 +211,7 @@ fn parallel_path_handles_degenerate_schedules() {
     for vs in [1usize, 64] {
         let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(vs, OptLevel::Vec1));
         let oracle = asm.assemble(&velocity, &pressure);
-        let out = asm.assemble_parallel(&velocity, &pressure, 8);
+        let out = colored(&asm, &velocity, &pressure, 8);
         assert_eq!(out.stats.elements, 8);
         assert_close(&oracle.rhs, &out.rhs, 1e-12, "rhs");
     }
@@ -261,7 +233,7 @@ fn colored_sweep_differs_from_mesh_order_by_summation_rounding_only() {
     let (mut matrix, mut rhs) = (asm.new_matrix(), vec![0.0; 3 * mesh.num_nodes()]);
     let mut ws = ElementWorkspace::new(128);
     asm.assemble_into_slices(&velocity, &pressure, &mut matrix, &mut rhs, &mut ws);
-    let colored = asm.assemble_parallel(&velocity, &pressure, 2);
+    let colored = colored(&asm, &velocity, &pressure, 2);
 
     let max_abs = |values: &[f64]| values.iter().fold(0.0f64, |m, x| m.max(x.abs()));
     let (row_ptr, col_idx) = (matrix.row_ptr(), matrix.col_idx());

@@ -26,7 +26,7 @@ fn cavity_time_steps_converge_and_stay_bounded() {
     let mut energies = Vec::new();
 
     for _ in 0..3 {
-        assembly.assemble_into(&velocity, &pressure, &mut matrix, &mut rhs, &mut ws);
+        assembly.assemble_into_slices(&velocity, &pressure, &mut matrix, &mut rhs, &mut ws);
         assembly.apply_dirichlet(&mut matrix, &mut rhs);
         let n = mesh.num_nodes();
         let mut increment = VectorField::zeros(&mesh);

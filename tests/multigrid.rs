@@ -55,7 +55,7 @@ fn mgcg_solve_is_bitwise_reproducible_across_thread_counts() {
     for &pin in &pins {
         rhs[pin] = 0.0;
     }
-    let options = SolveOptions { max_iterations: 200, tolerance: 1e-10, ..Default::default() };
+    let options = SolveOptions { max_iterations: 200, tolerance: 1e-10 };
 
     let mut oracle: Option<(Vec<f64>, usize)> = None;
     for threads in THREAD_COUNTS {
@@ -130,7 +130,7 @@ fn pinned_cavity_system(n: usize) -> (Mesh, CsrMatrix, Vec<f64>) {
 
 /// The driver's Poisson tolerance, with room for plain CG at 16³.
 fn poisson_options() -> SolveOptions {
-    SolveOptions { max_iterations: 4000, tolerance: 1e-10, ..Default::default() }
+    SolveOptions { max_iterations: 4000, tolerance: 1e-10 }
 }
 
 #[test]

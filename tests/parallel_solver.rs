@@ -84,7 +84,7 @@ fn full_solves_are_reproducible_across_thread_counts() {
         "the assembled momentum matrix must be non-symmetric — BiCGSTAB has to be exercised on \
          the operator a time step actually solves"
     );
-    let options = SolveOptions { max_iterations: 2000, tolerance: 1e-9, ..Default::default() };
+    let options = SolveOptions { max_iterations: 2000, tolerance: 1e-9 };
 
     let oracle = bicgstab(&matrix, &b, &options).expect("serial BiCGSTAB must converge");
     assert!(oracle.final_residual() < 1e-9);

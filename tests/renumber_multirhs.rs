@@ -29,8 +29,8 @@ fn state(mesh: &Mesh) -> (VectorField, Field) {
     (velocity, Field::from_fn(mesh, |p| p.x * p.y - 0.5 * p.z))
 }
 
-/// Assembles with the requested worker count (serial accessor sweep for 1,
-/// the colored parallel sweep otherwise) and applies no Dirichlet rows —
+/// Assembles with the requested worker count (the serial mesh-order sweep
+/// for 1, the colored parallel sweep otherwise) and applies no Dirichlet rows —
 /// the raw assembled system is what the permutation property is about.
 fn assemble(mesh: &Mesh, vs: usize, threads: usize) -> (CsrMatrix, Vec<f64>) {
     let assembly = NastinAssembly::new(mesh.clone(), KernelConfig::new(vs, OptLevel::Vec1));
@@ -43,7 +43,8 @@ fn assemble(mesh: &Mesh, vs: usize, threads: usize) -> (CsrMatrix, Vec<f64>) {
         let mut rhs = vec![0.0; NDIME * mesh.num_nodes()];
         let mut workspaces: Vec<ElementWorkspace> =
             (0..threads).map(|_| ElementWorkspace::new(vs)).collect();
-        assembly.assemble_parallel_into(
+        assembly.assemble_parallel_into_on(
+            &Team::new(threads),
             &velocity,
             &pressure,
             &mut matrix,
