@@ -169,16 +169,6 @@ pub struct StepperConfig {
     /// Deterministic fault schedule for testing the recovery paths
     /// (`None` in production runs).
     pub fault_plan: Option<FaultPlan>,
-    /// Window of the convergence-stall detector: how many consecutive
-    /// successful steps must sit on a residual plateau before a
-    /// slow-convergence event fires (see [`Stepper::slow_convergence_events`]).
-    pub stall_window: usize,
-    /// Residual threshold of the detector, as a multiple of the larger
-    /// solver tolerance: a step only counts toward a plateau when
-    /// `max(momentum, poisson)` residual exceeds `stall_factor · tol`.
-    /// Healthy runs converge *to* the tolerance, so they never plateau
-    /// above `10 · tol` (the default).
-    pub stall_factor: f64,
 }
 
 impl Default for StepperConfig {
@@ -195,8 +185,6 @@ impl Default for StepperConfig {
             projection_sweeps: 3,
             max_dt_retries: 3,
             fault_plan: None,
-            stall_window: 8,
-            stall_factor: 10.0,
         }
     }
 }
@@ -241,15 +229,55 @@ impl StepperConfig {
         self.fault_plan = Some(plan);
         self
     }
+}
 
-    /// Builder: convergence-stall detector window and residual factor
-    /// (`window` steps on a plateau above `factor · tolerance` fire one
-    /// slow-convergence event).
-    pub fn with_stall_detector(mut self, window: usize, factor: f64) -> Self {
+/// Steps on a residual plateau before the convergence-stall detector fires
+/// (see [`Stepper::slow_convergence_events`]).
+const STALL_WINDOW: usize = 8;
+
+/// A step counts toward a plateau when its `max(momentum, poisson)`
+/// residual exceeds this multiple of the larger solver tolerance.  Healthy
+/// runs converge *to* the tolerance, so they never plateau above it.
+const STALL_FACTOR: f64 = 10.0;
+
+/// The convergence-stall detector: the residuals of the last `window`
+/// successful steps, and how often a plateau above `threshold` fired.
+/// Diagnostic only — never part of [`SimState`], never steers the run.
+#[derive(Debug)]
+struct StallDetector {
+    window: usize,
+    threshold: f64,
+    residuals: std::collections::VecDeque<f64>,
+    events: u64,
+}
+
+impl StallDetector {
+    fn new(window: usize, threshold: f64) -> Self {
         assert!(window > 0, "the stall window needs at least one step");
-        self.stall_window = window;
-        self.stall_factor = factor;
-        self
+        StallDetector { window, threshold, residuals: Default::default(), events: 0 }
+    }
+
+    /// Feeds one successful step's residual.  Returns whether a plateau
+    /// fired (the window is then cleared, so the next event needs a fresh
+    /// plateau).
+    fn observe(&mut self, residual: f64) -> bool {
+        self.residuals.push_back(residual);
+        while self.residuals.len() > self.window {
+            self.residuals.pop_front();
+        }
+        if self.residuals.len() < self.window {
+            return false;
+        }
+        let oldest = *self.residuals.front().expect("window is full");
+        let newest = *self.residuals.back().expect("window is full");
+        // A plateau: every step in the window sits above the threshold and
+        // the newest residual has not even halved against the oldest.
+        let plateau = self.residuals.iter().all(|&r| r > self.threshold) && newest * 2.0 > oldest;
+        if plateau {
+            self.events += 1;
+            self.residuals.clear();
+        }
+        plateau
     }
 }
 
@@ -471,11 +499,7 @@ pub struct Stepper {
     // (the snapshot covers SimState only).
     fault_plan: Option<FaultPlan>,
     state: SimState,
-    // Convergence-stall detector state: the residuals of the last
-    // `stall_window` successful steps, and how often a plateau fired.
-    // Diagnostic only — never part of SimState, never steers the run.
-    stall_residuals: std::collections::VecDeque<f64>,
-    slow_convergence: u64,
+    stall: StallDetector,
     matrix: CsrMatrix,
     // `matrix` in diagonal storage for the momentum solve, refilled every
     // step; `None` when the assembly pattern does not fit it.
@@ -564,6 +588,7 @@ impl Stepper {
         let momentum_dia = DiaMatrix::from_csr(&matrix);
         let h_char = mesh.characteristic_length();
         let fault_plan = config.fault_plan.clone();
+        let tolerance = config.momentum_options.tolerance.max(config.poisson_options.tolerance);
         Stepper {
             scenario,
             config,
@@ -576,8 +601,7 @@ impl Stepper {
             dt_backoff: 1.0,
             fault_plan,
             state,
-            stall_residuals: std::collections::VecDeque::new(),
-            slow_convergence: 0,
+            stall: StallDetector::new(STALL_WINDOW, STALL_FACTOR * tolerance),
             matrix,
             momentum_dia,
             rhs: vec![0.0; NDIME * n],
@@ -980,7 +1004,7 @@ impl Stepper {
         // Convergence-stall detection: a pure function of the (bitwise
         // reproducible) residual history, so it fires at the same steps on
         // every thread count and never changes behaviour.
-        let stalled = self.observe_residual(solve.worst_residual.max(poisson_residual));
+        let stalled = self.stall.observe(solve.worst_residual.max(poisson_residual));
         if let Some(t) = trace {
             t.add(counters::STEPS, 1);
             t.add(counters::MOMENTUM_ITERATIONS, solve.total_iterations() as u64);
@@ -1108,42 +1132,14 @@ impl Stepper {
     }
 
     /// How often the convergence-stall detector has fired on this stepper:
-    /// [`StepperConfig::stall_window`] consecutive successful steps whose
-    /// `max(momentum, poisson)` residual stayed above
-    /// `stall_factor · tolerance` without halving across the window.  A
-    /// healthy run converges to the tolerance every step, so this stays 0;
+    /// 8 consecutive successful steps whose `max(momentum, poisson)`
+    /// residual stayed above 10 × the larger solver tolerance without
+    /// halving across the window.  A healthy run converges to the tolerance every step, so this stays 0;
     /// a plateau means the solvers are succeeding but barely — the
     /// service-level early warning *before* retries start failing.
     /// Diagnostic only: firing never changes the trajectory.
     pub fn slow_convergence_events(&self) -> u64 {
-        self.slow_convergence
-    }
-
-    /// Feeds one successful step's residual to the stall detector.
-    /// Returns whether a plateau fired (the window is then cleared, so the
-    /// next event needs a fresh plateau).
-    fn observe_residual(&mut self, residual: f64) -> bool {
-        let window = self.config.stall_window.max(1);
-        let tolerance =
-            self.config.momentum_options.tolerance.max(self.config.poisson_options.tolerance);
-        let threshold = self.config.stall_factor * tolerance;
-        self.stall_residuals.push_back(residual);
-        while self.stall_residuals.len() > window {
-            self.stall_residuals.pop_front();
-        }
-        if self.stall_residuals.len() < window {
-            return false;
-        }
-        let oldest = *self.stall_residuals.front().expect("window is full");
-        let newest = *self.stall_residuals.back().expect("window is full");
-        // A plateau: every step in the window sits above the threshold and
-        // the newest residual has not even halved against the oldest.
-        let plateau = self.stall_residuals.iter().all(|&r| r > threshold) && newest * 2.0 > oldest;
-        if plateau {
-            self.slow_convergence += 1;
-            self.stall_residuals.clear();
-        }
-        plateau
+        self.stall.events
     }
 
     /// Runs recovering steps until `target_step` is reached, at most `quota`
@@ -1245,7 +1241,8 @@ mod tests {
 
         // Forced: a window of 1 above a zero threshold makes every
         // successful step a plateau — and must not change the trajectory.
-        let mut forced = Stepper::new(scenario, quick_config().with_stall_detector(1, 0.0));
+        let mut forced = Stepper::new(scenario, quick_config());
+        forced.stall = StallDetector::new(1, 0.0);
         forced.run_recovering_on(&team, 4).expect("forced run");
         assert_eq!(forced.slow_convergence_events(), 4);
         for (a, b) in healthy
@@ -1264,20 +1261,24 @@ mod tests {
 
     #[test]
     fn the_stall_detector_needs_a_full_window_and_a_real_plateau() {
-        let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 4);
-        let mut stepper = Stepper::new(scenario, quick_config().with_stall_detector(3, 0.0));
+        let mut detector = StallDetector::new(3, 0.0);
         // Window not yet full: no verdicts.
-        assert!(!stepper.observe_residual(1.0));
-        assert!(!stepper.observe_residual(1.0));
+        assert!(!detector.observe(1.0));
+        assert!(!detector.observe(1.0));
         // Full window, flat residuals: fires once and clears the window.
-        assert!(stepper.observe_residual(1.0));
-        assert_eq!(stepper.slow_convergence_events(), 1);
-        assert!(!stepper.observe_residual(1.0), "the window restarts after a firing");
+        assert!(detector.observe(1.0));
+        assert_eq!(detector.events, 1);
+        assert!(!detector.observe(1.0), "the window restarts after a firing");
         // A residual that halves across the window is converging, not
         // plateauing.
-        assert!(!stepper.observe_residual(0.9));
-        assert!(!stepper.observe_residual(0.4));
-        assert_eq!(stepper.slow_convergence_events(), 1);
+        assert!(!detector.observe(0.9));
+        assert!(!detector.observe(0.4));
+        assert_eq!(detector.events, 1);
+        // Flat but at or below the threshold: converged, not stalled.
+        let mut converged = StallDetector::new(STALL_WINDOW, 1.0);
+        for _ in 0..2 * STALL_WINDOW {
+            assert!(!converged.observe(1.0));
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ use crate::workspace::ElementWorkspace;
 use crate::NDIME;
 use lv_mesh::coloring::ColoredChunks;
 use lv_mesh::{Field, Mesh, MeshTopology, ShapeTable, VectorField};
-use lv_runtime::{partition, SharedSliceMut, Team};
+use lv_runtime::{for_each_share, partition, Team};
 use lv_solver::CsrMatrix;
 
 /// Order-of-magnitude model of the assembly work per element: 8 Gauss
@@ -330,44 +330,23 @@ pub(crate) fn colored_sweep(
     // The whole-sweep span is a *logical* (deterministic) record: element
     // and color counts are properties of the schedule, not of the split.
     let sweep_span = trace.map(|t| t.span(lv_trace::spans::ASSEMBLY_COLOR_SWEEP, 0));
-    if num_workers == 1 {
-        // Single worker: identical schedule, no reason to pay the dispatch.
-        let ws = &mut workspaces[0];
+    // One job on the team for the whole sweep, rank `w` handed workspace and
+    // stats slot `w`; `team.barrier()` separates the colors (every scatter
+    // of color c must land before any chunk of color c+1 starts).  A rank
+    // whose contiguous share of a color is empty — or that has no workspace
+    // at all — still waits at each barrier.  A single worker runs the same
+    // schedule on the caller: no dispatch, no barrier.
+    let parallel = num_workers > 1;
+    let mut partials = vec![WorkerStats::default(); num_workers];
+    let slots = (&mut workspaces[..num_workers], &mut partials[..]);
+    for_each_share(parallel.then_some(team), num_workers, 1, slots, |workers, slots| {
+        let rank = workers.start;
+        let mut worker = match slots {
+            ([ws], [partial]) => Some((ws, partial)),
+            _ => None,
+        };
         for color in 0..num_colors {
-            let chunk_span = trace.map(|t| t.span(lv_trace::spans::ASSEMBLY_CHUNK, 0));
-            let before = stats.elements;
-            for chunk_id in schedule.color_chunks(color) {
-                stats.singular_jacobians += assemble_chunk_shared(
-                    sweep, mesh, shape, config, h_char, velocity, pressure, schedule, chunk_id,
-                    topology, ws, &system,
-                );
-                stats.chunks += 1;
-                stats.elements += schedule.slots(chunk_id).len();
-            }
-            if let Some(s) = chunk_span {
-                s.iters((stats.elements - before) as u64).aux(color as u64).finish();
-            }
-        }
-    } else {
-        // One job on the team for the whole sweep; `team.barrier()` separates
-        // the colors (every scatter of color c must land before any chunk of
-        // color c+1 starts).  A rank whose contiguous share of a color is empty
-        // — or that has no workspace at all — still waits at each barrier.
-        let mut partials = vec![WorkerStats::default(); num_workers];
-        let partials_shared = SharedSliceMut::new(&mut partials);
-        let workspaces_shared = SharedSliceMut::new(&mut workspaces[..num_workers]);
-        team.run(&|rank| {
-            if rank >= num_workers {
-                for _ in 0..num_colors {
-                    team.barrier();
-                }
-                return;
-            }
-            // SAFETY: rank indices are unique, so each rank gets exclusive
-            // access to its own workspace and stats slot.
-            let ws = unsafe { workspaces_shared.index_mut(rank) };
-            let partial = unsafe { partials_shared.index_mut(rank) };
-            for color in 0..num_colors {
+            if let Some((ws, partial)) = &mut worker {
                 // Per-rank, per-color event (host-dependent: the count
                 // scales with the worker count).  Finished before the
                 // barrier so the recorded time is compute, not waiting.
@@ -389,14 +368,16 @@ pub(crate) fn colored_sweep(
                 if let Some(s) = chunk_span {
                     s.iters((partial.elements - before) as u64).aux(color as u64).finish();
                 }
+            }
+            if parallel {
                 team.barrier();
             }
-        });
-        for partial in partials {
-            stats.chunks += partial.chunks;
-            stats.elements += partial.elements;
-            stats.singular_jacobians += partial.singular_jacobians;
         }
+    });
+    for partial in partials {
+        stats.chunks += partial.chunks;
+        stats.elements += partial.elements;
+        stats.singular_jacobians += partial.singular_jacobians;
     }
     if let Some(s) = sweep_span {
         let (flops, bytes) = if full {

@@ -24,11 +24,13 @@
 //! The mesh does not move, so `C` is built once at construction (`NDIME`
 //! values per stored entry of the graph, filled through the element→CSR slot
 //! map) and every application is a sparse row product: one indexed load
-//! stream, no element gather, no scatter.  Rows are split across the team by
-//! the static partition of [`VectorOps::partitioned_rows`], a row is written
-//! by exactly one rank, and each row adds its entries in ascending column
-//! order from `+0.0` — so the operators are **bitwise identical for every
-//! thread count** by construction, the contract of the row-partitioned SpMV.
+//! stream, no element gather, no scatter.  Above the solver's
+//! `SERIAL_CUTOFF`, [`for_each_share`] hands each rank of the team its own
+//! static-partition share of the output rows — the split the solver's SpMV
+//! uses.  A row is written by exactly one rank, and each row adds its
+//! entries in ascending column order from `+0.0`, so the operators are
+//! **bitwise identical for every thread count** by construction, the
+//! contract of the row-partitioned SpMV.
 //! The driver's per-node glue (`rhs −= g`, `b = scale·d`, `u −= f/M·g`)
 //! rides in the same row pass.
 //!
@@ -53,10 +55,9 @@
 //! `M_ab = ∫ N_a N_b` is accumulated in the same geometry pass beside it,
 //! `C[a][b][i]` and the lumped mass: one value each per stored entry
 //! of the node graph, pure functions of the mesh (a restarted run rebuilds
-//! the same bits).  Three global passes use them, all through the
-//! row-partitioned idiom of the gradient and divergence — a share of the
-//! output per rank behind an uncontended `Mutex`, no `unsafe`, bitwise
-//! identical for every thread count:
+//! the same bits).  Three global passes use them, all row shares like the
+//! gradient and divergence — a stored entry is written by one rank, no
+//! `unsafe`, bitwise identical for every thread count:
 //! [`fill_viscous_on`](PressureOperators::fill_viscous_on) (`values ← ν·K`),
 //! [`momentum_residual_on`](PressureOperators::momentum_residual_on)
 //! (`rhs_a = −Σ_b S_ab·u_b − g_a(p)`, the weak pressure gradient fused in)
@@ -72,10 +73,10 @@ use crate::{NDIME, PGAUS, PNODE};
 use lv_mesh::geometry::Point3;
 use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{ElementKind, Mesh, MeshTopology, ShapeTable, VectorField};
-use lv_runtime::{blocked_reduce, Team};
-use lv_solver::{CsrMatrix, VectorOps};
-use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use lv_runtime::{blocked_reduce, for_each_share, Team};
+use lv_solver::parallel::SERIAL_CUTOFF;
+use lv_solver::CsrMatrix;
+use std::sync::Arc;
 
 /// The pressure-projection operators of one mesh: the Laplacian, mass and
 /// gradient/divergence coefficients on the node graph.
@@ -111,35 +112,6 @@ struct ElementGeometry {
     /// Cartesian shape derivatives `∂N_a/∂x_i` per `(gauss, dim, node)` —
     /// node innermost, so loops over an element's nodes are unit-stride.
     car: [[[f64; PNODE]; NDIME]; PGAUS],
-}
-
-/// Rows per rank of the static split of `n` rows on `team` — the share
-/// width of [`lv_runtime::partition`].
-fn rows_per_share(team: &Team, n: usize) -> usize {
-    n.div_ceil(team.num_threads()).max(1)
-}
-
-/// Runs `pass(rows, share)` once per share of `per` rows of `0..n`, split
-/// across the team by [`VectorOps::partitioned_rows`].  `shares[k]` is the
-/// output of rows `k·per..(k+1)·per`; each rank takes its own through an
-/// uncontended lock, which keeps the disjoint writes in safe code.
-fn row_pass<S: Send>(
-    team: &Team,
-    n: usize,
-    per: usize,
-    shares: Vec<S>,
-    pass: impl Fn(Range<usize>, &mut S) + Sync,
-) {
-    let shares: Vec<Mutex<S>> = shares.into_iter().map(Mutex::new).collect();
-    VectorOps::on_team(team).partitioned_rows(n, &|rows| {
-        // One share per rank on the team; below the serial cutoff the
-        // caller gets `0..n` and walks them all.
-        let touched = rows.start / per..rows.end.div_ceil(per);
-        for (k, share) in shares.iter().enumerate().take(touched.end).skip(touched.start) {
-            let mut share = share.lock().expect("a rank panicked inside a row pass");
-            pass(k * per..((k + 1) * per).min(n), &mut share);
-        }
-    });
 }
 
 impl PressureOperators {
@@ -456,8 +428,7 @@ impl PressureOperators {
         let n = self.mesh.num_nodes();
         assert_eq!(scalar.len(), n);
         assert_eq!(out.len(), NDIME * n);
-        let per = rows_per_share(team, n);
-        row_pass(team, n, per, out.chunks_mut(NDIME * per).collect(), |rows, out| {
+        for_each_share((n >= SERIAL_CUTOFF).then_some(team), n, 1, out, |rows, out| {
             for (a, out_a) in rows.zip(out.chunks_exact_mut(NDIME)) {
                 apply(a, self.gradient_row(scalar, a), out_a);
             }
@@ -471,8 +442,7 @@ impl PressureOperators {
         assert_eq!(out.len(), n);
         assert_eq!(velocity.num_nodes(), n);
         let vel = velocity.as_slice();
-        let per = rows_per_share(team, n);
-        row_pass(team, n, per, out.chunks_mut(per).collect(), |rows, out| {
+        for_each_share((n >= SERIAL_CUTOFF).then_some(team), n, 1, out, |rows, out| {
             for (a, d) in rows.zip(out.iter_mut()) {
                 *d = self.divergence_row(vel, a);
             }
@@ -495,14 +465,18 @@ impl PressureOperators {
         assert_eq!(rhs.len(), n);
         assert_eq!(velocity.num_nodes(), n);
         let vel = velocity.as_slice();
-        let per = rows_per_share(team, n);
-        let shares = div.chunks_mut(per).zip(rhs.chunks_mut(per)).collect();
-        row_pass(team, n, per, shares, |rows, (div, rhs)| {
-            for ((a, d), b) in rows.zip(div.iter_mut()).zip(rhs.iter_mut()) {
-                *d = self.divergence_row(vel, a);
-                *b = scale * *d;
-            }
-        });
+        for_each_share(
+            (n >= SERIAL_CUTOFF).then_some(team),
+            n,
+            1,
+            (div, rhs),
+            |rows, (div, rhs)| {
+                for ((a, d), b) in rows.zip(div.iter_mut()).zip(rhs.iter_mut()) {
+                    *d = self.divergence_row(vel, a);
+                    *b = scale * *d;
+                }
+            },
+        );
     }
 
     /// Weak gradient `g_{a,i} = ∫ N_a ∂p_h/∂x_i dΩ` of the nodal scalar
@@ -554,12 +528,17 @@ impl PressureOperators {
         check_pattern(&self.topology, matrix);
         let (_, _, values) = matrix.pattern_and_values_mut();
         let nnz = values.len();
-        let per = rows_per_share(team, nnz);
-        row_pass(team, nnz, per, values.chunks_mut(per).collect(), |entries, values| {
-            for (value, &source) in values.iter_mut().zip(&source[entries]) {
-                update(value, source);
-            }
-        });
+        for_each_share(
+            (nnz >= SERIAL_CUTOFF).then_some(team),
+            nnz,
+            1,
+            values,
+            |entries, values| {
+                for (value, &source) in values.iter_mut().zip(&source[entries]) {
+                    update(value, source);
+                }
+            },
+        );
     }
 
     /// Seeds the momentum matrix with its viscous block: `values ← ν·K`,
@@ -609,8 +588,7 @@ impl PressureOperators {
         assert_eq!(rhs.len(), NDIME * n);
         let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
         let (values, vel) = (matrix.values(), velocity.as_slice());
-        let per = rows_per_share(team, n);
-        row_pass(team, n, per, rhs.chunks_mut(NDIME * per).collect(), |rows, out| {
+        for_each_share((n >= SERIAL_CUTOFF).then_some(team), n, 1, rhs, |rows, out| {
             for (a, out_a) in rows.zip(out.chunks_exact_mut(NDIME)) {
                 let entries = row_ptr[a]..row_ptr[a + 1];
                 let coef = &self.coef[NDIME * entries.start..NDIME * entries.end];
@@ -1230,7 +1208,7 @@ mod tests {
     }
 
     #[test]
-    fn row_passes_are_bitwise_equal_across_threads_and_fused_equals_unfused() {
+    fn row_shares_are_bitwise_equal_across_threads_and_fused_equals_unfused() {
         // 11³ = 1331 rows: above the 1024-row serial cutoff of `VectorOps`,
         // so the teams really split the pass.
         let m = BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().with_jitter(0.15, 5).build();

@@ -12,8 +12,7 @@
 //! the blocks were computed by 1, 2 or 64 threads — the serial path runs the
 //! very same blocked order.
 
-use crate::partition;
-use crate::shared::SharedSliceMut;
+use crate::for_each_share;
 use crate::team::Team;
 use std::ops::Range;
 
@@ -61,27 +60,13 @@ where
     let blocks = num_blocks(n);
     scratch.clear();
     scratch.resize(W * blocks, 0.0);
-    match team {
-        // Parallel only when every rank gets at least one whole block.
-        Some(team) if team.num_threads() > 1 && blocks >= team.num_threads() => {
-            let threads = team.num_threads();
-            let partials = SharedSliceMut::new(scratch);
-            team.run(&|rank| {
-                for b in partition(blocks, threads, rank) {
-                    let sums = block_sum(block_range(n, b));
-                    // SAFETY: the static partition hands each rank a
-                    // disjoint set of block indices, hence disjoint
-                    // `W`-element scratch slots.
-                    unsafe { partials.range_mut(W * b..W * b + W) }.copy_from_slice(&sums);
-                }
-            });
+    // Parallel only when every rank gets at least one whole block.
+    let team = team.filter(|team| blocks >= team.num_threads());
+    for_each_share(team, blocks, 1, &mut scratch[..], |blocks, partials| {
+        for (b, slot) in blocks.zip(partials.chunks_exact_mut(W)) {
+            slot.copy_from_slice(&block_sum(block_range(n, b)));
         }
-        _ => {
-            for (b, slot) in scratch.chunks_exact_mut(W).enumerate() {
-                slot.copy_from_slice(&block_sum(block_range(n, b)));
-            }
-        }
-    }
+    });
     // Combine each component in fixed block order, independent of who
     // computed what.  `Iterator::sum` is the one fold for every width (its
     // identity decides the sign of an empty or all-`-0.0` sum).

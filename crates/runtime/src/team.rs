@@ -73,16 +73,13 @@ struct Control {
 /// Dropping the team joins the workers.
 ///
 /// ```
-/// use lv_runtime::{partition, SharedSliceMut, Team};
+/// use lv_runtime::{for_each_share, Team};
 ///
 /// let team = Team::new(4);
 /// let mut data = vec![0usize; 100];
-/// let shared = SharedSliceMut::new(&mut data);
-/// team.run(&|rank| {
-///     for i in partition(100, 4, rank) {
-///         // SAFETY: the static partition hands each rank disjoint indices.
-///         unsafe { *shared.index_mut(i) = rank };
-///     }
+/// // One job on the team: each rank writes its own 25 rows.
+/// for_each_share(Some(&team), 100, 1, &mut data[..], |rows, share| {
+///     share.fill(rows.start / 25);
 /// });
 /// assert_eq!(data[0], 0);
 /// assert_eq!(data[99], 3);
@@ -342,7 +339,7 @@ fn worker_loop(rank: usize, control: &Control) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{partition, SharedSliceMut};
+    use crate::for_each_share;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -378,15 +375,11 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_writes_through_shared_slice() {
+    fn disjoint_writes_through_row_shares() {
         let team = Team::new(3);
         let mut data = vec![usize::MAX; 1000];
-        let shared = SharedSliceMut::new(&mut data);
-        team.run(&|rank| {
-            for i in partition(1000, 3, rank) {
-                // SAFETY: static partition => disjoint indices per rank.
-                unsafe { *shared.index_mut(i) = rank };
-            }
+        for_each_share(Some(&team), 1000, 1, &mut data[..], |rows, share| {
+            share.fill(rows.start / 1000usize.div_ceil(3));
         });
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i / 1000usize.div_ceil(3), "index {i}");
@@ -395,19 +388,16 @@ mod tests {
 
     #[test]
     fn barrier_stages_work_within_one_job() {
-        // Phase A writes, barrier, phase B reads what *other* ranks wrote:
-        // only the barrier makes this race-free.
+        // Phase A writes, barrier, phase B reads what *another* rank wrote
+        // (relaxed: only the barrier orders it) into its own row share.
         let team = Team::new(4);
-        let mut stage_a = vec![0usize; 4];
+        let stage_a: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
         let mut stage_b = vec![0usize; 4];
-        let a = SharedSliceMut::new(&mut stage_a);
-        let b = SharedSliceMut::new(&mut stage_b);
-        team.run(&|rank| {
-            // SAFETY: each rank writes only its own index in each stage.
-            unsafe { *a.index_mut(rank) = rank + 1 };
+        for_each_share(Some(&team), 4, 1, &mut stage_b[..], |rows, share| {
+            let rank = rows.start;
+            stage_a[rank].store(rank + 1, Ordering::Relaxed);
             team.barrier();
-            let left = unsafe { *a.index_mut((rank + 1) % 4) };
-            unsafe { *b.index_mut(rank) = left };
+            share[0] = stage_a[(rank + 1) % 4].load(Ordering::Relaxed);
         });
         assert_eq!(stage_b, vec![2, 3, 4, 1]);
     }
@@ -448,14 +438,11 @@ mod tests {
         let team = Team::new(2);
         let mut data = vec![1.0f64; 64];
         for step in 0..10 {
-            let shared = SharedSliceMut::new(&mut data);
-            team.run(&|rank| {
-                for i in partition(64, 2, rank) {
-                    // SAFETY: disjoint static partition.
-                    unsafe { *shared.index_mut(i) *= 2.0 };
-                }
+            for_each_share(Some(&team), 64, 1, &mut data[..], |_, share| {
+                share.iter_mut().for_each(|x| *x *= 2.0);
             });
             assert_eq!(data[0], f64::powi(2.0, step + 1));
+            assert_eq!(data[63], f64::powi(2.0, step + 1));
         }
     }
 

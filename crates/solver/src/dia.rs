@@ -40,13 +40,14 @@
 //! [`refill_from_csr`](DiaMatrix::refill_from_csr) copies the new values
 //! into the layout [`from_csr`](DiaMatrix::from_csr) discovered once —
 //! offsets and padding stay, every entry's offset is checked — split by
-//! whole blocks across the team.  The runs of a block sit `BLOCK_ROWS`
-//! values = exactly 2 KiB apart, so the 27 lines one row's entries land in
-//! all compete for two sets of a 64-set L1 and a store-per-entry refill
-//! evicts each line before its next row arrives (3.4–5.8 ms at 32³); the
-//! fill stages 16 rows and stores whole lines, a row that has an entry on
-//! every diagonal as one comparison and one copy (1.2–1.5 ms, 0.65–0.95 on
-//! two threads; README "Level storage").
+//! whole blocks across the team, each rank handed its own blocks of the
+//! value array by [`lv_runtime::for_each_share`].  The runs of a block sit
+//! `BLOCK_ROWS` values = exactly 2 KiB apart, so the 27 lines one row's
+//! entries land in all compete for two sets of a 64-set L1 and a
+//! store-per-entry refill evicts each line before its next row arrives
+//! (3.4–5.8 ms at 32³); the fill stages 16 rows and stores whole lines, a
+//! row that has an entry on every diagonal as one comparison and one copy
+//! (1.2–1.5 ms, 0.65–0.95 on two threads; README "Level storage").
 //!
 //! **One source, two widths.**  The four kernels — the product
 //! ([`product_into`](DiaMatrix::product_into), which is
@@ -80,9 +81,8 @@
 use crate::csr::CsrMatrix;
 use crate::operator::LinearOperator;
 use crate::parallel::SERIAL_CUTOFF;
-use lv_runtime::Team;
+use lv_runtime::{for_each_share, Team};
 use std::ops::{Add, AddAssign, Mul, Range, Sub};
-use std::sync::Mutex;
 
 /// Rows per storage block: every per-offset run of a block is this long
 /// (shorter in the last block), so a block's working set — runs, the `x`
@@ -201,28 +201,19 @@ impl<T: Scalar> DiaMatrix<T> {
     /// of the pattern this one was built from, assembled anew — and leaves
     /// the layout alone: the result equals [`from_csr`](Self::from_csr) of
     /// `matrix`, without the offset discovery and the allocation.  Whole
-    /// blocks are split across `team` (disjoint chunks of the value array,
-    /// each behind a lock only its rank takes).
+    /// blocks are split across `team`: each rank is handed its own blocks of
+    /// the value array ([`lv_runtime::for_each_share`] at a granule of
+    /// [`BLOCK_ROWS`]).
     ///
     /// # Panics
     /// Panics if the dimensions differ or an entry of `matrix` lies on no
     /// stored diagonal (checked for every entry, in release builds too).
     pub fn refill_from_csr(&mut self, team: &Team, matrix: &CsrMatrix) {
         assert_eq!(matrix.dim(), self.n, "the refill matrix has another dimension");
-        let (n, nd) = (self.n, self.offsets.len());
-        let threads = if n >= SERIAL_CUTOFF { team.num_threads() } else { 1 };
-        if threads == 1 || nd == 0 {
-            return fill_rows(&self.offsets, 0..n, &mut self.values, matrix);
-        }
-        let per = n.div_ceil(BLOCK_ROWS).div_ceil(threads) * BLOCK_ROWS;
-        let offsets = &self.offsets;
-        let shares: Vec<Mutex<&mut [T]>> =
-            self.values.chunks_mut(per * nd).map(Mutex::new).collect();
-        team.run(&|rank| {
-            if let Some(share) = shares.get(rank) {
-                let mut share = share.lock().expect("a rank panicked inside a refill");
-                fill_rows(offsets, rank * per..n.min((rank + 1) * per), &mut share, matrix);
-            }
+        let (n, offsets) = (self.n, &self.offsets);
+        let team = (n >= SERIAL_CUTOFF).then_some(team);
+        for_each_share(team, n, BLOCK_ROWS, &mut self.values[..], |rows, values| {
+            fill_rows(offsets, rows, values, matrix);
         });
     }
 
@@ -492,9 +483,9 @@ fn accumulate3<T: Scalar>(
 /// before its next row arrives.
 const STAGE_ROWS: usize = 16;
 
-/// Fills the runs of `rows` — whole blocks, `values` being exactly their
-/// part of the value array — from `matrix`: stored entries rounded to `T`,
-/// `+0.0` where a row has no entry on a diagonal.
+/// Fills the runs of `rows` — whole blocks (or none), `values` being
+/// exactly their part of the value array — from `matrix`: stored entries
+/// rounded to `T`, `+0.0` where a row has no entry on a diagonal.
 ///
 /// # Panics
 /// Panics if an entry of `matrix` lies on none of `offsets`.
@@ -506,7 +497,7 @@ fn fill_rows<T: Scalar>(
 ) {
     let nd = offsets.len();
     assert!(nd <= MAX_DIAGONALS);
-    assert_eq!(rows.start % BLOCK_ROWS, 0, "a fill starts on a block boundary");
+    assert!(rows.is_empty() || rows.start % BLOCK_ROWS == 0, "a fill starts on a block boundary");
     assert_eq!(values.len(), rows.len() * nd, "the value chunk must match the rows");
     let (row_ptr, col_idx, csr_values) = (matrix.row_ptr(), matrix.col_idx(), matrix.values());
     // `stage[j][k]`: the value of staged row `j` on diagonal `k`.

@@ -28,8 +28,9 @@
 //!   `jacobi_range` pass per sweep ([`RowClasses::jacobi_range`] or
 //!   [`DiaMatrix::jacobi_range`], the same expression tree) into a
 //!   ping-pong buffer, partitioned over the caller's [`VectorOps`] team —
-//!   rows are disjoint and each row's arithmetic is partition-independent,
-//!   so every cycle is reproducible;
+//!   each rank is handed its own rows of the buffer
+//!   ([`lv_runtime::for_each_share`]) and each row's arithmetic is
+//!   partition-independent, so every cycle is reproducible;
 //! * a pivoted dense LU direct solve on the coarsest level, factored once.
 //!   A *fixed* coarse solve keeps the V-cycle linear — a tolerance-based
 //!   inner CG would make the preconditioner nonlinear and void the outer CG
@@ -67,7 +68,7 @@ use crate::dia::{DiaMatrix, Scalar};
 use crate::krylov::{conjugate_gradient_with, SolveOptions, SolveOutcome, SolverError};
 use crate::operator::{LinearOperator, Preconditioner};
 use crate::parallel::VectorOps;
-use lv_runtime::{SharedSliceMut, Team};
+use lv_runtime::Team;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
@@ -186,10 +187,7 @@ impl Interpolation {
     fn prolong_add<T: Scalar>(&self, ops: &VectorOps<'_>, coarse: &[T], fine: &mut [T]) {
         assert_eq!(coarse.len(), self.coarse_nodes);
         assert_eq!(fine.len(), self.fine_nodes);
-        let out = SharedSliceMut::new(fine);
-        ops.partitioned_rows(self.fine_nodes, &|rows| {
-            // SAFETY: partition ranges are disjoint fine rows.
-            let slice = unsafe { out.range_mut(rows.clone()) };
+        ops.for_each_share(self.fine_nodes, fine, |rows, slice| {
             for (offset, f) in rows.enumerate() {
                 let mut sum = T::ZERO;
                 for idx in self.row_ptr[f]..self.row_ptr[f + 1] {
@@ -205,10 +203,7 @@ impl Interpolation {
     fn restrict<T: Scalar>(&self, ops: &VectorOps<'_>, fine: &[T], coarse: &mut [T]) {
         assert_eq!(fine.len(), self.fine_nodes);
         assert_eq!(coarse.len(), self.coarse_nodes);
-        let out = SharedSliceMut::new(coarse);
-        ops.partitioned_rows(self.coarse_nodes, &|rows| {
-            // SAFETY: partition ranges are disjoint coarse rows.
-            let slice = unsafe { out.range_mut(rows.clone()) };
+        ops.for_each_share(self.coarse_nodes, coarse, |rows, slice| {
             for (offset, c) in rows.enumerate() {
                 let mut sum = T::ZERO;
                 for idx in self.t_row_ptr[c]..self.t_row_ptr[c + 1] {
@@ -477,10 +472,7 @@ impl<T: Scalar> Level<T> {
         // zero iterate; keeping the `0.0 +` keeps a `-0.0` correction the
         // `+0.0` it becomes there.
         let sweep = |bi: T, di: T| T::ZERO + damping * (bi * di);
-        let (xs, bs) = (SharedSliceMut::new(x), SharedSliceMut::new(b));
-        ops.partitioned_rows(n, &|rows| {
-            // SAFETY: partition ranges are disjoint rows of `x` and of `b`.
-            let (xs, bs) = unsafe { (xs.range_mut(rows.clone()), bs.range_mut(rows.clone())) };
+        ops.for_each_share(n, (&mut x[..], &mut b[..]), |rows, (xs, bs)| {
             let ds = &inv_diag[rows.clone()];
             match entry {
                 Some((rhs, scale)) => {
@@ -504,11 +496,7 @@ impl<T: Scalar> Level<T> {
         let Level { matrix, inv_diag, x, b, r } = self;
         let n = x.len();
         for _ in 0..sweeps {
-            let out = SharedSliceMut::new(r);
-            ops.partitioned_rows(n, &|rows| {
-                // SAFETY: partition ranges are disjoint rows of `r`, which
-                // is a different vector from the `x` every rank reads.
-                let xn = unsafe { out.range_mut(rows.clone()) };
+            ops.for_each_share(n, &mut r[..], |rows, xn| {
                 matrix.jacobi_range(x, b, inv_diag, damping, rows, xn);
             });
             std::mem::swap(x, r);
@@ -518,10 +506,7 @@ impl<T: Scalar> Level<T> {
     /// `r = b − A·x`, one dispatch and one pass over the operator.
     fn residual(&mut self, ops: &VectorOps<'_>) {
         let Level { matrix, x, b, r, .. } = self;
-        let out = SharedSliceMut::new(r);
-        ops.partitioned_rows(x.len(), &|rows| {
-            // SAFETY: partition ranges are disjoint rows of `r`.
-            let rs = unsafe { out.range_mut(rows.clone()) };
+        ops.for_each_share(x.len(), &mut r[..], |rows, rs| {
             matrix.residual_range(x, b, rows, rs);
         });
     }

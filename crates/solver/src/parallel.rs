@@ -5,11 +5,12 @@
 //! and a handful of fused element-wise updates — exists here exactly once,
 //! in a form that runs serially or across an [`lv_runtime::Team`]:
 //!
-//! * **SpMV** partitions the output rows statically
-//!   ([`lv_runtime::partition`]); rows are disjoint, each row accumulates in
-//!   column order, so the product is bitwise identical for every thread
-//!   count (no coloring needed — the ROADMAP observation that started this
-//!   subsystem).
+//! * **SpMV** partitions the output rows statically: each rank is handed its
+//!   own [`lv_runtime::partition`] share of the output by
+//!   [`lv_runtime::for_each_share`] (cut with `split_at_mut`, no `unsafe`),
+//!   each row accumulates in column order, so the product is bitwise
+//!   identical for every thread count (no coloring needed — the ROADMAP
+//!   observation that started this subsystem).
 //! * **Element-wise updates** (`axpy` and friends) evaluate the same
 //!   per-element expression under the same static partition — bitwise
 //!   identical by construction.
@@ -26,7 +27,7 @@
 use crate::csr::CsrMatrix;
 use crate::multivector::MultiVector;
 use crate::operator::LinearOperator;
-use lv_runtime::{blocked_reduce, partition, SharedSliceMut, Team, Trace};
+use lv_runtime::{blocked_reduce, for_each_share, Share, Team, Trace};
 use std::ops::Range;
 
 /// Element-wise operations on vectors shorter than this stay on the calling
@@ -100,33 +101,22 @@ impl<'t> VectorOps<'t> {
         self.trace
     }
 
-    /// Runs `f` once per non-empty static-partition range of `0..n` — across
-    /// the team when `n` clears [`SERIAL_CUTOFF`], on the caller otherwise.
-    ///
-    /// This is the scheduling primitive behind every kernel in this type,
-    /// exposed so rectangular operators (the multigrid grid transfers) can
-    /// inherit the same partitioning — and therefore the same determinism
-    /// contract — as the square kernels.  `f` must write only state it owns
-    /// for its range; ranges are disjoint.
+    /// The one place these kernels — and the multigrid cycle's — get
+    /// mutable output: [`lv_runtime::for_each_share`] of the `n` rows of
+    /// `out` on the team when `n` clears [`SERIAL_CUTOFF`], on the caller
+    /// otherwise.  The shares are the static partition, so a row's result
+    /// does not depend on the thread count.
     #[inline]
-    pub fn partitioned_rows(&self, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
-        match self.team {
-            Some(team) if n >= SERIAL_CUTOFF => {
-                let threads = team.num_threads();
-                team.run(&|rank| {
-                    let range = partition(n, threads, rank);
-                    if !range.is_empty() {
-                        f(range);
-                    }
-                });
-            }
-            _ => f(0..n),
-        }
+    pub(crate) fn for_each_share<S: Share>(
+        &self,
+        n: usize,
+        out: S,
+        body: impl Fn(Range<usize>, S) + Sync,
+    ) {
+        for_each_share(self.team.filter(|_| n >= SERIAL_CUTOFF), n, 1, out, body);
     }
 
-    /// The one place this file hands out mutable output: runs `f` once per
-    /// partition range of `0..n` with that range of each of the `W` output
-    /// columns.
+    /// [`for_each_share`](Self::for_each_share) of `W` output columns.
     ///
     /// # Panics
     /// Panics if an output column is not `n` long.
@@ -139,30 +129,7 @@ impl<'t> VectorOps<'t> {
         for column in &out {
             assert_eq!(column.len(), n, "output column length");
         }
-        let shared = out.map(SharedSliceMut::new);
-        #[cfg(debug_assertions)]
-        let handed_out = std::sync::Mutex::new(Vec::new());
-        self.partitioned_rows(n, &|range| {
-            #[cfg(debug_assertions)]
-            handed_out.lock().expect("a rank panicked").push(range.clone());
-            // SAFETY: every column is `n` long (asserted above) and the
-            // ranges of one dispatch are disjoint sub-ranges of `0..n` (the
-            // static partition; checked below in debug builds), so each rank
-            // holds the only reference to its rows of every column while the
-            // caller's exclusive borrow of the columns is parked in `shared`.
-            let columns = std::array::from_fn(|c| unsafe { shared[c].range_mut(range.clone()) });
-            f(range, columns);
-        });
-        #[cfg(debug_assertions)]
-        {
-            let mut ranges = handed_out.into_inner().expect("a rank panicked");
-            ranges.sort_by_key(|r| r.start);
-            let end = ranges.iter().fold(0, |end, r| {
-                assert_eq!(r.start, end, "partition ranges must abut: {ranges:?}");
-                r.end
-            });
-            assert_eq!(end, n, "partition ranges must tile 0..{n}: {ranges:?}");
-        }
+        self.for_each_share(n, out, f);
     }
 
     /// The element-wise kernel driver: `update(c, range, out)` rewrites

@@ -36,11 +36,12 @@
 //!   the event log is written to `<path>`;
 //! * `--trace-format <jsonl|chrome>` — event-log format: the replayable
 //!   line-JSON log (default) or a Chrome-tracing document for
-//!   `chrome://tracing` / <https://ui.perfetto.dev>.
+//!   `chrome://tracing` / <https://ui.perfetto.dev>; needs `--trace`.
 //!
 //! `taylor-green` with `n = 0` (the default) runs the 8³ → 12³ → 16³
 //! resolution sweep and reports the analytic L2 velocity error at a common
-//! final time — the error must decrease monotonically with resolution.
+//! final time — the error must decrease monotonically with resolution.  The
+//! sweep writes no checkpoint, so it refuses `--checkpoint` and `--every`.
 //!
 //! Any failure (unreadable checkpoint, exhausted retry budget, solver
 //! breakdown past recovery) exits non-zero with a diagnostic naming the
@@ -76,10 +77,10 @@ struct Cli {
     inject: Option<FaultPlan>,
     max_retries: usize,
     trace: Option<String>,
-    trace_format: TraceFormat,
+    trace_format: Option<TraceFormat>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum TraceFormat {
     Jsonl,
     Chrome,
@@ -120,7 +121,7 @@ fn parse_cli() -> Cli {
         inject: None,
         max_retries: 3,
         trace: None,
-        trace_format: TraceFormat::Jsonl,
+        trace_format: None,
     };
     let mut positional = 0;
     let mut i = 1;
@@ -139,13 +140,13 @@ fn parse_cli() -> Cli {
             "--fixed-dt" => cli.fixed_dt = Some(parse_num(flag_value(&args, i, flag), flag)),
             "--trace" => cli.trace = Some(flag_value(&args, i, flag).to_string()),
             "--trace-format" => {
-                cli.trace_format = match flag_value(&args, i, flag) {
+                cli.trace_format = Some(match flag_value(&args, i, flag) {
                     "jsonl" => TraceFormat::Jsonl,
                     "chrome" => TraceFormat::Chrome,
                     other => {
                         bail(&format!("--trace-format must be 'jsonl' or 'chrome' (got '{other}')"))
                     }
-                };
+                });
             }
             "--pressure-solver" => {
                 let name = flag_value(&args, i, flag);
@@ -170,6 +171,9 @@ fn parse_cli() -> Cli {
     }
     if cli.every > 0 && cli.checkpoint.is_none() {
         bail("--every needs --checkpoint <path> to know where to write");
+    }
+    if cli.trace_format.is_some() && cli.trace.is_none() {
+        bail("--trace-format needs --trace <path> to know where to write");
     }
     cli
 }
@@ -201,15 +205,12 @@ fn finish_trace(team: &mut Team, cli: &Cli) -> Result<(), String> {
     let trace = team.trace_mut().expect("--trace armed the team's trace");
     let summary = RunSummary::from_trace(trace);
     println!("\n{}", summary.to_text());
-    let text = match cli.trace_format {
-        TraceFormat::Jsonl => trace.write_jsonl(),
-        TraceFormat::Chrome => trace.write_chrome(),
+    let (text, format) = match cli.trace_format.unwrap_or(TraceFormat::Jsonl) {
+        TraceFormat::Jsonl => (trace.write_jsonl(), "jsonl"),
+        TraceFormat::Chrome => (trace.write_chrome(), "chrome"),
     };
     std::fs::write(path, text).map_err(|e| format!("writing trace to {path} failed: {e}"))?;
-    println!(
-        "trace ({}) -> {path}",
-        if cli.trace_format == TraceFormat::Jsonl { "jsonl" } else { "chrome" }
-    );
+    println!("trace ({format}) -> {path}");
     Ok(())
 }
 
@@ -396,6 +397,9 @@ fn run() -> Result<(), Failure> {
         std::process::exit(2);
     };
     if kind == lv_driver::ScenarioKind::TaylorGreenVortex && cli.n == 0 && cli.restart.is_none() {
+        if cli.checkpoint.is_some() {
+            bail("--checkpoint/--every: the taylor-green sweep (n = 0) writes no checkpoint");
+        }
         return taylor_green_sweep(&cli);
     }
 
