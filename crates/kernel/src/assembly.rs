@@ -847,8 +847,9 @@ mod tests {
     }
 
     /// The meshes the step's system is compared on: 4³ elements (125 rows,
-    /// every row pass serial) and 10³ (1331 rows: above `SERIAL_CUTOFF`,
-    /// the passes fork).
+    /// every row pass serial), 10³ (1331 rows: above `SERIAL_CUTOFF`, the
+    /// passes fork) and 8³ of the `assembly_vs` benchmark's cavity (jitter
+    /// 0.15, seed 1).
     fn step_meshes() -> Vec<(&'static str, Mesh)> {
         use lv_mesh::renumber::NodePermutation;
         let jittered = |n| BoxMeshBuilder::new(n, n, n).lid_driven_cavity().with_jitter(0.1, 11);
@@ -862,6 +863,10 @@ mod tests {
             ("4^3 scrambled", scrambled),
             ("10^3 jittered", jittered(10).build()),
             ("10^3 box", BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().build()),
+            (
+                "8^3 benchmark",
+                BoxMeshBuilder::new(8, 8, 8).lid_driven_cavity().with_jitter(0.15, 1).build(),
+            ),
         ]
     }
 

@@ -83,10 +83,10 @@
 //! as an `avx2` clone, and `phaseN_*_slices` enters the copy
 //! [`lv_runtime::Lanes::selected`] picked for this host (four `f64` per
 //! instruction instead of SSE2's two).  `phaseN_*_slices_at` takes the
-//! [`Lanes`](lv_runtime::Lanes) explicitly — what `examples/assembly_phases`
-//! times side by side and the tests below compare `to_bits`.  A clone runs
-//! the baseline's IEEE operations in the baseline's order for every slot
-//! (Rust neither reassociates nor contracts to FMA), so both copies are
+//! [`Lanes`](lv_runtime::Lanes) explicitly, for the tests below that
+//! compare the two copies `to_bits`.  A clone runs the baseline's IEEE
+//! operations in the baseline's order for every slot (Rust neither
+//! reassociates nor contracts to FMA), so both copies are
 //! bitwise identical to each other and to the oracle, which is never
 //! cloned.  The clones are **per phase**: one clone around phases 3–7
 //! inlined together compiles to slower code than the baseline.  Phases 1, 2

@@ -58,10 +58,10 @@
 //! `avx2` clone (four `f64` or eight `f32` rows per instruction instead of
 //! SSE2's two or four), and each entry point runs the one
 //! [`lv_runtime::Lanes::selected`] picked for this host; the `*_at`
-//! variants take the [`Lanes`](lv_runtime::Lanes) explicitly, for
-//! `examples/vcycle_layers` and the clone-against-baseline tests.  Lanes are
-//! rows and no row's arithmetic changes with the register width, so the two
-//! copies — and the CSR product — agree bit for bit.
+//! variants take the [`Lanes`](lv_runtime::Lanes) explicitly, for the
+//! clone-against-baseline tests.  Lanes are rows and no row's arithmetic
+//! changes with the register width, so the two copies — and the CSR
+//! product — agree bit for bit.
 //!
 //! **One source, two precisions.**  The storage and every kernel are generic
 //! over a sealed [`Scalar`] (`f64`, the default, or `f32`).  The `f64`

@@ -47,11 +47,17 @@
 //! and exits `0` when no job failed, `1` when any did.  The inspection
 //! subcommands (`status`, `metrics`, `timeline`) are read-only and exit
 //! `0` whenever the journal could be reported on (even when missing or
-//! with no supervisor alive), `1` on a corrupt journal.  CLI errors exit
-//! `2`.  Trajectories are bitwise independent of `--workers`, `--threads`,
+//! with no supervisor alive), `1` on a corrupt journal.  CLI errors — a
+//! missing `--journal`, an unknown subcommand or flag, a zero count of
+//! `--workers`, `--threads`, `--slice`, `--watchdog-ms` or `--ring`; the
+//! grammar is `alya_longvec::cli::Serve` — exit `2`, and so does a fault
+//! spec the journal refuses.  No subcommand panics on a closed stdout.
+//! Trajectories are bitwise independent of `--workers`, `--threads`,
 //! `--slice` and of any preemption, migration or retry along the way.
 
-use lv_driver::{Scenario, ScenarioKind};
+use alya_longvec::cli::{out, Serve, ServeCommand, Submit};
+use alya_longvec::say;
+use lv_driver::Scenario;
 use lv_server::{
     chrome_timeline, ledger, metrics_json_path, query, replay_readonly, socket_path, text_timeline,
     FleetMetrics, JobSpec, Replay, Server, ServerConfig,
@@ -61,144 +67,33 @@ use lv_trace::sink::{parse_jsonl, TraceLog};
 use std::path::Path;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serve <submit|run|status|metrics|timeline> --journal <path> [options]\n\
-         \n\
-         serve submit   --journal J [--ckpt-dir D] <scenario> [n] [steps] [--id NAME] [--inject SPEC]\n\
-         serve run      --journal J [--ckpt-dir D] [--workers M] [--threads T] [--slice K]\n\
-         \x20                [--watchdog-ms W] [--max-retries R] [--max-slices N] [--ring K]\n\
-         \x20                [--endpoint] [--trace-dir DIR]\n\
-         serve status   --journal J [--follow]\n\
-         serve metrics  --journal J [--format prom|json]\n\
-         serve timeline --journal J <job>|--all [--chrome] [--trace-dir DIR]\n\
-         \n\
-         scenarios: cavity, channel, taylor-green, shear-layer"
-    );
-    std::process::exit(2);
-}
-
-fn bail(message: &str) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-struct Common {
-    journal: Option<String>,
-    ckpt_dir: Option<String>,
-}
-
-impl Common {
-    fn journal(&self) -> &str {
-        match &self.journal {
-            Some(path) => path,
-            None => bail("--journal <path> is required"),
-        }
-    }
-
-    fn config(&self) -> ServerConfig {
-        ServerConfig {
-            checkpoint_dir: self
-                .ckpt_dir
-                .clone()
-                .unwrap_or_else(|| format!("{}.ckpt.d", self.journal()))
-                .into(),
-            ..ServerConfig::default()
-        }
-    }
-}
-
-fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
-    match args.get(i + 1) {
-        Some(value) => value,
-        None => bail(&format!("{flag} needs a value")),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| bail(&format!("{flag}: cannot parse '{value}'")))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str).unwrap_or("help");
-    let mut common = Common { journal: None, ckpt_dir: None };
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--journal" => {
-                common.journal = Some(flag_value(&args, i, "--journal").to_string());
-                i += 2;
-            }
-            "--ckpt-dir" => {
-                common.ckpt_dir = Some(flag_value(&args, i, "--ckpt-dir").to_string());
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
+    let Serve { journal, config, command } = Serve::parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     match command {
-        "submit" => submit(&common, &rest),
-        "run" => run(&common, &rest),
-        "status" => status(&common, &rest),
-        "metrics" => metrics(&common, &rest),
-        "timeline" => timeline(&common, &rest),
-        _ => usage(),
+        ServeCommand::Submit(job) => submit(&journal, config, job),
+        ServeCommand::Run => run(&journal, config),
+        ServeCommand::Status { follow } => status(&journal, follow),
+        ServeCommand::Metrics { prom } => metrics(&journal, prom),
+        ServeCommand::Timeline { job, chrome, trace_dir } => {
+            timeline(&journal, job.as_deref(), chrome, trace_dir.as_deref())
+        }
     }
 }
 
-fn open(common: &Common, config: ServerConfig) -> Server {
-    Server::open(common.journal(), config).unwrap_or_else(|e| {
-        eprintln!("error: cannot open journal {}: {e}", common.journal());
+fn open(journal: &str, config: ServerConfig) -> Server {
+    Server::open(journal, config).unwrap_or_else(|e| {
+        eprintln!("error: cannot open journal {journal}: {e}");
         std::process::exit(1);
     })
 }
 
-fn submit(common: &Common, rest: &[String]) {
-    let mut scenario_name: Option<String> = None;
-    let mut n: usize = 8;
-    let mut steps: u64 = 10;
-    let mut id: Option<String> = None;
-    let mut inject: Option<String> = None;
-    let mut positional = 0;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--id" => {
-                id = Some(flag_value(rest, i, "--id").to_string());
-                i += 2;
-            }
-            "--inject" => {
-                inject = Some(flag_value(rest, i, "--inject").to_string());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => bail(&format!("unknown submit flag {flag}")),
-            value => {
-                match positional {
-                    0 => scenario_name = Some(value.to_string()),
-                    1 => n = parse_num(value, "n"),
-                    2 => steps = parse_num(value, "steps"),
-                    _ => bail("too many positional arguments"),
-                }
-                positional += 1;
-                i += 1;
-            }
-        }
-    }
-    let Some(scenario_name) = scenario_name else { bail("submit needs a scenario name") };
-    let Some(kind) = ScenarioKind::from_name(&scenario_name) else {
-        bail(&format!(
-            "unknown scenario '{scenario_name}' (cavity, channel, taylor-green, shear-layer)"
-        ))
-    };
-    if n == 0 {
-        bail("submit needs a concrete resolution (n > 0)");
-    }
-    let mut server = open(common, common.config());
+fn submit(journal: &str, config: ServerConfig, job: Submit) {
+    let Submit { kind, scenario, n, steps, id, inject } = job;
+    let mut server = open(journal, config);
     let id = id.unwrap_or_else(|| format!("job-{}", server.jobs().len() + 1));
     let mut spec = JobSpec::new(id.clone(), Scenario::new(kind, n), steps);
     if let Some(inject) = inject {
@@ -206,68 +101,18 @@ fn submit(common: &Common, rest: &[String]) {
     }
     if let Err(e) = server.submit(spec) {
         if e.kind() == std::io::ErrorKind::InvalidInput {
-            bail(&e.to_string());
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
         eprintln!("error: cannot journal the submission: {e}");
         std::process::exit(1);
     }
-    println!("submitted job {id}: {scenario_name} n={n} for {steps} step(s)");
+    say!("submitted job {id}: {scenario} n={n} for {steps} step(s)");
 }
 
-fn run(common: &Common, rest: &[String]) {
-    let mut config = common.config();
-    config.verbose = true;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--workers" => {
-                config.workers = parse_num(flag_value(rest, i, "--workers"), "--workers");
-                i += 2;
-            }
-            "--threads" => {
-                config.threads_per_worker =
-                    parse_num(flag_value(rest, i, "--threads"), "--threads");
-                i += 2;
-            }
-            "--slice" => {
-                config.slice_steps = parse_num(flag_value(rest, i, "--slice"), "--slice");
-                i += 2;
-            }
-            "--watchdog-ms" => {
-                let ms: u64 = parse_num(flag_value(rest, i, "--watchdog-ms"), "--watchdog-ms");
-                config.step_deadline = Duration::from_millis(ms);
-                i += 2;
-            }
-            "--max-retries" => {
-                config.max_job_retries =
-                    parse_num(flag_value(rest, i, "--max-retries"), "--max-retries");
-                i += 2;
-            }
-            "--max-slices" => {
-                config.max_slices =
-                    Some(parse_num(flag_value(rest, i, "--max-slices"), "--max-slices"));
-                i += 2;
-            }
-            "--ring" => {
-                config.ring_depth = parse_num(flag_value(rest, i, "--ring"), "--ring");
-                i += 2;
-            }
-            "--endpoint" => {
-                config.endpoint = true;
-                i += 1;
-            }
-            "--trace-dir" => {
-                config.trace_dir = Some(flag_value(rest, i, "--trace-dir").into());
-                i += 2;
-            }
-            flag => bail(&format!("unknown run flag {flag}")),
-        }
-    }
-    if config.workers == 0 || config.threads_per_worker == 0 || config.slice_steps == 0 {
-        bail("--workers, --threads and --slice must be positive");
-    }
-    let mut server = open(common, config);
-    println!("{}", server.replay());
+fn run(journal: &str, config: ServerConfig) {
+    let mut server = open(journal, config);
+    say!("{}", server.replay());
     // Worker panics are contained by the supervisor and journaled as retry
     // records; keep the default hook's multi-line backtrace out of the
     // service log.  The hook must not panic itself (stderr may be a broken
@@ -278,12 +123,15 @@ fn run(common: &Common, rest: &[String]) {
     }));
     let report = server.run();
     let _ = std::panic::take_hook();
-    println!(
+    say!(
         "fleet: {} done, {} failed, {} pending in {} slice(s)",
-        report.done, report.failed, report.pending, report.slices
+        report.done,
+        report.failed,
+        report.pending,
+        report.slices
     );
     for job in server.jobs() {
-        println!("  {} {}", job.id, job.status);
+        say!("  {} {}", job.id, job.status);
     }
     std::process::exit(if report.failed > 0 { 1 } else { 0 });
 }
@@ -302,32 +150,24 @@ fn inspect_replay(journal: &str) -> Option<Replay> {
     }
 }
 
-fn status(common: &Common, rest: &[String]) {
-    let mut follow = false;
-    for flag in rest {
-        match flag.as_str() {
-            "--follow" => follow = true,
-            other => bail(&format!("unknown status flag {other}")),
-        }
-    }
-    let journal = common.journal();
+fn status(journal: &str, follow: bool) {
     let socket = socket_path(Path::new(journal));
     if follow {
         // Stream live status lines until the supervisor goes away, then
         // fall through to the final offline snapshot below.
         while let Ok(reply) = query(&socket, "status") {
-            print!("{reply}");
+            out(format_args!("{reply}"));
             std::thread::sleep(Duration::from_millis(500));
         }
     } else if let Ok(reply) = query(&socket, "status") {
-        print!("{reply}");
+        out(format_args!("{reply}"));
         return;
     }
 
     // No live supervisor: the journal *is* the fleet state.  Report the
     // replayed ledger and exit 0 — a dead supervisor is an observation.
     let Some(replay) = inspect_replay(journal) else {
-        println!("no journal at {journal} (nothing to report)");
+        say!("no journal at {journal} (nothing to report)");
         return;
     };
     let entries = ledger(&replay.records).unwrap_or_else(|e| {
@@ -340,7 +180,7 @@ fn status(common: &Common, rest: &[String]) {
             lv_server::JobStatus::Failed { .. } => (acc.0, acc.1 + 1, acc.2),
             _ => (acc.0, acc.1, acc.2 + 1),
         });
-    println!(
+    say!(
         "{}",
         JsonObject::new()
             .u64("format", 1)
@@ -353,31 +193,15 @@ fn status(common: &Common, rest: &[String]) {
             .finish()
     );
     for entry in &entries {
-        println!("  {} {} (attempts {})", entry.spec.id, entry.status, entry.attempts);
+        say!("  {} {} (attempts {})", entry.spec.id, entry.status, entry.attempts);
     }
 }
 
-fn metrics(common: &Common, rest: &[String]) {
-    let mut prom = false;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--format" => {
-                match flag_value(rest, i, "--format") {
-                    "prom" => prom = true,
-                    "json" => prom = false,
-                    other => bail(&format!("--format must be prom or json, not '{other}'")),
-                }
-                i += 2;
-            }
-            other => bail(&format!("unknown metrics flag {other}")),
-        }
-    }
-    let journal = common.journal();
+fn metrics(journal: &str, prom: bool) {
     let socket = socket_path(Path::new(journal));
     let request = if prom { "metrics prom" } else { "metrics json" };
     if let Ok(reply) = query(&socket, request) {
-        print!("{reply}");
+        out(format_args!("{reply}"));
         return;
     }
     // Dead supervisor.  For JSON, prefer the document it flushed at its
@@ -386,68 +210,35 @@ fn metrics(common: &Common, rest: &[String]) {
     // reconstructs exactly the deterministic counter subset.
     if !prom {
         if let Ok(doc) = std::fs::read_to_string(metrics_json_path(Path::new(journal))) {
-            println!("{}", doc.trim_end());
+            say!("{}", doc.trim_end());
             return;
         }
     }
     let Some(replay) = inspect_replay(journal) else {
-        println!("no journal at {journal} (nothing to report)");
+        say!("no journal at {journal} (nothing to report)");
         return;
     };
     let fleet = FleetMetrics::new();
     fleet.replay(&replay.records);
     if prom {
-        print!("{}", fleet.snapshot().to_prometheus());
+        out(format_args!("{}", fleet.snapshot().to_prometheus()));
     } else {
-        println!("{}", fleet.document());
+        say!("{}", fleet.document());
     }
 }
 
-fn timeline(common: &Common, rest: &[String]) {
-    let mut job: Option<String> = None;
-    let mut all = false;
-    let mut chrome = false;
-    let mut trace_dir: Option<String> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--all" => {
-                all = true;
-                i += 1;
-            }
-            "--chrome" => {
-                chrome = true;
-                i += 1;
-            }
-            "--trace-dir" => {
-                trace_dir = Some(flag_value(rest, i, "--trace-dir").to_string());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => bail(&format!("unknown timeline flag {flag}")),
-            value => {
-                if job.is_some() {
-                    bail("timeline takes at most one job id");
-                }
-                job = Some(value.to_string());
-                i += 1;
-            }
-        }
-    }
-    if all == job.is_some() {
-        bail("timeline needs exactly one of a job id or --all");
-    }
-    let journal = common.journal();
+fn timeline(journal: &str, job: Option<&str>, chrome: bool, trace_dir: Option<&str>) {
     let Some(replay) = inspect_replay(journal) else {
-        println!("no journal at {journal} (nothing to report)");
+        say!("no journal at {journal} (nothing to report)");
         return;
     };
     if chrome {
         // The Chrome document is always the merged fleet view (one pid per
         // worker); a job filter would leave dangling flow between workers.
-        let logs = load_trace_logs(trace_dir.as_deref());
-        print!("{}", chrome_timeline(&replay.records, &logs));
+        let logs = load_trace_logs(trace_dir);
+        out(format_args!("{}", chrome_timeline(&replay.records, &logs)));
     } else {
-        print!("{}", text_timeline(&replay.records, job.as_deref()));
+        out(format_args!("{}", text_timeline(&replay.records, job)));
     }
 }
 

@@ -45,153 +45,42 @@
 //!
 //! Any failure (unreadable checkpoint, exhausted retry budget, solver
 //! breakdown past recovery) exits non-zero with a diagnostic naming the
-//! phase, step and residual — never a panic.  Exit codes are distinct per
-//! failure class so supervisors can react without parsing stderr:
+//! phase, step and residual — never a panic, a closed stdout included.
+//! Exit codes are distinct per failure class so supervisors can react
+//! without parsing stderr:
 //!
 //! | code | meaning                                                        |
 //! |------|----------------------------------------------------------------|
 //! | 0    | run completed (all contracts held)                             |
 //! | 1    | generic I/O or contract failure (trace/checkpoint write, sweep)|
 //! | 2    | invalid CLI (unknown scenario/flag/spec, missing or unparsable |
-//! |      | value, extra positional argument)                              |
+//! |      | value, zero threads, extra positional argument; parsed by      |
+//! |      | `alya_longvec::cli::Simulate`)                                 |
 //! | 3    | Δt-retry budget exhausted / unrecoverable solver breakdown     |
 //! | 4    | corrupt or mismatched restart checkpoint (`InvalidData`)       |
 
+use alya_longvec::cli::{CliError, Simulate, SimulateArgs, TraceFormat};
 use alya_longvec::prelude::*;
+use alya_longvec::say;
 use lv_driver::{
     load_checkpoint_traced, save_checkpoint_traced, Checkpoint, CheckpointRing, FaultPlan,
-    PressureSolver, Scenario, SimState, Stepper, StepperConfig,
+    Scenario, SimState, Stepper, StepperConfig,
 };
 
-struct Cli {
-    scenario: String,
-    n: usize,
-    steps: usize,
-    threads: usize,
-    checkpoint: Option<String>,
-    every: usize,
-    ring: usize,
-    restart: Option<String>,
-    fixed_dt: Option<f64>,
-    pressure_solver: PressureSolver,
-    inject: Option<FaultPlan>,
-    max_retries: usize,
-    trace: Option<String>,
-    trace_format: Option<TraceFormat>,
-}
-
-#[derive(Clone, Copy)]
-enum TraceFormat {
-    Jsonl,
-    Chrome,
-}
-
-/// A command-line error: exits 2 (see the module docs).
-fn bail(message: &str) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// The value after flag `args[i]`, or exit 2 naming the flag.
-fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
-    match args.get(i + 1) {
-        Some(value) => value,
-        None => bail(&format!("{flag} needs a value")),
-    }
-}
-
-/// `value` parsed for `what`, or exit 2 naming both.
-fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> T {
-    value.parse().unwrap_or_else(|_| bail(&format!("{what}: cannot parse '{value}'")))
-}
-
-fn parse_cli() -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cli = Cli {
-        scenario: args.first().cloned().unwrap_or_else(|| "list".to_string()),
-        n: 0,
-        steps: 10,
-        threads: 1,
-        checkpoint: None,
-        every: 0,
-        ring: 3,
-        restart: None,
-        fixed_dt: None,
-        pressure_solver: PressureSolver::MgCg,
-        inject: None,
-        max_retries: 3,
-        trace: None,
-        trace_format: None,
-    };
-    let mut positional = 0;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--checkpoint" => cli.checkpoint = Some(flag_value(&args, i, flag).to_string()),
-            "--every" => cli.every = parse_num(flag_value(&args, i, flag), flag),
-            "--ring" => cli.ring = parse_num(flag_value(&args, i, flag), flag),
-            "--restart" => cli.restart = Some(flag_value(&args, i, flag).to_string()),
-            "--inject" => {
-                let plan = FaultPlan::parse(flag_value(&args, i, flag));
-                cli.inject = Some(plan.unwrap_or_else(|e| bail(&format!("--inject: {e}"))));
-            }
-            "--max-retries" => cli.max_retries = parse_num(flag_value(&args, i, flag), flag),
-            "--fixed-dt" => cli.fixed_dt = Some(parse_num(flag_value(&args, i, flag), flag)),
-            "--trace" => cli.trace = Some(flag_value(&args, i, flag).to_string()),
-            "--trace-format" => {
-                cli.trace_format = Some(match flag_value(&args, i, flag) {
-                    "jsonl" => TraceFormat::Jsonl,
-                    "chrome" => TraceFormat::Chrome,
-                    other => {
-                        bail(&format!("--trace-format must be 'jsonl' or 'chrome' (got '{other}')"))
-                    }
-                });
-            }
-            "--pressure-solver" => {
-                let name = flag_value(&args, i, flag);
-                cli.pressure_solver = PressureSolver::from_name(name).unwrap_or_else(|| {
-                    bail(&format!("--pressure-solver must be 'cg' or 'mgcg' (got '{name}')"))
-                });
-            }
-            flag if flag.starts_with("--") => bail(&format!("unknown flag {flag}")),
-            value => {
-                match positional {
-                    0 => cli.n = parse_num(value, "n"),
-                    1 => cli.steps = parse_num(value, "steps"),
-                    2 => cli.threads = parse_num::<usize>(value, "threads").max(1),
-                    _ => bail(&format!("too many positional arguments ('{value}')")),
-                }
-                positional += 1;
-                i += 1;
-                continue;
-            }
-        }
-        i += 2;
-    }
-    if cli.every > 0 && cli.checkpoint.is_none() {
-        bail("--every needs --checkpoint <path> to know where to write");
-    }
-    if cli.trace_format.is_some() && cli.trace.is_none() {
-        bail("--trace-format needs --trace <path> to know where to write");
-    }
-    cli
-}
-
 fn print_registry() {
-    println!("registered scenarios (cargo run --release --example simulate -- <name> ...):\n");
+    say!("registered scenarios (cargo run --release --example simulate -- <name> ...):\n");
     for scenario in Scenario::registry() {
-        println!("  {:<14} {}", scenario.kind.name(), scenario.kind.describe());
+        say!("  {:<14} {}", scenario.kind.name(), scenario.kind.describe());
     }
-    println!("\nusage: simulate <scenario> [n] [steps] [threads] [--checkpoint p] [--every k]");
-    println!("       [--ring K] [--restart p] [--fixed-dt dt]");
-    println!("       [--pressure-solver cg|mgcg] [--inject spec] [--max-retries r]");
-    println!("       [--trace p] [--trace-format jsonl|chrome]");
+    say!("\nusage: simulate <scenario> [n] [steps] [threads] [--checkpoint p] [--every k]");
+    say!("       [--ring K] [--restart p] [--fixed-dt dt]");
+    say!("       [--pressure-solver cg|mgcg] [--inject spec] [--max-retries r]");
+    say!("       [--trace p] [--trace-format jsonl|chrome]");
 }
 
 /// Builds the worker team: traced (per-rank event buffers armed) when
 /// `--trace` asked for telemetry, plain otherwise.
-fn make_team(cli: &Cli) -> Team {
+fn make_team(cli: &SimulateArgs) -> Team {
     if cli.trace.is_some() {
         Team::with_trace(cli.threads, TraceConfig::default())
     } else {
@@ -200,21 +89,21 @@ fn make_team(cli: &Cli) -> Team {
 }
 
 /// Prints the roofline summary and writes the event log of a traced run.
-fn finish_trace(team: &mut Team, cli: &Cli) -> Result<(), String> {
+fn finish_trace(team: &mut Team, cli: &SimulateArgs) -> Result<(), String> {
     let Some(path) = &cli.trace else { return Ok(()) };
     let trace = team.trace_mut().expect("--trace armed the team's trace");
     let summary = RunSummary::from_trace(trace);
-    println!("\n{}", summary.to_text());
-    let (text, format) = match cli.trace_format.unwrap_or(TraceFormat::Jsonl) {
+    say!("\n{}", summary.to_text());
+    let (text, format) = match cli.trace_format {
         TraceFormat::Jsonl => (trace.write_jsonl(), "jsonl"),
         TraceFormat::Chrome => (trace.write_chrome(), "chrome"),
     };
     std::fs::write(path, text).map_err(|e| format!("writing trace to {path} failed: {e}"))?;
-    println!("trace ({format}) -> {path}");
+    say!("trace ({format}) -> {path}");
     Ok(())
 }
 
-fn stepper_config(cli: &Cli) -> StepperConfig {
+fn stepper_config(cli: &SimulateArgs) -> StepperConfig {
     let mut config = StepperConfig::default()
         .with_pressure_solver(cli.pressure_solver)
         .with_max_dt_retries(cli.max_retries);
@@ -253,7 +142,7 @@ fn write_checkpoint(
             .corrupt_checkpoint(state.step, &newest)
             .map_err(|e| format!("injecting a checkpoint fault into {}: {e}", newest.display()))?;
         if let Some(done) = done {
-            println!("      [inject] {done}");
+            say!("      [inject] {done}");
         }
     }
     Ok(newest)
@@ -275,28 +164,30 @@ fn load_restart(
         Failure::checkpoint(&e, format!("no usable checkpoint at {path} or its ring: {e}"))
     })?;
     for (slot, why) in &recovery.skipped {
-        println!("skipping damaged checkpoint generation {}: {why}", slot.display());
+        say!("skipping damaged checkpoint generation {}: {why}", slot.display());
     }
-    println!(
-        "recovered from ring generation {} ({})",
-        recovery.generation,
-        recovery.path.display()
-    );
+    say!("recovered from ring generation {} ({})", recovery.generation, recovery.path.display());
     Ok(recovery.checkpoint)
 }
 
 /// The Taylor–Green convergence sweep: same physics and final time on three
 /// meshes, reporting the analytic L2 velocity error and the projection's
 /// divergence reduction.
-fn taylor_green_sweep(cli: &Cli) -> Result<(), Failure> {
+fn taylor_green_sweep(cli: &SimulateArgs) -> Result<(), Failure> {
     let mut team = make_team(cli);
-    println!(
+    say!(
         "Taylor–Green resolution sweep ({} steps, {} worker thread(s)):\n",
-        cli.steps, cli.threads
+        cli.steps,
+        cli.threads
     );
-    println!(
+    say!(
         "{:>6} {:>10} {:>12} {:>15} {:>15} {:>8}",
-        "mesh", "final t", "L2 error", "‖d‖ predictor", "‖d‖ projected", "drop"
+        "mesh",
+        "final t",
+        "L2 error",
+        "‖d‖ predictor",
+        "‖d‖ projected",
+        "drop"
     );
     let mut errors = Vec::new();
     let mut drops = Vec::new();
@@ -315,7 +206,7 @@ fn taylor_green_sweep(cli: &Cli) -> Result<(), Failure> {
             .analytic_velocity_error()
             .ok_or("taylor-green must report an analytic error")?;
         let drop = first.divergence_pre / first.divergence_post;
-        println!(
+        say!(
             "{:>4}^3 {:>10.4} {:>12.4e} {:>15.4e} {:>15.4e} {:>7.1}x",
             n,
             stepper.state().time,
@@ -328,12 +219,12 @@ fn taylor_green_sweep(cli: &Cli) -> Result<(), Failure> {
         drops.push(drop);
     }
     let monotone = errors.windows(2).all(|w| w[1] < w[0]);
-    println!(
+    say!(
         "\nanalytic L2 velocity error decreases monotonically with resolution: {}",
         if monotone { "yes" } else { "NO — spatial convergence broken" }
     );
     let reduced = drops.iter().skip(1).all(|&d| d >= 10.0);
-    println!(
+    say!(
         "projection reduces the predictor's discrete divergence by >=10x (12^3, 16^3): {}",
         if reduced { "yes" } else { "NO — projection broken" }
     );
@@ -345,11 +236,16 @@ fn taylor_green_sweep(cli: &Cli) -> Result<(), Failure> {
 
 /// A run failure carrying its process exit code (see the module docs):
 /// `1` generic I/O or contract failure, `3` exhausted Δt-retry budget,
-/// `4` corrupt or mismatched checkpoint.  CLI errors exit `2` straight
-/// from the parser.
+/// `4` corrupt or mismatched checkpoint, `2` a refused command line.
 struct Failure {
     code: i32,
     message: String,
+}
+
+impl From<CliError> for Failure {
+    fn from(error: CliError) -> Failure {
+        Failure { code: 2, message: error.to_string() }
+    }
 }
 
 impl From<String> for Failure {
@@ -386,25 +282,20 @@ fn main() {
 }
 
 fn run() -> Result<(), Failure> {
-    let cli = parse_cli();
-    if cli.scenario == "list" {
-        print_registry();
-        return Ok(());
-    }
-    let Some(kind) = lv_driver::ScenarioKind::from_name(&cli.scenario) else {
-        eprintln!("unknown scenario '{}'\n", cli.scenario);
-        print_registry();
-        std::process::exit(2);
-    };
-    if kind == lv_driver::ScenarioKind::TaylorGreenVortex && cli.n == 0 && cli.restart.is_none() {
-        if cli.checkpoint.is_some() {
-            bail("--checkpoint/--every: the taylor-green sweep (n = 0) writes no checkpoint");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = match Simulate::parse(&args)? {
+        Simulate::List => {
+            print_registry();
+            return Ok(());
         }
+        Simulate::Run(cli) => cli,
+    };
+    if cli.is_sweep() {
         return taylor_green_sweep(&cli);
     }
 
     let n = if cli.n == 0 { 8 } else { cli.n };
-    let scenario = Scenario::new(kind, n);
+    let scenario = Scenario::new(cli.kind, n);
     let config = stepper_config(&cli);
     // The CLI keeps its own fault-plan copy for the checkpoint-corruption
     // faults; the stepper's clone handles the solver faults (the kinds are
@@ -425,7 +316,7 @@ fn run() -> Result<(), Failure> {
             let state = checkpoint.into_state(&mesh).map_err(|e| {
                 Failure::checkpoint(&e, format!("checkpoint {path} does not fit the mesh: {e}"))
             })?;
-            println!(
+            say!(
                 "restarting '{}' from {path}: step {}, t = {:.4}",
                 scenario.kind.name(),
                 state.step,
@@ -436,7 +327,7 @@ fn run() -> Result<(), Failure> {
     };
 
     let mesh_elements = stepper.mesh().num_elements();
-    println!(
+    say!(
         "scenario '{}': {} elements, nu = {}, {} steps, {} worker thread(s), {} pressure solve",
         scenario.kind.name(),
         mesh_elements,
@@ -445,17 +336,24 @@ fn run() -> Result<(), Failure> {
         cli.threads,
         stepper.pressure_solver().name()
     );
-    println!("{}", stepper.describe_operators());
-    println!(
+    say!("{}", stepper.describe_operators());
+    say!(
         "{:>5} {:>9} {:>9} {:>7} {:>7} {:>12} {:>12} {:>14}",
-        "step", "time", "dt", "mom-it", "poi-it", "div(pre)", "div(post)", "kinetic energy"
+        "step",
+        "time",
+        "dt",
+        "mom-it",
+        "poi-it",
+        "div(pre)",
+        "div(post)",
+        "kinetic energy"
     );
 
     let final_step = stepper.state().step + cli.steps as u64;
     let mut final_saved = false;
     for _ in 0..cli.steps {
         let report = stepper.step_recovering_on(&team).map_err(Failure::retries)?;
-        println!(
+        say!(
             "{:>5} {:>9.4} {:>9.5} {:>7} {:>7} {:>12.3e} {:>12.3e} {:>14.6}",
             report.step,
             report.time,
@@ -467,13 +365,14 @@ fn run() -> Result<(), Failure> {
             report.kinetic_energy
         );
         if report.retries > 0 {
-            println!(
+            say!(
                 "      [recovered] {} rollback(s), step completed at Δt = {:.5}",
-                report.retries, report.dt
+                report.retries,
+                report.dt
             );
         }
         if report.poisson_fallbacks > 0 {
-            println!(
+            say!(
                 "      [recovered] {} projection sweep(s) fell back from MG-CG to plain CG",
                 report.poisson_fallbacks
             );
@@ -488,13 +387,13 @@ fn run() -> Result<(), Failure> {
                     &mut cli_plan,
                     team.trace(),
                 )?;
-                println!("      checkpoint -> {} (step {})", newest.display(), report.step);
+                say!("      checkpoint -> {} (step {})", newest.display(), report.step);
                 final_saved = stepper.state().step == final_step;
             }
         }
     }
     if let Some(err) = stepper.analytic_velocity_error() {
-        println!("\nanalytic L2 velocity error at t = {:.4}: {err:.4e}", stepper.state().time);
+        say!("\nanalytic L2 velocity error at t = {:.4}: {err:.4e}", stepper.state().time);
     }
     if let Some(path) = &cli.checkpoint {
         if !final_saved {
@@ -506,10 +405,10 @@ fn run() -> Result<(), Failure> {
                 &mut cli_plan,
                 team.trace(),
             )?;
-            println!("\nfinal checkpoint -> {} (step {})", newest.display(), stepper.state().step);
+            say!("\nfinal checkpoint -> {} (step {})", newest.display(), stepper.state().step);
         }
     }
-    println!(
+    say!(
         "\nfinal state: t = {:.4}, max |u| = {:.4}, kinetic energy = {:.6}, ‖div u‖ = {:.3e}",
         stepper.state().time,
         stepper.state().velocity.max_magnitude(),

@@ -37,8 +37,11 @@
 //! * [`core`] (`lv-core`) — the experiment runner, the per-table/figure
 //!   reproduction functions and the co-design loop.
 //!
-//! See `examples/` for runnable entry points and `crates/bench` for the
+//! See `examples/` for runnable entry points (the command lines of
+//! `simulate` and `serve` are parsed by [`cli`]) and `crates/bench` for the
 //! harnesses regenerating every table and figure of the paper.
+
+pub mod cli;
 
 pub use lv_compiler as compiler;
 pub use lv_core as core;

@@ -15,7 +15,7 @@
 
 use alya_longvec::prelude::*;
 use lv_driver::{load_checkpoint, save_checkpoint, MomentumStorage, SimState, StepReport};
-use lv_mesh::renumber::NodePermutation;
+use lv_mesh::renumber::{reverse_cuthill_mckee, NodePermutation};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -207,18 +207,23 @@ fn pressure_field_is_no_longer_a_zero_spectator() {
 /// The momentum storage follows the assembly pattern, not the geometry: a
 /// jittered generator-ordered 12³ cavity has the 27 lattice offsets and
 /// steps on diagonals; the same mesh under a scrambled numbering has
-/// hundreds and keeps the CSR matrix.  Both step (on two threads; 13³ rows
-/// clear the cutoff where the teams fork), and the banner names the choice.
+/// hundreds and keeps the CSR matrix, and so does reverse Cuthill–McKee
+/// on top of the scramble (a narrow band, not a lattice).  All three step
+/// (on two threads; 13³ rows clear the cutoff where the teams fork), and
+/// the banner names the choice.
 #[test]
 fn momentum_storage_follows_the_node_order_and_both_storages_step() {
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 12);
     let jittered = BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.1, 5).build();
     let scrambled = jittered.renumber_nodes(&NodePermutation::scrambled(jittered.num_nodes(), 99));
+    let rcm = scrambled.renumber_nodes(&reverse_cuthill_mckee(&scrambled));
     let team = Team::new(2);
     let mut energies = Vec::new();
+    let csr = "momentum csr (pattern has more than 32 diagonals)";
     for (mesh, storage, banner) in [
         (jittered, MomentumStorage::Dia { diagonals: 27 }, "momentum dia (27 diagonals)"),
-        (scrambled, MomentumStorage::Csr, "momentum csr (pattern has more than 32 diagonals)"),
+        (scrambled, MomentumStorage::Csr, csr),
+        (rcm, MomentumStorage::Csr, csr),
     ] {
         let mut stepper = Stepper::with_mesh(scenario.clone(), quick_config(), mesh);
         assert_eq!(stepper.momentum_storage(), storage);
@@ -228,6 +233,8 @@ fn momentum_storage_follows_the_node_order_and_both_storages_step() {
         assert!(reports.iter().all(|r| r.momentum_iterations > 0 && r.momentum_residual < 1e-8));
         energies.push(stepper.kinetic_energy());
     }
-    // The same flow under two numberings: equal up to summation order.
-    assert!((energies[0] - energies[1]).abs() <= 1e-9 * energies[0], "{energies:?}");
+    // The same flow under three numberings: equal up to summation order.
+    for energy in &energies[1..] {
+        assert!((energies[0] - energy).abs() <= 1e-9 * energies[0], "{energies:?}");
+    }
 }

@@ -1,7 +1,7 @@
 //! Integration test: the complete CFD pipeline across crates — mesh
 //! generation, Nastin assembly, boundary conditions, Krylov solve, and a
-//! velocity update — i.e. what the `cavity_flow` example does, checked for
-//! physical sanity.
+//! velocity update — the stages `simulate cavity` runs through the
+//! fractional-step driver, checked for physical sanity.
 
 use alya_longvec::prelude::*;
 use lv_mesh::Vec3;
