@@ -10,7 +10,7 @@
 //! ordinary-least-squares multiple linear regression (and its coefficient of
 //! determination R²) used by Table 6 to correlate phase-1/phase-8 cycles with
 //! cache misses and memory-instruction ratios.  [`report`] renders the
-//! tables/series of every experiment as aligned text, Markdown or CSV.
+//! tables/series of every experiment as aligned text or CSV.
 //! [`tracecheck`] validates `lv-trace` span logs for CI (structure,
 //! timestamp order, per-rank nesting); [`metricscheck`] does the same for
 //! the fleet-metrics exposition (Prometheus text format structure).  Both

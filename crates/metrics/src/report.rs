@@ -1,8 +1,8 @@
 //! Table rendering for the experiment harnesses.
 //!
-//! Every row of the `paper` bench target prints its table through this
-//! type, so the output format (aligned text for the terminal, Markdown for
-//! EXPERIMENTS.md, CSV for post-processing) is uniform across experiments.
+//! Every row of `lv_core::reproduce::CATALOGUE` returns its table as this
+//! type, so the output format (aligned text for the terminal, CSV for
+//! post-processing) is uniform across experiments.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -86,19 +86,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as GitHub-flavoured Markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "### {}\n", self.title);
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ =
-            writeln!(out, "|{}|", self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
-
     /// Renders the table as CSV (header row first).
     pub fn to_csv(&self) -> String {
         let escape = |s: &str| -> String {
@@ -154,14 +141,6 @@ mod tests {
         assert!(text.contains("VECTOR_SIZE"));
         assert!(text.contains("7.6"));
         assert!(text.contains("---"));
-    }
-
-    #[test]
-    fn markdown_has_separator_row() {
-        let md = sample().to_markdown();
-        assert!(md.contains("| VECTOR_SIZE | speedup |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.lines().count() >= 5);
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! The command lines of the `simulate` and `serve` examples: one flag
-//! walker and the two grammars built on it, so each example is one parse
-//! call and its run logic.
+//! The command lines of the `simulate`, `serve` and `codesign_sweep`
+//! examples: one flag walker and the three grammars built on it, so each
+//! example is one parse call and its run logic.
 //!
 //! Every parser returns [`CliError`] for a command line it cannot run — an
-//! unknown scenario, subcommand or flag, a flag without its value, a value
-//! that does not parse, a count that must be positive and is zero, or two
-//! arguments that contradict each other — and the examples exit `2` on it,
-//! before any work starts.  The message names the argument.
+//! unknown scenario, subcommand, row name or flag, a flag without its value,
+//! a value that does not parse, a count that must be positive and is zero,
+//! or two arguments that contradict each other — and the examples exit `2`
+//! on it, before any work starts.  The message names the argument.
 //!
 //! [`say!`](crate::say) is the examples' `println!`: it ignores a stdout
 //! that closed early (`simulate cavity 4 | head -3`), where `println!`
 //! would panic, so a run completes and returns its own exit code.
 
+use lv_core::reproduce::CATALOGUE;
 use lv_driver::{FaultPlan, PressureSolver, ScenarioKind};
 use lv_server::ServerConfig;
 use std::fmt;
@@ -394,6 +395,57 @@ impl Serve {
     }
 }
 
+/// The name `codesign_sweep` runs the Section-3 co-design loop under.
+const CODESIGN_LOOP: &str = "codesign_loop";
+
+/// `codesign_sweep [--elements N] [NAME ...]`: the co-design loop and the
+/// rows of [`CATALOGUE`] to print, and the mesh size they run on.
+#[derive(Debug, PartialEq, Eq)]
+pub struct CodesignSweep {
+    /// The mesh has at least this many elements (default 1000).
+    pub elements: usize,
+    /// Whether to run the co-design loop (the name `codesign_loop`).
+    pub codesign_loop: bool,
+    /// The selected rows' names, in catalogue order, each once.
+    pub rows: Vec<&'static str>,
+}
+
+impl CodesignSweep {
+    /// Parses `codesign_sweep`'s arguments (the program name left out); no
+    /// name selects the loop and every row.
+    pub fn parse(args: &[String]) -> Result<CodesignSweep, CliError> {
+        let mut elements = 1000;
+        let mut names = Vec::new();
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag(flag @ "--elements") => elements = args.count(flag)?,
+                Arg::Flag(flag) => return fail(format!("unknown flag {flag}")),
+                Arg::Positional(name) => names.push(name),
+            }
+        }
+        let known = |name: &str| name == CODESIGN_LOOP || CATALOGUE.iter().any(|row| row.0 == name);
+        if let Some(name) = names.iter().find(|name| !known(name)) {
+            let mut message = format!("unknown name '{name}'; the names are:");
+            message += &format!("\n  {CODESIGN_LOOP:<28}Section 3: the co-design loop");
+            for (name, title, _) in &CATALOGUE {
+                message += &format!("\n  {name:<28}{title}");
+            }
+            return fail(message);
+        }
+        let all = names.is_empty();
+        Ok(CodesignSweep {
+            elements,
+            codesign_loop: all || names.contains(&CODESIGN_LOOP),
+            rows: CATALOGUE
+                .iter()
+                .map(|row| row.0)
+                .filter(|name| all || names.contains(name))
+                .collect(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,6 +467,10 @@ mod tests {
 
     fn serve(line: &str) -> Result<Serve, CliError> {
         Serve::parse(&words(line))
+    }
+
+    fn codesign(line: &str) -> Result<CodesignSweep, CliError> {
+        CodesignSweep::parse(&words(line))
     }
 
     /// The command line is refused, and the message holds `names`.
@@ -637,6 +693,54 @@ mod tests {
             ("run --journal j --max-slices", "--max-slices"),
         ] {
             refused(serve(line), line, names);
+        }
+    }
+
+    #[test]
+    fn codesign_defaults_are_the_documented_ones() {
+        let every_row: Vec<&str> = CATALOGUE.iter().map(|row| row.0).collect();
+        assert_eq!(every_row.len(), 20);
+        assert_eq!(
+            codesign(""),
+            Ok(CodesignSweep { elements: 1000, codesign_loop: true, rows: every_row.clone() })
+        );
+        assert_eq!(
+            codesign("--elements 125"),
+            Ok(CodesignSweep { elements: 125, codesign_loop: true, rows: every_row })
+        );
+        assert_eq!(
+            codesign("codesign_loop"),
+            Ok(CodesignSweep { elements: 1000, codesign_loop: true, rows: vec![] })
+        );
+        // Catalogue order, each row once, wherever the flag stands.
+        assert_eq!(
+            codesign("fig11_speedup_riscv table2_platforms --elements 8 fig11_speedup_riscv"),
+            Ok(CodesignSweep {
+                elements: 8,
+                codesign_loop: false,
+                rows: vec!["table2_platforms", "fig11_speedup_riscv"],
+            })
+        );
+    }
+
+    #[test]
+    fn codesign_refuses_what_it_cannot_run() {
+        for (line, names) in [
+            // The malformed command lines of CI's smoke block.
+            ("bogus", "'bogus'"),
+            ("--elements 0", "--elements"),
+            // A bare count is a name, not an element count.
+            ("512", "'512'"),
+            ("--elements abc", "--elements"),
+            ("--elements -5", "--elements"),
+            ("--elements", "--elements"),
+            ("fig11_speedup_riscv --elements 0", "--elements"),
+            ("--bogus", "--bogus"),
+            // The refusal lists the names.
+            ("bogus", "ablation_indexed_mem"),
+            ("bogus", CODESIGN_LOOP),
+        ] {
+            refused(codesign(line), line, names);
         }
     }
 }

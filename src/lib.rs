@@ -37,9 +37,9 @@
 //! * [`core`] (`lv-core`) — the experiment runner, the per-table/figure
 //!   reproduction functions and the co-design loop.
 //!
-//! See `examples/` for runnable entry points (the command lines of
-//! `simulate` and `serve` are parsed by [`cli`]) and `crates/bench` for the
-//! harnesses regenerating every table and figure of the paper.
+//! See `examples/` for runnable entry points (their command lines are
+//! parsed by [`cli`]); `codesign_sweep` prints every table, figure and
+//! ablation of the paper, the rows of [`core::reproduce::CATALOGUE`].
 
 pub mod cli;
 

@@ -6,6 +6,7 @@
 use alya_longvec::prelude::*;
 use lv_core::experiment::SweepConfig;
 use lv_sim::counters::PhaseId;
+use lv_sim::memory::MemoryModel;
 
 fn runner() -> Runner {
     Runner::new(SweepConfig {
@@ -139,6 +140,19 @@ fn phase8_never_vectorizes_and_its_weight_grows_with_vector_size() {
         large_share > small_share,
         "phase-8 share must grow with VECTOR_SIZE ({small_share:.3} -> {large_share:.3})"
     );
+
+    // The `ablation_cache` row: the growth comes from the cache hierarchy,
+    // so over the same mesh an always-hit memory grows less.
+    let growth = |r: &mut Runner| {
+        let mut phase8 = |vs| {
+            r.metrics(RunKey::optimized(PlatformKind::RiscvVec, vs, OptLevel::Vec1)).phase(8).cycles
+        };
+        phase8(256) / phase8(16)
+    };
+    let flat_config = SweepConfig { memory_model: MemoryModel::Flat, ..r.config().clone() };
+    let mut flat = Runner::with_mesh(r.mesh().clone(), flat_config);
+    let (cached, flat) = (growth(&mut r), growth(&mut flat));
+    assert!(cached > flat, "phase-8 growth 16 -> 256: {cached:.3}x with caches, {flat:.3}x flat");
 }
 
 #[test]
