@@ -166,6 +166,7 @@ pub fn query(path: &Path, request: &str) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lv_trace::json::Value;
     use std::sync::atomic::AtomicBool;
 
     #[test]
@@ -242,13 +243,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!(reply.lines().count(), 1, "{reply:?}");
-        // The journal's decoder of escaped strings reads the value back; it
-        // stops at the first unescaped quote, so a forged field would cut
-        // the request short.
-        let error = crate::journal::str_field(&reply, "error").expect("an error string");
-        assert_eq!(
-            error,
-            format!("unknown request '{request}'; try status, jobs, metrics [json|prom]")
-        );
+        // One object whose only member is `error`: a forged field would be
+        // a second member, a cut-short string a different value.
+        let error = format!("unknown request '{request}'; try status, jobs, metrics [json|prom]");
+        let only_error = Value::Object(vec![("error".to_string(), Value::String(error))]);
+        assert_eq!(lv_trace::json::parse(&reply), Ok(only_error));
     }
 }

@@ -9,14 +9,13 @@
 //! kill interrupted) is detected and truncated away; corruption anywhere
 //! *else* is refused loudly — a mid-file hole means the log is not ours.
 //!
-//! Records are written with [`lv_trace::json`] and parsed by a small
-//! field scanner that understands exactly the flat objects we emit (the
-//! vendored `serde_json` shim has no serializer, and a full parser would be
-//! over-tooling for single-level objects with known keys).
+//! Records are written and read with [`lv_trace::json`]: a line is a
+//! record only if it is one strict JSON object whose keys and value types
+//! are exactly those [`Record::to_json_line`] writes.
 
 use crate::job::{valid_job_id, JobSpec, JobStatus};
 use lv_driver::{FaultPlan, Scenario, ScenarioKind};
-use lv_trace::json::JsonObject;
+use lv_trace::json::{self, JsonObject, Value::Null};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -176,73 +175,32 @@ impl Record {
 
     /// Parses one journal line; `None` when the line is not a well-formed
     /// record (the caller decides whether that means "torn tail" or
-    /// "corrupt log").
+    /// "corrupt log"): not one JSON object, a key this code never writes,
+    /// a field of the wrong type, or `seq`, `event` or `job` missing.
     pub fn parse(line: &str) -> Option<Record> {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return None;
+        let (mut seq, mut event, mut job) = (None, None, None);
+        let mut record = Record::new(EventKind::Submitted, "");
+        for (key, value) in json::parse(line).ok()?.as_object()? {
+            let text = || value.as_str().map(str::to_string);
+            match key.as_str() {
+                "seq" => seq = Some(value.as_u64()?),
+                "event" => event = Some(EventKind::from_name(value.as_str()?)?),
+                "job" => job = Some(text()?),
+                "worker" => record.worker = Some(value.as_u64()?),
+                "step" => record.step = Some(value.as_u64()?),
+                // A non-finite time is written as `null`.
+                "time" => record.time = if *value == Null { None } else { Some(value.as_f64()?) },
+                "attempt" => record.attempt = Some(value.as_u64()?),
+                "error" => record.error = Some(text()?),
+                "scenario" => record.scenario = Some(text()?),
+                "resolution" => record.resolution = Some(value.as_u64()?),
+                "steps" => record.steps = Some(value.as_u64()?),
+                "inject" => record.inject = Some(text()?),
+                "at_ms" => record.at_ms = Some(value.as_u64()?),
+                _ => return None,
+            }
         }
-        let mut record =
-            Record::new(EventKind::from_name(&str_field(line, "event")?)?, str_field(line, "job")?);
-        record.seq = u64_field(line, "seq")?;
-        record.worker = u64_field(line, "worker");
-        record.step = u64_field(line, "step");
-        record.time = f64_field(line, "time");
-        record.attempt = u64_field(line, "attempt");
-        record.error = str_field(line, "error");
-        record.scenario = str_field(line, "scenario");
-        record.resolution = u64_field(line, "resolution");
-        record.steps = u64_field(line, "steps");
-        record.inject = str_field(line, "inject");
-        record.at_ms = u64_field(line, "at_ms");
-        Some(record)
-    }
-}
-
-/// Byte offset just past `"<key>": ` — the scanner's anchor.  The needle
-/// includes the quotes and separator, so `"step"` never matches `"steps"`.
-fn field_start(line: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\": ");
-    line.find(&needle).map(|at| at + needle.len())
-}
-
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let rest = &line[field_start(line, key)?..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn f64_field(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[field_start(line, key)?..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '+' | '-' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Decodes the quoted, [`lv_trace::json::escape`]d string after `"<key>": `.
-pub(crate) fn str_field(line: &str, key: &str) -> Option<String> {
-    let rest = &line[field_start(line, key)?..];
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (&mut chars).take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            other => out.push(other),
-        }
+        Some(Record { seq: seq?, event: event?, job: job?, ..record })
     }
 }
 
@@ -513,18 +471,23 @@ mod tests {
         assert_eq!(Record::parse(&stall.to_json_line()).expect("parse").event, stall.event);
     }
 
+    /// Lines a scanner for `"key": ` takes for records: junk after digits, a
+    /// repeated key, a missing comma, a stray key, a wrong type, trailing text.
     #[test]
-    fn step_field_is_not_confused_with_steps() {
-        let mut record = Record::new(EventKind::Running, "j");
-        record.step = Some(3);
-        let line = record.to_json_line();
-        assert_eq!(u64_field(&line, "step"), Some(3));
-        assert_eq!(u64_field(&line, "steps"), None);
-        let submitted =
-            Record::submitted(&JobSpec::new("j", Scenario::new(ScenarioKind::Channel, 4), 17));
-        let line = submitted.to_json_line();
-        assert_eq!(u64_field(&line, "steps"), Some(17));
-        assert_eq!(u64_field(&line, "step"), None);
+    fn lines_that_are_not_records_are_refused() {
+        let tails = r#""a", "step": 1x2}
+            "a", "step": 1, "step": 2}
+            "a" "step": 1}
+            "a", "stpe": 1}
+            7}
+            "a", "step": 1.5}
+            "a"} {}"#;
+        for tail in tails.lines() {
+            let line = format!(r#"{{"seq": 3, "event": "done", "job": {}"#, tail.trim());
+            assert_eq!(Record::parse(&line), None, "{line}");
+        }
+        let good = r#"{"seq": 3, "event": "done", "job": "a", "step": 1, "time": null}"#;
+        assert_eq!(Record::parse(good).map(|r| (r.step, r.time)), Some((Some(1), None)));
     }
 
     #[test]

@@ -342,13 +342,4 @@ mod tests {
             assert_eq!(row.len(), rows[0].len());
         }
     }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = Platform::riscv_vec();
-        let json = serde_json::to_string(&p);
-        // serde_json is a dev-dependency of downstream crates only; here we
-        // just check the Serialize impl through the generic trait.
-        assert!(json.is_ok() || json.is_err());
-    }
 }

@@ -19,9 +19,9 @@
 //! * **Counters** ([`counters`]) — global deterministic tallies (solver
 //!   iterations, fallbacks, retries, modeled FLOPs and streamed bytes) that
 //!   must be bitwise equal across thread counts.
-//! * [`json`] — the shared hand-rolled JSON emitter the trace sinks, the
-//!   run summary and the metrics documents are written with (the offline
-//!   `serde_json` shim cannot serialize).
+//! * [`json`] — the one JSON layer: the hand-rolled emitter the trace
+//!   sinks, the run summary and the metrics documents are written with,
+//!   and the strict reader ([`json::parse`]) the replays read them with.
 //! * [`metrics`] — the lock-light live-metrics registry (atomic counters,
 //!   gauges, fixed-log2-bucket histograms) the simulation service exposes
 //!   through its introspection endpoint.

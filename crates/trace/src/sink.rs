@@ -5,14 +5,14 @@
 //!   the vector lanes the recording host selected — then the span taxonomy,
 //!   the counters and every event).  Every payload field is an integer, so
 //!   a log replays to a bit-identical [`RunSummary`].
-//! * [`parse_jsonl`] — the replay parser (hand-rolled: the log lines are
-//!   flat, and keeping `lv-trace` dependency-free keeps `lv-runtime`
-//!   dependency-light).
+//! * [`parse_jsonl`] — the replay parser: each line goes through
+//!   [`json::parse`], so a malformed line is refused with its line number,
+//!   never read past.
 //! * [`write_chrome`] — Chrome-tracing JSON (`--trace-format chrome`):
 //!   complete `"ph": "X"` events, one `tid` per rank, loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>.
 
-use crate::json::{JsonArray, JsonObject};
+use crate::json::{self, JsonArray, JsonObject, Value};
 use crate::summary::RunSummary;
 use crate::{spans, Event, SpanId, Trace};
 
@@ -117,7 +117,7 @@ pub fn chrome_rows(rows: &mut JsonArray, events: &[Event], pid: u64) {
 
 /// A parsed line-JSON log: the host's lanes and the span definitions it
 /// carries, the counters and the events.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
     /// The vector lanes the recording host selected
     /// ([`UNKNOWN_LANES`](crate::UNKNOWN_LANES) for a log without the field).
@@ -141,112 +141,60 @@ impl TraceLog {
     }
 }
 
-fn find_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\": ");
-    let start = line.find(&pattern)? + pattern.len();
-    Some(&line[start..])
-}
-
-fn parse_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = find_value(line, key)?;
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-fn parse_bool(line: &str, key: &str) -> Option<bool> {
-    let rest = find_value(line, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-fn parse_str(line: &str, key: &str) -> Option<String> {
-    let rest = find_value(line, key)?.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
 /// Parses a [`write_jsonl`] log back into a [`TraceLog`].
 ///
 /// # Errors
-/// Returns a line-numbered message on the first malformed line.
+/// Returns a line-numbered message on the first line that is not a JSON
+/// object of a known record type with every field it needs, in range.
 pub fn parse_jsonl(text: &str) -> Result<TraceLog, String> {
-    let mut log = TraceLog {
-        lanes: crate::UNKNOWN_LANES.to_string(),
-        defs: Vec::new(),
-        counters: Vec::new(),
-        events: Vec::new(),
-    };
+    let mut log = TraceLog { lanes: crate::UNKNOWN_LANES.to_string(), ..TraceLog::default() };
     let mut saw_meta = false;
     for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
         let err = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return Err(err("not a JSON object"));
-        }
-        match parse_str(line, "type").ok_or_else(|| err("missing \"type\""))?.as_str() {
+        let record = json::parse(line).map_err(|e| err(&e))?;
+        let get = |key: &str| record.get(key).ok_or_else(|| err(&format!("no {key}")));
+        let text =
+            |key: &str| get(key)?.as_str().ok_or_else(|| err(&format!("{key} not a string")));
+        let flag = |key: &str| get(key)?.as_bool().ok_or_else(|| err(&format!("{key} not a bool")));
+        let int = |key: &str| get(key)?.as_u64().ok_or_else(|| err(&format!("{key} not a u64")));
+        match text("type")? {
             "meta" => {
                 saw_meta = true;
-                if let Some(lanes) = parse_str(line, "lanes") {
-                    log.lanes = lanes;
+                if let Some(lanes) = record.get("lanes").and_then(Value::as_str) {
+                    log.lanes = lanes.to_string();
                 }
             }
             "span" => {
-                let id = parse_u64(line, "id").ok_or_else(|| err("span without id"))? as usize;
-                let path = parse_str(line, "path").ok_or_else(|| err("span without path"))?;
-                let det = parse_bool(line, "deterministic")
-                    .ok_or_else(|| err("span without deterministic flag"))?;
-                if id != log.defs.len() {
+                if int("id")? != log.defs.len() as u64 {
                     return Err(err("span ids must be dense and in order"));
                 }
-                log.defs.push((path, det));
+                log.defs.push((text("path")?.to_string(), flag("deterministic")?));
             }
-            "counter" => {
-                let name = parse_str(line, "name").ok_or_else(|| err("counter without name"))?;
-                let value = parse_u64(line, "value").ok_or_else(|| err("counter without value"))?;
-                let det = parse_bool(line, "deterministic")
-                    .ok_or_else(|| err("counter without deterministic flag"))?;
-                log.counters.push((name, value, det));
-            }
+            "counter" => log.counters.push((
+                text("name")?.to_string(),
+                int("value")?,
+                flag("deterministic")?,
+            )),
             "event" => {
-                let field = |key: &str| parse_u64(line, key).ok_or_else(|| err("event field"));
-                let span = field("span")?;
-                if span as usize >= log.defs.len() {
+                let narrow = |key: &str| {
+                    u16::try_from(int(key)?).map_err(|_| err(&format!("{key} out of range")))
+                };
+                let span = narrow("span")?;
+                if usize::from(span) >= log.defs.len() {
                     return Err(err("event references an undefined span"));
                 }
                 log.events.push(Event {
-                    span: SpanId(span as u16),
-                    rank: field("rank")? as u16,
-                    start_ns: field("start_ns")?,
-                    end_ns: field("end_ns")?,
-                    iters: field("iters")?,
-                    flops: field("flops")?,
-                    bytes: field("bytes")?,
-                    aux: field("aux")?,
+                    span: SpanId(span),
+                    rank: narrow("rank")?,
+                    start_ns: int("start_ns")?,
+                    end_ns: int("end_ns")?,
+                    iters: int("iters")?,
+                    flops: int("flops")?,
+                    bytes: int("bytes")?,
+                    aux: int("aux")?,
                 });
             }
             other => return Err(err(&format!("unknown record type {other:?}"))),
@@ -343,20 +291,30 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_ranks_and_spans_are_refused_with_line_numbers() {
+        let text = write_jsonl("baseline", &[Event::instant(spans::STEP, 0, 5)], &[]);
+        let n = text.lines().count();
+        for (from, to) in [("\"rank\": 0", "\"rank\": 70000"), ("\"span\": 0", "\"span\": 65536")] {
+            let err = parse_jsonl(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(err.starts_with(&format!("line {n}: {} out of range", &from[1..5])), "{err}");
+        }
+    }
+
+    #[test]
     fn chrome_export_is_valid_json_with_one_row_per_event() {
         let mut trace = sample_trace();
         let doc = trace.write_chrome();
-        let value: serde_json::Value = serde_json::from_str(&doc).expect("valid JSON");
-        let rows = value.get("traceEvents").and_then(serde_json::Value::as_array).expect("array");
+        let value = json::parse(&doc).expect("valid JSON");
+        let Some(Value::Array(rows)) = value.get("traceEvents") else { panic!("{doc}") };
         assert_eq!(rows.len(), 3);
         for row in rows {
-            assert_eq!(row.get("ph").and_then(serde_json::Value::as_str), Some("X"));
-            assert!(row.get("ts").and_then(serde_json::Value::as_f64).is_some());
-            assert!(row.get("dur").and_then(serde_json::Value::as_f64).is_some());
-            assert!(row.get("name").and_then(serde_json::Value::as_str).is_some());
+            assert_eq!(row.get("ph").and_then(Value::as_str), Some("X"));
+            assert!(row.get("ts").and_then(Value::as_f64).is_some());
+            assert!(row.get("dur").and_then(Value::as_f64).is_some());
+            assert!(row.get("name").and_then(Value::as_str).is_some());
         }
         let names: Vec<&str> =
-            rows.iter().filter_map(|r| r.get("name").and_then(serde_json::Value::as_str)).collect();
+            rows.iter().filter_map(|r| r.get("name").and_then(Value::as_str)).collect();
         assert!(names.contains(&"driver/step"));
         assert!(names.contains(&"driver/poisson"));
     }

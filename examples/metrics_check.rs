@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Pass `-` to read the exposition from stdin, so CI can pipe the scrape
-//! straight through without a temp file.  Exits non-zero when any check
-//! fails.
+//! straight through without a temp file.  Exits 1 when a check fails, 2
+//! on a malformed command line (an unknown `--flag` among them).
 //!
 //! Optional `--expect <name>` flags (repeatable) additionally require a
 //! sample of that exact metric name to be present — CI uses this to pin
@@ -19,37 +19,27 @@
 use lv_metrics::validate_prometheus;
 use std::io::Read;
 
+/// Refuses the command line with exit 2, as `simulate`, `serve` and
+/// `codesign_sweep` do.
+fn usage(why: &str) -> ! {
+    eprintln!("{why}; usage: metrics_check <metrics.prom|-> [--expect NAME]...");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut path: Option<String> = None;
-    let mut expect: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    let (mut path, mut expect) = (None, Vec::new());
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--expect" => {
-                match args.get(i + 1) {
-                    Some(name) => expect.push(name.clone()),
-                    None => {
-                        eprintln!("--expect needs a metric name");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
+                expect.push(args.next().unwrap_or_else(|| usage("--expect needs a name")))
             }
-            arg => {
-                if path.is_some() {
-                    eprintln!("usage: metrics_check <metrics.prom|-> [--expect NAME]...");
-                    std::process::exit(2);
-                }
-                path = Some(arg.to_string());
-                i += 1;
-            }
+            _ if arg.starts_with("--") => usage(&format!("unknown flag {arg}")),
+            _ if path.is_some() => usage(&format!("unexpected argument {arg}")),
+            _ => path = Some(arg),
         }
     }
-    let Some(path) = path else {
-        eprintln!("usage: metrics_check <metrics.prom|-> [--expect NAME]...");
-        std::process::exit(2);
-    };
+    let Some(path) = path else { usage("no exposition given") };
 
     let text = if path == "-" {
         let mut text = String::new();
