@@ -36,6 +36,6 @@ pub use checkpoint::{
 pub use fault::{FaultKind, FaultPlan, STALL_MILLIS};
 pub use scenario::{taylor_green_velocity, Scenario, ScenarioKind};
 pub use stepper::{
-    MomentumStorage, PressureSolver, RunError, SimState, SliceEnd, SliceReport, StepError,
-    StepReport, StepTimings, Stepper, StepperConfig,
+    MomentumStorage, RunError, SimState, SliceEnd, SliceReport, StepError, StepReport, StepTimings,
+    Stepper, StepperConfig,
 };

@@ -585,8 +585,9 @@ mod tests {
         // Solve one component system with BiCGSTAB.
         let n = asm.mesh().num_nodes();
         let b: Vec<f64> = (0..n).map(|i| out.rhs[NDIME * i]).collect();
-        let solution =
-            lv_solver::bicgstab(&out.matrix, &b, &lv_solver::SolveOptions::default()).unwrap();
+        let team = lv_runtime::Team::new(1);
+        let options = lv_solver::SolveOptions::default();
+        let solution = lv_solver::bicgstab_on(&team, &out.matrix, &b, &options).unwrap();
         assert!(solution.final_residual() < 1e-8);
     }
 

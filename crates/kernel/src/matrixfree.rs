@@ -441,7 +441,8 @@ mod tests {
     use super::*;
     use crate::projection::PressureOperators;
     use lv_mesh::BoxMeshBuilder;
-    use lv_solver::{mg_preconditioned_cg, SolveOptions};
+    use lv_runtime::Team;
+    use lv_solver::{mg_preconditioned_cg_on, SolveOptions};
 
     fn probe(n: usize, seed: u64) -> Vec<f64> {
         (0..n)
@@ -529,7 +530,8 @@ mod tests {
         let b = probe(csr.dim(), 3);
         let solve = SolveOptions { max_iterations: 50, tolerance: 1e-10 };
         let mut mg = mg;
-        let outcome = mg_preconditioned_cg(&csr, &mut mg, &b, &solve).expect("converges");
+        let outcome =
+            mg_preconditioned_cg_on(&Team::new(1), &csr, &mut mg, &b, &solve).expect("converges");
         assert!(outcome.iterations < 15, "took {} iterations", outcome.iterations);
     }
 

@@ -1104,7 +1104,8 @@ mod tests {
         let n = m.num_nodes();
         let mut b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 13) as f64 - 6.0).collect();
         b[0] = 0.0;
-        let out = lv_solver::conjugate_gradient(
+        let out = lv_solver::conjugate_gradient_on(
+            &Team::new(1),
             &lap,
             &b,
             &lv_solver::SolveOptions { max_iterations: 2000, ..Default::default() },

@@ -27,9 +27,10 @@
 //! give **bitwise identical** results for every thread count: SpMV
 //! partitions disjoint output rows, the element-wise updates evaluate the
 //! same expressions under a static partition, and every reduction uses the
-//! fixed-block deterministic order.  The `_on` entry points run on the
-//! caller's [`Team`] (a time-step loop shares one set of workers between
-//! assembly and solves); the un-suffixed ones are their serial conveniences.
+//! fixed-block deterministic order.  Every entry point runs on the caller's
+//! [`Team`] (a time-step loop shares one set of workers between assembly and
+//! solves); a one-thread team spawns no worker and runs the serial kernels
+//! ([`VectorOps::on_team`]).
 
 use crate::multivector::{MultiVector, NRHS};
 use crate::operator::{JacobiPreconditioner, LinearOperator, Preconditioner};
@@ -241,20 +242,9 @@ pub(crate) fn zero_rhs_outcome(n: usize) -> SolveOutcome {
 }
 
 /// Solves `A·x = b` with the Jacobi-preconditioned Conjugate Gradient method
-/// on the calling thread, for any [`LinearOperator`] backend (assembled CSR
-/// or matrix-free).  `A` must be symmetric positive definite for guaranteed
-/// convergence.
-pub fn conjugate_gradient(
-    operator: &dyn LinearOperator,
-    b: &[f64],
-    options: &SolveOptions,
-) -> Result<SolveOutcome, SolverError> {
-    let mut precond = JacobiPreconditioner::new(operator);
-    conjugate_gradient_with(operator, b, options, &mut VectorOps::serial(), &mut precond)
-}
-
-/// [`conjugate_gradient`] on a caller-provided worker team (the pooled path:
-/// assembly and solves of one time step share the same workers).
+/// on `team`, for any [`LinearOperator`] backend (assembled CSR or
+/// matrix-free).  `A` must be symmetric positive definite for guaranteed
+/// convergence.  A one-thread team runs the serial kernels.
 pub fn conjugate_gradient_on(
     team: &Team,
     operator: &dyn LinearOperator,
@@ -351,20 +341,9 @@ pub(crate) fn conjugate_gradient_with(
     Err(SolverError::NotConverged { final_residual: *history.last().unwrap() })
 }
 
-/// Solves `A·x = b` with the Jacobi-preconditioned BiCGSTAB method on the
-/// calling thread; works for non-symmetric systems such as the
-/// convection-dominated momentum equations.
-pub fn bicgstab(
-    operator: &dyn LinearOperator,
-    b: &[f64],
-    options: &SolveOptions,
-) -> Result<SolveOutcome, SolverError> {
-    let [outcome] =
-        bicgstab_cols(operator, [b], options, &mut VectorOps::serial(), spans::BICGSTAB_ITERATION);
-    outcome
-}
-
-/// [`bicgstab`] on a caller-provided worker team (the pooled path).
+/// Solves `A·x = b` with the Jacobi-preconditioned BiCGSTAB method on
+/// `team`; works for non-symmetric systems such as the convection-dominated
+/// momentum equations.
 pub fn bicgstab_on(
     team: &Team,
     operator: &dyn LinearOperator,
@@ -671,7 +650,7 @@ mod oracle {
         dot(a, a).sqrt()
     }
 
-    pub fn bicgstab(
+    pub(super) fn bicgstab(
         matrix: &CsrMatrix,
         b: &[f64],
         options: &SolveOptions,
@@ -856,7 +835,7 @@ mod tests {
     fn cg_solves_spd_system() {
         let a = laplacian(50);
         let b = rhs(50);
-        let out = conjugate_gradient(&a, &b, &SolveOptions::default()).unwrap();
+        let out = conjugate_gradient_on(&Team::new(1), &a, &b, &SolveOptions::default()).unwrap();
         let residual: Vec<f64> =
             a.mul_vec(&out.solution).iter().zip(&b).map(|(ax, bi)| ax - bi).collect();
         assert!(norm(&residual) / norm(&b) < 1e-9);
@@ -914,7 +893,7 @@ mod tests {
         let a = convection(60);
         assert!(!a.is_symmetric(1e-12));
         let b = rhs(60);
-        let out = bicgstab(&a, &b, &SolveOptions::default()).unwrap();
+        let out = bicgstab_on(&Team::new(1), &a, &b, &SolveOptions::default()).unwrap();
         let residual: Vec<f64> =
             a.mul_vec(&out.solution).iter().zip(&b).map(|(ax, bi)| ax - bi).collect();
         assert!(norm(&residual) / norm(&b) < 1e-8);
@@ -971,7 +950,7 @@ mod tests {
             (0..n).map(|i| (0..n).map(|j| a.get(i, j)).collect()).collect();
         let dense = DenseMatrix::from_rows(&dense_rows);
         let x_dense = dense.solve(&b).unwrap();
-        let x_iter = bicgstab(&a, &b, &SolveOptions::default()).unwrap().solution;
+        let x_iter = bicgstab_on(&Team::new(1), &a, &b, &SolveOptions::default()).unwrap().solution;
         for i in 0..n {
             assert!((x_dense[i] - x_iter[i]).abs() < 1e-7, "component {i}");
         }
@@ -980,10 +959,11 @@ mod tests {
     #[test]
     fn zero_rhs_returns_zero_solution() {
         let a = laplacian(10);
-        let out = conjugate_gradient(&a, &[0.0; 10], &SolveOptions::default()).unwrap();
+        let out =
+            conjugate_gradient_on(&Team::new(1), &a, &[0.0; 10], &SolveOptions::default()).unwrap();
         assert_eq!(out.solution, vec![0.0; 10]);
         assert_eq!(out.iterations, 0);
-        let out = bicgstab(&a, &[0.0; 10], &SolveOptions::default()).unwrap();
+        let out = bicgstab_on(&Team::new(1), &a, &[0.0; 10], &SolveOptions::default()).unwrap();
         assert_eq!(out.iterations, 0);
     }
 
@@ -1008,9 +988,10 @@ mod tests {
     #[test]
     fn dimension_mismatch_is_reported() {
         let a = laplacian(5);
-        let err = conjugate_gradient(&a, &[1.0; 4], &SolveOptions::default()).unwrap_err();
+        let err = conjugate_gradient_on(&Team::new(1), &a, &[1.0; 4], &SolveOptions::default())
+            .unwrap_err();
         assert_eq!(err, SolverError::DimensionMismatch);
-        let err = bicgstab(&a, &[1.0; 6], &SolveOptions::default()).unwrap_err();
+        let err = bicgstab_on(&Team::new(1), &a, &[1.0; 6], &SolveOptions::default()).unwrap_err();
         assert_eq!(err, SolverError::DimensionMismatch);
     }
 
@@ -1019,7 +1000,7 @@ mod tests {
         let a = laplacian(200);
         let b = rhs(200);
         let opts = SolveOptions { max_iterations: 2, tolerance: 1e-14 };
-        match conjugate_gradient(&a, &b, &opts) {
+        match conjugate_gradient_on(&Team::new(1), &a, &b, &opts) {
             Err(SolverError::NotConverged { final_residual }) => {
                 assert!(final_residual > 0.0);
             }
@@ -1033,7 +1014,7 @@ mod tests {
         // last residual must be the smallest for an SPD system.
         let a = laplacian(40);
         let b = rhs(40);
-        let out = conjugate_gradient(&a, &b, &SolveOptions::default()).unwrap();
+        let out = conjugate_gradient_on(&Team::new(1), &a, &b, &SolveOptions::default()).unwrap();
         let last = out.final_residual();
         assert!(out.residual_history.iter().all(|&r| r >= last - 1e-15));
     }
@@ -1063,7 +1044,7 @@ mod tests {
         let mut b = rhs(20);
         b[0] = f64::INFINITY;
         assert!(matches!(
-            conjugate_gradient(&a, &b, &SolveOptions::default()),
+            conjugate_gradient_on(&Team::new(1), &a, &b, &SolveOptions::default()),
             Err(SolverError::NonFinite { iteration: 0, .. })
         ));
     }
@@ -1093,7 +1074,7 @@ mod tests {
 
     /// The headline guarantee: solutions, iteration counts and residual
     /// histories on a shared team of 1, 2 or 4 threads are bitwise identical
-    /// to the serial conveniences'.
+    /// to a one-thread team's, which runs the serial kernels.
     #[test]
     fn solves_are_bitwise_reproducible_across_thread_counts() {
         let n = 5000; // above SERIAL_CUTOFF so the team paths really fork
@@ -1102,8 +1083,8 @@ mod tests {
         let opts = SolveOptions { tolerance: 1e-9, ..Default::default() };
 
         let spd = spd_dominant(n);
-        let cg_ref = conjugate_gradient(&spd, &b, &opts).unwrap();
-        let bi_ref = bicgstab(&a, &b, &opts).unwrap();
+        let cg_ref = conjugate_gradient_on(&Team::new(1), &spd, &b, &opts).unwrap();
+        let bi_ref = bicgstab_on(&Team::new(1), &a, &b, &opts).unwrap();
         for threads in [1usize, 2, 4] {
             let team = Team::new(threads);
             let cg = conjugate_gradient_on(&team, &spd, &b, &opts).unwrap();

@@ -17,8 +17,11 @@
 //!   preconditioner says it is inexact), BiCGSTAB over any operator and a
 //!   const column width (one column, or the three momentum components in
 //!   one loop with one operator traversal per product, each column bitwise
-//!   identical to its single-RHS solve); serial or on a shared worker pool
-//!   with bitwise identical results for every thread count;
+//!   identical to its single-RHS solve); four entry points
+//!   ([`conjugate_gradient_on`], [`bicgstab_on`], [`bicgstab3_on`],
+//!   [`mg_preconditioned_cg_on`]), each on the caller's worker team with
+//!   bitwise identical results for every thread count — a one-thread team
+//!   runs the serial kernels;
 //! * [`multivector`] — the three-RHS SoA vector of the momentum solve;
 //! * [`operator`] — the [`LinearOperator`] abstraction the Krylov loops
 //!   consume: anything that can apply `y = A·x` over a row range — one
@@ -40,7 +43,7 @@
 //!   Galerkin coarse operators kept per level as row classes where long
 //!   runs of rows repeat and as [`DiaMatrix`] diagonals elsewhere, one fused
 //!   pass per damped-Jacobi sweep, dense-LU coarsest solve) run in `f32`, and the
-//!   `f64` flexible-CG solver [`mg_preconditioned_cg`] it preconditions,
+//!   `f64` flexible-CG solver [`mg_preconditioned_cg_on`] it preconditions,
 //!   bitwise reproducible at every thread count;
 //! * [`parallel`] — the deterministic parallel kernels behind them:
 //!   row-partitioned SpMV and fixed-block BLAS-1 on an [`lv_runtime::Team`],
@@ -65,12 +68,12 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use dia::DiaMatrix;
 pub use krylov::{
-    bicgstab, bicgstab3_on, bicgstab_on, conjugate_gradient, conjugate_gradient_on, BreakdownKind,
-    SolveOptions, SolveOutcome, SolverError,
+    bicgstab3_on, bicgstab_on, conjugate_gradient_on, BreakdownKind, SolveOptions, SolveOutcome,
+    SolverError,
 };
 pub use multigrid::{
-    galerkin_coarse, mg_preconditioned_cg, mg_preconditioned_cg_on, GeometricMultigrid,
-    Interpolation, LevelStorage, MultigridOptions,
+    galerkin_coarse, mg_preconditioned_cg_on, GeometricMultigrid, Interpolation, LevelStorage,
+    MultigridOptions,
 };
 pub use multivector::{MultiVector, NRHS};
 pub use operator::{JacobiPreconditioner, LinearOperator, Preconditioner};

@@ -56,7 +56,7 @@
 //! Damped Jacobi is self-adjoint in the `A` inner product and the pre/post
 //! sweep counts match, so the exact V-cycle is a symmetric positive-definite
 //! preconditioner.  The rounded one is that only up to `f32` rounding, says
-//! so ([`Preconditioner::is_inexact`]), and [`mg_preconditioned_cg`] — the
+//! so ([`Preconditioner::is_inexact`]), and [`mg_preconditioned_cg_on`] — the
 //! one CG driver, against any [`LinearOperator`] backend for the fine-grid
 //! product — then runs the flexible `β`, which keeps the iteration counts of
 //! the all-`f64` cycle.  Results are bitwise identical across thread counts;
@@ -668,7 +668,7 @@ impl<T: Scalar> Cycle<T> {
 ///
 /// Owns the full level hierarchy and its scratch vectors; apply it through
 /// [`Preconditioner::apply`] or drive a full solve with
-/// [`mg_preconditioned_cg`] / [`mg_preconditioned_cg_on`].
+/// [`mg_preconditioned_cg_on`].
 ///
 /// **Mixed precision.**  The cycle's levels, vectors and arithmetic are
 /// `f32` — a preconditioner only has to be close to `A⁻¹`, and in `f32` a
@@ -767,19 +767,7 @@ impl Preconditioner for GeometricMultigrid {
 }
 
 /// Multigrid-preconditioned Conjugate Gradient against any fine-grid
-/// operator backend, on the calling thread (the V-cycle *is* the
-/// preconditioner).
-pub fn mg_preconditioned_cg(
-    operator: &dyn LinearOperator,
-    multigrid: &mut GeometricMultigrid,
-    b: &[f64],
-    options: &SolveOptions,
-) -> Result<SolveOutcome, SolverError> {
-    conjugate_gradient_with(operator, b, options, &mut VectorOps::serial(), multigrid)
-}
-
-/// [`mg_preconditioned_cg`] on a caller-provided worker team (the pooled
-/// path a time-step loop uses).
+/// operator backend, on `team` (the V-cycle *is* the preconditioner).
 pub fn mg_preconditioned_cg_on(
     team: &Team,
     operator: &dyn LinearOperator,
@@ -929,7 +917,7 @@ mod oracle {
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
-    use crate::krylov::conjugate_gradient;
+    use crate::krylov::conjugate_gradient_on;
 
     /// 1-D Dirichlet Laplacian on `n` interior nodes of a unit interval.
     fn laplacian_1d(n: usize) -> CsrMatrix {
@@ -1116,8 +1104,10 @@ mod tests {
         let n = 127;
         let b: Vec<f64> = (0..n).map(|i| (i as f64 / n as f64 * 3.1).sin()).collect();
         let options = SolveOptions::default();
-        let plain = conjugate_gradient(&a, &b, &options).expect("plain CG converges");
-        let mgcg = mg_preconditioned_cg(&a, &mut mg, &b, &options).expect("MG-CG converges");
+        let plain =
+            conjugate_gradient_on(&Team::new(1), &a, &b, &options).expect("plain CG converges");
+        let mgcg = mg_preconditioned_cg_on(&Team::new(1), &a, &mut mg, &b, &options)
+            .expect("MG-CG converges");
         assert!(
             mgcg.iterations < plain.iterations / 2,
             "MG-CG ({}) should need far fewer iterations than CG ({})",
@@ -1141,7 +1131,8 @@ mod tests {
         let n = 2 * nc + 1;
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 29) as f64 / 7.0 - 2.0).collect();
         let options = SolveOptions { tolerance: 1e-9, ..Default::default() };
-        let reference = mg_preconditioned_cg(&a, &mut mg, &b, &options).expect("serial MG-CG");
+        let reference = mg_preconditioned_cg_on(&Team::new(1), &a, &mut mg, &b, &options)
+            .expect("serial MG-CG");
         for threads in [1usize, 2, 4] {
             let team = Team::new(threads);
             let got =
@@ -1463,7 +1454,8 @@ mod tests {
             let fine = mg.fine_operator();
             let mut z_serial = vec![0.0; n];
             mg.v_cycle(&mut VectorOps::serial(), &rhs, &mut z_serial);
-            let serial = mg_preconditioned_cg(&*fine, &mut mg, &rhs, &solve).expect("converges");
+            let serial = mg_preconditioned_cg_on(&Team::new(1), &*fine, &mut mg, &rhs, &solve)
+                .expect("converges");
             for threads in [1usize, 2, 4] {
                 let team = Team::new(threads);
                 let what = format!("{name}, {threads} threads");

@@ -41,7 +41,7 @@ fn main() {
     // Solve the x-momentum increment system.
     let n = mesh.num_nodes();
     let bx: Vec<f64> = (0..n).map(|i| output.rhs[3 * i]).collect();
-    let solve = bicgstab(&output.matrix, &bx, &SolveOptions::default())
+    let solve = bicgstab_on(&Team::new(1), &output.matrix, &bx, &SolveOptions::default())
         .expect("momentum system must be solvable");
     println!(
         "solver: BiCGSTAB converged in {} iterations (residual {:.2e})",

@@ -26,10 +26,8 @@
 //!   last two target the `serve` supervision layer: here a `stall` only
 //!   slows the step and a `panic` aborts);
 //! * `--max-retries <r>` — Δt-backoff retry budget per step (default 3);
-//! * `--fixed-dt <dt>` — fixed time step instead of the CFL controller;
-//! * `--pressure-solver <cg|mgcg>` — pressure-Poisson setup: plain
-//!   Jacobi-CG or the geometric-multigrid-preconditioned CG (the default;
-//!   falls back to `cg` when the mesh is not a structured box lattice);
+//! * `--fixed-dt <dt>` — fixed time step (positive and finite) instead of
+//!   the CFL controller;
 //! * `--trace <path>` — run with the `lv-trace` telemetry subsystem armed:
 //!   spans over every phase, solver iteration and checkpoint I/O land in
 //!   per-rank buffers, the end-of-run roofline summary prints to stdout and
@@ -54,7 +52,8 @@
 //! | 0    | run completed (all contracts held)                             |
 //! | 1    | generic I/O or contract failure (trace/checkpoint write, sweep)|
 //! | 2    | invalid CLI (unknown scenario/flag/spec, missing or unparsable |
-//! |      | value, zero threads, extra positional argument; parsed by      |
+//! |      | value, zero threads, a Δt that is not positive and finite,     |
+//! |      | extra positional argument; parsed by                           |
 //! |      | `alya_longvec::cli::Simulate`)                                 |
 //! | 3    | Δt-retry budget exhausted / unrecoverable solver breakdown     |
 //! | 4    | corrupt or mismatched restart checkpoint (`InvalidData`)       |
@@ -73,8 +72,7 @@ fn print_registry() {
         say!("  {:<14} {}", scenario.kind.name(), scenario.kind.describe());
     }
     say!("\nusage: simulate <scenario> [n] [steps] [threads] [--checkpoint p] [--every k]");
-    say!("       [--ring K] [--restart p] [--fixed-dt dt]");
-    say!("       [--pressure-solver cg|mgcg] [--inject spec] [--max-retries r]");
+    say!("       [--ring K] [--restart p] [--fixed-dt dt] [--inject spec] [--max-retries r]");
     say!("       [--trace p] [--trace-format jsonl|chrome]");
 }
 
@@ -104,9 +102,7 @@ fn finish_trace(team: &mut Team, cli: &SimulateArgs) -> Result<(), String> {
 }
 
 fn stepper_config(cli: &SimulateArgs) -> StepperConfig {
-    let mut config = StepperConfig::default()
-        .with_pressure_solver(cli.pressure_solver)
-        .with_max_dt_retries(cli.max_retries);
+    let mut config = StepperConfig::default().with_max_dt_retries(cli.max_retries);
     if let Some(dt) = cli.fixed_dt {
         config = config.with_fixed_dt(dt);
     }
@@ -328,13 +324,12 @@ fn run() -> Result<(), Failure> {
 
     let mesh_elements = stepper.mesh().num_elements();
     say!(
-        "scenario '{}': {} elements, nu = {}, {} steps, {} worker thread(s), {} pressure solve",
+        "scenario '{}': {} elements, nu = {}, {} steps, {} worker thread(s)",
         scenario.kind.name(),
         mesh_elements,
         scenario.viscosity,
         cli.steps,
-        cli.threads,
-        stepper.pressure_solver().name()
+        cli.threads
     );
     say!("{}", stepper.describe_operators());
     say!(

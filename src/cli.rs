@@ -13,7 +13,7 @@
 //! would panic, so a run completes and returns its own exit code.
 
 use lv_core::reproduce::CATALOGUE;
-use lv_driver::{FaultPlan, PressureSolver, ScenarioKind};
+use lv_driver::{FaultPlan, ScenarioKind};
 use lv_server::ServerConfig;
 use std::fmt;
 use std::io::Write;
@@ -143,8 +143,8 @@ pub struct SimulateArgs {
     /// Checkpoint ring depth; `0` writes one plain file.
     pub ring: usize,
     pub restart: Option<String>,
+    /// A positive, finite Δt.
     pub fixed_dt: Option<f64>,
-    pub pressure_solver: PressureSolver,
     pub inject: Option<FaultPlan>,
     pub max_retries: usize,
     pub trace: Option<String>,
@@ -165,7 +165,6 @@ impl Simulate {
             ring: 3,
             restart: None,
             fixed_dt: None,
-            pressure_solver: PressureSolver::MgCg,
             inject: None,
             max_retries: 3,
             trace: None,
@@ -185,7 +184,14 @@ impl Simulate {
                     cli.inject = Some(plan.or_else(|e| fail(format!("{flag}: {e}")))?);
                 }
                 Arg::Flag(flag @ "--max-retries") => cli.max_retries = args.parsed(flag)?,
-                Arg::Flag(flag @ "--fixed-dt") => cli.fixed_dt = Some(args.parsed(flag)?),
+                Arg::Flag(flag @ "--fixed-dt") => {
+                    let value = args.value(flag)?;
+                    let dt: f64 = parse(value, flag)?;
+                    if !(dt.is_finite() && dt > 0.0) {
+                        return fail(format!("{flag} must be positive and finite (got '{value}')"));
+                    }
+                    cli.fixed_dt = Some(dt);
+                }
                 Arg::Flag(flag @ "--trace") => cli.trace = Some(args.value(flag)?.into()),
                 Arg::Flag(flag @ "--trace-format") => {
                     trace_format = Some(match args.value(flag)? {
@@ -197,13 +203,6 @@ impl Simulate {
                             ))
                         }
                     });
-                }
-                Arg::Flag(flag @ "--pressure-solver") => {
-                    let name = args.value(flag)?;
-                    cli.pressure_solver = PressureSolver::from_name(name).map_or_else(
-                        || fail(format!("{flag} must be 'cg' or 'mgcg' (got '{name}')")),
-                        Ok,
-                    )?;
                 }
                 Arg::Flag(flag) => return fail(format!("unknown flag {flag}")),
                 Arg::Positional(value) => {
@@ -498,7 +497,6 @@ mod tests {
                 ring: 3,
                 restart: None,
                 fixed_dt: None,
-                pressure_solver: PressureSolver::MgCg,
                 inject: None,
                 max_retries: 3,
                 trace: None,
@@ -514,7 +512,7 @@ mod tests {
     fn simulate_takes_every_documented_flag() {
         let args = run("cavity 6 6 2 --checkpoint smoke.ckpt --every 2 --ring 0 \
              --inject momentum-breakdown@3,ckpt-flip@6,seed=11 --max-retries 5 \
-             --fixed-dt 0.01 --pressure-solver cg --trace t.json --trace-format chrome");
+             --fixed-dt 0.01 --trace t.json --trace-format chrome");
         assert_eq!(
             (args.kind, args.n, args.steps, args.threads),
             (ScenarioKind::LidDrivenCavity, 6, 6, 2)
@@ -523,7 +521,6 @@ mod tests {
         assert_eq!((args.every, args.ring, args.max_retries), (2, 0, 5));
         assert_eq!(args.inject, FaultPlan::parse("momentum-breakdown@3,ckpt-flip@6,seed=11").ok());
         assert_eq!(args.fixed_dt, Some(0.01));
-        assert_eq!(args.pressure_solver, PressureSolver::Cg);
         assert_eq!(
             (args.trace.as_deref(), args.trace_format),
             (Some("t.json"), TraceFormat::Chrome)
@@ -551,7 +548,13 @@ mod tests {
             ("cavity 4 1 1 --every", "--every"),
             ("cavity 4 1 1 --ring -1", "--ring"),
             ("cavity 4 1 1 --max-retries many", "--max-retries"),
-            ("cavity 4 1 1 --pressure-solver lu", "--pressure-solver"),
+            // The pressure path follows the mesh: there is no flag for it.
+            ("cavity 4 1 1 --pressure-solver cg", "--pressure-solver"),
+            // Δt must be a positive, finite number.
+            ("cavity 4 1 1 --fixed-dt 0", "--fixed-dt"),
+            ("cavity 4 1 1 --fixed-dt -1", "--fixed-dt"),
+            ("cavity 4 1 1 --fixed-dt nan", "--fixed-dt"),
+            ("cavity 4 1 1 --fixed-dt inf", "--fixed-dt"),
             ("cavity 4 1 1 --inject meteor@3", "--inject"),
             ("cavity 4 1 1 --trace t --trace-format xml", "--trace-format"),
             ("list --bogus", "--bogus"),

@@ -18,8 +18,8 @@
 //!   thread team, barriers, static partitioning, deterministic blocked
 //!   reductions;
 //! * [`solver`] (`lv-solver`) — CSR matrices and Krylov solvers for complete
-//!   CFD time steps, serial or on the shared pool with bitwise identical
-//!   results;
+//!   CFD time steps, on the shared pool with bitwise identical results for
+//!   every thread count;
 //! * [`driver`] (`lv-driver`) — the fractional-step simulation driver:
 //!   Chorin pressure projection over the mesh-true Laplacian/divergence/
 //!   gradient operators, the scenario registry, CFL-adaptive Δt and binary
@@ -65,8 +65,6 @@ pub mod prelude {
     pub use lv_runtime::Team;
     pub use lv_server::{JobSpec, JobStatus, Server, ServerConfig};
     pub use lv_sim::{Machine, MachineConfig, Platform, PlatformKind};
-    pub use lv_solver::{
-        bicgstab, bicgstab_on, conjugate_gradient, conjugate_gradient_on, CsrMatrix, SolveOptions,
-    };
+    pub use lv_solver::{bicgstab_on, conjugate_gradient_on, CsrMatrix, SolveOptions};
     pub use lv_trace::{summary::RunSummary, Trace, TraceConfig};
 }

@@ -115,12 +115,10 @@ fn solver_result_is_path_independent() {
     let n = mesh.num_nodes();
     let b_serial: Vec<f64> = (0..n).map(|i| serial.rhs[3 * i]).collect();
     let b_parallel: Vec<f64> = (0..n).map(|i| parallel.rhs[3 * i]).collect();
-    let x_serial =
-        lv_solver::bicgstab(&serial.matrix, &b_serial, &lv_solver::SolveOptions::default())
-            .unwrap();
+    let (team, options) = (Team::new(1), lv_solver::SolveOptions::default());
+    let x_serial = lv_solver::bicgstab_on(&team, &serial.matrix, &b_serial, &options).unwrap();
     let x_parallel =
-        lv_solver::bicgstab(&parallel.matrix, &b_parallel, &lv_solver::SolveOptions::default())
-            .unwrap();
+        lv_solver::bicgstab_on(&team, &parallel.matrix, &b_parallel, &options).unwrap();
     assert!(x_serial.final_residual() < 1e-8);
     assert!(x_parallel.final_residual() < 1e-8);
     assert_close(&x_serial.solution, &x_parallel.solution, 1e-6, "solution");

@@ -32,7 +32,7 @@ fn cavity_time_steps_converge_and_stay_bounded() {
         let mut increment = VectorField::zeros(&mesh);
         for dim in 0..3 {
             let b: Vec<f64> = (0..n).map(|i| rhs[3 * i + dim]).collect();
-            let solve = bicgstab(&matrix, &b, &SolveOptions::default())
+            let solve = bicgstab_on(&Team::new(1), &matrix, &b, &SolveOptions::default())
                 .expect("momentum solve must converge");
             assert!(solve.final_residual() < 1e-8);
             for (node, &du) in solve.solution.iter().enumerate() {
@@ -89,6 +89,6 @@ fn channel_mesh_supports_the_same_pipeline() {
     assert!(out.rhs.iter().all(|v| v.is_finite()));
     assert_eq!(out.stats.elements, mesh.num_elements());
     let b: Vec<f64> = (0..mesh.num_nodes()).map(|i| out.rhs[3 * i]).collect();
-    let solve = bicgstab(&out.matrix, &b, &SolveOptions::default()).unwrap();
+    let solve = bicgstab_on(&Team::new(1), &out.matrix, &b, &SolveOptions::default()).unwrap();
     assert!(solve.final_residual() < 1e-8);
 }

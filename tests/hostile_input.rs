@@ -1,12 +1,50 @@
 //! Seeded hostile input against the parsers of bytes from outside the
-//! process — the journal replay, the trace-log replay and the endpoint's
-//! request line: every truncation or byte edit gets a value or a refusal,
-//! never a panic, and what is accepted is what the writer writes back.
+//! process — the journal replay, the trace-log replay, the endpoint's
+//! request line and the checkpoint loader: every truncation or byte edit
+//! gets a value or a refusal, never a panic, and what is accepted is what
+//! the writer writes back.
 
+use lv_driver::{load_checkpoint, save_checkpoint, Checkpoint, Scenario, ScenarioKind, SimState};
 use lv_server::{replay_readonly, EventKind::*, Record, Request};
 use lv_trace::sink::{parse_jsonl, write_jsonl};
 use lv_trace::{json, spans, Event};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::ErrorKind;
+
+thread_local! {
+    static LARGEST_ALLOCATION: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting the largest block each thread asks for —
+/// how the checkpoint corpus sees what a forged length would allocate.
+struct NoteLargest;
+
+fn note(size: usize) {
+    let _ = LARGEST_ALLOCATION.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; noting a size touches a `const`-initialised
+// thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for NoteLargest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: NoteLargest = NoteLargest;
 
 /// One to three byte edits (delete, insert, overwrite) of `bytes`, drawn
 /// from a SplitMix64 stream at `seed`.
@@ -160,5 +198,108 @@ fn a_mutated_request_line_is_a_request_only_when_its_words_are_one() {
         if let Some(request) = Request::parse(&line) {
             assert!(canonical.contains(&words.as_str()), "{line:?} taken as {request:?}");
         }
+    }
+}
+
+/// A saved 2³ cavity checkpoint's bytes: 27 nodes, so ~900 bytes of fields.
+fn checkpoint() -> Vec<u8> {
+    let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 2);
+    let mesh = scenario.build_mesh();
+    let (velocity, pressure) = scenario.initial_state(&mesh);
+    let state = SimState { step: 7, time: 0.35, velocity, pressure };
+    let path = std::env::temp_dir().join(format!("lv-hostile-save-{}", std::process::id()));
+    save_checkpoint(&path, &scenario, &state).expect("save");
+    let bytes = std::fs::read(&path).expect("read back");
+    let _ = std::fs::remove_file(&path);
+    bytes
+}
+
+/// `payload` between the magic and a checksum that matches it: bytes that
+/// pass the integrity check whatever they hold.
+fn sealed(payload: &[u8]) -> Vec<u8> {
+    let hash = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    [b"LVCKPT01", payload, &hash.to_le_bytes()].concat()
+}
+
+/// `load_checkpoint` of `bytes`, through a file named for the test, and the
+/// largest single block the load allocated.
+fn load(test: &str, bytes: &[u8]) -> (std::io::Result<Checkpoint>, usize) {
+    let path = std::env::temp_dir().join(format!("lv-hostile-{test}-{}", std::process::id()));
+    std::fs::write(&path, bytes).expect("write");
+    LARGEST_ALLOCATION.with(|largest| largest.set(0));
+    let loaded = load_checkpoint(&path);
+    let largest = LARGEST_ALLOCATION.with(Cell::get);
+    let _ = std::fs::remove_file(&path);
+    (loaded, largest)
+}
+
+#[test]
+fn every_prefix_of_a_checkpoint_is_refused() {
+    let bytes = checkpoint();
+    let (intact, _) = load("ckpt-prefix", &bytes);
+    assert_eq!(intact.expect("the intact checkpoint loads").step, 7);
+    for cut in 0..bytes.len() {
+        let err = load("ckpt-prefix", &bytes[..cut]).0.expect_err("a prefix is no checkpoint");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "cut at {cut}: {err}");
+    }
+}
+
+#[test]
+fn a_sealed_checkpoint_edit_decodes_exactly_or_is_invalid_data() {
+    let bytes = checkpoint();
+    let payload = &bytes[8..bytes.len() - 8];
+    let (mut seed, mut refused) = (32, 0);
+    for trial in 0..2000 {
+        let mut edited = payload.to_vec();
+        mutate(&mut seed, &mut edited);
+        let file = sealed(&edited);
+        let (loaded, largest) = load("ckpt-mutate", &file);
+        assert!(largest <= file.len(), "trial {trial}: a {largest}-byte allocation");
+        match loaded {
+            // Accepted: every payload byte belongs to a field.
+            Ok(c) => {
+                let fields = 4 + c.scenario.len() + 4 + 4 * 8 + 8 + 8 * c.velocity.len();
+                assert_eq!(fields + 8 + 8 * c.pressure.len(), edited.len(), "trial {trial}");
+            }
+            Err(err) => {
+                assert_eq!(err.kind(), ErrorKind::InvalidData, "trial {trial}: {err}");
+                refused += 1;
+            }
+        }
+    }
+    // Edits inside a value leave a checkpoint; most edits do not.
+    assert!((1001..2000).contains(&refused), "{refused} of 2000 refused");
+}
+
+#[test]
+fn forged_lengths_and_trailing_bytes_under_a_valid_checksum_are_invalid_data() {
+    let bytes = checkpoint();
+    let payload = &bytes[8..bytes.len() - 8];
+    let field_len = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    let velocity_at = 4 + ScenarioKind::LidDrivenCavity.name().len() + 4 + 4 * 8;
+    let pressure_at = velocity_at + 8 + 8 * field_len(velocity_at) as usize;
+    let forge = |at: usize, field: &[u8]| {
+        let mut forged = payload.to_vec();
+        forged[at..at + field.len()].copy_from_slice(field);
+        forged
+    };
+    for (what, forged) in [
+        ("a u32::MAX name length", forge(0, &u32::MAX.to_le_bytes())),
+        ("a u64::MAX velocity length", forge(velocity_at, &u64::MAX.to_le_bytes())),
+        ("a u64::MAX pressure length", forge(pressure_at, &u64::MAX.to_le_bytes())),
+        (
+            "a pressure length one too long",
+            forge(pressure_at, &(field_len(pressure_at) + 1).to_le_bytes()),
+        ),
+        ("one more value after the pressure", [payload, &0.5f64.to_le_bytes()].concat()),
+        ("a byte after the pressure", [payload, &[0]].concat()),
+    ] {
+        let file = sealed(&forged);
+        let (loaded, largest) = load("ckpt-forged", &file);
+        let err = loaded.expect_err(what);
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}: {err}");
+        assert!(largest <= file.len(), "{what}: a {largest}-byte allocation");
     }
 }

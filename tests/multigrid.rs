@@ -15,22 +15,23 @@
 //!   and 12³ takes the iterations the all-`f64` cycle took, and that is the
 //!   flexible `β`'s doing (plain `β` pays on the gate's 16³ system);
 //! * **Physics neutrality** — a cavity trajectory stepped with the MG-CG
-//!   pressure path matches the plain-CG trajectory to solver tolerance
-//!   (both solve the same system to 1e-10), with fewer Poisson iterations;
+//!   pressure path matches, through the node permutation, the trajectory
+//!   of the same cavity with its nodes scrambled, which has no hierarchy
+//!   and steps with plain CG (both solve the same system to 1e-10), with
+//!   fewer Poisson iterations;
 //! * **Level storage** — on every level of the jittered-cavity and channel
 //!   hierarchies the diagonal-stored operator the V-cycle runs on produces
 //!   the bits of the CSR operator it was converted from; a mesh whose node
 //!   order hides the lattice does not fit and steps with plain CG.
 
 use alya_longvec::prelude::*;
-use lv_driver::PressureSolver;
 use lv_kernel::{
     build_pressure_multigrid, pressure_interpolations, pressure_laplacian, MatrixFreeLaplacian,
 };
 use lv_mesh::renumber::NodePermutation;
 use lv_solver::{
-    conjugate_gradient, galerkin_coarse, mg_preconditioned_cg, mg_preconditioned_cg_on, CsrMatrix,
-    DiaMatrix, LinearOperator, MultigridOptions, VectorOps,
+    conjugate_gradient_on, galerkin_coarse, mg_preconditioned_cg_on, CsrMatrix, DiaMatrix,
+    LinearOperator, MultigridOptions, VectorOps,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -141,6 +142,7 @@ fn mgcg_iterations_are_mesh_independent_and_under_the_ceiling() {
         mgcg_iterations: usize,
     }
     let options = poisson_options();
+    let team = Team::new(1);
     let cases: Vec<Case> = [8, 12, 16]
         .into_iter()
         .map(|resolution| {
@@ -148,8 +150,9 @@ fn mgcg_iterations_are_mesh_independent_and_under_the_ceiling() {
             let mut multigrid =
                 build_pressure_multigrid(&mesh, &laplacian, &MultigridOptions::default())
                     .expect("cavity boxes are structured lattices");
-            let cg = conjugate_gradient(&laplacian, &rhs, &options).expect("CG converges");
-            let mg = mg_preconditioned_cg(&laplacian, &mut multigrid, &rhs, &options)
+            let cg =
+                conjugate_gradient_on(&team, &laplacian, &rhs, &options).expect("CG converges");
+            let mg = mg_preconditioned_cg_on(&team, &laplacian, &mut multigrid, &rhs, &options)
                 .expect("MG-CG converges");
             Case { resolution, cg_iterations: cg.iterations, mgcg_iterations: mg.iterations }
         })
@@ -195,7 +198,7 @@ fn poisson_iterations_per_step_are_those_of_the_all_f64_cycle() {
     let team = Team::new(2);
     for (kind, resolution, expect) in table {
         let mut stepper = Stepper::new(Scenario::new(kind, resolution), StepperConfig::default());
-        assert_eq!(stepper.pressure_solver(), PressureSolver::MgCg);
+        assert!(stepper.multigrid_levels().is_some(), "{} {resolution}³", kind.name());
         let reports = stepper.run_on(&team, expect.len()).expect("the scenario steps");
         let got: Vec<usize> = reports.iter().map(|r| r.poisson_iterations).collect();
         assert_eq!(got, expect, "{} {resolution}³", kind.name());
@@ -253,11 +256,19 @@ fn mgcg_trajectory_matches_cg_to_solver_tolerance() {
     let config = StepperConfig::default().with_vector_size(64);
 
     let mut mgcg = Stepper::new(scenario.clone(), config.clone());
-    assert_eq!(mgcg.pressure_solver(), PressureSolver::MgCg);
+    assert!(mgcg.multigrid_levels().is_some());
     let mg_reports = mgcg.run_on(&team, 3).expect("mgcg run");
 
-    let mut cg = Stepper::new(scenario, config.with_pressure_solver(PressureSolver::Cg));
-    assert_eq!(cg.pressure_solver(), PressureSolver::Cg);
+    // The same cavity with its nodes scrambled hides the lattice: no
+    // hierarchy, so plain CG.  Node 0 keeps its number: it is the cavity's
+    // pressure pin, and both pressure fields must be pinned at one point.
+    let mesh = scenario.build_mesh();
+    let mut forward = NodePermutation::scrambled(mesh.num_nodes(), 99).forward().to_vec();
+    let moved = forward.iter().position(|&new| new == 0).expect("a permutation hits 0");
+    forward.swap(0, moved);
+    let perm = NodePermutation::from_forward(forward);
+    let mut cg = Stepper::with_mesh(scenario, config, mesh.renumber_nodes(&perm));
+    assert_eq!(cg.multigrid_levels(), None);
     let cg_reports = cg.run_on(&team, 3).expect("cg run");
 
     let mg_poisson: usize = mg_reports.iter().map(|r| r.poisson_iterations).sum();
@@ -272,10 +283,12 @@ fn mgcg_trajectory_matches_cg_to_solver_tolerance() {
         assert!((a.kinetic_energy - b.kinetic_energy).abs() <= 1e-8 * (1.0 + b.kinetic_energy));
         assert!((a.divergence_post - b.divergence_post).abs() <= 1e-8);
     }
-    for (a, b) in mgcg.state().pressure.as_slice().iter().zip(cg.state().pressure.as_slice()) {
+    let pressure = perm.permute_scalar(mgcg.state().pressure.as_slice());
+    for (a, b) in pressure.iter().zip(cg.state().pressure.as_slice()) {
         assert!((a - b).abs() <= 1e-7, "pressure fields diverged ({a} vs {b})");
     }
-    for (a, b) in mgcg.state().velocity.as_slice().iter().zip(cg.state().velocity.as_slice()) {
+    let velocity = perm.permute_blocked(mgcg.state().velocity.as_slice(), lv_mesh::NDIME);
+    for (a, b) in velocity.iter().zip(cg.state().velocity.as_slice()) {
         assert!((a - b).abs() <= 1e-8, "velocity fields diverged ({a} vs {b})");
     }
 }
@@ -284,19 +297,14 @@ fn mgcg_trajectory_matches_cg_to_solver_tolerance() {
 fn registry_box_scenarios_get_the_multigrid_path_by_default() {
     for scenario in Scenario::registry() {
         let stepper = Stepper::new(scenario.clone(), StepperConfig::default().with_vector_size(64));
-        let solver = stepper.pressure_solver();
-        let levels = stepper.multigrid_levels();
-        match solver {
-            PressureSolver::MgCg => {
-                let levels = levels.expect("active multigrid reports its levels");
-                assert!(levels.len() >= 2, "{}: {:?}", scenario.kind.name(), levels);
-                assert_eq!(levels[0], stepper.mesh().num_nodes());
-            }
-            PressureSolver::Cg => panic!(
+        let levels = stepper.multigrid_levels().unwrap_or_else(|| {
+            panic!(
                 "{}: registry meshes are structured boxes, multigrid must engage",
                 scenario.kind.name()
-            ),
-        }
+            )
+        });
+        assert!(levels.len() >= 2, "{}: {:?}", scenario.kind.name(), levels);
+        assert_eq!(levels[0], stepper.mesh().num_nodes());
     }
 }
 
@@ -402,11 +410,7 @@ fn a_scrambled_node_order_does_not_fit_and_steps_with_plain_cg() {
     // The stepper takes the documented fallback and still steps.
     let mut stepper =
         Stepper::with_mesh(scenario, StepperConfig::default().with_vector_size(64), scrambled);
-    assert_eq!(stepper.pressure_solver(), PressureSolver::Cg);
     assert_eq!(stepper.multigrid_levels(), None);
     let reports = stepper.run_on(&Team::new(2), 1).expect("the CG path steps");
-    assert_eq!(
-        reports[0].poisson_fallbacks, 0,
-        "CG is the configured-and-built path, not a fallback"
-    );
+    assert_eq!(reports[0].poisson_fallbacks, 0, "CG is the mesh's path, not a fallback");
 }

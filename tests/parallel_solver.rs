@@ -86,7 +86,8 @@ fn full_solves_are_reproducible_across_thread_counts() {
     );
     let options = SolveOptions { max_iterations: 2000, tolerance: 1e-9 };
 
-    let oracle = bicgstab(&matrix, &b, &options).expect("serial BiCGSTAB must converge");
+    let oracle =
+        bicgstab_on(&Team::new(1), &matrix, &b, &options).expect("serial BiCGSTAB must converge");
     assert!(oracle.final_residual() < 1e-9);
     for threads in THREAD_COUNTS {
         let team = Team::new(threads);
@@ -117,7 +118,8 @@ fn full_solves_are_reproducible_across_thread_counts() {
         b[0] = 0.0; // the pinned gauge unknown
         b
     };
-    let oracle = conjugate_gradient(&poisson, &b, &options).expect("serial CG must converge");
+    let oracle = conjugate_gradient_on(&Team::new(1), &poisson, &b, &options)
+        .expect("serial CG must converge");
     for threads in THREAD_COUNTS {
         let team = Team::new(threads);
         let solve = conjugate_gradient_on(&team, &poisson, &b, &options).expect("pooled solve");

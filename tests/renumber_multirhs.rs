@@ -15,7 +15,7 @@ use lv_kernel::{solve_momentum_on, ElementWorkspace, KernelConfig, NastinAssembl
 use lv_mesh::renumber::{reverse_cuthill_mckee, NodePermutation};
 use lv_mesh::{BoxMeshBuilder, Field, Mesh, Vec3, VectorField};
 use lv_runtime::Team;
-use lv_solver::{bicgstab, bicgstab3_on, bicgstab_on, CsrMatrix, MultiVector, SolveOptions};
+use lv_solver::{bicgstab3_on, bicgstab_on, CsrMatrix, MultiVector, SolveOptions};
 
 const NDIME: usize = 3;
 
@@ -125,7 +125,7 @@ fn renumbered_solve_solves_the_original_system() {
     let n = mesh.num_nodes();
     let b_o: Vec<f64> = (0..n).map(|i| rhs_o[NDIME * i]).collect();
     let b_r: Vec<f64> = (0..n).map(|i| rhs_r[NDIME * i]).collect();
-    let solve_r = bicgstab(&matrix_r, &b_r, &options).expect("renumbered solve");
+    let solve_r = bicgstab_on(&Team::new(1), &matrix_r, &b_r, &options).expect("renumbered solve");
     let x_back = perm.inverted().permute_scalar(&solve_r.solution);
 
     // The inverse-permuted solution satisfies the original system to the
