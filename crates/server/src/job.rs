@@ -3,11 +3,15 @@
 //! A [`JobSpec`] is everything needed to (re)create a run from nothing: the
 //! scenario, the step target and an optional fault-injection spec — which is
 //! why the journal can store specs as flat fields and a restarted supervisor
-//! can rebuild its whole fleet from the log alone.  [`JobStatus`] mirrors
-//! the journal's transition events one-to-one; [`JobError`] is the
-//! structured form every contained failure (panic, stall, exhausted Δt
-//! retries, checkpoint I/O) collapses into before the retry policy sees it.
+//! can rebuild its whole fleet from the log alone.  A [`JobEntry`] is a job's
+//! row of the job table: its status and failed attempts are the fold of its
+//! journal records, and [`JobEntry::apply`] is the one fold — the supervisor
+//! runs it after every append, [`crate::journal::ledger`] on replay.
+//! [`JobError`] is the structured form every contained failure (panic,
+//! stall, exhausted Δt retries, checkpoint I/O) collapses into before the
+//! retry policy sees it.
 
+use crate::journal::{EventKind, Record};
 use lv_driver::{RunError, Scenario};
 
 /// Everything needed to (re)create one supervised run.
@@ -46,9 +50,8 @@ pub fn valid_job_id(id: &str) -> bool {
         && !id.starts_with('.')
 }
 
-/// Where a job is in its lifecycle.  Exactly the journal's transition
-/// events: replaying the log and taking each job's last event reproduces
-/// this state machine.
+/// Where a job is in its lifecycle: the state its last journaled
+/// transition left it in (see [`JobEntry::apply`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobStatus {
     /// Submitted, never scheduled.
@@ -66,7 +69,7 @@ pub enum JobStatus {
         /// Step of the checkpoint the job will resume from.
         step: u64,
     },
-    /// A slice failed; the job is requeued for attempt `attempt + 1`.
+    /// A slice failed; the job is requeued after `attempt` failed attempts.
     Retrying {
         /// Failed attempts so far.
         attempt: u64,
@@ -112,6 +115,61 @@ impl std::fmt::Display for JobStatus {
             JobStatus::Done { step } => write!(f, "done (step {step})"),
             JobStatus::Failed { error } => write!(f, "failed: {error}"),
         }
+    }
+}
+
+/// How many of `jobs` are done, failed and still pending, in that order —
+/// the one count behind every fleet summary.
+pub fn tally(jobs: &[JobEntry]) -> (usize, usize, usize) {
+    jobs.iter().fold((0, 0, 0), |(done, failed, pending), job| match job.status {
+        JobStatus::Done { .. } => (done + 1, failed, pending),
+        JobStatus::Failed { .. } => (done, failed + 1, pending),
+        _ => (done, failed, pending + 1),
+    })
+}
+
+/// One job's row of the job table: its spec and the fold of its records.
+#[derive(Debug, Clone)]
+pub struct JobEntry {
+    /// The spec, from the `submitted` record.
+    pub spec: JobSpec,
+    /// The state after the job's last transition record.
+    pub status: JobStatus,
+    /// Failed attempts so far: the highest `attempt` of the job's
+    /// `retrying` and `failed` records.
+    pub attempts: u64,
+}
+
+impl JobEntry {
+    /// A submitted job: queued, no failed attempts.
+    pub fn new(spec: JobSpec) -> JobEntry {
+        JobEntry { spec, status: JobStatus::Queued, attempts: 0 }
+    }
+
+    /// Folds one of this job's records into the entry.  `submitted` (the
+    /// entry itself) and `slow_convergence` (a diagnostic) change nothing.
+    /// A `retrying` or `failed` record without an `attempt` counts as one
+    /// more failed attempt.
+    pub fn apply(&mut self, record: &Record) {
+        let step = record.step.unwrap_or(0);
+        self.status = match record.event {
+            EventKind::Submitted | EventKind::SlowConvergence => return,
+            EventKind::Running => {
+                JobStatus::Running { worker: record.worker.unwrap_or(0) as usize, step }
+            }
+            EventKind::Preempted => JobStatus::Preempted { step },
+            EventKind::Done => JobStatus::Done { step },
+            EventKind::Retrying | EventKind::Failed => {
+                let attempt = record.attempt.unwrap_or(self.attempts + 1);
+                self.attempts = self.attempts.max(attempt);
+                if record.event == EventKind::Retrying {
+                    JobStatus::Retrying { attempt }
+                } else {
+                    let error = record.error.as_deref().unwrap_or("unknown");
+                    JobStatus::Failed { error: error.to_string() }
+                }
+            }
+        };
     }
 }
 

@@ -13,7 +13,7 @@
 //! record only if it is one strict JSON object whose keys and value types
 //! are exactly those [`Record::to_json_line`] writes.
 
-use crate::job::{valid_job_id, JobSpec, JobStatus};
+use crate::job::{valid_job_id, JobEntry, JobSpec};
 use lv_driver::{FaultPlan, Scenario, ScenarioKind};
 use lv_trace::json::{self, JsonObject, Value::Null};
 use std::fs::{File, OpenOptions};
@@ -33,11 +33,13 @@ pub enum EventKind {
     Retrying,
     /// The job reached its target step.
     Done,
-    /// Retry budget exhausted; the job is permanently failed.
+    /// Retry budget exhausted (`attempt`, `error`); the job is permanently
+    /// failed.
     Failed,
     /// The stepper's convergence-stall detector fired during a slice
     /// (residual plateau at `step`).  Purely diagnostic: it never changes
-    /// a job's lifecycle state — [`ledger`] counts it and moves on.
+    /// a job's lifecycle state — [`JobEntry::apply`] skips it, the metrics
+    /// fold counts it.
     SlowConvergence,
 }
 
@@ -85,7 +87,7 @@ pub struct Record {
     pub step: Option<u64>,
     /// Simulation time, on `done`.
     pub time: Option<f64>,
-    /// Failed-attempt count, on `retrying`.
+    /// Failed-attempt count, on `retrying` and `failed`.
     pub attempt: Option<u64>,
     /// Error text, on `retrying` / `failed`.
     pub error: Option<String>,
@@ -353,18 +355,9 @@ fn scan_bytes(path: &Path, bytes: &[u8]) -> io::Result<(Vec<Record>, usize, bool
     Ok((records, clean_end, false))
 }
 
-/// One job reconstructed from the journal.
-#[derive(Debug, Clone)]
-pub struct JobEntry {
-    /// The spec, rebuilt from the `submitted` record.
-    pub spec: JobSpec,
-    /// The state after the job's last journaled transition.
-    pub status: JobStatus,
-    /// Failed attempts so far (the highest journaled `retrying` attempt).
-    pub attempts: u64,
-}
-
-/// Folds records into per-job entries, in submission order.
+/// Folds records into per-job entries, in submission order: each
+/// `submitted` record opens an entry, and [`JobEntry::apply`] — the fold a
+/// live supervisor runs after every append — folds in the rest.
 ///
 /// # Errors
 /// `InvalidData` when the log references an unknown job, an unknown
@@ -400,36 +393,14 @@ pub fn ledger(records: &[Record]) -> io::Result<Vec<JobEntry>> {
                 record.steps.unwrap_or(0),
             );
             spec.inject = record.inject.clone();
-            entries.push(JobEntry { spec, status: JobStatus::Queued, attempts: 0 });
+            entries.push(JobEntry::new(spec));
             continue;
         }
-        let entry = entries
+        entries
             .iter_mut()
             .find(|e| e.spec.id == record.job)
-            .ok_or_else(|| bad(format!("journal references unsubmitted job '{}'", record.job)))?;
-        if record.event == EventKind::SlowConvergence {
-            // Diagnostic only: counted by the metrics fold, never a
-            // lifecycle transition.
-            continue;
-        }
-        entry.status = match record.event {
-            EventKind::Submitted => unreachable!("handled above"),
-            EventKind::Running => JobStatus::Running {
-                worker: record.worker.unwrap_or(0) as usize,
-                step: record.step.unwrap_or(0),
-            },
-            EventKind::Preempted => JobStatus::Preempted { step: record.step.unwrap_or(0) },
-            EventKind::Retrying => {
-                let attempt = record.attempt.unwrap_or(entry.attempts + 1);
-                entry.attempts = entry.attempts.max(attempt);
-                JobStatus::Retrying { attempt }
-            }
-            EventKind::Done => JobStatus::Done { step: record.step.unwrap_or(0) },
-            EventKind::Failed => JobStatus::Failed {
-                error: record.error.clone().unwrap_or_else(|| "unknown".to_string()),
-            },
-            EventKind::SlowConvergence => unreachable!("handled above"),
-        };
+            .ok_or_else(|| bad(format!("journal references unsubmitted job '{}'", record.job)))?
+            .apply(record);
     }
     Ok(entries)
 }
@@ -437,6 +408,7 @@ pub fn ledger(records: &[Record]) -> io::Result<Vec<JobEntry>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobStatus;
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("lv-journal-{tag}-{}.jsonl", std::process::id()))
@@ -589,6 +561,15 @@ mod tests {
         let entries = ledger(&records[..4]).expect("ledger");
         assert_eq!(entries[0].status, JobStatus::Retrying { attempt: 1 });
         assert!(ledger(&[Record::new(EventKind::SlowConvergence, "ghost")]).is_err());
+
+        // `failed` counts an attempt like `retrying`: its own `attempt`, or
+        // one more when it carries none (as journaled before it did).
+        for (attempt, attempts) in [(Some(2), 2), (None, 2), (Some(1), 1)] {
+            let failed = Record { attempt, ..Record::new(EventKind::Failed, "a") };
+            let entries = ledger(&[&records[..4], &[failed]].concat()).expect("ledger");
+            assert_eq!(entries[0].attempts, attempts, "{attempt:?}");
+            assert_eq!(entries[0].status, JobStatus::Failed { error: "unknown".into() });
+        }
 
         // Logs this code would never write are refused.
         assert!(ledger(&[Record::new(EventKind::Done, "ghost")]).is_err());

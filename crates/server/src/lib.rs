@@ -10,7 +10,10 @@
 //! state.  Every lifecycle transition is written ahead to a line-JSON
 //! journal ([`journal`]) and fsynced before it takes effect, so a
 //! `kill -9`'d supervisor replays the log and picks every job back up from
-//! its newest intact ring generation.
+//! its newest intact ring generation.  The job table is a fold of the same
+//! records: [`JobEntry::apply`] turns each into a status and an attempt
+//! count, after every append live and through [`ledger`] on replay, so a
+//! live table and a replayed one agree row for row.
 //!
 //! Layering: `lv-server` sits strictly above `lv-driver` — it owns
 //! scheduling, containment and persistence policy, and never reaches into
@@ -32,8 +35,8 @@ pub mod supervisor;
 pub mod timeline;
 
 pub use endpoint::{metrics_json_path, query, socket_path, Request};
-pub use job::{valid_job_id, JobError, JobSpec, JobStatus};
+pub use job::{tally, valid_job_id, JobEntry, JobError, JobSpec, JobStatus};
 pub use journal::{ledger, replay_readonly, EventKind, Journal, Record, Replay};
 pub use metrics::{FleetMetrics, JobProgress, FLEET_METRICS};
-pub use supervisor::{JobOutcome, ReplaySummary, RunReport, Server, ServerConfig};
+pub use supervisor::{ReplaySummary, RunReport, Server, ServerConfig};
 pub use timeline::{chrome_timeline, slice_intervals, text_timeline, SliceInterval};

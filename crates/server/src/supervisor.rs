@@ -26,8 +26,8 @@
 //!    last checkpoint — never a job, never a trajectory.
 
 use crate::endpoint::{self, Request};
-use crate::job::{valid_job_id, JobError, JobSpec, JobStatus};
-use crate::journal::{ledger, EventKind, Journal, Record, Replay};
+use crate::job::{tally, valid_job_id, JobEntry, JobError, JobSpec};
+use crate::journal::{ledger, EventKind, Journal, Record};
 use crate::metrics::{self, FleetMetrics, JobProgress};
 use lv_driver::{CheckpointRing, FaultPlan, SliceEnd, Stepper, StepperConfig};
 use lv_runtime::{Team, TraceConfig};
@@ -60,18 +60,13 @@ pub struct ServerConfig {
     /// is bounded, so detection is prompt).
     pub step_deadline: Duration,
     /// Slice-failure retry budget per job (panics, stalls, exhausted
-    /// Δt-retries, checkpoint I/O).
+    /// Δt-retries, checkpoint I/O).  Attempt `k` backs off
+    /// `10 ms · 2^(k-1)` (capped at 2 s) before requeueing.
     pub max_job_retries: u64,
-    /// Base of the exponential retry backoff: attempt `k` sleeps
-    /// `backoff_base · 2^(k-1)` (capped at 2 s) before requeueing.
-    pub backoff_base: Duration,
     /// Directory of the per-job checkpoint rings (`<dir>/<id>.ckpt.N`).
     pub checkpoint_dir: PathBuf,
     /// Ring depth per job.
     pub ring_depth: usize,
-    /// Element-batch vector size handed to the stepper (0 keeps the
-    /// [`StepperConfig`] default).
-    pub vector_size: usize,
     /// Stop pulling work after this many slices — a graceful drain used by
     /// tests to emulate a supervisor dying mid-run (jobs stay pending in
     /// the journal, exactly as after a real kill).
@@ -98,10 +93,8 @@ impl Default for ServerConfig {
             slice_steps: 4,
             step_deadline: Duration::from_secs(30),
             max_job_retries: 3,
-            backoff_base: Duration::from_millis(10),
             checkpoint_dir: std::env::temp_dir().join("lv-server"),
             ring_depth: 3,
-            vector_size: 0,
             max_slices: None,
             traced: false,
             verbose: false,
@@ -115,12 +108,12 @@ impl ServerConfig {
     /// The stepper configuration every job runs with (fault plans are added
     /// per job).  Exposed so oracle runs in tests can match it exactly.
     pub fn stepper_config(&self) -> StepperConfig {
-        let config = StepperConfig::default();
-        if self.vector_size > 0 {
-            config.with_vector_size(self.vector_size)
-        } else {
-            config
-        }
+        StepperConfig::default()
+    }
+
+    /// The checkpoint ring of job `id`.
+    fn ring(&self, id: &str) -> CheckpointRing {
+        CheckpointRing::new(self.checkpoint_dir.join(format!("{id}.ckpt")), self.ring_depth.max(1))
     }
 
     /// Whether workers carry trace buffers ([`ServerConfig::trace_dir`]
@@ -161,17 +154,6 @@ impl std::fmt::Display for ReplaySummary {
     }
 }
 
-/// Snapshot of one job after [`Server::run`] (or at open, before running).
-#[derive(Debug, Clone)]
-pub struct JobOutcome {
-    /// Job id.
-    pub id: String,
-    /// Lifecycle state.
-    pub status: JobStatus,
-    /// Failed attempts so far.
-    pub attempts: u64,
-}
-
 /// Fleet totals of one [`Server::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
@@ -192,24 +174,24 @@ impl RunReport {
     }
 }
 
-/// One job's in-memory seat: journal-derived state plus the live fault
-/// plans.  The plans are process-local on purpose — after a crash they are
+/// Base and cap of the exponential retry backoff.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// One job's in-memory seat: its journal-folded entry plus the live fault
+/// plans (solver, checkpoint), parsed from the spec at the job's first
+/// slice.  The plans are process-local on purpose — after a crash they are
 /// re-parsed from the spec, which is sound because trajectories are
 /// invariant to when (or how often) these faults fire.
 #[derive(Debug)]
 struct JobSlot {
-    spec: JobSpec,
-    status: JobStatus,
-    attempts: u64,
-    solver_plan: Option<FaultPlan>,
-    ckpt_plan: Option<FaultPlan>,
-    plans_armed: bool,
+    entry: JobEntry,
+    plans: Option<(FaultPlan, FaultPlan)>,
 }
 
-impl JobSlot {
-    fn new(spec: JobSpec, status: JobStatus, attempts: u64) -> JobSlot {
-        JobSlot { spec, status, attempts, solver_plan: None, ckpt_plan: None, plans_armed: false }
-    }
+/// Every job's entry, in submission order.
+fn snapshot(slots: &[Mutex<JobSlot>]) -> Vec<JobEntry> {
+    slots.iter().map(|slot| slot.lock().unwrap().entry.clone()).collect()
 }
 
 /// Scheduler state under the queue mutex.  Queue entries carry their
@@ -270,11 +252,16 @@ impl Server {
         // ended — same code path as the live fold in `journal_append`.
         let fleet = FleetMetrics::on_this_host();
         fleet.replay(&replay.records);
-        let replay = summarize(&entries, &replay);
-        let slots = entries
-            .into_iter()
-            .map(|e| Mutex::new(JobSlot::new(e.spec, e.status, e.attempts)))
-            .collect();
+        let (done, failed, pending) = tally(&entries);
+        let replay = ReplaySummary {
+            jobs: entries.len(),
+            done,
+            failed,
+            pending,
+            torn_tail: replay.torn_tail,
+        };
+        let slots =
+            entries.into_iter().map(|entry| Mutex::new(JobSlot { entry, plans: None })).collect();
         Ok(Server {
             config,
             journal: Mutex::new(journal),
@@ -314,7 +301,7 @@ impl Server {
                 spec.id
             )));
         }
-        if self.slots.iter().any(|s| s.lock().unwrap().spec.id == spec.id) {
+        if self.slots.iter().any(|s| s.lock().unwrap().entry.spec.id == spec.id) {
             return Err(invalid(format!("job id '{}' already in the journal", spec.id)));
         }
         if spec.steps == 0 {
@@ -329,32 +316,19 @@ impl Server {
         self.metrics.apply_record(&record);
         let path = endpoint::metrics_json_path(self.journal.lock().unwrap().path());
         flush_metrics_json(&self.metrics, &path);
-        self.slots.push(Mutex::new(JobSlot::new(spec, JobStatus::Queued, 0)));
+        self.slots.push(Mutex::new(JobSlot { entry: JobEntry::new(spec), plans: None }));
         Ok(())
     }
 
     /// Snapshot of every job, in submission order.
-    pub fn jobs(&self) -> Vec<JobOutcome> {
-        self.slots
-            .iter()
-            .map(|slot| {
-                let slot = slot.lock().unwrap();
-                JobOutcome {
-                    id: slot.spec.id.clone(),
-                    status: slot.status.clone(),
-                    attempts: slot.attempts,
-                }
-            })
-            .collect()
+    pub fn jobs(&self) -> Vec<JobEntry> {
+        snapshot(&self.slots)
     }
 
     /// The checkpoint ring of `id` — where a finished job's final state
     /// lives (and a pending job's newest resume point).
     pub fn ring(&self, id: &str) -> CheckpointRing {
-        CheckpointRing::new(
-            self.config.checkpoint_dir.join(format!("{id}.ckpt")),
-            self.config.ring_depth.max(1),
-        )
+        self.config.ring(id)
     }
 
     /// Per-worker trace summaries of the last [`Server::run`] (empty unless
@@ -372,7 +346,7 @@ impl Server {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, slot)| !slot.lock().unwrap().status.is_terminal())
+            .filter(|(_, slot)| !slot.lock().unwrap().entry.status.is_terminal())
             .map(|(index, _)| (index, start))
             .collect();
         let journal_path = self.journal.lock().unwrap().path().to_path_buf();
@@ -429,32 +403,9 @@ impl Server {
         flush_metrics_json(shared.metrics, &shared.metrics_path);
         self.summaries = summaries;
         let slices = shared.sched.lock().unwrap().slices;
-        let mut report = RunReport { done: 0, failed: 0, pending: 0, slices };
-        for slot in &self.slots {
-            match slot.lock().unwrap().status {
-                JobStatus::Done { .. } => report.done += 1,
-                JobStatus::Failed { .. } => report.failed += 1,
-                _ => report.pending += 1,
-            }
-        }
-        report
+        let (done, failed, pending) = tally(&self.jobs());
+        RunReport { done, failed, pending, slices }
     }
-}
-
-fn summarize(entries: &[crate::journal::JobEntry], replay: &Replay) -> ReplaySummary {
-    let mut summary = ReplaySummary {
-        jobs: entries.len(),
-        torn_tail: replay.torn_tail,
-        ..ReplaySummary::default()
-    };
-    for entry in entries {
-        match entry.status {
-            JobStatus::Done { .. } => summary.done += 1,
-            JobStatus::Failed { .. } => summary.failed += 1,
-            _ => summary.pending += 1,
-        }
-    }
-    summary
 }
 
 /// Verbose logging that survives a closed stdout: a supervisor must never
@@ -542,34 +493,26 @@ fn worker_loop(worker: usize, shared: &Shared<'_>) -> Option<RunSummary> {
 /// back into the queue (preempted or retrying).
 fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) -> bool {
     let config = shared.config;
-    let (spec, mut attempts, mut solver_plan, mut ckpt_plan) = {
+    let (spec, attempts, (mut solver_plan, mut ckpt_plan)) = {
         let mut slot = shared.slots[index].lock().unwrap();
-        if !slot.plans_armed {
-            let plan = slot
+        let plans = slot.plans.take().unwrap_or_else(|| {
+            slot.entry
                 .spec
                 .inject
                 .as_deref()
                 .map(|spec| FaultPlan::parse(spec).expect("inject specs are validated at open"))
-                .unwrap_or_default();
-            let (step_faults, ckpt_faults) = plan.split_checkpoint();
-            slot.solver_plan = Some(step_faults);
-            slot.ckpt_plan = Some(ckpt_faults);
-            slot.plans_armed = true;
-        }
-        (slot.spec.clone(), slot.attempts, slot.solver_plan.take(), slot.ckpt_plan.take())
+                .unwrap_or_default()
+                .split_checkpoint()
+        });
+        (slot.entry.spec.clone(), slot.entry.attempts, plans)
     };
     let trace = team.trace();
-    let ring = CheckpointRing::new(
-        config.checkpoint_dir.join(format!("{}.ckpt", spec.id)),
-        config.ring_depth.max(1),
-    );
+    let ring = config.ring(&spec.id);
 
     // --- resume: the newest intact ring generation, or from scratch ------
     let mut stepper_config = config.stepper_config();
-    if let Some(plan) = &solver_plan {
-        if !plan.is_empty() {
-            stepper_config = stepper_config.with_fault_plan(plan.clone());
-        }
+    if !solver_plan.is_empty() {
+        stepper_config = stepper_config.with_fault_plan(solver_plan.clone());
     }
     let mut stepper = match ring.load_latest_traced(trace) {
         Ok(recovery) => {
@@ -634,214 +577,162 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
     let mut running = Record::new(EventKind::Running, &spec.id);
     running.worker = Some(worker as u64);
     running.step = Some(resume_step);
-    if journal_append(shared, team, running).is_err() {
-        // The log is gone; without write-ahead there is no crash safety, so
-        // park the job as failed in memory and keep the fleet alive.
-        finish_slot(
-            shared,
-            index,
-            attempts,
-            solver_plan,
-            ckpt_plan,
-            JobStatus::Failed { error: "journal unwritable".to_string() },
-        );
-        return false;
-    }
+    let claimed = journal_append(shared, team, index, &running).is_ok();
 
-    // A `done` record lost to a crash after the final checkpoint: the ring
-    // already holds the finished state, so just re-journal the fact.
-    if resume_step >= spec.steps {
+    // --- the record that ends the slice ----------------------------------
+    let record = if !claimed {
+        // The log is gone; without write-ahead there is no crash safety, so
+        // the job fails in memory (the tail folds this record without
+        // journaling it) and the fleet stays alive.
+        let mut failed = Record::new(EventKind::Failed, &spec.id);
+        failed.attempt = Some(attempts);
+        failed.error = Some("journal unwritable".to_string());
+        failed
+    } else if resume_step >= spec.steps {
+        // A `done` record lost to a crash after the final checkpoint: the
+        // ring already holds the finished state, so just re-journal the fact.
         let mut done = Record::new(EventKind::Done, &spec.id);
         done.step = Some(resume_step);
         done.time = Some(stepper.state().time);
-        let _ = journal_append(shared, team, done);
-        if config.verbose {
-            say!("job {} done (step {}, already complete in the ring)", spec.id, resume_step);
+        done
+    } else {
+        // --- the slice itself, panic-contained ---------------------------
+        let slice_span = trace.map(|t| t.span(spans::SERVER_SLICE, 0).aux(index as u64));
+        let quota = config.slice_steps.max(1);
+        let deadline = Some(config.step_deadline);
+        let slice_start = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            stepper.run_slice_on(team, spec.steps, quota, deadline)
+        }));
+        let slice_elapsed = slice_start.elapsed();
+        // Carry the spent plan across retries: a fired fault stays fired
+        // even when the slice's state is thrown away.
+        if let Some(plan) = stepper.fault_plan() {
+            solver_plan = plan.clone();
         }
-        finish_slot(
-            shared,
-            index,
-            attempts,
-            solver_plan,
-            ckpt_plan,
-            JobStatus::Done { step: resume_step },
-        );
-        return false;
-    }
-
-    // --- the slice itself, panic-contained ------------------------------
-    let slice_span = trace.map(|t| t.span(spans::SERVER_SLICE, 0).aux(index as u64));
-    let quota = config.slice_steps.max(1);
-    let deadline = Some(config.step_deadline);
-    let slice_start = Instant::now();
-    let result =
-        catch_unwind(AssertUnwindSafe(|| stepper.run_slice_on(team, spec.steps, quota, deadline)));
-    let slice_elapsed = slice_start.elapsed();
-    // Carry the spent plan across retries: a fired fault stays fired even
-    // when the slice's state is thrown away.
-    if let Some(plan) = stepper.fault_plan() {
-        solver_plan = Some(plan.clone());
-    }
-    let steps_done = stepper.state().step.saturating_sub(resume_step);
-    if let Some(span) = slice_span {
-        span.iters(steps_done).finish();
-    }
-    let registry = shared.metrics.registry();
-    registry.observe(metrics::SLICE_US, slice_elapsed.as_micros() as u64);
-    if steps_done > 0 {
-        // Margin left under the per-step watchdog, using the slice's
-        // mean step time: a shrinking margin predicts stall verdicts.
-        let mean_step = slice_elapsed / steps_done as u32;
-        let margin = config.step_deadline.saturating_sub(mean_step);
-        registry.observe(metrics::WATCHDOG_MARGIN_US, margin.as_micros() as u64);
-    }
-    // Journal the slice's convergence-stall detections (the stepper is
-    // slice-local, so this count is exactly this slice's).  A retried
-    // slice replays its detections — deterministically, like every other
-    // replayed transition.
-    let stalls = stepper.slow_convergence_events();
-    if stalls > 0 {
-        let mut record = Record::new(EventKind::SlowConvergence, &spec.id);
-        record.worker = Some(worker as u64);
-        record.step = Some(stepper.state().step);
-        record.steps = Some(stalls);
-        let _ = journal_append(shared, team, record);
-        if config.verbose {
-            say!(
-                "job {}: {stalls} slow-convergence event(s) in the slice ending at step {}",
-                spec.id,
-                stepper.state().step
-            );
+        let steps_done = stepper.state().step.saturating_sub(resume_step);
+        if let Some(span) = slice_span {
+            span.iters(steps_done).finish();
         }
-    }
-
-    let error = match result {
-        Err(payload) => Some(JobError::Panicked(panic_message(payload))),
-        Ok(Err(run_error)) => Some(JobError::Run(run_error)),
-        Ok(Ok(slice)) => match slice.end {
-            SliceEnd::DeadlineExceeded { step, elapsed } => Some(JobError::Stalled {
-                step,
-                elapsed,
-                deadline: config.step_deadline.as_secs_f64(),
-            }),
-            SliceEnd::Completed | SliceEnd::QuotaExhausted => {
-                match save_ring(config, &ring, &spec, &stepper, &mut ckpt_plan, trace) {
-                    Err(e) => Some(JobError::Checkpoint(e.to_string())),
-                    Ok(()) if slice.end == SliceEnd::Completed => {
-                        let step = stepper.state().step;
-                        let mut done = Record::new(EventKind::Done, &spec.id);
-                        done.step = Some(step);
-                        done.time = Some(stepper.state().time);
-                        let _ = journal_append(shared, team, done);
-                        publish_progress(
-                            shared,
-                            &spec,
-                            &stepper,
-                            &slice,
-                            steps_done,
-                            slice_elapsed,
-                        );
-                        if config.verbose {
-                            say!(
-                                "job {} done (step {}, t = {:.4}, worker {worker})",
-                                spec.id,
-                                step,
-                                stepper.state().time
-                            );
-                        }
-                        finish_slot(
-                            shared,
-                            index,
-                            attempts,
-                            solver_plan,
-                            ckpt_plan,
-                            JobStatus::Done { step },
-                        );
-                        return false;
-                    }
-                    Ok(()) => {
-                        let step = stepper.state().step;
-                        let mut preempted = Record::new(EventKind::Preempted, &spec.id);
-                        preempted.worker = Some(worker as u64);
-                        preempted.step = Some(step);
-                        let _ = journal_append(shared, team, preempted);
-                        publish_progress(
-                            shared,
-                            &spec,
-                            &stepper,
-                            &slice,
-                            steps_done,
-                            slice_elapsed,
-                        );
-                        if let Some(t) = trace {
-                            t.record(Event {
-                                aux: step,
-                                ..Event::instant(spans::SERVER_PREEMPT, 0, t.now_ns())
-                            });
-                        }
-                        if config.verbose {
-                            say!("job {} preempted at step {step} (worker {worker})", spec.id);
-                        }
-                        finish_slot(
-                            shared,
-                            index,
-                            attempts,
-                            solver_plan,
-                            ckpt_plan,
-                            JobStatus::Preempted { step },
-                        );
-                        return true;
-                    }
-                }
+        let registry = shared.metrics.registry();
+        registry.observe(metrics::SLICE_US, slice_elapsed.as_micros() as u64);
+        if steps_done > 0 {
+            // Margin left under the per-step watchdog, using the slice's
+            // mean step time: a shrinking margin predicts stall verdicts.
+            let mean_step = slice_elapsed / steps_done as u32;
+            let margin = config.step_deadline.saturating_sub(mean_step);
+            registry.observe(metrics::WATCHDOG_MARGIN_US, margin.as_micros() as u64);
+        }
+        // Journal the slice's convergence-stall detections (the stepper is
+        // slice-local, so this count is exactly this slice's).  A retried
+        // slice replays its detections — deterministically, like every
+        // other replayed transition.
+        let stalls = stepper.slow_convergence_events();
+        if stalls > 0 {
+            let mut record = Record::new(EventKind::SlowConvergence, &spec.id);
+            record.worker = Some(worker as u64);
+            record.step = Some(stepper.state().step);
+            record.steps = Some(stalls);
+            let _ = journal_append(shared, team, index, &record);
+            if config.verbose {
+                say!(
+                    "job {}: {stalls} slow-convergence event(s) in the slice ending at step {}",
+                    spec.id,
+                    stepper.state().step
+                );
             }
-        },
+        }
+
+        let outcome = match result {
+            Err(payload) => Err(JobError::Panicked(panic_message(payload))),
+            Ok(Err(run_error)) => Err(JobError::Run(run_error)),
+            Ok(Ok(slice)) => match slice.end {
+                SliceEnd::DeadlineExceeded { step, elapsed } => Err(JobError::Stalled {
+                    step,
+                    elapsed,
+                    deadline: config.step_deadline.as_secs_f64(),
+                }),
+                SliceEnd::Completed | SliceEnd::QuotaExhausted => {
+                    save_ring(config, &ring, &spec, &stepper, &mut ckpt_plan, trace)
+                        .map(|()| slice)
+                        .map_err(|e| JobError::Checkpoint(e.to_string()))
+                }
+            },
+        };
+        match outcome {
+            Ok(slice) => {
+                publish_progress(shared, &spec, &stepper, &slice, steps_done, slice_elapsed);
+                let mut record = if slice.end == SliceEnd::Completed {
+                    let mut done = Record::new(EventKind::Done, &spec.id);
+                    done.time = Some(stepper.state().time);
+                    done
+                } else {
+                    let mut preempted = Record::new(EventKind::Preempted, &spec.id);
+                    preempted.worker = Some(worker as u64);
+                    preempted
+                };
+                record.step = Some(stepper.state().step);
+                record
+            }
+            // --- the retry path: bounded, backed off, journaled ----------
+            Err(error) => {
+                let attempt = attempts + 1;
+                let mut record = if attempt > config.max_job_retries {
+                    Record::new(EventKind::Failed, &spec.id)
+                } else {
+                    let mut retrying = Record::new(EventKind::Retrying, &spec.id);
+                    retrying.worker = Some(worker as u64);
+                    retrying
+                };
+                record.attempt = Some(attempt);
+                record.error = Some(error.to_string());
+                record
+            }
+        }
     };
 
-    // --- the retry path: bounded, backed off, journaled ------------------
-    let error = error.expect("all success paths returned above");
-    attempts += 1;
-    if attempts > config.max_job_retries {
-        let mut failed = Record::new(EventKind::Failed, &spec.id);
-        failed.error = Some(error.to_string());
-        let _ = journal_append(shared, team, failed);
-        if config.verbose {
-            say!("job {} FAILED after {attempts} attempt(s): {error}", spec.id);
-        }
-        finish_slot(
-            shared,
-            index,
-            attempts,
-            solver_plan,
-            ckpt_plan,
-            JobStatus::Failed { error: error.to_string() },
-        );
-        return false;
+    // --- one tail for every transition: journal and fold the record ------
+    if claimed {
+        let _ = journal_append(shared, team, index, &record);
+    } else {
+        shared.slots[index].lock().unwrap().entry.apply(&record);
     }
-    let mut retrying = Record::new(EventKind::Retrying, &spec.id);
-    retrying.worker = Some(worker as u64);
-    retrying.attempt = Some(attempts);
-    retrying.error = Some(error.to_string());
-    let _ = journal_append(shared, team, retrying);
-    if let Some(t) = trace {
-        t.record(Event { aux: attempts, ..Event::instant(spans::SERVER_RETRY, 0, t.now_ns()) });
+    let (requeue, attempts) = {
+        let mut slot = shared.slots[index].lock().unwrap();
+        slot.plans = Some((solver_plan, ckpt_plan));
+        (!slot.entry.status.is_terminal(), slot.entry.attempts)
+    };
+    let instant = match record.event {
+        EventKind::Preempted => Some((spans::SERVER_PREEMPT, record.step)),
+        EventKind::Retrying => Some((spans::SERVER_RETRY, record.attempt)),
+        _ => None,
+    };
+    if let (Some(t), Some((span, aux))) = (trace, instant) {
+        t.record(Event { aux: aux.unwrap_or(0), ..Event::instant(span, 0, t.now_ns()) });
     }
     if config.verbose {
-        say!("job {} retrying (attempt {attempts}): {error}", spec.id);
+        let (id, step) = (&spec.id, record.step.unwrap_or(0));
+        let error = record.error.as_deref().unwrap_or("");
+        match record.event {
+            // A slice that ran always advances, so a `done` at the resume
+            // step is one the ring already held.
+            EventKind::Done if step == resume_step => {
+                say!("job {id} done (step {step}, already complete in the ring)");
+            }
+            EventKind::Done => {
+                let time = record.time.unwrap_or(0.0);
+                say!("job {id} done (step {step}, t = {time:.4}, worker {worker})");
+            }
+            EventKind::Preempted => say!("job {id} preempted at step {step} (worker {worker})"),
+            EventKind::Retrying => say!("job {id} retrying (attempt {attempts}): {error}"),
+            _ => say!("job {id} FAILED after {attempts} attempt(s): {error}"),
+        }
     }
-    finish_slot(
-        shared,
-        index,
-        attempts,
-        solver_plan,
-        ckpt_plan,
-        JobStatus::Retrying { attempt: attempts },
-    );
-    let backoff = config
-        .backoff_base
-        .saturating_mul(1u32 << (attempts - 1).min(16) as u32)
-        .min(Duration::from_secs(2));
-    std::thread::sleep(backoff);
-    true
+    if record.event == EventKind::Retrying {
+        let backoff = BACKOFF_BASE.saturating_mul(1u32 << (attempts - 1).min(16) as u32);
+        std::thread::sleep(backoff.min(BACKOFF_CAP));
+    }
+    requeue
 }
 
 /// Publishes a job's post-slice [`JobProgress`] row: committed steps, sim
@@ -874,28 +765,18 @@ fn publish_progress(
     });
 }
 
-/// Writes the slot's post-slice state back under its lock.
-fn finish_slot(
-    shared: &Shared<'_>,
-    index: usize,
-    attempts: u64,
-    solver_plan: Option<FaultPlan>,
-    ckpt_plan: Option<FaultPlan>,
-    status: JobStatus,
-) {
-    let mut slot = shared.slots[index].lock().unwrap();
-    slot.attempts = attempts;
-    slot.solver_plan = solver_plan;
-    slot.ckpt_plan = ckpt_plan;
-    slot.status = status;
-}
-
 /// Appends under the journal mutex, recording a `server/journal` span,
-/// the fsync-latency histogram, and the deterministic fold.  Every
+/// the fsync-latency histogram, and the deterministic fold; then folds the
+/// record into job `index`'s entry whether or not the append landed.  Every
 /// non-`running` record is a journal checkpoint: the metrics document is
 /// flushed to `<journal>.metrics.json` so a supervisor killed at any later
 /// instant leaves its last state behind.
-fn journal_append(shared: &Shared<'_>, team: &Team, record: Record) -> io::Result<u64> {
+fn journal_append(
+    shared: &Shared<'_>,
+    team: &Team,
+    index: usize,
+    record: &Record,
+) -> io::Result<u64> {
     let span = team.trace().map(|t| t.span(spans::SERVER_JOURNAL, 0));
     let start = Instant::now();
     let result = shared.journal.lock().unwrap().append(record.clone());
@@ -906,11 +787,12 @@ fn journal_append(shared: &Shared<'_>, team: &Team, record: Record) -> io::Resul
     if result.is_ok() {
         let fleet = shared.metrics;
         fleet.registry().observe(metrics::JOURNAL_FSYNC_US, elapsed.as_micros() as u64);
-        fleet.apply_record(&record);
+        fleet.apply_record(record);
         if record.event != EventKind::Running {
             flush_metrics_json(fleet, &shared.metrics_path);
         }
     }
+    shared.slots[index].lock().unwrap().entry.apply(record);
     result
 }
 
@@ -927,14 +809,7 @@ fn flush_metrics_json(fleet: &FleetMetrics, path: &Path) {
 fn respond(request: Request, shared: &Shared<'_>) -> String {
     match request {
         Request::Status => {
-            let (done, failed, pending) =
-                shared.slots.iter().fold((0, 0, 0), |acc, slot| {
-                    match slot.lock().unwrap().status {
-                        JobStatus::Done { .. } => (acc.0 + 1, acc.1, acc.2),
-                        JobStatus::Failed { .. } => (acc.0, acc.1 + 1, acc.2),
-                        _ => (acc.0, acc.1, acc.2 + 1),
-                    }
-                });
+            let (done, failed, pending) = tally(&snapshot(shared.slots));
             let sched = shared.sched.lock().unwrap();
             let obj = JsonObject::new()
                 .u64("format", 1)
@@ -977,16 +852,14 @@ fn save_ring(
     ring: &CheckpointRing,
     spec: &JobSpec,
     stepper: &Stepper,
-    ckpt_plan: &mut Option<FaultPlan>,
+    ckpt_plan: &mut FaultPlan,
     trace: Option<&Trace>,
 ) -> io::Result<()> {
     let state = stepper.state();
     let newest = ring.save_traced(&spec.scenario, state, trace)?;
-    if let Some(plan) = ckpt_plan {
-        if let Some(done) = plan.corrupt_checkpoint(state.step, &newest)? {
-            if config.verbose {
-                say!("job {}: [inject] {done}", spec.id);
-            }
+    if let Some(done) = ckpt_plan.corrupt_checkpoint(state.step, &newest)? {
+        if config.verbose {
+            say!("job {}: [inject] {done}", spec.id);
         }
     }
     Ok(())
@@ -1006,6 +879,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobStatus;
     use lv_driver::{Scenario, ScenarioKind};
 
     fn test_dir(tag: &str) -> PathBuf {
@@ -1020,7 +894,6 @@ mod tests {
         ServerConfig {
             workers: 2,
             slice_steps: 2,
-            vector_size: 32,
             checkpoint_dir: dir.join("ckpt"),
             ..ServerConfig::default()
         }
@@ -1052,7 +925,12 @@ mod tests {
         assert_eq!(report.done, 2);
         assert!(report.slices >= 5, "5 + 3 steps in quota-2 slices: {report:?}");
         for job in server.jobs() {
-            assert!(matches!(job.status, JobStatus::Done { .. }), "{}: {}", job.id, job.status);
+            assert!(
+                matches!(job.status, JobStatus::Done { .. }),
+                "{}: {}",
+                job.spec.id,
+                job.status
+            );
         }
         // The final states live in the rings at the target steps.
         let recovery = server.ring("a").load_latest().expect("ring a");

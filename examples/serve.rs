@@ -54,13 +54,17 @@
 //! spec the journal refuses.  No subcommand panics on a closed stdout.
 //! Trajectories are bitwise independent of `--workers`, `--threads`,
 //! `--slice` and of any preemption, migration or retry along the way.
+//!
+//! `run` and an offline `status` end with the same `  <id> <status>
+//! (attempts N)` row per job: the live table, and the one the journal
+//! replays to.
 
 use alya_longvec::cli::{out, Serve, ServeCommand, Submit};
 use alya_longvec::say;
 use lv_driver::Scenario;
 use lv_server::{
-    chrome_timeline, ledger, metrics_json_path, query, replay_readonly, socket_path, text_timeline,
-    FleetMetrics, JobSpec, Replay, Server, ServerConfig,
+    chrome_timeline, ledger, metrics_json_path, query, replay_readonly, socket_path, tally,
+    text_timeline, FleetMetrics, JobEntry, JobSpec, Replay, Server, ServerConfig,
 };
 use lv_trace::json::JsonObject;
 use lv_trace::sink::{parse_jsonl, TraceLog};
@@ -130,9 +134,7 @@ fn run(journal: &str, config: ServerConfig) {
         report.pending,
         report.slices
     );
-    for job in server.jobs() {
-        say!("  {} {}", job.id, job.status);
-    }
+    say_jobs(&server.jobs());
     std::process::exit(if report.failed > 0 { 1 } else { 0 });
 }
 
@@ -174,12 +176,7 @@ fn status(journal: &str, follow: bool) {
         eprintln!("error: journal {journal} is not a valid ledger: {e}");
         std::process::exit(1);
     });
-    let (done, failed, pending) =
-        entries.iter().fold((0usize, 0usize, 0usize), |acc, entry| match entry.status {
-            lv_server::JobStatus::Done { .. } => (acc.0 + 1, acc.1, acc.2),
-            lv_server::JobStatus::Failed { .. } => (acc.0, acc.1 + 1, acc.2),
-            _ => (acc.0, acc.1, acc.2 + 1),
-        });
+    let (done, failed, pending) = tally(&entries);
     say!(
         "{}",
         JsonObject::new()
@@ -192,8 +189,14 @@ fn status(journal: &str, follow: bool) {
             .bool("torn_tail", replay.torn_tail)
             .finish()
     );
-    for entry in &entries {
-        say!("  {} {} (attempts {})", entry.spec.id, entry.status, entry.attempts);
+    say_jobs(&entries);
+}
+
+/// One row per job, the same for `run`'s live table and `status`'s
+/// replayed one.
+fn say_jobs(jobs: &[JobEntry]) {
+    for job in jobs {
+        say!("  {} {} (attempts {})", job.spec.id, job.status, job.attempts);
     }
 }
 

@@ -24,7 +24,9 @@
 
 use lv_driver::{FaultPlan, Scenario, ScenarioKind, SimState, Stepper, StepperConfig};
 use lv_runtime::Team;
-use lv_server::{replay_readonly, FleetMetrics, JobSpec, JobStatus, Server, ServerConfig};
+use lv_server::{
+    ledger, replay_readonly, FleetMetrics, JobEntry, JobSpec, JobStatus, Server, ServerConfig,
+};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -49,7 +51,6 @@ fn config(dir: &Path) -> ServerConfig {
         threads_per_worker: 1,
         slice_steps: 2,
         step_deadline: Duration::from_millis(250),
-        vector_size: 32,
         checkpoint_dir: dir.join("ckpt"),
         ..ServerConfig::default()
     }
@@ -72,6 +73,16 @@ fn oracle_state(
     let mut stepper = Stepper::new(scenario.clone(), config);
     stepper.run_recovering_on(&team, steps).expect("oracle run");
     stepper.state().clone()
+}
+
+/// A job table as comparable rows: id, status, failed attempts.
+fn rows(jobs: &[JobEntry]) -> Vec<(String, JobStatus, u64)> {
+    jobs.iter().map(|job| (job.spec.id.clone(), job.status.clone(), job.attempts)).collect()
+}
+
+/// The job table folded from the journal at `path`.
+fn replayed_rows(path: &Path) -> Vec<(String, JobStatus, u64)> {
+    rows(&ledger(&replay_readonly(path).expect("replay").records).expect("ledger"))
 }
 
 /// Loads the final state of a finished job from its checkpoint ring.
@@ -118,7 +129,7 @@ fn a_faulted_fleet_finishes_bitwise_identical_to_uninterrupted_runs() {
     assert_eq!(report.done, fleet.len());
 
     let jobs = server.jobs();
-    let attempts = |id: &str| jobs.iter().find(|j| j.id == id).expect("job").attempts;
+    let attempts = |id: &str| jobs.iter().find(|j| j.spec.id == id).expect("job").attempts;
     assert!(attempts("stalled") >= 1, "the watchdog must have killed the stall at least once");
     assert!(attempts("panicky") >= 1, "the panic must have cost at least one retry");
     assert_eq!(attempts("clean"), 0, "the clean job never retries");
@@ -168,7 +179,7 @@ fn a_killed_supervisor_is_replaced_and_finishes_the_fleet_from_the_journal() {
     let report = server_b.run();
     assert!(report.all_done(), "{report:?}");
     for job in server_b.jobs() {
-        assert!(matches!(job.status, JobStatus::Done { .. }), "{}: {}", job.id, job.status);
+        assert!(matches!(job.status, JobStatus::Done { .. }), "{}: {}", job.spec.id, job.status);
     }
 
     let stepper_config = server_b.config().stepper_config();
@@ -261,6 +272,7 @@ fn the_deterministic_metrics_subset_is_invariant_across_fleet_layouts() {
             live,
             "journal replay must reproduce the live deterministic counters"
         );
+        assert_eq!(rows(&server.jobs()), replayed_rows(&journal), "live vs replayed job table");
         prints.push(live);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -284,6 +296,38 @@ fn the_deterministic_metrics_subset_is_invariant_across_fleet_layouts() {
     // fell back to an older ring generation re-commit a few on top (the
     // exact figure is pinned by the cross-layout fingerprint equality).
     assert!(value("fleet_steps_committed_total") >= 5 + 4 + 4 + 5 + 4);
+}
+
+#[test]
+fn live_replayed_and_reopened_job_tables_agree_on_status_and_attempts() {
+    let dir = test_dir("attempts");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let journal = dir.join("jobs.jsonl");
+    let cavity = Scenario::new(ScenarioKind::LidDrivenCavity, 4);
+    let cfg = ServerConfig { max_job_retries: 1, ..config(&dir) };
+
+    // One job runs out of retries: it panics once, retries, panics again.
+    let mut server = Server::open(&journal, cfg.clone()).expect("open");
+    server
+        .submit(JobSpec::new("doomed", cavity.clone(), 4).with_inject("panic@1,panic@2,seed=5"))
+        .expect("submit");
+    server.submit(JobSpec::new("fine", cavity, 3)).expect("submit");
+    let report = server.run();
+    assert_eq!((report.done, report.failed, report.pending), (1, 1, 0), "{report:?}");
+
+    let live = rows(&server.jobs());
+    drop(server);
+    let doomed = &live[0];
+    assert!(matches!(doomed.1, JobStatus::Failed { .. }), "{doomed:?}");
+    assert_eq!(doomed.2, 2, "two failed attempts exhaust a budget of one retry");
+    assert!(matches!(live[1].1, JobStatus::Done { step: 3 }), "{:?}", live[1]);
+    assert_eq!(live[1].2, 0);
+
+    assert_eq!(replayed_rows(&journal), live, "the ledger of the journal is the live table");
+    let reopened = Server::open(&journal, cfg).expect("reopen");
+    assert_eq!(rows(&reopened.jobs()), live, "a reopened supervisor starts from the live table");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
