@@ -61,7 +61,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::scenario::Scenario;
 use lv_kernel::{
     assemble_momentum_on, build_pressure_multigrid, solve_momentum_on, weak_divergence_vector_norm,
-    ConvectiveGeometry, ElementWorkspace, KernelConfig, NastinAssembly, OptLevel,
+    ConvectiveGeometry, ElementWorkspace, KernelConfig, NastinAssembly, NoHierarchy, OptLevel,
     PressureOperators,
 };
 use lv_mesh::{Field, Mesh, VectorField};
@@ -128,9 +128,17 @@ const PROJECTION_SWEEPS: usize = 3;
 pub struct StepperConfig {
     /// `VECTOR_SIZE` of the assembly and projection sweeps.
     pub vector_size: usize,
-    /// Options of the momentum BiCGSTAB solve.
+    /// Options of the momentum BiCGSTAB solve.  The default stops at a 1e-6
+    /// relative residual (2000 iterations at most): the solve is for the
+    /// velocity increment `Δu` from a zero guess, so a 1e-6 residual on it
+    /// sits far below the step's O(Δt) error (~2.3e-3 on Taylor–Green at
+    /// Δt = 0.01).  Solving on to 1e-10 takes ~1.7× the Krylov iterations
+    /// of a step and moves no digit the step resolves.
     pub momentum_options: SolveOptions,
-    /// Options of the pressure-Poisson CG solve.
+    /// Options of the pressure-Poisson CG solve of every projection sweep.
+    /// The default stops at a 1e-6 relative residual (4000 iterations at
+    /// most), for the same reason: the solve is for the pressure increment
+    /// `φ` from a zero guess.
     pub poisson_options: SolveOptions,
     /// A fixed time step; `None` (the default) runs the CFL controller.
     pub fixed_dt: Option<f64>,
@@ -147,8 +155,8 @@ impl Default for StepperConfig {
     fn default() -> Self {
         StepperConfig {
             vector_size: 128,
-            momentum_options: SolveOptions { max_iterations: 2000, tolerance: 1e-10 },
-            poisson_options: SolveOptions { max_iterations: 4000, tolerance: 1e-10 },
+            momentum_options: SolveOptions { max_iterations: 2000, tolerance: 1e-6 },
+            poisson_options: SolveOptions { max_iterations: 4000, tolerance: 1e-6 },
             fixed_dt: None,
             max_dt_retries: 3,
             fault_plan: None,
@@ -189,8 +197,9 @@ impl StepperConfig {
 const STALL_WINDOW: usize = 8;
 
 /// A step counts toward a plateau when its `max(momentum, poisson)`
-/// residual exceeds this multiple of the larger solver tolerance.  Healthy
-/// runs converge *to* the tolerance, so they never plateau above it.
+/// residual exceeds this multiple of the larger solver tolerance (1e-5 at
+/// the default tolerances).  Healthy runs converge *to* the tolerance, so
+/// they never plateau above it.
 const STALL_FACTOR: f64 = 10.0;
 
 /// The convergence-stall detector: the residuals of the last `window`
@@ -408,8 +417,8 @@ enum PoissonSystem {
     /// no CSR copy is kept.
     Multigrid(GeometricMultigrid),
     /// Plain Jacobi-CG on the pinned CSR Laplacian: no hierarchy could be
-    /// built for the mesh.
-    Csr(CsrMatrix),
+    /// built for the mesh, for the reason given.
+    Csr(CsrMatrix, NoHierarchy),
 }
 
 /// The fractional-step simulation driver: owns the assembled operators, the
@@ -505,11 +514,11 @@ impl Stepper {
         // CSR Laplacian is freed here, before the momentum system is
         // allocated, so the operators' resident `K` and `M` cost no memory.
         let poisson = match multigrid {
-            Some(multigrid) => {
+            Ok(multigrid) => {
                 drop(laplacian);
                 PoissonSystem::Multigrid(multigrid)
             }
-            None => PoissonSystem::Csr(laplacian),
+            Err(cause) => PoissonSystem::Csr(laplacian, cause),
         };
         let n = mesh.num_nodes();
         let matrix = assembly.new_matrix();
@@ -584,11 +593,7 @@ impl Stepper {
                     mg.level_storage().iter().map(ToString::to_string).collect();
                 format!("mgcg ({} levels: {})", mg.num_levels(), storage.join(" | "))
             }
-            PoissonSystem::Csr(_) => format!(
-                "cg (no multigrid hierarchy: no box lattice, or a level has more than {} \
-                 diagonals)",
-                lv_solver::dia::MAX_DIAGONALS
-            ),
+            PoissonSystem::Csr(_, cause) => format!("cg (no multigrid hierarchy: {cause})"),
         };
         // `4 colours × 64 chunks` when every colour holds as many, the total
         // otherwise.
@@ -611,7 +616,7 @@ impl Stepper {
     pub fn multigrid_levels(&self) -> Option<Vec<usize>> {
         match &self.poisson {
             PoissonSystem::Multigrid(mg) => Some(mg.level_rows()),
-            PoissonSystem::Csr(_) => None,
+            PoissonSystem::Csr(..) => None,
         }
     }
 
@@ -832,7 +837,7 @@ impl Stepper {
                     fine = mg.fine_operator();
                     (&*fine, Some(mg))
                 }
-                PoissonSystem::Csr(laplacian) => (&*laplacian, None),
+                PoissonSystem::Csr(laplacian, _) => (&*laplacian, None),
             };
             let mg_attempt = match multigrid {
                 Some(_) if inject_mg => Some(Err(SolverError::Breakdown {
@@ -1193,9 +1198,10 @@ mod tests {
         assert_eq!(report.step, 1);
         assert!(report.dt > 0.0 && report.time > 0.0);
         assert!(report.momentum_iterations > 0);
-        assert!(report.momentum_residual < 1e-8);
+        let config = stepper.config();
+        assert!(report.momentum_residual < 100.0 * config.momentum_options.tolerance);
         assert!(report.poisson_iterations > 0);
-        assert!(report.poisson_residual < 1e-8);
+        assert!(report.poisson_residual < 100.0 * config.poisson_options.tolerance);
         // The projection must reduce the divergence of the predictor field.
         assert!(report.divergence_post < report.divergence_pre);
         assert!(report.kinetic_energy > 0.0);
@@ -1443,7 +1449,8 @@ mod tests {
         let report = stepper.step_recovering_on(&team).expect("fallback absorbs the fault");
         assert_eq!(report.retries, 0, "the CG fallback succeeds inside the same attempt");
         assert_eq!(report.poisson_fallbacks, 1);
-        assert!(report.poisson_residual < 1e-8, "the fallback solve still converges");
+        let tolerance = stepper.config().poisson_options.tolerance;
+        assert!(report.poisson_residual < 100.0 * tolerance, "the fallback solve still converges");
     }
 
     #[test]

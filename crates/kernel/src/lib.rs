@@ -59,7 +59,9 @@ pub mod workspace;
 
 pub use assembly::{AssemblyOutput, AssemblyStats, ConvectiveGeometry, NastinAssembly};
 pub use config::{KernelConfig, OptLevel, PAPER_VECTOR_SIZES};
-pub use matrixfree::{build_pressure_multigrid, pressure_interpolations, MatrixFreeLaplacian};
+pub use matrixfree::{
+    build_pressure_multigrid, pressure_interpolations, MatrixFreeLaplacian, NoHierarchy,
+};
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};
 pub use momentum::{assemble_momentum_on, solve_momentum_on, MomentumSolve};
 pub use projection::{pressure_laplacian, weak_divergence_vector_norm, PressureOperators};

@@ -413,20 +413,51 @@ pub fn pressure_interpolations(
     Some(interps)
 }
 
+/// Why [`build_pressure_multigrid`] built no hierarchy for a mesh; its
+/// `Display` is the cause the pressure solve's banner names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoHierarchy {
+    /// The node coordinates form no box lattice that coarsens at least once
+    /// ([`pressure_interpolations`] is `None`): an unstructured mesh, a box
+    /// too small to coarsen.
+    NoLattice,
+    /// The lattice coarsens, but a level's operator has more than
+    /// [`lv_solver::dia::MAX_DIAGONALS`] distinct offsets and does not fit
+    /// the V-cycle's diagonal storage: the fine level under a scrambled
+    /// node order (the lattice is read from the coordinates, whatever the
+    /// numbering), a coarse Galerkin level of a jittered box.
+    /// ([`GeometricMultigrid::new`] also refuses a singular coarsest level,
+    /// which the Galerkin product of a pinned SPD Laplacian never is.)
+    TooManyDiagonals,
+}
+
+impl std::fmt::Display for NoHierarchy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NoHierarchy::NoLattice => f.write_str("no box lattice"),
+            NoHierarchy::TooManyDiagonals => {
+                write!(f, "a level has more than {} diagonals", lv_solver::dia::MAX_DIAGONALS)
+            }
+        }
+    }
+}
+
 /// Builds the geometric-multigrid V-cycle preconditioner for the pressure
-/// Laplacian of `mesh` over [`pressure_interpolations`], or `None` when
-/// there is no such chain or a level does not fit the V-cycle's diagonal
-/// storage.  Coarse operators are Galerkin products of `laplacian`, which
-/// must be the assembled, pinned matrix the outer CG iterates with.
+/// Laplacian of `mesh` over [`pressure_interpolations`], or says which of
+/// the two causes of [`NoHierarchy`] stopped it.  Coarse operators are
+/// Galerkin products of `laplacian`, which must be the assembled, pinned
+/// matrix the outer CG iterates with.
+///
+/// # Panics
+/// Panics when `laplacian` does not have one row per node of `mesh`.
 pub fn build_pressure_multigrid(
     mesh: &Mesh,
     laplacian: &CsrMatrix,
     options: &MultigridOptions,
-) -> Option<GeometricMultigrid> {
-    if mesh.num_nodes() != laplacian.dim() {
-        return None;
-    }
-    GeometricMultigrid::new(laplacian, pressure_interpolations(mesh, options)?, options)
+) -> Result<GeometricMultigrid, NoHierarchy> {
+    assert_eq!(mesh.num_nodes(), laplacian.dim(), "one Laplacian row per mesh node");
+    let interps = pressure_interpolations(mesh, options).ok_or(NoHierarchy::NoLattice)?;
+    GeometricMultigrid::new(laplacian, interps, options).ok_or(NoHierarchy::TooManyDiagonals)
 }
 
 /// Trilinear interpolation from `coarse` onto `points`, as a solver-side
@@ -541,6 +572,7 @@ mod tests {
         let csr = crate::projection::pressure_laplacian(&mesh, &[0]);
         // A lattice too small to coarsen yields no hierarchy.
         let options = MultigridOptions { max_coarse_nodes: 1000, ..Default::default() };
-        assert!(build_pressure_multigrid(&mesh, &csr, &options).is_none());
+        let built = build_pressure_multigrid(&mesh, &csr, &options);
+        assert_eq!(built.err(), Some(NoHierarchy::NoLattice));
     }
 }

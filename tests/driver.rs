@@ -11,7 +11,10 @@
 //!   projection reduces the predictor's discrete divergence by ≥10×;
 //! * **Operator storage** — the momentum solve runs on diagonals whenever
 //!   the node order allows (jittered coordinates do not matter, a scrambled
-//!   numbering does), the choice is reported, and both storages step.
+//!   numbering does), the choice is reported, and both storages step;
+//! * **Solver tolerance** — the default 1e-6 relative residual saves every
+//!   registry scenario at least 30 % of the Krylov iterations 1e-10 takes,
+//!   and moves no diagnostic the step resolves.
 
 use alya_longvec::prelude::*;
 use lv_driver::{load_checkpoint, save_checkpoint, MomentumStorage, SimState, StepReport};
@@ -210,7 +213,10 @@ fn pressure_field_is_no_longer_a_zero_spectator() {
 /// hundreds and keeps the CSR matrix, and so does reverse Cuthill–McKee
 /// on top of the scramble (a narrow band, not a lattice).  All three step
 /// (on two threads; 13³ rows clear the cutoff where the teams fork), and
-/// the banner names the choice.
+/// the banner names the choice.  None of the three has a pressure
+/// hierarchy, and the banner names the one cause that fired: all three are
+/// lattices, but a level is too wide for diagonals — a coarse Galerkin
+/// level of the jittered box, the fine level itself of the renumbered ones.
 #[test]
 fn momentum_storage_follows_the_node_order_and_both_storages_step() {
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 12);
@@ -220,6 +226,7 @@ fn momentum_storage_follows_the_node_order_and_both_storages_step() {
     let team = Team::new(2);
     let mut energies = Vec::new();
     let csr = "momentum csr (pattern has more than 32 diagonals)";
+    let pressure = "pressure cg (no multigrid hierarchy: a level has more than 32 diagonals)";
     for (mesh, storage, banner) in [
         (jittered, MomentumStorage::Dia { diagonals: 27 }, "momentum dia (27 diagonals)"),
         (scrambled, MomentumStorage::Csr, csr),
@@ -229,12 +236,64 @@ fn momentum_storage_follows_the_node_order_and_both_storages_step() {
         assert_eq!(stepper.momentum_storage(), storage);
         let line = stepper.describe_operators();
         assert!(line.starts_with("operators: ") && line.contains(banner), "{line}");
+        assert!(line.ends_with(pressure), "{line}");
         let reports = stepper.run_on(&team, 2).expect("both storages must step");
-        assert!(reports.iter().all(|r| r.momentum_iterations > 0 && r.momentum_residual < 1e-8));
+        let tolerance = stepper.config().momentum_options.tolerance;
+        assert!(reports
+            .iter()
+            .all(|r| r.momentum_iterations > 0 && r.momentum_residual < 100.0 * tolerance));
         energies.push(stepper.kinetic_energy());
     }
     // The same flow under three numberings: equal up to summation order.
     for energy in &energies[1..] {
         assert!((energies[0] - energy).abs() <= 1e-9 * energies[0], "{energies:?}");
+    }
+}
+
+/// The trade the default tolerance makes, pinned on every registry
+/// scenario over 10 recovering steps: the solves of the step are for
+/// increments from a zero guess, so a 1e-6 relative residual sits far below
+/// the step's O(Δt) error.  Against the same runs at 1e-10, the Krylov
+/// iterations fall by at least 30 % (measured 39–47 %), the largest
+/// post-projection ‖d‖ stays within 1e-6 relative (measured 1.5e-7 at
+/// most), every step's kinetic energy within 1e-7 relative (measured
+/// 1.2e-8 at most), and neither run retries or falls back.
+#[test]
+fn the_default_tolerance_cuts_iterations_and_moves_no_resolved_digit() {
+    let team = Team::new(2);
+    let tight = {
+        let mut config = StepperConfig::default();
+        for options in [&mut config.momentum_options, &mut config.poisson_options] {
+            options.tolerance = 1e-10;
+        }
+        config
+    };
+    for scenario in Scenario::registry() {
+        let name = scenario.kind.name();
+        let [default, tight] = [StepperConfig::default(), tight.clone()].map(|config| {
+            let mut stepper = Stepper::new(scenario.clone(), config);
+            let reports = stepper.run_recovering_on(&team, 10).expect("the scenario steps");
+            assert!(reports.iter().all(|r| r.retries == 0 && r.poisson_fallbacks == 0), "{name}");
+            reports
+        });
+        let iterations = |reports: &[StepReport]| -> usize {
+            reports.iter().map(|r| r.momentum_iterations + r.poisson_iterations).sum()
+        };
+        let (cheap, full) = (iterations(&default), iterations(&tight));
+        assert!(10 * cheap <= 7 * full, "{name}: {cheap} iterations against {full} at 1e-10");
+        let divergence = |reports: &[StepReport]| -> f64 {
+            reports.iter().map(|r| r.divergence_post).fold(0.0, f64::max)
+        };
+        let (cheap, full) = (divergence(&default), divergence(&tight));
+        assert!((cheap - full).abs() <= 1e-6 * full, "{name}: max ‖d‖ {cheap} against {full}");
+        for (a, b) in default.iter().zip(&tight) {
+            assert!(
+                (a.kinetic_energy - b.kinetic_energy).abs() <= 1e-7 * b.kinetic_energy,
+                "{name} step {}: kinetic energy {} against {}",
+                a.step,
+                a.kinetic_energy,
+                b.kinetic_energy
+            );
+        }
     }
 }

@@ -119,7 +119,8 @@ fn mg_breakdown_uses_the_cg_fallback_without_a_retry() {
         assert_eq!(reports[1].retries, 0, "the fallback absorbs the fault in-attempt");
         assert_eq!(reports[1].poisson_fallbacks, 1);
         assert_eq!(reports[0].poisson_fallbacks, 0);
-        assert!(reports[1].poisson_residual < 1e-8, "the fallback still converges");
+        let tolerance = quick_config().poisson_options.tolerance;
+        assert!(reports[1].poisson_residual < 100.0 * tolerance, "the fallback still converges");
     }
 }
 
