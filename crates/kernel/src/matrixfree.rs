@@ -26,10 +26,10 @@
 //! bitwise-reproducibility contract: each output row is computed identically
 //! under every row partition.
 //!
-//! [`build_pressure_multigrid`] is the mesh-side glue: it recognises a
-//! structured box lattice ([`BoxLattice::infer`]), derives the nested
-//! coarsening chain and trilinear transfer stencils, and hands them to
-//! [`GeometricMultigrid`] for Galerkin coarse operators.
+//! [`build_pressure_multigrid`] is the mesh-side glue: it reads the box
+//! lattice the generator attached to the mesh ([`Mesh::lattice`]), derives
+//! the nested coarsening chain and trilinear transfer stencils, and hands
+//! them to [`GeometricMultigrid`] for Galerkin coarse operators.
 
 use crate::{PGAUS, PNODE};
 use lv_mesh::hierarchy::BoxLattice;
@@ -383,8 +383,9 @@ impl LinearOperator for MatrixFreeLaplacian {
 }
 
 /// The chain of trilinear interpolations of the pressure multigrid on
-/// `mesh` (`[l]` maps level `l+1` → level `l`), or `None` when the mesh is
-/// not a recognisable structured box lattice or no coarser level exists.
+/// `mesh` (`[l]` maps level `l+1` → level `l`), built on the lattice its
+/// generator attached, or the first of the causes of [`NoHierarchy`] that
+/// can be told from the mesh alone.
 ///
 /// The finest transfer interpolates from the first coarse lattice onto the
 /// **actual mesh node coordinates** (so mildly perturbed boxes still get an
@@ -393,11 +394,16 @@ impl LinearOperator for MatrixFreeLaplacian {
 pub fn pressure_interpolations(
     mesh: &Mesh,
     options: &MultigridOptions,
-) -> Option<Vec<Interpolation>> {
-    let lattice = BoxLattice::infer(mesh)?;
+) -> Result<Vec<Interpolation>, NoHierarchy> {
+    let lattice = mesh.lattice().ok_or(NoHierarchy::NoLattice)?;
     let chain = lattice.coarsening_chain(options.max_coarse_nodes);
     if chain.len() < 2 {
-        return None;
+        return Err(NoHierarchy::DoesNotHalve);
+    }
+    // Equal up to the rounding of the generator's arithmetic.
+    let h = lattice.spacing();
+    if h.iter().any(|&s| (s - h[0]).abs() > 1e-9 * h[0]) {
+        return Err(NoHierarchy::UnequalSpacing);
     }
     let fine_points: Vec<[f64; 3]> = (0..mesh.num_nodes())
         .map(|n| {
@@ -410,24 +416,30 @@ pub fn pressure_interpolations(
     for level in 1..chain.len() - 1 {
         interps.push(interpolation_onto(&chain[level + 1], &chain[level].node_positions()));
     }
-    Some(interps)
+    Ok(interps)
 }
 
 /// Why [`build_pressure_multigrid`] built no hierarchy for a mesh; its
 /// `Display` is the cause the pressure solve's banner names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoHierarchy {
-    /// The node coordinates form no box lattice that coarsens at least once
-    /// ([`pressure_interpolations`] is `None`): an unstructured mesh, a box
-    /// too small to coarsen.
+    /// The mesh carries no lattice ([`Mesh::lattice`] is `None`): it was
+    /// built from raw arrays, or renumbered (a scrambled or RCM order).
     NoLattice,
-    /// The lattice coarsens, but a level's operator has more than
-    /// [`lv_solver::dia::MAX_DIAGONALS`] distinct offsets and does not fit
-    /// the V-cycle's diagonal storage: the fine level under a scrambled
-    /// node order (the lattice is read from the coordinates, whatever the
-    /// numbering), a coarse Galerkin level of a jittered box.
-    /// ([`GeometricMultigrid::new`] also refuses a singular coarsest level,
-    /// which the Galerkin product of a pinned SPD Laplacian never is.)
+    /// The lattice does not halve even once: a direction has an odd element
+    /// count, or the lattice already holds at most
+    /// [`MultigridOptions::max_coarse_nodes`] nodes.
+    DoesNotHalve,
+    /// The element spacing differs between directions.  The damped-Jacobi
+    /// smoother fails on flat elements: to 1e-6, MG-CG takes 152 iterations
+    /// on an 8 × 8 × 16 unit cube against plain CG's 81.
+    UnequalSpacing,
+    /// A level's operator has more than [`lv_solver::dia::MAX_DIAGONALS`]
+    /// distinct offsets and does not fit the V-cycle's diagonal storage: a
+    /// coarse Galerkin level of a jittered box, whose finest transfer
+    /// interpolates onto the nudged nodes.  ([`GeometricMultigrid::new`]
+    /// also refuses a singular coarsest level, which the Galerkin product
+    /// of a pinned SPD Laplacian never is.)
     TooManyDiagonals,
 }
 
@@ -435,6 +447,8 @@ impl std::fmt::Display for NoHierarchy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NoHierarchy::NoLattice => f.write_str("no box lattice"),
+            NoHierarchy::DoesNotHalve => f.write_str("the lattice does not halve"),
+            NoHierarchy::UnequalSpacing => f.write_str("unequal element spacing"),
             NoHierarchy::TooManyDiagonals => {
                 write!(f, "a level has more than {} diagonals", lv_solver::dia::MAX_DIAGONALS)
             }
@@ -443,8 +457,8 @@ impl std::fmt::Display for NoHierarchy {
 }
 
 /// Builds the geometric-multigrid V-cycle preconditioner for the pressure
-/// Laplacian of `mesh` over [`pressure_interpolations`], or says which of
-/// the two causes of [`NoHierarchy`] stopped it.  Coarse operators are
+/// Laplacian of `mesh` over [`pressure_interpolations`], or says which
+/// cause of [`NoHierarchy`] stopped it.  Coarse operators are
 /// Galerkin products of `laplacian`, which must be the assembled, pinned
 /// matrix the outer CG iterates with.
 ///
@@ -456,7 +470,7 @@ pub fn build_pressure_multigrid(
     options: &MultigridOptions,
 ) -> Result<GeometricMultigrid, NoHierarchy> {
     assert_eq!(mesh.num_nodes(), laplacian.dim(), "one Laplacian row per mesh node");
-    let interps = pressure_interpolations(mesh, options).ok_or(NoHierarchy::NoLattice)?;
+    let interps = pressure_interpolations(mesh, options)?;
     GeometricMultigrid::new(laplacian, interps, options).ok_or(NoHierarchy::TooManyDiagonals)
 }
 
@@ -573,6 +587,6 @@ mod tests {
         // A lattice too small to coarsen yields no hierarchy.
         let options = MultigridOptions { max_coarse_nodes: 1000, ..Default::default() };
         let built = build_pressure_multigrid(&mesh, &csr, &options);
-        assert_eq!(built.err(), Some(NoHierarchy::NoLattice));
+        assert_eq!(built.err(), Some(NoHierarchy::DoesNotHalve));
     }
 }

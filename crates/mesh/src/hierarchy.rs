@@ -8,23 +8,21 @@
 //! 16³ ⊃ 8³ ⊃ 4³ ⊃ 2³ — which is exactly the hierarchy a geometric
 //! multigrid solve wants.  This module provides:
 //!
-//! * [`BoxLattice`] — the lattice geometry, [inferred](BoxLattice::infer)
-//!   from a generated mesh (bounding box + characteristic length, validated
-//!   against the node count) and [coarsened](BoxLattice::coarsened) by
-//!   halving;
+//! * [`BoxLattice`] — the lattice geometry, attached to the mesh by the
+//!   generator that built it ([`crate::Mesh::lattice`]) and
+//!   [coarsened](BoxLattice::coarsened) by halving;
 //! * [`trilinear_stencil`] — per-fine-node trilinear interpolation weights
 //!   against a coarse lattice, as raw CSR-style rows.  The solver crate
 //!   wraps them into its prolongation operator; keeping only plain data
 //!   here leaves `lv-mesh` free of solver dependencies.
 //!
-//! Inference is deliberately conservative: anything that does not look like
-//! an axis-aligned uniform lattice (wrong node count, degenerate extent)
-//! returns `None` and the caller falls back to a single-level solve.
+//! A mesh built from raw arrays or renumbered carries no lattice, and its
+//! pressure solve stays single-level.
 
-use crate::mesh::Mesh;
+use serde::{Deserialize, Serialize};
 
 /// An axis-aligned lattice of `dims[d]` equal elements per direction.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BoxLattice {
     /// Minimum corner of the box.
     pub origin: [f64; 3],
@@ -45,48 +43,6 @@ impl BoxLattice {
         BoxLattice { origin, lengths, dims }
     }
 
-    /// Infers the generating lattice of a structured mesh: bounding box plus
-    /// the characteristic (minimum edge) length give the per-direction
-    /// element counts, validated against the node count.  Returns `None`
-    /// when the mesh does not match a uniform lattice — jittered or
-    /// hand-built meshes fall back to non-hierarchical solves.
-    pub fn infer(mesh: &Mesh) -> Option<BoxLattice> {
-        if mesh.num_nodes() == 0 {
-            return None;
-        }
-        let mut min = [f64::INFINITY; 3];
-        let mut max = [f64::NEG_INFINITY; 3];
-        for node in 0..mesh.num_nodes() {
-            let p = mesh.node_coords(node);
-            for (d, v) in [p.x, p.y, p.z].into_iter().enumerate() {
-                min[d] = min[d].min(v);
-                max[d] = max[d].max(v);
-            }
-        }
-        let h = mesh.characteristic_length();
-        // NaN must bail out too, hence not `h <= 0.0`.
-        if h.is_nan() || h <= 0.0 {
-            return None;
-        }
-        let mut dims = [0usize; 3];
-        let mut lengths = [0.0f64; 3];
-        for d in 0..3 {
-            let len = max[d] - min[d];
-            if len.is_nan() || len <= 0.0 {
-                return None;
-            }
-            let estimate = len / h;
-            let rounded = estimate.round();
-            if rounded < 1.0 || (estimate - rounded).abs() > 0.25 {
-                return None;
-            }
-            dims[d] = rounded as usize;
-            lengths[d] = len;
-        }
-        let lattice = BoxLattice { origin: min, lengths, dims };
-        (lattice.num_nodes() == mesh.num_nodes()).then_some(lattice)
-    }
-
     /// Nodes per direction.
     pub fn points(&self) -> [usize; 3] {
         [self.dims[0] + 1, self.dims[1] + 1, self.dims[2] + 1]
@@ -96,6 +52,11 @@ impl BoxLattice {
     pub fn num_nodes(&self) -> usize {
         let p = self.points();
         p[0] * p[1] * p[2]
+    }
+
+    /// Element edge length per direction.
+    pub fn spacing(&self) -> [f64; 3] {
+        [0, 1, 2].map(|d| self.lengths[d] / self.dims[d] as f64)
     }
 
     /// Total element count.
@@ -187,12 +148,12 @@ pub fn trilinear_stencil(coarse: &BoxLattice, fine_points: &[[f64; 3]]) -> Trili
     row_ptr.push(0usize);
     let mut col_idx = Vec::new();
     let mut weights = Vec::new();
+    let spacing = coarse.spacing();
     for p in fine_points {
         let mut cell = [0usize; 3];
         let mut xi = [0.0f64; 3];
         for d in 0..3 {
-            let h = coarse.lengths[d] / coarse.dims[d] as f64;
-            let u = (p[d] - coarse.origin[d]) / h;
+            let u = (p[d] - coarse.origin[d]) / spacing[d];
             let c = (u.floor() as isize).clamp(0, coarse.dims[d] as isize - 1) as usize;
             cell[d] = c;
             xi[d] = u - c as f64;
@@ -219,62 +180,67 @@ pub fn trilinear_stencil(coarse: &BoxLattice, fine_points: &[[f64; 3]]) -> Trili
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::Mesh;
     use crate::structured::BoxMeshBuilder;
 
+    /// Every generator attaches the lattice it built — the bounding box with
+    /// the builder's dims, bit for bit, node `n` at lattice point `n` — and a
+    /// renumbered or raw-array mesh carries none.
     #[test]
-    fn infer_recovers_the_generating_lattice() {
-        let mesh = BoxMeshBuilder::new(8, 8, 8).build();
-        let lattice = BoxLattice::infer(&mesh).expect("uniform box");
-        assert_eq!(lattice.dims, [8, 8, 8]);
-        assert_eq!(lattice.num_nodes(), mesh.num_nodes());
-        assert!(lattice.origin.iter().all(|&o| o.abs() < 1e-12));
-        assert!(lattice.lengths.iter().all(|&l| (l - 1.0).abs() < 1e-12));
-        // Node ordering matches the generator.
-        for (node, pos) in lattice.node_positions().iter().enumerate() {
-            let p = mesh.node_coords(node);
-            assert!((p.x - pos[0]).abs() < 1e-12);
-            assert!((p.y - pos[1]).abs() < 1e-12);
-            assert!((p.z - pos[2]).abs() < 1e-12);
+    fn generators_attach_their_lattice_and_nothing_else_does() {
+        use crate::geometry::Point3;
+        use crate::renumber::NodePermutation;
+        use crate::structured::ChannelMeshBuilder;
+        // (dims, mesh, unjittered): the meshes of the driver's scenario
+        // registry (cavity, channel, and the all-walls box of Taylor–Green
+        // and the shear layer), then a jittered and an offset box.
+        let mut cases = Vec::new();
+        for n in [8, 12, 16] {
+            cases.push(([n; 3], BoxMeshBuilder::new(n, n, n).lid_driven_cavity().build(), true));
+            cases.push(([4 * n, n, n], ChannelMeshBuilder::new(n, 4).build(), true));
+            cases.push(([n; 3], BoxMeshBuilder::new(n, n, n).build(), true));
         }
-    }
-
-    #[test]
-    fn infer_handles_anisotropic_boxes() {
-        let mesh = BoxMeshBuilder::new(12, 6, 4)
-            .with_extent(crate::geometry::Point3::new(1.0, -2.0, 0.5), [6.0, 3.0, 2.0])
+        cases.push(([32; 3], BoxMeshBuilder::new(32, 32, 32).lid_driven_cavity().build(), true));
+        cases.push(([8; 3], BoxMeshBuilder::new(8, 8, 8).with_jitter(0.3, 7).build(), false));
+        let offset = BoxMeshBuilder::new(12, 6, 4)
+            .with_extent(Point3::new(1.0, -2.0, 0.5), [6.0, 3.0, 2.0])
             .build();
-        let lattice = BoxLattice::infer(&mesh).expect("uniform anisotropic box");
-        assert_eq!(lattice.dims, [12, 6, 4]);
-    }
+        cases.push(([12, 6, 4], offset, true));
 
-    #[test]
-    fn infer_recovers_the_lattice_of_a_jittered_box() {
-        // Jitter only moves interior nodes: the bounding box and the nominal
-        // characteristic length are unchanged, so the generating lattice is
-        // still recovered.  (The multigrid transfer built from it uses the
-        // *true* node coordinates, so jittered nodes interpolate correctly.)
-        let mesh = BoxMeshBuilder::new(8, 8, 8).with_jitter(0.3, 7).build();
-        let lattice = BoxLattice::infer(&mesh).expect("jittered box still a lattice");
-        assert_eq!(lattice.dims, [8, 8, 8]);
-    }
+        let bits = |l: &BoxLattice| [l.origin, l.lengths].map(|v| v.map(f64::to_bits));
+        for (dims, mesh, unjittered) in &cases {
+            let (lo, hi) = mesh.bounding_box();
+            let expected =
+                BoxLattice::new([lo.x, lo.y, lo.z], [hi.x - lo.x, hi.y - lo.y, hi.z - lo.z], *dims);
+            let lattice = mesh.lattice().expect("a generated mesh carries its lattice");
+            assert_eq!(lattice.dims, *dims);
+            assert_eq!(bits(lattice), bits(&expected), "{dims:?}");
+            if *unjittered {
+                let p = lattice.points();
+                for k in 0..p[2] {
+                    for j in 0..p[1] {
+                        for i in 0..p[0] {
+                            let at = mesh.node_coords(lattice.node_index(i, j, k));
+                            let want = lattice.node_position(i, j, k);
+                            let near = (0..3).all(|d| (at[d] - want[d]).abs() < 1e-12);
+                            assert!(near, "{dims:?} at {i},{j},{k}");
+                        }
+                    }
+                }
+            }
+            let renumbered = mesh.renumber_nodes(&NodePermutation::identity(mesh.num_nodes()));
+            assert!(renumbered.lattice().is_none(), "{dims:?}");
+        }
 
-    #[test]
-    fn infer_rejects_a_mesh_that_is_not_a_uniform_lattice() {
-        // A hand-built mesh whose characteristic length does not divide its
-        // extent into a whole element count is not a lattice.
-        let base = BoxMeshBuilder::new(2, 2, 2).build();
-        let coords: Vec<f64> = (0..base.num_nodes())
-            .flat_map(|n| {
-                let p = base.node_coords(n);
-                [p.x, p.y, p.z]
-            })
-            .collect();
-        let lnods = (0..base.num_elements())
-            .flat_map(|e| base.element_nodes(e).to_vec())
-            .collect::<Vec<_>>();
-        let tags = (0..base.num_nodes()).map(|n| base.boundary_tag(n)).collect();
-        let mesh = Mesh::from_raw(crate::mesh::ElementKind::Hex8, coords, lnods, tags, 0.4);
-        assert!(BoxLattice::infer(&mesh).is_none());
+        let mesh = &cases[0].1;
+        let raw = Mesh::from_raw(
+            mesh.kind(),
+            mesh.coords().to_vec(),
+            mesh.connectivity().to_vec(),
+            mesh.boundary_tags().to_vec(),
+            mesh.characteristic_length(),
+        );
+        assert!(raw.lattice().is_none());
     }
 
     #[test]

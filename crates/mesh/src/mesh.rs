@@ -10,6 +10,7 @@
 //! connectivity table indexed by element id.
 
 use crate::geometry::Point3;
+use crate::hierarchy::BoxLattice;
 use crate::{HEX8_NODES, TET4_NODES};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -84,6 +85,9 @@ pub struct Mesh {
     boundary: Vec<BoundaryTag>,
     /// Characteristic element length (uniform for generated meshes).
     h_char: f64,
+    /// The lattice a structured generator built the mesh on; node ids then
+    /// follow its order.  `None` for every other mesh.
+    lattice: Option<BoxLattice>,
 }
 
 impl Mesh {
@@ -119,7 +123,22 @@ impl Mesh {
             "connectivity references a node outside the mesh"
         );
         assert!(h_char > 0.0, "characteristic length must be positive");
-        Mesh { kind, coords, lnods, boundary, h_char }
+        Mesh { kind, coords, lnods, boundary, h_char, lattice: None }
+    }
+
+    /// Attaches the lattice a generator built this mesh on, node `n` being
+    /// lattice point `n` in [`BoxLattice::node_index`] order.
+    pub(crate) fn with_lattice(self, lattice: BoxLattice) -> Mesh {
+        debug_assert_eq!(lattice.num_nodes(), self.num_nodes());
+        Mesh { lattice: Some(lattice), ..self }
+    }
+
+    /// The box lattice of a mesh generated by [`crate::BoxMeshBuilder`] (or
+    /// the channel builder), whose node ids follow it.  `None` for a mesh
+    /// built from raw arrays or renumbered: no lattice orders its nodes.
+    #[inline]
+    pub fn lattice(&self) -> Option<&BoxLattice> {
+        self.lattice.as_ref()
     }
 
     /// Element kind of the mesh.

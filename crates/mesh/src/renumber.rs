@@ -1,28 +1,31 @@
-//! Bandwidth-minimizing node renumbering (reverse Cuthill–McKee) and the
-//! locality metrics that motivate it.
+//! Node renumbering: bandwidth-minimizing reverse Cuthill–McKee and a
+//! deterministic scramble.
 //!
 //! Phases 1–2 of the mini-app are indexed gathers through the connectivity:
 //! for every element of a `VECTOR_SIZE` chunk they touch the coordinate and
-//! unknown arrays at the element's node ids.  How far apart those ids lie —
-//! the *gather span* of the chunk — decides how many cache lines the gather
-//! streams; the same node ordering also fixes the bandwidth of the CSR
-//! matrix the solver SpMV traverses.  A mesh generator's node order is
-//! rarely good at either, and the paper's post-VEC1 profile is dominated by
-//! exactly these two costs.
+//! unknown arrays at the element's node ids.  How far apart those ids lie
+//! decides how many cache lines the gather streams; the same node ordering
+//! also fixes the bandwidth of the CSR matrix the solver SpMV traverses.
+//! The structured generators number nodes in lattice order, already
+//! bandwidth-optimal for a box; the numbering of an imported mesh is not.
 //!
-//! This module provides the standard fix:
+//! This module provides:
 //!
 //! * [`NodePermutation`] — an old→new node map with its inverse, plus the
 //!   helpers to push fields, right-hand sides and solutions through it (and
-//!   back);
+//!   back), and [`NodePermutation::scrambled`], the arbitrary numbering of
+//!   an imported mesh;
 //! * [`reverse_cuthill_mckee`] — the classic breadth-first bandwidth
 //!   minimizer over the node-to-node graph, with fully deterministic
 //!   tie-breaking (smallest degree first, then smallest id), so the
 //!   permutation is a pure function of the mesh;
 //! * [`Mesh::renumber_nodes`] — applies a permutation to the whole mesh
-//!   (coordinates, connectivity, boundary tags);
-//! * [`LocalityReport`] — the before/after observables: node-graph
-//!   bandwidth and per-chunk phase-1/2 gather spans.
+//!   (coordinates, connectivity, boundary tags).
+//!
+//! A renumbered mesh carries no lattice ([`Mesh::lattice`] is `None`), so
+//! its pressure solve is single-level; with patterns far wider than 32
+//! diagonals, scrambled and RCM orders are also the test inputs of the CSR
+//! momentum matrix.
 //!
 //! Renumbering commutes with the assembly bitwise: element order, the
 //! element-local node order and therefore every floating-point operation of
@@ -31,7 +34,6 @@
 //! reproduces the original system bit for bit (pinned by the integration
 //! tests).
 
-use crate::chunks::ElementChunks;
 use crate::mesh::Mesh;
 use serde::{Deserialize, Serialize};
 
@@ -228,6 +230,7 @@ impl Mesh {
     /// remapped.  Element order and element-local node order are unchanged,
     /// so the assembly sweep over the renumbered mesh performs exactly the
     /// same floating-point operations — only the scatter destinations move.
+    /// The result carries no lattice, even under the identity permutation.
     ///
     /// # Panics
     /// Panics if the permutation size does not match the node count.
@@ -244,73 +247,21 @@ impl Mesh {
     }
 }
 
-/// Node-graph bandwidth of a mesh: the maximum `|a - b|` over node pairs
-/// sharing an element — which is exactly the bandwidth of the CSR matrix
-/// assembled on the node-to-node graph.
-pub fn node_bandwidth(mesh: &Mesh) -> usize {
-    let mut bandwidth = 0usize;
-    for e in 0..mesh.num_elements() {
-        let nodes = mesh.element_nodes(e);
-        for &a in nodes {
-            for &b in nodes {
-                bandwidth = bandwidth.max((a as usize).abs_diff(b as usize));
-            }
-        }
-    }
-    bandwidth
-}
-
-/// Gather-locality observables of a mesh under a given `VECTOR_SIZE`
-/// blocking, plus the solver-side bandwidth — the quantities the reverse
-/// Cuthill–McKee pass exists to shrink.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LocalityReport {
-    /// Node-graph (= CSR) bandwidth.
-    pub bandwidth: usize,
-    /// Maximum per-chunk gather span (max node id − min node id over the
-    /// nodes a chunk's phase-1/2 gathers touch).
-    pub max_chunk_span: usize,
-    /// Mean per-chunk gather span.
-    pub mean_chunk_span: f64,
-    /// Chunks measured.
-    pub chunks: usize,
-}
-
-impl LocalityReport {
-    /// Measures the locality of `mesh` under `vector_size`-element chunks
-    /// (the same mesh-order blocking phases 1–2 gather through).
-    pub fn measure(mesh: &Mesh, vector_size: usize) -> Self {
-        let chunks = ElementChunks::new(mesh, vector_size);
-        let mut max_span = 0usize;
-        let mut sum_span = 0.0f64;
-        let mut count = 0usize;
-        for chunk in &chunks {
-            let mut lo = usize::MAX;
-            let mut hi = 0usize;
-            for e in chunk.elements() {
-                for &node in mesh.element_nodes(e) {
-                    lo = lo.min(node as usize);
-                    hi = hi.max(node as usize);
-                }
-            }
-            let span = hi - lo;
-            max_span = max_span.max(span);
-            sum_span += span as f64;
-            count += 1;
-        }
-        LocalityReport {
-            bandwidth: node_bandwidth(mesh),
-            max_chunk_span: max_span,
-            mean_chunk_span: if count > 0 { sum_span / count as f64 } else { 0.0 },
-            chunks: count,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::structured::BoxMeshBuilder;
+
+    /// Node-graph bandwidth: the largest `|a - b|` over node pairs sharing
+    /// an element, which is the bandwidth of the CSR matrix assembled on
+    /// the node graph.
+    fn bandwidth(mesh: &Mesh) -> usize {
+        let pairs = mesh.elements().flat_map(|e| {
+            let nodes = mesh.element_nodes(e);
+            nodes.iter().flat_map(move |&a| nodes.iter().map(move |&b| a.abs_diff(b) as usize))
+        });
+        pairs.max().unwrap_or(0)
+    }
 
     #[test]
     fn identity_permutation_roundtrips() {
@@ -382,9 +333,9 @@ mod tests {
         // 2x of the bandwidth the scramble destroyed.
         let mesh = BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().build();
         let scrambled = mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 42));
-        let before = node_bandwidth(&scrambled);
+        let before = bandwidth(&scrambled);
         let renumbered = scrambled.renumber_nodes(&reverse_cuthill_mckee(&scrambled));
-        let after = node_bandwidth(&renumbered);
+        let after = bandwidth(&renumbered);
         assert!(
             (after as f64) * 2.0 <= before as f64,
             "RCM bandwidth {after} not at least 2x below scrambled {before}"
@@ -399,9 +350,9 @@ mod tests {
         // lexicographic planes — RCM cannot win here, but must not blow up).
         let mesh = BoxMeshBuilder::new(8, 8, 8).build();
         let lower_bound = (mesh.num_nodes() - 1).div_ceil(8);
-        assert_eq!(node_bandwidth(&mesh), 9 * 9 + 9 + 1);
+        assert_eq!(bandwidth(&mesh), 9 * 9 + 9 + 1);
         let renumbered = mesh.renumber_nodes(&reverse_cuthill_mckee(&mesh));
-        let rcm = node_bandwidth(&renumbered);
+        let rcm = bandwidth(&renumbered);
         assert!(rcm >= lower_bound);
         assert!(rcm < 8 * lower_bound, "RCM bandwidth {rcm} blew up past {}", 8 * lower_bound);
     }
@@ -444,19 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn locality_report_reflects_the_renumbering() {
-        let mesh = BoxMeshBuilder::new(10, 10, 10).build();
-        let scrambled = mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 7));
-        let before = LocalityReport::measure(&scrambled, 64);
-        let renumbered = scrambled.renumber_nodes(&reverse_cuthill_mckee(&scrambled));
-        let after = LocalityReport::measure(&renumbered, 64);
-        assert_eq!(before.chunks, after.chunks);
-        assert!(before.bandwidth > 2 * after.bandwidth);
-        assert!(before.mean_chunk_span > after.mean_chunk_span);
-        assert!(after.max_chunk_span > 0);
-    }
-
-    #[test]
     fn scrambled_permutation_is_deterministic_and_destroys_locality() {
         let mesh = BoxMeshBuilder::new(8, 8, 8).build();
         let p = NodePermutation::scrambled(mesh.num_nodes(), 3);
@@ -464,6 +402,6 @@ mod tests {
         assert_ne!(p, NodePermutation::scrambled(mesh.num_nodes(), 4));
         assert!(!p.is_identity());
         let scrambled = mesh.renumber_nodes(&p);
-        assert!(node_bandwidth(&scrambled) > 3 * node_bandwidth(&mesh));
+        assert!(bandwidth(&scrambled) > 3 * bandwidth(&mesh));
     }
 }

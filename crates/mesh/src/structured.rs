@@ -8,6 +8,7 @@
 //! lid-driven-cavity and channel-flow examples.
 
 use crate::geometry::Point3;
+use crate::hierarchy::BoxLattice;
 use crate::mesh::{BoundaryTag, ElementKind, Mesh};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,7 +110,8 @@ impl BoxMeshBuilder {
         self.nx * self.ny * self.nz
     }
 
-    /// Builds the mesh.
+    /// Builds the mesh, with the lattice it generated attached
+    /// ([`Mesh::lattice`]).
     pub fn build(&self) -> Mesh {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let (px, py, pz) = (nx + 1, ny + 1, nz + 1);
@@ -118,6 +120,14 @@ impl BoxMeshBuilder {
         let dy = self.lengths[1] / ny as f64;
         let dz = self.lengths[2] / nz as f64;
 
+        let position = |i: usize, j: usize, k: usize| {
+            [
+                self.origin.x + i as f64 * dx,
+                self.origin.y + j as f64 * dy,
+                self.origin.z + k as f64 * dz,
+            ]
+        };
+
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut coords = Vec::with_capacity(3 * nnode);
         let mut boundary = Vec::with_capacity(nnode);
@@ -125,9 +135,7 @@ impl BoxMeshBuilder {
             for j in 0..py {
                 for i in 0..px {
                     let on_boundary = i == 0 || j == 0 || k == 0 || i == nx || j == ny || k == nz;
-                    let mut x = self.origin.x + i as f64 * dx;
-                    let mut y = self.origin.y + j as f64 * dy;
-                    let mut z = self.origin.z + k as f64 * dz;
+                    let [mut x, mut y, mut z] = position(i, j, k);
                     if self.jitter > 0.0 && !on_boundary {
                         x += dx * self.jitter * rng.gen_range(-1.0..1.0);
                         y += dy * self.jitter * rng.gen_range(-1.0..1.0);
@@ -160,8 +168,12 @@ impl BoxMeshBuilder {
             }
         }
 
+        // The corners are the unjittered boundary nodes, so the lattice spans
+        // exactly the mesh's bounding box.
+        let (lo, hi) = (position(0, 0, 0), position(nx, ny, nz));
+        let lattice = BoxLattice::new(lo, [0, 1, 2].map(|d| hi[d] - lo[d]), [nx, ny, nz]);
         let h_char = dx.min(dy).min(dz);
-        Mesh::from_raw(ElementKind::Hex8, coords, lnods, boundary, h_char)
+        Mesh::from_raw(ElementKind::Hex8, coords, lnods, boundary, h_char).with_lattice(lattice)
     }
 
     fn tag_for(&self, i: usize, j: usize, k: usize) -> BoundaryTag {

@@ -214,9 +214,9 @@ fn pressure_field_is_no_longer_a_zero_spectator() {
 /// on top of the scramble (a narrow band, not a lattice).  All three step
 /// (on two threads; 13³ rows clear the cutoff where the teams fork), and
 /// the banner names the choice.  None of the three has a pressure
-/// hierarchy, and the banner names the one cause that fired: all three are
-/// lattices, but a level is too wide for diagonals — a coarse Galerkin
-/// level of the jittered box, the fine level itself of the renumbered ones.
+/// hierarchy, and the banner names the cause: a coarse Galerkin level of
+/// the jittered box is too wide for diagonals, and the renumbered meshes
+/// carry no lattice.
 #[test]
 fn momentum_storage_follows_the_node_order_and_both_storages_step() {
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 12);
@@ -226,11 +226,12 @@ fn momentum_storage_follows_the_node_order_and_both_storages_step() {
     let team = Team::new(2);
     let mut energies = Vec::new();
     let csr = "momentum csr (pattern has more than 32 diagonals)";
-    let pressure = "pressure cg (no multigrid hierarchy: a level has more than 32 diagonals)";
-    for (mesh, storage, banner) in [
-        (jittered, MomentumStorage::Dia { diagonals: 27 }, "momentum dia (27 diagonals)"),
-        (scrambled, MomentumStorage::Csr, csr),
-        (rcm, MomentumStorage::Csr, csr),
+    let wide = "pressure cg (no multigrid hierarchy: a level has more than 32 diagonals)";
+    let renumbered = "pressure cg (no multigrid hierarchy: no box lattice)";
+    for (mesh, storage, banner, pressure) in [
+        (jittered, MomentumStorage::Dia { diagonals: 27 }, "momentum dia (27 diagonals)", wide),
+        (scrambled, MomentumStorage::Csr, csr, renumbered),
+        (rcm, MomentumStorage::Csr, csr, renumbered),
     ] {
         let mut stepper = Stepper::with_mesh(scenario.clone(), quick_config(), mesh);
         assert_eq!(stepper.momentum_storage(), storage);

@@ -418,10 +418,9 @@ fn a_scrambled_node_order_does_not_fit_and_steps_with_plain_cg() {
         DiaMatrix::<f64>::from_csr(&laplacian).is_none(),
         "a scrambled Laplacian has no diagonals"
     );
-    // The coordinates still form a lattice: it is the fine level that does
-    // not fit.
+    // A renumbered mesh carries no lattice to build a hierarchy on.
     let built = build_pressure_multigrid(&scrambled, &laplacian, &MultigridOptions::default());
-    assert_eq!(built.err(), Some(NoHierarchy::TooManyDiagonals));
+    assert_eq!(built.err(), Some(NoHierarchy::NoLattice));
 
     // The stepper takes the documented fallback and still steps.
     let mut stepper =
