@@ -37,11 +37,25 @@
 //! checksum, reporting every corrupt/truncated generation it had to skip —
 //! a bit-flipped newest checkpoint degrades a restart by one save interval
 //! instead of killing it.
+//!
+//! ## Saving and resuming a run
+//!
+//! Every front end (the `lv-server` supervisor, `simulate`, the tests)
+//! checkpoints through two [`Stepper`] methods.  [`Stepper::checkpoint_on`]
+//! saves a ring generation and then fires the checkpoint fault
+//! (`ckpt-flip`, `ckpt-truncate`) the stepper's own fault plan holds for
+//! the step, so a run has one plan for every fault kind.
+//! [`Stepper::resume_on`] loads the newest intact generation, checks that
+//! it belongs to the scenario and rebuilds the stepper on it.  On a traced
+//! team both record their `checkpoint/{save,load}` span and counter.  The
+//! plain-file [`save_checkpoint`] / [`load_checkpoint`] pair is the format
+//! underneath.
 
 use crate::scenario::{Scenario, ScenarioKind};
-use crate::stepper::SimState;
+use crate::stepper::{SimState, Stepper, StepperConfig};
 use lv_mesh::{Field, Mesh, VectorField};
-use lv_trace::{counters, spans, Trace};
+use lv_runtime::Team;
+use lv_trace::{counters, spans};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -238,32 +252,6 @@ fn state_bytes(state: &SimState) -> u64 {
     8 * (state.velocity.as_slice().len() + state.pressure.as_slice().len()) as u64
 }
 
-/// [`save_checkpoint`] wrapped in telemetry: a `checkpoint/save` span
-/// (`bytes` = field payload, `iters` = 1 on success / 0 on failure) plus
-/// [`counters::CHECKPOINT_SAVES`] when the write lands.  `trace = None`
-/// degrades to the plain save.
-///
-/// # Errors
-/// See [`save_checkpoint`].
-pub fn save_checkpoint_traced(
-    path: impl AsRef<Path>,
-    scenario: &Scenario,
-    state: &SimState,
-    trace: Option<&Trace>,
-) -> io::Result<()> {
-    let span = trace.map(|t| t.span(spans::CHECKPOINT_SAVE, 0).bytes(state_bytes(state)));
-    let result = save_checkpoint(path, scenario, state);
-    if let Some(s) = span {
-        s.iters(result.is_ok() as u64).finish();
-    }
-    if result.is_ok() {
-        if let Some(t) = trace {
-            t.add(counters::CHECKPOINT_SAVES, 1);
-        }
-    }
-    result
-}
-
 /// Reads and verifies a checkpoint from `path`.
 ///
 /// # Errors
@@ -296,30 +284,6 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
         return Err(invalid("bytes after the pressure field"));
     }
     Ok(Checkpoint { scenario, resolution, viscosity, density, step, time, velocity, pressure })
-}
-
-/// [`load_checkpoint`] wrapped in telemetry: a `checkpoint/load` span
-/// (`bytes` = decoded field payload, `iters` = 1 on success / 0 on failure)
-/// plus [`counters::CHECKPOINT_LOADS`] when the read succeeds.
-///
-/// # Errors
-/// See [`load_checkpoint`].
-pub fn load_checkpoint_traced(
-    path: impl AsRef<Path>,
-    trace: Option<&Trace>,
-) -> io::Result<Checkpoint> {
-    let span = trace.map(|t| t.span(spans::CHECKPOINT_LOAD, 0));
-    let result = load_checkpoint(path);
-    if let Some(s) = span {
-        let bytes = result.as_ref().map_or(0, |c| 8 * (c.velocity.len() + c.pressure.len()) as u64);
-        s.iters(result.is_ok() as u64).bytes(bytes).finish();
-    }
-    if result.is_ok() {
-        if let Some(t) = trace {
-            t.add(counters::CHECKPOINT_LOADS, 1);
-        }
-    }
-    result
 }
 
 /// A successful [`CheckpointRing::load_latest`]: which generation actually
@@ -386,55 +350,6 @@ impl CheckpointRing {
         Ok(newest)
     }
 
-    /// [`CheckpointRing::save`] wrapped in telemetry (see
-    /// [`save_checkpoint_traced`]; the span covers rotation + write).
-    ///
-    /// # Errors
-    /// See [`CheckpointRing::save`].
-    pub fn save_traced(
-        &self,
-        scenario: &Scenario,
-        state: &SimState,
-        trace: Option<&Trace>,
-    ) -> io::Result<PathBuf> {
-        let span = trace.map(|t| t.span(spans::CHECKPOINT_SAVE, 0).bytes(state_bytes(state)));
-        let result = self.save(scenario, state);
-        if let Some(s) = span {
-            s.iters(result.is_ok() as u64).finish();
-        }
-        if result.is_ok() {
-            if let Some(t) = trace {
-                t.add(counters::CHECKPOINT_SAVES, 1);
-            }
-        }
-        result
-    }
-
-    /// [`CheckpointRing::load_latest`] wrapped in telemetry (see
-    /// [`load_checkpoint_traced`]; `aux` carries the restoring generation).
-    ///
-    /// # Errors
-    /// See [`CheckpointRing::load_latest`].
-    pub fn load_latest_traced(&self, trace: Option<&Trace>) -> io::Result<RingRecovery> {
-        let span = trace.map(|t| t.span(spans::CHECKPOINT_LOAD, 0));
-        let result = self.load_latest();
-        if let Some(s) = span {
-            let (bytes, generation) = result.as_ref().map_or((0, 0), |r| {
-                (
-                    8 * (r.checkpoint.velocity.len() + r.checkpoint.pressure.len()) as u64,
-                    r.generation as u64,
-                )
-            });
-            s.iters(result.is_ok() as u64).bytes(bytes).aux(generation).finish();
-        }
-        if result.is_ok() {
-            if let Some(t) = trace {
-                t.add(counters::CHECKPOINT_LOADS, 1);
-            }
-        }
-        result
-    }
-
     /// Loads the newest generation that decodes and passes its checksum,
     /// skipping (and reporting) corrupt, truncated or missing newer slots.
     ///
@@ -473,6 +388,97 @@ impl CheckpointRing {
             io::ErrorKind::InvalidData,
             format!("every checkpoint ring generation is damaged ({detail})"),
         ))
+    }
+}
+
+/// A stepper resumed by [`Stepper::resume_on`], with where its state came
+/// from.
+#[derive(Debug)]
+pub struct Resumed {
+    /// The stepper, at the restored step.
+    pub stepper: Stepper,
+    /// Generation the state came from (0 = newest slot).
+    pub generation: usize,
+    /// The slot file it was read from.
+    pub path: PathBuf,
+    /// Newer generations that existed but failed to load, with the error
+    /// message each produced (empty on a clean restart).
+    pub skipped: Vec<(PathBuf, String)>,
+}
+
+impl Stepper {
+    /// Resumes `scenario` from the newest intact generation of `ring`: the
+    /// generation must belong to the scenario and fit its mesh.  On a
+    /// traced team the read is a `checkpoint/load` span (`bytes` = decoded
+    /// field payload, `iters` = 1 when a generation decoded, `aux` = that
+    /// generation) plus [`counters::CHECKPOINT_LOADS`] when it did.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::NotFound`] for an empty ring, the error of
+    /// [`CheckpointRing::load_latest`] when every generation is damaged, and
+    /// [`io::ErrorKind::InvalidData`] for a generation of another scenario
+    /// or mesh.
+    pub fn resume_on(
+        team: &Team,
+        scenario: Scenario,
+        config: StepperConfig,
+        ring: &CheckpointRing,
+    ) -> io::Result<Resumed> {
+        let trace = team.trace();
+        let span = trace.map(|t| t.span(spans::CHECKPOINT_LOAD, 0));
+        let result = ring.load_latest();
+        if let Some(s) = span {
+            let (bytes, generation) = result.as_ref().map_or((0, 0), |r| {
+                let fields = r.checkpoint.velocity.len() + r.checkpoint.pressure.len();
+                (8 * fields as u64, r.generation as u64)
+            });
+            s.iters(result.is_ok() as u64).bytes(bytes).aux(generation).finish();
+        }
+        let RingRecovery { checkpoint, generation, path, skipped } = result?;
+        if let Some(t) = trace {
+            t.add(counters::CHECKPOINT_LOADS, 1);
+        }
+        checkpoint.validate_scenario(&scenario)?;
+        let mesh = scenario.build_mesh();
+        let state = checkpoint.into_state(&mesh)?;
+        let stepper = Stepper::from_state(scenario, config, mesh, state);
+        Ok(Resumed { stepper, generation, path, skipped })
+    }
+
+    /// Saves the state as a new generation of `ring`, then applies the
+    /// checkpoint fault the stepper's own [`FaultPlan`](crate::FaultPlan)
+    /// holds for this step, if any, to the slot just written
+    /// ([`FaultPlan::corrupt_checkpoint`](crate::FaultPlan::corrupt_checkpoint)).
+    /// Returns the newest slot and what the fault did (`None`: none was
+    /// due).  On a traced team the rotation and write are a
+    /// `checkpoint/save` span (`bytes` = field payload, `iters` = 1 on
+    /// success / 0 on failure) plus [`counters::CHECKPOINT_SAVES`] when the
+    /// write lands.
+    ///
+    /// # Errors
+    /// Any I/O error of the ring save or of the injected corruption.
+    pub fn checkpoint_on(
+        &mut self,
+        team: &Team,
+        ring: &CheckpointRing,
+    ) -> io::Result<(PathBuf, Option<String>)> {
+        let trace = team.trace();
+        let span =
+            trace.map(|t| t.span(spans::CHECKPOINT_SAVE, 0).bytes(state_bytes(self.state())));
+        let result = ring.save(self.scenario(), self.state());
+        if let Some(s) = span {
+            s.iters(result.is_ok() as u64).finish();
+        }
+        let newest = result?;
+        if let Some(t) = trace {
+            t.add(counters::CHECKPOINT_SAVES, 1);
+        }
+        let step = self.state().step;
+        let fault = match self.fault_plan.as_mut() {
+            Some(plan) => plan.corrupt_checkpoint(step, &newest)?,
+            None => None,
+        };
+        Ok((newest, fault))
     }
 }
 
@@ -649,35 +655,45 @@ mod tests {
     }
 
     #[test]
-    fn traced_checkpoint_io_records_spans_and_counters() {
-        use lv_trace::{summary::RunSummary, Trace, TraceConfig};
-        let (scenario, _mesh, state) = sample();
-        let mut trace = Trace::new(1, TraceConfig::default());
-        let ring = CheckpointRing::new(ring_base("traced"), 2);
+    fn a_stepper_saves_and_resumes_itself_with_spans_counters_and_its_own_faults() {
+        use crate::fault::{FaultKind, FaultPlan};
+        use lv_trace::{summary::RunSummary, TraceConfig};
+        let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 3);
+        let config = StepperConfig::default().with_vector_size(32);
+        let mut team = Team::with_trace(1, TraceConfig::default());
+        let ring = CheckpointRing::new(ring_base("stepper"), 2);
         clear_ring(&ring);
-        ring.save_traced(&scenario, &state, Some(&trace)).expect("save");
-        ring.save_traced(&scenario, &state, Some(&trace)).expect("save");
-        let recovery = ring.load_latest_traced(Some(&trace)).expect("load");
-        assert_eq!(recovery.generation, 0);
+        // An empty ring: a load span with iters = 0, no counter bump.
+        let err = Stepper::resume_on(&team, scenario.clone(), config.clone(), &ring)
+            .expect_err("empty ring");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+
+        let plan = FaultPlan::new(5).with_fault(FaultKind::CheckpointTruncate, 1);
+        let mut stepper = Stepper::new(scenario.clone(), config.clone().with_fault_plan(plan));
+        stepper.step_on(&team).expect("step");
+        let (newest, fault) = stepper.checkpoint_on(&team, &ring).expect("save");
+        assert_eq!(newest, ring.slot(0));
+        assert!(fault.expect("the truncation is due").starts_with("truncated"));
+        let (_, fault) = stepper.checkpoint_on(&team, &ring).expect("save");
+        assert_eq!(fault, None, "the truncation fires on the first save only");
+        assert_eq!(stepper.fault_plan().map(FaultPlan::pending), Some(0));
+
+        let resumed = Stepper::resume_on(&team, scenario, config.clone(), &ring).expect("resume");
+        assert_eq!((resumed.generation, resumed.path), (0, ring.slot(0)));
+        assert!(resumed.skipped.is_empty());
+        assert_eq!(resumed.stepper.state().step, 1);
+        let other = Scenario::new(ScenarioKind::Channel, 3);
+        let err = Stepper::resume_on(&team, other, config, &ring).expect_err("another scenario");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         clear_ring(&ring);
-        // A failed load records a span with iters = 0 and no counter bump.
-        assert!(ring.load_latest_traced(Some(&trace)).is_err());
-        let summary = RunSummary::from_trace(&mut trace);
+
+        let summary = RunSummary::from_trace(team.trace_mut().expect("traced team"));
         assert_eq!(summary.counter("checkpoint_saves"), Some(2));
-        assert_eq!(summary.counter("checkpoint_loads"), Some(1));
+        assert_eq!(summary.counter("checkpoint_loads"), Some(2));
         let save = summary.span("checkpoint/save").expect("save span");
         assert_eq!((save.events, save.iters), (2, 2));
-        assert_eq!(save.bytes, 2 * super::state_bytes(&state));
+        assert_eq!(save.bytes, 2 * state_bytes(stepper.state()));
         let load = summary.span("checkpoint/load").expect("load span");
-        assert_eq!((load.events, load.iters), (2, 1), "the failed load carries iters = 0");
-
-        // The free-function wrappers share the same spans and counters.
-        let path = temp_path("traced_free");
-        save_checkpoint_traced(&path, &scenario, &state, Some(&trace)).expect("save");
-        let loaded = load_checkpoint_traced(&path, Some(&trace)).expect("load");
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.step, state.step);
-        assert_eq!(trace.counter(lv_trace::counters::CHECKPOINT_SAVES), 3);
-        assert_eq!(trace.counter(lv_trace::counters::CHECKPOINT_LOADS), 2);
+        assert_eq!((load.events, load.iters), (3, 2), "the empty ring carries iters = 0");
     }
 }

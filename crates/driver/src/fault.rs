@@ -1,9 +1,13 @@
 //! Deterministic fault injection for the recovery layer.
 //!
-//! A [`FaultPlan`] is a seeded, step-indexed list of faults the driver (and
-//! the `simulate` CLI) consult at well-defined points of each step: force a
-//! solver breakdown, poison a right-hand side with NaN, or corrupt the
-//! checkpoint that was just written.  Every fault fires **at most once** —
+//! A [`FaultPlan`] is a seeded, step-indexed list of faults the
+//! [`Stepper`](crate::Stepper) that holds it consults at well-defined
+//! points of each step: force a solver breakdown, poison a right-hand side
+//! with NaN, or — in [`Stepper::checkpoint_on`](crate::Stepper::checkpoint_on)
+//! — corrupt the checkpoint that was just written.  A run holds one plan
+//! for every kind; a supervisor that rebuilds the stepper carries its plan
+//! ([`Stepper::fault_plan`](crate::Stepper::fault_plan)) into the next one,
+//! so a spent fault stays spent.  Every fault fires **at most once** —
 //! the retry that follows must see a healthy system, exactly like a
 //! transient hardware or convergence glitch — and every random-looking
 //! choice (which RHS entry to poison, which checkpoint byte to flip) is a
@@ -47,7 +51,8 @@ pub enum FaultKind {
     /// entry guards.
     PoisonRhs,
     /// One byte of the checkpoint written at this step is bit-flipped
-    /// (applied by [`FaultPlan::corrupt_checkpoint`] after the save).
+    /// (applied by [`FaultPlan::corrupt_checkpoint`] after the save, which
+    /// [`Stepper::checkpoint_on`](crate::Stepper::checkpoint_on) calls).
     CheckpointFlip,
     /// The checkpoint written at this step is truncated to half its length.
     CheckpointTruncate,
@@ -224,23 +229,6 @@ impl FaultPlan {
         (mixed % len as u64) as usize
     }
 
-    /// Splits the plan into `(step faults, checkpoint faults)`, both keeping
-    /// the seed and any fired flags.  A supervisor hands the first to the
-    /// stepper it builds and fires the second itself after ring saves — the
-    /// kinds are disjoint, so the split cannot double-fire anything.
-    pub fn split_checkpoint(self) -> (FaultPlan, FaultPlan) {
-        let mut step = FaultPlan::new(self.seed);
-        let mut ckpt = FaultPlan::new(self.seed);
-        for fault in self.faults {
-            if fault.kind.is_checkpoint_fault() {
-                ckpt.faults.push(fault);
-            } else {
-                step.faults.push(fault);
-            }
-        }
-        (step, ckpt)
-    }
-
     /// Parses the CLI `--inject` spec (see the module docs for the syntax).
     ///
     /// # Errors
@@ -345,21 +333,6 @@ mod tests {
         ] {
             assert_eq!(FaultKind::from_name(kind.name()), Some(kind));
         }
-    }
-
-    #[test]
-    fn split_checkpoint_partitions_by_kind_and_keeps_the_seed() {
-        let plan = FaultPlan::parse("stall@2,ckpt-flip@3,panic@4,ckpt-truncate@5,seed=11").unwrap();
-        let (mut step, mut ckpt) = plan.split_checkpoint();
-        assert_eq!(step.seed(), 11);
-        assert_eq!(ckpt.seed(), 11);
-        assert_eq!(step.pending(), 2);
-        assert_eq!(ckpt.pending(), 2);
-        assert!(step.fire(FaultKind::Stall, 2));
-        assert!(step.fire(FaultKind::Panic, 4));
-        assert_eq!(step.fire_checkpoint(3), None);
-        assert_eq!(ckpt.fire_checkpoint(3), Some(FaultKind::CheckpointFlip));
-        assert_eq!(ckpt.fire_checkpoint(5), Some(FaultKind::CheckpointTruncate));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   layer, each with its own BCs, initial fields and pressure pins;
 //! * [`checkpoint`] — binary checkpoint/restart with bitwise-identical
 //!   resumption, plus the [`CheckpointRing`] that rotates the last K
-//!   generations and falls back past corrupt ones on load;
+//!   generations and falls back past corrupt ones on load; a run saves and
+//!   resumes itself through [`Stepper::checkpoint_on`] and
+//!   [`Stepper::resume_on`];
 //! * [`fault`] — the deterministic [`FaultPlan`] injection harness that
 //!   exercises every recovery path (solver breakdowns, NaN-poisoned RHS,
 //!   corrupted checkpoints) reproducibly in tests.
@@ -30,8 +32,7 @@ pub mod scenario;
 pub mod stepper;
 
 pub use checkpoint::{
-    load_checkpoint, load_checkpoint_traced, save_checkpoint, save_checkpoint_traced, Checkpoint,
-    CheckpointRing, RingRecovery,
+    load_checkpoint, save_checkpoint, Checkpoint, CheckpointRing, Resumed, RingRecovery,
 };
 pub use fault::{FaultKind, FaultPlan, STALL_MILLIS};
 pub use scenario::{taylor_green_velocity, Scenario, ScenarioKind};

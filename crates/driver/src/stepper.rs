@@ -442,8 +442,9 @@ pub struct Stepper {
     dt_backoff: f64,
     // The stepper's own mutable copy of the configured fault schedule:
     // fired faults stay spent across the rollback/retry of a recovery
-    // (the snapshot covers SimState only).
-    fault_plan: Option<FaultPlan>,
+    // (the snapshot covers SimState only).  `checkpoint_on` fires its
+    // checkpoint faults.
+    pub(crate) fault_plan: Option<FaultPlan>,
     state: SimState,
     stall: StallDetector,
     matrix: CsrMatrix,

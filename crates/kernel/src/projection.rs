@@ -24,10 +24,10 @@
 //! The mesh does not move, so `C` is built once at construction (`NDIME`
 //! values per stored entry of the graph, filled through the element→CSR slot
 //! map) and every application is a sparse row product: one indexed load
-//! stream, no element gather, no scatter.  Above the solver's
-//! `SERIAL_CUTOFF`, [`for_each_share`] hands each rank of the team its own
-//! static-partition share of the output rows — the split the solver's SpMV
-//! uses.  A row is written by exactly one rank, and each row adds its
+//! stream, no element gather, no scatter.  Above the solver's serial
+//! cutoff ([`team_above_cutoff`]), [`for_each_share`] hands each rank of
+//! the team its own static-partition share of the output rows — the split
+//! the solver's SpMV uses.  A row is written by exactly one rank, and each row adds its
 //! entries in ascending column order from `+0.0`, so the operators are
 //! **bitwise identical for every thread count** by construction, the
 //! contract of the row-partitioned SpMV.
@@ -74,7 +74,7 @@ use lv_mesh::geometry::Point3;
 use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{ElementKind, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_runtime::{blocked_reduce, for_each_share, Team};
-use lv_solver::parallel::SERIAL_CUTOFF;
+use lv_solver::parallel::team_above_cutoff;
 use lv_solver::CsrMatrix;
 use std::sync::Arc;
 
@@ -428,7 +428,7 @@ impl PressureOperators {
         let n = self.mesh.num_nodes();
         assert_eq!(scalar.len(), n);
         assert_eq!(out.len(), NDIME * n);
-        for_each_share((n >= SERIAL_CUTOFF).then_some(team), n, 1, out, |rows, out| {
+        for_each_share(team_above_cutoff(team, n), n, 1, out, |rows, out| {
             for (a, out_a) in rows.zip(out.chunks_exact_mut(NDIME)) {
                 apply(a, self.gradient_row(scalar, a), out_a);
             }
@@ -442,7 +442,7 @@ impl PressureOperators {
         assert_eq!(out.len(), n);
         assert_eq!(velocity.num_nodes(), n);
         let vel = velocity.as_slice();
-        for_each_share((n >= SERIAL_CUTOFF).then_some(team), n, 1, out, |rows, out| {
+        for_each_share(team_above_cutoff(team, n), n, 1, out, |rows, out| {
             for (a, d) in rows.zip(out.iter_mut()) {
                 *d = self.divergence_row(vel, a);
             }
@@ -465,18 +465,12 @@ impl PressureOperators {
         assert_eq!(rhs.len(), n);
         assert_eq!(velocity.num_nodes(), n);
         let vel = velocity.as_slice();
-        for_each_share(
-            (n >= SERIAL_CUTOFF).then_some(team),
-            n,
-            1,
-            (div, rhs),
-            |rows, (div, rhs)| {
-                for ((a, d), b) in rows.zip(div.iter_mut()).zip(rhs.iter_mut()) {
-                    *d = self.divergence_row(vel, a);
-                    *b = scale * *d;
-                }
-            },
-        );
+        for_each_share(team_above_cutoff(team, n), n, 1, (div, rhs), |rows, (div, rhs)| {
+            for ((a, d), b) in rows.zip(div.iter_mut()).zip(rhs.iter_mut()) {
+                *d = self.divergence_row(vel, a);
+                *b = scale * *d;
+            }
+        });
     }
 
     /// Weak gradient `g_{a,i} = ∫ N_a ∂p_h/∂x_i dΩ` of the nodal scalar
@@ -528,17 +522,11 @@ impl PressureOperators {
         check_pattern(&self.topology, matrix);
         let (_, _, values) = matrix.pattern_and_values_mut();
         let nnz = values.len();
-        for_each_share(
-            (nnz >= SERIAL_CUTOFF).then_some(team),
-            nnz,
-            1,
-            values,
-            |entries, values| {
-                for (value, &source) in values.iter_mut().zip(&source[entries]) {
-                    update(value, source);
-                }
-            },
-        );
+        for_each_share(team_above_cutoff(team, nnz), nnz, 1, values, |entries, values| {
+            for (value, &source) in values.iter_mut().zip(&source[entries]) {
+                update(value, source);
+            }
+        });
     }
 
     /// Seeds the momentum matrix with its viscous block: `values ← ν·K`,
@@ -588,7 +576,7 @@ impl PressureOperators {
         assert_eq!(rhs.len(), NDIME * n);
         let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
         let (values, vel) = (matrix.values(), velocity.as_slice());
-        for_each_share((n >= SERIAL_CUTOFF).then_some(team), n, 1, rhs, |rows, out| {
+        for_each_share(team_above_cutoff(team, n), n, 1, rhs, |rows, out| {
             for (a, out_a) in rows.zip(out.chunks_exact_mut(NDIME)) {
                 let entries = row_ptr[a]..row_ptr[a + 1];
                 let coef = &self.coef[NDIME * entries.start..NDIME * entries.end];

@@ -9,7 +9,12 @@
 //! *only* through checkpoints, so a job hops freely between workers — and
 //! between supervisor processes — with zero trajectory drift: the
 //! trajectory is a pure function of the simulation state, never of the
-//! schedule.
+//! schedule.  Both ends of a slice belong to the stepper:
+//! [`Stepper::resume_on`] opens it and [`Stepper::checkpoint_on`] closes
+//! it.  A job holds **one** [`FaultPlan`]: the stepper fires every kind,
+//! checkpoint faults included, and the supervisor reads the plan back
+//! after the checkpoint and on every failure path, carrying it into the
+//! next slice's stepper so a fired fault never fires twice.
 //!
 //! Failure containment, from the inside out:
 //!
@@ -33,7 +38,7 @@ use lv_driver::{CheckpointRing, FaultPlan, SliceEnd, Stepper, StepperConfig};
 use lv_runtime::{Team, TraceConfig};
 use lv_trace::json::JsonObject;
 use lv_trace::summary::RunSummary;
-use lv_trace::{sink, spans, Event, Trace};
+use lv_trace::{sink, spans, Event};
 use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -105,8 +110,8 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The stepper configuration every job runs with (fault plans are added
-    /// per job).  Exposed so oracle runs in tests can match it exactly.
+    /// The stepper configuration every job runs with (the fault plan is
+    /// added per job).  Exposed so oracle runs in tests can match it exactly.
     pub fn stepper_config(&self) -> StepperConfig {
         StepperConfig::default()
     }
@@ -179,14 +184,14 @@ const BACKOFF_BASE: Duration = Duration::from_millis(10);
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// One job's in-memory seat: its journal-folded entry plus the live fault
-/// plans (solver, checkpoint), parsed from the spec at the job's first
-/// slice.  The plans are process-local on purpose — after a crash they are
-/// re-parsed from the spec, which is sound because trajectories are
-/// invariant to when (or how often) these faults fire.
+/// plan, parsed from the spec at the job's first slice and carried from
+/// one slice's stepper to the next.  The plan is process-local on purpose —
+/// after a crash it is re-parsed from the spec, which is sound because
+/// trajectories are invariant to when (or how often) these faults fire.
 #[derive(Debug)]
 struct JobSlot {
     entry: JobEntry,
-    plans: Option<(FaultPlan, FaultPlan)>,
+    plan: Option<FaultPlan>,
 }
 
 /// Every job's entry, in submission order.
@@ -261,7 +266,7 @@ impl Server {
             torn_tail: replay.torn_tail,
         };
         let slots =
-            entries.into_iter().map(|entry| Mutex::new(JobSlot { entry, plans: None })).collect();
+            entries.into_iter().map(|entry| Mutex::new(JobSlot { entry, plan: None })).collect();
         Ok(Server {
             config,
             journal: Mutex::new(journal),
@@ -316,7 +321,7 @@ impl Server {
         self.metrics.apply_record(&record);
         let path = endpoint::metrics_json_path(self.journal.lock().unwrap().path());
         flush_metrics_json(&self.metrics, &path);
-        self.slots.push(Mutex::new(JobSlot { entry: JobEntry::new(spec), plans: None }));
+        self.slots.push(Mutex::new(JobSlot { entry: JobEntry::new(spec), plan: None }));
         Ok(())
     }
 
@@ -493,79 +498,54 @@ fn worker_loop(worker: usize, shared: &Shared<'_>) -> Option<RunSummary> {
 /// back into the queue (preempted or retrying).
 fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) -> bool {
     let config = shared.config;
-    let (spec, attempts, (mut solver_plan, mut ckpt_plan)) = {
+    let (spec, attempts, plan) = {
         let mut slot = shared.slots[index].lock().unwrap();
-        let plans = slot.plans.take().unwrap_or_else(|| {
+        let plan = slot.plan.take().unwrap_or_else(|| {
             slot.entry
                 .spec
                 .inject
                 .as_deref()
                 .map(|spec| FaultPlan::parse(spec).expect("inject specs are validated at open"))
                 .unwrap_or_default()
-                .split_checkpoint()
         });
-        (slot.entry.spec.clone(), slot.entry.attempts, plans)
+        (slot.entry.spec.clone(), slot.entry.attempts, plan)
     };
     let trace = team.trace();
     let ring = config.ring(&spec.id);
 
     // --- resume: the newest intact ring generation, or from scratch ------
-    let mut stepper_config = config.stepper_config();
-    if !solver_plan.is_empty() {
-        stepper_config = stepper_config.with_fault_plan(solver_plan.clone());
-    }
-    let mut stepper = match ring.load_latest_traced(trace) {
-        Ok(recovery) => {
-            for (slot_path, why) in &recovery.skipped {
-                if config.verbose {
+    let stepper_config = config.stepper_config().with_fault_plan(plan);
+    let resumed = Stepper::resume_on(team, spec.scenario.clone(), stepper_config.clone(), &ring);
+    let mut stepper = match resumed {
+        Ok(resumed) => {
+            let step = resumed.stepper.state().step;
+            if config.verbose {
+                for (slot_path, why) in &resumed.skipped {
                     say!(
                         "job {}: skipping damaged checkpoint generation {}: {why}",
                         spec.id,
                         slot_path.display()
                     );
                 }
+                say!(
+                    "resuming job {} from ring generation {} (step {step})",
+                    spec.id,
+                    resumed.generation
+                );
             }
-            let mesh = spec.scenario.build_mesh();
-            match recovery
-                .checkpoint
-                .validate_scenario(&spec.scenario)
-                .and_then(|()| recovery.checkpoint.into_state(&mesh))
-            {
-                Ok(state) => {
-                    if config.verbose {
-                        say!(
-                            "resuming job {} from ring generation {} (step {})",
-                            spec.id,
-                            recovery.generation,
-                            state.step
-                        );
-                    }
-                    if let Some(t) = trace {
-                        t.record(Event {
-                            aux: state.step,
-                            ..Event::instant(spans::SERVER_RESUME, 0, t.now_ns())
-                        });
-                    }
-                    Stepper::from_state(spec.scenario.clone(), stepper_config, mesh, state)
-                }
-                Err(e) => {
-                    if config.verbose {
-                        say!(
-                            "job {}: ring contents unusable ({e}); restarting from step 0",
-                            spec.id
-                        );
-                    }
-                    Stepper::new(spec.scenario.clone(), stepper_config)
-                }
+            if let Some(t) = trace {
+                t.record(Event {
+                    aux: step,
+                    ..Event::instant(spans::SERVER_RESUME, 0, t.now_ns())
+                });
             }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            Stepper::new(spec.scenario.clone(), stepper_config)
+            resumed.stepper
         }
         Err(e) => {
-            // Every generation damaged: degrade to a fresh start — the
-            // trajectory is the same one, replayed from step 0.
-            if config.verbose {
+            // An empty ring is a first slice; an unusable one degrades to a
+            // fresh start — the trajectory is the same one, replayed from
+            // step 0.
+            if config.verbose && e.kind() != io::ErrorKind::NotFound {
                 say!("job {}: checkpoint ring unusable ({e}); restarting from step 0", spec.id);
             }
             Stepper::new(spec.scenario.clone(), stepper_config)
@@ -605,11 +585,6 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
             stepper.run_slice_on(team, spec.steps, quota, deadline)
         }));
         let slice_elapsed = slice_start.elapsed();
-        // Carry the spent plan across retries: a fired fault stays fired
-        // even when the slice's state is thrown away.
-        if let Some(plan) = stepper.fault_plan() {
-            solver_plan = plan.clone();
-        }
         let steps_done = stepper.state().step.saturating_sub(resume_step);
         if let Some(span) = slice_span {
             span.iters(steps_done).finish();
@@ -652,11 +627,15 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
                     elapsed,
                     deadline: config.step_deadline.as_secs_f64(),
                 }),
-                SliceEnd::Completed | SliceEnd::QuotaExhausted => {
-                    save_ring(config, &ring, &spec, &stepper, &mut ckpt_plan, trace)
-                        .map(|()| slice)
-                        .map_err(|e| JobError::Checkpoint(e.to_string()))
-                }
+                SliceEnd::Completed | SliceEnd::QuotaExhausted => stepper
+                    .checkpoint_on(team, &ring)
+                    .map(|(_, fault)| {
+                        if let Some(done) = fault.filter(|_| config.verbose) {
+                            say!("job {}: [inject] {done}", spec.id);
+                        }
+                        slice
+                    })
+                    .map_err(|e| JobError::Checkpoint(e.to_string())),
             },
         };
         match outcome {
@@ -699,7 +678,10 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
     }
     let (requeue, attempts) = {
         let mut slot = shared.slots[index].lock().unwrap();
-        slot.plans = Some((solver_plan, ckpt_plan));
+        // Carry the spent plan into the next slice, read back after the
+        // checkpoint and on every failure path alike: a fired fault stays
+        // fired even when the slice's state is thrown away.
+        slot.plan = stepper.fault_plan().cloned();
         (!slot.entry.status.is_terminal(), slot.entry.attempts)
     };
     let instant = match record.event {
@@ -842,27 +824,6 @@ fn respond(request: Request, shared: &Shared<'_>) -> String {
         }
         Request::MetricsProm => shared.metrics.snapshot().to_prometheus(),
     }
-}
-
-/// Ring save plus any scheduled checkpoint-corruption fault
-/// ([`FaultPlan::corrupt_checkpoint`], the injector the `simulate` CLI uses,
-/// so the service's recovery paths are testable with the same specs).
-fn save_ring(
-    config: &ServerConfig,
-    ring: &CheckpointRing,
-    spec: &JobSpec,
-    stepper: &Stepper,
-    ckpt_plan: &mut FaultPlan,
-    trace: Option<&Trace>,
-) -> io::Result<()> {
-    let state = stepper.state();
-    let newest = ring.save_traced(&spec.scenario, state, trace)?;
-    if let Some(done) = ckpt_plan.corrupt_checkpoint(state.step, &newest)? {
-        if config.verbose {
-            say!("job {}: [inject] {done}", spec.id);
-        }
-    }
-    Ok(())
 }
 
 /// Renders a caught panic payload (what `panic!` carried).

@@ -80,7 +80,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::operator::LinearOperator;
-use crate::parallel::SERIAL_CUTOFF;
+use crate::parallel::team_above_cutoff;
 use lv_runtime::{for_each_share, Team};
 use std::ops::{Add, AddAssign, Mul, Range, Sub};
 
@@ -211,7 +211,7 @@ impl<T: Scalar> DiaMatrix<T> {
     pub fn refill_from_csr(&mut self, team: &Team, matrix: &CsrMatrix) {
         assert_eq!(matrix.dim(), self.n, "the refill matrix has another dimension");
         let (n, offsets) = (self.n, &self.offsets);
-        let team = (n >= SERIAL_CUTOFF).then_some(team);
+        let team = team_above_cutoff(team, n);
         for_each_share(team, n, BLOCK_ROWS, &mut self.values[..], |rows, values| {
             fill_rows(offsets, rows, values, matrix);
         });

@@ -36,6 +36,14 @@ use std::ops::Range;
 /// results do not depend on who computes them), only scheduling is.
 pub const SERIAL_CUTOFF: usize = 1024;
 
+/// The team a pass over `n` rows (or entries) runs on: `team` when `n`
+/// clears [`SERIAL_CUTOFF`], the calling thread (`None`) otherwise.  Takes a
+/// `&Team` or an `Option<&Team>`.
+#[inline]
+pub fn team_above_cutoff<'t>(team: impl Into<Option<&'t Team>>, n: usize) -> Option<&'t Team> {
+    team.into().filter(|_| n >= SERIAL_CUTOFF)
+}
+
 /// Index of the first non-finite (NaN/±Inf) entry of `values`, scanning in
 /// order; `None` when every entry is finite.
 ///
@@ -113,7 +121,7 @@ impl<'t> VectorOps<'t> {
         out: S,
         body: impl Fn(Range<usize>, S) + Sync,
     ) {
-        for_each_share(self.team.filter(|_| n >= SERIAL_CUTOFF), n, 1, out, body);
+        for_each_share(team_above_cutoff(self.team, n), n, 1, out, body);
     }
 
     /// [`for_each_share`](Self::for_each_share) of `W` output columns.
@@ -240,7 +248,7 @@ impl<'t> VectorOps<'t> {
         // Same cutoff as the element-wise ops: below it the fork/join costs
         // more than the reduction.  The serial path runs the identical
         // blocked order, so the value does not depend on the choice.
-        let team = if n >= SERIAL_CUTOFF { self.team } else { None };
+        let team = team_above_cutoff(self.team, n);
         blocked_reduce(team, n, &mut self.scratch, |r| {
             let mut sums = [0.0f64; W];
             for c in (0..W).filter(|&c| active[c]) {

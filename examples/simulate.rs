@@ -13,18 +13,18 @@
 //! * `--checkpoint <path>` — write a checkpoint ring generation after the
 //!   last step (slots `<path>.0` … `<path>.K-1`, newest first);
 //! * `--every <k>` — additionally checkpoint every `k` steps;
-//! * `--ring <K>` — checkpoint ring depth (default 3; `0` writes a single
-//!   plain `<path>` file, the pre-ring behavior);
-//! * `--restart <path>` — resume from a checkpoint: a plain file if `<path>`
-//!   exists, otherwise the newest loadable ring generation (corrupt newer
-//!   generations are skipped and reported) — bitwise identical to the
-//!   uninterrupted run either way, the driver's determinism contract;
+//! * `--ring <K>` — checkpoint ring depth, at least 1 (default 3);
+//! * `--restart <path>` — resume from the newest loadable generation of the
+//!   `<path>.*` ring (corrupt newer generations are skipped and reported) —
+//!   bitwise identical to the uninterrupted run, the driver's determinism
+//!   contract;
 //! * `--inject <spec>` — deterministic fault injection, e.g.
 //!   `momentum-breakdown@3,poison-rhs@5,ckpt-flip@6,seed=42` (kinds:
 //!   `momentum-breakdown`, `poisson-breakdown`, `mg-breakdown`,
 //!   `poison-rhs`, `ckpt-flip`, `ckpt-truncate`, `stall`, `panic` — the
 //!   last two target the `serve` supervision layer: here a `stall` only
-//!   slows the step and a `panic` aborts);
+//!   slows the step and a `panic` aborts); the stepper holds the one plan
+//!   and fires the checkpoint faults on the generation it just wrote;
 //! * `--max-retries <r>` — Δt-backoff retry budget per step (default 3);
 //! * `--fixed-dt <dt>` — fixed time step (positive and finite) instead of
 //!   the CFL controller;
@@ -61,10 +61,7 @@
 use alya_longvec::cli::{CliError, Simulate, SimulateArgs, TraceFormat};
 use alya_longvec::prelude::*;
 use alya_longvec::say;
-use lv_driver::{
-    load_checkpoint_traced, save_checkpoint_traced, Checkpoint, CheckpointRing, FaultPlan,
-    Scenario, SimState, Stepper, StepperConfig,
-};
+use lv_driver::{CheckpointRing, Scenario, Stepper, StepperConfig};
 
 fn print_registry() {
     say!("registered scenarios (cargo run --release --example simulate -- <name> ...):\n");
@@ -112,58 +109,21 @@ fn stepper_config(cli: &SimulateArgs) -> StepperConfig {
     config
 }
 
-/// Writes a checkpoint generation (ring-rotated, or a plain file with
-/// `--ring 0`) and applies any scheduled checkpoint corruption fault to the
-/// freshly written newest slot.  A traced run records the write as a
+/// Writes a checkpoint ring generation, the stepper's checkpoint fault for
+/// the step included.  A traced run records the write as a
 /// `driver/checkpoint/save` span.
 fn write_checkpoint(
-    cli_path: &str,
-    ring_depth: usize,
-    scenario: &Scenario,
-    state: &SimState,
-    plan: &mut Option<FaultPlan>,
-    trace: Option<&Trace>,
+    stepper: &mut Stepper,
+    team: &Team,
+    ring: &CheckpointRing,
 ) -> Result<std::path::PathBuf, String> {
-    let newest = if ring_depth == 0 {
-        save_checkpoint_traced(cli_path, scenario, state, trace)
-            .map_err(|e| format!("checkpoint write to {cli_path} failed: {e}"))?;
-        std::path::PathBuf::from(cli_path)
-    } else {
-        CheckpointRing::new(cli_path, ring_depth)
-            .save_traced(scenario, state, trace)
-            .map_err(|e| format!("checkpoint ring save at {cli_path} failed: {e}"))?
-    };
-    if let Some(plan) = plan {
-        let done = plan
-            .corrupt_checkpoint(state.step, &newest)
-            .map_err(|e| format!("injecting a checkpoint fault into {}: {e}", newest.display()))?;
-        if let Some(done) = done {
-            say!("      [inject] {done}");
-        }
+    let (newest, fault) = stepper
+        .checkpoint_on(team, ring)
+        .map_err(|e| format!("checkpoint ring save at {} failed: {e}", ring.slot(0).display()))?;
+    if let Some(done) = fault {
+        say!("      [inject] {done}");
     }
     Ok(newest)
-}
-
-/// Loads a restart checkpoint: the plain `<path>` file when it exists,
-/// otherwise the newest loadable generation of the `<path>.*` ring.
-fn load_restart(
-    path: &str,
-    ring_depth: usize,
-    trace: Option<&Trace>,
-) -> Result<Checkpoint, Failure> {
-    if std::path::Path::new(path).exists() {
-        return load_checkpoint_traced(path, trace)
-            .map_err(|e| Failure::checkpoint(&e, format!("checkpoint {path} unreadable: {e}")));
-    }
-    let ring = CheckpointRing::new(path, ring_depth.max(1));
-    let recovery = ring.load_latest_traced(trace).map_err(|e| {
-        Failure::checkpoint(&e, format!("no usable checkpoint at {path} or its ring: {e}"))
-    })?;
-    for (slot, why) in &recovery.skipped {
-        say!("skipping damaged checkpoint generation {}: {why}", slot.display());
-    }
-    say!("recovered from ring generation {} ({})", recovery.generation, recovery.path.display());
-    Ok(recovery.checkpoint)
 }
 
 /// The Taylor–Green convergence sweep: same physics and final time on three
@@ -293,34 +253,34 @@ fn run() -> Result<(), Failure> {
     let n = if cli.n == 0 { 8 } else { cli.n };
     let scenario = Scenario::new(cli.kind, n);
     let config = stepper_config(&cli);
-    // The CLI keeps its own fault-plan copy for the checkpoint-corruption
-    // faults; the stepper's clone handles the solver faults (the kinds are
-    // disjoint, so double-cloning cannot double-fire anything).
-    let mut cli_plan = cli.inject.clone();
     let mut team = make_team(&cli);
     let mut stepper = match &cli.restart {
         None => Stepper::new(scenario.clone(), config),
         Some(path) => {
-            let checkpoint = load_restart(path, cli.ring, team.trace())?;
-            checkpoint.validate_scenario(&scenario).map_err(|e| {
-                Failure::checkpoint(
-                    &e,
-                    format!("checkpoint {path} does not fit the requested run: {e}"),
-                )
-            })?;
-            let mesh = scenario.build_mesh();
-            let state = checkpoint.into_state(&mesh).map_err(|e| {
-                Failure::checkpoint(&e, format!("checkpoint {path} does not fit the mesh: {e}"))
-            })?;
+            let ring = CheckpointRing::new(path, cli.ring);
+            let resumed =
+                Stepper::resume_on(&team, scenario.clone(), config, &ring).map_err(|e| {
+                    Failure::checkpoint(&e, format!("no usable checkpoint at {path}: {e}"))
+                })?;
+            for (slot, why) in &resumed.skipped {
+                say!("skipping damaged checkpoint generation {}: {why}", slot.display());
+            }
+            say!(
+                "recovered from ring generation {} ({})",
+                resumed.generation,
+                resumed.path.display()
+            );
+            let state = resumed.stepper.state();
             say!(
                 "restarting '{}' from {path}: step {}, t = {:.4}",
                 scenario.kind.name(),
                 state.step,
                 state.time
             );
-            Stepper::from_state(scenario.clone(), config, mesh, state)
+            resumed.stepper
         }
     };
+    let ring = cli.checkpoint.as_deref().map(|path| CheckpointRing::new(path, cli.ring));
 
     let mesh_elements = stepper.mesh().num_elements();
     say!(
@@ -373,15 +333,8 @@ fn run() -> Result<(), Failure> {
             );
         }
         if cli.every > 0 && report.step % cli.every as u64 == 0 {
-            if let Some(path) = &cli.checkpoint {
-                let newest = write_checkpoint(
-                    path,
-                    cli.ring,
-                    &scenario,
-                    stepper.state(),
-                    &mut cli_plan,
-                    team.trace(),
-                )?;
+            if let Some(ring) = &ring {
+                let newest = write_checkpoint(&mut stepper, &team, ring)?;
                 say!("      checkpoint -> {} (step {})", newest.display(), report.step);
                 final_saved = stepper.state().step == final_step;
             }
@@ -390,16 +343,9 @@ fn run() -> Result<(), Failure> {
     if let Some(err) = stepper.analytic_velocity_error() {
         say!("\nanalytic L2 velocity error at t = {:.4}: {err:.4e}", stepper.state().time);
     }
-    if let Some(path) = &cli.checkpoint {
+    if let Some(ring) = &ring {
         if !final_saved {
-            let newest = write_checkpoint(
-                path,
-                cli.ring,
-                &scenario,
-                stepper.state(),
-                &mut cli_plan,
-                team.trace(),
-            )?;
+            let newest = write_checkpoint(&mut stepper, &team, ring)?;
             say!("\nfinal checkpoint -> {} (step {})", newest.display(), stepper.state().step);
         }
     }

@@ -140,7 +140,7 @@ pub struct SimulateArgs {
     pub checkpoint: Option<String>,
     /// Checkpoint every `every` steps as well (`0`: only after the last).
     pub every: usize,
-    /// Checkpoint ring depth; `0` writes one plain file.
+    /// Checkpoint ring depth, at least 1.
     pub ring: usize,
     pub restart: Option<String>,
     /// A positive, finite Δt.
@@ -177,7 +177,7 @@ impl Simulate {
             match arg {
                 Arg::Flag(flag @ "--checkpoint") => cli.checkpoint = Some(args.value(flag)?.into()),
                 Arg::Flag(flag @ "--every") => cli.every = args.parsed(flag)?,
-                Arg::Flag(flag @ "--ring") => cli.ring = args.parsed(flag)?,
+                Arg::Flag(flag @ "--ring") => cli.ring = args.count(flag)?,
                 Arg::Flag(flag @ "--restart") => cli.restart = Some(args.value(flag)?.into()),
                 Arg::Flag(flag @ "--inject") => {
                     let plan = FaultPlan::parse(args.value(flag)?);
@@ -510,7 +510,7 @@ mod tests {
 
     #[test]
     fn simulate_takes_every_documented_flag() {
-        let args = run("cavity 6 6 2 --checkpoint smoke.ckpt --every 2 --ring 0 \
+        let args = run("cavity 6 6 2 --checkpoint smoke.ckpt --every 2 --ring 4 \
              --inject momentum-breakdown@3,ckpt-flip@6,seed=11 --max-retries 5 \
              --fixed-dt 0.01 --trace t.json --trace-format chrome");
         assert_eq!(
@@ -518,7 +518,7 @@ mod tests {
             (ScenarioKind::LidDrivenCavity, 6, 6, 2)
         );
         assert_eq!(args.checkpoint.as_deref(), Some("smoke.ckpt"));
-        assert_eq!((args.every, args.ring, args.max_retries), (2, 0, 5));
+        assert_eq!((args.every, args.ring, args.max_retries), (2, 4, 5));
         assert_eq!(args.inject, FaultPlan::parse("momentum-breakdown@3,ckpt-flip@6,seed=11").ok());
         assert_eq!(args.fixed_dt, Some(0.01));
         assert_eq!(
@@ -547,6 +547,7 @@ mod tests {
             ("cavity 4 1 1 --every 2", "--every"),
             ("cavity 4 1 1 --every", "--every"),
             ("cavity 4 1 1 --ring -1", "--ring"),
+            ("cavity 4 1 1 --ring 0", "--ring"),
             ("cavity 4 1 1 --max-retries many", "--max-retries"),
             // The pressure path follows the mesh: there is no flag for it.
             ("cavity 4 1 1 --pressure-solver cg", "--pressure-solver"),

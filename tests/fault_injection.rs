@@ -132,39 +132,31 @@ fn corrupted_newest_checkpoint_degrades_to_the_previous_generation() {
         std::fs::remove_file(ring.slot(generation)).ok();
     }
 
-    // Save a generation after every step of a 3-step run.
+    // Save a generation after every step of a 3-step run; the stepper's
+    // own `ckpt-flip@3` bit-flips the newest one as it is written.
     let team = Team::new(2);
     let scenario = cavity_scenario();
-    let mut stepper = Stepper::new(scenario.clone(), quick_config());
+    let plan = FaultPlan::new(11).with_fault(FaultKind::CheckpointFlip, 3);
+    let mut stepper = Stepper::new(scenario.clone(), quick_config().with_fault_plan(plan));
     for _ in 0..3 {
         stepper.step_on(&team).expect("step");
-        ring.save(&scenario, stepper.state()).expect("ring save");
+        stepper.checkpoint_on(&team, &ring).expect("ring save");
     }
-
-    // Bit-flip the newest generation, as `--inject ckpt-flip` would.
-    let newest = ring.slot(0);
-    let mut bytes = std::fs::read(&newest).expect("newest slot");
-    let at = FaultPlan::new(11).index(3, 1, bytes.len());
-    bytes[at] ^= 0x01;
-    std::fs::write(&newest, &bytes).expect("corrupt newest");
-
-    let recovery = ring.load_latest().expect("ring fallback");
-    assert_eq!(recovery.generation, 1, "newest skipped, previous used");
-    assert_eq!(recovery.checkpoint.step, 2);
-    assert_eq!(recovery.skipped.len(), 1);
 
     // Resuming from the fallback generation is bitwise identical to the
     // uninterrupted trajectory at the same step count.
-    let mesh = scenario.build_mesh();
-    let state = recovery.checkpoint.into_state(&mesh).expect("state");
-    let mut resumed = Stepper::from_state(scenario.clone(), quick_config(), mesh, state);
-    resumed.step_on(&team).expect("resume step");
+    let mut resumed =
+        Stepper::resume_on(&team, scenario.clone(), quick_config(), &ring).expect("ring fallback");
+    assert_eq!(resumed.generation, 1, "newest skipped, previous used");
+    assert_eq!(resumed.stepper.state().step, 2);
+    assert_eq!(resumed.skipped.len(), 1);
+    resumed.stepper.step_on(&team).expect("resume step");
 
     let mut uninterrupted = Stepper::new(scenario, quick_config());
     for _ in 0..3 {
         uninterrupted.step_on(&team).expect("uninterrupted step");
     }
-    assert_states_bitwise(uninterrupted.state(), resumed.state(), "ring-fallback restart");
+    assert_states_bitwise(uninterrupted.state(), resumed.stepper.state(), "ring-fallback restart");
     for generation in 0..3 {
         std::fs::remove_file(ring.slot(generation)).ok();
     }
@@ -183,7 +175,7 @@ fn seeded_ring(tag: &str, steps: usize) -> (CheckpointRing, Scenario) {
     let mut stepper = Stepper::new(scenario.clone(), quick_config());
     for _ in 0..steps {
         stepper.step_on(&team).expect("step");
-        ring.save(&scenario, stepper.state()).expect("ring save");
+        stepper.checkpoint_on(&team, &ring).expect("ring save");
     }
     (ring, scenario)
 }
@@ -191,13 +183,12 @@ fn seeded_ring(tag: &str, steps: usize) -> (CheckpointRing, Scenario) {
 /// Resumes from `ring`'s newest intact generation and checks the finished
 /// trajectory bitwise against the uninterrupted `total_steps`-step run.
 fn assert_ring_resume_bitwise(ring: &CheckpointRing, scenario: &Scenario, total_steps: usize) {
-    let recovery = ring.load_latest().expect("ring fallback");
-    let mesh = scenario.build_mesh();
-    let state = recovery.checkpoint.into_state(&mesh).expect("state");
     // Resume on a *different* pool size than the 2-thread writer: migration
     // across layouts must not cost a single bit.
     let team = Team::new(3);
-    let mut resumed = Stepper::from_state(scenario.clone(), quick_config(), mesh, state);
+    let mut resumed = Stepper::resume_on(&team, scenario.clone(), quick_config(), ring)
+        .expect("ring fallback")
+        .stepper;
     while (resumed.state().step as usize) < total_steps {
         resumed.step_on(&team).expect("resume step");
     }

@@ -108,6 +108,7 @@ fn a_faulted_fleet_finishes_bitwise_identical_to_uninterrupted_runs() {
         ("stalled", &cavity, 4, Some("stall@2,seed=3"), None),
         ("panicky", &tg, 4, Some("panic@2,seed=7"), None),
         ("corruptor", &cavity5, 5, Some("ckpt-flip@2,seed=11"), None),
+        ("flipper", &cavity5, 5, Some("ckpt-flip@2,panic@3,seed=11"), None),
         (
             "faulted",
             &cavity,
@@ -133,6 +134,14 @@ fn a_faulted_fleet_finishes_bitwise_identical_to_uninterrupted_runs() {
     assert!(attempts("stalled") >= 1, "the watchdog must have killed the stall at least once");
     assert!(attempts("panicky") >= 1, "the panic must have cost at least one retry");
     assert_eq!(attempts("clean"), 0, "the clean job never retries");
+    // The flip spoils the only generation, so slice 2 replays steps 1-2
+    // from scratch; the panic at 3 discards a slice; 2 + 2 + 2 + 1 steps
+    // commit.  A flip that fired twice would replay more (or never
+    // finish), which the bitwise oracle below cannot see.
+    let flipper = FleetMetrics::new();
+    let records = replay_readonly(&dir.join("jobs.jsonl")).expect("replay").records;
+    flipper.replay(&records.into_iter().filter(|r| r.job == "flipper").collect::<Vec<_>>());
+    assert_eq!(flipper.snapshot().scalar("fleet_steps_committed_total"), Some(7));
 
     let stepper_config = server.config().stepper_config();
     for (id, scenario, steps, _, oracle_plan) in &fleet {
