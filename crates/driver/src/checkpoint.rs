@@ -33,8 +33,10 @@
 //! and then writes `.0` with the same atomic tmp + fsync + rename protocol
 //! as [`save_checkpoint`], so no crash point can lose more than the
 //! in-flight generation.  [`CheckpointRing::load_latest`] walks `.0`, `.1`,
-//! … and returns the newest generation that decodes and passes its
-//! checksum, reporting every corrupt/truncated generation it had to skip —
+//! … — past `.K-1` while slot files exist, so a ring saved deeper than it
+//! is read loses none of its generations — and returns the newest
+//! generation that decodes and passes its checksum, reporting every
+//! corrupt/truncated generation it had to skip —
 //! a bit-flipped newest checkpoint degrades a restart by one save interval
 //! instead of killing it.
 //!
@@ -352,6 +354,9 @@ impl CheckpointRing {
 
     /// Loads the newest generation that decodes and passes its checksum,
     /// skipping (and reporting) corrupt, truncated or missing newer slots.
+    /// The walk reads past the ring's own depth while slot files exist, so
+    /// a ring written deeper than it is read still yields its older
+    /// generations.
     ///
     /// # Errors
     /// [`io::ErrorKind::NotFound`] when no slot exists at all, or the last
@@ -360,9 +365,12 @@ impl CheckpointRing {
     pub fn load_latest(&self) -> io::Result<RingRecovery> {
         let mut skipped = Vec::new();
         let mut any_exist = false;
-        for generation in 0..self.depth {
+        for generation in 0.. {
             let path = self.slot(generation);
             if !path.exists() {
+                if generation >= self.depth {
+                    break;
+                }
                 continue;
             }
             any_exist = true;
@@ -652,6 +660,36 @@ mod tests {
         let empty = CheckpointRing::new(ring_base("empty"), 2);
         clear_ring(&empty);
         assert_eq!(empty.load_latest().expect_err("empty").kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn a_shallower_reader_scans_past_its_depth_into_older_generations() {
+        let (scenario, _mesh, mut state) = sample();
+        let base = ring_base("shallow");
+        let deep = CheckpointRing::new(&base, 3);
+        clear_ring(&deep);
+        for step in [30u64, 31, 32] {
+            state.step = step;
+            deep.save(&scenario, &state).expect("ring save");
+        }
+        let mut bytes = std::fs::read(deep.slot(0)).unwrap();
+        bytes[30] ^= 0xff;
+        std::fs::write(deep.slot(0), &bytes).unwrap();
+
+        // A depth-1 reader of the same base: `.0` is damaged, `.1` (past its
+        // own depth) carries the restart.
+        let shallow = CheckpointRing::new(&base, 1);
+        let recovery = shallow.load_latest().expect("a generation past the depth");
+        assert_eq!((recovery.generation, recovery.checkpoint.step), (1, 31));
+        assert_eq!(recovery.path, deep.slot(1));
+        let skipped: Vec<_> = recovery.skipped.iter().map(|(path, _)| path.clone()).collect();
+        assert_eq!(skipped, [deep.slot(0)]);
+
+        // Past the depth the walk stops at the first missing slot.
+        std::fs::remove_file(deep.slot(1)).unwrap();
+        let err = shallow.load_latest().expect_err("`.1` is gone, `.2` is not read");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        clear_ring(&deep);
     }
 
     #[test]

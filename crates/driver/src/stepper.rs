@@ -40,6 +40,11 @@
 //!    nodal gradient, re-imposition of the scenario's velocity BCs, and the
 //!    incremental pressure update `p ← p + φ`.
 //!
+//! The weak gradient and divergence of all three read their coefficients
+//! from position-class stencils on an unjittered generator box and per
+//! stored entry on any other mesh ([`lv_kernel::GradientStorage`]); the
+//! mesh decides, [`Stepper::describe_operators`] names it.
+//!
 //! The step ends with the kinetic energy `½ρ·uᵀ·M·u` through the resident
 //! mass (one team row pass; [`Stepper::kinetic_energy`] stays the element
 //! quadrature, equal to rounding).
@@ -607,8 +612,9 @@ impl Stepper {
             format!("{colours} colours, {chunks} chunks")
         };
         format!(
-            "operators: assembly {chunks} | momentum {} | pressure {pressure}",
-            self.momentum_storage()
+            "operators: assembly {chunks} | momentum {} | gradient {} | pressure {pressure}",
+            self.momentum_storage(),
+            self.operators.gradient_storage()
         )
     }
 

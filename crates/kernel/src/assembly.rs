@@ -809,10 +809,11 @@ mod tests {
     ) -> (f64, f64) {
         let (vel, p) = (v.as_slice(), p.as_slice());
         let (mut worst_matrix, mut worst_rhs) = (0.0f64, 0.0f64);
+        let coef = ops.coefficients();
         for a in 0..oracle.dim() {
             let entries = oracle.row_ptr()[a]..oracle.row_ptr()[a + 1];
             let cols = &oracle.col_idx()[entries.clone()];
-            let coef = &ops.coef[NDIME * entries.start..NDIME * entries.end];
+            let coef = &coef[NDIME * entries.start..NDIME * entries.end];
             let (row, oracle_row) = (&matrix.values()[entries.clone()], &oracle.values()[entries]);
             let largest = oracle_row.iter().fold(0.0f64, |m, x| m.max(x.abs()));
             for (x, y) in row.iter().zip(oracle_row) {

@@ -54,6 +54,7 @@ pub mod momentum;
 pub mod parallel;
 pub mod phases;
 pub mod projection;
+mod stencil;
 pub mod workload;
 pub mod workspace;
 
@@ -64,7 +65,9 @@ pub use matrixfree::{
 };
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};
 pub use momentum::{assemble_momentum_on, solve_momentum_on, MomentumSolve};
-pub use projection::{pressure_laplacian, weak_divergence_vector_norm, PressureOperators};
+pub use projection::{
+    pressure_laplacian, weak_divergence_vector_norm, GradientStorage, PressureOperators,
+};
 pub use workspace::{ElementWorkspace, WorkspaceViewsMut};
 
 /// Spatial dimensions (3-D flow, as in the paper's production case).

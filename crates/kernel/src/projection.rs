@@ -10,7 +10,7 @@
 //! into a nodal gradient by the driver), the projection step solves
 //! `L φ = −(ρ/Δt) d(u*)` and corrects `u = u* − (Δt/ρ) M⁻¹ g(φ)`.
 //!
-//! ## Gradient and divergence: one coefficient array
+//! ## Gradient and divergence: one tensor, two coefficient sources
 //!
 //! Both first-order operators are contractions of the same tensor
 //! `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ`, which is non-zero only where nodes
@@ -21,23 +21,41 @@
 //! g_{a,i} = Σ_b C[a][b][i] · p_b          d_a = Σ_b Σ_i C[a][b][i] · u_{b,i}
 //! ```
 //!
-//! The mesh does not move, so `C` is built once at construction (`NDIME`
-//! values per stored entry of the graph, filled through the element→CSR slot
-//! map) and every application is a sparse row product: one indexed load
-//! stream, no element gather, no scatter.  Above the solver's serial
-//! cutoff ([`team_above_cutoff`]), [`for_each_share`] hands each rank of
-//! the team its own static-partition share of the output rows — the split
-//! the solver's SpMV uses.  A row is written by exactly one rank, and each row adds its
-//! entries in ascending column order from `+0.0`, so the operators are
-//! **bitwise identical for every thread count** by construction, the
-//! contract of the row-partitioned SpMV.
-//! The driver's per-node glue (`rhs −= g`, `b = scale·d`, `u −= f/M·g`)
-//! rides in the same row pass.
+//! The mesh does not move, so `C` is built once at construction, from one
+//! of two sources the mesh decides ([`PressureOperators::gradient_storage`],
+//! named by the operator banner):
+//!
+//! * **Class stencils** on an unjittered generator box (the mesh carries a
+//!   [`BoxLattice`](lv_mesh::BoxLattice) that is not
+//!   [`jittered`](lv_mesh::BoxLattice::jittered)), every element the same
+//!   hexahedron: one reference element of the lattice's spacing is
+//!   integrated once and added into the ≤ 27 stencils of the nodes'
+//!   position classes, in the element order of the integrating loop.  A
+//!   pass walks x-line runs of one class (the interior run of a line is
+//!   `nx − 1` rows) and computes windows of rows at once, unit-stride, from
+//!   a table of a few kilobytes: no coefficient array, no column index.
+//!   The rows differ from the integrated ones only by the coordinate
+//!   rounding of the integrated elements.
+//! * **Per entry** on every other mesh (jittered, renumbered, raw): `NDIME`
+//!   values per stored entry of the graph, integrated element by element
+//!   and filled through the element→CSR slot map; every application is a
+//!   sparse row product, one indexed load stream.
+//!
+//! Either way a row adds its taps in ascending column order from `+0.0`.
+//! Above the solver's serial cutoff ([`team_above_cutoff`]),
+//! [`for_each_share`] hands each rank of the team its own static-partition
+//! share of the output rows — the split the solver's SpMV uses, which may
+//! cut an x-line anywhere.  A row is written by exactly one rank, so the
+//! operators are **bitwise identical for every thread count** by
+//! construction, the contract of the row-partitioned SpMV.  The driver's
+//! per-node glue (`rhs −= g`, `b = scale·d`, `u −= f/M·g`) rides in the
+//! same row pass.
 //!
 //! ## Laplacian
 //!
 //! The Laplacian's values are integrated in the constructor's one element
-//! loop, beside `C`, the consistent mass and the lumped mass: each element's
+//! loop, beside the per-entry `C`, the consistent mass and the lumped mass
+//! (on every mesh: generated boxes included): each element's
 //! geometry (`w|J|` and the Cartesian shape derivatives at every integration
 //! point) is computed once, in mesh order, serially, and every set-up
 //! integral is added through the slot map in that order — the same bits for
@@ -52,10 +70,10 @@
 //! Of the momentum matrix `ν·K + C(u) + (ρ/Δt)·M` only the convection
 //! `C(u)` changes with the velocity.  The stiffness `K_ab = ∫ ∇N_a·∇N_b`
 //! *is* the un-pinned Laplacian above, and the consistent mass
-//! `M_ab = ∫ N_a N_b` is accumulated in the same geometry pass beside it,
-//! `C[a][b][i]` and the lumped mass: one value each per stored entry
-//! of the node graph, pure functions of the mesh (a restarted run rebuilds
-//! the same bits).  Three global passes use them, all row shares like the
+//! `M_ab = ∫ N_a N_b` is accumulated in the same geometry pass beside it
+//! and the lumped mass: one value each per stored entry of the node graph,
+//! pure functions of the mesh, like `C` (a restarted run rebuilds the same
+//! bits).  Three global passes use them, all row shares like the
 //! gradient and divergence — a stored entry is written by one rank, no
 //! `unsafe`, bitwise identical for every thread count:
 //! [`fill_viscous_on`](PressureOperators::fill_viscous_on) (`values ← ν·K`),
@@ -69,6 +87,7 @@
 //! a serial element quadrature.
 
 use crate::assembly::check_pattern;
+use crate::stencil::{ClassStencils, CORNERS};
 use crate::{NDIME, PGAUS, PNODE};
 use lv_mesh::geometry::Point3;
 use lv_mesh::quadrature::GaussRule;
@@ -76,6 +95,7 @@ use lv_mesh::{ElementKind, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_runtime::{blocked_reduce, for_each_share, Team};
 use lv_solver::parallel::team_above_cutoff;
 use lv_solver::CsrMatrix;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The pressure-projection operators of one mesh: the Laplacian, mass and
@@ -91,9 +111,8 @@ pub struct PressureOperators {
     derivs: [[[f64; NDIME]; PNODE]; PGAUS],
     /// `w_g · |J|` per `(element, gauss)`: `gpvol[PGAUS*elem + g]`.
     gpvol: Vec<f64>,
-    /// `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ` per stored entry `k = (a, b)` of
-    /// the topology's node graph: `coef[NDIME*k + i]`.
-    pub(crate) coef: Vec<f64>,
+    /// Where `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ` comes from.
+    gradient: Gradient,
     /// Lumped (row-sum) mass per node: `M_a = ∫ N_a dΩ`.
     lumped_mass: Vec<f64>,
     /// Consistent mass `M_ab = ∫ N_a N_b dΩ` per stored entry of the node
@@ -103,6 +122,46 @@ pub struct PressureOperators {
     /// the values of the un-pinned Laplacian.
     stiffness: Vec<f64>,
     topology: Arc<MeshTopology>,
+}
+
+/// The coefficients of `C`, as the mesh allows.
+#[derive(Debug, Clone)]
+enum Gradient {
+    /// The stencils of an unjittered generator box's position classes,
+    /// generated from one reference element.
+    Stencils(Box<ClassStencils>),
+    /// Integrated per stored entry `k = (a, b)` of the topology's node
+    /// graph, `coef[NDIME*k + i]`, on any other mesh.
+    PerEntry(Vec<f64>),
+}
+
+/// Where the weak gradient and divergence read `C` from — a property of the
+/// mesh, not a setting.  Its `Display` is what the operator banner names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GradientStorage {
+    /// At most 27 position-class stencils of an unjittered generator box
+    /// ([`lv_mesh::BoxLattice`]), generated from one reference element:
+    /// `classes` of them, 27 from two elements a side.
+    ClassStencils {
+        /// Position classes the box holds.
+        classes: usize,
+    },
+    /// Integrated per stored entry: the lattice is jittered, every element
+    /// has a geometry of its own.
+    JitteredLattice,
+    /// Integrated per stored entry: the mesh carries no lattice (built from
+    /// raw arrays, or renumbered).
+    NoLattice,
+}
+
+impl std::fmt::Display for GradientStorage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GradientStorage::ClassStencils { classes } => write!(f, "{classes} class stencils"),
+            GradientStorage::JitteredLattice => f.write_str("per-entry (jittered lattice)"),
+            GradientStorage::NoLattice => f.write_str("per-entry (no lattice)"),
+        }
+    }
 }
 
 /// Geometry of one element at its integration points.
@@ -156,7 +215,7 @@ impl PressureOperators {
             weights,
             derivs,
             gpvol: Vec::new(),
-            coef: Vec::new(),
+            gradient: Gradient::PerEntry(Vec::new()),
             lumped_mass: Vec::new(),
             mass: Vec::new(),
             stiffness: Vec::new(),
@@ -165,7 +224,15 @@ impl PressureOperators {
         let nelem = mesh.num_elements();
         let nnz = ops.topology.col_idx().len();
         let mut gpvol = vec![0.0; nelem * PGAUS];
-        let mut coef = vec![0.0; NDIME * nnz];
+        // An unjittered generator box needs one element's `C`; any other
+        // mesh integrates every element's into one triple per entry.
+        let stencils = mesh.lattice().filter(|lattice| !lattice.jittered).map(|lattice| {
+            let spacing = lattice.spacing();
+            let x = CORNERS.map(|c| [0, 1, 2].map(|d| c[d] as f64 * spacing[d]));
+            let element = ops.element_gradient(&ops.geometry(&x, 0));
+            Box::new(ClassStencils::new(lattice, &element))
+        });
+        let mut coef = vec![0.0; if stencils.is_some() { 0 } else { NDIME * nnz }];
         let mut lumped_mass = vec![0.0; mesh.num_nodes()];
         let mut mass = vec![0.0; nnz];
         let mut stiffness = vec![0.0; nnz];
@@ -213,30 +280,29 @@ impl PressureOperators {
                 stiffness[slot as usize] += k;
             }
             for (a, &node) in nodes.iter().enumerate() {
-                // Row `a` of the elemental C[a][b][i] = Σ_g w|J| · N_a · ∂N_b/∂x_i,
-                // as `el_a[i][b]`.
-                let mut el_a = [[0.0f64; PNODE]; NDIME];
-                for (g, car) in geometry.car.iter().enumerate() {
-                    let w = geometry.vol[g] * ops.shape.functions(g).n[a];
-                    lumped_mass[node as usize] += w;
-                    for (el_ai, car_i) in el_a.iter_mut().zip(car) {
-                        for (entry, c) in el_ai.iter_mut().zip(car_i) {
-                            *entry += w * c;
-                        }
-                    }
+                for (g, vol) in geometry.vol.iter().enumerate() {
+                    lumped_mass[node as usize] += vol * ops.shape.functions(g).n[a];
                 }
+            }
+            if stencils.is_none() {
                 // Mesh order, serially: every coefficient is the same bits
                 // for every thread count and vector size.
-                for (b, &slot) in slots[PNODE * a..PNODE * (a + 1)].iter().enumerate() {
-                    let k = NDIME * slot as usize;
-                    for (c, el_ai) in coef[k..k + NDIME].iter_mut().zip(&el_a) {
-                        *c += el_ai[b];
+                let element = ops.element_gradient(&geometry);
+                for (el_a, slots_a) in element.iter().zip(slots.chunks_exact(PNODE)) {
+                    for (b, &slot) in slots_a.iter().enumerate() {
+                        let k = NDIME * slot as usize;
+                        for (c, el_ai) in coef[k..k + NDIME].iter_mut().zip(el_a) {
+                            *c += el_ai[b];
+                        }
                     }
                 }
             }
         }
         ops.gpvol = gpvol;
-        ops.coef = coef;
+        ops.gradient = match stencils {
+            Some(stencils) => Gradient::Stencils(stencils),
+            None => Gradient::PerEntry(coef),
+        };
         ops.lumped_mass = lumped_mass;
         ops.mass = mass;
         ops.stiffness = stiffness;
@@ -254,12 +320,39 @@ impl PressureOperators {
             let p = self.mesh.node_coords(node as usize);
             *x_a = [p.x, p.y, p.z];
         }
+        self.geometry(&x, elem)
+    }
+
+    /// The elemental `C[a][b][i] = Σ_g w|J| · N_a · ∂N_b/∂x_i` of
+    /// `geometry`, as `el[a][i][b]`.
+    fn element_gradient(&self, geometry: &ElementGeometry) -> [[[f64; PNODE]; NDIME]; PNODE] {
+        let mut element = [[[0.0f64; PNODE]; NDIME]; PNODE];
+        for (a, el_a) in element.iter_mut().enumerate() {
+            for (g, car) in geometry.car.iter().enumerate() {
+                let w = geometry.vol[g] * self.shape.functions(g).n[a];
+                for (el_ai, car_i) in el_a.iter_mut().zip(car) {
+                    for (entry, c) in el_ai.iter_mut().zip(car_i) {
+                        *entry += w * c;
+                    }
+                }
+            }
+        }
+        element
+    }
+
+    /// `w|J|` and the Cartesian shape derivatives at the integration points
+    /// of the element with node coordinates `x` (element `elem`, for the
+    /// panic message).
+    ///
+    /// # Panics
+    /// Panics on a non-positive Jacobian (an inverted element).
+    fn geometry(&self, x: &[[f64; NDIME]; PNODE], elem: usize) -> ElementGeometry {
         let mut geometry =
             ElementGeometry { vol: [0.0; PGAUS], car: [[[0.0; PNODE]; NDIME]; PGAUS] };
         for (g, derivs) in self.derivs.iter().enumerate() {
             // Jacobian J[i][j] = Σ_a ∂N_a/∂ξ_j · x_a[i].
             let mut jac = [[0.0f64; 3]; 3];
-            for (d_a, x_a) in derivs.iter().zip(&x) {
+            for (d_a, x_a) in derivs.iter().zip(x) {
                 for (row, x_ai) in jac.iter_mut().zip(x_a) {
                     for (entry, d_aj) in row.iter_mut().zip(d_a) {
                         *entry += d_aj * x_ai;
@@ -313,23 +406,68 @@ impl PressureOperators {
         &self.lumped_mass
     }
 
-    /// Bytes of operator data one gradient or divergence sweep streams: the
-    /// coefficients plus the column indices as stored.  Vector traffic is
-    /// excluded, as in [`lv_solver::LinearOperator::streamed_bytes`].
+    /// Where the weak gradient and divergence read `C` from (the operator
+    /// banner names it).
+    pub fn gradient_storage(&self) -> GradientStorage {
+        match &self.gradient {
+            Gradient::Stencils(stencils) => {
+                GradientStorage::ClassStencils { classes: stencils.num_classes() }
+            }
+            Gradient::PerEntry(_) if self.mesh.lattice().is_some() => {
+                GradientStorage::JitteredLattice
+            }
+            Gradient::PerEntry(_) => GradientStorage::NoLattice,
+        }
+    }
+
+    /// `C` per stored entry of the node graph, `coef[NDIME*k + i]`: the
+    /// per-entry coefficients, or the class stencils expanded onto the graph.
+    #[cfg(test)]
+    pub(crate) fn coefficients(&self) -> Vec<f64> {
+        match &self.gradient {
+            Gradient::Stencils(stencils) => {
+                stencils.expand(self.topology.row_ptr(), self.topology.col_idx())
+            }
+            Gradient::PerEntry(coef) => coef.clone(),
+        }
+    }
+
+    /// Bytes of `C` one pass reads: the class-stencil table, or the
+    /// per-entry coefficients.
+    fn gradient_bytes(&self) -> usize {
+        match &self.gradient {
+            Gradient::Stencils(stencils) => stencils.table_bytes(),
+            Gradient::PerEntry(coef) => std::mem::size_of_val(coef.as_slice()),
+        }
+    }
+
+    /// Bytes one gradient or divergence sweep streams.  Per entry: the
+    /// coefficients plus the column indices as stored, vector traffic
+    /// excluded as in [`lv_solver::LinearOperator::streamed_bytes`] (it is
+    /// under a tenth of them).  By class stencils the coefficients are a
+    /// table of a few kilobytes and no index is read, so the vectors are
+    /// the traffic: the table plus one scalar and one `NDIME`-vector field.
     pub fn streamed_bytes(&self) -> usize {
-        std::mem::size_of_val(self.coef.as_slice()) + std::mem::size_of_val(self.topology.col_idx())
+        match &self.gradient {
+            Gradient::Stencils(_) => {
+                self.gradient_bytes() + 8 * (1 + NDIME) * self.mesh.num_nodes()
+            }
+            Gradient::PerEntry(_) => {
+                self.gradient_bytes() + std::mem::size_of_val(self.topology.col_idx())
+            }
+        }
     }
 
     /// Modeled floating-point operations of one weak-gradient sweep: a
-    /// multiply and an add per coefficient.
+    /// multiply and an add per coefficient of every row.
     pub fn gradient_flops(&self) -> u64 {
-        2 * self.coef.len() as u64
+        2 * (NDIME * self.topology.col_idx().len()) as u64
     }
 
     /// Modeled floating-point operations of one weak-divergence sweep: a
-    /// multiply and an add per coefficient.
+    /// multiply and an add per coefficient of every row.
     pub fn divergence_flops(&self) -> u64 {
-        2 * self.coef.len() as u64
+        self.gradient_flops()
     }
 
     /// [`assemble_laplacian`](Self::assemble_laplacian): the held copy.
@@ -381,38 +519,55 @@ impl PressureOperators {
         crate::matrixfree::MatrixFreeLaplacian::new(&self.mesh, pins)
     }
 
-    /// Row `a` of the weak gradient: `Σ_b C[a][b][·] · p_b`, entries added
-    /// in ascending column order from `+0.0`.
+    /// `apply(a, g_a)` for every row `a` of `rows`, in row order, with
+    /// `g_a = Σ_b C[a][b][·] · p_b` the weak gradient of `scalar`, entries
+    /// added in ascending column order from `+0.0`.
     #[inline]
-    fn gradient_row(&self, scalar: &[f64], a: usize) -> [f64; NDIME] {
-        let row_ptr = self.topology.row_ptr();
-        let entries = row_ptr[a]..row_ptr[a + 1];
-        let cols = &self.topology.col_idx()[entries.clone()];
-        let coef = &self.coef[NDIME * entries.start..NDIME * entries.end];
-        let mut g = [0.0f64; NDIME];
-        for (&b, c) in cols.iter().zip(coef.chunks_exact(NDIME)) {
-            let p = scalar[b];
-            g[0] += c[0] * p;
-            g[1] += c[1] * p;
-            g[2] += c[2] * p;
+    fn gradient_rows(
+        &self,
+        scalar: &[f64],
+        rows: Range<usize>,
+        mut apply: impl FnMut(usize, [f64; NDIME]),
+    ) {
+        let coef = match &self.gradient {
+            Gradient::Stencils(stencils) => return stencils.gradient_rows(scalar, rows, apply),
+            Gradient::PerEntry(coef) => coef,
+        };
+        let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
+        for a in rows {
+            let entries = row_ptr[a]..row_ptr[a + 1];
+            let coef = &coef[NDIME * entries.start..NDIME * entries.end];
+            let mut g = [0.0f64; NDIME];
+            for (&b, c) in col_idx[entries].iter().zip(coef.chunks_exact(NDIME)) {
+                let p = scalar[b];
+                g[0] += c[0] * p;
+                g[1] += c[1] * p;
+                g[2] += c[2] * p;
+            }
+            apply(a, g);
         }
-        g
     }
 
-    /// Row `a` of the weak divergence: `Σ_b C[a][b][·] · u_b`, entries added
-    /// in ascending column order from `+0.0`.
+    /// `apply(a, d_a)` for every row `a` of `rows`, in row order, with
+    /// `d_a = Σ_b C[a][b][·] · u_b` the weak divergence of `vel`, entries
+    /// added in ascending column order from `+0.0`.
     #[inline]
-    fn divergence_row(&self, vel: &[f64], a: usize) -> f64 {
-        let row_ptr = self.topology.row_ptr();
-        let entries = row_ptr[a]..row_ptr[a + 1];
-        let cols = &self.topology.col_idx()[entries.clone()];
-        let coef = &self.coef[NDIME * entries.start..NDIME * entries.end];
-        let mut d = 0.0f64;
-        for (&b, c) in cols.iter().zip(coef.chunks_exact(NDIME)) {
-            let v = &vel[NDIME * b..NDIME * b + NDIME];
-            d += c[0] * v[0] + c[1] * v[1] + c[2] * v[2];
+    fn divergence_rows(&self, vel: &[f64], rows: Range<usize>, mut apply: impl FnMut(usize, f64)) {
+        let coef = match &self.gradient {
+            Gradient::Stencils(stencils) => return stencils.divergence_rows(vel, rows, apply),
+            Gradient::PerEntry(coef) => coef,
+        };
+        let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
+        for a in rows {
+            let entries = row_ptr[a]..row_ptr[a + 1];
+            let coef = &coef[NDIME * entries.start..NDIME * entries.end];
+            let mut d = 0.0f64;
+            for (&b, c) in col_idx[entries].iter().zip(coef.chunks_exact(NDIME)) {
+                let v = &vel[NDIME * b..NDIME * b + NDIME];
+                d += c[0] * v[0] + c[1] * v[1] + c[2] * v[2];
+            }
+            apply(a, d);
         }
-        d
     }
 
     /// One row pass of the weak gradient of `scalar` on `team`:
@@ -429,9 +584,10 @@ impl PressureOperators {
         assert_eq!(scalar.len(), n);
         assert_eq!(out.len(), NDIME * n);
         for_each_share(team_above_cutoff(team, n), n, 1, out, |rows, out| {
-            for (a, out_a) in rows.zip(out.chunks_exact_mut(NDIME)) {
-                apply(a, self.gradient_row(scalar, a), out_a);
-            }
+            let first = rows.start;
+            self.gradient_rows(scalar, rows, |a, g| {
+                apply(a, g, &mut out[NDIME * (a - first)..][..NDIME]);
+            });
         });
     }
 
@@ -443,9 +599,8 @@ impl PressureOperators {
         assert_eq!(velocity.num_nodes(), n);
         let vel = velocity.as_slice();
         for_each_share(team_above_cutoff(team, n), n, 1, out, |rows, out| {
-            for (a, d) in rows.zip(out.iter_mut()) {
-                *d = self.divergence_row(vel, a);
-            }
+            let first = rows.start;
+            self.divergence_rows(vel, rows, |a, d| out[a - first] = d);
         });
     }
 
@@ -466,10 +621,11 @@ impl PressureOperators {
         assert_eq!(velocity.num_nodes(), n);
         let vel = velocity.as_slice();
         for_each_share(team_above_cutoff(team, n), n, 1, (div, rhs), |rows, (div, rhs)| {
-            for ((a, d), b) in rows.zip(div.iter_mut()).zip(rhs.iter_mut()) {
-                *d = self.divergence_row(vel, a);
-                *b = scale * *d;
-            }
+            let first = rows.start;
+            self.divergence_rows(vel, rows, |a, d| {
+                div[a - first] = d;
+                rhs[a - first] = scale * d;
+            });
         });
     }
 
@@ -570,33 +726,29 @@ impl PressureOperators {
     ) {
         let n = self.mesh.num_nodes();
         check_pattern(&self.topology, matrix);
-        assert_eq!(NDIME * matrix.values().len(), self.coef.len());
         assert_eq!(velocity.num_nodes(), n);
         assert_eq!(pressure.len(), n);
         assert_eq!(rhs.len(), NDIME * n);
         let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
         let (values, vel) = (matrix.values(), velocity.as_slice());
         for_each_share(team_above_cutoff(team, n), n, 1, rhs, |rows, out| {
+            // `g` of the share's rows first, parked in their entries of
+            // `out`; then one walk of each row for `S·u`.
+            let first = rows.start;
+            self.gradient_rows(pressure, rows.clone(), |a, g| {
+                out[NDIME * (a - first)..][..NDIME].copy_from_slice(&g);
+            });
             for (a, out_a) in rows.zip(out.chunks_exact_mut(NDIME)) {
                 let entries = row_ptr[a]..row_ptr[a + 1];
-                let coef = &self.coef[NDIME * entries.start..NDIME * entries.end];
-                // One walk of the row for both sums; `g` accumulates exactly
-                // as `gradient_row` does.
-                let (mut su, mut g) = ([0.0f64; NDIME], [0.0f64; NDIME]);
-                for ((&b, &s_ab), c) in col_idx[entries.clone()]
-                    .iter()
-                    .zip(&values[entries])
-                    .zip(coef.chunks_exact(NDIME))
-                {
+                let mut su = [0.0f64; NDIME];
+                for (&b, &s_ab) in col_idx[entries.clone()].iter().zip(&values[entries]) {
                     let u = &vel[NDIME * b..NDIME * b + NDIME];
-                    let p = pressure[b];
                     for i in 0..NDIME {
                         su[i] += s_ab * u[i];
-                        g[i] += c[i] * p;
                     }
                 }
-                for i in 0..NDIME {
-                    out_a[i] = -su[i] - g[i];
+                for (out, su) in out_a.iter_mut().zip(su) {
+                    *out = -su - *out;
                 }
             }
         });
@@ -614,15 +766,15 @@ impl PressureOperators {
 
     /// Bytes the three global passes of one momentum assembly stream
     /// together, from array sizes: `K` in and the values out; the values,
-    /// the column indices and the gradient coefficients in, velocity and
-    /// pressure in once, the right-hand side out; `M` in and the values in
-    /// and out.
+    /// the column indices and `C` (the per-entry coefficients, or the
+    /// class-stencil table) in, velocity and pressure in once, the
+    /// right-hand side out; `M` in and the values in and out.
     pub fn momentum_pass_bytes(&self) -> u64 {
         let (nnz, n) = (self.mass.len(), self.mesh.num_nodes());
         let fill = 2 * 8 * nnz;
         let residual = 8 * nnz
             + std::mem::size_of_val(self.topology.col_idx())
-            + std::mem::size_of_val(self.coef.as_slice())
+            + self.gradient_bytes()
             + 8 * (NDIME + 1) * n
             + 8 * NDIME * n;
         let mass = 3 * 8 * nnz;
@@ -638,8 +790,8 @@ impl PressureOperators {
     /// serially, so the two agree bit for bit; the norm accumulates in node
     /// order.
     pub fn weak_divergence_norm(&self, velocity: &VectorField) -> f64 {
-        let vel = velocity.as_slice();
-        let d: Vec<f64> = (0..self.mesh.num_nodes()).map(|a| self.divergence_row(vel, a)).collect();
+        let mut d = vec![0.0; self.mesh.num_nodes()];
+        self.weak_divergence_on(&Team::new(1), velocity, &mut d);
         weak_divergence_vector_norm(&d)
     }
 
@@ -1146,6 +1298,7 @@ mod tests {
             ("rcm", rcm),
             ("isolated node", isolated),
             ("jittered", jittered),
+            ("unjittered cavity", BoxMeshBuilder::new(5, 4, 3).lid_driven_cavity().build()),
         ];
         let team = Team::new(1);
         for (name, m) in &meshes {
@@ -1161,12 +1314,13 @@ mod tests {
             table.weak_divergence(&velocity, &mut div_oracle);
             table.weak_gradient(p, &mut grad_oracle);
             let (row_ptr, col_idx) = (ops.topology.row_ptr(), ops.topology.col_idx());
+            let coef = ops.coefficients();
             for a in 0..n {
                 // Σ_b |C[a][b]|·|x_b|: the magnitude the row's rounding
                 // errors scale with.
                 let (mut div_scale, mut grad_scale) = (0.0f64, [0.0f64; NDIME]);
                 let entries = row_ptr[a]..row_ptr[a + 1];
-                let coef = &ops.coef[NDIME * entries.start..NDIME * entries.end];
+                let coef = &coef[NDIME * entries.start..NDIME * entries.end];
                 for (&b, c) in col_idx[entries].iter().zip(coef.chunks_exact(NDIME)) {
                     for i in 0..NDIME {
                         div_scale += c[i].abs() * vel[NDIME * b + i].abs();
@@ -1255,7 +1409,7 @@ mod tests {
     fn gradient_and_divergence_are_adjoint_on_the_box() {
         // On the un-jittered box the 2×2×2 rule integrates N_a ∂N_b/∂x_i
         // exactly, so for u = 0 on the boundary the discrete operators
-        // inherit ∫ p ∇·u = −∫ u·∇p: one coefficient array is both.
+        // inherit ∫ p ∇·u = −∫ u·∇p: one tensor is both.
         let m = BoxMeshBuilder::new(6, 6, 6).lid_driven_cavity().build();
         let ops = PressureOperators::new(&m, 16);
         let n = m.num_nodes();
@@ -1335,7 +1489,7 @@ mod tests {
             let shared = PressureOperators::with_topology(&m, asm.topology().clone());
             assert_same_bits(shared.stiffness(), ops.stiffness(), "K");
             assert_same_bits(shared.consistent_mass(), ops.consistent_mass(), "M");
-            assert_same_bits(&shared.coef, &ops.coef, "coef");
+            assert_same_bits(&shared.coefficients(), &ops.coefficients(), "C");
             assert_same_bits(shared.lumped_mass(), ops.lumped_mass(), "lumped mass");
         }
     }
@@ -1430,19 +1584,152 @@ mod tests {
     fn traffic_model_of_the_4_cubed_box() {
         // 5³ nodes; a node with k neighbours per direction (itself
         // included) stores k³ entries: Σ = (3·5 − 2)³.
+        let (nnz, n, index) = (13 * 13 * 13, 125, std::mem::size_of::<usize>());
+        // The three global passes of a momentum assembly: ν·K (K in, values
+        // out), the residual (values, columns, `C`, u, p in; rhs out), the
+        // mass update (M in, values in and out).
+        let momentum_flops = (nnz + (12 * nnz + 6 * n) + 2 * nnz) as u64;
+        let momentum_bytes = |gradient: usize| {
+            (16 * nnz + (8 + index) * nnz + gradient + 8 * 7 * n + 24 * nnz) as u64
+        };
+
+        // The generator box: 27 class stencils of 27 taps, no index read,
+        // so one pass moves the table, a scalar and a vector field.
         let ops = PressureOperators::new(&BoxMeshBuilder::new(4, 4, 4).build(), 16);
-        let nnz = 13 * 13 * 13;
-        assert_eq!(ops.streamed_bytes(), 8 * NDIME * nnz + std::mem::size_of::<usize>() * nnz);
+        assert_eq!(ops.gradient_storage(), GradientStorage::ClassStencils { classes: 27 });
+        let table = 27 * (index + 27 * (std::mem::size_of::<isize>() + 8 * NDIME));
+        assert_eq!(ops.streamed_bytes(), table + 8 * 4 * n);
         assert_eq!(ops.gradient_flops(), (2 * NDIME * nnz) as u64);
         assert_eq!(ops.divergence_flops(), (2 * NDIME * nnz) as u64);
-        // The three global passes of a momentum assembly: ν·K (K in, values
-        // out), the residual (values, columns, coefficients, u, p in; rhs
-        // out), the mass update (M in, values in and out).
-        let (n, index) = (125, std::mem::size_of::<usize>());
-        assert_eq!(ops.momentum_pass_flops(), (nnz + (12 * nnz + 6 * n) + 2 * nnz) as u64);
-        assert_eq!(
-            ops.momentum_pass_bytes(),
-            (16 * nnz + (8 + index + 24) * nnz + 8 * 7 * n + 24 * nnz) as u64
+        assert_eq!(ops.momentum_pass_flops(), momentum_flops);
+        assert_eq!(ops.momentum_pass_bytes(), momentum_bytes(table));
+
+        // Jittered, per entry: the coefficients and the column indices.
+        let jittered = BoxMeshBuilder::new(4, 4, 4).with_jitter(0.1, 3).build();
+        let ops = PressureOperators::new(&jittered, 16);
+        assert_eq!(ops.gradient_storage(), GradientStorage::JitteredLattice);
+        assert_eq!(ops.streamed_bytes(), 8 * NDIME * nnz + index * nnz);
+        assert_eq!(ops.gradient_flops(), (2 * NDIME * nnz) as u64);
+        assert_eq!(ops.divergence_flops(), (2 * NDIME * nnz) as u64);
+        assert_eq!(ops.momentum_pass_flops(), momentum_flops);
+        assert_eq!(ops.momentum_pass_bytes(), momentum_bytes(8 * NDIME * nnz));
+    }
+
+    /// The integrated `C` of a generator box's own coordinates: the same
+    /// mesh without its lattice.
+    fn integrated(mesh: &Mesh) -> PressureOperators {
+        let raw = Mesh::from_raw(
+            mesh.kind(),
+            mesh.coords().to_vec(),
+            mesh.connectivity().to_vec(),
+            mesh.boundary_tags().to_vec(),
+            mesh.characteristic_length(),
         );
+        let ops = PressureOperators::new(&raw, 16);
+        assert_eq!(ops.gradient_storage(), GradientStorage::NoLattice);
+        ops
+    }
+
+    #[test]
+    fn class_stencils_are_the_integrated_coefficients_to_rounding() {
+        // The integrated elements carry the rounding of their coordinates:
+        // an edge `x_{i+1} − x_i` far from the origin is off by up to
+        // ~`i·ε` of its length, so the deviation grows with the number of
+        // elements along the longest direction, `n`.  Worst |Δ| over every
+        // entry, in `n·ε` of its row's largest |C| entry, measured: 8³
+        // cavity 0.93 (7.45 ε), 12³ cavity 0.95 (11.4 ε), 48 × 12 × 12
+        // channel 0.74 (35.4 ε), 5 × 3 × 2 box 0.42 (2.1 ε), 4 × 3 × 1 box
+        // 0.42 (1.7 ε).
+        const N_EPSILONS: f64 = 1.0;
+        let meshes = [
+            ("8^3 cavity", BoxMeshBuilder::new(8, 8, 8).lid_driven_cavity().build(), 27),
+            ("12^3 cavity", BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().build(), 27),
+            ("channel", ChannelMeshBuilder::new(12, 4).build(), 27),
+            ("5x3x2 box", BoxMeshBuilder::new(5, 3, 2).build(), 27),
+            ("4x3x1 box", BoxMeshBuilder::new(4, 3, 1).build(), 18),
+        ];
+        for (name, mesh, classes) in &meshes {
+            let ops = PressureOperators::new(mesh, 16);
+            assert_eq!(
+                ops.gradient_storage(),
+                GradientStorage::ClassStencils { classes: *classes }
+            );
+            let (generated, integrated) = (ops.coefficients(), integrated(mesh).coefficients());
+            let row_ptr = ops.topology.row_ptr();
+            let longest = mesh.lattice().expect("a generated box").dims.into_iter().max().unwrap();
+            let mut worst = 0.0f64;
+            for a in 0..mesh.num_nodes() {
+                let row = NDIME * row_ptr[a]..NDIME * row_ptr[a + 1];
+                let largest = integrated[row.clone()].iter().fold(0.0f64, |m, c| m.max(c.abs()));
+                for (g, i) in generated[row.clone()].iter().zip(&integrated[row]) {
+                    worst = worst.max((g - i).abs() / (longest as f64 * f64::EPSILON * largest));
+                }
+            }
+            assert!(worst <= N_EPSILONS, "{name}: {worst} n·ε of the row's largest entry");
+        }
+    }
+
+    #[test]
+    fn stencil_passes_are_the_per_entry_passes_bit_for_bit_on_any_row_share() {
+        // 11³ = 1331 rows: teams of 2 and 3 fork and cut x-lines of 11
+        // nodes mid-line (shares of 666 and 444 rows).
+        let m = BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().build();
+        let n = m.num_nodes();
+        let ops = PressureOperators::new(&m, 32);
+        assert!(matches!(ops.gradient, Gradient::Stencils(_)));
+        // The oracle: the per-entry row products over the same coefficients.
+        let mut per_entry = ops.clone();
+        per_entry.gradient = Gradient::PerEntry(ops.coefficients());
+        let (velocity, pressure) = (test_velocity(&m), test_pressure(&m));
+        let p = pressure.as_slice();
+        let rhs0: Vec<f64> = (0..NDIME * n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (scale, factor) = (-1.0 / 0.013, 0.013);
+        let mut matrix = ops.assemble_laplacian();
+        for (k, v) in matrix.pattern_and_values_mut().2.iter_mut().enumerate() {
+            *v = (k as f64 * 0.11).cos();
+        }
+        let passes = |ops: &PressureOperators, team: &Team| {
+            let (mut div, mut poisson, mut poisson_div) =
+                (vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]);
+            ops.weak_divergence_on(team, &velocity, &mut div);
+            ops.poisson_rhs_on(team, &velocity, scale, &mut poisson_div, &mut poisson);
+            let mut grad = vec![f64::NAN; NDIME * n];
+            ops.weak_gradient_on(team, p, &mut grad);
+            let mut rhs = rhs0.clone();
+            ops.subtract_weak_gradient_on(team, p, &mut rhs);
+            let mut corrected = velocity.clone();
+            ops.correct_velocity_on(team, p, factor, &mut corrected);
+            let mut residual = vec![f64::NAN; NDIME * n];
+            ops.momentum_residual_on(team, &matrix, &velocity, p, &mut residual);
+            [div, poisson, poisson_div, grad, rhs, corrected.as_slice().to_vec(), residual]
+        };
+        let names = ["divergence", "Poisson rhs", "fused divergence", "gradient", "rhs −= g"];
+        let names = [&names[..], &["correction", "momentum residual"]].concat();
+        let oracle = passes(&per_entry, &Team::new(1));
+        for threads in [1usize, 2, 3] {
+            for (name, (got, want)) in
+                names.iter().zip(passes(&ops, &Team::new(threads)).iter().zip(&oracle))
+            {
+                assert_same_bits(got, want, &format!("{name}, {threads} threads"));
+            }
+        }
+        assert_eq!(ops.weak_divergence_norm(&velocity), per_entry.weak_divergence_norm(&velocity));
+
+        // Every cut of the rows into two shares, directly.
+        let mut whole = vec![[f64::NAN; NDIME]; n];
+        ops.gradient_rows(p, 0..n, |a, g| whole[a] = g);
+        for cut in 0..=n {
+            let mut parts = vec![[f64::NAN; NDIME]; n];
+            ops.gradient_rows(p, 0..cut, |a, g| parts[a] = g);
+            ops.gradient_rows(p, cut..n, |a, g| parts[a] = g);
+            assert!(
+                parts
+                    .iter()
+                    .flatten()
+                    .zip(whole.iter().flatten())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "cut at {cut}"
+            );
+        }
     }
 }

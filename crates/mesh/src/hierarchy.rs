@@ -30,17 +30,21 @@ pub struct BoxLattice {
     pub lengths: [f64; 3],
     /// Element counts per direction (nodes are `dims[d] + 1` per direction).
     pub dims: [usize; 3],
+    /// Whether the generator nudged the interior nodes off the lattice
+    /// ([`crate::BoxMeshBuilder::with_jitter`]): the node order and the
+    /// boundary still follow the lattice, the element geometry does not.
+    pub jittered: bool,
 }
 
 impl BoxLattice {
-    /// Creates a lattice.
+    /// Creates an unjittered lattice.
     ///
     /// # Panics
     /// Panics on zero element counts or non-positive lengths.
     pub fn new(origin: [f64; 3], lengths: [f64; 3], dims: [usize; 3]) -> Self {
         assert!(dims.iter().all(|&d| d > 0), "element counts must be positive");
         assert!(lengths.iter().all(|&l| l > 0.0), "lengths must be positive");
-        BoxLattice { origin, lengths, dims }
+        BoxLattice { origin, lengths, dims, jittered: false }
     }
 
     /// Nodes per direction.
@@ -214,6 +218,7 @@ mod tests {
                 BoxLattice::new([lo.x, lo.y, lo.z], [hi.x - lo.x, hi.y - lo.y, hi.z - lo.z], *dims);
             let lattice = mesh.lattice().expect("a generated mesh carries its lattice");
             assert_eq!(lattice.dims, *dims);
+            assert_eq!(lattice.jittered, !*unjittered, "{dims:?}");
             assert_eq!(bits(lattice), bits(&expected), "{dims:?}");
             if *unjittered {
                 let p = lattice.points();

@@ -84,7 +84,8 @@ impl BoxMeshBuilder {
 
     /// Perturbs interior nodes by a fraction `jitter` of the local element
     /// size (0.0 ≤ jitter < 0.5), producing a mildly unstructured mesh so the
-    /// Jacobians are not all identical.
+    /// Jacobians are not all identical.  A positive `jitter` marks the
+    /// attached lattice [`jittered`](BoxLattice::jittered).
     pub fn with_jitter(mut self, jitter: f64, seed: u64) -> Self {
         assert!((0.0..0.5).contains(&jitter), "jitter must be in [0, 0.5)");
         self.jitter = jitter;
@@ -171,7 +172,10 @@ impl BoxMeshBuilder {
         // The corners are the unjittered boundary nodes, so the lattice spans
         // exactly the mesh's bounding box.
         let (lo, hi) = (position(0, 0, 0), position(nx, ny, nz));
-        let lattice = BoxLattice::new(lo, [0, 1, 2].map(|d| hi[d] - lo[d]), [nx, ny, nz]);
+        let lattice = BoxLattice {
+            jittered: self.jitter > 0.0,
+            ..BoxLattice::new(lo, [0, 1, 2].map(|d| hi[d] - lo[d]), [nx, ny, nz])
+        };
         let h_char = dx.min(dy).min(dz);
         Mesh::from_raw(ElementKind::Hex8, coords, lnods, boundary, h_char).with_lattice(lattice)
     }

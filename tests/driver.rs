@@ -216,7 +216,8 @@ fn pressure_field_is_no_longer_a_zero_spectator() {
 /// the banner names the choice.  None of the three has a pressure
 /// hierarchy, and the banner names the cause: a coarse Galerkin level of
 /// the jittered box is too wide for diagonals, and the renumbered meshes
-/// carry no lattice.
+/// carry no lattice.  Nor does any of them have class stencils: the
+/// gradient reads per-entry coefficients, and the banner says why.
 #[test]
 fn momentum_storage_follows_the_node_order_and_both_storages_step() {
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 12);
@@ -228,15 +229,24 @@ fn momentum_storage_follows_the_node_order_and_both_storages_step() {
     let csr = "momentum csr (pattern has more than 32 diagonals)";
     let wide = "pressure cg (no multigrid hierarchy: a level has more than 32 diagonals)";
     let renumbered = "pressure cg (no multigrid hierarchy: no box lattice)";
-    for (mesh, storage, banner, pressure) in [
-        (jittered, MomentumStorage::Dia { diagonals: 27 }, "momentum dia (27 diagonals)", wide),
-        (scrambled, MomentumStorage::Csr, csr, renumbered),
-        (rcm, MomentumStorage::Csr, csr, renumbered),
+    let (nudged, unordered) =
+        ("| gradient per-entry (jittered lattice) |", "| gradient per-entry (no lattice) |");
+    for (mesh, storage, banner, gradient, pressure) in [
+        (
+            jittered,
+            MomentumStorage::Dia { diagonals: 27 },
+            "momentum dia (27 diagonals)",
+            nudged,
+            wide,
+        ),
+        (scrambled, MomentumStorage::Csr, csr, unordered, renumbered),
+        (rcm, MomentumStorage::Csr, csr, unordered, renumbered),
     ] {
         let mut stepper = Stepper::with_mesh(scenario.clone(), quick_config(), mesh);
         assert_eq!(stepper.momentum_storage(), storage);
         let line = stepper.describe_operators();
         assert!(line.starts_with("operators: ") && line.contains(banner), "{line}");
+        assert!(line.contains(gradient), "{line}");
         assert!(line.ends_with(pressure), "{line}");
         let reports = stepper.run_on(&team, 2).expect("both storages must step");
         let tolerance = stepper.config().momentum_options.tolerance;

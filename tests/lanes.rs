@@ -3,22 +3,26 @@
 //!
 //! The constants below are FNV-1a hashes of the velocity and pressure bits
 //! after four `Stepper` steps.  They were **last re-recorded for a
-//! deliberate change of the summation order of the stiffness `K`**: the
-//! projection operators now integrate it in their one mesh-order element
-//! loop beside `M` and `C`, instead of in a second sweep over an
-//! element-colored schedule, so a row's contributions meet in element order
-//! — the same integrals in another summation order (at 32³, 13 060 of
-//! 912 673 entries moved, the worst by 2.25 ε of its row's largest entry;
-//! `M`, `C` and the lumped mass kept their bits).  Measured against the old
-//! trajectory after the four steps (12³ cavity / 48 × 12 × 12 channel):
-//! velocity within 1.3e-15 / 9.6e-16 of `‖u‖∞`, pressure within 1.1e-13 /
-//! 1.2e-15 of `‖p‖∞`, kinetic energy bit-identical at every step of both,
-//! every step's momentum and Poisson iteration count unchanged.  The
-//! recording was taken twice, with every multiversioned kernel forced to its
-//! baseline body and at the lanes this suite's hosts select (AVX2), each on
-//! 1 and 2 threads in the debug and in the release profile: all eight runs
-//! of a scenario hashed alike.  (Earlier values, newest first:
-//! `0x5e66_bdc0_deba_af27` and `0x726c_09e8_d593_f060` after the
+//! deliberate change of the coefficients of the weak gradient and
+//! divergence `C`**: on an unjittered generator box the projection
+//! operators now generate `C` from one reference element as position-class
+//! stencils instead of integrating every element from its own coordinates,
+//! so `C` moved by the coordinate rounding of the integrated elements
+//! (entry by entry within `n·ε` of its row's largest entry, `n` the element
+//! count of the longest direction; `K`, `M` and the lumped mass kept their
+//! bits).  Measured against the old trajectory after the four steps (12³
+//! cavity / 48 × 12 × 12 channel): velocity within 2.5e-15 / 1.2e-15 of
+//! `‖u‖∞`, pressure within 1.6e-13 / 2.1e-15 of `‖p‖∞`, kinetic energy
+//! within one ulp at every step of both (equal at steps 2–3 of the cavity
+//! and step 4 of the channel), every step's momentum and Poisson iteration
+//! count unchanged.  The recording was taken twice, with every
+//! multiversioned kernel forced to its baseline body and at the lanes this
+//! suite's hosts select (AVX2), each on 1 and 2 threads in the debug and in
+//! the release profile: all eight runs of a scenario hashed alike.
+//! (Earlier values, newest first: `0xc367_9388_c17e_825d` and
+//! `0xafcb_1bd9_0f6b_3da7` after the stiffness `K` moved into the
+//! operators' one mesh-order element loop, a change of its summation
+//! order; `0x5e66_bdc0_deba_af27` and `0x726c_09e8_d593_f060` after the
 //! reference-space convection on chunks of consecutive elements;
 //! `0xb98d_ca94_130d_4f42` and `0x14c8_df07_ac40_e329` after the resident
 //! viscous and mass blocks; `0xebfd_6957_c7cf_2244` and
@@ -67,8 +71,8 @@ fn four_steps_hash_to_the_goldens_recorded_before_the_clones() {
     // The 12³ cavity and the 48 × 12 × 12 channel: 14 and 54 chunks of 128,
     // the last one padded in both.
     let goldens = [
-        (ScenarioKind::LidDrivenCavity, 0xc367_9388_c17e_825du64),
-        (ScenarioKind::Channel, 0xafcb_1bd9_0f6b_3da7u64),
+        (ScenarioKind::LidDrivenCavity, 0xa629_212e_5e98_2db6u64),
+        (ScenarioKind::Channel, 0xd454_1745_4eb4_5a1bu64),
     ];
     let lanes = Lanes::selected();
     println!("lanes selected by this test run: {}", lanes.describe());
