@@ -21,11 +21,14 @@
 //!    from set-up) is added — after the right-hand side, so `M·u` is never
 //!    formed.  Nothing is cached across steps or keyed on Δt.  Then
 //!    Dirichlet rows, and the batched (three-column) pooled BiCGSTAB
-//!    momentum solve for the velocity increment → `u*` — on the assembled
-//!    values refilled into diagonal storage when the node order gives the
-//!    pattern at most 32 diagonals ([`MomentumStorage::Dia`], every
-//!    generator-ordered box), on the CSR matrix itself otherwise; the
-//!    storage moves no bit of the solve.
+//!    momentum solve for the velocity increment → `u*`.  The matrix is born
+//!    where it is solved ([`lv_kernel::MomentumMatrix`]): when every element
+//!    puts its nodes at the same offsets from its first node — every
+//!    generator box — on at most 32 block-major diagonals
+//!    ([`MomentumStorage::Dia`]), which the seed, the sweep's scatter, the
+//!    right-hand side and mass pass, the Dirichlet rows and the solve all
+//!    use, with no CSR copy anywhere; otherwise as a CSR matrix through the
+//!    element→CSR slot map.  The storage moves no bit of the step.
 //! 2. **Pressure Poisson** — `L φ = −(ρ/Δt) d(u*)` with the mesh-true
 //!    Laplacian assembled by [`lv_kernel::PressureOperators`] (symmetrically
 //!    pinned per scenario), solved with pooled CG — preconditioned by the
@@ -46,7 +49,8 @@
 //! mesh decides, [`Stepper::describe_operators`] names it.
 //!
 //! The step ends with the kinetic energy `½ρ·uᵀ·M·u` through the resident
-//! mass (one team row pass; [`Stepper::kinetic_energy`] stays the element
+//! mass (one team pass, over the diagonals `M` is held on wherever the
+//! momentum matrix is; [`Stepper::kinetic_energy`] stays the element
 //! quadrature, equal to rounding).
 //!
 //! Every kernel in the chain (the colored assembly sweep, the row-partitioned
@@ -66,14 +70,14 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::scenario::Scenario;
 use lv_kernel::{
     assemble_momentum_on, build_pressure_multigrid, solve_momentum_on, weak_divergence_vector_norm,
-    ConvectiveGeometry, ElementWorkspace, KernelConfig, NastinAssembly, NoHierarchy, OptLevel,
-    PressureOperators,
+    ConvectiveGeometry, ElementWorkspace, KernelConfig, MomentumMatrix, NastinAssembly,
+    NoHierarchy, OptLevel, PressureOperators,
 };
 use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
 use lv_solver::{
     conjugate_gradient_on, first_non_finite, mg_preconditioned_cg_on, BreakdownKind, CsrMatrix,
-    DiaMatrix, GeometricMultigrid, LinearOperator, MultigridOptions, SolveOptions, SolverError,
+    GeometricMultigrid, LinearOperator, MultigridOptions, SolveOptions, SolverError,
 };
 use lv_trace::{counters, spans, Event};
 use std::time::Instant;
@@ -81,19 +85,20 @@ use std::time::Instant;
 /// Number of spatial dimensions (velocity components per node).
 const NDIME: usize = lv_kernel::NDIME;
 
-/// How a step's momentum operator is stored for the BiCGSTAB solve — chosen
-/// by the assembly pattern alone, see [`Stepper::momentum_storage`].
+/// How a step's momentum matrix is stored, assembled and solved on —
+/// chosen by the node numbering alone, see [`Stepper::momentum_storage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MomentumStorage {
-    /// Block-major diagonals ([`DiaMatrix`]), refilled from the assembled
-    /// CSR matrix every step: the node graph of a generator-ordered box has
+    /// Block-major diagonals ([`lv_solver::DiaMatrix`]), assembled in
+    /// place every step: every element of a generator-ordered box puts its
+    /// nodes at the same offsets from its first node, so its entries lie on
     /// at most 27 distinct `col − row` offsets, jittered or not.
     Dia {
         /// Distinct offsets of the pattern.
         diagonals: usize,
     },
-    /// The assembled CSR matrix itself: the pattern has more than
-    /// [`lv_solver::dia::MAX_DIAGONALS`] offsets (a scrambled or
+    /// A CSR matrix of the node graph: the elements share no table of at
+    /// most [`lv_solver::dia::MAX_DIAGONALS`] offsets (a scrambled or
     /// bandwidth-reduced node order, any imported mesh).
     Csr,
 }
@@ -452,10 +457,7 @@ pub struct Stepper {
     pub(crate) fault_plan: Option<FaultPlan>,
     state: SimState,
     stall: StallDetector,
-    matrix: CsrMatrix,
-    // `matrix` in diagonal storage for the momentum solve, refilled every
-    // step; `None` when the assembly pattern does not fit it.
-    momentum_dia: Option<DiaMatrix>,
+    matrix: MomentumMatrix,
     rhs: Vec<f64>,
     div: Vec<f64>,
     poisson_rhs: Vec<f64>,
@@ -527,8 +529,7 @@ impl Stepper {
             Err(cause) => PoissonSystem::Csr(laplacian, cause),
         };
         let n = mesh.num_nodes();
-        let matrix = assembly.new_matrix();
-        let momentum_dia = DiaMatrix::from_csr(&matrix);
+        let matrix = assembly.new_momentum_matrix();
         let h_char = mesh.characteristic_length();
         let fault_plan = config.fault_plan.clone();
         let tolerance = config.momentum_options.tolerance.max(config.poisson_options.tolerance);
@@ -546,7 +547,6 @@ impl Stepper {
             state,
             stall: StallDetector::new(STALL_WINDOW, STALL_FACTOR * tolerance),
             matrix,
-            momentum_dia,
             rhs: vec![0.0; NDIME * n],
             div: vec![0.0; n],
             poisson_rhs: vec![0.0; n],
@@ -579,13 +579,15 @@ impl Stepper {
         &self.operators
     }
 
-    /// The storage the momentum solve runs on.  A property of the mesh's
-    /// node order, not a setting: diagonals whenever the assembly pattern
-    /// fits them, the assembled CSR matrix otherwise.
+    /// The storage the momentum matrix is assembled and solved in.  A
+    /// property of the mesh's node order, not a setting: diagonals whenever
+    /// every element shares one offset table that fits them, CSR otherwise.
     pub fn momentum_storage(&self) -> MomentumStorage {
-        match &self.momentum_dia {
-            Some(dia) => MomentumStorage::Dia { diagonals: dia.offsets().len() },
-            None => MomentumStorage::Csr,
+        match &self.matrix {
+            MomentumMatrix::Diagonals(dia) => {
+                MomentumStorage::Dia { diagonals: dia.offsets().len() }
+            }
+            MomentumMatrix::Csr(_) => MomentumStorage::Csr,
         }
     }
 
@@ -737,8 +739,9 @@ impl Stepper {
 
         // --- 1. predictor: assemble + pressure force + Dirichlet ---------
         let phase = trace.map(|t| t.span(spans::ASSEMBLY, 0));
-        // ν·K, the convective-only sweep, the right-hand side as a row
-        // product of the finished matrix (−∇p force included), (ρ/Δt)·M.
+        // ν·K, the convective-only sweep, the right-hand side as a product
+        // of the finished matrix (−∇p force included), (ρ/Δt)·M — in place,
+        // in the storage the solve reads.
         assemble_momentum_on(
             team,
             &self.assembly,
@@ -753,7 +756,7 @@ impl Stepper {
         self.assembly.apply_dirichlet(&mut self.matrix, &mut self.rhs);
         if let Some(s) = phase {
             // The sweep reports its own model on `assembly/color_sweep`;
-            // this span carries the three global passes around it.
+            // this span carries the global passes around it.
             s.iters(1)
                 .flops(self.operators.momentum_pass_flops())
                 .bytes(self.operators.momentum_pass_bytes())
@@ -778,13 +781,7 @@ impl Stepper {
             }
         }
         let phase = trace.map(|t| t.span(spans::MOMENTUM, 0));
-        let operator: &dyn LinearOperator = match &mut self.momentum_dia {
-            Some(dia) => {
-                dia.refill_from_csr(team, &self.matrix);
-                dia
-            }
-            None => &self.matrix,
-        };
+        let operator = self.matrix.operator();
         let solve = solve_momentum_on(team, operator, &self.rhs, &self.config.momentum_options)
             .map_err(StepError::Momentum)?;
         for (v, d) in self.state.velocity.as_mut_slice().iter_mut().zip(&solve.increment) {

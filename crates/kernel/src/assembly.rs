@@ -23,8 +23,10 @@
 //! [`convective_geometry`], and streamed from there), phase 2, a phase 4
 //! that interpolates only the velocity, phase 5, the convection matrix in
 //! reference space ([`phases::phase6_reference_convective_slices`]), no
-//! phase 7, a matrix-only scatter — inside [`crate::assemble_momentum_on`],
-//! which takes `K` and `M` from [`crate::PressureOperators`].  The
+//! phase 7, a matrix-only scatter into the step's
+//! [`MomentumMatrix`] (block-major diagonals on a generator box, CSR
+//! otherwise) — inside [`crate::assemble_momentum_on`], which takes `K` and
+//! `M` from [`crate::PressureOperators`].  The
 //! eight-phase sweep stays public and untouched — it is what the paper
 //! measures, what `kernel/workload.rs` mirrors and what the `assembly_vs`
 //! benchmark times — and is the oracle of the step's path: same system up
@@ -46,7 +48,8 @@
 //! [`convective_geometry`]: NastinAssembly::convective_geometry
 
 use crate::config::KernelConfig;
-use crate::parallel;
+use crate::momentum::{momentum_diagonals, MomentumMatrix};
+use crate::parallel::{self, SweepMatrix};
 use crate::phases;
 use crate::workspace::ElementWorkspace;
 use crate::{NDIME, PGAUS};
@@ -54,7 +57,7 @@ use lv_mesh::chunks::ElementChunks;
 use lv_mesh::coloring::ColoredChunks;
 use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{ElementKind, Field, Mesh, MeshTopology, ShapeTable, VectorField};
-use lv_solver::CsrMatrix;
+use lv_solver::{CsrMatrix, DiaMatrix};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -138,6 +141,29 @@ impl ConvectiveGeometry {
     }
 }
 
+/// A matrix whose rows can be made identity rows — what
+/// [`NastinAssembly::apply_dirichlet`] needs of it.
+pub trait DirichletRows {
+    /// Makes `row` an identity row: `1` on the diagonal, `0` elsewhere.
+    fn dirichlet_row(&mut self, row: usize);
+}
+
+impl DirichletRows for CsrMatrix {
+    fn dirichlet_row(&mut self, row: usize) {
+        CsrMatrix::dirichlet_row(self, row);
+    }
+}
+
+/// The same bits in either storage.
+impl DirichletRows for MomentumMatrix {
+    fn dirichlet_row(&mut self, row: usize) {
+        match self {
+            MomentumMatrix::Diagonals(dia) => dia.dirichlet_row(row),
+            MomentumMatrix::Csr(csr) => csr.dirichlet_row(row),
+        }
+    }
+}
+
 /// The Nastin assembly kernel bound to a mesh and a configuration.
 #[derive(Debug, Clone)]
 pub struct NastinAssembly {
@@ -218,6 +244,22 @@ impl NastinAssembly {
     /// time steps).
     pub fn new_matrix(&self) -> CsrMatrix {
         CsrMatrix::from_pattern(self.topology.row_ptr().to_vec(), self.topology.col_idx().to_vec())
+    }
+
+    /// The momentum matrix of a time step on this mesh, all `+0.0`: on
+    /// block-major diagonals when the elements share one `(a, b) →
+    /// diagonal` table of at most
+    /// [`MAX_DIAGONALS`](lv_solver::dia::MAX_DIAGONALS) offsets (every
+    /// generator box), else a CSR matrix of the node graph
+    /// ([`new_matrix`](Self::new_matrix)).
+    pub fn new_momentum_matrix(&self) -> MomentumMatrix {
+        match momentum_diagonals(&self.topology) {
+            Some(table) => MomentumMatrix::Diagonals(DiaMatrix::zeros(
+                self.mesh.num_nodes(),
+                table.offsets().to_vec(),
+            )),
+            None => MomentumMatrix::Csr(self.new_matrix()),
+        }
     }
 
     /// Zeroes the system before a slot-map sweep, after [`check_pattern`].
@@ -314,7 +356,7 @@ impl NastinAssembly {
             pressure,
             &self.colored,
             workspaces,
-            matrix,
+            SweepMatrix::Csr(matrix),
             rhs,
         );
         AssemblyStats {
@@ -362,7 +404,10 @@ impl NastinAssembly {
     /// holds them) and the right-hand side is a row product of the finished
     /// matrix ([`assemble_momentum_on`](crate::assemble_momentum_on) is the
     /// whole sequence).  `matrix` is not zeroed — the caller seeds it with
-    /// `ν·K`.
+    /// `ν·K`.  A CSR matrix is scattered into through the element→CSR slot
+    /// map, a diagonal one through the mesh's one element diagonal table;
+    /// every entry receives the same additions in the same (color, chunk,
+    /// slot) order either way.
     ///
     /// What it adds is, to a few ε of a row's largest entry, what phase 6
     /// contributes inside
@@ -372,8 +417,8 @@ impl NastinAssembly {
     ///
     /// # Panics
     /// Panics on an explicit-scheme configuration (there is no element
-    /// matrix to assemble), if `matrix` does not have this mesh's pattern or
-    /// if `geometry` was not built by
+    /// matrix to assemble), if `matrix` does not have this mesh's pattern
+    /// (CSR) or diagonals, or if `geometry` was not built by
     /// [`convective_geometry`](Self::convective_geometry) of an assembly
     /// with this schedule.
     pub fn assemble_convective_into_on(
@@ -382,7 +427,7 @@ impl NastinAssembly {
         geometry: &ConvectiveGeometry,
         velocity: &VectorField,
         pressure: &Field,
-        matrix: &mut CsrMatrix,
+        matrix: &mut MomentumMatrix,
         workspaces: &mut [ElementWorkspace],
     ) -> AssemblyStats {
         assert!(
@@ -394,7 +439,18 @@ impl NastinAssembly {
                 && geometry.chunks.len() == self.colored.num_chunks(),
             "the geometry table was built for another chunk schedule"
         );
-        check_pattern(&self.topology, matrix);
+        let matrix = match matrix {
+            MomentumMatrix::Csr(csr) => {
+                check_pattern(&self.topology, csr);
+                SweepMatrix::Csr(csr)
+            }
+            MomentumMatrix::Diagonals(dia) => {
+                let table = momentum_diagonals(&self.topology).expect(
+                    "a diagonal momentum matrix on a mesh whose elements share no diagonals",
+                );
+                SweepMatrix::Diagonals(dia, table)
+            }
+        };
         let partial = parallel::colored_sweep(
             parallel::Sweep::Convective(geometry),
             team,
@@ -434,8 +490,10 @@ impl NastinAssembly {
 
     /// Applies Dirichlet boundary conditions to an assembled system: wall,
     /// lid and inflow rows become identity rows with zero RHS increment (the
-    /// velocity increment at prescribed nodes is zero).
-    pub fn apply_dirichlet(&self, matrix: &mut CsrMatrix, rhs: &mut [f64]) {
+    /// velocity increment at prescribed nodes is zero).  `matrix` is a
+    /// [`CsrMatrix`] or a [`MomentumMatrix`]; the rows come out the same
+    /// bits in either storage.
+    pub fn apply_dirichlet(&self, matrix: &mut impl DirichletRows, rhs: &mut [f64]) {
         use lv_mesh::BoundaryTag;
         for node in 0..self.mesh.num_nodes() {
             match self.mesh.boundary_tag(node) {
@@ -760,15 +818,30 @@ mod tests {
         (matrix, vec![f64::NAN; NDIME * asm.mesh().num_nodes()], workspaces)
     }
 
+    /// [`poisoned_storage`] with the step's momentum matrix, in the storage
+    /// the mesh gives it.
+    fn poisoned_momentum_storage(
+        asm: &NastinAssembly,
+        team: &lv_runtime::Team,
+    ) -> (MomentumMatrix, Vec<f64>, Vec<ElementWorkspace>) {
+        let (_, rhs, workspaces) = poisoned_storage(asm, team);
+        let mut matrix = asm.new_momentum_matrix();
+        match &mut matrix {
+            MomentumMatrix::Diagonals(dia) => dia.values_mut().fill(f64::NAN),
+            MomentumMatrix::Csr(csr) => csr.pattern_and_values_mut().2.fill(f64::NAN),
+        }
+        (matrix, rhs, workspaces)
+    }
+
     /// The system of a time step through [`crate::assemble_momentum_on`],
-    /// from poisoned storage.
+    /// from poisoned storage, in its CSR form.
     fn step_system(
         team: &lv_runtime::Team,
         asm: &NastinAssembly,
         ops: &crate::PressureOperators,
         (v, p): &(VectorField, Field),
     ) -> (CsrMatrix, Vec<f64>) {
-        let (mut matrix, mut rhs, mut workspaces) = poisoned_storage(asm, team);
+        let (mut matrix, mut rhs, mut workspaces) = poisoned_momentum_storage(asm, team);
         let geometry = asm.convective_geometry();
         crate::assemble_momentum_on(
             team,
@@ -781,7 +854,7 @@ mod tests {
             &mut rhs,
             &mut workspaces,
         );
-        (matrix, rhs)
+        (matrix.to_csr(&asm.new_matrix()), rhs)
     }
 
     /// The oracle of [`step_system`]: the paper's eight phases, then the
@@ -895,7 +968,7 @@ mod tests {
                 let ops = crate::PressureOperators::with_topology(mesh, asm.topology().clone());
                 // Two consecutive assemblies into the same storage at
                 // different time steps: nothing of the first may survive.
-                let (mut matrix, mut rhs, mut workspaces) = poisoned_storage(&asm, &team);
+                let (mut matrix, mut rhs, mut workspaces) = poisoned_momentum_storage(&asm, &team);
                 // One table for both time steps: the geometry knows no Δt.
                 let geometry = asm.convective_geometry();
                 for dt in [0.013, 0.1] {
@@ -912,7 +985,7 @@ mod tests {
                         &mut rhs,
                         &mut workspaces,
                     );
-                    let reused = (matrix.clone(), rhs.clone());
+                    let reused = (matrix.to_csr(&asm.new_matrix()), rhs.clone());
                     let what = format!("{name}, VS {vs}, dt {dt}");
                     assert_same_system(&reused, &step_system(&team, &asm, &ops, &fields), &what);
                     let oracle = oracle_system(&team, &asm, &ops, &fields);
@@ -955,7 +1028,7 @@ mod tests {
             &geometry,
             &v,
             &p,
-            &mut asm.new_matrix(),
+            &mut MomentumMatrix::Csr(asm.new_matrix()),
             &mut workspaces,
         );
     }
@@ -975,7 +1048,7 @@ mod tests {
             &geometry,
             &v,
             &p,
-            &mut other.new_matrix(),
+            &mut MomentumMatrix::Csr(other.new_matrix()),
             &mut workspaces,
         );
     }
@@ -995,7 +1068,7 @@ mod tests {
             &geometry,
             &v,
             &p,
-            &mut asm.new_matrix(),
+            &mut MomentumMatrix::Csr(asm.new_matrix()),
             &mut workspaces,
         );
     }

@@ -1,49 +1,107 @@
-//! The momentum-increment solve of a semi-implicit time step: three
-//! component systems sharing one assembled matrix.
+//! The momentum-increment system of a semi-implicit time step: three
+//! component systems sharing one assembled matrix, assembled in the storage
+//! the mesh allows and solved in one three-column loop.
 //!
-//! The time-step loop is always the same: assemble, apply Dirichlet rows,
-//! then solve `A·Δu_c = b_c` for the three velocity components.  This
-//! module is the single entry point for that solve: one
-//! [`lv_solver::bicgstab3_on`] three-column BiCGSTAB, so one matrix
-//! traversal per Krylov iteration serves all three components and each
-//! fused BLAS-1 operation pays one fork/join instead of three.  Per
-//! component the result is bit for bit what [`lv_solver::bicgstab_on`]
-//! returns for that component alone (the solver's contract, which the test
-//! below re-checks on an assembled system).
+//! **Born where it is solved.**  On a mesh whose elements all put their
+//! nodes at the same offsets from their first node — every generator box,
+//! jittered or not — each element entry `(a, b)` lies on the same
+//! `col − row` diagonal in every element
+//! ([`lv_mesh::ElementDiagonals`], at most 27 of them),
+//! and the matrix is a [`MomentumMatrix::Diagonals`]: an
+//! [`lv_solver::DiaMatrix`] the step seeds, scatters into, takes its
+//! right-hand side from, pins and solves on, with no CSR form at any point
+//! and no copy from one storage to the other.  Any other numbering (a
+//! renumbered or imported mesh) assembles a [`MomentumMatrix::Csr`] through
+//! the element→CSR slot map and solves on it as it is.  Either way each
+//! entry receives the same additions in the same order and each row adds
+//! its entries in ascending column order from `+0.0`, so the two storages
+//! hold the same system to the bit (the tests below build both on the same
+//! meshes).
 //!
-//! The system comes in as a [`LinearOperator`], so the caller picks its
-//! storage: the assembled [`lv_solver::CsrMatrix`] as it is, or — what
-//! `lv_driver::Stepper` hands over whenever the node order allows it — the
-//! same values in an [`lv_solver::DiaMatrix`], whose fused three-column
-//! product has no index stream and rows for vector lanes.  Both storages
-//! add every row's entries in ascending column order, so the increments,
-//! iteration counts and residuals are the same to the bit (second test
-//! below).
+//! The solve is one [`lv_solver::bicgstab3_on`] three-column BiCGSTAB, so
+//! one matrix traversal per Krylov iteration serves all three components
+//! and each fused BLAS-1 operation pays one fork/join instead of three.
+//! Per component the result is bit for bit what
+//! [`lv_solver::bicgstab_on`] returns for that component alone (the
+//! solver's contract, which a test below re-checks on an assembled system).
 
 use crate::{
     AssemblyStats, ConvectiveGeometry, ElementWorkspace, NastinAssembly, PressureOperators,
 };
-use lv_mesh::{Field, VectorField};
+use lv_mesh::{ElementDiagonals, Field, MeshTopology, VectorField};
 use lv_runtime::Team;
+use lv_solver::dia::MAX_DIAGONALS;
 use lv_solver::{
-    bicgstab3_on, CsrMatrix, LinearOperator, MultiVector, SolveOptions, SolverError, NRHS,
+    bicgstab3_on, CsrMatrix, DiaMatrix, LinearOperator, MultiVector, SolveOptions, SolverError,
+    NRHS,
 };
+
+/// The momentum matrix of a time step in the storage its mesh allows — a
+/// property of the node numbering, not a setting
+/// ([`NastinAssembly::new_momentum_matrix`] picks it).
+#[derive(Debug, Clone, PartialEq)]
+pub enum MomentumMatrix {
+    /// Block-major diagonals, assembled in place: the elements share one
+    /// `(a, b) → diagonal` table of at most
+    /// [`MAX_DIAGONALS`] offsets (every generator box).
+    Diagonals(DiaMatrix),
+    /// CSR on the node graph, assembled through the element→CSR slot map:
+    /// any other numbering.
+    Csr(CsrMatrix),
+}
+
+impl MomentumMatrix {
+    /// The matrix as the Krylov solver's operator.
+    pub fn operator(&self) -> &dyn LinearOperator {
+        match self {
+            MomentumMatrix::Diagonals(dia) => dia,
+            MomentumMatrix::Csr(csr) => csr,
+        }
+    }
+}
+
+#[cfg(test)]
+impl MomentumMatrix {
+    /// The matrix on the CSR pattern of `pattern` (a matrix of the node
+    /// graph): its own values, or those of the diagonals gathered entry by
+    /// entry (padding dropped).
+    pub(crate) fn to_csr(&self, pattern: &CsrMatrix) -> CsrMatrix {
+        let dia = match self {
+            MomentumMatrix::Csr(csr) => return csr.clone(),
+            MomentumMatrix::Diagonals(dia) => dia,
+        };
+        let mut csr = pattern.clone();
+        let (row_ptr, col_idx, values) = csr.pattern_and_values_mut();
+        dia.values_on_pattern(row_ptr, col_idx, values);
+        csr
+    }
+}
+
+/// The diagonal table the momentum matrix of a mesh with `topology` is
+/// assembled through, when its elements share one of at most
+/// [`MAX_DIAGONALS`] offsets.
+pub(crate) fn momentum_diagonals(topology: &MeshTopology) -> Option<&ElementDiagonals> {
+    topology.element_diagonals().filter(|table| table.offsets().len() <= MAX_DIAGONALS)
+}
 
 /// Assembles the momentum-increment system of one semi-implicit time step,
 /// `(ν·K + C(u) + (ρ/Δt)·M)·Δu = −(ν·K + C(u))·u − g(p)`, building only
 /// what the velocity changes: the stiffness `K` and the consistent mass `M`
-/// are resident in `operators` and the mesh's inverse Jacobians in
-/// `geometry` ([`NastinAssembly::convective_geometry`] of `assembly`), so
-/// the element sweep integrates the convection operator `C(u)` alone and
-/// derives nothing from the coordinates.  In this order, all on `team`:
+/// are resident in `operators` (in `matrix`'s storage) and the mesh's
+/// inverse Jacobians in `geometry`
+/// ([`NastinAssembly::convective_geometry`] of `assembly`), so the element
+/// sweep integrates the convection operator `C(u)` alone and derives
+/// nothing from the coordinates.  In this order, all on `team`:
 ///
 /// 1. `matrix ← ν·K` ([`PressureOperators::fill_viscous_on`]) — instead of
-///    a zero fill;
+///    a zero fill; on diagonals one unit-stride stream;
 /// 2. `matrix += C(u)` ([`NastinAssembly::assemble_convective_into_on`]),
 ///    the colored sweep;
-/// 3. `rhs ← −matrix·u − g(p)` ([`PressureOperators::momentum_residual_on`])
-///    — before the mass block exists, so `(ρ/Δt)·M·u` is never formed;
-/// 4. `matrix += (ρ/Δt)·M` ([`PressureOperators::add_mass_on`]).
+/// 3. `rhs ← −matrix·u − g(p)`, then `matrix += (ρ/Δt)·M`
+///    ([`PressureOperators::momentum_residual_and_mass_on`]) — the
+///    right-hand side before the mass block exists, so `(ρ/Δt)·M·u` is
+///    never formed; on diagonals both in one traversal of each storage
+///    block.
 ///
 /// `ν`, `ρ` and `Δt` are `assembly`'s configuration; nothing is kept from
 /// one call to the next.  The result is the system
@@ -51,12 +109,14 @@ use lv_solver::{
 /// [`PressureOperators::subtract_weak_gradient_on`] assembles — the paper's
 /// eight phases, this function's oracle — in another summation order
 /// (equal to a few ε of each row's largest entry, see the tests of
-/// [`crate::assembly`]), and bitwise identical for every thread count.
-/// Dirichlet rows are the caller's.
+/// [`crate::assembly`]), and bitwise identical for every thread count and
+/// in either storage.  Dirichlet rows are the caller's
+/// ([`NastinAssembly::apply_dirichlet`]).
 ///
 /// # Panics
 /// Panics if `assembly` and `operators` were built on different node graphs
-/// or for different meshes, if `geometry` is another schedule's, on an
+/// or for different meshes, if `matrix` is not in the storage `operators`
+/// holds `K` and `M` in, if `geometry` is another schedule's, on an
 /// explicit-scheme configuration, or on mismatched array lengths.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_momentum_on(
@@ -66,7 +126,7 @@ pub fn assemble_momentum_on(
     operators: &PressureOperators,
     velocity: &VectorField,
     pressure: &Field,
-    matrix: &mut CsrMatrix,
+    matrix: &mut MomentumMatrix,
     rhs: &mut [f64],
     workspaces: &mut [ElementWorkspace],
 ) -> AssemblyStats {
@@ -74,8 +134,15 @@ pub fn assemble_momentum_on(
     operators.fill_viscous_on(team, config.viscosity, matrix);
     let stats = assembly
         .assemble_convective_into_on(team, geometry, velocity, pressure, matrix, workspaces);
-    operators.momentum_residual_on(team, matrix, velocity, pressure.as_slice(), rhs);
-    operators.add_mass_on(team, config.density / config.dt, matrix);
+    let mass_scale = config.density / config.dt;
+    operators.momentum_residual_and_mass_on(
+        team,
+        matrix,
+        velocity,
+        pressure.as_slice(),
+        mass_scale,
+        rhs,
+    );
     stats
 }
 
@@ -102,7 +169,7 @@ impl MomentumSolve {
 /// in one three-column BiCGSTAB loop.
 ///
 /// `operator` is the assembled momentum matrix (Dirichlet rows applied) in
-/// either storage; `rhs` is the assembled node-interleaved right-hand side
+/// either storage ([`MomentumMatrix::operator`]); `rhs` is the assembled node-interleaved right-hand side
 /// (`rhs[NRHS*node + c]`, Dirichlet rows already applied); the returned
 /// increment uses the same layout.
 ///
@@ -137,8 +204,9 @@ mod tests {
     use super::*;
     use crate::assembly::NastinAssembly;
     use crate::config::{KernelConfig, OptLevel};
-    use lv_mesh::structured::BoxMeshBuilder;
-    use lv_mesh::{Field, Vec3, VectorField};
+    use lv_mesh::structured::{BoxMeshBuilder, ChannelMeshBuilder};
+    use lv_mesh::{Field, Mesh, Vec3, VectorField};
+    use lv_runtime::Lanes;
     use lv_solver::{bicgstab_on, CsrMatrix, DiaMatrix};
 
     /// The Dirichlet-applied momentum system of a jittered `n³` cavity.
@@ -204,6 +272,97 @@ mod tests {
                 );
                 for (i, (a, b)) in on_dia.increment.iter().zip(&on_csr.increment).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{what}: increment entry {i}");
+                }
+            }
+        }
+    }
+
+    /// The system of a time step born on diagonals — seeded, scattered
+    /// into, its right-hand side taken and its mass added, its Dirichlet
+    /// rows set, all in place — against the CSR-born system (`K` and `M`
+    /// per entry, the slot-map scatter) copied onto the same diagonals by
+    /// `DiaMatrix::from_csr`: every value, padding included, and every
+    /// right-hand side entry to the bit, on teams that cut storage blocks
+    /// and at both lane widths of the block kernel.
+    #[test]
+    fn the_diagonal_born_system_is_the_csr_born_one_bitwise() {
+        let meshes: [(&str, Mesh); 4] = [
+            ("8^3 cavity", BoxMeshBuilder::new(8, 8, 8).lid_driven_cavity().build()),
+            ("12^3 cavity", BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().build()),
+            ("48x12x12 channel", ChannelMeshBuilder::new(12, 4).build()),
+            (
+                "12^3 jittered",
+                BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.1, 5).build(),
+            ),
+        ];
+        for (name, mesh) in &meshes {
+            let config = KernelConfig::new(32, OptLevel::Vec1).with_dt(0.013);
+            let asm = NastinAssembly::new(mesh.clone(), config);
+            let geometry = asm.convective_geometry();
+            let mut velocity = VectorField::taylor_green(mesh);
+            velocity.apply_boundary_conditions(mesh, Vec3::new(1.0, 0.0, 0.0), Vec3::ZERO);
+            let pressure = Field::from_fn(mesh, |p| p.x * p.y - p.z);
+            let rhs_len = NRHS * mesh.num_nodes();
+            let workspaces = |team: &Team| vec![ElementWorkspace::new(32); team.num_threads()];
+
+            // The oracle: `K` and `M` per entry, the CSR matrix through the
+            // slot map, then the diagonal copy.
+            let team = Team::new(1);
+            let per_entry = PressureOperators::per_entry(mesh, asm.topology().clone());
+            let mut csr = MomentumMatrix::Csr(asm.new_matrix());
+            let mut want_rhs = vec![f64::NAN; rhs_len];
+            assemble_momentum_on(
+                &team,
+                &asm,
+                &geometry,
+                &per_entry,
+                &velocity,
+                &pressure,
+                &mut csr,
+                &mut want_rhs,
+                &mut workspaces(&team),
+            );
+            asm.apply_dirichlet(&mut csr, &mut want_rhs);
+            let MomentumMatrix::Csr(csr) = csr else { unreachable!() };
+            let want: DiaMatrix = DiaMatrix::from_csr(&csr).expect("a generator box");
+            assert_eq!(want.offsets().len(), 27, "{name}");
+
+            let ops = PressureOperators::with_topology(mesh, asm.topology().clone());
+            for threads in [1usize, 2, 3] {
+                let team = Team::new(threads);
+                for lanes in [Lanes::Baseline, Lanes::selected()] {
+                    let mut matrix = asm.new_momentum_matrix();
+                    let MomentumMatrix::Diagonals(dia) = &mut matrix else {
+                        panic!("{name}: a generator box assembles on diagonals")
+                    };
+                    dia.values_mut().fill(f64::NAN);
+                    let mut rhs = vec![f64::NAN; rhs_len];
+                    let config = asm.config();
+                    ops.fill_viscous_on(&team, config.viscosity, &mut matrix);
+                    asm.assemble_convective_into_on(
+                        &team,
+                        &geometry,
+                        &velocity,
+                        &pressure,
+                        &mut matrix,
+                        &mut workspaces(&team),
+                    );
+                    ops.momentum_residual_and_mass_at(
+                        lanes,
+                        &team,
+                        &mut matrix,
+                        &velocity,
+                        pressure.as_slice(),
+                        config.density / config.dt,
+                        &mut rhs,
+                    );
+                    asm.apply_dirichlet(&mut matrix, &mut rhs);
+                    let MomentumMatrix::Diagonals(got) = &matrix else { unreachable!() };
+                    let what = format!("{name}, {threads} threads, {lanes} lanes");
+                    assert_eq!(got.offsets(), want.offsets(), "{what}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got.values()), bits(want.values()), "{what}: matrix");
+                    assert_eq!(bits(&rhs), bits(&want_rhs), "{what}: right-hand side");
                 }
             }
         }

@@ -3,7 +3,7 @@
 //! The parallel sweep processes the colors of a [`ColoredChunks`] schedule
 //! sequentially and the chunks *within* a color concurrently: the coloring
 //! guarantees that no two chunks of a color share a mesh node, so every
-//! thread scatters into disjoint rows of the global CSR matrix and disjoint
+//! thread scatters into disjoint rows of the global matrix and disjoint
 //! entries of the RHS — no atomics, no locks, no reduction buffers.
 //!
 //! Each worker owns one [`ElementWorkspace`] for the whole sweep (the
@@ -13,11 +13,14 @@
 //! with [`Team::barrier`] separating the colors (every scatter of color `c`
 //! must land before any chunk of color `c+1` starts).  A time-step loop
 //! spawns its workers once and reuses them for every assembly *and* every
-//! solve; the per-sweep `std::thread::scope` spawn of PR 2 is gone.  The
-//! unsafe disjoint-row scatter is isolated in `MatrixSink`, which only
-//! these sweeps use, with the coloring invariant spelled out (the
-//! projection operators accumulate their set-up integrals serially, in mesh
-//! order, in safe code).
+//! solve.  The unsafe disjoint-row scatter is isolated in the two sinks,
+//! which only these sweeps use, with the coloring invariant spelled out:
+//! `MatrixSink` adds an element row to a CSR matrix through the
+//! element→CSR slot map, `DiagonalSink` to a block-major
+//! [`DiaMatrix`] through the mesh's one `(a, b) → diagonal` table
+//! ([`ElementDiagonals`], 64 entries, no per-element map).  The projection
+//! operators accumulate their set-up integrals serially, in mesh order, in
+//! safe code.
 //!
 //! ## Two sweeps, one schedule
 //!
@@ -28,11 +31,11 @@
 //! phase 3 (the chunk's rows of a resident [`ConvectiveGeometry`] instead),
 //! velocity-only phase 4, the reference-space phase 6, no phase 7,
 //! matrix-only scatter, no right-hand side at all (`Sweep::Convective`,
-//! [`NastinAssembly::assemble_convective_into_on`]).  Schedule, worker
-//! split, barriers and the `MatrixSink` scatter with its release-build slot
-//! check are shared; the `assembly/color_sweep` span charges each sweep the
-//! flops and bytes of the phases it ran (the structural 9 600 / 1 472 per
-//! element for the full one,
+//! [`NastinAssembly::assemble_convective_into_on`]), into either storage
+//! of the step's momentum matrix.  Schedule, worker split, barriers and the
+//! scatter with its release-build bounds check are shared; the
+//! `assembly/color_sweep` span charges each sweep the flops and bytes of the
+//! phases it ran (the structural 9 600 / 1 472 per element for the full one,
 //! [`phases::convective_flops_per_element`] /
 //! [`phases::convective_bytes_per_element`] for the step's).
 //!
@@ -63,11 +66,12 @@ use crate::assembly::ConvectiveGeometry;
 use crate::config::KernelConfig;
 use crate::phases;
 use crate::workspace::ElementWorkspace;
-use crate::NDIME;
+use crate::{NDIME, PNODE};
 use lv_mesh::coloring::ColoredChunks;
-use lv_mesh::{Field, Mesh, MeshTopology, ShapeTable, VectorField};
+use lv_mesh::{ElementDiagonals, Field, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_runtime::{for_each_share, partition, Team};
-use lv_solver::CsrMatrix;
+use lv_solver::dia::value_position;
+use lv_solver::{CsrMatrix, DiaMatrix};
 
 /// Order-of-magnitude model of the assembly work per element: 8 Gauss
 /// points × 8 nodes across the seven numeric phases.  Used only for the
@@ -88,6 +92,14 @@ pub(crate) enum Sweep<'a> {
     /// of the schedule's chunks: the element matrices of `C(u)` and nothing
     /// else.
     Convective(&'a ConvectiveGeometry),
+}
+
+/// The matrix a colored sweep scatters into.
+pub(crate) enum SweepMatrix<'a> {
+    /// CSR on the node graph, through the element→CSR slot map.
+    Csr(&'a mut CsrMatrix),
+    /// Block-major diagonals, through the mesh's element diagonal table.
+    Diagonals(&'a mut DiaMatrix, &'a ElementDiagonals),
 }
 
 /// Per-worker partial assembly statistics.
@@ -164,16 +176,91 @@ impl<'a> MatrixSink<'a> {
     }
 }
 
-/// The global system (CSR values + RHS) the assembly workers scatter into,
+/// A `Sync` raw-pointer view of a [`DiaMatrix`]'s value array that
+/// colored-sweep workers add element rows to concurrently: entry `(a, b)`
+/// of an element lands on row `node_a`, diagonal `index[PNODE·a + b]` of
+/// the mesh's [`ElementDiagonals`] — 64 positions for every element,
+/// checked once here instead of a slot map per element.
+///
+/// # Safety invariant
+///
+/// That of [`MatrixSink`]: concurrent users write disjoint rows.  The
+/// positions of one row ([`value_position`] of that row and a diagonal) are
+/// the row's alone, so disjoint rows are disjoint values.
+pub(crate) struct DiagonalSink<'a> {
+    n: usize,
+    diagonals: usize,
+    table: &'a ElementDiagonals,
+    values: *mut f64,
+}
+
+// SAFETY: the raw pointer is only dereferenced under the disjoint-row
+// invariant documented on the type; `table` is a shared reference to data
+// nobody mutates, and `n`, `diagonals` are plain integers.
+unsafe impl Sync for DiagonalSink<'_> {}
+
+impl<'a> DiagonalSink<'a> {
+    /// The sink of `matrix` through `table`.
+    ///
+    /// # Panics
+    /// Panics if `matrix` is not stored on `table`'s diagonals or the table
+    /// is not one of `PNODE × PNODE` entries on them — the bounds every
+    /// write relies on.
+    pub(crate) fn new(matrix: &'a mut DiaMatrix, table: &'a ElementDiagonals) -> Self {
+        assert_eq!(
+            matrix.offsets(),
+            table.offsets(),
+            "the momentum matrix is not stored on this mesh's diagonals"
+        );
+        let diagonals = table.offsets().len();
+        assert!(
+            table.index().len() == PNODE * PNODE
+                && table.index().iter().all(|&k| (k as usize) < diagonals),
+            "the element diagonal table does not fit the matrix"
+        );
+        let n = matrix.dim();
+        assert_eq!(matrix.values().len(), n * diagonals);
+        DiagonalSink { n, diagonals, table, values: matrix.values_mut().as_mut_ptr() }
+    }
+
+    /// Adds row `inode` of an element's matrix to matrix row `row`.
+    ///
+    /// # Panics
+    /// Panics if `row` is not a row of the matrix.
+    ///
+    /// # Safety
+    /// As [`MatrixSink::scatter_row`]: the caller must own `row`.
+    #[inline]
+    unsafe fn scatter_row(&self, row: usize, inode: usize, values: impl IntoIterator<Item = f64>) {
+        assert!(row < self.n, "row {row} outside the matrix");
+        let index = &self.table.index()[inode * PNODE..(inode + 1) * PNODE];
+        for (&k, value) in index.iter().zip(values) {
+            let position = value_position(self.n, self.diagonals, k as usize, row);
+            // SAFETY: `row < n` and `k < diagonals` (checked at
+            // construction), so `position < n·diagonals`, the length of the
+            // value array; the row is not concurrently written (caller
+            // contract).
+            unsafe { *self.values.add(position) += value };
+        }
+    }
+}
+
+/// The global system (matrix + RHS) the assembly workers scatter into,
 /// under the ownership contract of [`MatrixSink`]: a worker owns the RHS
 /// entries of the nodes whose rows it owns.
 struct SharedSystem<'a> {
-    matrix: MatrixSink<'a>,
+    matrix: Sink<'a>,
     rhs: *mut f64,
 }
 
+/// Where the element matrices of a sweep go: one of the two sinks.
+enum Sink<'a> {
+    Csr(MatrixSink<'a>),
+    Diagonals(DiagonalSink<'a>),
+}
+
 // SAFETY: `rhs` is only dereferenced under the disjoint-node invariant of
-// [`MatrixSink`]; the sink itself is `Sync`.
+// [`MatrixSink`]; both sinks are `Sync`.
 unsafe impl Sync for SharedSystem<'_> {}
 
 impl SharedSystem<'_> {
@@ -202,12 +289,10 @@ fn scatter_shared<const FULL: bool>(
     v: &crate::workspace::WorkspaceViewsMut,
     system: &SharedSystem<'_>,
 ) {
-    use crate::PNODE;
     let vs = v.vs;
     for iv in 0..vs {
         let Some(elem) = v.element_ids[iv] else { continue };
         let nodes = mesh.element_nodes(elem);
-        let slots = topology.csr_slots(elem);
         for (inode, &node_a) in nodes.iter().enumerate() {
             let node_a = node_a as usize;
             if FULL {
@@ -226,11 +311,14 @@ fn scatter_shared<const FULL: bool>(
                 let row = (0..PNODE).map(|jnode| v.elauu[(inode * PNODE + jnode) * vs + iv]);
                 // SAFETY: as above — row `node_a` belongs to this worker.
                 unsafe {
-                    system.matrix.scatter_row(
-                        node_a,
-                        &slots[inode * PNODE..(inode + 1) * PNODE],
-                        row,
-                    )
+                    match &system.matrix {
+                        Sink::Csr(sink) => sink.scatter_row(
+                            node_a,
+                            &topology.csr_slots(elem)[inode * PNODE..(inode + 1) * PNODE],
+                            row,
+                        ),
+                        Sink::Diagonals(sink) => sink.scatter_row(node_a, inode, row),
+                    }
                 };
             }
         }
@@ -294,9 +382,10 @@ fn assemble_chunk_shared(
 /// balanced.  `matrix` and `rhs` are scattered into without zeroing — the
 /// caller owns the lifecycle.
 ///
-/// [`Sweep::Full`] runs the paper's eight phases; [`Sweep::Convective`] is
-/// the time step's sweep, which adds the elemental convection matrices to
-/// `matrix` and has no right-hand side (`rhs` must be empty).  Either way
+/// [`Sweep::Full`] runs the paper's eight phases into a CSR `matrix`;
+/// [`Sweep::Convective`] is the time step's sweep, which adds the elemental
+/// convection matrices to `matrix` in either storage and has no right-hand
+/// side (`rhs` must be empty).  Either way
 /// the `assembly/color_sweep` span carries the model of the phases that
 /// ran.
 #[allow(clippy::too_many_arguments)]
@@ -311,7 +400,7 @@ pub(crate) fn colored_sweep(
     pressure: &Field,
     schedule: &ColoredChunks,
     workspaces: &mut [ElementWorkspace],
-    matrix: &mut CsrMatrix,
+    matrix: SweepMatrix<'_>,
     rhs: &mut [f64],
 ) -> WorkerStats {
     assert!(!workspaces.is_empty(), "the parallel sweep needs at least one workspace");
@@ -321,7 +410,15 @@ pub(crate) fn colored_sweep(
         assert_eq!(ws.vector_size(), schedule.vector_size());
     }
     let h_char = mesh.characteristic_length();
-    let system = SharedSystem { matrix: MatrixSink::new(matrix), rhs: rhs.as_mut_ptr() };
+    let matrix = match matrix {
+        SweepMatrix::Csr(matrix) => Sink::Csr(MatrixSink::new(matrix)),
+        SweepMatrix::Diagonals(matrix, table) => {
+            assert!(!full, "the eight-phase sweep assembles CSR");
+            assert_eq!(matrix.dim(), mesh.num_nodes(), "the momentum matrix has another dimension");
+            Sink::Diagonals(DiagonalSink::new(matrix, table))
+        }
+    };
+    let system = SharedSystem { matrix, rhs: rhs.as_mut_ptr() };
 
     let mut stats = WorkerStats::default();
     let num_workers = team.num_threads().min(workspaces.len());

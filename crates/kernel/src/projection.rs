@@ -58,12 +58,12 @@
 //! (on every mesh: generated boxes included): each element's
 //! geometry (`w|J|` and the Cartesian shape derivatives at every integration
 //! point) is computed once, in mesh order, serially, and every set-up
-//! integral is added through the slot map in that order — the same bits for
-//! every thread count and vector size.  The constructor keeps the values,
-//! [`PressureOperators::stiffness`];
+//! integral is added in that order — the same bits for every thread count
+//! and vector size.  The constructor keeps the values as the stiffness `K`;
 //! [`assemble_laplacian`](PressureOperators::assemble_laplacian) hands out
-//! copies.  The geometry itself is not kept: only `w|J|` stays resident, for
-//! the quadrature diagnostics.
+//! a CSR copy, the set-up reader (the pressure hierarchy and the plain-CG
+//! Poisson system are built from it).  The geometry itself is not kept:
+//! only `w|J|` stays resident, for the quadrature diagnostics.
 //!
 //! ## What a time step does not re-integrate
 //!
@@ -71,30 +71,42 @@
 //! `C(u)` changes with the velocity.  The stiffness `K_ab = ∫ ∇N_a·∇N_b`
 //! *is* the un-pinned Laplacian above, and the consistent mass
 //! `M_ab = ∫ N_a N_b` is accumulated in the same geometry pass beside it
-//! and the lumped mass: one value each per stored entry of the node graph,
-//! pure functions of the mesh, like `C` (a restarted run rebuilds the same
-//! bits).  Three global passes use them, all row shares like the
-//! gradient and divergence — a stored entry is written by one rank, no
-//! `unsafe`, bitwise identical for every thread count:
-//! [`fill_viscous_on`](PressureOperators::fill_viscous_on) (`values ← ν·K`),
-//! [`momentum_residual_on`](PressureOperators::momentum_residual_on)
-//! (`rhs_a = −Σ_b S_ab·u_b − g_a(p)`, the weak pressure gradient fused in)
-//! and [`add_mass_on`](PressureOperators::add_mass_on)
-//! (`values += (ρ/Δt)·M`); [`crate::assemble_momentum_on`] runs them around
-//! the convective-only sweep.  The same `M` gives the per-step kinetic
-//! energy as `½ρ·uᵀ·M·u`
-//! ([`kinetic_energy_on`](PressureOperators::kinetic_energy_on)) instead of
-//! a serial element quadrature.
+//! and the lumped mass — pure functions of the mesh, like `C` (a restarted
+//! run rebuilds the same bits), held in the storage of the momentum matrix
+//! they seed ([`crate::MomentumMatrix`]):
+//!
+//! * **on diagonals** where the elements share one `(a, b) → diagonal`
+//!   table (every generator box): block-major arrays of the layout of the
+//!   step's [`lv_solver::DiaMatrix`], value for value, each element's
+//!   entries added straight there (a run of consecutive elements at a
+//!   time, pair by pair, so every entry keeps its mesh-order sum) — no
+//!   per-entry copy is kept;
+//! * **per stored entry** of the node graph on any other numbering.
+//!
+//! Two global passes use them, bitwise identical for every thread count —
+//! each rank writes its own rows, no `unsafe`:
+//! [`fill_viscous_on`](PressureOperators::fill_viscous_on) (`values ← ν·K`,
+//! on diagonals one unit-stride stream) and
+//! [`momentum_residual_and_mass_on`](PressureOperators::momentum_residual_and_mass_on)
+//! (`rhs_a = −Σ_b S_ab·u_b − g_a(p)`, the weak pressure gradient fused in,
+//! then `values += (ρ/Δt)·M`; on diagonals one traversal of each storage
+//! block for both); [`crate::assemble_momentum_on`] runs them around the
+//! convective-only sweep.  The same `M` gives the per-step kinetic energy
+//! as `½ρ·uᵀ·M·u`
+//! ([`kinetic_energy_on`](PressureOperators::kinetic_energy_on), over the
+//! same diagonals) instead of a serial element quadrature.
 
 use crate::assembly::check_pattern;
+use crate::momentum::{momentum_diagonals, MomentumMatrix};
 use crate::stencil::{ClassStencils, CORNERS};
 use crate::{NDIME, PGAUS, PNODE};
 use lv_mesh::geometry::Point3;
 use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{ElementKind, Mesh, MeshTopology, ShapeTable, VectorField};
-use lv_runtime::{blocked_reduce, for_each_share, Team};
+use lv_runtime::{blocked_reduce, for_each_share, Lanes, Team, REDUCTION_BLOCK};
+use lv_solver::dia::value_position;
 use lv_solver::parallel::team_above_cutoff;
-use lv_solver::CsrMatrix;
+use lv_solver::{CsrMatrix, DiaMatrix, MultiVector};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -115,13 +127,32 @@ pub struct PressureOperators {
     gradient: Gradient,
     /// Lumped (row-sum) mass per node: `M_a = ∫ N_a dΩ`.
     lumped_mass: Vec<f64>,
-    /// Consistent mass `M_ab = ∫ N_a N_b dΩ` per stored entry of the node
-    /// graph.
-    mass: Vec<f64>,
-    /// Stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` per stored entry of the node graph:
-    /// the values of the un-pinned Laplacian.
-    stiffness: Vec<f64>,
+    /// Stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` (the values of the un-pinned
+    /// Laplacian) and consistent mass `M_ab = ∫ N_a N_b dΩ`.
+    blocks: Blocks,
     topology: Arc<MeshTopology>,
+}
+
+/// `K` and `M`, in the storage of the momentum matrix they seed.
+#[derive(Debug, Clone)]
+enum Blocks {
+    /// Block-major diagonals, the layout of a
+    /// [`MomentumMatrix::Diagonals`] entry for entry: the elements share one
+    /// diagonal table (every generator box).
+    Diagonals {
+        /// `K`.
+        stiffness: DiaMatrix,
+        /// `M`.
+        mass: DiaMatrix,
+    },
+    /// Per stored entry of the node graph, the layout of a CSR matrix's
+    /// values: any other numbering.
+    PerEntry {
+        /// `K`.
+        stiffness: Vec<f64>,
+        /// `M`.
+        mass: Vec<f64>,
+    },
 }
 
 /// The coefficients of `C`, as the mesh allows.
@@ -195,6 +226,22 @@ impl PressureOperators {
     /// Panics like [`new`](Self::new), or if `topology` was built for a mesh
     /// of another size.
     pub fn with_topology(mesh: &Mesh, topology: Arc<MeshTopology>) -> Self {
+        let on_diagonals = momentum_diagonals(&topology).is_some();
+        Self::build(mesh, topology, on_diagonals)
+    }
+
+    /// [`with_topology`](Self::with_topology) with `K` and `M` per stored
+    /// entry whatever the mesh: the operators of the CSR-assembled momentum
+    /// system, the oracle of the diagonal-born one.
+    #[cfg(test)]
+    pub(crate) fn per_entry(mesh: &Mesh, topology: Arc<MeshTopology>) -> Self {
+        Self::build(mesh, topology, false)
+    }
+
+    /// The one element loop: `K` and `M` on the mesh's element diagonals
+    /// when `on_diagonals` (and the mesh has them), per stored entry
+    /// otherwise.
+    fn build(mesh: &Mesh, topology: Arc<MeshTopology>, on_diagonals: bool) -> Self {
         assert_eq!(
             mesh.kind(),
             ElementKind::Hex8,
@@ -217,9 +264,8 @@ impl PressureOperators {
             gpvol: Vec::new(),
             gradient: Gradient::PerEntry(Vec::new()),
             lumped_mass: Vec::new(),
-            mass: Vec::new(),
-            stiffness: Vec::new(),
-            topology,
+            blocks: Blocks::PerEntry { stiffness: Vec::new(), mass: Vec::new() },
+            topology: topology.clone(),
         };
         let nelem = mesh.num_elements();
         let nnz = ops.topology.col_idx().len();
@@ -234,8 +280,20 @@ impl PressureOperators {
         });
         let mut coef = vec![0.0; if stencils.is_some() { 0 } else { NDIME * nnz }];
         let mut lumped_mass = vec![0.0; mesh.num_nodes()];
-        let mut mass = vec![0.0; nnz];
-        let mut stiffness = vec![0.0; nnz];
+        // `K` and `M` go straight into the storage the momentum matrix will
+        // have: on diagonals entry `(a, b)` of every element lands at
+        // `(index[PNODE·a + b], node_a)` of the block-major arrays, per entry
+        // at the element's slot.  Either way each value is the same sum in
+        // the same (mesh) order.
+        let table = momentum_diagonals(&topology).filter(|_| on_diagonals);
+        let n = mesh.num_nodes();
+        let mut blocks = match table {
+            Some(table) => {
+                let zeros = || DiaMatrix::zeros(n, table.offsets().to_vec());
+                Blocks::Diagonals { stiffness: zeros(), mass: zeros() }
+            }
+            None => Blocks::PerEntry { stiffness: vec![0.0; nnz], mass: vec![0.0; nnz] },
+        };
         // `N_a·N_b` per `(gauss, PNODE·a + b)`: one product for `(a, b)` and
         // `(b, a)`, so the consistent mass comes out symmetric to the bit.
         let mut shape_products = [[0.0f64; PNODE * PNODE]; PGAUS];
@@ -275,9 +333,25 @@ impl PressureOperators {
                     *entry = row_b[a];
                 }
             }
-            for ((&slot, m), k) in slots.iter().zip(el_mass).zip(el_stiff.iter().flatten()) {
-                mass[slot as usize] += m;
-                stiffness[slot as usize] += k;
+            match (&mut blocks, table) {
+                (Blocks::Diagonals { stiffness, mass }, Some(table)) => {
+                    let nd = table.offsets().len();
+                    let entries = el_mass.iter().zip(el_stiff.iter().flatten()).enumerate();
+                    for (ab, (m, k)) in entries {
+                        let row = nodes[ab / PNODE] as usize;
+                        let at = value_position(n, nd, table.index()[ab] as usize, row);
+                        mass.values_mut()[at] += m;
+                        stiffness.values_mut()[at] += k;
+                    }
+                }
+                (Blocks::PerEntry { stiffness, mass }, _) => {
+                    let entries = el_mass.iter().zip(el_stiff.iter().flatten());
+                    for (&slot, (m, k)) in slots.iter().zip(entries) {
+                        mass[slot as usize] += m;
+                        stiffness[slot as usize] += k;
+                    }
+                }
+                (Blocks::Diagonals { .. }, None) => unreachable!("diagonals come with a table"),
             }
             for (a, &node) in nodes.iter().enumerate() {
                 for (g, vol) in geometry.vol.iter().enumerate() {
@@ -304,8 +378,7 @@ impl PressureOperators {
             None => Gradient::PerEntry(coef),
         };
         ops.lumped_mass = lumped_mass;
-        ops.mass = mass;
-        ops.stiffness = stiffness;
+        ops.blocks = blocks;
         ops
     }
 
@@ -476,37 +549,48 @@ impl PressureOperators {
         self.assemble_laplacian()
     }
 
-    /// A matrix on the node graph holding `values`.
-    fn on_pattern(&self, values: &[f64]) -> CsrMatrix {
+    /// `K` (or `M`, when `mass`) as a CSR matrix of the node graph: copied,
+    /// or gathered entry by entry from the diagonals.
+    fn on_pattern(&self, mass: bool) -> CsrMatrix {
         let topology = &self.topology;
-        let mut matrix =
-            CsrMatrix::from_pattern(topology.row_ptr().to_vec(), topology.col_idx().to_vec());
-        matrix.pattern_and_values_mut().2.copy_from_slice(values);
+        let (row_ptr, col_idx) = (topology.row_ptr(), topology.col_idx());
+        let mut matrix = CsrMatrix::from_pattern(row_ptr.to_vec(), col_idx.to_vec());
+        let values = matrix.pattern_and_values_mut().2;
+        match &self.blocks {
+            Blocks::PerEntry { stiffness, mass: m } => {
+                values.copy_from_slice(if mass { m } else { stiffness });
+            }
+            Blocks::Diagonals { stiffness, mass: m } => {
+                let dia = if mass { m } else { stiffness };
+                dia.values_on_pattern(row_ptr, col_idx, values);
+            }
+        }
         matrix
     }
 
     /// The pressure Laplacian `L_ab = ∫ ∇N_a·∇N_b dΩ` on the node-to-node
-    /// graph: a copy of [`stiffness`](Self::stiffness), nothing assembled.
+    /// graph: the stiffness held since construction, nothing assembled.
     /// Symmetric positive semi-definite (kernel: the constants); pin at
     /// least one node per connected component with
     /// [`CsrMatrix::pin_rows_symmetric`] to make it definite.
     pub fn assemble_laplacian(&self) -> CsrMatrix {
-        self.on_pattern(&self.stiffness)
+        self.on_pattern(false)
     }
 
     /// The stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` per stored entry of the
     /// topology's node graph — the values of the un-pinned pressure
-    /// Laplacian, accumulated once at construction (mesh order; symmetric to
-    /// the bit).  The viscous block of the momentum matrix is `ν·K`.
-    pub fn stiffness(&self) -> &[f64] {
-        &self.stiffness
+    /// Laplacian (symmetric to the bit).
+    #[cfg(test)]
+    pub(crate) fn stiffness(&self) -> Vec<f64> {
+        self.on_pattern(false).values().to_vec()
     }
 
     /// The consistent mass `M_ab = ∫ N_a N_b dΩ` per stored entry of the
-    /// topology's node graph (mesh-order accumulation; symmetric to the bit;
-    /// its row sums are [`lumped_mass`](Self::lumped_mass) to rounding).
-    pub fn consistent_mass(&self) -> &[f64] {
-        &self.mass
+    /// topology's node graph (symmetric to the bit; its row sums are
+    /// [`lumped_mass`](Self::lumped_mass) to rounding).
+    #[cfg(test)]
+    pub(crate) fn consistent_mass(&self) -> Vec<f64> {
+        self.on_pattern(true).values().to_vec()
     }
 
     /// The matrix-free counterpart of
@@ -686,37 +770,128 @@ impl PressureOperators {
     }
 
     /// Seeds the momentum matrix with its viscous block: `values ← ν·K`,
-    /// overwriting whatever `matrix` held.  The first of the three global
-    /// passes of [`assemble_momentum_on`](crate::assemble_momentum_on).
+    /// overwriting whatever `matrix` held — on diagonals one unit-stride
+    /// stream over the value array, padding included.  The first of the two
+    /// global passes of [`assemble_momentum_on`](crate::assemble_momentum_on).
     ///
     /// # Panics
-    /// Panics if `matrix` does not have this mesh's sparsity pattern.
-    pub fn fill_viscous_on(&self, team: &Team, viscosity: f64, matrix: &mut CsrMatrix) {
-        self.entry_pass(team, matrix, &self.stiffness, |value, k| *value = viscosity * k);
+    /// Panics if `matrix` does not have this mesh's sparsity pattern, or is
+    /// not in the storage these operators hold `K` in.
+    pub fn fill_viscous_on(&self, team: &Team, viscosity: f64, matrix: &mut MomentumMatrix) {
+        match (&self.blocks, matrix) {
+            (Blocks::Diagonals { stiffness, .. }, MomentumMatrix::Diagonals(matrix)) => {
+                assert!(
+                    matrix.same_layout(stiffness),
+                    "the matrix does not have this mesh's sparsity pattern"
+                );
+                matrix.assign_scaled_on(team, viscosity, stiffness);
+            }
+            (Blocks::PerEntry { stiffness, .. }, MomentumMatrix::Csr(matrix)) => {
+                self.entry_pass(team, matrix, stiffness, |value, k| *value = viscosity * k);
+            }
+            _ => panic!("the momentum matrix is not in the storage of this mesh's K and M"),
+        }
     }
 
-    /// Adds the time-derivative block to the momentum matrix:
-    /// `values += scale·M` with the consistent mass (the step passes
-    /// `scale = ρ/Δt`).  The last of the three global passes.
+    /// The momentum right-hand side of the increment form, then the mass
+    /// block: `rhs_a = −Σ_b S_ab·u_b − g_a(p)` with `S = ν·K + C(u)` the
+    /// matrix as it comes in and `g` the weak pressure gradient, then
+    /// `S += mass_scale·M` (the step passes `ρ/Δt`) — the right-hand side
+    /// before the mass block, so `(ρ/Δt)·M·u` is never formed and never
+    /// cancelled.  Both sums run in ascending column order from `+0.0`;
+    /// `g_a` is bit for bit the row of
+    /// [`weak_gradient_on`](Self::weak_gradient_on).  Overwrites `rhs`;
+    /// bitwise identical for every thread count and in either storage.
+    ///
+    /// On diagonals it is one pass over the storage blocks
+    /// ([`DiaMatrix::product3_and_add_on`]): per block the three products
+    /// `S·u_c` over the de-interleaved velocity, the block's rows of `rhs`,
+    /// and the mass added while the block is in cache.  Per entry it is a
+    /// row walk of the CSR matrix and an entry pass.
     ///
     /// # Panics
-    /// Panics if `matrix` does not have this mesh's sparsity pattern.
-    pub fn add_mass_on(&self, team: &Team, scale: f64, matrix: &mut CsrMatrix) {
-        self.entry_pass(team, matrix, &self.mass, |value, m| *value += scale * m);
+    /// Panics if `matrix` does not have this mesh's sparsity pattern or is
+    /// not in the storage these operators hold `M` in, or a vector does not
+    /// have this mesh's node count.
+    pub fn momentum_residual_and_mass_on(
+        &self,
+        team: &Team,
+        matrix: &mut MomentumMatrix,
+        velocity: &VectorField,
+        pressure: &[f64],
+        mass_scale: f64,
+        rhs: &mut [f64],
+    ) {
+        self.momentum_residual_and_mass_at(
+            Lanes::selected(),
+            team,
+            matrix,
+            velocity,
+            pressure,
+            mass_scale,
+            rhs,
+        );
     }
 
-    /// The momentum right-hand side of the increment form as one row
-    /// product: `rhs_a = −Σ_b S_ab·u_b − g_a(p)` with `S = ν·K + C(u)` the
-    /// matrix **before** the mass block is added (so `(ρ/Δt)·M·u` is never
-    /// formed and never cancelled) and `g` the weak pressure gradient, both
-    /// sums in ascending column order from `+0.0` — `g_a` is bit for bit
-    /// the row of [`weak_gradient_on`](Self::weak_gradient_on).  Overwrites
-    /// `rhs`; bitwise identical for every thread count.
-    ///
-    /// # Panics
-    /// Panics if `matrix` does not have this mesh's sparsity pattern or a
-    /// vector does not have this mesh's node count.
-    pub fn momentum_residual_on(
+    /// [`momentum_residual_and_mass_on`](Self::momentum_residual_and_mass_on)
+    /// with the diagonal block kernel at `lanes`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn momentum_residual_and_mass_at(
+        &self,
+        lanes: Lanes,
+        team: &Team,
+        matrix: &mut MomentumMatrix,
+        velocity: &VectorField,
+        pressure: &[f64],
+        mass_scale: f64,
+        rhs: &mut [f64],
+    ) {
+        let n = self.mesh.num_nodes();
+        assert_eq!(velocity.num_nodes(), n);
+        assert_eq!(pressure.len(), n);
+        assert_eq!(rhs.len(), NDIME * n);
+        match (&self.blocks, matrix) {
+            (Blocks::Diagonals { mass, .. }, MomentumMatrix::Diagonals(matrix)) => {
+                assert!(
+                    matrix.same_layout(mass),
+                    "the matrix does not have this mesh's sparsity pattern"
+                );
+                let u = MultiVector::from_interleaved(velocity.as_slice());
+                let finish = |rows: Range<usize>, su: [&[f64]; NDIME], out: &mut [f64]| {
+                    // `g` of the block's rows first, parked in their entries
+                    // of `out`; then `−S·u − g`.
+                    let first = rows.start;
+                    self.gradient_rows(pressure, rows, |a, g| {
+                        out[NDIME * (a - first)..][..NDIME].copy_from_slice(&g);
+                    });
+                    for (i, out_a) in out.chunks_exact_mut(NDIME).enumerate() {
+                        for (c, out) in out_a.iter_mut().enumerate() {
+                            *out = -su[c][i] - *out;
+                        }
+                    }
+                };
+                matrix.product3_and_add_at(
+                    lanes,
+                    team,
+                    u.components(),
+                    mass_scale,
+                    mass,
+                    rhs,
+                    finish,
+                );
+            }
+            (Blocks::PerEntry { mass, .. }, MomentumMatrix::Csr(matrix)) => {
+                self.csr_momentum_residual_on(team, matrix, velocity, pressure, rhs);
+                self.entry_pass(team, matrix, mass, |value, m| *value += mass_scale * m);
+            }
+            _ => panic!("the momentum matrix is not in the storage of this mesh's K and M"),
+        }
+    }
+
+    /// The right-hand side half of
+    /// [`momentum_residual_and_mass_on`](Self::momentum_residual_and_mass_on)
+    /// on a CSR matrix: one walk of each row for `S·u`.
+    fn csr_momentum_residual_on(
         &self,
         team: &Team,
         matrix: &CsrMatrix,
@@ -726,9 +901,6 @@ impl PressureOperators {
     ) {
         let n = self.mesh.num_nodes();
         check_pattern(&self.topology, matrix);
-        assert_eq!(velocity.num_nodes(), n);
-        assert_eq!(pressure.len(), n);
-        assert_eq!(rhs.len(), NDIME * n);
         let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
         let (values, vel) = (matrix.values(), velocity.as_slice());
         for_each_share(team_above_cutoff(team, n), n, 1, rhs, |rows, out| {
@@ -754,31 +926,55 @@ impl PressureOperators {
         });
     }
 
-    /// Modeled floating-point operations of the three global passes of one
-    /// momentum assembly together: a multiply per entry of the viscous
-    /// fill; six multiply-adds per entry plus a negation and a subtraction
-    /// per row component of the residual; a multiply and an add per entry
-    /// of the mass update.
-    pub fn momentum_pass_flops(&self) -> u64 {
-        let (nnz, n) = (self.mass.len() as u64, self.mesh.num_nodes() as u64);
-        nnz + (4 * NDIME as u64 * nnz + 2 * NDIME as u64 * n) + 2 * nnz
+    /// Values the two global passes of one momentum assembly stream per
+    /// matrix: every stored entry of the node graph per entry, every padded
+    /// diagonal slot (`n ×` the diagonal count) on diagonals.
+    fn momentum_values(&self) -> usize {
+        match &self.blocks {
+            Blocks::Diagonals { mass, .. } => mass.values().len(),
+            Blocks::PerEntry { mass, .. } => mass.len(),
+        }
     }
 
-    /// Bytes the three global passes of one momentum assembly stream
-    /// together, from array sizes: `K` in and the values out; the values,
-    /// the column indices and `C` (the per-entry coefficients, or the
-    /// class-stencil table) in, velocity and pressure in once, the
-    /// right-hand side out; `M` in and the values in and out.
+    /// Modeled floating-point operations of the global passes of one
+    /// momentum assembly together, per stored value `v` of the matrix
+    /// (padding included on diagonals): a multiply per value of the viscous
+    /// fill; three multiply-adds per value for `S·u`, three per entry of the
+    /// node graph for `g`, and a negation and a subtraction per row
+    /// component; a multiply and an add per value of the mass update.
+    pub fn momentum_pass_flops(&self) -> u64 {
+        let values = self.momentum_values() as u64;
+        let (nnz, n) = (self.topology.col_idx().len() as u64, self.mesh.num_nodes() as u64);
+        let ndime = NDIME as u64;
+        values + (2 * ndime * values + 2 * ndime * nnz + 2 * ndime * n) + 2 * values
+    }
+
+    /// Bytes the global passes of one momentum assembly stream together,
+    /// from array sizes.  On diagonals: `K` in and the values out (the
+    /// fill); then one pass per storage block — the values and `M` in, the
+    /// values out, `C` (the class-stencil table or the per-entry
+    /// coefficients), the pressure, the velocity and its de-interleaved
+    /// copy (written and read), the right-hand side out; no index stream.
+    /// Per entry: the fill; the values, the column indices, `C`, velocity
+    /// and pressure in once, the right-hand side out; `M` in and the values
+    /// in and out.
     pub fn momentum_pass_bytes(&self) -> u64 {
-        let (nnz, n) = (self.mass.len(), self.mesh.num_nodes());
-        let fill = 2 * 8 * nnz;
-        let residual = 8 * nnz
-            + std::mem::size_of_val(self.topology.col_idx())
-            + self.gradient_bytes()
-            + 8 * (NDIME + 1) * n
-            + 8 * NDIME * n;
-        let mass = 3 * 8 * nnz;
-        (fill + residual + mass) as u64
+        let (values, n) = (self.momentum_values(), self.mesh.num_nodes());
+        let fill = 2 * 8 * values;
+        let vectors = 8 * (NDIME + 1) * n + 8 * NDIME * n;
+        let passes = match &self.blocks {
+            Blocks::Diagonals { .. } => {
+                3 * 8 * values + self.gradient_bytes() + vectors + 2 * 8 * NDIME * n
+            }
+            Blocks::PerEntry { .. } => {
+                let residual = 8 * values
+                    + std::mem::size_of_val(self.topology.col_idx())
+                    + self.gradient_bytes()
+                    + vectors;
+                residual + 3 * 8 * values
+            }
+        };
+        (fill + passes) as u64
     }
 
     /// Euclidean norm of the **weak** divergence vector,
@@ -847,14 +1043,46 @@ impl PressureOperators {
     pub fn kinetic_energy_on(&self, team: &Team, velocity: &VectorField, density: f64) -> f64 {
         let n = self.mesh.num_nodes();
         assert_eq!(velocity.num_nodes(), n);
-        let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
         let vel = velocity.as_slice();
+        let mass = match &self.blocks {
+            Blocks::Diagonals { mass, .. } => mass,
+            Blocks::PerEntry { mass, .. } => {
+                return self.csr_kinetic_energy_on(team, mass, vel, density)
+            }
+        };
+        let u = MultiVector::from_interleaved(vel);
+        let [total] = blocked_reduce(Some(team), n, &mut Vec::new(), |rows| {
+            // `M·u` of the block's rows, three columns in one traversal of
+            // its diagonals, then `u·(M·u)` row by row.
+            let len = rows.len();
+            let mut mu = [[0.0f64; REDUCTION_BLOCK]; NDIME];
+            let [m0, m1, m2] = &mut mu;
+            mass.product3_into(
+                u.components(),
+                rows.clone(),
+                [&mut m0[..len], &mut m1[..len], &mut m2[..len]],
+            );
+            let mut sum = 0.0f64;
+            for (i, a) in rows.enumerate() {
+                let u = &vel[NDIME * a..NDIME * a + NDIME];
+                sum += u[0] * m0[i] + u[1] * m1[i] + u[2] * m2[i];
+            }
+            [sum]
+        });
+        0.5 * density * total
+    }
+
+    /// [`kinetic_energy_on`](Self::kinetic_energy_on) through `M` per stored
+    /// entry: one walk of each CSR row.
+    fn csr_kinetic_energy_on(&self, team: &Team, mass: &[f64], vel: &[f64], density: f64) -> f64 {
+        let n = self.mesh.num_nodes();
+        let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
         let [total] = blocked_reduce(Some(team), n, &mut Vec::new(), |rows| {
             let mut sum = 0.0f64;
             for a in rows {
                 let entries = row_ptr[a]..row_ptr[a + 1];
                 let mut mu = [0.0f64; NDIME];
-                for (&b, &m_ab) in col_idx[entries.clone()].iter().zip(&self.mass[entries]) {
+                for (&b, &m_ab) in col_idx[entries.clone()].iter().zip(&mass[entries]) {
                     let u = &vel[NDIME * b..NDIME * b + NDIME];
                     for i in 0..NDIME {
                         mu[i] += m_ab * u[i];
@@ -1449,7 +1677,7 @@ mod tests {
         for m in [mesh(), BoxMeshBuilder::new(5, 4, 3).build()] {
             let ops = PressureOperators::new(&m, 16);
             let mut mass = ops.assemble_laplacian();
-            mass.pattern_and_values_mut().2.copy_from_slice(ops.consistent_mass());
+            mass.pattern_and_values_mut().2.copy_from_slice(&ops.consistent_mass());
             // One product `N_a·N_b` serves both triangles, elements arrive
             // in one order: symmetric to the bit.
             assert!(mass.is_symmetric(0.0));
@@ -1472,7 +1700,7 @@ mod tests {
             let row_sums = stiffness.mul_vec(&vec![1.0; m.num_nodes()]);
             let row_ptr = ops.topology.row_ptr();
             for (a, sum) in row_sums.iter().enumerate() {
-                let entries = &ops.stiffness()[row_ptr[a]..row_ptr[a + 1]];
+                let entries = &stiffness.values()[row_ptr[a]..row_ptr[a + 1]];
                 let largest = entries.iter().fold(0.0f64, |max, k| max.max(k.abs()));
                 assert!(
                     sum.abs() <= 4.0 * f64::EPSILON * largest,
@@ -1487,8 +1715,15 @@ mod tests {
                 crate::KernelConfig::new(16, crate::OptLevel::Vec1),
             );
             let shared = PressureOperators::with_topology(&m, asm.topology().clone());
-            assert_same_bits(shared.stiffness(), ops.stiffness(), "K");
-            assert_same_bits(shared.consistent_mass(), ops.consistent_mass(), "M");
+            assert_same_bits(&shared.stiffness(), &ops.stiffness(), "K");
+            assert_same_bits(&shared.consistent_mass(), &ops.consistent_mass(), "M");
+            // Accumulated on the diagonals or per entry: the same sums in
+            // the same order.
+            assert!(matches!(ops.blocks, Blocks::Diagonals { .. }));
+            let per_entry = PressureOperators::per_entry(&m, asm.topology().clone());
+            assert!(matches!(per_entry.blocks, Blocks::PerEntry { .. }));
+            assert_same_bits(&per_entry.stiffness(), &ops.stiffness(), "K per entry");
+            assert_same_bits(&per_entry.consistent_mass(), &ops.consistent_mass(), "M per entry");
             assert_same_bits(&shared.coefficients(), &ops.coefficients(), "C");
             assert_same_bits(shared.lumped_mass(), ops.lumped_mass(), "lumped mass");
         }
@@ -1497,32 +1732,58 @@ mod tests {
     #[test]
     fn stiffness_is_the_laplacian_assembled_on_any_team() {
         let ops = PressureOperators::new(&mesh(), 8);
-        assert_same_bits(ops.stiffness(), ops.assemble_laplacian().values(), "held copy");
+        assert_same_bits(&ops.stiffness(), ops.assemble_laplacian().values(), "held copy");
         let lap = ops.assemble_laplacian_on(&Team::new(3));
-        assert_same_bits(ops.stiffness(), lap.values(), "the ignored team");
+        assert_same_bits(&ops.stiffness(), lap.values(), "the ignored team");
     }
 
+    /// `values` — one per stored entry of the node graph, in CSR order —
+    /// added to `matrix` entry by entry, in either storage.
+    fn add_per_entry(ops: &PressureOperators, matrix: &mut MomentumMatrix, values: &[f64]) {
+        let (row_ptr, col_idx) = (ops.topology.row_ptr(), ops.topology.col_idx());
+        match matrix {
+            MomentumMatrix::Csr(csr) => {
+                for (v, c) in csr.pattern_and_values_mut().2.iter_mut().zip(values) {
+                    *v += c;
+                }
+            }
+            MomentumMatrix::Diagonals(dia) => {
+                let (n, nd) = (dia.dim(), dia.offsets().len());
+                for a in 0..n {
+                    for entry in row_ptr[a]..row_ptr[a + 1] {
+                        let d = col_idx[entry] as isize - a as isize;
+                        let k = dia.offsets().binary_search(&d).expect("a stored diagonal");
+                        dia.values_mut()[value_position(n, nd, k, a)] += values[entry];
+                    }
+                }
+            }
+        }
+    }
+
+    /// The two global momentum passes in both storages — `K` and `M` on the
+    /// diagonals and per entry — against plain loops, bit for bit, on
+    /// teams that fork and at both lane widths.
     #[test]
     fn momentum_passes_match_plain_loops_and_are_bitwise_equal_across_threads() {
         // 11³ = 1331 rows and 29 791 entries: every pass forks on a team.
         let m = BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().with_jitter(0.15, 5).build();
         let n = m.num_nodes();
-        let ops = PressureOperators::new(&m, 32);
+        let on_diagonals = PressureOperators::new(&m, 32);
+        let per_entry = PressureOperators::per_entry(&m, on_diagonals.topology.clone());
         let (velocity, pressure) = (test_velocity(&m), test_pressure(&m));
         let (nu, scale) = (0.01, 1.0 / 0.013);
-        let convection: Vec<f64> =
-            (0..ops.stiffness().len()).map(|k| (k as f64 * 0.37).sin()).collect();
+        let (stiffness, mass) = (on_diagonals.stiffness(), on_diagonals.consistent_mass());
+        let convection: Vec<f64> = (0..stiffness.len()).map(|k| (k as f64 * 0.37).sin()).collect();
 
         // The oracle: S = ν·K + C entry by entry, −S·u − g through the CSR
         // product and the gradient operator, S + scale·M entry by entry.
-        let mut s_matrix = ops.assemble_laplacian();
-        for ((s, k), c) in
-            s_matrix.pattern_and_values_mut().2.iter_mut().zip(ops.stiffness()).zip(&convection)
-        {
+        let mut s_matrix = on_diagonals.assemble_laplacian();
+        let s_values = s_matrix.pattern_and_values_mut().2;
+        for ((s, k), c) in s_values.iter_mut().zip(&stiffness).zip(&convection) {
             *s = nu * k + c;
         }
         let mut grad = vec![0.0; NDIME * n];
-        ops.weak_gradient_on(&Team::new(1), pressure.as_slice(), &mut grad);
+        on_diagonals.weak_gradient_on(&Team::new(1), pressure.as_slice(), &mut grad);
         let mut rhs_oracle = vec![0.0; NDIME * n];
         for i in 0..NDIME {
             let u_i: Vec<f64> = (0..n).map(|a| velocity.as_slice()[NDIME * a + i]).collect();
@@ -1530,27 +1791,50 @@ mod tests {
                 rhs_oracle[NDIME * a + i] = -su - grad[NDIME * a + i];
             }
         }
-        let full_oracle: Vec<f64> = s_matrix
-            .values()
-            .iter()
-            .zip(ops.consistent_mass())
-            .map(|(s, m)| s + scale * m)
-            .collect();
+        let full_oracle: Vec<f64> =
+            s_matrix.values().iter().zip(&mass).map(|(s, m)| s + scale * m).collect();
 
-        for threads in [1usize, 2, 4] {
-            let team = Team::new(threads);
-            let mut matrix = ops.assemble_laplacian();
-            matrix.pattern_and_values_mut().2.fill(f64::NAN);
-            ops.fill_viscous_on(&team, nu, &mut matrix);
-            for (v, c) in matrix.pattern_and_values_mut().2.iter_mut().zip(&convection) {
-                *v += c;
+        let offsets = on_diagonals.topology.element_diagonals().unwrap().offsets().to_vec();
+        for ops in [&on_diagonals, &per_entry] {
+            for threads in [1usize, 2, 4] {
+                let team = Team::new(threads);
+                for lanes in [Lanes::Baseline, Lanes::selected()] {
+                    let mut matrix = match ops.blocks {
+                        Blocks::Diagonals { .. } => {
+                            let mut dia = DiaMatrix::zeros(n, offsets.clone());
+                            dia.values_mut().fill(f64::NAN);
+                            MomentumMatrix::Diagonals(dia)
+                        }
+                        Blocks::PerEntry { .. } => {
+                            let mut csr = s_matrix.clone();
+                            csr.pattern_and_values_mut().2.fill(f64::NAN);
+                            MomentumMatrix::Csr(csr)
+                        }
+                    };
+                    let storage = match ops.blocks {
+                        Blocks::Diagonals { .. } => "diagonals",
+                        Blocks::PerEntry { .. } => "per entry",
+                    };
+                    let what = format!("{threads} threads, {lanes} lanes, {storage}");
+                    ops.fill_viscous_on(&team, nu, &mut matrix);
+                    add_per_entry(ops, &mut matrix, &convection);
+                    assert_same_bits(matrix.to_csr(&s_matrix).values(), s_matrix.values(), &what);
+                    let mut rhs = vec![f64::NAN; NDIME * n];
+                    let p = pressure.as_slice();
+                    ops.momentum_residual_and_mass_at(
+                        lanes,
+                        &team,
+                        &mut matrix,
+                        &velocity,
+                        p,
+                        scale,
+                        &mut rhs,
+                    );
+                    assert_same_bits(&rhs, &rhs_oracle, &format!("residual, {what}"));
+                    let full = matrix.to_csr(&s_matrix);
+                    assert_same_bits(full.values(), &full_oracle, &format!("mass, {what}"));
+                }
             }
-            assert_same_bits(matrix.values(), s_matrix.values(), "ν·K + C");
-            let mut rhs = vec![f64::NAN; NDIME * n];
-            ops.momentum_residual_on(&team, &matrix, &velocity, pressure.as_slice(), &mut rhs);
-            assert_same_bits(&rhs, &rhs_oracle, &format!("residual, {threads} threads"));
-            ops.add_mass_on(&team, scale, &mut matrix);
-            assert_same_bits(matrix.values(), &full_oracle, &format!("mass, {threads} threads"));
         }
     }
 
@@ -1558,8 +1842,11 @@ mod tests {
     #[should_panic(expected = "sparsity pattern")]
     fn momentum_passes_reject_a_foreign_pattern() {
         let ops = PressureOperators::new(&mesh(), 16);
-        let other = PressureOperators::new(&BoxMeshBuilder::new(3, 3, 3).build(), 16);
-        ops.fill_viscous_on(&Team::new(1), 1.0, &mut other.assemble_laplacian());
+        let other = crate::NastinAssembly::new(
+            BoxMeshBuilder::new(3, 3, 3).build(),
+            crate::KernelConfig::new(16, crate::OptLevel::Vec1),
+        );
+        ops.fill_viscous_on(&Team::new(1), 1.0, &mut other.new_momentum_matrix());
     }
 
     #[test]
@@ -1574,22 +1861,38 @@ mod tests {
             (reference - quadrature).abs() <= 1e-13 * quadrature,
             "{reference:e} vs the quadrature's {quadrature:e}"
         );
-        for threads in [2usize, 4] {
-            let energy = ops.kinetic_energy_on(&Team::new(threads), &velocity, 1.3);
-            assert_eq!(energy.to_bits(), reference.to_bits(), "{threads} threads");
+        // `M` on the diagonals or per entry: the same sums in the same order.
+        let per_entry = PressureOperators::per_entry(&m, ops.topology.clone());
+        for threads in [1usize, 2, 4] {
+            let team = Team::new(threads);
+            for (ops, what) in [(&ops, "diagonals"), (&per_entry, "per entry")] {
+                let energy = ops.kinetic_energy_on(&team, &velocity, 1.3);
+                assert_eq!(energy.to_bits(), reference.to_bits(), "{what}, {threads} threads");
+            }
         }
     }
 
     #[test]
     fn traffic_model_of_the_4_cubed_box() {
         // 5³ nodes; a node with k neighbours per direction (itself
-        // included) stores k³ entries: Σ = (3·5 − 2)³.
+        // included) stores k³ entries: Σ = (3·5 − 2)³.  On diagonals every
+        // node stores 27 values, padding included.
         let (nnz, n, index) = (13 * 13 * 13, 125, std::mem::size_of::<usize>());
-        // The three global passes of a momentum assembly: ν·K (K in, values
-        // out), the residual (values, columns, `C`, u, p in; rhs out), the
-        // mass update (M in, values in and out).
-        let momentum_flops = (nnz + (12 * nnz + 6 * n) + 2 * nnz) as u64;
-        let momentum_bytes = |gradient: usize| {
+        let padded = 27 * n;
+        // The global passes of a momentum assembly over `values` stored
+        // values: ν·K (a multiply per value); `S·u` (three multiply-adds per
+        // value), `g` (three per entry) and `−S·u − g` (two per row
+        // component); the mass update (a multiply and an add per value).
+        let momentum_flops =
+            |values: usize| (values + (6 * values + 6 * nnz + 6 * n) + 2 * values) as u64;
+        // On diagonals: ν·K (K in, values out), then one pass per block (the
+        // values and M in, the values out, `C`, p and u in, u's columns
+        // written and read, rhs out) — no column index.
+        let diagonal_bytes =
+            |gradient: usize| (16 * padded + 24 * padded + gradient + 8 * 7 * n + 48 * n) as u64;
+        // Per entry: ν·K; the residual (values, columns, `C`, u, p in; rhs
+        // out); the mass update (M in, values in and out).
+        let entry_bytes = |gradient: usize| {
             (16 * nnz + (8 + index) * nnz + gradient + 8 * 7 * n + 24 * nnz) as u64
         };
 
@@ -1601,18 +1904,27 @@ mod tests {
         assert_eq!(ops.streamed_bytes(), table + 8 * 4 * n);
         assert_eq!(ops.gradient_flops(), (2 * NDIME * nnz) as u64);
         assert_eq!(ops.divergence_flops(), (2 * NDIME * nnz) as u64);
-        assert_eq!(ops.momentum_pass_flops(), momentum_flops);
-        assert_eq!(ops.momentum_pass_bytes(), momentum_bytes(table));
+        assert_eq!(ops.momentum_pass_flops(), momentum_flops(padded));
+        assert_eq!(ops.momentum_pass_bytes(), diagonal_bytes(table));
 
-        // Jittered, per entry: the coefficients and the column indices.
+        // Jittered: `C` per entry, the coefficients and the column indices;
+        // `K` and `M` still on diagonals.
         let jittered = BoxMeshBuilder::new(4, 4, 4).with_jitter(0.1, 3).build();
         let ops = PressureOperators::new(&jittered, 16);
         assert_eq!(ops.gradient_storage(), GradientStorage::JitteredLattice);
         assert_eq!(ops.streamed_bytes(), 8 * NDIME * nnz + index * nnz);
         assert_eq!(ops.gradient_flops(), (2 * NDIME * nnz) as u64);
         assert_eq!(ops.divergence_flops(), (2 * NDIME * nnz) as u64);
-        assert_eq!(ops.momentum_pass_flops(), momentum_flops);
-        assert_eq!(ops.momentum_pass_bytes(), momentum_bytes(8 * NDIME * nnz));
+        assert_eq!(ops.momentum_pass_flops(), momentum_flops(padded));
+        assert_eq!(ops.momentum_pass_bytes(), diagonal_bytes(8 * NDIME * nnz));
+
+        // Renumbered: everything per entry.
+        let scrambled = jittered.renumber_nodes(&NodePermutation::scrambled(n, 7));
+        let ops = PressureOperators::new(&scrambled, 16);
+        assert_eq!(ops.gradient_storage(), GradientStorage::NoLattice);
+        assert_eq!(ops.streamed_bytes(), 8 * NDIME * nnz + index * nnz);
+        assert_eq!(ops.momentum_pass_flops(), momentum_flops(nnz));
+        assert_eq!(ops.momentum_pass_bytes(), entry_bytes(8 * NDIME * nnz));
     }
 
     /// The integrated `C` of a generator box's own coordinates: the same
@@ -1688,6 +2000,7 @@ mod tests {
         for (k, v) in matrix.pattern_and_values_mut().2.iter_mut().enumerate() {
             *v = (k as f64 * 0.11).cos();
         }
+        let matrix = MomentumMatrix::Diagonals(DiaMatrix::from_csr(&matrix).expect("27 diagonals"));
         let passes = |ops: &PressureOperators, team: &Team| {
             let (mut div, mut poisson, mut poisson_div) =
                 (vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]);
@@ -1700,7 +2013,14 @@ mod tests {
             let mut corrected = velocity.clone();
             ops.correct_velocity_on(team, p, factor, &mut corrected);
             let mut residual = vec![f64::NAN; NDIME * n];
-            ops.momentum_residual_on(team, &matrix, &velocity, p, &mut residual);
+            ops.momentum_residual_and_mass_on(
+                team,
+                &mut matrix.clone(),
+                &velocity,
+                p,
+                1.0,
+                &mut residual,
+            );
             [div, poisson, poisson_div, grad, rhs, corrected.as_slice().to_vec(), residual]
         };
         let names = ["divergence", "Poisson rhs", "fused divergence", "gradient", "rhs −= g"];

@@ -58,7 +58,7 @@ pub use quadrature::{GaussRule, QuadraturePoint};
 pub use renumber::{reverse_cuthill_mckee, NodePermutation};
 pub use shape::{ShapeDerivatives, ShapeFunctions, ShapeTable};
 pub use structured::{BoxMeshBuilder, ChannelMeshBuilder};
-pub use topology::MeshTopology;
+pub use topology::{ElementDiagonals, MeshTopology};
 
 /// Number of spatial dimensions used throughout the reproduction.
 ///

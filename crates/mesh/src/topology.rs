@@ -11,6 +11,13 @@
 //! schedules that decide which elements may scatter concurrently are the
 //! sweeps' own ([`crate::coloring`]).
 //!
+//! Where the node numbering is translation-invariant — every element's
+//! nodes sit at the same offsets from its first node, as on every box a
+//! generator numbers — the `col − row` offset of an element entry
+//! `(a, b)` is the same in every element, and the matrix can live on
+//! diagonals instead: [`ElementDiagonals`] is that table, found and checked
+//! against every element here, once.
+//!
 //! A [`MeshTopology`] is immutable and meant to be shared (`Arc`) by every
 //! operator built on the same mesh.
 
@@ -81,6 +88,60 @@ pub struct MeshTopology {
     /// `slots[(pnode * elem + a) * pnode + b]` is the position of entry
     /// `(node_a, node_b)` of element `elem` in the CSR value array.
     slots: Vec<u32>,
+    diagonals: Option<ElementDiagonals>,
+}
+
+/// The diagonal of every element entry, where the node numbering puts each
+/// element's nodes at the same offsets from its first node: entry `(a, b)`
+/// of any element lies on `col − row = offsets()[index()[pnode·a + b]]`.
+/// A box lattice in generator order has one: 64 entries on 27 diagonals
+/// (fewer on a box one element thick), so an element's matrix scatters into
+/// block-major diagonal storage without a per-element slot map.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ElementDiagonals {
+    offsets: Vec<isize>,
+    index: Vec<u8>,
+}
+
+impl ElementDiagonals {
+    /// The table of `mesh`, or `None` when some element's nodes sit at other
+    /// offsets from its first node than element 0's (a renumbered mesh) or
+    /// the mesh has no element.  One comparison per element node.
+    fn of(mesh: &Mesh) -> Option<ElementDiagonals> {
+        if mesh.num_elements() == 0 {
+            return None;
+        }
+        let pnode = mesh.nodes_per_element();
+        let first = mesh.element_nodes(0);
+        let shift: Vec<isize> = first.iter().map(|&b| b as isize - first[0] as isize).collect();
+        let uniform = mesh.elements().all(|elem| {
+            let nodes = mesh.element_nodes(elem);
+            nodes.iter().zip(&shift).all(|(&b, &s)| b as isize - nodes[0] as isize == s)
+        });
+        if !uniform {
+            return None;
+        }
+        let offset = |ab: usize| shift[ab % pnode] - shift[ab / pnode];
+        let mut offsets: Vec<isize> = (0..pnode * pnode).map(offset).collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        let index = (0..pnode * pnode)
+            .map(|ab| offsets.binary_search(&offset(ab)).expect("an offset of the table") as u8)
+            .collect();
+        Some(ElementDiagonals { offsets, index })
+    }
+
+    /// The distinct `col − row` offsets of the element entries, strictly
+    /// ascending: the diagonals of the node graph.
+    pub fn offsets(&self) -> &[isize] {
+        &self.offsets
+    }
+
+    /// `index()[pnode·a + b]`: the position in [`offsets`](Self::offsets) of
+    /// the diagonal element entry `(a, b)` lies on, in every element.
+    pub fn index(&self) -> &[u8] {
+        &self.index
+    }
 }
 
 impl MeshTopology {
@@ -117,7 +178,8 @@ impl MeshTopology {
                 }
             }
         }
-        MeshTopology { nodes_per_element: pnode, row_ptr, col_idx, slots }
+        let diagonals = ElementDiagonals::of(mesh);
+        MeshTopology { nodes_per_element: pnode, row_ptr, col_idx, slots, diagonals }
     }
 
     /// Row pointers of the node graph (`num_nodes + 1` entries).
@@ -155,6 +217,12 @@ impl MeshTopology {
     pub fn csr_slots(&self, elem: usize) -> &[u32] {
         let per_element = self.nodes_per_element * self.nodes_per_element;
         &self.slots[per_element * elem..per_element * (elem + 1)]
+    }
+
+    /// The diagonal of every element entry, when the node numbering is the
+    /// same from every element's first node (see [`ElementDiagonals`]).
+    pub fn element_diagonals(&self) -> Option<&ElementDiagonals> {
+        self.diagonals.as_ref()
     }
 
     /// Whether `row_ptr`/`col_idx` is this topology's sparsity pattern —
@@ -280,6 +348,51 @@ mod tests {
                     assert!(row.contains(&slot), "{name}: slot {slot} outside row {node_a}");
                 }
             }
+        }
+    }
+
+    /// On every generator box the element table exists and holds exactly
+    /// the distinct `col − row` offsets of the node graph, and every entry
+    /// of every element lies on the diagonal the table names; a renumbered
+    /// mesh has none.
+    #[test]
+    fn generator_boxes_have_one_diagonal_table_and_renumbered_meshes_none() {
+        let jittered = jittered_cavity();
+        let boxes = [
+            ("jittered", jittered.clone(), 27),
+            ("channel", ChannelMeshBuilder::new(6, 3).build(), 27),
+            ("4x3x1 box", BoxMeshBuilder::new(4, 3, 1).build(), 27),
+            ("1x1x1 box", BoxMeshBuilder::new(1, 1, 1).build(), 15),
+        ];
+        for (name, mesh, diagonals) in &boxes {
+            let topology = MeshTopology::new(mesh);
+            let table = topology.element_diagonals().unwrap_or_else(|| panic!("{name}"));
+            let (row_ptr, col_idx) = (topology.row_ptr(), topology.col_idx());
+            let mut graph: Vec<isize> = (0..mesh.num_nodes())
+                .flat_map(|a| {
+                    col_idx[row_ptr[a]..row_ptr[a + 1]]
+                        .iter()
+                        .map(move |&b| b as isize - a as isize)
+                })
+                .collect();
+            graph.sort_unstable();
+            graph.dedup();
+            assert_eq!(table.offsets(), &graph[..], "{name}");
+            assert_eq!(table.offsets().len(), *diagonals, "{name}");
+            let pnode = mesh.nodes_per_element();
+            for elem in 0..mesh.num_elements() {
+                let nodes = mesh.element_nodes(elem);
+                for ab in 0..pnode * pnode {
+                    let d = nodes[ab % pnode] as isize - nodes[ab / pnode] as isize;
+                    assert_eq!(table.offsets()[table.index()[ab] as usize], d, "{name}: {elem}");
+                }
+            }
+        }
+        let scrambled =
+            jittered.renumber_nodes(&NodePermutation::scrambled(jittered.num_nodes(), 42));
+        let rcm = jittered.renumber_nodes(&reverse_cuthill_mckee(&jittered));
+        for mesh in [scrambled, rcm] {
+            assert!(MeshTopology::new(&mesh).element_diagonals().is_none());
         }
     }
 

@@ -23,8 +23,8 @@
 //! padded zero into rows CSR keeps clean; the Krylov drivers reject
 //! non-finite right-hand sides before the first product.)
 //!
-//! Besides the plain product there are three fused row-range kernels.  Two
-//! are the smoother's — [`jacobi_range`](DiaMatrix::jacobi_range) and
+//! Besides the plain product there are three fused row-range kernels and
+//! one fused block kernel.  Two are the smoother's — [`jacobi_range`](DiaMatrix::jacobi_range) and
 //! [`residual_range`](DiaMatrix::residual_range) finish the row while its
 //! sum is still in L1, so one smoothing sweep is one pass.  The third is
 //! the momentum solve's: [`product3_into`](DiaMatrix::product3_into)
@@ -32,33 +32,38 @@
 //! components share the matrix), so one traversal of the operator serves
 //! all of them, as [`CsrMatrix::spmm3_range`] does with an index stream
 //! and one add-chain per row; per column it is the one-column product,
-//! bit for bit.
+//! bit for bit.  The block kernel is the momentum assembly's:
+//! [`product3_and_add_on`](DiaMatrix::product3_and_add_on) runs the same
+//! three-column product over a storage block and then adds a scaled second
+//! matrix of the same layout to that block while it is still in cache.
 //!
-//! **Refilled, not rebuilt.**  The momentum matrix is assembled into CSR
-//! anew every step (the assembly scatters ~27 lines per element there; into
-//! block-major runs it would touch 64).
-//! [`refill_from_csr`](DiaMatrix::refill_from_csr) copies the new values
-//! into the layout [`from_csr`](DiaMatrix::from_csr) discovered once —
-//! offsets and padding stay, every entry's offset is checked — split by
-//! whole blocks across the team, each rank handed its own blocks of the
-//! value array by [`lv_runtime::for_each_share`].  The runs of a block sit
-//! `BLOCK_ROWS` values = exactly 2 KiB apart, so the 27 lines one row's
-//! entries land in all compete for two sets of a 64-set L1 and a
-//! store-per-entry refill evicts each line before its next row arrives
-//! (3.4–5.8 ms at 32³); the fill stages 16 rows and stores whole lines, a
-//! row that has an entry on every diagonal as one comparison and one copy
-//! (1.2–1.5 ms, 0.65–0.95 on two threads; README "Level storage").
+//! **Born on diagonals.**  The momentum matrix of a time step is not
+//! converted from anything: on a mesh whose elements all share one
+//! `(a, b) → diagonal` table (every generator box,
+//! `lv_mesh::ElementDiagonals`) the step builds it in this layout from
+//! [`zeros`](DiaMatrix::zeros) on — seeded with
+//! [`assign_scaled_on`](DiaMatrix::assign_scaled_on) (`ν·K`, one
+//! unit-stride stream), added to by the colored element sweep at
+//! [`value_position`], its right-hand side taken and its mass block added
+//! by [`product3_and_add_on`](DiaMatrix::product3_and_add_on) in one
+//! traversal of each storage block, and its Dirichlet rows set by
+//! [`dirichlet_row`](DiaMatrix::dirichlet_row).  Every entry receives
+//! the same additions in the same order as the CSR entry it stands for,
+//! padding stays `+0.0`, so the values are those
+//! [`from_csr`](DiaMatrix::from_csr) of the CSR-assembled matrix would
+//! hold, bit for bit; `from_csr` itself serves the multigrid levels, whose
+//! Galerkin products are CSR.
 //!
-//! **One source, two widths.**  The four kernels — the product
+//! **One source, two widths.**  The five kernels — the product
 //! ([`product_into`](DiaMatrix::product_into), which is
 //! [`LinearOperator::apply_range`] for `f64`), `product3_into`
-//! ([`LinearOperator::apply3_range`]), `jacobi_range` and `residual_range` —
-//! are multiversioned with [`lv_runtime::multiversion!`]:
+//! ([`LinearOperator::apply3_range`]), `jacobi_range`, `residual_range` and
+//! the block kernel of `product3_and_add_on` — are multiversioned with [`lv_runtime::multiversion!`]:
 //! besides the copy at the build's baseline target features there is an
 //! `avx2` clone (four `f64` or eight `f32` rows per instruction instead of
 //! SSE2's two or four), and each entry point runs the one
 //! [`lv_runtime::Lanes::selected`] picked for this host; the `*_at`
-//! variants take the [`Lanes`](lv_runtime::Lanes) explicitly, for the
+//! variants take the [`Lanes`] explicitly, for the
 //! clone-against-baseline tests.  Lanes are rows and no row's arithmetic
 //! changes with the register width, so the two copies — and the CSR
 //! product — agree bit for bit.
@@ -81,7 +86,7 @@
 use crate::csr::CsrMatrix;
 use crate::operator::LinearOperator;
 use crate::parallel::team_above_cutoff;
-use lv_runtime::{for_each_share, Team};
+use lv_runtime::{for_each_share, Lanes, Share, Team};
 use std::ops::{Add, AddAssign, Mul, Range, Sub};
 
 /// Rows per storage block: every per-offset run of a block is this long
@@ -197,24 +202,101 @@ impl<T: Scalar> DiaMatrix<T> {
         Some(DiaMatrix { n, offsets, values })
     }
 
-    /// Overwrites the stored values with those of `matrix` — a CSR matrix
-    /// of the pattern this one was built from, assembled anew — and leaves
-    /// the layout alone: the result equals [`from_csr`](Self::from_csr) of
-    /// `matrix`, without the offset discovery and the allocation.  Whole
-    /// blocks are split across `team`: each rank is handed its own blocks of
-    /// the value array ([`lv_runtime::for_each_share`] at a granule of
-    /// [`BLOCK_ROWS`]).
+    /// The `n × n` matrix on the diagonals `offsets`, every value `+0.0` —
+    /// the start of a matrix assembled in place (the element sweep adds to
+    /// the entries at [`value_position`]).
     ///
     /// # Panics
-    /// Panics if the dimensions differ or an entry of `matrix` lies on no
-    /// stored diagonal (checked for every entry, in release builds too).
-    pub fn refill_from_csr(&mut self, team: &Team, matrix: &CsrMatrix) {
-        assert_eq!(matrix.dim(), self.n, "the refill matrix has another dimension");
-        let (n, offsets) = (self.n, &self.offsets);
-        let team = team_above_cutoff(team, n);
-        for_each_share(team, n, BLOCK_ROWS, &mut self.values[..], |rows, values| {
-            fill_rows(offsets, rows, values, matrix);
+    /// Panics if `offsets` is not strictly ascending, has more than
+    /// [`MAX_DIAGONALS`] entries or one at or beyond `n` in magnitude.
+    pub fn zeros(n: usize, offsets: Vec<isize>) -> DiaMatrix<T> {
+        assert!(offsets.len() <= MAX_DIAGONALS, "more than {MAX_DIAGONALS} diagonals");
+        assert!(offsets.windows(2).all(|w| w[0] < w[1]), "offsets must be strictly ascending");
+        assert!(offsets.iter().all(|d| d.unsigned_abs() < n), "offset outside the matrix");
+        DiaMatrix { values: vec![T::ZERO; n * offsets.len()], n, offsets }
+    }
+
+    /// `values ← scale·source.values`, padding included — a unit-stride
+    /// stream split across `team` (the momentum step's `ν·K` seed).  Padding
+    /// stays `+0.0` for a `scale` that is not negative.
+    ///
+    /// # Panics
+    /// Panics if `source` has another dimension or other offsets.
+    pub fn assign_scaled_on(&mut self, team: &Team, scale: T, source: &DiaMatrix<T>) {
+        assert!(self.same_layout(source), "the source matrix has another layout");
+        let (len, source) = (self.values.len(), &source.values);
+        let team = team_above_cutoff(team, self.n);
+        for_each_share(team, len, 1, &mut self.values[..], |range, values| {
+            for (value, &s) in values.iter_mut().zip(&source[range]) {
+                *value = scale * s;
+            }
         });
+    }
+
+    /// The stored values of the entries of the CSR pattern
+    /// `row_ptr`/`col_idx` into `values`, in the pattern's order — what
+    /// [`from_csr`](Self::from_csr) read, handed back.  Staged like the
+    /// fill: 16 rows of every diagonal at a time, one line per
+    /// diagonal, so the runs 2 KiB apart are read line by line.
+    ///
+    /// # Panics
+    /// Panics if the pattern has another row count, `values` another length
+    /// than `col_idx`, or an entry lies on no stored diagonal.
+    pub fn values_on_pattern(&self, row_ptr: &[usize], col_idx: &[usize], values: &mut [T]) {
+        assert_eq!(row_ptr.len(), self.n + 1, "the pattern has another row count");
+        assert_eq!(values.len(), col_idx.len(), "one value per entry of the pattern");
+        let (nd, offsets) = (self.offsets.len(), &self.offsets);
+        // `stage[j][k]`: the value of staged row `j` on diagonal `k`.
+        let mut stage = [[T::ZERO; MAX_DIAGONALS]; STAGE_ROWS];
+        for block_start in (0..self.n).step_by(BLOCK_ROWS) {
+            let (block, block_len) = self.block(block_start);
+            for i in (0..block_len).step_by(STAGE_ROWS) {
+                let width = STAGE_ROWS.min(block_len - i);
+                for k in 0..nd {
+                    for (staged, &value) in
+                        stage.iter_mut().zip(&block[k * block_len + i..][..width])
+                    {
+                        staged[k] = value;
+                    }
+                }
+                for (j, staged) in stage.iter().enumerate().take(width) {
+                    let row = block_start + i + j;
+                    let entries = row_ptr[row]..row_ptr[row + 1];
+                    // A row with an entry on every diagonal — every interior
+                    // node of a lattice — is one comparison and one copy.
+                    let cols = &col_idx[entries.clone()];
+                    if cols.len() == nd
+                        && cols
+                            .iter()
+                            .zip(offsets)
+                            .all(|(&col, &d)| col as isize - row as isize == d)
+                    {
+                        values[entries].copy_from_slice(&staged[..nd]);
+                        continue;
+                    }
+                    let mut k = 0;
+                    for entry in entries {
+                        let d = col_idx[entry] as isize - row as isize;
+                        while k < nd && offsets[k] != d {
+                            k += 1;
+                        }
+                        assert!(
+                            k < nd,
+                            "entry ({row}, {}) lies on no stored diagonal",
+                            col_idx[entry]
+                        );
+                        values[entry] = staged[k];
+                        k += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether `other` has this matrix's dimension and offsets, so its value
+    /// array lines up with this one's entry for entry.
+    pub fn same_layout<U: Scalar>(&self, other: &DiaMatrix<U>) -> bool {
+        self.n == other.n && self.offsets == other.offsets
     }
 
     /// The same layout with every value rounded to `U` — what
@@ -241,8 +323,8 @@ impl<T: Scalar> DiaMatrix<T> {
     }
 
     /// The block that starts at row `block_start` (a multiple of
-    /// [`BLOCK_ROWS`]): its length in rows, and its values — one run of that
-    /// length per offset, back to back.
+    /// [`BLOCK_ROWS`]): its values — one run per offset, back to back — and
+    /// its length in rows.
     pub(crate) fn block(&self, block_start: usize) -> (&[T], usize) {
         debug_assert_eq!(block_start % BLOCK_ROWS, 0);
         let (nd, len) = (self.offsets.len(), BLOCK_ROWS.min(self.n - block_start));
@@ -251,8 +333,18 @@ impl<T: Scalar> DiaMatrix<T> {
 
     /// The stored value of `row` on the `k`-th offset (padding reads `+0.0`).
     pub(crate) fn entry(&self, k: usize, row: usize) -> T {
-        let (block, len) = self.block(row - row % BLOCK_ROWS);
-        block[k * len + row % BLOCK_ROWS]
+        self.values[value_position(self.n, self.offsets.len(), k, row)]
+    }
+
+    /// The value array, block-major: entry `(k, row)` at
+    /// [`value_position`].
+    pub fn values(&self) -> &[T] {
+        &self.values
+    }
+
+    /// The value array, mutable: the layout stays what it is.
+    pub fn values_mut(&mut self) -> &mut [T] {
+        &mut self.values
     }
 
     /// Bytes one product streams: the padded value run at `size_of::<T>()`
@@ -327,31 +419,16 @@ impl<T: Scalar> DiaMatrix<T> {
             let hi = rows.end.min(block_start + block_len);
             let block = &self.values[block_start * nd..(block_start + block_len) * nd];
             let out = lo - rows.start..hi - rows.start;
-            let (out0, out1, out2) =
-                (&mut acc0[out.clone()], &mut acc1[out.clone()], &mut acc2[out]);
-            out0.fill(T::ZERO);
-            out1.fill(T::ZERO);
-            out2.fill(T::ZERO);
-            for (k, &d) in self.offsets.iter().enumerate() {
-                let (below, above) = if d < 0 { (d.unsigned_abs(), 0) } else { (0, d as usize) };
-                let first = lo.max(below);
-                let last = hi.min(self.n - above);
-                if first >= last {
-                    continue;
-                }
-                let vals = &block[k * block_len..][first - block_start..last - block_start];
-                let (window, sums) =
-                    (first - below + above..last - below + above, first - lo..last - lo);
-                accumulate3(
-                    vals,
-                    &x0[window.clone()],
-                    &x1[window.clone()],
-                    &x2[window],
-                    &mut out0[sums.clone()],
-                    &mut out1[sums.clone()],
-                    &mut out2[sums],
-                );
-            }
+            block_product3(
+                &self.offsets,
+                self.n,
+                block_start,
+                block_len,
+                block,
+                lo..hi,
+                [x0, x1, x2],
+                [&mut acc0[out.clone()], &mut acc1[out.clone()], &mut acc2[out]],
+            );
             lo = hi;
         }
     }
@@ -442,6 +519,79 @@ impl<T: Scalar> DiaMatrix<T> {
     }
 }
 
+impl DiaMatrix<f64> {
+    /// One traversal of every storage block, split by whole blocks across
+    /// `team`: the three products `y_c = A·x_c` over the block's rows
+    /// (each column bit for bit what [`product3_into`](Self::product3_into)
+    /// gives it), handed to `finish(rows, y, out)` with the block's rows of
+    /// `out`; then `A += scale·addend` on the block, while it is in cache.
+    /// `finish` sees the products of `A` **before** the addition — the
+    /// momentum step takes its right-hand side off `ν·K + C(u)` and only
+    /// then adds `(ρ/Δt)·M`.  Bitwise identical for every team size.
+    ///
+    /// # Panics
+    /// Panics if `addend` has another layout, a column of `x` does not
+    /// match the dimension, or `out` does not hold whole rows.
+    pub fn product3_and_add_on<S: Share>(
+        &mut self,
+        team: &Team,
+        x: [&[f64]; 3],
+        scale: f64,
+        addend: &DiaMatrix,
+        out: S,
+        finish: impl Fn(Range<usize>, [&[f64]; 3], S) + Sync,
+    ) {
+        self.product3_and_add_at(Lanes::selected(), team, x, scale, addend, out, finish);
+    }
+
+    /// [`product3_and_add_on`](Self::product3_and_add_on) with the block
+    /// kernel at `lanes`: the baseline body or its wide clone, same bits.
+    #[allow(clippy::too_many_arguments)]
+    pub fn product3_and_add_at<S: Share>(
+        &mut self,
+        lanes: Lanes,
+        team: &Team,
+        x: [&[f64]; 3],
+        scale: f64,
+        addend: &DiaMatrix,
+        out: S,
+        finish: impl Fn(Range<usize>, [&[f64]; 3], S) + Sync,
+    ) {
+        assert!(self.same_layout(addend), "the addend matrix has another layout");
+        assert!(x.iter().all(|xc| xc.len() == self.n), "a column does not match the dimension");
+        let (n, offsets) = (self.n, &self.offsets);
+        let shares = (&mut self.values[..], out);
+        for_each_share(team_above_cutoff(team, n), n, BLOCK_ROWS, shares, |rows, mut shares| {
+            let mut y = [[0.0f64; BLOCK_ROWS]; 3];
+            for block_start in rows.clone().step_by(BLOCK_ROWS) {
+                let len = BLOCK_ROWS.min(n - block_start);
+                let (block, out) = shares.split_rows(len, rows.end - block_start);
+                let [y0, y1, y2] = &mut y;
+                let y = [&mut y0[..len], &mut y1[..len], &mut y2[..len]];
+                let addend = addend.block(block_start).0;
+                product3_add_block_at(lanes, offsets, n, block_start, block, addend, scale, x, y);
+                finish(block_start..block_start + len, [&y0[..len], &y1[..len], &y2[..len]], out);
+            }
+        });
+    }
+
+    /// Makes `row` an identity row: `1.0` on the main diagonal, `+0.0` on
+    /// every other — what [`CsrMatrix::dirichlet_row`] does to the CSR form,
+    /// bit for bit (padding is `+0.0` already).
+    ///
+    /// # Panics
+    /// Panics if the matrix stores no main diagonal or `row` is out of
+    /// bounds.
+    pub fn dirichlet_row(&mut self, row: usize) {
+        assert!(row < self.n, "row {row} out of bounds for dim {}", self.n);
+        let main = self.offsets.binary_search(&0).expect("a matrix with a main diagonal");
+        let nd = self.offsets.len();
+        for k in 0..nd {
+            self.values[value_position(self.n, nd, k, row)] = if k == main { 1.0 } else { 0.0 };
+        }
+    }
+}
+
 /// Whether two slices share no byte — the no-alias precondition of the
 /// kernels, which safe callers get from the borrow checker and the pooled
 /// callers (raw disjoint row ranges) must uphold themselves.
@@ -474,6 +624,110 @@ fn accumulate3<T: Scalar>(
         s1[i] += v * x1[i];
         s2[i] += v * x2[i];
     }
+}
+
+/// The three-column product over rows `rows` of the storage block that
+/// starts at `block_start` and holds `block_len` rows, `block` being its
+/// values: `acc_c[i] = (A·x_c)[rows.start + i]`, every sum from `+0.0` in
+/// ascending offset order.  The per-block core of
+/// [`DiaMatrix::product3_into`] and of the momentum block kernel.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn block_product3<T: Scalar>(
+    offsets: &[isize],
+    n: usize,
+    block_start: usize,
+    block_len: usize,
+    block: &[T],
+    rows: Range<usize>,
+    x: [&[T]; 3],
+    acc: [&mut [T]; 3],
+) {
+    let [x0, x1, x2] = x;
+    let [out0, out1, out2] = acc;
+    let (lo, hi) = (rows.start, rows.end);
+    out0.fill(T::ZERO);
+    out1.fill(T::ZERO);
+    out2.fill(T::ZERO);
+    for (k, &d) in offsets.iter().enumerate() {
+        // Rows whose column `row + d` falls outside the matrix hold
+        // padding only: skip them instead of reading past `x`.
+        let (below, above) = if d < 0 { (d.unsigned_abs(), 0) } else { (0, d as usize) };
+        let first = lo.max(below);
+        let last = hi.min(n - above);
+        if first >= last {
+            continue;
+        }
+        let vals = &block[k * block_len..][first - block_start..last - block_start];
+        let (window, sums) = (first - below + above..last - below + above, first - lo..last - lo);
+        accumulate3(
+            vals,
+            &x0[window.clone()],
+            &x1[window.clone()],
+            &x2[window],
+            &mut out0[sums.clone()],
+            &mut out1[sums.clone()],
+            &mut out2[sums],
+        );
+    }
+}
+
+/// The block kernel of [`DiaMatrix::product3_and_add_on`]: the three
+/// products over the whole storage block (`block`, starting at row
+/// `block_start`), then `block += scale·addend` entry by entry.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn product3_add_block_body(
+    offsets: &[isize],
+    n: usize,
+    block_start: usize,
+    block: &mut [f64],
+    addend: &[f64],
+    scale: f64,
+    x: [&[f64]; 3],
+    y: [&mut [f64]; 3],
+) {
+    let block_len = BLOCK_ROWS.min(n - block_start);
+    assert_eq!(block.len(), block_len * offsets.len(), "one run per offset");
+    assert_eq!(addend.len(), block.len(), "the addend block has another layout");
+    block_product3(
+        offsets,
+        n,
+        block_start,
+        block_len,
+        block,
+        block_start..block_start + block_len,
+        x,
+        y,
+    );
+    for (value, &a) in block.iter_mut().zip(addend) {
+        *value += scale * a;
+    }
+}
+
+lv_runtime::multiversion! {
+    /// [`product3_add_block_body`] at the host's lanes.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn product3_add_block(
+        offsets: &[isize],
+        n: usize,
+        block_start: usize,
+        block: &mut [f64],
+        addend: &[f64],
+        scale: f64,
+        x: [&[f64]; 3],
+        y: [&mut [f64]; 3],
+    ) = product3_add_block_body, at product3_add_block_at;
+}
+
+/// Where entry `(k, row)` — `row`'s value on the `k`-th of `diagonals`
+/// offsets — sits in the block-major value array of an `n`-row
+/// [`DiaMatrix`]: its block's start, the `k`-th run of the block, the row's
+/// place in the run.
+#[inline]
+pub fn value_position(n: usize, diagonals: usize, k: usize, row: usize) -> usize {
+    let block_start = row - row % BLOCK_ROWS;
+    block_start * diagonals + k * BLOCK_ROWS.min(n - block_start) + row % BLOCK_ROWS
 }
 
 /// Rows the fill stages before it stores them: two 64-byte lines of `f64`
@@ -837,81 +1091,147 @@ pub(crate) mod tests {
         csr
     }
 
-    /// The refill is `from_csr` without the set-up: from the zeroed pattern,
-    /// after Dirichlet rows, and over the leftovers of another assembly —
-    /// bit for bit (`-0.0` entries included), serially and split by whole
-    /// blocks across teams, on sizes that end mid-block and mid-stage.
+    /// A matrix assembled in place on its diagonals — `ν·K` seeded by
+    /// `assign_scaled_on`, entries added at `value_position`, three products
+    /// taken and `scale·M` added by `product3_and_add_on`, Dirichlet rows
+    /// set — holds what `from_csr` of the same operations on its CSR twin
+    /// holds, bit for bit (`-0.0` entries included, padding `+0.0`), and
+    /// `finish` is handed the CSR products of the matrix before the
+    /// addition: on teams that split blocks, at both lane widths, on sizes
+    /// that end mid-block.
     #[test]
-    fn refill_reproduces_from_csr_bitwise_on_every_team() {
+    fn a_matrix_born_on_diagonals_is_from_csr_of_its_csr_twin_bitwise() {
+        let (nu, scale) = (0.7, 1.3);
         for (nx, ny) in [(40usize, 37usize), (7, 5), (16, 16), (3, 1)] {
-            let first = stencil9(nx, ny, 3);
-            let mut second = stencil9(nx, ny, 4);
-            for row in [0, nx * ny / 2, nx * ny - 1] {
-                second.dirichlet_row(row);
+            let n = nx * ny;
+            let (stiffness, added, mass) =
+                (stencil9(nx, ny, 3), stencil9(nx, ny, 4), stencil9(nx, ny, 5));
+            let dirichlet = [0, n / 2, n - 1];
+            let x: [Vec<f64>; 3] = std::array::from_fn(|c| awkward_vector(n, 20 + c as u64));
+            let x = [&x[0][..], &x[1][..], &x[2][..]];
+
+            // The CSR twin: the same operations entry by entry.
+            let mut twin = stiffness.clone();
+            let values = twin.pattern_and_values_mut().2;
+            for ((v, k), a) in values.iter_mut().zip(stiffness.values()).zip(added.values()) {
+                *v = nu * k;
+                *v += a;
             }
-            let mut pattern = first.clone();
-            pattern.zero_values();
-            for threads in [1usize, 2, 4] {
+            let products: Vec<Vec<u64>> = x.iter().map(|xc| bits(&twin.mul_vec(xc))).collect();
+            for (v, m) in twin.pattern_and_values_mut().2.iter_mut().zip(mass.values()) {
+                *v += scale * m;
+            }
+            for &row in &dirichlet {
+                twin.dirichlet_row(row);
+            }
+            let want: DiaMatrix = DiaMatrix::from_csr(&twin).expect("nine diagonals");
+
+            let (stiffness, mass): (DiaMatrix, DiaMatrix) =
+                (DiaMatrix::from_csr(&stiffness).unwrap(), DiaMatrix::from_csr(&mass).unwrap());
+            let nd = stiffness.offsets().len();
+            for threads in [1usize, 2, 3] {
                 let team = Team::new(threads);
-                let mut dia: DiaMatrix = DiaMatrix::from_csr(&pattern).expect("nine diagonals");
-                assert!(dia.values.iter().all(|v| v.to_bits() == 0), "a zeroed pattern");
-                for csr in [&first, &second, &first] {
-                    dia.refill_from_csr(&team, csr);
-                    let want: DiaMatrix = DiaMatrix::from_csr(csr).expect("the same pattern");
-                    assert_eq!(dia.offsets, want.offsets);
-                    assert_eq!(bits(&dia.values), bits(&want.values), "{nx}x{ny}, {threads} thr");
+                for lanes in [Lanes::Baseline, Lanes::selected()] {
+                    let mut born = DiaMatrix::zeros(n, stiffness.offsets().to_vec());
+                    born.assign_scaled_on(&team, nu, &stiffness);
+                    for row in 0..n {
+                        let entries = added.row_ptr()[row]..added.row_ptr()[row + 1];
+                        for (&col, &a) in
+                            added.col_idx()[entries.clone()].iter().zip(&added.values()[entries])
+                        {
+                            let k = born
+                                .offsets()
+                                .binary_search(&(col as isize - row as isize))
+                                .unwrap();
+                            born.values_mut()[value_position(n, nd, k, row)] += a;
+                        }
+                    }
+                    let mut got = vec![f64::NAN; 3 * n];
+                    born.product3_and_add_at(
+                        lanes,
+                        &team,
+                        x,
+                        scale,
+                        &mass,
+                        &mut got[..],
+                        |rows, y, out| {
+                            for i in 0..rows.len() {
+                                for c in 0..3 {
+                                    out[3 * i + c] = y[c][i];
+                                }
+                            }
+                        },
+                    );
+                    for &row in &dirichlet {
+                        born.dirichlet_row(row);
+                    }
+                    let what = format!("{nx}x{ny}, {threads} threads, {lanes} lanes");
+                    assert_eq!(bits(&born.values), bits(&want.values), "{what}");
+                    for c in 0..3 {
+                        let column: Vec<f64> = (0..n).map(|i| got[3 * i + c]).collect();
+                        assert_eq!(bits(&column), products[c], "{what}: column {c}");
+                    }
                 }
             }
-            assert_products_bitwise_equal(&second, &format!("stencil9({nx}, {ny})"));
         }
     }
 
-    /// A stored zero is an entry like any other — the refill writes whatever
-    /// the CSR slot holds, `-0.0` included, and the next refill overwrites
-    /// it — while a slot no CSR entry maps to stays the `+0.0` it was built
-    /// as, whatever the neighbouring values do.
+    /// Padding is `+0.0` after every in-place pass, whatever the stored
+    /// entries hold — `-0.0` included — while a stored entry takes exactly
+    /// what the pass computes for it.
     #[test]
-    fn stored_zeros_are_refilled_and_padding_stays_positive_zero() {
+    fn padding_stays_positive_zero_through_the_in_place_passes() {
         let (nx, ny) = (9, 6);
-        let mut csr = stencil9(nx, ny, 11);
-        let mut dia: DiaMatrix = DiaMatrix::from_csr(&csr).expect("nine diagonals");
-        let padding: Vec<usize> = {
-            let mut ones = csr.clone();
-            ones.pattern_and_values_mut().2.fill(1.0);
-            let marked: DiaMatrix = DiaMatrix::from_csr(&ones).expect("nine diagonals");
-            (0..marked.values.len()).filter(|&slot| marked.values[slot] == 0.0).collect()
-        };
-        assert!(!padding.is_empty(), "edge rows leave padding");
+        let n = nx * ny;
+        let mut ones = stencil9(nx, ny, 11);
+        ones.pattern_and_values_mut().2.fill(1.0);
+        let marked: DiaMatrix = DiaMatrix::from_csr(&ones).expect("nine diagonals");
+        let padding: Vec<bool> = marked.values.iter().map(|&v| v == 0.0).collect();
+        assert!(padding.iter().any(|&p| p), "edge rows leave padding");
         let team = Team::new(1);
+        let x = vec![1.0; n];
         for fill in [-0.0, 0.0, 2.5, f64::MIN_POSITIVE] {
-            csr.pattern_and_values_mut().2.fill(fill);
-            dia.refill_from_csr(&team, &csr);
+            let mut source = ones.clone();
+            source.pattern_and_values_mut().2.fill(fill);
+            let source: DiaMatrix = DiaMatrix::from_csr(&source).expect("nine diagonals");
+            let mut dia = DiaMatrix::zeros(n, source.offsets().to_vec());
+            dia.assign_scaled_on(&team, 1.0, &source);
+            dia.product3_and_add_on(
+                &team,
+                [&x, &x, &x],
+                1.0,
+                &source,
+                &mut [][..],
+                |_, _, _: &mut [f64]| {},
+            );
             for (slot, value) in dia.values.iter().enumerate() {
-                let want = if padding.contains(&slot) { 0.0f64 } else { fill };
-                assert_eq!(value.to_bits(), want.to_bits(), "slot {slot} refilled with {fill:e}");
+                let want = if padding[slot] { 0.0f64 } else { fill + fill };
+                assert_eq!(value.to_bits(), want.to_bits(), "slot {slot} with {fill:e}");
             }
         }
     }
 
-    /// Row 0 keeps as many entries as there are diagonals, so it is the
-    /// whole-row comparison that has to notice the foreign one first.
     #[test]
-    #[should_panic(expected = "entry (0, 5) lies on no stored diagonal")]
-    fn refilling_from_a_foreign_pattern_panics() {
-        let n = 12;
-        let csr = tridiag(n);
-        let mut dia: DiaMatrix = DiaMatrix::from_csr(&csr).expect("three diagonals");
-        let mut dense: Vec<Vec<f64>> =
-            (0..n).map(|i| (0..n).map(|j| csr.get(i, j)).collect()).collect();
-        dense[0][5] = 1.0;
-        dia.refill_from_csr(&Team::new(1), &CsrMatrix::from_dense(&dense));
+    #[should_panic(expected = "the addend matrix has another layout")]
+    fn adding_a_matrix_of_another_layout_panics() {
+        let mut dia: DiaMatrix = DiaMatrix::from_csr(&stencil9(4, 3, 1)).expect("nine diagonals");
+        let other: DiaMatrix = DiaMatrix::from_csr(&tridiag(12)).expect("three diagonals");
+        let x = vec![0.0; 12];
+        dia.product3_and_add_on(
+            &Team::new(1),
+            [&x, &x, &x],
+            1.0,
+            &other,
+            &mut [][..],
+            |_, _, _: &mut [f64]| {},
+        );
     }
 
     #[test]
-    #[should_panic(expected = "the refill matrix has another dimension")]
-    fn refilling_from_another_dimension_panics() {
+    #[should_panic(expected = "the source matrix has another layout")]
+    fn assigning_from_another_dimension_panics() {
         let mut dia: DiaMatrix = DiaMatrix::from_csr(&tridiag(12)).expect("three diagonals");
-        dia.refill_from_csr(&Team::new(1), &tridiag(13));
+        dia.assign_scaled_on(&Team::new(1), 1.0, &DiaMatrix::from_csr(&tridiag(13)).unwrap());
     }
 
     /// The four-kernel sequence the fused sweep replaces, on the CSR matrix.

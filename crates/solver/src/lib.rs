@@ -30,8 +30,9 @@
 //! * [`dia`] — [`DiaMatrix`], the block-major diagonal storage of a lattice
 //!   stencil (no column indices, unit-stride row-vectorised kernels) with
 //!   the fused Jacobi-sweep and residual kernels, the fused three-column
-//!   product of the momentum solve and the per-step refill from CSR
-//!   values, generic over a sealed scalar: in `f64` its products are
+//!   product of the momentum solve and the in-place assembly passes of the
+//!   momentum matrix (seed, right-hand side and mass, Dirichlet rows),
+//!   generic over a sealed scalar: in `f64` its products are
 //!   bitwise equal to CSR, in `f32` it is the half-size, twice-as-wide form
 //!   the V-cycle runs on;
 //! * [`classes`] — [`RowClasses`], the storage of a lattice operator whose
