@@ -22,36 +22,39 @@
 //!    formed.  Nothing is cached across steps or keyed on Δt.  Then
 //!    Dirichlet rows, and the batched (three-column) pooled BiCGSTAB
 //!    momentum solve for the velocity increment → `u*`.  The matrix is born
-//!    where it is solved ([`lv_kernel::MomentumMatrix`]): when every element
-//!    puts its nodes at the same offsets from its first node — every
-//!    generator box — on at most 32 block-major diagonals
-//!    ([`MomentumStorage::Dia`]), which the seed, the sweep's scatter, the
-//!    right-hand side and mass pass, the Dirichlet rows and the solve all
-//!    use, with no CSR copy anywhere; otherwise as a CSR matrix through the
-//!    element→CSR slot map.  The storage moves no bit of the step.
+//!    where it is solved: every element of the mesh's lattice puts its
+//!    nodes at the same offsets from its first node, so the matrix lives on
+//!    at most 27 block-major diagonals ([`MomentumStorage::Dia`]), which the
+//!    seed, the sweep's scatter, the right-hand side and mass pass, the
+//!    Dirichlet rows and the solve all use, with no CSR copy anywhere.
 //! 2. **Pressure Poisson** — `L φ = −(ρ/Δt) d(u*)` with the mesh-true
 //!    Laplacian assembled by [`lv_kernel::PressureOperators`] (symmetrically
 //!    pinned per scenario), solved with pooled CG — preconditioned by the
 //!    geometric-multigrid V-cycle whenever
 //!    [`lv_kernel::build_pressure_multigrid`] finds a hierarchy for the mesh
 //!    (a structured box lattice), plain Jacobi-preconditioned CG otherwise;
-//!    the mesh decides, [`Stepper::multigrid_levels`] reports it.  With a
-//!    hierarchy both MG-CG and its in-step plain-CG fallback iterate on the
-//!    V-cycle's level-0 copy of the Laplacian; the CSR copy is kept only
-//!    without one.
+//!    the mesh decides, [`Stepper::multigrid_levels`] reports it.  Every
+//!    CG — MG-CG, its in-step plain-CG fallback, and plain CG where the
+//!    lattice has no hierarchy — iterates on one operator, the pinned
+//!    Laplacian on its level-0 diagonals; no CSR copy is kept.
 //! 3. **Correction** — `u ← u* − (Δt/ρ) M⁻¹ g(φ)` with the lumped-mass
 //!    nodal gradient, re-imposition of the scenario's velocity BCs, and the
 //!    incremental pressure update `p ← p + φ`.
 //!
 //! The weak gradient and divergence of all three read their coefficients
-//! from position-class stencils on an unjittered generator box and per
-//! stored entry on any other mesh ([`lv_kernel::GradientStorage`]); the
-//! mesh decides, [`Stepper::describe_operators`] names it.
+//! from position-class stencils on an unjittered box and per stored entry
+//! on a jittered one ([`lv_kernel::GradientStorage`]); the lattice decides,
+//! [`Stepper::describe_operators`] names it.
+//!
+//! A stepper runs on a mesh that carries its box lattice
+//! ([`Mesh::lattice`], attached by the generators of
+//! [`Scenario::build_mesh`]); it refuses a mesh built from raw arrays or
+//! renumbered.
 //!
 //! The step ends with the kinetic energy `½ρ·uᵀ·M·u` through the resident
-//! mass (one team pass, over the diagonals `M` is held on wherever the
-//! momentum matrix is; [`Stepper::kinetic_energy`] stays the element
-//! quadrature, equal to rounding).
+//! mass (one team pass over the diagonals `M` is held on;
+//! [`Stepper::kinetic_energy`] stays the element quadrature, equal to
+//! rounding).
 //!
 //! Every kernel in the chain (the colored assembly sweep, the row-partitioned
 //! projection operators, pooled Krylov, fixed-order diagnostics) is bitwise
@@ -70,46 +73,41 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::scenario::Scenario;
 use lv_kernel::{
     assemble_momentum_on, build_pressure_multigrid, solve_momentum_on, weak_divergence_vector_norm,
-    ConvectiveGeometry, ElementWorkspace, KernelConfig, MomentumMatrix, NastinAssembly,
-    NoHierarchy, OptLevel, PressureOperators,
+    ConvectiveGeometry, ElementWorkspace, KernelConfig, NastinAssembly, NoHierarchy, OptLevel,
+    PressureOperators,
 };
 use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
 use lv_solver::{
-    conjugate_gradient_on, first_non_finite, mg_preconditioned_cg_on, BreakdownKind, CsrMatrix,
-    GeometricMultigrid, LinearOperator, MultigridOptions, SolveOptions, SolverError,
+    conjugate_gradient_on, first_non_finite, mg_preconditioned_cg_on, BreakdownKind, DiaMatrix,
+    GeometricMultigrid, MultigridOptions, SolveOptions, SolverError,
 };
 use lv_trace::{counters, spans, Event};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of spatial dimensions (velocity components per node).
 const NDIME: usize = lv_kernel::NDIME;
 
-/// How a step's momentum matrix is stored, assembled and solved on —
-/// chosen by the node numbering alone, see [`Stepper::momentum_storage`].
+/// How a step's momentum matrix is stored, assembled and solved on — a
+/// property of the mesh's lattice, see [`Stepper::momentum_storage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MomentumStorage {
     /// Block-major diagonals ([`lv_solver::DiaMatrix`]), assembled in
-    /// place every step: every element of a generator-ordered box puts its
-    /// nodes at the same offsets from its first node, so its entries lie on
-    /// at most 27 distinct `col − row` offsets, jittered or not.
+    /// place every step: every element of a box lattice in generator order
+    /// puts its nodes at the same offsets from its first node, so its
+    /// entries lie on at most 27 distinct `col − row` offsets, jittered or
+    /// not.
     Dia {
         /// Distinct offsets of the pattern.
         diagonals: usize,
     },
-    /// A CSR matrix of the node graph: the elements share no table of at
-    /// most [`lv_solver::dia::MAX_DIAGONALS`] offsets (a scrambled or
-    /// bandwidth-reduced node order, any imported mesh).
-    Csr,
 }
 
 impl std::fmt::Display for MomentumStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MomentumStorage::Dia { diagonals } => write!(f, "dia ({diagonals} diagonals)"),
-            MomentumStorage::Csr => {
-                write!(f, "csr (pattern has more than {} diagonals)", lv_solver::dia::MAX_DIAGONALS)
-            }
         }
     }
 }
@@ -420,15 +418,15 @@ impl std::error::Error for RunError {
 
 /// What the pressure-Poisson solves of a stepper iterate on.
 #[derive(Debug)]
-enum PoissonSystem {
-    /// MG-CG: the V-cycle hierarchy, whose level-0 operator (the pinned
-    /// Laplacian in diagonal storage, same bits as the CSR matrix, half the
-    /// traffic) serves the outer CG *and* the in-step plain-CG fallback —
-    /// no CSR copy is kept.
-    Multigrid(GeometricMultigrid),
-    /// Plain Jacobi-CG on the pinned CSR Laplacian: no hierarchy could be
-    /// built for the mesh, for the reason given.
-    Csr(CsrMatrix, NoHierarchy),
+struct PoissonSystem {
+    /// The pinned Laplacian on its level-0 diagonals (the bits of the CSR
+    /// matrix, half the traffic): the operator of every CG of the step —
+    /// MG-CG's outer iteration, its in-step plain-CG fallback, and plain
+    /// Jacobi-CG where the lattice has no hierarchy.  Shared with the
+    /// hierarchy when there is one.
+    fine: Arc<DiaMatrix>,
+    /// The V-cycle hierarchy, or why the lattice has none.
+    multigrid: Result<GeometricMultigrid, NoHierarchy>,
 }
 
 /// The fractional-step simulation driver: owns the assembled operators, the
@@ -457,7 +455,7 @@ pub struct Stepper {
     pub(crate) fault_plan: Option<FaultPlan>,
     state: SimState,
     stall: StallDetector,
-    matrix: MomentumMatrix,
+    matrix: DiaMatrix,
     rhs: Vec<f64>,
     div: Vec<f64>,
     poisson_rhs: Vec<f64>,
@@ -471,8 +469,13 @@ impl Stepper {
         Self::with_mesh(scenario, config, mesh)
     }
 
-    /// Builds a stepper on a caller-provided mesh (e.g. a renumbered one —
-    /// the scenario only supplies physics, BCs and initial fields).
+    /// Builds a stepper on a caller-provided mesh with a box lattice (e.g.
+    /// a jittered box — the scenario only supplies physics, BCs and initial
+    /// fields).
+    ///
+    /// # Panics
+    /// Panics if the mesh has no box lattice ([`Mesh::lattice`] is `None`:
+    /// it was built from raw arrays or renumbered).
     pub fn with_mesh(scenario: Scenario, config: StepperConfig, mesh: Mesh) -> Self {
         let (velocity, pressure) = scenario.initial_state(&mesh);
         let state = SimState { step: 0, time: 0.0, velocity, pressure };
@@ -483,13 +486,19 @@ impl Stepper {
     /// see [`crate::checkpoint`]).
     ///
     /// # Panics
-    /// Panics if the state's field sizes do not match the mesh.
+    /// Panics if the mesh has no box lattice (see
+    /// [`with_mesh`](Self::with_mesh)) or the state's field sizes do not
+    /// match the mesh.
     pub fn from_state(
         scenario: Scenario,
         config: StepperConfig,
         mesh: Mesh,
         state: SimState,
     ) -> Self {
+        assert!(
+            mesh.lattice().is_some(),
+            "the mesh has no box lattice: a stepper runs on a generator box"
+        );
         assert_eq!(
             state.velocity.num_nodes(),
             mesh.num_nodes(),
@@ -518,16 +527,18 @@ impl Stepper {
         // pinned Laplacian, so a restarted stepper rebuilds it identically
         // (bitwise) and trajectories stay exactly resumable.
         let multigrid = build_pressure_multigrid(&mesh, &laplacian, &MultigridOptions::default());
-        // With a hierarchy every Poisson solve runs on its level-0 copy: the
-        // CSR Laplacian is freed here, before the momentum system is
-        // allocated, so the operators' resident `K` and `M` cost no memory.
-        let poisson = match multigrid {
-            Ok(multigrid) => {
-                drop(laplacian);
-                PoissonSystem::Multigrid(multigrid)
-            }
-            Err(cause) => PoissonSystem::Csr(laplacian, cause),
+        // Every Poisson solve runs on the level-0 diagonals — the
+        // hierarchy's own when there is one.  The CSR Laplacian is freed
+        // here, before the momentum system is allocated.
+        let fine = match &multigrid {
+            Ok(multigrid) => multigrid.fine_operator(),
+            Err(_) => Arc::new(
+                DiaMatrix::from_csr(&laplacian)
+                    .expect("a lattice's Laplacian has 27 diagonals at most"),
+            ),
         };
+        drop(laplacian);
+        let poisson = PoissonSystem { fine, multigrid };
         let n = mesh.num_nodes();
         let matrix = assembly.new_momentum_matrix();
         let h_char = mesh.characteristic_length();
@@ -579,29 +590,24 @@ impl Stepper {
         &self.operators
     }
 
-    /// The storage the momentum matrix is assembled and solved in.  A
-    /// property of the mesh's node order, not a setting: diagonals whenever
-    /// every element shares one offset table that fits them, CSR otherwise.
+    /// The storage the momentum matrix is assembled and solved in: the
+    /// diagonals of the mesh's lattice, a property of the mesh, not a
+    /// setting.
     pub fn momentum_storage(&self) -> MomentumStorage {
-        match &self.matrix {
-            MomentumMatrix::Diagonals(dia) => {
-                MomentumStorage::Dia { diagonals: dia.offsets().len() }
-            }
-            MomentumMatrix::Csr(_) => MomentumStorage::Csr,
-        }
+        MomentumStorage::Dia { diagonals: self.matrix.offsets().len() }
     }
 
     /// One line naming the assembly schedule and the operators this stepper
     /// runs and why — what the examples print before the first step, so
     /// neither fallback is silent.
     pub fn describe_operators(&self) -> String {
-        let pressure = match &self.poisson {
-            PoissonSystem::Multigrid(mg) => {
+        let pressure = match &self.poisson.multigrid {
+            Ok(mg) => {
                 let storage: Vec<String> =
                     mg.level_storage().iter().map(ToString::to_string).collect();
                 format!("mgcg ({} levels: {})", mg.num_levels(), storage.join(" | "))
             }
-            PoissonSystem::Csr(_, cause) => format!("cg (no multigrid hierarchy: {cause})"),
+            Err(cause) => format!("cg (no multigrid hierarchy: {cause})"),
         };
         // `4 colours × 64 chunks` when every colour holds as many, the total
         // otherwise.
@@ -623,10 +629,7 @@ impl Stepper {
     /// Rows per multigrid level (finest first) when the pressure solve is
     /// MG-CG — the mesh has a hierarchy — and `None` when it is plain CG.
     pub fn multigrid_levels(&self) -> Option<Vec<usize>> {
-        match &self.poisson {
-            PoissonSystem::Multigrid(mg) => Some(mg.level_rows()),
-            PoissonSystem::Csr(..) => None,
-        }
+        self.poisson.multigrid.as_ref().ok().map(GeometricMultigrid::level_rows)
     }
 
     /// The Δt the next step will use, given the current state — the
@@ -781,8 +784,7 @@ impl Stepper {
             }
         }
         let phase = trace.map(|t| t.span(spans::MOMENTUM, 0));
-        let operator = self.matrix.operator();
-        let solve = solve_momentum_on(team, operator, &self.rhs, &self.config.momentum_options)
+        let solve = solve_momentum_on(team, &self.matrix, &self.rhs, &self.config.momentum_options)
             .map_err(StepError::Momentum)?;
         for (v, d) in self.state.velocity.as_mut_slice().iter_mut().zip(&solve.increment) {
             *v += d;
@@ -833,30 +835,23 @@ impl Stepper {
             // deficient coarse correction, an injected fault, ...) demotes
             // this sweep to plain Jacobi-CG on the identical system instead
             // of failing the step.  Only a plain-CG failure is terminal.
-            // Both solvers iterate on one operator: the hierarchy's level-0
-            // matrix when there is one, the CSR Laplacian otherwise.
-            let fine;
-            let (operator, multigrid): (&dyn LinearOperator, _) = match &mut self.poisson {
-                PoissonSystem::Multigrid(mg) => {
-                    fine = mg.fine_operator();
-                    (&*fine, Some(mg))
-                }
-                PoissonSystem::Csr(laplacian, _) => (&*laplacian, None),
-            };
+            // Both solvers iterate on one operator, the level-0 diagonals.
+            let PoissonSystem { fine, multigrid } = &mut self.poisson;
+            let operator = &**fine;
             let mg_attempt = match multigrid {
-                Some(_) if inject_mg => Some(Err(SolverError::Breakdown {
+                Ok(_) if inject_mg => Some(Err(SolverError::Breakdown {
                     kind: BreakdownKind::Injected,
                     iteration: 0,
                     residual: f64::INFINITY,
                 })),
-                Some(mg) => Some(mg_preconditioned_cg_on(
+                Ok(mg) => Some(mg_preconditioned_cg_on(
                     team,
                     operator,
                     mg,
                     &self.poisson_rhs,
                     &self.config.poisson_options,
                 )),
-                None => None,
+                Err(_) => None,
             };
             let plain_cg = || {
                 conjugate_gradient_on(
@@ -1133,7 +1128,6 @@ pub struct SliceReport {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioKind;
-    use lv_mesh::renumber::NodePermutation;
 
     fn quick_config() -> StepperConfig {
         StepperConfig::default().with_vector_size(32)
@@ -1597,14 +1591,14 @@ mod tests {
         let team = Team::new(1);
         let mut mgcg = Stepper::new(scenario.clone(), quick_config());
         assert_eq!(mgcg.multigrid_levels(), Some(vec![729, 125, 27]));
-        // The same cavity with its nodes scrambled hides the lattice: no
-        // hierarchy, so plain CG.
-        let mesh = scenario.build_mesh();
-        let scrambled = mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 99));
-        let mut cg = Stepper::with_mesh(scenario, quick_config(), scrambled);
-        assert_eq!(cg.multigrid_levels(), None);
+        // The same cavity with an injected breakdown for every sweep of the
+        // step: each falls back to plain CG on the same level-0 operator.
+        let plan = (0..PROJECTION_SWEEPS)
+            .fold(FaultPlan::new(0), |plan, _| plan.with_fault(FaultKind::MultigridBreakdown, 1));
+        let mut cg = Stepper::new(scenario, quick_config().with_fault_plan(plan));
         let mg_report = mgcg.step_on(&team).expect("mgcg step");
         let cg_report = cg.step_on(&team).expect("cg step");
+        assert_eq!((mg_report.poisson_fallbacks, cg_report.poisson_fallbacks), (0, 3));
         assert!(
             mg_report.poisson_iterations < cg_report.poisson_iterations,
             "MG-CG {} vs CG {} iterations",

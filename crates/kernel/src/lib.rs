@@ -33,9 +33,9 @@
 //!   [`assemble_momentum_on`] instead: the viscous and mass blocks held from
 //!   set-up ([`PressureOperators`]), a convective-only colored sweep over
 //!   the mesh's resident inverse Jacobians ([`ConvectiveGeometry`]) and the
-//!   right-hand side as one row product, into a [`MomentumMatrix`] born on
-//!   diagonals wherever the node numbering allows — the eight-phase sweep
-//!   is its oracle;
+//!   right-hand side as one row product, into a momentum matrix born on
+//!   the diagonals of the mesh's lattice — the eight-phase sweep is its
+//!   oracle;
 //! * the **simulated path** ([`workload`] + [`miniapp`]) describes the same
 //!   eight phases as `lv-compiler` loop nests — per code variant — and feeds
 //!   the generated instruction streams to the `lv-sim` machine, producing the
@@ -67,7 +67,7 @@ pub use matrixfree::{
     build_pressure_multigrid, pressure_interpolations, MatrixFreeLaplacian, NoHierarchy,
 };
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};
-pub use momentum::{assemble_momentum_on, solve_momentum_on, MomentumMatrix, MomentumSolve};
+pub use momentum::{assemble_momentum_on, solve_momentum_on, MomentumSolve};
 pub use projection::{
     pressure_laplacian, weak_divergence_vector_norm, GradientStorage, PressureOperators,
 };

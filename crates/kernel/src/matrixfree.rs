@@ -424,7 +424,9 @@ pub fn pressure_interpolations(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoHierarchy {
     /// The mesh carries no lattice ([`Mesh::lattice`] is `None`): it was
-    /// built from raw arrays, or renumbered (a scrambled or RCM order).
+    /// built from raw arrays, or renumbered.  A time step refuses such a
+    /// mesh before it asks for a hierarchy, so only a direct caller of
+    /// [`build_pressure_multigrid`] meets this cause.
     NoLattice,
     /// The lattice does not halve even once: a direction has an odd element
     /// count, or the lattice already holds at most

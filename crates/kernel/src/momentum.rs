@@ -1,22 +1,17 @@
 //! The momentum-increment system of a semi-implicit time step: three
-//! component systems sharing one assembled matrix, assembled in the storage
-//! the mesh allows and solved in one three-column loop.
+//! component systems sharing one assembled matrix, assembled on the
+//! diagonals of the mesh's lattice and solved in one three-column loop.
 //!
-//! **Born where it is solved.**  On a mesh whose elements all put their
-//! nodes at the same offsets from their first node — every generator box,
-//! jittered or not — each element entry `(a, b)` lies on the same
-//! `col − row` diagonal in every element
-//! ([`lv_mesh::ElementDiagonals`], at most 27 of them),
-//! and the matrix is a [`MomentumMatrix::Diagonals`]: an
-//! [`lv_solver::DiaMatrix`] the step seeds, scatters into, takes its
-//! right-hand side from, pins and solves on, with no CSR form at any point
-//! and no copy from one storage to the other.  Any other numbering (a
-//! renumbered or imported mesh) assembles a [`MomentumMatrix::Csr`] through
-//! the element→CSR slot map and solves on it as it is.  Either way each
-//! entry receives the same additions in the same order and each row adds
-//! its entries in ascending column order from `+0.0`, so the two storages
-//! hold the same system to the bit (the tests below build both on the same
-//! meshes).
+//! **Born where it is solved.**  Every element of a box lattice in
+//! generator order — jittered or not — puts its nodes at the same offsets
+//! from its first node, so each element entry `(a, b)` lies on the same
+//! `col − row` diagonal in every element ([`lv_mesh::ElementDiagonals`], at
+//! most 27 of them).  The matrix is an [`lv_solver::DiaMatrix`] on those
+//! diagonals ([`NastinAssembly::new_momentum_matrix`]) that the step seeds,
+//! scatters into, takes its right-hand side from, pins and solves on, with
+//! no CSR form at any point.  Each entry receives its additions in a fixed
+//! order and each row adds its entries in ascending column order from
+//! `+0.0`, so the system is bitwise identical for every thread count.
 //!
 //! The solve is one [`lv_solver::bicgstab3_on`] three-column BiCGSTAB, so
 //! one matrix traversal per Krylov iteration serves all three components
@@ -32,50 +27,8 @@ use lv_mesh::{ElementDiagonals, Field, MeshTopology, VectorField};
 use lv_runtime::Team;
 use lv_solver::dia::MAX_DIAGONALS;
 use lv_solver::{
-    bicgstab3_on, CsrMatrix, DiaMatrix, LinearOperator, MultiVector, SolveOptions, SolverError,
-    NRHS,
+    bicgstab3_on, DiaMatrix, LinearOperator, MultiVector, SolveOptions, SolverError, NRHS,
 };
-
-/// The momentum matrix of a time step in the storage its mesh allows — a
-/// property of the node numbering, not a setting
-/// ([`NastinAssembly::new_momentum_matrix`] picks it).
-#[derive(Debug, Clone, PartialEq)]
-pub enum MomentumMatrix {
-    /// Block-major diagonals, assembled in place: the elements share one
-    /// `(a, b) → diagonal` table of at most
-    /// [`MAX_DIAGONALS`] offsets (every generator box).
-    Diagonals(DiaMatrix),
-    /// CSR on the node graph, assembled through the element→CSR slot map:
-    /// any other numbering.
-    Csr(CsrMatrix),
-}
-
-impl MomentumMatrix {
-    /// The matrix as the Krylov solver's operator.
-    pub fn operator(&self) -> &dyn LinearOperator {
-        match self {
-            MomentumMatrix::Diagonals(dia) => dia,
-            MomentumMatrix::Csr(csr) => csr,
-        }
-    }
-}
-
-#[cfg(test)]
-impl MomentumMatrix {
-    /// The matrix on the CSR pattern of `pattern` (a matrix of the node
-    /// graph): its own values, or those of the diagonals gathered entry by
-    /// entry (padding dropped).
-    pub(crate) fn to_csr(&self, pattern: &CsrMatrix) -> CsrMatrix {
-        let dia = match self {
-            MomentumMatrix::Csr(csr) => return csr.clone(),
-            MomentumMatrix::Diagonals(dia) => dia,
-        };
-        let mut csr = pattern.clone();
-        let (row_ptr, col_idx, values) = csr.pattern_and_values_mut();
-        dia.values_on_pattern(row_ptr, col_idx, values);
-        csr
-    }
-}
 
 /// The diagonal table the momentum matrix of a mesh with `topology` is
 /// assembled through, when its elements share one of at most
@@ -87,21 +40,20 @@ pub(crate) fn momentum_diagonals(topology: &MeshTopology) -> Option<&ElementDiag
 /// Assembles the momentum-increment system of one semi-implicit time step,
 /// `(ν·K + C(u) + (ρ/Δt)·M)·Δu = −(ν·K + C(u))·u − g(p)`, building only
 /// what the velocity changes: the stiffness `K` and the consistent mass `M`
-/// are resident in `operators` (in `matrix`'s storage) and the mesh's
+/// are resident in `operators` (on `matrix`'s diagonals) and the mesh's
 /// inverse Jacobians in `geometry`
 /// ([`NastinAssembly::convective_geometry`] of `assembly`), so the element
 /// sweep integrates the convection operator `C(u)` alone and derives
 /// nothing from the coordinates.  In this order, all on `team`:
 ///
 /// 1. `matrix ← ν·K` ([`PressureOperators::fill_viscous_on`]) — instead of
-///    a zero fill; on diagonals one unit-stride stream;
+///    a zero fill; one unit-stride stream;
 /// 2. `matrix += C(u)` ([`NastinAssembly::assemble_convective_into_on`]),
 ///    the colored sweep;
 /// 3. `rhs ← −matrix·u − g(p)`, then `matrix += (ρ/Δt)·M`
 ///    ([`PressureOperators::momentum_residual_and_mass_on`]) — the
 ///    right-hand side before the mass block exists, so `(ρ/Δt)·M·u` is
-///    never formed; on diagonals both in one traversal of each storage
-///    block.
+///    never formed; both in one traversal of each storage block.
 ///
 /// `ν`, `ρ` and `Δt` are `assembly`'s configuration; nothing is kept from
 /// one call to the next.  The result is the system
@@ -109,14 +61,14 @@ pub(crate) fn momentum_diagonals(topology: &MeshTopology) -> Option<&ElementDiag
 /// [`PressureOperators::subtract_weak_gradient_on`] assembles — the paper's
 /// eight phases, this function's oracle — in another summation order
 /// (equal to a few ε of each row's largest entry, see the tests of
-/// [`crate::assembly`]), and bitwise identical for every thread count and
-/// in either storage.  Dirichlet rows are the caller's
+/// [`crate::assembly`]), and bitwise identical for every thread count.
+/// Dirichlet rows are the caller's
 /// ([`NastinAssembly::apply_dirichlet`]).
 ///
 /// # Panics
 /// Panics if `assembly` and `operators` were built on different node graphs
-/// or for different meshes, if `matrix` is not in the storage `operators`
-/// holds `K` and `M` in, if `geometry` is another schedule's, on an
+/// or for different meshes, if `matrix` is not on the diagonals `operators`
+/// hold `K` and `M` on, if `geometry` is another schedule's, on an
 /// explicit-scheme configuration, or on mismatched array lengths.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_momentum_on(
@@ -126,7 +78,7 @@ pub fn assemble_momentum_on(
     operators: &PressureOperators,
     velocity: &VectorField,
     pressure: &Field,
-    matrix: &mut MomentumMatrix,
+    matrix: &mut DiaMatrix,
     rhs: &mut [f64],
     workspaces: &mut [ElementWorkspace],
 ) -> AssemblyStats {
@@ -168,8 +120,8 @@ impl MomentumSolve {
 /// Solves the three momentum-increment systems on the caller's worker team
 /// in one three-column BiCGSTAB loop.
 ///
-/// `operator` is the assembled momentum matrix (Dirichlet rows applied) in
-/// either storage ([`MomentumMatrix::operator`]); `rhs` is the assembled node-interleaved right-hand side
+/// `operator` is the assembled momentum matrix (Dirichlet rows applied);
+/// `rhs` is the assembled node-interleaved right-hand side
 /// (`rhs[NRHS*node + c]`, Dirichlet rows already applied); the returned
 /// increment uses the same layout.
 ///
@@ -204,9 +156,8 @@ mod tests {
     use super::*;
     use crate::assembly::NastinAssembly;
     use crate::config::{KernelConfig, OptLevel};
-    use lv_mesh::structured::{BoxMeshBuilder, ChannelMeshBuilder};
-    use lv_mesh::{Field, Mesh, Vec3, VectorField};
-    use lv_runtime::Lanes;
+    use lv_mesh::structured::BoxMeshBuilder;
+    use lv_mesh::{Field, Vec3, VectorField};
     use lv_solver::{bicgstab_on, CsrMatrix, DiaMatrix};
 
     /// The Dirichlet-applied momentum system of a jittered `n³` cavity.
@@ -272,97 +223,6 @@ mod tests {
                 );
                 for (i, (a, b)) in on_dia.increment.iter().zip(&on_csr.increment).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{what}: increment entry {i}");
-                }
-            }
-        }
-    }
-
-    /// The system of a time step born on diagonals — seeded, scattered
-    /// into, its right-hand side taken and its mass added, its Dirichlet
-    /// rows set, all in place — against the CSR-born system (`K` and `M`
-    /// per entry, the slot-map scatter) copied onto the same diagonals by
-    /// `DiaMatrix::from_csr`: every value, padding included, and every
-    /// right-hand side entry to the bit, on teams that cut storage blocks
-    /// and at both lane widths of the block kernel.
-    #[test]
-    fn the_diagonal_born_system_is_the_csr_born_one_bitwise() {
-        let meshes: [(&str, Mesh); 4] = [
-            ("8^3 cavity", BoxMeshBuilder::new(8, 8, 8).lid_driven_cavity().build()),
-            ("12^3 cavity", BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().build()),
-            ("48x12x12 channel", ChannelMeshBuilder::new(12, 4).build()),
-            (
-                "12^3 jittered",
-                BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.1, 5).build(),
-            ),
-        ];
-        for (name, mesh) in &meshes {
-            let config = KernelConfig::new(32, OptLevel::Vec1).with_dt(0.013);
-            let asm = NastinAssembly::new(mesh.clone(), config);
-            let geometry = asm.convective_geometry();
-            let mut velocity = VectorField::taylor_green(mesh);
-            velocity.apply_boundary_conditions(mesh, Vec3::new(1.0, 0.0, 0.0), Vec3::ZERO);
-            let pressure = Field::from_fn(mesh, |p| p.x * p.y - p.z);
-            let rhs_len = NRHS * mesh.num_nodes();
-            let workspaces = |team: &Team| vec![ElementWorkspace::new(32); team.num_threads()];
-
-            // The oracle: `K` and `M` per entry, the CSR matrix through the
-            // slot map, then the diagonal copy.
-            let team = Team::new(1);
-            let per_entry = PressureOperators::per_entry(mesh, asm.topology().clone());
-            let mut csr = MomentumMatrix::Csr(asm.new_matrix());
-            let mut want_rhs = vec![f64::NAN; rhs_len];
-            assemble_momentum_on(
-                &team,
-                &asm,
-                &geometry,
-                &per_entry,
-                &velocity,
-                &pressure,
-                &mut csr,
-                &mut want_rhs,
-                &mut workspaces(&team),
-            );
-            asm.apply_dirichlet(&mut csr, &mut want_rhs);
-            let MomentumMatrix::Csr(csr) = csr else { unreachable!() };
-            let want: DiaMatrix = DiaMatrix::from_csr(&csr).expect("a generator box");
-            assert_eq!(want.offsets().len(), 27, "{name}");
-
-            let ops = PressureOperators::with_topology(mesh, asm.topology().clone());
-            for threads in [1usize, 2, 3] {
-                let team = Team::new(threads);
-                for lanes in [Lanes::Baseline, Lanes::selected()] {
-                    let mut matrix = asm.new_momentum_matrix();
-                    let MomentumMatrix::Diagonals(dia) = &mut matrix else {
-                        panic!("{name}: a generator box assembles on diagonals")
-                    };
-                    dia.values_mut().fill(f64::NAN);
-                    let mut rhs = vec![f64::NAN; rhs_len];
-                    let config = asm.config();
-                    ops.fill_viscous_on(&team, config.viscosity, &mut matrix);
-                    asm.assemble_convective_into_on(
-                        &team,
-                        &geometry,
-                        &velocity,
-                        &pressure,
-                        &mut matrix,
-                        &mut workspaces(&team),
-                    );
-                    ops.momentum_residual_and_mass_at(
-                        lanes,
-                        &team,
-                        &mut matrix,
-                        &velocity,
-                        pressure.as_slice(),
-                        config.density / config.dt,
-                        &mut rhs,
-                    );
-                    asm.apply_dirichlet(&mut matrix, &mut rhs);
-                    let MomentumMatrix::Diagonals(got) = &matrix else { unreachable!() };
-                    let what = format!("{name}, {threads} threads, {lanes} lanes");
-                    assert_eq!(got.offsets(), want.offsets(), "{what}");
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(got.values()), bits(want.values()), "{what}: matrix");
-                    assert_eq!(bits(&rhs), bits(&want_rhs), "{what}: right-hand side");
                 }
             }
         }

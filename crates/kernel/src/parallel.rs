@@ -31,8 +31,8 @@
 //! phase 3 (the chunk's rows of a resident [`ConvectiveGeometry`] instead),
 //! velocity-only phase 4, the reference-space phase 6, no phase 7,
 //! matrix-only scatter, no right-hand side at all (`Sweep::Convective`,
-//! [`NastinAssembly::assemble_convective_into_on`]), into either storage
-//! of the step's momentum matrix.  Schedule, worker split, barriers and the
+//! [`NastinAssembly::assemble_convective_into_on`]), into the step's
+//! diagonal momentum matrix.  Schedule, worker split, barriers and the
 //! scatter with its release-build bounds check are shared; the
 //! `assembly/color_sweep` span charges each sweep the flops and bytes of the
 //! phases it ran (the structural 9 600 / 1 472 per element for the full one,
@@ -384,7 +384,7 @@ fn assemble_chunk_shared(
 ///
 /// [`Sweep::Full`] runs the paper's eight phases into a CSR `matrix`;
 /// [`Sweep::Convective`] is the time step's sweep, which adds the elemental
-/// convection matrices to `matrix` in either storage and has no right-hand
+/// convection matrices to a diagonal `matrix` and has no right-hand
 /// side (`rhs` must be empty).  Either way
 /// the `assembly/color_sweep` span carries the model of the phases that
 /// ran.

@@ -22,8 +22,8 @@
 //! ```
 //!
 //! The mesh does not move, so `C` is built once at construction, from one
-//! of two sources the mesh decides ([`PressureOperators::gradient_storage`],
-//! named by the operator banner):
+//! of two sources the mesh's lattice decides
+//! ([`PressureOperators::gradient_storage`], named by the operator banner):
 //!
 //! * **Class stencils** on an unjittered generator box (the mesh carries a
 //!   [`BoxLattice`](lv_mesh::BoxLattice) that is not
@@ -36,10 +36,10 @@
 //!   a table of a few kilobytes: no coefficient array, no column index.
 //!   The rows differ from the integrated ones only by the coordinate
 //!   rounding of the integrated elements.
-//! * **Per entry** on every other mesh (jittered, renumbered, raw): `NDIME`
-//!   values per stored entry of the graph, integrated element by element
-//!   and filled through the element→CSR slot map; every application is a
-//!   sparse row product, one indexed load stream.
+//! * **Per entry** on a jittered box, where every element has a geometry of
+//!   its own: `NDIME` values per stored entry of the graph, integrated
+//!   element by element and filled through the element→CSR slot map; every
+//!   application is a sparse row product, one indexed load stream.
 //!
 //! Either way a row adds its taps in ascending column order from `+0.0`.
 //! Above the solver's serial cutoff ([`team_above_cutoff`]),
@@ -54,16 +54,17 @@
 //! ## Laplacian
 //!
 //! The Laplacian's values are integrated in the constructor's one element
-//! loop, beside the per-entry `C`, the consistent mass and the lumped mass
-//! (on every mesh: generated boxes included): each element's
+//! loop, beside the per-entry `C` (of a jittered box), the consistent mass
+//! and the lumped mass: each element's
 //! geometry (`w|J|` and the Cartesian shape derivatives at every integration
 //! point) is computed once, in mesh order, serially, and every set-up
 //! integral is added in that order — the same bits for every thread count
 //! and vector size.  The constructor keeps the values as the stiffness `K`;
 //! [`assemble_laplacian`](PressureOperators::assemble_laplacian) hands out
-//! a CSR copy, the set-up reader (the pressure hierarchy and the plain-CG
-//! Poisson system are built from it).  The geometry itself is not kept:
-//! only `w|J|` stays resident, for the quadrature diagnostics.
+//! a CSR copy, the set-up reader (the pressure hierarchy and the level-0
+//! diagonals of the Poisson system are built from it).  The geometry
+//! itself is not kept: only `w|J|` stays resident, for the quadrature
+//! diagnostics.
 //!
 //! ## What a time step does not re-integrate
 //!
@@ -72,32 +73,27 @@
 //! *is* the un-pinned Laplacian above, and the consistent mass
 //! `M_ab = ∫ N_a N_b` is accumulated in the same geometry pass beside it
 //! and the lumped mass — pure functions of the mesh, like `C` (a restarted
-//! run rebuilds the same bits), held in the storage of the momentum matrix
-//! they seed ([`crate::MomentumMatrix`]):
-//!
-//! * **on diagonals** where the elements share one `(a, b) → diagonal`
-//!   table (every generator box): block-major arrays of the layout of the
-//!   step's [`lv_solver::DiaMatrix`], value for value, each element's
-//!   entries added straight there (a run of consecutive elements at a
-//!   time, pair by pair, so every entry keeps its mesh-order sum) — no
-//!   per-entry copy is kept;
-//! * **per stored entry** of the node graph on any other numbering.
+//! run rebuilds the same bits), held on the diagonals of the momentum
+//! matrix they seed ([`crate::NastinAssembly::new_momentum_matrix`]): the
+//! elements of a box lattice share one `(a, b) → diagonal` table, so `K`
+//! and `M` are block-major arrays of the layout of the step's
+//! [`lv_solver::DiaMatrix`], value for value, each element's entries added
+//! straight there in mesh order — no per-entry copy is kept.
 //!
 //! Two global passes use them, bitwise identical for every thread count —
 //! each rank writes its own rows, no `unsafe`:
 //! [`fill_viscous_on`](PressureOperators::fill_viscous_on) (`values ← ν·K`,
-//! on diagonals one unit-stride stream) and
+//! one unit-stride stream) and
 //! [`momentum_residual_and_mass_on`](PressureOperators::momentum_residual_and_mass_on)
 //! (`rhs_a = −Σ_b S_ab·u_b − g_a(p)`, the weak pressure gradient fused in,
-//! then `values += (ρ/Δt)·M`; on diagonals one traversal of each storage
-//! block for both); [`crate::assemble_momentum_on`] runs them around the
+//! then `values += (ρ/Δt)·M`, one traversal of each storage block for
+//! both); [`crate::assemble_momentum_on`] runs them around the
 //! convective-only sweep.  The same `M` gives the per-step kinetic energy
 //! as `½ρ·uᵀ·M·u`
 //! ([`kinetic_energy_on`](PressureOperators::kinetic_energy_on), over the
 //! same diagonals) instead of a serial element quadrature.
 
-use crate::assembly::check_pattern;
-use crate::momentum::{momentum_diagonals, MomentumMatrix};
+use crate::momentum::momentum_diagonals;
 use crate::stencil::{ClassStencils, CORNERS};
 use crate::{NDIME, PGAUS, PNODE};
 use lv_mesh::geometry::Point3;
@@ -128,31 +124,11 @@ pub struct PressureOperators {
     /// Lumped (row-sum) mass per node: `M_a = ∫ N_a dΩ`.
     lumped_mass: Vec<f64>,
     /// Stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` (the values of the un-pinned
-    /// Laplacian) and consistent mass `M_ab = ∫ N_a N_b dΩ`.
-    blocks: Blocks,
+    /// Laplacian), on the diagonals of the step's momentum matrix.
+    stiffness: DiaMatrix,
+    /// Consistent mass `M_ab = ∫ N_a N_b dΩ`, on the same diagonals.
+    mass: DiaMatrix,
     topology: Arc<MeshTopology>,
-}
-
-/// `K` and `M`, in the storage of the momentum matrix they seed.
-#[derive(Debug, Clone)]
-enum Blocks {
-    /// Block-major diagonals, the layout of a
-    /// [`MomentumMatrix::Diagonals`] entry for entry: the elements share one
-    /// diagonal table (every generator box).
-    Diagonals {
-        /// `K`.
-        stiffness: DiaMatrix,
-        /// `M`.
-        mass: DiaMatrix,
-    },
-    /// Per stored entry of the node graph, the layout of a CSR matrix's
-    /// values: any other numbering.
-    PerEntry {
-        /// `K`.
-        stiffness: Vec<f64>,
-        /// `M`.
-        mass: Vec<f64>,
-    },
 }
 
 /// The coefficients of `C`, as the mesh allows.
@@ -162,7 +138,7 @@ enum Gradient {
     /// generated from one reference element.
     Stencils(Box<ClassStencils>),
     /// Integrated per stored entry `k = (a, b)` of the topology's node
-    /// graph, `coef[NDIME*k + i]`, on any other mesh.
+    /// graph, `coef[NDIME*k + i]`, on a jittered box.
     PerEntry(Vec<f64>),
 }
 
@@ -180,9 +156,6 @@ pub enum GradientStorage {
     /// Integrated per stored entry: the lattice is jittered, every element
     /// has a geometry of its own.
     JitteredLattice,
-    /// Integrated per stored entry: the mesh carries no lattice (built from
-    /// raw arrays, or renumbered).
-    NoLattice,
 }
 
 impl std::fmt::Display for GradientStorage {
@@ -190,7 +163,6 @@ impl std::fmt::Display for GradientStorage {
         match self {
             GradientStorage::ClassStencils { classes } => write!(f, "{classes} class stencils"),
             GradientStorage::JitteredLattice => f.write_str("per-entry (jittered lattice)"),
-            GradientStorage::NoLattice => f.write_str("per-entry (no lattice)"),
         }
     }
 }
@@ -210,8 +182,9 @@ impl PressureOperators {
     /// kept only for the benchmark's set-up probe.
     ///
     /// # Panics
-    /// Panics if the mesh is not hexahedral or contains a non-positive
-    /// Jacobian (an inverted element).
+    /// Panics if the mesh is not hexahedral, carries no box lattice
+    /// ([`Mesh::lattice`]) or contains a non-positive Jacobian (an inverted
+    /// element).
     pub fn new(mesh: &Mesh, _vector_size: usize) -> Self {
         Self::with_topology(mesh, Arc::new(MeshTopology::new(mesh)))
     }
@@ -226,28 +199,15 @@ impl PressureOperators {
     /// Panics like [`new`](Self::new), or if `topology` was built for a mesh
     /// of another size.
     pub fn with_topology(mesh: &Mesh, topology: Arc<MeshTopology>) -> Self {
-        let on_diagonals = momentum_diagonals(&topology).is_some();
-        Self::build(mesh, topology, on_diagonals)
-    }
-
-    /// [`with_topology`](Self::with_topology) with `K` and `M` per stored
-    /// entry whatever the mesh: the operators of the CSR-assembled momentum
-    /// system, the oracle of the diagonal-born one.
-    #[cfg(test)]
-    pub(crate) fn per_entry(mesh: &Mesh, topology: Arc<MeshTopology>) -> Self {
-        Self::build(mesh, topology, false)
-    }
-
-    /// The one element loop: `K` and `M` on the mesh's element diagonals
-    /// when `on_diagonals` (and the mesh has them), per stored entry
-    /// otherwise.
-    fn build(mesh: &Mesh, topology: Arc<MeshTopology>, on_diagonals: bool) -> Self {
         assert_eq!(
             mesh.kind(),
             ElementKind::Hex8,
             "the projection operators operate on hexahedral meshes"
         );
+        assert!(mesh.lattice().is_some(), "the mesh has no box lattice");
         assert!(topology.fits(mesh), "the topology was built for another mesh");
+        let table = momentum_diagonals(&topology)
+            .expect("the elements of a box lattice share one diagonal table");
         let rule = GaussRule::hex_2x2x2();
         let shape = ShapeTable::new(ElementKind::Hex8, &rule);
         let mut weights = [0.0; PGAUS];
@@ -264,14 +224,15 @@ impl PressureOperators {
             gpvol: Vec::new(),
             gradient: Gradient::PerEntry(Vec::new()),
             lumped_mass: Vec::new(),
-            blocks: Blocks::PerEntry { stiffness: Vec::new(), mass: Vec::new() },
+            stiffness: DiaMatrix::zeros(0, Vec::new()),
+            mass: DiaMatrix::zeros(0, Vec::new()),
             topology: topology.clone(),
         };
         let nelem = mesh.num_elements();
         let nnz = ops.topology.col_idx().len();
         let mut gpvol = vec![0.0; nelem * PGAUS];
-        // An unjittered generator box needs one element's `C`; any other
-        // mesh integrates every element's into one triple per entry.
+        // An unjittered box needs one element's `C`; a jittered one
+        // integrates every element's into one triple per entry.
         let stencils = mesh.lattice().filter(|lattice| !lattice.jittered).map(|lattice| {
             let spacing = lattice.spacing();
             let x = CORNERS.map(|c| [0, 1, 2].map(|d| c[d] as f64 * spacing[d]));
@@ -280,20 +241,14 @@ impl PressureOperators {
         });
         let mut coef = vec![0.0; if stencils.is_some() { 0 } else { NDIME * nnz }];
         let mut lumped_mass = vec![0.0; mesh.num_nodes()];
-        // `K` and `M` go straight into the storage the momentum matrix will
-        // have: on diagonals entry `(a, b)` of every element lands at
-        // `(index[PNODE·a + b], node_a)` of the block-major arrays, per entry
-        // at the element's slot.  Either way each value is the same sum in
-        // the same (mesh) order.
-        let table = momentum_diagonals(&topology).filter(|_| on_diagonals);
+        // `K` and `M` go straight onto the diagonals the momentum matrix
+        // will have: entry `(a, b)` of every element lands at
+        // `(index[PNODE·a + b], node_a)` of the block-major arrays, each
+        // value summed in mesh order.
         let n = mesh.num_nodes();
-        let mut blocks = match table {
-            Some(table) => {
-                let zeros = || DiaMatrix::zeros(n, table.offsets().to_vec());
-                Blocks::Diagonals { stiffness: zeros(), mass: zeros() }
-            }
-            None => Blocks::PerEntry { stiffness: vec![0.0; nnz], mass: vec![0.0; nnz] },
-        };
+        let (nd, index) = (table.offsets().len(), table.index());
+        let mut stiffness = DiaMatrix::zeros(n, table.offsets().to_vec());
+        let mut mass = DiaMatrix::zeros(n, table.offsets().to_vec());
         // `N_a·N_b` per `(gauss, PNODE·a + b)`: one product for `(a, b)` and
         // `(b, a)`, so the consistent mass comes out symmetric to the bit.
         let mut shape_products = [[0.0f64; PNODE * PNODE]; PGAUS];
@@ -307,7 +262,6 @@ impl PressureOperators {
             let geometry = ops.element_geometry(elem);
             let nodes = mesh.element_nodes(elem);
             gpvol[PGAUS * elem..PGAUS * (elem + 1)].copy_from_slice(&geometry.vol);
-            let slots = ops.topology.csr_slots(elem);
             // The elemental mass Σ_g w|J| · N_a·N_b, all 64 entries in one
             // unit-stride accumulation per integration point.
             let mut el_mass = [0.0f64; PNODE * PNODE];
@@ -333,25 +287,11 @@ impl PressureOperators {
                     *entry = row_b[a];
                 }
             }
-            match (&mut blocks, table) {
-                (Blocks::Diagonals { stiffness, mass }, Some(table)) => {
-                    let nd = table.offsets().len();
-                    let entries = el_mass.iter().zip(el_stiff.iter().flatten()).enumerate();
-                    for (ab, (m, k)) in entries {
-                        let row = nodes[ab / PNODE] as usize;
-                        let at = value_position(n, nd, table.index()[ab] as usize, row);
-                        mass.values_mut()[at] += m;
-                        stiffness.values_mut()[at] += k;
-                    }
-                }
-                (Blocks::PerEntry { stiffness, mass }, _) => {
-                    let entries = el_mass.iter().zip(el_stiff.iter().flatten());
-                    for (&slot, (m, k)) in slots.iter().zip(entries) {
-                        mass[slot as usize] += m;
-                        stiffness[slot as usize] += k;
-                    }
-                }
-                (Blocks::Diagonals { .. }, None) => unreachable!("diagonals come with a table"),
+            for (ab, (m, k)) in el_mass.iter().zip(el_stiff.iter().flatten()).enumerate() {
+                let row = nodes[ab / PNODE] as usize;
+                let at = value_position(n, nd, index[ab] as usize, row);
+                mass.values_mut()[at] += m;
+                stiffness.values_mut()[at] += k;
             }
             for (a, &node) in nodes.iter().enumerate() {
                 for (g, vol) in geometry.vol.iter().enumerate() {
@@ -362,6 +302,7 @@ impl PressureOperators {
                 // Mesh order, serially: every coefficient is the same bits
                 // for every thread count and vector size.
                 let element = ops.element_gradient(&geometry);
+                let slots = ops.topology.csr_slots(elem);
                 for (el_a, slots_a) in element.iter().zip(slots.chunks_exact(PNODE)) {
                     for (b, &slot) in slots_a.iter().enumerate() {
                         let k = NDIME * slot as usize;
@@ -378,7 +319,8 @@ impl PressureOperators {
             None => Gradient::PerEntry(coef),
         };
         ops.lumped_mass = lumped_mass;
-        ops.blocks = blocks;
+        ops.stiffness = stiffness;
+        ops.mass = mass;
         ops
     }
 
@@ -486,10 +428,7 @@ impl PressureOperators {
             Gradient::Stencils(stencils) => {
                 GradientStorage::ClassStencils { classes: stencils.num_classes() }
             }
-            Gradient::PerEntry(_) if self.mesh.lattice().is_some() => {
-                GradientStorage::JitteredLattice
-            }
-            Gradient::PerEntry(_) => GradientStorage::NoLattice,
+            Gradient::PerEntry(_) => GradientStorage::JitteredLattice,
         }
     }
 
@@ -549,32 +488,13 @@ impl PressureOperators {
         self.assemble_laplacian()
     }
 
-    /// `K` (or `M`, when `mass`) as a CSR matrix of the node graph: copied,
-    /// or gathered entry by entry from the diagonals.
-    fn on_pattern(&self, mass: bool) -> CsrMatrix {
-        let topology = &self.topology;
-        let (row_ptr, col_idx) = (topology.row_ptr(), topology.col_idx());
-        let mut matrix = CsrMatrix::from_pattern(row_ptr.to_vec(), col_idx.to_vec());
-        let values = matrix.pattern_and_values_mut().2;
-        match &self.blocks {
-            Blocks::PerEntry { stiffness, mass: m } => {
-                values.copy_from_slice(if mass { m } else { stiffness });
-            }
-            Blocks::Diagonals { stiffness, mass: m } => {
-                let dia = if mass { m } else { stiffness };
-                dia.values_on_pattern(row_ptr, col_idx, values);
-            }
-        }
-        matrix
-    }
-
     /// The pressure Laplacian `L_ab = ∫ ∇N_a·∇N_b dΩ` on the node-to-node
     /// graph: the stiffness held since construction, nothing assembled.
     /// Symmetric positive semi-definite (kernel: the constants); pin at
     /// least one node per connected component with
     /// [`CsrMatrix::pin_rows_symmetric`] to make it definite.
     pub fn assemble_laplacian(&self) -> CsrMatrix {
-        self.on_pattern(false)
+        on_node_graph(&self.stiffness, &self.topology)
     }
 
     /// The stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` per stored entry of the
@@ -582,7 +502,7 @@ impl PressureOperators {
     /// Laplacian (symmetric to the bit).
     #[cfg(test)]
     pub(crate) fn stiffness(&self) -> Vec<f64> {
-        self.on_pattern(false).values().to_vec()
+        self.assemble_laplacian().values().to_vec()
     }
 
     /// The consistent mass `M_ab = ∫ N_a N_b dΩ` per stored entry of the
@@ -590,7 +510,7 @@ impl PressureOperators {
     /// [`lumped_mass`](Self::lumped_mass) to rounding).
     #[cfg(test)]
     pub(crate) fn consistent_mass(&self) -> Vec<f64> {
-        self.on_pattern(true).values().to_vec()
+        on_node_graph(&self.mass, &self.topology).values().to_vec()
     }
 
     /// The matrix-free counterpart of
@@ -750,47 +670,20 @@ impl PressureOperators {
         });
     }
 
-    /// `update(value, source_k)` for every stored entry `k` of `matrix`,
-    /// the entries split across the team like the rows of a row pass.
-    fn entry_pass(
-        &self,
-        team: &Team,
-        matrix: &mut CsrMatrix,
-        source: &[f64],
-        update: impl Fn(&mut f64, f64) + Sync,
-    ) {
-        check_pattern(&self.topology, matrix);
-        let (_, _, values) = matrix.pattern_and_values_mut();
-        let nnz = values.len();
-        for_each_share(team_above_cutoff(team, nnz), nnz, 1, values, |entries, values| {
-            for (value, &source) in values.iter_mut().zip(&source[entries]) {
-                update(value, source);
-            }
-        });
-    }
-
     /// Seeds the momentum matrix with its viscous block: `values ← ν·K`,
-    /// overwriting whatever `matrix` held — on diagonals one unit-stride
-    /// stream over the value array, padding included.  The first of the two
-    /// global passes of [`assemble_momentum_on`](crate::assemble_momentum_on).
+    /// overwriting whatever `matrix` held — one unit-stride stream over the
+    /// value array, padding included.  The first of the two global passes
+    /// of [`assemble_momentum_on`](crate::assemble_momentum_on).
     ///
     /// # Panics
-    /// Panics if `matrix` does not have this mesh's sparsity pattern, or is
-    /// not in the storage these operators hold `K` in.
-    pub fn fill_viscous_on(&self, team: &Team, viscosity: f64, matrix: &mut MomentumMatrix) {
-        match (&self.blocks, matrix) {
-            (Blocks::Diagonals { stiffness, .. }, MomentumMatrix::Diagonals(matrix)) => {
-                assert!(
-                    matrix.same_layout(stiffness),
-                    "the matrix does not have this mesh's sparsity pattern"
-                );
-                matrix.assign_scaled_on(team, viscosity, stiffness);
-            }
-            (Blocks::PerEntry { stiffness, .. }, MomentumMatrix::Csr(matrix)) => {
-                self.entry_pass(team, matrix, stiffness, |value, k| *value = viscosity * k);
-            }
-            _ => panic!("the momentum matrix is not in the storage of this mesh's K and M"),
-        }
+    /// Panics if `matrix` is not on the diagonals these operators hold `K`
+    /// on ([`NastinAssembly::new_momentum_matrix`](crate::NastinAssembly::new_momentum_matrix)).
+    pub fn fill_viscous_on(&self, team: &Team, viscosity: f64, matrix: &mut DiaMatrix) {
+        assert!(
+            matrix.same_layout(&self.stiffness),
+            "the matrix does not have this mesh's sparsity pattern"
+        );
+        matrix.assign_scaled_on(team, viscosity, &self.stiffness);
     }
 
     /// The momentum right-hand side of the increment form, then the mass
@@ -801,22 +694,20 @@ impl PressureOperators {
     /// cancelled.  Both sums run in ascending column order from `+0.0`;
     /// `g_a` is bit for bit the row of
     /// [`weak_gradient_on`](Self::weak_gradient_on).  Overwrites `rhs`;
-    /// bitwise identical for every thread count and in either storage.
+    /// bitwise identical for every thread count.
     ///
-    /// On diagonals it is one pass over the storage blocks
+    /// It is one pass over the storage blocks
     /// ([`DiaMatrix::product3_and_add_on`]): per block the three products
     /// `S·u_c` over the de-interleaved velocity, the block's rows of `rhs`,
-    /// and the mass added while the block is in cache.  Per entry it is a
-    /// row walk of the CSR matrix and an entry pass.
+    /// and the mass added while the block is in cache.
     ///
     /// # Panics
-    /// Panics if `matrix` does not have this mesh's sparsity pattern or is
-    /// not in the storage these operators hold `M` in, or a vector does not
-    /// have this mesh's node count.
+    /// Panics if `matrix` is not on the diagonals these operators hold `M`
+    /// on, or a vector does not have this mesh's node count.
     pub fn momentum_residual_and_mass_on(
         &self,
         team: &Team,
-        matrix: &mut MomentumMatrix,
+        matrix: &mut DiaMatrix,
         velocity: &VectorField,
         pressure: &[f64],
         mass_scale: f64,
@@ -840,7 +731,7 @@ impl PressureOperators {
         &self,
         lanes: Lanes,
         team: &Team,
-        matrix: &mut MomentumMatrix,
+        matrix: &mut DiaMatrix,
         velocity: &VectorField,
         pressure: &[f64],
         mass_scale: f64,
@@ -850,130 +741,59 @@ impl PressureOperators {
         assert_eq!(velocity.num_nodes(), n);
         assert_eq!(pressure.len(), n);
         assert_eq!(rhs.len(), NDIME * n);
-        match (&self.blocks, matrix) {
-            (Blocks::Diagonals { mass, .. }, MomentumMatrix::Diagonals(matrix)) => {
-                assert!(
-                    matrix.same_layout(mass),
-                    "the matrix does not have this mesh's sparsity pattern"
-                );
-                let u = MultiVector::from_interleaved(velocity.as_slice());
-                let finish = |rows: Range<usize>, su: [&[f64]; NDIME], out: &mut [f64]| {
-                    // `g` of the block's rows first, parked in their entries
-                    // of `out`; then `−S·u − g`.
-                    let first = rows.start;
-                    self.gradient_rows(pressure, rows, |a, g| {
-                        out[NDIME * (a - first)..][..NDIME].copy_from_slice(&g);
-                    });
-                    for (i, out_a) in out.chunks_exact_mut(NDIME).enumerate() {
-                        for (c, out) in out_a.iter_mut().enumerate() {
-                            *out = -su[c][i] - *out;
-                        }
-                    }
-                };
-                matrix.product3_and_add_at(
-                    lanes,
-                    team,
-                    u.components(),
-                    mass_scale,
-                    mass,
-                    rhs,
-                    finish,
-                );
-            }
-            (Blocks::PerEntry { mass, .. }, MomentumMatrix::Csr(matrix)) => {
-                self.csr_momentum_residual_on(team, matrix, velocity, pressure, rhs);
-                self.entry_pass(team, matrix, mass, |value, m| *value += mass_scale * m);
-            }
-            _ => panic!("the momentum matrix is not in the storage of this mesh's K and M"),
-        }
-    }
-
-    /// The right-hand side half of
-    /// [`momentum_residual_and_mass_on`](Self::momentum_residual_and_mass_on)
-    /// on a CSR matrix: one walk of each row for `S·u`.
-    fn csr_momentum_residual_on(
-        &self,
-        team: &Team,
-        matrix: &CsrMatrix,
-        velocity: &VectorField,
-        pressure: &[f64],
-        rhs: &mut [f64],
-    ) {
-        let n = self.mesh.num_nodes();
-        check_pattern(&self.topology, matrix);
-        let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
-        let (values, vel) = (matrix.values(), velocity.as_slice());
-        for_each_share(team_above_cutoff(team, n), n, 1, rhs, |rows, out| {
-            // `g` of the share's rows first, parked in their entries of
-            // `out`; then one walk of each row for `S·u`.
+        assert!(
+            matrix.same_layout(&self.mass),
+            "the matrix does not have this mesh's sparsity pattern"
+        );
+        let u = MultiVector::from_interleaved(velocity.as_slice());
+        let finish = |rows: Range<usize>, su: [&[f64]; NDIME], out: &mut [f64]| {
+            // `g` of the block's rows first, parked in their entries of
+            // `out`; then `−S·u − g`.
             let first = rows.start;
-            self.gradient_rows(pressure, rows.clone(), |a, g| {
+            self.gradient_rows(pressure, rows, |a, g| {
                 out[NDIME * (a - first)..][..NDIME].copy_from_slice(&g);
             });
-            for (a, out_a) in rows.zip(out.chunks_exact_mut(NDIME)) {
-                let entries = row_ptr[a]..row_ptr[a + 1];
-                let mut su = [0.0f64; NDIME];
-                for (&b, &s_ab) in col_idx[entries.clone()].iter().zip(&values[entries]) {
-                    let u = &vel[NDIME * b..NDIME * b + NDIME];
-                    for i in 0..NDIME {
-                        su[i] += s_ab * u[i];
-                    }
-                }
-                for (out, su) in out_a.iter_mut().zip(su) {
-                    *out = -su - *out;
+            for (i, out_a) in out.chunks_exact_mut(NDIME).enumerate() {
+                for (c, out) in out_a.iter_mut().enumerate() {
+                    *out = -su[c][i] - *out;
                 }
             }
-        });
-    }
-
-    /// Values the two global passes of one momentum assembly stream per
-    /// matrix: every stored entry of the node graph per entry, every padded
-    /// diagonal slot (`n ×` the diagonal count) on diagonals.
-    fn momentum_values(&self) -> usize {
-        match &self.blocks {
-            Blocks::Diagonals { mass, .. } => mass.values().len(),
-            Blocks::PerEntry { mass, .. } => mass.len(),
-        }
+        };
+        matrix.product3_and_add_at(
+            lanes,
+            team,
+            u.components(),
+            mass_scale,
+            &self.mass,
+            rhs,
+            finish,
+        );
     }
 
     /// Modeled floating-point operations of the global passes of one
     /// momentum assembly together, per stored value `v` of the matrix
-    /// (padding included on diagonals): a multiply per value of the viscous
-    /// fill; three multiply-adds per value for `S·u`, three per entry of the
-    /// node graph for `g`, and a negation and a subtraction per row
-    /// component; a multiply and an add per value of the mass update.
+    /// (padding included): a multiply per value of the viscous fill; three
+    /// multiply-adds per value for `S·u`, three per entry of the node graph
+    /// for `g`, and a negation and a subtraction per row component; a
+    /// multiply and an add per value of the mass update.
     pub fn momentum_pass_flops(&self) -> u64 {
-        let values = self.momentum_values() as u64;
+        let values = self.mass.values().len() as u64;
         let (nnz, n) = (self.topology.col_idx().len() as u64, self.mesh.num_nodes() as u64);
         let ndime = NDIME as u64;
         values + (2 * ndime * values + 2 * ndime * nnz + 2 * ndime * n) + 2 * values
     }
 
     /// Bytes the global passes of one momentum assembly stream together,
-    /// from array sizes.  On diagonals: `K` in and the values out (the
-    /// fill); then one pass per storage block — the values and `M` in, the
-    /// values out, `C` (the class-stencil table or the per-entry
-    /// coefficients), the pressure, the velocity and its de-interleaved
-    /// copy (written and read), the right-hand side out; no index stream.
-    /// Per entry: the fill; the values, the column indices, `C`, velocity
-    /// and pressure in once, the right-hand side out; `M` in and the values
-    /// in and out.
+    /// from array sizes: `K` in and the values out (the fill); then one pass
+    /// per storage block — the values and `M` in, the values out, `C` (the
+    /// class-stencil table or the per-entry coefficients), the pressure, the
+    /// velocity and its de-interleaved copy (written and read), the
+    /// right-hand side out; no index stream.
     pub fn momentum_pass_bytes(&self) -> u64 {
-        let (values, n) = (self.momentum_values(), self.mesh.num_nodes());
+        let (values, n) = (self.mass.values().len(), self.mesh.num_nodes());
         let fill = 2 * 8 * values;
         let vectors = 8 * (NDIME + 1) * n + 8 * NDIME * n;
-        let passes = match &self.blocks {
-            Blocks::Diagonals { .. } => {
-                3 * 8 * values + self.gradient_bytes() + vectors + 2 * 8 * NDIME * n
-            }
-            Blocks::PerEntry { .. } => {
-                let residual = 8 * values
-                    + std::mem::size_of_val(self.topology.col_idx())
-                    + self.gradient_bytes()
-                    + vectors;
-                residual + 3 * 8 * values
-            }
-        };
+        let passes = 3 * 8 * values + self.gradient_bytes() + vectors + 2 * 8 * NDIME * n;
         (fill + passes) as u64
     }
 
@@ -1044,12 +864,6 @@ impl PressureOperators {
         let n = self.mesh.num_nodes();
         assert_eq!(velocity.num_nodes(), n);
         let vel = velocity.as_slice();
-        let mass = match &self.blocks {
-            Blocks::Diagonals { mass, .. } => mass,
-            Blocks::PerEntry { mass, .. } => {
-                return self.csr_kinetic_energy_on(team, mass, vel, density)
-            }
-        };
         let u = MultiVector::from_interleaved(vel);
         let [total] = blocked_reduce(Some(team), n, &mut Vec::new(), |rows| {
             // `M·u` of the block's rows, three columns in one traversal of
@@ -1057,7 +871,7 @@ impl PressureOperators {
             let len = rows.len();
             let mut mu = [[0.0f64; REDUCTION_BLOCK]; NDIME];
             let [m0, m1, m2] = &mut mu;
-            mass.product3_into(
+            self.mass.product3_into(
                 u.components(),
                 rows.clone(),
                 [&mut m0[..len], &mut m1[..len], &mut m2[..len]],
@@ -1066,30 +880,6 @@ impl PressureOperators {
             for (i, a) in rows.enumerate() {
                 let u = &vel[NDIME * a..NDIME * a + NDIME];
                 sum += u[0] * m0[i] + u[1] * m1[i] + u[2] * m2[i];
-            }
-            [sum]
-        });
-        0.5 * density * total
-    }
-
-    /// [`kinetic_energy_on`](Self::kinetic_energy_on) through `M` per stored
-    /// entry: one walk of each CSR row.
-    fn csr_kinetic_energy_on(&self, team: &Team, mass: &[f64], vel: &[f64], density: f64) -> f64 {
-        let n = self.mesh.num_nodes();
-        let (row_ptr, col_idx) = (self.topology.row_ptr(), self.topology.col_idx());
-        let [total] = blocked_reduce(Some(team), n, &mut Vec::new(), |rows| {
-            let mut sum = 0.0f64;
-            for a in rows {
-                let entries = row_ptr[a]..row_ptr[a + 1];
-                let mut mu = [0.0f64; NDIME];
-                for (&b, &m_ab) in col_idx[entries.clone()].iter().zip(&mass[entries]) {
-                    let u = &vel[NDIME * b..NDIME * b + NDIME];
-                    for i in 0..NDIME {
-                        mu[i] += m_ab * u[i];
-                    }
-                }
-                let u = &vel[NDIME * a..NDIME * a + NDIME];
-                sum += u[0] * mu[0] + u[1] * mu[1] + u[2] * mu[2];
             }
             [sum]
         });
@@ -1133,6 +923,18 @@ impl PressureOperators {
     }
 }
 
+/// `dia` as a CSR matrix of `topology`'s node graph, gathered entry by
+/// entry (padding dropped).
+///
+/// # Panics
+/// Panics if an entry of the graph lies on no diagonal of `dia`.
+pub(crate) fn on_node_graph(dia: &DiaMatrix, topology: &MeshTopology) -> CsrMatrix {
+    let (row_ptr, col_idx) = (topology.row_ptr(), topology.col_idx());
+    let mut matrix = CsrMatrix::from_pattern(row_ptr.to_vec(), col_idx.to_vec());
+    dia.values_on_pattern(row_ptr, col_idx, matrix.pattern_and_values_mut().2);
+    matrix
+}
+
 /// Euclidean norm `√(Σ_a d_a²)` of an already-computed weak-divergence
 /// vector (serial, index order — deterministic).  Lets a caller that has
 /// just filled a buffer with [`PressureOperators::weak_divergence_on`] take
@@ -1155,14 +957,17 @@ pub fn pressure_laplacian(mesh: &Mesh, pins: &[usize]) -> CsrMatrix {
 /// The element sweeps the row products replaced — the per-Gauss-point
 /// geometry table and the gather → compute → scatter loops over it, as they
 /// were — kept as the oracle the tests measure the row products, the
-/// Laplacian and the lumped mass against.  Serial, in mesh order.
+/// Laplacian and the lumped mass against.  Serial, in mesh order, on any
+/// hexahedral mesh: a renumbered one included, which the operators refuse.
 #[cfg(test)]
 mod oracle {
     use super::*;
 
-    /// The parent's precomputed element geometry.
+    /// The precomputed element geometry of a mesh.
     pub(super) struct GeometryTable<'a> {
-        ops: &'a PressureOperators,
+        mesh: &'a Mesh,
+        shape: ShapeTable,
+        topology: MeshTopology,
         /// `w_g · |J|` per `(element, gauss)`: `gpvol[PGAUS*elem + g]`.
         gpvol: Vec<f64>,
         /// Cartesian shape derivatives per `(element, gauss, node, dim)`:
@@ -1173,14 +978,14 @@ mod oracle {
     }
 
     impl<'a> GeometryTable<'a> {
-        pub(super) fn new(ops: &'a PressureOperators) -> Self {
-            let (mesh, shape) = (&ops.mesh, &ops.shape);
+        pub(super) fn new(mesh: &'a Mesh) -> Self {
+            let rule = GaussRule::hex_2x2x2();
+            let shape = ShapeTable::new(ElementKind::Hex8, &rule);
             let nelem = mesh.num_elements();
             let nnode = mesh.num_nodes();
             let mut gpvol = vec![0.0; nelem * PGAUS];
             let mut gpcar = vec![0.0; nelem * PGAUS * PNODE * NDIME];
             let mut lumped_mass = vec![0.0; nnode];
-            let rule = GaussRule::hex_2x2x2();
             for elem in 0..nelem {
                 let nodes = mesh.element_nodes(elem);
                 for (g, qp) in rule.points().iter().enumerate() {
@@ -1235,17 +1040,18 @@ mod oracle {
                     }
                 }
             }
-            GeometryTable { ops, gpvol, gpcar, lumped_mass }
+            let topology = MeshTopology::new(mesh);
+            GeometryTable { mesh, shape, topology, gpvol, gpcar, lumped_mass }
         }
 
         /// The Laplacian from the table, element by element in mesh order
         /// like the constructor.
         pub(super) fn laplacian(&self) -> CsrMatrix {
-            let topology = &self.ops.topology;
+            let topology = &self.topology;
             let mut matrix =
                 CsrMatrix::from_pattern(topology.row_ptr().to_vec(), topology.col_idx().to_vec());
             let (_, _, values) = matrix.pattern_and_values_mut();
-            for elem in 0..self.ops.mesh.num_elements() {
+            for elem in 0..self.mesh.num_elements() {
                 let mut el = [[0.0f64; PNODE]; PNODE];
                 for g in 0..PGAUS {
                     let vol = self.gpvol[PGAUS * elem + g];
@@ -1265,13 +1071,43 @@ mod oracle {
             matrix
         }
 
+        /// `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ` per stored entry of the node
+        /// graph, `coef[NDIME*k + i]`: each element's integrated in mesh
+        /// order, like the constructor's per-entry `C`.
+        pub(super) fn coefficients(&self) -> Vec<f64> {
+            let mut coef = vec![0.0; NDIME * self.topology.col_idx().len()];
+            for elem in 0..self.mesh.num_elements() {
+                let mut el = [[[0.0f64; PNODE]; NDIME]; PNODE];
+                for (a, el_a) in el.iter_mut().enumerate() {
+                    for g in 0..PGAUS {
+                        let w = self.gpvol[PGAUS * elem + g] * self.shape.functions(g).n[a];
+                        let base = (PGAUS * elem + g) * PNODE * NDIME;
+                        for (i, el_ai) in el_a.iter_mut().enumerate() {
+                            for (b, entry) in el_ai.iter_mut().enumerate() {
+                                *entry += w * self.gpcar[base + b * NDIME + i];
+                            }
+                        }
+                    }
+                }
+                let slots = self.topology.csr_slots(elem);
+                for (el_a, slots_a) in el.iter().zip(slots.chunks_exact(PNODE)) {
+                    for (b, &slot) in slots_a.iter().enumerate() {
+                        for (i, el_ai) in el_a.iter().enumerate() {
+                            coef[NDIME * slot as usize + i] += el_ai[b];
+                        }
+                    }
+                }
+            }
+            coef
+        }
+
         /// Weak divergence `d_a = ∫ N_a ∇·u_h dΩ` into `out`, zeroed first:
         /// elemental `∫ N_a ∇·u_h` scattered into the nodal vector.
         pub(super) fn weak_divergence(&self, velocity: &VectorField, out: &mut [f64]) {
             out.fill(0.0);
             let vel = velocity.as_slice();
-            for elem in 0..self.ops.mesh.num_elements() {
-                let nodes = self.ops.mesh.element_nodes(elem);
+            for elem in 0..self.mesh.num_elements() {
+                let nodes = self.mesh.element_nodes(elem);
                 let mut el = [0.0f64; PNODE];
                 for g in 0..PGAUS {
                     let vol = self.gpvol[PGAUS * elem + g];
@@ -1283,7 +1119,7 @@ mod oracle {
                         let v = &vel[NDIME * node as usize..NDIME * node as usize + NDIME];
                         div += cb[0] * v[0] + cb[1] * v[1] + cb[2] * v[2];
                     }
-                    let funcs = self.ops.shape.functions(g);
+                    let funcs = self.shape.functions(g);
                     for (a, e) in el.iter_mut().enumerate() {
                         *e += vol * funcs.n[a] * div;
                     }
@@ -1298,8 +1134,8 @@ mod oracle {
         /// first.
         pub(super) fn weak_gradient(&self, scalar: &[f64], out: &mut [f64]) {
             out.fill(0.0);
-            for elem in 0..self.ops.mesh.num_elements() {
-                let nodes = self.ops.mesh.element_nodes(elem);
+            for elem in 0..self.mesh.num_elements() {
+                let nodes = self.mesh.element_nodes(elem);
                 let mut el = [0.0f64; PNODE * NDIME];
                 for g in 0..PGAUS {
                     let vol = self.gpvol[PGAUS * elem + g];
@@ -1313,7 +1149,7 @@ mod oracle {
                         grad[1] += cb[1] * p;
                         grad[2] += cb[2] * p;
                     }
-                    let funcs = self.ops.shape.functions(g);
+                    let funcs = self.shape.functions(g);
                     for a in 0..PNODE {
                         let w = vol * funcs.n[a];
                         el[NDIME * a] += w * grad[0];
@@ -1335,9 +1171,9 @@ mod oracle {
 mod tests {
     use super::oracle::GeometryTable;
     use super::*;
-    use lv_mesh::renumber::{reverse_cuthill_mckee, NodePermutation};
+    use lv_mesh::renumber::NodePermutation;
     use lv_mesh::structured::{BoxMeshBuilder, ChannelMeshBuilder};
-    use lv_mesh::{BoundaryTag, Field, Vec3};
+    use lv_mesh::{Field, Vec3};
     use std::f64::consts::PI;
 
     fn mesh() -> Mesh {
@@ -1483,21 +1319,6 @@ mod tests {
         assert_eq!(out.solution[0], 0.0);
     }
 
-    /// `mesh` with one extra node no element references (an empty row).
-    fn with_isolated_node(mesh: &Mesh) -> Mesh {
-        let mut coords = mesh.coords().to_vec();
-        coords.extend_from_slice(&[2.0, 2.0, 2.0]);
-        let mut boundary = mesh.boundary_tags().to_vec();
-        boundary.push(BoundaryTag::Interior);
-        Mesh::from_raw(
-            mesh.kind(),
-            coords,
-            mesh.connectivity().to_vec(),
-            boundary,
-            mesh.characteristic_length(),
-        )
-    }
-
     fn test_velocity(m: &Mesh) -> VectorField {
         VectorField::from_fn(m, |p| Vec3::new(p.x * p.y, (PI * p.y).sin(), p.z * p.z - p.x))
     }
@@ -1513,67 +1334,73 @@ mod tests {
         }
     }
 
+    /// The mesh's own node order (a copy without its lattice) and two
+    /// scrambled ones, each with the permutation that produced it.
+    fn renumberings(m: &Mesh) -> Vec<(NodePermutation, Mesh)> {
+        let n = m.num_nodes();
+        let perms = [
+            NodePermutation::identity(n),
+            NodePermutation::scrambled(n, 0xC0FFEE),
+            NodePermutation::scrambled(n, 42),
+        ];
+        perms.into_iter().map(|perm| (perm.clone(), m.renumber_nodes(&perm))).collect()
+    }
+
+    /// The row products against the element sweeps of the oracle, to
+    /// rounding, and independent of the node order: the oracle runs on the
+    /// mesh renumbered, fed the same fields at the moved nodes, and row `a`
+    /// of the operators is compared with row `new_of(a)` of its result.
     #[test]
     fn row_products_match_the_element_sweeps_to_rounding() {
-        let jittered = mesh();
-        let scrambled =
-            jittered.renumber_nodes(&NodePermutation::scrambled(jittered.num_nodes(), 0xC0FFEE));
-        let rcm = jittered.renumber_nodes(&reverse_cuthill_mckee(&jittered));
-        let isolated = with_isolated_node(&jittered);
         let meshes = [
             ("channel", ChannelMeshBuilder::new(3, 2).with_jitter(0.1, 4).build()),
-            ("scrambled", scrambled),
-            ("rcm", rcm),
-            ("isolated node", isolated),
-            ("jittered", jittered),
+            ("jittered", mesh()),
             ("unjittered cavity", BoxMeshBuilder::new(5, 4, 3).lid_driven_cavity().build()),
         ];
         let team = Team::new(1);
         for (name, m) in &meshes {
             let ops = PressureOperators::new(m, 16);
-            let table = GeometryTable::new(&ops);
             let n = m.num_nodes();
             let (velocity, pressure) = (test_velocity(m), test_pressure(m));
             let (vel, p) = (velocity.as_slice(), pressure.as_slice());
-            let (mut div, mut div_oracle) = (vec![f64::NAN; n], vec![0.0; n]);
-            let (mut grad, mut grad_oracle) = (vec![f64::NAN; NDIME * n], vec![0.0; NDIME * n]);
+            let (mut div, mut grad) = (vec![f64::NAN; n], vec![f64::NAN; NDIME * n]);
             ops.weak_divergence_on(&team, &velocity, &mut div);
             ops.weak_gradient_on(&team, p, &mut grad);
-            table.weak_divergence(&velocity, &mut div_oracle);
-            table.weak_gradient(p, &mut grad_oracle);
+            // Σ_b |C[a][b]|·|x_b| per row: the magnitude the row's rounding
+            // errors scale with.
             let (row_ptr, col_idx) = (ops.topology.row_ptr(), ops.topology.col_idx());
             let coef = ops.coefficients();
+            let (mut div_scale, mut grad_scale) = (vec![0.0f64; n], vec![0.0f64; NDIME * n]);
             for a in 0..n {
-                // Σ_b |C[a][b]|·|x_b|: the magnitude the row's rounding
-                // errors scale with.
-                let (mut div_scale, mut grad_scale) = (0.0f64, [0.0f64; NDIME]);
                 let entries = row_ptr[a]..row_ptr[a + 1];
                 let coef = &coef[NDIME * entries.start..NDIME * entries.end];
                 for (&b, c) in col_idx[entries].iter().zip(coef.chunks_exact(NDIME)) {
                     for i in 0..NDIME {
-                        div_scale += c[i].abs() * vel[NDIME * b + i].abs();
-                        grad_scale[i] += c[i].abs() * p[b].abs();
+                        div_scale[a] += c[i].abs() * vel[NDIME * b + i].abs();
+                        grad_scale[NDIME * a + i] += c[i].abs() * p[b].abs();
                     }
                 }
-                let d = (div[a] - div_oracle[a]).abs();
-                assert!(
-                    d <= 8.0 * f64::EPSILON * div_scale,
-                    "{name}: divergence row {a} off by {d:e} (scale {div_scale:e})"
-                );
-                for i in 0..NDIME {
-                    let d = (grad[NDIME * a + i] - grad_oracle[NDIME * a + i]).abs();
-                    assert!(
-                        d <= 8.0 * f64::EPSILON * grad_scale[i],
-                        "{name}: gradient row {a}[{i}] off by {d:e} (scale {:e})",
-                        grad_scale[i]
-                    );
-                }
             }
-            if *name == "isolated node" {
-                // The empty row is `+0.0`, not a leftover of `out`.
-                assert_eq!(row_ptr[n - 1], row_ptr[n]);
-                assert_eq!(div[n - 1].to_bits(), 0);
-                assert!(grad[NDIME * (n - 1)..].iter().all(|g| g.to_bits() == 0));
+            for (perm, renumbered) in renumberings(m) {
+                let table = GeometryTable::new(&renumbered);
+                let (mut div_oracle, mut grad_oracle) = (vec![0.0; n], vec![0.0; NDIME * n]);
+                table.weak_divergence(&test_velocity(&renumbered), &mut div_oracle);
+                table.weak_gradient(test_pressure(&renumbered).as_slice(), &mut grad_oracle);
+                for a in 0..n {
+                    let new = perm.new_of(a);
+                    let d = (div[a] - div_oracle[new]).abs();
+                    assert!(
+                        d <= 8.0 * f64::EPSILON * div_scale[a],
+                        "{name}: divergence row {a} (row {new} renumbered) off by {d:e}"
+                    );
+                    for i in 0..NDIME {
+                        let d = (grad[NDIME * a + i] - grad_oracle[NDIME * new + i]).abs();
+                        assert!(
+                            d <= 8.0 * f64::EPSILON * grad_scale[NDIME * a + i],
+                            "{name}: gradient row {a}[{i}] (row {new} renumbered) off by {d:e}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1661,15 +1488,28 @@ mod tests {
         assert!(defect.abs() <= 1e-12 * magnitude, "defect {defect:e} of {magnitude:e}");
     }
 
+    /// The Laplacian and the lumped mass are the oracle's to the bit, in
+    /// the mesh's node order and, permuted back, in two scrambled ones; so
+    /// is a jittered box's per-entry `C` in its own order.
     #[test]
     fn laplacian_and_lumped_mass_keep_the_bits_of_the_geometry_table() {
-        let m = mesh();
-        let ops = PressureOperators::new(&m, 8);
-        let table = GeometryTable::new(&ops);
-        assert_same_bits(ops.lumped_mass(), &table.lumped_mass, "lumped mass");
-        let (lap, lap_table) = (ops.assemble_laplacian(), table.laplacian());
-        assert!(lap.values().iter().any(|&v| v != 0.0));
-        assert_same_bits(lap.values(), lap_table.values(), "laplacian");
+        for m in [mesh(), BoxMeshBuilder::new(5, 4, 3).lid_driven_cavity().build()] {
+            let ops = PressureOperators::new(&m, 8);
+            let lap = ops.assemble_laplacian();
+            assert!(lap.values().iter().any(|&v| v != 0.0));
+            for (perm, renumbered) in renumberings(&m) {
+                let table = GeometryTable::new(&renumbered);
+                let moved = (0..perm.len()).filter(|&a| perm.new_of(a) != a).count();
+                let what = |name| format!("{name}, {moved} nodes moved");
+                let lumped = perm.inverted().permute_scalar(&table.lumped_mass);
+                assert_same_bits(ops.lumped_mass(), &lumped, &what("lumped mass"));
+                let lap_table = table.laplacian().permuted(perm.inverse());
+                assert_same_bits(lap.values(), lap_table.values(), &what("laplacian"));
+                if perm.is_identity() && m.lattice().expect("a generator box").jittered {
+                    assert_same_bits(&ops.coefficients(), &table.coefficients(), "C");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1717,13 +1557,6 @@ mod tests {
             let shared = PressureOperators::with_topology(&m, asm.topology().clone());
             assert_same_bits(&shared.stiffness(), &ops.stiffness(), "K");
             assert_same_bits(&shared.consistent_mass(), &ops.consistent_mass(), "M");
-            // Accumulated on the diagonals or per entry: the same sums in
-            // the same order.
-            assert!(matches!(ops.blocks, Blocks::Diagonals { .. }));
-            let per_entry = PressureOperators::per_entry(&m, asm.topology().clone());
-            assert!(matches!(per_entry.blocks, Blocks::PerEntry { .. }));
-            assert_same_bits(&per_entry.stiffness(), &ops.stiffness(), "K per entry");
-            assert_same_bits(&per_entry.consistent_mass(), &ops.consistent_mass(), "M per entry");
             assert_same_bits(&shared.coefficients(), &ops.coefficients(), "C");
             assert_same_bits(shared.lumped_mass(), ops.lumped_mass(), "lumped mass");
         }
@@ -1738,52 +1571,41 @@ mod tests {
     }
 
     /// `values` — one per stored entry of the node graph, in CSR order —
-    /// added to `matrix` entry by entry, in either storage.
-    fn add_per_entry(ops: &PressureOperators, matrix: &mut MomentumMatrix, values: &[f64]) {
+    /// added to `dia` entry by entry.
+    fn add_per_entry(ops: &PressureOperators, dia: &mut DiaMatrix, values: &[f64]) {
         let (row_ptr, col_idx) = (ops.topology.row_ptr(), ops.topology.col_idx());
-        match matrix {
-            MomentumMatrix::Csr(csr) => {
-                for (v, c) in csr.pattern_and_values_mut().2.iter_mut().zip(values) {
-                    *v += c;
-                }
-            }
-            MomentumMatrix::Diagonals(dia) => {
-                let (n, nd) = (dia.dim(), dia.offsets().len());
-                for a in 0..n {
-                    for entry in row_ptr[a]..row_ptr[a + 1] {
-                        let d = col_idx[entry] as isize - a as isize;
-                        let k = dia.offsets().binary_search(&d).expect("a stored diagonal");
-                        dia.values_mut()[value_position(n, nd, k, a)] += values[entry];
-                    }
-                }
+        let (n, nd) = (dia.dim(), dia.offsets().len());
+        for a in 0..n {
+            for entry in row_ptr[a]..row_ptr[a + 1] {
+                let d = col_idx[entry] as isize - a as isize;
+                let k = dia.offsets().binary_search(&d).expect("a stored diagonal");
+                dia.values_mut()[value_position(n, nd, k, a)] += values[entry];
             }
         }
     }
 
-    /// The two global momentum passes in both storages — `K` and `M` on the
-    /// diagonals and per entry — against plain loops, bit for bit, on
+    /// The two global momentum passes against plain loops, bit for bit, on
     /// teams that fork and at both lane widths.
     #[test]
     fn momentum_passes_match_plain_loops_and_are_bitwise_equal_across_threads() {
         // 11³ = 1331 rows and 29 791 entries: every pass forks on a team.
         let m = BoxMeshBuilder::new(10, 10, 10).lid_driven_cavity().with_jitter(0.15, 5).build();
         let n = m.num_nodes();
-        let on_diagonals = PressureOperators::new(&m, 32);
-        let per_entry = PressureOperators::per_entry(&m, on_diagonals.topology.clone());
+        let ops = PressureOperators::new(&m, 32);
         let (velocity, pressure) = (test_velocity(&m), test_pressure(&m));
         let (nu, scale) = (0.01, 1.0 / 0.013);
-        let (stiffness, mass) = (on_diagonals.stiffness(), on_diagonals.consistent_mass());
+        let (stiffness, mass) = (ops.stiffness(), ops.consistent_mass());
         let convection: Vec<f64> = (0..stiffness.len()).map(|k| (k as f64 * 0.37).sin()).collect();
 
         // The oracle: S = ν·K + C entry by entry, −S·u − g through the CSR
         // product and the gradient operator, S + scale·M entry by entry.
-        let mut s_matrix = on_diagonals.assemble_laplacian();
+        let mut s_matrix = ops.assemble_laplacian();
         let s_values = s_matrix.pattern_and_values_mut().2;
         for ((s, k), c) in s_values.iter_mut().zip(&stiffness).zip(&convection) {
             *s = nu * k + c;
         }
         let mut grad = vec![0.0; NDIME * n];
-        on_diagonals.weak_gradient_on(&Team::new(1), pressure.as_slice(), &mut grad);
+        ops.weak_gradient_on(&Team::new(1), pressure.as_slice(), &mut grad);
         let mut rhs_oracle = vec![0.0; NDIME * n];
         for i in 0..NDIME {
             let u_i: Vec<f64> = (0..n).map(|a| velocity.as_slice()[NDIME * a + i]).collect();
@@ -1794,46 +1616,31 @@ mod tests {
         let full_oracle: Vec<f64> =
             s_matrix.values().iter().zip(&mass).map(|(s, m)| s + scale * m).collect();
 
-        let offsets = on_diagonals.topology.element_diagonals().unwrap().offsets().to_vec();
-        for ops in [&on_diagonals, &per_entry] {
-            for threads in [1usize, 2, 4] {
-                let team = Team::new(threads);
-                for lanes in [Lanes::Baseline, Lanes::selected()] {
-                    let mut matrix = match ops.blocks {
-                        Blocks::Diagonals { .. } => {
-                            let mut dia = DiaMatrix::zeros(n, offsets.clone());
-                            dia.values_mut().fill(f64::NAN);
-                            MomentumMatrix::Diagonals(dia)
-                        }
-                        Blocks::PerEntry { .. } => {
-                            let mut csr = s_matrix.clone();
-                            csr.pattern_and_values_mut().2.fill(f64::NAN);
-                            MomentumMatrix::Csr(csr)
-                        }
-                    };
-                    let storage = match ops.blocks {
-                        Blocks::Diagonals { .. } => "diagonals",
-                        Blocks::PerEntry { .. } => "per entry",
-                    };
-                    let what = format!("{threads} threads, {lanes} lanes, {storage}");
-                    ops.fill_viscous_on(&team, nu, &mut matrix);
-                    add_per_entry(ops, &mut matrix, &convection);
-                    assert_same_bits(matrix.to_csr(&s_matrix).values(), s_matrix.values(), &what);
-                    let mut rhs = vec![f64::NAN; NDIME * n];
-                    let p = pressure.as_slice();
-                    ops.momentum_residual_and_mass_at(
-                        lanes,
-                        &team,
-                        &mut matrix,
-                        &velocity,
-                        p,
-                        scale,
-                        &mut rhs,
-                    );
-                    assert_same_bits(&rhs, &rhs_oracle, &format!("residual, {what}"));
-                    let full = matrix.to_csr(&s_matrix);
-                    assert_same_bits(full.values(), &full_oracle, &format!("mass, {what}"));
-                }
+        let offsets = ops.topology.element_diagonals().unwrap().offsets().to_vec();
+        for threads in [1usize, 2, 4] {
+            let team = Team::new(threads);
+            for lanes in [Lanes::Baseline, Lanes::selected()] {
+                let mut matrix = DiaMatrix::zeros(n, offsets.clone());
+                matrix.values_mut().fill(f64::NAN);
+                let what = format!("{threads} threads, {lanes} lanes");
+                ops.fill_viscous_on(&team, nu, &mut matrix);
+                add_per_entry(&ops, &mut matrix, &convection);
+                let seeded = on_node_graph(&matrix, &ops.topology);
+                assert_same_bits(seeded.values(), s_matrix.values(), &what);
+                let mut rhs = vec![f64::NAN; NDIME * n];
+                let p = pressure.as_slice();
+                ops.momentum_residual_and_mass_at(
+                    lanes,
+                    &team,
+                    &mut matrix,
+                    &velocity,
+                    p,
+                    scale,
+                    &mut rhs,
+                );
+                assert_same_bits(&rhs, &rhs_oracle, &format!("residual, {what}"));
+                let full = on_node_graph(&matrix, &ops.topology);
+                assert_same_bits(full.values(), &full_oracle, &format!("mass, {what}"));
             }
         }
     }
@@ -1861,14 +1668,9 @@ mod tests {
             (reference - quadrature).abs() <= 1e-13 * quadrature,
             "{reference:e} vs the quadrature's {quadrature:e}"
         );
-        // `M` on the diagonals or per entry: the same sums in the same order.
-        let per_entry = PressureOperators::per_entry(&m, ops.topology.clone());
-        for threads in [1usize, 2, 4] {
-            let team = Team::new(threads);
-            for (ops, what) in [(&ops, "diagonals"), (&per_entry, "per entry")] {
-                let energy = ops.kinetic_energy_on(&team, &velocity, 1.3);
-                assert_eq!(energy.to_bits(), reference.to_bits(), "{what}, {threads} threads");
-            }
+        for threads in [2usize, 4] {
+            let energy = ops.kinetic_energy_on(&Team::new(threads), &velocity, 1.3);
+            assert_eq!(energy.to_bits(), reference.to_bits(), "{threads} threads");
         }
     }
 
@@ -1885,16 +1687,11 @@ mod tests {
         // component); the mass update (a multiply and an add per value).
         let momentum_flops =
             |values: usize| (values + (6 * values + 6 * nnz + 6 * n) + 2 * values) as u64;
-        // On diagonals: ν·K (K in, values out), then one pass per block (the
-        // values and M in, the values out, `C`, p and u in, u's columns
-        // written and read, rhs out) — no column index.
+        // ν·K (K in, values out), then one pass per block (the values and M
+        // in, the values out, `C`, p and u in, u's columns written and read,
+        // rhs out) — no column index.
         let diagonal_bytes =
             |gradient: usize| (16 * padded + 24 * padded + gradient + 8 * 7 * n + 48 * n) as u64;
-        // Per entry: ν·K; the residual (values, columns, `C`, u, p in; rhs
-        // out); the mass update (M in, values in and out).
-        let entry_bytes = |gradient: usize| {
-            (16 * nnz + (8 + index) * nnz + gradient + 8 * 7 * n + 24 * nnz) as u64
-        };
 
         // The generator box: 27 class stencils of 27 taps, no index read,
         // so one pass moves the table, a scalar and a vector field.
@@ -1917,29 +1714,15 @@ mod tests {
         assert_eq!(ops.divergence_flops(), (2 * NDIME * nnz) as u64);
         assert_eq!(ops.momentum_pass_flops(), momentum_flops(padded));
         assert_eq!(ops.momentum_pass_bytes(), diagonal_bytes(8 * NDIME * nnz));
-
-        // Renumbered: everything per entry.
-        let scrambled = jittered.renumber_nodes(&NodePermutation::scrambled(n, 7));
-        let ops = PressureOperators::new(&scrambled, 16);
-        assert_eq!(ops.gradient_storage(), GradientStorage::NoLattice);
-        assert_eq!(ops.streamed_bytes(), 8 * NDIME * nnz + index * nnz);
-        assert_eq!(ops.momentum_pass_flops(), momentum_flops(nnz));
-        assert_eq!(ops.momentum_pass_bytes(), entry_bytes(8 * NDIME * nnz));
     }
 
-    /// The integrated `C` of a generator box's own coordinates: the same
-    /// mesh without its lattice.
-    fn integrated(mesh: &Mesh) -> PressureOperators {
-        let raw = Mesh::from_raw(
-            mesh.kind(),
-            mesh.coords().to_vec(),
-            mesh.connectivity().to_vec(),
-            mesh.boundary_tags().to_vec(),
-            mesh.characteristic_length(),
-        );
-        let ops = PressureOperators::new(&raw, 16);
-        assert_eq!(ops.gradient_storage(), GradientStorage::NoLattice);
-        ops
+    /// A renumbered mesh carries no lattice: the operators refuse it.
+    #[test]
+    #[should_panic(expected = "the mesh has no box lattice")]
+    fn operators_refuse_a_mesh_without_a_lattice() {
+        let m = mesh();
+        let scrambled = m.renumber_nodes(&NodePermutation::scrambled(m.num_nodes(), 7));
+        let _ = PressureOperators::new(&scrambled, 16);
     }
 
     #[test]
@@ -1966,7 +1749,10 @@ mod tests {
                 ops.gradient_storage(),
                 GradientStorage::ClassStencils { classes: *classes }
             );
-            let (generated, integrated) = (ops.coefficients(), integrated(mesh).coefficients());
+            // The integrated `C` of the box's own coordinates, element by
+            // element.
+            let (generated, integrated) =
+                (ops.coefficients(), GeometryTable::new(mesh).coefficients());
             let row_ptr = ops.topology.row_ptr();
             let longest = mesh.lattice().expect("a generated box").dims.into_iter().max().unwrap();
             let mut worst = 0.0f64;
@@ -2000,7 +1786,7 @@ mod tests {
         for (k, v) in matrix.pattern_and_values_mut().2.iter_mut().enumerate() {
             *v = (k as f64 * 0.11).cos();
         }
-        let matrix = MomentumMatrix::Diagonals(DiaMatrix::from_csr(&matrix).expect("27 diagonals"));
+        let matrix: DiaMatrix = DiaMatrix::from_csr(&matrix).expect("27 diagonals");
         let passes = |ops: &PressureOperators, team: &Team| {
             let (mut div, mut poisson, mut poisson_div) =
                 (vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]);

@@ -16,8 +16,8 @@
 //!   wraps them into its prolongation operator; keeping only plain data
 //!   here leaves `lv-mesh` free of solver dependencies.
 //!
-//! A mesh built from raw arrays or renumbered carries no lattice, and its
-//! pressure solve stays single-level.
+//! A mesh built from raw arrays or renumbered carries no lattice: it has
+//! no hierarchy, and a time step refuses it.
 
 use serde::{Deserialize, Serialize};
 

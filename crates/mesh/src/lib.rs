@@ -26,8 +26,9 @@
 //!   application-level parameter the paper sweeps (16 … 512).
 //! * [`coloring`] — node-disjoint coloring of those blocks, the scheduling
 //!   substrate of the multi-threaded assembly sweep.
-//! * [`renumber`] — node permutations: reverse Cuthill–McKee, and a
-//!   scramble that stands in for an imported mesh's numbering.
+//! * [`renumber`] — node permutations and a scramble that stands in for an
+//!   imported mesh's numbering: the tests' tools for node-order
+//!   independence.
 //! * [`topology`] — the node-graph CSR pattern and the element→CSR slot map
 //!   of a mesh, built once and shared by every operator assembled on it.
 //!
@@ -55,7 +56,7 @@ pub use geometry::{Mat3, Point3, Vec3};
 pub use hierarchy::{trilinear_stencil, BoxLattice, TrilinearStencil};
 pub use mesh::{BoundaryTag, ElementKind, Mesh};
 pub use quadrature::{GaussRule, QuadraturePoint};
-pub use renumber::{reverse_cuthill_mckee, NodePermutation};
+pub use renumber::NodePermutation;
 pub use shape::{ShapeDerivatives, ShapeFunctions, ShapeTable};
 pub use structured::{BoxMeshBuilder, ChannelMeshBuilder};
 pub use topology::{ElementDiagonals, MeshTopology};

@@ -1,13 +1,12 @@
-//! Node renumbering: bandwidth-minimizing reverse Cuthill–McKee and a
-//! deterministic scramble.
+//! Node renumbering: a permutation of the mesh nodes and the mesh pushed
+//! through it.
 //!
-//! Phases 1–2 of the mini-app are indexed gathers through the connectivity:
-//! for every element of a `VECTOR_SIZE` chunk they touch the coordinate and
-//! unknown arrays at the element's node ids.  How far apart those ids lie
-//! decides how many cache lines the gather streams; the same node ordering
-//! also fixes the bandwidth of the CSR matrix the solver SpMV traverses.
-//! The structured generators number nodes in lattice order, already
-//! bandwidth-optimal for a box; the numbering of an imported mesh is not.
+//! The structured generators number nodes in lattice order: every element
+//! puts its nodes at the same offsets from its first node, which is what
+//! the step's diagonal storage and the pressure hierarchy read off the
+//! lattice the generator attaches ([`Mesh::lattice`]).  The numbering of an
+//! imported mesh has none of that; [`NodePermutation::scrambled`] emulates
+//! it.
 //!
 //! This module provides:
 //!
@@ -15,31 +14,23 @@
 //!   helpers to push fields, right-hand sides and solutions through it (and
 //!   back), and [`NodePermutation::scrambled`], the arbitrary numbering of
 //!   an imported mesh;
-//! * [`reverse_cuthill_mckee`] — the classic breadth-first bandwidth
-//!   minimizer over the node-to-node graph, with fully deterministic
-//!   tie-breaking (smallest degree first, then smallest id), so the
-//!   permutation is a pure function of the mesh;
 //! * [`Mesh::renumber_nodes`] — applies a permutation to the whole mesh
 //!   (coordinates, connectivity, boundary tags).
 //!
-//! A renumbered mesh carries no lattice ([`Mesh::lattice`] is `None`), so
-//! its pressure solve is single-level; with patterns far wider than 32
-//! diagonals, scrambled and RCM orders are also the test inputs of the CSR
-//! momentum matrix.
-//!
-//! Renumbering commutes with the assembly bitwise: element order, the
-//! element-local node order and therefore every floating-point operation of
-//! the sweep are unchanged — only the *destinations* of the scatter move.
-//! Assembling the renumbered mesh and inverse-permuting the result
-//! reproduces the original system bit for bit (pinned by the integration
-//! tests).
+//! Both are test tools: a renumbered mesh carries no lattice, so a time
+//! step refuses it.  The tests use them to check that the kernels do not
+//! depend on the node order — renumbering commutes with the assembly
+//! bitwise: element order, the element-local node order and therefore
+//! every floating-point operation of the sweep are unchanged, only the
+//! *destinations* of the scatter move, so assembling the renumbered mesh
+//! and inverse-permuting the result reproduces the original system bit for
+//! bit.
 
 use crate::mesh::Mesh;
-use serde::{Deserialize, Serialize};
 
 /// A permutation of the mesh nodes: `forward[old] = new` with its inverse
 /// `inverse[new] = old`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodePermutation {
     forward: Vec<usize>,
     inverse: Vec<usize>,
@@ -120,8 +111,7 @@ impl NodePermutation {
     /// lexicographically, which is already bandwidth-optimal for a box — a
     /// luxury real unstructured meshes (the paper's Alya production cases)
     /// do not have.  Scrambling the node order emulates the arbitrary
-    /// numbering of an imported mesh; it is the "before" state the
-    /// renumbering tests measure [`reverse_cuthill_mckee`] against.
+    /// numbering of an imported mesh.
     pub fn scrambled(n: usize, seed: u64) -> Self {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -167,61 +157,6 @@ impl NodePermutation {
         }
         out
     }
-}
-
-/// Reverse Cuthill–McKee ordering of the mesh nodes.
-///
-/// Classic breadth-first bandwidth minimization over the node-to-node graph:
-/// each connected component is traversed from a minimum-degree start node,
-/// neighbours are visited in increasing (degree, id) order, and the final
-/// ordering is reversed (George's observation that the reverse ordering
-/// never has a larger profile).  Every tie-break is deterministic, so the
-/// permutation is a pure function of the mesh.
-pub fn reverse_cuthill_mckee(mesh: &Mesh) -> NodePermutation {
-    let n = mesh.num_nodes();
-    let (row_ptr, col_idx) = mesh.node_graph_csr();
-    let degree: Vec<usize> = (0..n)
-        .map(|node| {
-            // The graph stores the diagonal; the degree excludes it.
-            let row = &col_idx[row_ptr[node]..row_ptr[node + 1]];
-            row.len() - row.iter().filter(|&&c| c == node).count()
-        })
-        .collect();
-
-    let mut order = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    let mut neighbours = Vec::new();
-    let mut head = 0;
-    while order.len() < n {
-        // Deterministic component seed: smallest degree, then smallest id.
-        let start = (0..n)
-            .filter(|&node| !visited[node])
-            .min_by_key(|&node| (degree[node], node))
-            .expect("an unvisited node must exist");
-        visited[start] = true;
-        order.push(start);
-        while head < order.len() {
-            let node = order[head];
-            head += 1;
-            neighbours.clear();
-            for &c in &col_idx[row_ptr[node]..row_ptr[node + 1]] {
-                if !visited[c] {
-                    visited[c] = true;
-                    neighbours.push(c);
-                }
-            }
-            neighbours.sort_by_key(|&c| (degree[c], c));
-            order.extend_from_slice(&neighbours);
-        }
-    }
-
-    // Reverse Cuthill-McKee: the i-th node of the reversed traversal gets
-    // new id i.
-    let mut forward = vec![0usize; n];
-    for (position, &node) in order.iter().rev().enumerate() {
-        forward[node] = position;
-    }
-    NodePermutation::from_forward(forward)
 }
 
 impl Mesh {
@@ -311,56 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn rcm_is_a_valid_permutation_and_deterministic() {
-        let mesh = BoxMeshBuilder::new(4, 3, 2).build();
-        let p = reverse_cuthill_mckee(&mesh);
-        assert_eq!(p.len(), mesh.num_nodes());
-        let mut seen = vec![false; p.len()];
-        for old in 0..p.len() {
-            assert!(!seen[p.new_of(old)]);
-            seen[p.new_of(old)] = true;
-        }
-        // Pure function of the mesh.
-        assert_eq!(p, reverse_cuthill_mckee(&mesh));
-    }
-
-    #[test]
-    fn rcm_shrinks_scrambled_cavity_bandwidth() {
-        // The structured generator's lexicographic order is already
-        // bandwidth-optimal for a box ((|V|-1)/diameter is attained), so the
-        // realistic "before" state is an arbitrary imported numbering —
-        // emulated by a deterministic scramble.  RCM must recover at least
-        // 2x of the bandwidth the scramble destroyed.
-        let mesh = BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().build();
-        let scrambled = mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 42));
-        let before = bandwidth(&scrambled);
-        let renumbered = scrambled.renumber_nodes(&reverse_cuthill_mckee(&scrambled));
-        let after = bandwidth(&renumbered);
-        assert!(
-            (after as f64) * 2.0 <= before as f64,
-            "RCM bandwidth {after} not at least 2x below scrambled {before}"
-        );
-    }
-
-    #[test]
-    fn rcm_is_near_optimal_on_the_already_optimal_structured_order() {
-        // Sanity bound for the structured box: the generator order attains
-        // the (|V|-1)/diameter lower bound, and RCM must stay within a small
-        // factor of it (BFS level sets of the L-infinity ball are wider than
-        // lexicographic planes — RCM cannot win here, but must not blow up).
-        let mesh = BoxMeshBuilder::new(8, 8, 8).build();
-        let lower_bound = (mesh.num_nodes() - 1).div_ceil(8);
-        assert_eq!(bandwidth(&mesh), 9 * 9 + 9 + 1);
-        let renumbered = mesh.renumber_nodes(&reverse_cuthill_mckee(&mesh));
-        let rcm = bandwidth(&renumbered);
-        assert!(rcm >= lower_bound);
-        assert!(rcm < 8 * lower_bound, "RCM bandwidth {rcm} blew up past {}", 8 * lower_bound);
-    }
-
-    #[test]
     fn renumbered_mesh_preserves_geometry_and_tags() {
         let mesh = BoxMeshBuilder::new(4, 4, 4).lid_driven_cavity().with_jitter(0.1, 5).build();
-        let p = reverse_cuthill_mckee(&mesh);
+        let p = NodePermutation::scrambled(mesh.num_nodes(), 5);
         let renumbered = mesh.renumber_nodes(&p);
         assert!(renumbered.validate().is_empty());
         assert!((renumbered.total_volume() - mesh.total_volume()).abs() < 1e-12);
@@ -379,7 +267,7 @@ mod tests {
     #[test]
     fn renumbered_node_graph_is_the_permuted_pattern() {
         let mesh = BoxMeshBuilder::new(3, 3, 3).build();
-        let p = reverse_cuthill_mckee(&mesh);
+        let p = NodePermutation::scrambled(mesh.num_nodes(), 8);
         let renumbered = mesh.renumber_nodes(&p);
         let (row_ptr_o, col_idx_o) = mesh.node_graph_csr();
         let (row_ptr_r, col_idx_r) = renumbered.node_graph_csr();

@@ -9,16 +9,17 @@
 //! * **Physics** — the Taylor–Green analytic L2 velocity error decreases
 //!   monotonically with mesh resolution (8³ → 12³ → 16³), and the
 //!   projection reduces the predictor's discrete divergence by ≥10×;
-//! * **Operator storage** — the momentum solve runs on diagonals whenever
-//!   the node order allows (jittered coordinates do not matter, a scrambled
-//!   numbering does), the choice is reported, and both storages step;
+//! * **Operator storage** — the momentum solve runs on the lattice's
+//!   diagonals (jittered coordinates do not matter, a scrambled numbering
+//!   leaves no diagonal table), the choice is reported, and a mesh without
+//!   a lattice — scrambled or built from raw arrays — is refused;
 //! * **Solver tolerance** — the default 1e-6 relative residual saves every
 //!   registry scenario at least 30 % of the Krylov iterations 1e-10 takes,
 //!   and moves no diagnostic the step resolves.
 
 use alya_longvec::prelude::*;
 use lv_driver::{load_checkpoint, save_checkpoint, MomentumStorage, SimState, StepReport};
-use lv_mesh::renumber::{reverse_cuthill_mckee, NodePermutation};
+use lv_mesh::renumber::NodePermutation;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -207,58 +208,67 @@ fn pressure_field_is_no_longer_a_zero_spectator() {
     }
 }
 
-/// The momentum storage follows the assembly pattern, not the geometry: a
+/// The momentum storage follows the node order, not the geometry: a
 /// jittered generator-ordered 12³ cavity has the 27 lattice offsets and
-/// steps on diagonals; the same mesh under a scrambled numbering has
-/// hundreds and keeps the CSR matrix, and so does reverse Cuthill–McKee
-/// on top of the scramble (a narrow band, not a lattice).  All three step
-/// (on two threads; 13³ rows clear the cutoff where the teams fork), and
-/// the banner names the choice.  None of the three has a pressure
-/// hierarchy, and the banner names the cause: a coarse Galerkin level of
-/// the jittered box is too wide for diagonals, and the renumbered meshes
-/// carry no lattice.  Nor does any of them have class stencils: the
-/// gradient reads per-entry coefficients, and the banner says why.
+/// steps on diagonals (on two threads; 13³ rows clear the cutoff where the
+/// teams fork), and the banner names the choice.  It has no pressure
+/// hierarchy — a coarse Galerkin level is too wide for diagonals — and no
+/// class stencils: the gradient reads per-entry coefficients, and the
+/// banner says why.  Under two scrambled numberings the same elements share
+/// no diagonal table and the mesh carries no lattice, which a stepper
+/// refuses (the two tests below).
 #[test]
 fn momentum_storage_follows_the_node_order_and_both_storages_step() {
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 12);
     let jittered = BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.1, 5).build();
-    let scrambled = jittered.renumber_nodes(&NodePermutation::scrambled(jittered.num_nodes(), 99));
-    let rcm = scrambled.renumber_nodes(&reverse_cuthill_mckee(&scrambled));
-    let team = Team::new(2);
-    let mut energies = Vec::new();
-    let csr = "momentum csr (pattern has more than 32 diagonals)";
+    for seed in [99, 7] {
+        let perm = NodePermutation::scrambled(jittered.num_nodes(), seed);
+        let scrambled = jittered.renumber_nodes(&perm);
+        assert!(scrambled.lattice().is_none(), "seed {seed}");
+        let topology = lv_mesh::MeshTopology::new(&scrambled);
+        assert!(topology.element_diagonals().is_none(), "seed {seed}");
+    }
+    let mut stepper = Stepper::with_mesh(scenario, quick_config(), jittered);
+    assert_eq!(stepper.momentum_storage(), MomentumStorage::Dia { diagonals: 27 });
+    let line = stepper.describe_operators();
+    assert!(line.starts_with("operators: "), "{line}");
+    assert!(line.contains("| momentum dia (27 diagonals) |"), "{line}");
+    assert!(line.contains("| gradient per-entry (jittered lattice) |"), "{line}");
     let wide = "pressure cg (no multigrid hierarchy: a level has more than 32 diagonals)";
-    let renumbered = "pressure cg (no multigrid hierarchy: no box lattice)";
-    let (nudged, unordered) =
-        ("| gradient per-entry (jittered lattice) |", "| gradient per-entry (no lattice) |");
-    for (mesh, storage, banner, gradient, pressure) in [
-        (
-            jittered,
-            MomentumStorage::Dia { diagonals: 27 },
-            "momentum dia (27 diagonals)",
-            nudged,
-            wide,
-        ),
-        (scrambled, MomentumStorage::Csr, csr, unordered, renumbered),
-        (rcm, MomentumStorage::Csr, csr, unordered, renumbered),
-    ] {
-        let mut stepper = Stepper::with_mesh(scenario.clone(), quick_config(), mesh);
-        assert_eq!(stepper.momentum_storage(), storage);
-        let line = stepper.describe_operators();
-        assert!(line.starts_with("operators: ") && line.contains(banner), "{line}");
-        assert!(line.contains(gradient), "{line}");
-        assert!(line.ends_with(pressure), "{line}");
-        let reports = stepper.run_on(&team, 2).expect("both storages must step");
-        let tolerance = stepper.config().momentum_options.tolerance;
-        assert!(reports
-            .iter()
-            .all(|r| r.momentum_iterations > 0 && r.momentum_residual < 100.0 * tolerance));
-        energies.push(stepper.kinetic_energy());
-    }
-    // The same flow under three numberings: equal up to summation order.
-    for energy in &energies[1..] {
-        assert!((energies[0] - energy).abs() <= 1e-9 * energies[0], "{energies:?}");
-    }
+    assert!(line.ends_with(wide), "{line}");
+    let reports = stepper.run_on(&Team::new(2), 2).expect("the jittered box steps");
+    let tolerance = stepper.config().momentum_options.tolerance;
+    assert!(reports
+        .iter()
+        .all(|r| r.momentum_iterations > 0 && r.momentum_residual < 100.0 * tolerance));
+}
+
+/// The generator box of a scenario under a scrambled node order: the same
+/// elements and coordinates, no lattice.
+#[test]
+#[should_panic(expected = "the mesh has no box lattice")]
+fn a_stepper_refuses_a_scrambled_box() {
+    let scenario = cavity_scenario();
+    let mesh = scenario.build_mesh();
+    let scrambled = mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 99));
+    let _ = Stepper::with_mesh(scenario, quick_config(), scrambled);
+}
+
+/// The generator box of a scenario rebuilt from its raw arrays: the same
+/// node order, no lattice attached.
+#[test]
+#[should_panic(expected = "the mesh has no box lattice")]
+fn a_stepper_refuses_a_raw_box() {
+    let scenario = cavity_scenario();
+    let mesh = scenario.build_mesh();
+    let raw = Mesh::from_raw(
+        mesh.kind(),
+        mesh.coords().to_vec(),
+        mesh.connectivity().to_vec(),
+        mesh.boundary_tags().to_vec(),
+        mesh.characteristic_length(),
+    );
+    let _ = Stepper::with_mesh(scenario, quick_config(), raw);
 }
 
 /// The trade the default tolerance makes, pinned on every registry

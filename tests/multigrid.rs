@@ -15,16 +15,17 @@
 //!   and 12³ takes the iterations the all-`f64` cycle took, and that is the
 //!   flexible `β`'s doing (plain `β` pays on the gate's 16³ system);
 //! * **Physics neutrality** — a cavity trajectory stepped with the MG-CG
-//!   pressure path matches, through the node permutation, the trajectory
-//!   of the same cavity with its nodes scrambled, which has no hierarchy
-//!   and steps with plain CG (both solve the same system to 1e-10), with
-//!   fewer Poisson iterations;
+//!   pressure path matches the trajectory of the same cavity with every
+//!   projection sweep forced onto plain CG by an injected multigrid
+//!   breakdown (both iterate on the same level-0 operator and solve the
+//!   same system to 1e-10), with fewer Poisson iterations;
 //! * **Level storage** — on every level of the jittered-cavity and channel
 //!   hierarchies the diagonal-stored operator the V-cycle runs on produces
 //!   the bits of the CSR operator it was converted from; a mesh whose node
-//!   order hides the lattice does not fit and steps with plain CG.
+//!   order hides the lattice does not fit and has no hierarchy.
 
 use alya_longvec::prelude::*;
+use lv_driver::{FaultKind, FaultPlan};
 use lv_kernel::{
     build_pressure_multigrid, pressure_interpolations, pressure_laplacian, MatrixFreeLaplacian,
     NoHierarchy,
@@ -273,17 +274,19 @@ fn mgcg_trajectory_matches_cg_to_solver_tolerance() {
     assert!(mgcg.multigrid_levels().is_some());
     let mg_reports = mgcg.run_on(&team, 3).expect("mgcg run");
 
-    // The same cavity with its nodes scrambled hides the lattice: no
-    // hierarchy, so plain CG.  Node 0 keeps its number: it is the cavity's
-    // pressure pin, and both pressure fields must be pinned at one point.
-    let mesh = scenario.build_mesh();
-    let mut forward = NodePermutation::scrambled(mesh.num_nodes(), 99).forward().to_vec();
-    let moved = forward.iter().position(|&new| new == 0).expect("a permutation hits 0");
-    forward.swap(0, moved);
-    let perm = NodePermutation::from_forward(forward);
-    let mut cg = Stepper::with_mesh(scenario, config, mesh.renumber_nodes(&perm));
-    assert_eq!(cg.multigrid_levels(), None);
+    // The same cavity with a multigrid breakdown injected into each of the
+    // three projection sweeps of every step: each sweep falls back to
+    // plain CG on the hierarchy's level-0 operator.
+    let mut plan = FaultPlan::new(0);
+    for step in 1..=3 {
+        for _sweep in 0..3 {
+            plan = plan.with_fault(FaultKind::MultigridBreakdown, step);
+        }
+    }
+    let mut cg = Stepper::new(scenario, config.with_fault_plan(plan));
     let cg_reports = cg.run_on(&team, 3).expect("cg run");
+    assert!(mg_reports.iter().all(|r| r.poisson_fallbacks == 0));
+    assert!(cg_reports.iter().all(|r| r.poisson_fallbacks == 3));
 
     let mg_poisson: usize = mg_reports.iter().map(|r| r.poisson_iterations).sum();
     let cg_poisson: usize = cg_reports.iter().map(|r| r.poisson_iterations).sum();
@@ -297,12 +300,10 @@ fn mgcg_trajectory_matches_cg_to_solver_tolerance() {
         assert!((a.kinetic_energy - b.kinetic_energy).abs() <= 1e-8 * (1.0 + b.kinetic_energy));
         assert!((a.divergence_post - b.divergence_post).abs() <= 1e-8);
     }
-    let pressure = perm.permute_scalar(mgcg.state().pressure.as_slice());
-    for (a, b) in pressure.iter().zip(cg.state().pressure.as_slice()) {
+    for (a, b) in mgcg.state().pressure.as_slice().iter().zip(cg.state().pressure.as_slice()) {
         assert!((a - b).abs() <= 1e-7, "pressure fields diverged ({a} vs {b})");
     }
-    let velocity = perm.permute_blocked(mgcg.state().velocity.as_slice(), lv_mesh::NDIME);
-    for (a, b) in velocity.iter().zip(cg.state().velocity.as_slice()) {
+    for (a, b) in mgcg.state().velocity.as_slice().iter().zip(cg.state().velocity.as_slice()) {
         assert!((a - b).abs() <= 1e-8, "velocity fields diverged ({a} vs {b})");
     }
 }
@@ -407,25 +408,71 @@ fn a_jittered_box_fits_on_the_fine_level_only() {
     assert_eq!(built.err(), Some(NoHierarchy::TooManyDiagonals));
 }
 
+/// Where a lattice has no hierarchy the step runs plain CG on the pinned
+/// Laplacian's level-0 diagonals.  On the three such meshes of the
+/// registry's kinds — a cavity whose lattice does not halve, a flat box of
+/// unequal spacing, a jittered box whose coarse level is too wide — that
+/// solve is the CSR solve to the bit (solution, iterations, final residual)
+/// on 1, 2 and 3 threads: the step moved from one operator to the other
+/// without moving its trajectory.
+#[test]
+fn plain_cg_on_the_level_0_diagonals_keeps_the_bits_of_the_csr_laplacian() {
+    let cavity = Scenario::new(ScenarioKind::LidDrivenCavity, 7);
+    let meshes = [
+        ("cavity 7", cavity.build_mesh(), NoHierarchy::DoesNotHalve),
+        (
+            "flat 8x8x16",
+            BoxMeshBuilder::new(8, 8, 16).lid_driven_cavity().build(),
+            NoHierarchy::UnequalSpacing,
+        ),
+        (
+            "jittered 12^3",
+            BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.1, 5).build(),
+            NoHierarchy::TooManyDiagonals,
+        ),
+    ];
+    let options = StepperConfig::default().poisson_options;
+    for (name, mesh, cause) in &meshes {
+        let pins = cavity.pressure_pins(mesh);
+        let csr = pressure_laplacian(mesh, &pins);
+        let built = build_pressure_multigrid(mesh, &csr, &MultigridOptions::default());
+        assert_eq!(built.err(), Some(*cause), "{name}");
+        let dia: DiaMatrix = DiaMatrix::from_csr(&csr).expect("a lattice stencil");
+        let mut rhs = probe(csr.dim(), 5);
+        for &pin in &pins {
+            rhs[pin] = 0.0;
+        }
+        for threads in [1, 2, 3] {
+            let team = Team::new(threads);
+            let want = conjugate_gradient_on(&team, &csr, &rhs, &options).expect("CSR CG");
+            let got = conjugate_gradient_on(&team, &dia, &rhs, &options).expect("diagonal CG");
+            let what = format!("{name} on {threads} thread(s)");
+            assert!(want.iterations > 0, "{what}");
+            assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+            let residuals = [got.final_residual(), want.final_residual()].map(f64::to_bits);
+            assert_eq!(residuals[0], residuals[1], "{what}: final residual");
+            for (i, (x, y)) in got.solution.iter().zip(&want.solution).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: solution entry {i}");
+            }
+        }
+    }
+}
+
+/// The cavity's pinned Laplacian pushed through a scrambled node order has
+/// no diagonal storage, and the scrambled mesh carries no lattice to build a
+/// hierarchy on.  (A stepper refuses such a mesh outright: `tests/driver.rs`.)
 #[test]
 fn a_scrambled_node_order_does_not_fit_and_steps_with_plain_cg() {
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 8);
     let mesh = scenario.build_mesh();
-    let scrambled = mesh.renumber_nodes(&NodePermutation::scrambled(mesh.num_nodes(), 99));
-    let pins = scenario.pressure_pins(&scrambled);
-    let laplacian = pressure_laplacian(&scrambled, &pins);
+    let perm = NodePermutation::scrambled(mesh.num_nodes(), 99);
+    let scrambled = mesh.renumber_nodes(&perm);
+    let laplacian = pressure_laplacian(&mesh, &scenario.pressure_pins(&mesh));
+    let laplacian = laplacian.permuted(perm.forward());
     assert!(
         DiaMatrix::<f64>::from_csr(&laplacian).is_none(),
         "a scrambled Laplacian has no diagonals"
     );
-    // A renumbered mesh carries no lattice to build a hierarchy on.
     let built = build_pressure_multigrid(&scrambled, &laplacian, &MultigridOptions::default());
     assert_eq!(built.err(), Some(NoHierarchy::NoLattice));
-
-    // The stepper takes the documented fallback and still steps.
-    let mut stepper =
-        Stepper::with_mesh(scenario, StepperConfig::default().with_vector_size(64), scrambled);
-    assert_eq!(stepper.multigrid_levels(), None);
-    let reports = stepper.run_on(&Team::new(2), 1).expect("the CG path steps");
-    assert_eq!(reports[0].poisson_fallbacks, 0, "CG is the mesh's path, not a fallback");
 }
