@@ -48,18 +48,20 @@
 //! (`ckpt-flip`, `ckpt-truncate`) the stepper's own fault plan holds for
 //! the step, so a run has one plan for every fault kind.
 //! [`Stepper::resume_on`] loads the newest intact generation, checks that
-//! it belongs to the scenario and rebuilds the stepper on it.  On a traced
+//! it belongs to the scenario of the [`Discretization`] it is handed and
+//! builds the stepper on that (shared) discretization.  On a traced
 //! team both record their `checkpoint/{save,load}` span and counter.  The
 //! plain-file [`save_checkpoint`] / [`load_checkpoint`] pair is the format
 //! underneath.
 
 use crate::scenario::{Scenario, ScenarioKind};
-use crate::stepper::{SimState, Stepper, StepperConfig};
+use crate::stepper::{Discretization, SimState, Stepper, StepperConfig};
 use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
 use lv_trace::{counters, spans};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"LVCKPT01";
 
@@ -415,9 +417,9 @@ pub struct Resumed {
 }
 
 impl Stepper {
-    /// Resumes `scenario` from the newest intact generation of `ring`: the
-    /// generation must belong to the scenario and fit its mesh.  On a
-    /// traced team the read is a `checkpoint/load` span (`bytes` = decoded
+    /// Resumes the scenario of `shared` from the newest intact generation
+    /// of `ring`, on `shared` ([`Stepper::from_shared`]): the generation
+    /// must belong to the scenario and fit its mesh.  On a traced team the read is a `checkpoint/load` span (`bytes` = decoded
     /// field payload, `iters` = 1 when a generation decoded, `aux` = that
     /// generation) plus [`counters::CHECKPOINT_LOADS`] when it did.
     ///
@@ -428,7 +430,7 @@ impl Stepper {
     /// or mesh.
     pub fn resume_on(
         team: &Team,
-        scenario: Scenario,
+        shared: &Arc<Discretization>,
         config: StepperConfig,
         ring: &CheckpointRing,
     ) -> io::Result<Resumed> {
@@ -446,10 +448,9 @@ impl Stepper {
         if let Some(t) = trace {
             t.add(counters::CHECKPOINT_LOADS, 1);
         }
-        checkpoint.validate_scenario(&scenario)?;
-        let mesh = scenario.build_mesh();
-        let state = checkpoint.into_state(&mesh)?;
-        let stepper = Stepper::from_state(scenario, config, mesh, state);
+        checkpoint.validate_scenario(shared.scenario())?;
+        let state = checkpoint.into_state(shared.mesh())?;
+        let stepper = Stepper::from_shared(Arc::clone(shared), config, state);
         Ok(Resumed { stepper, generation, path, skipped })
     }
 
@@ -701,9 +702,10 @@ mod tests {
         let mut team = Team::with_trace(1, TraceConfig::default());
         let ring = CheckpointRing::new(ring_base("stepper"), 2);
         clear_ring(&ring);
+        let shared = Arc::new(Discretization::new(scenario.clone(), 32));
         // An empty ring: a load span with iters = 0, no counter bump.
-        let err = Stepper::resume_on(&team, scenario.clone(), config.clone(), &ring)
-            .expect_err("empty ring");
+        let err =
+            Stepper::resume_on(&team, &shared, config.clone(), &ring).expect_err("empty ring");
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
 
         let plan = FaultPlan::new(5).with_fault(FaultKind::CheckpointTruncate, 1);
@@ -716,12 +718,12 @@ mod tests {
         assert_eq!(fault, None, "the truncation fires on the first save only");
         assert_eq!(stepper.fault_plan().map(FaultPlan::pending), Some(0));
 
-        let resumed = Stepper::resume_on(&team, scenario, config.clone(), &ring).expect("resume");
+        let resumed = Stepper::resume_on(&team, &shared, config.clone(), &ring).expect("resume");
         assert_eq!((resumed.generation, resumed.path), (0, ring.slot(0)));
         assert!(resumed.skipped.is_empty());
         assert_eq!(resumed.stepper.state().step, 1);
-        let other = Scenario::new(ScenarioKind::Channel, 3);
-        let err = Stepper::resume_on(&team, other, config, &ring).expect_err("another scenario");
+        let other = Arc::new(Discretization::new(Scenario::new(ScenarioKind::Channel, 3), 32));
+        let err = Stepper::resume_on(&team, &other, config, &ring).expect_err("another scenario");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         clear_ring(&ring);
 

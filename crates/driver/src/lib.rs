@@ -37,6 +37,6 @@ pub use checkpoint::{
 pub use fault::{FaultKind, FaultPlan, STALL_MILLIS};
 pub use scenario::{taylor_green_velocity, Scenario, ScenarioKind};
 pub use stepper::{
-    MomentumStorage, RunError, SimState, SliceEnd, SliceReport, StepError, StepReport, StepTimings,
-    Stepper, StepperConfig,
+    Discretization, MomentumStorage, RunError, SimState, SliceEnd, SliceReport, StepError,
+    StepReport, StepTimings, Stepper, StepperConfig,
 };

@@ -12,7 +12,7 @@ use lv_mesh::{BoundaryTag, BoxMeshBuilder, ChannelMeshBuilder, Field, Mesh, Vec3
 use std::f64::consts::PI;
 
 /// The flow configurations the driver knows how to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioKind {
     /// Lid-driven cavity: enclosed box, unit-velocity lid on the top face.
     LidDrivenCavity,

@@ -68,6 +68,20 @@
 //! (`Δt = clamp(CFL·h/‖u‖_∞, DT_MIN, DT_MAX)`), recomputed from the state
 //! at the start of every step — deterministic, and therefore restart-safe
 //! without storing it.
+//!
+//! A stepper is two parts.  The [`Discretization`] is what is a pure
+//! function of the scenario and the `VECTOR_SIZE` — the mesh, the assembly
+//! with its topology, colouring and chunks, the convective geometry, the
+//! projection operators, the pinned Laplacian's level-0 diagonals and the
+//! multigrid hierarchy, the pins and `h` — and no step writes it: Δt goes
+//! to the sweep as an argument.  The rest is the run's own: the state, the
+//! momentum matrix and right-hand sides, the work buffers, the fault plan,
+//! the stall detector and the V-cycle's vectors (a clone of the shared
+//! [`GeometricMultigrid`], which shares its levels).  [`Stepper::new`],
+//! [`Stepper::with_mesh`] and [`Stepper::from_state`] build a
+//! discretization of their own; [`Stepper::from_shared`] — which they call
+//! — runs on a shared one, so a service builds each (scenario, size) once
+//! and every job on it runs the same operators, bit for bit.
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::scenario::Scenario;
@@ -425,16 +439,25 @@ struct PoissonSystem {
     /// Jacobi-CG where the lattice has no hierarchy.  Shared with the
     /// hierarchy when there is one.
     fine: Arc<DiaMatrix>,
-    /// The V-cycle hierarchy, or why the lattice has none.
+    /// The V-cycle hierarchy, or why the lattice has none.  A stepper runs
+    /// its cycles on a clone: the levels shared, the vectors its own.
     multigrid: Result<GeometricMultigrid, NoHierarchy>,
 }
 
-/// The fractional-step simulation driver: owns the assembled operators, the
-/// reusable work buffers and the evolving [`SimState`].
+/// The part of a stepper that is a pure function of the scenario and the
+/// `VECTOR_SIZE`: the mesh and its assembly (topology, colouring, chunks),
+/// the convective geometry, the projection operators (`K`, `M`, `C`), the
+/// pinned Laplacian's level-0 diagonals with the multigrid hierarchy built
+/// on them, the pressure pins and the characteristic length.  Nothing of
+/// it changes once it is built — a step writes only the stepper's own
+/// state, matrix and buffers — so steppers of any number of jobs on the
+/// same (scenario, size) share one behind an [`Arc`]
+/// ([`Stepper::from_shared`]) and run the operators an unshared stepper
+/// runs, bit for bit.
 #[derive(Debug)]
-pub struct Stepper {
+pub struct Discretization {
     scenario: Scenario,
-    config: StepperConfig,
+    vector_size: usize,
     assembly: NastinAssembly,
     // What the convective sweep needs of the mesh — inverse Jacobians and
     // `gpvol` per chunk and integration point — integrated once: the mesh
@@ -444,6 +467,97 @@ pub struct Stepper {
     poisson: PoissonSystem,
     pins: Vec<usize>,
     h_char: f64,
+}
+
+impl Discretization {
+    /// The discretization of `scenario` on its own mesh
+    /// ([`Scenario::build_mesh`]) at `vector_size`.
+    pub fn new(scenario: Scenario, vector_size: usize) -> Self {
+        let mesh = scenario.build_mesh();
+        Self::with_mesh(scenario, vector_size, mesh)
+    }
+
+    /// The discretization of `scenario` on a caller-provided mesh with a
+    /// box lattice (e.g. a jittered box — the scenario only supplies
+    /// physics, BCs and pins).
+    ///
+    /// # Panics
+    /// Panics if the mesh has no box lattice ([`Mesh::lattice`] is `None`:
+    /// it was built from raw arrays or renumbered), or if `vector_size` is
+    /// zero.
+    pub fn with_mesh(scenario: Scenario, vector_size: usize, mesh: Mesh) -> Self {
+        assert!(
+            mesh.lattice().is_some(),
+            "the mesh has no box lattice: a stepper runs on a generator box"
+        );
+        let kernel_config = KernelConfig::new(vector_size, OptLevel::Vec1)
+            .with_viscosity(scenario.viscosity)
+            .with_density(scenario.density);
+        let h_char = mesh.characteristic_length();
+        let pins = scenario.pressure_pins(&mesh);
+        // One node graph and slot map for both operator sets.
+        let assembly = NastinAssembly::new(mesh, kernel_config);
+        let mesh = assembly.mesh();
+        let geometry = assembly.convective_geometry();
+        let operators = PressureOperators::with_topology(mesh, assembly.topology().clone());
+        let mut laplacian = operators.assemble_laplacian();
+        laplacian.pin_rows_symmetric(&pins);
+        debug_assert!(laplacian.is_symmetric(1e-12), "pinned pressure Laplacian must stay SPD");
+        // The V-cycle hierarchy is a pure function of the mesh and the
+        // pinned Laplacian, so a restarted stepper rebuilds it identically
+        // (bitwise) and trajectories stay exactly resumable.
+        let multigrid = build_pressure_multigrid(mesh, &laplacian, &MultigridOptions::default());
+        // Every Poisson solve runs on the level-0 diagonals — the
+        // hierarchy's own when there is one.  The CSR Laplacian is freed
+        // here.
+        let fine = match &multigrid {
+            Ok(multigrid) => multigrid.fine_operator(),
+            Err(_) => Arc::new(
+                DiaMatrix::from_csr(&laplacian)
+                    .expect("a lattice's Laplacian has 27 diagonals at most"),
+            ),
+        };
+        drop(laplacian);
+        Discretization {
+            scenario,
+            vector_size,
+            assembly,
+            geometry,
+            operators,
+            poisson: PoissonSystem { fine, multigrid },
+            pins,
+            h_char,
+        }
+    }
+
+    /// The scenario this discretizes.
+    pub fn scenario(&self) -> &Scenario {
+        &self.scenario
+    }
+
+    /// The mesh.
+    pub fn mesh(&self) -> &Mesh {
+        self.assembly.mesh()
+    }
+
+    /// The scenario's initial state on this mesh (step 0, time 0).
+    pub fn initial_state(&self) -> SimState {
+        let (velocity, pressure) = self.scenario.initial_state(self.mesh());
+        SimState { step: 0, time: 0.0, velocity, pressure }
+    }
+}
+
+/// The fractional-step simulation driver: a shared, immutable
+/// [`Discretization`] plus what is the run's own — the evolving
+/// [`SimState`], the momentum matrix and right-hand sides, the work
+/// buffers, the V-cycle's vectors, the fault plan and the stall detector.
+#[derive(Debug)]
+pub struct Stepper {
+    config: StepperConfig,
+    shared: Arc<Discretization>,
+    // The shared hierarchy with this stepper's own cycle vectors (`None`
+    // where the lattice has no hierarchy).
+    multigrid: Option<GeometricMultigrid>,
     // Transient Δt multiplier of the retry loop (0.5^attempt); 1.0 outside
     // a recovery.  Not part of SimState: a successful step resets it, so
     // trajectories remain a pure function of the state.
@@ -483,7 +597,7 @@ impl Stepper {
     }
 
     /// Builds a stepper resuming from an existing state (the restart path;
-    /// see [`crate::checkpoint`]).
+    /// see [`crate::checkpoint`]) on a discretization of its own.
     ///
     /// # Panics
     /// Panics if the mesh has no box lattice (see
@@ -495,64 +609,41 @@ impl Stepper {
         mesh: Mesh,
         state: SimState,
     ) -> Self {
-        assert!(
-            mesh.lattice().is_some(),
-            "the mesh has no box lattice: a stepper runs on a generator box"
-        );
+        let shared = Discretization::with_mesh(scenario, config.vector_size, mesh);
+        Self::from_shared(Arc::new(shared), config, state)
+    }
+
+    /// Builds a stepper at `state` on a shared discretization: only the
+    /// run's own part is allocated — the momentum matrix, the right-hand
+    /// sides, the V-cycle's vectors — and the step runs the operators of
+    /// `shared`, so the trajectory has the bits of one on a discretization
+    /// of its own.  Δt is validated and applied per step
+    /// ([`checked_next_dt`](Self::checked_next_dt)), so an invalid fixed
+    /// Δt surfaces as [`StepError::InvalidDt`] at step time.
+    ///
+    /// # Panics
+    /// Panics if `config.vector_size` is not the one `shared` was built at,
+    /// or the state's field sizes do not match the mesh.
+    pub fn from_shared(
+        shared: Arc<Discretization>,
+        config: StepperConfig,
+        state: SimState,
+    ) -> Self {
         assert_eq!(
-            state.velocity.num_nodes(),
-            mesh.num_nodes(),
-            "restart velocity does not match the mesh"
+            config.vector_size, shared.vector_size,
+            "the discretization was built at another VECTOR_SIZE"
         );
-        assert_eq!(
-            state.pressure.len(),
-            mesh.num_nodes(),
-            "restart pressure does not match the mesh"
-        );
-        // Δt is validated and set per step (checked_next_dt → set_dt), so an
-        // invalid fixed dt surfaces as a structured StepError::InvalidDt at
-        // step time, not as an assert here.
-        let kernel_config = KernelConfig::new(config.vector_size, OptLevel::Vec1)
-            .with_viscosity(scenario.viscosity)
-            .with_density(scenario.density);
-        // One node graph and slot map for both operator sets.
-        let assembly = NastinAssembly::new(mesh.clone(), kernel_config);
-        let geometry = assembly.convective_geometry();
-        let operators = PressureOperators::with_topology(&mesh, assembly.topology().clone());
-        let pins = scenario.pressure_pins(&mesh);
-        let mut laplacian = operators.assemble_laplacian();
-        laplacian.pin_rows_symmetric(&pins);
-        debug_assert!(laplacian.is_symmetric(1e-12), "pinned pressure Laplacian must stay SPD");
-        // The V-cycle hierarchy is a pure function of the mesh and the
-        // pinned Laplacian, so a restarted stepper rebuilds it identically
-        // (bitwise) and trajectories stay exactly resumable.
-        let multigrid = build_pressure_multigrid(&mesh, &laplacian, &MultigridOptions::default());
-        // Every Poisson solve runs on the level-0 diagonals — the
-        // hierarchy's own when there is one.  The CSR Laplacian is freed
-        // here, before the momentum system is allocated.
-        let fine = match &multigrid {
-            Ok(multigrid) => multigrid.fine_operator(),
-            Err(_) => Arc::new(
-                DiaMatrix::from_csr(&laplacian)
-                    .expect("a lattice's Laplacian has 27 diagonals at most"),
-            ),
-        };
-        drop(laplacian);
-        let poisson = PoissonSystem { fine, multigrid };
-        let n = mesh.num_nodes();
-        let matrix = assembly.new_momentum_matrix();
-        let h_char = mesh.characteristic_length();
+        let n = shared.mesh().num_nodes();
+        assert_eq!(state.velocity.num_nodes(), n, "restart velocity does not match the mesh");
+        assert_eq!(state.pressure.len(), n, "restart pressure does not match the mesh");
+        let multigrid = shared.poisson.multigrid.as_ref().ok().cloned();
+        let matrix = shared.assembly.new_momentum_matrix();
         let fault_plan = config.fault_plan.clone();
         let tolerance = config.momentum_options.tolerance.max(config.poisson_options.tolerance);
         Stepper {
-            scenario,
             config,
-            assembly,
-            geometry,
-            operators,
-            poisson,
-            pins,
-            h_char,
+            shared,
+            multigrid,
             dt_backoff: 1.0,
             fault_plan,
             state,
@@ -565,9 +656,14 @@ impl Stepper {
         }
     }
 
+    /// The shared part this stepper runs on.
+    pub fn discretization(&self) -> &Arc<Discretization> {
+        &self.shared
+    }
+
     /// The scenario this stepper runs.
     pub fn scenario(&self) -> &Scenario {
-        &self.scenario
+        &self.shared.scenario
     }
 
     /// The stepper configuration.
@@ -577,7 +673,7 @@ impl Stepper {
 
     /// The mesh.
     pub fn mesh(&self) -> &Mesh {
-        self.assembly.mesh()
+        self.shared.mesh()
     }
 
     /// The current simulation state.
@@ -587,7 +683,7 @@ impl Stepper {
 
     /// The projection operators (for external diagnostics).
     pub fn operators(&self) -> &PressureOperators {
-        &self.operators
+        &self.shared.operators
     }
 
     /// The storage the momentum matrix is assembled and solved in: the
@@ -601,7 +697,7 @@ impl Stepper {
     /// runs and why — what the examples print before the first step, so
     /// neither fallback is silent.
     pub fn describe_operators(&self) -> String {
-        let pressure = match &self.poisson.multigrid {
+        let pressure = match &self.shared.poisson.multigrid {
             Ok(mg) => {
                 let storage: Vec<String> =
                     mg.level_storage().iter().map(ToString::to_string).collect();
@@ -611,7 +707,7 @@ impl Stepper {
         };
         // `4 colours × 64 chunks` when every colour holds as many, the total
         // otherwise.
-        let schedule = self.assembly.colored_chunks();
+        let schedule = self.shared.assembly.colored_chunks();
         let (colours, chunks) = (schedule.num_colors(), schedule.num_chunks());
         let even = (0..colours).all(|c| schedule.color_chunks(c).len() * colours == chunks);
         let chunks = if even {
@@ -622,14 +718,14 @@ impl Stepper {
         format!(
             "operators: assembly {chunks} | momentum {} | gradient {} | pressure {pressure}",
             self.momentum_storage(),
-            self.operators.gradient_storage()
+            self.shared.operators.gradient_storage()
         )
     }
 
     /// Rows per multigrid level (finest first) when the pressure solve is
     /// MG-CG — the mesh has a hierarchy — and `None` when it is plain CG.
     pub fn multigrid_levels(&self) -> Option<Vec<usize>> {
-        self.poisson.multigrid.as_ref().ok().map(GeometricMultigrid::level_rows)
+        self.multigrid.as_ref().map(GeometricMultigrid::level_rows)
     }
 
     /// The Δt the next step will use, given the current state — the
@@ -660,7 +756,7 @@ impl Stepper {
                 if !umax.is_finite() {
                     return Err(StepError::InvalidDt { umax, dt: f64::NAN });
                 }
-                (CFL * self.h_char / umax.max(1e-9)).clamp(DT_MIN, DT_MAX)
+                (CFL * self.shared.h_char / umax.max(1e-9)).clamp(DT_MIN, DT_MAX)
             }
         };
         // The backoff halving happens *after* the CFL clamp so a retry's
@@ -676,7 +772,7 @@ impl Stepper {
     /// the diagnostic and the oracle of [`StepReport::kinetic_energy`],
     /// which a step computes through the consistent mass instead.
     pub fn kinetic_energy(&self) -> f64 {
-        self.operators.kinetic_energy(&self.state.velocity, self.scenario.density)
+        self.operators().kinetic_energy(&self.state.velocity, self.scenario().density)
     }
 
     /// Continuous `‖∇·u‖_{L2}` of the current state (the pointwise
@@ -684,12 +780,12 @@ impl Stepper {
     /// [`PressureOperators::weak_divergence_norm`] for the discrete measure
     /// the projection controls).
     pub fn divergence_norm(&self) -> f64 {
-        self.operators.divergence_l2(&self.state.velocity)
+        self.operators().divergence_l2(&self.state.velocity)
     }
 
     /// Discrete divergence `‖d(u)‖₂` of the current state.
     pub fn weak_divergence_norm(&self) -> f64 {
-        self.operators.weak_divergence_norm(&self.state.velocity)
+        self.operators().weak_divergence_norm(&self.state.velocity)
     }
 
     /// Continuous L2 error against the scenario's analytic velocity at the
@@ -697,9 +793,9 @@ impl Stepper {
     pub fn analytic_velocity_error(&self) -> Option<f64> {
         let time = self.state.time;
         // Probe whether the scenario has an analytic solution at all.
-        self.scenario.analytic_velocity(lv_mesh::Vec3::ZERO, time)?;
-        let scenario = &self.scenario;
-        Some(self.operators.velocity_l2_error(&self.state.velocity, |p| {
+        let scenario = self.scenario();
+        scenario.analytic_velocity(lv_mesh::Vec3::ZERO, time)?;
+        Some(self.operators().velocity_l2_error(&self.state.velocity, |p| {
             scenario.analytic_velocity(p, time).expect("analytic solution probed above").to_array()
         }))
     }
@@ -720,8 +816,11 @@ impl Stepper {
         let trace = team.trace();
         let step_start = Instant::now();
         let dt = self.checked_next_dt()?;
-        self.assembly.set_dt(dt);
-        let rho = self.scenario.density;
+        // The shared part is read-only: Δt goes to the sweep as an argument.
+        let shared = Arc::clone(&self.shared);
+        let Discretization { scenario, assembly, geometry, operators, poisson, pins, .. } =
+            &*shared;
+        let rho = scenario.density;
         let t_new = self.state.time + dt;
         let step_index = self.state.step + 1;
         // Supervision faults fire before any state is touched and on the
@@ -747,22 +846,23 @@ impl Stepper {
         // in the storage the solve reads.
         assemble_momentum_on(
             team,
-            &self.assembly,
-            &self.geometry,
-            &self.operators,
+            assembly,
+            geometry,
+            operators,
+            dt,
             &self.state.velocity,
             &self.state.pressure,
             &mut self.matrix,
             &mut self.rhs,
             &mut self.workspaces,
         );
-        self.assembly.apply_dirichlet(&mut self.matrix, &mut self.rhs);
+        assembly.apply_dirichlet(&mut self.matrix, &mut self.rhs);
         if let Some(s) = phase {
             // The sweep reports its own model on `assembly/color_sweep`;
             // this span carries the global passes around it.
             s.iters(1)
-                .flops(self.operators.momentum_pass_flops())
-                .bytes(self.operators.momentum_pass_bytes())
+                .flops(operators.momentum_pass_flops())
+                .bytes(operators.momentum_pass_bytes())
                 .finish();
         }
 
@@ -789,7 +889,7 @@ impl Stepper {
         for (v, d) in self.state.velocity.as_mut_slice().iter_mut().zip(&solve.increment) {
             *v += d;
         }
-        self.scenario.apply_velocity_bcs(self.assembly.mesh(), &mut self.state.velocity, t_new);
+        scenario.apply_velocity_bcs(assembly.mesh(), &mut self.state.velocity, t_new);
         if let Some(s) = phase {
             s.iters(solve.total_iterations() as u64).aux(solve.worst_residual.to_bits()).finish();
         }
@@ -803,7 +903,7 @@ impl Stepper {
         let correction = dt / rho;
         for sweep in 0..PROJECTION_SWEEPS {
             let phase = trace.map(|t| t.span(spans::POISSON, 0));
-            self.operators.poisson_rhs_on(
+            operators.poisson_rhs_on(
                 team,
                 &self.state.velocity,
                 scale,
@@ -815,7 +915,7 @@ impl Stepper {
                 // sweep's divergence vector — no extra sweep over the mesh.
                 divergence_pre = weak_divergence_vector_norm(&self.div);
             }
-            for &pin in &self.pins {
+            for &pin in pins {
                 self.poisson_rhs[pin] = 0.0;
             }
             let mut inject_mg = false;
@@ -836,22 +936,21 @@ impl Stepper {
             // this sweep to plain Jacobi-CG on the identical system instead
             // of failing the step.  Only a plain-CG failure is terminal.
             // Both solvers iterate on one operator, the level-0 diagonals.
-            let PoissonSystem { fine, multigrid } = &mut self.poisson;
-            let operator = &**fine;
-            let mg_attempt = match multigrid {
-                Ok(_) if inject_mg => Some(Err(SolverError::Breakdown {
+            let operator = &*poisson.fine;
+            let mg_attempt = match &mut self.multigrid {
+                Some(_) if inject_mg => Some(Err(SolverError::Breakdown {
                     kind: BreakdownKind::Injected,
                     iteration: 0,
                     residual: f64::INFINITY,
                 })),
-                Ok(mg) => Some(mg_preconditioned_cg_on(
+                Some(mg) => Some(mg_preconditioned_cg_on(
                     team,
                     operator,
                     mg,
                     &self.poisson_rhs,
                     &self.config.poisson_options,
                 )),
-                Err(_) => None,
+                None => None,
             };
             let plain_cg = || {
                 conjugate_gradient_on(
@@ -884,21 +983,21 @@ impl Stepper {
             }
 
             let phase = trace.map(|t| t.span(spans::CORRECTION, 0));
-            self.operators.correct_velocity_on(
+            operators.correct_velocity_on(
                 team,
                 &phi.solution,
                 correction,
                 &mut self.state.velocity,
             );
-            self.scenario.apply_velocity_bcs(self.assembly.mesh(), &mut self.state.velocity, t_new);
+            scenario.apply_velocity_bcs(assembly.mesh(), &mut self.state.velocity, t_new);
             for (p, f) in self.state.pressure.as_mut_slice().iter_mut().zip(&phi.solution) {
                 *p += f;
             }
             if let Some(s) = phase {
                 s.iters(1)
                     .aux(sweep as u64)
-                    .flops(self.operators.gradient_flops())
-                    .bytes(self.operators.streamed_bytes() as u64)
+                    .flops(operators.gradient_flops())
+                    .bytes(operators.streamed_bytes() as u64)
                     .finish();
             }
         }
@@ -908,12 +1007,12 @@ impl Stepper {
         if let Some(index) = first_non_finite(self.state.velocity.as_slice()) {
             return Err(StepError::NonFiniteVelocity { index });
         }
-        self.operators.weak_divergence_on(team, &self.state.velocity, &mut self.div);
+        operators.weak_divergence_on(team, &self.state.velocity, &mut self.div);
         let divergence_post = weak_divergence_vector_norm(&self.div);
 
         self.state.step += 1;
         self.state.time = t_new;
-        let kinetic_energy = self.operators.kinetic_energy_on(team, &self.state.velocity, rho);
+        let kinetic_energy = operators.kinetic_energy_on(team, &self.state.velocity, rho);
         // Convergence-stall detection: a pure function of the (bitwise
         // reproducible) residual history, so it fires at the same steps on
         // every thread count and never changes behaviour.

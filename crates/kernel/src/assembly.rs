@@ -114,11 +114,11 @@ pub(crate) fn check_pattern(topology: &MeshTopology, matrix: &CsrMatrix) {
 pub struct ConvectiveGeometry {
     vector_size: usize,
     /// Per chunk of the schedule, by id: `[PGAUS][GEOMETRY_ROWS][vector_size]`.
-    /// One allocation per chunk, not one for the mesh: steppers are dropped
-    /// and rebuilt (every slice of a served job), and a 21 MB block goes
-    /// back to the OS and is faulted in again each time — measured at 32³:
-    /// +40 ms per set-up, three times what filling the table costs — while
-    /// chunk-sized blocks are recycled by the allocator.
+    /// One allocation per chunk, not one for the mesh: a 21 MB block that a
+    /// dropped stepper hands back to the OS is faulted in again by the next
+    /// one built — measured at 32³: +40 ms per set-up, three times what
+    /// filling the table costs — while chunk-sized blocks are recycled by
+    /// the allocator.
     chunks: Vec<Vec<f64>>,
     singular_jacobians: usize,
 }
@@ -219,18 +219,6 @@ impl NastinAssembly {
     /// The configuration.
     pub fn config(&self) -> &KernelConfig {
         &self.config
-    }
-
-    /// Changes the time-step size for subsequent assemblies (the CFL-adaptive
-    /// driver shrinks and grows Δt between steps).  Only the phase-5/7
-    /// time-integration terms read Δt; the chunking, coloring and sparsity
-    /// pattern are untouched, so this is free.
-    ///
-    /// # Panics
-    /// Panics if `dt` is not positive.
-    pub fn set_dt(&mut self, dt: f64) {
-        assert!(dt > 0.0, "time step must be positive");
-        self.config.dt = dt;
     }
 
     /// The `VECTOR_SIZE` blocking of the mesh.
@@ -402,7 +390,9 @@ impl NastinAssembly {
     /// whole sequence).  `matrix` is not zeroed — the caller seeds it with
     /// `ν·K`.  It is scattered into through the mesh's one element diagonal
     /// table, every entry receiving its additions in (color, chunk, slot)
-    /// order.
+    /// order.  The step's `dt` is an argument, not the configuration's: the
+    /// assembly is never mutated by a step, so steppers of any Δt history
+    /// can share one.
     ///
     /// What it adds is, to a few ε of a row's largest entry, what phase 6
     /// contributes inside
@@ -412,15 +402,18 @@ impl NastinAssembly {
     ///
     /// # Panics
     /// Panics on an explicit-scheme configuration (there is no element
-    /// matrix to assemble), if `matrix` is not on this mesh's diagonals
+    /// matrix to assemble), if `dt` is not positive, if `matrix` is not on
+    /// this mesh's diagonals
     /// ([`new_momentum_matrix`](Self::new_momentum_matrix)), or if
     /// `geometry` was not built by
     /// [`convective_geometry`](Self::convective_geometry) of an assembly
     /// with this schedule.
+    #[allow(clippy::too_many_arguments)]
     pub fn assemble_convective_into_on(
         &self,
         team: &lv_runtime::Team,
         geometry: &ConvectiveGeometry,
+        dt: f64,
         velocity: &VectorField,
         pressure: &Field,
         matrix: &mut DiaMatrix,
@@ -430,6 +423,8 @@ impl NastinAssembly {
             self.config.semi_implicit,
             "the convective-only sweep assembles the semi-implicit element matrix"
         );
+        assert!(dt > 0.0, "time step must be positive");
+        let config = KernelConfig { dt, ..self.config };
         assert!(
             geometry.vector_size == self.config.vector_size
                 && geometry.chunks.len() == self.colored.num_chunks(),
@@ -448,7 +443,7 @@ impl NastinAssembly {
             &self.mesh,
             &self.topology,
             &self.shape,
-            &self.config,
+            &config,
             velocity,
             pressure,
             &self.colored,
@@ -827,6 +822,7 @@ mod tests {
         team: &lv_runtime::Team,
         asm: &NastinAssembly,
         ops: &crate::PressureOperators,
+        dt: f64,
         (v, p): &(VectorField, Field),
     ) -> (CsrMatrix, Vec<f64>) {
         let (mut matrix, mut rhs, mut workspaces) = poisoned_momentum_storage(asm, team);
@@ -836,6 +832,7 @@ mod tests {
             asm,
             &geometry,
             ops,
+            dt,
             v,
             p,
             &mut matrix,
@@ -943,24 +940,23 @@ mod tests {
         for (name, mesh) in &step_meshes() {
             let fields = state(mesh);
             for vs in [1usize, 16, 17, 128] {
-                let mut asm = NastinAssembly::new(
-                    mesh.clone(),
-                    KernelConfig::new(vs, OptLevel::Vec1).with_dt(0.013),
-                );
+                let config = KernelConfig::new(vs, OptLevel::Vec1);
+                let asm = NastinAssembly::new(mesh.clone(), config);
                 let ops = crate::PressureOperators::with_topology(mesh, asm.topology().clone());
                 // Two consecutive assemblies into the same storage at
                 // different time steps: nothing of the first may survive.
                 let (mut matrix, mut rhs, mut workspaces) = poisoned_momentum_storage(&asm, &team);
-                // One table for both time steps: the geometry knows no Δt.
+                // One table and one assembly for both time steps: neither
+                // knows the step's Δt.
                 let geometry = asm.convective_geometry();
                 for dt in [0.013, 0.1] {
-                    asm.set_dt(dt);
                     let (v, p) = &fields;
                     crate::assemble_momentum_on(
                         &team,
                         &asm,
                         &geometry,
                         &ops,
+                        dt,
                         v,
                         p,
                         &mut matrix,
@@ -969,8 +965,15 @@ mod tests {
                     );
                     let reused = (on_node_graph(&matrix, asm.topology()), rhs.clone());
                     let what = format!("{name}, VS {vs}, dt {dt}");
-                    assert_same_system(&reused, &step_system(&team, &asm, &ops, &fields), &what);
-                    let oracle = oracle_system(&team, &asm, &ops, &fields);
+                    let fresh = step_system(&team, &asm, &ops, dt, &fields);
+                    assert_same_system(&reused, &fresh, &what);
+                    // The eight phases read Δt from their configuration.
+                    let eight_phases = NastinAssembly::with_topology(
+                        mesh.clone(),
+                        config.with_dt(dt),
+                        asm.topology().clone(),
+                    );
+                    let oracle = oracle_system(&team, &eight_phases, &ops, &fields);
                     let (in_matrix, in_rhs) =
                         deviation_in_row_epsilons(&ops, &fields, &reused, &oracle);
                     assert!(in_matrix <= MATRIX_EPSILONS, "{what}: matrix off by {in_matrix} eps");
@@ -986,10 +989,11 @@ mod tests {
             let fields = state(mesh);
             let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(16, OptLevel::Vec1));
             let ops = crate::PressureOperators::with_topology(mesh, asm.topology().clone());
-            let reference = step_system(&lv_runtime::Team::new(1), &asm, &ops, &fields);
+            let dt = asm.config().dt;
+            let reference = step_system(&lv_runtime::Team::new(1), &asm, &ops, dt, &fields);
             assert!(reference.1.iter().any(|&r| r != 0.0));
             for threads in [2usize, 4] {
-                let system = step_system(&lv_runtime::Team::new(threads), &asm, &ops, &fields);
+                let system = step_system(&lv_runtime::Team::new(threads), &asm, &ops, dt, &fields);
                 assert_same_system(&system, &reference, &format!("{name}, {threads} threads"));
             }
         }
@@ -1008,6 +1012,7 @@ mod tests {
         asm.assemble_convective_into_on(
             &team,
             &geometry,
+            0.01,
             &v,
             &p,
             &mut asm.new_momentum_matrix(),
@@ -1028,6 +1033,7 @@ mod tests {
         asm.assemble_convective_into_on(
             &team,
             &geometry,
+            0.01,
             &v,
             &p,
             &mut other.new_momentum_matrix(),
@@ -1048,6 +1054,7 @@ mod tests {
         asm.assemble_convective_into_on(
             &team,
             &geometry,
+            0.01,
             &v,
             &p,
             &mut asm.new_momentum_matrix(),

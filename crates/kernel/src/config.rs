@@ -69,7 +69,10 @@ pub struct KernelConfig {
     pub viscosity: f64,
     /// Fluid density ρ.
     pub density: f64,
-    /// Time-step size used by the time-integration arrays of phase 5.
+    /// Time-step size used by the time-integration arrays of phase 5 of
+    /// the mini-app's eight-phase sweep.  A time step passes its own Δt to
+    /// [`crate::assemble_momentum_on`] instead, so one assembly serves
+    /// steps of every Δt.
     pub dt: f64,
     /// Whether the semi-implicit scheme is used; if so, phase 7 also
     /// assembles the elemental viscous matrices (the paper: "element matrices

@@ -55,8 +55,10 @@ pub(crate) fn momentum_diagonals(topology: &MeshTopology) -> Option<&ElementDiag
 ///    right-hand side before the mass block exists, so `(ρ/Δt)·M·u` is
 ///    never formed; both in one traversal of each storage block.
 ///
-/// `ν`, `ρ` and `Δt` are `assembly`'s configuration; nothing is kept from
-/// one call to the next.  The result is the system
+/// `ν` and `ρ` are `assembly`'s configuration, `Δt` is `dt` (the
+/// configuration's Δt is the mini-app's, not read here); nothing is kept
+/// from one call to the next, and nothing of `assembly`, `geometry` or
+/// `operators` is written, so any number of steppers may share them.  The result is the system
 /// [`NastinAssembly::assemble_parallel_into_on`] followed by
 /// [`PressureOperators::subtract_weak_gradient_on`] assembles — the paper's
 /// eight phases, this function's oracle — in another summation order
@@ -69,13 +71,15 @@ pub(crate) fn momentum_diagonals(topology: &MeshTopology) -> Option<&ElementDiag
 /// Panics if `assembly` and `operators` were built on different node graphs
 /// or for different meshes, if `matrix` is not on the diagonals `operators`
 /// hold `K` and `M` on, if `geometry` is another schedule's, on an
-/// explicit-scheme configuration, or on mismatched array lengths.
+/// explicit-scheme configuration, on a `dt` that is not positive, or on
+/// mismatched array lengths.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_momentum_on(
     team: &Team,
     assembly: &NastinAssembly,
     geometry: &ConvectiveGeometry,
     operators: &PressureOperators,
+    dt: f64,
     velocity: &VectorField,
     pressure: &Field,
     matrix: &mut DiaMatrix,
@@ -85,8 +89,8 @@ pub fn assemble_momentum_on(
     let config = assembly.config();
     operators.fill_viscous_on(team, config.viscosity, matrix);
     let stats = assembly
-        .assemble_convective_into_on(team, geometry, velocity, pressure, matrix, workspaces);
-    let mass_scale = config.density / config.dt;
+        .assemble_convective_into_on(team, geometry, dt, velocity, pressure, matrix, workspaces);
+    let mass_scale = config.density / dt;
     operators.momentum_residual_and_mass_on(
         team,
         matrix,

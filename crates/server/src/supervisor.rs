@@ -16,6 +16,14 @@
 //! after the checkpoint and on every failure path, carrying it into the
 //! next slice's stepper so a fired fault never fires twice.
 //!
+//! What a stepper runs on is set up once per server and key: the server
+//! keeps one [`Discretization`] per (scenario kind, resolution, viscosity,
+//! density, `VECTOR_SIZE`), built lazily by the first slice of any job on
+//! that key — never at [`Server::open`] or [`Server::submit`] — and shared
+//! by every later slice ([`Stepper::from_shared`]).  A per-key
+//! [`OnceLock`] runs at most one build even when two workers ask at once;
+//! the `server/setup` span (`aux` 0 = built, 1 = reused) records which.
+//!
 //! Failure containment, from the inside out:
 //!
 //! 1. Δt-retry *inside* a step (PR 7's recovery, unchanged);
@@ -34,17 +42,20 @@ use crate::endpoint::{self, Request};
 use crate::job::{tally, valid_job_id, JobEntry, JobError, JobSpec};
 use crate::journal::{ledger, EventKind, Journal, Record};
 use crate::metrics::{self, FleetMetrics, JobProgress};
-use lv_driver::{CheckpointRing, FaultPlan, SliceEnd, Stepper, StepperConfig};
+use lv_driver::{
+    CheckpointRing, Discretization, FaultPlan, Scenario, ScenarioKind, SliceEnd, Stepper,
+    StepperConfig,
+};
 use lv_runtime::{Team, TraceConfig};
 use lv_trace::json::JsonObject;
 use lv_trace::summary::RunSummary;
 use lv_trace::{sink, spans, Event};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Supervisor policy knobs.  All scheduling policy lives here; none of it
@@ -194,6 +205,55 @@ struct JobSlot {
     plan: Option<FaultPlan>,
 }
 
+/// What decides a job's [`Discretization`]: the scenario's fields (the
+/// floats by their bits — `Scenario` has no equality of its own) and the
+/// `VECTOR_SIZE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct DiscretizationKey {
+    kind: ScenarioKind,
+    resolution: usize,
+    viscosity: u64,
+    density: u64,
+    vector_size: usize,
+}
+
+impl DiscretizationKey {
+    fn new(scenario: &Scenario, vector_size: usize) -> Self {
+        DiscretizationKey {
+            kind: scenario.kind,
+            resolution: scenario.resolution,
+            viscosity: scenario.viscosity.to_bits(),
+            density: scenario.density.to_bits(),
+            vector_size,
+        }
+    }
+}
+
+/// The discretizations a server's slices run on, one per key, built by the
+/// first slice that needs it and shared by every later one.  The map lock
+/// is held only to find a key's cell; the cell's [`OnceLock`] runs at most
+/// one build per key, and a second worker asking meanwhile waits for that
+/// build instead of starting its own.
+#[derive(Debug, Default)]
+struct Discretizations {
+    cells: Mutex<HashMap<DiscretizationKey, Arc<OnceLock<Arc<Discretization>>>>>,
+}
+
+impl Discretizations {
+    /// The discretization of `scenario` at `vector_size`, and whether this
+    /// call built it (`false`: an earlier slice did).
+    fn get(&self, scenario: &Scenario, vector_size: usize) -> (Arc<Discretization>, bool) {
+        let key = DiscretizationKey::new(scenario, vector_size);
+        let cell = Arc::clone(self.cells.lock().unwrap().entry(key).or_default());
+        let mut built = false;
+        let shared = cell.get_or_init(|| {
+            built = true;
+            Arc::new(Discretization::new(scenario.clone(), vector_size))
+        });
+        (Arc::clone(shared), built)
+    }
+}
+
 /// Every job's entry, in submission order.
 fn snapshot(slots: &[Mutex<JobSlot>]) -> Vec<JobEntry> {
     slots.iter().map(|slot| slot.lock().unwrap().entry.clone()).collect()
@@ -218,6 +278,8 @@ struct Shared<'a> {
     metrics: &'a FleetMetrics,
     /// Where the metrics document is flushed at journal checkpoints.
     metrics_path: PathBuf,
+    /// The server's discretizations, shared by its slices.
+    discretizations: &'a Discretizations,
 }
 
 impl Shared<'_> {
@@ -238,6 +300,7 @@ pub struct Server {
     replay: ReplaySummary,
     summaries: Vec<RunSummary>,
     metrics: FleetMetrics,
+    discretizations: Discretizations,
 }
 
 impl Server {
@@ -274,6 +337,7 @@ impl Server {
             replay,
             summaries: Vec::new(),
             metrics: fleet,
+            discretizations: Discretizations::default(),
         })
     }
 
@@ -293,7 +357,8 @@ impl Server {
     }
 
     /// Submits a job: journals the `submitted` record (write-ahead), then
-    /// queues it.
+    /// queues it.  Nothing else is written: the metrics document is the
+    /// run's to flush, and nothing is built until a slice needs it.
     ///
     /// # Errors
     /// `InvalidInput` for an invalid id, a duplicate id, or an inject spec
@@ -317,10 +382,14 @@ impl Server {
                 .map_err(|e| invalid(format!("job '{}': bad inject spec: {e}", spec.id)))?;
         }
         let record = Record::submitted(&spec);
-        self.journal.lock().unwrap().append(record.clone())?;
+        let mut journal = self.journal.lock().unwrap();
+        journal.append(record.clone())?;
+        // One record and no document: a document a run left behind no
+        // longer counts this job, so it goes, and `serve metrics` folds the
+        // journal until the next run flushes one.
+        let _ = std::fs::remove_file(endpoint::metrics_json_path(journal.path()));
+        drop(journal);
         self.metrics.apply_record(&record);
-        let path = endpoint::metrics_json_path(self.journal.lock().unwrap().path());
-        flush_metrics_json(&self.metrics, &path);
         self.slots.push(Mutex::new(JobSlot { entry: JobEntry::new(spec), plan: None }));
         Ok(())
     }
@@ -363,6 +432,7 @@ impl Server {
             cv: Condvar::new(),
             metrics: &self.metrics,
             metrics_path: endpoint::metrics_json_path(&journal_path),
+            discretizations: &self.discretizations,
         };
         shared.set_queue_gauges(&shared.sched.lock().unwrap());
         let workers = self.config.workers.max(1);
@@ -512,10 +582,17 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
     };
     let trace = team.trace();
     let ring = config.ring(&spec.id);
+    // The slice span opens before the set-up, which is its first child.
+    let slice_span = trace.map(|t| t.span(spans::SERVER_SLICE, 0).aux(index as u64));
 
-    // --- resume: the newest intact ring generation, or from scratch ------
+    // --- set-up: the shared discretization (built by the first slice of
+    // its key, reused by every other), then the newest intact ring
+    // generation on it, or the initial state -----------------------------
+    let setup_span = trace.map(|t| t.span(spans::SERVER_SETUP, 0));
     let stepper_config = config.stepper_config().with_fault_plan(plan);
-    let resumed = Stepper::resume_on(team, spec.scenario.clone(), stepper_config.clone(), &ring);
+    let (discretization, built) =
+        shared.discretizations.get(&spec.scenario, stepper_config.vector_size);
+    let resumed = Stepper::resume_on(team, &discretization, stepper_config.clone(), &ring);
     let mut stepper = match resumed {
         Ok(resumed) => {
             let step = resumed.stepper.state().step;
@@ -548,9 +625,13 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
             if config.verbose && e.kind() != io::ErrorKind::NotFound {
                 say!("job {}: checkpoint ring unusable ({e}); restarting from step 0", spec.id);
             }
-            Stepper::new(spec.scenario.clone(), stepper_config)
+            let initial = discretization.initial_state();
+            Stepper::from_shared(discretization, stepper_config, initial)
         }
     };
+    if let Some(span) = setup_span {
+        span.iters(1).aux(u64::from(!built)).finish();
+    }
     let resume_step = stepper.state().step;
 
     // Write-ahead: claim the slice in the journal before computing.
@@ -577,7 +658,6 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
         done
     } else {
         // --- the slice itself, panic-contained ---------------------------
-        let slice_span = trace.map(|t| t.span(spans::SERVER_SLICE, 0).aux(index as u64));
         let quota = config.slice_steps.max(1);
         let deadline = Some(config.step_deadline);
         let slice_start = Instant::now();

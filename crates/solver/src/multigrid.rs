@@ -438,17 +438,29 @@ impl<T: Scalar> LevelOperator<T> {
     }
 }
 
-/// Per-level state of a cycle running in the scalar `T`: the (Galerkin)
-/// operator, its inverse diagonal for the smoother, and the scratch vectors.
-#[derive(Debug, Clone)]
+/// One level of a hierarchy in the scalar `T`: the (Galerkin) operator and
+/// its inverse diagonal for the smoother.  Read-only once built; the vectors
+/// a cycle runs on are a [`LevelVectors`] of the cycle's own.
+#[derive(Debug)]
 struct Level<T: Scalar> {
     matrix: LevelOperator<T>,
     inv_diag: Vec<T>,
+}
+
+/// The vectors one cycle runs a level on.
+#[derive(Debug, Clone)]
+struct LevelVectors<T: Scalar> {
     x: Vec<T>,
     b: Vec<T>,
     // The down-leg residual — and, while smoothing, the write half of the
     // Jacobi ping-pong pair (`x` and `r` swap after every sweep).
     r: Vec<T>,
+}
+
+impl<T: Scalar> LevelVectors<T> {
+    fn zeros(n: usize) -> LevelVectors<T> {
+        LevelVectors { x: vec![T::ZERO; n], b: vec![T::ZERO; n], r: vec![T::ZERO; n] }
+    }
 }
 
 impl<T: Scalar> Level<T> {
@@ -457,17 +469,27 @@ impl<T: Scalar> Level<T> {
     fn new(exact: &dyn LinearOperator, matrix: LevelOperator<T>) -> Level<T> {
         let inv_diag =
             crate::krylov::inverse_diagonal(exact).into_iter().map(T::from_f64).collect();
-        let zeros = || vec![T::ZERO; exact.dim()];
-        Level { matrix, inv_diag, x: zeros(), b: zeros(), r: zeros() }
+        Level { matrix, inv_diag }
+    }
+
+    fn rows(&self) -> usize {
+        self.inv_diag.len()
     }
 
     /// The first sweep of a leg that starts from a zero iterate: the closed
     /// form `x = ω·D⁻¹·b` (A·0 vanishes), which touches no matrix.  With
     /// `entry = (rhs, scale)` the same pass first loads `b = rhs·scale`
     /// rounded to `T` — the cycle's way in from the caller's `f64` residual.
-    fn sweep_from_zero(&mut self, ops: &VectorOps<'_>, damping: T, entry: Option<(&[f64], f64)>) {
-        let Level { inv_diag, x, b, .. } = self;
+    fn sweep_from_zero(
+        &self,
+        v: &mut LevelVectors<T>,
+        ops: &VectorOps<'_>,
+        damping: T,
+        entry: Option<(&[f64], f64)>,
+    ) {
+        let LevelVectors { x, b, .. } = v;
         let n = x.len();
+        let inv_diag = &self.inv_diag;
         // The sweep this is the closed form of adds its correction to a
         // zero iterate; keeping the `0.0 +` keeps a `-0.0` correction the
         // `+0.0` it becomes there.
@@ -492,8 +514,9 @@ impl<T: Scalar> Level<T> {
 
     /// `sweeps` damped-Jacobi iterations on `A·x = b`, one dispatch and one
     /// pass over the operator each.
-    fn smooth(&mut self, ops: &VectorOps<'_>, sweeps: usize, damping: T) {
-        let Level { matrix, inv_diag, x, b, r } = self;
+    fn smooth(&self, v: &mut LevelVectors<T>, ops: &VectorOps<'_>, sweeps: usize, damping: T) {
+        let LevelVectors { x, b, r } = v;
+        let Level { matrix, inv_diag } = self;
         let n = x.len();
         for _ in 0..sweeps {
             ops.for_each_share(n, &mut r[..], |rows, xn| {
@@ -504,10 +527,10 @@ impl<T: Scalar> Level<T> {
     }
 
     /// `r = b − A·x`, one dispatch and one pass over the operator.
-    fn residual(&mut self, ops: &VectorOps<'_>) {
-        let Level { matrix, x, b, r, .. } = self;
+    fn residual(&self, v: &mut LevelVectors<T>, ops: &VectorOps<'_>) {
+        let LevelVectors { x, b, r } = v;
         ops.for_each_share(x.len(), &mut r[..], |rows, rs| {
-            matrix.residual_range(x, b, rows, rs);
+            self.matrix.residual_range(x, b, rows, rs);
         });
     }
 }
@@ -528,6 +551,26 @@ fn max_abs(values: &[f64]) -> f64 {
     tail.iter().chain(&lanes).fold(0.0, |m, v| if v.abs() > m { v.abs() } else { m })
 }
 
+/// [`max_abs`] on the team of `ops`: each rank takes the maximum of its
+/// share of the rows, and the partial maxima combine under the same
+/// NaN-ignoring rule.  A maximum does not depend on the grouping, so the
+/// value is the serial one, bit for bit, at every thread count.
+fn max_abs_on(ops: &VectorOps<'_>, values: &[f64]) -> f64 {
+    let n = values.len();
+    let Some(team) = ops.team_above_cutoff(n) else {
+        return max_abs(values);
+    };
+    let ranks = team.num_threads();
+    let mut partials = vec![0.0f64; ranks];
+    // One row of `partials` per rank, so each rank is handed its own.
+    lv_runtime::for_each_share(Some(team), ranks, 1, &mut partials[..], |ranks_here, slots| {
+        for (rank, slot) in ranks_here.zip(slots) {
+            *slot = max_abs(&values[lv_runtime::partition(n, ranks, rank)]);
+        }
+    });
+    max_abs(&partials)
+}
+
 /// The powers of two `(2^-e, 2^e)` with `e = ⌊log2 max⌋` read off the
 /// exponent field, clamped so both stay normal `f64`s (a zero or subnormal
 /// `max` scales by `2^1022`, an infinite one by `2^-1022`).  Multiplying by
@@ -538,20 +581,36 @@ fn entry_scale(max: f64) -> (f64, f64) {
     (pow2(-e), pow2(e))
 }
 
+/// What a V-cycle reads and never writes: the levels (operators and
+/// inverse diagonals), the transfers, the factored coarsest operator and
+/// the smoother's parameters.  A pure function of the fine operator and the
+/// interpolations, built once and shared by every clone of a cycle.
+#[derive(Debug)]
+struct Hierarchy<T: Scalar> {
+    levels: Vec<Level<T>>,
+    interps: Vec<Interpolation>,
+    coarse_lu: DenseLu,
+    sweeps: usize,
+    damping: T,
+}
+
 /// The V-cycle proper, generic over the scalar its levels are stored and
 /// smoothed in.  Production runs it at `f32` inside [`GeometricMultigrid`];
 /// the `f64` instantiation exists for the tests, which hold it bit for bit
 /// to the CSR reference cycle.
+///
+/// The hierarchy is shared; the vectors are the cycle's own.  A clone
+/// allocates only them, and cycles run on clones give the bits of cycles
+/// run on independently built instances: nothing a cycle writes outlives
+/// it in a way the next cycle reads (every vector is written before it is
+/// read).
 #[derive(Debug, Clone)]
 struct Cycle<T: Scalar> {
-    levels: Vec<Level<T>>,
-    interps: Vec<Interpolation>,
-    coarse_lu: DenseLu,
+    hierarchy: Arc<Hierarchy<T>>,
+    vectors: Vec<LevelVectors<T>>,
     // `f64` staging of the coarsest level's `b` and `x` around the LU solve.
     coarse_b: Vec<f64>,
     coarse_x: Vec<f64>,
-    sweeps: usize,
-    damping: T,
 }
 
 impl<T: Scalar> Cycle<T> {
@@ -578,14 +637,19 @@ impl<T: Scalar> Cycle<T> {
         }
         let coarse_lu = DenseLu::from_csr(&csr)?;
         let coarse = csr.dim();
-        Some(Cycle {
+        let vectors = levels.iter().map(|l| LevelVectors::zeros(l.rows())).collect();
+        let hierarchy = Hierarchy {
             levels,
             interps,
             coarse_lu,
-            coarse_b: vec![0.0; coarse],
-            coarse_x: vec![0.0; coarse],
             sweeps: options.smoothing_sweeps,
             damping: T::from_f64(options.damping),
+        };
+        Some(Cycle {
+            hierarchy: Arc::new(hierarchy),
+            vectors,
+            coarse_b: vec![0.0; coarse],
+            coarse_x: vec![0.0; coarse],
         })
     }
 
@@ -596,10 +660,16 @@ impl<T: Scalar> Cycle<T> {
     /// `e = ⌊log2 max|rhs|⌋` and hands back `z·2^e`: whatever the magnitude
     /// of the caller's residual, the levels see entries of at most 2 and
     /// `T` neither under- nor overflows (a zero `rhs` gives a zero `z`).
-    /// Both factors are exact, so in `f64` they change no bit.
+    /// Both factors are exact, so in `f64` they change no bit.  The
+    /// maximum and the closing scaled copy run on the team like every
+    /// other pass of the cycle.
     fn v_cycle(&mut self, ops: &VectorOps<'_>, rhs: &[f64], z: &mut [f64]) {
-        let nl = self.levels.len();
-        assert_eq!(rhs.len(), self.levels[0].x.len());
+        let hierarchy = &*self.hierarchy;
+        let Hierarchy { levels, interps, coarse_lu, sweeps, damping } = hierarchy;
+        let (sweeps, damping) = (*sweeps, *damping);
+        let vectors = &mut self.vectors;
+        let nl = levels.len();
+        assert_eq!(rhs.len(), levels[0].rows());
         assert_eq!(z.len(), rhs.len());
         let trace = ops.trace();
         let cycle = trace.map(|t| t.span(lv_trace::spans::MG_VCYCLE, 0).iters(1));
@@ -617,58 +687,63 @@ impl<T: Scalar> Cycle<T> {
         // A leg traverses the matrix `sweeps` times either way: down, the
         // first sweep from zero touches no matrix and the residual takes
         // its place; up, every sweep is one traversal.
-        let sweeps = self.sweeps as u64;
         let leg_span = |l: usize, matrix: &LevelOperator<T>| {
             let (flops, bytes) = matrix.traffic();
+            let sweeps = sweeps as u64;
             level_span(l, sweeps, sweeps * flops, sweeps * bytes)
         };
-        let (scale, unscale) = entry_scale(max_abs(rhs));
+        let (scale, unscale) = entry_scale(max_abs_on(ops, rhs));
         for l in 0..nl - 1 {
-            let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
-            let level = &mut fine_half[l];
-            let next = &mut coarse_half[0];
+            let (fine_half, coarse_half) = vectors.split_at_mut(l + 1);
+            let (level, v, next) = (&levels[l], &mut fine_half[l], &mut coarse_half[0]);
             let span = leg_span(l, &level.matrix);
-            level.sweep_from_zero(ops, self.damping, (l == 0).then_some((rhs, scale)));
-            level.smooth(ops, self.sweeps - 1, self.damping);
-            level.residual(ops);
-            self.interps[l].restrict(ops, &level.r, &mut next.b);
+            level.sweep_from_zero(v, ops, damping, (l == 0).then_some((rhs, scale)));
+            level.smooth(v, ops, sweeps - 1, damping);
+            level.residual(v, ops);
+            interps[l].restrict(ops, &v.r, &mut next.b);
             drop(span);
         }
         {
-            let last = self.levels.last_mut().unwrap();
+            let last = vectors.last_mut().unwrap();
             // The two dense triangular solves: one multiply-add per LU entry.
-            let dense = (self.coarse_lu.n * self.coarse_lu.n) as u64;
+            let dense = (coarse_lu.n * coarse_lu.n) as u64;
             let span = level_span(nl - 1, 0, 2 * dense, 8 * dense);
             for (wide, narrow) in self.coarse_b.iter_mut().zip(&last.b) {
                 *wide = narrow.to_f64();
             }
-            self.coarse_lu.solve_into(&self.coarse_b, &mut self.coarse_x);
+            coarse_lu.solve_into(&self.coarse_b, &mut self.coarse_x);
             for (narrow, wide) in last.x.iter_mut().zip(&self.coarse_x) {
                 *narrow = T::from_f64(*wide);
             }
             drop(span);
         }
         for l in (0..nl - 1).rev() {
-            let (fine_half, coarse_half) = self.levels.split_at_mut(l + 1);
-            let level = &mut fine_half[l];
-            let next = &coarse_half[0];
+            let (fine_half, coarse_half) = vectors.split_at_mut(l + 1);
+            let (level, v, next) = (&levels[l], &mut fine_half[l], &coarse_half[0]);
             let span = leg_span(l, &level.matrix);
-            self.interps[l].prolong_add(ops, &next.x, &mut level.x);
-            level.smooth(ops, self.sweeps, self.damping);
+            interps[l].prolong_add(ops, &next.x, &mut v.x);
+            level.smooth(v, ops, sweeps, damping);
             drop(span);
         }
-        for (zi, xi) in z.iter_mut().zip(&self.levels[0].x) {
-            *zi = xi.to_f64() * unscale;
-        }
+        let x = &vectors[0].x;
+        ops.for_each_share(z.len(), z, |rows, zs| {
+            for (zi, xi) in zs.iter_mut().zip(&x[rows]) {
+                *zi = xi.to_f64() * unscale;
+            }
+        });
         drop(cycle);
     }
 }
 
 /// The geometric multigrid V-cycle preconditioner.
 ///
-/// Owns the full level hierarchy and its scratch vectors; apply it through
-/// [`Preconditioner::apply`] or drive a full solve with
-/// [`mg_preconditioned_cg_on`].
+/// Holds the level hierarchy — operators, inverse diagonals, transfers and
+/// the coarse LU — behind an [`Arc`], and its own scratch vectors; apply it
+/// through [`Preconditioner::apply`] or drive a full solve with
+/// [`mg_preconditioned_cg_on`].  A clone shares the hierarchy and allocates
+/// only the per-level vectors and the LU staging, so solvers that run
+/// concurrently on one mesh build it once; cycles on a clone have the bits
+/// of cycles on an instance built from scratch.
 ///
 /// **Mixed precision.**  The cycle's levels, vectors and arithmetic are
 /// `f32` — a preconditioner only has to be close to `A⁻¹`, and in `f32` a
@@ -718,12 +793,12 @@ impl GeometricMultigrid {
 
     /// Number of levels, finest included.
     pub fn num_levels(&self) -> usize {
-        self.cycle.levels.len()
+        self.cycle.hierarchy.levels.len()
     }
 
     /// Rows per level, finest first.
     pub fn level_rows(&self) -> Vec<usize> {
-        self.cycle.levels.iter().map(|l| l.x.len()).collect()
+        self.cycle.hierarchy.levels.iter().map(Level::rows).collect()
     }
 
     /// How each level stores its operator, finest first: the storage its
@@ -731,7 +806,8 @@ impl GeometricMultigrid {
     /// the coarsest.  Reporting only — nothing selects a storage but the
     /// level's own rows.
     pub fn level_storage(&self) -> Vec<LevelStorage> {
-        let smoothed = &self.cycle.levels[..self.cycle.levels.len() - 1];
+        let levels = &self.cycle.hierarchy.levels;
+        let smoothed = &levels[..levels.len() - 1];
         smoothed
             .iter()
             .map(|l| l.matrix.storage())
@@ -1471,6 +1547,67 @@ mod tests {
         }
     }
 
+    /// Clones share one hierarchy and nothing else: cycles run alternately
+    /// on two clones, each on its own right-hand sides, give the bits of
+    /// the same cycles on two instances built independently.
+    #[test]
+    fn clones_share_the_hierarchy_and_cycle_like_independent_instances() {
+        let options = MultigridOptions::default();
+        for (name, a, interps, rhs) in cycle_problems() {
+            let n = a.dim();
+            let build = || GeometricMultigrid::new(&a, interps.clone(), &options).expect("lattice");
+            let (mut first, mut second) = (build(), build());
+            let mut shared = first.clone();
+            let mut other = shared.clone();
+            assert!(Arc::ptr_eq(&shared.cycle.hierarchy, &other.cycle.hierarchy), "{name}");
+            assert!(!Arc::ptr_eq(&first.cycle.hierarchy, &second.cycle.hierarchy), "{name}");
+            let team = Team::new(2);
+            let mut ops = VectorOps::on_team(&team);
+            let inputs: Vec<Vec<f64>> =
+                (0..4).map(|k| rhs.iter().map(|v| v * (1.0 + 0.25 * k as f64)).collect()).collect();
+            for (k, input) in inputs.iter().enumerate() {
+                let (own, clone) =
+                    if k % 2 == 0 { (&mut first, &mut shared) } else { (&mut second, &mut other) };
+                let (mut want, mut got) = (vec![0.0; n], vec![f64::NAN; n]);
+                own.v_cycle(&mut ops, input, &mut want);
+                clone.v_cycle(&mut ops, input, &mut got);
+                assert_same_bits(&got, &want, &format!("{name}, cycle {k}"));
+            }
+        }
+    }
+
+    /// The cycle's entry maximum and its closing scaled copy run on the
+    /// team: the maximum is the serial one to the bit at 1, 2 and 3
+    /// threads (a NaN in the input included), and so is the whole cycle.
+    #[test]
+    fn the_entry_maximum_and_the_closing_copy_keep_the_serial_bits_on_every_team() {
+        let n = 5 * lv_runtime::REDUCTION_BLOCK + 37;
+        let mut values = crate::dia::tests::awkward_vector(n, 71);
+        values[n / 2] = -7.5e3;
+        let mut poisoned = values.clone();
+        poisoned[n / 3] = f64::NAN;
+        let (a, interps, rhs) = {
+            let (_, a, interps, rhs) = cycle_problems().remove(0);
+            (a, interps, rhs)
+        };
+        assert!(a.dim() >= crate::parallel::SERIAL_CUTOFF, "the passes must fork");
+        let mut mg = GeometricMultigrid::new(&a, interps, &MultigridOptions::default())
+            .expect("lattice hierarchy");
+        let mut serial_z = vec![0.0; a.dim()];
+        mg.v_cycle(&mut VectorOps::serial(), &rhs, &mut serial_z);
+        for threads in [1usize, 2, 3] {
+            let team = Team::new(threads);
+            let ops = VectorOps::on_team(&team);
+            for input in [&values, &poisoned] {
+                assert_eq!(max_abs_on(&ops, input).to_bits(), max_abs(input).to_bits());
+            }
+            assert_eq!(max_abs_on(&ops, &poisoned), 7.5e3, "a NaN is not a magnitude");
+            let mut z = vec![f64::NAN; a.dim()];
+            mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
+            assert_same_bits(&z, &serial_z, &format!("V-cycle, {threads} threads"));
+        }
+    }
+
     /// The cycle is exactly homogeneous under powers of two: the entry
     /// scale maps `2^k·rhs` onto the very `f32` input `rhs` maps onto, and
     /// the exit scale is exact.  Without it `2^-300·rhs` would flush to
@@ -1584,7 +1721,7 @@ mod tests {
             [2399, 1199, 599, 299, 149, 74].map(linear_interpolation_1d).into();
         let mut exact = cycle_f64(&blocks, interps.clone());
         assert_eq!(
-            exact.levels[0].matrix.storage(),
+            exact.hierarchy.levels[0].matrix.storage(),
             LevelStorage::Diagonals { diagonals: 3 },
             "300 classes do not fit the table"
         );
@@ -1606,8 +1743,8 @@ mod tests {
         let classes = RowClasses::<f32>::from_dia_with_long_runs(&exact).expect("runs of 31");
         let diagonals = DiaMatrix::<f32>::from_csr(&crate::classes::flushed::<f32>(&a))
             .expect("the same pattern");
-        let mut on_classes = Level::new(&exact, LevelOperator::Classes(classes));
-        let mut on_diagonals = Level::new(&exact, LevelOperator::Diagonals(diagonals));
+        let on_classes = Level::new(&exact, LevelOperator::Classes(classes));
+        let on_diagonals = Level::new(&exact, LevelOperator::Diagonals(diagonals));
         let n = a.dim();
         let noise = |seed| -> Vec<f32> {
             crate::dia::tests::awkward_vector(n, seed).into_iter().map(|v| v as f32).collect()
@@ -1616,13 +1753,14 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let team = Team::new(threads);
             let ops = VectorOps::on_team(&team);
-            for level in [&mut on_classes, &mut on_diagonals] {
-                (level.x, level.b) = (noise(61), noise(67));
-                level.smooth(&ops, 3, 0.8);
-                level.residual(&ops);
-            }
-            assert_eq!(bits(&on_classes.x), bits(&on_diagonals.x), "sweeps, {threads} threads");
-            assert_eq!(bits(&on_classes.r), bits(&on_diagonals.r), "residual, {threads} threads");
+            let [classes, diagonals] = [&on_classes, &on_diagonals].map(|level| {
+                let mut v = LevelVectors { x: noise(61), b: noise(67), r: vec![0.0; n] };
+                level.smooth(&mut v, &ops, 3, 0.8);
+                level.residual(&mut v, &ops);
+                v
+            });
+            assert_eq!(bits(&classes.x), bits(&diagonals.x), "sweeps, {threads} threads");
+            assert_eq!(bits(&classes.r), bits(&diagonals.r), "residual, {threads} threads");
         }
     }
 

@@ -109,6 +109,13 @@ impl<'t> VectorOps<'t> {
         self.trace
     }
 
+    /// The team a pass over `n` rows runs on ([`team_above_cutoff`] of
+    /// this instance's team).
+    #[inline]
+    pub(crate) fn team_above_cutoff(&self, n: usize) -> Option<&'t Team> {
+        team_above_cutoff(self.team, n)
+    }
+
     /// The one place these kernels — and the multigrid cycle's — get
     /// mutable output: [`lv_runtime::for_each_share`] of the `n` rows of
     /// `out` on the team when `n` clears [`SERIAL_CUTOFF`], on the caller
@@ -121,7 +128,7 @@ impl<'t> VectorOps<'t> {
         out: S,
         body: impl Fn(Range<usize>, S) + Sync,
     ) {
-        for_each_share(team_above_cutoff(self.team, n), n, 1, out, body);
+        for_each_share(self.team_above_cutoff(n), n, 1, out, body);
     }
 
     /// [`for_each_share`](Self::for_each_share) of `W` output columns.
@@ -248,7 +255,7 @@ impl<'t> VectorOps<'t> {
         // Same cutoff as the element-wise ops: below it the fork/join costs
         // more than the reduction.  The serial path runs the identical
         // blocked order, so the value does not depend on the choice.
-        let team = team_above_cutoff(self.team, n);
+        let team = self.team_above_cutoff(n);
         blocked_reduce(team, n, &mut self.scratch, |r| {
             let mut sums = [0.0f64; W];
             for c in (0..W).filter(|&c| active[c]) {

@@ -106,9 +106,10 @@ pub mod spans {
     pub const RETRY: SpanId = SpanId(15);
     /// One MG→CG pressure-solver fallback (`aux` = projection sweep index).
     pub const POISSON_FALLBACK: SpanId = SpanId(16);
-    /// One bounded slice of a supervised job (`aux` = job index, `iters` =
-    /// steps the slice completed).  **Host-dependent**: slice boundaries
-    /// follow wall-clock watchdogs and scheduling, never the trajectory.
+    /// One bounded slice of a supervised job, from its set-up to its last
+    /// step (`aux` = job index, `iters` = steps the slice completed).
+    /// **Host-dependent**: slice boundaries follow wall-clock watchdogs and
+    /// scheduling, never the trajectory.
     pub const SERVER_SLICE: SpanId = SpanId(17);
     /// A job preempted at its slice quota and requeued (`aux` = step).
     pub const SERVER_PREEMPT: SpanId = SpanId(18);
@@ -118,6 +119,12 @@ pub mod spans {
     pub const SERVER_RETRY: SpanId = SpanId(20);
     /// One write-ahead journal append (leader of the appending worker).
     pub const SERVER_JOURNAL: SpanId = SpanId(21);
+    /// The set-up that opens a `server/slice`: the job's discretization
+    /// taken from the server's cache, then the resume or the fresh start on
+    /// it (`aux` = 0 when this slice built the discretization, 1 when it
+    /// reused one).  Host-dependent: which slice of a key comes first is
+    /// the scheduler's.
+    pub const SERVER_SETUP: SpanId = SpanId(22);
 
     /// The taxonomy table; `SpanId(i)` indexes it.
     pub const ALL: &[SpanInfo] = &[
@@ -143,6 +150,7 @@ pub mod spans {
         SpanInfo { path: "server/resume", deterministic: false },
         SpanInfo { path: "server/retry", deterministic: false },
         SpanInfo { path: "server/journal", deterministic: false },
+        SpanInfo { path: "server/setup", deterministic: false },
     ];
 
     /// Resolves a taxonomy path to its id (a linear scan over the tiny
@@ -488,13 +496,15 @@ mod tests {
 
     #[test]
     fn taxonomy_constants_index_their_table_rows() {
-        assert_eq!(spans::ALL.len(), 22);
+        assert_eq!(spans::ALL.len(), 23);
         assert_eq!(spans::info(spans::STEP).path, "driver/step");
         assert_eq!(spans::info(spans::ASSEMBLY_CHUNK).path, "assembly/chunk");
         assert!(!spans::info(spans::ASSEMBLY_CHUNK).deterministic);
         assert_eq!(spans::lookup("solver/mg/vcycle"), Some(spans::MG_VCYCLE));
         assert_eq!(spans::info(spans::SERVER_SLICE).path, "server/slice");
         assert_eq!(spans::lookup("server/journal"), Some(spans::SERVER_JOURNAL));
+        assert_eq!(spans::info(spans::SERVER_SETUP).path, "server/setup");
+        assert!(!spans::info(spans::SERVER_SETUP).deterministic);
         assert!(!spans::info(spans::SERVER_PREEMPT).deterministic);
         assert_eq!(spans::lookup("no/such/span"), None);
         assert_eq!(counters::ALL.len(), 11);

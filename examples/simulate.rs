@@ -61,7 +61,8 @@
 use alya_longvec::cli::{CliError, Simulate, SimulateArgs, TraceFormat};
 use alya_longvec::prelude::*;
 use alya_longvec::say;
-use lv_driver::{CheckpointRing, Scenario, Stepper, StepperConfig};
+use lv_driver::{CheckpointRing, Discretization, Scenario, Stepper, StepperConfig};
+use std::sync::Arc;
 
 fn print_registry() {
     say!("registered scenarios (cargo run --release --example simulate -- <name> ...):\n");
@@ -258,10 +259,10 @@ fn run() -> Result<(), Failure> {
         None => Stepper::new(scenario.clone(), config),
         Some(path) => {
             let ring = CheckpointRing::new(path, cli.ring);
-            let resumed =
-                Stepper::resume_on(&team, scenario.clone(), config, &ring).map_err(|e| {
-                    Failure::checkpoint(&e, format!("no usable checkpoint at {path}: {e}"))
-                })?;
+            let shared = Arc::new(Discretization::new(scenario.clone(), config.vector_size));
+            let resumed = Stepper::resume_on(&team, &shared, config, &ring).map_err(|e| {
+                Failure::checkpoint(&e, format!("no usable checkpoint at {path}: {e}"))
+            })?;
             for (slot, why) in &resumed.skipped {
                 say!("skipping damaged checkpoint generation {}: {why}", slot.display());
             }

@@ -18,8 +18,11 @@
 //!   and moves no diagnostic the step resolves.
 
 use alya_longvec::prelude::*;
-use lv_driver::{load_checkpoint, save_checkpoint, MomentumStorage, SimState, StepReport};
+use lv_driver::{
+    load_checkpoint, save_checkpoint, Discretization, MomentumStorage, SimState, StepReport,
+};
 use lv_mesh::renumber::NodePermutation;
+use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -113,6 +116,40 @@ fn checkpoint_restart_is_bitwise_identical_to_uninterrupted_run() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Steppers on one shared discretization run the operators a stepper on
+/// its own runs: two of them, stepped alternately from different states,
+/// end on the bits of `Stepper::with_mesh` runs, at every thread count.
+#[test]
+fn steppers_sharing_a_discretization_keep_the_bits_of_unshared_ones() {
+    let config = StepperConfig::default();
+    for kind in [ScenarioKind::LidDrivenCavity, ScenarioKind::TaylorGreenVortex] {
+        let scenario = Scenario::new(kind, 8);
+        for threads in [1usize, 2, 3] {
+            let team = Team::new(threads);
+            let what = format!("{} at {threads} threads", kind.name());
+            let mut unshared =
+                Stepper::with_mesh(scenario.clone(), config.clone(), scenario.build_mesh());
+            unshared.run_on(&team, 3).expect("unshared run");
+            let midway = unshared.state().clone();
+            unshared.run_on(&team, 3).expect("unshared run");
+
+            let shared = Arc::new(Discretization::new(scenario.clone(), config.vector_size));
+            let mut fresh =
+                Stepper::from_shared(Arc::clone(&shared), config.clone(), shared.initial_state());
+            let mut resumed = Stepper::from_shared(Arc::clone(&shared), config.clone(), midway);
+            assert!(Arc::ptr_eq(fresh.discretization(), resumed.discretization()));
+            for step in 0..6 {
+                fresh.step_on(&team).expect("step on the shared part");
+                if step % 2 == 0 {
+                    resumed.step_on(&team).expect("step on the shared part");
+                }
+            }
+            assert_states_bitwise(unshared.state(), fresh.state(), &format!("fresh, {what}"));
+            assert_states_bitwise(unshared.state(), resumed.state(), &format!("resumed, {what}"));
+        }
+    }
 }
 
 #[test]

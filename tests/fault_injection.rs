@@ -24,7 +24,8 @@
 //!   failure paths.
 
 use alya_longvec::prelude::*;
-use lv_driver::{CheckpointRing, FaultKind, FaultPlan, SimState, StepReport};
+use lv_driver::{CheckpointRing, Discretization, FaultKind, FaultPlan, SimState, StepReport};
+use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -145,8 +146,9 @@ fn corrupted_newest_checkpoint_degrades_to_the_previous_generation() {
 
     // Resuming from the fallback generation is bitwise identical to the
     // uninterrupted trajectory at the same step count.
+    let shared = Arc::new(Discretization::new(scenario.clone(), quick_config().vector_size));
     let mut resumed =
-        Stepper::resume_on(&team, scenario.clone(), quick_config(), &ring).expect("ring fallback");
+        Stepper::resume_on(&team, &shared, quick_config(), &ring).expect("ring fallback");
     assert_eq!(resumed.generation, 1, "newest skipped, previous used");
     assert_eq!(resumed.stepper.state().step, 2);
     assert_eq!(resumed.skipped.len(), 1);
@@ -186,9 +188,9 @@ fn assert_ring_resume_bitwise(ring: &CheckpointRing, scenario: &Scenario, total_
     // Resume on a *different* pool size than the 2-thread writer: migration
     // across layouts must not cost a single bit.
     let team = Team::new(3);
-    let mut resumed = Stepper::resume_on(&team, scenario.clone(), quick_config(), ring)
-        .expect("ring fallback")
-        .stepper;
+    let shared = Arc::new(Discretization::new(scenario.clone(), quick_config().vector_size));
+    let mut resumed =
+        Stepper::resume_on(&team, &shared, quick_config(), ring).expect("ring fallback").stepper;
     while (resumed.state().step as usize) < total_steps {
         resumed.step_on(&team).expect("resume step");
     }

@@ -160,6 +160,70 @@ fn a_faulted_fleet_finishes_bitwise_identical_to_uninterrupted_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fleet sets each (scenario, size) up once: over 2 workers, the slices
+/// of jobs on 4 keys build exactly 4 discretizations and reuse them on
+/// every other slice (the `server/setup` span's `aux`), and every job —
+/// the panicking and the checkpoint-flipping one included — still ends on
+/// the bits of its uninterrupted run.
+#[test]
+fn a_fleet_builds_each_discretization_once_and_keeps_every_trajectory() {
+    let dir = test_dir("shared");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let cavity8 = Scenario::new(ScenarioKind::LidDrivenCavity, 8);
+    let tg8 = Scenario::new(ScenarioKind::TaylorGreenVortex, 8);
+    let cavity12 = Scenario::new(ScenarioKind::LidDrivenCavity, 12);
+    let tg12 = Scenario::new(ScenarioKind::TaylorGreenVortex, 12);
+    let fleet: Vec<(&str, &Scenario, usize, Option<&str>)> = vec![
+        ("cavity8", &cavity8, 5, None),
+        ("cavity8-panic", &cavity8, 4, Some("panic@3,seed=7")),
+        ("tg8", &tg8, 4, None),
+        ("tg8-flip", &tg8, 5, Some("ckpt-flip@2,seed=11")),
+        ("cavity12", &cavity12, 3, None),
+        ("tg12", &tg12, 3, None),
+    ];
+    let traces = dir.join("traces");
+    let config = ServerConfig {
+        step_deadline: Duration::from_secs(30),
+        trace_dir: Some(traces.clone()),
+        ..config(&dir)
+    };
+    let mut server = Server::open(dir.join("jobs.jsonl"), config).expect("open");
+    for (id, scenario, steps, inject) in &fleet {
+        let mut spec = JobSpec::new(*id, (*scenario).clone(), *steps as u64);
+        if let Some(inject) = inject {
+            spec = spec.with_inject(*inject);
+        }
+        server.submit(spec).expect("submit");
+    }
+    let report = server.run();
+    assert!(report.all_done(), "{report:?}");
+
+    let setup = lv_trace::spans::SERVER_SETUP;
+    let (mut built, mut reused) = (0, 0);
+    for worker in 0..2 {
+        let log = std::fs::read_to_string(traces.join(format!("worker-{worker}.trace.jsonl")))
+            .expect("worker trace log");
+        let log = lv_trace::sink::parse_jsonl(&log).expect("the log parses");
+        for event in log.events.iter().filter(|e| e.span == setup) {
+            match event.aux {
+                0 => built += 1,
+                1 => reused += 1,
+                aux => panic!("server/setup carries aux {aux}"),
+            }
+        }
+    }
+    assert_eq!(built, 4, "one build per (scenario, size)");
+    assert_eq!(built + reused, report.slices, "every slice opens with one set-up");
+
+    let stepper_config = server.config().stepper_config();
+    for (id, scenario, steps, _) in &fleet {
+        let oracle = oracle_state(scenario, *steps, stepper_config.clone(), None);
+        assert_states_bitwise(&oracle, &final_state(&server, id, scenario), &format!("job {id}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_killed_supervisor_is_replaced_and_finishes_the_fleet_from_the_journal() {
     let dir = test_dir("kill");
