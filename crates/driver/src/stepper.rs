@@ -699,9 +699,11 @@ impl Stepper {
     pub fn describe_operators(&self) -> String {
         let pressure = match &self.shared.poisson.multigrid {
             Ok(mg) => {
-                let storage: Vec<String> =
-                    mg.level_storage().iter().map(ToString::to_string).collect();
-                format!("mgcg ({} levels: {})", mg.num_levels(), storage.join(" | "))
+                let names = |storage: Vec<String>| storage.join(" | ");
+                let levels = names(mg.level_storage().iter().map(ToString::to_string).collect());
+                let transfers =
+                    names(mg.transfer_storage().iter().map(ToString::to_string).collect());
+                format!("mgcg ({} levels: {levels}; transfers: {transfers})", mg.num_levels())
             }
             Err(cause) => format!("cg (no multigrid hierarchy: {cause})"),
         };

@@ -390,7 +390,12 @@ impl LinearOperator for MatrixFreeLaplacian {
 /// The finest transfer interpolates from the first coarse lattice onto the
 /// **actual mesh node coordinates** (so mildly perturbed boxes still get an
 /// exact-on-linears transfer); coarser transfers connect the ideal nested
-/// lattices.
+/// lattices.  Each transfer also carries the node counts of its two
+/// lattices ([`Interpolation::on_lattices`], from [`BoxLattice::points`]),
+/// so the V-cycle applies it by lattice index wherever its weights are the
+/// trilinear stencil in the cycle's scalar — every transfer of an
+/// unjittered box — and keeps the CSR form elsewhere, the finest transfer
+/// of a jittered box.
 pub fn pressure_interpolations(
     mesh: &Mesh,
     options: &MultigridOptions,
@@ -412,9 +417,10 @@ pub fn pressure_interpolations(
         })
         .collect();
     let mut interps = Vec::with_capacity(chain.len() - 1);
-    interps.push(interpolation_onto(&chain[1], &fine_points));
+    interps.push(interpolation_onto(&chain[1], &chain[0], &fine_points));
     for level in 1..chain.len() - 1 {
-        interps.push(interpolation_onto(&chain[level + 1], &chain[level].node_positions()));
+        let positions = chain[level].node_positions();
+        interps.push(interpolation_onto(&chain[level + 1], &chain[level], &positions));
     }
     Ok(interps)
 }
@@ -476,11 +482,17 @@ pub fn build_pressure_multigrid(
     GeometricMultigrid::new(laplacian, interps, options).ok_or(NoHierarchy::TooManyDiagonals)
 }
 
-/// Trilinear interpolation from `coarse` onto `points`, as a solver-side
-/// [`Interpolation`] operator.
-fn interpolation_onto(coarse: &BoxLattice, points: &[[f64; 3]]) -> Interpolation {
+/// Trilinear interpolation from `coarse` onto `points`, the nodes of
+/// `fine`, as a solver-side [`Interpolation`] operator between the two
+/// lattices.
+fn interpolation_onto(
+    coarse: &BoxLattice,
+    fine: &BoxLattice,
+    points: &[[f64; 3]],
+) -> Interpolation {
     let stencil = trilinear_stencil(coarse, points);
     Interpolation::from_csr(stencil.coarse_nodes, stencil.row_ptr, stencil.col_idx, stencil.weights)
+        .on_lattices(fine.points(), coarse.points())
 }
 
 #[cfg(test)]

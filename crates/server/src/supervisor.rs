@@ -230,10 +230,12 @@ impl DiscretizationKey {
 }
 
 /// The discretizations a server's slices run on, one per key, built by the
-/// first slice that needs it and shared by every later one.  The map lock
-/// is held only to find a key's cell; the cell's [`OnceLock`] runs at most
-/// one build per key, and a second worker asking meanwhile waits for that
-/// build instead of starting its own.
+/// first slice that needs it and shared by every later one, and dropped
+/// when the last queued or running job of the key ends
+/// ([`Discretizations::release`]).  The map lock is held only to find a
+/// key's cell; the cell's [`OnceLock`] runs at most one build per key, and
+/// a second worker asking meanwhile waits for that build instead of
+/// starting its own.
 #[derive(Debug, Default)]
 struct Discretizations {
     cells: Mutex<HashMap<DiscretizationKey, Arc<OnceLock<Arc<Discretization>>>>>,
@@ -251,6 +253,24 @@ impl Discretizations {
             Arc::new(Discretization::new(scenario.clone(), vector_size))
         });
         (Arc::clone(shared), built)
+    }
+
+    /// Drops the discretization of `scenario` at `vector_size` unless a job
+    /// of its key in `slots` is still queued or running — called after a
+    /// job of the key reached a terminal state.  Every job updates its own
+    /// status before it looks at the others', so of two jobs of a key that
+    /// end at once at least one sees the other ended.  A slice that still
+    /// holds the discretization keeps it alive until it drops it.
+    fn release(&self, scenario: &Scenario, vector_size: usize, slots: &[Mutex<JobSlot>]) {
+        let key = DiscretizationKey::new(scenario, vector_size);
+        let live = slots.iter().any(|slot| {
+            let entry = &slot.lock().unwrap().entry;
+            !entry.status.is_terminal()
+                && DiscretizationKey::new(&entry.spec.scenario, vector_size) == key
+        });
+        if !live {
+            self.cells.lock().unwrap().remove(&key);
+        }
     }
 }
 
@@ -590,8 +610,8 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
     // generation on it, or the initial state -----------------------------
     let setup_span = trace.map(|t| t.span(spans::SERVER_SETUP, 0));
     let stepper_config = config.stepper_config().with_fault_plan(plan);
-    let (discretization, built) =
-        shared.discretizations.get(&spec.scenario, stepper_config.vector_size);
+    let vector_size = stepper_config.vector_size;
+    let (discretization, built) = shared.discretizations.get(&spec.scenario, vector_size);
     let resumed = Stepper::resume_on(team, &discretization, stepper_config.clone(), &ring);
     let mut stepper = match resumed {
         Ok(resumed) => {
@@ -764,6 +784,9 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
         slot.plan = stepper.fault_plan().cloned();
         (!slot.entry.status.is_terminal(), slot.entry.attempts)
     };
+    if !requeue {
+        shared.discretizations.release(&spec.scenario, vector_size, shared.slots);
+    }
     let instant = match record.event {
         EventKind::Preempted => Some((spans::SERVER_PREEMPT, record.step)),
         EventKind::Retrying => Some((spans::SERVER_RETRY, record.attempt)),
@@ -986,6 +1009,27 @@ mod tests {
         assert_eq!(server.replay().pending, 0);
         let report = server.run();
         assert_eq!(report, RunReport { done: 2, failed: 0, pending: 0, slices: 0 });
+        clean(&dir);
+    }
+
+    /// The discretization cache holds a key only while a job of it is
+    /// queued or running: after a fleet over three sizes (one size with a
+    /// short and a long job, so the short one ends while its key is still
+    /// needed) every job is done and the cache is empty.
+    #[test]
+    fn the_discretization_cache_ends_empty_when_every_job_ends() {
+        let dir = test_dir("evict");
+        clean(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut server = Server::open(dir.join("jobs.jsonl"), quick_config(&dir)).expect("open");
+        let cavity = |n| Scenario::new(ScenarioKind::LidDrivenCavity, n);
+        for (id, n, steps) in [("short", 4, 1), ("long", 4, 5), ("six", 6, 3), ("eight", 8, 2)] {
+            server.submit(JobSpec::new(id, cavity(n), steps)).expect("submit");
+        }
+        let report = server.run();
+        assert!(report.all_done(), "{report:?}");
+        assert_eq!(report.done, 4);
+        assert!(server.discretizations.cells.lock().unwrap().is_empty());
         clean(&dir);
     }
 

@@ -74,7 +74,7 @@ pub use krylov::{
 };
 pub use multigrid::{
     galerkin_coarse, mg_preconditioned_cg_on, GeometricMultigrid, Interpolation, LevelStorage,
-    MultigridOptions,
+    MultigridOptions, TransferStorage,
 };
 pub use multivector::{MultiVector, NRHS};
 pub use operator::{JacobiPreconditioner, LinearOperator, Preconditioner};

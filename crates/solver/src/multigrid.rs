@@ -6,11 +6,23 @@
 //! the nested lattices and trilinear stencils, this module turns them into
 //! a V-cycle preconditioner:
 //!
-//! * [`Interpolation`] — a rectangular trilinear prolongation `P` stored
-//!   twice (fine-row CSR for prolongation, coarse-row transpose for
-//!   restriction) so **both** transfers partition disjoint output rows and
-//!   accumulate each row in a fixed order — bitwise identical at every
-//!   thread count, the same contract as the square kernels;
+//! * the transfers, in one of two storages, chosen by the entries of `P`
+//!   and by nothing else ([`TransferStorage`]): the **lattice stencil**
+//!   when `P` names its two nested lattices ([`Interpolation::on_lattices`])
+//!   and every entry, rounded to the cycle's scalar, is the trilinear
+//!   stencil between them (weight 1 at even, ½ and ½ at odd fine indices
+//!   per direction) — then the two lattice shapes are all the level keeps,
+//!   and restriction and prolongation run by lattice index in x-line
+//!   loops that load no index and no weight; the **CSR** [`Interpolation`]
+//!   otherwise (a jittered finest lattice; `f64` weights that miss ½ by a
+//!   rounding, as at 12³), stored twice — fine-row CSR for prolongation,
+//!   coarse-row transpose for restriction.  Either way each transfer
+//!   partitions disjoint output rows and sums each row in the same fixed
+//!   order (ascending coarse id for prolongation, ascending fine id for
+//!   restriction, from `+0.0`), so the two storages carry the same bits,
+//!   and both are bitwise identical at every thread count — the same
+//!   contract as the square kernels.  Every unjittered box takes the
+//!   stencil in the cycle's `f32`;
 //! * Galerkin coarse operators `A_c = Pᵀ·A·P`, assembled serially at setup
 //!   (deterministic, and SPD whenever `A` is SPD because `P` has full
 //!   column rank).  CSR is only the set-up intermediate: every level is
@@ -111,6 +123,8 @@ pub struct Interpolation {
     t_row_ptr: Vec<usize>,
     t_col_idx: Vec<usize>,
     t_weights: Vec<f64>,
+    // The two lattices `P` connects, when the caller knows them.
+    lattices: Option<NestedLattices>,
 }
 
 impl Interpolation {
@@ -169,7 +183,30 @@ impl Interpolation {
             t_row_ptr,
             t_col_idx,
             t_weights,
+            lattices: None,
         }
+    }
+
+    /// Records that `P` maps a box lattice of `coarse` nodes per direction
+    /// onto the nested lattice of `fine` nodes per direction (`x` fastest,
+    /// `fine = 2·coarse − 1` per direction).  A V-cycle then applies `P` by
+    /// lattice index, storing no entry of it, wherever its entries are the
+    /// trilinear stencil in the cycle's scalar; elsewhere it keeps the CSR
+    /// form (see [`TransferStorage`]).
+    ///
+    /// # Panics
+    /// Panics when the lattices do not nest or their node counts are not the
+    /// dimensions of `P`.
+    pub fn on_lattices(self, fine: [usize; 3], coarse: [usize; 3]) -> Interpolation {
+        assert!(
+            (0..3).all(|d| coarse[d] >= 1 && fine[d] == 2 * coarse[d] - 1),
+            "the fine lattice must have 2·c − 1 nodes where the coarse one has c: \
+             {fine:?} over {coarse:?}"
+        );
+        let nodes = |p: [usize; 3]| p[0] * p[1] * p[2];
+        assert_eq!(nodes(fine), self.fine_nodes, "fine lattice node count");
+        assert_eq!(nodes(coarse), self.coarse_nodes, "coarse lattice node count");
+        Interpolation { lattices: Some(NestedLattices { fine, coarse }), ..self }
     }
 
     /// Fine-level dimension (rows of `P`).
@@ -212,6 +249,277 @@ impl Interpolation {
                 slice[offset] = sum;
             }
         });
+    }
+}
+
+/// The fine nodes along one direction that interpolate from coarse node
+/// `c` of it, ascending, with their weights: `2c` at 1, its neighbours
+/// `2c ∓ 1` at ½ where the direction has them (`fine` nodes).
+fn children(c: usize, fine: usize) -> impl Iterator<Item = (usize, f64)> {
+    let (lo, hi) = ((2 * c).saturating_sub(1), (2 * c + 1).min(fine - 1));
+    (lo..=hi).map(move |f| (f, if f == 2 * c { 1.0 } else { 0.5 }))
+}
+
+/// The coarse nodes fine node `f` of a direction interpolates from,
+/// ascending, with their weights: `f / 2` at 1 for even `f`, its two
+/// neighbours at ½ for odd `f`.
+fn parents(f: usize) -> impl Iterator<Item = (usize, f64)> {
+    let (lo, hi) = (f / 2, f.div_ceil(2));
+    (lo..=hi).map(move |c| (c, if lo == hi { 1.0 } else { 0.5 }))
+}
+
+/// Two nested box lattices, as node counts per direction (`x` fastest):
+/// the fine one has `2·c − 1` nodes where the coarse one has `c`.  As a
+/// transfer, the trilinear stencil between them applied by lattice index —
+/// the two shapes are all it stores.
+///
+/// Each output row sums its terms in the order of the CSR form, starting
+/// from `+0.0` — ascending coarse id for prolongation, ascending fine id
+/// for restriction — with the same weights, so it carries the CSR bits.
+/// The rows of an x-line are the lanes, and the passes are shared by whole
+/// x-lines: a row's arithmetic owes nothing to the partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NestedLattices {
+    fine: [usize; 3],
+    coarse: [usize; 3],
+}
+
+impl NestedLattices {
+    /// Whether every entry of `p`, rounded to `T`, is the trilinear stencil
+    /// of the two lattices: the same columns in the same order, and the
+    /// product of the per-direction weights (1 or ½, so the product is
+    /// exact in either precision).
+    fn carries<T: Scalar>(&self, p: &Interpolation) -> bool {
+        let ([fx, fy, fz], [cx, cy, _]) = (self.fine, self.coarse);
+        let mut row = 0;
+        for k in 0..fz {
+            for j in 0..fy {
+                for i in 0..fx {
+                    let entries = p.row_ptr[row]..p.row_ptr[row + 1];
+                    let mut stored = p.col_idx[entries.clone()].iter().zip(&p.weights[entries]);
+                    for (ck, wk) in parents(k) {
+                        for (cj, wj) in parents(j) {
+                            for (ci, wi) in parents(i) {
+                                let column = ci + cx * (cj + cy * ck);
+                                let weight = T::from_f64(wi * wj * wk);
+                                match stored.next() {
+                                    Some((&c, &w)) if c == column && T::from_f64(w) == weight => {}
+                                    _ => return false,
+                                }
+                            }
+                        }
+                    }
+                    if stored.next().is_some() {
+                        return false;
+                    }
+                    row += 1;
+                }
+            }
+        }
+        true
+    }
+
+    fn nodes(points: [usize; 3]) -> usize {
+        points[0] * points[1] * points[2]
+    }
+
+    /// Entries of the stencil's `P`: per direction, one at each of the `c`
+    /// even fine nodes and two at each of the `c − 1` odd ones.
+    fn entries(&self) -> usize {
+        self.coarse.iter().map(|&c| 3 * c - 2).product()
+    }
+
+    /// `coarse = Pᵀ·fine`, shared over whole coarse x-lines.  A coarse row
+    /// adds, fine x-line by fine x-line in ascending order, that line's
+    /// `2I − 1`, `2I` and `2I + 1` terms: its fine ids in ascending order.
+    fn restrict<T: Scalar>(&self, ops: &VectorOps<'_>, fine: &[T], coarse: &mut [T]) {
+        let ([fx, fy, fz], [cx, cy, cz]) = (self.fine, self.coarse);
+        assert_eq!(fine.len(), Self::nodes(self.fine));
+        assert_eq!(coarse.len(), Self::nodes(self.coarse));
+        let half = T::from_f64(0.5);
+        let team = ops.team_above_cutoff(coarse.len());
+        lv_runtime::for_each_share(team, cy * cz, 1, coarse, |lines, out| {
+            for (line, out) in lines.zip(out.chunks_exact_mut(cx)) {
+                let (cj, ck) = (line % cy, line / cy);
+                out.fill(T::ZERO);
+                for (fk, wk) in children(ck, fz) {
+                    for (fj, wj) in children(cj, fy) {
+                        let w = T::from_f64(wj * wk);
+                        let start = (fk * fy + fj) * fx;
+                        restrict_line(&fine[start..start + fx], w, w * half, out);
+                    }
+                }
+            }
+        });
+    }
+
+    /// `fine += P·coarse`, shared over whole fine x-lines.  A fine row sums
+    /// its (one, two or four) parent coarse x-lines in ascending order, two
+    /// neighbours of each at an odd row, then adds the sum.
+    fn prolong_add<T: Scalar>(&self, ops: &VectorOps<'_>, coarse: &[T], fine: &mut [T]) {
+        let ([fx, fy, fz], [cx, cy, _]) = (self.fine, self.coarse);
+        assert_eq!(fine.len(), Self::nodes(self.fine));
+        assert_eq!(coarse.len(), Self::nodes(self.coarse));
+        let half = T::from_f64(0.5);
+        let team = ops.team_above_cutoff(fine.len());
+        lv_runtime::for_each_share(team, fy * fz, 1, fine, |lines, out| {
+            for (line, out) in lines.zip(out.chunks_exact_mut(fx)) {
+                let (fj, fk) = (line % fy, line / fy);
+                let (j0, j1, k0, k1) = (fj / 2, fj.div_ceil(2), fk / 2, fk.div_ceil(2));
+                let at = |k: usize, j: usize, w: f64| {
+                    let start = (k * cy + j) * cx;
+                    (&coarse[start..start + cx], T::from_f64(w))
+                };
+                match (j0 == j1, k0 == k1) {
+                    (true, true) => prolong_line([at(k0, j0, 1.0)], half, out),
+                    (false, true) => prolong_line([at(k0, j0, 0.5), at(k0, j1, 0.5)], half, out),
+                    (true, false) => prolong_line([at(k0, j0, 0.5), at(k1, j0, 0.5)], half, out),
+                    (false, false) => prolong_line(
+                        [at(k0, j0, 0.25), at(k0, j1, 0.25), at(k1, j0, 0.25), at(k1, j1, 0.25)],
+                        half,
+                        out,
+                    ),
+                }
+            }
+        });
+    }
+}
+
+/// One fine x-line's terms of a restriction, added to its coarse x-line:
+/// `out[I] += wh·row[2I − 1]`, `+= w·row[2I]`, `+= wh·row[2I + 1]`, the
+/// terms the line has, in that order (`row` holds `2·out.len() − 1` nodes;
+/// `w` is the line's weight, `wh` half of it).
+#[inline(always)]
+fn restrict_line<T: Scalar>(row: &[T], w: T, wh: T, out: &mut [T]) {
+    let last = out.len() - 1;
+    assert_eq!(row.len(), 2 * last + 1);
+    out[0] += w * row[0];
+    if last == 0 {
+        return;
+    }
+    out[0] += wh * row[1];
+    // Interior row `I` reads the pair (2I − 1, 2I) and the first of the
+    // next pair, 2I + 1.
+    let pairs = row[1..2 * last - 1].chunks_exact(2);
+    let next = row[3..2 * last + 1].chunks_exact(2);
+    for ((o, pair), next) in out[1..last].iter_mut().zip(pairs).zip(next) {
+        let mut sum = *o;
+        sum += wh * pair[0];
+        sum += w * pair[1];
+        sum += wh * next[0];
+        *o = sum;
+    }
+    out[last] += wh * row[2 * last - 1];
+    out[last] += w * row[2 * last];
+}
+
+/// One fine x-line of a prolongation from its `L` parent coarse x-lines
+/// (`(line, weight)` in ascending order): an even row `2I` adds
+/// `Σ w·c[I]`, an odd row `2I + 1` adds `Σ (w/2·c[I] + w/2·c[I + 1])`,
+/// each sum taken from `+0.0` in that order.
+#[inline(always)]
+fn prolong_line<T: Scalar, const L: usize>(lines: [(&[T], T); L], half: T, fine: &mut [T]) {
+    let last = lines[0].0.len() - 1;
+    assert_eq!(fine.len(), 2 * last + 1);
+    assert!(lines.iter().all(|(c, _)| c.len() == last + 1));
+    let halves = lines.map(|(_, w)| w * half);
+    for (i, pair) in fine[..2 * last].chunks_exact_mut(2).enumerate() {
+        let mut even = T::ZERO;
+        for (c, w) in lines {
+            even += w * c[i];
+        }
+        let mut odd = T::ZERO;
+        for ((c, _), wh) in lines.iter().zip(halves) {
+            odd += wh * c[i];
+            odd += wh * c[i + 1];
+        }
+        pair[0] += even;
+        pair[1] += odd;
+    }
+    let mut even = T::ZERO;
+    for (c, w) in lines {
+        even += w * c[last];
+    }
+    fine[2 * last] += even;
+}
+
+/// How a level stores the transfer to the level below it — what
+/// [`GeometricMultigrid::transfer_storage`] reports and the examples print.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransferStorage {
+    /// The trilinear stencil of two nested lattices, applied by lattice
+    /// index: no index and no weight is stored.
+    Stencil,
+    /// `P` and `Pᵀ` in CSR: a column index and an `f64` weight per entry.
+    Csr {
+        /// Entries of `P`.
+        entries: usize,
+    },
+}
+
+impl std::fmt::Display for TransferStorage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TransferStorage::Stencil => f.write_str("stencil"),
+            TransferStorage::Csr { entries } => write!(f, "csr ({entries} entries)"),
+        }
+    }
+}
+
+/// The transfer between a level and the one below it, in the one storage
+/// its entries chose: the lattice stencil where `P` is the trilinear
+/// stencil of two nested lattices in the cycle's scalar, the CSR
+/// [`Interpolation`] everywhere else (a jittered finest lattice, whose `P`
+/// interpolates onto the nudged nodes; `f64` weights that miss ½ by a
+/// rounding; a `P` that names no lattices).  Same bits either way.
+#[derive(Debug, Clone)]
+enum Transfer {
+    Stencil(NestedLattices),
+    Csr(Interpolation),
+}
+
+impl Transfer {
+    /// The storage `p` asks for in the scalar `T`.  A stencil drops `p`.
+    fn new<T: Scalar>(p: Interpolation) -> Transfer {
+        match p.lattices {
+            Some(lattices) if lattices.carries::<T>(&p) => Transfer::Stencil(lattices),
+            _ => Transfer::Csr(p),
+        }
+    }
+
+    fn storage(&self) -> TransferStorage {
+        match self {
+            Transfer::Stencil(_) => TransferStorage::Stencil,
+            Transfer::Csr(p) => TransferStorage::Csr { entries: p.col_idx.len() },
+        }
+    }
+
+    /// Modeled flops and bytes of one restriction or prolongation: a
+    /// multiply-add per entry; the fine and the coarse vector once each,
+    /// plus, in CSR, the 8-byte index and 8-byte weight of every entry.
+    fn traffic<T: Scalar>(&self) -> (u64, u64) {
+        let (fine, coarse, entries, per_entry) = match self {
+            Transfer::Stencil(s) => {
+                (NestedLattices::nodes(s.fine), NestedLattices::nodes(s.coarse), s.entries(), 0)
+            }
+            Transfer::Csr(p) => (p.fine_nodes, p.coarse_nodes, p.col_idx.len(), 16),
+        };
+        let vectors = (fine + coarse) * std::mem::size_of::<T>();
+        (2 * entries as u64, (vectors + per_entry * entries) as u64)
+    }
+
+    fn restrict<T: Scalar>(&self, ops: &VectorOps<'_>, fine: &[T], coarse: &mut [T]) {
+        match self {
+            Transfer::Stencil(s) => s.restrict(ops, fine, coarse),
+            Transfer::Csr(p) => p.restrict(ops, fine, coarse),
+        }
+    }
+
+    fn prolong_add<T: Scalar>(&self, ops: &VectorOps<'_>, coarse: &[T], fine: &mut [T]) {
+        match self {
+            Transfer::Stencil(s) => s.prolong_add(ops, coarse, fine),
+            Transfer::Csr(p) => p.prolong_add(ops, coarse, fine),
+        }
     }
 }
 
@@ -588,7 +896,7 @@ fn entry_scale(max: f64) -> (f64, f64) {
 #[derive(Debug)]
 struct Hierarchy<T: Scalar> {
     levels: Vec<Level<T>>,
-    interps: Vec<Interpolation>,
+    transfers: Vec<Transfer>,
     coarse_lu: DenseLu,
     sweeps: usize,
     damping: T,
@@ -615,12 +923,35 @@ struct Cycle<T: Scalar> {
 
 impl<T: Scalar> Cycle<T> {
     /// See [`GeometricMultigrid::new`], which also checks the arguments;
-    /// `fine_dia` is `fine` in diagonal storage.
+    /// `fine_dia` is `fine` in diagonal storage.  Each transfer takes the
+    /// storage its entries ask for ([`Transfer::new`]).
     fn new(
         fine: &CsrMatrix,
         fine_dia: &DiaMatrix,
         interps: Vec<Interpolation>,
         options: &MultigridOptions,
+    ) -> Option<Cycle<T>> {
+        Self::with_transfers(fine, fine_dia, interps, options, Transfer::new::<T>)
+    }
+
+    /// [`Cycle::new`] with every transfer kept in CSR: the reference the
+    /// tests hold the stencil transfers to.
+    #[cfg(test)]
+    fn with_csr_transfers(
+        fine: &CsrMatrix,
+        fine_dia: &DiaMatrix,
+        interps: Vec<Interpolation>,
+        options: &MultigridOptions,
+    ) -> Option<Cycle<T>> {
+        Self::with_transfers(fine, fine_dia, interps, options, Transfer::Csr)
+    }
+
+    fn with_transfers(
+        fine: &CsrMatrix,
+        fine_dia: &DiaMatrix,
+        interps: Vec<Interpolation>,
+        options: &MultigridOptions,
+        transfer: fn(Interpolation) -> Transfer,
     ) -> Option<Cycle<T>> {
         // CSR is the set-up intermediate only (Galerkin input, LU input):
         // each coarse level is filled in `T` straight from it, in
@@ -638,9 +969,12 @@ impl<T: Scalar> Cycle<T> {
         let coarse_lu = DenseLu::from_csr(&csr)?;
         let coarse = csr.dim();
         let vectors = levels.iter().map(|l| LevelVectors::zeros(l.rows())).collect();
+        // The Galerkin products were the last reader of a stencil level's
+        // CSR `P`: it is dropped here.
+        let transfers = interps.into_iter().map(transfer).collect();
         let hierarchy = Hierarchy {
             levels,
-            interps,
+            transfers,
             coarse_lu,
             sweeps: options.smoothing_sweeps,
             damping: T::from_f64(options.damping),
@@ -665,7 +999,7 @@ impl<T: Scalar> Cycle<T> {
     /// other pass of the cycle.
     fn v_cycle(&mut self, ops: &VectorOps<'_>, rhs: &[f64], z: &mut [f64]) {
         let hierarchy = &*self.hierarchy;
-        let Hierarchy { levels, interps, coarse_lu, sweeps, damping } = hierarchy;
+        let Hierarchy { levels, transfers, coarse_lu, sweeps, damping } = hierarchy;
         let (sweeps, damping) = (*sweeps, *damping);
         let vectors = &mut self.vectors;
         let nl = levels.len();
@@ -674,7 +1008,8 @@ impl<T: Scalar> Cycle<T> {
         let trace = ops.trace();
         let cycle = trace.map(|t| t.span(lv_trace::spans::MG_VCYCLE, 0).iters(1));
         // Per-level event: `aux` carries the level index, `iters` the smooth
-        // sweeps, and the traffic model counts the operator traversals.
+        // sweeps, and the traffic model counts the operator traversals and
+        // the leg's transfer.
         let level_span = |l: usize, sweeps: u64, flops: u64, bytes: u64| {
             trace.map(|t| {
                 t.span(lv_trace::spans::MG_LEVEL, 0)
@@ -686,21 +1021,23 @@ impl<T: Scalar> Cycle<T> {
         };
         // A leg traverses the matrix `sweeps` times either way: down, the
         // first sweep from zero touches no matrix and the residual takes
-        // its place; up, every sweep is one traversal.
-        let leg_span = |l: usize, matrix: &LevelOperator<T>| {
-            let (flops, bytes) = matrix.traffic();
+        // its place; up, every sweep is one traversal.  Down ends in a
+        // restriction, up starts with a prolongation: one transfer each.
+        let leg_span = |l: usize| {
+            let (flops, bytes) = levels[l].matrix.traffic();
+            let (transfer_flops, transfer_bytes) = transfers[l].traffic::<T>();
             let sweeps = sweeps as u64;
-            level_span(l, sweeps, sweeps * flops, sweeps * bytes)
+            level_span(l, sweeps, sweeps * flops + transfer_flops, sweeps * bytes + transfer_bytes)
         };
         let (scale, unscale) = entry_scale(max_abs_on(ops, rhs));
         for l in 0..nl - 1 {
             let (fine_half, coarse_half) = vectors.split_at_mut(l + 1);
             let (level, v, next) = (&levels[l], &mut fine_half[l], &mut coarse_half[0]);
-            let span = leg_span(l, &level.matrix);
+            let span = leg_span(l);
             level.sweep_from_zero(v, ops, damping, (l == 0).then_some((rhs, scale)));
             level.smooth(v, ops, sweeps - 1, damping);
             level.residual(v, ops);
-            interps[l].restrict(ops, &v.r, &mut next.b);
+            transfers[l].restrict(ops, &v.r, &mut next.b);
             drop(span);
         }
         {
@@ -720,8 +1057,8 @@ impl<T: Scalar> Cycle<T> {
         for l in (0..nl - 1).rev() {
             let (fine_half, coarse_half) = vectors.split_at_mut(l + 1);
             let (level, v, next) = (&levels[l], &mut fine_half[l], &coarse_half[0]);
-            let span = leg_span(l, &level.matrix);
-            interps[l].prolong_add(ops, &next.x, &mut v.x);
+            let span = leg_span(l);
+            transfers[l].prolong_add(ops, &next.x, &mut v.x);
             level.smooth(v, ops, sweeps, damping);
             drop(span);
         }
@@ -813,6 +1150,15 @@ impl GeometricMultigrid {
             .map(|l| l.matrix.storage())
             .chain(std::iter::once(LevelStorage::DenseLu))
             .collect()
+    }
+
+    /// How each smoothed level stores the transfer to the level below it,
+    /// finest first (one fewer than [`level_storage`](Self::level_storage)):
+    /// [`TransferStorage::Stencil`] where its `P` is the trilinear stencil
+    /// of the two lattices in the cycle's `f32`, CSR otherwise.  Reporting
+    /// only — nothing selects a storage but the transfer's own entries.
+    pub fn transfer_storage(&self) -> Vec<TransferStorage> {
+        self.cycle.hierarchy.transfers.iter().map(Transfer::storage).collect()
     }
 
     /// The `f64` operator of the finest level: the bits of the CSR matrix
@@ -1307,13 +1653,21 @@ mod tests {
     /// Trilinear interpolation onto the tensor grid from its every-other-
     /// point coarsening.
     fn lattice_interpolation(grids: [&[f64]; 3]) -> Interpolation {
-        let [wx, wy, wz] = grids.map(interpolation_weights_1d);
-        let [cx, cy, cz] = grids.map(|g| g.len() / 2 + 1);
+        tensor_interpolation(grids.map(interpolation_weights_1d))
+    }
+
+    /// The tensor product of per-direction weights (`[d][fine index]`, as
+    /// `(coarse index, weight)` pairs in ascending order) between the two
+    /// lattices, which it names.
+    fn tensor_interpolation(weights_1d: [Vec<Vec<(usize, f64)>>; 3]) -> Interpolation {
+        let [wx, wy, wz] = &weights_1d;
+        let fine = [wx.len(), wy.len(), wz.len()];
+        let [cx, cy, cz] = fine.map(|f| f / 2 + 1);
         let mut row_ptr = vec![0];
         let (mut col_idx, mut weights) = (Vec::new(), Vec::new());
-        for wk in &wz {
-            for wj in &wy {
-                for wi in &wx {
+        for wk in wz {
+            for wj in wy {
+                for wi in wx {
                     for &(k, a) in wk {
                         for &(j, b) in wj {
                             for &(i, c) in wi {
@@ -1327,6 +1681,7 @@ mod tests {
             }
         }
         Interpolation::from_csr(cx * cy * cz, row_ptr, col_idx, weights)
+            .on_lattices(fine, [cx, cy, cz])
     }
 
     fn every_other(grid: &[f64]) -> Vec<f64> {
@@ -1807,7 +2162,11 @@ mod tests {
         // 16-byte taps, four table pointers and the sweep's four `f32`
         // vectors.  The same level with a diagonal that grows along the rows
         // repeats nothing, keeps its three `f32` diagonals and is charged
-        // every stored value, padding included.
+        // every stored value, padding included.  Each leg also carries its
+        // transfer: this 1-D `P` names no lattices and stays in CSR, 45
+        // entries (the 15 odd fine rows take one, the 16 even rows two, but
+        // the two end rows one), so a multiply-add per entry and the 31-
+        // and 15-row `f32` vectors plus 16 bytes per entry.
         let uniform = laplacian_1d(31);
         let mut graded = uniform.clone();
         let diagonal: Vec<usize> = (0..31).map(|i| graded.entry_index(i, i).unwrap()).collect();
@@ -1816,6 +2175,7 @@ mod tests {
         }
         let class_form = (2 * (2 + 29 * 3 + 2), 3 * 12 + 7 * 16 + 4 * 8 + 4 * 31 * 4);
         let diagonal_form = (2 * 3 * 31, 4 * 3 * 31);
+        let transfer = (2 * 45, (31 + 15) * 4 + 16 * 45);
         for (a, storage, (flops, bytes)) in [
             (uniform, LevelStorage::RowClasses { classes: 3 }, class_form),
             (graded, LevelStorage::Diagonals { diagonals: 3 }, diagonal_form),
@@ -1823,6 +2183,7 @@ mod tests {
             let mut mg = GeometricMultigrid::new(&a, vec![linear_interpolation_1d(15)], &options)
                 .expect("SPD hierarchy");
             assert_eq!(mg.level_storage(), [storage, LevelStorage::DenseLu]);
+            assert_eq!(mg.transfer_storage(), [TransferStorage::Csr { entries: 45 }]);
             let mut team = Team::with_trace(1, TraceConfig::default());
             let rhs = vec![1.0; a.dim()];
             let mut z = vec![0.0; a.dim()];
@@ -1838,7 +2199,7 @@ mod tests {
             for leg in [&levels[0], &levels[2]] {
                 assert_eq!(
                     (leg.iters, leg.flops, leg.bytes),
-                    (sweeps, sweeps * flops, sweeps * bytes),
+                    (sweeps, sweeps * flops + transfer.0, sweeps * bytes + transfer.1),
                     "{storage}"
                 );
             }
@@ -1847,5 +2208,213 @@ mod tests {
                 (0, 2 * 15 * 15, 8 * 15 * 15)
             );
         }
+    }
+
+    /// Per-direction weights of the trilinear transfer onto a lattice of
+    /// `points` nodes from its every-other-node coarsening, computed as
+    /// `lv_mesh::trilinear_stencil` computes them on a unit box: the fine
+    /// node at `i / (points − 1)`, located in its coarse cell by dividing by
+    /// the coarse spacing.  Exact where the spacings are powers of two; at
+    /// 12 elements a side a weight misses ½ (or 1) by an `f64` rounding.
+    fn generator_weights_1d(points: usize) -> Vec<Vec<(usize, f64)>> {
+        if points == 1 {
+            return vec![vec![(0, 1.0)]];
+        }
+        let (dims, coarse_dims) = (points - 1, (points - 1) / 2);
+        let spacing = 1.0 / coarse_dims as f64;
+        (0..points)
+            .map(|i| {
+                let u = 1.0 * (i as f64 / dims as f64) / spacing;
+                let c = (u.floor() as usize).min(coarse_dims - 1);
+                let xi = u - c as f64;
+                [(c, 1.0 - xi), (c + 1, xi)].into_iter().filter(|&(_, w)| w > 1e-12).collect()
+            })
+            .collect()
+    }
+
+    /// The transfer onto a lattice of `points` nodes per direction, with
+    /// the generator's weights.
+    fn generator_interpolation(points: [usize; 3]) -> Interpolation {
+        tensor_interpolation(points.map(generator_weights_1d))
+    }
+
+    /// The transfer onto a lattice of `points` nodes per direction, with
+    /// the exact weights 1 and ½.
+    fn exact_interpolation(points: [usize; 3]) -> Interpolation {
+        tensor_interpolation(points.map(|n| (0..n).map(|f| parents(f).collect()).collect()))
+    }
+
+    /// The lattices of the transfer tests: 8³, 12³ (not a power of two),
+    /// 16³ and 32³ elements, a 16 × 8 × 4 box, and a line of nodes whose
+    /// coarse level clears the serial cutoff.
+    fn transfer_lattices() -> Vec<[usize; 3]> {
+        let line = 2 * (2 * crate::parallel::SERIAL_CUTOFF + 5) + 1;
+        vec![[9; 3], [13; 3], [17; 3], [33; 3], [17, 9, 5], [line, 1, 1]]
+    }
+
+    /// The stencil's restriction and prolongation of `p`, and the CSR
+    /// ones, in `T` on 1, 2 and 3 threads, from the same noisy inputs
+    /// (`-0.0` and subnormals mixed in), as bit patterns.
+    fn stencil_and_csr_transfers<T: Scalar>(p: &Interpolation) -> [Vec<u64>; 2] {
+        let lattices = p.lattices.expect("a transfer between lattices");
+        let noise = |n, seed| -> Vec<T> {
+            crate::dia::tests::awkward_vector(n, seed).into_iter().map(T::from_f64).collect()
+        };
+        let (fine, coarse) = (noise(p.fine_nodes, 3), noise(p.coarse_nodes, 5));
+        let stencil = Transfer::Stencil(lattices);
+        let csr = Transfer::Csr(p.clone());
+        [&stencil, &csr].map(|transfer| {
+            let mut bits = Vec::new();
+            for threads in [1, 2, 3] {
+                let team = Team::new(threads);
+                let ops = VectorOps::on_team(&team);
+                let mut restricted = vec![T::from_f64(f64::NAN); p.coarse_nodes];
+                transfer.restrict(&ops, &fine, &mut restricted);
+                let mut prolonged = noise(p.fine_nodes, 7);
+                transfer.prolong_add(&ops, &coarse, &mut prolonged);
+                let all = restricted.iter().chain(&prolonged);
+                bits.extend(all.map(|v| v.to_f64().to_bits()));
+            }
+            bits
+        })
+    }
+
+    /// The stencil transfers carry the bits of the CSR transfers of the
+    /// same lattices, in `f32` from the generator's weights (which round to
+    /// the stencil's there, 12³ included) and in `f64` from the exact ones,
+    /// at every thread count.
+    #[test]
+    fn stencil_transfers_carry_the_bits_of_the_csr_transfers_on_every_team() {
+        for points in transfer_lattices() {
+            let generated = generator_interpolation(points);
+            let exact = exact_interpolation(points);
+            let lattices = generated.lattices.expect("named lattices");
+            assert!(lattices.carries::<f32>(&generated), "{points:?}");
+            assert!(lattices.carries::<f64>(&exact), "{points:?}");
+            assert_eq!(lattices.entries(), exact.col_idx.len(), "{points:?}");
+            let [stencil, csr] = stencil_and_csr_transfers::<f32>(&generated);
+            assert!(stencil == csr, "f32 transfers of {points:?}");
+            let [stencil, csr] = stencil_and_csr_transfers::<f64>(&exact);
+            assert!(stencil == csr, "f64 transfers of {points:?}");
+        }
+    }
+
+    /// The storage is the entries' choice: the generator's 12³ weights are
+    /// the stencil in `f32` and not in `f64`; power-of-two lattices are it
+    /// in both; a jittered finest lattice is it in neither, while the
+    /// uniform lattice below it still is; a `P` that names no lattices, or
+    /// names lattices its entries do not follow, stays CSR.
+    #[test]
+    fn a_transfer_takes_the_stencil_where_its_entries_round_to_it() {
+        let options = MultigridOptions::default();
+        let stencil = TransferStorage::Stencil;
+        let csr = |p: &Interpolation| TransferStorage::Csr { entries: p.col_idx.len() };
+        let storage = |a: &CsrMatrix, interps: &[Interpolation]| {
+            let dia = DiaMatrix::from_csr(a).expect("a lattice stencil");
+            let wide = Cycle::<f64>::new(a, &dia, interps.to_vec(), &options).expect("SPD");
+            let narrow = GeometricMultigrid::new(a, interps.to_vec(), &options).expect("SPD");
+            let wide: Vec<_> = wide.hierarchy.transfers.iter().map(Transfer::storage).collect();
+            (narrow.transfer_storage(), wide)
+        };
+
+        let grids = tensor_grids([13; 3], 1.0);
+        let mut twelve = lattice_laplacian([0, 1, 2].map(|d| grids[d].as_slice()));
+        twelve.pin_rows_symmetric(&[0]);
+        let interps = [generator_interpolation([13; 3]), generator_interpolation([7; 3])];
+        let (narrow, wide) = storage(&twelve, &interps);
+        assert_eq!(narrow, [stencil, stencil], "12³ in f32");
+        assert_eq!(wide[0], csr(&interps[0]), "12³ in f64: the weights miss ½");
+
+        let (uniform, interps) = tensor_problem(&tensor_grids([33, 9, 9], 1.0));
+        assert_eq!(storage(&uniform, &interps), (vec![stencil; 2], vec![stencil; 2]));
+
+        // Odd nodes nudged, even nodes on the lattice: the level below is
+        // the uniform 9³ lattice.
+        let nudged = [0, 1, 2].map(|d| {
+            let mut grid = jittered_grid(17, 31 + d as u64);
+            for (i, x) in grid.iter_mut().enumerate().step_by(2) {
+                *x = i as f64 / 16.0;
+            }
+            grid
+        });
+        let (jittered, interps) = tensor_problem(&nudged);
+        let (narrow, wide) = storage(&jittered, &interps);
+        assert_eq!(narrow, [csr(&interps[0]), stencil], "jittered finest lattice, f32");
+        assert_eq!(wide, [csr(&interps[0]), stencil], "jittered finest lattice, f64");
+
+        let (a, interps) = two_level_1d_interpolations(15);
+        assert_eq!(storage(&a, &interps).0, [csr(&interps[0])], "no lattices named");
+        let (a, mut interps) = tensor_problem(&tensor_grids([33, 9, 9], 1.0));
+        interps[0] = exact_interpolation([33, 9, 9]).on_lattices([33, 9, 9], [17, 5, 5]);
+        interps[0].weights[7] *= 1.0 + 1e-6;
+        assert_eq!(storage(&a, &interps).0[0], csr(&interps[0]), "an entry off the stencil");
+    }
+
+    fn two_level_1d_interpolations(nc: usize) -> (CsrMatrix, Vec<Interpolation>) {
+        (laplacian_1d(2 * nc + 1), vec![linear_interpolation_1d(nc)])
+    }
+
+    /// Whole V-cycles on stencil transfers carry the bits of the same
+    /// hierarchy with every transfer forced to CSR, in `f32` and `f64`, on
+    /// 1, 2 and 3 threads — on the uniform power-of-two box (a stencil in
+    /// both precisions), the 12³ lattice (a stencil in `f32`) and a
+    /// 32 × 16 × 8 box.
+    #[test]
+    fn v_cycles_on_stencil_transfers_carry_the_bits_of_csr_transfers() {
+        fn bits<T: Scalar>(a: &CsrMatrix, interps: &[Interpolation], rhs: &[f64]) -> [Vec<u64>; 2] {
+            let options = MultigridOptions::default();
+            let dia = DiaMatrix::from_csr(a).expect("a lattice stencil");
+            let mut stencil = Cycle::<T>::new(a, &dia, interps.to_vec(), &options).expect("SPD");
+            let storage = stencil.hierarchy.transfers.iter().map(Transfer::storage);
+            assert!(storage.into_iter().any(|s| s == TransferStorage::Stencil));
+            let mut csr =
+                Cycle::<T>::with_csr_transfers(a, &dia, interps.to_vec(), &options).expect("SPD");
+            [&mut stencil, &mut csr].map(|cycle| {
+                let mut out = Vec::new();
+                for threads in [1, 2, 3] {
+                    let team = Team::new(threads);
+                    let mut z = vec![f64::NAN; rhs.len()];
+                    cycle.v_cycle(&VectorOps::on_team(&team), rhs, &mut z);
+                    out.extend(z.iter().map(|v| v.to_bits()));
+                }
+                out
+            })
+        }
+        let problem = |points: [usize; 3]| {
+            let grids = tensor_grids(points, 1.0);
+            let mut a = lattice_laplacian([0, 1, 2].map(|d| grids[d].as_slice()));
+            a.pin_rows_symmetric(&[0]);
+            let mid = points.map(|n| n / 2 + 1);
+            let interps = vec![generator_interpolation(points), generator_interpolation(mid)];
+            let rhs = crate::dia::tests::awkward_vector(a.dim(), 13);
+            (a, interps, rhs)
+        };
+        for points in [[17; 3], [13; 3], [33, 17, 9]] {
+            let (a, interps, rhs) = problem(points);
+            let [stencil, csr] = bits::<f32>(&a, &interps, &rhs);
+            assert!(stencil == csr, "f32 V-cycle on {points:?}");
+            if points != [13; 3] {
+                let [stencil, csr] = bits::<f64>(&a, &interps, &rhs);
+                assert!(stencil == csr, "f64 V-cycle on {points:?}");
+            }
+        }
+    }
+
+    /// The traffic model of a transfer, on the 8³ → 4³ pair (9³ and 5³
+    /// nodes, 13³ entries): a multiply-add per entry, the two vectors once
+    /// each, and in CSR a 16-byte index and weight per entry on top.
+    #[test]
+    fn a_transfer_is_charged_its_vectors_and_in_csr_its_entries() {
+        let p = exact_interpolation([9; 3]);
+        let entries = 13 * 13 * 13;
+        assert_eq!(p.col_idx.len(), entries);
+        let stencil = Transfer::new::<f32>(p.clone());
+        assert_eq!(stencil.storage(), TransferStorage::Stencil);
+        let csr = Transfer::Csr(p);
+        let vectors = (9 * 9 * 9 + 5 * 5 * 5) as u64;
+        let flops = 2 * entries as u64;
+        assert_eq!(stencil.traffic::<f32>(), (flops, 4 * vectors));
+        assert_eq!(stencil.traffic::<f64>(), (flops, 8 * vectors));
+        assert_eq!(csr.traffic::<f32>(), (flops, 4 * vectors + 16 * entries as u64));
     }
 }

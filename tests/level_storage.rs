@@ -76,22 +76,28 @@ fn a_level_takes_classes_from_runs_of_16_on_and_only_then() {
 /// The banner names what the rows chose: classes on the 21-node lines of a
 /// 20³ cavity and on the first two levels of the 48 × 12 × 12 channel (49-
 /// and 25-node lines), diagonals on a 16³ cavity, and no hierarchy at all
-/// on a scrambled node order.  Without a hierarchy it names the cause: the
-/// 7³ cavity does not halve; the 8 × 8 × 16 unit cube has flat elements,
-/// on which MG-CG to 1e-6 takes 152 iterations against plain CG's 81; the
-/// scrambled 8³ carries no lattice; a coarse level of the jittered 12³ is
-/// too wide for diagonals.
+/// on a scrambled node order — and, after the levels, each transfer's
+/// storage: the lattice stencil on every transfer of these boxes.  Without
+/// a hierarchy it names the cause: the 7³ cavity does not halve; the
+/// 8 × 8 × 16 unit cube has flat elements, on which MG-CG to 1e-6 takes 152
+/// iterations against plain CG's 81; the scrambled 8³ carries no lattice; a
+/// coarse level of the jittered 12³ is too wide for diagonals.
 #[test]
 fn the_banner_names_the_storage_the_rows_chose() {
     let banner = |kind, resolution| {
         Stepper::new(Scenario::new(kind, resolution), StepperConfig::default()).describe_operators()
     };
     let cases = [
-        (ScenarioKind::LidDrivenCavity, 20, "mgcg (3 levels: 31 row classes | 27 diagonals | lu)"),
+        (
+            ScenarioKind::LidDrivenCavity,
+            20,
+            "mgcg (3 levels: 31 row classes | 27 diagonals | lu; transfers: stencil | stencil)",
+        ),
         (
             ScenarioKind::LidDrivenCavity,
             16,
-            "mgcg (4 levels: 27 diagonals | 27 diagonals | 27 diagonals | lu)",
+            "mgcg (4 levels: 27 diagonals | 27 diagonals | 27 diagonals | lu; \
+             transfers: stencil | stencil | stencil)",
         ),
     ];
     for (kind, resolution, pressure) in cases {
@@ -101,6 +107,7 @@ fn the_banner_names_the_storage_the_rows_chose() {
     let channel = banner(ScenarioKind::Channel, 12);
     assert!(channel.contains("pressure mgcg (3 levels: "), "{channel}");
     assert_eq!(channel.matches("row classes").count(), 2, "{channel}");
+    assert!(channel.ends_with("; transfers: stencil | stencil)"), "{channel}");
 
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 8);
     let on = |mesh| {

@@ -22,7 +22,10 @@
 //! * **Level storage** — on every level of the jittered-cavity and channel
 //!   hierarchies the diagonal-stored operator the V-cycle runs on produces
 //!   the bits of the CSR operator it was converted from; a mesh whose node
-//!   order hides the lattice does not fit and has no hierarchy.
+//!   order hides the lattice does not fit and has no hierarchy;
+//! * **Transfer storage** — every transfer of an unjittered box's pressure
+//!   hierarchy is the lattice stencil (12³ included), and its V-cycles carry
+//!   the bits of the same hierarchy on CSR transfers at every thread count.
 
 use alya_longvec::prelude::*;
 use lv_driver::{FaultKind, FaultPlan};
@@ -33,7 +36,8 @@ use lv_kernel::{
 use lv_mesh::renumber::NodePermutation;
 use lv_solver::{
     conjugate_gradient_on, galerkin_coarse, mg_preconditioned_cg_on, CsrMatrix, DiaMatrix,
-    LinearOperator, MultigridOptions, VectorOps,
+    GeometricMultigrid, Interpolation, LinearOperator, MultigridOptions, TransferStorage,
+    VectorOps,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -475,4 +479,73 @@ fn a_scrambled_node_order_does_not_fit_and_steps_with_plain_cg() {
     );
     let built = build_pressure_multigrid(&scrambled, &laplacian, &MultigridOptions::default());
     assert_eq!(built.err(), Some(NoHierarchy::NoLattice));
+}
+
+/// The pressure transfers of `mesh` as `pressure_interpolations` builds
+/// them, minus the lattices they connect: CSR operators a V-cycle can only
+/// keep in CSR.
+fn csr_pressure_interpolations(mesh: &Mesh) -> Vec<Interpolation> {
+    let chain = mesh
+        .lattice()
+        .expect("a box lattice")
+        .coarsening_chain(MultigridOptions::default().max_coarse_nodes);
+    let csr = |coarse, points: &[[f64; 3]]| {
+        let s = lv_mesh::trilinear_stencil(coarse, points);
+        Interpolation::from_csr(s.coarse_nodes, s.row_ptr, s.col_idx, s.weights)
+    };
+    let nodes: Vec<[f64; 3]> = (0..mesh.num_nodes())
+        .map(|n| {
+            let p = mesh.node_coords(n);
+            [p[0], p[1], p[2]]
+        })
+        .collect();
+    let mut interps = vec![csr(&chain[1], &nodes)];
+    for level in 1..chain.len() - 1 {
+        interps.push(csr(&chain[level + 1], &chain[level].node_positions()));
+    }
+    interps
+}
+
+/// Every transfer of an unjittered box is applied by lattice index — at
+/// 12³, whose `f64` weights miss ½ by a rounding, too — and the V-cycle on
+/// those stencils carries the bits of the same hierarchy on the CSR
+/// transfers, on 1, 2 and 3 threads: cavities at 8³, 12³ and 16³, the 8³
+/// channel's long box and a 16 × 8 × 4 box of equal spacing.
+#[test]
+fn pressure_transfers_are_stencils_with_the_bits_of_their_csr_form() {
+    let options = MultigridOptions::default();
+    let cavity = |n| Scenario::new(ScenarioKind::LidDrivenCavity, n).build_mesh();
+    let flat = BoxMeshBuilder::new(16, 8, 4)
+        .lid_driven_cavity()
+        .with_extent(lv_mesh::geometry::Point3::new(0.0, 0.0, 0.0), [4.0, 2.0, 1.0])
+        .build();
+    let meshes = [
+        ("cavity 8", cavity(8)),
+        ("cavity 12", cavity(12)),
+        ("cavity 16", cavity(16)),
+        ("channel 8", Scenario::new(ScenarioKind::Channel, 8).build_mesh()),
+        ("box 16x8x4", flat),
+    ];
+    for (name, mesh) in &meshes {
+        let laplacian = pressure_laplacian(mesh, &[0]);
+        let interps = pressure_interpolations(mesh, &options).expect("a box lattice");
+        let levels = interps.len();
+        let mut stencil = GeometricMultigrid::new(&laplacian, interps, &options).expect(name);
+        let mut csr =
+            GeometricMultigrid::new(&laplacian, csr_pressure_interpolations(mesh), &options)
+                .expect(name);
+        assert_eq!(stencil.transfer_storage(), vec![TransferStorage::Stencil; levels], "{name}");
+        let on_csr = csr.transfer_storage();
+        assert!(on_csr.iter().all(|s| matches!(s, TransferStorage::Csr { .. })), "{name}");
+        let rhs = awkward_probe(laplacian.dim(), 19);
+        for threads in [1, 2, 3] {
+            let team = Team::new(threads);
+            let [want, got] = [&mut csr, &mut stencil].map(|mg| {
+                let mut z = vec![f64::NAN; rhs.len()];
+                mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
+                z.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+            });
+            assert!(got == want, "{name}: V-cycle on {threads} threads");
+        }
+    }
 }
