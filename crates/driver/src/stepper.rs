@@ -495,7 +495,8 @@ impl Discretization {
             .with_density(scenario.density);
         let h_char = mesh.characteristic_length();
         let pins = scenario.pressure_pins(&mesh);
-        // One node graph and slot map for both operator sets.
+        // One node graph (and slot map, if anything asks for it) for both
+        // operator sets.
         let assembly = NastinAssembly::new(mesh, kernel_config);
         let mesh = assembly.mesh();
         let geometry = assembly.convective_geometry();
@@ -717,10 +718,12 @@ impl Stepper {
         } else {
             format!("{colours} colours, {chunks} chunks")
         };
+        let operators = &self.shared.operators;
+        let momentum =
+            format!("{}; K, M: {}", self.momentum_storage(), operators.stiffness_source());
         format!(
-            "operators: assembly {chunks} | momentum {} | gradient {} | pressure {pressure}",
-            self.momentum_storage(),
-            self.shared.operators.gradient_storage()
+            "operators: assembly {chunks} | momentum {momentum} | gradient {} | pressure {pressure}",
+            operators.gradient_storage()
         )
     }
 
@@ -1404,6 +1407,21 @@ mod tests {
             summary.span("driver/assembly").map(|s| (s.events, s.flops, s.bytes)),
             Some((1, operators.momentum_pass_flops(), operators.momentum_pass_bytes()))
         );
+    }
+
+    /// The element→CSR slot map is built on first use, and the steps of an
+    /// unjittered box never use it; a jittered box scatters its per-entry
+    /// `C` through it at set-up.
+    #[test]
+    fn only_a_jittered_box_builds_the_slot_map() {
+        let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 6);
+        let jittered =
+            lv_mesh::BoxMeshBuilder::new(6, 6, 6).lid_driven_cavity().with_jitter(0.1, 3).build();
+        for (mesh, built) in [(scenario.build_mesh(), false), (jittered, true)] {
+            let mut stepper = Stepper::with_mesh(scenario.clone(), quick_config(), mesh);
+            stepper.run_on(&Team::new(2), 2).expect("the box steps");
+            assert_eq!(stepper.shared.assembly.topology().has_slot_map(), built);
+        }
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //!   under `#[cfg(test)]`.
 //!   A time step (`lv_driver::Stepper`) assembles through
 //!   [`assemble_momentum_on`] instead: the viscous and mass blocks held from
-//!   set-up ([`PressureOperators`]), a convective-only colored sweep over
+//!   set-up ([`PressureOperators`]; on an unjittered box written from the
+//!   class stencils of one reference element), a convective-only colored
+//!   sweep over
 //!   the mesh's resident inverse Jacobians ([`ConvectiveGeometry`]) and the
 //!   right-hand side as one row product, into a momentum matrix born on
 //!   the diagonals of the mesh's lattice — the eight-phase sweep is its
@@ -70,6 +72,7 @@ pub use miniapp::{MiniAppRun, SimulatedMiniApp};
 pub use momentum::{assemble_momentum_on, solve_momentum_on, MomentumSolve};
 pub use projection::{
     pressure_laplacian, weak_divergence_vector_norm, GradientStorage, PressureOperators,
+    StiffnessSource,
 };
 pub use workspace::{ElementWorkspace, WorkspaceViewsMut};
 

@@ -293,6 +293,11 @@ fn scatter_shared<const FULL: bool>(
     for iv in 0..vs {
         let Some(elem) = v.element_ids[iv] else { continue };
         let nodes = mesh.element_nodes(elem);
+        // Only a CSR sink reads the slot map (built on its first use).
+        let slots = match &system.matrix {
+            Sink::Csr(_) => topology.csr_slots(elem),
+            Sink::Diagonals(_) => &[],
+        };
         for (inode, &node_a) in nodes.iter().enumerate() {
             let node_a = node_a as usize;
             if FULL {
@@ -314,7 +319,7 @@ fn scatter_shared<const FULL: bool>(
                     match &system.matrix {
                         Sink::Csr(sink) => sink.scatter_row(
                             node_a,
-                            &topology.csr_slots(elem)[inode * PNODE..(inode + 1) * PNODE],
+                            &slots[inode * PNODE..(inode + 1) * PNODE],
                             row,
                         ),
                         Sink::Diagonals(sink) => sink.scatter_row(node_a, inode, row),

@@ -51,34 +51,50 @@
 //! per-node glue (`rhs −= g`, `b = scale·d`, `u −= f/M·g`) rides in the
 //! same row pass.
 //!
-//! ## Laplacian
+//! ## Laplacian, mass and lumped mass: the same two sources
 //!
-//! The Laplacian's values are integrated in the constructor's one element
-//! loop, beside the per-entry `C` (of a jittered box), the consistent mass
-//! and the lumped mass: each element's
-//! geometry (`w|J|` and the Cartesian shape derivatives at every integration
-//! point) is computed once, in mesh order, serially, and every set-up
-//! integral is added in that order — the same bits for every thread count
-//! and vector size.  The constructor keeps the values as the stiffness `K`;
+//! The stiffness `K` (the un-pinned Laplacian's values), the consistent mass
+//! `M`, the lumped mass and `w|J|` are set-up integrals, and the lattice
+//! picks their source as it picks `C`'s
+//! ([`PressureOperators::stiffness_source`], named by the banner's momentum
+//! clause):
+//!
+//! * **Class stencils** on an unjittered generator box: the reference
+//!   element that gives `C` gives its elemental `K`, `M` and `∫ N_a`, which
+//!   [`ClassStencils`] sums per position class element by element in the
+//!   mesh order of the loop below (the lumped mass rides on the diagonal
+//!   tap).  `K` and `M` are then written onto the momentum diagonals block
+//!   by block, one constant per run of rows of one class and diagonal, and
+//!   the lumped mass run by run; `w|J|` is the reference element's eight
+//!   values.  No element's coordinates are read, and the element→CSR slot
+//!   map is never built.  The values differ from the integrated ones only
+//!   by the coordinate rounding of the integrated elements: within `n·ε`
+//!   of a row's largest entry for `K` and `3·n·ε` for the volumes (`M`,
+//!   the lumped mass, `w|J|`), `n` the element count of the longest
+//!   direction.
+//! * **Per element** on a jittered box: one element loop computes each
+//!   element's geometry (`w|J|` and the Cartesian shape derivatives at
+//!   every integration point) once, in mesh order, serially, and adds every
+//!   set-up integral in that order, the per-entry `C` included — the same
+//!   bits for every thread count and vector size.  The geometry itself is
+//!   not kept: only `w|J|` stays resident, for the quadrature diagnostics.
+//!
 //! [`assemble_laplacian`](PressureOperators::assemble_laplacian) hands out
-//! a CSR copy, the set-up reader (the pressure hierarchy and the level-0
-//! diagonals of the Poisson system are built from it).  The geometry
-//! itself is not kept: only `w|J|` stays resident, for the quadrature
-//! diagnostics.
+//! a CSR copy of `K`, the set-up reader (the pressure hierarchy and the
+//! level-0 diagonals of the Poisson system are built from it).
 //!
 //! ## What a time step does not re-integrate
 //!
 //! Of the momentum matrix `ν·K + C(u) + (ρ/Δt)·M` only the convection
 //! `C(u)` changes with the velocity.  The stiffness `K_ab = ∫ ∇N_a·∇N_b`
 //! *is* the un-pinned Laplacian above, and the consistent mass
-//! `M_ab = ∫ N_a N_b` is accumulated in the same geometry pass beside it
-//! and the lumped mass — pure functions of the mesh, like `C` (a restarted
-//! run rebuilds the same bits), held on the diagonals of the momentum
-//! matrix they seed ([`crate::NastinAssembly::new_momentum_matrix`]): the
-//! elements of a box lattice share one `(a, b) → diagonal` table, so `K`
-//! and `M` are block-major arrays of the layout of the step's
-//! [`lv_solver::DiaMatrix`], value for value, each element's entries added
-//! straight there in mesh order — no per-entry copy is kept.
+//! `M_ab = ∫ N_a N_b` comes from the same source beside it and the lumped
+//! mass — pure functions of the mesh, like `C` (a restarted run rebuilds
+//! the same bits), held on the diagonals of the momentum matrix they seed
+//! ([`crate::NastinAssembly::new_momentum_matrix`]): the elements of a box
+//! lattice share one `(a, b) → diagonal` table, so `K` and `M` are
+//! block-major arrays of the layout of the step's [`lv_solver::DiaMatrix`],
+//! value for value — no per-entry copy is kept.
 //!
 //! Two global passes use them, bitwise identical for every thread count —
 //! each rank writes its own rows, no `unsafe`:
@@ -98,9 +114,9 @@ use crate::stencil::{ClassStencils, CORNERS};
 use crate::{NDIME, PGAUS, PNODE};
 use lv_mesh::geometry::Point3;
 use lv_mesh::quadrature::GaussRule;
-use lv_mesh::{ElementKind, Mesh, MeshTopology, ShapeTable, VectorField};
+use lv_mesh::{BoxLattice, ElementKind, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_runtime::{blocked_reduce, for_each_share, Lanes, Team, REDUCTION_BLOCK};
-use lv_solver::dia::value_position;
+use lv_solver::dia::{value_position, BLOCK_ROWS};
 use lv_solver::parallel::team_above_cutoff;
 use lv_solver::{CsrMatrix, DiaMatrix, MultiVector};
 use std::ops::Range;
@@ -117,7 +133,12 @@ pub struct PressureOperators {
     /// `∂N_a/∂ξ_j` per `(gauss, node, dim)`: the derivatives of `shape`,
     /// copied out so the geometry loop runs on fixed-size arrays.
     derivs: [[[f64; NDIME]; PNODE]; PGAUS],
-    /// `w_g · |J|` per `(element, gauss)`: `gpvol[PGAUS*elem + g]`.
+    /// `N_a·N_b` per `(gauss, PNODE·a + b)`: one product for `(a, b)` and
+    /// `(b, a)`, so the consistent mass comes out symmetric to the bit.
+    shape_products: [[f64; PNODE * PNODE]; PGAUS],
+    /// `w_g · |J|` per `(element, gauss)`, `gpvol[PGAUS*elem + g]`; on an
+    /// unjittered box the one reference element's (see
+    /// [`element_vol`](Self::element_vol)).
     gpvol: Vec<f64>,
     /// Where `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ` comes from.
     gradient: Gradient,
@@ -140,6 +161,16 @@ enum Gradient {
     /// Integrated per stored entry `k = (a, b)` of the topology's node
     /// graph, `coef[NDIME*k + i]`, on a jittered box.
     PerEntry(Vec<f64>),
+}
+
+/// One tap of the set-up stencils of `K` and `M` (see [`ClassStencils`]):
+/// `K_ab`, `M_ab` and, on the diagonal tap (`b = a`), the lumped mass
+/// `∫ N_a`.
+#[derive(Debug, Clone, Copy, Default)]
+struct MatrixTap {
+    stiffness: f64,
+    mass: f64,
+    lumped: f64,
 }
 
 /// Where the weak gradient and divergence read `C` from — a property of the
@@ -167,6 +198,32 @@ impl std::fmt::Display for GradientStorage {
     }
 }
 
+/// Where `K`, `M` and the lumped mass come from — like
+/// [`GradientStorage`], a property of the mesh.  Its `Display` is what the
+/// operator banner's momentum clause names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StiffnessSource {
+    /// Summed as the stencils of an unjittered generator box's position
+    /// classes from one reference element, then written onto the
+    /// diagonals: `classes` of them, 27 from two elements a side.
+    ClassStencils {
+        /// Position classes the box holds.
+        classes: usize,
+    },
+    /// Integrated element by element: the lattice is jittered, every
+    /// element has a geometry of its own.
+    PerElement,
+}
+
+impl std::fmt::Display for StiffnessSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StiffnessSource::ClassStencils { classes } => write!(f, "{classes} class stencils"),
+            StiffnessSource::PerElement => f.write_str("per element (jittered lattice)"),
+        }
+    }
+}
+
 /// Geometry of one element at its integration points.
 struct ElementGeometry {
     /// `w_g · |J|` per Gauss point.
@@ -190,15 +247,37 @@ impl PressureOperators {
     }
 
     /// Builds the Laplacian, the consistent and lumped mass and the
-    /// gradient/divergence coefficients of `mesh` in one mesh-order element
-    /// loop, on an already-built topology of `mesh` (e.g.
+    /// gradient/divergence coefficients of `mesh` on an already-built
+    /// topology of `mesh` (e.g.
     /// [`NastinAssembly::topology`](crate::NastinAssembly::topology)), so the
-    /// node graph is not built a second time.
+    /// node graph is not built a second time: from one reference element as
+    /// class stencils on an unjittered box, in one mesh-order element loop
+    /// on a jittered one.
     ///
     /// # Panics
     /// Panics like [`new`](Self::new), or if `topology` was built for a mesh
     /// of another size.
     pub fn with_topology(mesh: &Mesh, topology: Arc<MeshTopology>) -> Self {
+        let mut ops = Self::unbuilt(mesh, topology);
+        match mesh.lattice().filter(|lattice| !lattice.jittered) {
+            Some(lattice) => ops.generate(lattice),
+            None => ops.integrate(),
+        }
+        ops
+    }
+
+    /// The operators of `mesh` integrated element by element whatever its
+    /// lattice — the jittered path on any box, the oracle of the class
+    /// stencils.
+    #[cfg(test)]
+    pub(crate) fn per_element(mesh: &Mesh) -> Self {
+        let mut ops = Self::unbuilt(mesh, Arc::new(MeshTopology::new(mesh)));
+        ops.integrate();
+        ops
+    }
+
+    /// The operators of `mesh` with the shape table set and no coefficient.
+    fn unbuilt(mesh: &Mesh, topology: Arc<MeshTopology>) -> Self {
         assert_eq!(
             mesh.kind(),
             ElementKind::Hex8,
@@ -206,8 +285,6 @@ impl PressureOperators {
         );
         assert!(mesh.lattice().is_some(), "the mesh has no box lattice");
         assert!(topology.fits(mesh), "the topology was built for another mesh");
-        let table = momentum_diagonals(&topology)
-            .expect("the elements of a box lattice share one diagonal table");
         let rule = GaussRule::hex_2x2x2();
         let shape = ShapeTable::new(ElementKind::Hex8, &rule);
         let mut weights = [0.0; PGAUS];
@@ -216,77 +293,114 @@ impl PressureOperators {
             weights[g] = qp.weight;
             derivs[g].copy_from_slice(&shape.derivatives(g).d);
         }
-        let mut ops = PressureOperators {
+        let mut shape_products = [[0.0f64; PNODE * PNODE]; PGAUS];
+        for (g, products) in shape_products.iter_mut().enumerate() {
+            let n = &shape.functions(g).n;
+            for (ab, entry) in products.iter_mut().enumerate() {
+                *entry = n[ab / PNODE] * n[ab % PNODE];
+            }
+        }
+        PressureOperators {
             mesh: mesh.clone(),
             shape,
             weights,
             derivs,
+            shape_products,
             gpvol: Vec::new(),
             gradient: Gradient::PerEntry(Vec::new()),
             lumped_mass: Vec::new(),
             stiffness: DiaMatrix::zeros(0, Vec::new()),
             mass: DiaMatrix::zeros(0, Vec::new()),
-            topology: topology.clone(),
-        };
-        let nelem = mesh.num_elements();
-        let nnz = ops.topology.col_idx().len();
-        let mut gpvol = vec![0.0; nelem * PGAUS];
-        // An unjittered box needs one element's `C`; a jittered one
-        // integrates every element's into one triple per entry.
-        let stencils = mesh.lattice().filter(|lattice| !lattice.jittered).map(|lattice| {
-            let spacing = lattice.spacing();
-            let x = CORNERS.map(|c| [0, 1, 2].map(|d| c[d] as f64 * spacing[d]));
-            let element = ops.element_gradient(&ops.geometry(&x, 0));
-            Box::new(ClassStencils::new(lattice, &element))
+            topology,
+        }
+    }
+
+    /// Two empty `n`-row matrices on the diagonals of the step's momentum
+    /// matrix, for `K` and `M`.
+    fn momentum_layout(&self) -> (DiaMatrix, DiaMatrix) {
+        let table = momentum_diagonals(&self.topology)
+            .expect("the elements of a box lattice share one diagonal table");
+        let n = self.mesh.num_nodes();
+        (
+            DiaMatrix::zeros(n, table.offsets().to_vec()),
+            DiaMatrix::zeros(n, table.offsets().to_vec()),
+        )
+    }
+
+    /// `K`, `M`, the lumped mass, `w|J|` and `C` of an unjittered box from
+    /// one reference element of its spacing: `C` stays class stencils; `K`,
+    /// `M` and the lumped mass are summed as class stencils, element by
+    /// element in the order of [`integrate`](Self::integrate), and written
+    /// out run by run — one constant per run of rows of one class and
+    /// diagonal, each array in storage order.
+    fn generate(&mut self, lattice: &BoxLattice) {
+        let spacing = lattice.spacing();
+        let x = CORNERS.map(|c| [0, 1, 2].map(|d| c[d] as f64 * spacing[d]));
+        let geometry = self.geometry(&x, 0);
+        let (el_stiff, el_mass) = self.element_matrices(&geometry);
+        // The lumped mass `∫ N_a` rides on the diagonal tap, its Gauss
+        // points added one by one as the loop adds them.
+        let shape = &self.shape;
+        let matrices = ClassStencils::new(lattice, |tap: &mut MatrixTap, a, b| {
+            tap.stiffness += el_stiff[a][b];
+            tap.mass += el_mass[PNODE * a + b];
+            if a == b {
+                for (g, vol) in geometry.vol.iter().enumerate() {
+                    tap.lumped += vol * shape.functions(g).n[a];
+                }
+            }
         });
-        let mut coef = vec![0.0; if stencils.is_some() { 0 } else { NDIME * nnz }];
-        let mut lumped_mass = vec![0.0; mesh.num_nodes()];
-        // `K` and `M` go straight onto the diagonals the momentum matrix
-        // will have: entry `(a, b)` of every element lands at
-        // `(index[PNODE·a + b], node_a)` of the block-major arrays, each
-        // value summed in mesh order.
-        let n = mesh.num_nodes();
-        let (nd, index) = (table.offsets().len(), table.index());
-        let mut stiffness = DiaMatrix::zeros(n, table.offsets().to_vec());
-        let mut mass = DiaMatrix::zeros(n, table.offsets().to_vec());
-        // `N_a·N_b` per `(gauss, PNODE·a + b)`: one product for `(a, b)` and
-        // `(b, a)`, so the consistent mass comes out symmetric to the bit.
-        let mut shape_products = [[0.0f64; PNODE * PNODE]; PGAUS];
-        for (g, products) in shape_products.iter_mut().enumerate() {
-            let n = &ops.shape.functions(g).n;
-            for (ab, entry) in products.iter_mut().enumerate() {
-                *entry = n[ab / PNODE] * n[ab % PNODE];
+        let n = self.mesh.num_nodes();
+        let (mut stiffness, mut mass) = self.momentum_layout();
+        let offsets = stiffness.offsets().to_vec();
+        let nd = offsets.len();
+        for start in (0..n).step_by(BLOCK_ROWS) {
+            let block = start..n.min(start + BLOCK_ROWS);
+            for (k, &offset) in offsets.iter().enumerate() {
+                matrices.for_each_run(block.clone(), |run, taps| {
+                    if let Ok(t) = taps.binary_search_by_key(&offset, |&(o, _)| o) {
+                        let at = value_position(n, nd, k, run.start)..;
+                        stiffness.values_mut()[at.clone()][..run.len()].fill(taps[t].1.stiffness);
+                        mass.values_mut()[at][..run.len()].fill(taps[t].1.mass);
+                    }
+                });
             }
         }
+        let mut lumped_mass = vec![0.0; n];
+        matrices.for_each_run(0..n, |run, taps| {
+            debug_assert!(taps.iter().all(|(o, _)| offsets.binary_search(o).is_ok()));
+            let t = taps.binary_search_by_key(&0, |&(o, _)| o).expect("a node is its neighbour");
+            lumped_mass[run].fill(taps[t].1.lumped);
+        });
+        let element = self.element_gradient(&geometry);
+        self.gpvol = geometry.vol.to_vec();
+        self.gradient = Gradient::Stencils(Box::new(ClassStencils::gradient(lattice, &element)));
+        self.lumped_mass = lumped_mass;
+        self.stiffness = stiffness;
+        self.mass = mass;
+    }
+
+    /// `K`, `M`, the lumped mass, `w|J|` and `C` per entry, in one
+    /// mesh-order element loop, serially: every value is the same bits for
+    /// every thread count and vector size.  `K` and `M` go straight onto the
+    /// diagonals the momentum matrix will have: entry `(a, b)` of every
+    /// element lands at `(index[PNODE·a + b], node_a)` of the block-major
+    /// arrays.
+    fn integrate(&mut self) {
+        let mesh = &self.mesh;
+        let nelem = mesh.num_elements();
+        let table = momentum_diagonals(&self.topology)
+            .expect("the elements of a box lattice share one diagonal table");
+        let (n, nd, index) = (mesh.num_nodes(), table.offsets().len(), table.index());
+        let (mut stiffness, mut mass) = self.momentum_layout();
+        let mut gpvol = vec![0.0; nelem * PGAUS];
+        let mut coef = vec![0.0; NDIME * self.topology.col_idx().len()];
+        let mut lumped_mass = vec![0.0; n];
         for elem in 0..nelem {
-            let geometry = ops.element_geometry(elem);
+            let geometry = self.element_geometry(elem);
             let nodes = mesh.element_nodes(elem);
             gpvol[PGAUS * elem..PGAUS * (elem + 1)].copy_from_slice(&geometry.vol);
-            // The elemental mass Σ_g w|J| · N_a·N_b, all 64 entries in one
-            // unit-stride accumulation per integration point.
-            let mut el_mass = [0.0f64; PNODE * PNODE];
-            for (vol, products) in geometry.vol.iter().zip(&shape_products) {
-                for (entry, product) in el_mass.iter_mut().zip(products) {
-                    *entry += vol * product;
-                }
-            }
-            // The elemental stiffness Σ_g w|J| · ∇N_a·∇N_b: the upper
-            // triangle; `(b, a)` is the same products in the same order, so
-            // mirroring it is exact.
-            let mut el_stiff = [[0.0f64; PNODE]; PNODE];
-            for (vol, [cx, cy, cz]) in geometry.vol.iter().zip(&geometry.car) {
-                for (a, row) in el_stiff.iter_mut().enumerate() {
-                    for (b, entry) in row.iter_mut().enumerate().skip(a) {
-                        *entry += vol * (cx[a] * cx[b] + cy[a] * cy[b] + cz[a] * cz[b]);
-                    }
-                }
-            }
-            for a in 1..PNODE {
-                let (above, row_a) = el_stiff.split_at_mut(a);
-                for (entry, row_b) in row_a[0].iter_mut().zip(above.iter()) {
-                    *entry = row_b[a];
-                }
-            }
+            let (el_stiff, el_mass) = self.element_matrices(&geometry);
             for (ab, (m, k)) in el_mass.iter().zip(el_stiff.iter().flatten()).enumerate() {
                 let row = nodes[ab / PNODE] as usize;
                 let at = value_position(n, nd, index[ab] as usize, row);
@@ -295,33 +409,66 @@ impl PressureOperators {
             }
             for (a, &node) in nodes.iter().enumerate() {
                 for (g, vol) in geometry.vol.iter().enumerate() {
-                    lumped_mass[node as usize] += vol * ops.shape.functions(g).n[a];
+                    lumped_mass[node as usize] += vol * self.shape.functions(g).n[a];
                 }
             }
-            if stencils.is_none() {
-                // Mesh order, serially: every coefficient is the same bits
-                // for every thread count and vector size.
-                let element = ops.element_gradient(&geometry);
-                let slots = ops.topology.csr_slots(elem);
-                for (el_a, slots_a) in element.iter().zip(slots.chunks_exact(PNODE)) {
-                    for (b, &slot) in slots_a.iter().enumerate() {
-                        let k = NDIME * slot as usize;
-                        for (c, el_ai) in coef[k..k + NDIME].iter_mut().zip(el_a) {
-                            *c += el_ai[b];
-                        }
+            let element = self.element_gradient(&geometry);
+            let slots = self.topology.csr_slots(elem);
+            for (el_a, slots_a) in element.iter().zip(slots.chunks_exact(PNODE)) {
+                for (b, &slot) in slots_a.iter().enumerate() {
+                    let k = NDIME * slot as usize;
+                    for (c, el_ai) in coef[k..k + NDIME].iter_mut().zip(el_a) {
+                        *c += el_ai[b];
                     }
                 }
             }
         }
-        ops.gpvol = gpvol;
-        ops.gradient = match stencils {
-            Some(stencils) => Gradient::Stencils(stencils),
-            None => Gradient::PerEntry(coef),
-        };
-        ops.lumped_mass = lumped_mass;
-        ops.stiffness = stiffness;
-        ops.mass = mass;
-        ops
+        self.gpvol = gpvol;
+        self.gradient = Gradient::PerEntry(coef);
+        self.lumped_mass = lumped_mass;
+        self.stiffness = stiffness;
+        self.mass = mass;
+    }
+
+    /// The elemental stiffness `Σ_g w|J| · ∇N_a·∇N_b` (`[a][b]`) and mass
+    /// `Σ_g w|J| · N_a·N_b` (`[PNODE·a + b]`) of `geometry`, each symmetric
+    /// to the bit.
+    fn element_matrices(
+        &self,
+        geometry: &ElementGeometry,
+    ) -> ([[f64; PNODE]; PNODE], [f64; PNODE * PNODE]) {
+        // All 64 mass entries in one unit-stride accumulation per
+        // integration point.
+        let mut el_mass = [0.0f64; PNODE * PNODE];
+        for (vol, products) in geometry.vol.iter().zip(&self.shape_products) {
+            for (entry, product) in el_mass.iter_mut().zip(products) {
+                *entry += vol * product;
+            }
+        }
+        // The upper triangle of the stiffness; `(b, a)` is the same
+        // products in the same order, so mirroring it is exact.
+        let mut el_stiff = [[0.0f64; PNODE]; PNODE];
+        for (vol, [cx, cy, cz]) in geometry.vol.iter().zip(&geometry.car) {
+            for (a, row) in el_stiff.iter_mut().enumerate() {
+                for (b, entry) in row.iter_mut().enumerate().skip(a) {
+                    *entry += vol * (cx[a] * cx[b] + cy[a] * cy[b] + cz[a] * cz[b]);
+                }
+            }
+        }
+        for a in 1..PNODE {
+            let (above, row_a) = el_stiff.split_at_mut(a);
+            for (entry, row_b) in row_a[0].iter_mut().zip(above.iter()) {
+                *entry = row_b[a];
+            }
+        }
+        (el_stiff, el_mass)
+    }
+
+    /// `w|J|` at the integration points of element `elem`: the reference
+    /// element's where every element is the same.
+    fn element_vol(&self, elem: usize) -> &[f64] {
+        let elem = if self.gpvol.len() == PGAUS { 0 } else { elem };
+        &self.gpvol[PGAUS * elem..PGAUS * (elem + 1)]
     }
 
     /// `w|J|` and the Cartesian shape derivatives of element `elem` at its
@@ -429,6 +576,16 @@ impl PressureOperators {
                 GradientStorage::ClassStencils { classes: stencils.num_classes() }
             }
             Gradient::PerEntry(_) => GradientStorage::JitteredLattice,
+        }
+    }
+
+    /// Where `K`, `M` and the lumped mass came from (the banner names it).
+    pub fn stiffness_source(&self) -> StiffnessSource {
+        match &self.gradient {
+            Gradient::Stencils(stencils) => {
+                StiffnessSource::ClassStencils { classes: stencils.num_classes() }
+            }
+            Gradient::PerEntry(_) => StiffnessSource::PerElement,
         }
     }
 
@@ -848,7 +1005,7 @@ impl PressureOperators {
                     u[1] += n_b * v[1];
                     u[2] += n_b * v[2];
                 }
-                total += self.gpvol[PGAUS * elem + g] * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
+                total += self.element_vol(elem)[g] * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
             }
         }
         0.5 * density * total
@@ -916,7 +1073,7 @@ impl PressureOperators {
                     let d = u[i] - ue[i];
                     err += d * d;
                 }
-                total += self.gpvol[PGAUS * elem + g] * err;
+                total += self.element_vol(elem)[g] * err;
             }
         }
         total.sqrt()
@@ -1488,13 +1645,15 @@ mod tests {
         assert!(defect.abs() <= 1e-12 * magnitude, "defect {defect:e} of {magnitude:e}");
     }
 
-    /// The Laplacian and the lumped mass are the oracle's to the bit, in
-    /// the mesh's node order and, permuted back, in two scrambled ones; so
-    /// is a jittered box's per-entry `C` in its own order.
+    /// The element loop's Laplacian and lumped mass are the oracle's to the
+    /// bit, in the mesh's node order and, permuted back, in two scrambled
+    /// ones; so is its per-entry `C` in its own order.  The loop is what a
+    /// jittered box builds, and the oracle of an unjittered box's class
+    /// stencils.
     #[test]
     fn laplacian_and_lumped_mass_keep_the_bits_of_the_geometry_table() {
         for m in [mesh(), BoxMeshBuilder::new(5, 4, 3).lid_driven_cavity().build()] {
-            let ops = PressureOperators::new(&m, 8);
+            let ops = PressureOperators::per_element(&m);
             let lap = ops.assemble_laplacian();
             assert!(lap.values().iter().any(|&v| v != 0.0));
             for (perm, renumbered) in renumberings(&m) {
@@ -1505,7 +1664,7 @@ mod tests {
                 assert_same_bits(ops.lumped_mass(), &lumped, &what("lumped mass"));
                 let lap_table = table.laplacian().permuted(perm.inverse());
                 assert_same_bits(lap.values(), lap_table.values(), &what("laplacian"));
-                if perm.is_identity() && m.lattice().expect("a generator box").jittered {
+                if perm.is_identity() {
                     assert_same_bits(&ops.coefficients(), &table.coefficients(), "C");
                 }
             }
@@ -1764,6 +1923,133 @@ mod tests {
                 }
             }
             assert!(worst <= N_EPSILONS, "{name}: {worst} n·ε of the row's largest entry");
+        }
+    }
+
+    /// FNV-1a over the bits of `values`.
+    fn bits_hash(values: &[f64]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for value in values {
+            for byte in value.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn class_stiffness_and_mass_are_the_integrated_ones_to_rounding() {
+        // As for `C`: the integrated elements carry the rounding of their
+        // coordinates, so the deviation grows with the element count of the
+        // longest direction, `n`, in units of `n·ε` of each row's largest
+        // entry (of the value itself for the lumped mass and `w|J|`).  `K`
+        // keeps `C`'s bound; a volume is a product of three edges, each off
+        // by up to `n·ε`.  Measured worst cases (K, M, lumped mass, w|J|):
+        // 8³ cavity 0.56, 0.63, 0.63, 1.00; 12³ cavity 0.52, 0.89, 0.84,
+        // 2.46; 7³ cavity 0.56, 1.05, 1.15, 1.53; 4 × 3 × 1 box 0.78, 0.47,
+        // 0.38, 0.75; 48 × 12 × 12 channel 0.35, 0.61, 0.54, 1.12;
+        // 2.5 × 0.6 × 1.7 box of 6 × 5 × 4 elements 0.87, 0.62, 0.74, 0.98.
+        const N_EPSILONS: [f64; 4] = [1.0, 3.0, 3.0, 3.0];
+        let extent = BoxMeshBuilder::new(6, 5, 4)
+            .with_extent(lv_mesh::geometry::Point3::ZERO, [2.5, 0.6, 1.7])
+            .build();
+        let meshes = [
+            ("8^3 cavity", BoxMeshBuilder::new(8, 8, 8).lid_driven_cavity().build(), 27),
+            ("12^3 cavity", BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().build(), 27),
+            ("7^3 cavity", BoxMeshBuilder::new(7, 7, 7).lid_driven_cavity().build(), 27),
+            ("4x3x1 box", BoxMeshBuilder::new(4, 3, 1).build(), 18),
+            ("channel", ChannelMeshBuilder::new(12, 4).build(), 27),
+            ("2.5 x 0.6 x 1.7 box", extent, 27),
+        ];
+        for (name, mesh, classes) in &meshes {
+            let ops = PressureOperators::new(mesh, 16);
+            assert_eq!(
+                ops.stiffness_source(),
+                StiffnessSource::ClassStencils { classes: *classes }
+            );
+            let loop_ops = PressureOperators::per_element(mesh);
+            assert_eq!(loop_ops.stiffness_source(), StiffnessSource::PerElement);
+            let longest = mesh.lattice().expect("a generated box").dims.into_iter().max().unwrap();
+            let unit = longest as f64 * f64::EPSILON;
+            let row_ptr = ops.topology.row_ptr();
+            let mut worst = [0.0f64; 4];
+            for (w, (generated, integrated)) in worst.iter_mut().zip([
+                (ops.stiffness(), loop_ops.stiffness()),
+                (ops.consistent_mass(), loop_ops.consistent_mass()),
+            ]) {
+                for a in 0..mesh.num_nodes() {
+                    let row = row_ptr[a]..row_ptr[a + 1];
+                    let largest =
+                        integrated[row.clone()].iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                    for (g, i) in generated[row.clone()].iter().zip(&integrated[row]) {
+                        *w = w.max((g - i).abs() / (unit * largest));
+                    }
+                }
+            }
+            // Every element's `w|J|` against the one reference element's.
+            let vols = (0..mesh.num_elements()).flat_map(|e| {
+                ops.element_vol(e).iter().zip(loop_ops.element_vol(e)).map(|(g, i)| (*g, *i))
+            });
+            let lumped =
+                ops.lumped_mass().iter().zip(loop_ops.lumped_mass()).map(|(g, i)| (*g, *i));
+            for (w, pairs) in
+                worst[2..].iter_mut().zip([lumped.collect::<Vec<_>>(), vols.collect()])
+            {
+                for (g, i) in pairs {
+                    *w = w.max((g - i).abs() / (unit * i.abs()));
+                }
+            }
+            for ((what, worst), bound) in
+                ["K", "M", "lumped mass", "w|J|"].iter().zip(worst).zip(N_EPSILONS)
+            {
+                assert!(worst <= bound, "{name}: {what} off by {worst} n·ε");
+            }
+            // The diagonals the per-step passes read: the loop's layout,
+            // every position off the node graph `+0.0`.
+            assert!(ops.stiffness.same_layout(&loop_ops.stiffness), "{name}");
+            let (n, offsets) = (mesh.num_nodes(), ops.stiffness.offsets());
+            let col_idx = ops.topology.col_idx();
+            for a in 0..n {
+                let row = &col_idx[row_ptr[a]..row_ptr[a + 1]];
+                for (k, &offset) in offsets.iter().enumerate() {
+                    if !row.contains(&a.wrapping_add_signed(offset)) {
+                        let at = value_position(n, offsets.len(), k, a);
+                        for dia in [&ops.stiffness, &ops.mass] {
+                            assert_eq!(dia.values()[at].to_bits(), 0, "{name}: row {a}, {offset}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A jittered box keeps the per-element loop: `K`, `M`, the lumped mass,
+    /// `w|J|` and `C` hash to what the loop produced before unjittered
+    /// boxes took them from class stencils.
+    #[test]
+    fn a_jittered_box_keeps_the_bits_of_its_element_loop() {
+        let m = BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.1, 5).build();
+        let ops = PressureOperators::new(&m, 16);
+        assert_eq!(ops.stiffness_source(), StiffnessSource::PerElement);
+        assert!(ops.topology.has_slot_map(), "the per-entry `C` scatters through the slot map");
+        let hashes = [
+            bits_hash(&ops.stiffness()),
+            bits_hash(&ops.consistent_mass()),
+            bits_hash(ops.lumped_mass()),
+            bits_hash(&ops.gpvol),
+            bits_hash(&ops.coefficients()),
+        ];
+        let recorded = [
+            0x6f52_3a0f_58a9_5f34,
+            0x89fc_f5b9_443c_78c1,
+            0x528f_cfd9_49e9_2eba,
+            0x773c_ddbb_6b02_6e56,
+            0x9040_aee1_03cf_ecd5,
+        ];
+        for (what, (hash, recorded)) in
+            ["K", "M", "lumped mass", "w|J|", "C"].iter().zip(hashes.iter().zip(recorded))
+        {
+            assert_eq!(*hash, recorded, "{what}: {hash:#018x}");
         }
     }
 

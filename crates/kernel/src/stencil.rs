@@ -1,22 +1,28 @@
-//! The weak gradient/divergence tensor `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ` of
-//! an unjittered generator box, as position-class stencils.
+//! Operators of an unjittered generator box as position-class stencils: the
+//! weak gradient/divergence tensor `C[a][b][i] = ∫ N_a ∂N_b/∂x_i dΩ`, and at
+//! set-up the stiffness `K`, the consistent mass `M` and the lumped mass.
 //!
 //! Every element of such a box is the same hexahedron, so a node's row of
-//! `C` depends only on which of its neighbours exist: per direction a node
-//! is on the low face (class 0), inside (1) or on the high face (2), and the
-//! `3³ = 27` classes give at most 27 distinct rows of at most 27 taps.
-//! [`ClassStencils::new`] takes the tensor of one reference element and
-//! adds it into each class's taps element by element in the mesh order the
-//! integrating loop of [`PressureOperators`](crate::PressureOperators) uses,
-//! so a tap is the sum a coefficient of that loop would be if every element
-//! had the reference element's bits.
+//! any of them depends only on which of its neighbours exist: per direction
+//! a node is on the low face (class 0), inside (1) or on the high face (2),
+//! and the `3³ = 27` classes give at most 27 distinct rows of at most 27
+//! taps.  [`ClassStencils::new`] takes one reference element's entries
+//! `(a, b)` and adds them into each class's taps element by element in the
+//! mesh order of the integrating loop of
+//! [`PressureOperators`](crate::PressureOperators), so a tap is the sum a
+//! coefficient of that loop would be if every element had the reference
+//! element's bits.  The tap payload is the caller's: `C[a][b][·]` for the
+//! gradient, `K_ab`, `M_ab` and the lumped mass for the set-up.
 //!
-//! A pass walks its rows as x-line runs of one class — the interior run of a
-//! line is `nx − 1` consecutive rows sharing one stencil — and computes
-//! windows of [`WINDOW`] rows at once: the taps are broadcast, the rows are
-//! the lanes.  Every row adds its taps in ascending column order from
-//! `+0.0`, the order of the per-entry row product, so a window's width moves
-//! no bit and neither does where a team's row share cuts a line.
+//! The gradient and divergence stay stencils: a pass walks its rows as
+//! x-line runs of one class — the interior run of a line is `nx − 1`
+//! consecutive rows sharing one stencil — and computes windows of
+//! [`WINDOW`] rows at once: the taps are broadcast, the rows are the lanes.
+//! Every row adds its taps in ascending column order from `+0.0`, the order
+//! of the per-entry row product, so a window's width moves no bit and
+//! neither does where a team's row share cuts a line.  `K` and `M` are
+//! written out once, run by run, onto the diagonals the per-step passes
+//! read ([`PressureOperators`](crate::PressureOperators) does that).
 
 use crate::{NDIME, PNODE};
 use lv_mesh::BoxLattice;
@@ -36,25 +42,26 @@ const BLOCK: usize = 64;
 pub(crate) const CORNERS: [[usize; NDIME]; PNODE] =
     [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]];
 
-/// One tap of a class stencil: the column offset `b − a` and `C[a][b][·]`.
-type Tap = (isize, [f64; NDIME]);
+/// One tap of a class stencil: the column offset `b − a` and its payload,
+/// `C[a][b][·]` for the gradient.
+pub(crate) type Tap<P = [f64; NDIME]> = (isize, P);
 
 /// The taps of one position class, in ascending column order.
 #[derive(Debug, Clone, Copy)]
-struct ClassTaps {
+struct ClassTaps<P> {
     len: usize,
-    taps: [Tap; TAPS],
+    taps: [Tap<P>; TAPS],
 }
 
-/// `C` of an unjittered generator box as the stencils of its position
-/// classes (see the module docs).
+/// An operator of an unjittered generator box as the stencils of its
+/// position classes (see the module docs); `C` by default.
 #[derive(Debug, Clone)]
-pub(crate) struct ClassStencils {
+pub(crate) struct ClassStencils<P = [f64; NDIME]> {
     /// Nodes per direction of the lattice.
     points: [usize; NDIME],
     /// Per class `9·cz + 3·cy + cx`; classes the box does not hold stay
     /// empty.
-    classes: [ClassTaps; TAPS],
+    classes: [ClassTaps<P>; TAPS],
 }
 
 /// The class of lattice index `i` of `points` nodes in one direction.
@@ -79,16 +86,16 @@ fn reach(class: usize) -> (&'static [isize], &'static [isize]) {
     }
 }
 
-impl ClassStencils {
-    /// The stencils of every class `lattice` holds, from the tensor of one
-    /// of its elements, `element[a][i][b] = C_e[a][b][i]` (local nodes in
-    /// [`CORNERS`] order).
-    pub(crate) fn new(lattice: &BoxLattice, element: &[[[f64; PNODE]; NDIME]; PNODE]) -> Self {
+impl<P: Copy + Default> ClassStencils<P> {
+    /// The stencils of every class `lattice` holds: `add(tap, a, b)` adds
+    /// entry `(a, b)` of one element (local nodes in [`CORNERS`] order) to
+    /// a tap's sum, which starts at `P::default()`.
+    pub(crate) fn new(lattice: &BoxLattice, mut add: impl FnMut(&mut P, usize, usize)) -> Self {
         let points = lattice.points();
         let local = |corner: [usize; NDIME]| {
             CORNERS.iter().position(|&c| c == corner).expect("a hexahedron has every corner")
         };
-        let empty = ClassTaps { len: 0, taps: [(0, [0.0; NDIME]); TAPS] };
+        let empty = ClassTaps { len: 0, taps: [(0, P::default()); TAPS] };
         let mut classes = [empty; TAPS];
         for (class, stencil) in classes.iter_mut().enumerate() {
             let c = [class % 3, class / 3 % 3, class / 9];
@@ -100,7 +107,7 @@ impl ClassStencils {
             let [(ex, nx), (ey, ny), (ez, nz)] = c.map(reach);
             // Sums per full tap `9·(dz+1) + 3·(dy+1) + (dx+1)`, element by
             // element in mesh order (k slowest, i fastest).
-            let mut sums = [[0.0f64; NDIME]; TAPS];
+            let mut sums = [P::default(); TAPS];
             for &oz in ez {
                 for &oy in ey {
                     for &ox in ex {
@@ -109,10 +116,7 @@ impl ClassStencils {
                         for (b, corner) in CORNERS.iter().enumerate() {
                             let d =
                                 [0, 1, 2].map(|i| (offset[i] + corner[i] as isize + 1) as usize);
-                            let tap = &mut sums[9 * d[2] + 3 * d[1] + d[0]];
-                            for (i, t) in tap.iter_mut().enumerate() {
-                                *t += element[a][i][b];
-                            }
+                            add(&mut sums[9 * d[2] + 3 * d[1] + d[0]], a, b);
                         }
                     }
                 }
@@ -151,7 +155,11 @@ impl ClassStencils {
     /// own, the rows between them one run per line, cut at `rows`' ends and
     /// into [`BLOCK`]s.
     #[inline(always)]
-    fn for_each_run(&self, rows: Range<usize>, mut visit: impl FnMut(Range<usize>, &[Tap])) {
+    pub(crate) fn for_each_run(
+        &self,
+        rows: Range<usize>,
+        mut visit: impl FnMut(Range<usize>, &[Tap<P>]),
+    ) {
         assert!(rows.end <= self.num_rows());
         let [px, py, pz] = self.points;
         let mut row = rows.start;
@@ -167,6 +175,18 @@ impl ClassStencils {
             visit(row..end, &stencil.taps[..stencil.len]);
             row = end;
         }
+    }
+}
+
+impl ClassStencils {
+    /// `C` from the tensor of one element of the box,
+    /// `element[a][i][b] = C_e[a][b][i]` (local nodes in [`CORNERS`] order).
+    pub(crate) fn gradient(lattice: &BoxLattice, element: &[[[f64; PNODE]; NDIME]; PNODE]) -> Self {
+        ClassStencils::new(lattice, |tap: &mut [f64; NDIME], a, b| {
+            for (t, el_ai) in tap.iter_mut().zip(&element[a]) {
+                *t += el_ai[b];
+            }
+        })
     }
 
     /// `apply(a, g_a)` with `g_a = Σ_b C[a][b][·]·scalar_b` for every row
@@ -334,7 +354,7 @@ mod tests {
                 std::array::from_fn(|b| ((PNODE * NDIME * a + PNODE * i + b) as f64 * 0.37).sin())
             })
         });
-        ClassStencils::new(&lattice, &element)
+        ClassStencils::gradient(&lattice, &element)
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //!   imported mesh's numbering: the tests' tools for node-order
 //!   independence.
 //! * [`topology`] — the node-graph CSR pattern and the element→CSR slot map
-//!   of a mesh, built once and shared by every operator assembled on it.
+//!   (built on its first use) of a mesh, built once and shared by every
+//!   operator assembled on it.
 //!
 //! The crate is intentionally free of any simulator or compiler-model
 //! concerns: it only describes the discrete problem.

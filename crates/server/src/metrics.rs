@@ -57,14 +57,15 @@ pub const SLOW_CONVERGENCE: usize = 7;
 pub const QUEUE_DEPTH: usize = 8;
 /// Jobs currently on a worker (gauge).
 pub const JOBS_IN_FLIGHT: usize = 9;
-/// Slice wall-clock latency histogram, microseconds.
+/// Slice wall-clock latency histogram, microseconds: the whole slice, from
+/// its set-up to its closing journal append.
 pub const SLICE_US: usize = 10;
 /// Queue wait (submit/requeue to pull) histogram, microseconds.
 pub const QUEUE_WAIT_US: usize = 11;
 /// Journal append+fsync latency histogram, microseconds.
 pub const JOURNAL_FSYNC_US: usize = 12;
-/// Watchdog margin (deadline minus slice wall time) histogram,
-/// microseconds; a shrinking margin predicts stall verdicts.
+/// Watchdog margin (deadline minus the mean step time of a slice's steps)
+/// histogram, microseconds; a shrinking margin predicts stall verdicts.
 pub const WATCHDOG_MARGIN_US: usize = 13;
 
 /// The fleet taxonomy.  Order is load-bearing: the `const` ids above index
@@ -134,7 +135,7 @@ pub const FLEET_METRICS: &[MetricSpec] = &[
         name: "fleet_slice_us",
         kind: MetricKind::Histogram,
         deterministic: false,
-        help: "slice wall-clock latency in microseconds",
+        help: "slice wall-clock latency (set-up to closing journal append) in microseconds",
     },
     MetricSpec {
         name: "fleet_queue_wait_us",

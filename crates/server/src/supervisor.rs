@@ -587,6 +587,8 @@ fn worker_loop(worker: usize, shared: &Shared<'_>) -> Option<RunSummary> {
 /// Runs one slice of job `index` on `team`.  Returns whether the job goes
 /// back into the queue (preempted or retrying).
 fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) -> bool {
+    // The whole slice, set-up to the closing journal append.
+    let started = Instant::now();
     let config = shared.config;
     let (spec, attempts, plan) = {
         let mut slot = shared.slots[index].lock().unwrap();
@@ -689,13 +691,12 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
         if let Some(span) = slice_span {
             span.iters(steps_done).finish();
         }
-        let registry = shared.metrics.registry();
-        registry.observe(metrics::SLICE_US, slice_elapsed.as_micros() as u64);
         if steps_done > 0 {
             // Margin left under the per-step watchdog, using the slice's
             // mean step time: a shrinking margin predicts stall verdicts.
             let mean_step = slice_elapsed / steps_done as u32;
             let margin = config.step_deadline.saturating_sub(mean_step);
+            let registry = shared.metrics.registry();
             registry.observe(metrics::WATCHDOG_MARGIN_US, margin.as_micros() as u64);
         }
         // Journal the slice's convergence-stall detections (the stepper is
@@ -776,6 +777,7 @@ fn run_one_slice(worker: usize, index: usize, team: &Team, shared: &Shared<'_>) 
     } else {
         shared.slots[index].lock().unwrap().entry.apply(&record);
     }
+    shared.metrics.registry().observe(metrics::SLICE_US, started.elapsed().as_micros() as u64);
     let (requeue, attempts) = {
         let mut slot = shared.slots[index].lock().unwrap();
         // Carry the spent plan into the next slice, read back after the

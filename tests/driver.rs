@@ -269,7 +269,8 @@ fn momentum_storage_follows_the_node_order_and_both_storages_step() {
     assert_eq!(stepper.momentum_storage(), MomentumStorage::Dia { diagonals: 27 });
     let line = stepper.describe_operators();
     assert!(line.starts_with("operators: "), "{line}");
-    assert!(line.contains("| momentum dia (27 diagonals) |"), "{line}");
+    let momentum = "| momentum dia (27 diagonals); K, M: per element (jittered lattice) |";
+    assert!(line.contains(momentum), "{line}");
     assert!(line.contains("| gradient per-entry (jittered lattice) |"), "{line}");
     let wide = "pressure cg (no multigrid hierarchy: a level has more than 32 diagonals)";
     assert!(line.ends_with(wide), "{line}");

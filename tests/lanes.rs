@@ -3,23 +3,29 @@
 //!
 //! The constants below are FNV-1a hashes of the velocity and pressure bits
 //! after four `Stepper` steps.  They were **last re-recorded for a
-//! deliberate change of the coefficients of the weak gradient and
-//! divergence `C`**: on an unjittered generator box the projection
-//! operators now generate `C` from one reference element as position-class
-//! stencils instead of integrating every element from its own coordinates,
-//! so `C` moved by the coordinate rounding of the integrated elements
-//! (entry by entry within `n·ε` of its row's largest entry, `n` the element
-//! count of the longest direction; `K`, `M` and the lumped mass kept their
-//! bits).  Measured against the old trajectory after the four steps (12³
-//! cavity / 48 × 12 × 12 channel): velocity within 2.5e-15 / 1.2e-15 of
-//! `‖u‖∞`, pressure within 1.6e-13 / 2.1e-15 of `‖p‖∞`, kinetic energy
-//! within one ulp at every step of both (equal at steps 2–3 of the cavity
-//! and step 4 of the channel), every step's momentum and Poisson iteration
-//! count unchanged.  The recording was taken twice, with every
-//! multiversioned kernel forced to its baseline body and at the lanes this
-//! suite's hosts select (AVX2), each on 1 and 2 threads in the debug and in
-//! the release profile: all eight runs of a scenario hashed alike.
-//! (Earlier values, newest first: `0xc367_9388_c17e_825d` and
+//! deliberate change of the stiffness `K`, the consistent mass `M` and the
+//! lumped mass**: on an unjittered generator box the projection operators
+//! now take them from one reference element as position-class stencils,
+//! written onto the momentum diagonals, instead of integrating every
+//! element from its own coordinates, so they moved by the coordinate
+//! rounding of the integrated elements (entry by entry within `n·ε` of the
+//! row's largest entry for `K` and `3·n·ε` for the volumes `M` and the
+//! lumped mass, `n` the element count of the longest direction).  Measured
+//! against the old trajectory after the four steps (12³ cavity /
+//! 48 × 12 × 12 channel): velocity within 5.0e-16 / 1.3e-15 of `‖u‖∞`,
+//! pressure within 5.2e-15 / 3.6e-15 of `‖p‖∞`; kinetic energy equal at
+//! steps 1–2 of the cavity and within one ulp at steps 3–4, and off by
+//! 28, 15, 2 and 0 ulps (5.5e-15 relative at most) at the channel's steps
+//! 1–4 (the energy is `½ρ·uᵀ·M·u`, and `M` moved); every step's momentum
+//! and Poisson iteration count unchanged (cavity 10, 28, 28, 27 and 21 per
+//! step; channel 16, 53, 62, 63 and 18, 18, 17, 16).  The recording was
+//! taken twice, with every multiversioned kernel forced to its baseline
+//! body and at the lanes this suite's hosts select (AVX2), each on 1 and 2
+//! threads in the debug and in the release profile: all eight runs of a
+//! scenario hashed alike.  (Earlier values, newest first:
+//! `0xa629_212e_5e98_2db6` and `0xd454_1745_4eb4_5a1b` after the weak
+//! gradient and divergence `C` moved to class stencils;
+//! `0xc367_9388_c17e_825d` and
 //! `0xafcb_1bd9_0f6b_3da7` after the stiffness `K` moved into the
 //! operators' one mesh-order element loop, a change of its summation
 //! order; `0x5e66_bdc0_deba_af27` and `0x726c_09e8_d593_f060` after the
@@ -71,8 +77,8 @@ fn four_steps_hash_to_the_goldens_recorded_before_the_clones() {
     // The 12³ cavity and the 48 × 12 × 12 channel: 14 and 54 chunks of 128,
     // the last one padded in both.
     let goldens = [
-        (ScenarioKind::LidDrivenCavity, 0xa629_212e_5e98_2db6u64),
-        (ScenarioKind::Channel, 0xd454_1745_4eb4_5a1bu64),
+        (ScenarioKind::LidDrivenCavity, 0x8972_0f47_5398_2456u64),
+        (ScenarioKind::Channel, 0x2228_e6fd_a055_a689u64),
     ];
     let lanes = Lanes::selected();
     println!("lanes selected by this test run: {}", lanes.describe());

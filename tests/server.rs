@@ -224,6 +224,60 @@ fn a_fleet_builds_each_discretization_once_and_keeps_every_trajectory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `fleet_slice_us` times the whole slice: its sum over a traced run covers
+/// at least every slice's set-up (`server/setup`) and steps (`driver/step`)
+/// — the claim, the checkpoint and the closing journal append come on top.
+#[test]
+fn the_slice_histogram_covers_the_set_up_and_the_steps() {
+    let dir = test_dir("slice-histogram");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let traces = dir.join("traces");
+    let config = ServerConfig {
+        step_deadline: Duration::from_secs(30),
+        trace_dir: Some(traces.clone()),
+        ..config(&dir)
+    };
+    let mut server = Server::open(dir.join("jobs.jsonl"), config).expect("open");
+    for (id, kind) in
+        [("cavity", ScenarioKind::LidDrivenCavity), ("tg", ScenarioKind::TaylorGreenVortex)]
+    {
+        server.submit(JobSpec::new(id, Scenario::new(kind, 8), 5)).expect("submit");
+    }
+    let report = server.run();
+    assert!(report.all_done(), "{report:?}");
+
+    let (mut setup_ns, mut step_ns, mut steps) = (0u64, 0u64, 0u64);
+    for worker in 0..2 {
+        let log = std::fs::read_to_string(traces.join(format!("worker-{worker}.trace.jsonl")))
+            .expect("worker trace log");
+        let log = lv_trace::sink::parse_jsonl(&log).expect("the log parses");
+        for event in log.events.iter().filter(|e| e.rank == 0) {
+            let ns = event.end_ns - event.start_ns;
+            if event.span == lv_trace::spans::SERVER_SETUP {
+                setup_ns += ns;
+            } else if event.span == lv_trace::spans::STEP {
+                (step_ns, steps) = (step_ns + ns, steps + 1);
+            }
+        }
+    }
+    assert_eq!(steps, 10, "every committed step is traced once");
+    let snapshot = server.metrics().snapshot();
+    let histogram = match snapshot.metric("fleet_slice_us").map(|m| &m.value) {
+        Some(lv_trace::metrics::MetricData::Histogram(data)) => data.clone(),
+        other => panic!("fleet_slice_us is {other:?}"),
+    };
+    assert_eq!(histogram.count(), report.slices, "one observation per slice");
+    assert!(
+        histogram.sum >= (setup_ns + step_ns) / 1000,
+        "the slices sum to {} us, their set-ups to {} us and their steps to {} us",
+        histogram.sum,
+        setup_ns / 1000,
+        step_ns / 1000
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_killed_supervisor_is_replaced_and_finishes_the_fleet_from_the_journal() {
     let dir = test_dir("kill");
