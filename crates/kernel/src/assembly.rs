@@ -842,16 +842,52 @@ mod tests {
         (on_node_graph(&matrix, asm.topology()), rhs)
     }
 
-    /// The oracle of [`step_system`]: the paper's eight phases, then the
-    /// weak pressure gradient.
+    /// The oracle of [`step_system`]: the paper's eight phases through the
+    /// accessor phases of `phases::oracle`, mesh-order chunk by chunk, then
+    /// the weak pressure gradient.  Each phase integrates the coordinates
+    /// the step's integral of the same term does: the convection (phases
+    /// 3–6) each element's own, as the step's resident geometry; the
+    /// viscous and mass terms (phase 7, after phases 3 and 4 again) on an
+    /// unjittered box the reference element's, as the step's `K` and `M`.
     fn oracle_system(
         team: &lv_runtime::Team,
         asm: &NastinAssembly,
         ops: &crate::PressureOperators,
         (v, p): &(VectorField, Field),
     ) -> (CsrMatrix, Vec<f64>) {
-        let (mut matrix, mut rhs, mut workspaces) = poisoned_storage(asm, team);
-        asm.assemble_parallel_into_on(team, v, p, &mut matrix, &mut rhs, &mut workspaces);
+        use crate::phases::oracle;
+        let reference = asm
+            .mesh
+            .lattice()
+            .filter(|lattice| !lattice.jittered)
+            .map(crate::projection::reference_corners);
+        let mut matrix = asm.new_matrix();
+        let mut rhs = vec![0.0; NDIME * asm.mesh.num_nodes()];
+        let mut ws = ElementWorkspace::new(asm.config.vector_size);
+        ws.poison(-7.25);
+        let h_char = asm.mesh.characteristic_length();
+        for chunk in &asm.chunks {
+            ws.reset();
+            oracle::phase1_gather_coords(&asm.mesh, chunk, &mut ws);
+            oracle::phase2_gather_unknowns(&asm.mesh, v, p, chunk, &mut ws);
+            assert_eq!(oracle::phase3_jacobian(&asm.shape, chunk, &mut ws), 0);
+            oracle::phase4_gauss_values(&asm.shape, chunk, &mut ws);
+            oracle::phase5_stabilization(&asm.config, h_char, chunk, &mut ws);
+            oracle::phase6_convective(&asm.shape, &asm.config, chunk, &mut ws);
+            if let Some(x) = &reference {
+                for ivect in 0..chunk.vector_size {
+                    for (inode, x_a) in x.iter().enumerate() {
+                        for (idime, &x_ai) in x_a.iter().enumerate() {
+                            ws.set_elcod(inode, idime, ivect, x_ai);
+                        }
+                    }
+                }
+                oracle::phase3_jacobian(&asm.shape, chunk, &mut ws);
+                oracle::phase4_gauss_values(&asm.shape, chunk, &mut ws);
+            }
+            oracle::phase7_viscous(&asm.shape, &asm.config, chunk, &mut ws);
+            oracle::phase8_scatter(&asm.mesh, &asm.config, chunk, &ws, &mut matrix, &mut rhs);
+        }
         ops.subtract_weak_gradient_on(team, p.as_slice(), &mut rhs);
         (matrix, rhs)
     }
@@ -930,21 +966,14 @@ mod tests {
         // mass entries summed at set-up, the convection integrated in
         // reference space from the resident inverse Jacobians, the
         // right-hand side a row product of rounded matrix entries).
-        // Measured worst cases over the meshes, vector sizes and both time
-        // steps below: 2.8 ε of the row's largest entry in the matrix;
-        // 6.7 ε of Σ|A||u| + Σ|c||p| in the right-hand side (at Δt = 0.1;
-        // 0.7 ε at Δt = 0.013, where the mass block dominates the scale).
-        // The same integrals are the element loop's `K`, `M` and `C`: the
-        // eight phases integrate every element from its own coordinates.
+        // The oracle integrates each term from the coordinates the step's
+        // integral does (see `oracle_system`).  Measured worst cases over
+        // the meshes, vector sizes and both time steps below: 2.7 ε of the
+        // row's largest entry in the matrix; 8.4 ε of Σ|A||u| + Σ|c||p| in
+        // the right-hand side (the 10³ box at Δt = 0.1; 0.7 ε at
+        // Δt = 0.013, where the mass block dominates the scale).
         const MATRIX_EPSILONS: f64 = 4.0;
         const RHS_EPSILONS: f64 = 16.0;
-        // The step's own system on an unjittered box takes `K`, `M` and `C`
-        // from one reference element instead, off the loop's by the
-        // coordinate rounding of the integrated elements: in `n·ε` of the
-        // same scales, `n` the element count of the longest direction
-        // (volumes carry three edges).  Measured: matrix 0.81 (4³) and 1.24
-        // (10³), right-hand side 0.28 and 2.19 n·ε; 0 on jittered boxes.
-        const CLASS_N_EPSILONS: f64 = 3.0;
         let team = lv_runtime::Team::new(2);
         for (name, mesh) in &step_meshes() {
             let fields = state(mesh);
@@ -952,7 +981,6 @@ mod tests {
                 let config = KernelConfig::new(vs, OptLevel::Vec1);
                 let asm = NastinAssembly::new(mesh.clone(), config);
                 let ops = crate::PressureOperators::with_topology(mesh, asm.topology().clone());
-                let loop_ops = crate::PressureOperators::per_element(mesh);
                 // Two consecutive assemblies into the same storage at
                 // different time steps: nothing of the first may survive.
                 let (mut matrix, mut rhs, mut workspaces) = poisoned_momentum_storage(&asm, &team);
@@ -983,18 +1011,11 @@ mod tests {
                         config.with_dt(dt),
                         asm.topology().clone(),
                     );
-                    let oracle = oracle_system(&team, &eight_phases, &loop_ops, &fields);
-                    let integrated = step_system(&team, &asm, &loop_ops, dt, &fields);
+                    let oracle = oracle_system(&team, &eight_phases, &ops, &fields);
                     let (in_matrix, in_rhs) =
-                        deviation_in_row_epsilons(&loop_ops, &fields, &integrated, &oracle);
+                        deviation_in_row_epsilons(&ops, &fields, &reused, &oracle);
                     assert!(in_matrix <= MATRIX_EPSILONS, "{what}: matrix off by {in_matrix} eps");
                     assert!(in_rhs <= RHS_EPSILONS, "{what}: rhs off by {in_rhs} eps");
-                    let (in_matrix, in_rhs) =
-                        deviation_in_row_epsilons(&loop_ops, &fields, &reused, &integrated);
-                    let longest = mesh.lattice().expect("a box").dims.into_iter().max().unwrap();
-                    let bound = CLASS_N_EPSILONS * longest as f64;
-                    assert!(in_matrix <= bound, "{what}: class matrix off by {in_matrix} eps");
-                    assert!(in_rhs <= bound, "{what}: class rhs off by {in_rhs} eps");
                 }
             }
         }

@@ -295,7 +295,7 @@ fn scatter_shared<const FULL: bool>(
         let nodes = mesh.element_nodes(elem);
         // Only a CSR sink reads the slot map (built on its first use).
         let slots = match &system.matrix {
-            Sink::Csr(_) => topology.csr_slots(elem),
+            Sink::Csr(_) => topology.csr_slots(mesh, elem),
             Sink::Diagonals(_) => &[],
         };
         for (inode, &node_a) in nodes.iter().enumerate() {

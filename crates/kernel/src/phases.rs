@@ -820,7 +820,7 @@ pub fn phase8_scatter_slices(
         // The validity check of the paper: padding slots are skipped.
         let Some(elem) = v.element_ids[iv] else { continue };
         let nodes = mesh.element_nodes(elem);
-        let slots = topology.csr_slots(elem);
+        let slots = topology.csr_slots(mesh, elem);
         for (inode, &node_a) in nodes.iter().enumerate() {
             let node_a = node_a as usize;
             for idime in 0..NDIME {

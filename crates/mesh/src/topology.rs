@@ -28,15 +28,15 @@ use crate::mesh::Mesh;
 use std::sync::OnceLock;
 
 /// Node→element incidence by counting sort: the entries
-/// `at[ptr[n]..ptr[n + 1]]` are the positions of node `n` in the
-/// connectivity `lnods` of a mesh of `num_nodes` nodes
-/// (`pnode * elem + local_node`), ascending.
-fn node_incidence(lnods: &[u32], num_nodes: usize) -> (Vec<usize>, Vec<usize>) {
-    let mut ptr = vec![0usize; num_nodes + 1];
+/// `at[ptr[n]..ptr[n + 1]]` are the positions of node `n` in
+/// [`Mesh::connectivity`] (`pnode * elem + local_node`), ascending.
+fn node_incidence(mesh: &Mesh) -> (Vec<usize>, Vec<usize>) {
+    let lnods = mesh.connectivity();
+    let mut ptr = vec![0usize; mesh.num_nodes() + 1];
     for &node in lnods {
         ptr[node as usize + 1] += 1;
     }
-    for n in 0..num_nodes {
+    for n in 0..mesh.num_nodes() {
         ptr[n + 1] += ptr[n];
     }
     let mut next = ptr.clone();
@@ -78,40 +78,24 @@ impl Mesh {
     /// `lv-solver`'s CSR constructor.  Callers that also scatter into the
     /// pattern should build a [`MeshTopology`] instead.
     pub fn node_graph_csr(&self) -> (Vec<usize>, Vec<usize>) {
-        let (ptr, at) = node_incidence(self.connectivity(), self.num_nodes());
+        let (ptr, at) = node_incidence(self);
         node_graph(self, &ptr, &at)
     }
 }
 
 /// The connectivity-derived structures of one mesh (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeshTopology {
     nodes_per_element: usize,
+    num_elements: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
-    /// The mesh's connectivity, `lnods[pnode * elem + a]`, which the slot
-    /// map is built from.
-    lnods: Vec<u32>,
     /// `slots[(pnode * elem + a) * pnode + b]` is the position of entry
     /// `(node_a, node_b)` of element `elem` in the CSR value array; built
     /// by the first [`csr_slots`](MeshTopology::csr_slots).
     slots: OnceLock<Vec<u32>>,
     diagonals: Option<ElementDiagonals>,
 }
-
-/// Equal topologies have equal connectivities, so equal slot maps, built or
-/// not.
-impl PartialEq for MeshTopology {
-    fn eq(&self, other: &Self) -> bool {
-        self.nodes_per_element == other.nodes_per_element
-            && self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
-            && self.lnods == other.lnods
-            && self.diagonals == other.diagonals
-    }
-}
-
-impl Eq for MeshTopology {}
 
 /// The diagonal of every element entry, where the node numbering puts each
 /// element's nodes at the same offsets from its first node: entry `(a, b)`
@@ -174,8 +158,7 @@ impl MeshTopology {
     /// Panics if the graph has more than `u32::MAX` non-zeros (the slot map
     /// stores 32-bit positions).
     pub fn new(mesh: &Mesh) -> Self {
-        let lnods = mesh.connectivity();
-        let (ptr, at) = node_incidence(lnods, mesh.num_nodes());
+        let (ptr, at) = node_incidence(mesh);
         let (row_ptr, col_idx) = node_graph(mesh, &ptr, &at);
         assert!(
             u32::try_from(col_idx.len()).is_ok(),
@@ -185,35 +168,37 @@ impl MeshTopology {
         );
         MeshTopology {
             nodes_per_element: mesh.nodes_per_element(),
+            num_elements: mesh.num_elements(),
             row_ptr,
             col_idx,
-            lnods: lnods.to_vec(),
             slots: OnceLock::new(),
             diagonals: ElementDiagonals::of(mesh),
         }
     }
 
-    /// The slot map, built on the first call (one build even when several
-    /// threads ask at once).
-    fn slots(&self) -> &[u32] {
+    /// The slot map, built from `mesh` on the first call (one build even
+    /// when several threads ask at once).
+    ///
+    /// # Panics
+    /// Panics on the first call if `mesh` does not [`fit`](Self::fits).
+    fn slots(&self, mesh: &Mesh) -> &[u32] {
         self.slots.get_or_init(|| {
+            assert!(self.fits(mesh), "the topology was built for another mesh");
             let pnode = self.nodes_per_element;
-            let num_nodes = self.row_ptr.len() - 1;
-            let (ptr, at) = node_incidence(&self.lnods, num_nodes);
+            let (ptr, at) = node_incidence(mesh);
             // Row by row: note where each column of the row sits in the
             // value array, then hand those positions to every (element,
             // local row) the row's node appears as.  `position_of` needs no
             // clearing — an element's nodes are all columns of the current
             // row.
-            let mut slots = vec![0u32; self.lnods.len() * pnode];
-            let mut position_of = vec![0u32; num_nodes];
-            for node in 0..num_nodes {
+            let mut slots = vec![0u32; mesh.connectivity().len() * pnode];
+            let mut position_of = vec![0u32; mesh.num_nodes()];
+            for node in 0..mesh.num_nodes() {
                 for k in self.row_ptr[node]..self.row_ptr[node + 1] {
                     position_of[self.col_idx[k]] = k as u32;
                 }
                 for &position in &at[ptr[node]..ptr[node + 1]] {
-                    let elem = position / pnode;
-                    let nodes = &self.lnods[pnode * elem..pnode * (elem + 1)];
+                    let nodes = mesh.element_nodes(position / pnode);
                     let row = &mut slots[position * pnode..(position + 1) * pnode];
                     for (slot, &b) in row.iter_mut().zip(nodes) {
                         *slot = position_of[b as usize];
@@ -243,10 +228,10 @@ impl MeshTopology {
         &self.col_idx
     }
 
-    /// Number of elements the slot map covers.
+    /// Number of elements of the mesh the topology was built for.
     #[inline]
     pub fn num_elements(&self) -> usize {
-        self.lnods.len() / self.nodes_per_element
+        self.num_elements
     }
 
     /// Whether the topology has the element and node counts of `mesh` — the
@@ -261,11 +246,16 @@ impl MeshTopology {
 
     /// The CSR value positions of the `pnode × pnode` entries of element
     /// `elem`, row-major: entry `pnode * a + b` is where `(node_a, node_b)`
-    /// lands.  The first call builds the slot map of every element.
+    /// lands.  The first call builds the slot map of every element from
+    /// `mesh`, the mesh the topology was built for; later calls only read
+    /// it.
+    ///
+    /// # Panics
+    /// Panics on the first call if `mesh` does not [`fit`](Self::fits).
     #[inline]
-    pub fn csr_slots(&self, elem: usize) -> &[u32] {
+    pub fn csr_slots(&self, mesh: &Mesh, elem: usize) -> &[u32] {
         let per_element = self.nodes_per_element * self.nodes_per_element;
-        &self.slots()[per_element * elem..per_element * (elem + 1)]
+        &self.slots(mesh)[per_element * elem..per_element * (elem + 1)]
     }
 
     /// The diagonal of every element entry, when the node numbering is the
@@ -380,13 +370,12 @@ mod tests {
     fn assert_slot_map_is_sound(name: &str, mesh: &Mesh) {
         let topology = MeshTopology::new(mesh);
         assert!(!topology.has_slot_map(), "{name}: built before its first use");
-        let unbuilt = topology.clone();
         let (row_ptr, col_idx) = (topology.row_ptr(), topology.col_idx());
         let pnode = mesh.nodes_per_element();
         assert_eq!(topology.num_elements(), mesh.num_elements());
         for elem in 0..mesh.num_elements() {
             let nodes = mesh.element_nodes(elem);
-            let slots = topology.csr_slots(elem);
+            let slots = topology.csr_slots(mesh, elem);
             assert_eq!(slots.len(), pnode * pnode);
             for (a, &node_a) in nodes.iter().enumerate() {
                 let row = row_ptr[node_a as usize]..row_ptr[node_a as usize + 1];
@@ -400,7 +389,7 @@ mod tests {
                 }
             }
         }
-        assert!(topology.has_slot_map() && topology == unbuilt, "{name}");
+        assert!(topology.has_slot_map(), "{name}");
     }
 
     /// On every generator box the element table exists and holds exactly

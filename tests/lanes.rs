@@ -9,8 +9,9 @@
 //! written onto the momentum diagonals, instead of integrating every
 //! element from its own coordinates, so they moved by the coordinate
 //! rounding of the integrated elements (entry by entry within `n·ε` of the
-//! row's largest entry for `K` and `3·n·ε` for the volumes `M` and the
-//! lumped mass, `n` the element count of the longest direction).  Measured
+//! row's largest entry for `K` and up to 1.15 `n·ε` for the volumes `M`
+//! and the lumped mass, `n` the element count of the longest direction).
+//! Measured
 //! against the old trajectory after the four steps (12³ cavity /
 //! 48 × 12 × 12 channel): velocity within 5.0e-16 / 1.3e-15 of `‖u‖∞`,
 //! pressure within 5.2e-15 / 3.6e-15 of `‖p‖∞`; kinetic energy equal at
