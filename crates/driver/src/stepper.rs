@@ -28,15 +28,21 @@
 //!    seed, the sweep's scatter, the right-hand side and mass pass, the
 //!    Dirichlet rows and the solve all use, with no CSR copy anywhere.
 //! 2. **Pressure Poisson** — `L φ = −(ρ/Δt) d(u*)` with the mesh-true
-//!    Laplacian assembled by [`lv_kernel::PressureOperators`] (symmetrically
-//!    pinned per scenario), solved with pooled CG — preconditioned by the
-//!    geometric-multigrid V-cycle whenever
-//!    [`lv_kernel::build_pressure_multigrid`] finds a hierarchy for the mesh
-//!    (a structured box lattice), plain Jacobi-preconditioned CG otherwise;
-//!    the mesh decides, [`Stepper::multigrid_levels`] reports it.  Every
-//!    CG — MG-CG, its in-step plain-CG fallback, and plain CG where the
-//!    lattice has no hierarchy — iterates on one operator, the pinned
-//!    Laplacian on its level-0 diagonals; no CSR copy is kept.
+//!    Laplacian — the stiffness `K` of [`lv_kernel::PressureOperators`] on
+//!    its diagonals, copied and symmetrically pinned per scenario in place
+//!    ([`lv_kernel::PressureOperators::pinned_laplacian`]) — solved with
+//!    pooled CG, preconditioned by the geometric-multigrid V-cycle whenever
+//!    [`lv_kernel::build_pressure_multigrid_on_diagonals`] finds a
+//!    hierarchy for the mesh (a structured box lattice), plain
+//!    Jacobi-preconditioned CG otherwise; the mesh decides,
+//!    [`Stepper::multigrid_levels`] reports it.  The hierarchy is built
+//!    from those diagonals down: on an unjittered box its transfers are the
+//!    exact trilinear stencil and its coarse levels Galerkin products
+//!    computed on the lattice once per key (a coarse row's position class
+//!    and the classes of the fine rows it reads), so the set-up builds no
+//!    CSR matrix.  Every CG — MG-CG, its in-step plain-CG fallback, and
+//!    plain CG where the lattice has no hierarchy — iterates on one
+//!    operator, the pinned Laplacian on its level-0 diagonals.
 //! 3. **Correction** — `u ← u* − (Δt/ρ) M⁻¹ g(φ)` with the lumped-mass
 //!    nodal gradient, re-imposition of the scenario's velocity BCs, and the
 //!    incremental pressure update `p ← p + φ`.
@@ -86,9 +92,9 @@
 use crate::fault::{FaultKind, FaultPlan};
 use crate::scenario::Scenario;
 use lv_kernel::{
-    assemble_momentum_on, build_pressure_multigrid, solve_momentum_on, weak_divergence_vector_norm,
-    ConvectiveGeometry, ElementWorkspace, KernelConfig, NastinAssembly, NoHierarchy, OptLevel,
-    PressureOperators,
+    assemble_momentum_on, build_pressure_multigrid_on_diagonals, solve_momentum_on,
+    weak_divergence_vector_norm, ConvectiveGeometry, ElementWorkspace, KernelConfig,
+    NastinAssembly, NoHierarchy, OptLevel, PressureOperators,
 };
 use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
@@ -501,24 +507,22 @@ impl Discretization {
         let mesh = assembly.mesh();
         let geometry = assembly.convective_geometry();
         let operators = PressureOperators::with_topology(mesh, assembly.topology().clone());
-        let mut laplacian = operators.assemble_laplacian();
-        laplacian.pin_rows_symmetric(&pins);
-        debug_assert!(laplacian.is_symmetric(1e-12), "pinned pressure Laplacian must stay SPD");
+        // Level 0 of the Poisson system: `K`'s diagonals, copied and pinned
+        // in place — no CSR matrix.  Every Poisson solve runs on it, shared
+        // with the hierarchy when there is one.
+        let fine = Arc::new(operators.pinned_laplacian(&pins));
+        debug_assert!(fine.is_symmetric(1e-12), "pinned pressure Laplacian must stay SPD");
         // The V-cycle hierarchy is a pure function of the mesh and the
         // pinned Laplacian, so a restarted stepper rebuilds it identically
-        // (bitwise) and trajectories stay exactly resumable.
-        let multigrid = build_pressure_multigrid(mesh, &laplacian, &MultigridOptions::default());
-        // Every Poisson solve runs on the level-0 diagonals — the
-        // hierarchy's own when there is one.  The CSR Laplacian is freed
-        // here.
-        let fine = match &multigrid {
-            Ok(multigrid) => multigrid.fine_operator(),
-            Err(_) => Arc::new(
-                DiaMatrix::from_csr(&laplacian)
-                    .expect("a lattice's Laplacian has 27 diagonals at most"),
-            ),
-        };
-        drop(laplacian);
+        // (bitwise) and trajectories stay exactly resumable.  On an
+        // unjittered box its coarse levels are Galerkin products computed
+        // on the diagonals once per key, with the exact trilinear
+        // transfers, and no CSR matrix either.
+        let multigrid = build_pressure_multigrid_on_diagonals(
+            mesh,
+            Arc::clone(&fine),
+            &MultigridOptions::default(),
+        );
         Discretization {
             scenario,
             vector_size,

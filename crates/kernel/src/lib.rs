@@ -66,7 +66,8 @@ pub use assembly::{
 };
 pub use config::{KernelConfig, OptLevel, PAPER_VECTOR_SIZES};
 pub use matrixfree::{
-    build_pressure_multigrid, pressure_interpolations, MatrixFreeLaplacian, NoHierarchy,
+    build_pressure_multigrid, build_pressure_multigrid_on_diagonals, pressure_interpolations,
+    MatrixFreeLaplacian, NoHierarchy,
 };
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};
 pub use momentum::{assemble_momentum_on, solve_momentum_on, MomentumSolve};

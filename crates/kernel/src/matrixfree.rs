@@ -26,17 +26,24 @@
 //! bitwise-reproducibility contract: each output row is computed identically
 //! under every row partition.
 //!
-//! [`build_pressure_multigrid`] is the mesh-side glue: it reads the box
-//! lattice the generator attached to the mesh ([`Mesh::lattice`]), derives
-//! the nested coarsening chain and trilinear transfer stencils, and hands
-//! them to [`GeometricMultigrid`] for Galerkin coarse operators.
+//! [`build_pressure_multigrid_on_diagonals`] is the mesh-side glue: it
+//! reads the box lattice the generator attached to the mesh
+//! ([`Mesh::lattice`]), derives the nested coarsening chain and the
+//! transfers — the exact trilinear stencil of the lattices on an unjittered
+//! box, the interpolation onto the nudged nodes on a jittered one — and
+//! hands them with the pinned level-0 diagonals to [`GeometricMultigrid`]
+//! for Galerkin coarse operators; [`build_pressure_multigrid`] is the same
+//! from a CSR Laplacian.
 
 use crate::{PGAUS, PNODE};
 use lv_mesh::hierarchy::BoxLattice;
 use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{trilinear_stencil, ElementKind, Mesh, ShapeTable};
-use lv_solver::{CsrMatrix, GeometricMultigrid, Interpolation, LinearOperator, MultigridOptions};
+use lv_solver::{
+    CsrMatrix, DiaMatrix, GeometricMultigrid, Interpolation, LinearOperator, MultigridOptions,
+};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The six symmetric-unique `(j, k)` metric index pairs, `j ≤ k`.
 const SYM_PAIRS: [(usize, usize); 6] = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
@@ -395,21 +402,15 @@ impl LinearOperator for MatrixFreeLaplacian {
 /// so the V-cycle applies it by lattice index wherever its weights are the
 /// trilinear stencil in the cycle's scalar — every transfer of an
 /// unjittered box — and keeps the CSR form elsewhere, the finest transfer
-/// of a jittered box.
+/// of a jittered box.  The hierarchy builders take these on a jittered box
+/// only: an unjittered box interpolates with the exact stencil, whose
+/// weights the coordinates here miss by a rounding where the spacing is no
+/// power of two ([`build_pressure_multigrid_on_diagonals`]).
 pub fn pressure_interpolations(
     mesh: &Mesh,
     options: &MultigridOptions,
 ) -> Result<Vec<Interpolation>, NoHierarchy> {
-    let lattice = mesh.lattice().ok_or(NoHierarchy::NoLattice)?;
-    let chain = lattice.coarsening_chain(options.max_coarse_nodes);
-    if chain.len() < 2 {
-        return Err(NoHierarchy::DoesNotHalve);
-    }
-    // Equal up to the rounding of the generator's arithmetic.
-    let h = lattice.spacing();
-    if h.iter().any(|&s| (s - h[0]).abs() > 1e-9 * h[0]) {
-        return Err(NoHierarchy::UnequalSpacing);
-    }
+    let chain = halving_chain(mesh, options)?;
     let fine_points: Vec<[f64; 3]> = (0..mesh.num_nodes())
         .map(|n| {
             let p = mesh.node_coords(n);
@@ -423,6 +424,22 @@ pub fn pressure_interpolations(
         interps.push(interpolation_onto(&chain[level + 1], &chain[level], &positions));
     }
     Ok(interps)
+}
+
+/// The coarsening chain of `mesh`'s lattice, finest first, or the first
+/// of the causes of [`NoHierarchy`] that can be told from the mesh alone.
+fn halving_chain(mesh: &Mesh, options: &MultigridOptions) -> Result<Vec<BoxLattice>, NoHierarchy> {
+    let lattice = mesh.lattice().ok_or(NoHierarchy::NoLattice)?;
+    let chain = lattice.coarsening_chain(options.max_coarse_nodes);
+    if chain.len() < 2 {
+        return Err(NoHierarchy::DoesNotHalve);
+    }
+    // Equal up to the rounding of the generator's arithmetic.
+    let h = lattice.spacing();
+    if h.iter().any(|&s| (s - h[0]).abs() > 1e-9 * h[0]) {
+        return Err(NoHierarchy::UnequalSpacing);
+    }
+    Ok(chain)
 }
 
 /// Why [`build_pressure_multigrid`] built no hierarchy for a mesh; its
@@ -465,10 +482,47 @@ impl std::fmt::Display for NoHierarchy {
 }
 
 /// Builds the geometric-multigrid V-cycle preconditioner for the pressure
-/// Laplacian of `mesh` over [`pressure_interpolations`], or says which
-/// cause of [`NoHierarchy`] stopped it.  Coarse operators are
-/// Galerkin products of `laplacian`, which must be the assembled, pinned
-/// matrix the outer CG iterates with.
+/// Laplacian of `mesh` from its pinned level-0 diagonals `laplacian` —
+/// the operator the outer CG iterates with, which the hierarchy shares as
+/// its [`GeometricMultigrid::fine_operator`] — or says which cause of
+/// [`NoHierarchy`] stopped it.  No CSR matrix is built on the way:
+///
+/// * on an unjittered box every `P` is the exact trilinear stencil of the
+///   lattice chain (weights 1, ½, ¼, ⅛ from lattice indices, never stored)
+///   and every coarse operator the Galerkin product computed once per
+///   distinct row ([`GeometricMultigrid::on_lattice_chain`]);
+/// * on a jittered box the transfers are [`pressure_interpolations`]'
+///   coordinate `P`s and the products run row by row on the diagonals
+///   ([`GeometricMultigrid::from_diagonals`]) — the level below the finest
+///   is then wider than [`lv_solver::dia::MAX_DIAGONALS`] diagonals, so the
+///   answer is [`NoHierarchy::TooManyDiagonals`].
+///
+/// # Panics
+/// Panics when `laplacian` does not have one row per node of `mesh`.
+pub fn build_pressure_multigrid_on_diagonals(
+    mesh: &Mesh,
+    laplacian: Arc<DiaMatrix>,
+    options: &MultigridOptions,
+) -> Result<GeometricMultigrid, NoHierarchy> {
+    assert_eq!(mesh.num_nodes(), laplacian.dim(), "one Laplacian row per mesh node");
+    let chain = halving_chain(mesh, options)?;
+    let built = if chain[0].jittered {
+        GeometricMultigrid::from_diagonals(
+            laplacian,
+            pressure_interpolations(mesh, options)?,
+            options,
+        )
+    } else {
+        let points: Vec<[usize; 3]> = chain.iter().map(BoxLattice::points).collect();
+        GeometricMultigrid::on_lattice_chain(laplacian, &points, options)
+    };
+    built.ok_or(NoHierarchy::TooManyDiagonals)
+}
+
+/// [`build_pressure_multigrid_on_diagonals`] of the pinned Laplacian given
+/// in CSR: the same hierarchy from [`DiaMatrix::from_csr`] of
+/// `laplacian`, which must be the assembled, pinned matrix the outer CG
+/// iterates with.
 ///
 /// # Panics
 /// Panics when `laplacian` does not have one row per node of `mesh`.
@@ -478,8 +532,9 @@ pub fn build_pressure_multigrid(
     options: &MultigridOptions,
 ) -> Result<GeometricMultigrid, NoHierarchy> {
     assert_eq!(mesh.num_nodes(), laplacian.dim(), "one Laplacian row per mesh node");
-    let interps = pressure_interpolations(mesh, options)?;
-    GeometricMultigrid::new(laplacian, interps, options).ok_or(NoHierarchy::TooManyDiagonals)
+    halving_chain(mesh, options)?;
+    let fine = DiaMatrix::from_csr(laplacian).ok_or(NoHierarchy::TooManyDiagonals)?;
+    build_pressure_multigrid_on_diagonals(mesh, Arc::new(fine), options)
 }
 
 /// Trilinear interpolation from `coarse` onto `points`, the nodes of

@@ -80,9 +80,12 @@
 //!   bits for every thread count and vector size.  The geometry itself is
 //!   not kept: only `w|J|` stays resident, for the quadrature diagnostics.
 //!
-//! [`assemble_laplacian`](PressureOperators::assemble_laplacian) hands out
-//! a CSR copy of `K`, the set-up reader (the pressure hierarchy and the
-//! level-0 diagonals of the Poisson system are built from it).
+//! [`pinned_laplacian`](PressureOperators::pinned_laplacian) hands out a
+//! copy of `K`'s diagonals with the pressure pins applied — the level-0
+//! operator of the Poisson system and of its multigrid hierarchy, built
+//! without a CSR matrix;
+//! [`assemble_laplacian`](PressureOperators::assemble_laplacian) gathers a
+//! CSR copy of `K` for the tests and the benchmark's probes.
 //!
 //! ## What a time step does not re-integrate
 //!
@@ -670,6 +673,22 @@ impl PressureOperators {
     /// [`CsrMatrix::pin_rows_symmetric`] to make it definite.
     pub fn assemble_laplacian(&self) -> CsrMatrix {
         on_node_graph(&self.stiffness, &self.topology)
+    }
+
+    /// The pressure Laplacian pinned at `pins` on its diagonals — a copy
+    /// of the stiffness held since construction with
+    /// [`DiaMatrix::pin_rows_symmetric`] applied: the values
+    /// [`DiaMatrix::from_csr`] of [`assemble_laplacian`](Self::assemble_laplacian)
+    /// pinned by [`CsrMatrix::pin_rows_symmetric`] holds, bit for bit,
+    /// offsets included, with no CSR matrix built.  Symmetric positive
+    /// definite once a node of every connected component is pinned.
+    ///
+    /// # Panics
+    /// Panics if a pin is not a node of the mesh.
+    pub fn pinned_laplacian(&self, pins: &[usize]) -> DiaMatrix {
+        let mut laplacian = self.stiffness.clone();
+        laplacian.pin_rows_symmetric(pins);
+        laplacian
     }
 
     /// The stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` per stored entry of the

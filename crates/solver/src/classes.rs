@@ -20,10 +20,16 @@
 //! diagonal entry `|a_ii|`.  The second rule is what makes a uniform lattice
 //! classify: the trilinear Laplacian couples face neighbours with an exact
 //! `0`, which quadrature leaves as noise of ~1e-20 beside a diagonal of
-//! ~1e-1, different in every row.  In `f64` such rows stay bitwise distinct
-//! and nothing classifies (README "Measured and rejected"); in the cycle's
-//! `f32` a level of the cavity has 31 classes.  Taps are stored entries, so
-//! no tap of any row of a run ever points outside the matrix.
+//! ~1e-1.  Integrated element by element (a jittered box) that noise is
+//! different in every row, and in `f64` no two rows agree; an unjittered
+//! box takes `K` from one reference element as position-class stencils, so
+//! its noise is one value per class, and its pinned `f64` level 0 has 34
+//! exact classes (27 positions and the seven neighbours of the pin, whose
+//! coupling to it was zeroed) and its Galerkin levels at most 34 keys
+//! (`multigrid::galerkin_on_lattices` computes them once per key).  In
+//! the cycle's `f32` the rule drops the noise and a level of the cavity has
+//! 31 classes.  Taps are stored entries, so no tap of any row of a run
+//! ever points outside the matrix.
 //!
 //! **Same bits as the diagonals.**  A row sums its taps in ascending offset
 //! order from `+0.0` — the order and the start of the `DiaMatrix` kernels —

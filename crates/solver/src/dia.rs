@@ -590,6 +590,47 @@ impl DiaMatrix<f64> {
             self.values[value_position(self.n, nd, k, row)] = if k == main { 1.0 } else { 0.0 };
         }
     }
+
+    /// Whether the matrix is symmetric within `tol`: every stored value
+    /// `(row, row + d)` against `(row + d, row)` on offset `−d`, which must
+    /// be stored too wherever the first is not zero — what
+    /// [`CsrMatrix::is_symmetric`] checks on the CSR form.
+    pub fn is_symmetric(&self, tol: f64) -> bool {
+        let n = self.n as isize;
+        self.offsets.iter().enumerate().all(|(k, &d)| {
+            let mirror = self.offsets.binary_search(&-d).ok();
+            (0..n).filter(|row| (0..n).contains(&(row + d))).all(|row| {
+                let value = self.entry(k, row as usize);
+                let other = mirror.map_or(0.0, |m| self.entry(m, (row + d) as usize));
+                (value - other).abs() <= tol
+            })
+        })
+    }
+
+    /// Pins `rows` symmetrically: every entry of a pinned row and of a
+    /// pinned column becomes `+0.0`, the pinned diagonals `1.0` — what
+    /// [`CsrMatrix::pin_rows_symmetric`] does to the CSR form, so a matrix
+    /// pinned here holds the values [`from_csr`](Self::from_csr) of the
+    /// pinned CSR form holds, bit for bit (padding is `+0.0` already).
+    ///
+    /// # Panics
+    /// Panics if a pinned row is out of bounds.
+    pub fn pin_rows_symmetric(&mut self, rows: &[usize]) {
+        let (n, nd) = (self.n, self.offsets.len());
+        for &row in rows {
+            assert!(row < n, "pinned row {row} out of range");
+        }
+        for &pin in rows {
+            for (k, &d) in self.offsets.iter().enumerate() {
+                self.values[value_position(n, nd, k, pin)] = if d == 0 { 1.0 } else { 0.0 };
+                // Column `pin` of row `pin − d` sits on the same diagonal.
+                let row = pin as isize - d;
+                if d != 0 && (0..n as isize).contains(&row) {
+                    self.values[value_position(n, nd, k, row as usize)] = 0.0;
+                }
+            }
+        }
+    }
 }
 
 /// Whether two slices share no byte — the no-alias precondition of the
@@ -1089,6 +1130,42 @@ pub(crate) mod tests {
         let values = awkward_vector(csr.nnz(), seed);
         csr.pattern_and_values_mut().2.copy_from_slice(&values);
         csr
+    }
+
+    /// Pinning on the diagonals holds what `from_csr` of the pinned CSR
+    /// form holds, bit for bit: pins on the first and last rows, on two
+    /// neighbours, mid-block and across a block edge, on lattices whose
+    /// edge rows have padding on some diagonals (`-0.0` entries included).
+    #[test]
+    fn pinning_on_the_diagonals_is_from_csr_of_the_pinned_csr() {
+        for (nx, ny) in [(40usize, 37usize), (7, 5), (3, 1)] {
+            let n = nx * ny;
+            let csr = stencil9(nx, ny, 6);
+            let pins: Vec<usize> =
+                [0, 1, nx, n / 2, 255, 256, n - 1].into_iter().filter(|&p| p < n).collect();
+            let mut pinned: DiaMatrix = DiaMatrix::from_csr(&csr).expect("nine diagonals");
+            pinned.pin_rows_symmetric(&pins);
+            let mut twin = csr.clone();
+            twin.pin_rows_symmetric(&pins);
+            let want: DiaMatrix = DiaMatrix::from_csr(&twin).expect("nine diagonals");
+            assert_eq!(pinned.offsets(), want.offsets(), "{nx} x {ny}");
+            let bits = |m: &DiaMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&pinned) == bits(&want), "{nx} x {ny}");
+            assert_eq!(pinned.is_symmetric(1e-12), twin.is_symmetric(1e-12), "{nx} x {ny}");
+        }
+        // A symmetric stencil stays symmetric when pinned; one entry off
+        // the mirror is seen.
+        let dense: Vec<Vec<f64>> = (0..12)
+            .map(|i: usize| {
+                (0..12).map(|j: usize| [0.0, -1.0, 2.0][2 - i.abs_diff(j).min(2)]).collect()
+            })
+            .collect();
+        let mut laplacian: DiaMatrix =
+            DiaMatrix::from_csr(&CsrMatrix::from_dense(&dense)).expect("tridiagonal");
+        laplacian.pin_rows_symmetric(&[0, 5]);
+        assert!(laplacian.is_symmetric(0.0));
+        laplacian.values_mut()[value_position(12, 3, 2, 7)] += 1e-9;
+        assert!(!laplacian.is_symmetric(1e-12) && laplacian.is_symmetric(1e-8));
     }
 
     /// A matrix assembled in place on its diagonals — `ν·K` seeded by

@@ -31,6 +31,12 @@
 //! [`Team`] (a time-step loop shares one set of workers between assembly and
 //! solves); a one-thread team spawns no worker and runs the serial kernels
 //! ([`VectorOps::on_team`]).
+//!
+//! A solve's work vectors are handed to the next solve of the same length
+//! on the same thread, zeroed: a time step that allocated them afresh for
+//! every solve faulted their pages in again every step.  A vector is all
+//! zeros when a solve takes it, as a fresh one is, so no bit depends on
+//! what ran before.
 
 use crate::multivector::{MultiVector, NRHS};
 use crate::operator::{JacobiPreconditioner, LinearOperator, Preconditioner};
@@ -38,6 +44,77 @@ use crate::parallel::VectorOps;
 use lv_runtime::Team;
 use lv_trace::{spans, SpanId};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
+
+thread_local! {
+    /// The work vectors of this thread's last solve, for its next one.  A
+    /// time step solves systems of one size again and again; a solve that
+    /// allocated its ~30 vectors afresh had their pages faulted in again
+    /// on every step (2 400 page faults a step on the 32³ cavity), which
+    /// reused vectors are not.  Only one length is kept: a solve of
+    /// another size frees them.
+    static SPARE: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A work vector of a solve, taken from this thread's [`SPARE`] vectors
+/// when one of its length is there and handed back to them when dropped.
+struct Work(Vec<f64>);
+
+impl Work {
+    /// `n` zeros.
+    fn zeros(n: usize) -> Work {
+        let spare = SPARE.with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.last().is_some_and(|v| v.len() != n) {
+                spare.clear();
+            }
+            spare.pop()
+        });
+        Work(match spare {
+            Some(mut v) => {
+                v.fill(0.0);
+                v
+            }
+            None => vec![0.0; n],
+        })
+    }
+
+    /// A copy of `values`.
+    fn copy_of(values: &[f64]) -> Work {
+        let mut work = Work::zeros(values.len());
+        work.copy_from_slice(values);
+        work
+    }
+
+    /// The vector, no longer handed back.
+    fn into_vec(mut self) -> Vec<f64> {
+        std::mem::take(&mut self.0)
+    }
+}
+
+impl Deref for Work {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.0
+    }
+}
+
+impl DerefMut for Work {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.0
+    }
+}
+
+impl Drop for Work {
+    fn drop(&mut self) {
+        let v = std::mem::take(&mut self.0);
+        if !v.is_empty() {
+            // A thread being torn down has no spare vectors to keep.
+            let _ = SPARE.try_with(|spare| spare.borrow_mut().push(v));
+        }
+    }
+}
 
 /// Modeled per-iteration cost of one CG iteration beyond the operator
 /// application: the BLAS-1 flop count (dots, norms, axpys, the direction
@@ -285,14 +362,14 @@ pub(crate) fn conjugate_gradient_with(
         return Err(SolverError::NonFinite { iteration: 0, residual: b_norm });
     }
 
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut z = vec![0.0; n];
+    let mut x = Work::zeros(n);
+    let mut r = Work::copy_of(b);
+    let mut z = Work::zeros(n);
     precond.apply(ops, &r, &mut z);
-    let mut p = z.clone();
+    let mut p = Work::copy_of(&z);
     let mut rz = ops.dot(&r, &z);
     let mut history = vec![ops.norm(&r) / b_norm];
-    let mut ap = vec![0.0; n];
+    let mut ap = Work::zeros(n);
 
     let flexible = precond.is_inexact();
     let extra_dot = if flexible { CG_FLEXIBLE_DOT_PER_ENTRY } else { 0 };
@@ -327,7 +404,7 @@ pub(crate) fn conjugate_gradient_with(
         }
         if rel < options.tolerance {
             return Ok(SolveOutcome {
-                solution: x,
+                solution: x.into_vec(),
                 iterations: iter + 1,
                 residual_history: history,
             });
@@ -375,17 +452,17 @@ pub fn bicgstab3_on(
 }
 
 /// `W` equally long zero vectors.
-fn zeros<const W: usize>(n: usize) -> [Vec<f64>; W] {
-    std::array::from_fn(|_| vec![0.0; n])
+fn zeros<const W: usize>(n: usize) -> [Work; W] {
+    std::array::from_fn(|_| Work::zeros(n))
 }
 
-fn cols<const W: usize>(vectors: &[Vec<f64>; W]) -> [&[f64]; W] {
-    std::array::from_fn(|c| vectors[c].as_slice())
+fn cols<const W: usize>(vectors: &[Work; W]) -> [&[f64]; W] {
+    std::array::from_fn(|c| &*vectors[c])
 }
 
-fn cols_mut<const W: usize>(vectors: &mut [Vec<f64>; W]) -> [&mut [f64]; W] {
+fn cols_mut<const W: usize>(vectors: &mut [Work; W]) -> [&mut [f64]; W] {
     let mut rest = vectors.iter_mut();
-    std::array::from_fn(|_| rest.next().expect("W vectors").as_mut_slice())
+    std::array::from_fn(|_| &mut **rest.next().expect("W vectors"))
 }
 
 /// Book-keeping of a `W`-column solve: which columns still iterate, their
@@ -441,9 +518,9 @@ impl<const W: usize> ColumnTracker<W> {
         }
     }
 
-    fn converge(&mut self, c: usize, x: &[Vec<f64>; W], iterations: usize) {
+    fn converge(&mut self, c: usize, x: &[Work; W], iterations: usize) {
         self.results[c] = Some(Ok(SolveOutcome {
-            solution: x[c].clone(),
+            solution: x[c].to_vec(),
             iterations,
             residual_history: std::mem::take(&mut self.histories[c]),
         }));
@@ -487,8 +564,8 @@ fn bicgstab_cols<const W: usize>(
     let inv_diag = inverse_diagonal(operator);
 
     let mut x = zeros::<W>(n);
-    let mut r = b.map(<[f64]>::to_vec);
-    let r0 = r.clone();
+    let mut r = b.map(Work::copy_of);
+    let r0 = std::array::from_fn::<_, W, _>(|c| Work::copy_of(&r[c]));
     let mut rho = [1.0f64; W];
     let mut alpha = [1.0f64; W];
     let mut omega = [1.0f64; W];
@@ -774,6 +851,27 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A dropped work vector is the next one of its length, zeroed; a
+    /// vector of another length frees the spare ones.
+    #[test]
+    fn work_vectors_come_back_zeroed_and_at_one_length_only() {
+        let spare = || SPARE.with(|spare| spare.borrow().len());
+        let first = {
+            let mut work = Work::zeros(1000);
+            work[3] = 7.0;
+            work.as_ptr()
+        };
+        assert_eq!(spare(), 1);
+        let again = Work::zeros(1000);
+        assert_eq!(again.as_ptr(), first, "the spare vector is taken");
+        assert!(again.iter().all(|&v| v.to_bits() == 0), "and zeroed");
+        drop(again);
+        let other = Work::zeros(999);
+        assert_eq!(spare(), 0, "another length frees the spare vectors");
+        assert_eq!(other.into_vec().len(), 999);
+        assert_eq!(spare(), 0, "a vector handed out is not handed back");
+    }
     use crate::csr::CsrMatrix;
     use crate::dense::DenseMatrix;
 

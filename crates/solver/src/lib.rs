@@ -73,8 +73,8 @@ pub use krylov::{
     SolverError,
 };
 pub use multigrid::{
-    galerkin_coarse, mg_preconditioned_cg_on, GeometricMultigrid, Interpolation, LevelStorage,
-    MultigridOptions, TransferStorage,
+    exact_row_classes, galerkin_coarse, galerkin_on_lattices, mg_preconditioned_cg_on,
+    GeometricMultigrid, Interpolation, LevelStorage, MultigridOptions, TransferStorage,
 };
 pub use multivector::{MultiVector, NRHS};
 pub use operator::{JacobiPreconditioner, LinearOperator, Preconditioner};

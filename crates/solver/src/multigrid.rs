@@ -23,9 +23,17 @@
 //!   and both are bitwise identical at every thread count — the same
 //!   contract as the square kernels.  Every unjittered box takes the
 //!   stencil in the cycle's `f32`;
-//! * Galerkin coarse operators `A_c = Pᵀ·A·P`, assembled serially at setup
+//! * Galerkin coarse operators `A_c = Pᵀ·A·P`, computed serially at setup
 //!   (deterministic, and SPD whenever `A` is SPD because `P` has full
-//!   column rank).  CSR is only the set-up intermediate: every level is
+//!   column rank) on diagonals, from the finest level's [`DiaMatrix`] down,
+//!   with no CSR matrix ([`galerkin_on_lattices`]): where `P` is the exact
+//!   trilinear stencil of two nested lattices — every level of an
+//!   unjittered box ([`GeometricMultigrid::on_lattice_chain`]) — once per
+//!   *key* (a coarse row's position class and the row classes of its `Pᵀ`
+//!   support), 34 keys or fewer per level of a uniform box instead of a
+//!   product per row; row by row elsewhere.  Either way each entry sums its
+//!   terms in [`galerkin_coarse`]'s order, the CSR product kept as the
+//!   oracle, and carries its bits.  Every level is
 //!   kept in one of two storages, chosen by its matrix and by nothing else
 //!   ([`LevelStorage`]) — as [`RowClasses`] (a table of the distinct rows
 //!   and the runs of rows that carry them, see [`crate::classes`]) when at
@@ -73,6 +81,10 @@
 //! product — then runs the flexible `β`, which keeps the iteration counts of
 //! the all-`f64` cycle.  Results are bitwise identical across thread counts;
 //! they are no longer the bits of the CSR cycle.
+
+mod galerkin;
+
+pub use galerkin::{exact_row_classes, galerkin_on_lattices};
 
 use crate::classes::RowClasses;
 use crate::csr::CsrMatrix;
@@ -207,6 +219,30 @@ impl Interpolation {
         assert_eq!(nodes(fine), self.fine_nodes, "fine lattice node count");
         assert_eq!(nodes(coarse), self.coarse_nodes, "coarse lattice node count");
         Interpolation { lattices: Some(NestedLattices { fine, coarse }), ..self }
+    }
+
+    /// The exact trilinear `P` from the box lattice of `coarse` nodes per
+    /// direction onto the lattice it is every other node of (`2·c − 1`
+    /// nodes where it has `c`): per direction weight 1 at an even fine
+    /// index, ½ and ½ at an odd one, so every entry is 1, ½, ¼ or ⅛ exactly.
+    /// The lattices are named ([`on_lattices`](Self::on_lattices)).  What
+    /// [`GeometricMultigrid::on_lattice_chain`] interpolates with, stored.
+    ///
+    /// # Panics
+    /// Panics if a direction has no node.
+    pub fn trilinear(coarse: [usize; 3]) -> Interpolation {
+        let lattices = NestedLattices::over(coarse);
+        let fine = NestedLattices::nodes(lattices.fine);
+        let (mut row_ptr, mut col_idx, mut weights) = (vec![0], Vec::new(), Vec::new());
+        let mut row = Vec::new();
+        for f in 0..fine {
+            galerkin::stencil_row(&lattices, f, &mut row);
+            col_idx.extend(row.iter().map(|&(c, _)| c));
+            weights.extend(row.iter().map(|&(_, w)| w));
+            row_ptr.push(col_idx.len());
+        }
+        Interpolation::from_csr(NestedLattices::nodes(coarse), row_ptr, col_idx, weights)
+            .on_lattices(lattices.fine, coarse)
     }
 
     /// Fine-level dimension (rows of `P`).
@@ -523,10 +559,13 @@ impl Transfer {
     }
 }
 
-/// Galerkin triple product `A_c = Pᵀ·A·P`, assembled serially (setup runs
-/// once; a fixed traversal order keeps the coarse operators identical for
-/// every thread count).  Exact zeros of `A` — the entries Dirichlet pinning
+/// Galerkin triple product `A_c = Pᵀ·A·P` in CSR, assembled serially (a
+/// fixed traversal order keeps the coarse operators identical for every
+/// thread count).  Exact zeros of `A` — the entries Dirichlet pinning
 /// cleared — are skipped, so pinned rows stay decoupled on every level.
+/// The hierarchy builders compute their products on diagonals
+/// ([`galerkin_on_lattices`]) in this order, with these bits; this is the
+/// oracle the tests hold them to.
 ///
 /// One coarse row at a time into a dense accumulator (Gustavson): row `ci`
 /// walks the fine nodes `k` of `Pᵀ`'s row in ascending order, then `A`'s row
@@ -580,6 +619,12 @@ pub fn galerkin_coarse(a: &CsrMatrix, p: &Interpolation) -> CsrMatrix {
     matrix
 }
 
+/// The option checks every builder runs.
+fn check_options(options: &MultigridOptions) {
+    assert!(options.smoothing_sweeps >= 1, "at least one smoothing sweep");
+    assert!(options.damping > 0.0, "damping must be positive");
+}
+
 /// A pivoted dense LU factorization of the coarsest operator, computed once
 /// at setup; each V-cycle only runs the O(n²) triangular solves.
 #[derive(Debug, Clone)]
@@ -590,14 +635,37 @@ struct DenseLu {
 }
 
 impl DenseLu {
-    fn from_csr(a: &CsrMatrix) -> Option<DenseLu> {
+    /// The factorization of `a`, or `None` when it is numerically singular.
+    /// Every stored value lands at its `(row, row + offset)`; padding holds
+    /// `+0.0`, as the dense matrix does where a CSR row has no entry.
+    fn from_dia(a: &DiaMatrix) -> Option<DenseLu> {
         let n = a.dim();
-        let mut lu = vec![0.0; n * n];
-        for r in 0..n {
-            for idx in a.row_ptr()[r]..a.row_ptr()[r + 1] {
-                lu[r * n + a.col_idx()[idx]] = a.values()[idx];
+        let mut dense = vec![0.0; n * n];
+        for (k, &d) in a.offsets().iter().enumerate() {
+            for r in 0..n {
+                let c = r as isize + d;
+                if (0..n as isize).contains(&c) {
+                    dense[r * n + c as usize] = a.entry(k, r);
+                }
             }
         }
+        Self::factor(n, dense)
+    }
+
+    #[cfg(test)]
+    fn from_csr(a: &CsrMatrix) -> Option<DenseLu> {
+        let n = a.dim();
+        let mut dense = vec![0.0; n * n];
+        for r in 0..n {
+            for idx in a.row_ptr()[r]..a.row_ptr()[r + 1] {
+                dense[r * n + a.col_idx()[idx]] = a.values()[idx];
+            }
+        }
+        Self::factor(n, dense)
+    }
+
+    /// Pivoted LU of the row-major `n × n` matrix `lu`, in place.
+    fn factor(n: usize, mut lu: Vec<f64>) -> Option<DenseLu> {
         let mut pivots = vec![0usize; n];
         for col in 0..n {
             let mut best = col;
@@ -774,7 +842,7 @@ impl<T: Scalar> LevelVectors<T> {
 impl<T: Scalar> Level<T> {
     /// The level whose operator is `exact` in `f64` and `matrix` in `T`.
     /// The inverse diagonal is taken in `f64` and rounded once.
-    fn new(exact: &dyn LinearOperator, matrix: LevelOperator<T>) -> Level<T> {
+    fn new(exact: &DiaMatrix, matrix: LevelOperator<T>) -> Level<T> {
         let inv_diag =
             crate::krylov::inverse_diagonal(exact).into_iter().map(T::from_f64).collect();
         Level { matrix, inv_diag }
@@ -921,57 +989,108 @@ struct Cycle<T: Scalar> {
     coarse_x: Vec<f64>,
 }
 
+/// How the builder is handed one level's `P`.
+#[derive(Debug, Clone)]
+enum Coarsening {
+    /// The exact trilinear stencil of two nested lattices: the Galerkin
+    /// product runs once per key ([`galerkin_on_lattices`]) and the
+    /// transfer is the stencil.
+    Lattice(NestedLattices),
+    /// `P` entry by entry: the product runs row by row, and the transfer
+    /// takes the storage its entries ask for ([`Transfer::new`]).
+    Csr(Interpolation),
+}
+
+impl Coarsening {
+    /// The transfer a cycle in `T` keeps.
+    fn transfer<T: Scalar>(self) -> Transfer {
+        match self {
+            Coarsening::Lattice(lattices) => Transfer::Stencil(lattices),
+            Coarsening::Csr(p) => Transfer::new::<T>(p),
+        }
+    }
+
+    /// The transfer kept in CSR whatever its entries: the reference the
+    /// tests hold the stencil transfers to.
+    #[cfg(test)]
+    fn csr_transfer(self) -> Transfer {
+        match self {
+            Coarsening::Lattice(lattices) => {
+                Transfer::Csr(Interpolation::trilinear(lattices.coarse))
+            }
+            Coarsening::Csr(p) => Transfer::Csr(p),
+        }
+    }
+}
+
 impl<T: Scalar> Cycle<T> {
-    /// See [`GeometricMultigrid::new`], which also checks the arguments;
-    /// `fine_dia` is `fine` in diagonal storage.  Each transfer takes the
-    /// storage its entries ask for ([`Transfer::new`]).
+    /// See [`GeometricMultigrid::from_diagonals`], which also checks the
+    /// arguments.  Each transfer takes the storage its entries ask for.
     fn new(
-        fine: &CsrMatrix,
-        fine_dia: &DiaMatrix,
+        fine: &DiaMatrix,
         interps: Vec<Interpolation>,
         options: &MultigridOptions,
     ) -> Option<Cycle<T>> {
-        Self::with_transfers(fine, fine_dia, interps, options, Transfer::new::<T>)
+        let coarsening = interps.into_iter().map(Coarsening::Csr).collect();
+        Self::build(fine, coarsening, options, Coarsening::transfer::<T>)
     }
 
     /// [`Cycle::new`] with every transfer kept in CSR: the reference the
     /// tests hold the stencil transfers to.
     #[cfg(test)]
     fn with_csr_transfers(
-        fine: &CsrMatrix,
-        fine_dia: &DiaMatrix,
+        fine: &DiaMatrix,
         interps: Vec<Interpolation>,
         options: &MultigridOptions,
     ) -> Option<Cycle<T>> {
-        Self::with_transfers(fine, fine_dia, interps, options, Transfer::Csr)
+        let coarsening = interps.into_iter().map(Coarsening::Csr).collect();
+        Self::build(fine, coarsening, options, Coarsening::csr_transfer)
     }
 
-    fn with_transfers(
-        fine: &CsrMatrix,
-        fine_dia: &DiaMatrix,
-        interps: Vec<Interpolation>,
+    /// The hierarchy of `fine` over `coarsening`, all on diagonals: each
+    /// coarse level is the Galerkin product of the one above it in `f64`
+    /// (once per key where `P` is a lattice stencil, row by row otherwise),
+    /// filled in `T` straight from it; the `f64` form of a level is dropped
+    /// once the next product and its inverse diagonal have read it, and the
+    /// coarsest one's once it is factored.
+    fn build(
+        fine: &DiaMatrix,
+        coarsening: Vec<Coarsening>,
         options: &MultigridOptions,
-        transfer: fn(Interpolation) -> Transfer,
+        transfer: fn(Coarsening) -> Transfer,
     ) -> Option<Cycle<T>> {
-        // CSR is the set-up intermediate only (Galerkin input, LU input):
-        // each coarse level is filled in `T` straight from it, in
-        // `from_csr`'s one pass, and the CSR form is dropped.
-        let mut csr = Cow::Borrowed(fine);
         let fine_operator =
-            LevelOperator::new(RowClasses::from_dia_with_long_runs(fine_dia), || fine_dia.cast());
-        let mut levels = vec![Level::new(fine_dia, fine_operator)];
-        for p in &interps {
-            csr = Cow::Owned(galerkin_coarse(&csr, p));
-            let dia = DiaMatrix::<T>::from_csr(&csr)?;
-            let operator = LevelOperator::new(RowClasses::from_dia_with_long_runs(&dia), || dia);
-            levels.push(Level::new(&*csr, operator));
+            LevelOperator::new(RowClasses::from_dia_with_long_runs(fine), || fine.cast());
+        let mut levels = vec![Level::new(fine, fine_operator)];
+        let mut matrix = Cow::Borrowed(fine);
+        // The key ids of `matrix`'s rows when a lattice product made it;
+        // a level that has none is classified when a product asks.
+        let mut keys: Option<Vec<u32>> = None;
+        for step in &coarsening {
+            let coarse = match step {
+                Coarsening::Lattice(lattices) => {
+                    let classes = keys.take().unwrap_or_else(|| exact_row_classes(&matrix));
+                    let (coarse, coarse_keys) =
+                        galerkin_on_lattices(&matrix, &classes, lattices.coarse)?;
+                    keys = Some(coarse_keys);
+                    coarse
+                }
+                Coarsening::Csr(p) => {
+                    keys = None;
+                    galerkin::galerkin_on_diagonals(&matrix, p)?
+                }
+            };
+            let narrow = coarse.cast::<T>();
+            let operator =
+                LevelOperator::new(RowClasses::from_dia_with_long_runs(&narrow), || narrow);
+            levels.push(Level::new(&coarse, operator));
+            matrix = Cow::Owned(coarse);
         }
-        let coarse_lu = DenseLu::from_csr(&csr)?;
-        let coarse = csr.dim();
+        let coarse_lu = DenseLu::from_dia(&matrix)?;
+        let coarse = matrix.dim();
+        drop(matrix);
         let vectors = levels.iter().map(|l| LevelVectors::zeros(l.rows())).collect();
-        // The Galerkin products were the last reader of a stencil level's
-        // CSR `P`: it is dropped here.
-        let transfers = interps.into_iter().map(transfer).collect();
+        let transfers = coarsening.into_iter().map(transfer).collect();
         let hierarchy = Hierarchy {
             levels,
             transfers,
@@ -1100,32 +1219,84 @@ pub struct GeometricMultigrid {
 }
 
 impl GeometricMultigrid {
-    /// Builds the hierarchy from the finest (pinned) operator and the chain
-    /// of interpolations (`interps[l]` maps level `l+1` → level `l`;
-    /// coarse operators are Galerkin products).  Returns `None` when a
-    /// level's pattern is not a lattice stencil (more than
-    /// [`crate::dia::MAX_DIAGONALS`] distinct offsets — e.g. a renumbered
-    /// mesh) or when the coarsest operator is numerically singular.
+    /// Builds the hierarchy from the finest (pinned) operator in CSR and
+    /// the chain of interpolations: [`from_diagonals`](Self::from_diagonals)
+    /// of [`DiaMatrix::from_csr`] of `fine`, or `None` when `fine` has more
+    /// than [`crate::dia::MAX_DIAGONALS`] distinct offsets (e.g. a
+    /// renumbered mesh) or that builder says `None`.
     ///
     /// # Panics
-    /// Panics when the interpolation chain dimensions do not match, when
-    /// the chain is empty, or on nonsensical options (zero sweeps,
-    /// non-positive damping).
+    /// As [`from_diagonals`](Self::from_diagonals).
     pub fn new(
         fine: &CsrMatrix,
         interps: Vec<Interpolation>,
         options: &MultigridOptions,
     ) -> Option<GeometricMultigrid> {
+        Self::from_diagonals(Arc::new(DiaMatrix::from_csr(fine)?), interps, options)
+    }
+
+    /// Builds the hierarchy from the finest (pinned) operator on its
+    /// diagonals and the chain of interpolations (`interps[l]` maps level
+    /// `l+1` → level `l`; coarse operators are Galerkin products, computed
+    /// row by row on diagonals with the bits of [`galerkin_coarse`]; each
+    /// transfer takes the storage its entries ask for,
+    /// [`TransferStorage`]).  `fine` becomes the hierarchy's
+    /// [`fine_operator`](Self::fine_operator).  Returns `None` when a
+    /// coarse level's pattern is not a lattice stencil (more than
+    /// [`crate::dia::MAX_DIAGONALS`] distinct offsets — e.g. the level
+    /// below a jittered box) or when the coarsest operator is numerically
+    /// singular.
+    ///
+    /// # Panics
+    /// Panics when the interpolation chain dimensions do not match, when
+    /// the chain is empty, or on nonsensical options (zero sweeps,
+    /// non-positive damping).
+    pub fn from_diagonals(
+        fine: Arc<DiaMatrix>,
+        interps: Vec<Interpolation>,
+        options: &MultigridOptions,
+    ) -> Option<GeometricMultigrid> {
         assert!(!interps.is_empty(), "multigrid needs at least one coarse level");
-        assert!(options.smoothing_sweeps >= 1, "at least one smoothing sweep");
-        assert!(options.damping > 0.0, "damping must be positive");
+        check_options(options);
         assert_eq!(interps[0].fine_nodes, fine.dim(), "finest interpolation mismatch");
         for pair in interps.windows(2) {
             assert_eq!(pair[0].coarse_nodes, pair[1].fine_nodes, "interpolation chain mismatch");
         }
-        let fine_dia = DiaMatrix::from_csr(fine)?;
-        let cycle = Cycle::new(fine, &fine_dia, interps, options)?;
-        Some(GeometricMultigrid { fine: Arc::new(fine_dia), cycle })
+        let cycle = Cycle::new(&fine, interps, options)?;
+        Some(GeometricMultigrid { fine, cycle })
+    }
+
+    /// Builds the hierarchy of the finest (pinned) operator `fine` of a box
+    /// lattice over its chain of nested lattices, given as node counts per
+    /// direction, finest first (`chain[0]` is `fine`'s lattice, each next
+    /// one has `c` nodes where the one before has `2·c − 1`): every `P` is
+    /// the exact trilinear stencil ([`Interpolation::trilinear`]), applied
+    /// by lattice index and never stored, and every coarse operator the
+    /// Galerkin product computed once per key ([`galerkin_on_lattices`]) —
+    /// no CSR matrix anywhere.  `None` as for
+    /// [`from_diagonals`](Self::from_diagonals).
+    ///
+    /// # Panics
+    /// Panics when the chain has fewer than two lattices, does not nest or
+    /// does not start at `fine`'s row count, or on nonsensical options.
+    pub fn on_lattice_chain(
+        fine: Arc<DiaMatrix>,
+        chain: &[[usize; 3]],
+        options: &MultigridOptions,
+    ) -> Option<GeometricMultigrid> {
+        assert!(chain.len() >= 2, "multigrid needs at least one coarse level");
+        check_options(options);
+        assert_eq!(NestedLattices::nodes(chain[0]), fine.dim(), "finest lattice mismatch");
+        let coarsening = chain
+            .windows(2)
+            .map(|pair| {
+                let lattices = NestedLattices::over(pair[1]);
+                assert_eq!(lattices.fine, pair[0], "the lattices of the chain must nest");
+                Coarsening::Lattice(lattices)
+            })
+            .collect();
+        let cycle = Cycle::build(&fine, coarsening, options, Coarsening::transfer::<f32>)?;
+        Some(GeometricMultigrid { fine, cycle })
     }
 
     /// Number of levels, finest included.
@@ -1161,10 +1332,10 @@ impl GeometricMultigrid {
         self.cycle.hierarchy.transfers.iter().map(Transfer::storage).collect()
     }
 
-    /// The `f64` operator of the finest level: the bits of the CSR matrix
-    /// the hierarchy was built from at half the traffic, shared — hand it
-    /// to [`mg_preconditioned_cg_on`] as the outer operator.  The coarse
-    /// levels exist in the cycle's `f32` only.
+    /// The `f64` operator of the finest level — the diagonals the
+    /// hierarchy was built from (from a CSR matrix: its bits at half the
+    /// traffic), shared — hand it to [`mg_preconditioned_cg_on`] as the
+    /// outer operator.  The coarse levels exist in the cycle's `f32` only.
     pub fn fine_operator(&self) -> Arc<DiaMatrix> {
         Arc::clone(&self.fine)
     }
@@ -1476,7 +1647,7 @@ mod tests {
     /// bit for bit.  An exact cycle, hence plain-`β` CG.
     fn cycle_f64(a: &CsrMatrix, interps: Vec<Interpolation>) -> Cycle<f64> {
         let dia = DiaMatrix::from_csr(a).expect("a lattice stencil");
-        Cycle::new(a, &dia, interps, &MultigridOptions::default()).expect("SPD hierarchy")
+        Cycle::new(&dia, interps, &MultigridOptions::default()).expect("SPD hierarchy")
     }
 
     impl Preconditioner for Cycle<f64> {
@@ -2311,7 +2482,7 @@ mod tests {
         let csr = |p: &Interpolation| TransferStorage::Csr { entries: p.col_idx.len() };
         let storage = |a: &CsrMatrix, interps: &[Interpolation]| {
             let dia = DiaMatrix::from_csr(a).expect("a lattice stencil");
-            let wide = Cycle::<f64>::new(a, &dia, interps.to_vec(), &options).expect("SPD");
+            let wide = Cycle::<f64>::new(&dia, interps.to_vec(), &options).expect("SPD");
             let narrow = GeometricMultigrid::new(a, interps.to_vec(), &options).expect("SPD");
             let wide: Vec<_> = wide.hierarchy.transfers.iter().map(Transfer::storage).collect();
             (narrow.transfer_storage(), wide)
@@ -2364,11 +2535,11 @@ mod tests {
         fn bits<T: Scalar>(a: &CsrMatrix, interps: &[Interpolation], rhs: &[f64]) -> [Vec<u64>; 2] {
             let options = MultigridOptions::default();
             let dia = DiaMatrix::from_csr(a).expect("a lattice stencil");
-            let mut stencil = Cycle::<T>::new(a, &dia, interps.to_vec(), &options).expect("SPD");
+            let mut stencil = Cycle::<T>::new(&dia, interps.to_vec(), &options).expect("SPD");
             let storage = stencil.hierarchy.transfers.iter().map(Transfer::storage);
             assert!(storage.into_iter().any(|s| s == TransferStorage::Stencil));
             let mut csr =
-                Cycle::<T>::with_csr_transfers(a, &dia, interps.to_vec(), &options).expect("SPD");
+                Cycle::<T>::with_csr_transfers(&dia, interps.to_vec(), &options).expect("SPD");
             [&mut stencil, &mut csr].map(|cycle| {
                 let mut out = Vec::new();
                 for threads in [1, 2, 3] {
@@ -2416,5 +2587,77 @@ mod tests {
         assert_eq!(stencil.traffic::<f32>(), (flops, 4 * vectors));
         assert_eq!(stencil.traffic::<f64>(), (flops, 8 * vectors));
         assert_eq!(csr.traffic::<f32>(), (flops, 4 * vectors + 16 * entries as u64));
+    }
+
+    /// A hierarchy built on a lattice chain — products once per key, the
+    /// transfers never stored — is the hierarchy of the same exact
+    /// transfers given entry by entry, multiplied row by row: the same
+    /// storages and the same V-cycle bits on 1, 2 and 3 threads, on a
+    /// uniform 32 × 16 × 8 box (few keys, classes on level 0) and a graded
+    /// one (no two rows alike, a key per row).
+    #[test]
+    fn a_lattice_chain_is_the_hierarchy_of_its_transfers_given_entry_by_entry() {
+        let options = MultigridOptions::default();
+        let chain = [[33, 17, 9], [17, 9, 5], [9, 5, 3]];
+        for (name, power) in [("uniform", 1.0), ("graded", 1.3)] {
+            let (a, _) = tensor_problem(&tensor_grids(chain[0], power));
+            let fine = Arc::new(DiaMatrix::from_csr(&a).expect("a lattice stencil"));
+            let interps = chain[1..].iter().map(|&c| Interpolation::trilinear(c)).collect();
+            let mut lattice =
+                GeometricMultigrid::on_lattice_chain(Arc::clone(&fine), &chain, &options)
+                    .expect(name);
+            let mut stored =
+                GeometricMultigrid::from_diagonals(fine, interps, &options).expect(name);
+            assert_eq!(lattice.level_storage(), stored.level_storage(), "{name}");
+            assert_eq!(lattice.transfer_storage(), stored.transfer_storage(), "{name}");
+            let rhs = crate::dia::tests::awkward_vector(a.dim(), 17);
+            for threads in [1, 2, 3] {
+                let team = Team::new(threads);
+                let [got, want] = [&mut lattice, &mut stored].map(|mg| {
+                    let mut z = vec![f64::NAN; rhs.len()];
+                    mg.v_cycle(&mut VectorOps::on_team(&team), &rhs, &mut z);
+                    z.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+                });
+                assert!(got == want, "{name} on {threads} threads");
+            }
+        }
+    }
+
+    /// Lattice products of two matrices that are no Laplacians, each
+    /// `from_csr` of `galerkin_coarse` bit for bit.  Under a diagonal
+    /// matrix every fine row is one class, and only the position class
+    /// tells a low coarse row from a high one, which read their support
+    /// with mirrored weights: 27 keys.  A matrix that couples nodes two
+    /// apart along the first x-line is no lattice stencil — rows of one
+    /// class there reach different coarse columns, the last ones wrapping
+    /// onto the next line — so the first row of the first such key shows
+    /// it and the product runs row by row: a key per row.
+    #[test]
+    fn lattice_products_of_other_matrices_carry_the_bits_of_galerkin_coarse() {
+        let coarse = [5, 3, 3];
+        let fine = NestedLattices::over(coarse).fine;
+        let n = NestedLattices::nodes(fine);
+        let diagonal: Vec<Vec<f64>> = (0..n)
+            .map(|row| (0..n).map(|col| if row == col { 2.5 } else { 0.0 }).collect())
+            .collect();
+        let (laplacian, _) = tensor_problem(&tensor_grids(fine, 1.0));
+        let mut coupled: Vec<Vec<f64>> =
+            (0..n).map(|row| (0..n).map(|col| laplacian.get(row, col)).collect()).collect();
+        for (row, values) in coupled.iter_mut().enumerate().take(fine[0]) {
+            values[row + 2] = 0.125;
+        }
+        for (name, dense, keys) in [("diagonal", diagonal, 27), ("coupled", coupled, 45)] {
+            let a = CsrMatrix::from_dense(&dense);
+            let dia: DiaMatrix = DiaMatrix::from_csr(&a).expect("a few diagonals");
+            let want: DiaMatrix =
+                DiaMatrix::from_csr(&galerkin_coarse(&a, &Interpolation::trilinear(coarse)))
+                    .expect("a few diagonals");
+            let (got, got_keys) =
+                galerkin_on_lattices(&dia, &exact_row_classes(&dia), coarse).expect(name);
+            assert_eq!(got.offsets(), want.offsets(), "{name}");
+            let bits = |m: &DiaMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&got) == bits(&want), "{name}");
+            assert_eq!(got_keys.iter().max().map(|&k| k + 1), Some(keys), "{name}");
+        }
     }
 }

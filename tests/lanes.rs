@@ -36,6 +36,16 @@
 //! `0x835d_802a_a3f8_e189` with the `f32` V-cycle, before the first clone
 //! existed.)
 //!
+//! The goldens held, unedited, when the pressure hierarchy took the exact
+//! trilinear transfers and its Galerkin products moved onto the lattice.
+//! The coarse `f64` operators of these boxes moved, per level, by up to
+//! 4.5 and 7.3 `ε` of the row's largest entry (cavity) and 18.0 and 25.3
+//! `ε` (channel); the cycle's `f32` levels moved only in the quadrature
+//! noise below `ε_f32` of the row.  No bit of the four steps moved — state
+//! error 0, every step's momentum and Poisson iteration count as above —
+//! at baseline and at AVX2 lanes, on 1 and 2 threads, in the debug and in
+//! the release profile.
+//!
 //! Every golden was recorded with both solves at a 1e-10 relative
 //! residual, the stepper's default until the defaults moved to 1e-6; the
 //! runs here keep 1e-10 explicitly, so a change of the default tolerance

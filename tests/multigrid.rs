@@ -31,13 +31,13 @@ use alya_longvec::prelude::*;
 use lv_driver::{FaultKind, FaultPlan};
 use lv_kernel::{
     build_pressure_multigrid, pressure_interpolations, pressure_laplacian, MatrixFreeLaplacian,
-    NoHierarchy,
+    NoHierarchy, PressureOperators,
 };
 use lv_mesh::renumber::NodePermutation;
 use lv_solver::{
-    conjugate_gradient_on, galerkin_coarse, mg_preconditioned_cg_on, CsrMatrix, DiaMatrix,
-    GeometricMultigrid, Interpolation, LinearOperator, MultigridOptions, TransferStorage,
-    VectorOps,
+    conjugate_gradient_on, exact_row_classes, galerkin_coarse, galerkin_on_lattices,
+    mg_preconditioned_cg_on, CsrMatrix, DiaMatrix, GeometricMultigrid, Interpolation,
+    LinearOperator, MultigridOptions, TransferStorage, VectorOps,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -548,4 +548,165 @@ fn pressure_transfers_are_stencils_with_the_bits_of_their_csr_form() {
             assert!(got == want, "{name}: V-cycle on {threads} threads");
         }
     }
+}
+
+/// Bit patterns of a diagonal matrix's values.
+fn value_bits<T: Copy + Into<f64>>(values: &[T]) -> Vec<u64> {
+    values.iter().map(|&v| v.into().to_bits()).collect()
+}
+
+/// `got` and `want` store the same offsets and the same value bits.
+fn assert_same_diagonals(got: &DiaMatrix, want: &DiaMatrix, what: &str) {
+    assert_eq!(got.offsets(), want.offsets(), "{what}: offsets");
+    assert!(value_bits(got.values()) == value_bits(want.values()), "{what}: values");
+}
+
+/// The hierarchy a stepper builds on `scenario`'s mesh, level by level in
+/// `f64`, against the CSR path it replaced: level 0 — `K`'s diagonals
+/// pinned in place — is `DiaMatrix::from_csr` of the pinned CSR Laplacian,
+/// and every coarse level, computed once per key on the lattice, is
+/// `from_csr` of `galerkin_coarse` with the same exact `P`, bit for bit,
+/// offsets included.  Returns the distinct exact rows of level 0 and the
+/// keys of every coarse level.
+fn assert_the_lattice_chain_is_the_csr_chain(scenario: &Scenario) -> Vec<usize> {
+    let mesh = scenario.build_mesh();
+    let pins = scenario.pressure_pins(&mesh);
+    let what = format!("{} {}", scenario.kind.name(), scenario.resolution);
+    let operators = PressureOperators::new(&mesh, 32);
+    let mut dia = operators.pinned_laplacian(&pins);
+    let mut csr = operators.assemble_laplacian();
+    csr.pin_rows_symmetric(&pins);
+    let level_0 = DiaMatrix::from_csr(&csr).expect("a lattice stencil");
+    assert_same_diagonals(&dia, &level_0, &format!("{what} level 0"));
+    drop(level_0);
+    let mut classes = exact_row_classes(&dia);
+    let distinct = |classes: &[u32]| classes.iter().max().map_or(0, |&c| c as usize + 1);
+    let mut counts = vec![distinct(&classes)];
+    let options = MultigridOptions::default();
+    let chain = mesh.lattice().expect("a box lattice").coarsening_chain(options.max_coarse_nodes);
+    for (level, lattice) in chain.iter().enumerate().skip(1) {
+        let (coarse, keys) =
+            galerkin_on_lattices(&dia, &classes, lattice.points()).expect("27 diagonals");
+        csr = galerkin_coarse(&csr, &Interpolation::trilinear(lattice.points()));
+        let want = DiaMatrix::from_csr(&csr).expect("a lattice stencil");
+        assert_same_diagonals(&coarse, &want, &format!("{what} level {level}"));
+        counts.push(distinct(&keys));
+        (dia, classes) = (coarse, keys);
+    }
+    counts
+}
+
+/// The class-memoized products of the cavity, Taylor–Green and channel
+/// boxes at 8, 12 and 16 elements a side carry the CSR chain's bits on
+/// every level; the pinned fine level of the uniform boxes has 34 exact
+/// `f64` rows at every size (27 positions and the seven neighbours of the
+/// pin, whose coupling to it was zeroed), and each Galerkin level at most
+/// 34 keys.
+#[test]
+fn lattice_products_carry_the_bits_of_galerkin_coarse_with_the_exact_transfer() {
+    use ScenarioKind::{Channel, LidDrivenCavity, TaylorGreenVortex};
+    for kind in [LidDrivenCavity, TaylorGreenVortex, Channel] {
+        for resolution in [8, 12, 16] {
+            let counts =
+                assert_the_lattice_chain_is_the_csr_chain(&Scenario::new(kind, resolution));
+            if kind != Channel {
+                assert_uniform_counts(&counts, resolution);
+            }
+        }
+    }
+}
+
+/// A uniform box's pinned level 0 has 34 exact rows and each Galerkin
+/// level at most 34 keys.
+fn assert_uniform_counts(counts: &[usize], resolution: usize) {
+    assert_eq!(counts[0], 34, "{resolution}: {counts:?}");
+    assert!(counts[1..].iter().all(|&keys| keys <= 34), "{resolution}: {counts:?}");
+}
+
+/// [`lattice_products_carry_the_bits_of_galerkin_coarse_with_the_exact_transfer`]
+/// on the uniform boxes at 32 and 48 elements a side — the benchmark's
+/// size and a size whose spacing is no power of two — and
+/// [`the_exact_transfer_moves_the_coarse_operators_by_rounding_only`] there:
+/// nothing moves at 32³; at 48³ the `f64` levels move within 33.8 / 41.1 /
+/// 72.6 / 212.1 `ε` of the row's largest entry, the `f32` ones by
+/// quadrature noise only.  Release only (`cargo test --release --test
+/// multigrid -- --ignored`): the CSR chain it compares with takes minutes
+/// in the debug profile.
+#[test]
+#[ignore]
+fn lattice_products_carry_the_bits_of_galerkin_coarse_at_32_and_48() {
+    for kind in [ScenarioKind::LidDrivenCavity, ScenarioKind::TaylorGreenVortex] {
+        for resolution in [32, 48] {
+            let counts =
+                assert_the_lattice_chain_is_the_csr_chain(&Scenario::new(kind, resolution));
+            assert_uniform_counts(&counts, resolution);
+        }
+    }
+    let cavity = ScenarioKind::LidDrivenCavity;
+    assert!(coarse_movement(cavity, 32).iter().all(|&m| m == [0.0; 2]), "32³ moved");
+    let moved = coarse_movement(cavity, 48);
+    assert_eq!(moved.len(), 4);
+    for (level, ([wide, narrow], bound)) in moved.iter().zip([33.8, 41.1, 72.6, 212.1]).enumerate()
+    {
+        assert!(*wide > 0.0 && *wide <= bound, "48³ level {}: {wide} ε", level + 1);
+        assert!(*narrow < 1e-6, "48³ level {}: {narrow} ε_f32", level + 1);
+    }
+}
+
+/// Per coarse level, how far the hierarchy moved when its transfers went
+/// from the generator's coordinates to the exact trilinear stencil: the
+/// largest `|Δ|` of an `f64` entry in `ε` of its row's largest entry, and
+/// the same of the entries rounded to the cycle's `f32`, in `f32`'s `ε`.
+fn coarse_movement(kind: ScenarioKind, resolution: usize) -> Vec<[f64; 2]> {
+    let scenario = Scenario::new(kind, resolution);
+    let mesh = scenario.build_mesh();
+    let options = MultigridOptions::default();
+    let coordinate = pressure_interpolations(&mesh, &options).expect("a box lattice");
+    let laplacian = pressure_laplacian(&mesh, &scenario.pressure_pins(&mesh));
+    let chain = mesh.lattice().expect("a box lattice").coarsening_chain(options.max_coarse_nodes);
+    let (mut old, mut new) = (laplacian.clone(), laplacian);
+    let mut moved = Vec::new();
+    for (p, lattice) in coordinate.iter().zip(&chain[1..]) {
+        old = galerkin_coarse(&old, p);
+        new = galerkin_coarse(&new, &Interpolation::trilinear(lattice.points()));
+        assert_eq!(old.row_ptr(), new.row_ptr(), "{resolution}: the same pattern");
+        assert_eq!(old.col_idx(), new.col_idx(), "{resolution}: the same pattern");
+        let mut worst = [0.0f64; 2];
+        for row in 0..new.dim() {
+            let entries = new.row_ptr()[row]..new.row_ptr()[row + 1];
+            let scale = new.values()[entries.clone()].iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (a, b) in old.values()[entries.clone()].iter().zip(&new.values()[entries]) {
+                let narrow = f64::from(*a as f32) - f64::from(*b as f32);
+                worst[0] = worst[0].max((a - b).abs() / (scale * f64::EPSILON));
+                worst[1] = worst[1].max(narrow.abs() / (scale * f64::from(f32::EPSILON)));
+            }
+        }
+        moved.push(worst);
+    }
+    moved
+}
+
+/// Where the generator's spacing is no power of two its coordinates
+/// round, and so did the coordinate `P` the hierarchy interpolated with
+/// until the stepper took the exact stencil: the coarse `f64` operators
+/// move by that rounding, more with depth (each level is a product of the
+/// one above).  Pinned per level of the cavity, in `ε` of the row's largest
+/// entry: `f64` within 4.51 / 7.32 at 12³ and 25.9 / 21.4 / 12.94 at 24³.
+/// In the cycle's `f32` only the quadrature noise that stands for the
+/// trilinear Laplacian's exact zeros moves (below 10⁻⁶ `ε_f32` of the row),
+/// so the V-cycle of these boxes keeps its bits.  At 16³ the coordinate
+/// weights are exact already and nothing moves.
+#[test]
+fn the_exact_transfer_moves_the_coarse_operators_by_rounding_only() {
+    let cavity = ScenarioKind::LidDrivenCavity;
+    let bounds: [(usize, &[f64]); 2] = [(12, &[4.51, 7.32]), (24, &[25.9, 21.4, 12.94])];
+    for (resolution, bound) in bounds {
+        let moved = coarse_movement(cavity, resolution);
+        assert_eq!(moved.len(), bound.len(), "{resolution}³");
+        for (level, ([wide, narrow], bound)) in moved.iter().zip(bound).enumerate() {
+            assert!(*wide > 0.0 && wide <= bound, "{resolution}³ level {}: {wide} ε", level + 1);
+            assert!(*narrow < 1e-6, "{resolution}³ level {}: {narrow} ε_f32", level + 1);
+        }
+    }
+    assert!(coarse_movement(cavity, 16).iter().all(|&m| m == [0.0; 2]), "16³ moved");
 }
