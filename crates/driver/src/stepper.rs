@@ -7,26 +7,25 @@
 //! 1. **Predictor** — the semi-implicit momentum system
 //!    `(ν·K + C(u) + (ρ/Δt)·M)·Δu = −(ν·K + C(u))·u − g(p)`, assembled by
 //!    [`lv_kernel::assemble_momentum_on`] from only what the velocity
-//!    changes, in this order: the matrix is seeded with `ν·K` (the
-//!    stiffness [`lv_kernel::PressureOperators`] holds from set-up — the
-//!    un-pinned pressure Laplacian); the colored parallel sweep — chunks of
-//!    consecutive elements, colored against each other — adds the
-//!    convection matrices `C(u)` and nothing else (the mini-app's phases 2
-//!    and 5, a velocity-only phase 4, a phase 6 that integrates the matrix
-//!    in reference space from the inverse Jacobians held since set-up in a
-//!    [`lv_kernel::ConvectiveGeometry`], a matrix-only scatter; no phase 1,
-//!    3 or 7); one row pass takes the right-hand side off the finished
-//!    matrix, the weak pressure gradient `−∫ N_a ∂p/∂x_i` of the current
-//!    pressure included; then `(ρ/Δt)·M` (the consistent mass, also held
-//!    from set-up) is added — after the right-hand side, so `M·u` is never
-//!    formed.  Nothing is cached across steps or keyed on Δt.  Then
+//!    changes: a lattice gather — the convection element matrices `C(u)`
+//!    computed in mesh order from the inverse Jacobians held since set-up
+//!    ([`lv_kernel::ConvectiveGeometry`], one entry on an unjittered box;
+//!    the mini-app's phase 2 and one kernel for phases 4–6, no phase 1, 3
+//!    or 7), then every matrix row summed from `ν·K` (the stiffness
+//!    [`lv_kernel::PressureOperators`] holds from set-up — the un-pinned
+//!    pressure Laplacian) and its elements' entries in one fixed lattice
+//!    order, no colours; one row pass takes the right-hand side off the
+//!    finished matrix, the weak pressure gradient `−∫ N_a ∂p/∂x_i` of the
+//!    current pressure included; then `(ρ/Δt)·M` (the consistent mass, also
+//!    held from set-up) is added — after the right-hand side, so `M·u` is
+//!    never formed.  Nothing is cached across steps or keyed on Δt.  Then
 //!    Dirichlet rows, and the batched (three-column) pooled BiCGSTAB
 //!    momentum solve for the velocity increment → `u*`.  The matrix is born
 //!    where it is solved: every element of the mesh's lattice puts its
 //!    nodes at the same offsets from its first node, so the matrix lives on
 //!    at most 27 block-major diagonals ([`MomentumStorage::Dia`]), which the
-//!    seed, the sweep's scatter, the right-hand side and mass pass, the
-//!    Dirichlet rows and the solve all use, with no CSR copy anywhere.
+//!    gather, the right-hand side and mass pass, the Dirichlet rows and the
+//!    solve all use, with no CSR copy anywhere.
 //! 2. **Pressure Poisson** — `L φ = −(ρ/Δt) d(u*)` with the mesh-true
 //!    Laplacian — the stiffness `K` of [`lv_kernel::PressureOperators`] on
 //!    its diagonals, copied and symmetrically pinned per scenario in place
@@ -62,7 +61,7 @@
 //! [`Stepper::kinetic_energy`] stays the element quadrature, equal to
 //! rounding).
 //!
-//! Every kernel in the chain (the colored assembly sweep, the row-partitioned
+//! Every kernel in the chain (the assembly's lattice gather, the row-partitioned
 //! projection operators, pooled Krylov, fixed-order diagnostics) is bitwise
 //! reproducible across thread counts, so a whole trajectory is **bitwise
 //! identical for threads ∈ {1, 2, 4, …}** — which is
@@ -77,10 +76,10 @@
 //!
 //! A stepper is two parts.  The [`Discretization`] is what is a pure
 //! function of the scenario and the `VECTOR_SIZE` — the mesh, the assembly
-//! with its topology, colouring and chunks, the convective geometry, the
+//! with its topology and chunks, the convective geometry, the
 //! projection operators, the pinned Laplacian's level-0 diagonals and the
 //! multigrid hierarchy, the pins and `h` — and no step writes it: Δt goes
-//! to the sweep as an argument.  The rest is the run's own: the state, the
+//! to the gather as an argument.  The rest is the run's own: the state, the
 //! momentum matrix and right-hand sides, the work buffers, the fault plan,
 //! the stall detector and the V-cycle's vectors (a clone of the shared
 //! [`GeometricMultigrid`], which shares its levels).  [`Stepper::new`],
@@ -92,9 +91,9 @@
 use crate::fault::{FaultKind, FaultPlan};
 use crate::scenario::Scenario;
 use lv_kernel::{
-    assemble_momentum_on, build_pressure_multigrid_on_diagonals, solve_momentum_on,
-    weak_divergence_vector_norm, ConvectiveGeometry, ElementWorkspace, KernelConfig,
-    NastinAssembly, NoHierarchy, OptLevel, PressureOperators,
+    assemble_momentum_on, build_pressure_multigrid_on_diagonals, describe_gather,
+    solve_momentum_on, weak_divergence_vector_norm, ConvectiveGeometry, ElementWorkspace,
+    KernelConfig, NastinAssembly, NoHierarchy, OptLevel, PressureOperators,
 };
 use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
@@ -451,8 +450,8 @@ struct PoissonSystem {
 }
 
 /// The part of a stepper that is a pure function of the scenario and the
-/// `VECTOR_SIZE`: the mesh and its assembly (topology, colouring, chunks),
-/// the convective geometry, the projection operators (`K`, `M`, `C`), the
+/// `VECTOR_SIZE`: the mesh and its assembly (topology, chunks), the
+/// convective geometry, the projection operators (`K`, `M`, `C`), the
 /// pinned Laplacian's level-0 diagonals with the multigrid hierarchy built
 /// on them, the pressure pins and the characteristic length.  Nothing of
 /// it changes once it is built — a step writes only the stepper's own
@@ -465,9 +464,9 @@ pub struct Discretization {
     scenario: Scenario,
     vector_size: usize,
     assembly: NastinAssembly,
-    // What the convective sweep needs of the mesh — inverse Jacobians and
-    // `gpvol` per chunk and integration point — integrated once: the mesh
-    // does not move.
+    // What the convective gather needs of the mesh — inverse Jacobians and
+    // `gpvol` per integration point, of the reference element on an
+    // unjittered box — integrated once: the mesh does not move.
     geometry: ConvectiveGeometry,
     operators: PressureOperators,
     poisson: PoissonSystem,
@@ -698,7 +697,7 @@ impl Stepper {
         MomentumStorage::Dia { diagonals: self.matrix.offsets().len() }
     }
 
-    /// One line naming the assembly schedule and the operators this stepper
+    /// One line naming the assembly gather and the operators this stepper
     /// runs and why — what the examples print before the first step, so
     /// neither fallback is silent.
     pub fn describe_operators(&self) -> String {
@@ -712,21 +711,12 @@ impl Stepper {
             }
             Err(cause) => format!("cg (no multigrid hierarchy: {cause})"),
         };
-        // `4 colours × 64 chunks` when every colour holds as many, the total
-        // otherwise.
-        let schedule = self.shared.assembly.colored_chunks();
-        let (colours, chunks) = (schedule.num_colors(), schedule.num_chunks());
-        let even = (0..colours).all(|c| schedule.color_chunks(c).len() * colours == chunks);
-        let chunks = if even {
-            format!("{colours} colours × {} chunks", chunks / colours.max(1))
-        } else {
-            format!("{colours} colours, {chunks} chunks")
-        };
+        let gather = describe_gather(&self.shared.assembly, &self.shared.geometry);
         let operators = &self.shared.operators;
         let momentum =
             format!("{}; K, M: {}", self.momentum_storage(), operators.stiffness_source());
         format!(
-            "operators: assembly {chunks} | momentum {momentum} | gradient {} | pressure {pressure}",
+            "operators: assembly {gather} | momentum {momentum} | gradient {} | pressure {pressure}",
             operators.gradient_storage()
         )
     }
@@ -825,7 +815,7 @@ impl Stepper {
         let trace = team.trace();
         let step_start = Instant::now();
         let dt = self.checked_next_dt()?;
-        // The shared part is read-only: Δt goes to the sweep as an argument.
+        // The shared part is read-only: Δt goes to the gather as an argument.
         let shared = Arc::clone(&self.shared);
         let Discretization { scenario, assembly, geometry, operators, poisson, pins, .. } =
             &*shared;
@@ -850,7 +840,7 @@ impl Stepper {
 
         // --- 1. predictor: assemble + pressure force + Dirichlet ---------
         let phase = trace.map(|t| t.span(spans::ASSEMBLY, 0));
-        // ν·K, the convective-only sweep, the right-hand side as a product
+        // ν·K + C(u) by the lattice gather, the right-hand side as a product
         // of the finished matrix (−∇p force included), (ρ/Δt)·M — in place,
         // in the storage the solve reads.
         assemble_momentum_on(
@@ -867,8 +857,8 @@ impl Stepper {
         );
         assembly.apply_dirichlet(&mut self.matrix, &mut self.rhs);
         if let Some(s) = phase {
-            // The sweep reports its own model on `assembly/color_sweep`;
-            // this span carries the global passes around it.
+            // The gather reports its own model on `assembly/color_sweep`;
+            // this span carries the global passes after it.
             s.iters(1)
                 .flops(operators.momentum_pass_flops())
                 .bytes(operators.momentum_pass_bytes())
@@ -1388,24 +1378,26 @@ mod tests {
         let mut team = Team::with_trace(2, TraceConfig::default());
         stepper.step_on(&team).expect("step");
         let summary = RunSummary::from_trace(team.trace_mut().expect("traced team"));
-        // The sweep of a step runs phases 4 (velocity only), 5, the
-        // reference-space phase 6 over the resident geometry rows and a
-        // matrix-only scatter: its span carries that count, not the full
-        // mini-app's 9 600 flops and 1 472 bytes per element.
+        // The gather of a step runs phase 2, the fused phases 4–6 on the
+        // one geometry entry and the row sums onto `ν·K`: its span carries
+        // that count per element plus the seed's multiply and 16 bytes per
+        // matrix value, not the full mini-app's 9 600 flops and 1 472 bytes
+        // per element.
         let elements = stepper.mesh().num_elements() as u64;
+        let values = stepper.matrix.values().len() as u64;
         assert_eq!(
             summary.span("assembly/color_sweep").map(|s| (s.events, s.iters, s.flops, s.bytes)),
             Some((
                 1,
                 elements,
-                elements * lv_kernel::phases::convective_flops_per_element(),
-                elements * lv_kernel::phases::convective_bytes_per_element(),
+                elements * lv_kernel::phases::convective_flops_per_element() + values,
+                elements * lv_kernel::phases::convective_bytes_per_element() + 16 * values,
             ))
         );
         assert_eq!(lv_kernel::phases::convective_flops_per_element(), 2264);
-        assert_eq!(lv_kernel::phases::convective_bytes_per_element(), 2240);
-        // The phase span carries the three global passes around the sweep
-        // (ν·K fill, residual row pass, mass update) and only them.
+        assert_eq!(lv_kernel::phases::convective_bytes_per_element(), 1312);
+        // The phase span carries the global passes after the gather
+        // (residual row pass, mass update) and only them.
         let operators = stepper.operators();
         assert_eq!(
             summary.span("driver/assembly").map(|s| (s.events, s.flops, s.bytes)),

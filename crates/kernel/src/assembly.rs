@@ -15,43 +15,43 @@
 //! call, one slice kernel per phase for both schedules.  A time step does
 //! not need that: of `ν·K + C(u) + (ρ/Δt)·M` only the convection `C(u)`
 //! depends on the velocity, the elemental right-hand side is
-//! `−(ν·K + C(u))·u` of the matrix the sweep has just built, and the mesh
-//! does not move — its Jacobians are the same in every step.  [`assemble_convective_into_on`] is
-//! the sweep `lv_driver::Stepper` runs instead, on the same colored
-//! schedule: no coordinate gather and no phase 3 (the inverse Jacobians and
-//! `gpvol` of every chunk are integrated once into a [`ConvectiveGeometry`],
-//! [`convective_geometry`], and streamed from there), phase 2, a phase 4
-//! that interpolates only the velocity, phase 5, the convection matrix in
-//! reference space ([`phases::phase6_reference_convective_slices`]), no
-//! phase 7, a matrix-only scatter into the step's momentum matrix
-//! (block-major diagonals of the mesh's lattice,
-//! [`new_momentum_matrix`]) — inside [`crate::assemble_momentum_on`], which takes `K` and
-//! `M` from [`crate::PressureOperators`].  The
-//! eight-phase sweep stays public and untouched — it is what the paper
-//! measures, what `kernel/workload.rs` mirrors and what the `assembly_vs`
-//! benchmark times — and is the oracle of the step's path: same system up
-//! to the operation order (tests below: ≤ 4 ε of a row's largest entry in
-//! the matrix, ≤ 16 ε of `Σ|A||u| + Σ|c||p|` in the right-hand side).
+//! `−(ν·K + C(u))·u` of the matrix just built, and the mesh does not move —
+//! its Jacobians are the same in every step.  [`crate::assemble_momentum_on`]
+//! is what `lv_driver::Stepper` runs instead: a lattice gather
+//! ([`crate::momentum`]) — phases 2, 5, a velocity-only phase 4 and the
+//! convection matrix in reference space
+//! ([`phases::phase6_reference_convective_slices`]) from the geometry of
+//! [`convective_geometry`] (one entry on an unjittered box), no coordinate
+//! gather, no phase 3 or 7, no scatter — summed row by row onto `ν·K` in
+//! the step's momentum matrix (block-major diagonals of the mesh's
+//! lattice, [`new_momentum_matrix`]), with `K` and `M` from
+//! [`crate::PressureOperators`].  The eight-phase sweep stays public and
+//! untouched — it is what the paper measures, what `kernel/workload.rs`
+//! mirrors and what the `assembly_vs` benchmark times — and is the oracle
+//! of the step's path: same system up to the operation order (tests below:
+//! ≤ 4 ε of a row's largest entry in the matrix, ≤ 16 ε of
+//! `Σ|A||u| + Σ|c||p|` in the right-hand side).
 //!
 //! # The schedule
 //!
-//! Both colored sweeps run on [`ColoredChunks::mesh_order`]: the
-//! `VECTOR_SIZE` blocks of *consecutive* elements of the serial path,
-//! colored against each other.  The elements of a chunk are neighbours, so
-//! what one gathers and scatters the next finds in cache; the chunks of a
-//! color share no node, which `with_topology` asserts in debug builds
-//! because the lock-free scatter is sound only then.
+//! The colored sweep runs on [`ColoredChunks::mesh_order`], built on its
+//! first use: the `VECTOR_SIZE` blocks of *consecutive* elements of the
+//! serial path, colored against each other.  The elements of a chunk are
+//! neighbours, so what one gathers and scatters the next finds in cache;
+//! the chunks of a color share no node, which [`colored_chunks`] asserts
+//! in debug builds because the lock-free scatter is sound only then.
 //!
 //! [`assemble_into_slices`]: NastinAssembly::assemble_into_slices
 //! [`assemble_parallel_into_on`]: NastinAssembly::assemble_parallel_into_on
-//! [`assemble_convective_into_on`]: NastinAssembly::assemble_convective_into_on
+//! [`colored_chunks`]: NastinAssembly::colored_chunks
 //! [`convective_geometry`]: NastinAssembly::convective_geometry
 //! [`new_momentum_matrix`]: NastinAssembly::new_momentum_matrix
 
 use crate::config::KernelConfig;
 use crate::momentum::momentum_diagonals;
-use crate::parallel::{self, SweepMatrix};
+use crate::parallel;
 use crate::phases;
+use crate::projection::reference_corners;
 use crate::workspace::ElementWorkspace;
 use crate::{NDIME, PGAUS};
 use lv_mesh::chunks::ElementChunks;
@@ -60,7 +60,7 @@ use lv_mesh::quadrature::GaussRule;
 use lv_mesh::{ElementKind, Field, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_solver::{CsrMatrix, DiaMatrix};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Result of one assembly sweep over the mesh.
 #[derive(Debug, Clone)]
@@ -98,47 +98,62 @@ pub(crate) fn check_pattern(topology: &MeshTopology, matrix: &CsrMatrix) {
     debug_assert!(topology.has_pattern(matrix.row_ptr(), matrix.col_idx()));
 }
 
-/// The mesh's share of the step's convective sweep, integrated once: per
-/// chunk of the assembly's colored schedule and per integration point, the
-/// nine entries of `J⁻¹` and `gpvol` of every slot
-/// ([`phases::GEOMETRY_ROWS`] rows of `VECTOR_SIZE` values, slot-fastest —
-/// 640 bytes per element, read unit-stride by
-/// [`phases::phase6_reference_convective_slices`] in the order the sweep
-/// visits the chunks).  Per element rather than per element *class*, so a
-/// jittered mesh has one as well as a uniform box.
+/// What the step's convective gather reads of the mesh's geometry,
+/// integrated once: `J⁻¹` and `gpvol` at every integration point
+/// ([`phases::GEOMETRY_ROWS`] values each).  On an unjittered generator box
+/// every element is the reference element of the lattice — the one that
+/// gives `C`, `K` and `M` ([`crate::PressureOperators`]) — so the geometry
+/// is that element's one entry, 640 bytes for the whole mesh.  A jittered
+/// box (or a mesh with no lattice) keeps every element's values, element
+/// order, one row per value (640 bytes per element), read unit-stride by
+/// the chunks of consecutive elements the gather computes.
 ///
 /// Built by [`NastinAssembly::convective_geometry`] and valid for that
 /// assembly (its mesh, its `VECTOR_SIZE`) only; a time step hands it back
-/// through [`NastinAssembly::assemble_convective_into_on`].
+/// through [`crate::assemble_momentum_on`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvectiveGeometry {
-    vector_size: usize,
-    /// Per chunk of the schedule, by id: `[PGAUS][GEOMETRY_ROWS][vector_size]`.
-    /// One allocation per chunk, not one for the mesh: a 21 MB block that a
-    /// dropped stepper hands back to the OS is faulted in again by the next
-    /// one built — measured at 32³: +40 ms per set-up, three times what
-    /// filling the table costs — while chunk-sized blocks are recycled by
-    /// the allocator.
-    chunks: Vec<Vec<f64>>,
+    /// `[PGAUS][GEOMETRY_ROWS]` of the reference element, or per value `r`
+    /// the row `values[r·stride..]` of every element in element order.
+    values: Vec<f64>,
+    /// Distance between two rows of a per-element table (the element count
+    /// plus `VECTOR_SIZE`, so a padded last chunk reads inside its row); 0
+    /// for one entry.
+    stride: usize,
     singular_jacobians: usize,
 }
 
 impl ConvectiveGeometry {
-    /// The rows of chunk `chunk_id` of the schedule the table was built on.
-    pub(crate) fn chunk(&self, chunk_id: usize) -> &[f64] {
-        &self.chunks[chunk_id]
+    /// The geometry of the chunk of consecutive elements from `first` on.
+    pub(crate) fn slots(&self, first: usize) -> phases::SlotGeometry<'_> {
+        match self.stride {
+            0 => phases::SlotGeometry::Shared(&self.values),
+            stride => phases::SlotGeometry::PerSlot { rows: &self.values[first..], stride },
+        }
+    }
+
+    /// Whether the table serves chunks of `vector_size` over `elements`
+    /// elements.
+    pub(crate) fn fits(&self, elements: usize, vector_size: usize) -> bool {
+        self.stride == 0 || self.stride == elements + vector_size
+    }
+
+    /// Whether every element has an entry of its own (a jittered box), not
+    /// the one of the reference element.
+    pub(crate) fn per_element(&self) -> bool {
+        self.stride != 0
     }
 
     /// Slots (padding included) whose Jacobian is singular at some
-    /// integration point, counted per point — what every sweep over this
-    /// mesh used to find again; their inverse is stored as zero.
+    /// integration point, counted per point; their inverse is stored as
+    /// zero.
     pub fn singular_jacobians(&self) -> usize {
         self.singular_jacobians
     }
 
-    /// Resident size of the table in bytes.
+    /// Resident size in bytes.
     pub fn bytes(&self) -> usize {
-        self.chunks.iter().map(|rows| std::mem::size_of_val(rows.as_slice())).sum()
+        std::mem::size_of_val(self.values.as_slice())
     }
 }
 
@@ -169,7 +184,9 @@ pub struct NastinAssembly {
     config: KernelConfig,
     shape: ShapeTable,
     chunks: ElementChunks,
-    colored: ColoredChunks,
+    /// The mini-app's colored schedule, built on the first colored sweep:
+    /// a time step colours nothing.
+    colored: OnceLock<ColoredChunks>,
     topology: Arc<MeshTopology>,
 }
 
@@ -200,15 +217,7 @@ impl NastinAssembly {
         let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
         assert!(topology.fits(&mesh), "the topology was built for another mesh");
         let chunks = ElementChunks::new(&mesh, config.vector_size);
-        // The same blocks, colored against each other (least-populated
-        // allowed color, so the per-color chunk counts stay even and the
-        // parallel sweep's trailing chunks do not idle workers).
-        let colored = ColoredChunks::mesh_order(&mesh, config.vector_size);
-        // The `unsafe` scatter of the colored sweeps is sound only if the
-        // chunks of a color share no node — now that the slots *of* a chunk
-        // do, nothing weaker than the schedule's own validation says so.
-        debug_assert!(colored.validate(&mesh).is_empty(), "{:?}", colored.validate(&mesh));
-        NastinAssembly { mesh, config, shape, chunks, colored, topology }
+        NastinAssembly { mesh, config, shape, chunks, colored: OnceLock::new(), topology }
     }
 
     /// The mesh the kernel operates on.
@@ -330,7 +339,6 @@ impl NastinAssembly {
         assert_eq!(rhs.len(), NDIME * self.mesh.num_nodes());
         self.clear_system(matrix, rhs);
         let partial = parallel::colored_sweep(
-            parallel::Sweep::Full,
             team,
             &self.mesh,
             &self.topology,
@@ -338,9 +346,9 @@ impl NastinAssembly {
             &self.config,
             velocity,
             pressure,
-            &self.colored,
+            self.colored_chunks(),
             workspaces,
-            SweepMatrix::Csr(matrix),
+            matrix,
             rhs,
         );
         AssemblyStats {
@@ -351,112 +359,45 @@ impl NastinAssembly {
         }
     }
 
-    /// Integrates the geometry of the convective sweep once: phase 1 and
-    /// the Jacobian kernel of phase 3 over every chunk of the colored
-    /// schedule, one serial vectorised pass.  Explicit, not part of
-    /// [`new`](Self::new): only a caller that steps
-    /// ([`assemble_convective_into_on`](Self::assemble_convective_into_on))
-    /// needs the table, and it is 640 bytes per element to keep resident.
+    /// Integrates the geometry of the step's convective gather once
+    /// ([`ConvectiveGeometry`]): the Jacobian kernel of phase 3 on the
+    /// reference element of an unjittered box's lattice, or phase 1 and
+    /// that kernel over every mesh-order chunk otherwise, one serial
+    /// vectorised pass.  Explicit, not part of [`new`](Self::new): only a
+    /// caller that steps ([`assemble_momentum_on`](crate::assemble_momentum_on))
+    /// needs it.
     pub fn convective_geometry(&self) -> ConvectiveGeometry {
-        let vector_size = self.config.vector_size;
-        let mut workspace = ElementWorkspace::new(vector_size);
+        let rows = PGAUS * phases::GEOMETRY_ROWS;
+        if let Some(lattice) = self.mesh.lattice().filter(|lattice| !lattice.jittered) {
+            let mut workspace = ElementWorkspace::new(1);
+            let v = workspace.views_mut();
+            for (x, x_a) in v.elcod.chunks_exact_mut(NDIME).zip(reference_corners(lattice)) {
+                x.copy_from_slice(&x_a);
+            }
+            let mut values = vec![0.0; rows];
+            let singular_jacobians = phases::phase3_geometry_slices(&self.shape, &v, &mut values);
+            return ConvectiveGeometry { values, stride: 0, singular_jacobians };
+        }
+        let vs = self.config.vector_size;
+        let stride = self.mesh.num_elements() + vs;
+        let mut workspace = ElementWorkspace::new(vs);
+        let (mut values, mut chunk_rows) = (vec![0.0; rows * stride], vec![0.0; rows * vs]);
         let mut singular_jacobians = 0;
-        let chunks = (0..self.colored.num_chunks())
-            .map(|chunk_id| {
-                let mut rows = vec![0.0; PGAUS * phases::GEOMETRY_ROWS * vector_size];
-                let mut v = workspace.views_mut();
-                phases::phase1_gather_coords_slices(
-                    &self.mesh,
-                    &self.colored.slots(chunk_id),
-                    &mut v,
-                );
-                singular_jacobians += phases::phase3_geometry_slices(&self.shape, &v, &mut rows);
-                rows
-            })
-            .collect();
-        ConvectiveGeometry { vector_size, chunks, singular_jacobians }
+        for chunk in &self.chunks {
+            let mut v = workspace.views_mut();
+            phases::phase1_gather_coords_slices(&self.mesh, chunk, &mut v);
+            singular_jacobians += phases::phase3_geometry_slices(&self.shape, &v, &mut chunk_rows);
+            for (r, chunk_row) in chunk_rows.chunks_exact(vs).enumerate() {
+                values[r * stride + chunk.first_element..][..chunk.len]
+                    .copy_from_slice(&chunk_row[..chunk.len]);
+            }
+        }
+        ConvectiveGeometry { values, stride, singular_jacobians }
     }
 
-    /// The sweep of a time step: **adds** the convective element matrices
-    /// `C(u)_ab = ∫ ρ (N_a + τ (u·∇)N_a) (u·∇)N_b` to `matrix` on the
-    /// colored schedule — phase 2, a phase 4 that interpolates only the
-    /// velocity, 5, the reference-space phase 6 over the chunk's rows of
-    /// `geometry` and a matrix-only scatter.  No coordinate gather and no
-    /// phase 3 (`geometry` holds what they would recompute), no phase 7, no
-    /// elemental right-hand side: the viscous and mass blocks do not depend
-    /// on the velocity ([`PressureOperators`](crate::PressureOperators)
-    /// holds them) and the right-hand side is a row product of the finished
-    /// matrix ([`assemble_momentum_on`](crate::assemble_momentum_on) is the
-    /// whole sequence).  `matrix` is not zeroed — the caller seeds it with
-    /// `ν·K`.  It is scattered into through the mesh's one element diagonal
-    /// table, every entry receiving its additions in (color, chunk, slot)
-    /// order.  The step's `dt` is an argument, not the configuration's: the
-    /// assembly is never mutated by a step, so steppers of any Δt history
-    /// can share one.
-    ///
-    /// What it adds is, to a few ε of a row's largest entry, what phase 6
-    /// contributes inside
-    /// [`assemble_parallel_into_on`](Self::assemble_parallel_into_on) — the
-    /// paper's sweep, which stays the oracle of this one — and bitwise
-    /// identical for every worker count.
-    ///
-    /// # Panics
-    /// Panics on an explicit-scheme configuration (there is no element
-    /// matrix to assemble), if `dt` is not positive, if `matrix` is not on
-    /// this mesh's diagonals
-    /// ([`new_momentum_matrix`](Self::new_momentum_matrix)), or if
-    /// `geometry` was not built by
-    /// [`convective_geometry`](Self::convective_geometry) of an assembly
-    /// with this schedule.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble_convective_into_on(
-        &self,
-        team: &lv_runtime::Team,
-        geometry: &ConvectiveGeometry,
-        dt: f64,
-        velocity: &VectorField,
-        pressure: &Field,
-        matrix: &mut DiaMatrix,
-        workspaces: &mut [ElementWorkspace],
-    ) -> AssemblyStats {
-        assert!(
-            self.config.semi_implicit,
-            "the convective-only sweep assembles the semi-implicit element matrix"
-        );
-        assert!(dt > 0.0, "time step must be positive");
-        let config = KernelConfig { dt, ..self.config };
-        assert!(
-            geometry.vector_size == self.config.vector_size
-                && geometry.chunks.len() == self.colored.num_chunks(),
-            "the geometry table was built for another chunk schedule"
-        );
-        let table = momentum_diagonals(&self.topology)
-            .filter(|table| {
-                matrix.dim() == self.mesh.num_nodes() && matrix.offsets() == table.offsets()
-            })
-            .expect(
-                "the matrix does not have this mesh's sparsity pattern (use `new_momentum_matrix`)",
-            );
-        let partial = parallel::colored_sweep(
-            parallel::Sweep::Convective(geometry),
-            team,
-            &self.mesh,
-            &self.topology,
-            &self.shape,
-            &config,
-            velocity,
-            pressure,
-            &self.colored,
-            workspaces,
-            SweepMatrix::Diagonals(matrix, table),
-            &mut [],
-        );
-        AssemblyStats {
-            chunks: partial.chunks,
-            elements: partial.elements,
-            singular_jacobians: geometry.singular_jacobians,
-            flops: (partial.elements as u64 * phases::convective_flops_per_element()) as f64,
-        }
+    /// The shape functions and derivatives at the Gauss points.
+    pub(crate) fn shape(&self) -> &ShapeTable {
+        &self.shape
     }
 
     /// The node graph and slot map the sweeps scatter through — pass it to
@@ -468,10 +409,25 @@ impl NastinAssembly {
         &self.topology
     }
 
-    /// The colored chunk schedule of the parallel paths: the blocks of
-    /// [`chunks`](Self::chunks), colored against each other.
+    /// The colored chunk schedule of the mini-app's parallel sweep: the
+    /// blocks of [`chunks`](Self::chunks), colored against each other
+    /// (least-populated allowed color, so the per-color chunk counts stay
+    /// even and the sweep's trailing chunks do not idle workers).  Built on
+    /// first use.
     pub fn colored_chunks(&self) -> &ColoredChunks {
-        &self.colored
+        self.colored.get_or_init(|| {
+            let colored = ColoredChunks::mesh_order(&self.mesh, self.config.vector_size);
+            // The `unsafe` scatter of the colored sweep is sound only if the
+            // chunks of a color share no node — now that the slots *of* a
+            // chunk do, nothing weaker than the schedule's own validation
+            // says so.
+            debug_assert!(
+                colored.validate(&self.mesh).is_empty(),
+                "{:?}",
+                colored.validate(&self.mesh)
+            );
+            colored
+        })
     }
 
     /// Applies Dirichlet boundary conditions to an assembled system: wall,
@@ -844,11 +800,11 @@ mod tests {
 
     /// The oracle of [`step_system`]: the paper's eight phases through the
     /// accessor phases of `phases::oracle`, mesh-order chunk by chunk, then
-    /// the weak pressure gradient.  Each phase integrates the coordinates
-    /// the step's integral of the same term does: the convection (phases
-    /// 3–6) each element's own, as the step's resident geometry; the
-    /// viscous and mass terms (phase 7, after phases 3 and 4 again) on an
-    /// unjittered box the reference element's, as the step's `K` and `M`.
+    /// the weak pressure gradient.  Every phase integrates the coordinates
+    /// the step's integrals do: on an unjittered box the reference
+    /// element's — the step's convection reads the reference element's one
+    /// geometry entry, its `K` and `M` are that element's class stencils —
+    /// and each element's own on a jittered box.
     fn oracle_system(
         team: &lv_runtime::Team,
         asm: &NastinAssembly,
@@ -869,11 +825,6 @@ mod tests {
         for chunk in &asm.chunks {
             ws.reset();
             oracle::phase1_gather_coords(&asm.mesh, chunk, &mut ws);
-            oracle::phase2_gather_unknowns(&asm.mesh, v, p, chunk, &mut ws);
-            assert_eq!(oracle::phase3_jacobian(&asm.shape, chunk, &mut ws), 0);
-            oracle::phase4_gauss_values(&asm.shape, chunk, &mut ws);
-            oracle::phase5_stabilization(&asm.config, h_char, chunk, &mut ws);
-            oracle::phase6_convective(&asm.shape, &asm.config, chunk, &mut ws);
             if let Some(x) = &reference {
                 for ivect in 0..chunk.vector_size {
                     for (inode, x_a) in x.iter().enumerate() {
@@ -882,9 +833,12 @@ mod tests {
                         }
                     }
                 }
-                oracle::phase3_jacobian(&asm.shape, chunk, &mut ws);
-                oracle::phase4_gauss_values(&asm.shape, chunk, &mut ws);
             }
+            oracle::phase2_gather_unknowns(&asm.mesh, v, p, chunk, &mut ws);
+            assert_eq!(oracle::phase3_jacobian(&asm.shape, chunk, &mut ws), 0);
+            oracle::phase4_gauss_values(&asm.shape, chunk, &mut ws);
+            oracle::phase5_stabilization(&asm.config, h_char, chunk, &mut ws);
+            oracle::phase6_convective(&asm.shape, &asm.config, chunk, &mut ws);
             oracle::phase7_viscous(&asm.shape, &asm.config, chunk, &mut ws);
             oracle::phase8_scatter(&asm.mesh, &asm.config, chunk, &ws, &mut matrix, &mut rhs);
         }
@@ -964,14 +918,16 @@ mod tests {
     fn step_system_matches_the_eight_phase_oracle_to_a_row_wise_epsilon_bound() {
         // Another operation order of the same integrals (the viscous and
         // mass entries summed at set-up, the convection integrated in
-        // reference space from the resident inverse Jacobians, the
+        // reference space and summed row by row by the lattice gather, the
         // right-hand side a row product of rounded matrix entries).
         // The oracle integrates each term from the coordinates the step's
-        // integral does (see `oracle_system`).  Measured worst cases over
-        // the meshes, vector sizes and both time steps below: 2.7 ε of the
-        // row's largest entry in the matrix; 8.4 ε of Σ|A||u| + Σ|c||p| in
-        // the right-hand side (the 10³ box at Δt = 0.1; 0.7 ε at
-        // Δt = 0.013, where the mass block dominates the scale).
+        // integral does (see `oracle_system`); with the convection on each
+        // element's own coordinates the 10³ box reads 4.83 ε in the matrix.
+        // Measured worst cases over the meshes, vector sizes and both time
+        // steps below: 2.74 ε of the row's largest entry in the matrix;
+        // 6.74 ε of Σ|A||u| + Σ|c||p| in the right-hand side (the 10³ box at
+        // Δt = 0.1; 0.61 ε at Δt = 0.013, where the mass block dominates the
+        // scale).
         const MATRIX_EPSILONS: f64 = 4.0;
         const RHS_EPSILONS: f64 = 16.0;
         let team = lv_runtime::Team::new(2);
@@ -1016,6 +972,7 @@ mod tests {
                         deviation_in_row_epsilons(&ops, &fields, &reused, &oracle);
                     assert!(in_matrix <= MATRIX_EPSILONS, "{what}: matrix off by {in_matrix} eps");
                     assert!(in_rhs <= RHS_EPSILONS, "{what}: rhs off by {in_rhs} eps");
+                    println!("{what}: matrix {in_matrix:.2} eps, rhs {in_rhs:.2} eps");
                 }
             }
         }
@@ -1037,87 +994,85 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "semi-implicit")]
-    fn convective_sweep_rejects_the_explicit_scheme() {
-        let mesh = cavity(3);
-        let (v, p) = state(&mesh);
-        let config = KernelConfig::new(16, OptLevel::Vec1).explicit_scheme();
-        let asm = NastinAssembly::new(mesh, config);
+    /// `assemble_momentum_on` with the given pieces, from fresh storage.
+    fn step_with(asm: &NastinAssembly, geometry: &ConvectiveGeometry, matrix: &mut DiaMatrix) {
+        let mesh = asm.mesh();
+        let (v, p) = state(mesh);
+        let ops = crate::PressureOperators::with_topology(mesh, asm.topology().clone());
+        let mut rhs = vec![0.0; NDIME * mesh.num_nodes()];
+        let mut workspaces = vec![ElementWorkspace::new(asm.config().vector_size)];
         let team = lv_runtime::Team::new(1);
-        let mut workspaces = vec![ElementWorkspace::new(16)];
-        let geometry = asm.convective_geometry();
-        asm.assemble_convective_into_on(
+        crate::assemble_momentum_on(
             &team,
-            &geometry,
+            asm,
+            geometry,
+            &ops,
             0.01,
             &v,
             &p,
-            &mut asm.new_momentum_matrix(),
+            matrix,
+            &mut rhs,
             &mut workspaces,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "semi-implicit")]
+    fn momentum_assembly_rejects_the_explicit_scheme() {
+        let config = KernelConfig::new(16, OptLevel::Vec1).explicit_scheme();
+        let asm = NastinAssembly::new(cavity(3), config);
+        step_with(&asm, &asm.convective_geometry(), &mut asm.new_momentum_matrix());
     }
 
     #[test]
     #[should_panic(expected = "sparsity pattern")]
-    fn convective_sweep_rejects_a_foreign_pattern() {
-        let mesh = cavity(3);
-        let (v, p) = state(&mesh);
-        let asm = NastinAssembly::new(mesh, KernelConfig::new(16, OptLevel::Vec1));
+    fn momentum_assembly_rejects_a_foreign_pattern() {
+        let asm = NastinAssembly::new(cavity(3), KernelConfig::new(16, OptLevel::Vec1));
         let other = NastinAssembly::new(cavity(2), KernelConfig::new(16, OptLevel::Vec1));
-        let team = lv_runtime::Team::new(1);
-        let mut workspaces = vec![ElementWorkspace::new(16)];
-        let geometry = asm.convective_geometry();
-        asm.assemble_convective_into_on(
-            &team,
-            &geometry,
-            0.01,
-            &v,
-            &p,
-            &mut other.new_momentum_matrix(),
-            &mut workspaces,
-        );
+        step_with(&asm, &asm.convective_geometry(), &mut other.new_momentum_matrix());
     }
 
     #[test]
-    #[should_panic(expected = "another chunk schedule")]
-    fn convective_sweep_rejects_the_geometry_of_another_schedule() {
-        let mesh = cavity(3);
-        let (v, p) = state(&mesh);
-        let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(16, OptLevel::Vec1));
-        let other = NastinAssembly::new(mesh, KernelConfig::new(8, OptLevel::Vec1));
-        let team = lv_runtime::Team::new(1);
-        let mut workspaces = vec![ElementWorkspace::new(16)];
-        let geometry = other.convective_geometry();
-        asm.assemble_convective_into_on(
-            &team,
-            &geometry,
-            0.01,
-            &v,
-            &p,
-            &mut asm.new_momentum_matrix(),
-            &mut workspaces,
-        );
+    #[should_panic(expected = "another assembly")]
+    fn momentum_assembly_rejects_the_geometry_of_another_assembly() {
+        let asm = NastinAssembly::new(cavity(3), KernelConfig::new(16, OptLevel::Vec1));
+        let other = NastinAssembly::new(cavity(3), KernelConfig::new(8, OptLevel::Vec1));
+        step_with(&asm, &other.convective_geometry(), &mut asm.new_momentum_matrix());
     }
 
     #[test]
-    fn geometry_table_holds_640_bytes_per_slot_and_counts_collapsed_elements() {
-        // 27 elements in two chunks of 16: five padding slots replicate the
-        // last element.
+    fn geometry_is_one_entry_on_a_box_and_a_row_per_value_otherwise() {
+        // 27 elements at VS 16: a jittered box keeps every element's 80
+        // values, each row padded by a chunk; an unjittered one keeps the
+        // reference element's 80.
         let mesh = cavity(3);
         let asm = NastinAssembly::new(mesh.clone(), KernelConfig::new(16, OptLevel::Vec1));
         let geometry = asm.convective_geometry();
-        assert_eq!(geometry.bytes(), 2 * 16 * 640);
+        assert!(geometry.per_element());
+        assert_eq!(geometry.bytes(), PGAUS * phases::GEOMETRY_ROWS * (27 + 16) * 8);
         assert_eq!(geometry.singular_jacobians(), 0);
-        assert!(geometry.chunks.iter().flatten().all(|x| x.is_finite()));
+        assert!(geometry.values.iter().all(|x| x.is_finite()));
         // `gpvol` of an element's eight points sums to its volume.
-        let chunk = geometry.chunk(0);
-        for (slot, &elem) in asm.colored_chunks().slots(0).elements.iter().enumerate() {
+        let phases::SlotGeometry::PerSlot { rows, stride } = geometry.slots(0) else {
+            panic!("a jittered box has a row per value");
+        };
+        for elem in 0..27 {
             let volume: f64 = (0..PGAUS)
-                .map(|g| chunk[(g * phases::GEOMETRY_ROWS + NDIME * NDIME) * 16 + slot])
+                .map(|g| rows[(g * phases::GEOMETRY_ROWS + NDIME * NDIME) * stride + elem])
                 .sum();
             assert!((volume - mesh.element_volume(elem)).abs() < 1e-12);
         }
+        let boxed = BoxMeshBuilder::new(3, 3, 3).lid_driven_cavity().build();
+        let geometry =
+            NastinAssembly::new(boxed, KernelConfig::new(16, OptLevel::Vec1)).convective_geometry();
+        assert!(!geometry.per_element());
+        assert_eq!(geometry.bytes(), 640);
+        let phases::SlotGeometry::Shared(entry) = geometry.slots(5) else {
+            panic!("an unjittered box has one entry");
+        };
+        let volume: f64 =
+            (0..PGAUS).map(|g| entry[g * phases::GEOMETRY_ROWS + NDIME * NDIME]).sum();
+        assert!((volume - 1.0 / 27.0).abs() < 1e-15);
         // An element collapsed to a point is singular at every integration
         // point; its inverse is stored as zero, not as infinities.
         let mut coords = mesh.coords().to_vec();
@@ -1135,7 +1090,42 @@ mod tests {
         let asm = NastinAssembly::new(collapsed, KernelConfig::new(16, OptLevel::Vec1));
         let geometry = asm.convective_geometry();
         assert!(geometry.singular_jacobians() >= PGAUS);
-        assert!(geometry.chunks.iter().flatten().all(|x| x.is_finite()));
+        assert!(geometry.values.iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn the_geometry_entry_lies_within_the_element_tables_spread() {
+        // The reference element's `J⁻¹` and `gpvol` against the table of
+        // every element's own coordinates (the same box without its
+        // lattice): per value and integration point within the elements'
+        // range widened by `n·ε` of its magnitude.  Measured: inside the
+        // range on every box.
+        let mut worst = 0.0f64;
+        for (name, mesh) in &crate::projection::unjittered_boxes() {
+            let n = mesh.lattice().expect("a generated box").dims.into_iter().max().unwrap();
+            let config = KernelConfig::new(16, OptLevel::Vec1);
+            let entry = NastinAssembly::new(mesh.clone(), config).convective_geometry();
+            let tags = (0..mesh.num_nodes()).map(|a| mesh.boundary_tag(a)).collect();
+            let (coords, connectivity) = (mesh.coords().to_vec(), mesh.connectivity().to_vec());
+            let h = mesh.characteristic_length();
+            let own = Mesh::from_raw(ElementKind::Hex8, coords, connectivity, tags, h);
+            let table = NastinAssembly::new(own, config).convective_geometry();
+            let (
+                phases::SlotGeometry::Shared(entry),
+                phases::SlotGeometry::PerSlot { rows, stride },
+            ) = (entry.slots(0), table.slots(0))
+            else {
+                panic!("{name}: one entry, and a table without the lattice");
+            };
+            let values = (0..mesh.num_elements()).flat_map(|e| {
+                entry
+                    .iter()
+                    .enumerate()
+                    .map(move |(r, &x)| (r, x, rows[r * stride + e], rows[r * stride + e]))
+            });
+            worst = worst.max(crate::projection::assert_within_class_spread(name, n, values));
+        }
+        println!("geometry entry beyond the elements' range: {worst:.2} n·ε");
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //!   A time step (`lv_driver::Stepper`) assembles through
 //!   [`assemble_momentum_on`] instead: the viscous and mass blocks held from
 //!   set-up ([`PressureOperators`]; on an unjittered box written from the
-//!   class stencils of one reference element), a convective-only colored
-//!   sweep over
-//!   the mesh's resident inverse Jacobians ([`ConvectiveGeometry`]) and the
-//!   right-hand side as one row product, into a momentum matrix born on
-//!   the diagonals of the mesh's lattice — the eight-phase sweep is its
-//!   oracle;
+//!   class stencils of one reference element), the convection as a lattice
+//!   gather — element matrices from the mesh's inverse Jacobians
+//!   ([`ConvectiveGeometry`], one entry on an unjittered box), summed row
+//!   by row onto `ν·K`, no colours — and the right-hand side as one row
+//!   product, into a momentum matrix born on the diagonals of the mesh's
+//!   lattice ([`momentum`]) — the eight-phase sweep is its oracle;
 //! * the **simulated path** ([`workload`] + [`miniapp`]) describes the same
 //!   eight phases as `lv-compiler` loop nests — per code variant — and feeds
 //!   the generated instruction streams to the `lv-sim` machine, producing the
@@ -70,7 +70,7 @@ pub use matrixfree::{
     MatrixFreeLaplacian, NoHierarchy,
 };
 pub use miniapp::{MiniAppRun, SimulatedMiniApp};
-pub use momentum::{assemble_momentum_on, solve_momentum_on, MomentumSolve};
+pub use momentum::{assemble_momentum_on, describe_gather, solve_momentum_on, MomentumSolve};
 pub use projection::{
     pressure_laplacian, weak_divergence_vector_norm, GradientStorage, PressureOperators,
     StiffnessSource,

@@ -1,4 +1,5 @@
-//! Mesh-colored multi-threaded assembly on the shared worker pool.
+//! Mesh-colored multi-threaded assembly on the shared worker pool: the
+//! paper's eight phases, scattered into a CSR matrix.
 //!
 //! The parallel sweep processes the colors of a [`ColoredChunks`] schedule
 //! sequentially and the chunks *within* a color concurrently: the coloring
@@ -11,33 +12,16 @@
 //! phases on its chunks.  The sweep runs as **one job on an
 //! [`lv_runtime::Team`]** — the persistent pool the Krylov solvers share —
 //! with [`Team::barrier`] separating the colors (every scatter of color `c`
-//! must land before any chunk of color `c+1` starts).  A time-step loop
-//! spawns its workers once and reuses them for every assembly *and* every
-//! solve.  The unsafe disjoint-row scatter is isolated in the two sinks,
-//! which only these sweeps use, with the coloring invariant spelled out:
-//! `MatrixSink` adds an element row to a CSR matrix through the
-//! element→CSR slot map, `DiagonalSink` to a block-major
-//! [`DiaMatrix`] through the mesh's one `(a, b) → diagonal` table
-//! ([`ElementDiagonals`], 64 entries, no per-element map).  The projection
-//! operators accumulate their set-up integrals serially, in mesh order, in
-//! safe code.
+//! must land before any chunk of color `c+1` starts).  The unsafe
+//! disjoint-row scatter is isolated in `MatrixSink`, which adds an element
+//! row to a CSR matrix through the element→CSR slot map, with the coloring
+//! invariant spelled out.  The `assembly/color_sweep` span charges the
+//! sweep the structural 9 600 flops and 1 472 bytes per element.
 //!
-//! ## Two sweeps, one schedule
-//!
-//! `colored_sweep` is written once over a `Sweep`: the paper's eight
-//! phases with the elemental right-hand side and matrix scattered
-//! (`Sweep::Full`, [`NastinAssembly::assemble_parallel_into_on`]), or the
-//! time step's convective-only selection — no coordinate gather and no
-//! phase 3 (the chunk's rows of a resident [`ConvectiveGeometry`] instead),
-//! velocity-only phase 4, the reference-space phase 6, no phase 7,
-//! matrix-only scatter, no right-hand side at all (`Sweep::Convective`,
-//! [`NastinAssembly::assemble_convective_into_on`]), into the step's
-//! diagonal momentum matrix.  Schedule, worker split, barriers and the
-//! scatter with its release-build bounds check are shared; the
-//! `assembly/color_sweep` span charges each sweep the flops and bytes of the
-//! phases it ran (the structural 9 600 / 1 472 per element for the full one,
-//! [`phases::convective_flops_per_element`] /
-//! [`phases::convective_bytes_per_element`] for the step's).
+//! This is the mini-app's sweep ([`NastinAssembly::assemble_parallel_into_on`]):
+//! what `assembly_vs` times and the oracle of the time step.  A time step
+//! colours nothing — on its lattice the element sums become a gather
+//! ([`crate::momentum`]).
 //!
 //! The schedule is [`ColoredChunks::mesh_order`]: chunks of consecutive
 //! elements colored against each other.  The slots of a chunk share nodes
@@ -47,7 +31,6 @@
 //! all the disjoint-row invariant below needs.
 //!
 //! [`NastinAssembly::assemble_parallel_into_on`]: crate::NastinAssembly::assemble_parallel_into_on
-//! [`NastinAssembly::assemble_convective_into_on`]: crate::NastinAssembly::assemble_convective_into_on
 //!
 //! ## Determinism
 //!
@@ -62,17 +45,14 @@
 //! largest entry), not bit for bit — the same trade every
 //! colored/atomic-free assembly makes (OP2, Alya's own OpenMP path).
 
-use crate::assembly::ConvectiveGeometry;
 use crate::config::KernelConfig;
 use crate::phases;
 use crate::workspace::ElementWorkspace;
 use crate::{NDIME, PNODE};
 use lv_mesh::coloring::ColoredChunks;
-use lv_mesh::{ElementDiagonals, Field, Mesh, MeshTopology, ShapeTable, VectorField};
+use lv_mesh::{Field, Mesh, MeshTopology, ShapeTable, VectorField};
 use lv_runtime::{for_each_share, partition, Team};
-use lv_solver::dia::value_position;
-use lv_solver::{CsrMatrix, DiaMatrix};
-
+use lv_solver::CsrMatrix;
 /// Order-of-magnitude model of the assembly work per element: 8 Gauss
 /// points × 8 nodes across the seven numeric phases.  Used only for the
 /// telemetry roofline (a fixed structural count, deterministic across
@@ -81,26 +61,6 @@ pub(crate) const ASSEMBLY_FLOPS_PER_ELEMENT: u64 = 9_600;
 /// Bytes moved per element by the gather + scatter phases (coordinates,
 /// unknowns, the 8×8 block and the RHS), same modeling caveat as above.
 pub(crate) const ASSEMBLY_BYTES_PER_ELEMENT: u64 = 1_472;
-
-/// Which phases a colored sweep runs on each chunk.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Sweep<'a> {
-    /// The paper's eight phases, elemental right-hand side and matrix
-    /// scattered.
-    Full,
-    /// The time step's convective-only selection over the resident geometry
-    /// of the schedule's chunks: the element matrices of `C(u)` and nothing
-    /// else.
-    Convective(&'a ConvectiveGeometry),
-}
-
-/// The matrix a colored sweep scatters into.
-pub(crate) enum SweepMatrix<'a> {
-    /// CSR on the node graph, through the element→CSR slot map.
-    Csr(&'a mut CsrMatrix),
-    /// Block-major diagonals, through the mesh's element diagonal table.
-    Diagonals(&'a mut DiaMatrix, &'a ElementDiagonals),
-}
 
 /// Per-worker partial assembly statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -176,91 +136,16 @@ impl<'a> MatrixSink<'a> {
     }
 }
 
-/// A `Sync` raw-pointer view of a [`DiaMatrix`]'s value array that
-/// colored-sweep workers add element rows to concurrently: entry `(a, b)`
-/// of an element lands on row `node_a`, diagonal `index[PNODE·a + b]` of
-/// the mesh's [`ElementDiagonals`] — 64 positions for every element,
-/// checked once here instead of a slot map per element.
-///
-/// # Safety invariant
-///
-/// That of [`MatrixSink`]: concurrent users write disjoint rows.  The
-/// positions of one row ([`value_position`] of that row and a diagonal) are
-/// the row's alone, so disjoint rows are disjoint values.
-pub(crate) struct DiagonalSink<'a> {
-    n: usize,
-    diagonals: usize,
-    table: &'a ElementDiagonals,
-    values: *mut f64,
-}
-
-// SAFETY: the raw pointer is only dereferenced under the disjoint-row
-// invariant documented on the type; `table` is a shared reference to data
-// nobody mutates, and `n`, `diagonals` are plain integers.
-unsafe impl Sync for DiagonalSink<'_> {}
-
-impl<'a> DiagonalSink<'a> {
-    /// The sink of `matrix` through `table`.
-    ///
-    /// # Panics
-    /// Panics if `matrix` is not stored on `table`'s diagonals or the table
-    /// is not one of `PNODE × PNODE` entries on them — the bounds every
-    /// write relies on.
-    pub(crate) fn new(matrix: &'a mut DiaMatrix, table: &'a ElementDiagonals) -> Self {
-        assert_eq!(
-            matrix.offsets(),
-            table.offsets(),
-            "the momentum matrix is not stored on this mesh's diagonals"
-        );
-        let diagonals = table.offsets().len();
-        assert!(
-            table.index().len() == PNODE * PNODE
-                && table.index().iter().all(|&k| (k as usize) < diagonals),
-            "the element diagonal table does not fit the matrix"
-        );
-        let n = matrix.dim();
-        assert_eq!(matrix.values().len(), n * diagonals);
-        DiagonalSink { n, diagonals, table, values: matrix.values_mut().as_mut_ptr() }
-    }
-
-    /// Adds row `inode` of an element's matrix to matrix row `row`.
-    ///
-    /// # Panics
-    /// Panics if `row` is not a row of the matrix.
-    ///
-    /// # Safety
-    /// As [`MatrixSink::scatter_row`]: the caller must own `row`.
-    #[inline]
-    unsafe fn scatter_row(&self, row: usize, inode: usize, values: impl IntoIterator<Item = f64>) {
-        assert!(row < self.n, "row {row} outside the matrix");
-        let index = &self.table.index()[inode * PNODE..(inode + 1) * PNODE];
-        for (&k, value) in index.iter().zip(values) {
-            let position = value_position(self.n, self.diagonals, k as usize, row);
-            // SAFETY: `row < n` and `k < diagonals` (checked at
-            // construction), so `position < n·diagonals`, the length of the
-            // value array; the row is not concurrently written (caller
-            // contract).
-            unsafe { *self.values.add(position) += value };
-        }
-    }
-}
-
 /// The global system (matrix + RHS) the assembly workers scatter into,
 /// under the ownership contract of [`MatrixSink`]: a worker owns the RHS
 /// entries of the nodes whose rows it owns.
 struct SharedSystem<'a> {
-    matrix: Sink<'a>,
+    matrix: MatrixSink<'a>,
     rhs: *mut f64,
 }
 
-/// Where the element matrices of a sweep go: one of the two sinks.
-enum Sink<'a> {
-    Csr(MatrixSink<'a>),
-    Diagonals(DiagonalSink<'a>),
-}
-
 // SAFETY: `rhs` is only dereferenced under the disjoint-node invariant of
-// [`MatrixSink`]; both sinks are `Sync`.
+// [`MatrixSink`]; the sink is `Sync`.
 unsafe impl Sync for SharedSystem<'_> {}
 
 impl SharedSystem<'_> {
@@ -279,10 +164,9 @@ impl SharedSystem<'_> {
 
 /// Phase 8 against the shared system: identical traversal to
 /// [`phases::phase8_scatter_slices`], writing through the disjoint-row view.
-/// `FULL` is the paper's scatter (elemental right-hand side and matrix);
-/// without it only the matrix rows go out.  Slots are scattered in order,
-/// so the elements of a chunk may share rows with each other.
-fn scatter_shared<const FULL: bool>(
+/// Slots are scattered in order, so the elements of a chunk may share rows
+/// with each other.
+fn scatter_shared(
     mesh: &Mesh,
     topology: &MeshTopology,
     config: &KernelConfig,
@@ -293,49 +177,31 @@ fn scatter_shared<const FULL: bool>(
     for iv in 0..vs {
         let Some(elem) = v.element_ids[iv] else { continue };
         let nodes = mesh.element_nodes(elem);
-        // Only a CSR sink reads the slot map (built on its first use).
-        let slots = match &system.matrix {
-            Sink::Csr(_) => topology.csr_slots(mesh, elem),
-            Sink::Diagonals(_) => &[],
-        };
+        let slots = topology.csr_slots(mesh, elem);
         for (inode, &node_a) in nodes.iter().enumerate() {
             let node_a = node_a as usize;
-            if FULL {
-                for idime in 0..NDIME {
-                    // SAFETY: this worker owns every node of its chunk
-                    // within the current color (coloring invariant).
-                    unsafe {
-                        system.add_rhs(
-                            NDIME * node_a + idime,
-                            v.elrbu[(inode * NDIME + idime) * vs + iv],
-                        )
-                    };
-                }
+            for idime in 0..NDIME {
+                // SAFETY: this worker owns every node of its chunk within
+                // the current color (coloring invariant).
+                unsafe {
+                    system
+                        .add_rhs(NDIME * node_a + idime, v.elrbu[(inode * NDIME + idime) * vs + iv])
+                };
             }
             if config.semi_implicit {
                 let row = (0..PNODE).map(|jnode| v.elauu[(inode * PNODE + jnode) * vs + iv]);
+                let slots = &slots[inode * PNODE..(inode + 1) * PNODE];
                 // SAFETY: as above — row `node_a` belongs to this worker.
-                unsafe {
-                    match &system.matrix {
-                        Sink::Csr(sink) => sink.scatter_row(
-                            node_a,
-                            &slots[inode * PNODE..(inode + 1) * PNODE],
-                            row,
-                        ),
-                        Sink::Diagonals(sink) => sink.scatter_row(node_a, inode, row),
-                    }
-                };
+                unsafe { system.matrix.scatter_row(node_a, slots, row) };
             }
         }
     }
 }
 
-/// Runs the slice-view phases of `sweep` plus the shared scatter for chunk
-/// `chunk_id` of `schedule`; returns the singular Jacobians phase 3 met (the
-/// convective selection runs no phase 3: its geometry carries the count).
+/// Runs the eight slice-view phases plus the shared scatter for chunk
+/// `chunk_id` of `schedule`; returns the singular Jacobians phase 3 met.
 #[allow(clippy::too_many_arguments)]
 fn assemble_chunk_shared(
-    sweep: Sweep<'_>,
     mesh: &Mesh,
     shape: &ShapeTable,
     config: &KernelConfig,
@@ -351,31 +217,15 @@ fn assemble_chunk_shared(
     let slots = schedule.slots(chunk_id);
     ws.reset();
     let mut v = ws.views_mut();
-    match sweep {
-        Sweep::Full => {
-            phases::phase1_gather_coords_slices(mesh, &slots, &mut v);
-            phases::phase2_gather_unknowns_slices(mesh, velocity, pressure, &slots, &mut v);
-            let singular = phases::phase3_jacobian_slices(shape, &mut v);
-            phases::phase4_gauss_values_slices(shape, &mut v);
-            phases::phase5_stabilization_slices(config, h_char, &mut v);
-            phases::phase6_convective_slices(shape, config, &mut v);
-            phases::phase7_viscous_slices(shape, config, &mut v);
-            scatter_shared::<true>(mesh, topology, config, &v, system);
-            singular
-        }
-        Sweep::Convective(geometry) => {
-            // No coordinate gather, hence no phase 1 to note which slots
-            // hold an element: without the ids the scatter skips them all.
-            phases::phase1_element_ids_slices(&slots, &mut v);
-            phases::phase2_gather_unknowns_slices(mesh, velocity, pressure, &slots, &mut v);
-            phases::phase4_gauss_velocity_slices(shape, &mut v);
-            phases::phase5_stabilization_slices(config, h_char, &mut v);
-            let rows = geometry.chunk(chunk_id);
-            phases::phase6_reference_convective_slices(shape, config, rows, &mut v);
-            scatter_shared::<false>(mesh, topology, config, &v, system);
-            0
-        }
-    }
+    phases::phase1_gather_coords_slices(mesh, &slots, &mut v);
+    phases::phase2_gather_unknowns_slices(mesh, velocity, pressure, &slots, &mut v);
+    let singular = phases::phase3_jacobian_slices(shape, &mut v);
+    phases::phase4_gauss_values_slices(shape, &mut v);
+    phases::phase5_stabilization_slices(config, h_char, &mut v);
+    phases::phase6_convective_slices(shape, config, &mut v);
+    phases::phase7_viscous_slices(shape, config, &mut v);
+    scatter_shared(mesh, topology, config, &v, system);
+    singular
 }
 
 /// The colored parallel sweep on a worker team: processes every color of
@@ -385,17 +235,10 @@ fn assemble_chunk_shared(
 /// The number of assembling workers is `min(team.num_threads(),
 /// workspaces.len())`; surplus team ranks only keep the color barriers
 /// balanced.  `matrix` and `rhs` are scattered into without zeroing — the
-/// caller owns the lifecycle.
-///
-/// [`Sweep::Full`] runs the paper's eight phases into a CSR `matrix`;
-/// [`Sweep::Convective`] is the time step's sweep, which adds the elemental
-/// convection matrices to a diagonal `matrix` and has no right-hand
-/// side (`rhs` must be empty).  Either way
-/// the `assembly/color_sweep` span carries the model of the phases that
-/// ran.
+/// caller owns the lifecycle.  The `assembly/color_sweep` span carries the
+/// model of the eight phases.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn colored_sweep(
-    sweep: Sweep<'_>,
     team: &Team,
     mesh: &Mesh,
     topology: &MeshTopology,
@@ -405,26 +248,16 @@ pub(crate) fn colored_sweep(
     pressure: &Field,
     schedule: &ColoredChunks,
     workspaces: &mut [ElementWorkspace],
-    matrix: SweepMatrix<'_>,
+    matrix: &mut CsrMatrix,
     rhs: &mut [f64],
 ) -> WorkerStats {
     assert!(!workspaces.is_empty(), "the parallel sweep needs at least one workspace");
-    let full = matches!(sweep, Sweep::Full);
-    assert_eq!(rhs.len(), if full { NDIME * mesh.num_nodes() } else { 0 });
+    assert_eq!(rhs.len(), NDIME * mesh.num_nodes());
     for ws in workspaces.iter() {
         assert_eq!(ws.vector_size(), schedule.vector_size());
     }
     let h_char = mesh.characteristic_length();
-    let matrix = match matrix {
-        SweepMatrix::Csr(matrix) => Sink::Csr(MatrixSink::new(matrix)),
-        SweepMatrix::Diagonals(matrix, table) => {
-            assert!(!full, "the eight-phase sweep assembles CSR");
-            assert_eq!(matrix.dim(), mesh.num_nodes(), "the momentum matrix has another dimension");
-            Sink::Diagonals(DiagonalSink::new(matrix, table))
-        }
-    };
-    let system = SharedSystem { matrix, rhs: rhs.as_mut_ptr() };
-
+    let system = SharedSystem { matrix: MatrixSink::new(matrix), rhs: rhs.as_mut_ptr() };
     let mut stats = WorkerStats::default();
     let num_workers = team.num_threads().min(workspaces.len());
     let num_colors = schedule.num_colors();
@@ -461,7 +294,7 @@ pub(crate) fn colored_sweep(
                 let share = partition(chunk_ids.len(), num_workers, rank);
                 for chunk_id in chunk_ids.start + share.start..chunk_ids.start + share.end {
                     partial.singular_jacobians += assemble_chunk_shared(
-                        sweep, mesh, shape, config, h_char, velocity, pressure, schedule, chunk_id,
+                        mesh, shape, config, h_char, velocity, pressure, schedule, chunk_id,
                         topology, ws, &system,
                     );
                     partial.chunks += 1;
@@ -482,14 +315,9 @@ pub(crate) fn colored_sweep(
         stats.singular_jacobians += partial.singular_jacobians;
     }
     if let Some(s) = sweep_span {
-        let (flops, bytes) = if full {
-            (ASSEMBLY_FLOPS_PER_ELEMENT, ASSEMBLY_BYTES_PER_ELEMENT)
-        } else {
-            (phases::convective_flops_per_element(), phases::convective_bytes_per_element())
-        };
         s.iters(stats.elements as u64)
-            .flops(stats.elements as u64 * flops)
-            .bytes(stats.elements as u64 * bytes)
+            .flops(stats.elements as u64 * ASSEMBLY_FLOPS_PER_ELEMENT)
+            .bytes(stats.elements as u64 * ASSEMBLY_BYTES_PER_ELEMENT)
             .aux(num_colors as u64)
             .finish();
     }

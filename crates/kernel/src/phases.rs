@@ -49,35 +49,33 @@
 //!
 //! # The time step's phases
 //!
-//! `lv_driver::Stepper` assembles only the convection matrix per step (see
-//! [`crate::assembly`]), on a mesh that does not move.  Its sweep runs
-//! phases 2 and 5 as they are, notes the element ids without gathering a
-//! coordinate ([`phase1_element_ids_slices`]) and has three kernels of its
-//! own:
+//! `lv_driver::Stepper` assembles only the convection matrix per step, as a
+//! lattice gather (see [`crate::momentum`]), on a mesh that does not move.
+//! Per chunk of consecutive elements it runs phase 2 as it is and one
+//! kernel of its own; the geometry comes from [`phase3_geometry_slices`],
+//! once at set-up:
 //!
-//! * [`phase3_geometry_slices`], once at set-up: the inverse Jacobians and
-//!   `gpvol` of a chunk into a [`crate::ConvectiveGeometry`] table, from
-//!   the strip kernel phase 3 itself is written over (`jacobian_strip` —
-//!   one expression tree, two consumers);
-//! * [`phase4_gauss_velocity_slices`]: `gpvel` only — `gpgve` feeds nothing
-//!   but the elemental right-hand side.  Not a second copy: phase 4 has one
-//!   `#[inline(always)]` body with a `const` switch, instantiated twice —
-//!   the full instantiation compiles to the loops it had before the switch
-//!   existed, the reduced one writes, bit for bit, the full one's `gpvel`;
-//! * [`phase6_reference_convective_slices`]: the element matrix integrated
-//!   in reference space from the table's rows — the velocity pulled back
-//!   through `J⁻¹` instead of every shape derivative pushed forward into
-//!   `gpcar`, two operations per entry instead of five.  Another operation
-//!   order, so not the bits of phase 6: the matrix-only instantiation of the
-//!   phase-6 body (same `const`-switch pattern, `#[cfg(test)]` now) is the
-//!   oracle it is held to, entry by entry, to a stated ε-bound.
+//! * [`phase3_geometry_slices`]: the inverse Jacobians and `gpvol` of a
+//!   chunk, from the strip kernel phase 3 itself is written over
+//!   (`jacobian_strip` — one expression tree, two consumers) — of the one
+//!   reference element on an unjittered box, of every element on a
+//!   jittered one ([`crate::ConvectiveGeometry`]);
+//! * [`phase6_reference_convective_slices`]: phases 4–6 fused strip by
+//!   strip — the velocity and `τ` of phases 4 and 5, bit for bit, and the
+//!   element matrix integrated in reference space from a [`SlotGeometry`]:
+//!   the velocity pulled back through `J⁻¹` instead of every shape
+//!   derivative pushed forward into `gpcar`, each entry summed over the
+//!   integration points in registers and written once, straight into the
+//!   gather's element-matrix window.  Another operation order, so not the
+//!   bits of phase 6: phase 6's `elauu` is the oracle it is held to, entry
+//!   by entry, to a stated ε-bound.
 //!
 //! The oracle has no reduced form: the full slice phases are checked
 //! against it, the step's against the full.
 //!
 //! # The host's lanes
 //!
-//! Phases 3–7 of the slice path and the step's three kernels — every loop
+//! Phases 3–7 of the slice path and the step's two kernels — every loop
 //! of them unit-stride over `ivect` — are multiversioned with
 //! [`lv_runtime::multiversion!`]: each body is compiled once at the build's baseline target features and once
 //! as an `avx2` clone, and `phaseN_*_slices` enters the copy
@@ -173,24 +171,16 @@ const STRIP: usize = 16;
 /// is smaller in magnitude is singular.
 const SINGULAR_DETERMINANT: f64 = 1e-300;
 
-/// Work A of phase 1 on its own: the element id of every slot, `None` for
-/// padding — what phase 8's validity check reads.  A sweep that takes its
-/// geometry from a [`crate::ConvectiveGeometry`] gathers no coordinates and
-/// calls this instead of phase 1: without it every slot is padding and the
-/// scatter adds nothing.
-pub fn phase1_element_ids_slices(slots: &impl SlotMap, v: &mut WorkspaceViewsMut) {
-    debug_assert_eq!(v.vs, slots.vector_size());
-    for (iv, id) in v.element_ids.iter_mut().enumerate() {
-        *id = slots.element(iv);
-    }
-}
-
 /// Phase 1, slice path: gather element connectivity and nodal coordinates.
-/// Work A (slot bookkeeping, [`phase1_element_ids_slices`]) and work B (the
+/// Work A (slot bookkeeping: the element id of every slot, `None` for
+/// padding — what phase 8's validity check reads) and work B (the
 /// coordinate gather) stay split, as in the paper's VEC1 loop distribution.
 pub fn phase1_gather_coords_slices(mesh: &Mesh, slots: &impl SlotMap, v: &mut WorkspaceViewsMut) {
     let vs = v.vs;
-    phase1_element_ids_slices(slots, v);
+    debug_assert_eq!(vs, slots.vector_size());
+    for (iv, id) in v.element_ids.iter_mut().enumerate() {
+        *id = slots.element(iv);
+    }
     // Work B: coordinate gather (indexed reads from the global mesh arrays,
     // strided writes into the slot-fastest elcod rows).
     let coords = mesh.coords();
@@ -381,9 +371,9 @@ fn phase3_jacobian_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) -> usize 
     singular
 }
 
-/// Rows of `VECTOR_SIZE` values a chunk of a [`crate::ConvectiveGeometry`]
-/// holds per integration point: the nine entries of `J⁻¹` (row
-/// `j * NDIME + i` is `∂ξ_j/∂x_i`), then `gpvol`.
+/// Values of an element's geometry per integration point, as a
+/// [`crate::ConvectiveGeometry`] holds them: the nine entries of `J⁻¹`
+/// (entry `j * NDIME + i` is `∂ξ_j/∂x_i`), then `gpvol`.
 pub const GEOMETRY_ROWS: usize = NDIME * NDIME + 1;
 
 lv_runtime::multiversion! {
@@ -438,32 +428,18 @@ lv_runtime::multiversion! {
     /// Phase 4, slice path: velocity and velocity gradient at the integration
     /// points — pure unit-stride multiply-accumulate rows.
     pub fn phase4_gauss_values_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut)
-        = phase4_gauss_values_body::<true>, at phase4_gauss_values_slices_at;
+        = phase4_gauss_values_body, at phase4_gauss_values_slices_at;
 }
 
-lv_runtime::multiversion! {
-    /// Phase 4 of the step's convective-only sweep: the velocity at the
-    /// integration points and nothing else — `gpvel` bit for bit as
-    /// [`phase4_gauss_values_slices`] writes it, `gpgve` (which only the
-    /// elemental right-hand side reads) left untouched.
-    pub fn phase4_gauss_velocity_slices(shape: &ShapeTable, v: &mut WorkspaceViewsMut)
-        = phase4_gauss_values_body::<false>, at phase4_gauss_velocity_slices_at;
-}
-
-/// The one phase-4 body: `GRADIENT` selects the paper's phase (`gpvel` and
-/// `gpgve`) or its velocity-only reduction; the switch is a constant, so
-/// each instantiation compiles to its own straight loops.
 #[inline(always)]
-fn phase4_gauss_values_body<const GRADIENT: bool>(shape: &ShapeTable, v: &mut WorkspaceViewsMut) {
+fn phase4_gauss_values_body(shape: &ShapeTable, v: &mut WorkspaceViewsMut) {
     let vs = v.vs;
     for igaus in 0..PGAUS {
         let funcs = shape.functions(igaus);
         for i in 0..NDIME {
             row_mut(v.gpvel, igaus * NDIME + i, vs).fill(0.0);
-            if GRADIENT {
-                for j in 0..NDIME {
-                    row_mut(v.gpgve, (igaus * NDIME + i) * NDIME + j, vs).fill(0.0);
-                }
+            for j in 0..NDIME {
+                row_mut(v.gpgve, (igaus * NDIME + i) * NDIME + j, vs).fill(0.0);
             }
         }
         for inode in 0..PNODE {
@@ -474,13 +450,11 @@ fn phase4_gauss_values_body<const GRADIENT: bool>(shape: &ShapeTable, v: &mut Wo
                 for (g, &ua) in gv.iter_mut().zip(u) {
                     *g += n_a * ua;
                 }
-                if GRADIENT {
-                    for j in 0..NDIME {
-                        let car = row(v.gpcar, (igaus * PNODE + inode) * NDIME + j, vs);
-                        let gg = row_mut(v.gpgve, (igaus * NDIME + i) * NDIME + j, vs);
-                        for ((g, &ca), &ua) in gg.iter_mut().zip(car).zip(u) {
-                            *g += ca * ua;
-                        }
+                for j in 0..NDIME {
+                    let car = row(v.gpcar, (igaus * PNODE + inode) * NDIME + j, vs);
+                    let gg = row_mut(v.gpgve, (igaus * NDIME + i) * NDIME + j, vs);
+                    for ((g, &ca), &ua) in gg.iter_mut().zip(car).zip(u) {
+                        *g += ca * ua;
                     }
                 }
             }
@@ -558,117 +532,185 @@ lv_runtime::multiversion! {
         shape: &ShapeTable,
         config: &KernelConfig,
         v: &mut WorkspaceViewsMut,
-    ) = phase6_convective_body::<true>, at phase6_convective_slices_at;
+    ) = phase6_convective_body, at phase6_convective_slices_at;
 }
 
-/// The matrix-only instantiation of phase 6 — the elemental matrix
-/// `vol·ρ·(N_a + τ·(u·∇)N_a)·(u·∇)N_b` from `gpcar`, into a zeroed `elauu`
-/// bit for bit what [`phase6_convective_slices`] adds to it.  It was the
-/// step's phase 6 until [`phase6_reference_convective_slices`] took the
-/// same integrals in reference space; it stays as the oracle that kernel is
-/// held to entry by entry.
-#[cfg(test)]
-fn phase6_convective_matrix_oracle(
-    shape: &ShapeTable,
-    config: &KernelConfig,
-    v: &mut WorkspaceViewsMut,
-) {
-    phase6_convective_body::<false>(shape, config, v)
+/// Where the reference-space phase 6 reads `J⁻¹` and `gpvol` of its slots:
+/// [`GEOMETRY_ROWS`] values per integration point — the nine entries of
+/// `J⁻¹` (entry `j * NDIME + i` is `∂ξ_j/∂x_i`), then `gpvol`.
+#[derive(Debug, Clone, Copy)]
+pub enum SlotGeometry<'a> {
+    /// One entry for every slot, `[PGAUS][GEOMETRY_ROWS]`: every element is
+    /// the same hexahedron (an unjittered generator box).
+    Shared(&'a [f64]),
+    /// One row per value, slot-fastest: value `r = igaus * GEOMETRY_ROWS +
+    /// entry` of slot `k` at `rows[r * stride + k]`.
+    PerSlot {
+        /// The rows, from the block's first slot on.
+        rows: &'a [f64],
+        /// Distance between two rows (at least `VECTOR_SIZE`).
+        stride: usize,
+    },
 }
 
 lv_runtime::multiversion! {
-    /// Phase 6 of the step's convective-only sweep, in reference space: adds
-    /// the elemental convection matrix
-    /// `∫ ρ·(N_a + τ·(u·∇)N_a)·(u·∇)N_b` to `elauu` from the chunk's rows of
-    /// a [`crate::ConvectiveGeometry`] (`geometry`:
-    /// `[PGAUS][GEOMETRY_ROWS][VECTOR_SIZE]`, read front to back) — no
-    /// `gpcar`, no `elrbu`.
+    /// Phases 4–6 of the time step, fused strip by strip and in reference
+    /// space: from the unknowns phase 2 gathered, **writes** the elemental
+    /// convection matrix `∫ ρ·(N_a + τ·(u·∇)N_a)·(u·∇)N_b` of the first
+    /// `slots` slots to `out` (entry `(a, b)` of slot `k` at
+    /// `out[(PNODE·a + b)·stride + k]`, overwritten, never read), with the
+    /// inverse Jacobians and `gpvol` of `geometry` — no workspace array but
+    /// `elvel` is read or written, and the padding of a short chunk is
+    /// neither computed nor stored.
     ///
+    /// Per strip of [`STRIP`] slots and integration point: the velocity
+    /// `Σ_a N_a·u_a` and `τ`, as phases 4 and 5 form them (same operations,
+    /// same order: the same bits as their `gpvel`, `gpadv` and `tau`); then
     /// `(u·∇)N_b = Σ_i u_i Σ_j ∂N_b/∂ξ_j·J⁻¹_ji = Σ_j ∂N_b/∂ξ_j·â_j` with
-    /// `â = J⁻¹·u`: the velocity is pulled back once per integration point
-    /// (three rows) and every node's convection is three constants of the
-    /// shape table times those rows.  The test-function weight
-    /// `w_a = vol·ρ·(N_a + τ·(u·∇)N_a)` is formed once per node, so an entry
-    /// of the matrix costs one product and one sum.  The same integrals as
-    /// the `gpcar` formulation in another operation order: equal to it to a
-    /// few ε of an element matrix's largest entry (tests below), not bit for
-    /// bit, and like every multiversioned kernel the same bits at both widths.
+    /// `â = J⁻¹·u` — the velocity pulled back once instead of every shape
+    /// derivative pushed forward into `gpcar` — and the test-function weight
+    /// `w_a = vol·ρ·(N_a + τ·(u·∇)N_a)`, kept for all eight points (16 KiB,
+    /// in L1); then every entry `Σ_g w_a·(u·∇)N_b` summed over the points in
+    /// registers and stored once.  The same integrals as phase 6 in another
+    /// operation order: equal to it to a few ε of an element matrix's
+    /// largest entry (tests below), not bit for bit, and like every
+    /// multiversioned kernel the same bits at both widths.
+    #[allow(clippy::too_many_arguments)]
     pub fn phase6_reference_convective_slices(
         shape: &ShapeTable,
         config: &KernelConfig,
-        geometry: &[f64],
-        v: &mut WorkspaceViewsMut,
+        h_char: f64,
+        geometry: SlotGeometry<'_>,
+        v: &WorkspaceViewsMut,
+        slots: usize,
+        out: &mut [f64],
+        stride: usize,
     ) = phase6_reference_convective_body, at phase6_reference_convective_slices_at;
 }
 
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn phase6_reference_convective_body(
     shape: &ShapeTable,
     config: &KernelConfig,
-    geometry: &[f64],
-    v: &mut WorkspaceViewsMut,
+    h_char: f64,
+    geometry: SlotGeometry<'_>,
+    v: &WorkspaceViewsMut,
+    slots: usize,
+    out: &mut [f64],
+    stride: usize,
 ) {
     let vs = v.vs;
-    assert_eq!(geometry.len(), PGAUS * GEOMETRY_ROWS * vs);
-    let rho = config.density;
-    let (conv, rest) = v.scratch.split_at_mut(PNODE * vs);
-    let (pulled_back, rest) = rest.split_at_mut(NDIME * vs);
-    let (vol_rho, rest) = rest.split_at_mut(vs);
-    let weight_a = &mut rest[..vs];
-    for igaus in 0..PGAUS {
-        let funcs = shape.functions(igaus);
-        let derivs = shape.derivatives(igaus);
-        let geometry = &geometry[igaus * GEOMETRY_ROWS * vs..(igaus + 1) * GEOMETRY_ROWS * vs];
-        let vol = &row(geometry, NDIME * NDIME, vs)[..vs];
-        let tau = &row(v.tau, igaus, vs)[..vs];
-        let adv = [0, 1, 2].map(|i| row(v.gpadv, igaus * NDIME + i, vs));
-        // â_j = Σ_i u_i·J⁻¹_ji: row j of the inverse dotted with the velocity.
-        for j in 0..NDIME {
-            advect(row_mut(pulled_back, j, vs), adv, geometry, j * NDIME, vs);
-        }
-        {
-            let a0 = &row(pulled_back, 0, vs)[..vs];
-            let a1 = &row(pulled_back, 1, vs)[..vs];
-            let a2 = &row(pulled_back, 2, vs)[..vs];
-            for node in 0..PNODE {
-                let [d0, d1, d2] = derivs.d[node];
-                let conv_b = &mut row_mut(conv, node, vs)[..vs];
-                for k in 0..vs {
+    assert!(slots <= vs && stride >= slots && out.len() >= (PNODE * PNODE - 1) * stride + slots);
+    let (nu, rho, inv_dt) = (config.viscosity, config.density, 1.0 / config.dt);
+    // Lanes past `sl` see zero velocity and are never stored.
+    let mut s0 = 0usize;
+    while s0 < slots {
+        let sl = STRIP.min(slots - s0);
+        let strip = |a: &[f64]| {
+            let mut lanes = [0.0f64; STRIP];
+            lanes[..sl].copy_from_slice(&a[s0..s0 + sl]);
+            lanes
+        };
+        let unknowns: [[[f64; STRIP]; NDIME]; PNODE] = std::array::from_fn(|a| {
+            std::array::from_fn(|i| strip(row(v.elvel, a * NDOFN + i, vs)))
+        });
+        let mut conv = [[[0.0f64; STRIP]; PNODE]; PGAUS];
+        let mut weight = [[[0.0f64; STRIP]; PNODE]; PGAUS];
+        for igaus in 0..PGAUS {
+            let funcs = shape.functions(igaus);
+            let derivs = shape.derivatives(igaus);
+            // Phase 4's `gpvel`, phase 5's `τ`; the advection velocity is
+            // the velocity.
+            let mut adv = [[0.0f64; STRIP]; NDIME];
+            for (u_a, &n_a) in unknowns.iter().zip(&funcs.n) {
+                for (adv_i, u_ai) in adv.iter_mut().zip(u_a) {
+                    for k in 0..STRIP {
+                        adv_i[k] += n_a * u_ai[k];
+                    }
+                }
+            }
+            let [adv0, adv1, adv2] = adv;
+            let mut tau = [0.0f64; STRIP];
+            for k in 0..STRIP {
+                let unorm = (adv0[k] * adv0[k] + adv1[k] * adv1[k] + adv2[k] * adv2[k]).sqrt();
+                tau[k] = 1.0 / (4.0 * nu / (h_char * h_char) + 2.0 * unorm / h_char + rho * inv_dt);
+            }
+            // â_j = Σ_i u_i·J⁻¹_ji: row j of the inverse dotted with the
+            // velocity, in `advect`'s order; then `vol·ρ`.
+            let mut pulled_back = [[0.0f64; STRIP]; NDIME];
+            let mut vol_rho = [0.0f64; STRIP];
+            match geometry {
+                SlotGeometry::Shared(entry) => {
+                    let g = &entry[igaus * GEOMETRY_ROWS..][..GEOMETRY_ROWS];
+                    for (j, out) in pulled_back.iter_mut().enumerate() {
+                        let (g0, g1, g2) = (g[j * NDIME], g[j * NDIME + 1], g[j * NDIME + 2]);
+                        for k in 0..STRIP {
+                            let mut dot = 0.0;
+                            dot += adv0[k] * g0;
+                            dot += adv1[k] * g1;
+                            dot += adv2[k] * g2;
+                            out[k] = dot;
+                        }
+                    }
+                    vol_rho = [g[NDIME * NDIME] * rho; STRIP];
+                }
+                SlotGeometry::PerSlot { rows, stride } => {
+                    let at = |entry: usize| {
+                        strip(&rows[(igaus * GEOMETRY_ROWS + entry) * stride..][..vs])
+                    };
+                    for (j, out) in pulled_back.iter_mut().enumerate() {
+                        let [g0, g1, g2] = [0, 1, 2].map(|i| at(j * NDIME + i));
+                        for k in 0..STRIP {
+                            let mut dot = 0.0;
+                            dot += adv0[k] * g0[k];
+                            dot += adv1[k] * g1[k];
+                            dot += adv2[k] * g2[k];
+                            out[k] = dot;
+                        }
+                    }
+                    let vol = at(NDIME * NDIME);
+                    for k in 0..STRIP {
+                        vol_rho[k] = vol[k] * rho;
+                    }
+                }
+            }
+            let [a0, a1, a2] = &pulled_back;
+            for (conv_b, &[d0, d1, d2]) in conv[igaus].iter_mut().zip(&derivs.d) {
+                for k in 0..STRIP {
                     conv_b[k] = d0 * a0[k] + d1 * a1[k] + d2 * a2[k];
                 }
             }
-        }
-        for k in 0..vs {
-            vol_rho[k] = vol[k] * rho;
-        }
-        for inode in 0..PNODE {
-            let n_a = funcs.n[inode];
-            let conv_a = &row(conv, inode, vs)[..vs];
-            for k in 0..vs {
-                weight_a[k] = vol_rho[k] * (n_a + tau[k] * conv_a[k]);
-            }
-            for jnode in 0..PNODE {
-                let conv_b = &row(conv, jnode, vs)[..vs];
-                let ela = &mut row_mut(v.elauu, inode * PNODE + jnode, vs)[..vs];
-                for k in 0..vs {
-                    ela[k] += weight_a[k] * conv_b[k];
+            for inode in 0..PNODE {
+                let n_a = funcs.n[inode];
+                let conv_a = &conv[igaus][inode];
+                let weight_a = &mut weight[igaus][inode];
+                for k in 0..STRIP {
+                    weight_a[k] = vol_rho[k] * (n_a + tau[k] * conv_a[k]);
                 }
             }
         }
+        for inode in 0..PNODE {
+            for jnode in 0..PNODE {
+                let mut acc = [0.0f64; STRIP];
+                for k in 0..STRIP {
+                    acc[k] = weight[0][inode][k] * conv[0][jnode][k];
+                }
+                for igaus in 1..PGAUS {
+                    let (weight_a, conv_b) = (&weight[igaus][inode], &conv[igaus][jnode]);
+                    for k in 0..STRIP {
+                        acc[k] += weight_a[k] * conv_b[k];
+                    }
+                }
+                out[(inode * PNODE + jnode) * stride + s0..][..sl].copy_from_slice(&acc[..sl]);
+            }
+        }
+        s0 += sl;
     }
 }
 
-/// The one phase-6 body: `RESIDUAL` selects the paper's phase (elemental
-/// right-hand side and matrix) or its matrix-only reduction (the tests'
-/// oracle of the reference-space kernel), which drops `(u·∇)u`, `ρ·τ`,
-/// `ρτ·(u·∇)N_a` and the `elrbu` rows with it; a constant switch, like
-/// phase 4's.
 #[inline(always)]
-fn phase6_convective_body<const RESIDUAL: bool>(
-    shape: &ShapeTable,
-    config: &KernelConfig,
-    v: &mut WorkspaceViewsMut,
-) {
+fn phase6_convective_body(shape: &ShapeTable, config: &KernelConfig, v: &mut WorkspaceViewsMut) {
     let vs = v.vs;
     let rho = config.density;
     let (conv, rest) = v.scratch.split_at_mut(PNODE * vs);
@@ -685,15 +727,11 @@ fn phase6_convective_body<const RESIDUAL: bool>(
         for node in 0..PNODE {
             advect(row_mut(conv, node, vs), adv, v.gpcar, (igaus * PNODE + node) * NDIME, vs);
         }
-        if RESIDUAL {
-            for i in 0..NDIME {
-                advect(row_mut(ugradu, i, vs), adv, v.gpgve, (igaus * NDIME + i) * NDIME, vs);
-            }
+        for i in 0..NDIME {
+            advect(row_mut(ugradu, i, vs), adv, v.gpgve, (igaus * NDIME + i) * NDIME, vs);
         }
         for k in 0..vs {
-            if RESIDUAL {
-                rho_tau[k] = rho * tau[k];
-            }
+            rho_tau[k] = rho * tau[k];
             vol_rho[k] = vol[k] * rho;
         }
         for inode in 0..PNODE {
@@ -702,20 +740,16 @@ fn phase6_convective_body<const RESIDUAL: bool>(
             let conv_a = &row(conv, inode, vs)[..vs];
             for k in 0..vs {
                 tau_conv_a[k] = tau[k] * conv_a[k];
-                if RESIDUAL {
-                    rho_tau_conv_a[k] = rho_tau[k] * conv_a[k];
-                }
+                rho_tau_conv_a[k] = rho_tau[k] * conv_a[k];
             }
-            if RESIDUAL {
-                for i in 0..NDIME {
-                    let ugradu_i = &row(ugradu, i, vs)[..vs];
-                    let rbu = &mut row_mut(v.elrbu, inode * NDIME + i, vs)[..vs];
-                    for k in 0..vs {
-                        // Galerkin convective residual + SUPG perturbation.
-                        let galerkin = rho_n_a * ugradu_i[k];
-                        let supg = rho_tau_conv_a[k] * ugradu_i[k];
-                        rbu[k] += -vol[k] * (galerkin + supg);
-                    }
+            for i in 0..NDIME {
+                let ugradu_i = &row(ugradu, i, vs)[..vs];
+                let rbu = &mut row_mut(v.elrbu, inode * NDIME + i, vs)[..vs];
+                for k in 0..vs {
+                    // Galerkin convective residual + SUPG perturbation.
+                    let galerkin = rho_n_a * ugradu_i[k];
+                    let supg = rho_tau_conv_a[k] * ugradu_i[k];
+                    rbu[k] += -vol[k] * (galerkin + supg);
                 }
             }
             if config.semi_implicit {
@@ -865,11 +899,12 @@ pub fn flops_per_element(semi_implicit: bool) -> f64 {
     p3 + p4 + p5 + p6 + p7_rhs + p7_mat + p8
 }
 
-/// Analytic FLOP count of one element of the step's convective-only sweep
+/// Analytic FLOP count of one element of the step's lattice gather
 /// (velocity-only phase 4, phase 5, the reference-space phase 6 and the
-/// matrix scatter), counted as the slice kernels execute them.  No phase 3:
-/// the geometry is read from the [`crate::ConvectiveGeometry`] table, whose
-/// one-off construction is set-up, not sweep.
+/// element's share of the row sums), counted as the slice kernels execute
+/// them.  No phase 3: the geometry is one entry of the reference element (a
+/// table read on a jittered box), set up once.  The `ν·K` seed of the row
+/// sums is charged per matrix value, not per element.
 pub fn convective_flops_per_element() -> u64 {
     let (pgaus, pnode, ndime) = (PGAUS as u64, PNODE as u64, NDIME as u64);
     // `gpvel += N_a·u_a`.
@@ -881,24 +916,24 @@ pub fn convective_flops_per_element() -> u64 {
     // per entry one product and the accumulation.
     let p6 =
         pgaus * (ndime * ndime * 2 + pnode * (2 * ndime - 1) + 1 + pnode * 3 + pnode * pnode * 2);
-    let p8 = pnode * pnode;
-    p4 + p5 + p6 + p8
+    // Every entry of the element matrix is added to its row once.
+    let gather = pnode * pnode;
+    p4 + p5 + p6 + gather
 }
 
-/// Bytes one element of the convective-only sweep moves between the
-/// workspace and the global arrays: the gathered unknowns (phase 2 gathers
-/// the pressure too, as in the paper's phase), the connectivity that gather
-/// and the scatter each read, the element's rows of the geometry table
-/// ([`GEOMETRY_ROWS`] values per integration point, streamed unit-stride),
-/// its CSR slot map, and the 8×8 block read and written in place.
+/// Bytes one element of the lattice gather moves: the gathered unknowns
+/// (phase 2 gathers the pressure too, as in the paper's phase), the
+/// connectivity that gather reads, and the 8×8 element matrix written to
+/// the element-matrix window and read back by the row sums.  No geometry
+/// rows (one entry serves every element of an unjittered box) and no slot
+/// map (the rows gather by lattice index); the `ν·K` seed read and the
+/// diagonals written are charged per matrix value.
 pub fn convective_bytes_per_element() -> u64 {
-    let (pgaus, pnode, ndofn) = (PGAUS as u64, PNODE as u64, NDOFN as u64);
+    let (pnode, ndofn) = (PNODE as u64, NDOFN as u64);
     let gather = 8 * pnode * ndofn;
-    let connectivity = 2 * 4 * pnode;
-    let geometry = 8 * pgaus * GEOMETRY_ROWS as u64;
-    let slots = 4 * pnode * pnode;
-    let block = 2 * 8 * pnode * pnode;
-    gather + connectivity + geometry + slots + block
+    let connectivity = 4 * pnode;
+    let window = 2 * 8 * pnode * pnode;
+    gather + connectivity + window
 }
 
 /// The original accessor phases: every scalar of the workspace read and
@@ -1631,70 +1666,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reduced_phases_equal_the_full_ones_on_the_arrays_both_write() {
-        // The step's phase 4 and the matrix-only phase 6 its reference-space
-        // kernel is held to are the paper's with the right-hand side's share
-        // switched off at compile time: `gpvel` and — phase 7 skipped on the
-        // full side, `elauu` zeroed on both — `elauu` must come out bit for
-        // bit (phase 4 at both widths; the oracle has no clone), and the
-        // arrays only the full phases write (`gpgve`, `elrbu`) must not be
-        // touched.
-        let mesh = BoxMeshBuilder::new(3, 3, 3).lid_driven_cavity().with_jitter(0.13, 5).build();
-        let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
-        let config = KernelConfig::default();
-        let vel = VectorField::taylor_green(&mesh);
-        let pre = Field::from_fn(&mesh, |p| p.x * p.y - 0.5 * p.z);
-        let h = mesh.characteristic_length();
-        for vs in [1, 7, 16, 17, 240] {
-            for chunk in &lv_mesh::ElementChunks::new(&mesh, vs) {
-                let mut ws_full = ElementWorkspace::new(vs);
-                ws_full.reset();
-                {
-                    let mut v = ws_full.views_mut();
-                    phase1_gather_coords_slices(&mesh, chunk, &mut v);
-                    phase2_gather_unknowns_slices(&mesh, &vel, &pre, chunk, &mut v);
-                    phase3_jacobian_slices_at(Lanes::Baseline, &shape, &mut v);
-                    phase4_gauss_values_slices_at(Lanes::Baseline, &shape, &mut v);
-                    phase5_stabilization_slices_at(Lanes::Baseline, &config, h, &mut v);
-                    phase6_convective_slices_at(Lanes::Baseline, &shape, &config, &mut v);
-                }
-                for lanes in widths_under_test() {
-                    let mut ws = ElementWorkspace::new(vs);
-                    ws.poison(-7.25);
-                    ws.reset();
-                    {
-                        let mut v = ws.views_mut();
-                        phase1_gather_coords_slices(&mesh, chunk, &mut v);
-                        phase2_gather_unknowns_slices(&mesh, &vel, &pre, chunk, &mut v);
-                        phase3_jacobian_slices_at(lanes, &shape, &mut v);
-                        phase4_gauss_velocity_slices_at(lanes, &shape, &mut v);
-                        phase5_stabilization_slices_at(lanes, &config, h, &mut v);
-                        phase6_convective_matrix_oracle(&shape, &config, &mut v);
-                    }
-                    let (full, reduced) = (ws_full.views(), ws.views());
-                    for (name, a, b) in [
-                        ("gpvel", full.gpvel, reduced.gpvel),
-                        ("gpadv", full.gpadv, reduced.gpadv),
-                        ("tau", full.tau, reduced.tau),
-                        ("elauu", full.elauu, reduced.elauu),
-                    ] {
-                        for (k, (x, y)) in a.iter().zip(b).enumerate() {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "{name}[{k}] of the reduced phases at {lanes} (vs={vs}): {y} vs {x}"
-                            );
-                        }
-                    }
-                    assert!(full.elauu.iter().any(|&x| x != 0.0));
-                    assert!(reduced.gpgve.iter().all(|&x| x == -7.25), "gpgve written");
-                    assert!(reduced.elrbu.iter().all(|&x| x == 0.0), "elrbu written");
-                }
-            }
-        }
-    }
-
     /// The meshes the reference-space kernels are compared on: 64 elements,
     /// jittered, uniform and with a scrambled node order.
     fn reference_meshes() -> Vec<(&'static str, Mesh)> {
@@ -1771,9 +1742,11 @@ mod tests {
         // the test-function weight formed once): every entry of every element
         // matrix within a few ε of the element's largest.  Measured worst
         // case over the meshes and vector sizes below: 2.4 ε.  The new
-        // kernel runs from a poisoned workspace without phases 1 and 3, at
-        // both widths (bitwise alike), padded last chunks included (VS 17:
-        // 13 of 17 slots; VS 128: 64 of 128).
+        // kernel runs from a poisoned workspace after phase 2 alone, at
+        // both widths (bitwise alike), on padded last chunks (VS 17: 13 of
+        // 17 slots; VS 128: 64 of 128) whose padding it neither computes
+        // nor stores, and reads one shared entry
+        // as it reads that entry replicated into every slot's rows.
         const EPSILONS: f64 = 4.0;
         let shape = ShapeTable::new(ElementKind::Hex8, &GaussRule::hex_2x2x2());
         let config = KernelConfig::default();
@@ -1798,34 +1771,50 @@ mod tests {
                         phase2_gather_unknowns_slices(mesh, &vel, &pre, chunk, &mut v);
                         phase3_geometry_slices_at(Lanes::Baseline, &shape, &v, &mut table);
                         phase3_jacobian_slices_at(Lanes::Baseline, &shape, &mut v);
-                        phase4_gauss_velocity_slices_at(Lanes::Baseline, &shape, &mut v);
+                        phase4_gauss_values_slices_at(Lanes::Baseline, &shape, &mut v);
                         phase5_stabilization_slices_at(Lanes::Baseline, &config, h, &mut v);
-                        phase6_convective_matrix_oracle(&shape, &config, &mut v);
+                        phase6_convective_slices_at(Lanes::Baseline, &shape, &config, &mut v);
                     }
                     let oracle = ws_o.views().elauu;
                     assert!(oracle.iter().any(|&x| x != 0.0));
+                    // The first slot's geometry as one shared entry, and
+                    // the same entry replicated into every slot's rows.
+                    let entry: Vec<f64> =
+                        (0..PGAUS * GEOMETRY_ROWS).map(|r| table[r * vs]).collect();
+                    let replicated: Vec<f64> =
+                        entry.iter().flat_map(|&x| std::iter::repeat(x).take(vs)).collect();
                     let mut at_baseline: Vec<u64> = Vec::new();
                     for lanes in widths_under_test() {
                         let what = format!("{name}, VS {vs}, {lanes}");
-                        let mut ws = ElementWorkspace::new(vs);
-                        ws.poison(-7.25);
-                        ws.reset();
-                        {
-                            let mut v = ws.views_mut();
-                            phase1_element_ids_slices(chunk, &mut v);
-                            phase2_gather_unknowns_slices(mesh, &vel, &pre, chunk, &mut v);
-                            phase4_gauss_velocity_slices_at(lanes, &shape, &mut v);
-                            phase5_stabilization_slices_at(lanes, &config, h, &mut v);
-                            phase6_reference_convective_slices_at(
-                                lanes, &shape, &config, &table, &mut v,
-                            );
-                        }
-                        let views = ws.views();
-                        assert_eq!(views.element_ids, ws_o.views().element_ids, "{what}");
-                        assert!(views.gpcar.iter().all(|&x| x == -7.25), "{what}: gpcar read");
-                        assert!(views.elrbu.iter().all(|&x| x == 0.0), "{what}: elrbu written");
-                        let elauu = views.elauu;
-                        for k in 0..vs {
+                        // A poisoned workspace, no phase 1 or 3, an output
+                        // full of NaN with rows wider than the block.
+                        let run = |geometry: SlotGeometry<'_>| {
+                            let mut ws = ElementWorkspace::new(vs);
+                            ws.poison(-7.25);
+                            let stride = vs + 3;
+                            let mut out = vec![f64::NAN; PNODE * PNODE * stride];
+                            {
+                                let mut v = ws.views_mut();
+                                phase2_gather_unknowns_slices(mesh, &vel, &pre, chunk, &mut v);
+                                phase6_reference_convective_slices_at(
+                                    lanes, &shape, &config, h, geometry, &v, chunk.len, &mut out,
+                                    stride,
+                                );
+                            }
+                            let padding = (0..out.len()).filter(|at| at % stride >= chunk.len);
+                            assert!(padding.into_iter().all(|at| out[at].is_nan()), "{what}");
+                            let views = ws.views();
+                            let untouched =
+                                [views.gpcar, views.gpvel, views.gpadv, views.tau, views.elauu];
+                            for untouched in untouched {
+                                assert!(untouched.iter().all(|&x| x == -7.25), "{what}");
+                            }
+                            (0..PNODE * PNODE * vs)
+                                .map(|at| out[at / vs * stride + at % vs])
+                                .collect::<Vec<f64>>()
+                        };
+                        let elauu = run(SlotGeometry::PerSlot { rows: &table, stride: vs });
+                        for k in 0..chunk.len {
                             let entries = (0..PNODE * PNODE).map(|e| e * vs + k);
                             let largest =
                                 entries.clone().fold(0.0f64, |m, at| m.max(oracle[at].abs()));
@@ -1841,6 +1830,11 @@ mod tests {
                         } else {
                             assert!(bits == at_baseline, "{what}: the clone moved a bit");
                         }
+                        // One shared entry is its replicated rows, bit for bit.
+                        let shared = run(SlotGeometry::Shared(&entry));
+                        let rows = run(SlotGeometry::PerSlot { rows: &replicated, stride: vs });
+                        let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                        assert!(bits(&shared) == bits(&rows), "{what}: shared entry");
                     }
                 }
             }
@@ -1854,9 +1848,9 @@ mod tests {
         // 8·8·6 + 8·16 + 8 × (18 + 40 + 1 + 24 + 128) + 64.
         assert_eq!(convective_flops_per_element(), 384 + 128 + 1688 + 64);
         assert!((convective_flops_per_element() as f64) < flops_per_element(true));
-        // The unknowns, two reads of the connectivity, the geometry rows,
-        // the slot map, the block in and out.
-        assert_eq!(convective_bytes_per_element(), 256 + 64 + 640 + 256 + 1024);
+        // The unknowns, one read of the connectivity, the element matrix
+        // into the window and out of it.
+        assert_eq!(convective_bytes_per_element(), 256 + 32 + 1024);
     }
 
     #[test]

@@ -100,15 +100,14 @@
 //! block-major arrays of the layout of the step's [`lv_solver::DiaMatrix`],
 //! value for value — no per-entry copy is kept.
 //!
-//! Two global passes use them, bitwise identical for every thread count —
-//! each rank writes its own rows, no `unsafe`:
-//! [`fill_viscous_on`](PressureOperators::fill_viscous_on) (`values ← ν·K`,
-//! one unit-stride stream) and
+//! The step reads them twice, bitwise identical for every thread count —
+//! each rank writes its own rows, no `unsafe`: `K` seeds the row sums of
+//! [`crate::assemble_momentum_on`]'s lattice gather (`ν·K + C(u)`, every
+//! value written once), and
 //! [`momentum_residual_and_mass_on`](PressureOperators::momentum_residual_and_mass_on)
 //! (`rhs_a = −Σ_b S_ab·u_b − g_a(p)`, the weak pressure gradient fused in,
 //! then `values += (ρ/Δt)·M`, one traversal of each storage block for
-//! both); [`crate::assemble_momentum_on`] runs them around the
-//! convective-only sweep.  The same `M` gives the per-step kinetic energy
+//! both) follows it.  The same `M` gives the per-step kinetic energy
 //! as `½ρ·uᵀ·M·u`
 //! ([`kinetic_energy_on`](PressureOperators::kinetic_energy_on), over the
 //! same diagonals) instead of a serial element quadrature.
@@ -651,7 +650,7 @@ impl PressureOperators {
     /// Modeled floating-point operations of one weak-gradient sweep: a
     /// multiply and an add per coefficient of every row.
     pub fn gradient_flops(&self) -> u64 {
-        2 * (NDIME * self.topology.col_idx().len()) as u64
+        2 * NDIME as u64 * self.node_graph_entries()
     }
 
     /// Modeled floating-point operations of one weak-divergence sweep: a
@@ -864,20 +863,10 @@ impl PressureOperators {
         });
     }
 
-    /// Seeds the momentum matrix with its viscous block: `values ← ν·K`,
-    /// overwriting whatever `matrix` held — one unit-stride stream over the
-    /// value array, padding included.  The first of the two global passes
-    /// of [`assemble_momentum_on`](crate::assemble_momentum_on).
-    ///
-    /// # Panics
-    /// Panics if `matrix` is not on the diagonals these operators hold `K`
-    /// on ([`NastinAssembly::new_momentum_matrix`](crate::NastinAssembly::new_momentum_matrix)).
-    pub fn fill_viscous_on(&self, team: &Team, viscosity: f64, matrix: &mut DiaMatrix) {
-        assert!(
-            matrix.same_layout(&self.stiffness),
-            "the matrix does not have this mesh's sparsity pattern"
-        );
-        matrix.assign_scaled_on(team, viscosity, &self.stiffness);
+    /// `K` on the diagonals of the step's momentum matrix — the seed of
+    /// the lattice gather's row sums ([`crate::assemble_momentum_on`]).
+    pub(crate) fn stiffness_diagonals(&self) -> &DiaMatrix {
+        &self.stiffness
     }
 
     /// The momentum right-hand side of the increment form, then the mass
@@ -965,30 +954,36 @@ impl PressureOperators {
     }
 
     /// Modeled floating-point operations of the global passes of one
-    /// momentum assembly together, per stored value `v` of the matrix
-    /// (padding included): a multiply per value of the viscous fill; three
-    /// multiply-adds per value for `S·u`, three per entry of the node graph
-    /// for `g`, and a negation and a subtraction per row component; a
-    /// multiply and an add per value of the mass update.
+    /// momentum assembly after the gather, per stored value `v` of the
+    /// matrix (padding included): three multiply-adds per value for `S·u`,
+    /// three per entry of the node graph for `g`, and a negation and a
+    /// subtraction per row component; a multiply and an add per value of
+    /// the mass update.
     pub fn momentum_pass_flops(&self) -> u64 {
         let values = self.mass.values().len() as u64;
-        let (nnz, n) = (self.topology.col_idx().len() as u64, self.mesh.num_nodes() as u64);
+        let (nnz, n) = (self.node_graph_entries(), self.mesh.num_nodes() as u64);
         let ndime = NDIME as u64;
-        values + (2 * ndime * values + 2 * ndime * nnz + 2 * ndime * n) + 2 * values
+        (2 * ndime * values + 2 * ndime * nnz + 2 * ndime * n) + 2 * values
     }
 
-    /// Bytes the global passes of one momentum assembly stream together,
-    /// from array sizes: `K` in and the values out (the fill); then one pass
-    /// per storage block — the values and `M` in, the values out, `C` (the
-    /// class-stencil table or the per-entry coefficients), the pressure, the
-    /// velocity and its de-interleaved copy (written and read), the
-    /// right-hand side out; no index stream.
+    /// Bytes the global passes of one momentum assembly after the gather
+    /// stream together, from array sizes: one pass per storage block — the
+    /// values and `M` in, the values out, `C` (the class-stencil table or
+    /// the per-entry coefficients), the pressure, the velocity and its
+    /// de-interleaved copy (written and read), the right-hand side out; no
+    /// index stream.
     pub fn momentum_pass_bytes(&self) -> u64 {
         let (values, n) = (self.mass.values().len(), self.mesh.num_nodes());
-        let fill = 2 * 8 * values;
         let vectors = 8 * (NDIME + 1) * n + 8 * NDIME * n;
-        let passes = 3 * 8 * values + self.gradient_bytes() + vectors + 2 * 8 * NDIME * n;
-        (fill + passes) as u64
+        (3 * 8 * values + self.gradient_bytes() + vectors + 2 * 8 * NDIME * n) as u64
+    }
+
+    /// Entries of the node graph of the mesh's lattice, `Π_d (3·p_d − 2)`
+    /// with `p_d` nodes along direction `d`: a node's neighbours within one
+    /// element in each direction, itself included.
+    pub(crate) fn node_graph_entries(&self) -> u64 {
+        let lattice = self.mesh.lattice().expect("the operators' mesh has a lattice");
+        lattice.points().iter().map(|&p| 3 * p as u64 - 2).product()
     }
 
     /// Euclidean norm of the **weak** divergence vector,
@@ -1154,6 +1149,54 @@ pub fn pressure_laplacian(mesh: &Mesh, pins: &[usize]) -> CsrMatrix {
     let mut matrix = ops.assemble_laplacian();
     matrix.pin_rows_symmetric(pins);
     matrix
+}
+
+/// The unjittered boxes the class-built operators and the one geometry
+/// entry are held to the element loop on: the registry's three meshes at
+/// resolution 8 (cavity, unit box, channel), 12³ and 7³ cavities, a box one
+/// element thick, the 48 × 12 × 12 channel and a box of unequal spacings.
+#[cfg(test)]
+pub(crate) fn unjittered_boxes() -> Vec<(&'static str, Mesh)> {
+    use lv_mesh::structured::{BoxMeshBuilder, ChannelMeshBuilder};
+    let cube = |n| BoxMeshBuilder::new(n, n, n);
+    let extent = BoxMeshBuilder::new(6, 5, 4).with_extent(Point3::ZERO, [2.5, 0.6, 1.7]);
+    vec![
+        ("8^3 cavity", cube(8).lid_driven_cavity().build()),
+        ("8^3 box", cube(8).build()),
+        ("32x8x8 channel", ChannelMeshBuilder::new(8, 4).build()),
+        ("12^3 cavity", cube(12).lid_driven_cavity().build()),
+        ("7^3 cavity", cube(7).lid_driven_cavity().build()),
+        ("4x3x1 box", BoxMeshBuilder::new(4, 3, 1).build()),
+        ("48x12x12 channel", ChannelMeshBuilder::new(12, 4).build()),
+        ("2.5 x 0.6 x 1.7 box", extent.build()),
+    ]
+}
+
+/// Asserts that every `(key, class value, element-loop value q, scale)`
+/// has its class value within `[min q − n·ε·s, max q + n·ε·s]` over the
+/// loop's values of that key, `s` the largest scale among them (the value
+/// itself, or its row's largest entry); returns the worst excess beyond
+/// `[min q, max q]`, in `n·ε·s`.
+#[cfg(test)]
+pub(crate) fn assert_within_class_spread<K: Ord + std::fmt::Debug>(
+    what: &str,
+    n: usize,
+    values: impl IntoIterator<Item = (K, f64, f64, f64)>,
+) -> f64 {
+    let mut classes = std::collections::BTreeMap::new();
+    for (key, class, q, scale) in values {
+        let (c, lo, hi, big) = classes.entry(key).or_insert((class, q, q, 0.0f64));
+        assert_eq!(c.to_bits(), class.to_bits(), "{what}: one value per class");
+        (*lo, *hi, *big) = (lo.min(q), hi.max(q), big.max(scale.abs()));
+    }
+    let mut worst = 0.0f64;
+    for (key, (class, lo, hi, big)) in classes {
+        let unit = n as f64 * f64::EPSILON * big;
+        let excess = (lo - class).max(class - hi).max(0.0);
+        assert!(excess <= unit, "{what}: class {key:?} {class} outside [{lo}, {hi}] ± n·ε·|q|");
+        worst = worst.max(if unit > 0.0 { excess / unit } else { 0.0 });
+    }
+    worst
 }
 
 /// The element sweeps the row products replaced — the per-Gauss-point
@@ -1827,9 +1870,10 @@ mod tests {
             let team = Team::new(threads);
             for lanes in [Lanes::Baseline, Lanes::selected()] {
                 let mut matrix = DiaMatrix::zeros(n, offsets.clone());
-                matrix.values_mut().fill(f64::NAN);
                 let what = format!("{threads} threads, {lanes} lanes");
-                ops.fill_viscous_on(&team, nu, &mut matrix);
+                for (value, &k) in matrix.values_mut().iter_mut().zip(ops.stiffness.values()) {
+                    *value = nu * k;
+                }
                 add_per_entry(&ops, &mut matrix, &convection);
                 let seeded = on_node_graph(&matrix, &ops.topology);
                 assert_same_bits(seeded.values(), s_matrix.values(), &what);
@@ -1854,12 +1898,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "sparsity pattern")]
     fn momentum_passes_reject_a_foreign_pattern() {
-        let ops = PressureOperators::new(&mesh(), 16);
+        let m = mesh();
+        let ops = PressureOperators::new(&m, 16);
         let other = crate::NastinAssembly::new(
             BoxMeshBuilder::new(3, 3, 3).build(),
             crate::KernelConfig::new(16, crate::OptLevel::Vec1),
         );
-        ops.fill_viscous_on(&Team::new(1), 1.0, &mut other.new_momentum_matrix());
+        let (velocity, pressure) = (test_velocity(&m), test_pressure(&m));
+        let mut rhs = vec![0.0; NDIME * m.num_nodes()];
+        let mut matrix = other.new_momentum_matrix();
+        let p = pressure.as_slice();
+        ops.momentum_residual_and_mass_on(&Team::new(1), &mut matrix, &velocity, p, 1.0, &mut rhs);
     }
 
     #[test]
@@ -1887,17 +1936,15 @@ mod tests {
         // node stores 27 values, padding included.
         let (nnz, n, index) = (13 * 13 * 13, 125, std::mem::size_of::<usize>());
         let padded = 27 * n;
-        // The global passes of a momentum assembly over `values` stored
-        // values: ν·K (a multiply per value); `S·u` (three multiply-adds per
-        // value), `g` (three per entry) and `−S·u − g` (two per row
-        // component); the mass update (a multiply and an add per value).
-        let momentum_flops =
-            |values: usize| (values + (6 * values + 6 * nnz + 6 * n) + 2 * values) as u64;
-        // ν·K (K in, values out), then one pass per block (the values and M
-        // in, the values out, `C`, p and u in, u's columns written and read,
-        // rhs out) — no column index.
-        let diagonal_bytes =
-            |gradient: usize| (16 * padded + 24 * padded + gradient + 8 * 7 * n + 48 * n) as u64;
+        // The global passes of a momentum assembly after the gather over
+        // `values` stored values: `S·u` (three multiply-adds per value), `g`
+        // (three per entry) and `−S·u − g` (two per row component); the mass
+        // update (a multiply and an add per value).
+        let momentum_flops = |values: usize| ((6 * values + 6 * nnz + 6 * n) + 2 * values) as u64;
+        // One pass per block (the values and M in, the values out, `C`, p
+        // and u in, u's columns written and read, rhs out) — no column
+        // index.
+        let diagonal_bytes = |gradient: usize| (24 * padded + gradient + 8 * 7 * n + 48 * n) as u64;
 
         // The generator box: 27 class stencils of 27 taps, no index read,
         // so one pass moves the table, a scalar and a vector field.
@@ -2055,6 +2102,75 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn class_volumes_lie_within_the_element_loops_spread() {
+        // `M`, the lumped mass and `w|J|` from the reference element against
+        // the element loop on each box's own coordinates: per class (a
+        // row's position class and the entry's column offset for `M`, the
+        // row's class for the lumped mass, the integration point for
+        // `w|J|`) the class value lies within the loop's values over that
+        // class widened by `n·ε` of their magnitude, `n` the element count
+        // of the longest direction — `M`'s magnitude its row's largest
+        // entry, as for `K`; the other two's the value itself.  Measured
+        // worst excess beyond the loop's own range: `M` 0.89, the lumped
+        // mass 0.86, `w|J|` 0 (inside it).
+        let mut worst = [0.0f64; 3];
+        for (name, mesh) in &unjittered_boxes() {
+            let lattice = mesh.lattice().expect("a generated box");
+            let n = lattice.dims.into_iter().max().unwrap();
+            let points = lattice.points();
+            let class = |a: usize| {
+                let (i, j, k) =
+                    (a % points[0], a / points[0] % points[1], a / points[0] / points[1]);
+                let of = |x: usize, p: usize| usize::from(x > 0) + usize::from(x + 1 == p);
+                9 * of(k, points[2]) + 3 * of(j, points[1]) + of(i, points[0])
+            };
+            let (ops, own) =
+                (PressureOperators::new(mesh, 16), PressureOperators::per_element(mesh));
+            let (row_ptr, col_idx) = (ops.topology.row_ptr(), ops.topology.col_idx());
+            let (mass, own_mass) = (ops.consistent_mass(), own.consistent_mass());
+            let entries = (0..mesh.num_nodes())
+                .flat_map(|a| (row_ptr[a]..row_ptr[a + 1]).map(move |e| (a, e)));
+            let largest = |a: usize| {
+                own_mass[row_ptr[a]..row_ptr[a + 1]].iter().fold(0.0f64, |m, x| m.max(x.abs()))
+            };
+            let mass = entries.map(|(a, e)| {
+                let key = (class(a), col_idx[e] as isize - a as isize);
+                (key, mass[e], own_mass[e], largest(a))
+            });
+            worst[0] = worst[0].max(assert_within_class_spread(&format!("{name}: M"), n, mass));
+            let lumped = (0..mesh.num_nodes()).map(|a| {
+                (class(a), ops.lumped_mass()[a], own.lumped_mass()[a], own.lumped_mass()[a])
+            });
+            let what = format!("{name}: lumped mass");
+            worst[1] = worst[1].max(assert_within_class_spread(&what, n, lumped));
+            let (ops, own) = (&ops, &own);
+            let vol = (0..mesh.num_elements()).flat_map(|e| {
+                (0..PGAUS).map(move |g| {
+                    let q = own.element_vol(e)[g];
+                    (g, ops.element_vol(e)[g], q, q)
+                })
+            });
+            let what = format!("{name}: w|J|");
+            worst[2] = worst[2].max(assert_within_class_spread(&what, n, vol));
+        }
+        println!(
+            "beyond the loop's range, in n·ε: M {:.2}, lumped {:.2}, w|J| {:.2}",
+            worst[0], worst[1], worst[2]
+        );
+    }
+
+    #[test]
+    fn the_node_graph_has_the_lattice_s_entry_count() {
+        // `Π_d (3·p_d − 2)` entries, the count the flop models read.
+        let mut meshes = unjittered_boxes();
+        meshes.push(("jittered box", BoxMeshBuilder::new(5, 3, 2).with_jitter(0.1, 4).build()));
+        for (name, mesh) in &meshes {
+            let ops = PressureOperators::new(mesh, 16);
+            assert_eq!(ops.node_graph_entries(), ops.topology.col_idx().len() as u64, "{name}");
         }
     }
 

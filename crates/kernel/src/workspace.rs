@@ -130,6 +130,10 @@ pub struct ElementWorkspace {
     /// address map and must keep describing exactly the arrays Alya's
     /// kernel touches.
     scratch: Vec<f64>,
+    /// The time step's element-matrix window (see [`crate::momentum`]),
+    /// grown on first use and kept, so a stepper faults it in once.
+    /// Outside the layout, like `scratch`.
+    window: Vec<f64>,
 }
 
 /// Read-only counterpart of [`WorkspaceViewsMut`], for the tests that
@@ -245,6 +249,7 @@ impl ElementWorkspace {
             data: vec![0.0; layout.total],
             element_ids: vec![None; vector_size],
             scratch: vec![0.0; SCRATCH_ROWS * vector_size],
+            window: Vec::new(),
         }
     }
 
@@ -285,6 +290,7 @@ impl ElementWorkspace {
     pub fn poison(&mut self, value: f64) {
         self.data.fill(value);
         self.scratch.fill(value);
+        self.window.fill(value);
         self.element_ids.fill(Some(usize::MAX));
     }
 
@@ -294,9 +300,40 @@ impl ElementWorkspace {
     /// done once here, so the phase inner loops are pure unit-stride slice
     /// iteration with no per-scalar bounds checks.
     pub fn views_mut(&mut self) -> WorkspaceViewsMut<'_> {
-        let vs = self.vs;
-        let l = self.layout;
-        let mut rest: &mut [f64] = &mut self.data;
+        Self::carve_views(
+            self.vs,
+            self.layout,
+            &mut self.data,
+            &mut self.element_ids,
+            &mut self.scratch,
+        )
+    }
+
+    /// [`views_mut`](Self::views_mut) and the first `len` values of the
+    /// element-matrix window, grown to `len` if it is shorter (what it
+    /// holds is stale: the caller writes before it reads).
+    pub(crate) fn views_and_window(&mut self, len: usize) -> (WorkspaceViewsMut<'_>, &mut [f64]) {
+        if self.window.len() < len {
+            self.window.resize(len, 0.0);
+        }
+        let views = Self::carve_views(
+            self.vs,
+            self.layout,
+            &mut self.data,
+            &mut self.element_ids,
+            &mut self.scratch,
+        );
+        (views, &mut self.window[..len])
+    }
+
+    fn carve_views<'a>(
+        vs: usize,
+        l: WorkspaceLayout,
+        data: &'a mut [f64],
+        element_ids: &'a mut [Option<usize>],
+        scratch: &'a mut [f64],
+    ) -> WorkspaceViewsMut<'a> {
+        let mut rest: &mut [f64] = data;
         let mut pos = 0usize;
         let elcod = carve(&mut rest, &mut pos, l.elcod, PNODE * NDIME * vs);
         let elvel = carve(&mut rest, &mut pos, l.elvel, PNODE * NDOFN * vs);
@@ -321,8 +358,8 @@ impl ElementWorkspace {
             tau,
             elrbu,
             elauu,
-            element_ids: &mut self.element_ids,
-            scratch: &mut self.scratch,
+            element_ids,
+            scratch,
             vs,
         }
     }

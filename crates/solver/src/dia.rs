@@ -41,18 +41,16 @@
 //! converted from anything: on a mesh whose elements all share one
 //! `(a, b) → diagonal` table (every generator box,
 //! `lv_mesh::ElementDiagonals`) the step builds it in this layout from
-//! [`zeros`](DiaMatrix::zeros) on — seeded with
-//! [`assign_scaled_on`](DiaMatrix::assign_scaled_on) (`ν·K`, one
-//! unit-stride stream), added to by the colored element sweep at
-//! [`value_position`], its right-hand side taken and its mass block added
-//! by [`product3_and_add_on`](DiaMatrix::product3_and_add_on) in one
+//! [`zeros`](DiaMatrix::zeros) on — every value written once by the
+//! element gather through [`value_position`] (`lv_kernel::momentum`), its
+//! right-hand side taken and its mass block added by
+//! [`product3_and_add_on`](DiaMatrix::product3_and_add_on) in one
 //! traversal of each storage block, and its Dirichlet rows set by
-//! [`dirichlet_row`](DiaMatrix::dirichlet_row).  Every entry receives
-//! the same additions in the same order as the CSR entry it stands for,
-//! padding stays `+0.0`, so the values are those
-//! [`from_csr`](DiaMatrix::from_csr) of the CSR-assembled matrix would
-//! hold, bit for bit; `from_csr` itself serves the multigrid levels, whose
-//! Galerkin products are CSR.
+//! [`dirichlet_row`](DiaMatrix::dirichlet_row).  Padding stays `+0.0`,
+//! so given the same entries the values are those
+//! [`from_csr`](DiaMatrix::from_csr) of the CSR twin would hold, bit for
+//! bit; `from_csr` itself serves the multigrid levels, whose Galerkin
+//! products are CSR.
 //!
 //! **One source, two widths.**  The five kernels — the product
 //! ([`product_into`](DiaMatrix::product_into), which is
@@ -214,23 +212,6 @@ impl<T: Scalar> DiaMatrix<T> {
         assert!(offsets.windows(2).all(|w| w[0] < w[1]), "offsets must be strictly ascending");
         assert!(offsets.iter().all(|d| d.unsigned_abs() < n), "offset outside the matrix");
         DiaMatrix { values: vec![T::ZERO; n * offsets.len()], n, offsets }
-    }
-
-    /// `values ← scale·source.values`, padding included — a unit-stride
-    /// stream split across `team` (the momentum step's `ν·K` seed).  Padding
-    /// stays `+0.0` for a `scale` that is not negative.
-    ///
-    /// # Panics
-    /// Panics if `source` has another dimension or other offsets.
-    pub fn assign_scaled_on(&mut self, team: &Team, scale: T, source: &DiaMatrix<T>) {
-        assert!(self.same_layout(source), "the source matrix has another layout");
-        let (len, source) = (self.values.len(), &source.values);
-        let team = team_above_cutoff(team, self.n);
-        for_each_share(team, len, 1, &mut self.values[..], |range, values| {
-            for (value, &s) in values.iter_mut().zip(&source[range]) {
-                *value = scale * s;
-            }
-        });
     }
 
     /// The stored values of the entries of the CSR pattern
@@ -1168,8 +1149,8 @@ pub(crate) mod tests {
         assert!(!laplacian.is_symmetric(1e-12) && laplacian.is_symmetric(1e-8));
     }
 
-    /// A matrix assembled in place on its diagonals — `ν·K` seeded by
-    /// `assign_scaled_on`, entries added at `value_position`, three products
+    /// A matrix assembled in place on its diagonals — `ν·K` seeded value by
+    /// value, entries added at `value_position`, three products
     /// taken and `scale·M` added by `product3_and_add_on`, Dirichlet rows
     /// set — holds what `from_csr` of the same operations on its CSR twin
     /// holds, bit for bit (`-0.0` entries included, padding `+0.0`), and
@@ -1210,7 +1191,9 @@ pub(crate) mod tests {
                 let team = Team::new(threads);
                 for lanes in [Lanes::Baseline, Lanes::selected()] {
                     let mut born = DiaMatrix::zeros(n, stiffness.offsets().to_vec());
-                    born.assign_scaled_on(&team, nu, &stiffness);
+                    for (value, &k) in born.values.iter_mut().zip(&stiffness.values) {
+                        *value = nu * k;
+                    }
                     for row in 0..n {
                         let entries = added.row_ptr()[row]..added.row_ptr()[row + 1];
                         for (&col, &a) in
@@ -1272,7 +1255,7 @@ pub(crate) mod tests {
             source.pattern_and_values_mut().2.fill(fill);
             let source: DiaMatrix = DiaMatrix::from_csr(&source).expect("nine diagonals");
             let mut dia = DiaMatrix::zeros(n, source.offsets().to_vec());
-            dia.assign_scaled_on(&team, 1.0, &source);
+            dia.values.copy_from_slice(&source.values);
             dia.product3_and_add_on(
                 &team,
                 [&x, &x, &x],
@@ -1302,13 +1285,6 @@ pub(crate) mod tests {
             &mut [][..],
             |_, _, _: &mut [f64]| {},
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "the source matrix has another layout")]
-    fn assigning_from_another_dimension_panics() {
-        let mut dia: DiaMatrix = DiaMatrix::from_csr(&tridiag(12)).expect("three diagonals");
-        dia.assign_scaled_on(&Team::new(1), 1.0, &DiaMatrix::from_csr(&tridiag(13)).unwrap());
     }
 
     /// The four-kernel sequence the fused sweep replaces, on the CSR matrix.

@@ -74,10 +74,13 @@ pub mod spans {
     pub const POISSON: SpanId = SpanId(3);
     /// Velocity-correction phase of a step (leader).
     pub const CORRECTION: SpanId = SpanId(4);
-    /// One colored assembly sweep (leader, wraps all colors).
+    /// One assembly sweep (leader, wraps all ranks): the mini-app's colored
+    /// sweep, or a time step's lattice gather — the name is historical, the
+    /// gather colours nothing, and benchmarks read it under this name.
     pub const ASSEMBLY_COLOR_SWEEP: SpanId = SpanId(5);
-    /// One rank's share of one color (recorded *by that rank* — the event
-    /// count scales with the worker count, hence host-dependent).
+    /// One rank's share of one color of a colored sweep, or of a whole
+    /// lattice gather (recorded *by that rank* — the event count scales
+    /// with the worker count, hence host-dependent; the name is historical).
     pub const ASSEMBLY_CHUNK: SpanId = SpanId(6);
     /// One (MG-preconditioned or plain) CG iteration: `aux` carries the
     /// relative residual as `f64::to_bits`.

@@ -2,28 +2,27 @@
 //! run-time-selected wide kernel clones (`lv_runtime::lanes`).
 //!
 //! The constants below are FNV-1a hashes of the velocity and pressure bits
-//! after four `Stepper` steps.  They were **last re-recorded for a
-//! deliberate change of the stiffness `K`, the consistent mass `M` and the
-//! lumped mass**: on an unjittered generator box the projection operators
-//! now take them from one reference element as position-class stencils,
-//! written onto the momentum diagonals, instead of integrating every
-//! element from its own coordinates, so they moved by the coordinate
-//! rounding of the integrated elements (entry by entry within `n·ε` of the
-//! row's largest entry for `K` and up to 1.15 `n·ε` for the volumes `M`
-//! and the lumped mass, `n` the element count of the longest direction).
-//! Measured
-//! against the old trajectory after the four steps (12³ cavity /
-//! 48 × 12 × 12 channel): velocity within 5.0e-16 / 1.3e-15 of `‖u‖∞`,
-//! pressure within 5.2e-15 / 3.6e-15 of `‖p‖∞`; kinetic energy equal at
-//! steps 1–2 of the cavity and within one ulp at steps 3–4, and off by
-//! 28, 15, 2 and 0 ulps (5.5e-15 relative at most) at the channel's steps
-//! 1–4 (the energy is `½ρ·uᵀ·M·u`, and `M` moved); every step's momentum
-//! and Poisson iteration count unchanged (cavity 10, 28, 28, 27 and 21 per
-//! step; channel 16, 53, 62, 63 and 18, 18, 17, 16).  The recording was
-//! taken twice, with every multiversioned kernel forced to its baseline
+//! after four `Stepper` steps.  They were **last re-recorded when the
+//! step's convection became a lattice gather**: on an unjittered generator
+//! box the element matrices read `J⁻¹` and `gpvol` from the one reference
+//! element instead of each element's own coordinates (a move by coordinate
+//! rounding), phases 4–6 run as one strip-mined kernel that sums each entry
+//! over the integration points in registers, and each row of the momentum
+//! matrix is summed from `ν·K` and its elements' entries in lattice order
+//! instead of scattered into in colour order.  Measured against the old
+//! trajectory after the four steps (12³ cavity / 48 × 12 × 12 channel):
+//! velocity within 7.8e-16 / 1.2e-15 of `‖u‖∞`, pressure within 6.5e-14 /
+//! 8.7e-16 of `‖p‖∞`; kinetic energy equal at every step of the cavity and
+//! off by 0, 1, 1 and 0 ulps at the channel's steps 1–4; every step's
+//! momentum and Poisson iteration count unchanged (cavity 10, 28, 28, 27 and
+//! 21 per step; channel 16, 53, 62, 63 and 18, 18, 17, 16).  The recording
+//! was taken twice, with every multiversioned kernel forced to its baseline
 //! body and at the lanes this suite's hosts select (AVX2), each on 1 and 2
 //! threads in the debug and in the release profile: all eight runs of a
 //! scenario hashed alike.  (Earlier values, newest first:
+//! `0x8972_0f47_5398_2456` and `0x2228_e6fd_a055_a689` after `K`, the
+//! consistent mass `M` and the lumped mass moved to class stencils of one
+//! reference element;
 //! `0xa629_212e_5e98_2db6` and `0xd454_1745_4eb4_5a1b` after the weak
 //! gradient and divergence `C` moved to class stencils;
 //! `0xc367_9388_c17e_825d` and
@@ -85,11 +84,11 @@ fn state_hash(stepper: &Stepper) -> u64 {
 
 #[test]
 fn four_steps_hash_to_the_goldens_recorded_before_the_clones() {
-    // The 12³ cavity and the 48 × 12 × 12 channel: 14 and 54 chunks of 128,
-    // the last one padded in both.
+    // The 12³ cavity and the 48 × 12 × 12 channel: layers of 144 and 576
+    // elements in chunks of 128, the last one of each layer padded.
     let goldens = [
-        (ScenarioKind::LidDrivenCavity, 0x8972_0f47_5398_2456u64),
-        (ScenarioKind::Channel, 0x2228_e6fd_a055_a689u64),
+        (ScenarioKind::LidDrivenCavity, 0xcb84_72ea_ac76_7eb3u64),
+        (ScenarioKind::Channel, 0xd316_6600_3592_96bfu64),
     ];
     let lanes = Lanes::selected();
     println!("lanes selected by this test run: {}", lanes.describe());
