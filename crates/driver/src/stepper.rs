@@ -27,10 +27,10 @@
 //!    gather, the right-hand side and mass pass, the Dirichlet rows and the
 //!    solve all use, with no CSR copy anywhere.
 //! 2. **Pressure Poisson** — `L φ = −(ρ/Δt) d(u*)` with the mesh-true
-//!    Laplacian — the stiffness `K` of [`lv_kernel::PressureOperators`] on
-//!    its diagonals, copied and symmetrically pinned per scenario in place
-//!    ([`lv_kernel::PressureOperators::pinned_laplacian`]) — solved with
-//!    pooled CG, preconditioned by the geometric-multigrid V-cycle whenever
+//!    Laplacian — the stiffness `K` of [`lv_kernel::PressureOperators`]
+//!    written onto its diagonals and symmetrically pinned per scenario in
+//!    place ([`lv_kernel::PressureOperators::pinned_laplacian`]) — solved
+//!    with pooled CG, preconditioned by the geometric-multigrid V-cycle whenever
 //!    [`lv_kernel::build_pressure_multigrid_on_diagonals`] finds a
 //!    hierarchy for the mesh (a structured box lattice), plain
 //!    Jacobi-preconditioned CG otherwise; the mesh decides,
@@ -41,7 +41,10 @@
 //!    and the classes of the fine rows it reads), so the set-up builds no
 //!    CSR matrix.  Every CG — MG-CG, its in-step plain-CG fallback, and
 //!    plain CG where the lattice has no hierarchy — iterates on one
-//!    operator, the pinned Laplacian on its level-0 diagonals.
+//!    operator, the pinned Laplacian in the storage its rows chose
+//!    ([`lv_solver::LevelOperator`]): its 34 `f64` row classes on a
+//!    uniform box whose x-lines give runs of 16 or more, its diagonals
+//!    otherwise, dropped after the set-up where the classes take over.
 //! 3. **Correction** — `u ← u* − (Δt/ρ) M⁻¹ g(φ)` with the lumped-mass
 //!    nodal gradient, re-imposition of the scenario's velocity BCs, and the
 //!    incremental pressure update `p ← p + φ`.
@@ -57,7 +60,7 @@
 //! renumbered.
 //!
 //! The step ends with the kinetic energy `½ρ·uᵀ·M·u` through the resident
-//! mass (one team pass over the diagonals `M` is held on;
+//! mass (one team pass over its class stencils or its diagonals;
 //! [`Stepper::kinetic_energy`] stays the element quadrature, equal to
 //! rounding).
 //!
@@ -77,9 +80,9 @@
 //! A stepper is two parts.  The [`Discretization`] is what is a pure
 //! function of the scenario and the `VECTOR_SIZE` — the mesh, the assembly
 //! with its topology and chunks, the convective geometry, the
-//! projection operators, the pinned Laplacian's level-0 diagonals and the
-//! multigrid hierarchy, the pins and `h` — and no step writes it: Δt goes
-//! to the gather as an argument.  The rest is the run's own: the state, the
+//! projection operators, the pinned Laplacian (as row classes where they
+//! pay) and the multigrid hierarchy, the pins and `h` — and no step writes
+//! it: Δt goes to the gather as an argument.  The rest is the run's own: the state, the
 //! momentum matrix and right-hand sides, the work buffers, the fault plan,
 //! the stall detector and the V-cycle's vectors (a clone of the shared
 //! [`GeometricMultigrid`], which shares its levels).  [`Stepper::new`],
@@ -99,7 +102,7 @@ use lv_mesh::{Field, Mesh, VectorField};
 use lv_runtime::Team;
 use lv_solver::{
     conjugate_gradient_on, first_non_finite, mg_preconditioned_cg_on, BreakdownKind, DiaMatrix,
-    GeometricMultigrid, MultigridOptions, SolveOptions, SolverError,
+    GeometricMultigrid, LevelOperator, MultigridOptions, SolveOptions, SolverError,
 };
 use lv_trace::{counters, spans, Event};
 use std::sync::Arc;
@@ -438,12 +441,15 @@ impl std::error::Error for RunError {
 /// What the pressure-Poisson solves of a stepper iterate on.
 #[derive(Debug)]
 struct PoissonSystem {
-    /// The pinned Laplacian on its level-0 diagonals (the bits of the CSR
-    /// matrix, half the traffic): the operator of every CG of the step —
-    /// MG-CG's outer iteration, its in-step plain-CG fallback, and plain
-    /// Jacobi-CG where the lattice has no hierarchy.  Shared with the
-    /// hierarchy when there is one.
-    fine: Arc<DiaMatrix>,
+    /// The pinned Laplacian in `f64`, in the storage its rows chose: its
+    /// row classes where at least half the rows lie in runs of 16 (34
+    /// classes on a uniform 32³ cavity, a few dozen kilobytes), its
+    /// level-0 diagonals elsewhere — either way the bits of the CSR
+    /// product.  The operator of every CG of the step: MG-CG's outer
+    /// iteration, its in-step plain-CG fallback, and plain Jacobi-CG where
+    /// the lattice has no hierarchy.  Shared with the hierarchy when there
+    /// is one.
+    fine: Arc<LevelOperator>,
     /// The V-cycle hierarchy, or why the lattice has none.  A stepper runs
     /// its cycles on a clone: the levels shared, the vectors its own.
     multigrid: Result<GeometricMultigrid, NoHierarchy>,
@@ -452,8 +458,8 @@ struct PoissonSystem {
 /// The part of a stepper that is a pure function of the scenario and the
 /// `VECTOR_SIZE`: the mesh and its assembly (topology, chunks), the
 /// convective geometry, the projection operators (`K`, `M`, `C`), the
-/// pinned Laplacian's level-0 diagonals with the multigrid hierarchy built
-/// on them, the pressure pins and the characteristic length.  Nothing of
+/// pinned Laplacian with the multigrid hierarchy built from its level-0
+/// diagonals, the pressure pins and the characteristic length.  Nothing of
 /// it changes once it is built — a step writes only the stepper's own
 /// state, matrix and buffers — so steppers of any number of jobs on the
 /// same (scenario, size) share one behind an [`Arc`]
@@ -506,22 +512,25 @@ impl Discretization {
         let mesh = assembly.mesh();
         let geometry = assembly.convective_geometry();
         let operators = PressureOperators::with_topology(mesh, assembly.topology().clone());
-        // Level 0 of the Poisson system: `K`'s diagonals, copied and pinned
-        // in place — no CSR matrix.  Every Poisson solve runs on it, shared
-        // with the hierarchy when there is one.
-        let fine = Arc::new(operators.pinned_laplacian(&pins));
-        debug_assert!(fine.is_symmetric(1e-12), "pinned pressure Laplacian must stay SPD");
+        // Level 0 of the Poisson system: `K` written onto its diagonals
+        // and pinned in place — no CSR matrix, and a transient.
+        let laplacian = operators.pinned_laplacian(&pins);
+        debug_assert!(laplacian.is_symmetric(1e-12), "pinned pressure Laplacian must stay SPD");
         // The V-cycle hierarchy is a pure function of the mesh and the
         // pinned Laplacian, so a restarted stepper rebuilds it identically
         // (bitwise) and trajectories stay exactly resumable.  On an
         // unjittered box its coarse levels are Galerkin products computed
         // on the diagonals once per key, with the exact trilinear
         // transfers, and no CSR matrix either.
-        let multigrid = build_pressure_multigrid_on_diagonals(
-            mesh,
-            Arc::clone(&fine),
-            &MultigridOptions::default(),
-        );
+        let multigrid =
+            build_pressure_multigrid_on_diagonals(mesh, &laplacian, &MultigridOptions::default());
+        // Every Poisson solve runs on the Laplacian in the storage its rows
+        // chose — the hierarchy's own where there is one; the diagonals
+        // are dropped unless they are that storage.
+        let fine = match &multigrid {
+            Ok(mg) => mg.fine_operator(),
+            Err(_) => Arc::new(LevelOperator::from_diagonals(laplacian)),
+        };
         Discretization {
             scenario,
             vector_size,
@@ -716,8 +725,10 @@ impl Stepper {
         let momentum =
             format!("{}; K, M: {}", self.momentum_storage(), operators.stiffness_source());
         format!(
-            "operators: assembly {gather} | momentum {momentum} | gradient {} | pressure {pressure}",
-            operators.gradient_storage()
+            "operators: assembly {gather} | momentum {momentum} | gradient {} | laplacian {} \
+             (f64) | pressure {pressure}",
+            operators.gradient_storage(),
+            self.shared.poisson.fine.storage()
         )
     }
 
@@ -934,7 +945,8 @@ impl Stepper {
             // deficient coarse correction, an injected fault, ...) demotes
             // this sweep to plain Jacobi-CG on the identical system instead
             // of failing the step.  Only a plain-CG failure is terminal.
-            // Both solvers iterate on one operator, the level-0 diagonals.
+            // Both solvers iterate on one operator, the pinned Laplacian in
+            // the storage its rows chose.
             let operator = &*poisson.fine;
             let mg_attempt = match &mut self.multigrid {
                 Some(_) if inject_mg => Some(Err(SolverError::Breakdown {

@@ -43,7 +43,6 @@ use lv_solver::{
     CsrMatrix, DiaMatrix, GeometricMultigrid, Interpolation, LinearOperator, MultigridOptions,
 };
 use std::ops::Range;
-use std::sync::Arc;
 
 /// The six symmetric-unique `(j, k)` metric index pairs, `j ≤ k`.
 const SYM_PAIRS: [(usize, usize); 6] = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
@@ -483,9 +482,11 @@ impl std::fmt::Display for NoHierarchy {
 
 /// Builds the geometric-multigrid V-cycle preconditioner for the pressure
 /// Laplacian of `mesh` from its pinned level-0 diagonals `laplacian` —
-/// the operator the outer CG iterates with, which the hierarchy shares as
-/// its [`GeometricMultigrid::fine_operator`] — or says which cause of
-/// [`NoHierarchy`] stopped it.  No CSR matrix is built on the way:
+/// the operator the outer CG iterates with, which the hierarchy keeps, in
+/// the storage its rows choose, as its
+/// [`GeometricMultigrid::fine_operator`]: the caller may drop the
+/// diagonals — or says which cause of [`NoHierarchy`] stopped it.  No CSR
+/// matrix is built on the way:
 ///
 /// * on an unjittered box every `P` is the exact trilinear stencil of the
 ///   lattice chain (weights 1, ½, ¼, ⅛ from lattice indices, never stored)
@@ -501,7 +502,7 @@ impl std::fmt::Display for NoHierarchy {
 /// Panics when `laplacian` does not have one row per node of `mesh`.
 pub fn build_pressure_multigrid_on_diagonals(
     mesh: &Mesh,
-    laplacian: Arc<DiaMatrix>,
+    laplacian: &DiaMatrix,
     options: &MultigridOptions,
 ) -> Result<GeometricMultigrid, NoHierarchy> {
     assert_eq!(mesh.num_nodes(), laplacian.dim(), "one Laplacian row per mesh node");
@@ -534,7 +535,7 @@ pub fn build_pressure_multigrid(
     assert_eq!(mesh.num_nodes(), laplacian.dim(), "one Laplacian row per mesh node");
     halving_chain(mesh, options)?;
     let fine = DiaMatrix::from_csr(laplacian).ok_or(NoHierarchy::TooManyDiagonals)?;
-    build_pressure_multigrid_on_diagonals(mesh, Arc::new(fine), options)
+    build_pressure_multigrid_on_diagonals(mesh, &fine, options)
 }
 
 /// Trilinear interpolation from `coarse` onto `points`, the nodes of

@@ -151,8 +151,8 @@ struct Gather<'a> {
     h_char: f64,
     velocity: &'a VectorField,
     pressure: &'a Field,
-    /// `K`'s values, in the matrix's layout.
-    stiffness: &'a [f64],
+    /// `K`, read run by run or off its diagonals.
+    operators: &'a PressureOperators,
     /// Elements and nodes per direction.
     elements: [usize; 3],
     points: [usize; 3],
@@ -194,8 +194,7 @@ impl<'a> Gather<'a> {
             .expect(
                 "the matrix does not have this mesh's sparsity pattern (use `new_momentum_matrix`)",
             );
-        let stiffness = operators.stiffness_diagonals();
-        assert!(matrix.same_layout(stiffness), "the operators are another mesh's");
+        assert!(operators.fits(matrix), "the operators are another mesh's");
         // Entry `(a, b)` of the element at offset `−CORNERS[a]` from a node
         // adds to that node's row on diagonal `index[PNODE·a + b]`.
         let mut terms = vec![Vec::new(); table.offsets().len()];
@@ -216,7 +215,7 @@ impl<'a> Gather<'a> {
             h_char: mesh.characteristic_length(),
             velocity,
             pressure,
-            stiffness: stiffness.values(),
+            operators,
             elements,
             points: lattice.points(),
             terms,
@@ -360,6 +359,7 @@ lv_runtime::multiversion! {
     /// value runs are written (and `K`'s read) front to back: a run's
     /// `ν·K`, then every term whose element exists added in the diagonal's
     /// order, node line by node line, one unit-stride pass along x each.
+    /// `K` comes run by run from its class stencils on an unjittered box.
     fn gather_rows(
         gather: &Gather<'_>,
         layers: Layers<'_>,
@@ -382,18 +382,17 @@ fn gather_rows_body(
     let ([nx, ny, nz], [px, py, _]) = (gather.elements, gather.points);
     let nu = gather.config.viscosity;
     let nd = gather.terms.len();
-    let n = gather.stiffness.len() / nd;
+    let n = px * py * (nz + 1);
     let plane = k * py * px;
     let mut start = nodes.start;
     while start < nodes.end {
         let end = nodes.end.min(start - start % BLOCK_ROWS + BLOCK_ROWS);
         let lines = (start - plane) / px..(end - 1 - plane) / px + 1;
+        let stiffness = gather.operators.block_rows(start..end);
         for d in 0..nd {
             let at = value_position(n, nd, d, start);
             let out = &mut values[at - first * nd..][..end - start];
-            for (o, &s) in out.iter_mut().zip(&gather.stiffness[at..at + end - start]) {
-                *o = nu * s;
-            }
+            stiffness.for_each_value(d, false, out, |o, s| *o = nu * s);
             for term in &gather.terms[d] {
                 let [ox, oy, oz] = term.element;
                 let ez = k as isize + oz;
@@ -515,7 +514,8 @@ mod tests {
         let config = KernelConfig { dt, ..*asm.config() };
         let vs = config.vector_size;
         let mut matrix = asm.new_momentum_matrix();
-        for (value, &k) in matrix.values_mut().iter_mut().zip(ops.stiffness_diagonals().values()) {
+        let (stiffness, _) = ops.matrices_on_diagonals();
+        for (value, &k) in matrix.values_mut().iter_mut().zip(stiffness.values()) {
             *value = config.viscosity * k;
         }
         let table = momentum_diagonals(asm.topology()).expect("a generator box");
@@ -543,8 +543,8 @@ mod tests {
 
     /// The boxes the gather is held to its oracle on: odd and even plane
     /// counts (8, 13 and 2 node planes, none a multiple of 3), a box one
-    /// element thick, the channel, a jittered box, and a box wide enough
-    /// to be cut into three y-bands.
+    /// element thick, the channel, a jittered box, a box wide enough to be
+    /// cut into three y-bands, and one of unequal spacings.
     fn gather_meshes() -> Vec<(&'static str, lv_mesh::Mesh)> {
         vec![
             ("7^3 cavity", BoxMeshBuilder::new(7, 7, 7).lid_driven_cavity().build()),
@@ -556,6 +556,12 @@ mod tests {
                 BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.1, 5).build(),
             ),
             ("100x30x2 box, 3 bands", BoxMeshBuilder::new(100, 30, 2).build()),
+            (
+                "6x5x4 box of unequal spacings",
+                BoxMeshBuilder::new(6, 5, 4)
+                    .with_extent(lv_mesh::geometry::Point3::ZERO, [2.5, 0.6, 1.7])
+                    .build(),
+            ),
         ]
     }
 

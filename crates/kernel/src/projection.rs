@@ -63,12 +63,12 @@
 //!   element that gives `C` gives its elemental `K`, `M` and `∫ N_a`, which
 //!   `ClassStencils` (`stencil.rs`) sums per position class element by
 //!   element in the mesh order of the loop below (the lumped mass rides on
-//!   the diagonal tap).  `K` and `M` are then written onto the momentum
-//!   diagonals block by block, one constant per run of rows of one class
-//!   and diagonal, and the lumped mass run by run; `w|J|` is the reference
-//!   element's eight values.  No element's coordinates are read, and the element→CSR slot
-//!   map is never built.  The values are the loop's below run on the
-//!   reference element's coordinates, bit for bit; from the loop on the
+//!   the diagonal tap).  `K` and `M` stay those stencils (a few dozen
+//!   kilobytes where their diagonals are 7.8 MB each at 32³), the lumped
+//!   mass is written out run by run, and `w|J|` is the reference element's
+//!   eight values.  No element's coordinates are read, and the
+//!   element→CSR slot map is never built.  The values are the loop's below
+//!   run on the reference element's coordinates, bit for bit; from the loop on the
 //!   box's own coordinates they differ by the coordinate rounding of the
 //!   integrated elements (`K` within `n·ε` of a row's largest entry, `n`
 //!   the element count of the longest direction; the volumes `M`, the
@@ -80,10 +80,11 @@
 //!   bits for every thread count and vector size.  The geometry itself is
 //!   not kept: only `w|J|` stays resident, for the quadrature diagnostics.
 //!
-//! [`pinned_laplacian`](PressureOperators::pinned_laplacian) hands out a
-//! copy of `K`'s diagonals with the pressure pins applied — the level-0
-//! operator of the Poisson system and of its multigrid hierarchy, built
-//! without a CSR matrix;
+//! [`pinned_laplacian`](PressureOperators::pinned_laplacian) writes `K`
+//! onto the momentum diagonals with the pressure pins applied — the
+//! set-up's transient level 0 of the Poisson system and of its multigrid
+//! hierarchy, built without a CSR matrix, which the step keeps as row
+//! classes where they pay;
 //! [`assemble_laplacian`](PressureOperators::assemble_laplacian) gathers a
 //! CSR copy of `K` for the tests and the benchmark's probes.
 //!
@@ -94,11 +95,14 @@
 //! *is* the un-pinned Laplacian above, and the consistent mass
 //! `M_ab = ∫ N_a N_b` comes from the same source beside it and the lumped
 //! mass — pure functions of the mesh, like `C` (a restarted run rebuilds
-//! the same bits), held on the diagonals of the momentum matrix they seed
-//! ([`crate::NastinAssembly::new_momentum_matrix`]): the elements of a box
-//! lattice share one `(a, b) → diagonal` table, so `K` and `M` are
-//! block-major arrays of the layout of the step's [`lv_solver::DiaMatrix`],
-//! value for value — no per-entry copy is kept.
+//! the same bits).  The elements of a box lattice share one `(a, b) →
+//! diagonal` table, the layout of the momentum matrix they seed
+//! ([`crate::NastinAssembly::new_momentum_matrix`]): a jittered box holds
+//! `K` and `M` as block-major arrays of that layout, value for value; an
+//! unjittered box holds their class stencils, and a pass that writes the
+//! matrix reads each class's taps laid on those diagonals, one constant
+//! per run of rows and diagonal — the values of the arrays, so the same
+//! bits.
 //!
 //! The step reads them twice, bitwise identical for every thread count —
 //! each rank writes its own rows, no `unsafe`: `K` seeds the row sums of
@@ -109,11 +113,12 @@
 //! then `values += (ρ/Δt)·M`, one traversal of each storage block for
 //! both) follows it.  The same `M` gives the per-step kinetic energy
 //! as `½ρ·uᵀ·M·u`
-//! ([`kinetic_energy_on`](PressureOperators::kinetic_energy_on), over the
-//! same diagonals) instead of a serial element quadrature.
+//! ([`kinetic_energy_on`](PressureOperators::kinetic_energy_on), by class
+//! stencil in windows of rows, or over the diagonals) instead of a serial
+//! element quadrature.
 
 use crate::momentum::momentum_diagonals;
-use crate::stencil::{ClassStencils, CORNERS};
+use crate::stencil::{ClassStencils, MatrixTap, Tap, CORNERS};
 use crate::{NDIME, PGAUS, PNODE};
 use lv_mesh::geometry::Point3;
 use lv_mesh::quadrature::GaussRule;
@@ -148,11 +153,79 @@ pub struct PressureOperators {
     /// Lumped (row-sum) mass per node: `M_a = ∫ N_a dΩ`.
     lumped_mass: Vec<f64>,
     /// Stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` (the values of the un-pinned
-    /// Laplacian), on the diagonals of the step's momentum matrix.
-    stiffness: DiaMatrix,
-    /// Consistent mass `M_ab = ∫ N_a N_b dΩ`, on the same diagonals.
-    mass: DiaMatrix,
+    /// Laplacian) and consistent mass `M_ab = ∫ N_a N_b dΩ`.
+    matrices: Matrices,
     topology: Arc<MeshTopology>,
+}
+
+/// `K` and `M`, as the mesh allows.
+#[derive(Debug, Clone)]
+enum Matrices {
+    /// The stencils of an unjittered generator box's position classes,
+    /// generated from one reference element: `taps` as summed, and
+    /// `on_diagonals` the same with each class's taps laid on the
+    /// diagonals of the momentum matrix (`+0.0` where it has none), for
+    /// the passes that write that layout.
+    Stencils { taps: Box<ClassStencils<MatrixTap>>, on_diagonals: Box<ClassStencils<MatrixTap>> },
+    /// Integrated on the diagonals of the momentum matrix, on a jittered
+    /// box.
+    Diagonals { stiffness: DiaMatrix, mass: DiaMatrix },
+}
+
+/// `K` and `M` over `rows`, rows of one storage block of the momentum
+/// matrix, as the passes that write its values read them: diagonal by
+/// diagonal ([`for_each_value`](Self::for_each_value)), each class run of
+/// the rows found once for all of them.
+pub(crate) struct BlockRows<'a> {
+    rows: Range<usize>,
+    source: BlockSource<'a>,
+}
+
+enum BlockSource<'a> {
+    /// The class runs of the rows, each with its taps on the diagonals.
+    Runs(Vec<(Range<usize>, &'a [Tap<MatrixTap>])>),
+    Diagonals {
+        stiffness: &'a DiaMatrix,
+        mass: &'a DiaMatrix,
+    },
+}
+
+impl BlockRows<'_> {
+    /// `update(&mut out[i], X)` for every row `rows.start + i`, with `X`
+    /// its entry of `M` (`mass`) or `K` on diagonal `k` — `+0.0` where the
+    /// row has none, as on the diagonals themselves.
+    ///
+    /// # Panics
+    /// Panics if `out` does not match the rows.
+    #[inline(always)]
+    pub(crate) fn for_each_value(
+        &self,
+        k: usize,
+        mass: bool,
+        out: &mut [f64],
+        update: impl Fn(&mut f64, f64),
+    ) {
+        let first = self.rows.start;
+        assert_eq!(out.len(), self.rows.len());
+        match &self.source {
+            BlockSource::Runs(runs) => {
+                for (run, taps) in runs {
+                    let tap = &taps[k].1;
+                    let value = if mass { tap.mass } else { tap.stiffness };
+                    for o in &mut out[run.start - first..run.end - first] {
+                        update(o, value);
+                    }
+                }
+            }
+            BlockSource::Diagonals { stiffness, mass: m } => {
+                let dia = if mass { m } else { stiffness };
+                let at = value_position(dia.dim(), dia.offsets().len(), k, first);
+                for (o, &value) in out.iter_mut().zip(&dia.values()[at..][..self.rows.len()]) {
+                    update(o, value);
+                }
+            }
+        }
+    }
 }
 
 /// The coefficients of `C`, as the mesh allows.
@@ -164,16 +237,6 @@ enum Gradient {
     /// Integrated per stored entry `k = (a, b)` of the topology's node
     /// graph, `coef[NDIME*k + i]`, on a jittered box.
     PerEntry(Vec<f64>),
-}
-
-/// One tap of the set-up stencils of `K` and `M` (see [`ClassStencils`]):
-/// `K_ab`, `M_ab` and, on the diagonal tap (`b = a`), the lumped mass
-/// `∫ N_a`.
-#[derive(Debug, Clone, Copy, Default)]
-struct MatrixTap {
-    stiffness: f64,
-    mass: f64,
-    lumped: f64,
 }
 
 /// Where the weak gradient and divergence read `C` from — a property of the
@@ -325,30 +388,32 @@ impl PressureOperators {
             gpvol: Vec::new(),
             gradient: Gradient::PerEntry(Vec::new()),
             lumped_mass: Vec::new(),
-            stiffness: DiaMatrix::zeros(0, Vec::new()),
-            mass: DiaMatrix::zeros(0, Vec::new()),
+            matrices: Matrices::Diagonals {
+                stiffness: DiaMatrix::zeros(0, Vec::new()),
+                mass: DiaMatrix::zeros(0, Vec::new()),
+            },
             topology,
         }
     }
 
-    /// Two empty `n`-row matrices on the diagonals of the step's momentum
-    /// matrix, for `K` and `M`.
-    fn momentum_layout(&self) -> (DiaMatrix, DiaMatrix) {
-        let table = momentum_diagonals(&self.topology)
-            .expect("the elements of a box lattice share one diagonal table");
-        let n = self.mesh.num_nodes();
-        (
-            DiaMatrix::zeros(n, table.offsets().to_vec()),
-            DiaMatrix::zeros(n, table.offsets().to_vec()),
-        )
+    /// The diagonals of the step's momentum matrix.
+    fn momentum_offsets(&self) -> &[isize] {
+        momentum_diagonals(&self.topology)
+            .expect("the elements of a box lattice share one diagonal table")
+            .offsets()
+    }
+
+    /// An empty `n`-row matrix on the diagonals of the step's momentum
+    /// matrix.
+    fn momentum_layout(&self) -> DiaMatrix {
+        DiaMatrix::zeros(self.mesh.num_nodes(), self.momentum_offsets().to_vec())
     }
 
     /// `K`, `M`, the lumped mass, `w|J|` and `C` of an unjittered box from
-    /// one reference element of its spacing: `C` stays class stencils; `K`,
-    /// `M` and the lumped mass are summed as class stencils, element by
-    /// element in the order of [`integrate`](Self::integrate), and written
-    /// out run by run — one constant per run of rows of one class and
-    /// diagonal, each array in storage order.
+    /// one reference element of its spacing: `C`, `K` and `M` stay class
+    /// stencils, summed element by element in the order of
+    /// [`integrate`](Self::integrate); the lumped mass is written out run
+    /// by run.
     fn generate(&mut self, lattice: &BoxLattice) {
         let geometry = self.geometry(&reference_corners(lattice), 0);
         let (el_stiff, el_mass) = self.element_matrices(&geometry);
@@ -364,34 +429,17 @@ impl PressureOperators {
                 }
             }
         });
-        let n = self.mesh.num_nodes();
-        let (mut stiffness, mut mass) = self.momentum_layout();
-        let offsets = stiffness.offsets().to_vec();
-        let nd = offsets.len();
-        for start in (0..n).step_by(BLOCK_ROWS) {
-            let block = start..n.min(start + BLOCK_ROWS);
-            for (k, &offset) in offsets.iter().enumerate() {
-                matrices.for_each_run(block.clone(), |run, taps| {
-                    if let Ok(t) = taps.binary_search_by_key(&offset, |&(o, _)| o) {
-                        let at = value_position(n, nd, k, run.start)..;
-                        stiffness.values_mut()[at.clone()][..run.len()].fill(taps[t].1.stiffness);
-                        mass.values_mut()[at][..run.len()].fill(taps[t].1.mass);
-                    }
-                });
-            }
-        }
-        let mut lumped_mass = vec![0.0; n];
-        matrices.for_each_run(0..n, |run, taps| {
-            debug_assert!(taps.iter().all(|(o, _)| offsets.binary_search(o).is_ok()));
+        let mut lumped_mass = vec![0.0; self.mesh.num_nodes()];
+        matrices.for_each_run(0..lumped_mass.len(), |run, taps| {
             let t = taps.binary_search_by_key(&0, |&(o, _)| o).expect("a node is its neighbour");
             lumped_mass[run].fill(taps[t].1.lumped);
         });
+        let on_diagonals = Box::new(matrices.aligned(self.momentum_offsets()));
         let element = self.element_gradient(&geometry);
         self.gpvol = geometry.vol.to_vec();
         self.gradient = Gradient::Stencils(Box::new(ClassStencils::gradient(lattice, &element)));
         self.lumped_mass = lumped_mass;
-        self.stiffness = stiffness;
-        self.mass = mass;
+        self.matrices = Matrices::Stencils { taps: Box::new(matrices), on_diagonals };
     }
 
     /// `K`, `M`, the lumped mass, `w|J|` and `C` per entry, in one
@@ -412,7 +460,7 @@ impl PressureOperators {
         let table = momentum_diagonals(&self.topology)
             .expect("the elements of a box lattice share one diagonal table");
         let (n, nd, index) = (mesh.num_nodes(), table.offsets().len(), table.index());
-        let (mut stiffness, mut mass) = self.momentum_layout();
+        let (mut stiffness, mut mass) = (self.momentum_layout(), self.momentum_layout());
         let mut gpvol = vec![0.0; nelem * PGAUS];
         let mut coef = vec![0.0; NDIME * self.topology.col_idx().len()];
         let mut lumped_mass = vec![0.0; n];
@@ -446,8 +494,7 @@ impl PressureOperators {
         self.gpvol = gpvol;
         self.gradient = Gradient::PerEntry(coef);
         self.lumped_mass = lumped_mass;
-        self.stiffness = stiffness;
-        self.mass = mass;
+        self.matrices = Matrices::Diagonals { stiffness, mass };
     }
 
     /// The elemental stiffness `Σ_g w|J| · ∇N_a·∇N_b` (`[a][b]`) and mass
@@ -666,28 +713,51 @@ impl PressureOperators {
     }
 
     /// The pressure Laplacian `L_ab = ∫ ∇N_a·∇N_b dΩ` on the node-to-node
-    /// graph: the stiffness held since construction, nothing assembled.
+    /// graph: the stiffness held since construction, written onto the
+    /// momentum diagonals and gathered entry by entry, nothing assembled.
     /// Symmetric positive semi-definite (kernel: the constants); pin at
     /// least one node per connected component with
     /// [`CsrMatrix::pin_rows_symmetric`] to make it definite.
     pub fn assemble_laplacian(&self) -> CsrMatrix {
-        on_node_graph(&self.stiffness, &self.topology)
+        on_node_graph(&self.on_diagonals(false), &self.topology)
     }
 
-    /// The pressure Laplacian pinned at `pins` on its diagonals — a copy
-    /// of the stiffness held since construction with
+    /// The pressure Laplacian pinned at `pins` on the diagonals of the
+    /// momentum matrix — `K` written out (or copied) with
     /// [`DiaMatrix::pin_rows_symmetric`] applied: the values
     /// [`DiaMatrix::from_csr`] of [`assemble_laplacian`](Self::assemble_laplacian)
     /// pinned by [`CsrMatrix::pin_rows_symmetric`] holds, bit for bit,
     /// offsets included, with no CSR matrix built.  Symmetric positive
-    /// definite once a node of every connected component is pinned.
+    /// definite once a node of every connected component is pinned.  A
+    /// transient: the Poisson system builds its operators from it and
+    /// keeps the row classes where they pay.
     ///
     /// # Panics
     /// Panics if a pin is not a node of the mesh.
     pub fn pinned_laplacian(&self, pins: &[usize]) -> DiaMatrix {
-        let mut laplacian = self.stiffness.clone();
+        let mut laplacian = self.on_diagonals(false);
         laplacian.pin_rows_symmetric(pins);
         laplacian
+    }
+
+    /// `K` or `M` (`mass`) on the diagonals of the momentum matrix: the
+    /// stencils written out block by block, one constant per run of rows
+    /// of one class and diagonal, or a copy of the integrated diagonals.
+    fn on_diagonals(&self, mass: bool) -> DiaMatrix {
+        if let Matrices::Diagonals { stiffness, mass: m } = &self.matrices {
+            return if mass { m } else { stiffness }.clone();
+        }
+        let mut matrix = self.momentum_layout();
+        let (n, nd) = (matrix.dim(), matrix.offsets().len());
+        for start in (0..n).step_by(BLOCK_ROWS) {
+            let block = self.block_rows(start..n.min(start + BLOCK_ROWS));
+            for k in 0..nd {
+                let at = value_position(n, nd, k, start);
+                let out = &mut matrix.values_mut()[at..][..block.rows.len()];
+                block.for_each_value(k, mass, out, |o, value| *o = value);
+            }
+        }
+        matrix
     }
 
     /// The stiffness `K_ab = ∫ ∇N_a·∇N_b dΩ` per stored entry of the
@@ -703,7 +773,15 @@ impl PressureOperators {
     /// [`lumped_mass`](Self::lumped_mass) to rounding).
     #[cfg(test)]
     pub(crate) fn consistent_mass(&self) -> Vec<f64> {
-        on_node_graph(&self.mass, &self.topology).values().to_vec()
+        on_node_graph(&self.on_diagonals(true), &self.topology).values().to_vec()
+    }
+
+    /// `K` and `M` on the diagonals of the momentum matrix — how the
+    /// per-step passes read them on a jittered box, and their oracle on an
+    /// unjittered one.
+    #[cfg(test)]
+    pub(crate) fn matrices_on_diagonals(&self) -> (DiaMatrix, DiaMatrix) {
+        (self.on_diagonals(false), self.on_diagonals(true))
     }
 
     /// The matrix-free counterpart of
@@ -863,10 +941,24 @@ impl PressureOperators {
         });
     }
 
-    /// `K` on the diagonals of the step's momentum matrix — the seed of
-    /// the lattice gather's row sums ([`crate::assemble_momentum_on`]).
-    pub(crate) fn stiffness_diagonals(&self) -> &DiaMatrix {
-        &self.stiffness
+    /// `K` and `M` over `rows` — rows of one storage block of the momentum
+    /// matrix — as the passes that write the matrix read them: the seed of
+    /// the lattice gather's row sums ([`crate::assemble_momentum_on`]) and
+    /// the mass update.
+    pub(crate) fn block_rows(&self, rows: Range<usize>) -> BlockRows<'_> {
+        let source = match &self.matrices {
+            Matrices::Stencils { on_diagonals, .. } => {
+                BlockSource::Runs(on_diagonals.runs(rows.clone()))
+            }
+            Matrices::Diagonals { stiffness, mass } => BlockSource::Diagonals { stiffness, mass },
+        };
+        BlockRows { rows, source }
+    }
+
+    /// Whether `matrix` is on the diagonals of the momentum matrix of this
+    /// mesh, which the passes that write it assume.
+    pub(crate) fn fits(&self, matrix: &DiaMatrix) -> bool {
+        matrix.dim() == self.mesh.num_nodes() && matrix.offsets() == self.momentum_offsets()
     }
 
     /// The momentum right-hand side of the increment form, then the mass
@@ -880,13 +972,15 @@ impl PressureOperators {
     /// bitwise identical for every thread count.
     ///
     /// It is one pass over the storage blocks
-    /// ([`DiaMatrix::product3_and_add_on`]): per block the three products
-    /// `S·u_c` over the de-interleaved velocity, the block's rows of `rhs`,
-    /// and the mass added while the block is in cache.
+    /// ([`DiaMatrix::product3_and_update_on`]): per block the three
+    /// products `S·u_c` over the de-interleaved velocity, the block's rows
+    /// of `rhs`, and the mass added while the block is in cache — from its
+    /// class stencils, one constant per run of rows and diagonal, on an
+    /// unjittered box.
     ///
     /// # Panics
-    /// Panics if `matrix` is not on the diagonals these operators hold `M`
-    /// on, or a vector does not have this mesh's node count.
+    /// Panics if `matrix` is not on the diagonals of this mesh's momentum
+    /// matrix, or a vector does not have this mesh's node count.
     pub fn momentum_residual_and_mass_on(
         &self,
         team: &Team,
@@ -924,33 +1018,36 @@ impl PressureOperators {
         assert_eq!(velocity.num_nodes(), n);
         assert_eq!(pressure.len(), n);
         assert_eq!(rhs.len(), NDIME * n);
-        assert!(
-            matrix.same_layout(&self.mass),
-            "the matrix does not have this mesh's sparsity pattern"
-        );
+        assert!(self.fits(matrix), "the matrix does not have this mesh's sparsity pattern");
         let u = MultiVector::from_interleaved(velocity.as_slice());
-        let finish = |rows: Range<usize>, su: [&[f64]; NDIME], out: &mut [f64]| {
-            // `g` of the block's rows first, parked in their entries of
-            // `out`; then `−S·u − g`.
-            let first = rows.start;
-            self.gradient_rows(pressure, rows, |a, g| {
-                out[NDIME * (a - first)..][..NDIME].copy_from_slice(&g);
-            });
-            for (i, out_a) in out.chunks_exact_mut(NDIME).enumerate() {
-                for (c, out) in out_a.iter_mut().enumerate() {
-                    *out = -su[c][i] - *out;
+        let nd = matrix.offsets().len();
+        let finish =
+            |rows: Range<usize>, su: [&[f64]; NDIME], values: &mut [f64], out: &mut [f64]| {
+                // `g` of the block's rows first, parked in their entries of
+                // `out`; then `−S·u − g`.
+                let first = rows.start;
+                self.gradient_rows(pressure, rows.clone(), |a, g| {
+                    out[NDIME * (a - first)..][..NDIME].copy_from_slice(&g);
+                });
+                for (i, out_a) in out.chunks_exact_mut(NDIME).enumerate() {
+                    for (c, out) in out_a.iter_mut().enumerate() {
+                        *out = -su[c][i] - *out;
+                    }
                 }
-            }
-        };
-        matrix.product3_and_add_at(
-            lanes,
-            team,
-            u.components(),
-            mass_scale,
-            &self.mass,
-            rhs,
-            finish,
-        );
+                // Then the mass, diagonal by diagonal, the block in cache.
+                let len = rows.len();
+                let block = self.block_rows(rows);
+                for (k, run) in values.chunks_exact_mut(len).enumerate().take(nd) {
+                    block.for_each_value(k, true, run, |value, m| *value += mass_scale * m);
+                }
+            };
+        matrix.product3_and_update_at(lanes, team, u.components(), rhs, finish);
+    }
+
+    /// Values the momentum matrix stores, padding included: one per row
+    /// and diagonal.
+    fn momentum_values(&self) -> usize {
+        self.mesh.num_nodes() * self.momentum_offsets().len()
     }
 
     /// Modeled floating-point operations of the global passes of one
@@ -960,7 +1057,7 @@ impl PressureOperators {
     /// subtraction per row component; a multiply and an add per value of
     /// the mass update.
     pub fn momentum_pass_flops(&self) -> u64 {
-        let values = self.mass.values().len() as u64;
+        let values = self.momentum_values() as u64;
         let (nnz, n) = (self.node_graph_entries(), self.mesh.num_nodes() as u64);
         let ndime = NDIME as u64;
         (2 * ndime * values + 2 * ndime * nnz + 2 * ndime * n) + 2 * values
@@ -968,14 +1065,18 @@ impl PressureOperators {
 
     /// Bytes the global passes of one momentum assembly after the gather
     /// stream together, from array sizes: one pass per storage block — the
-    /// values and `M` in, the values out, `C` (the class-stencil table or
-    /// the per-entry coefficients), the pressure, the velocity and its
-    /// de-interleaved copy (written and read), the right-hand side out; no
-    /// index stream.
+    /// values in and out, `M` (the class-stencil table or its diagonals),
+    /// `C` (the class-stencil table or the per-entry coefficients), the
+    /// pressure, the velocity and its de-interleaved copy (written and
+    /// read), the right-hand side out; no index stream.
     pub fn momentum_pass_bytes(&self) -> u64 {
-        let (values, n) = (self.mass.values().len(), self.mesh.num_nodes());
+        let (values, n) = (self.momentum_values(), self.mesh.num_nodes());
+        let mass = match &self.matrices {
+            Matrices::Stencils { on_diagonals, .. } => on_diagonals.table_bytes(),
+            Matrices::Diagonals { .. } => 8 * values,
+        };
         let vectors = 8 * (NDIME + 1) * n + 8 * NDIME * n;
-        (3 * 8 * values + self.gradient_bytes() + vectors + 2 * 8 * NDIME * n) as u64
+        (2 * 8 * values + mass + self.gradient_bytes() + vectors + 2 * 8 * NDIME * n) as u64
     }
 
     /// Entries of the node graph of the mesh's lattice, `Π_d (3·p_d − 2)`
@@ -1060,11 +1161,15 @@ impl PressureOperators {
             let len = rows.len();
             let mut mu = [[0.0f64; REDUCTION_BLOCK]; NDIME];
             let [m0, m1, m2] = &mut mu;
-            self.mass.product3_into(
-                u.components(),
-                rows.clone(),
-                [&mut m0[..len], &mut m1[..len], &mut m2[..len]],
-            );
+            let out = [&mut m0[..len], &mut m1[..len], &mut m2[..len]];
+            match &self.matrices {
+                Matrices::Stencils { taps, .. } => {
+                    taps.mass_product3(u.components(), rows.clone(), out)
+                }
+                Matrices::Diagonals { mass, .. } => {
+                    mass.product3_into(u.components(), rows.clone(), out)
+                }
+            }
             let mut sum = 0.0f64;
             for (i, a) in rows.enumerate() {
                 let u = &vel[NDIME * a..NDIME * a + NDIME];
@@ -1866,12 +1971,14 @@ mod tests {
             s_matrix.values().iter().zip(&mass).map(|(s, m)| s + scale * m).collect();
 
         let offsets = ops.topology.element_diagonals().unwrap().offsets().to_vec();
+        let (stiffness_diagonals, _) = ops.matrices_on_diagonals();
         for threads in [1usize, 2, 4] {
             let team = Team::new(threads);
             for lanes in [Lanes::Baseline, Lanes::selected()] {
                 let mut matrix = DiaMatrix::zeros(n, offsets.clone());
                 let what = format!("{threads} threads, {lanes} lanes");
-                for (value, &k) in matrix.values_mut().iter_mut().zip(ops.stiffness.values()) {
+                for (value, &k) in matrix.values_mut().iter_mut().zip(stiffness_diagonals.values())
+                {
                     *value = nu * k;
                 }
                 add_per_entry(&ops, &mut matrix, &convection);
@@ -1891,6 +1998,147 @@ mod tests {
                 assert_same_bits(&rhs, &rhs_oracle, &format!("residual, {what}"));
                 let full = on_node_graph(&matrix, &ops.topology);
                 assert_same_bits(full.values(), &full_oracle, &format!("mass, {what}"));
+            }
+        }
+    }
+
+    /// The passes that read `K` and `M` from their class stencils against
+    /// the same passes on the stencils laid on diagonals — the oracle — bit
+    /// for bit: the seed and mass values over rows that start and end
+    /// anywhere in a storage block, the right-hand side and mass update on
+    /// 1, 2 and 3 threads at both lane widths, `M·u` over arbitrary row
+    /// ranges into NaN-poisoned columns, and the kinetic energy; and the
+    /// outer Poisson operator, in the storage its rows chose, against the
+    /// pinned diagonals it was built from.  A jittered box keeps its
+    /// diagonals.
+    #[test]
+    fn class_passes_are_the_diagonal_passes_bit_for_bit() {
+        use lv_solver::{LevelOperator, LevelStorage, LinearOperator, MultigridOptions};
+        let extent = BoxMeshBuilder::new(6, 5, 4)
+            .with_extent(lv_mesh::geometry::Point3::ZERO, [2.5, 0.6, 1.7])
+            .build();
+        let jittered = BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.1, 5);
+        // Name, mesh, whether the outer operator takes row classes.
+        let meshes = [
+            ("20^3 cavity", BoxMeshBuilder::new(20, 20, 20).lid_driven_cavity().build(), true),
+            ("48x12x12 channel", ChannelMeshBuilder::new(12, 4).build(), true),
+            ("4x3x1 box", BoxMeshBuilder::new(4, 3, 1).build(), false),
+            ("6x5x4 box of unequal spacings", extent, false),
+            ("12^3 jittered", jittered.build(), false),
+        ];
+        for (name, mesh, classes) in &meshes {
+            let ops = PressureOperators::new(mesh, 16);
+            let jittered = mesh.lattice().expect("a generator box").jittered;
+            let stencils = matches!(ops.matrices, Matrices::Stencils { .. });
+            assert_eq!(stencils, !jittered, "{name}: K and M are stencils unless jittered");
+            let (stiffness, mass) = ops.matrices_on_diagonals();
+            let mut oracle = ops.clone();
+            oracle.matrices = Matrices::Diagonals { stiffness, mass };
+            let (n, nd) = (mesh.num_nodes(), ops.momentum_offsets().len());
+
+            for start in (0..n).step_by(BLOCK_ROWS) {
+                let end = n.min(start + BLOCK_ROWS);
+                let cuts = [start..end, start + 7..end - 5, start + 33..start + 34, end - 9..end];
+                for rows in cuts.into_iter().filter(|r| r.start <= r.end && r.end <= end) {
+                    for (k, mass) in (0..nd).flat_map(|k| [(k, false), (k, true)]) {
+                        let [got, want] = [&ops, &oracle].map(|ops| {
+                            let mut out = vec![f64::NAN; rows.len()];
+                            let block = ops.block_rows(rows.clone());
+                            block.for_each_value(k, mass, &mut out, |o, v| *o = v);
+                            out
+                        });
+                        assert_same_bits(&got, &want, &format!("{name}: {rows:?}, {k}, {mass}"));
+                    }
+                }
+            }
+
+            let (velocity, pressure) = (test_velocity(mesh), test_pressure(mesh));
+            let mut seed = ops.momentum_layout();
+            for (k, value) in seed.values_mut().iter_mut().enumerate() {
+                *value = if k % 11 == 0 { -0.0 } else { (k as f64 * 0.37).sin() };
+            }
+            let reference = oracle.kinetic_energy_on(&Team::new(1), &velocity, 1.3);
+            for threads in [1usize, 2, 3] {
+                let team = Team::new(threads);
+                for lanes in [Lanes::Baseline, Lanes::selected()] {
+                    let what = format!("{name}, {threads} threads, {lanes} lanes");
+                    let [(got, got_rhs), (want, want_rhs)] = [&ops, &oracle].map(|ops| {
+                        let (mut matrix, mut rhs) = (seed.clone(), vec![f64::NAN; NDIME * n]);
+                        let p = pressure.as_slice();
+                        let scale = 1.0 / 0.013;
+                        ops.momentum_residual_and_mass_at(
+                            lanes,
+                            &team,
+                            &mut matrix,
+                            &velocity,
+                            p,
+                            scale,
+                            &mut rhs,
+                        );
+                        (matrix, rhs)
+                    });
+                    assert_same_bits(got.values(), want.values(), &format!("mass, {what}"));
+                    assert_same_bits(&got_rhs, &want_rhs, &format!("residual, {what}"));
+                }
+                let energy = ops.kinetic_energy_on(&team, &velocity, 1.3);
+                assert_eq!(energy.to_bits(), reference.to_bits(), "{name}, {threads} threads");
+            }
+            if let (Matrices::Stencils { taps, .. }, Matrices::Diagonals { mass, .. }) =
+                (&ops.matrices, &oracle.matrices)
+            {
+                let u = MultiVector::from_interleaved(velocity.as_slice());
+                for rows in [0..n, 5..n - 3, n / 2..n / 2 + 17, n - 1..n, 9..9] {
+                    let [got, want] = [true, false].map(|by_class| {
+                        let mut out = [(); NDIME].map(|()| vec![f64::NAN; rows.len()]);
+                        let [m0, m1, m2] = &mut out;
+                        let columns = [&mut m0[..], &mut m1[..], &mut m2[..]];
+                        match by_class {
+                            true => taps.mass_product3(u.components(), rows.clone(), columns),
+                            false => mass.product3_into(u.components(), rows.clone(), columns),
+                        }
+                        out.concat()
+                    });
+                    assert_same_bits(&got, &want, &format!("{name}: M·u over {rows:?}"));
+                }
+            }
+
+            // The outer Poisson operator: the storage its rows chose, and
+            // the products of the diagonals it was built from.
+            let pins: Vec<usize> = match *name {
+                "48x12x12 channel" => (0..n)
+                    .filter(|&a| mesh.boundary_tag(a) == lv_mesh::BoundaryTag::Outflow)
+                    .collect(),
+                _ => vec![0],
+            };
+            let pinned = ops.pinned_laplacian(&pins);
+            let options = MultigridOptions::default();
+            let mut outers = vec![LevelOperator::from_diagonals(pinned.clone())];
+            if let Ok(mg) = crate::build_pressure_multigrid_on_diagonals(mesh, &pinned, &options) {
+                outers.push(mg.fine_operator().as_ref().clone());
+            }
+            let x: Vec<f64> = (0..n).map(|a| (a as f64 * 0.61).sin()).collect();
+            for outer in &outers {
+                let storage = outer.storage();
+                assert_eq!(matches!(storage, LevelStorage::RowClasses { .. }), *classes, "{name}");
+                assert_same_bits(&outer.diagonal(), &pinned.diagonal(), name);
+                for rows in [0..n, 3..n - 2, n / 3..(n / 3 + 40).min(n), n - 1..n, 4..4] {
+                    let [got, want] = [outer as &dyn LinearOperator, &pinned].map(|op| {
+                        let mut y = vec![f64::NAN; rows.len()];
+                        op.apply_range(&x, rows.clone(), &mut y);
+                        y
+                    });
+                    assert_same_bits(&got, &want, &format!("{name}, {storage}: {rows:?}"));
+                }
+                for threads in [1usize, 2, 3] {
+                    let team = Team::new(threads);
+                    let mut ops = lv_solver::VectorOps::on_team(&team);
+                    let [got, want] = [outer as &dyn LinearOperator, &pinned].map(|op| {
+                        let mut y = vec![f64::NAN; n];
+                        ops.apply(op, &x, &mut y);
+                        y
+                    });
+                    assert_same_bits(&got, &want, &format!("{name}, {threads} threads"));
+                }
             }
         }
     }
@@ -1941,10 +2189,11 @@ mod tests {
         // (three per entry) and `−S·u − g` (two per row component); the mass
         // update (a multiply and an add per value).
         let momentum_flops = |values: usize| ((6 * values + 6 * nnz + 6 * n) + 2 * values) as u64;
-        // One pass per block (the values and M in, the values out, `C`, p
-        // and u in, u's columns written and read, rhs out) — no column
-        // index.
-        let diagonal_bytes = |gradient: usize| (24 * padded + gradient + 8 * 7 * n + 48 * n) as u64;
+        // One pass per block (the values in and out, `M`, `C`, p and u
+        // in, u's columns written and read, rhs out) — no column index.
+        let pass_bytes = |mass: usize, gradient: usize| {
+            (16 * padded + mass + gradient + 8 * 7 * n + 48 * n) as u64
+        };
 
         // The generator box: 27 class stencils of 27 taps, no index read,
         // so one pass moves the table, a scalar and a vector field.
@@ -1955,10 +2204,13 @@ mod tests {
         assert_eq!(ops.gradient_flops(), (2 * NDIME * nnz) as u64);
         assert_eq!(ops.divergence_flops(), (2 * NDIME * nnz) as u64);
         assert_eq!(ops.momentum_pass_flops(), momentum_flops(padded));
-        assert_eq!(ops.momentum_pass_bytes(), diagonal_bytes(table));
+        // `M` is read as the class table laid on the 27 diagonals.
+        let mass_table = 27 * (index + 27 * (std::mem::size_of::<isize>() + 8 * 3));
+        assert_eq!(ops.momentum_pass_bytes(), pass_bytes(mass_table, table));
 
         // Jittered: `C` per entry, the coefficients and the column indices;
-        // `K` and `M` still on diagonals.
+        // `K` and `M` on diagonals — the models before the stencils, value
+        // for value.
         let jittered = BoxMeshBuilder::new(4, 4, 4).with_jitter(0.1, 3).build();
         let ops = PressureOperators::new(&jittered, 16);
         assert_eq!(ops.gradient_storage(), GradientStorage::JitteredLattice);
@@ -1966,7 +2218,7 @@ mod tests {
         assert_eq!(ops.gradient_flops(), (2 * NDIME * nnz) as u64);
         assert_eq!(ops.divergence_flops(), (2 * NDIME * nnz) as u64);
         assert_eq!(ops.momentum_pass_flops(), momentum_flops(padded));
-        assert_eq!(ops.momentum_pass_bytes(), diagonal_bytes(8 * NDIME * nnz));
+        assert_eq!(ops.momentum_pass_bytes(), pass_bytes(8 * padded, 8 * NDIME * nnz));
     }
 
     /// A renumbered mesh carries no lattice: the operators refuse it.
@@ -2086,17 +2338,19 @@ mod tests {
                 }
             }
             assert!(worst <= N_EPSILONS, "{name}: K off by {worst} n·ε");
-            // The diagonals the per-step passes read: the loop's layout,
-            // every position off the node graph `+0.0`.
-            assert!(ops.stiffness.same_layout(&reference.stiffness), "{name}");
-            let (n, offsets) = (mesh.num_nodes(), ops.stiffness.offsets());
+            // The stencils laid on the diagonals the per-step passes
+            // write: the loop's layout, every position off the node graph
+            // `+0.0`.
+            let (stiffness, mass) = ops.matrices_on_diagonals();
+            assert!(stiffness.same_layout(&reference.matrices_on_diagonals().0), "{name}");
+            let (n, offsets) = (mesh.num_nodes(), stiffness.offsets());
             let col_idx = ops.topology.col_idx();
             for a in 0..n {
                 let row = &col_idx[row_ptr[a]..row_ptr[a + 1]];
                 for (k, &offset) in offsets.iter().enumerate() {
                     if !row.contains(&a.wrapping_add_signed(offset)) {
                         let at = value_position(n, offsets.len(), k, a);
-                        for dia in [&ops.stiffness, &ops.mass] {
+                        for dia in [&stiffness, &mass] {
                             assert_eq!(dia.values()[at].to_bits(), 0, "{name}: row {a}, {offset}");
                         }
                     }

@@ -20,9 +20,13 @@
 //! [`WINDOW`] rows at once: the taps are broadcast, the rows are the lanes.
 //! Every row adds its taps in ascending column order from `+0.0`, the order
 //! of the per-entry row product, so a window's width moves no bit and
-//! neither does where a team's row share cuts a line.  `K` and `M` are
-//! written out once, run by run, onto the diagonals the per-step passes
-//! read ([`PressureOperators`](crate::PressureOperators) does that).
+//! neither does where a team's row share cuts a line.  `K` and `M` stay
+//! stencils too: the per-step passes that write the momentum matrix's
+//! diagonals (the gather's `ν·K` seed, the mass update) read each class's
+//! taps laid on those diagonals ([`ClassStencils::aligned`]), one constant
+//! per run of rows and diagonal, and `M·u` of the kinetic energy runs in
+//! windows like `C`'s passes, from the same sums in the same order as the
+//! diagonal product.
 
 use crate::{NDIME, PNODE};
 use lv_mesh::BoxLattice;
@@ -45,6 +49,15 @@ pub(crate) const CORNERS: [[usize; NDIME]; PNODE] =
 /// One tap of a class stencil: the column offset `b − a` and its payload,
 /// `C[a][b][·]` for the gradient.
 pub(crate) type Tap<P = [f64; NDIME]> = (isize, P);
+
+/// The payload of the stencils of `K` and `M`: `K_ab`, `M_ab` and, on the
+/// diagonal tap (`b = a`), the lumped mass `∫ N_a`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MatrixTap {
+    pub(crate) stiffness: f64,
+    pub(crate) mass: f64,
+    pub(crate) lumped: f64,
+}
 
 /// The taps of one position class, in ascending column order.
 #[derive(Debug, Clone, Copy)]
@@ -135,6 +148,34 @@ impl<P: Copy + Default> ClassStencils<P> {
         ClassStencils { points, classes }
     }
 
+    /// The same stencils with one tap per offset of `offsets` (ascending,
+    /// a superset of every class's) in that order, `P::default()` where a
+    /// class has none — for passes that write a layout of those diagonals
+    /// and read tap `k` as diagonal `k`'s value.  Never a product's taps: an
+    /// added tap may point outside the lattice.
+    ///
+    /// # Panics
+    /// Panics if a tap's offset is not among `offsets`.
+    pub(crate) fn aligned(&self, offsets: &[isize]) -> Self {
+        assert!(offsets.len() <= TAPS);
+        let mut aligned = self.clone();
+        for (class, stencil) in aligned.classes.iter_mut().zip(&self.classes) {
+            if class.len == 0 {
+                continue;
+            }
+            let mut taps = stencil.taps[..stencil.len].iter().peekable();
+            for (slot, &offset) in class.taps.iter_mut().zip(offsets) {
+                *slot = match taps.next_if(|tap| tap.0 == offset) {
+                    Some(&tap) => tap,
+                    None => (offset, P::default()),
+                };
+            }
+            assert!(taps.next().is_none(), "a tap lies on none of the offsets");
+            class.len = offsets.len();
+        }
+        aligned
+    }
+
     /// Position classes the box holds: 27 from two elements a side.
     pub(crate) fn num_classes(&self) -> usize {
         self.classes.iter().filter(|c| c.len > 0).count()
@@ -155,10 +196,10 @@ impl<P: Copy + Default> ClassStencils<P> {
     /// own, the rows between them one run per line, cut at `rows`' ends and
     /// into [`BLOCK`]s.
     #[inline(always)]
-    pub(crate) fn for_each_run(
-        &self,
+    pub(crate) fn for_each_run<'s>(
+        &'s self,
         rows: Range<usize>,
-        mut visit: impl FnMut(Range<usize>, &[Tap<P>]),
+        mut visit: impl FnMut(Range<usize>, &'s [Tap<P>]),
     ) {
         assert!(rows.end <= self.num_rows());
         let [px, py, pz] = self.points;
@@ -175,6 +216,44 @@ impl<P: Copy + Default> ClassStencils<P> {
             visit(row..end, &stencil.taps[..stencil.len]);
             row = end;
         }
+    }
+
+    /// The runs of [`for_each_run`](Self::for_each_run) collected, for a
+    /// pass that walks them once per diagonal: finding a run's class takes
+    /// two divisions, a diagonal's write of it one fill.
+    pub(crate) fn runs(&self, rows: Range<usize>) -> Vec<(Range<usize>, &[Tap<P>])> {
+        let mut runs = Vec::new();
+        self.for_each_run(rows, |run, taps| runs.push((run, taps)));
+        runs
+    }
+}
+
+impl ClassStencils<MatrixTap> {
+    /// `M·u` of the three columns `u` over `rows` into `out` (one row per
+    /// entry of each column), every row's taps in ascending column order
+    /// from `+0.0` — per column the sum the diagonal product of `M` forms,
+    /// bit for bit for finite `u`: the entries a class has no tap for are
+    /// zeros there.
+    ///
+    /// # Panics
+    /// Panics if a column of `u` is not one entry per lattice node or `out`
+    /// does not match `rows`.
+    pub(crate) fn mass_product3(
+        &self,
+        u: [&[f64]; NDIME],
+        rows: Range<usize>,
+        mut out: [&mut [f64]; NDIME],
+    ) {
+        assert!(u.iter().all(|column| column.len() == self.num_rows()));
+        assert!(out.iter().all(|column| column.len() == rows.len()));
+        let first = rows.start;
+        let mut block = [[0.0f64; BLOCK]; NDIME];
+        self.for_each_run(rows, |run, taps| {
+            mass_block(taps, u, run.clone(), &mut block);
+            for (out, block) in out.iter_mut().zip(&block) {
+                out[run.start - first..run.end - first].copy_from_slice(&block[..run.len()]);
+            }
+        });
     }
 }
 
@@ -308,6 +387,61 @@ lv_runtime::multiversion! {
     /// of one run of at most [`BLOCK`] rows, `taps` its class's stencil.
     fn divergence_block(taps: &[Tap], vel: &[f64], run: Range<usize>, out: &mut [f64; BLOCK])
         = divergence_block_body, at divergence_block_at;
+}
+
+#[inline(always)]
+fn mass_block_body(
+    taps: &[Tap<MatrixTap>],
+    u: [&[f64]; NDIME],
+    run: Range<usize>,
+    out: &mut [[f64; BLOCK]; NDIME],
+) {
+    if run.len() < WINDOW {
+        for (r, row) in run.enumerate() {
+            let m = mass_window::<1>(taps, u, row);
+            for (out, m) in out.iter_mut().zip(m) {
+                out[r] = m[0];
+            }
+        }
+        return;
+    }
+    for r in window_starts(run.len()) {
+        let m = mass_window::<WINDOW>(taps, u, run.start + r);
+        for (out, m) in out.iter_mut().zip(m) {
+            out[r..r + WINDOW].copy_from_slice(&m);
+        }
+    }
+}
+
+lv_runtime::multiversion! {
+    /// `out[c][r] = Σ_b M_ab·u_c[b]` for the rows `a = run.start + r` of one
+    /// run of at most [`BLOCK`] rows, `taps` its class's stencil.
+    fn mass_block(
+        taps: &[Tap<MatrixTap>],
+        u: [&[f64]; NDIME],
+        run: Range<usize>,
+        out: &mut [[f64; BLOCK]; NDIME],
+    ) = mass_block_body, at mass_block_at;
+}
+
+/// `M·u` of `W` consecutive rows of one class, three columns, `m[c][r]`.
+#[inline(always)]
+fn mass_window<const W: usize>(
+    taps: &[Tap<MatrixTap>],
+    u: [&[f64]; NDIME],
+    row: usize,
+) -> [[f64; W]; NDIME] {
+    let mut m = [[0.0f64; W]; NDIME];
+    for &(offset, tap) in taps {
+        let at = row.wrapping_add_signed(offset);
+        for (m, u) in m.iter_mut().zip(u) {
+            let us = &u[at..][..W];
+            for r in 0..W {
+                m[r] += tap.mass * us[r];
+            }
+        }
+    }
+    m
 }
 
 /// The weak gradient of `W` consecutive rows of one class, `g[i][r]`.

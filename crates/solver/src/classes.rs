@@ -13,35 +13,40 @@
 //!   offset order, and
 //! * the **runs** `(start, len, class)` of consecutive rows that share a
 //!   class — at 33³ nodes 3 267 of them, ~40 KB with the table, against the
-//!   3.9 MB of diagonals it replaces.
+//!   3.9 MB of `f32` diagonals it replaces (7.8 MB in `f64`).
 //!
 //! **What a class keeps.**  An entry is rounded to `T` once and kept unless
-//! it is an exact zero or smaller than `T`'s epsilon times the row's own
-//! diagonal entry `|a_ii|`.  The second rule is what makes a uniform lattice
-//! classify: the trilinear Laplacian couples face neighbours with an exact
-//! `0`, which quadrature leaves as noise of ~1e-20 beside a diagonal of
-//! ~1e-1.  Integrated element by element (a jittered box) that noise is
-//! different in every row, and in `f64` no two rows agree; an unjittered
-//! box takes `K` from one reference element as position-class stencils, so
-//! its noise is one value per class, and its pinned `f64` level 0 has 34
-//! exact classes (27 positions and the seven neighbours of the pin, whose
+//! it is an exact zero or, in `f32`, smaller than its epsilon times the
+//! row's own diagonal entry `|a_ii|` ([`Scalar::NOISE`]).  The `f32` rule is
+//! what makes a uniform lattice classify in the cycle's precision: the
+//! trilinear Laplacian couples face neighbours with an exact `0`, which
+//! quadrature leaves as noise of ~1e-20 beside a diagonal of ~1e-1, and
+//! there a level of the cavity has 31 classes.  An `f64` table keeps every
+//! entry that is not an exact zero, so its product is the diagonals' bit
+//! for bit: integrated element by element (a jittered box) the noise is
+//! different in every row and no two rows agree, but an unjittered box
+//! takes `K` from one reference element as position-class stencils, so its
+//! noise is one value per class, and its pinned `f64` level 0 has 34 exact
+//! classes (27 positions and the seven neighbours of the pin, whose
 //! coupling to it was zeroed) and its Galerkin levels at most 34 keys
-//! (`multigrid::galerkin_on_lattices` computes them once per key).  In
-//! the cycle's `f32` the rule drops the noise and a level of the cavity has
-//! 31 classes.  Taps are stored entries, so no tap of any row of a run
-//! ever points outside the matrix.
+//! (`multigrid::galerkin_on_lattices` computes them once per key).  Taps
+//! are stored entries, so no tap of any row of a run ever points outside
+//! the matrix.
 //!
 //! **Same bits as the diagonals.**  A row sums its taps in ascending offset
 //! order from `+0.0` — the order and the start of the `DiaMatrix` kernels —
 //! and a dropped entry there contributes `0·x = ±0.0`, which leaves a sum
 //! that started at `+0.0` unchanged.  So for finite `x`
+//! [`product_range`](RowClasses::product_range),
 //! [`jacobi_range`](RowClasses::jacobi_range) and
 //! [`residual_range`](RowClasses::residual_range) are `to_bits` equal to the
-//! `DiaMatrix<T>` kernels of the same names on [`flushed`] — the matrix with
-//! the dropped entries zeroed — for every row range and both lane widths.
-//! Against the *unflushed* diagonals a result could move only where a term
-//! below `ε·|a_ii|·|x|` tips a rounding; on the 33³ cavity no row of a sweep
-//! does.
+//! `DiaMatrix<T>` kernels on [`flushed`] — the matrix with the dropped
+//! entries zeroed, the matrix itself in `f64` — for every row range and both
+//! lane widths.  Against the *unflushed* `f32` diagonals a result could move
+//! only where a term below `ε·|a_ii|·|x|` tips a rounding; on the 33³ cavity
+//! no row of a sweep does.  An `f64` table is therefore a
+//! [`LinearOperator`]: the outer CG of the pressure solve iterates on the
+//! fine level's classes, not its diagonals.
 //!
 //! **The vector length is the run length.**  Per run the taps are broadcast
 //! and the rows go through in unit-stride windows of 16 and 8 — two windows
@@ -69,13 +74,18 @@
 //! row that differs anywhere starts a run; the run rule is settled here,
 //! block by block, as soon as the short runs hold a majority of the rows
 //! (9 µs on the 729-row level a fleet job rebuilds every slice, 1.1 ms on
-//! the 35 937-row one that passes).  Then, only for a matrix that
-//! qualifies, the table: the first row of each run is compared, entry by
-//! entry, with the classes found so far.  No hashing anywhere — rows share a
-//! class only if every kept entry agrees in every bit.
+//! the 35 937-row one that passes).  A caller that has the rows' exact-bit
+//! classes already ([`exact_row_classes`](crate::exact_row_classes), which
+//! the lattice Galerkin product needs anyway) reads the runs off them
+//! instead ([`from_row_ids_with_long_runs`](RowClasses::from_row_ids_with_long_runs)).
+//! Then, only for a matrix that qualifies, the table: the first row of each
+//! run is compared, entry by entry, with the classes found so far.  No
+//! hashing anywhere — rows share a class only if every kept entry agrees in
+//! every bit.
 
 use crate::csr::CsrMatrix;
 use crate::dia::{disjoint, DiaMatrix, Scalar, BLOCK_ROWS, MAX_DIAGONALS};
+use crate::operator::LinearOperator;
 use std::ops::Range;
 
 /// Most classes a [`RowClasses`] table holds (a run names its class in one
@@ -122,10 +132,14 @@ pub struct RowClasses<T: Scalar> {
 }
 
 /// The smallest magnitude a class keeps in a row whose diagonal entry is
-/// `diagonal`: `T`'s epsilon relative to it, with the entry rounded to `T`.
+/// `diagonal`: [`Scalar::NOISE`] relative to it, with the entry rounded to
+/// `T` — in `f64` nothing but a zero is below it.
 #[inline(always)]
 fn threshold<T: Scalar>(diagonal: f64) -> f64 {
-    T::EPSILON * T::from_f64(diagonal).to_f64().abs()
+    if T::NOISE == 0.0 {
+        return 0.0;
+    }
+    T::NOISE * T::from_f64(diagonal).to_f64().abs()
 }
 
 /// `value` rounded to `T` as a class sees it in a row with that
@@ -173,6 +187,39 @@ impl<T: Scalar> RowClasses<T> {
     /// as the short ones hold a majority, before any table is built.
     pub fn from_dia_with_long_runs<U: Scalar>(matrix: &DiaMatrix<U>) -> Option<RowClasses<T>> {
         Self::build(matrix, true)
+    }
+
+    /// [`from_dia_with_long_runs`](Self::from_dia_with_long_runs) of a
+    /// matrix whose rows' exact-bit class ids are `ids`
+    /// ([`exact_row_classes`](crate::exact_row_classes)): a run is a stretch
+    /// of rows of one id, so only the first row of each run is read.  Rows
+    /// of two ids may still share a class (a `-0.0` against a `+0.0`, or
+    /// noise the `f32` rule drops), which the table finds; the runs may then
+    /// be shorter than the values' own.
+    ///
+    /// # Panics
+    /// Panics if `ids` does not hold one id per row.
+    pub fn from_row_ids_with_long_runs<U: Scalar>(
+        matrix: &DiaMatrix<U>,
+        ids: &[u32],
+    ) -> Option<RowClasses<T>> {
+        let n = matrix.dim();
+        assert_eq!(ids.len(), n, "one class id per row");
+        if n == 0 || u32::try_from(n).is_err() {
+            return None;
+        }
+        let mut runs: Vec<Run> = Vec::new();
+        for (row, &id) in ids.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if ids[row - 1] == id => run.len += 1,
+                _ => runs.push(Run { start: row as u32, len: 1, class: 0 }),
+            }
+        }
+        let classes = RowClasses { n, class_ptr: vec![0], taps: Vec::new(), runs };
+        if 2 * classes.rows_in_long_runs() < n {
+            return None;
+        }
+        classes.with_table(matrix, matrix.offsets().binary_search(&0).ok())
     }
 
     fn build<U: Scalar>(matrix: &DiaMatrix<U>, long_runs: bool) -> Option<RowClasses<T>> {
@@ -310,17 +357,14 @@ impl<T: Scalar> RowClasses<T> {
         &self.taps[self.class_ptr[class]..self.class_ptr[class + 1]]
     }
 
-    /// Bytes one fused sweep moves: the run list and the class table — all
-    /// there is of the operator — plus the four vectors of
-    /// [`jacobi_range`](Self::jacobi_range) (`x`, `b`, `inv_diag` read, `xn`
-    /// written) at `size_of::<T>()` per row.  A `DiaMatrix` charges its
-    /// values alone, which dwarf its vectors; here the vectors are the
-    /// traffic.
+    /// Bytes of operator data one traversal streams: the run list and the
+    /// class table — all there is of the operator, a few dozen kilobytes —
+    /// and, as [`LinearOperator::streamed_bytes`] asks, no vector.  A sweep
+    /// moves its vectors besides, which here are most of its traffic.
     pub fn streamed_bytes(&self) -> usize {
         std::mem::size_of_val(&self.runs[..])
             + std::mem::size_of_val(&self.taps[..])
             + std::mem::size_of_val(&self.class_ptr[..])
-            + 4 * self.n * std::mem::size_of::<T>()
     }
 
     /// Modeled flops of one product: one multiply-add per tap a row keeps —
@@ -397,6 +441,11 @@ impl<T: Scalar> RowClasses<T> {
     }
 
     #[inline(always)]
+    fn product_body(&self, x: &[T], rows: Range<usize>, y: &mut [T]) {
+        self.for_each_window(x, rows, y, |_, sums, out| out.copy_from_slice(sums));
+    }
+
+    #[inline(always)]
     fn jacobi_body(
         &self,
         x: &[T],
@@ -425,6 +474,20 @@ impl<T: Scalar> RowClasses<T> {
                 *out = *bi - *sum;
             }
         });
+    }
+
+    lv_runtime::multiversion! {
+        /// The product over `rows`: `y[i] = (A·x)[rows.start + i]` —
+        /// [`DiaMatrix::product_into`] of [`flushed`], bit for bit, for
+        /// finite `x`; in `f64` that is the matrix the table was built from.
+        ///
+        /// [`DiaMatrix::product_into`]: crate::dia::DiaMatrix::product_into
+        ///
+        /// # Panics
+        /// Panics if `x` does not match the dimension, `rows` is out of
+        /// bounds, or `y` does not match `rows`.
+        pub fn product_range(&self, x: &[T], rows: Range<usize>, y: &mut [T])
+            = Self::product_body, at product_range_at, clone product_avx2;
     }
 
     lv_runtime::multiversion! {
@@ -462,6 +525,37 @@ impl<T: Scalar> RowClasses<T> {
         /// bounds, or `r` does not match `rows`.
         pub fn residual_range(&self, x: &[T], b: &[T], rows: Range<usize>, r: &mut [T])
             = Self::residual_body, at residual_range_at, clone residual_avx2;
+    }
+}
+
+/// The `f64` table as an operator: the outer CG of the pressure solve runs
+/// its products on it ([`crate::multigrid::LevelOperator`]).
+impl LinearOperator for RowClasses<f64> {
+    fn dim(&self) -> usize {
+        self.n
+    }
+
+    fn apply_range(&self, x: &[f64], rows: Range<usize>, y: &mut [f64]) {
+        self.product_range(x, rows, y);
+    }
+
+    /// Each row's tap at offset 0, or `+0.0` where its class keeps none.
+    fn diagonal(&self) -> Vec<f64> {
+        let mut diagonal = vec![0.0; self.n];
+        for run in &self.runs {
+            let taps = self.class_taps(run.class as usize);
+            let entry = taps.iter().find(|tap| tap.0 == 0).map_or(0.0, |tap| tap.1);
+            diagonal[run.rows()].fill(entry);
+        }
+        diagonal
+    }
+
+    fn streamed_bytes(&self) -> usize {
+        RowClasses::streamed_bytes(self)
+    }
+
+    fn apply_flops(&self) -> u64 {
+        RowClasses::apply_flops(self)
     }
 }
 
@@ -553,8 +647,9 @@ pub(crate) mod tests {
         v.iter().map(|e| e.to_f64().to_bits()).collect()
     }
 
-    /// Both kernels of `classes` against the `DiaMatrix<T>` kernels of the
-    /// flushed matrix, bit for bit, over `ranges`.
+    /// The three kernels of `classes` against the `DiaMatrix<T>` kernels of
+    /// the flushed matrix, bit for bit, over `ranges`, into outputs
+    /// poisoned with NaN.
     fn assert_kernels_match_the_flushed_diagonals<T: Scalar>(
         csr: &CsrMatrix,
         ranges: &[Range<usize>],
@@ -577,6 +672,10 @@ pub(crate) mod tests {
             classes.residual_range(&x, &b, rows.clone(), &mut got);
             reference.residual_range(&x, &b, rows.clone(), &mut want);
             assert_eq!(bits(&got), bits(&want), "{what}: residual over {rows:?}");
+            let (mut got, mut want) = (nan(), nan());
+            classes.product_range(&x, rows.clone(), &mut got);
+            reference.product_into(&x, rows.clone(), &mut want);
+            assert_eq!(bits(&got), bits(&want), "{what}: product over {rows:?}");
         }
     }
 
@@ -610,9 +709,10 @@ pub(crate) mod tests {
             let what = format!("{nx} x {ny}");
             assert_kernels_match_the_flushed_diagonals::<f32>(&csr, &ranges, &what);
             assert_kernels_match_the_flushed_diagonals::<f64>(&csr, &ranges, &what);
-            // The noise is really there, and really dropped.
-            assert!(flushed::<f64>(&csr) != csr, "{what}: nothing was flushed");
-            assert_eq!(flushed::<f32>(&csr), flushed::<f64>(&csr));
+            // The noise is really there, and dropped in `f32` only: an
+            // `f64` table keeps every entry that is not an exact zero.
+            assert!(flushed::<f32>(&csr) != csr, "{what}: nothing was flushed");
+            assert_eq!(flushed::<f64>(&csr), csr, "{what}");
             // Rounded on the way in or beforehand: the same classes.
             let wide: DiaMatrix = DiaMatrix::from_csr(&csr).expect("nine diagonals");
             assert_eq!(RowClasses::<f32>::from_dia(&wide), classes_of::<f32>(&csr));
@@ -663,10 +763,55 @@ pub(crate) mod tests {
         let kept = 5 * (nx - 2) * (ny - 2) + 3 * 2 * ((nx - 2) + (ny - 2)) + 2 * 4;
         assert_eq!(classes.apply_flops(), 2 * kept as u64);
         let taps: usize = (0..9).map(|class| classes.class_taps(class).len()).sum();
-        assert_eq!(
-            classes.streamed_bytes(),
-            classes.num_runs() * 12 + taps * 16 + 10 * 8 + 4 * nx * ny * 4
-        );
+        // The operator's data alone: the runs, the taps and the class
+        // pointers; no vector.
+        assert_eq!(classes.streamed_bytes(), classes.num_runs() * 12 + taps * 16 + 10 * 8);
+    }
+
+    /// The `f64` table keeps the noise, so it is the diagonals themselves
+    /// as an operator: the product on every range and the diagonal, bit for
+    /// bit, and the runs read off exact-bit row ids are the values' own.
+    #[test]
+    fn an_f64_table_is_the_diagonals_as_an_operator() {
+        let (nx, ny) = (37, 19);
+        // Noise one value per position class, as a generator box has it,
+        // and a pin: rows repeat along the lines.
+        let mut dense = vec![vec![0.0; nx * ny]; nx * ny];
+        let plain = noisy_lattice(nx, ny, &[]);
+        for (row, dense_row) in dense.iter_mut().enumerate() {
+            let (i, j) = (row % nx, row / nx);
+            let class = [i == 0, i == nx - 1, j == 0, j == ny - 1];
+            let entries = plain.row_ptr()[row]..plain.row_ptr()[row + 1];
+            for (&col, &value) in
+                plain.col_idx()[entries.clone()].iter().zip(&plain.values()[entries])
+            {
+                let noise = 1e-18 * (class.iter().filter(|&&c| c).count() + 1) as f64;
+                dense_row[col] = if value.abs() < 1e-15 { noise } else { value };
+            }
+        }
+        let mut csr = CsrMatrix::from_dense(&dense);
+        csr.pin_rows_symmetric(&[5 * nx + 9]);
+        let dia: DiaMatrix = DiaMatrix::from_csr(&csr).expect("nine diagonals");
+        let classes = RowClasses::<f64>::from_dia_with_long_runs(&dia).expect("long runs");
+        let by_ids =
+            RowClasses::<f64>::from_row_ids_with_long_runs(&dia, &crate::exact_row_classes(&dia));
+        assert_eq!(by_ids.as_ref(), Some(&classes));
+        // Nine position classes, the pin and its eight neighbours.
+        assert_eq!(classes.num_classes(), 18);
+        assert_eq!(LinearOperator::diagonal(&classes), LinearOperator::diagonal(&dia));
+        let x = awkward_vector(nx * ny, 61);
+        for rows in probe_ranges(nx * ny, nx) {
+            let nan = || vec![f64::NAN; rows.len()];
+            let (mut got, mut want) = (nan(), nan());
+            classes.apply_range(&x, rows.clone(), &mut got);
+            dia.apply_range(&x, rows.clone(), &mut want);
+            assert_eq!(bits(&got), bits(&want), "{rows:?}");
+        }
+        assert_eq!(LinearOperator::streamed_bytes(&classes), classes.streamed_bytes());
+        // Runs of 15 cannot pay, whichever way they are found.
+        let short: DiaMatrix = DiaMatrix::from_csr(&noisy_lattice(17, 30, &[])).unwrap();
+        let ids = crate::exact_row_classes(&short);
+        assert!(RowClasses::<f64>::from_row_ids_with_long_runs(&short, &ids).is_none());
     }
 
     #[test]

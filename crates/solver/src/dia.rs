@@ -33,9 +33,11 @@
 //! all of them, as [`CsrMatrix::spmm3_range`] does with an index stream
 //! and one add-chain per row; per column it is the one-column product,
 //! bit for bit.  The block kernel is the momentum assembly's:
-//! [`product3_and_add_on`](DiaMatrix::product3_and_add_on) runs the same
-//! three-column product over a storage block and then adds a scaled second
-//! matrix of the same layout to that block while it is still in cache.
+//! [`product3_and_update_on`](DiaMatrix::product3_and_update_on) runs the
+//! same three-column product over a storage block and then hands the block
+//! to the caller to update while it is still in cache — the mass added
+//! from its class stencils, or from a second matrix of the same layout
+//! ([`add_scaled_block_to`](DiaMatrix::add_scaled_block_to)).
 //!
 //! **Born on diagonals.**  The momentum matrix of a time step is not
 //! converted from anything: on a mesh whose elements all share one
@@ -43,8 +45,8 @@
 //! `lv_mesh::ElementDiagonals`) the step builds it in this layout from
 //! [`zeros`](DiaMatrix::zeros) on — every value written once by the
 //! element gather through [`value_position`] (`lv_kernel::momentum`), its
-//! right-hand side taken and its mass block added by
-//! [`product3_and_add_on`](DiaMatrix::product3_and_add_on) in one
+//! right-hand side taken and its mass block added through
+//! [`product3_and_update_on`](DiaMatrix::product3_and_update_on) in one
 //! traversal of each storage block, and its Dirichlet rows set by
 //! [`dirichlet_row`](DiaMatrix::dirichlet_row).  Padding stays `+0.0`,
 //! so given the same entries the values are those
@@ -56,7 +58,8 @@
 //! ([`product_into`](DiaMatrix::product_into), which is
 //! [`LinearOperator::apply_range`] for `f64`), `product3_into`
 //! ([`LinearOperator::apply3_range`]), `jacobi_range`, `residual_range` and
-//! the block kernel of `product3_and_add_on` — are multiversioned with [`lv_runtime::multiversion!`]:
+//! the block kernel of `product3_and_update_on` — are multiversioned with
+//! [`lv_runtime::multiversion!`]:
 //! besides the copy at the build's baseline target features there is an
 //! `avx2` clone (four `f64` or eight `f32` rows per instruction instead of
 //! SSE2's two or four), and each entry point runs the one
@@ -119,8 +122,11 @@ pub trait Scalar:
 {
     /// `+0.0`.
     const ZERO: Self;
-    /// The machine epsilon of this precision, as an `f64`.
-    const EPSILON: f64;
+    /// The share of a row's diagonal entry below which a
+    /// [`RowClasses`](crate::RowClasses) in this precision drops an entry as
+    /// quadrature noise: the epsilon in `f32`, `0` in `f64`, whose classes
+    /// keep every entry that is not an exact zero.
+    const NOISE: f64;
     /// `value` rounded to nearest in this precision (the identity for `f64`).
     fn from_f64(value: f64) -> Self;
     /// `self` widened to `f64` (exact).
@@ -129,7 +135,7 @@ pub trait Scalar:
 
 impl Scalar for f64 {
     const ZERO: f64 = 0.0;
-    const EPSILON: f64 = f64::EPSILON;
+    const NOISE: f64 = 0.0;
     #[inline]
     fn from_f64(value: f64) -> f64 {
         value
@@ -142,7 +148,7 @@ impl Scalar for f64 {
 
 impl Scalar for f32 {
     const ZERO: f32 = 0.0;
-    const EPSILON: f64 = f32::EPSILON as f64;
+    const NOISE: f64 = f32::EPSILON as f64;
     #[inline]
     fn from_f64(value: f64) -> f32 {
         value as f32
@@ -504,41 +510,36 @@ impl DiaMatrix<f64> {
     /// One traversal of every storage block, split by whole blocks across
     /// `team`: the three products `y_c = A·x_c` over the block's rows
     /// (each column bit for bit what [`product3_into`](Self::product3_into)
-    /// gives it), handed to `finish(rows, y, out)` with the block's rows of
-    /// `out`; then `A += scale·addend` on the block, while it is in cache.
-    /// `finish` sees the products of `A` **before** the addition — the
-    /// momentum step takes its right-hand side off `ν·K + C(u)` and only
-    /// then adds `(ρ/Δt)·M`.  Bitwise identical for every team size.
+    /// gives it), handed to `finish(rows, y, values, out)` with the block's
+    /// values and its rows of `out` — to update the block while it is in
+    /// cache, after the products have read it.  The momentum step takes its
+    /// right-hand side off `ν·K + C(u)` and only then adds `(ρ/Δt)·M`.
+    /// Bitwise identical for every team size.
     ///
     /// # Panics
-    /// Panics if `addend` has another layout, a column of `x` does not
-    /// match the dimension, or `out` does not hold whole rows.
-    pub fn product3_and_add_on<S: Share>(
+    /// Panics if a column of `x` does not match the dimension, or `out`
+    /// does not hold whole rows.
+    pub fn product3_and_update_on<S: Share>(
         &mut self,
         team: &Team,
         x: [&[f64]; 3],
-        scale: f64,
-        addend: &DiaMatrix,
         out: S,
-        finish: impl Fn(Range<usize>, [&[f64]; 3], S) + Sync,
+        finish: impl Fn(Range<usize>, [&[f64]; 3], &mut [f64], S) + Sync,
     ) {
-        self.product3_and_add_at(Lanes::selected(), team, x, scale, addend, out, finish);
+        self.product3_and_update_at(Lanes::selected(), team, x, out, finish);
     }
 
-    /// [`product3_and_add_on`](Self::product3_and_add_on) with the block
-    /// kernel at `lanes`: the baseline body or its wide clone, same bits.
-    #[allow(clippy::too_many_arguments)]
-    pub fn product3_and_add_at<S: Share>(
+    /// [`product3_and_update_on`](Self::product3_and_update_on) with the
+    /// block kernel at `lanes`: the baseline body or its wide clone, same
+    /// bits.
+    pub fn product3_and_update_at<S: Share>(
         &mut self,
         lanes: Lanes,
         team: &Team,
         x: [&[f64]; 3],
-        scale: f64,
-        addend: &DiaMatrix,
         out: S,
-        finish: impl Fn(Range<usize>, [&[f64]; 3], S) + Sync,
+        finish: impl Fn(Range<usize>, [&[f64]; 3], &mut [f64], S) + Sync,
     ) {
-        assert!(self.same_layout(addend), "the addend matrix has another layout");
         assert!(x.iter().all(|xc| xc.len() == self.n), "a column does not match the dimension");
         let (n, offsets) = (self.n, &self.offsets);
         let shares = (&mut self.values[..], out);
@@ -549,11 +550,26 @@ impl DiaMatrix<f64> {
                 let (block, out) = shares.split_rows(len, rows.end - block_start);
                 let [y0, y1, y2] = &mut y;
                 let y = [&mut y0[..len], &mut y1[..len], &mut y2[..len]];
-                let addend = addend.block(block_start).0;
-                product3_add_block_at(lanes, offsets, n, block_start, block, addend, scale, x, y);
-                finish(block_start..block_start + len, [&y0[..len], &y1[..len], &y2[..len]], out);
+                product3_block_at(lanes, offsets, n, block_start, block, x, y);
+                let y = [&y0[..len], &y1[..len], &y2[..len]];
+                finish(block_start..block_start + len, y, block, out);
             }
         });
+    }
+
+    /// `block += scale·A` over the storage block of `A` (this matrix) that
+    /// starts at row `block_start`, entry by entry: how a
+    /// [`product3_and_update_on`](Self::product3_and_update_on) update adds
+    /// a matrix of the block's layout.
+    ///
+    /// # Panics
+    /// Panics if `block` is not the size of that storage block.
+    pub fn add_scaled_block_to(&self, block_start: usize, scale: f64, block: &mut [f64]) {
+        let addend = self.block(block_start).0;
+        assert_eq!(addend.len(), block.len(), "the addend matrix has another layout");
+        for (value, &a) in block.iter_mut().zip(addend) {
+            *value += scale * a;
+        }
     }
 
     /// Makes `row` an identity row: `1.0` on the main diagonal, `+0.0` on
@@ -694,24 +710,20 @@ fn block_product3<T: Scalar>(
     }
 }
 
-/// The block kernel of [`DiaMatrix::product3_and_add_on`]: the three
+/// The block kernel of [`DiaMatrix::product3_and_update_on`]: the three
 /// products over the whole storage block (`block`, starting at row
-/// `block_start`), then `block += scale·addend` entry by entry.
+/// `block_start`).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn product3_add_block_body(
+fn product3_block_body(
     offsets: &[isize],
     n: usize,
     block_start: usize,
-    block: &mut [f64],
-    addend: &[f64],
-    scale: f64,
+    block: &[f64],
     x: [&[f64]; 3],
     y: [&mut [f64]; 3],
 ) {
     let block_len = BLOCK_ROWS.min(n - block_start);
     assert_eq!(block.len(), block_len * offsets.len(), "one run per offset");
-    assert_eq!(addend.len(), block.len(), "the addend block has another layout");
     block_product3(
         offsets,
         n,
@@ -722,24 +734,18 @@ fn product3_add_block_body(
         x,
         y,
     );
-    for (value, &a) in block.iter_mut().zip(addend) {
-        *value += scale * a;
-    }
 }
 
 lv_runtime::multiversion! {
-    /// [`product3_add_block_body`] at the host's lanes.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn product3_add_block(
+    /// [`product3_block_body`] at the host's lanes.
+    pub(crate) fn product3_block(
         offsets: &[isize],
         n: usize,
         block_start: usize,
-        block: &mut [f64],
-        addend: &[f64],
-        scale: f64,
+        block: &[f64],
         x: [&[f64]; 3],
         y: [&mut [f64]; 3],
-    ) = product3_add_block_body, at product3_add_block_at;
+    ) = product3_block_body, at product3_block_at;
 }
 
 /// Where entry `(k, row)` — `row`'s value on the `k`-th of `diagonals`
@@ -1151,7 +1157,7 @@ pub(crate) mod tests {
 
     /// A matrix assembled in place on its diagonals — `ν·K` seeded value by
     /// value, entries added at `value_position`, three products
-    /// taken and `scale·M` added by `product3_and_add_on`, Dirichlet rows
+    /// taken and `scale·M` added through `product3_and_update_on`, Dirichlet rows
     /// set — holds what `from_csr` of the same operations on its CSR twin
     /// holds, bit for bit (`-0.0` entries included, padding `+0.0`), and
     /// `finish` is handed the CSR products of the matrix before the
@@ -1207,19 +1213,18 @@ pub(crate) mod tests {
                         }
                     }
                     let mut got = vec![f64::NAN; 3 * n];
-                    born.product3_and_add_at(
+                    born.product3_and_update_at(
                         lanes,
                         &team,
                         x,
-                        scale,
-                        &mass,
                         &mut got[..],
-                        |rows, y, out| {
+                        |rows, y, block, out| {
                             for i in 0..rows.len() {
                                 for c in 0..3 {
                                     out[3 * i + c] = y[c][i];
                                 }
                             }
+                            mass.add_scaled_block_to(rows.start, scale, block);
                         },
                     );
                     for &row in &dirichlet {
@@ -1256,13 +1261,11 @@ pub(crate) mod tests {
             let source: DiaMatrix = DiaMatrix::from_csr(&source).expect("nine diagonals");
             let mut dia = DiaMatrix::zeros(n, source.offsets().to_vec());
             dia.values.copy_from_slice(&source.values);
-            dia.product3_and_add_on(
+            dia.product3_and_update_on(
                 &team,
                 [&x, &x, &x],
-                1.0,
-                &source,
                 &mut [][..],
-                |_, _, _: &mut [f64]| {},
+                |rows, _, block, _: &mut [f64]| source.add_scaled_block_to(rows.start, 1.0, block),
             );
             for (slot, value) in dia.values.iter().enumerate() {
                 let want = if padding[slot] { 0.0f64 } else { fill + fill };
@@ -1277,13 +1280,11 @@ pub(crate) mod tests {
         let mut dia: DiaMatrix = DiaMatrix::from_csr(&stencil9(4, 3, 1)).expect("nine diagonals");
         let other: DiaMatrix = DiaMatrix::from_csr(&tridiag(12)).expect("three diagonals");
         let x = vec![0.0; 12];
-        dia.product3_and_add_on(
+        dia.product3_and_update_on(
             &Team::new(1),
             [&x, &x, &x],
-            1.0,
-            &other,
             &mut [][..],
-            |_, _, _: &mut [f64]| {},
+            |rows, _, block, _: &mut [f64]| other.add_scaled_block_to(rows.start, 1.0, block),
         );
     }
 
@@ -1387,8 +1388,9 @@ pub(crate) mod tests {
             ];
             for rows in ranges.into_iter().filter(|rows| rows.start <= rows.end) {
                 let run = |lanes| {
-                    let mut out = [(); 8].map(|()| vec![T::from_f64(f64::NAN); rows.len()]);
-                    let [product, sweep, residual, y0, y1, y2, by_class, r_by_class] = &mut out;
+                    let mut out = [(); 9].map(|()| vec![T::from_f64(f64::NAN); rows.len()]);
+                    let [product, sweep, residual, y0, y1, y2, by_class, r_by_class, p_by_class] =
+                        &mut out;
                     dia.product_into_at(lanes, &x, rows.clone(), product);
                     dia.jacobi_range_at(lanes, &x, &b, &inv_diag, omega, rows.clone(), sweep);
                     dia.residual_range_at(lanes, &x, &b, rows.clone(), residual);
@@ -1403,6 +1405,7 @@ pub(crate) mod tests {
                         by_class,
                     );
                     classes.residual_range_at(lanes, &x, &b, rows.clone(), r_by_class);
+                    classes.product_range_at(lanes, &x, rows.clone(), p_by_class);
                     out.map(|v| bits(&v))
                 };
                 assert_eq!(run(Lanes::Baseline), run(lanes), "n={n}, rows {rows:?}");

@@ -74,7 +74,8 @@ pub use krylov::{
 };
 pub use multigrid::{
     exact_row_classes, galerkin_coarse, galerkin_on_lattices, mg_preconditioned_cg_on,
-    GeometricMultigrid, Interpolation, LevelStorage, MultigridOptions, TransferStorage,
+    GeometricMultigrid, Interpolation, LevelOperator, LevelStorage, MultigridOptions,
+    TransferStorage,
 };
 pub use multivector::{MultiVector, NRHS};
 pub use operator::{JacobiPreconditioner, LinearOperator, Preconditioner};

@@ -754,14 +754,19 @@ impl std::fmt::Display for LevelStorage {
 
 /// The operator of one level, in the one storage the level's matrix chose:
 /// row classes where at least half the rows lie in long runs of one class
-/// (the fine level of a uniform 32³ box — 3.9 MB of diagonals as ~40 KB),
-/// diagonals everywhere else (graded or jittered lattices, where no two
-/// rows agree, and small levels, where the diagonals are cache-resident and
-/// the runs too short to fill a window).  Same kernels, same bits up to the
-/// sub-epsilon entries the classes drop.
+/// (the fine level of a uniform 32³ box — 3.9 MB of `f32` diagonals as
+/// ~40 KB), diagonals everywhere else (graded or jittered lattices, where
+/// no two rows agree, and small levels, where the diagonals are
+/// cache-resident and the runs too short to fill a window).  Same kernels,
+/// same bits up to the sub-epsilon entries `f32` classes drop.  In `f64`
+/// it is the outer CG's operator ([`GeometricMultigrid::fine_operator`]):
+/// there the classes drop nothing but exact zeros, so its product is the
+/// diagonals' bit for bit.
 #[derive(Debug, Clone)]
-enum LevelOperator<T: Scalar> {
+pub enum LevelOperator<T: Scalar = f64> {
+    /// The distinct rows and the runs that carry them.
     Classes(RowClasses<T>),
+    /// Block-major diagonals.
     Diagonals(DiaMatrix<T>),
 }
 
@@ -776,17 +781,30 @@ impl<T: Scalar> LevelOperator<T> {
         classes.map_or_else(|| LevelOperator::Diagonals(diagonals()), LevelOperator::Classes)
     }
 
-    fn storage(&self) -> LevelStorage {
+    /// `matrix` in the storage its rows choose: its
+    /// [`RowClasses::from_dia_with_long_runs`] where they pay, `matrix`
+    /// itself otherwise.
+    pub fn from_diagonals(matrix: DiaMatrix<T>) -> LevelOperator<T> {
+        Self::new(RowClasses::from_dia_with_long_runs(&matrix), || matrix)
+    }
+
+    /// How the operator is stored — what the operator banner names.
+    pub fn storage(&self) -> LevelStorage {
         match self {
             LevelOperator::Classes(c) => LevelStorage::RowClasses { classes: c.num_classes() },
             LevelOperator::Diagonals(d) => LevelStorage::Diagonals { diagonals: d.offsets().len() },
         }
     }
 
-    /// Modeled flops and bytes of one traversal (a sweep or a residual).
+    /// Modeled flops and bytes of one traversal (a sweep or a residual):
+    /// the operator's data, and for classes, whose data is a few dozen
+    /// kilobytes, the four vectors of a sweep besides.
     fn traffic(&self) -> (u64, u64) {
         match self {
-            LevelOperator::Classes(c) => (c.apply_flops(), c.streamed_bytes() as u64),
+            LevelOperator::Classes(c) => {
+                let vectors = 4 * c.dim() * std::mem::size_of::<T>();
+                (c.apply_flops(), (c.streamed_bytes() + vectors) as u64)
+            }
             LevelOperator::Diagonals(d) => (d.apply_flops(), d.streamed_bytes() as u64),
         }
     }
@@ -810,6 +828,43 @@ impl<T: Scalar> LevelOperator<T> {
         match self {
             LevelOperator::Classes(c) => c.residual_range(x, b, rows, r),
             LevelOperator::Diagonals(d) => d.residual_range(x, b, rows, r),
+        }
+    }
+}
+
+impl LinearOperator for LevelOperator<f64> {
+    fn dim(&self) -> usize {
+        match self {
+            LevelOperator::Classes(c) => c.dim(),
+            LevelOperator::Diagonals(d) => d.dim(),
+        }
+    }
+
+    fn apply_range(&self, x: &[f64], rows: Range<usize>, y: &mut [f64]) {
+        match self {
+            LevelOperator::Classes(c) => c.product_range(x, rows, y),
+            LevelOperator::Diagonals(d) => d.product_into(x, rows, y),
+        }
+    }
+
+    fn diagonal(&self) -> Vec<f64> {
+        match self {
+            LevelOperator::Classes(c) => c.diagonal(),
+            LevelOperator::Diagonals(d) => d.diagonal(),
+        }
+    }
+
+    fn streamed_bytes(&self) -> usize {
+        match self {
+            LevelOperator::Classes(c) => RowClasses::streamed_bytes(c),
+            LevelOperator::Diagonals(d) => DiaMatrix::streamed_bytes(d),
+        }
+    }
+
+    fn apply_flops(&self) -> u64 {
+        match self {
+            LevelOperator::Classes(c) => c.apply_flops(),
+            LevelOperator::Diagonals(d) => d.apply_flops(),
         }
     }
 }
@@ -1032,7 +1087,7 @@ impl<T: Scalar> Cycle<T> {
         options: &MultigridOptions,
     ) -> Option<Cycle<T>> {
         let coarsening = interps.into_iter().map(Coarsening::Csr).collect();
-        Self::build(fine, coarsening, options, Coarsening::transfer::<T>)
+        Self::build(fine, None, coarsening, options, Coarsening::transfer::<T>)
     }
 
     /// [`Cycle::new`] with every transfer kept in CSR: the reference the
@@ -1044,7 +1099,7 @@ impl<T: Scalar> Cycle<T> {
         options: &MultigridOptions,
     ) -> Option<Cycle<T>> {
         let coarsening = interps.into_iter().map(Coarsening::Csr).collect();
-        Self::build(fine, coarsening, options, Coarsening::csr_transfer)
+        Self::build(fine, None, coarsening, options, Coarsening::csr_transfer)
     }
 
     /// The hierarchy of `fine` over `coarsening`, all on diagonals: each
@@ -1052,9 +1107,11 @@ impl<T: Scalar> Cycle<T> {
     /// (once per key where `P` is a lattice stencil, row by row otherwise),
     /// filled in `T` straight from it; the `f64` form of a level is dropped
     /// once the next product and its inverse diagonal have read it, and the
-    /// coarsest one's once it is factored.
+    /// coarsest one's once it is factored.  `keys` are `fine`'s exact-bit
+    /// row classes when the caller has them.
     fn build(
         fine: &DiaMatrix,
+        mut keys: Option<Vec<u32>>,
         coarsening: Vec<Coarsening>,
         options: &MultigridOptions,
         transfer: fn(Coarsening) -> Transfer,
@@ -1063,9 +1120,9 @@ impl<T: Scalar> Cycle<T> {
             LevelOperator::new(RowClasses::from_dia_with_long_runs(fine), || fine.cast());
         let mut levels = vec![Level::new(fine, fine_operator)];
         let mut matrix = Cow::Borrowed(fine);
-        // The key ids of `matrix`'s rows when a lattice product made it;
-        // a level that has none is classified when a product asks.
-        let mut keys: Option<Vec<u32>> = None;
+        // `keys`: the key ids of `matrix`'s rows when the caller or a
+        // lattice product has them; a level that has none is classified
+        // when a product asks.
         for step in &coarsening {
             let coarse = match step {
                 Coarsening::Lattice(lattices) => {
@@ -1211,10 +1268,10 @@ impl<T: Scalar> Cycle<T> {
 /// [`Preconditioner::is_inexact`]; CG answers with its flexible `β`.
 #[derive(Debug, Clone)]
 pub struct GeometricMultigrid {
-    // Shared so the outer CG can run its fine-grid product through it while
-    // the preconditioner is borrowed mutably.  The finest operator is the
-    // only one kept in both precisions.
-    fine: Arc<DiaMatrix>,
+    // The finest operator in `f64`, in the storage its rows chose — the
+    // outer CG's; shared so the CG can run its product through it while the
+    // preconditioner is borrowed mutably.  The cycle's levels are `f32`.
+    fine: Arc<LevelOperator>,
     cycle: Cycle<f32>,
 }
 
@@ -1232,7 +1289,7 @@ impl GeometricMultigrid {
         interps: Vec<Interpolation>,
         options: &MultigridOptions,
     ) -> Option<GeometricMultigrid> {
-        Self::from_diagonals(Arc::new(DiaMatrix::from_csr(fine)?), interps, options)
+        Self::from_diagonals(&DiaMatrix::from_csr(fine)?, interps, options)
     }
 
     /// Builds the hierarchy from the finest (pinned) operator on its
@@ -1240,19 +1297,20 @@ impl GeometricMultigrid {
     /// `l+1` → level `l`; coarse operators are Galerkin products, computed
     /// row by row on diagonals with the bits of [`galerkin_coarse`]; each
     /// transfer takes the storage its entries ask for,
-    /// [`TransferStorage`]).  `fine` becomes the hierarchy's
-    /// [`fine_operator`](Self::fine_operator).  Returns `None` when a
-    /// coarse level's pattern is not a lattice stencil (more than
-    /// [`crate::dia::MAX_DIAGONALS`] distinct offsets — e.g. the level
-    /// below a jittered box) or when the coarsest operator is numerically
-    /// singular.
+    /// [`TransferStorage`]).  `fine`, in the storage its rows choose
+    /// ([`LevelOperator::from_diagonals`]), becomes the hierarchy's
+    /// [`fine_operator`](Self::fine_operator); the caller may drop its
+    /// diagonals.  Returns `None` when a coarse level's pattern is not a
+    /// lattice stencil (more than [`crate::dia::MAX_DIAGONALS`] distinct
+    /// offsets — e.g. the level below a jittered box) or when the coarsest
+    /// operator is numerically singular.
     ///
     /// # Panics
     /// Panics when the interpolation chain dimensions do not match, when
     /// the chain is empty, or on nonsensical options (zero sweeps,
     /// non-positive damping).
     pub fn from_diagonals(
-        fine: Arc<DiaMatrix>,
+        fine: &DiaMatrix,
         interps: Vec<Interpolation>,
         options: &MultigridOptions,
     ) -> Option<GeometricMultigrid> {
@@ -1262,8 +1320,9 @@ impl GeometricMultigrid {
         for pair in interps.windows(2) {
             assert_eq!(pair[0].coarse_nodes, pair[1].fine_nodes, "interpolation chain mismatch");
         }
-        let cycle = Cycle::new(&fine, interps, options)?;
-        Some(GeometricMultigrid { fine, cycle })
+        let cycle = Cycle::new(fine, interps, options)?;
+        let fine = LevelOperator::new(RowClasses::from_dia_with_long_runs(fine), || fine.clone());
+        Some(GeometricMultigrid { fine: Arc::new(fine), cycle })
     }
 
     /// Builds the hierarchy of the finest (pinned) operator `fine` of a box
@@ -1273,14 +1332,17 @@ impl GeometricMultigrid {
     /// the exact trilinear stencil ([`Interpolation::trilinear`]), applied
     /// by lattice index and never stored, and every coarse operator the
     /// Galerkin product computed once per key ([`galerkin_on_lattices`]) —
-    /// no CSR matrix anywhere.  `None` as for
+    /// no CSR matrix anywhere.  The [`fine_operator`](Self::fine_operator)
+    /// takes its row classes from the exact-bit classes the first product
+    /// keys on ([`RowClasses::from_row_ids_with_long_runs`]), with no
+    /// further scan of the values.  `None` as for
     /// [`from_diagonals`](Self::from_diagonals).
     ///
     /// # Panics
     /// Panics when the chain has fewer than two lattices, does not nest or
     /// does not start at `fine`'s row count, or on nonsensical options.
     pub fn on_lattice_chain(
-        fine: Arc<DiaMatrix>,
+        fine: &DiaMatrix,
         chain: &[[usize; 3]],
         options: &MultigridOptions,
     ) -> Option<GeometricMultigrid> {
@@ -1295,8 +1357,12 @@ impl GeometricMultigrid {
                 Coarsening::Lattice(lattices)
             })
             .collect();
-        let cycle = Cycle::build(&fine, coarsening, options, Coarsening::transfer::<f32>)?;
-        Some(GeometricMultigrid { fine, cycle })
+        let keys = exact_row_classes(fine);
+        let classes = RowClasses::from_row_ids_with_long_runs(fine, &keys);
+        let cycle =
+            Cycle::build(fine, Some(keys), coarsening, options, Coarsening::transfer::<f32>)?;
+        let fine = LevelOperator::new(classes, || fine.clone());
+        Some(GeometricMultigrid { fine: Arc::new(fine), cycle })
     }
 
     /// Number of levels, finest included.
@@ -1332,11 +1398,12 @@ impl GeometricMultigrid {
         self.cycle.hierarchy.transfers.iter().map(Transfer::storage).collect()
     }
 
-    /// The `f64` operator of the finest level — the diagonals the
-    /// hierarchy was built from (from a CSR matrix: its bits at half the
-    /// traffic), shared — hand it to [`mg_preconditioned_cg_on`] as the
-    /// outer operator.  The coarse levels exist in the cycle's `f32` only.
-    pub fn fine_operator(&self) -> Arc<DiaMatrix> {
+    /// The `f64` operator of the finest level — the matrix the hierarchy
+    /// was built from, as its row classes where they pay (every product
+    /// bit for bit the diagonals'), shared — hand it to
+    /// [`mg_preconditioned_cg_on`] as the outer operator.  The coarse levels
+    /// exist in the cycle's `f32` only.
+    pub fn fine_operator(&self) -> Arc<LevelOperator> {
         Arc::clone(&self.fine)
     }
 
@@ -2601,13 +2668,12 @@ mod tests {
         let chain = [[33, 17, 9], [17, 9, 5], [9, 5, 3]];
         for (name, power) in [("uniform", 1.0), ("graded", 1.3)] {
             let (a, _) = tensor_problem(&tensor_grids(chain[0], power));
-            let fine = Arc::new(DiaMatrix::from_csr(&a).expect("a lattice stencil"));
+            let fine = DiaMatrix::from_csr(&a).expect("a lattice stencil");
             let interps = chain[1..].iter().map(|&c| Interpolation::trilinear(c)).collect();
             let mut lattice =
-                GeometricMultigrid::on_lattice_chain(Arc::clone(&fine), &chain, &options)
-                    .expect(name);
+                GeometricMultigrid::on_lattice_chain(&fine, &chain, &options).expect(name);
             let mut stored =
-                GeometricMultigrid::from_diagonals(fine, interps, &options).expect(name);
+                GeometricMultigrid::from_diagonals(&fine, interps, &options).expect(name);
             assert_eq!(lattice.level_storage(), stored.level_storage(), "{name}");
             assert_eq!(lattice.transfer_storage(), stored.transfer_storage(), "{name}");
             let rhs = crate::dia::tests::awkward_vector(a.dim(), 17);

@@ -106,7 +106,8 @@ fn the_banner_names_the_storage_the_rows_chose() {
     }
     let channel = banner(ScenarioKind::Channel, 12);
     assert!(channel.contains("pressure mgcg (3 levels: "), "{channel}");
-    assert_eq!(channel.matches("row classes").count(), 2, "{channel}");
+    let levels = channel.split("| pressure ").nth(1).expect("a pressure clause");
+    assert_eq!(levels.matches("row classes").count(), 2, "{channel}");
     assert!(channel.ends_with("; transfers: stencil | stencil)"), "{channel}");
 
     let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 8);
@@ -125,5 +126,34 @@ fn the_banner_names_the_storage_the_rows_chose() {
             line.ends_with(&format!("| pressure cg (no multigrid hierarchy: {cause})")),
             "{line}"
         );
+    }
+}
+
+/// The banner names the storage of the outer Poisson operator, which the
+/// rows choose by the rule the levels use: the 34 exact `f64` classes of a
+/// pinned uniform cavity (27 positions and the seven neighbours of the pin)
+/// where its x-lines give runs of 19, 28 on the channel with its pinned
+/// outflow plane, and the diagonals where the runs are short (16³, and the
+/// 7³ cavity, which has no hierarchy either) or no two rows agree (the
+/// jittered 12³).
+#[test]
+fn the_banner_names_the_outer_operator_s_storage() {
+    let banner = |kind, resolution| {
+        Stepper::new(Scenario::new(kind, resolution), StepperConfig::default()).describe_operators()
+    };
+    let jittered = BoxMeshBuilder::new(12, 12, 12).lid_driven_cavity().with_jitter(0.1, 5).build();
+    let scenario = Scenario::new(ScenarioKind::LidDrivenCavity, 12);
+    let cases = [
+        (banner(ScenarioKind::LidDrivenCavity, 20), "34 row classes"),
+        (banner(ScenarioKind::Channel, 12), "28 row classes"),
+        (banner(ScenarioKind::LidDrivenCavity, 16), "27 diagonals"),
+        (banner(ScenarioKind::LidDrivenCavity, 7), "27 diagonals"),
+        (
+            Stepper::with_mesh(scenario, StepperConfig::default(), jittered).describe_operators(),
+            "27 diagonals",
+        ),
+    ];
+    for (line, storage) in cases {
+        assert!(line.contains(&format!("| laplacian {storage} (f64) | pressure ")), "{line}");
     }
 }
